@@ -167,6 +167,12 @@ class TraceTerms:
     a_h_norm2: float
     nabla_perp_h_norm2: float
 
+    def __post_init__(self):
+        # One instance serves every caller at a point: forbid in-place edits.
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
 
 def _values(vec):
     return np.array([j.value for j in vec])
@@ -208,6 +214,7 @@ class PointCalculus:
         self.f_jet = eval_on_jets(imm.weight, self.env)
         self.psi_val = _values(self.psi)
         self.space.chart_check(self.psi_val)
+        self._connection = {}
 
     # -- ambient data composed along the immersion -------------------------
 
@@ -468,22 +475,37 @@ class PointCalculus:
 
     # -- connection helpers ----------------------------------------------------
 
+    def _connection_along(self, alpha, order):
+        """A[a][c] = Gam^a_bc d_alpha psi^b summed over b, both factors
+        truncated to `order`; computed once per (alpha, order)."""
+        key = (alpha, order)
+        A = self._connection.get(key)
+        if A is None:
+            Gam = self.Gam_field
+            dpsi = [self.dpsi[b][alpha].truncate(order) for b in range(self.d)]
+            A = []
+            for a in range(self.d):
+                row = []
+                for c in range(self.d):
+                    acc = None
+                    for b in range(self.d):
+                        term = Gam[a][b][c].truncate(order) * dpsi[b]
+                        acc = term if acc is None else acc + term
+                    row.append(acc)
+                A.append(row)
+            self._connection[key] = A
+        return A
+
     def pullback_derivative(self, field, alpha):
         """nabla-bar_alpha of an ambient jet field along the immersion."""
-        order = field[0].space.order
-        out_order = order - 1
-        Gam = self.Gam_field
-        dpsi = self.dpsi
+        out_order = field[0].space.order - 1
+        A = self._connection_along(alpha, out_order)
+        low = _truncate_vec(field, out_order)
         out = []
         for a in range(self.d):
             acc = field[a].deriv(alpha)
-            for b in range(self.d):
-                for c in range(self.d):
-                    acc = acc + (
-                        Gam[a][b][c].truncate(out_order)
-                        * dpsi[b][alpha].truncate(out_order)
-                        * field[c].truncate(out_order)
-                    )
+            for c in range(self.d):
+                acc = acc + A[a][c] * low[c]
             out.append(acc)
         return out
 
@@ -614,6 +636,11 @@ class PointCalculus:
     def scal(self):
         return float(np.tensordot(self.g_inv_val, self.intrinsic_ricci))
 
+    @cached_property
+    def trace_terms(self):
+        """The `TraceTerms` at this point, computed once."""
+        return _trace_terms(self)
+
 
 # -- public operation surface ---------------------------------------------------
 
@@ -677,17 +704,51 @@ def decomposition_operators_at(imm, point, calc=None, fd=None):
     return tt, tn, nt, nn
 
 
-def structure_split(pc, vector):
-    """Apply the ambient structure tensor and split (tangent, normal) parts."""
-    st = pc.space.structure_at(pc.psi_val)
-    T = st["J"] if pc.space.structure == "hermitian" else st["phi"]
-    P_tan, P_nor = pc.projectors
-    image = T @ vector
-    return P_tan @ image, P_nor @ image
-
-
 def trace_terms_at(imm, point, calc=None):
+    """The `TraceTerms` at a point; shared by every caller passing `calc`."""
     pc = calc or PointCalculus(imm, point)
+    return pc.trace_terms
+
+
+def _normal_connection(pc, field):
+    """nabla-perp of a normal jet field along each coordinate direction, as
+    jet fields and as values (one row per direction)."""
+    proj_field = pc.projector_field
+    W_fields = []
+    for al in range(pc.m):
+        covd = pc.pullback_derivative(field, al)
+        out_order = covd[0].space.order
+        W = []
+        for a in range(pc.d):
+            acc = None
+            for b in range(pc.d):
+                term = proj_field_entry(proj_field, a, b, out_order) * covd[b]
+                acc = term if acc is None else acc + term
+            W.append(acc)
+        W_fields.append(W)
+    return W_fields, np.array([_values(W) for W in W_fields])
+
+
+def _normal_trace(pc, fields, values):
+    """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g) for jet fields F_b with
+    values `values`: the normal part of the trace of their covariant
+    derivative."""
+    P_nor = pc.projectors[1]
+    Gam_int = pc.intrinsic_christoffels
+    ginv = pc.g_inv_val
+    out = np.zeros(pc.d)
+    for al in range(pc.m):
+        for be in range(pc.m):
+            covd = pc.pullback_derivative(fields[be], al)
+            term = P_nor @ _values(covd)
+            corr = np.zeros(pc.d)
+            for g in range(pc.m):
+                corr += Gam_int[g][al][be].value * values[g]
+            out += ginv[al, be] * (term - corr)
+    return out
+
+
+def _trace_terms(pc):
     m, d = pc.m, pc.d
     ginv = pc.g_inv_val
     G0 = pc.G_val
@@ -703,21 +764,8 @@ def trace_terms_at(imm, point, calc=None):
     tb_ah = np.einsum("ag,bd,gd,abk->k", ginv, ginv, BH, B)
 
     # normal connection of H along coordinate directions
-    proj_field = pc.projector_field
     H_field = pc.H_field
-    nabla_perp_h_fields = []
-    for al in range(m):
-        covd = pc.pullback_derivative(H_field, al)
-        out_order = covd[0].space.order
-        W = []
-        for a in range(d):
-            acc = None
-            for b in range(d):
-                term = proj_field_entry(proj_field, a, b, out_order) * covd[b]
-                acc = term if acc is None else acc + term
-            W.append(acc)
-        nabla_perp_h_fields.append(W)
-    nabla_perp_h = np.array([_values(W) for W in nabla_perp_h_fields])
+    nabla_perp_h_fields, nabla_perp_h = _normal_connection(pc, H_field)
 
     # tr A_{nabla-perp H}(.) = g^{ab} g^{gd} <B_bd, W_a> dpsi_g
     TA = np.zeros(d)
@@ -728,17 +776,7 @@ def trace_terms_at(imm, point, calc=None):
                     TA += ginv[al, be] * ginv[ga, de] * ip(B[be, de], nabla_perp_h[al]) * dpsi[:, ga]
 
     # positive normal Laplacian of H
-    Gam_int = pc.intrinsic_christoffels
-    lap = np.zeros(d)
-    for al in range(m):
-        for be in range(m):
-            covd2 = pc.pullback_derivative(nabla_perp_h_fields[be], al)
-            term = P_nor @ _values(covd2)
-            corr = np.zeros(d)
-            for g in range(m):
-                corr += Gam_int[g][al][be].value * nabla_perp_h[g]
-            lap += ginv[al, be] * (term - corr)
-    delta_perp_h_pos = -lap
+    delta_perp_h_pos = -_normal_trace(pc, nabla_perp_h_fields, nabla_perp_h)
 
     # |H|^2 field and gradient
     h2_field = None
@@ -770,6 +808,7 @@ def trace_terms_at(imm, point, calc=None):
     grad_delta_f, _ = pc.gradient_ambient(pc.delta_f_pos_field)
 
     # nabla_. grad f (intrinsic Hessian endomorphism, values)
+    Gam_int = pc.intrinsic_christoffels
     hess_vec = np.zeros((m, m))  # (nabla_be grad f)^gamma
     for be in range(m):
         dcomp = [pc.grad_f_param_field[g].deriv(be).value for g in range(m)]
@@ -798,15 +837,7 @@ def trace_terms_at(imm, point, calc=None):
             vec.append(acc)
         omega_fields.append(vec)
     omega_val = [_values(v) for v in omega_fields]
-    tnb = np.zeros(d)
-    for al in range(m):
-        for be in range(m):
-            covd = pc.pullback_derivative(omega_fields[be], al)
-            term = P_nor @ _values(covd)
-            corr = np.zeros(d)
-            for g in range(m):
-                corr += Gam_int[g][al][be].value * omega_val[g]
-            tnb += ginv[al, be] * (term - corr)
+    tnb = _normal_trace(pc, omega_fields, omega_val)
 
     # tr A_{B(., grad f)}(.) = g^{ab} g^{gd} <B_bd, omega_a> dpsi_g
     ta_b_gradf = np.zeros(d)
@@ -939,33 +970,7 @@ def normal_laplacian(imm, point, field_fn=None, calc=None):
     """Positive connection Laplacian on the normal bundle."""
     pc = calc or PointCalculus(imm, point)
     field = field_fn(pc) if field_fn is not None else pc.H_field
-    proj_field = pc.projector_field
-    P_nor = pc.projectors[1]
-    Gam_int = pc.intrinsic_christoffels
-    ginv = pc.g_inv_val
-    W_fields = []
-    for al in range(pc.m):
-        covd = pc.pullback_derivative(field, al)
-        out_order = covd[0].space.order
-        W = []
-        for a in range(pc.d):
-            acc = None
-            for b in range(pc.d):
-                term = proj_field_entry(proj_field, a, b, out_order) * covd[b]
-                acc = term if acc is None else acc + term
-            W.append(acc)
-        W_fields.append(W)
-    W_val = [_values(W) for W in W_fields]
-    lap = np.zeros(pc.d)
-    for al in range(pc.m):
-        for be in range(pc.m):
-            covd2 = pc.pullback_derivative(W_fields[be], al)
-            term = P_nor @ _values(covd2)
-            corr = np.zeros(pc.d)
-            for g in range(pc.m):
-                corr += Gam_int[g][al][be].value * W_val[g]
-            lap += ginv[al, be] * (term - corr)
-    return -lap
+    return -_normal_trace(pc, *_normal_connection(pc, field))
 
 
 # -- flag verification -----------------------------------------------------------

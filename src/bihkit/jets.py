@@ -90,15 +90,18 @@ class JetSpace:
         self._mul_i = np.array(mul_i)
         self._mul_j = np.array(mul_j)
         self._mul_k = np.array(mul_k)
-        # derivative table: diff_map[axis][i] = row index of indices[i]+e_axis, or -1
-        self._diff = np.full((num_vars, self.size), -1, dtype=int)
-        self._diff_scale = np.zeros((num_vars, self.size))
-        for i, g in enumerate(self.indices):
+        # The basis is graded by total degree, so the basis of every lower
+        # order is a prefix of this one: truncation keeps the first entries.
+        # Derivative tables, over that order-1 prefix: _diff[axis][i] is the
+        # row of indices[i] + e_axis and _diff_scale[axis][i] its factor.
+        low = math.comb(num_vars + order - 1, num_vars)  # size at order - 1
+        self._diff = np.zeros((num_vars, low), dtype=int)
+        self._diff_scale = np.zeros((num_vars, low))
+        for i, g in enumerate(self.indices[:low]):
             for ax in range(num_vars):
                 up = tuple(v + (1 if a == ax else 0) for a, v in enumerate(g))
-                if sum(up) <= order:
-                    self._diff[ax, i] = self.index_of[up]
-                    self._diff_scale[ax, i] = g[ax] + 1
+                self._diff[ax, i] = self.index_of[up]
+                self._diff_scale[ax, i] = g[ax] + 1
 
     def __repr__(self):
         return f"JetSpace(num_vars={self.num_vars}, order={self.order})"
@@ -168,24 +171,14 @@ class Jet:
         if order > self.space.order:
             raise JetError("cannot raise jet order by truncation")
         sp = jet_space(self.space.num_vars, order)
-        c = np.zeros(sp.size)
-        for i, g in enumerate(sp.indices):
-            c[i] = self.c[self.space.index_of[g]]
-        return Jet(sp, c)
+        return Jet(sp, self.c[: sp.size].copy())
 
     def deriv(self, axis):
         """Partial derivative along one variable; drops one order."""
         if self.space.order == 0:
             raise JetError("cannot differentiate an order-0 jet")
         sp = jet_space(self.space.num_vars, self.space.order - 1)
-        src = self.space._diff[axis]
-        out = np.zeros(sp.size)
-        for i in range(sp.size):
-            j = self.space.index_of[sp.indices[i]]
-            k = src[j]
-            if k >= 0:
-                out[i] = self.c[k] * self.space._diff_scale[axis, j]
-        return Jet(sp, out)
+        return Jet(sp, self.c[self.space._diff[axis]] * self.space._diff_scale[axis])
 
     # -- arithmetic --------------------------------------------------------
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import PointCalculus, flag_deviation, trace_terms_at
+from .calculus import PointCalculus, flag_deviation
 from .residuals import ResidualContext
 from .spaces import space_form_coefficients
 
@@ -435,7 +435,9 @@ def check_G_bound(imm, points, flag_tol=1e-6, calcs=None):
 
 def proposition_checkers(imm, points, tol=1e-6, flag_tol=1e-6, calcs=None):
     """Every checker applicable to the ambient structure, plus the Gauss
-    scalar-curvature audit."""
+    scalar-curvature audit.  All of them share one evaluation per point."""
+    if calcs is None:
+        calcs = [PointCalculus(imm, p) for p in points]
     out = [gauss_equation_audit(imm, points, calcs=calcs)]
     if imm.ambient.structure == "hermitian":
         out.append(check_cmc_hypersurface_gcsf(imm, points, tol, flag_tol, calcs))

@@ -15,7 +15,12 @@ from bihkit.calculus import (
     trace_terms_at,
     verify_flags,
 )
+from bihkit import calculus
+from bihkit.jets import Jet
+from bihkit.residuals import bi_f_tension_direct, compare_modes, theorem_residual
+from bihkit.scenario import load_scenario
 from bihkit.spaces import SpaceError, make_space
+from conftest import scenario_path
 
 FLAT3 = make_space("cosymplectic_flat", n=1)
 C2 = make_space("euclidean_complex", n=2)
@@ -318,3 +323,77 @@ def test_weight_positivity_not_enforced_here():
                                  "cos(u)")
     pc = PointCalculus(imm, [3.0])
     assert pc.f_jet.value < 0
+
+
+def _pullback_triple_sum(pc, field, alpha):
+    """nabla-bar_alpha as the plain triple sum Gam^a_bc d_alpha psi^b F^c
+    (reference for the contracted-connection form)."""
+    order = field[0].space.order - 1
+    out = []
+    for a in range(pc.d):
+        acc = field[a].deriv(alpha)
+        for b in range(pc.d):
+            for c in range(pc.d):
+                acc = acc + (pc.Gam_field[a][b][c].truncate(order)
+                             * pc.dpsi[b][alpha].truncate(order)
+                             * field[c].truncate(order))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", ["c02_curve_sasakian", "c13_hypersphere_r4", "c18_hypersphere_cp2"])
+def test_pullback_derivative_matches_triple_sum(name):
+    sc = load_scenario(scenario_path(name), validate=False)
+    points = sc.sample_points()
+    for p in points[:: len(points) // 2]:
+        pc = PointCalculus(sc.immersion, p)
+        # fields of order 3, 2 and 1, so every truncation depth is used
+        dpsi_col = [pc.dpsi[a][0] for a in range(pc.d)]
+        first = pc.pullback_derivative(pc.H_field, 0)
+        for field in (dpsi_col, pc.H_field, first):
+            for al in range(pc.m):
+                got = np.array([j.c for j in pc.pullback_derivative(field, al)])
+                want = np.array([j.c for j in _pullback_triple_sum(pc, field, al)])
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_trace_terms_shared_and_read_only():
+    imm = sphere_immersion(0.8, weight="1 + 0.2*sin(u)*cos(v)")
+    p = [0.7, 0.4]
+    pc = PointCalculus(imm, p)
+    tt = trace_terms_at(imm, p, calc=pc)
+    assert trace_terms_at(imm, p, calc=pc) is tt
+    with pytest.raises(ValueError):
+        tt.nabla_perp_h[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        tt.grad_f += 1.0
+
+
+def test_check_point_operation_counts(monkeypatch):
+    """Jet work of one `check` point on c13 (order-4 jets in 3 variables):
+    the direct field, one theorem residual and the mode comparison on one
+    PointCalculus.  Counts, not times, so the guard is deterministic."""
+    counts = {"mul": 0, "truncate": 0, "trace_terms": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Jet, attr, counted("mul", getattr(Jet, attr)))
+    monkeypatch.setattr(Jet, "truncate", counted("truncate", Jet.truncate))
+    monkeypatch.setattr(calculus, "_trace_terms",
+                        counted("trace_terms", calculus._trace_terms))
+    sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
+    imm, p = sc.immersion, sc.sample_points()[0]
+    kind = sc.mode["kind"]
+    pc = PointCalculus(imm, p)
+    bi_f_tension_direct(imm, p, calc=pc)
+    theorem_residual(imm, p, kind=kind, errata=True, calc=pc)
+    compare_modes(imm, p, kind=kind, errata=True, calc=pc)
+    assert counts["trace_terms"] == 1
+    assert counts["mul"] <= 4300
+    assert counts["truncate"] <= 1300

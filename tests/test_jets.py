@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihkit.jets import (
+    MAX_ORDER,
     Composer,
     Jet,
     JetError,
@@ -246,6 +247,35 @@ def test_truncate_and_deriv():
     assert f.truncate(1).coeff((1, 0)) == pytest.approx(f.coeff((1, 0)))
     with pytest.raises(JetError):
         f.truncate(4)
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3, 4])
+def test_truncate_and_deriv_match_multi_index_lookup(num_vars):
+    # Oracle: look every coefficient up by its multi-index; the derivative
+    # coefficient at gamma is (gamma_axis + 1) * c[gamma + e_axis].
+    rng = np.random.default_rng(num_vars)
+    for order in range(MAX_ORDER + 1):
+        sp = jet_space(num_vars, order)
+        f = Jet(sp, rng.standard_normal(sp.size))
+        for low in range(order + 1):
+            expect = [f.coeff(g) for g in jet_space(num_vars, low).indices]
+            t = f.truncate(low)
+            assert t.space is jet_space(num_vars, low)
+            assert np.array_equal(t.c, expect)
+        if order == 0:
+            continue
+        lower = jet_space(num_vars, order - 1)
+        for axis in range(num_vars):
+            expect = [
+                f.coeff(tuple(k + (a == axis) for a, k in enumerate(g))) * (g[axis] + 1)
+                for g in lower.indices
+            ]
+            d = f.deriv(axis)
+            assert d.space is lower
+            assert np.array_equal(d.c, expect)
+        before = f.c.copy()
+        f.truncate(order - 1).c[:] = 0.0
+        assert np.array_equal(f.c, before)
 
 
 def test_referential_transparency():
