@@ -17,8 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import PointCalculus, decomposition_operators_at, fundamental_data_at, trace_terms_at
-from .residuals import ResidualContext, curvature_trace, _tau_weighted_field
+from .calculus import (
+    PointCalculus,
+    decomposition_operators_at,
+    drain,
+    trace_terms_at,
+)
+from .residuals import curvature_trace, _tau_weighted_field
 
 __all__ = [
     "audit_deltaH_expansion",
@@ -31,9 +36,19 @@ __all__ = [
 ]
 
 
-def _norms(pc):
-    G0 = pc.G_val
-    return lambda v: float(np.sqrt(max(v @ G0 @ v, 0.0)))
+def _mean_curvature_laplacian(pc):
+    """tr nabla^2 H, its printed trace-term expansion in the positive sign
+    convention, (n/2) grad|H|^2 + tr B(.,A_H.) + 2 tr A_{nperp H} + Dperp H,
+    and the tangential curvature trace [tr R(., H) .]^tan."""
+    tt = pc.trace_terms
+    expansion = (
+        0.5 * float(pc.m) * tt.grad_h_norm2
+        + tt.tb_ah
+        + 2.0 * tt.ta_nabla_perp_h
+        + tt.delta_perp_h_pos
+    )
+    trR_tan = pc.projectors[0] @ curvature_trace(pc, pc.H_val)
+    return pc.rough_laplacian(pc.H_field), expansion, trR_tan
 
 
 def audit_lemgene1(imm, point, calc=None):
@@ -44,17 +59,9 @@ def audit_lemgene1(imm, point, calc=None):
     printed form carries the curvature term with a plus sign.
     """
     pc = calc or PointCalculus(imm, point)
-    tt = trace_terms_at(imm, point, calc=pc)
-    nrm = _norms(pc)
-    n = float(pc.m)
-    lhs = pc.rough_laplacian(pc.H_field)
-    trR_tan = pc.projectors[0] @ curvature_trace(pc, pc.H_val)
-    base = (
-        -0.5 * n * tt.grad_h_norm2
-        - tt.tb_ah
-        - 2.0 * tt.ta_nabla_perp_h
-        - tt.delta_perp_h_pos
-    )
+    nrm = pc.norm
+    lhs, expansion, trR_tan = _mean_curvature_laplacian(pc)
+    base = -expansion
     scale = 1.0 + nrm(pc.H_val)
     return {
         "name": "lemgene1",
@@ -72,17 +79,9 @@ def audit_deltaH_expansion(imm, point, calc=None):
     trace, making it exact everywhere.
     """
     pc = calc or PointCalculus(imm, point)
-    tt = trace_terms_at(imm, point, calc=pc)
-    nrm = _norms(pc)
-    n = float(pc.m)
-    lhs = -pc.rough_laplacian(pc.H_field)  # positive rough Laplacian of H
-    rhs_printed = (
-        0.5 * n * tt.grad_h_norm2
-        + tt.tb_ah
-        + 2.0 * tt.ta_nabla_perp_h
-        + tt.delta_perp_h_pos
-    )
-    trR_tan = pc.projectors[0] @ curvature_trace(pc, pc.H_val)
+    nrm = pc.norm
+    laplacian, rhs_printed, trR_tan = _mean_curvature_laplacian(pc)
+    lhs = -laplacian  # positive rough Laplacian of H
     scale = 1.0 + nrm(pc.H_val)
     return {
         "name": "deltaH_expansion",
@@ -130,7 +129,7 @@ def audit_lemgene2(imm, point, calc=None):
     """
     pc = calc or PointCalculus(imm, point)
     tt = trace_terms_at(imm, point, calc=pc)
-    nrm = _norms(pc)
+    nrm = pc.norm
     lhs = pc.rough_laplacian(pc.grad_f_ambient_field)
     grad_delta_neg = -tt.grad_delta_f_pos  # grad of tr Hess f
     b_terms = tt.tb_hess_f + tt.tnb_grad_f - tt.ta_b_grad_f
@@ -162,7 +161,7 @@ def audit_lemgene3(imm, point, calc=None):
     """nabla-bar_{grad f}(n f H + grad f) against its five-term split."""
     pc = calc or PointCalculus(imm, point)
     tt = trace_terms_at(imm, point, calc=pc)
-    nrm = _norms(pc)
+    nrm = pc.norm
     n = float(pc.m)
     tau_w = _tau_weighted_field(pc)
     lhs = pc.directional_derivative(tau_w, pc.grad_f_param)
@@ -186,8 +185,7 @@ def identity_suite(imm, point, calc=None):
     Returns {identity: deviation}.
     """
     pc = calc or PointCalculus(imm, point)
-    fd = fundamental_data_at(imm, point, calc=pc)
-    tt_m, tn, nt, nn = decomposition_operators_at(imm, point, calc=pc, fd=fd)
+    tt_m, tn, nt, nn = decomposition_operators_at(imm, point, calc=pc)
     m = pc.m
     codim = pc.d - m
     out = {}
@@ -201,9 +199,8 @@ def identity_suite(imm, point, calc=None):
         out["j_skew"] = mx(tt_m + tt_m.T)
         out["m_skew"] = mx(nn + nn.T)
     else:
-        st = pc.space.structure_at(pc.psi_val)
-        xi, G0 = st["xi"], fd.ambient_metric
-        E, Nf = fd.tangent_frame, fd.normal_frame
+        xi, G0 = pc.structure["xi"], pc.G_val
+        E, Nf = pc.tangent_frame, pc.normal_frame
         eta_tan = np.array([float(E[i] @ G0 @ xi) for i in range(m)])
         eta_nor = np.array([float(Nf[s] @ G0 @ xi) for s in range(codim)])
         # phi^2 X = -X + eta(X) xi, block by block
@@ -223,17 +220,15 @@ def audit_phi_decompositions(imm, point, calc=None, tol=1e-8):
     pc = calc or PointCalculus(imm, point)
     if pc.space.structure != "contact":
         raise ValueError("phi-decomposition audit needs a contact ambient")
-    ctx = ResidualContext(imm, point, calc=pc)
-    fd = fundamental_data_at(imm, point, calc=pc)
-    nrm = _norms(pc)
-    st = pc.space.structure_at(pc.psi_val)
-    xi, G0 = st["xi"], pc.G_val
-    phi = st["phi"]
+    tt = trace_terms_at(imm, point, calc=pc)
+    nrm = pc.norm
+    xi, G0 = pc.structure["xi"], pc.G_val
+    phi = pc.structure_tensor
     P_tan, P_nor = pc.projectors
     out = dict(identity_suite(imm, point, calc=pc))
     # phi^2 nu decomposition on each normal frame vector
     worst = 0.0
-    for nu in fd.normal_frame:
+    for nu in pc.normal_frame:
         phinu = phi @ nu
         s_nu, t_nu = P_tan @ phinu, P_nor @ phinu
         assembled = (
@@ -250,8 +245,8 @@ def audit_phi_decompositions(imm, point, calc=None, tol=1e-8):
         tH = P_nor @ (phi @ H)
         xi_nor = P_nor @ xi
         if nrm(tH) <= tol * (1.0 + h_norm) and nrm(xi_nor) <= tol:
-            out["PsH_when_phiH_tangent"] = nrm(ctx.Ps_H) / (1.0 + h_norm)
-            out["NsH_plus_H_when_phiH_tangent"] = nrm(ctx.Ns_H + H) / (1.0 + h_norm)
+            out["PsH_when_phiH_tangent"] = nrm(tt.jl_H) / (1.0 + h_norm)
+            out["NsH_plus_H_when_phiH_tangent"] = nrm(tt.kl_H + H) / (1.0 + h_norm)
     return out
 
 
@@ -265,23 +260,15 @@ def curvature_trace_audit(space, points, seed=0, samples_per_point=4):
     complex space forms the sampled spread of alpha+beta is reported (the
     coefficient sum should be constant).
     """
-    from .spaces import chart_jets, curvature_model, gcsf_coefficient_sum_spread
+    from .spaces import curvature_model, gcsf_coefficient_sum_spread
 
     rng = np.random.default_rng(seed)
     d = space.chart_dim
-    G = np.eye(d) if not space.has_metric else None
     worst = {"normal_trace": 0.0, "tangent_trace": 0.0}
     for p in points:
         p = np.asarray(p, float)
-        Gp = space.metric_at(p) if space.has_metric else G
-        if space.has_metric:
-            tensors = space.structure_at(p)
-        else:
-            tensors = {
-                k: np.array([[j.value for j in row] for row in v])
-                if isinstance(v[0], list) else np.array([j.value for j in v])
-                for k, v in space.structure_jets(chart_jets(p, 0)).items()
-            }
+        Gp = space.metric_at(p) if space.has_metric else np.eye(d)
+        tensors = space.structure_at(p)
         T = tensors["J"] if space.structure == "hermitian" else tensors["phi"]
         for _ in range(samples_per_point):
             m = rng.integers(1, d)
@@ -340,11 +327,13 @@ def _trace_rhs(space, p, Gp, T, tensors, P_tan, P_nor, E, v, key, m):
     return -(mf - 1.0) * f1 * v + f2 * r2 + 3.0 * f3 * phi_sv
 
 
-def run_all_audits(imm, points, calc_cache=None):
-    """All audits over a sample set; returns per-audit max deltas."""
+def run_all_audits(imm, calcs):
+    """All audits over the points of `calcs` (one PointCalculus each);
+    returns the per-point rows and the per-audit max deltas.  The list is
+    emptied as it goes, so each point's evaluation is released once used."""
     rows = []
-    for idx, p in enumerate(points):
-        pc = calc_cache[idx] if calc_cache else PointCalculus(imm, p)
+    for pc in drain(calcs):
+        p = pc.point
         entry = {
             "point": list(map(float, p)),
             "deltaH": audit_deltaH_expansion(imm, p, calc=pc),

@@ -31,20 +31,21 @@ from .spaces import AmbientSpace, SpaceError, chart_jets, christoffel_jets, curv
 
 __all__ = [
     "Immersion",
-    "FundamentalData",
     "TraceTerms",
     "CalcError",
     "FlagError",
     "PointCalculus",
-    "fundamental_data_at",
     "trace_terms_at",
     "decomposition_operators_at",
-    "intrinsic_calculus_at",
+    "drain",
     "verify_flags",
     "FLAG_NAMES",
+    "FLAG_TOL",
 ]
 
 RANK_TOL = 1e-10
+# Default tolerance of the numeric flag checks (validation and `props`).
+FLAG_TOL = 1e-8
 
 FLAG_NAMES = (
     "hypersurface",
@@ -66,6 +67,10 @@ class CalcError(ValueError):
 
 class FlagError(ValueError):
     """A declared structural flag fails its numeric pre-check."""
+
+    def __init__(self, flag, message):
+        super().__init__(message)
+        self.flag = flag
 
 
 @dataclass
@@ -116,28 +121,17 @@ class Immersion:
 
 
 @dataclass
-class FundamentalData:
-    point: np.ndarray
-    psi: np.ndarray
-    dpsi: np.ndarray              # (chart_dim, m) coordinate tangents
-    induced_metric: np.ndarray    # (m, m)
-    metric_inv: np.ndarray
-    gram_det: float
-    ambient_metric: np.ndarray    # (chart_dim, chart_dim) at psi(point)
-    tangent_frame: np.ndarray     # (m, chart_dim) orthonormal rows
-    normal_frame: np.ndarray      # (codim, chart_dim) orthonormal rows
-    second_fundamental: np.ndarray  # (m, m, chart_dim) coordinate frame
-    B_frame: np.ndarray           # (m, m, chart_dim) orthonormal frame
-    mean_curvature: np.ndarray    # ambient vector H
-    shape_operators: np.ndarray   # (codim, m, m) matrices of A_nu in the ONB
-    tangent_projector: np.ndarray
-    normal_projector: np.ndarray
-
-
-@dataclass
 class TraceTerms:
-    """Every scalar/vector ingredient the residual equations consume."""
+    """Every scalar/vector ingredient the residual equations consume.
 
+    The two-step structure compositions are named in the Hermitian
+    notation (J X = jX + kX on tangent, J nu = l nu + m nu on normal
+    vectors); on contact ambients with phi = P + N on tangent and s + t on
+    normal vectors, kl H = Ns H, jl H = Ps H, kj grad f = NP grad f and
+    j^2 grad f = P^2 grad f.
+    """
+
+    n: int                           # dimension of the submanifold
     f: float
     grad_f: np.ndarray               # ambient tangent vector
     grad_f_norm2: float
@@ -166,6 +160,14 @@ class TraceTerms:
     b_norm2: float
     a_h_norm2: float
     nabla_perp_h_norm2: float
+    H: np.ndarray                    # mean curvature vector
+    coeffs: tuple                    # ambient (alpha, beta) or (f1, f2, f3)
+    kl_H: np.ndarray                 # [normal]
+    jl_H: np.ndarray                 # [tangent]
+    mm_H: np.ndarray                 # [normal]
+    kj_grad_f: np.ndarray            # [normal]
+    j2_grad_f: np.ndarray            # [tangent]
+    eta_grad_f: float
 
     def __post_init__(self):
         # One instance serves every caller at a point: forbid in-place edits.
@@ -230,20 +232,18 @@ class PointCalculus:
         shifted = [self.psi[a] - self.psi_val[a] for a in range(self.d)]
         return Composer(shifted)
 
-    def _compose(self, outer):
-        out = self._composer.apply_truncated(outer)
-        return out
-
     @cached_property
     def G_field(self):
         G, _ = self._chart
-        return [[self._compose(G[a][b]) for b in range(self.d)] for a in range(self.d)]
+        compose = self._composer.apply_truncated
+        return [[compose(G[a][b]) for b in range(self.d)] for a in range(self.d)]
 
     @cached_property
     def Gam_field(self):
         _, Gam = self._chart
+        compose = self._composer.apply_truncated
         return [
-            [[self._compose(Gam[k][a][b]) for b in range(self.d)] for a in range(self.d)]
+            [[compose(Gam[k][a][b]) for b in range(self.d)] for a in range(self.d)]
             for k in range(self.d)
         ]
 
@@ -253,16 +253,13 @@ class PointCalculus:
         return curvature_tensor_at(self.space, self.psi_val)
 
     @cached_property
-    def structure_field(self):
-        x = chart_jets(self.psi_val, self.order)
-        tensors = self.space.structure_jets(x)
-        out = {}
-        for key, val in tensors.items():
-            if isinstance(val[0], list):
-                out[key] = [[self._compose(v) for v in row] for row in val]
-            else:
-                out[key] = [self._compose(v) for v in val]
-        return out
+    def structure(self):
+        """Structure tensor values at psi(point): J, or phi, xi and eta."""
+        return self.space.structure_at(self.psi_val)
+
+    @cached_property
+    def structure_tensor(self):
+        return self.structure["J" if self.space.structure == "hermitian" else "phi"]
 
     # -- first fundamental form --------------------------------------------
 
@@ -368,6 +365,25 @@ class PointCalculus:
         return np.array(frame)
 
     @cached_property
+    def B_frame(self):
+        """Second fundamental form in the orthonormal tangent frame."""
+        # e_i = c_i^alpha d_alpha psi; rows of `coeff` are the frame coefficients
+        coeff = np.linalg.solve(
+            self.dpsi_val.T @ self.dpsi_val, self.dpsi_val.T @ self.tangent_frame.T
+        ).T
+        return np.einsum("ia,jb,abk->ijk", coeff, coeff, self.B_val)
+
+    @cached_property
+    def shape_operators(self):
+        """(codim, m, m) matrices of A_nu in the orthonormal frames."""
+        A = np.zeros((self.d - self.m, self.m, self.m))
+        for s in range(self.d - self.m):
+            for i in range(self.m):
+                for j in range(self.m):
+                    A[s, i, j] = self.B_frame[i, j] @ self.G_val @ self.normal_frame[s]
+        return A
+
+    @cached_property
     def projectors(self):
         """(tangent, normal) projector matrices in ambient coordinates."""
         P = self.dpsi_val @ self.g_inv_val @ self.dpsi_val.T @ self.G_val
@@ -470,8 +486,9 @@ class PointCalculus:
     def H_val(self):
         return _values(self.H_field)
 
-    def g_dot(self, u, v):
-        return float(u @ self.G_val @ v)
+    def norm(self, v):
+        """Length of an ambient vector at psi(point)."""
+        return float(np.sqrt(max(v @ self.G_val @ v, 0.0)))
 
     # -- connection helpers ----------------------------------------------------
 
@@ -645,46 +662,7 @@ class PointCalculus:
 # -- public operation surface ---------------------------------------------------
 
 
-def fundamental_data_at(imm, point, calc=None):
-    pc = calc or PointCalculus(imm, point)
-    m, d = pc.m, pc.d
-    E = pc.tangent_frame
-    N = pc.normal_frame
-    B_coord = pc.B_val
-    # transform to the orthonormal tangent frame: e_i = c_i^alpha d_alpha psi
-    coeff = np.linalg.solve(
-        pc.dpsi_val.T @ pc.dpsi_val, pc.dpsi_val.T @ E.T
-    ).T  # (m, m): rows = frame coefficients
-    B_frame = np.einsum("ia,jb,abk->ijk", coeff, coeff, B_coord)
-    H = pc.H_val
-    codim = d - m
-    A = np.zeros((codim, m, m))
-    G0 = pc.G_val
-    for s in range(codim):
-        for i in range(m):
-            for j in range(m):
-                A[s, i, j] = B_frame[i, j] @ G0 @ N[s]
-    P_tan, P_nor = pc.projectors
-    return FundamentalData(
-        point=pc.point,
-        psi=pc.psi_val,
-        dpsi=pc.dpsi_val,
-        induced_metric=pc.g_val,
-        metric_inv=pc.g_inv_val,
-        gram_det=pc.gram_det,
-        ambient_metric=G0,
-        tangent_frame=E,
-        normal_frame=N,
-        second_fundamental=B_coord,
-        B_frame=B_frame,
-        mean_curvature=H,
-        shape_operators=A,
-        tangent_projector=P_tan,
-        normal_projector=P_nor,
-    )
-
-
-def decomposition_operators_at(imm, point, calc=None, fd=None):
+def decomposition_operators_at(imm, point, calc=None):
     """Matrices of the structure-tensor decomposition in the chosen frames.
 
     Hermitian ambient: (j, k, l, m) with blocks TM->TM, TM->NM, NM->TM,
@@ -692,10 +670,8 @@ def decomposition_operators_at(imm, point, calc=None, fd=None):
     tangential and t the normal part on the normal bundle.
     """
     pc = calc or PointCalculus(imm, point)
-    fd = fd or fundamental_data_at(imm, point, calc=pc)
-    st = pc.space.structure_at(pc.psi_val)
-    T = st["J"] if pc.space.structure == "hermitian" else st["phi"]
-    E, Nf, G0 = fd.tangent_frame, fd.normal_frame, fd.ambient_metric
+    T = pc.structure_tensor
+    E, Nf, G0 = pc.tangent_frame, pc.normal_frame, pc.G_val
     m, codim = pc.m, pc.d - pc.m
     tt = np.array([[E[i] @ G0 @ (T @ E[j]) for j in range(m)] for i in range(m)])
     tn = np.array([[Nf[s] @ G0 @ (T @ E[j]) for j in range(m)] for s in range(codim)])
@@ -708,6 +684,15 @@ def trace_terms_at(imm, point, calc=None):
     """The `TraceTerms` at a point; shared by every caller passing `calc`."""
     pc = calc or PointCalculus(imm, point)
     return pc.trace_terms
+
+
+def drain(calcs):
+    """Yield the evaluations in `calcs` in order, removing each from the list
+    first: the caller's loop then holds the only reference to the point it
+    works on, and a point's evaluation is released once the loop moves on."""
+    calcs.reverse()
+    while calcs:
+        yield calcs.pop()
 
 
 def _normal_connection(pc, field):
@@ -864,19 +849,23 @@ def _trace_terms(pc):
     ric_vec_param = ginv @ (ric @ grad_f_param)
     ric_grad_f = dpsi @ ric_vec_param
 
-    # contact material
+    # structure material: two-step compositions of J (phi) and contact terms
+    T = pc.structure_tensor
+    tan_TH = P_tan @ (T @ H)
+    tan_Tgf = P_tan @ (T @ grad_f)
     if pc.space.structure == "contact":
-        st = pc.space.structure_at(pc.psi_val)
-        xi = st["xi"]
+        xi = pc.structure["xi"]
         eta_h = ip(xi, H)
         xi_tan = P_tan @ xi
         xi_nor = P_nor @ xi
         xi_tan_norm2 = ip(xi_tan, xi_tan)
+        eta_grad_f = ip(xi, grad_f)
     else:
         eta_h = 0.0
         xi_tan = np.zeros(d)
         xi_nor = np.zeros(d)
         xi_tan_norm2 = 0.0
+        eta_grad_f = 0.0
 
     a_h_norm2 = float(np.einsum("ag,bd,ab,gd->", ginv, ginv, BH, BH))
     np_h2 = 0.0
@@ -885,6 +874,7 @@ def _trace_terms(pc):
             np_h2 += ginv[al, be] * ip(nabla_perp_h[al], nabla_perp_h[be])
 
     return TraceTerms(
+        n=m,
         f=f,
         grad_f=grad_f,
         grad_f_norm2=grad_f_norm2,
@@ -913,6 +903,14 @@ def _trace_terms(pc):
         b_norm2=_b_norm2(B, G0, ginv, m),
         a_h_norm2=a_h_norm2,
         nabla_perp_h_norm2=np_h2,
+        H=H,
+        coeffs=pc.space.curvature_coeffs_at(pc.psi_val),
+        kl_H=P_nor @ (T @ tan_TH),
+        jl_H=P_tan @ (T @ tan_TH),
+        mm_H=P_nor @ (T @ (P_nor @ (T @ H))),
+        kj_grad_f=P_nor @ (T @ tan_Tgf),
+        j2_grad_f=P_tan @ (T @ tan_Tgf),
+        eta_grad_f=eta_grad_f,
     )
 
 
@@ -932,54 +930,12 @@ def _b_norm2(B, G0, ginv, m):
     return total
 
 
-def intrinsic_calculus_at(imm, point, calc=None):
-    """Gradient, Laplacian, Hessian, Ricci(grad f), scalar curvature and the
-    higher grad terms of the weight function (positive Laplacian)."""
-    pc = calc or PointCalculus(imm, point)
-    tt = trace_terms_at(imm, point, calc=pc)
-    return {
-        "grad_f": tt.grad_f,
-        "delta_f_pos": tt.delta_f_pos,
-        "hess_f": tt.hess_f_eigenform,
-        "ric_grad_f": tt.ric_grad_f,
-        "scal": tt.scal,
-        "grad_h_norm2": tt.grad_h_norm2,
-        "grad_delta_f_pos": tt.grad_delta_f_pos,
-        "grad_grad_f_norm2": tt.grad_grad_f_norm2,
-    }
-
-
-def normal_derivative(imm, point, field_fn=None, calc=None):
-    """Split nabla-bar of a normal field into (nabla-perp, shape) parts.
-
-    With no field given, uses the mean curvature field; returns per
-    coordinate direction the pair (normal part, tangential part), the
-    latter being -A_field(d_alpha).
-    """
-    pc = calc or PointCalculus(imm, point)
-    field = field_fn(pc) if field_fn is not None else pc.H_field
-    P_tan, P_nor = pc.projectors
-    out = []
-    for al in range(pc.m):
-        covd = _values(pc.pullback_derivative(field, al))
-        out.append((P_nor @ covd, P_tan @ covd))
-    return out
-
-
-def normal_laplacian(imm, point, field_fn=None, calc=None):
-    """Positive connection Laplacian on the normal bundle."""
-    pc = calc or PointCalculus(imm, point)
-    field = field_fn(pc) if field_fn is not None else pc.H_field
-    return -_normal_trace(pc, *_normal_connection(pc, field))
-
-
 # -- flag verification -----------------------------------------------------------
 
 
 def _operator_norms(pc):
     """Frobenius norms of the four structure-decomposition blocks."""
-    fd = fundamental_data_at(pc.imm, pc.point, calc=pc)
-    tt, tn, nt, nn = decomposition_operators_at(pc.imm, pc.point, calc=pc, fd=fd)
+    tt, tn, nt, nn = decomposition_operators_at(pc.imm, pc.point, calc=pc)
     return {
         "tt": float(np.linalg.norm(tt)),
         "tn": float(np.linalg.norm(tn)),
@@ -1004,9 +960,9 @@ def flag_deviation(imm, points, name, calcs=None):
         pc = calcs[idx] if calcs is not None else PointCalculus(imm, p)
         if name in ("complex", "lagrangian", "invariant", "anti_invariant"):
             if name in ("complex", "lagrangian") and imm.ambient.structure != "hermitian":
-                raise FlagError(f"flag {name!r} needs a Hermitian ambient")
+                raise FlagError(name, f"flag {name!r} needs a Hermitian ambient")
             if name in ("invariant", "anti_invariant") and imm.ambient.structure != "contact":
-                raise FlagError(f"flag {name!r} needs a contact ambient")
+                raise FlagError(name, f"flag {name!r} needs a contact ambient")
             norms = _operator_norms(pc)
             if name == "complex":
                 dev = max(dev, norms["tn"], norms["nt"])
@@ -1018,25 +974,24 @@ def flag_deviation(imm, points, name, calcs=None):
                 dev = max(dev, norms["tt"])
         elif name in ("xi_tangent", "xi_normal"):
             if imm.ambient.structure != "contact":
-                raise FlagError(f"flag {name!r} needs a contact ambient")
-            st = imm.ambient.structure_at(pc.psi_val)
+                raise FlagError(name, f"flag {name!r} needs a contact ambient")
             P_tan, P_nor = pc.projectors
-            xi = st["xi"]
+            xi = pc.structure["xi"]
             part = P_nor @ xi if name == "xi_tangent" else P_tan @ xi
             dev = max(dev, float(np.sqrt(part @ pc.G_val @ part)))
         elif name == "parallel_H":
             tt = trace_terms_at(imm, p, calc=pc)
             dev = max(dev, float(np.sqrt(max(tt.nabla_perp_h_norm2, 0.0))))
         elif name == "cmc":
-            h_values.append(np.sqrt(pc.g_dot(pc.H_val, pc.H_val)))
+            h_values.append(np.sqrt(float(pc.H_val @ pc.G_val @ pc.H_val)))
         else:
-            raise FlagError(f"unknown flag {name!r}")
+            raise FlagError(name, f"unknown flag {name!r}")
     if name == "cmc":
         dev = float(max(h_values) - min(h_values)) if h_values else 0.0
     return dev
 
 
-def verify_flags(imm, points, tol=1e-8, calcs=None):
+def verify_flags(imm, points, tol=FLAG_TOL, calcs=None):
     """Check each asserted/denied flag numerically; raise FlagError on failure.
 
     Returns {flag: measured deviation} for all declared flags.
@@ -1049,10 +1004,10 @@ def verify_flags(imm, points, tol=1e-8, calcs=None):
         report[name] = dev
         if state == "asserted" and not dev <= tol:
             raise FlagError(
-                f"flag {name!r} asserted but deviation {dev:.3e} exceeds {tol:.1e}"
+                name, f"flag {name!r} asserted but deviation {dev:.3e} exceeds {tol:.1e}"
             )
         if state == "denied" and dev <= tol:
             raise FlagError(
-                f"flag {name!r} denied but the property holds (deviation {dev:.3e})"
+                name, f"flag {name!r} denied but the property holds (deviation {dev:.3e})"
             )
     return report

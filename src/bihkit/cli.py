@@ -8,7 +8,8 @@
     bihkit sweep     SCENARIO   refinement table for check/energy
 
 Exit codes: 0 all requested verdicts pass, 2 a numeric verdict failed,
-3 scenario validation error, 4 internal error.
+3 scenario validation error, 4 internal error.  An ambient given only by its
+curvature model (abstract_gcsf, abstract_gssf) supports `audit` alone.
 """
 
 from __future__ import annotations
@@ -20,20 +21,16 @@ import time
 import numpy as np
 
 from . import __version__
-from .audits import run_all_audits
-from .calculus import PointCalculus
+from .audits import curvature_trace_audit, run_all_audits
+from .calculus import FLAG_TOL, PointCalculus, drain
+from .expr import eval_on_jets
+from .jets import Jet, jet_space
 from .props import proposition_checkers
 from .report import render_report, write_csv
-from .residuals import (
-    COROLLARIES,
-    bi_f_tension_direct,
-    compare_modes,
-    f_bitension_direct,
-    theorem_residual,
-)
-from .scenario import ScenarioError, load_scenario
+from .residuals import compare_modes, direct_field, theorem_residual
+from .scenario import ScenarioError, _validate, load_scenario
 from .spaces import SpaceError
-from .variational import ENERGIES, energy, first_variation_check
+from .variational import ENERGIES, energy, first_variation_suite
 
 PASS, NUMERIC_FAIL, VALIDATION_FAIL, INTERNAL_FAIL = 0, 2, 3, 4
 
@@ -59,45 +56,45 @@ def _norm(v):
     return float(np.sqrt(np.dot(v, v)))
 
 
-def cmd_check(sc, args, out):
+def cmd_check(sc, args, out, calcs):
     imm = sc.immersion
     tol = args.tol if args.tol is not None else sc.tolerance("mode_agreement", 1e-6)
     mode = args.mode or sc.mode.get("residual", "both")
     kind = sc.mode.get("kind", "fbh")
     corollary = sc.mode.get("corollary")
     errata = _errata_on(sc, args)
-    points = sc.sample_points()
     rows = []
     worst_direct = 0.0
     worst_delta = 0.0
     worst_theorem = 0.0
     reduction_delta = 0.0
-    for p in points:
-        pc = PointCalculus(imm, p)
+    for pc in drain(calcs):
+        p = pc.point
+        cmp = direct = rep = None
+        if mode == "both":
+            cmp = compare_modes(imm, p, kind=kind, errata=errata, calc=pc, tol=tol)
+            direct, rep = cmp["direct"], cmp["report"]
+        elif mode == "direct":
+            direct = direct_field(kind, pc)
+        else:
+            rep = theorem_residual(imm, p, kind=kind, errata=errata, calc=pc)
         row = {"point": [float(x) for x in p]}
-        if mode in ("direct", "both"):
-            direct = (f_bitension_direct if kind == "fbh" else bi_f_tension_direct)(
-                imm, p, calc=pc
-            )
-            G0 = pc.G_val
-            dn = float(np.sqrt(max(direct @ G0 @ direct, 0.0)))
+        if direct is not None:
+            dn = pc.norm(direct)
             row["direct_norm"] = dn
             worst_direct = max(worst_direct, dn)
-        if mode in ("theorem", "both"):
-            rep = theorem_residual(imm, p, kind=kind, errata=errata, calc=pc)
+        if rep is not None:
             row["theorem_normal_norm"] = rep.normal_norm
             row["theorem_tangent_norm"] = rep.tangent_norm
             worst_theorem = max(worst_theorem, rep.total_norm / rep.scale)
-        if mode == "both":
-            cmpres = compare_modes(imm, p, kind=kind, errata=errata, calc=pc, tol=tol)
-            row["mode_delta_normal"] = cmpres["delta_normal"]
-            row["mode_delta_tangent"] = cmpres["delta_tangent"]
-            worst_delta = max(worst_delta, cmpres["delta_normal"],
-                              cmpres["delta_tangent"])
-            if cmpres["itemized_corrections"] and "itemized_corrections" not in out:
-                out["itemized_corrections"] = cmpres["itemized_corrections"]
+        if cmp is not None:
+            row["mode_delta_normal"] = cmp["delta_normal"]
+            row["mode_delta_tangent"] = cmp["delta_tangent"]
+            worst_delta = max(worst_delta, cmp["delta_normal"], cmp["delta_tangent"])
+            if cmp["itemized_corrections"] and "itemized_corrections" not in out:
+                out["itemized_corrections"] = cmp["itemized_corrections"]
         if corollary:
-            rep_parent = theorem_residual(imm, p, kind=kind, errata=errata, calc=pc)
+            rep_parent = rep or theorem_residual(imm, p, kind=kind, errata=errata, calc=pc)
             rep_cor = theorem_residual(imm, p, kind=kind, errata=errata,
                                        corollary=corollary, calc=pc)
             dd = max(
@@ -134,14 +131,10 @@ def cmd_check(sc, args, out):
     return exit_code, rows
 
 
-def cmd_audit(sc, args, out):
+def cmd_audit(sc, args, out, calcs):
     tol = args.tol if args.tol is not None else sc.tolerance("audit", 1e-6)
     points = sc.sample_points()
     if not sc.immersion.ambient.has_metric:
-        from .audits import curvature_trace_audit
-        from .expr import eval_on_jets
-        from .jets import Jet, jet_space
-
         seed = args.seed if args.seed is not None else sc.seed
         # evaluate the immersion map as plain chart positions
         sp = jet_space(len(sc.immersion.params), 0)
@@ -158,7 +151,7 @@ def cmd_audit(sc, args, out):
         out["max_delta"] = worst
         out["pass"] = bool(worst <= tol)
         return (PASS if out["pass"] else NUMERIC_FAIL), [result]
-    rows, summary = run_all_audits(sc.immersion, points)
+    rows, summary = run_all_audits(sc.immersion, calcs)
     out["summary"] = summary
     out["points"] = len(points)
     worst = max(
@@ -173,16 +166,17 @@ def cmd_audit(sc, args, out):
     return (PASS if out["pass"] else NUMERIC_FAIL), rows
 
 
-def cmd_variation(sc, args, out):
+def cmd_variation(sc, args, out, calcs):
     imm = sc.immersion
     grid = sc.quadrature()
     variation = sc.default_variation()
     tol = args.tol if args.tol is not None else sc.tolerance("variation", 1e-5)
     which_list = [args.functional] if args.functional else list(ENERGIES)
+    sweeps = first_variation_suite(imm, grid, which_list, variation)
     results = []
     ok = True
     for which in which_list:
-        fv = first_variation_check(imm, grid, which, variation)
+        fv = sweeps[which]
         plateau = min(fv["deltas"])
         scale = 1.0 + abs(fv["rhs"])
         entry = {
@@ -201,18 +195,17 @@ def cmd_variation(sc, args, out):
     return (PASS if ok else NUMERIC_FAIL), results
 
 
-def cmd_props(sc, args, out):
+def cmd_props(sc, args, out, calcs):
     tol = args.tol if args.tol is not None else sc.tolerance("identity", 1e-8)
-    points = sc.sample_points()
-    verdicts = proposition_checkers(sc.immersion, points, tol=tol,
-                                    flag_tol=sc.tolerance("flags", 1e-6))
+    verdicts = proposition_checkers(sc.immersion, calcs, tol=tol,
+                                    flag_tol=sc.tolerance("flags", FLAG_TOL))
     out["verdicts"] = verdicts
     bad = any(v.get("verdict") == "violated" for v in verdicts)
     out["pass"] = not bad
     return (PASS if not bad else NUMERIC_FAIL), verdicts
 
 
-def cmd_energy(sc, args, out):
+def cmd_energy(sc, args, out, calcs):
     grid = sc.quadrature()
     values = {}
     nodes = None
@@ -224,11 +217,13 @@ def cmd_energy(sc, args, out):
     return PASS, [values]
 
 
-def cmd_sweep(sc, args, out):
+def cmd_sweep(sc, args, out, calcs):
     target = sc.mode.get("sweep_target", "check")
+    imm = sc.immersion
     levels = [1, 2]
     table = []
     if target == "energy":
+        calcs.clear()  # quadrature nodes are evaluated afresh
         for lv in levels:
             grid = sc.quadrature(factor=lv)
             row = {"refinement": lv, "nodes": len(grid)}
@@ -245,9 +240,11 @@ def cmd_sweep(sc, args, out):
         errata = _errata_on(sc, args)
         for lv in levels:
             pts = sc.sample_points(factor=lv)
+            # level 1 is the validated grid; finer levels evaluate afresh
+            evals = drain(calcs) if lv == 1 else (PointCalculus(imm, p) for p in pts)
             worst = 0.0
-            for p in pts:
-                rep = theorem_residual(sc.immersion, p, kind=kind, errata=errata)
+            for pc in evals:
+                rep = theorem_residual(imm, pc.point, kind=kind, errata=errata, calc=pc)
                 worst = max(worst, rep.total_norm / rep.scale)
             table.append({"refinement": lv, "points": len(pts),
                           "max_residual": worst})
@@ -289,13 +286,20 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        sc = load_scenario(args.scenario)
-    except (ScenarioError, FileNotFoundError, OSError) as exc:
+        sc = load_scenario(args.scenario, validate=False)
+        if not sc.immersion.ambient.has_metric and args.command != "audit":
+            raise ScenarioError(f"{sc.ambient_kind} has only a curvature model; "
+                                "`audit` is the one command it supports", "ambient", "kind")
+        # one validated evaluation per sample point, shared with the command
+        calcs = _validate(sc)
+    except (ScenarioError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return VALIDATION_FAIL
+    if args.command in ("energy", "variation"):
+        calcs.clear()  # quadrature commands evaluate their own nodes
     out = _base_report(sc, args.command, args)
     try:
-        code, rows = COMMANDS[args.command](sc, args, out)
+        code, rows = COMMANDS[args.command](sc, args, out, calcs)
     except (ScenarioError, SpaceError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return VALIDATION_FAIL

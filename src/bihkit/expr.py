@@ -363,7 +363,7 @@ def to_source(node):
             if lp < prec:
                 lt = f"({lt})"
             # left-associative: parenthesize right operand at equal precedence
-            if rp <= prec and not (rp == prec and n.op == "+"):
+            if rp <= prec:
                 rt = f"({rt})"
             return f"{lt} {n.op} {rt}", prec
         raise TypeError(f"not an expression node: {n!r}")

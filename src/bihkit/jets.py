@@ -26,10 +26,6 @@ __all__ = [
     "JetError",
     "JetSpace",
     "jet_space",
-    "seed_variable",
-    "constant",
-    "extract_partial",
-    "jet_apply",
     "Composer",
 ]
 
@@ -74,7 +70,6 @@ class JetSpace:
         self.indices = _multi_indices(num_vars, order)
         self.size = len(self.indices)
         self.index_of = {g: i for i, g in enumerate(self.indices)}
-        self.degrees = np.array([sum(g) for g in self.indices])
         self.factorials = np.array(
             [math.prod(math.factorial(k) for k in g) for g in self.indices],
             dtype=float,
@@ -337,60 +332,6 @@ class Jet:
 
     def __repr__(self):
         return f"Jet({self.space.num_vars}v/o{self.space.order}, value={self.value:.6g})"
-
-
-# -- module-level operation surface ---------------------------------------
-
-
-def seed_variable(index, value, num_vars, order):
-    return Jet.variable(jet_space(num_vars, order), index, value)
-
-
-def constant(value, num_vars, order):
-    return Jet.constant(jet_space(num_vars, order), value)
-
-
-def extract_partial(jet, gamma):
-    return jet.partial(gamma)
-
-
-_UNARY = {
-    "neg": lambda a: -a,
-    "sin": Jet.sin,
-    "cos": Jet.cos,
-    "tan": Jet.tan,
-    "exp": Jet.exp,
-    "log": Jet.log,
-    "sqrt": Jet.sqrt,
-    "atan": Jet.atan,
-}
-
-_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-
-def jet_apply(op, *args):
-    """Apply a catalogued operation to jets.
-
-    ``pow`` takes (jet, numeric exponent); the remaining operations take one
-    or two jets sharing a space.
-    """
-    if op in _UNARY:
-        (a,) = args
-        return _UNARY[op](a)
-    if op in _BINARY:
-        a, b = args
-        if not isinstance(a, Jet):
-            a = b._coerce(a)
-        return _BINARY[op](a, b)
-    if op == "pow":
-        a, r = args
-        return a ** r
-    raise JetError(f"unknown jet operation {op!r}")
 
 
 class Composer:

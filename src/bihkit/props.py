@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import PointCalculus, flag_deviation
-from .residuals import ResidualContext
-from .spaces import space_form_coefficients
+from .calculus import FLAG_TOL, flag_deviation
+from .spaces import curvature_model, space_form_coefficients
 
 __all__ = [
     "proposition_checkers",
@@ -53,7 +52,7 @@ _CONDITIONAL_NOTE = (
 )
 
 
-def _hyp_status(imm, points, required, tol, calcs=None, ctxs=None):
+def _hyp_status(imm, calcs, required, tol):
     """Verify required flags numerically; returns (ok, {flag: deviation}).
 
     'cmc' additionally requires a non-zero mean curvature (every checker
@@ -61,6 +60,7 @@ def _hyp_status(imm, points, required, tol, calcs=None, ctxs=None):
     """
     devs = {}
     ok = True
+    points = [pc.point for pc in calcs]
     for name in required:
         try:
             dev = flag_deviation(imm, points, name, calcs=calcs)
@@ -69,46 +69,36 @@ def _hyp_status(imm, points, required, tol, calcs=None, ctxs=None):
         devs[name] = dev
         if not dev <= tol:
             ok = False
-    if "cmc" in required and ctxs is not None:
-        h2 = max(c.tt.h_norm2 for c in ctxs)
+    if "cmc" in required:
+        h2 = max(pc.trace_terms.h_norm2 for pc in calcs)
         devs["nonzero_H"] = h2
         if h2 <= tol:
             ok = False
     return ok, devs
 
 
-def _contexts(imm, points, calcs=None):
-    out = []
-    for i, p in enumerate(points):
-        pc = calcs[i] if calcs else PointCalculus(imm, p)
-        out.append(ResidualContext(imm, p, calc=pc))
-    return out
-
-
-def check_cmc_hypersurface_gcsf(imm, points, tol=1e-6, flag_tol=1e-6, calcs=None):
+def check_cmc_hypersurface_gcsf(imm, calcs, tol, flag_tol):
     """CMC hypersurface of a Hermitian space form: |B|^2 identity and the
     two scalar-curvature forms (Gauss audit included)."""
-    ctxs = _contexts(imm, points, calcs)
-    ok, devs = _hyp_status(imm, points, ("hypersurface", "cmc"), flag_tol, calcs,
-                           ctxs=ctxs)
+    ok, devs = _hyp_status(imm, calcs, ("hypersurface", "cmc"), flag_tol)
     p_dim = float(imm.param_dim)
     rows = []
-    for c in ctxs:
-        alpha, beta = c.coeffs
+    for pc in calcs:
+        t = pc.trace_terms
+        alpha, beta = t.coeffs
         # p alpha + 3 beta: equals the printed 3(alpha+beta) at p = 3
         coeff = p_dim * alpha + 3.0 * beta
-        ratio = c.tt.delta_f_pos / c.f
+        ratio = t.delta_f_pos / t.f
         b2_rhs = coeff - ratio
         rows.append({
-            "point": list(map(float, c.point)),
-            "b_norm2": c.tt.b_norm2,
+            "point": list(map(float, pc.point)),
+            "b_norm2": t.b_norm2,
             "b2_rhs": b2_rhs,
-            "identity_residual": abs(c.tt.b_norm2 - b2_rhs),
-            "scal_intrinsic": c.tt.scal,
-            "scal_formula": coeff + ratio + p_dim**2 * c.tt.h_norm2,
-            "a_h_grad_f_norm": float(np.sqrt(max(
-                c.tt.a_h_grad_f @ c.pc.G_val @ c.tt.a_h_grad_f, 0.0))),
-            "h_norm2": c.tt.h_norm2,
+            "identity_residual": abs(t.b_norm2 - b2_rhs),
+            "scal_intrinsic": t.scal,
+            "scal_formula": coeff + ratio + p_dim**2 * t.h_norm2,
+            "a_h_grad_f_norm": pc.norm(t.a_h_grad_f),
+            "h_norm2": t.h_norm2,
         })
     identity_res = max(r["identity_residual"] for r in rows)
     shape_res = max(r["a_h_grad_f_norm"] for r in rows)
@@ -127,107 +117,104 @@ def check_cmc_hypersurface_gcsf(imm, points, tol=1e-6, flag_tol=1e-6, calcs=None
     }
 
 
-def _gauss_scal_audit_rows(imm, points, ctxs):
-    """Intrinsic scalar curvature vs the Gauss-assembled ambient form."""
-    from .residuals import curvature_trace
-
+def gauss_equation_audit(imm, calcs):
+    """Scal_M vs ambient-trace Gauss assembly (model curvature backend)."""
     rows = []
-    for c in ctxs:
-        pc = c.pc
+    for pc in calcs:
+        t = pc.trace_terms
         # sum_{ij} <R(e_i, e_j) e_j, e_i> over an orthonormal tangent frame
-        from .calculus import fundamental_data_at
-
-        fd = fundamental_data_at(imm, c.point, calc=pc)
-        E, G0 = fd.tangent_frame, fd.ambient_metric
-        from .spaces import curvature_model
-
+        E, G0 = pc.tangent_frame, pc.G_val
         total = 0.0
         for i in range(pc.m):
             for j in range(pc.m):
                 R = curvature_model(pc.space, pc.psi_val, E[i], E[j], E[j])
                 total += float(R @ G0 @ E[i])
-        gauss = total - c.tt.b_norm2 + pc.m**2 * c.tt.h_norm2
+        gauss = total - t.b_norm2 + pc.m**2 * t.h_norm2
         rows.append({
-            "point": list(map(float, c.point)),
-            "scal_intrinsic": c.tt.scal,
+            "point": list(map(float, pc.point)),
+            "scal_intrinsic": t.scal,
             "scal_gauss": gauss,
-            "delta": abs(c.tt.scal - gauss),
+            "delta": abs(t.scal - gauss),
         })
-    return rows
-
-
-def gauss_equation_audit(imm, points, calcs=None):
-    """Scal_M vs ambient-trace Gauss assembly (model curvature backend)."""
-    ctxs = _contexts(imm, points, calcs)
-    rows = _gauss_scal_audit_rows(imm, points, ctxs)
     return {"name": "gauss_scal", "rows": rows,
             "max_delta": max(r["delta"] for r in rows)}
 
 
-def _bound_template(name, imm, points, required, coeff_fn, flag_tol, calcs):
-    ctxs = _contexts(imm, points, calcs)
-    ok, devs = _hyp_status(imm, points, required, flag_tol, calcs, ctxs=ctxs)
-    vals = []
-    h2 = []
-    for c in ctxs:
-        vals.append(coeff_fn(c))
-        h2.append(c.tt.h_norm2)
+def _bound_template(name, imm, calcs, required, coeff_fn, flag_tol,
+                    q=None, phiH=None, table=None):
+    """Infimum-bound checker: 0 < |H|^2 <= inf coeff_fn (divided by q when
+    given).  `phiH` adds the tangency ('tangent') or normality ('normal') of
+    phi H as a hypothesis; with q, the report carries the bound and the
+    residual against the closed-form `table` value of the coefficients."""
+    ok, devs = _hyp_status(imm, calcs, required, flag_tol)
+    if phiH is not None:
+        dev = _phiH_deviation(calcs, phiH)
+        devs[f"phiH_{phiH}"] = dev
+        ok = ok and dev <= flag_tol
+    tts = [pc.trace_terms for pc in calcs]
+    vals = [coeff_fn(t) for t in tts]
     inf_est = min(vals)
-    h2_max = max(h2)
+    h2_max = max(t.h_norm2 for t in tts)
+    bound = inf_est if q is None else inf_est / q
     if not ok:
         verdict = "hypotheses-unverifiable"
     elif inf_est <= 0.0:
         verdict = "not-f-biharmonic (non-positive infimum estimate)"
-    elif h2_max <= inf_est + 1e-12:
+    elif h2_max <= bound + 1e-12:
         verdict = "consistent (bound satisfied)"
     else:
         verdict = "bound violated: not proper f-biharmonic"
-    return {
+    out = {
         "name": name,
         "verdict": verdict,
         "hypotheses": devs,
         "inf_estimate": inf_est,
-        "h_norm2_max": h2_max,
-        "note": "infimum over the sample grid; an estimate, not a proof",
     }
+    if q is not None:
+        out["bound"] = bound
+    out["h_norm2_max"] = h2_max
+    if q is not None:
+        out["table_residual"] = None if table is None else max(
+            abs(v + t.delta_f_pos / t.f - table) for v, t in zip(vals, tts))
+    out["note"] = "infimum over the sample grid; an estimate, not a proof"
+    return out
 
 
-def check_lagrangian_bound(imm, points, flag_tol=1e-6, calcs=None):
+def check_lagrangian_bound(imm, calcs, flag_tol):
     """CMC Lagrangian surface bound 0 < |H|^2 <= inf (2a+3b-(Df)/f)/2."""
     return _bound_template(
-        "lagrangian_bound", imm, points, ("lagrangian", "cmc"),
-        lambda c: 0.5 * (2.0 * c.coeffs[0] + 3.0 * c.coeffs[1]
-                         - c.tt.delta_f_pos / c.f),
-        flag_tol, calcs,
+        "lagrangian_bound", imm, calcs, ("lagrangian", "cmc"),
+        lambda t: 0.5 * (2.0 * t.coeffs[0] + 3.0 * t.coeffs[1]
+                         - t.delta_f_pos / t.f),
+        flag_tol,
     )
 
 
-def check_complex_bound(imm, points, flag_tol=1e-6, calcs=None):
+def check_complex_bound(imm, calcs, flag_tol):
     """CMC complex surface bound with 2 alpha - (Delta f)/f."""
     return _bound_template(
-        "complex_bound", imm, points, ("complex", "cmc"),
-        lambda c: 0.5 * (2.0 * c.coeffs[0] - c.tt.delta_f_pos / c.f),
-        flag_tol, calcs,
+        "complex_bound", imm, calcs, ("complex", "cmc"),
+        lambda t: 0.5 * (2.0 * t.coeffs[0] - t.delta_f_pos / t.f),
+        flag_tol,
     )
 
 
-def check_cmc_hypersurface_gssf(imm, points, tol=1e-6, flag_tol=1e-6, calcs=None):
+def check_cmc_hypersurface_gssf(imm, calcs, tol, flag_tol):
     """CMC hypersurface with tangent Reeb field in a contact space form.
 
     |B|^2 = p f1 - f2 + 3 f3 - (Delta f)/f (p = 2n) plus the two scalar
     curvature forms (printed and corrected) against intrinsic Scal.
     """
-    ctxs = _contexts(imm, points, calcs)
-    ok, devs = _hyp_status(imm, points, ("hypersurface", "cmc", "xi_tangent"),
-                           flag_tol, calcs, ctxs=ctxs)
+    ok, devs = _hyp_status(imm, calcs, ("hypersurface", "cmc", "xi_tangent"), flag_tol)
     p_dim = float(imm.param_dim)      # p = 2n
     n_half = p_dim / 2.0
     rows = []
-    for c in ctxs:
-        f1, f2, f3 = c.coeffs
-        ratio = c.tt.delta_f_pos / c.f
+    for pc in calcs:
+        t = pc.trace_terms
+        f1, f2, f3 = t.coeffs
+        ratio = t.delta_f_pos / t.f
         b2_rhs = p_dim * f1 - f2 + 3.0 * f3 - ratio
-        h2 = c.tt.h_norm2
+        h2 = t.h_norm2
         scal_printed = (
             2.0 * n_half * (2.0 * n_half - 2.0) * f1
             + (4.0 * n_half - 1.0) * f2
@@ -243,15 +230,14 @@ def check_cmc_hypersurface_gssf(imm, points, tol=1e-6, flag_tol=1e-6, calcs=None
             + ratio
         )
         rows.append({
-            "point": list(map(float, c.point)),
-            "b_norm2": c.tt.b_norm2,
+            "point": list(map(float, pc.point)),
+            "b_norm2": t.b_norm2,
             "b2_rhs": b2_rhs,
-            "identity_residual": abs(c.tt.b_norm2 - b2_rhs),
-            "scal_intrinsic": c.tt.scal,
+            "identity_residual": abs(t.b_norm2 - b2_rhs),
+            "scal_intrinsic": t.scal,
             "scal_printed": scal_printed,
             "scal_corrected": scal_corrected,
-            "a_h_grad_f_norm": float(np.sqrt(max(
-                c.tt.a_h_grad_f @ c.pc.G_val @ c.tt.a_h_grad_f, 0.0))),
+            "a_h_grad_f_norm": pc.norm(t.a_h_grad_f),
         })
     identity_res = max(r["identity_residual"] for r in rows)
     shape_res = max(r["a_h_grad_f_norm"] for r in rows)
@@ -277,23 +263,22 @@ def check_cmc_hypersurface_gssf(imm, points, tol=1e-6, flag_tol=1e-6, calcs=None
     }
 
 
-def check_nonexistence_gssf(imm, points, flag_tol=1e-6, calcs=None):
+def check_nonexistence_gssf(imm, calcs, flag_tol):
     """Sign test of p f1 - f2 + 3 f3 - (Delta f)/f over the samples.
 
     Non-positive everywhere rules out f-biharmonicity for CMC hypersurfaces
     with tangent Reeb field; on concrete space forms the equivalent
     phi-sectional-curvature threshold is cross-checked.
     """
-    ctxs = _contexts(imm, points, calcs)
-    ok, devs = _hyp_status(imm, points, ("hypersurface", "cmc", "xi_tangent"),
-                           flag_tol, calcs, ctxs=ctxs)
+    ok, devs = _hyp_status(imm, calcs, ("hypersurface", "cmc", "xi_tangent"), flag_tol)
     p_dim = float(imm.param_dim)
     n_half = p_dim / 2.0
     vals = []
     thresholds = []
-    for c in ctxs:
-        f1, f2, f3 = c.coeffs
-        ratio = c.tt.delta_f_pos / c.f
+    for pc in calcs:
+        t = pc.trace_terms
+        f1, f2, f3 = t.coeffs
+        ratio = t.delta_f_pos / t.f
         vals.append(p_dim * f1 - f2 + 3.0 * f3 - ratio)
         kind = getattr(imm.ambient, "space_form", None)
         if kind is not None:
@@ -327,24 +312,25 @@ def check_nonexistence_gssf(imm, points, flag_tol=1e-6, calcs=None):
     return out
 
 
-def _phiH_deviation(ctxs, which):
+def _phiH_deviation(calcs, which):
     """Deviation of phi H from tangency ('tangent') or normality ('normal')."""
     worst = 0.0
-    for c in ctxs:
-        phi = c.structure_tensor
-        h_norm = float(np.sqrt(max(c.tt.h_norm2, 0.0)))
+    for pc in calcs:
+        t = pc.trace_terms
+        h_norm = float(np.sqrt(max(t.h_norm2, 0.0)))
         if h_norm == 0.0:
             continue
-        img = phi @ c.H
-        part = c.nor(img) if which == "tangent" else c.tan(img)
-        worst = max(worst, float(np.sqrt(max(part @ c.pc.G_val @ part, 0.0))) / h_norm)
+        P_tan, P_nor = pc.projectors
+        img = pc.structure_tensor @ t.H
+        part = P_nor @ img if which == "tangent" else P_tan @ img
+        worst = max(worst, pc.norm(part) / h_norm)
     return worst
 
 
-def _f_function(c, q, with_f3):
-    f1, f2, f3 = c.coeffs
+def _f_function(t, q, with_f3):
+    f1, f2, f3 = t.coeffs
     base = q * f1 - f2 + (3.0 * f3 if with_f3 else 0.0)
-    return base - c.tt.delta_f_pos / c.f
+    return base - t.delta_f_pos / t.f
 
 
 def _space_form_function_table(imm, q, which):
@@ -352,101 +338,45 @@ def _space_form_function_table(imm, q, which):
     kind = getattr(imm.ambient, "space_form", None)
     if kind is None:
         return None
-    c = imm.ambient.ctilde
-    f1, f2, f3 = space_form_coefficients(kind, c)
+    f1, f2, f3 = space_form_coefficients(kind, imm.ambient.ctilde)
     if which == "F":
         return q * f1 - f2 + 3.0 * f3
     return q * f1 - f2
 
 
-def check_F_bound(imm, points, flag_tol=1e-6, calcs=None):
+def check_F_bound(imm, calcs, flag_tol):
     """CMC, xi tangent, phi H tangent: 0 < |H|^2 <= inf F / q."""
-    ctxs = _contexts(imm, points, calcs)
-    ok, devs = _hyp_status(imm, points, ("cmc", "xi_tangent"), flag_tol, calcs,
-                           ctxs=ctxs)
-    phiH_dev = _phiH_deviation(ctxs, "tangent")
-    devs["phiH_tangent"] = phiH_dev
-    ok = ok and phiH_dev <= flag_tol
     q = float(imm.param_dim)
-    vals = [_f_function(c, q, with_f3=True) for c in ctxs]
-    inf_est = min(vals)
-    h2 = max(c.tt.h_norm2 for c in ctxs)
-    table = _space_form_function_table(imm, q, "F")
-    table_res = None
-    if table is not None:
-        coeff_vals = [v + c.tt.delta_f_pos / c.f for v, c in zip(vals, ctxs)]
-        table_res = max(abs(cv - table) for cv in coeff_vals)
-    if not ok:
-        verdict = "hypotheses-unverifiable"
-    elif inf_est <= 0.0:
-        verdict = "not-f-biharmonic (non-positive infimum estimate)"
-    elif h2 <= inf_est / q + 1e-12:
-        verdict = "consistent (bound satisfied)"
-    else:
-        verdict = "bound violated: not proper f-biharmonic"
-    return {
-        "name": "F_bound",
-        "verdict": verdict,
-        "hypotheses": devs,
-        "inf_estimate": inf_est,
-        "bound": inf_est / q,
-        "h_norm2_max": h2,
-        "table_residual": table_res,
-        "note": "infimum over the sample grid; an estimate, not a proof",
-    }
+    return _bound_template(
+        "F_bound", imm, calcs, ("cmc", "xi_tangent"),
+        lambda t: _f_function(t, q, with_f3=True), flag_tol,
+        q=q, phiH="tangent", table=_space_form_function_table(imm, q, "F"),
+    )
 
 
-def check_G_bound(imm, points, flag_tol=1e-6, calcs=None):
+def check_G_bound(imm, calcs, flag_tol):
     """CMC, xi tangent, phi H normal: 0 < |H|^2 <= inf G / q."""
-    ctxs = _contexts(imm, points, calcs)
-    ok, devs = _hyp_status(imm, points, ("cmc", "xi_tangent"), flag_tol, calcs,
-                           ctxs=ctxs)
-    phiH_dev = _phiH_deviation(ctxs, "normal")
-    devs["phiH_normal"] = phiH_dev
-    ok = ok and phiH_dev <= flag_tol
     q = float(imm.param_dim)
-    vals = [_f_function(c, q, with_f3=False) for c in ctxs]
-    inf_est = min(vals)
-    h2 = max(c.tt.h_norm2 for c in ctxs)
-    table = _space_form_function_table(imm, q, "G")
-    table_res = None
-    if table is not None:
-        coeff_vals = [v + c.tt.delta_f_pos / c.f for v, c in zip(vals, ctxs)]
-        table_res = max(abs(cv - table) for cv in coeff_vals)
-    if not ok:
-        verdict = "hypotheses-unverifiable"
-    elif inf_est <= 0.0:
-        verdict = "not-f-biharmonic (non-positive infimum estimate)"
-    elif h2 <= inf_est / q + 1e-12:
-        verdict = "consistent (bound satisfied)"
-    else:
-        verdict = "bound violated: not proper f-biharmonic"
-    return {
-        "name": "G_bound",
-        "verdict": verdict,
-        "hypotheses": devs,
-        "inf_estimate": inf_est,
-        "bound": inf_est / q,
-        "h_norm2_max": h2,
-        "table_residual": table_res,
-        "note": "infimum over the sample grid; an estimate, not a proof",
-    }
+    return _bound_template(
+        "G_bound", imm, calcs, ("cmc", "xi_tangent"),
+        lambda t: _f_function(t, q, with_f3=False), flag_tol,
+        q=q, phiH="normal", table=_space_form_function_table(imm, q, "G"),
+    )
 
 
-def proposition_checkers(imm, points, tol=1e-6, flag_tol=1e-6, calcs=None):
+def proposition_checkers(imm, calcs, tol=1e-6, flag_tol=FLAG_TOL):
     """Every checker applicable to the ambient structure, plus the Gauss
-    scalar-curvature audit.  All of them share one evaluation per point."""
-    if calcs is None:
-        calcs = [PointCalculus(imm, p) for p in points]
-    out = [gauss_equation_audit(imm, points, calcs=calcs)]
+    scalar-curvature audit.  All of them share `calcs`, one evaluation per
+    sample point."""
+    out = [gauss_equation_audit(imm, calcs)]
     if imm.ambient.structure == "hermitian":
-        out.append(check_cmc_hypersurface_gcsf(imm, points, tol, flag_tol, calcs))
+        out.append(check_cmc_hypersurface_gcsf(imm, calcs, tol, flag_tol))
         if imm.param_dim == 2:
-            out.append(check_lagrangian_bound(imm, points, flag_tol, calcs))
-            out.append(check_complex_bound(imm, points, flag_tol, calcs))
+            out.append(check_lagrangian_bound(imm, calcs, flag_tol))
+            out.append(check_complex_bound(imm, calcs, flag_tol))
     else:
-        out.append(check_cmc_hypersurface_gssf(imm, points, tol, flag_tol, calcs))
-        out.append(check_nonexistence_gssf(imm, points, flag_tol, calcs))
-        out.append(check_F_bound(imm, points, flag_tol, calcs))
-        out.append(check_G_bound(imm, points, flag_tol, calcs))
+        out.append(check_cmc_hypersurface_gssf(imm, calcs, tol, flag_tol))
+        out.append(check_nonexistence_gssf(imm, calcs, flag_tol))
+        out.append(check_F_bound(imm, calcs, flag_tol))
+        out.append(check_G_bound(imm, calcs, flag_tol))
     return out

@@ -29,8 +29,7 @@ direct field; the bi-f equations equal the projected direct field itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .calculus import PointCalculus, trace_terms_at
 from .spaces import SpaceError, curvature_model
 
 __all__ = [
-    "ResidualContext",
     "Term",
     "Erratum",
     "ERRATA",
@@ -48,27 +46,23 @@ __all__ = [
     "bitension_direct",
     "f_bitension_direct",
     "bi_f_tension_direct",
+    "direct_field",
     "theorem_residual",
     "equation_for",
     "compare_modes",
     "curvature_trace",
-    "direct_scale_factor",
 ]
 
 
 # -- direct mode ---------------------------------------------------------------
 
 
-def _curvature_trace_concrete(pc, vector):
-    """tr R(dpsi, v) dpsi from the AD curvature at the point."""
-    R = pc.ambient_curvature
-    return np.einsum(
-        "ab,lijk,ia,j,kb->l", pc.g_inv_val, R, pc.dpsi_val, vector, pc.dpsi_val
-    )
-
-
-def _curvature_trace_model(pc, vector):
-    """Same trace with the algebraic space-form curvature."""
+def curvature_trace(pc, vector, backend="concrete"):
+    """tr R(dpsi, v) dpsi from the AD curvature at the point ("concrete")
+    or from the algebraic space-form curvature ("model")."""
+    if backend == "concrete":
+        return np.einsum("ab,lijk,ia,j,kb->l", pc.g_inv_val, pc.ambient_curvature,
+                         pc.dpsi_val, vector, pc.dpsi_val)
     out = np.zeros(pc.d)
     for al in range(pc.m):
         for be in range(pc.m):
@@ -76,12 +70,6 @@ def _curvature_trace_model(pc, vector):
                 pc.space, pc.psi_val, pc.dpsi_val[:, al], vector, pc.dpsi_val[:, be]
             )
     return out
-
-
-def curvature_trace(pc, vector, backend="concrete"):
-    if backend == "concrete":
-        return _curvature_trace_concrete(pc, vector)
-    return _curvature_trace_model(pc, vector)
 
 
 def tension(imm, point, calc=None):
@@ -99,7 +87,7 @@ def bitension_direct(imm, point, calc=None):
     pc = calc or PointCalculus(imm, point)
     tau_f = _tau_field(pc)
     tau = np.array([j.value for j in tau_f])
-    return pc.rough_laplacian(tau_f) - _curvature_trace_concrete(pc, tau)
+    return pc.rough_laplacian(tau_f) - curvature_trace(pc, tau)
 
 
 def f_bitension_direct(imm, point, calc=None):
@@ -107,7 +95,7 @@ def f_bitension_direct(imm, point, calc=None):
     pc = calc or PointCalculus(imm, point)
     tau_f = _tau_field(pc)
     tau = np.array([j.value for j in tau_f])
-    tau2 = pc.rough_laplacian(tau_f) - _curvature_trace_concrete(pc, tau)
+    tau2 = bitension_direct(imm, point, calc=pc)
     f = pc.f_jet.value
     delta_f_neg = -pc.delta_f_pos_field.value
     grad_dir = pc.grad_f_param
@@ -130,117 +118,29 @@ def bi_f_tension_direct(imm, point, calc=None):
     pc = calc or PointCalculus(imm, point)
     tau_w = _tau_weighted_field(pc)
     tau_w_val = np.array([j.value for j in tau_w])
-    jacobi = -pc.rough_laplacian(tau_w) + _curvature_trace_concrete(pc, tau_w_val)
+    jacobi = -pc.rough_laplacian(tau_w) + curvature_trace(pc, tau_w_val)
     f = pc.f_jet.value
     return f * jacobi - pc.directional_derivative(tau_w, pc.grad_f_param)
 
 
-# -- shared evaluation context ---------------------------------------------------
+def direct_field(kind, pc):
+    """The direct-mode field a theorem kind is compared against."""
+    fn = f_bitension_direct if kind == "fbh" else bi_f_tension_direct
+    return fn(pc.imm, pc.point, calc=pc)
 
 
-class ResidualContext:
-    """Point data shared by the theorem-mode equations."""
-
-    def __init__(self, imm, point, calc=None):
-        self.imm = imm
-        self.pc = calc or PointCalculus(imm, point)
-        self.point = self.pc.point
-        self.n = self.pc.m
-        self.tt = trace_terms_at(imm, point, calc=self.pc)
-        self.f = self.tt.f
-
-    @cached_property
-    def structure_tensor(self):
-        st = self.pc.space.structure_at(self.pc.psi_val)
-        return st["J"] if self.pc.space.structure == "hermitian" else st["phi"]
-
-    @cached_property
-    def xi(self):
-        st = self.pc.space.structure_at(self.pc.psi_val)
-        return st["xi"]
-
-    @cached_property
-    def coeffs(self):
-        return self.pc.space.curvature_coeffs_at(self.pc.psi_val)
-
-    def ip(self, u, v):
-        return float(u @ self.pc.G_val @ v)
-
-    def tan(self, v):
-        return self.pc.projectors[0] @ v
-
-    def nor(self, v):
-        return self.pc.projectors[1] @ v
-
-    # structure-operator compositions (projector form, frame independent)
-
-    @cached_property
-    def H(self):
-        return self.pc.H_val
-
-    @cached_property
-    def grad_f(self):
-        return self.tt.grad_f
-
-    @cached_property
-    def kl_H(self):
-        T = self.structure_tensor
-        return self.nor(T @ self.tan(T @ self.H))
-
-    @cached_property
-    def jl_H(self):
-        T = self.structure_tensor
-        return self.tan(T @ self.tan(T @ self.H))
-
-    @cached_property
-    def mm_H(self):
-        T = self.structure_tensor
-        return self.nor(T @ self.nor(T @ self.H))
-
-    @cached_property
-    def kj_grad_f(self):
-        T = self.structure_tensor
-        return self.nor(T @ self.tan(T @ self.grad_f))
-
-    @cached_property
-    def j2_grad_f(self):
-        T = self.structure_tensor
-        return self.tan(T @ self.tan(T @ self.grad_f))
-
-    @cached_property
-    def Ns_H(self):
-        T = self.structure_tensor
-        return self.nor(T @ self.tan(T @ self.H))
-
-    @cached_property
-    def Ps_H(self):
-        T = self.structure_tensor
-        return self.tan(T @ self.tan(T @ self.H))
-
-    @cached_property
-    def NP_grad_f(self):
-        T = self.structure_tensor
-        return self.nor(T @ self.tan(T @ self.grad_f))
-
-    @cached_property
-    def P2_grad_f(self):
-        T = self.structure_tensor
-        return self.tan(T @ self.tan(T @ self.grad_f))
-
-    @cached_property
-    def eta_grad_f(self):
-        return self.ip(self.xi, self.grad_f)
-
-    def curvature_traces(self, backend="concrete"):
-        """Split traces tr R(., H). and tr R(., grad f). for the general form."""
-        trH = curvature_trace(self.pc, self.H, backend)
-        trF = curvature_trace(self.pc, self.grad_f, backend)
-        return {
-            "trRH_tan": self.tan(trH),
-            "trRH_nor": self.nor(trH),
-            "trRgf_tan": self.tan(trF),
-            "trRgf_nor": self.nor(trF),
-        }
+def _curvature_traces(pc, t):
+    """Tangent and normal parts of tr R(., H). and tr R(., grad f). (the
+    general bi-f equation), from the concrete curvature."""
+    P_tan, P_nor = pc.projectors
+    trH = curvature_trace(pc, t.H)
+    trF = curvature_trace(pc, t.grad_f)
+    return {
+        "trRH_tan": P_tan @ trH,
+        "trRH_nor": P_nor @ trH,
+        "trRgf_tan": P_tan @ trF,
+        "trRgf_nor": P_nor @ trF,
+    }
 
 
 # -- term tables ------------------------------------------------------------------
@@ -248,15 +148,13 @@ class ResidualContext:
 
 @dataclass
 class Term:
+    """One term of an equation; every callable reads the point's TraceTerms."""
+
     name: str
     part: str                     # "normal" | "tangent"
-    printed: object               # ctx -> float coefficient as printed
-    value: object                 # ctx -> ambient vector
-    corrected: object = None      # ctx -> float, when an erratum applies
-
-    def coefficient(self, ctx, errata):
-        fn = self.corrected if (errata and self.corrected is not None) else self.printed
-        return float(fn(ctx))
+    printed: object               # t -> float coefficient as printed
+    value: object                 # t -> ambient vector
+    corrected: object = None      # t -> float, when an erratum applies
 
 
 @dataclass
@@ -279,206 +177,208 @@ def _fbh_common_normal():
     return [
         Term(
             "delta_perp_H", "normal",
-            printed=lambda c: -1.0,
-            corrected=lambda c: +1.0,
-            value=lambda c: c.tt.delta_perp_h_pos,
+            printed=lambda t: -1.0,
+            corrected=lambda t: +1.0,
+            value=lambda t: t.delta_perp_h_pos,
         ),
-        Term("tb_ah", "normal", lambda c: 1.0, lambda c: c.tt.tb_ah),
+        Term("tb_ah", "normal", lambda t: 1.0, lambda t: t.tb_ah),
         Term(
             "weight_laplacian", "normal",
-            lambda c: c.tt.delta_f_pos / c.f,
-            lambda c: c.H,
+            lambda t: t.delta_f_pos / t.f,
+            lambda t: t.H,
         ),
         Term(
             "weight_connection", "normal",
-            printed=lambda c: 2.0,
-            corrected=lambda c: -2.0,
-            value=lambda c: c.tt.nabla_perp_gradf_h / c.f,
+            printed=lambda t: 2.0,
+            corrected=lambda t: -2.0,
+            value=lambda t: t.nabla_perp_gradf_h / t.f,
         ),
     ]
 
 
 def _fbh_common_tangent():
     return [
-        Term("grad_h2", "tangent", lambda c: 0.5 * c.n, lambda c: c.tt.grad_h_norm2),
+        Term("grad_h2", "tangent", lambda t: 0.5 * t.n, lambda t: t.grad_h_norm2),
         Term(
             "shape_grad_ln_f", "tangent",
-            printed=lambda c: -2.0,
-            corrected=lambda c: +2.0,
-            value=lambda c: c.tt.a_h_grad_f / c.f,
+            printed=lambda t: -2.0,
+            corrected=lambda t: +2.0,
+            value=lambda t: t.a_h_grad_f / t.f,
         ),
-        Term("ta_nabla_perp_h", "tangent", lambda c: 2.0, lambda c: c.tt.ta_nabla_perp_h),
+        Term("ta_nabla_perp_h", "tangent", lambda t: 2.0, lambda t: t.ta_nabla_perp_h),
     ]
 
 
 def _eq_fbh_gcsf():
     terms = _fbh_common_normal() + [
-        Term("curv_alpha", "normal", lambda c: -c.n * c.coeffs[0], lambda c: c.H),
-        Term("curv_beta_klH", "normal", lambda c: 3.0 * c.coeffs[1], lambda c: c.kl_H),
+        Term("curv_alpha", "normal", lambda t: -t.n * t.coeffs[0], lambda t: t.H),
+        Term("curv_beta_klH", "normal", lambda t: 3.0 * t.coeffs[1], lambda t: t.kl_H),
     ]
     terms += _fbh_common_tangent() + [
-        Term("curv_beta_jlH", "tangent", lambda c: 6.0 * c.coeffs[1], lambda c: c.jl_H),
+        Term("curv_beta_jlH", "tangent", lambda t: 6.0 * t.coeffs[1], lambda t: t.jl_H),
     ]
     return terms
 
 
 def _eq_fbh_gssf():
     terms = _fbh_common_normal() + [
-        Term("curv_f1", "normal", lambda c: -c.n * c.coeffs[0], lambda c: c.H),
+        Term("curv_f1", "normal", lambda t: -t.n * t.coeffs[0], lambda t: t.H),
         Term(
             "curv_f2_xi2", "normal",
-            lambda c: c.coeffs[1] * c.tt.xi_tan_norm2,
-            lambda c: c.H,
+            lambda t: t.coeffs[1] * t.xi_tan_norm2,
+            lambda t: t.H,
         ),
         Term(
             "curv_f2_eta_nor", "normal",
-            lambda c: c.n * c.coeffs[1] * c.tt.eta_h,
-            lambda c: c.tt.xi_nor,
+            lambda t: t.n * t.coeffs[1] * t.eta_h,
+            lambda t: t.xi_nor,
         ),
-        Term("curv_f3_NsH", "normal", lambda c: 3.0 * c.coeffs[2], lambda c: c.Ns_H),
+        Term("curv_f3_NsH", "normal", lambda t: 3.0 * t.coeffs[2], lambda t: t.kl_H),
     ]
     terms += _fbh_common_tangent() + [
         Term(
             "curv_f2_eta_tan", "tangent",
-            lambda c: 2.0 * c.coeffs[1] * (c.n - 1.0) * c.tt.eta_h,
-            lambda c: c.tt.xi_tan,
+            lambda t: 2.0 * t.coeffs[1] * (t.n - 1.0) * t.eta_h,
+            lambda t: t.xi_tan,
         ),
-        Term("curv_f3_PsH", "tangent", lambda c: 6.0 * c.coeffs[2], lambda c: c.Ps_H),
+        Term("curv_f3_PsH", "tangent", lambda t: 6.0 * t.coeffs[2], lambda t: t.jl_H),
     ]
     return terms
 
 
 def _bif_lhs_terms():
     return [
-        Term("delta_perp_H", "normal", lambda c: c.n * c.f**2, lambda c: c.tt.delta_perp_h_pos),
-        Term("tb_ah", "normal", lambda c: c.n * c.f**2, lambda c: c.tt.tb_ah),
+        Term("delta_perp_H", "normal", lambda t: t.n * t.f**2, lambda t: t.delta_perp_h_pos),
+        Term("tb_ah", "normal", lambda t: t.n * t.f**2, lambda t: t.tb_ah),
         Term(
             "weight_laplacian", "normal",
-            printed=lambda c: -c.n * c.f,
-            corrected=lambda c: +c.n * c.f,
-            value=lambda c: c.tt.delta_f_pos * c.H,
+            printed=lambda t: -t.n * t.f,
+            corrected=lambda t: +t.n * t.f,
+            value=lambda t: t.delta_f_pos * t.H,
         ),
         Term(
             "weight_connection", "normal",
-            printed=lambda c: -3.0 * c.n,
-            corrected=lambda c: -3.0 * c.n * c.f,
-            value=lambda c: c.tt.nabla_perp_gradf_h,
+            printed=lambda t: -3.0 * t.n,
+            corrected=lambda t: -3.0 * t.n * t.f,
+            value=lambda t: t.nabla_perp_gradf_h,
         ),
-        Term("tb_hess_f", "normal", lambda c: -c.f, lambda c: c.tt.tb_hess_f),
-        Term("tnb_grad_f", "normal", lambda c: -c.f, lambda c: c.tt.tnb_grad_f),
-        Term("grad_f_norm2_H", "normal", lambda c: -c.n * c.tt.grad_f_norm2, lambda c: c.H),
-        Term("b_gradf_gradf", "normal", lambda c: -1.0, lambda c: c.tt.b_gradf_gradf),
-        Term("grad_h2", "tangent", lambda c: 0.5 * c.n**2 * c.f**2, lambda c: c.tt.grad_h_norm2),
+        Term("tb_hess_f", "normal", lambda t: -t.f, lambda t: t.tb_hess_f),
+        Term("tnb_grad_f", "normal", lambda t: -t.f, lambda t: t.tnb_grad_f),
+        Term("grad_f_norm2_H", "normal", lambda t: -t.n * t.grad_f_norm2, lambda t: t.H),
+        Term("b_gradf_gradf", "normal", lambda t: -1.0, lambda t: t.b_gradf_gradf),
+        Term("grad_h2", "tangent", lambda t: 0.5 * t.n**2 * t.f**2, lambda t: t.grad_h_norm2),
         Term(
             "ta_nabla_perp_h", "tangent",
-            printed=lambda c: 2.0 * c.n**2 * c.f**2,
-            corrected=lambda c: 2.0 * c.n * c.f**2,
-            value=lambda c: c.tt.ta_nabla_perp_h,
+            printed=lambda t: 2.0 * t.n**2 * t.f**2,
+            corrected=lambda t: 2.0 * t.n * t.f**2,
+            value=lambda t: t.ta_nabla_perp_h,
         ),
-        Term("shape_grad_f", "tangent", lambda c: 3.0 * c.n * c.f, lambda c: c.tt.a_h_grad_f),
+        Term("shape_grad_f", "tangent", lambda t: 3.0 * t.n * t.f, lambda t: t.a_h_grad_f),
         Term(
             "ricci_grad_f", "tangent",
-            printed=lambda c: +c.f,
-            corrected=lambda c: -c.f,
-            value=lambda c: c.tt.ric_grad_f,
+            printed=lambda t: +t.f,
+            corrected=lambda t: -t.f,
+            value=lambda t: t.ric_grad_f,
         ),
-        Term("grad_delta_f", "tangent", lambda c: c.f, lambda c: c.tt.grad_delta_f_pos),
-        Term("ta_b_grad_f", "tangent", lambda c: c.f, lambda c: c.tt.ta_b_grad_f),
-        Term("grad_gradf_norm2", "tangent", lambda c: -0.5, lambda c: c.tt.grad_grad_f_norm2),
+        Term("grad_delta_f", "tangent", lambda t: t.f, lambda t: t.grad_delta_f_pos),
+        Term("ta_b_grad_f", "tangent", lambda t: t.f, lambda t: t.ta_b_grad_f),
+        Term("grad_gradf_norm2", "tangent", lambda t: -0.5, lambda t: t.grad_grad_f_norm2),
     ]
 
 
-def _eq_bif_general(backend="concrete"):
+def _eq_bif_general(traces):
+    """`traces` holds the split curvature traces, computed once per residual."""
+
     def tr(which):
-        return lambda c: c.curvature_traces(backend)[which]
+        return lambda t: traces[which]
 
     return _bif_lhs_terms() + [
-        Term("curv_trace_H_nor", "normal", lambda c: c.n * c.f**2, tr("trRH_nor")),
-        Term("curv_trace_gf_nor", "normal", lambda c: c.f, tr("trRgf_nor")),
-        Term("curv_trace_H_tan", "tangent", lambda c: 2.0 * c.n * c.f**2, tr("trRH_tan")),
-        Term("curv_trace_gf_tan", "tangent", lambda c: c.f, tr("trRgf_tan")),
+        Term("curv_trace_H_nor", "normal", lambda t: t.n * t.f**2, tr("trRH_nor")),
+        Term("curv_trace_gf_nor", "normal", lambda t: t.f, tr("trRgf_nor")),
+        Term("curv_trace_H_tan", "tangent", lambda t: 2.0 * t.n * t.f**2, tr("trRH_tan")),
+        Term("curv_trace_gf_tan", "tangent", lambda t: t.f, tr("trRgf_tan")),
     ]
 
 
 def _eq_bif_gcsf():
     return _bif_lhs_terms() + [
         # LHS-minus-RHS form of the printed right-hand sides
-        Term("curv_alpha_H", "normal", lambda c: -c.n**2 * c.f**2 * c.coeffs[0], lambda c: c.H),
-        Term("curv_beta_klH", "normal", lambda c: 3.0 * c.n * c.f**2 * c.coeffs[1], lambda c: c.kl_H),
-        Term("curv_beta_kj_gf", "normal", lambda c: 3.0 * c.f * c.coeffs[1], lambda c: c.kj_grad_f),
-        Term("curv_beta_jlH", "tangent", lambda c: 6.0 * c.n * c.f**2 * c.coeffs[1], lambda c: c.jl_H),
+        Term("curv_alpha_H", "normal", lambda t: -t.n**2 * t.f**2 * t.coeffs[0], lambda t: t.H),
+        Term("curv_beta_klH", "normal", lambda t: 3.0 * t.n * t.f**2 * t.coeffs[1], lambda t: t.kl_H),
+        Term("curv_beta_kj_gf", "normal", lambda t: 3.0 * t.f * t.coeffs[1], lambda t: t.kj_grad_f),
+        Term("curv_beta_jlH", "tangent", lambda t: 6.0 * t.n * t.f**2 * t.coeffs[1], lambda t: t.jl_H),
         Term(
             "curv_alpha_grad_f", "tangent",
-            printed=lambda c: -2.0 * c.f * (c.n - 1.0) * c.coeffs[0],
-            corrected=lambda c: -c.f * (c.n - 1.0) * c.coeffs[0],
-            value=lambda c: c.grad_f,
+            printed=lambda t: -2.0 * t.f * (t.n - 1.0) * t.coeffs[0],
+            corrected=lambda t: -t.f * (t.n - 1.0) * t.coeffs[0],
+            value=lambda t: t.grad_f,
         ),
         Term(
             "curv_beta_j2_gf", "tangent",
-            printed=lambda c: 6.0 * c.f * c.coeffs[1],
-            corrected=lambda c: 3.0 * c.f * c.coeffs[1],
-            value=lambda c: c.j2_grad_f,
+            printed=lambda t: 6.0 * t.f * t.coeffs[1],
+            corrected=lambda t: 3.0 * t.f * t.coeffs[1],
+            value=lambda t: t.j2_grad_f,
         ),
     ]
 
 
 def _eq_bif_gssf():
     return _bif_lhs_terms() + [
-        Term("curv_f1_H", "normal", lambda c: -c.n**2 * c.f**2 * c.coeffs[0], lambda c: c.H),
+        Term("curv_f1_H", "normal", lambda t: -t.n**2 * t.f**2 * t.coeffs[0], lambda t: t.H),
         Term(
             "curv_f2_xi2_H", "normal",
-            lambda c: c.n * c.f**2 * c.coeffs[1] * c.tt.xi_tan_norm2,
-            lambda c: c.H,
+            lambda t: t.n * t.f**2 * t.coeffs[1] * t.xi_tan_norm2,
+            lambda t: t.H,
         ),
         Term(
             "curv_f2_eta_nor", "normal",
-            lambda c: c.n**2 * c.f**2 * c.coeffs[1] * c.tt.eta_h,
-            lambda c: c.tt.xi_nor,
+            lambda t: t.n**2 * t.f**2 * t.coeffs[1] * t.eta_h,
+            lambda t: t.xi_nor,
         ),
-        Term("curv_f3_NsH", "normal", lambda c: 3.0 * c.n * c.f**2 * c.coeffs[2], lambda c: c.Ns_H),
+        Term("curv_f3_NsH", "normal", lambda t: 3.0 * t.n * t.f**2 * t.coeffs[2], lambda t: t.kl_H),
         Term(
             "curv_f2_eta_gf_nor", "normal",
-            lambda c: (c.n - 1.0) * c.f * c.coeffs[1] * c.eta_grad_f,
-            lambda c: c.tt.xi_nor,
+            lambda t: (t.n - 1.0) * t.f * t.coeffs[1] * t.eta_grad_f,
+            lambda t: t.xi_nor,
         ),
         Term(
             "curv_f3_NP_gf", "normal",
-            printed=lambda c: 3.0 * c.f,
-            corrected=lambda c: 3.0 * c.f * c.coeffs[2],
-            value=lambda c: c.NP_grad_f,
+            printed=lambda t: 3.0 * t.f,
+            corrected=lambda t: 3.0 * t.f * t.coeffs[2],
+            value=lambda t: t.kj_grad_f,
         ),
         Term(
             "curv_f2_eta_H_tan", "tangent",
-            printed=lambda c: 2.0 * c.n * (c.n - 1.0) * c.f * c.coeffs[1] * c.tt.eta_h,
-            corrected=lambda c: 2.0 * c.n * (c.n - 1.0) * c.f**2 * c.coeffs[1] * c.tt.eta_h,
-            value=lambda c: c.tt.xi_tan,
+            printed=lambda t: 2.0 * t.n * (t.n - 1.0) * t.f * t.coeffs[1] * t.eta_h,
+            corrected=lambda t: 2.0 * t.n * (t.n - 1.0) * t.f**2 * t.coeffs[1] * t.eta_h,
+            value=lambda t: t.xi_tan,
         ),
         Term(
             "curv_f3_PsH", "tangent",
-            printed=lambda c: 6.0 * c.n * c.f * c.coeffs[2],
-            corrected=lambda c: 6.0 * c.n * c.f**2 * c.coeffs[2],
-            value=lambda c: c.Ps_H,
+            printed=lambda t: 6.0 * t.n * t.f * t.coeffs[2],
+            corrected=lambda t: 6.0 * t.n * t.f**2 * t.coeffs[2],
+            value=lambda t: t.jl_H,
         ),
         Term(
             "curv_f1_grad_f", "tangent",
-            lambda c: -(c.n - 1.0) * c.f * c.coeffs[0],
-            lambda c: c.grad_f,
+            lambda t: -(t.n - 1.0) * t.f * t.coeffs[0],
+            lambda t: t.grad_f,
         ),
         Term(
             "curv_f2_xi2_gf", "tangent",
-            lambda c: c.f * c.coeffs[1] * c.tt.xi_tan_norm2,
-            lambda c: c.grad_f,
+            lambda t: t.f * t.coeffs[1] * t.xi_tan_norm2,
+            lambda t: t.grad_f,
         ),
         Term(
             "curv_f2_eta_gf_tan", "tangent",
-            lambda c: (c.n - 2.0) * c.f * c.coeffs[1] * c.eta_grad_f,
-            lambda c: c.tt.xi_tan,
+            lambda t: (t.n - 2.0) * t.f * t.coeffs[1] * t.eta_grad_f,
+            lambda t: t.xi_tan,
         ),
         Term(
             "curv_f3_P2_gf", "tangent",
-            printed=lambda c: c.f,
-            corrected=lambda c: 3.0 * c.f * c.coeffs[2],
-            value=lambda c: c.P2_grad_f,
+            printed=lambda t: t.f,
+            corrected=lambda t: 3.0 * t.f * t.coeffs[2],
+            value=lambda t: t.j2_grad_f,
         ),
     ]
 
@@ -566,7 +466,7 @@ class Corollary:
     substitutions: dict             # term name -> replacement value fn | 0
 
 
-def _zero(_ctx):
+def _zero(_t):
     return 0.0
 
 
@@ -578,24 +478,24 @@ _PARALLEL_DROPS = {
 }
 
 
-def _neg_H(c):
-    return -c.H
+def _neg_H(t):
+    return -t.H
 
 
-def _neg_H_minus_m2H(c):
-    return -c.H - c.mm_H
+def _neg_H_minus_m2H(t):
+    return -t.H - t.mm_H
 
 
-def _zero_vec(c):
-    return np.zeros(c.pc.d)
+def _zero_vec(t):
+    return np.zeros_like(t.H)
 
 
-def _ns_hypersurface(c):
-    return -c.H + c.tt.eta_h * c.tt.xi_nor
+def _ns_hypersurface(t):
+    return -t.H + t.eta_h * t.xi_nor
 
 
-def _ps_hypersurface(c):
-    return c.tt.eta_h * c.tt.xi_tan
+def _ps_hypersurface(t):
+    return t.eta_h * t.xi_tan
 
 
 COROLLARIES = {}
@@ -636,7 +536,7 @@ _register(Corollary("fbh_gssf_xi_normal", "fbh_gssf", ("xi_normal",),
                     {"curv_f2_xi2": _zero, "curv_f2_eta_tan": _zero_vec,
                      "curv_f3_PsH": _zero_vec}))
 _register(Corollary("fbh_gssf_xi_tangent", "fbh_gssf", ("xi_tangent",),
-                    {"curv_f2_xi2": lambda c: c.coeffs[1],
+                    {"curv_f2_xi2": lambda t: t.coeffs[1],
                      "curv_f2_eta_nor": _zero_vec, "curv_f2_eta_tan": _zero_vec}))
 _register(Corollary("fbh_gssf_hypersurface", "fbh_gssf", ("hypersurface",),
                     {"curv_f3_NsH": _ns_hypersurface, "curv_f3_PsH": _ps_hypersurface}))
@@ -645,7 +545,7 @@ _register(Corollary("fbh_gssf_hypersurface", "fbh_gssf", ("hypersurface",),
 _register(Corollary("bif_gcsf_hypersurface_cmc", "bif_gcsf",
                     ("hypersurface", "cmc"),
                     dict(_PARALLEL_DROPS,
-                         tb_ah=lambda c: c.tt.b_norm2 * c.H,
+                         tb_ah=lambda t: t.b_norm2 * t.H,
                          curv_beta_klH=_neg_H,
                          curv_beta_kj_gf=_zero_vec,
                          curv_beta_jlH=_zero_vec)))
@@ -692,7 +592,7 @@ _register(Corollary("bif_gssf_xi_normal", "bif_gssf",
 _register(Corollary("bif_gssf_xi_tangent", "bif_gssf",
                     ("xi_tangent", "parallel_H"),
                     dict(_PARALLEL_DROPS,
-                         curv_f2_xi2_H=lambda c: c.n * c.f**2 * c.coeffs[1],
+                         curv_f2_xi2_H=lambda t: t.n * t.f**2 * t.coeffs[1],
                          curv_f2_eta_nor=_zero_vec,
                          curv_f2_eta_gf_nor=_zero)))
 _register(Corollary("bif_gssf_hypersurface", "bif_gssf",
@@ -707,7 +607,11 @@ _register(Corollary("bif_gssf_hypersurface", "bif_gssf",
 
 @dataclass
 class ResidualReport:
-    """Per-point theorem evaluation with term breakdown."""
+    """Per-point theorem evaluation with term breakdown.
+
+    `corrections` itemizes every term whose corrected coefficient differs
+    from the printed one, with the norm of the difference it makes.
+    """
 
     mode: str
     point: np.ndarray
@@ -716,6 +620,7 @@ class ResidualReport:
     normal_norm: float
     tangent_norm: float
     terms: list
+    corrections: list
     scale: float                  # 1 + |H| + |grad f| normalizer
     errata_applied: bool
 
@@ -724,8 +629,7 @@ class ResidualReport:
         return float(np.hypot(self.normal_norm, self.tangent_norm))
 
 
-def theorem_residual(imm, point, kind="fbh", errata=False, corollary=None,
-                     calc=None, backend="concrete"):
+def theorem_residual(imm, point, kind="fbh", errata=False, corollary=None, calc=None):
     """Evaluate a characterization equation (or a corollary reduction).
 
     Returns a ResidualReport; term values keep the printed/corrected
@@ -740,108 +644,82 @@ def theorem_residual(imm, point, kind="fbh", errata=False, corollary=None,
     if corollary is not None:
         cor = COROLLARIES[corollary]
         eq_id = cor.equation
+    pc = calc or PointCalculus(imm, point)
+    t = trace_terms_at(imm, point, calc=pc)
     builder = EQUATIONS[eq_id]
-    terms = builder() if eq_id != "bif_general" else builder(backend)
-    ctx = ResidualContext(imm, point, calc=calc)
-    d = ctx.pc.d
-    normal = np.zeros(d)
-    tangent = np.zeros(d)
+    terms = builder() if eq_id != "bif_general" else builder(_curvature_traces(pc, t))
+    nrm = pc.norm
+    normal = np.zeros(pc.d)
+    tangent = np.zeros(pc.d)
     breakdown = []
+    corrections = []
     for term in terms:
-        coeff = term.coefficient(ctx, errata)
+        printed = float(term.printed(t))
+        corrected = printed if term.corrected is None else float(term.corrected(t))
         if cor is not None and term.name in cor.substitutions:
             sub = cor.substitutions[term.name]
             if sub is None:
-                vec = np.zeros(d)
+                vec = np.zeros(pc.d)
             else:
-                replaced = sub(ctx)
+                replaced = sub(t)
                 if np.isscalar(replaced):
                     # scalar substitution: hypothesis fixes the coefficient
-                    coeff = float(replaced)
-                    vec = term.value(ctx)
+                    printed = corrected = float(replaced)
+                    vec = term.value(t)
                 else:
                     vec = replaced
         else:
-            vec = term.value(ctx)
+            vec = term.value(t)
+        coeff = corrected if errata else printed
         contrib = coeff * vec
         if term.part == "normal":
             normal = normal + contrib
         else:
             tangent = tangent + contrib
         breakdown.append((term.name, term.part, coeff, contrib))
-    G0 = ctx.pc.G_val
-    nrm = lambda v: float(np.sqrt(max(v @ G0 @ v, 0.0)))
-    scale = 1.0 + nrm(ctx.H) + nrm(ctx.grad_f)
+        if abs(corrected - printed) > 0.0:
+            corrections.append({
+                "term": term.name,
+                "part": term.part,
+                "printed_coeff": printed,
+                "corrected_coeff": corrected,
+                "delta_norm": nrm(corrected * vec - printed * vec),
+            })
     return ResidualReport(
         mode=(corollary or eq_id) + (":errata" if errata else ":printed"),
-        point=ctx.point,
+        point=pc.point,
         normal=normal,
         tangent=tangent,
         normal_norm=nrm(normal),
         tangent_norm=nrm(tangent),
         terms=breakdown,
-        scale=scale,
+        corrections=corrections,
+        scale=1.0 + nrm(t.H) + nrm(t.grad_f),
         errata_applied=errata,
     )
 
 
-def direct_scale_factor(kind, ctx_n, f):
-    """Map the direct field onto the theorem normalization.
-
-    The f-biharmonic theorem equations are the direct field times -1/(n f);
-    the bi-f equations carry no normalization.
-    """
-    if kind == "fbh":
-        return -1.0 / (ctx_n * f)
-    return 1.0
-
-
-def compare_modes(imm, point, kind="fbh", errata=True, calc=None,
-                  backend="concrete", tol=1e-6):
+def compare_modes(imm, point, kind="fbh", errata=True, calc=None, tol=1e-6):
     """Theorem-mode vs direct-mode residuals at one point.
 
-    Returns dict with both residual pairs, the per-term itemization of
+    Returns a dict with the theorem report, the direct field, the relative
+    normal and tangent deltas between them, the per-term itemization of
     as-printed vs corrected coefficients, and the agreement verdict.
     """
     pc = calc or PointCalculus(imm, point)
-    rep_eff = theorem_residual(imm, point, kind=kind, errata=True, calc=pc,
-                               backend=backend)
-    rep_printed = theorem_residual(imm, point, kind=kind, errata=False, calc=pc,
-                                   backend=backend)
-    rep = rep_eff if errata else rep_printed
-    direct = (f_bitension_direct if kind == "fbh" else bi_f_tension_direct)(
-        imm, point, calc=pc
-    )
-    ctx_f = pc.f_jet.value
-    s = direct_scale_factor(kind, pc.m, ctx_f)
+    rep = theorem_residual(imm, point, kind=kind, errata=errata, calc=pc)
+    direct = direct_field(kind, pc)
+    # the f-biharmonic equations are the direct field times -1/(n f)
+    s = -1.0 / (pc.m * pc.f_jet.value) if kind == "fbh" else 1.0
     P_tan, P_nor = pc.projectors
-    dir_nor = s * (P_nor @ direct)
-    dir_tan = s * (P_tan @ direct)
-    G0 = pc.G_val
-    nrm = lambda v: float(np.sqrt(max(v @ G0 @ v, 0.0)))
-    delta_nor = nrm(rep.normal - dir_nor) / rep.scale
-    delta_tan = nrm(rep.tangent - dir_tan) / rep.scale
-    itemized = []
-    for (name, part, c_eff, vec), (name2, _, c_printed, vec_printed) in zip(
-        rep_eff.terms, rep_printed.terms
-    ):
-        if abs(c_eff - c_printed) > 0.0:
-            itemized.append({
-                "term": name,
-                "part": part,
-                "printed_coeff": c_printed,
-                "corrected_coeff": c_eff,
-                "delta_norm": nrm(vec - vec_printed),
-            })
+    nrm = pc.norm
+    delta_nor = nrm(rep.normal - s * (P_nor @ direct)) / rep.scale
+    delta_tan = nrm(rep.tangent - s * (P_tan @ direct)) / rep.scale
     return {
-        "theorem_normal": rep.normal,
-        "theorem_tangent": rep.tangent,
-        "direct_normal": dir_nor,
-        "direct_tangent": dir_tan,
+        "report": rep,
+        "direct": direct,
         "delta_normal": delta_nor,
         "delta_tangent": delta_tan,
-        "scale": rep.scale,
         "agree": bool(delta_nor <= tol and delta_tan <= tol),
-        "itemized_corrections": itemized,
-        "errata_applied": errata,
+        "itemized_corrections": rep.corrections,
     }

@@ -17,32 +17,54 @@ Sections and keys:
     [weight]      f = "expr"       (defaults to 1)
     [flags]       name = asserted | denied   (unlisted flags are unknown)
     [sampling]    grid = [n1, ...]; margin = 0.05; seed = 7
-    [tolerances]  mode_agreement, flags, identity, reduction (optional)
+    [tolerances]  optional non-negative numbers: mode_agreement (check),
+                  flags (flag pre-checks and props hypotheses), identity
+                  (props), reduction (corollary check), audit, variation
     [mode]        residual = both|direct|theorem; errata = on|off;
-                  corollary = name; backend = concrete|model
+                  kind = fbh|bif|bif_general (the equation family);
+                  corollary = name (a registered corollary reduction);
+                  sweep_target = check|energy
     [variation]   components = ["expr", ...]   (optional; the CLI builds a
                   windowed default otherwise)
 
-Validation parses every expression, enforces grid >= 4 nodes per axis,
-checks periodic axes close up (endpoint values of the map agree), checks
-rank/weight-positivity/chart membership at the sample points and runs the
-numeric pre-check of every asserted or denied flag.  Errors carry section,
-key and the byte offset of the offending line.
+Validation parses every expression, enforces grid >= 4 nodes per axis and
+at most MAX_SAMPLE_POINTS sample points, checks periodic axes close up
+(endpoint values of the map agree), checks rank/weight-positivity/chart
+membership at the sample points and runs the numeric pre-check of every
+asserted or denied flag.  Errors carry section, key and the byte offset of
+the offending line.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import FLAG_NAMES, FlagError, Immersion, PointCalculus, verify_flags
+from .calculus import FLAG_NAMES, FLAG_TOL, FlagError, Immersion, PointCalculus, verify_flags
 from .expr import ParseError, parse
+from .residuals import COROLLARIES
 from .spaces import ChartError, SpaceError, make_space
 from .variational import QuadratureGrid
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario_text"]
+
+# Upper bound on the sample points of one scenario: validation keeps every
+# point's evaluation until the command has used it.
+MAX_SAMPLE_POINTS = 1024
+
+TOLERANCE_KEYS = ("mode_agreement", "flags", "identity", "reduction", "audit", "variation")
+
+# Allowed values of the [mode] keys; corollary names come from COROLLARIES.
+MODE_CHOICES = {
+    "residual": ("both", "direct", "theorem"),
+    "errata": ("on", "off"),
+    "kind": ("fbh", "bif", "bif_general"),
+    "corollary": tuple(COROLLARIES),
+    "sweep_target": ("check", "energy"),
+}
 
 
 class ScenarioError(ValueError):
@@ -168,7 +190,6 @@ class Scenario:
     tolerances: dict = field(default_factory=dict)
     mode: dict = field(default_factory=dict)
     variation: list = None
-    flag_report: dict = field(default_factory=dict)
 
     def sample_points(self, factor=1):
         """Deterministic residual-evaluation grid (margin-shaved)."""
@@ -230,14 +251,41 @@ _AMBIENT_KEYS = {
 
 _DEFAULTS = {"hol": 4.0, "ctilde": 1.0, "dim": 4}
 
+_EXPRESSION_KEYS = ("alpha", "beta", "f1", "f2", "f3")
+
+# Largest complex/contact rank n and abstract chart dimension accepted.
+_MAX_RANK = {"n": 16, "dim": 32}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
+def _check_ambient_value(key, value, prefix_error):
+    if key in _MAX_RANK:
+        if not _is_int(value) or not 1 <= value <= _MAX_RANK[key]:
+            prefix_error(f"{key} must be an integer in 1..{_MAX_RANK[key]}, got {value!r}",
+                         "ambient", key)
+    elif key in _EXPRESSION_KEYS:
+        if not isinstance(value, str):
+            prefix_error(f"{key} must be a quoted expression, got {value!r}", "ambient", key)
+    elif not _is_real(value):
+        prefix_error(f"{key} must be a finite number, got {value!r}", "ambient", key)
+
 
 def _build_ambient(amb, prefix_error):
     kind = amb.get("kind")
-    if kind not in _AMBIENT_KEYS:
+    if not isinstance(kind, str) or kind not in _AMBIENT_KEYS:
         prefix_error(f"unknown or missing ambient kind {kind!r}", "ambient", "kind")
     kwargs = {}
     for key in _AMBIENT_KEYS[kind]:
         if key in amb:
+            _check_ambient_value(key, amb[key], prefix_error)
             kwargs[key] = amb[key]
         elif key in _DEFAULTS:
             kwargs[key] = _DEFAULTS[key]
@@ -278,7 +326,7 @@ def parse_scenario(text, path="<memory>", validate=True):
         if (
             not isinstance(spec, list)
             or len(spec) != 3
-            or not all(isinstance(v, (int, float)) for v in spec[:2])
+            or not all(_is_real(v) for v in spec[:2])
             or spec[2] not in ("periodic", "open")
         ):
             fail(f"axis {name!r} must be [lo, hi, periodic|open]", "immersion", name)
@@ -291,6 +339,8 @@ def parse_scenario(text, path="<memory>", validate=True):
         fail("map must be a list of component expressions", "immersion", "map")
 
     weight = raw.get("weight", {}).get("f", "1")
+    if not isinstance(weight, str):
+        fail("f must be a quoted expression", "weight", "f")
     flags = {}
     for name, state in raw.get("flags", {}).items():
         if name not in FLAG_NAMES:
@@ -308,17 +358,45 @@ def parse_scenario(text, path="<memory>", validate=True):
     grid_sizes = sampling.get("grid", [8] * len(params))
     if not isinstance(grid_sizes, list) or len(grid_sizes) != len(params):
         fail("grid must list one node count per parameter", "sampling", "grid")
-    if any(int(g) < 4 for g in grid_sizes):
+    if not all(_is_int(g) for g in grid_sizes):
+        fail(f"grid node counts must be integers, got {grid_sizes!r}", "sampling", "grid")
+    if any(g < 4 for g in grid_sizes):
         fail("grid needs at least 4 nodes per axis", "sampling", "grid")
-    grid_sizes = [int(g) for g in grid_sizes]
-    margin = float(sampling.get("margin", 0.05))
-    if not 0.0 <= margin < 0.5:
-        fail("margin must lie in [0, 0.5)", "sampling", "margin")
-    seed = int(sampling.get("seed", 0))
+    if math.prod(grid_sizes) > MAX_SAMPLE_POINTS:
+        fail(f"grid has {math.prod(grid_sizes)} sample points, at most "
+             f"{MAX_SAMPLE_POINTS} are allowed", "sampling", "grid")
+    margin = sampling.get("margin", 0.05)
+    if not _is_real(margin) or not 0.0 <= margin < 0.5:
+        fail(f"margin must be a number in [0, 0.5), got {margin!r}", "sampling", "margin")
+    seed = sampling.get("seed", 0)
+    if not _is_int(seed):
+        fail(f"seed must be an integer, got {seed!r}", "sampling", "seed")
 
-    tolerances = {k: float(v) for k, v in raw.get("tolerances", {}).items()}
-    mode = dict(raw.get("mode", {}))
+    tolerances = raw.get("tolerances", {})
+    for key, value in tolerances.items():
+        if key not in TOLERANCE_KEYS:
+            fail(f"unknown tolerance {key!r}", "tolerances", key)
+        if not _is_real(value) or value < 0:
+            fail(f"tolerance must be a non-negative number, got {value!r}",
+                 "tolerances", key)
+    mode = raw.get("mode", {})
+    for key, value in mode.items():
+        if key not in MODE_CHOICES:
+            fail(f"unknown mode key {key!r}", "mode", key)
+        if value not in MODE_CHOICES[key]:
+            fail(f"{key} must be one of {', '.join(MODE_CHOICES[key])}, got {value!r}",
+                 "mode", key)
     variation = raw.get("variation", {}).get("components")
+    if variation is not None:
+        if not (isinstance(variation, list) and len(variation) == space.chart_dim
+                and all(isinstance(v, str) for v in variation)):
+            fail(f"components must list {space.chart_dim} quoted expressions",
+                 "variation", "components")
+        try:
+            for v in variation:
+                parse(v, params)
+        except ParseError as exc:
+            fail(f"variation component rejected: {exc}", "variation", "components")
 
     digest = hashlib.sha256(text.encode()).hexdigest()
     scenario = Scenario(
@@ -328,7 +406,7 @@ def parse_scenario(text, path="<memory>", validate=True):
         immersion=immersion,
         axes=axes,
         grid_sizes=grid_sizes,
-        margin=margin,
+        margin=float(margin),
         seed=seed,
         tolerances=tolerances,
         mode=mode,
@@ -340,25 +418,28 @@ def parse_scenario(text, path="<memory>", validate=True):
 
 
 def _validate(sc):
+    """Check the scenario at its sample points; returns the validated
+    evaluations, one `PointCalculus` per sample point, for the commands to
+    consume (empty on a curvature-model-only ambient)."""
     imm = sc.immersion
     if not imm.ambient.has_metric:
         # curvature-model-only ambient: nothing metric-dependent to verify;
         # commands other than the curvature-trace audit reject the scenario
-        return sc
+        return []
     points = sc.sample_points()
-    flag_tol = sc.tolerance("flags", 1e-8)
     # rank, chart membership, weight positivity at every sample point
     calcs = []
     for p in points:
+        where = [float(x) for x in p]
         try:
             pc = PointCalculus(imm, p)
             pc.gram_det
         except (ChartError, SpaceError, ValueError) as exc:
-            raise ScenarioError(f"sample point {list(p)} rejected: {exc}",
+            raise ScenarioError(f"sample point {where} rejected: {exc}",
                                 "sampling", "grid") from None
         if pc.f_jet.value <= 0.0:
             raise ScenarioError(
-                f"weight not positive at {list(p)} (f = {pc.f_jet.value:.3e})",
+                f"weight not positive at {where} (f = {pc.f_jet.value:.3e})",
                 "weight", "f")
         calcs.append(pc)
     # periodic axes must close up
@@ -377,13 +458,15 @@ def _validate(sc):
                 "immersion", ax.name)
     # flag pre-checks
     try:
-        sc.flag_report = verify_flags(imm, points, tol=flag_tol, calcs=calcs)
+        verify_flags(imm, points, tol=sc.tolerance("flags", FLAG_TOL), calcs=calcs)
     except FlagError as exc:
-        raise ScenarioError(f"flag pre-check failed: {exc}", "flags") from None
-    return sc
+        raise ScenarioError(f"flag pre-check failed: {exc}", "flags", exc.flag) from None
+    return calcs
 
 
 def load_scenario(path, validate=True):
+    """Read, parse and (by default) validate a scenario file.  Validation
+    keeps nothing: commands that reuse its evaluations call `_validate`."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_scenario(text, path=str(path), validate=validate)

@@ -40,9 +40,7 @@ __all__ = [
     "make_space",
     "space_form_coefficients",
     "christoffels_at",
-    "curvature_concrete",
     "curvature_model",
-    "sectional_curvature",
     "metric_and_christoffel_jets",
     "chart_jets",
 ]
@@ -136,9 +134,6 @@ class AmbientSpace:
     def curvature_coeffs_at(self, point):
         x = chart_jets(point, 0)
         return tuple(c.value for c in self.curvature_coeff_jets(x))
-
-    def describe(self):
-        return f"{self.kind}(chart_dim={self.chart_dim})"
 
 
 # -- Hermitian spaces ---------------------------------------------------------
@@ -622,10 +617,8 @@ def curvature_tensor_at(space, point):
     """R[l,i,j,k] with R(e_i, e_j) e_k = R[l,i,j,k] e_l (bracket convention)."""
     _, Gam = metric_and_christoffel_jets(space, point, 2)
     d = space.chart_dim
-    G_val = np.zeros((d, d, d))
-    dG = np.zeros((d, d, d, d))  # dG[i, k, j, l] = d_l Gamma^k_ij... see below
-    Gv = np.zeros((d, d, d))
-    dGv = np.zeros((d, d, d, d))
+    Gv = np.zeros((d, d, d))         # Gv[k, i, j] = Gamma^k_ij
+    dGv = np.zeros((d, d, d, d))     # dGv[l, k, i, j] = d_l Gamma^k_ij
     for k in range(d):
         for i in range(d):
             for j in range(d):
@@ -646,12 +639,6 @@ def curvature_tensor_at(space, point):
     return R
 
 
-def curvature_concrete(space, point, X, Y, Z):
-    """R(X, Y)Z from metric jets, convention R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y]."""
-    R = curvature_tensor_at(space, point)
-    return np.einsum("lijk,i,j,k->l", R, X, Y, Z)
-
-
 def curvature_model(space, point, X, Y, Z):
     """Algebraic space-form curvature with coefficients evaluated at `point`.
 
@@ -661,20 +648,8 @@ def curvature_model(space, point, X, Y, Z):
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
     Z = np.asarray(Z, float)
-    if space.has_metric:
-        G = space.metric_at(point)
-    else:
-        G = np.eye(space.chart_dim)
-    tensors = (
-        space.structure_at(point)
-        if space.has_metric
-        else {
-            k: np.array([[j.value for j in row] for row in v])
-            if isinstance(v[0], list)
-            else np.array([j.value for j in v])
-            for k, v in space.structure_jets(chart_jets(point, 0)).items()
-        }
-    )
+    G = space.metric_at(point) if space.has_metric else np.eye(space.chart_dim)
+    tensors = space.structure_at(point)
     g = lambda a, b: float(a @ G @ b)
     coeffs = space.curvature_coeffs_at(point)
     if space.family == "gcsf":
@@ -712,15 +687,3 @@ def gcsf_coefficient_sum_spread(space, points):
         coeffs = space.curvature_coeffs_at(np.asarray(p, float))
         vals.append(coeffs[0] + coeffs[1])
     return float(max(vals) - min(vals))
-
-
-def sectional_curvature(space, point, X, Y, backend="concrete"):
-    G = space.metric_at(point)
-    g = lambda a, b: float(a @ G @ b)
-    R = (
-        curvature_concrete(space, point, X, Y, Y)
-        if backend == "concrete"
-        else curvature_model(space, point, X, Y, Y)
-    )
-    denom = g(X, X) * g(Y, Y) - g(X, Y) ** 2
-    return g(R, X) / denom

@@ -103,7 +103,6 @@ class _NodeData:
 
     def __init__(self, imm, point):
         pc = PointCalculus(imm, point, order=2)
-        self.pc = pc
         self.g = pc.g_val
         self.ginv = pc.g_inv_val
         self.gam = np.array(
@@ -148,8 +147,9 @@ def _deformed_tension_data(node, v_jets, t):
     return tau, dpsi, G
 
 
-def _integrand(node, which, v_jets, t):
-    tau, dpsi, G = _deformed_tension_data(node, v_jets, t)
+def _integrand(node, which, data):
+    """Energy density of one functional from `_deformed_tension_data`."""
+    tau, dpsi, G = data
     if which in ("E", "EF"):
         dens = float(np.einsum("ab,ia,jb,ij->", node.ginv, dpsi, dpsi, G))
         val = 0.5 * dens
@@ -176,7 +176,8 @@ def energy(imm, grid, which, node_cache=None):
     nodes = node_cache or [_NodeData(imm, p) for p in grid.points]
     vals = np.empty(len(nodes))
     for i, node in enumerate(nodes):
-        vals[i] = _integrand(node, which, _zero_jets(node), 0.0) * node.sqrt_det
+        data = _deformed_tension_data(node, _zero_jets(node), 0.0)
+        vals[i] = _integrand(node, which, data) * node.sqrt_det
     return float(np.dot(vals, grid.weights)), nodes
 
 
@@ -221,16 +222,20 @@ def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)
         [eval_on_jets(v, node.env) for v in v_exprs] for node in nodes
     ]
 
-    def energy_at(which, t):
-        vals = np.empty(len(nodes))
+    def energies_at(t):
+        """Every functional of psi + t V; the deformed map is evaluated once
+        per node and shared by the functionals."""
+        vals = {which: np.empty(len(nodes)) for which in whichs}
         for i, node in enumerate(nodes):
             try:
-                vals[i] = _integrand(node, which, v_jets_all[i], t) * node.sqrt_det
+                data = _deformed_tension_data(node, v_jets_all[i], t)
             except ChartError:
                 raise ChartError(
                     f"variation exits the ambient chart at node {i} (t={t})"
                 ) from None
-        return float(np.dot(vals, grid.weights))
+            for which in whichs:
+                vals[which][i] = _integrand(node, which, data) * node.sqrt_det
+        return {which: float(np.dot(v, grid.weights)) for which, v in vals.items()}
 
     # pairing side: one heavy jet stack per node, all fields from it
     pair_vals = {which: np.empty(len(nodes)) for which in whichs}
@@ -242,12 +247,13 @@ def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)
             el = el_field(imm, grid.points[i], which, calc=pc_full)
             pair_vals[which][i] = -(el @ G @ V) * node.sqrt_det
 
+    shifted = [(energies_at(h), energies_at(-h)) for h in steps]
     out = {}
     for which in whichs:
         rhs = float(np.dot(pair_vals[which], grid.weights))
         lhs, deltas = [], []
-        for h in steps:
-            fd = (energy_at(which, h) - energy_at(which, -h)) / (2.0 * h)
+        for h, (plus, minus) in zip(steps, shifted):
+            fd = (plus[which] - minus[which]) / (2.0 * h)
             lhs.append(fd)
             deltas.append(abs(fd - rhs))
         out[which] = {

@@ -11,7 +11,7 @@ from bihkit.audits import (
     identity_suite,
     run_all_audits,
 )
-from bihkit.calculus import Immersion
+from bihkit.calculus import Immersion, PointCalculus
 from bihkit.spaces import make_space
 
 C2 = make_space("euclidean_complex", n=2)
@@ -113,8 +113,9 @@ def test_phi_decomposition_audit():
 
 def test_run_all_audits_summary():
     imm = surface_s3d()
-    pts = [[0.4, 0.8], [1.9, 2.4]]
-    rows, summary = run_all_audits(imm, pts)
+    calcs = [PointCalculus(imm, p) for p in ([0.4, 0.8], [1.9, 2.4])]
+    rows, summary = run_all_audits(imm, calcs)
+    assert calcs == [] and len(rows) == 2  # each evaluation released once used
     assert summary["lemgene1_corrected"] <= 1e-6
     assert summary["lemgene2_corrected"] <= 1e-6
     assert summary["lemgene3"] <= 1e-6

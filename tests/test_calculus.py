@@ -8,10 +8,6 @@ from bihkit.calculus import (
     PointCalculus,
     decomposition_operators_at,
     flag_deviation,
-    fundamental_data_at,
-    intrinsic_calculus_at,
-    normal_derivative,
-    normal_laplacian,
     trace_terms_at,
     verify_flags,
 )
@@ -37,44 +33,44 @@ def sphere_immersion(r=1.0, ambient=FLAT3, weight="1"):
 
 def test_plane_is_totally_geodesic():
     plane = Immersion.from_strings(["u", "v"], FLAT3, ["u", "v", "0"], "1")
-    fd = fundamental_data_at(plane, [0.3, -0.7])
-    assert np.abs(fd.second_fundamental).max() == 0.0
-    assert np.abs(fd.mean_curvature).max() == 0.0
+    pc = PointCalculus(plane, [0.3, -0.7])
+    assert np.abs(pc.B_val).max() == 0.0
+    assert np.abs(pc.H_val).max() == 0.0
 
 
 def test_round_sphere_closed_forms():
     r = 0.8
     imm = sphere_immersion(r)
     for p in ([0.5, 0.3], [2.0, -0.6]):
-        fd = fundamental_data_at(imm, p)
-        tt = trace_terms_at(imm, p)
+        pc = PointCalculus(imm, p)
+        tt = pc.trace_terms
         assert np.sqrt(tt.h_norm2) == pytest.approx(1.0 / r, abs=1e-9)
         assert tt.b_norm2 == pytest.approx(2.0 / r**2, abs=1e-9)
         assert tt.scal == pytest.approx(2.0 / r**2, abs=1e-8)
         # umbilic shape operator: A = (1/r) Id up to sign
-        A = fd.shape_operators[0]
+        A = pc.shape_operators[0]
         assert np.abs(np.abs(A) - np.eye(2) / r).max() <= 1e-9
 
 
 def test_frames_and_duality():
     imm = sphere_immersion(0.8, weight="1 + 0.2*sin(u)*cos(v)")
     p = [0.7, 0.4]
-    fd = fundamental_data_at(imm, p)
-    G = fd.ambient_metric
-    E, N = fd.tangent_frame, fd.normal_frame
+    pc = PointCalculus(imm, p)
+    G = pc.G_val
+    E, N = pc.tangent_frame, pc.normal_frame
     assert np.abs(E @ G @ E.T - np.eye(2)).max() <= 1e-10
     assert np.abs(N @ G @ N.T - np.eye(1)).max() <= 1e-10
     assert np.abs(E @ G @ N.T).max() <= 1e-10
-    B = fd.second_fundamental
+    B = pc.B_val
     assert np.abs(B - B.transpose(1, 0, 2)).max() <= 1e-9
     # H = tr B / m in coordinates
     assert np.abs(
-        fd.mean_curvature
-        - np.einsum("ab,abk->k", fd.metric_inv, B) / 2.0
+        pc.H_val
+        - np.einsum("ab,abk->k", pc.g_inv_val, B) / 2.0
     ).max() <= 1e-12
     # Weingarten duality g(A_nu X, Y) = g(B(X,Y), nu)
-    got = np.einsum("ijk,kl,l->ij", fd.B_frame, G, N[0])
-    assert np.abs(got - fd.shape_operators[0]).max() <= 1e-9
+    got = np.einsum("ijk,kl,l->ij", pc.B_frame, G, N[0])
+    assert np.abs(got - pc.shape_operators[0]).max() <= 1e-9
     # B is normal-valued
     assert np.abs(np.einsum("abk,kl,il->abi", B, G, E)).max() <= 1e-9
 
@@ -95,7 +91,7 @@ def test_clifford_torus_minimal_in_s3():
 def test_rank_deficiency_raises():
     bad = Immersion.from_strings(["u", "v"], FLAT3, ["u", "u", "0"], "1")
     with pytest.raises(CalcError):
-        fundamental_data_at(bad, [0.1, 0.2])
+        PointCalculus(bad, [0.1, 0.2]).tangent_frame
 
 
 def test_abstract_ambient_rejected():
@@ -132,11 +128,9 @@ def test_hypersurface_hermitian_facts():
     pc = PointCalculus(imm, p)
     tt_m, tn, nt, nn = decomposition_operators_at(imm, p, calc=pc)
     assert np.abs(nn).max() <= 1e-10
-    from bihkit.residuals import ResidualContext
-
-    ctx = ResidualContext(imm, p, calc=pc)
-    assert np.abs(ctx.kl_H + ctx.H).max() <= 1e-9
-    assert np.abs(ctx.jl_H).max() <= 1e-9
+    tt = pc.trace_terms
+    assert np.abs(tt.kl_H + tt.H).max() <= 1e-9
+    assert np.abs(tt.jl_H).max() <= 1e-9
 
 
 def test_trace_terms_minimal_and_constant_weight():
@@ -166,29 +160,39 @@ def test_hypersurface_tb_identity():
 
 def test_intrinsic_scal_unit_sphere():
     imm = sphere_immersion(1.0)
-    out = intrinsic_calculus_at(imm, [0.7, 0.5])
-    assert out["scal"] == pytest.approx(2.0, abs=1e-8)
+    pc = PointCalculus(imm, [0.7, 0.5])
+    assert pc.trace_terms.scal == pytest.approx(2.0, abs=1e-8)
+
+
+def _covariant_split(pc, field):
+    """(normal, tangential) parts of nabla-bar of `field` per direction."""
+    P_tan, P_nor = pc.projectors
+    out = []
+    for al in range(pc.m):
+        covd = np.array([j.value for j in pc.pullback_derivative(field, al)])
+        out.append((P_nor @ covd, P_tan @ covd))
+    return out
 
 
 def test_normal_derivative_splits():
-    plane = Immersion.from_strings(["u", "v"], FLAT3, ["u", "v", "0"], "1")
-    for nor, tan in normal_derivative(plane, [0.2, 0.4]):
+    plane = PointCalculus(
+        Immersion.from_strings(["u", "v"], FLAT3, ["u", "v", "0"], "1"), [0.2, 0.4])
+    for nor, tan in _covariant_split(plane, plane.H_field):
         assert np.abs(nor).max() <= 1e-12 and np.abs(tan).max() <= 1e-12
-    # round sphere: H is parallel, tangential part is -A_H
-    imm = sphere_immersion(0.8)
-    p = [0.6, 0.2]
-    fd = fundamental_data_at(imm, p)
-    for al, (nor, tan) in enumerate(normal_derivative(imm, p)):
+    # round sphere: H is parallel, its tangential derivative is -A_H d_al
+    pc = PointCalculus(sphere_immersion(0.8), [0.6, 0.2])
+    for al, (nor, tan) in enumerate(_covariant_split(pc, pc.H_field)):
         assert np.abs(nor).max() <= 1e-9
         # duality: g(A_H d_al, d_be) = g(B(d_al, d_be), H)
-    tt = trace_terms_at(imm, p)
-    assert np.abs(tt.nabla_perp_h).max() <= 1e-9
+        shape = [tan @ pc.G_val @ pc.dpsi_val[:, be] for be in range(pc.m)]
+        dual = [pc.B_val[al, be] @ pc.G_val @ pc.H_val for be in range(pc.m)]
+        assert np.abs(np.add(shape, dual)).max() <= 1e-9
+    assert np.abs(pc.trace_terms.nabla_perp_h).max() <= 1e-9
 
 
 def test_normal_laplacian_parallel_field_and_bochner():
-    imm = sphere_immersion(0.9)
-    lap = normal_laplacian(imm, [0.4, 0.8])
-    assert np.abs(lap).max() <= 1e-9
+    pc = PointCalculus(sphere_immersion(0.9), [0.4, 0.8])
+    assert np.abs(pc.trace_terms.delta_perp_h_pos).max() <= 1e-9
 
     # Bochner: (1/2) Delta |H|^2 = <Delta-perp H, H> - |nabla-perp H|^2
     bumpy = Immersion.from_strings(
@@ -216,7 +220,7 @@ def test_small_sphere_normal_laplacian_zero():
     imm = Immersion.from_strings(
         ["u", "v"], S3,
         [f"{r0}*cos(v)*cos(u)", f"{r0}*cos(v)*sin(u)", f"{r0}*sin(v)"], "1")
-    lap = normal_laplacian(imm, [0.7, 0.4])
+    lap = PointCalculus(imm, [0.7, 0.4]).trace_terms.delta_perp_h_pos
     assert np.abs(lap).max() <= 1e-9
 
 
@@ -244,16 +248,15 @@ def test_frame_remix_invariance():
         "1 + 0.2*sin(u)")
     p = [0.8, 1.7]
     pc = PointCalculus(imm, p)
-    fd = fundamental_data_at(imm, p, calc=pc)
     tt = trace_terms_at(imm, p, calc=pc)
-    G = fd.ambient_metric
+    G = pc.G_val
     rng = np.random.default_rng(17)
     for _ in range(4):
         Qt, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         Qn, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        E = Qt @ fd.tangent_frame
-        Nf = Qn @ fd.normal_frame
-        B = np.einsum("ia,jb,abk->ijk", Qt, Qt, fd.B_frame)
+        E = Qt @ pc.tangent_frame
+        Nf = Qn @ pc.normal_frame
+        B = np.einsum("ia,jb,abk->ijk", Qt, Qt, pc.B_frame)
         H = np.einsum("ab,abk->k", np.eye(2), B) / 2.0
         b_norm2 = float(np.einsum("ijk,kl,ijl->", B, G, B))
         BH = np.einsum("ijk,kl,l->ij", B, G, H)
@@ -262,7 +265,7 @@ def test_frame_remix_invariance():
         assert abs(b_norm2 - tt.b_norm2) <= 1e-8 * (1 + abs(tt.b_norm2))
         assert abs(a_h_norm2 - tt.a_h_norm2) <= 1e-8 * (1 + abs(tt.a_h_norm2))
         assert np.abs(tb - tt.tb_ah).max() <= 1e-8 * (1 + np.abs(tt.tb_ah).max())
-        assert np.abs(H - fd.mean_curvature).max() <= 1e-10
+        assert np.abs(H - pc.H_val).max() <= 1e-10
 
 
 def test_hypersurface_xi_tangent_normal_line_facts():
@@ -274,11 +277,10 @@ def test_hypersurface_xi_tangent_normal_line_facts():
         "1")
     p = [0.5, 1.1]
     pc = PointCalculus(imm, p)
-    fd = fundamental_data_at(imm, p, calc=pc)
     st = S3.structure_at(pc.psi_val)
     phi = st["phi"]
     P_tan, P_nor = pc.projectors
-    nu = fd.normal_frame[0]
+    nu = pc.normal_frame[0]
     s_nu = P_tan @ (phi @ nu)
     Ps = P_tan @ (phi @ s_nu)
     Ns = P_nor @ (phi @ s_nu)

@@ -1,0 +1,168 @@
+"""The command line end to end: malformed scenarios, the mislabeled catalog,
+abstract ambients, the pinned `curves` reports and evaluation counts."""
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+from bihkit import calculus, cli
+from bihkit.scenario import MAX_SAMPLE_POINTS, load_scenario
+from conftest import scenario_path
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from jobs import WORKLOADS, job_name, load_reference, reports_match, run_job  # noqa: E402
+
+BASE = """\
+[ambient]
+kind = cosymplectic_flat
+n = 1
+
+[immersion]
+params = [u]
+u = [0.0, 6.283185307179586, periodic]
+map = ["cos(u)", "sin(u)", "0"]
+
+[weight]
+f = "1 + 0.3*cos(u)"
+
+[sampling]
+grid = [4]
+
+[mode]
+residual = both
+kind = fbh
+"""
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def write(tmp_path, text):
+    path = tmp_path / "case.scn"
+    path.write_text(text)
+    return str(path)
+
+
+# (replaced line of BASE or None, added lines, section, key)
+MALFORMED = {
+    "grid_nan": ("grid = [4]", "grid = [nan]", "sampling", "grid"),
+    "grid_string": ("grid = [4]", 'grid = ["x"]', "sampling", "grid"),
+    "grid_too_many_points": ("grid = [4]", f"grid = [{MAX_SAMPLE_POINTS + 1}]",
+                             "sampling", "grid"),
+    "rank_negative": ("n = 1", "n = -2", "ambient", "n"),
+    "rank_bareword": ("n = 1", "n = abc", "ambient", "n"),
+    "margin_string": ("grid = [4]", 'grid = [4]\nmargin = "wide"', "sampling", "margin"),
+    "tolerance_string": (None, '[tolerances]\nmode_agreement = "tight"',
+                         "tolerances", "mode_agreement"),
+    "tolerance_negative": (None, "[tolerances]\nflags = -1e-8", "tolerances", "flags"),
+    "mode_kind": ("kind = fbh", "kind = zzz", "mode", "kind"),
+    "mode_residual": ("residual = both", "residual = bogus", "mode", "residual"),
+    "mode_backend": ("kind = fbh", "kind = fbh\nbackend = model", "mode", "backend"),
+    "weight_number": ('f = "1 + 0.3*cos(u)"', "f = 2", "weight", "f"),
+    "rank_too_large": ("n = 1", "n = 100000", "ambient", "n"),
+    "ambient_kind_list": ("kind = cosymplectic_flat", "kind = [a, b]", "ambient", "kind"),
+    "axis_infinite": ("u = [0.0, 6.283185307179586, periodic]", "u = [0.0, inf, open]",
+                      "immersion", "u"),
+    "seed_string": ("grid = [4]", "grid = [4]\nseed = x", "sampling", "seed"),
+    "variation_component": (None, '[variation]\ncomponents = ["u", "1/", "0"]',
+                            "variation", "components"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_exits_3_naming_section_and_key(tmp_path, case):
+    old, new, section, key = MALFORMED[case]
+    text = BASE.replace(old, new) if old else BASE + "\n" + new + "\n"
+    code, out, err = run_cli(["check", write(tmp_path, text)])
+    assert code == 3, err
+    assert f"section [{section}]" in err and f"key {key!r}" in err
+    assert "np.float64" not in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_rejected_sample_point_prints_plain_floats(tmp_path):
+    text = BASE.replace('"sin(u)"', '"0"')  # dpsi vanishes at u = 0, the first point
+    code, _out, err = run_cli(["check", write(tmp_path, text)])
+    assert code == 3
+    assert "sample point [0.0]" in err and "np.float64" not in err
+
+
+MISLABELED = {
+    "m1_bad_lagrangian": ("flags", "lagrangian"),
+    "m2_bad_complex": ("flags", "complex"),
+    "m3_bad_xi_tangent": ("flags", "xi_tangent"),
+    "m4_bad_xi_normal": ("flags", "xi_normal"),
+    "m5_bad_periodic": ("immersion", "u"),
+    "m6_bad_parallel": ("flags", "parallel_H"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISLABELED))
+def test_mislabeled_scenario_exits_3_on_its_flag(name):
+    section, key = MISLABELED[name]
+    code, _out, err = run_cli(["check", scenario_path(name)])
+    assert code == 3
+    assert f"section [{section}], key {key!r}" in err
+
+
+ABSTRACT = """\
+[ambient]
+kind = abstract_gcsf
+alpha = "1 + 0.1*x1"
+beta = "1 - 0.1*x1"
+
+[immersion]
+params = [u]
+u = [0.0, 6.283185307179586, periodic]
+map = ["0.3*cos(u)", "0.3*sin(u)", "0", "0"]
+
+[sampling]
+grid = [4]
+"""
+
+
+@pytest.mark.parametrize("command,expected",
+                         [("check", 3), ("props", 3), ("energy", 3), ("audit", 0)])
+def test_abstract_ambient_runs_audit_only(tmp_path, command, expected):
+    code, out, err = run_cli([command, write(tmp_path, ABSTRACT)])
+    assert code == expected, err
+    if expected == 0:
+        assert "curvature_trace_audit:" in out
+    else:
+        assert "section [ambient], key 'kind'" in err
+
+
+@pytest.mark.parametrize("job", WORKLOADS["curves"]["jobs"], ids=job_name)
+def test_curves_reports_match_pinned_references(monkeypatch, job):
+    monkeypatch.chdir(ROOT)  # reports print the scenario path they were given
+    code, report = run_job(cli, sys.modules["bihkit.report"], job)
+    ref_code, ref_report = load_reference(job)
+    assert code == ref_code
+    assert reports_match(ref_report, report)
+
+
+def test_check_builds_one_evaluation_per_sample_point(monkeypatch):
+    """`check` evaluates each sample point once: validation's PointCalculus
+    is the one the command consumes."""
+    builds = []
+    init = calculus.PointCalculus.__init__
+
+    def counted(self, imm, point, order=4):
+        builds.append(order)
+        init(self, imm, point, order)
+
+    monkeypatch.setattr(calculus.PointCalculus, "__init__", counted)
+    path = scenario_path("c17_circle_c1")
+    points = len(load_scenario(path, validate=False).sample_points())
+    code, _out, _err = run_cli(["check", path])
+    assert code == 0
+    assert builds.count(4) == points

@@ -3,18 +3,24 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihkit.expr import (
+    FUNCTIONS,
     Bin,
     Call,
+    Const,
     Lit,
+    Neg,
     ParseError,
+    Pow,
     Var,
     eval_on_jets,
     parse,
     to_source,
 )
-from bihkit.jets import seed_variable
+from bihkit.jets import Jet, jet_space
 
 
 def test_parse_structure():
@@ -68,6 +74,8 @@ def test_roundtrip_catalog():
         "2*pi - u/(1+v)",
         "u - v - 1",
         "u - (v - 1)",
+        "u + (v - u)",
+        "u * (v / u)",
         "u/(v*u)/2",
         "-(u + v)",
         "exp(0.2*u)*atan(v) + tan(u)^3",
@@ -78,41 +86,34 @@ def test_roundtrip_catalog():
         assert parse(to_source(tree), ["u", "v"]) == tree
 
 
-def test_roundtrip_random_trees():
-    rng = random.Random(3)
+_LEAVES = st.one_of(
+    st.sampled_from([Var("u"), Var("v"), Const("pi"), Const("e")]),
+    st.floats(min_value=0.0, max_value=1e6).map(Lit),
+)
 
-    def build(depth):
-        if depth == 0 or rng.random() < 0.3:
-            return rng.choice(
-                [Var("u"), Var("v"), Lit(round(rng.uniform(0.1, 3.0), 3))]
-            )
-        kind = rng.choice(["bin", "call", "neg", "pow"])
-        if kind == "bin":
-            from bihkit.expr import Bin
 
-            return Bin(rng.choice("+-*/"), build(depth - 1), build(depth - 1))
-        if kind == "call":
-            return Call(rng.choice(["sin", "cos", "exp", "atan"]), build(depth - 1))
-        if kind == "neg":
-            from bihkit.expr import Neg
+def _compound(children):
+    return st.one_of(
+        st.builds(Bin, st.sampled_from("+-*/"), children, children),
+        st.builds(Neg, children),
+        st.builds(Pow, children, st.floats(min_value=-4.0, max_value=4.0)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+    )
 
-            return Neg(build(depth - 1))
-        from bihkit.expr import Pow
 
-        return Pow(build(depth - 1), float(rng.randint(-3, 3)))
-
-    for _ in range(40):
-        tree = build(3)
-        assert parse(to_source(tree), ["u", "v"]) == tree
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _compound, max_leaves=12))
+def test_roundtrip_random_trees(tree):
+    assert parse(to_source(tree), ["u", "v"]) == tree
 
 
 def test_eval_examples():
-    env = {"u": seed_variable(0, 1.0, 2, 2), "v": seed_variable(1, 2.0, 2, 2)}
+    env = {"u": Jet.variable(jet_space(2, 2), 0, 1.0), "v": Jet.variable(jet_space(2, 2), 1, 2.0)}
     j = eval_on_jets(parse("u+v", ["u", "v"]), env)
     assert j.value == 3.0
     assert j.coeff((1, 0)) == 1.0 and j.coeff((0, 1)) == 1.0
 
-    j2 = eval_on_jets(parse("u^2", ["u"]), {"u": seed_variable(0, 3.0, 1, 2)})
+    j2 = eval_on_jets(parse("u^2", ["u"]), {"u": Jet.variable(jet_space(1, 2), 0, 3.0)})
     assert np.allclose(j2.c, [9.0, 6.0, 1.0])
 
 
@@ -123,7 +124,7 @@ def test_eval_partials_vs_finite_differences():
         return math.sin(u) * math.exp(v)
 
     u0, v0 = 0.4, 0.1
-    env = {"u": seed_variable(0, u0, 2, 2), "v": seed_variable(1, v0, 2, 2)}
+    env = {"u": Jet.variable(jet_space(2, 2), 0, u0), "v": Jet.variable(jet_space(2, 2), 1, v0)}
     j = eval_on_jets(tree, env)
     h = 1e-5
     fd_u = (f(u0 + h, v0) - f(u0 - h, v0)) / (2 * h)
@@ -139,12 +140,12 @@ def test_eval_partials_vs_finite_differences():
 def test_unbound_variable_at_eval():
     tree = parse("u + v", ["u", "v"])
     with pytest.raises(KeyError):
-        eval_on_jets(tree, {"u": seed_variable(0, 1.0, 1, 2)})
+        eval_on_jets(tree, {"u": Jet.variable(jet_space(1, 2), 0, 1.0)})
 
 
 def test_referential_transparency():
     tree = parse("sin(u)*exp(v)/(1+u^2)", ["u", "v"])
-    env = {"u": seed_variable(0, 0.7, 2, 3), "v": seed_variable(1, -0.2, 2, 3)}
+    env = {"u": Jet.variable(jet_space(2, 3), 0, 0.7), "v": Jet.variable(jet_space(2, 3), 1, -0.2)}
     a = eval_on_jets(tree, env)
     b = eval_on_jets(tree, env)
     assert np.array_equal(a.c, b.c)

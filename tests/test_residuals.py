@@ -5,7 +5,6 @@ from bihkit.calculus import Immersion, PointCalculus
 from bihkit.residuals import (
     COROLLARIES,
     ERRATA,
-    ResidualContext,
     bi_f_tension_direct,
     bitension_direct,
     compare_modes,
@@ -168,7 +167,7 @@ def test_errata_catalog_covers_all_corrected_terms():
 
     catalogued = {e.term for e in ERRATA}
     for eq_id, builder in EQUATIONS.items():
-        terms = builder() if eq_id != "bif_general" else builder("concrete")
+        terms = builder() if eq_id != "bif_general" else builder({})
         for term in terms:
             if term.corrected is not None:
                 assert term.name in catalogued, (eq_id, term.name)
@@ -182,13 +181,13 @@ def test_gcsf_curvature_trace_identity():
         "1")
     p = [0.4, 1.0]
     pc = PointCalculus(imm, p)
-    ctx = ResidualContext(imm, p, calc=pc)
-    lhs = curvature_trace(pc, ctx.H, backend="model")
-    alpha, beta = ctx.coeffs
-    rhs = -pc.m * alpha * ctx.H + 3.0 * beta * (ctx.jl_H + ctx.kl_H)
+    tt = pc.trace_terms
+    lhs = curvature_trace(pc, tt.H, backend="model")
+    alpha, beta = tt.coeffs
+    rhs = -pc.m * alpha * tt.H + 3.0 * beta * (tt.jl_H + tt.kl_H)
     assert np.abs(lhs - rhs).max() <= 1e-9
     # and the model trace agrees with the AD trace
-    lhs_ad = curvature_trace(pc, ctx.H, backend="concrete")
+    lhs_ad = curvature_trace(pc, tt.H, backend="concrete")
     assert np.abs(lhs - lhs_ad).max() <= 1e-9
 
 
@@ -199,19 +198,17 @@ def test_gssf_curvature_trace_identity():
          "0.2*sin(v) + 0.1"], "1")
     p = [0.7, 0.9]
     pc = PointCalculus(imm, p)
-    ctx = ResidualContext(imm, p, calc=pc)
-    f1, f2, f3 = ctx.coeffs
-    st = S3D.structure_at(pc.psi_val)
-    xi = st["xi"]
-    lhs = curvature_trace(pc, ctx.H, backend="model")
+    tt = pc.trace_terms
+    f1, f2, f3 = tt.coeffs
+    xi = S3D.structure_at(pc.psi_val)["xi"]
+    lhs = curvature_trace(pc, tt.H, backend="model")
     rhs = (
-        -pc.m * f1 * ctx.H
-        + f2 * (ctx.tt.xi_tan_norm2 * ctx.H - ctx.tt.eta_h * ctx.tt.xi_tan
-                + pc.m * ctx.tt.eta_h * xi)
-        + 3.0 * f3 * (ctx.Ps_H + ctx.Ns_H)
+        -pc.m * f1 * tt.H
+        + f2 * (tt.xi_tan_norm2 * tt.H - tt.eta_h * tt.xi_tan + pc.m * tt.eta_h * xi)
+        + 3.0 * f3 * (tt.jl_H + tt.kl_H)  # Ps H + Ns H
     )
     assert np.abs(lhs - rhs).max() <= 1e-9
-    assert np.abs(lhs - curvature_trace(pc, ctx.H, backend="concrete")).max() <= 1e-9
+    assert np.abs(lhs - curvature_trace(pc, tt.H, backend="concrete")).max() <= 1e-9
 
 
 def test_gradf_curvature_trace_lemmas():
@@ -222,11 +219,10 @@ def test_gradf_curvature_trace_lemmas():
         "1 + 0.2*sin(u)")
     p = [0.4, 1.0]
     pc = PointCalculus(imm, p)
-    ctx = ResidualContext(imm, p, calc=pc)
-    alpha, beta = ctx.coeffs
-    lhs = curvature_trace(pc, ctx.grad_f, backend="model")
-    rhs = -(pc.m - 1.0) * alpha * ctx.grad_f + 3.0 * beta * (
-        ctx.j2_grad_f + ctx.kj_grad_f)
+    tt = pc.trace_terms
+    alpha, beta = tt.coeffs
+    lhs = curvature_trace(pc, tt.grad_f, backend="model")
+    rhs = -(pc.m - 1.0) * alpha * tt.grad_f + 3.0 * beta * (tt.j2_grad_f + tt.kj_grad_f)
     assert np.abs(lhs - rhs).max() <= 1e-9
 
     # GSSF analogue with the corrected factor-3 phi-trace
@@ -235,16 +231,16 @@ def test_gradf_curvature_trace_lemmas():
         ["(0.5 + 0.2*cos(v))*cos(u)", "(0.5 + 0.2*cos(v))*sin(u)",
          "0.2*sin(v) + 0.1"], "1 + 0.2*sin(u)")
     pc2 = PointCalculus(imm2, p)
-    ctx2 = ResidualContext(imm2, p, calc=pc2)
-    f1, f2, f3 = ctx2.coeffs
+    tt2 = pc2.trace_terms
+    f1, f2, f3 = tt2.coeffs
     st = S3D.structure_at(pc2.psi_val)
-    lhs2 = curvature_trace(pc2, ctx2.grad_f, backend="model")
+    lhs2 = curvature_trace(pc2, tt2.grad_f, backend="model")
     rhs2 = (
-        -(pc2.m - 1.0) * f1 * ctx2.grad_f
-        + f2 * (ctx2.tt.xi_tan_norm2 * ctx2.grad_f
-                - ctx2.eta_grad_f * ctx2.tt.xi_tan
-                + (pc2.m - 1.0) * ctx2.eta_grad_f * st["xi"])
-        + 3.0 * f3 * (ctx2.P2_grad_f + ctx2.NP_grad_f)
+        -(pc2.m - 1.0) * f1 * tt2.grad_f
+        + f2 * (tt2.xi_tan_norm2 * tt2.grad_f
+                - tt2.eta_grad_f * tt2.xi_tan
+                + (pc2.m - 1.0) * tt2.eta_grad_f * st["xi"])
+        + 3.0 * f3 * (tt2.j2_grad_f + tt2.kj_grad_f)  # P^2 grad f + NP grad f
     )
     assert np.abs(lhs2 - rhs2).max() <= 1e-9
 

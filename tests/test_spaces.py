@@ -7,17 +7,27 @@ from bihkit.spaces import (
     SpaceError,
     chart_jets,
     christoffels_at,
-    curvature_concrete,
     curvature_model,
     curvature_tensor_at,
     gcsf_coefficient_sum_spread,
     make_space,
     metric_and_christoffel_jets,
-    sectional_curvature,
     space_form_coefficients,
 )
 
 RNG = np.random.default_rng(123)
+
+
+def curvature_concrete(space, point, X, Y, Z):
+    """R(X, Y)Z from the metric jets (bracket convention)."""
+    return np.einsum("lijk,i,j,k->l", curvature_tensor_at(space, point), X, Y, Z)
+
+
+def sectional_curvature(space, point, X, Y):
+    G = space.metric_at(point)
+    g = lambda a, b: float(a @ G @ b)
+    R = curvature_concrete(space, point, X, Y, Y)
+    return g(R, X) / (g(X, X) * g(Y, Y) - g(X, Y) ** 2)
 
 
 def random_point(space, scale=0.4):
