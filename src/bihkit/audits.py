@@ -97,23 +97,20 @@ def _intrinsic_rough_laplacian_gradf(pc):
     Gam = pc.intrinsic_christoffels
     ginv = pc.g_inv_val
     X = pc.grad_f_param_field  # components, order 3
-    # (nabla_be X)^g as order-2 jet fields
-    cov = [[None] * m for _ in range(m)]
-    for be in range(m):
-        for g in range(m):
-            acc = X[g].deriv(be)
-            for de in range(m):
-                acc = acc + Gam[g][be][de] * X[de].truncate(Gam[g][be][de].space.order)
-            cov[be][g] = acc
+    # cov[g, be] = (nabla_be X)^g as order-2 jet fields
+    terms = Gam * X.truncate(Gam.space.order)[None, None]
+    cov = terms.sum(-1, start=X.derivs())
+    cov_val, dcov_val = cov.values, cov.derivs().values
+    Gv = Gam.values
     out_param = np.zeros(m)
     for al in range(m):
         for be in range(m):
             for g in range(m):
                 # (nabla_al nabla_be X)^g minus the Christoffel corrections
-                acc = cov[be][g].deriv(al).value
+                acc = dcov_val[g, be, al]
                 for de in range(m):
-                    acc += Gam[g][al][de].value * cov[be][de].value
-                    acc -= Gam[de][al][be].value * cov[de][g].value
+                    acc += Gv[g, al, de] * cov_val[de, be]
+                    acc -= Gv[de, al, be] * cov_val[g, de]
                 out_param[g] += ginv[al, be] * acc
     return pc.dpsi_val @ out_param, out_param
 

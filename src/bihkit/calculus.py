@@ -27,7 +27,8 @@ import numpy as np
 
 from .expr import Expression, eval_on_jets, parse, variables_of
 from .jets import Composer, Jet, jet_space
-from .spaces import AmbientSpace, SpaceError, chart_jets, christoffel_jets, curvature_tensor_at
+from .spaces import (AmbientSpace, SpaceError, _curvature_from_christoffels, _from_upper,
+                     _jet_matrix_inverse, _upper_pairs, chart_jets, christoffel_jets)
 
 __all__ = [
     "Immersion",
@@ -176,23 +177,14 @@ class TraceTerms:
                 value.setflags(write=False)
 
 
-def _values(vec):
-    return np.array([j.value for j in vec])
-
-
-def _mat_values(mat):
-    return np.array([[j.value for j in row] for row in mat])
-
-
-def _truncate_vec(vec, order):
-    return [j.truncate(order) for j in vec]
-
-
 class PointCalculus:
     """All jet fields of one immersion at one parameter point.
 
     Fields are truncated Taylor expansions in the parameters; `order`
     bounds the total derivative depth (4 covers every assembled residual).
+    Each field is one tensor jet (index layout in its docstring or name:
+    ambient indices a, b, c, parameter indices al, be, g), built by whole-
+    tensor contractions that round exactly as the per-entry loops would.
     """
 
     def __init__(self, imm, point, order=4):
@@ -212,45 +204,39 @@ class PointCalculus:
             name: Jet.variable(sp, i, self.point[i])
             for i, name in enumerate(imm.params)
         }
-        self.psi = [eval_on_jets(c, self.env) for c in imm.components]
+        self.psi = Jet.stack([eval_on_jets(c, self.env) for c in imm.components])
         self.f_jet = eval_on_jets(imm.weight, self.env)
-        self.psi_val = _values(self.psi)
+        self.psi_val = self.psi.values
         self.space.chart_check(self.psi_val)
         self._connection = {}
 
     # -- ambient data composed along the immersion -------------------------
 
     @cached_property
-    def _chart(self):
-        x = chart_jets(self.psi_val, self.order)
-        G = self.space.metric_jets(x)
+    def _ambient(self):
+        """The ambient metric and Christoffels composed along the immersion,
+        and the chart Christoffels to order 1 (for the curvature).  The
+        composer and the full chart jets are dropped once used."""
+        G = Jet.stack(self.space.metric_jets(chart_jets(self.psi_val, self.order)))
         Gam = christoffel_jets(G)
-        return G, Gam
-
-    @cached_property
-    def _composer(self):
-        shifted = [self.psi[a] - self.psi_val[a] for a in range(self.d)]
-        return Composer(shifted)
+        compose = Composer([self.psi[a] - self.psi_val[a] for a in range(self.d)])
+        return (compose.apply_truncated(G), compose.apply_truncated(Gam),
+                Gam.truncate(min(Gam.space.order, 1)))
 
     @cached_property
     def G_field(self):
-        G, _ = self._chart
-        compose = self._composer.apply_truncated
-        return [[compose(G[a][b]) for b in range(self.d)] for a in range(self.d)]
+        return self._ambient[0]
 
     @cached_property
     def Gam_field(self):
-        _, Gam = self._chart
-        compose = self._composer.apply_truncated
-        return [
-            [[compose(Gam[k][a][b]) for b in range(self.d)] for a in range(self.d)]
-            for k in range(self.d)
-        ]
+        """Gam[k, a, b] = Gamma^k_ab along the immersion."""
+        return self._ambient[1]
 
     @cached_property
     def ambient_curvature(self):
-        """R[l,i,j,k] values of the ambient curvature at psi(point)."""
-        return curvature_tensor_at(self.space, self.psi_val)
+        """R[l,i,j,k] values of the ambient curvature at psi(point), from the
+        chart Christoffels of this point."""
+        return _curvature_from_christoffels(self._ambient[2])
 
     @cached_property
     def structure(self):
@@ -265,37 +251,26 @@ class PointCalculus:
 
     @cached_property
     def dpsi(self):
-        """dpsi[a][alpha] jets at order-1 below psi."""
-        return [[self.psi[a].deriv(al) for al in range(self.m)] for a in range(self.d)]
+        """dpsi[a, alpha] jets at order-1 below psi."""
+        return self.psi.derivs()
 
     @cached_property
     def dpsi_val(self):
-        return np.array([[j.value for j in row] for row in self.dpsi])
+        return self.dpsi.values
 
     @cached_property
     def induced_metric_field(self):
-        ord3 = self.order - 1
-        G = [[self.G_field[a][b].truncate(ord3) for b in range(self.d)]
-             for a in range(self.d)]
-        g = [[None] * self.m for _ in range(self.m)]
-        for al in range(self.m):
-            for be in range(al, self.m):
-                acc = None
-                for a in range(self.d):
-                    row = None
-                    for b in range(self.d):
-                        term = G[a][b] * self.dpsi[b][be]
-                        row = term if row is None else row + term
-                    term = self.dpsi[a][al] * row
-                    acc = term if acc is None else acc + term
-                g[al][be] = acc
-                g[be][al] = acc
-        return g
+        G = self.G_field.truncate(self.order - 1)
+        dpsi = self.dpsi
+        # row[a, be] = sum_b G[a, b] dpsi[b, be]; over the pairs al <= be,
+        # g[al, be] = g[be, al] = sum_a dpsi[a, al] row[a, be]
+        row = (G[:, :, None] * dpsi[None]).sum(1)
+        al, be = _upper_pairs(self.m)
+        g = (dpsi[:, al] * row[:, be]).sum(0)
+        return Jet(g.space, _from_upper(g.c, self.m))
 
     @cached_property
     def induced_metric_inv_field(self):
-        from .spaces import _jet_matrix_inverse
-
         return _jet_matrix_inverse(self.induced_metric_field)
 
     @cached_property
@@ -304,15 +279,15 @@ class PointCalculus:
 
     @cached_property
     def g_val(self):
-        return _mat_values(self.induced_metric_field)
+        return self.induced_metric_field.values
 
     @cached_property
     def g_inv_val(self):
-        return _mat_values(self.induced_metric_inv_field)
+        return self.induced_metric_inv_field.values
 
     @cached_property
     def G_val(self):
-        return _mat_values(self.G_field)
+        return self.G_field.values
 
     @cached_property
     def gram_det(self):
@@ -391,100 +366,49 @@ class PointCalculus:
 
     @cached_property
     def projector_field(self):
+        """P[a, b] = dpsi[a, al] ginv[al, be] dpsi[c, be] G[c, b]."""
         ord2 = self.order - 2
-        dpsi = [[self.dpsi[a][al].truncate(ord2) for al in range(self.m)]
-                for a in range(self.d)]
-        ginv = [[self.induced_metric_inv_field[al][be].truncate(ord2)
-                 for be in range(self.m)] for al in range(self.m)]
-        G = [[self.G_field[a][b].truncate(ord2) for b in range(self.d)]
-             for a in range(self.d)]
-        # P^a_b = dpsi[a][al] ginv[al][be] dpsi[c][be] G[c][b]
-        P = [[None] * self.d for _ in range(self.d)]
-        for b in range(self.d):
-            col = []
-            for be in range(self.m):
-                acc = None
-                for c in range(self.d):
-                    term = dpsi[c][be] * G[c][b]
-                    acc = term if acc is None else acc + term
-                col.append(acc)
-            for a in range(self.d):
-                acc = None
-                for al in range(self.m):
-                    row = None
-                    for be in range(self.m):
-                        term = ginv[al][be] * col[be]
-                        row = term if row is None else row + term
-                    term = dpsi[a][al] * row
-                    acc = term if acc is None else acc + term
-                P[a][b] = acc
-        return P
+        dpsi = self.dpsi.truncate(ord2)
+        ginv = self.induced_metric_inv_field.truncate(ord2)
+        G = self.G_field.truncate(ord2)
+        col = (dpsi[:, :, None] * G[:, None, :]).sum(0)      # col[be, b]
+        row = (ginv[:, :, None] * col[None]).sum(1)          # row[al, b]
+        return (dpsi[:, :, None] * row[None]).sum(1)
 
     # -- second fundamental form ---------------------------------------------
 
     @cached_property
     def B_field(self):
-        """B[al][be] as ambient jet vectors (order-2 fields)."""
+        """B[al, be, a]: ambient jet vectors (order-2 fields)."""
         ord2 = self.order - 2
-        Gam_amb = [
-            [[self.Gam_field[k][a][b].truncate(ord2) for b in range(self.d)]
-             for a in range(self.d)]
-            for k in range(self.d)
-        ]
-        Gam_int = self.intrinsic_christoffels
-        dpsi = [[self.dpsi[a][al].truncate(ord2) for al in range(self.m)]
-                for a in range(self.d)]
-        ddpsi = [
-            [[self.dpsi[a][al].deriv(be) for be in range(self.m)] for al in range(self.m)]
-            for a in range(self.d)
-        ]
-        Gam_int2 = [
-            [[Gam_int[g][al][be].truncate(ord2) for be in range(self.m)]
-             for al in range(self.m)]
-            for g in range(self.m)
-        ]
-        B = [[None] * self.m for _ in range(self.m)]
-        for al in range(self.m):
-            for be in range(al, self.m):
-                vec = []
-                for a in range(self.d):
-                    acc = ddpsi[a][al][be]
-                    for b in range(self.d):
-                        for c in range(self.d):
-                            acc = acc + Gam_amb[a][b][c] * dpsi[b][al] * dpsi[c][be]
-                    for g in range(self.m):
-                        acc = acc - Gam_int2[g][al][be] * dpsi[a][g]
-                    vec.append(acc)
-                B[al][be] = vec
-                B[be][al] = vec
-        return B
+        d = self.d
+        Gam = self.Gam_field.truncate(ord2)
+        dpsi = self.dpsi.truncate(ord2)
+        Gam_int = self.intrinsic_christoffels.truncate(ord2)
+        # over the pairs al <= be: d_al d_be psi^a
+        #   + sum_{b, c} Gam[a, b, c] dpsi[b, al] dpsi[c, be]
+        #   - sum_g Gam_int[g, al, be] dpsi[a, g]
+        al, be = _upper_pairs(self.m)
+        amb = (Gam[..., None] * dpsi[None, :, None])[..., al] * dpsi[None, None, :, be]
+        intr = Gam_int[None, :, al, be] * dpsi[..., None]  # [a, g, p]
+        terms = np.concatenate([amb.c.reshape(d, d * d, len(al), -1), -intr.c], axis=1)
+        B = Jet(amb.space, terms).sum(1, start=self.dpsi.derivs()[:, al, be])
+        return Jet(B.space, _from_upper(B.c.swapaxes(0, 1), self.m))
 
     @cached_property
     def B_val(self):
-        return np.array(
-            [[_values(self.B_field[al][be]) for be in range(self.m)]
-             for al in range(self.m)]
-        )
+        return self.B_field.values
 
     @cached_property
     def H_field(self):
         """Mean curvature vector field (order-2 jets), H = tr_g B / m."""
-        ord2 = self.order - 2
-        ginv = [[self.induced_metric_inv_field[al][be].truncate(ord2)
-                 for be in range(self.m)] for al in range(self.m)]
-        out = []
-        for a in range(self.d):
-            acc = None
-            for al in range(self.m):
-                for be in range(self.m):
-                    term = ginv[al][be] * self.B_field[al][be][a]
-                    acc = term if acc is None else acc + term
-            out.append(acc / float(self.m))
-        return out
+        ginv = self.induced_metric_inv_field.truncate(self.order - 2)
+        terms = ginv[:, :, None] * self.B_field
+        return terms.reshape(self.m * self.m, self.d).sum(0) / float(self.m)
 
     @cached_property
     def H_val(self):
-        return _values(self.H_field)
+        return self.H_field.values
 
     def norm(self, v):
         """Length of an ambient vector at psi(point)."""
@@ -492,64 +416,46 @@ class PointCalculus:
 
     # -- connection helpers ----------------------------------------------------
 
-    def _connection_along(self, alpha, order):
-        """A[a][c] = Gam^a_bc d_alpha psi^b summed over b, both factors
-        truncated to `order`; computed once per (alpha, order)."""
-        key = (alpha, order)
-        A = self._connection.get(key)
+    def _connection_along(self, order):
+        """A[a, c, al] = sum_b Gam^a_bc d_al psi^b, both factors truncated
+        to `order`; computed once per order."""
+        A = self._connection.get(order)
         if A is None:
-            Gam = self.Gam_field
-            dpsi = [self.dpsi[b][alpha].truncate(order) for b in range(self.d)]
-            A = []
-            for a in range(self.d):
-                row = []
-                for c in range(self.d):
-                    acc = None
-                    for b in range(self.d):
-                        term = Gam[a][b][c].truncate(order) * dpsi[b]
-                        acc = term if acc is None else acc + term
-                    row.append(acc)
-                A.append(row)
-            self._connection[key] = A
+            Gam = self.Gam_field.truncate(order)
+            dpsi = self.dpsi.truncate(order)
+            A = (Gam[..., None] * dpsi[None, :, None]).sum(1)
+            self._connection[order] = A
         return A
 
     def pullback_derivative(self, field, alpha):
-        """nabla-bar_alpha of an ambient jet field along the immersion."""
-        out_order = field[0].space.order - 1
-        A = self._connection_along(alpha, out_order)
-        low = _truncate_vec(field, out_order)
-        out = []
-        for a in range(self.d):
-            acc = field[a].deriv(alpha)
-            for c in range(self.d):
-                acc = acc + A[a][c] * low[c]
-            out.append(acc)
-        return out
+        """nabla-bar_alpha of ambient jet fields along the immersion; the
+        last tensor axis of `field` is the ambient index."""
+        out_order = field.space.order - 1
+        A = self._connection_along(out_order)[:, :, alpha]
+        low = field.truncate(out_order)
+        return (A * low[..., None, :]).sum(-1, start=field.deriv(alpha))
 
     def rough_laplacian(self, field):
         """tr_g nabla^2 of an ambient jet field (negative-convention values)."""
-        first = [self.pullback_derivative(field, al) for al in range(self.m)]
-        second = {}
-        for al in range(self.m):
-            for be in range(self.m):
-                second[(al, be)] = _values(self.pullback_derivative(first[be], al))
-        first_val = [_values(v) for v in first]
+        first = Jet.stack([self.pullback_derivative(field, al) for al in range(self.m)])
+        second = [self.pullback_derivative(first, al).values for al in range(self.m)]
+        first_val = first.values
         ginv = self.g_inv_val
-        Gam_int = self.intrinsic_christoffels
+        Gam_int = self.intrinsic_christoffels.values
         out = np.zeros(self.d)
         for al in range(self.m):
             for be in range(self.m):
                 corr = np.zeros(self.d)
                 for g in range(self.m):
-                    corr = corr + Gam_int[g][al][be].value * first_val[g]
-                out = out + ginv[al, be] * (second[(al, be)] - corr)
+                    corr = corr + Gam_int[g, al, be] * first_val[g]
+                out = out + ginv[al, be] * (second[al][be] - corr)
         return out
 
     def directional_derivative(self, field, direction):
         """nabla-bar of a field along a tangent direction given in parameters."""
         out = np.zeros(self.d)
         for al in range(self.m):
-            out = out + direction[al] * _values(self.pullback_derivative(field, al))
+            out = out + direction[al] * self.pullback_derivative(field, al).values
         return out
 
     # -- weight function -------------------------------------------------------
@@ -557,58 +463,33 @@ class PointCalculus:
     @cached_property
     def grad_f_param_field(self):
         """(grad f)^alpha as jet fields."""
-        ord3 = self.order - 1
-        df = [self.f_jet.deriv(al) for al in range(self.m)]
-        ginv = [[self.induced_metric_inv_field[al][be].truncate(ord3)
-                 for be in range(self.m)] for al in range(self.m)]
-        out = []
-        for al in range(self.m):
-            acc = None
-            for be in range(self.m):
-                term = ginv[al][be] * df[be]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+        ginv = self.induced_metric_inv_field.truncate(self.order - 1)
+        return (ginv * self.f_jet.derivs()[None]).sum(1)
 
     @cached_property
     def grad_f_param(self):
-        return _values(self.grad_f_param_field)
+        return self.grad_f_param_field.values
 
     @cached_property
     def grad_f_ambient_field(self):
         ord2 = self.order - 2
-        out = []
-        for a in range(self.d):
-            acc = None
-            for al in range(self.m):
-                term = self.dpsi[a][al].truncate(ord2) * \
-                    self.grad_f_param_field[al].truncate(ord2)
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+        terms = self.dpsi.truncate(ord2) * self.grad_f_param_field.truncate(ord2)[None]
+        return terms.sum(1)
 
     @cached_property
     def grad_f_ambient(self):
-        return _values(self.grad_f_ambient_field)
+        return self.grad_f_ambient_field.values
 
     def laplacian_pos_field(self, scalar_jet):
         """Positive Laplacian -tr_g Hess of a scalar jet, as a lower-order field."""
-        order = scalar_jet.space.order
-        out_order = order - 2
-        ginv = [[self.induced_metric_inv_field[al][be].truncate(out_order)
-                 for be in range(self.m)] for al in range(self.m)]
-        Gam = self.intrinsic_christoffels
-        df = [scalar_jet.deriv(al) for al in range(self.m)]
-        acc = None
-        for al in range(self.m):
-            for be in range(self.m):
-                hess = df[al].deriv(be)
-                for g in range(self.m):
-                    hess = hess - Gam[g][al][be].truncate(out_order) * \
-                        df[g].truncate(out_order)
-                term = ginv[al][be] * hess
-                acc = term if acc is None else acc + term
-        return -acc
+        out_order = scalar_jet.space.order - 2
+        ginv = self.induced_metric_inv_field.truncate(out_order)
+        Gam = self.intrinsic_christoffels.truncate(out_order)
+        df = scalar_jet.derivs()
+        # hess[al, be] = d_be d_al s - sum_g Gam[g, al, be] d_g s
+        corr = Gam * df.truncate(out_order)[:, None, None]
+        hess = (-corr).sum(0, start=df.derivs())
+        return -(ginv * hess).reshape(self.m * self.m).sum(0)
 
     @cached_property
     def delta_f_pos_field(self):
@@ -627,14 +508,8 @@ class PointCalculus:
         """Ricci tensor (values) of the induced metric, Ric_jk."""
         m = self.m
         Gam = self.intrinsic_christoffels
-        Gv = np.zeros((m, m, m))
-        dGv = np.zeros((m, m, m, m))
-        for k in range(m):
-            for i in range(m):
-                for j in range(m):
-                    Gv[k, i, j] = Gam[k][i][j].value
-                    for l in range(m):
-                        dGv[l, k, i, j] = Gam[k][i][j].deriv(l).value
+        Gv = Gam.values                                  # Gv[k, i, j]
+        dGv = np.moveaxis(Gam.derivs().values, -1, 0)    # dGv[l, k, i, j]
         ric = np.zeros((m, m))
         for j in range(m):
             for k in range(m):
@@ -697,38 +572,34 @@ def drain(calcs):
 
 def _normal_connection(pc, field):
     """nabla-perp of a normal jet field along each coordinate direction, as
-    jet fields and as values (one row per direction)."""
-    proj_field = pc.projector_field
-    W_fields = []
-    for al in range(pc.m):
-        covd = pc.pullback_derivative(field, al)
-        out_order = covd[0].space.order
-        W = []
-        for a in range(pc.d):
-            acc = None
-            for b in range(pc.d):
-                term = proj_field_entry(proj_field, a, b, out_order) * covd[b]
-                acc = term if acc is None else acc + term
-            W.append(acc)
-        W_fields.append(W)
-    return W_fields, np.array([_values(W) for W in W_fields])
+    a jet field W[al, a] and as its values."""
+    covd = Jet.stack([pc.pullback_derivative(field, al) for al in range(pc.m)])
+    P = pc.projector_field
+    # normal projector I - P, written as the scalar loops did: -P off the
+    # diagonal, (constant 1) - P on it
+    N = -P.c
+    diag = np.arange(pc.d)
+    N[diag, diag] = Jet.constant(P.space, 1.0).c - P.c[diag, diag]
+    N = Jet(P.space, N).truncate(covd.space.order)
+    W = (N[None] * covd[:, None, :]).sum(-1)
+    return W, W.values
 
 
 def _normal_trace(pc, fields, values):
-    """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g) for jet fields F_b with
-    values `values`: the normal part of the trace of their covariant
+    """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g) for jet fields F[b]
+    with values `values`: the normal part of the trace of their covariant
     derivative."""
     P_nor = pc.projectors[1]
-    Gam_int = pc.intrinsic_christoffels
+    Gam_int = pc.intrinsic_christoffels.values
     ginv = pc.g_inv_val
+    covd = [pc.pullback_derivative(fields, al).values for al in range(pc.m)]
     out = np.zeros(pc.d)
     for al in range(pc.m):
         for be in range(pc.m):
-            covd = pc.pullback_derivative(fields[be], al)
-            term = P_nor @ _values(covd)
+            term = P_nor @ covd[al][be]
             corr = np.zeros(pc.d)
             for g in range(pc.m):
-                corr += Gam_int[g][al][be].value * values[g]
+                corr += Gam_int[g, al, be] * values[g]
             out += ginv[al, be] * (term - corr)
     return out
 
@@ -764,28 +635,17 @@ def _trace_terms(pc):
     delta_perp_h_pos = -_normal_trace(pc, nabla_perp_h_fields, nabla_perp_h)
 
     # |H|^2 field and gradient
-    h2_field = None
     ord2 = pc.order - 2
-    for a in range(d):
-        for b in range(d):
-            term = pc.G_field[a][b].truncate(ord2) * H_field[a] * H_field[b]
-            h2_field = term if h2_field is None else h2_field + term
-    grad_h2, _ = pc.gradient_ambient(h2_field)
+    h2_terms = pc.G_field.truncate(ord2) * H_field[:, None] * H_field[None]
+    grad_h2, _ = pc.gradient_ambient(h2_terms.reshape(d * d).sum(0))
 
     # weight-function material
     f = pc.f_jet.value
     grad_f = pc.grad_f_ambient
     grad_f_param = pc.grad_f_param
-    gf2_field = None
-    ord3 = pc.order - 1
-    for al in range(m):
-        for be in range(m):
-            term = (
-                pc.induced_metric_field[al][be].truncate(ord3)
-                * pc.grad_f_param_field[al]
-                * pc.grad_f_param_field[be]
-            )
-            gf2_field = term if gf2_field is None else gf2_field + term
+    X = pc.grad_f_param_field
+    gf2_terms = pc.induced_metric_field.truncate(pc.order - 1) * X[:, None] * X[None]
+    gf2_field = gf2_terms.reshape(m * m).sum(0)
     grad_f_norm2 = gf2_field.value
     grad_gradf2, _ = pc.gradient_ambient(gf2_field)
 
@@ -793,14 +653,14 @@ def _trace_terms(pc):
     grad_delta_f, _ = pc.gradient_ambient(pc.delta_f_pos_field)
 
     # nabla_. grad f (intrinsic Hessian endomorphism, values)
-    Gam_int = pc.intrinsic_christoffels
+    Gam_int = pc.intrinsic_christoffels.values
+    dX = X.derivs().values                   # dX[g, be] = d_be (grad f)^g
     hess_vec = np.zeros((m, m))  # (nabla_be grad f)^gamma
     for be in range(m):
-        dcomp = [pc.grad_f_param_field[g].deriv(be).value for g in range(m)]
         for g in range(m):
-            acc = dcomp[g]
+            acc = dX[g, be]
             for de in range(m):
-                acc += Gam_int[g][be][de].value * grad_f_param[de]
+                acc += Gam_int[g, be, de] * grad_f_param[de]
             hess_vec[be, g] = acc
 
     # tr B(., nabla_. grad f) = g^{ab} B_{a gamma} (nabla_b grad f)^gamma
@@ -811,17 +671,8 @@ def _trace_terms(pc):
                 tb_hess += ginv[al, be] * hess_vec[be, g] * B[al, g]
 
     # omega_beta = B(e_beta, grad f) as a jet field; its normal-connection trace
-    omega_fields = []
-    for be in range(m):
-        vec = []
-        for a in range(d):
-            acc = None
-            for g in range(m):
-                term = pc.B_field[be][g][a] * pc.grad_f_param_field[g].truncate(ord2)
-                acc = term if acc is None else acc + term
-            vec.append(acc)
-        omega_fields.append(vec)
-    omega_val = [_values(v) for v in omega_fields]
+    omega_fields = (pc.B_field * X.truncate(ord2)[None, :, None]).sum(1)
+    omega_val = omega_fields.values
     tnb = _normal_trace(pc, omega_fields, omega_val)
 
     # tr A_{B(., grad f)}(.) = g^{ab} g^{gd} <B_bd, omega_a> dpsi_g
@@ -912,12 +763,6 @@ def _trace_terms(pc):
         j2_grad_f=P_tan @ (T @ tan_Tgf),
         eta_grad_f=eta_grad_f,
     )
-
-
-def proj_field_entry(proj_field, a, b, order):
-    entry = proj_field[a][b]
-    neg = -entry if a != b else 1.0 - entry
-    return neg.truncate(order) if neg.space.order != order else neg
 
 
 def _b_norm2(B, G0, ginv, m):

@@ -30,7 +30,7 @@ from .report import render_report, write_csv
 from .residuals import compare_modes, direct_field, theorem_residual
 from .scenario import ScenarioError, _validate, load_scenario
 from .spaces import SpaceError
-from .variational import ENERGIES, energy, first_variation_suite
+from .variational import ENERGIES, energies, first_variation_suite
 
 PASS, NUMERIC_FAIL, VALIDATION_FAIL, INTERNAL_FAIL = 0, 2, 3, 4
 
@@ -207,11 +207,7 @@ def cmd_props(sc, args, out, calcs):
 
 def cmd_energy(sc, args, out, calcs):
     grid = sc.quadrature()
-    values = {}
-    nodes = None
-    for which in ENERGIES:
-        val, nodes = energy(sc.immersion, grid, which, node_cache=nodes)
-        values[which] = val
+    values = energies(sc.immersion, grid)
     out["energies"] = values
     out["quadrature_nodes"] = len(grid)
     return PASS, [values]
@@ -226,12 +222,8 @@ def cmd_sweep(sc, args, out, calcs):
         calcs.clear()  # quadrature nodes are evaluated afresh
         for lv in levels:
             grid = sc.quadrature(factor=lv)
-            row = {"refinement": lv, "nodes": len(grid)}
-            nodes = None
-            for which in ENERGIES:
-                val, nodes = energy(sc.immersion, grid, which, node_cache=nodes)
-                row[which] = val
-            table.append(row)
+            table.append({"refinement": lv, "nodes": len(grid),
+                          **energies(sc.immersion, grid)})
         drift = max(
             abs(table[1][w] - table[0][w]) for w in ENERGIES
         )

@@ -1,15 +1,41 @@
 """Truncated multivariate Taylor (jet) arithmetic up to total order 4.
 
-A jet stores, for one scalar quantity, the values of all partial derivatives
-up to a fixed total order at a base point, encoded as Taylor coefficients
-(coefficient of the multi-index gamma is the partial derivative divided by
-gamma!).  Arithmetic and elementary functions propagate these coefficients
-exactly, so every derivative extracted from a jet is exact to machine
-precision for the truncation order.
+A jet stores the partial derivatives up to a fixed total order at a base
+point as Taylor coefficients: the coefficient of the multi-index gamma is the
+partial derivative divided by gamma!.  Arithmetic and elementary functions
+propagate these coefficients exactly, so every derivative read from a jet is
+exact to machine precision for the truncation order.
+
+Tensor jets.  The coefficient array of a `Jet` has shape
+(*tensor_index, S), S being the size of the jet space: shape (S,) is one
+scalar jet, shape (d, d, S) a matrix of them.  Leading axes broadcast like
+numpy axes, and indexing a jet (`G[a]`, `G[:, b, None]`) indexes them only.
+A product of two tensor jets multiplies every pair of broadcast entries in
+one call, so a contraction such as sum_b G[a, b] * v[b] is one jet product
+followed by a sum over b.
+
+Tables.  The basis of a space is graded lexicographic, so the basis of every
+lower order is a prefix of it and truncation keeps leading coefficients.
+The multiplication table lists the pairs (i, j) of basis indices whose total
+degree stays within the order, row-major in (i, j), with the output index k
+of each pair; derivative tables map each lower-order index to the index one
+step up along an axis, with its scale factor.
+
+Float order.  Every operation on a tensor jet rounds exactly as the same
+operation on each of its entries as a scalar jet would:
+  * a product accumulates, per output coefficient, its terms in table order
+    starting from 0.0 (one `np.bincount` over all entries, offset per entry);
+  * `sum` adds the slices of an axis left to right, never pairwise;
+  * the operand order of a product is kept (a*b and b*a accumulate in a
+    different order).
+This matters because some reports depend on round-off: on the Reeb-normal
+circle (scenario c16) |H|^2 is about 5e-32, and the pinned `props` ratios
+there are quotients of round-off noise, so the mean-curvature path must stay
+bit-identical to the scalar loops it replaced.
 
 Orders are capped at 4: the deepest quantity assembled downstream (the
 normal Laplacian of the mean curvature field) consumes four derivatives of
-an immersion.  Tables are dense; parameter counts stay small (<= 6 vars).
+an immersion.
 """
 
 from __future__ import annotations
@@ -97,7 +123,6 @@ class JetSpace:
                 up = tuple(v + (1 if a == ax else 0) for a, v in enumerate(g))
                 self._diff[ax, i] = self.index_of[up]
                 self._diff_scale[ax, i] = g[ax] + 1
-
     def __repr__(self):
         return f"JetSpace(num_vars={self.num_vars}, order={self.order})"
 
@@ -108,14 +133,17 @@ def jet_space(num_vars, order):
 
 
 class Jet:
-    """Immutable truncated Taylor expansion of one scalar quantity."""
+    """Immutable truncated Taylor expansion of a scalar or of a tensor of
+    scalars (coefficients on the last axis)."""
 
     __slots__ = ("space", "c")
+    # numpy operands defer to the Jet operators instead of broadcasting
+    __array_ufunc__ = None
 
     def __init__(self, space, coeffs):
         self.space = space
         self.c = np.asarray(coeffs, dtype=float)
-        if self.c.shape != (space.size,):
+        if self.c.shape[-1:] != (space.size,):
             raise JetError("coefficient vector does not match jet space")
 
     # -- constructors ------------------------------------------------------
@@ -139,11 +167,52 @@ class Jet:
             c[space.index_of[unit]] = 1.0
         return Jet(space, c)
 
+    @staticmethod
+    def stack(items):
+        """Tensor jet of a (nested) list of jets of one space."""
+        def coeffs(x):
+            return x.c if isinstance(x, Jet) else np.array([coeffs(e) for e in x])
+        first = items
+        while not isinstance(first, Jet):
+            first = first[0]
+        return Jet(first.space, coeffs(items))
+
+    # -- tensor structure --------------------------------------------------
+
+    @property
+    def shape(self):
+        return self.c.shape[:-1]
+
+    def __getitem__(self, index):
+        """Index the tensor axes (never the coefficient axis; `...` stands
+        for tensor axes only)."""
+        if not isinstance(index, tuple):
+            index = (index,)
+        return Jet(self.space, self.c[index + (slice(None),)])
+
+    def reshape(self, *shape):
+        return Jet(self.space, self.c.reshape(*shape, self.space.size))
+
+    def sum(self, axis=0, start=None):
+        """Sum over one tensor axis, left to right, optionally onto `start`."""
+        lead = (slice(None),) * (axis % (self.c.ndim - 1))
+        acc = self.c[lead + (0,)]
+        if start is not None:
+            acc = start.c + acc
+        for k in range(1, self.c.shape[len(lead)]):
+            acc = acc + self.c[lead + (k,)]
+        return Jet(self.space, acc)
+
     # -- basic access ------------------------------------------------------
 
     @property
     def value(self):
         return float(self.c[0])
+
+    @property
+    def values(self):
+        """Constant terms of every entry, as a new C-ordered array."""
+        return self.c[..., 0].copy()
 
     def coeff(self, gamma):
         return float(self.c[self.space.index_of[tuple(gamma)]])
@@ -166,14 +235,23 @@ class Jet:
         if order > self.space.order:
             raise JetError("cannot raise jet order by truncation")
         sp = jet_space(self.space.num_vars, order)
-        return Jet(sp, self.c[: sp.size].copy())
+        return Jet(sp, self.c[..., : sp.size].copy())
 
     def deriv(self, axis):
         """Partial derivative along one variable; drops one order."""
         if self.space.order == 0:
             raise JetError("cannot differentiate an order-0 jet")
         sp = jet_space(self.space.num_vars, self.space.order - 1)
-        return Jet(sp, self.c[self.space._diff[axis]] * self.space._diff_scale[axis])
+        rows = self.space._diff[axis]
+        c = self.c[rows] if self.c.ndim == 1 else self.c[..., rows]
+        return Jet(sp, c * self.space._diff_scale[axis])
+
+    def derivs(self):
+        """Every first partial derivative, on a new last tensor axis."""
+        if self.space.order == 0:
+            raise JetError("cannot differentiate an order-0 jet")
+        sp = jet_space(self.space.num_vars, self.space.order - 1)
+        return Jet(sp, self.c[..., self.space._diff] * self.space._diff_scale)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -218,8 +296,17 @@ class Jet:
         if o is None:
             return NotImplemented
         sp = self.space
-        prod = self.c[sp._mul_i] * o.c[sp._mul_j]
-        return Jet(sp, np.bincount(sp._mul_k, weights=prod, minlength=sp.size))
+        if self.c.ndim == 1 == o.c.ndim:
+            prod = self.c[sp._mul_i] * o.c[sp._mul_j]
+            return Jet(sp, np.bincount(sp._mul_k, weights=prod, minlength=sp.size))
+        prod = self.c[..., sp._mul_i] * o.c[..., sp._mul_j]
+        # entry n's table row k goes to bin n*size + k, so one bincount
+        # keeps every entry's table order (keys are not cached: keeping
+        # them fragments the heap, about 2.5 MB more peak memory on c13)
+        count = prod.size // prod.shape[-1]
+        keys = (np.arange(count)[:, None] * sp.size + sp._mul_k).ravel()
+        out = np.bincount(keys, weights=prod.ravel(), minlength=count * sp.size)
+        return Jet(sp, out.reshape(*prod.shape[:-1], sp.size))
 
     __rmul__ = __mul__
 
@@ -331,7 +418,25 @@ class Jet:
         return self._compose(derivs[: self.space.order + 1])
 
     def __repr__(self):
+        if self.shape:
+            return f"Jet({self.space.num_vars}v/o{self.space.order}, shape={self.shape})"
         return f"Jet({self.space.num_vars}v/o{self.space.order}, value={self.value:.6g})"
+
+
+@lru_cache(maxsize=None)
+def _monomial_plan(space):
+    """Per degree of the basis of `space`: the rows of its multi-indices
+    gamma, the rows of their parents gamma - e_i and the axes i, i being the
+    first nonzero entry of gamma; h^gamma = h^(gamma - e_i) * h_i then takes
+    one product per degree."""
+    plan = []
+    for degree in range(1, space.order + 1):
+        level = [g for g in space.indices if sum(g) == degree]
+        axes = [next(i for i, e in enumerate(g) if e) for g in level]
+        parents = [space.index_of[tuple(e - (i == ax) for i, e in enumerate(g))]
+                   for g, ax in zip(level, axes)]
+        plan.append(([space.index_of[g] for g in level], parents, axes))
+    return plan
 
 
 class Composer:
@@ -339,8 +444,9 @@ class Composer:
 
     Given inner jets h_1..h_k (shared space, zero-shifted by the caller so
     that h_i encodes inner_i - inner_i(base)), an outer jet in k variables
-    evaluates to sum_gamma c_gamma * prod_i h_i^gamma_i.  Monomial products
-    are cached so many outers can be composed against one inner set.
+    evaluates to sum_gamma c_gamma * prod_i h_i^gamma_i; the outer may be a
+    tensor jet.  The monomials h^gamma are tabulated once per outer space,
+    so many outers compose against one inner set.
     """
 
     def __init__(self, inners):
@@ -352,29 +458,31 @@ class Composer:
                 raise JetError("inner jets must share a space")
             if h.value != 0.0:
                 raise JetError("inner jets must have zero constant term")
-        self._inners = list(inners)
-        self._powers = {}
-        one = Jet.constant(self.inner_space, 1.0)
-        self._powers[(0,) * len(inners)] = one
+        self._inners = Jet.stack(inners)
+        self._tables = {}
 
-    def _monomial(self, gamma):
-        got = self._powers.get(gamma)
-        if got is not None:
-            return got
-        ax = next(i for i, g in enumerate(gamma) if g > 0)
-        parent = tuple(g - (1 if i == ax else 0) for i, g in enumerate(gamma))
-        val = self._monomial(parent) * self._inners[ax]
-        self._powers[gamma] = val
-        return val
+    def _table(self, space):
+        """Rows h^gamma over the basis of an outer space, built once."""
+        table = self._tables.get(space)
+        if table is None:
+            table = np.zeros((space.size, self.inner_space.size))
+            table[0, 0] = 1.0
+            for rows, parents, axes in _monomial_plan(space):
+                table[rows] = (Jet(self.inner_space, table[parents]) * self._inners[axes]).c
+            self._tables[space] = table
+        return table
 
     def apply(self, outer):
-        if outer.space.num_vars != len(self._inners):
+        if outer.space.num_vars != self._inners.shape[0]:
             raise JetError("outer jet variable count does not match inners")
-        acc = np.zeros(self.inner_space.size)
-        for i, gamma in enumerate(outer.space.indices):
-            ci = outer.c[i]
-            if ci != 0.0:
-                acc = acc + ci * self._monomial(gamma).c
+        table = self._table(outer.space)
+        # acc = 0 + c_0 h^gamma_0 + c_1 h^gamma_1 + ... in basis order; a
+        # zero coefficient adds a signed zero to a sum that started at +0.0,
+        # which leaves it unchanged
+        terms = outer.c[..., None] * table
+        acc = np.zeros(terms.shape[:-2] + (self.inner_space.size,))
+        for i in range(table.shape[0]):
+            acc = acc + terms[..., i, :]
         return Jet(self.inner_space, acc)
 
     def apply_truncated(self, outer):

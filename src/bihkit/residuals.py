@@ -79,22 +79,21 @@ def tension(imm, point, calc=None):
 
 
 def _tau_field(pc):
-    return [h * float(pc.m) for h in pc.H_field]
+    return pc.H_field * float(pc.m)
 
 
 def bitension_direct(imm, point, calc=None):
     """Bitension field, section-Laplacian convention tr(nabla^2)."""
     pc = calc or PointCalculus(imm, point)
     tau_f = _tau_field(pc)
-    tau = np.array([j.value for j in tau_f])
-    return pc.rough_laplacian(tau_f) - curvature_trace(pc, tau)
+    return pc.rough_laplacian(tau_f) - curvature_trace(pc, tau_f.values)
 
 
 def f_bitension_direct(imm, point, calc=None):
     """f*tau2 + (tr Hess f) tau + 2 nabla_{grad f} tau (ambient vector)."""
     pc = calc or PointCalculus(imm, point)
     tau_f = _tau_field(pc)
-    tau = np.array([j.value for j in tau_f])
+    tau = tau_f.values
     tau2 = bitension_direct(imm, point, calc=pc)
     f = pc.f_jet.value
     delta_f_neg = -pc.delta_f_pos_field.value
@@ -104,21 +103,15 @@ def f_bitension_direct(imm, point, calc=None):
 
 def _tau_weighted_field(pc):
     """tau_f = f * tau + dpsi(grad f) as an order-2 jet field."""
-    ord2 = pc.order - 2
-    f2 = pc.f_jet.truncate(ord2)
-    out = []
-    for a in range(pc.d):
-        acc = f2 * pc.H_field[a] * float(pc.m) + pc.grad_f_ambient_field[a]
-        out.append(acc)
-    return out
+    f2 = pc.f_jet.truncate(pc.order - 2)
+    return f2 * pc.H_field * float(pc.m) + pc.grad_f_ambient_field
 
 
 def bi_f_tension_direct(imm, point, calc=None):
     """f*J(tau_f) - nabla_{grad f} tau_f with the direct Jacobi operator."""
     pc = calc or PointCalculus(imm, point)
     tau_w = _tau_weighted_field(pc)
-    tau_w_val = np.array([j.value for j in tau_w])
-    jacobi = -pc.rough_laplacian(tau_w) + curvature_trace(pc, tau_w_val)
+    jacobi = -pc.rough_laplacian(tau_w) + curvature_trace(pc, tau_w.values)
     f = pc.f_jet.value
     return f * jacobi - pc.directional_derivative(tau_w, pc.grad_f_param)
 

@@ -22,7 +22,8 @@ Sections and keys:
                   (props), reduction (corollary check), audit, variation
     [mode]        residual = both|direct|theorem; errata = on|off;
                   kind = fbh|bif|bif_general (the equation family);
-                  corollary = name (a registered corollary reduction);
+                  corollary = name (a registered corollary reduction of
+                  this scenario's equation, its flags asserted);
                   sweep_target = check|energy
     [variation]   components = ["expr", ...]   (optional; the CLI builds a
                   windowed default otherwise)
@@ -45,7 +46,7 @@ import numpy as np
 
 from .calculus import FLAG_NAMES, FLAG_TOL, FlagError, Immersion, PointCalculus, verify_flags
 from .expr import ParseError, parse
-from .residuals import COROLLARIES
+from .residuals import COROLLARIES, equation_for
 from .spaces import ChartError, SpaceError, make_space
 from .variational import QuadratureGrid
 
@@ -386,6 +387,18 @@ def parse_scenario(text, path="<memory>", validate=True):
         if value not in MODE_CHOICES[key]:
             fail(f"{key} must be one of {', '.join(MODE_CHOICES[key])}, got {value!r}",
                  "mode", key)
+    cor = COROLLARIES.get(mode.get("corollary"))
+    if cor is not None:
+        # the reduction holds only under its hypotheses, which validation
+        # verifies numerically when they are asserted
+        missing = [f for f in cor.flags if flags.get(f) != "asserted"]
+        if missing:
+            fail(f"corollary {cor.name!r} needs the flags {', '.join(missing)} asserted",
+                 "mode", "corollary")
+        eq_id = equation_for(immersion, mode.get("kind", "fbh"))
+        if cor.equation != eq_id:
+            fail(f"corollary {cor.name!r} reduces {cor.equation}, but this scenario's "
+                 f"equation is {eq_id}", "mode", "corollary")
     variation = raw.get("variation", {}).get("components")
     if variation is not None:
         if not (isinstance(variation, list) and len(variation) == space.chart_dim

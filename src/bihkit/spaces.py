@@ -28,6 +28,8 @@ Charts:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .expr import parse, eval_on_jets
@@ -64,9 +66,19 @@ def _std_J(dim):
     return J
 
 
-def _const_matrix(mat, space):
-    return [[Jet.constant(space, mat[i, j]) for j in range(mat.shape[1])]
-            for i in range(mat.shape[0])]
+def _const_jets(values, space):
+    """Tensor jet of constants with the given values."""
+    c = np.zeros(np.shape(values) + (space.size,))
+    c[..., 0] = values
+    return Jet(space, c)
+
+
+def _flat_contact_structure(phi, space):
+    """Constant phi with Reeb field and contact form along the last axis."""
+    reeb = np.zeros(len(phi))
+    reeb[-1] = 1.0
+    return {"phi": _const_jets(phi, space), "xi": _const_jets(reeb, space),
+            "eta": _const_jets(reeb, space)}
 
 
 def chart_jets(point, order):
@@ -109,8 +121,7 @@ class AmbientSpace:
 
     def metric_at(self, point):
         self.chart_check(point)
-        x = chart_jets(point, 0)
-        G = np.array([[g.value for g in row] for row in self.metric_jets(x)])
+        G = Jet.stack(self.metric_jets(chart_jets(point, 0))).values
         if not np.all(np.isfinite(G)):
             raise ChartError("metric not finite at point")
         try:
@@ -121,15 +132,8 @@ class AmbientSpace:
 
     def structure_at(self, point):
         self.chart_check(point)
-        x = chart_jets(point, 0)
-        tensors = self.structure_jets(x)
-        out = {}
-        for key, val in tensors.items():
-            if isinstance(val[0], list):
-                out[key] = np.array([[j.value for j in row] for row in val])
-            else:
-                out[key] = np.array([j.value for j in val])
-        return out
+        tensors = self.structure_jets(chart_jets(point, 0))
+        return {key: Jet.stack(val).values for key, val in tensors.items()}
 
     def curvature_coeffs_at(self, point):
         x = chart_jets(point, 0)
@@ -150,10 +154,10 @@ class EuclideanComplex(AmbientSpace):
         self._J = _std_J(self.chart_dim)
 
     def metric_jets(self, x):
-        return _const_matrix(np.eye(self.chart_dim), x[0].space)
+        return _const_jets(np.eye(self.chart_dim), x[0].space)
 
     def structure_jets(self, x):
-        return {"J": _const_matrix(self._J, x[0].space)}
+        return {"J": _const_jets(self._J, x[0].space)}
 
     def curvature_coeff_jets(self, x):
         zero = Jet.constant(x[0].space, 0.0)
@@ -177,24 +181,24 @@ class _KaehlerPotentialSpace(AmbientSpace):
         """Closed-form Euclidean Hessian of the Kaehler potential (jets)."""
         raise NotImplementedError
 
+    def _radial_hessian(self, x, w, scale, cross):
+        """H[a, b] = (cross * x_a x_b + delta_ab w) * scale."""
+        term = ((x * cross)[:, None] * x[None]).c
+        diag = np.arange(self.chart_dim)
+        term[diag, diag] = term[diag, diag] + w.c
+        return Jet(x.space, _mirror_upper((Jet(x.space, term) * scale).c))
+
     def metric_jets(self, x):
-        d = self.chart_dim
-        H = self._potential_hessian(x)
+        H = self._potential_hessian(Jet.stack(x))
         J = self._J
-        G = [[None] * d for _ in range(d)]
-        for a in range(d):
-            for b in range(a, d):
-                acc = H[a][b]
-                # (J^T H J)_ab = J_ca H_cd J_db ; J has one entry per column
-                ca = np.flatnonzero(J[:, a])[0]
-                db = np.flatnonzero(J[:, b])[0]
-                acc = acc + J[ca, a] * J[db, b] * H[ca][db]
-                G[a][b] = acc * 0.25
-                G[b][a] = G[a][b]
-        return G
+        # (J^T H J)_ab = J_ca H_cd J_db ; J has one entry per column, in row r[a]
+        r = np.argmax(J != 0, axis=0)
+        sign = J[r, np.arange(self.chart_dim)]
+        JHJ = H.c[r][:, r] * (sign[:, None] * sign[None, :])[..., None]
+        return Jet(H.space, _mirror_upper((H.c + JHJ) * 0.25))
 
     def structure_jets(self, x):
-        return {"J": _const_matrix(self._J, x[0].space)}
+        return {"J": _const_jets(self._J, x[0].space)}
 
     def curvature_coeff_jets(self, x):
         c = Jet.constant(x[0].space, self.csf_coeff)
@@ -211,21 +215,8 @@ class FubiniStudy(_KaehlerPotentialSpace):
 
     def _potential_hessian(self, x):
         # K = (1/c) log(1+rho): K_ab = (2/c) (delta_ab (1+rho) - 2 x_a x_b)/(1+rho)^2
-        d = self.chart_dim
-        rho = x[0] * x[0]
-        for xi in x[1:]:
-            rho = rho + xi * xi
-        w = rho + 1.0
-        scale = (2.0 / self.csf_coeff) / (w * w)
-        H = [[None] * d for _ in range(d)]
-        for a in range(d):
-            for b in range(a, d):
-                term = -2.0 * x[a] * x[b]
-                if a == b:
-                    term = term + w
-                H[a][b] = term * scale
-                H[b][a] = H[a][b]
-        return H
+        w = (x * x).sum(0) + 1.0
+        return self._radial_hessian(x, w, (2.0 / self.csf_coeff) / (w * w), -2.0)
 
 
 class ComplexHyperbolic(_KaehlerPotentialSpace):
@@ -244,21 +235,8 @@ class ComplexHyperbolic(_KaehlerPotentialSpace):
     def _potential_hessian(self, x):
         # K = (1/c) log(1-rho), c < 0:
         # K_ab = -(2/c) (delta_ab (1-rho) + 2 x_a x_b)/(1-rho)^2
-        d = self.chart_dim
-        rho = x[0] * x[0]
-        for xi in x[1:]:
-            rho = rho + xi * xi
-        w = 1.0 - rho
-        scale = (-2.0 / self.csf_coeff) / (w * w)
-        H = [[None] * d for _ in range(d)]
-        for a in range(d):
-            for b in range(a, d):
-                term = 2.0 * x[a] * x[b]
-                if a == b:
-                    term = term + w
-                H[a][b] = term * scale
-                H[b][a] = H[a][b]
-        return H
+        w = 1.0 - (x * x).sum(0)
+        return self._radial_hessian(x, w, (-2.0 / self.csf_coeff) / (w * w), 2.0)
 
 
 # -- contact spaces -----------------------------------------------------------
@@ -283,14 +261,10 @@ class CosymplecticFlat(AmbientSpace):
         self._phi[: 2 * n, : 2 * n] = _std_J(2 * n)
 
     def metric_jets(self, x):
-        return _const_matrix(np.eye(self.chart_dim), x[0].space)
+        return _const_jets(np.eye(self.chart_dim), x[0].space)
 
     def structure_jets(self, x):
-        sp = x[0].space
-        d = self.chart_dim
-        xi = [Jet.constant(sp, 1.0 if a == d - 1 else 0.0) for a in range(d)]
-        eta = [Jet.constant(sp, 1.0 if a == d - 1 else 0.0) for a in range(d)]
-        return {"phi": _const_matrix(self._phi, sp), "xi": xi, "eta": eta}
+        return _flat_contact_structure(self._phi, x[0].space)
 
     def curvature_coeff_jets(self, x):
         zero = Jet.constant(x[0].space, 0.0)
@@ -326,11 +300,7 @@ class KenmotsuHyperbolic(AmbientSpace):
         return G
 
     def structure_jets(self, x):
-        sp = x[0].space
-        d = self.chart_dim
-        xi = [Jet.constant(sp, 1.0 if a == d - 1 else 0.0) for a in range(d)]
-        eta = [Jet.constant(sp, 1.0 if a == d - 1 else 0.0) for a in range(d)]
-        return {"phi": _const_matrix(self._phi, sp), "xi": xi, "eta": eta}
+        return _flat_contact_structure(self._phi, x[0].space)
 
     def curvature_coeff_jets(self, x):
         f1, f2, f3 = space_form_coefficients("kenmotsu", self.ctilde)
@@ -362,84 +332,52 @@ class SasakianSphere(AmbientSpace):
         self._J_amb = _std_J(2 * n + 2)
 
     def _embedding(self, x):
-        """X(u) = (2u, 1-|u|^2)/(1+|u|^2), its closed-form differential and
-        the conformal factor lambda = 4/(1+|u|^2)^2 of the round pullback."""
-        d = self.chart_dim
-        rho = x[0] * x[0]
-        for xi in x[1:]:
-            rho = rho + xi * xi
+        """X(u) = (2u, 1-|u|^2)/(1+|u|^2), its closed-form differential
+        dX[a, i] = dX_a/du_i and the conformal factor lambda = 4/(1+|u|^2)^2
+        of the round pullback."""
+        x = Jet.stack(x)
+        rho = (x * x).sum(0)
         denom_inv = 1.0 / (rho + 1.0)
         denom_inv2 = denom_inv * denom_inv
-        X = [x[a] * 2.0 * denom_inv for a in range(d)]
-        X.append((1.0 - rho) * denom_inv)
-        # dX[a][i] = dX_a/du_i, closed form (no jet differentiation)
-        dX = [[None] * d for _ in range(d + 1)]
-        for a in range(d):
-            for i in range(d):
-                entry = x[i] * x[a] * -4.0 * denom_inv2
-                if a == i:
-                    entry = entry + 2.0 * denom_inv
-                dX[a][i] = entry
-        for i in range(d):
-            dX[d][i] = x[i] * -4.0 * denom_inv2
-        lam = 4.0 * denom_inv2
-        return X, dX, lam
+        X = np.concatenate([(x * 2.0 * denom_inv).c, ((1.0 - rho) * denom_inv).c[None]])
+        dX = (x[None] * x[:, None] * -4.0 * denom_inv2).c
+        diag = np.arange(self.chart_dim)
+        dX[diag, diag] = dX[diag, diag] + (2.0 * denom_inv).c
+        dX = np.concatenate([dX, (x * -4.0 * denom_inv2).c[None]])
+        return Jet(x.space, X), Jet(x.space, dX), 4.0 * denom_inv2
 
     def _round_structure(self, x):
         """Round-metric conformal factor, Reeb field and phi in the chart.
 
         The Reeb field is the pullback of -J.X: this orientation gives the
         standard Sasakian sign nabla_X xi = -phi(X)."""
-        d = self.chart_dim
         X, dX, lam = self._embedding(x)
+        # row a of the ambient J has its one entry J[a, col[a]]
+        J = self._J_amb
+        col = np.argmax(J != 0, axis=1)
+        entry = J[np.arange(len(J)), col]
         # ambient Reeb -J.X restricted to the sphere
-        JX = []
-        for a in range(d + 1):
-            col = np.flatnonzero(self._J_amb[a])[0]
-            JX.append(X[col] * -self._J_amb[a, col])
+        JX = Jet(X.space, X.c[col] * -entry[:, None])
         # eta0_i = (dX^T (-J X))_i ; xi0 = eta0 / lambda (round metric lam*I)
-        eta0 = []
-        for al in range(d):
-            acc = dX[0][al] * JX[0]
-            for a in range(1, d + 1):
-                acc = acc + dX[a][al] * JX[a]
-            eta0.append(acc)
+        eta0 = (dX * JX[:, None]).sum(0)
         lam_inv = 1.0 / lam
-        xi0 = [e * lam_inv for e in eta0]
         # phi0 = dX^T J dX / lambda
-        phi0 = [[None] * d for _ in range(d)]
-        for al in range(d):
-            JdX_al = []
-            for a in range(d + 1):
-                col = np.flatnonzero(self._J_amb[a])[0]
-                JdX_al.append(dX[col][al] * self._J_amb[a, col])
-            for be in range(d):
-                acc = dX[0][be] * JdX_al[0]
-                for a in range(1, d + 1):
-                    acc = acc + dX[a][be] * JdX_al[a]
-                phi0[be][al] = acc * lam_inv
-        return lam, xi0, eta0, phi0
+        JdX = Jet(dX.space, dX.c[col] * entry[:, None, None])
+        phi0 = (dX[:, :, None] * JdX[:, None]).sum(0) * lam_inv
+        return lam, eta0 * lam_inv, eta0, phi0
 
     def metric_jets(self, x):
-        d = self.chart_dim
         a = self.homothety
         lam, xi0, eta0, phi0 = self._round_structure(x)
-        G = [[None for _ in range(d)] for _ in range(d)]
-        for al in range(d):
-            for be in range(al, d):
-                acc = eta0[al] * eta0[be] * (a * (a - 1.0))
-                if al == be:
-                    acc = acc + lam * a
-                G[al][be] = acc
-                G[be][al] = acc
-        return G
+        G = (eta0[:, None] * eta0[None] * (a * (a - 1.0))).c
+        diag = np.arange(self.chart_dim)
+        G[diag, diag] = G[diag, diag] + (lam * a).c
+        return Jet(lam.space, _mirror_upper(G))
 
     def structure_jets(self, x):
         a = self.homothety
         lam, xi0, eta0, phi0 = self._round_structure(x)
-        xi = [v / a for v in xi0]
-        eta = [v * a for v in eta0]
-        return {"phi": phi0, "xi": xi, "eta": eta}
+        return {"phi": phi0, "xi": xi0 / a, "eta": eta0 * a}
 
     def curvature_coeff_jets(self, x):
         f1, f2, f3 = space_form_coefficients("sasaki", self.ctilde)
@@ -472,7 +410,7 @@ class AbstractGCSF(AmbientSpace):
         self._J = _std_J(dim)
 
     def structure_jets(self, x):
-        return {"J": _const_matrix(self._J, x[0].space)}
+        return {"J": _const_jets(self._J, x[0].space)}
 
     def curvature_coeff_jets(self, x):
         env = dict(zip(self.coord_names, x))
@@ -499,11 +437,7 @@ class AbstractGSSF(AmbientSpace):
         self._phi[: 2 * n, : 2 * n] = _std_J(2 * n)
 
     def structure_jets(self, x):
-        sp = x[0].space
-        d = self.chart_dim
-        xi = [Jet.constant(sp, 1.0 if a == d - 1 else 0.0) for a in range(d)]
-        eta = [Jet.constant(sp, 1.0 if a == d - 1 else 0.0) for a in range(d)]
-        return {"phi": _const_matrix(self._phi, sp), "xi": xi, "eta": eta}
+        return _flat_contact_structure(self._phi, x[0].space)
 
     def curvature_coeff_jets(self, x):
         env = dict(zip(self.coord_names, x))
@@ -545,50 +479,65 @@ def space_form_coefficients(kind, ctilde):
 
 
 def _jet_matrix_inverse(M):
-    """Gauss-Jordan inverse of a square matrix of jets (value pivoting)."""
-    n = len(M)
-    A = [row[:] for row in M]
-    sp = A[0][0].space
-    I = [[Jet.constant(sp, 1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+    """Gauss-Jordan inverse of a square tensor jet (value pivoting); each
+    step scales the pivot row and clears its column in all other rows at
+    once, on the augmented matrix [M | I]."""
+    n = M.shape[0]
+    sp = M.space
+    eye = np.zeros((n, n, sp.size))
+    eye[range(n), range(n), 0] = 1.0
+    aug = np.concatenate([M.c, eye], axis=1)
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(A[r][col].value))
-        if abs(A[piv][col].value) < 1e-14:
+        piv = col + int(np.argmax(np.abs(aug[col:, col, 0])))
+        if abs(aug[piv, col, 0]) < 1e-14:
             raise SpaceError("singular jet matrix")
-        A[col], A[piv] = A[piv], A[col]
-        I[col], I[piv] = I[piv], I[col]
-        inv_p = 1.0 / A[col][col]
-        A[col] = [a * inv_p for a in A[col]]
-        I[col] = [a * inv_p for a in I[col]]
-        for r in range(n):
-            if r != col:
-                factor = A[r][col]
-                A[r] = [a - factor * b for a, b in zip(A[r], A[col])]
-                I[r] = [a - factor * b for a, b in zip(I[r], I[col])]
-    return I
+        aug[[col, piv]] = aug[[piv, col]]
+        pivot_row = Jet(sp, aug[col]) * (1.0 / Jet(sp, aug[col, col]))
+        # row r becomes row r - A[r, col] * pivot row
+        aug = (Jet(sp, aug) - Jet(sp, aug[:, col, None]) * pivot_row).c
+        aug[col] = pivot_row.c
+    return Jet(sp, aug[:, n:])
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(n):
+    """Index arrays (i, j) of the pairs i <= j < n, row-major."""
+    return np.triu_indices(n)
+
+
+def _from_upper(upper, n, axis=0):
+    """Symmetric tensor with entries `upper` over `_upper_pairs(n)` at
+    `axis`, placed at (i, j) and (j, i) on axes `axis`, `axis` + 1."""
+    i, j = _upper_pairs(n)
+    lead = (slice(None),) * axis
+    out = np.empty(upper.shape[:axis] + (n, n) + upper.shape[axis + 1:])
+    out[lead + (i, j)] = upper
+    out[lead + (j, i)] = upper
+    return out
+
+
+def _mirror_upper(c, axis=0):
+    """Copy of `c` with c[j, i] = c[i, j] for i < j on the axes `axis` and
+    `axis` + 1."""
+    n = c.shape[axis]
+    return _from_upper(c[(slice(None),) * axis + _upper_pairs(n)], n, axis)
 
 
 def christoffel_jets(G):
-    """Christoffel symbols Gamma[k][i][j] (jets, one order below G)."""
-    d = len(G)
-    order = G[0][0].space.order
+    """Christoffel symbols Gam[k, i, j] of the metric G[i, j] (tensor
+    jets), one order below G."""
+    order = G.space.order
     if order < 1:
         raise SpaceError("christoffel symbols need metric jets of order >= 1")
-    dG = [[[G[i][j].deriv(k) for k in range(d)] for j in range(d)] for i in range(d)]
-    G_lo = [[G[i][j].truncate(order - 1) for j in range(d)] for i in range(d)]
-    Ginv = _jet_matrix_inverse(G_lo)
-    Gam = [[[None] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            # w_l = (d_i g_lj + d_j g_li - d_l g_ij) / 2
-            w = [dG[l][j][i] + dG[l][i][j] - dG[i][j][l] for l in range(d)]
-            for k in range(d):
-                acc = Ginv[k][0] * w[0]
-                for l in range(1, d):
-                    acc = acc + Ginv[k][l] * w[l]
-                val = acc * 0.5
-                Gam[k][i][j] = val
-                Gam[k][j][i] = val
-    return Gam
+    d = G.shape[0]
+    dG = G.derivs().c  # dG[i, j, l] = d_l g_ij
+    Ginv = _jet_matrix_inverse(G.truncate(order - 1))
+    # over the pairs i <= j: w[p, l] = d_i g_lj + d_j g_li - d_l g_ij
+    i, j = _upper_pairs(d)
+    w = Jet(Ginv.space, dG[:, j, i].swapaxes(0, 1) + dG[:, i, j].swapaxes(0, 1) - dG[i, j])
+    # Gam[k, i, j] = Gam[k, j, i] = (sum_l Ginv[k, l] w[p, l]) / 2
+    Gam = (Ginv[:, None, :] * w[None]).sum(2) * 0.5
+    return Jet(Gam.space, _from_upper(Gam.c, d, axis=1))
 
 
 def metric_and_christoffel_jets(space, point, order):
@@ -597,46 +546,28 @@ def metric_and_christoffel_jets(space, point, order):
         raise SpaceError(f"{space.kind} supplies no ambient connection")
     space.chart_check(point)
     x = chart_jets(point, order)
-    G = space.metric_jets(x)
+    G = Jet.stack(space.metric_jets(x))
     return G, christoffel_jets(G)
 
 
 def christoffels_at(space, point):
     """Gamma^k_ij values; symmetric in the lower indices."""
-    _, Gam = metric_and_christoffel_jets(space, point, 1)
-    d = space.chart_dim
-    out = np.zeros((d, d, d))
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                out[k, i, j] = Gam[k][i][j].value
-    return out
+    return metric_and_christoffel_jets(space, point, 1)[1].values
 
 
 def curvature_tensor_at(space, point):
     """R[l,i,j,k] with R(e_i, e_j) e_k = R[l,i,j,k] e_l (bracket convention)."""
-    _, Gam = metric_and_christoffel_jets(space, point, 2)
-    d = space.chart_dim
-    Gv = np.zeros((d, d, d))         # Gv[k, i, j] = Gamma^k_ij
-    dGv = np.zeros((d, d, d, d))     # dGv[l, k, i, j] = d_l Gamma^k_ij
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                Gv[k, i, j] = Gam[k][i][j].value
-                for l in range(d):
-                    dGv[l, k, i, j] = Gam[k][i][j].deriv(l).value
-    R = np.zeros((d, d, d, d))
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    R[l, i, j, k] = (
-                        dGv[i, l, j, k]
-                        - dGv[j, l, i, k]
-                        + np.dot(Gv[l, i, :], Gv[:, j, k])
-                        - np.dot(Gv[l, j, :], Gv[:, i, k])
-                    )
-    return R
+    return _curvature_from_christoffels(metric_and_christoffel_jets(space, point, 2)[1])
+
+
+def _curvature_from_christoffels(Gam):
+    """R[l,i,j,k] = d_i Gam^l_jk - d_j Gam^l_ik + Gam^l_im Gam^m_jk
+    - Gam^l_jm Gam^m_ik from Christoffel jets of order >= 1."""
+    Gv = Gam.values                    # Gv[k, i, j] = Gamma^k_ij
+    dGv = Gam.derivs().values          # dGv[k, i, j, l] = d_l Gamma^k_ij
+    quad = np.einsum("lim,mjk->lijk", Gv, Gv)
+    return (np.einsum("ljki->lijk", dGv) - np.einsum("likj->lijk", dGv)
+            + quad - quad.transpose(0, 2, 1, 3))
 
 
 def curvature_model(space, point, X, Y, Z):

@@ -51,7 +51,7 @@ __all__ = [
     "QuadratureGrid",
     "ENERGIES",
     "VARIATION_PAIRING",
-    "energy",
+    "energies",
     "el_field",
     "first_variation_check",
 ]
@@ -105,10 +105,7 @@ class _NodeData:
         pc = PointCalculus(imm, point, order=2)
         self.g = pc.g_val
         self.ginv = pc.g_inv_val
-        self.gam = np.array(
-            [[[pc.intrinsic_christoffels[g][a][b].value for b in range(pc.m)]
-              for a in range(pc.m)] for g in range(pc.m)]
-        )
+        self.gam = pc.intrinsic_christoffels.values
         self.sqrt_det = float(np.sqrt(pc.gram_det))
         self.f = pc.f_jet.value
         self.df = np.array([pc.f_jet.deriv(al).value for al in range(pc.m)])
@@ -169,16 +166,32 @@ def _zero_jets(node):
     return [Jet.constant(sp, 0.0) for _ in range(node.d)]
 
 
-def energy(imm, grid, which, node_cache=None):
-    """Quadrature value of one functional on the undeformed immersion."""
-    if which not in ENERGIES:
-        raise ValueError(f"unknown energy {which!r}")
-    nodes = node_cache or [_NodeData(imm, p) for p in grid.points]
-    vals = np.empty(len(nodes))
+def _energy_values(nodes, weights, whichs, t=0.0, v_jets=None):
+    """Quadrature values of the functionals `whichs` at psi + t V (V = 0 when
+    `v_jets` is None); the deformed map is evaluated once per node and
+    shared by the functionals."""
+    vals = {which: np.empty(len(nodes)) for which in whichs}
     for i, node in enumerate(nodes):
-        data = _deformed_tension_data(node, _zero_jets(node), 0.0)
-        vals[i] = _integrand(node, which, data) * node.sqrt_det
-    return float(np.dot(vals, grid.weights)), nodes
+        v = _zero_jets(node) if v_jets is None else v_jets[i]
+        try:
+            data = _deformed_tension_data(node, v, t)
+        except ChartError:
+            raise ChartError(
+                f"the deformed map exits the ambient chart at node {i} (t={t})"
+            ) from None
+        for which in whichs:
+            vals[which][i] = _integrand(node, which, data) * node.sqrt_det
+    return {which: float(np.dot(v, weights)) for which, v in vals.items()}
+
+
+def energies(imm, grid, whichs=ENERGIES):
+    """Quadrature values {which: value} of functionals on the undeformed
+    immersion, from one evaluation per node."""
+    for which in whichs:
+        if which not in ENERGIES:
+            raise ValueError(f"unknown energy {which!r}")
+    nodes = [_NodeData(imm, p) for p in grid.points]
+    return _energy_values(nodes, grid.weights, whichs)
 
 
 def raw_field(imm, point, which, calc=None):
@@ -222,21 +235,6 @@ def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)
         [eval_on_jets(v, node.env) for v in v_exprs] for node in nodes
     ]
 
-    def energies_at(t):
-        """Every functional of psi + t V; the deformed map is evaluated once
-        per node and shared by the functionals."""
-        vals = {which: np.empty(len(nodes)) for which in whichs}
-        for i, node in enumerate(nodes):
-            try:
-                data = _deformed_tension_data(node, v_jets_all[i], t)
-            except ChartError:
-                raise ChartError(
-                    f"variation exits the ambient chart at node {i} (t={t})"
-                ) from None
-            for which in whichs:
-                vals[which][i] = _integrand(node, which, data) * node.sqrt_det
-        return {which: float(np.dot(v, grid.weights)) for which, v in vals.items()}
-
     # pairing side: one heavy jet stack per node, all fields from it
     pair_vals = {which: np.empty(len(nodes)) for which in whichs}
     for i, node in enumerate(nodes):
@@ -247,7 +245,10 @@ def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)
             el = el_field(imm, grid.points[i], which, calc=pc_full)
             pair_vals[which][i] = -(el @ G @ V) * node.sqrt_det
 
-    shifted = [(energies_at(h), energies_at(-h)) for h in steps]
+    shifted = [
+        tuple(_energy_values(nodes, grid.weights, whichs, s, v_jets_all) for s in (h, -h))
+        for h in steps
+    ]
     out = {}
     for which in whichs:
         rhs = float(np.dot(pair_vals[which], grid.weights))

@@ -1,5 +1,6 @@
 """The command line end to end: malformed scenarios, the mislabeled catalog,
-abstract ambients, the pinned `curves` reports and evaluation counts."""
+abstract ambients, corollary validation, the pinned `curves` and `hyper3d`
+reports and evaluation counts."""
 
 import contextlib
 import io
@@ -141,13 +142,38 @@ def test_abstract_ambient_runs_audit_only(tmp_path, command, expected):
         assert "section [ambient], key 'kind'" in err
 
 
-@pytest.mark.parametrize("job", WORKLOADS["curves"]["jobs"], ids=job_name)
-def test_curves_reports_match_pinned_references(monkeypatch, job):
+def _assert_matches_reference(monkeypatch, job):
     monkeypatch.chdir(ROOT)  # reports print the scenario path they were given
     code, report = run_job(cli, sys.modules["bihkit.report"], job)
     ref_code, ref_report = load_reference(job)
     assert code == ref_code
     assert reports_match(ref_report, report)
+
+
+@pytest.mark.parametrize("job", WORKLOADS["curves"]["jobs"], ids=job_name)
+def test_curves_reports_match_pinned_references(monkeypatch, job):
+    _assert_matches_reference(monkeypatch, job)
+
+
+@pytest.mark.parametrize("job", WORKLOADS["hyper3d"]["jobs"], ids=job_name)
+def test_hyper3d_reports_match_pinned_references(monkeypatch, job):
+    _assert_matches_reference(monkeypatch, job)
+
+
+@pytest.mark.parametrize("corollary,expected", [
+    ("fbh_gssf_xi_tangent", 3),   # xi is normal on c16: the hypothesis is not asserted
+    ("fbh_gcsf_curve", 3),        # a Hermitian reduction on a Sasakian ambient
+    ("fbh_gssf_xi_normal", 0),
+])
+def test_corollary_needs_its_flags_and_equation_family(tmp_path, corollary, expected):
+    with open(scenario_path("c16_xi_normal_curve"), encoding="utf-8") as fh:
+        text = fh.read().replace("kind = fbh", f"kind = fbh\ncorollary = {corollary}")
+    code, out, err = run_cli(["check", write(tmp_path, text)])
+    assert code == expected, err
+    if expected == 3:
+        assert "section [mode], key 'corollary'" in err and out == ""
+    else:
+        assert f"corollary: {corollary}" in out and "reduction_agreement: true" in out
 
 
 def test_check_builds_one_evaluation_per_sample_point(monkeypatch):

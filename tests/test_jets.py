@@ -275,3 +275,61 @@ def test_referential_transparency():
     a = (x.sin() * y.exp() / (y + 2.0)) ** 3
     b = (x.sin() * y.exp() / (y + 2.0)) ** 3
     assert np.array_equal(a.c, b.c)
+
+
+def _same_bits(x, y):
+    """Equal arrays, signed zeros included."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tensor_ops_match_scalar_jets(data):
+    """Every tensor-jet operation equals the scalar-jet operation on each
+    (broadcast) entry, bit for bit."""
+    num_vars = data.draw(st.integers(1, 4))
+    order = data.draw(st.integers(0, MAX_ORDER))
+    sp = jet_space(num_vars, order)
+    shape_a = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    # b broadcasts against a: a suffix of a's axes, each kept or set to 1
+    kept = data.draw(st.integers(0, len(shape_a)))
+    shape_b = tuple(n if data.draw(st.booleans()) else 1 for n in shape_a[len(shape_a) - kept:])
+
+    def tensor(shape):
+        flat = data.draw(st.lists(COEFF, min_size=math.prod(shape) * sp.size,
+                                  max_size=math.prod(shape) * sp.size))
+        return Jet(sp, np.reshape(flat, shape + (sp.size,)))
+
+    a, b = tensor(shape_a), tensor(shape_b)
+    out_shape = np.broadcast_shapes(shape_a, shape_b)
+    ca = np.broadcast_to(a.c, out_shape + (sp.size,))
+    cb = np.broadcast_to(b.c, out_shape + (sp.size,))
+
+    def entrywise(op, *cs):
+        first = (0,) * len(out_shape)
+        out = np.empty(out_shape + (op(*(Jet(sp, c[first]) for c in cs)).space.size,))
+        for idx in np.ndindex(*out_shape):
+            out[idx] = op(*(Jet(sp, c[idx]) for c in cs)).c
+        return out
+
+    assert _same_bits((a * b).c, entrywise(lambda x, y: x * y, ca, cb))
+    assert _same_bits((b * a).c, entrywise(lambda x, y: y * x, ca, cb))
+    assert _same_bits((a + b).c, entrywise(lambda x, y: x + y, ca, cb))
+    assert _same_bits((a - b).c, entrywise(lambda x, y: x - y, ca, cb))
+    assert _same_bits((-a).c, entrywise(lambda x: -x, ca))
+    low = data.draw(st.integers(0, order))
+    assert _same_bits(a.truncate(low).c, entrywise(lambda x: x.truncate(low), ca))
+    if order > 0:
+        axis = data.draw(st.integers(0, num_vars - 1))
+        assert _same_bits(a.deriv(axis).c, entrywise(lambda x: x.deriv(axis), ca))
+        for ax in range(num_vars):
+            assert _same_bits(a.derivs().c[..., ax, :], a.deriv(ax).c)
+    # the sum over an axis adds its slices left to right
+    acc = Jet(sp, ca[0])
+    for k in range(1, out_shape[0]):
+        acc = acc + Jet(sp, ca[k])
+    assert _same_bits(Jet(sp, ca).sum(0).c, acc.c)

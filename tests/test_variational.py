@@ -9,7 +9,7 @@ from bihkit.variational import (
     VARIATION_PAIRING,
     QuadratureGrid,
     el_field,
-    energy,
+    energies,
     first_variation_check,
     first_variation_suite,
 )
@@ -26,14 +26,13 @@ def circle(weight="1"):
 def test_circle_energy_closed_forms():
     grid = QuadratureGrid([(0.0, TAU, 24, True)])
     imm = circle()
-    E, nodes = energy(imm, grid, "E")
-    assert E == pytest.approx(np.pi, abs=1e-12)
-    E2, _ = energy(imm, grid, "E2", node_cache=nodes)
-    assert E2 == pytest.approx(np.pi, abs=1e-12)
-    EF, _ = energy(circle("2"), grid, "EF")
+    values = energies(imm, grid, ["E", "E2"])
+    assert values["E"] == pytest.approx(np.pi, abs=1e-12)
+    assert values["E2"] == pytest.approx(np.pi, abs=1e-12)
+    EF = energies(circle("2"), grid, ["EF"])["EF"]
     assert EF == pytest.approx(2.0 * np.pi, abs=1e-12)
     with pytest.raises(ValueError):
-        energy(imm, grid, "E3")
+        energies(imm, grid, ["E3"])
 
 
 def test_quadrature_grid_shapes():
@@ -53,9 +52,7 @@ def test_quadrature_convergence_doubling():
     vals = {}
     for n in (32, 64):
         grid = QuadratureGrid([(0.0, TAU, n, True)])
-        nodes = None
-        for which in ENERGIES:
-            v, nodes = energy(imm, grid, which, node_cache=nodes)
+        for which, v in energies(imm, grid).items():
             vals.setdefault(which, []).append(v)
     for which, (a, b) in vals.items():
         assert abs(a - b) <= 1e-9 * (1.0 + abs(b)), which
