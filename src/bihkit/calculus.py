@@ -21,14 +21,14 @@ Euler-Lagrange oracles, is exposed separately as `rough_laplacian`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .expr import Expression, eval_on_jets, parse, variables_of
 from .jets import Composer, Jet, jet_space
-from .spaces import (AmbientSpace, SpaceError, _curvature_from_christoffels, _from_upper,
-                     _jet_matrix_inverse, _upper_pairs, chart_jets, christoffel_jets)
+from .spaces import (AmbientSpace, SpaceError, chart_jets, christoffel_jets,
+                     curvature_from_christoffels, jet_matrix_inverse)
 
 __all__ = [
     "Immersion",
@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
+
+# index arrays (i, j) of the pairs i <= j < n, row-major
+_upper_pairs = lru_cache(maxsize=None)(np.triu_indices)
+
 # Default tolerance of the numeric flag checks (validation and `props`).
 FLAG_TOL = 1e-8
 
@@ -236,7 +240,7 @@ class PointCalculus:
     def ambient_curvature(self):
         """R[l,i,j,k] values of the ambient curvature at psi(point), from the
         chart Christoffels of this point."""
-        return _curvature_from_christoffels(self._ambient[2])
+        return curvature_from_christoffels(self._ambient[2])
 
     @cached_property
     def structure(self):
@@ -266,12 +270,11 @@ class PointCalculus:
         # g[al, be] = g[be, al] = sum_a dpsi[a, al] row[a, be]
         row = (G[:, :, None] * dpsi[None]).sum(1)
         al, be = _upper_pairs(self.m)
-        g = (dpsi[:, al] * row[:, be]).sum(0)
-        return Jet(g.space, _from_upper(g.c, self.m))
+        return (dpsi[:, al] * row[:, be]).sum(0).symmetric()
 
     @cached_property
     def induced_metric_inv_field(self):
-        return _jet_matrix_inverse(self.induced_metric_field)
+        return jet_matrix_inverse(self.induced_metric_field)
 
     @cached_property
     def intrinsic_christoffels(self):
@@ -391,9 +394,9 @@ class PointCalculus:
         al, be = _upper_pairs(self.m)
         amb = (Gam[..., None] * dpsi[None, :, None])[..., al] * dpsi[None, None, :, be]
         intr = Gam_int[None, :, al, be] * dpsi[..., None]  # [a, g, p]
-        terms = np.concatenate([amb.c.reshape(d, d * d, len(al), -1), -intr.c], axis=1)
-        B = Jet(amb.space, terms).sum(1, start=self.dpsi.derivs()[:, al, be])
-        return Jet(B.space, _from_upper(B.c.swapaxes(0, 1), self.m))
+        terms = Jet.concatenate([amb.reshape(d, d * d, len(al)), -intr], axis=1)
+        B = terms.sum(1, start=self.dpsi.derivs()[:, al, be])  # [a, p]
+        return B.transpose(1, 0).symmetric()
 
     @cached_property
     def B_val(self):
@@ -575,12 +578,9 @@ def _normal_connection(pc, field):
     a jet field W[al, a] and as its values."""
     covd = Jet.stack([pc.pullback_derivative(field, al) for al in range(pc.m)])
     P = pc.projector_field
-    # normal projector I - P, written as the scalar loops did: -P off the
-    # diagonal, (constant 1) - P on it
-    N = -P.c
-    diag = np.arange(pc.d)
-    N[diag, diag] = Jet.constant(P.space, 1.0).c - P.c[diag, diag]
-    N = Jet(P.space, N).truncate(covd.space.order)
+    # normal projector I - P: -P off the diagonal and -P + 1 on it, which
+    # rounds as the scalar loops' 1 - P did
+    N = (-P).add_diagonal(1.0).truncate(covd.space.order)
     W = (N[None] * covd[:, None, :]).sum(-1)
     return W, W.values
 

@@ -28,12 +28,10 @@ Charts:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .expr import parse, eval_on_jets
-from .jets import Jet, jet_space
+from .jets import Jet, JetError, jet_space
 
 __all__ = [
     "AmbientSpace",
@@ -45,6 +43,9 @@ __all__ = [
     "curvature_model",
     "metric_and_christoffel_jets",
     "chart_jets",
+    "christoffel_jets",
+    "curvature_from_christoffels",
+    "jet_matrix_inverse",
 ]
 
 
@@ -54,6 +55,11 @@ class SpaceError(ValueError):
 
 class ChartError(ValueError):
     """Point outside the chart domain."""
+
+
+def _mirror_upper(M):
+    """Copy of the square tensor jet M with M[j, i] = M[i, j] for i < j."""
+    return M.upper().symmetric()
 
 
 def _std_J(dim):
@@ -66,19 +72,12 @@ def _std_J(dim):
     return J
 
 
-def _const_jets(values, space):
-    """Tensor jet of constants with the given values."""
-    c = np.zeros(np.shape(values) + (space.size,))
-    c[..., 0] = values
-    return Jet(space, c)
-
-
 def _flat_contact_structure(phi, space):
     """Constant phi with Reeb field and contact form along the last axis."""
     reeb = np.zeros(len(phi))
     reeb[-1] = 1.0
-    return {"phi": _const_jets(phi, space), "xi": _const_jets(reeb, space),
-            "eta": _const_jets(reeb, space)}
+    return {"phi": Jet.constant(space, phi), "xi": Jet.constant(space, reeb),
+            "eta": Jet.constant(space, reeb)}
 
 
 def chart_jets(point, order):
@@ -154,10 +153,10 @@ class EuclideanComplex(AmbientSpace):
         self._J = _std_J(self.chart_dim)
 
     def metric_jets(self, x):
-        return _const_jets(np.eye(self.chart_dim), x[0].space)
+        return Jet.constant(x[0].space, np.eye(self.chart_dim))
 
     def structure_jets(self, x):
-        return {"J": _const_jets(self._J, x[0].space)}
+        return {"J": Jet.constant(x[0].space, self._J)}
 
     def curvature_coeff_jets(self, x):
         zero = Jet.constant(x[0].space, 0.0)
@@ -183,10 +182,8 @@ class _KaehlerPotentialSpace(AmbientSpace):
 
     def _radial_hessian(self, x, w, scale, cross):
         """H[a, b] = (cross * x_a x_b + delta_ab w) * scale."""
-        term = ((x * cross)[:, None] * x[None]).c
-        diag = np.arange(self.chart_dim)
-        term[diag, diag] = term[diag, diag] + w.c
-        return Jet(x.space, _mirror_upper((Jet(x.space, term) * scale).c))
+        term = ((x * cross)[:, None] * x[None]).add_diagonal(w)
+        return _mirror_upper(term * scale)
 
     def metric_jets(self, x):
         H = self._potential_hessian(Jet.stack(x))
@@ -194,11 +191,11 @@ class _KaehlerPotentialSpace(AmbientSpace):
         # (J^T H J)_ab = J_ca H_cd J_db ; J has one entry per column, in row r[a]
         r = np.argmax(J != 0, axis=0)
         sign = J[r, np.arange(self.chart_dim)]
-        JHJ = H.c[r][:, r] * (sign[:, None] * sign[None, :])[..., None]
-        return Jet(H.space, _mirror_upper((H.c + JHJ) * 0.25))
+        JHJ = H[r][:, r] * (sign[:, None] * sign[None, :])
+        return _mirror_upper((H + JHJ) * 0.25)
 
     def structure_jets(self, x):
-        return {"J": _const_jets(self._J, x[0].space)}
+        return {"J": Jet.constant(x[0].space, self._J)}
 
     def curvature_coeff_jets(self, x):
         c = Jet.constant(x[0].space, self.csf_coeff)
@@ -261,7 +258,7 @@ class CosymplecticFlat(AmbientSpace):
         self._phi[: 2 * n, : 2 * n] = _std_J(2 * n)
 
     def metric_jets(self, x):
-        return _const_jets(np.eye(self.chart_dim), x[0].space)
+        return Jet.constant(x[0].space, np.eye(self.chart_dim))
 
     def structure_jets(self, x):
         return _flat_contact_structure(self._phi, x[0].space)
@@ -339,12 +336,10 @@ class SasakianSphere(AmbientSpace):
         rho = (x * x).sum(0)
         denom_inv = 1.0 / (rho + 1.0)
         denom_inv2 = denom_inv * denom_inv
-        X = np.concatenate([(x * 2.0 * denom_inv).c, ((1.0 - rho) * denom_inv).c[None]])
-        dX = (x[None] * x[:, None] * -4.0 * denom_inv2).c
-        diag = np.arange(self.chart_dim)
-        dX[diag, diag] = dX[diag, diag] + (2.0 * denom_inv).c
-        dX = np.concatenate([dX, (x * -4.0 * denom_inv2).c[None]])
-        return Jet(x.space, X), Jet(x.space, dX), 4.0 * denom_inv2
+        X = Jet.concatenate([x * 2.0 * denom_inv, ((1.0 - rho) * denom_inv)[None]])
+        dX = (x[None] * x[:, None] * -4.0 * denom_inv2).add_diagonal(2.0 * denom_inv)
+        dX = Jet.concatenate([dX, (x * -4.0 * denom_inv2)[None]])
+        return X, dX, 4.0 * denom_inv2
 
     def _round_structure(self, x):
         """Round-metric conformal factor, Reeb field and phi in the chart.
@@ -357,22 +352,20 @@ class SasakianSphere(AmbientSpace):
         col = np.argmax(J != 0, axis=1)
         entry = J[np.arange(len(J)), col]
         # ambient Reeb -J.X restricted to the sphere
-        JX = Jet(X.space, X.c[col] * -entry[:, None])
+        JX = X[col] * -entry
         # eta0_i = (dX^T (-J X))_i ; xi0 = eta0 / lambda (round metric lam*I)
         eta0 = (dX * JX[:, None]).sum(0)
         lam_inv = 1.0 / lam
         # phi0 = dX^T J dX / lambda
-        JdX = Jet(dX.space, dX.c[col] * entry[:, None, None])
+        JdX = dX[col] * entry[:, None]
         phi0 = (dX[:, :, None] * JdX[:, None]).sum(0) * lam_inv
         return lam, eta0 * lam_inv, eta0, phi0
 
     def metric_jets(self, x):
         a = self.homothety
         lam, xi0, eta0, phi0 = self._round_structure(x)
-        G = (eta0[:, None] * eta0[None] * (a * (a - 1.0))).c
-        diag = np.arange(self.chart_dim)
-        G[diag, diag] = G[diag, diag] + (lam * a).c
-        return Jet(lam.space, _mirror_upper(G))
+        G = (eta0[:, None] * eta0[None] * (a * (a - 1.0))).add_diagonal(lam * a)
+        return _mirror_upper(G)
 
     def structure_jets(self, x):
         a = self.homothety
@@ -410,7 +403,7 @@ class AbstractGCSF(AmbientSpace):
         self._J = _std_J(dim)
 
     def structure_jets(self, x):
-        return {"J": _const_jets(self._J, x[0].space)}
+        return {"J": Jet.constant(x[0].space, self._J)}
 
     def curvature_coeff_jets(self, x):
         env = dict(zip(self.coord_names, x))
@@ -478,49 +471,12 @@ def space_form_coefficients(kind, ctilde):
 # -- connection and curvature (concrete backend) -------------------------------
 
 
-def _jet_matrix_inverse(M):
-    """Gauss-Jordan inverse of a square tensor jet (value pivoting); each
-    step scales the pivot row and clears its column in all other rows at
-    once, on the augmented matrix [M | I]."""
-    n = M.shape[0]
-    sp = M.space
-    eye = np.zeros((n, n, sp.size))
-    eye[range(n), range(n), 0] = 1.0
-    aug = np.concatenate([M.c, eye], axis=1)
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col, 0])))
-        if abs(aug[piv, col, 0]) < 1e-14:
-            raise SpaceError("singular jet matrix")
-        aug[[col, piv]] = aug[[piv, col]]
-        pivot_row = Jet(sp, aug[col]) * (1.0 / Jet(sp, aug[col, col]))
-        # row r becomes row r - A[r, col] * pivot row
-        aug = (Jet(sp, aug) - Jet(sp, aug[:, col, None]) * pivot_row).c
-        aug[col] = pivot_row.c
-    return Jet(sp, aug[:, n:])
-
-
-@lru_cache(maxsize=None)
-def _upper_pairs(n):
-    """Index arrays (i, j) of the pairs i <= j < n, row-major."""
-    return np.triu_indices(n)
-
-
-def _from_upper(upper, n, axis=0):
-    """Symmetric tensor with entries `upper` over `_upper_pairs(n)` at
-    `axis`, placed at (i, j) and (j, i) on axes `axis`, `axis` + 1."""
-    i, j = _upper_pairs(n)
-    lead = (slice(None),) * axis
-    out = np.empty(upper.shape[:axis] + (n, n) + upper.shape[axis + 1:])
-    out[lead + (i, j)] = upper
-    out[lead + (j, i)] = upper
-    return out
-
-
-def _mirror_upper(c, axis=0):
-    """Copy of `c` with c[j, i] = c[i, j] for i < j on the axes `axis` and
-    `axis` + 1."""
-    n = c.shape[axis]
-    return _from_upper(c[(slice(None),) * axis + _upper_pairs(n)], n, axis)
+def jet_matrix_inverse(M):
+    """Inverse of a square matrix of jets; a singular one is a SpaceError."""
+    try:
+        return M.inverse()
+    except JetError as exc:
+        raise SpaceError(str(exc)) from None
 
 
 def christoffel_jets(G):
@@ -529,15 +485,14 @@ def christoffel_jets(G):
     order = G.space.order
     if order < 1:
         raise SpaceError("christoffel symbols need metric jets of order >= 1")
-    d = G.shape[0]
-    dG = G.derivs().c  # dG[i, j, l] = d_l g_ij
-    Ginv = _jet_matrix_inverse(G.truncate(order - 1))
-    # over the pairs i <= j: w[p, l] = d_i g_lj + d_j g_li - d_l g_ij
-    i, j = _upper_pairs(d)
-    w = Jet(Ginv.space, dG[:, j, i].swapaxes(0, 1) + dG[:, i, j].swapaxes(0, 1) - dG[i, j])
+    dG = G.derivs()  # dG[i, j, l] = d_l g_ij
+    Ginv = jet_matrix_inverse(G.truncate(order - 1))
+    # over the pairs i <= j: w[p, l] = d_i g_lj + d_j g_li - d_l g_ij, the
+    # axes of dG permuted so that (i, j, l) index each term
+    w = (dG.transpose(2, 1, 0) + dG.transpose(1, 2, 0) - dG).upper()
     # Gam[k, i, j] = Gam[k, j, i] = (sum_l Ginv[k, l] w[p, l]) / 2
     Gam = (Ginv[:, None, :] * w[None]).sum(2) * 0.5
-    return Jet(Gam.space, _from_upper(Gam.c, d, axis=1))
+    return Gam.symmetric(axis=1)
 
 
 def metric_and_christoffel_jets(space, point, order):
@@ -557,10 +512,10 @@ def christoffels_at(space, point):
 
 def curvature_tensor_at(space, point):
     """R[l,i,j,k] with R(e_i, e_j) e_k = R[l,i,j,k] e_l (bracket convention)."""
-    return _curvature_from_christoffels(metric_and_christoffel_jets(space, point, 2)[1])
+    return curvature_from_christoffels(metric_and_christoffel_jets(space, point, 2)[1])
 
 
-def _curvature_from_christoffels(Gam):
+def curvature_from_christoffels(Gam):
     """R[l,i,j,k] = d_i Gam^l_jk - d_j Gam^l_ik + Gam^l_im Gam^m_jk
     - Gam^l_jm Gam^m_ik from Christoffel jets of order >= 1."""
     Gv = Gam.values                    # Gv[k, i, j] = Gamma^k_ij

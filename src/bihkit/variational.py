@@ -166,15 +166,13 @@ def _zero_jets(node):
     return [Jet.constant(sp, 0.0) for _ in range(node.d)]
 
 
-def _energy_values(nodes, weights, whichs, t=0.0, v_jets=None):
-    """Quadrature values of the functionals `whichs` at psi + t V (V = 0 when
-    `v_jets` is None); the deformed map is evaluated once per node and
-    shared by the functionals."""
+def _energy_values(nodes, weights, whichs, t, v_jets):
+    """Quadrature values of the functionals `whichs` at psi + t V; the
+    deformed map is evaluated once per node and shared by the functionals."""
     vals = {which: np.empty(len(nodes)) for which in whichs}
     for i, node in enumerate(nodes):
-        v = _zero_jets(node) if v_jets is None else v_jets[i]
         try:
-            data = _deformed_tension_data(node, v, t)
+            data = _deformed_tension_data(node, v_jets[i], t)
         except ChartError:
             raise ChartError(
                 f"the deformed map exits the ambient chart at node {i} (t={t})"
@@ -184,14 +182,12 @@ def _energy_values(nodes, weights, whichs, t=0.0, v_jets=None):
     return {which: float(np.dot(v, weights)) for which, v in vals.items()}
 
 
-def energies(imm, grid, whichs=ENERGIES):
-    """Quadrature values {which: value} of functionals on the undeformed
-    immersion, from one evaluation per node."""
-    for which in whichs:
-        if which not in ENERGIES:
-            raise ValueError(f"unknown energy {which!r}")
+def energies(imm, grid):
+    """Quadrature values {which: value} of the five functionals on the
+    undeformed immersion, from one evaluation per node."""
     nodes = [_NodeData(imm, p) for p in grid.points]
-    return _energy_values(nodes, grid.weights, whichs)
+    return _energy_values(nodes, grid.weights, ENERGIES, 0.0,
+                          [_zero_jets(node) for node in nodes])
 
 
 def raw_field(imm, point, which, calc=None):

@@ -333,3 +333,38 @@ def test_tensor_ops_match_scalar_jets(data):
     for k in range(1, out_shape[0]):
         acc = acc + Jet(sp, ca[k])
     assert _same_bits(Jet(sp, ca).sum(0).c, acc.c)
+
+
+def test_tensor_layout_methods():
+    """Building and rearranging tensor jets touches the tensor axes only."""
+    sp = jet_space(2, 2)
+    rng = np.random.default_rng(5)
+    a = Jet(sp, rng.standard_normal((3, 3, sp.size)))
+    # upper/symmetric: the upper triangle, row-major, mirrored on any axis pair
+    i, j = np.triu_indices(3)
+    assert np.array_equal(a.upper().c, a.c[i, j])
+    s = a.upper().symmetric()
+    assert s.shape == (3, 3)
+    for p, q in np.ndindex(3, 3):
+        assert np.array_equal(s.c[p, q], a.c[min(p, q), max(p, q)])
+    assert np.array_equal(a[None, i, j].symmetric(axis=1).c, s.c[None])
+    with pytest.raises(JetError):
+        a.reshape(9)[:4].symmetric()
+    # add_diagonal: a scalar jet or one jet per diagonal entry
+    w = Jet.variable(sp, 1, 0.5)
+    d = a.add_diagonal(w)
+    for p, q in np.ndindex(3, 3):
+        expect = (a[p, q] + w).c if p == q else a.c[p, q]
+        assert np.array_equal(d.c[p, q], expect)
+    assert np.array_equal(a.add_diagonal(a[0]).c[2, 2], (a[2, 2] + a[0, 2]).c)
+    # concatenate, transpose, constants and float-array factors
+    assert np.array_equal(Jet.concatenate([a, a[:, :1]], axis=-1).c,
+                          np.concatenate([a.c, a.c[:, :1]], axis=1))
+    assert np.array_equal(a.transpose(1, 0).c, a.c.swapaxes(0, 1))
+    eye = Jet.constant(sp, np.eye(2))
+    assert eye.shape == (2, 2) and np.array_equal(eye.values, np.eye(2))
+    assert not eye.c[..., 1:].any()
+    f = np.array([2.0, -0.5, 3.0])
+    assert np.array_equal((a * f).c, (f * a).c)
+    for p in range(3):
+        assert np.array_equal((a * f).c[:, p], (a[:, p] * f[p]).c)

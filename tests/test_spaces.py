@@ -10,6 +10,7 @@ from bihkit.spaces import (
     curvature_model,
     curvature_tensor_at,
     gcsf_coefficient_sum_spread,
+    jet_matrix_inverse,
     make_space,
     metric_and_christoffel_jets,
     space_form_coefficients,
@@ -278,6 +279,8 @@ def test_metric_positive_definite_rejection():
     sp = make_space("kenmotsu_hyperbolic", n=1)
     G = sp.metric_at(np.array([0.1, 0.2, -0.4]))
     assert np.linalg.eigvalsh(G).min() > 0.0
+    with pytest.raises(SpaceError, match="singular"):
+        jet_matrix_inverse(Jet.constant(jet_space(3, 1), np.ones((3, 3))))
 
 
 def test_sasaki_phi_sectional_curvature():
