@@ -11,23 +11,21 @@ The structure-decomposition identity suite lives here too: the five
 Hermitian operator identities, their contact analogues, skewness and
 adjointness relations, and the hypothesis-conditional facts used inside the
 proofs (e.g. on the normal line of a hypersurface with tangent Reeb field).
+
+Every per-point audit takes the point's `PointCalculus`, whose memoized
+trace terms and structure decomposition all of them share.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .calculus import (
-    PointCalculus,
-    decomposition_operators_at,
-    drain,
-    trace_terms_at,
-)
+from .calculus import drain
 from .residuals import curvature_trace, _tau_weighted_field
+from .spaces import curvature_model, gcsf_coefficient_sum_spread
 
 __all__ = [
-    "audit_deltaH_expansion",
-    "audit_lemgene1",
+    "audit_mean_curvature_laplacian",
     "audit_lemgene2",
     "audit_lemgene3",
     "audit_phi_decompositions",
@@ -36,11 +34,21 @@ __all__ = [
 ]
 
 
-def _mean_curvature_laplacian(pc):
-    """tr nabla^2 H, its printed trace-term expansion in the positive sign
-    convention, (n/2) grad|H|^2 + tr B(.,A_H.) + 2 tr A_{nperp H} + Dperp H,
-    and the tangential curvature trace [tr R(., H) .]^tan."""
+def audit_mean_curvature_laplacian(pc):
+    """tr nabla^2 H against its printed trace-term expansion
+    E = (n/2) grad|H|^2 + tr B(.,A_H.) + 2 tr A_{nperp H} + Dperp H (positive
+    sign convention), for the two audits of that identity.
+
+    lemgene1:  corrected tr nabla^2 H = -E - [tr R(., H) .]^tan; the printed
+               form carries the curvature term with a plus sign.
+    deltaH:    the positive rough Laplacian -tr nabla^2 H; as printed it
+               equals E, exact only in flat ambients, and the ledger
+               translation adds the tangential curvature trace.
+    The corrected and the translated forms are one identity, so their
+    deltas are the same number.  Returns {"deltaH": ..., "lemgene1": ...}.
+    """
     tt = pc.trace_terms
+    nrm = pc.norm
     expansion = (
         0.5 * float(pc.m) * tt.grad_h_norm2
         + tt.tb_ah
@@ -48,46 +56,23 @@ def _mean_curvature_laplacian(pc):
         + tt.delta_perp_h_pos
     )
     trR_tan = pc.projectors[0] @ curvature_trace(pc, pc.H_val)
-    return pc.rough_laplacian(pc.H_field), expansion, trR_tan
-
-
-def audit_lemgene1(imm, point, calc=None):
-    """tr nabla^2 H vs its split into trace terms.
-
-    corrected:  -(n/2) grad|H|^2 - tr B(.,A_H.) - 2 tr A_{nperp H} - Dperp H
-                - [tr R(., H) .]^tan
-    printed form carries the curvature term with a plus sign.
-    """
-    pc = calc or PointCalculus(imm, point)
-    nrm = pc.norm
-    lhs, expansion, trR_tan = _mean_curvature_laplacian(pc)
-    base = -expansion
+    lap = pc.rough_laplacian(pc.H_field)
     scale = 1.0 + nrm(pc.H_val)
+    corrected = nrm(lap + (expansion + trR_tan)) / scale
+    curvature_term_norm = nrm(trR_tan)
     return {
-        "name": "lemgene1",
-        "delta_corrected": nrm(lhs - (base - trR_tan)) / scale,
-        "delta_printed": nrm(lhs - (base + trR_tan)) / scale,
-        "curvature_term_norm": nrm(trR_tan),
-    }
-
-
-def audit_deltaH_expansion(imm, point, calc=None):
-    """Mean-curvature Laplacian expansion (positive rough Laplacian).
-
-    As printed the identity has no ambient-curvature term and is exact only
-    in flat ambients; the ledger translation adds the tangential curvature
-    trace, making it exact everywhere.
-    """
-    pc = calc or PointCalculus(imm, point)
-    nrm = pc.norm
-    laplacian, rhs_printed, trR_tan = _mean_curvature_laplacian(pc)
-    lhs = -laplacian  # positive rough Laplacian of H
-    scale = 1.0 + nrm(pc.H_val)
-    return {
-        "name": "deltaH_expansion",
-        "delta_translated": nrm(lhs - (rhs_printed + trR_tan)) / scale,
-        "delta_printed": nrm(lhs - rhs_printed) / scale,
-        "curvature_term_norm": nrm(trR_tan),
+        "deltaH": {
+            "name": "deltaH_expansion",
+            "delta_translated": corrected,
+            "delta_printed": nrm(lap + expansion) / scale,
+            "curvature_term_norm": curvature_term_norm,
+        },
+        "lemgene1": {
+            "name": "lemgene1",
+            "delta_corrected": corrected,
+            "delta_printed": nrm(lap + (expansion - trR_tan)) / scale,
+            "curvature_term_norm": curvature_term_norm,
+        },
     }
 
 
@@ -115,7 +100,7 @@ def _intrinsic_rough_laplacian_gradf(pc):
     return pc.dpsi_val @ out_param, out_param
 
 
-def audit_lemgene2(imm, point, calc=None):
+def audit_lemgene2(pc):
     """tr nabla-bar^2 grad f vs its assembled split.
 
     corrected: grad(tr Hess f) + Ric(grad f) + tr B(., nabla_. grad f)
@@ -124,8 +109,7 @@ def audit_lemgene2(imm, point, calc=None):
     The inner intrinsic identity is audited separately in both curvature
     readings (ambient vs intrinsic); the report states which matches.
     """
-    pc = calc or PointCalculus(imm, point)
-    tt = trace_terms_at(imm, point, calc=pc)
+    tt = pc.trace_terms
     nrm = pc.norm
     lhs = pc.rough_laplacian(pc.grad_f_ambient_field)
     grad_delta_neg = -tt.grad_delta_f_pos  # grad of tr Hess f
@@ -154,10 +138,9 @@ def audit_lemgene2(imm, point, calc=None):
     return deltas
 
 
-def audit_lemgene3(imm, point, calc=None):
+def audit_lemgene3(pc):
     """nabla-bar_{grad f}(n f H + grad f) against its five-term split."""
-    pc = calc or PointCalculus(imm, point)
-    tt = trace_terms_at(imm, point, calc=pc)
+    tt = pc.trace_terms
     nrm = pc.norm
     n = float(pc.m)
     tau_w = _tau_weighted_field(pc)
@@ -173,7 +156,7 @@ def audit_lemgene3(imm, point, calc=None):
     return {"name": "lemgene3", "delta": nrm(lhs - rhs) / scale}
 
 
-def identity_suite(imm, point, calc=None):
+def identity_suite(pc):
     """Structure-operator identities in the orthonormal frames.
 
     Hermitian: the five j/k/l/m identities plus skewness and adjointness.
@@ -181,8 +164,7 @@ def identity_suite(imm, point, calc=None):
     tangential block, zero trace, and the N/s adjointness.
     Returns {identity: deviation}.
     """
-    pc = calc or PointCalculus(imm, point)
-    tt_m, tn, nt, nn = decomposition_operators_at(imm, point, calc=pc)
+    tt_m, tn, nt, nn = pc.decomposition_operators
     m = pc.m
     codim = pc.d - m
     out = {}
@@ -212,17 +194,17 @@ def identity_suite(imm, point, calc=None):
     return out
 
 
-def audit_phi_decompositions(imm, point, calc=None, tol=1e-8):
-    """Proof-level contact facts, hypothesis-conditional ones included."""
-    pc = calc or PointCalculus(imm, point)
+def audit_phi_decompositions(pc, tol=1e-8):
+    """Proof-level contact facts beyond `identity_suite`, hypothesis-
+    conditional ones included."""
     if pc.space.structure != "contact":
         raise ValueError("phi-decomposition audit needs a contact ambient")
-    tt = trace_terms_at(imm, point, calc=pc)
+    tt = pc.trace_terms
     nrm = pc.norm
     xi, G0 = pc.structure["xi"], pc.G_val
     phi = pc.structure_tensor
     P_tan, P_nor = pc.projectors
-    out = dict(identity_suite(imm, point, calc=pc))
+    out = {}
     # phi^2 nu decomposition on each normal frame vector
     worst = 0.0
     for nu in pc.normal_frame:
@@ -257,8 +239,6 @@ def curvature_trace_audit(space, points, seed=0, samples_per_point=4):
     complex space forms the sampled spread of alpha+beta is reported (the
     coefficient sum should be constant).
     """
-    from .spaces import curvature_model, gcsf_coefficient_sum_spread
-
     rng = np.random.default_rng(seed)
     d = space.chart_dim
     worst = {"normal_trace": 0.0, "tangent_trace": 0.0}
@@ -266,6 +246,8 @@ def curvature_trace_audit(space, points, seed=0, samples_per_point=4):
         p = np.asarray(p, float)
         Gp = space.metric_at(p) if space.has_metric else np.eye(d)
         tensors = space.structure_at(p)
+        coeffs = space.curvature_coeffs_at(p)
+        R = curvature_model(space.family, Gp, tensors, coeffs)
         T = tensors["J"] if space.structure == "hermitian" else tensors["phi"]
         for _ in range(samples_per_point):
             m = rng.integers(1, d)
@@ -287,8 +269,8 @@ def curvature_trace_audit(space, points, seed=0, samples_per_point=4):
             for v, key in ((normal_v, "normal_trace"), (tangent_v, "tangent_trace")):
                 lhs = np.zeros(d)
                 for i in range(m):
-                    lhs += curvature_model(space, p, E[i], v, E[i])
-                rhs = _trace_rhs(space, p, Gp, T, tensors, P_tan, P_nor, E, v, key, m)
+                    lhs += R(E[i], v, E[i])
+                rhs = _trace_rhs(space.family, coeffs, Gp, T, tensors, P_tan, P_nor, v, key, m)
                 scale = 1.0 + float(np.sqrt(v @ Gp @ v))
                 worst[key] = max(worst[key], float(np.max(np.abs(lhs - rhs))) / scale)
     out = dict(worst)
@@ -298,11 +280,10 @@ def curvature_trace_audit(space, points, seed=0, samples_per_point=4):
     return out
 
 
-def _trace_rhs(space, p, Gp, T, tensors, P_tan, P_nor, E, v, key, m):
+def _trace_rhs(family, coeffs, Gp, T, tensors, P_tan, P_nor, v, key, m):
     """Decomposition form of tr R(., v). for v normal or tangent."""
-    coeffs = space.curvature_coeffs_at(p)
     mf = float(m)
-    if space.family == "gcsf":
+    if family == "gcsf":
         alpha, beta = coeffs
         jv_or_lv = P_tan @ (T @ v)
         two_step_t = P_tan @ (T @ jv_or_lv)
@@ -330,17 +311,15 @@ def run_all_audits(imm, calcs):
     emptied as it goes, so each point's evaluation is released once used."""
     rows = []
     for pc in drain(calcs):
-        p = pc.point
         entry = {
-            "point": list(map(float, p)),
-            "deltaH": audit_deltaH_expansion(imm, p, calc=pc),
-            "lemgene1": audit_lemgene1(imm, p, calc=pc),
-            "lemgene2": audit_lemgene2(imm, p, calc=pc),
-            "lemgene3": audit_lemgene3(imm, p, calc=pc),
-            "identities": identity_suite(imm, p, calc=pc),
+            "point": list(map(float, pc.point)),
+            **audit_mean_curvature_laplacian(pc),
+            "lemgene2": audit_lemgene2(pc),
+            "lemgene3": audit_lemgene3(pc),
+            "identities": identity_suite(pc),
         }
         if imm.ambient.structure == "contact":
-            entry["phi_decompositions"] = audit_phi_decompositions(imm, p, calc=pc)
+            entry["phi_decompositions"] = audit_phi_decompositions(pc)
         rows.append(entry)
     summary = {
         "deltaH_translated": max(r["deltaH"]["delta_translated"] for r in rows),

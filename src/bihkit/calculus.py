@@ -37,7 +37,6 @@ __all__ = [
     "FlagError",
     "PointCalculus",
     "trace_terms_at",
-    "decomposition_operators_at",
     "drain",
     "verify_flags",
     "FLAG_NAMES",
@@ -250,6 +249,23 @@ class PointCalculus:
     @cached_property
     def structure_tensor(self):
         return self.structure["J" if self.space.structure == "hermitian" else "phi"]
+
+    @cached_property
+    def decomposition_operators(self):
+        """Matrices of the structure-tensor decomposition in the chosen frames.
+
+        Hermitian ambient: (j, k, l, m) with blocks TM->TM, TM->NM, NM->TM,
+        NM->NM of J.  Contact ambient: (P, N, s, t) likewise for phi; s is the
+        tangential and t the normal part on the normal bundle.
+        """
+        T = self.structure_tensor
+        E, Nf, G0 = self.tangent_frame, self.normal_frame, self.G_val
+        m, codim = self.m, self.d - self.m
+        tt = np.array([[E[i] @ G0 @ (T @ E[j]) for j in range(m)] for i in range(m)])
+        tn = np.array([[Nf[s] @ G0 @ (T @ E[j]) for j in range(m)] for s in range(codim)])
+        nt = np.array([[E[i] @ G0 @ (T @ Nf[s]) for s in range(codim)] for i in range(m)])
+        nn = np.array([[Nf[r] @ G0 @ (T @ Nf[s]) for s in range(codim)] for r in range(codim)])
+        return tt, tn, nt, nn
 
     # -- first fundamental form --------------------------------------------
 
@@ -534,34 +550,10 @@ class PointCalculus:
     @cached_property
     def trace_terms(self):
         """The `TraceTerms` at this point, computed once."""
-        return _trace_terms(self)
+        return trace_terms_at(self)
 
 
 # -- public operation surface ---------------------------------------------------
-
-
-def decomposition_operators_at(imm, point, calc=None):
-    """Matrices of the structure-tensor decomposition in the chosen frames.
-
-    Hermitian ambient: (j, k, l, m) with blocks TM->TM, TM->NM, NM->TM,
-    NM->NM of J.  Contact ambient: (P, N, s, t) likewise for phi; s is the
-    tangential and t the normal part on the normal bundle.
-    """
-    pc = calc or PointCalculus(imm, point)
-    T = pc.structure_tensor
-    E, Nf, G0 = pc.tangent_frame, pc.normal_frame, pc.G_val
-    m, codim = pc.m, pc.d - pc.m
-    tt = np.array([[E[i] @ G0 @ (T @ E[j]) for j in range(m)] for i in range(m)])
-    tn = np.array([[Nf[s] @ G0 @ (T @ E[j]) for j in range(m)] for s in range(codim)])
-    nt = np.array([[E[i] @ G0 @ (T @ Nf[s]) for s in range(codim)] for i in range(m)])
-    nn = np.array([[Nf[r] @ G0 @ (T @ Nf[s]) for s in range(codim)] for r in range(codim)])
-    return tt, tn, nt, nn
-
-
-def trace_terms_at(imm, point, calc=None):
-    """The `TraceTerms` at a point; shared by every caller passing `calc`."""
-    pc = calc or PointCalculus(imm, point)
-    return pc.trace_terms
 
 
 def drain(calcs):
@@ -604,7 +596,9 @@ def _normal_trace(pc, fields, values):
     return out
 
 
-def _trace_terms(pc):
+def trace_terms_at(pc):
+    """Build the `TraceTerms` of a point; `PointCalculus.trace_terms` keeps
+    the one instance every caller shares."""
     m, d = pc.m, pc.d
     ginv = pc.g_inv_val
     G0 = pc.G_val
@@ -780,7 +774,7 @@ def _b_norm2(B, G0, ginv, m):
 
 def _operator_norms(pc):
     """Frobenius norms of the four structure-decomposition blocks."""
-    tt, tn, nt, nn = decomposition_operators_at(pc.imm, pc.point, calc=pc)
+    tt, tn, nt, nn = pc.decomposition_operators
     return {
         "tt": float(np.linalg.norm(tt)),
         "tn": float(np.linalg.norm(tn)),
@@ -789,8 +783,9 @@ def _operator_norms(pc):
     }
 
 
-def flag_deviation(imm, points, name, calcs=None):
-    """Numeric deviation of one structural property over sample points.
+def flag_deviation(imm, calcs, name):
+    """Numeric deviation of one structural property over the points of
+    `calcs` (one PointCalculus each).
 
     Returns max deviation (0 = property holds exactly).  Structural flags
     (hypersurface, curve) return 0.0 or inf.
@@ -801,8 +796,7 @@ def flag_deviation(imm, points, name, calcs=None):
         return 0.0 if imm.param_dim == 1 else float("inf")
     dev = 0.0
     h_values = []
-    for idx, p in enumerate(points):
-        pc = calcs[idx] if calcs is not None else PointCalculus(imm, p)
+    for pc in calcs:
         if name in ("complex", "lagrangian", "invariant", "anti_invariant"):
             if name in ("complex", "lagrangian") and imm.ambient.structure != "hermitian":
                 raise FlagError(name, f"flag {name!r} needs a Hermitian ambient")
@@ -825,8 +819,7 @@ def flag_deviation(imm, points, name, calcs=None):
             part = P_nor @ xi if name == "xi_tangent" else P_tan @ xi
             dev = max(dev, float(np.sqrt(part @ pc.G_val @ part)))
         elif name == "parallel_H":
-            tt = trace_terms_at(imm, p, calc=pc)
-            dev = max(dev, float(np.sqrt(max(tt.nabla_perp_h_norm2, 0.0))))
+            dev = max(dev, float(np.sqrt(max(pc.trace_terms.nabla_perp_h_norm2, 0.0))))
         elif name == "cmc":
             h_values.append(np.sqrt(float(pc.H_val @ pc.G_val @ pc.H_val)))
         else:
@@ -836,7 +829,7 @@ def flag_deviation(imm, points, name, calcs=None):
     return dev
 
 
-def verify_flags(imm, points, tol=FLAG_TOL, calcs=None):
+def verify_flags(imm, calcs, tol=FLAG_TOL):
     """Check each asserted/denied flag numerically; raise FlagError on failure.
 
     Returns {flag: measured deviation} for all declared flags.
@@ -845,7 +838,7 @@ def verify_flags(imm, points, tol=FLAG_TOL, calcs=None):
     for name, state in imm.flags.items():
         if state == "unknown":
             continue
-        dev = flag_deviation(imm, points, name, calcs=calcs)
+        dev = flag_deviation(imm, calcs, name)
         report[name] = dev
         if state == "asserted" and not dev <= tol:
             raise FlagError(

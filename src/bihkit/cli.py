@@ -18,8 +18,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .audits import curvature_trace_audit, run_all_audits
 from .calculus import FLAG_TOL, PointCalculus, drain
@@ -52,12 +50,7 @@ def _errata_on(sc, args):
     return sc.mode.get("errata", "on") == "on"
 
 
-def _norm(v):
-    return float(np.sqrt(np.dot(v, v)))
-
-
 def cmd_check(sc, args, out, calcs):
-    imm = sc.immersion
     tol = args.tol if args.tol is not None else sc.tolerance("mode_agreement", 1e-6)
     mode = args.mode or sc.mode.get("residual", "both")
     kind = sc.mode.get("kind", "fbh")
@@ -69,16 +62,15 @@ def cmd_check(sc, args, out, calcs):
     worst_theorem = 0.0
     reduction_delta = 0.0
     for pc in drain(calcs):
-        p = pc.point
         cmp = direct = rep = None
         if mode == "both":
-            cmp = compare_modes(imm, p, kind=kind, errata=errata, calc=pc, tol=tol)
+            cmp = compare_modes(pc, kind=kind, errata=errata, tol=tol)
             direct, rep = cmp["direct"], cmp["report"]
         elif mode == "direct":
             direct = direct_field(kind, pc)
         else:
-            rep = theorem_residual(imm, p, kind=kind, errata=errata, calc=pc)
-        row = {"point": [float(x) for x in p]}
+            rep = theorem_residual(pc, kind=kind, errata=errata)
+        row = {"point": [float(x) for x in pc.point]}
         if direct is not None:
             dn = pc.norm(direct)
             row["direct_norm"] = dn
@@ -94,12 +86,11 @@ def cmd_check(sc, args, out, calcs):
             if cmp["itemized_corrections"] and "itemized_corrections" not in out:
                 out["itemized_corrections"] = cmp["itemized_corrections"]
         if corollary:
-            rep_parent = rep or theorem_residual(imm, p, kind=kind, errata=errata, calc=pc)
-            rep_cor = theorem_residual(imm, p, kind=kind, errata=errata,
-                                       corollary=corollary, calc=pc)
+            rep_parent = rep or theorem_residual(pc, kind=kind, errata=errata)
+            rep_cor = theorem_residual(pc, kind=kind, errata=errata, corollary=corollary)
             dd = max(
-                _norm(rep_parent.normal - rep_cor.normal),
-                _norm(rep_parent.tangent - rep_cor.tangent),
+                pc.norm(rep_parent.normal - rep_cor.normal),
+                pc.norm(rep_parent.tangent - rep_cor.tangent),
             ) / rep_parent.scale
             row["reduction_delta"] = dd
             reduction_delta = max(reduction_delta, dd)
@@ -236,7 +227,7 @@ def cmd_sweep(sc, args, out, calcs):
             evals = drain(calcs) if lv == 1 else (PointCalculus(imm, p) for p in pts)
             worst = 0.0
             for pc in evals:
-                rep = theorem_residual(imm, pc.point, kind=kind, errata=errata, calc=pc)
+                rep = theorem_residual(pc, kind=kind, errata=errata)
                 worst = max(worst, rep.total_norm / rep.scale)
             table.append({"refinement": lv, "points": len(pts),
                           "max_residual": worst})

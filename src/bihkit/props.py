@@ -60,10 +60,9 @@ def _hyp_status(imm, calcs, required, tol):
     """
     devs = {}
     ok = True
-    points = [pc.point for pc in calcs]
     for name in required:
         try:
-            dev = flag_deviation(imm, points, name, calcs=calcs)
+            dev = flag_deviation(imm, calcs, name)
         except Exception as exc:  # structural mismatch (wrong ambient kind)
             return False, {name: f"error: {exc}"}
         devs[name] = dev
@@ -124,11 +123,11 @@ def gauss_equation_audit(imm, calcs):
         t = pc.trace_terms
         # sum_{ij} <R(e_i, e_j) e_j, e_i> over an orthonormal tangent frame
         E, G0 = pc.tangent_frame, pc.G_val
+        R = curvature_model(imm.ambient.family, G0, pc.structure, t.coeffs)
         total = 0.0
         for i in range(pc.m):
             for j in range(pc.m):
-                R = curvature_model(pc.space, pc.psi_val, E[i], E[j], E[j])
-                total += float(R @ G0 @ E[i])
+                total += float(R(E[i], E[j], E[j]) @ G0 @ E[i])
         gauss = total - t.b_norm2 + pc.m**2 * t.h_norm2
         rows.append({
             "point": list(map(float, pc.point)),

@@ -17,6 +17,9 @@ oracle the term carries a catalogued correction (`ERRATA`); running with
 `errata=True` applies the corrected coefficients, and the comparison layer
 itemizes the per-term difference either way.  Nothing is silently fixed.
 
+Every per-point function takes the point's `PointCalculus` and reads the
+immersion, the point and the memoized trace terms from it.
+
 Naming of equations:
   fbh_gcsf / fbh_gssf   weighted-bienergy (f-biharmonic) conditions in
                         generalized complex / Sasakian space forms,
@@ -33,8 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PointCalculus, trace_terms_at
-from .spaces import SpaceError, curvature_model
 
 __all__ = [
     "Term",
@@ -57,24 +58,14 @@ __all__ = [
 # -- direct mode ---------------------------------------------------------------
 
 
-def curvature_trace(pc, vector, backend="concrete"):
-    """tr R(dpsi, v) dpsi from the AD curvature at the point ("concrete")
-    or from the algebraic space-form curvature ("model")."""
-    if backend == "concrete":
-        return np.einsum("ab,lijk,ia,j,kb->l", pc.g_inv_val, pc.ambient_curvature,
-                         pc.dpsi_val, vector, pc.dpsi_val)
-    out = np.zeros(pc.d)
-    for al in range(pc.m):
-        for be in range(pc.m):
-            out = out + pc.g_inv_val[al, be] * curvature_model(
-                pc.space, pc.psi_val, pc.dpsi_val[:, al], vector, pc.dpsi_val[:, be]
-            )
-    return out
+def curvature_trace(pc, vector):
+    """tr R(dpsi, v) dpsi from the AD curvature at the point."""
+    return np.einsum("ab,lijk,ia,j,kb->l", pc.g_inv_val, pc.ambient_curvature,
+                     pc.dpsi_val, vector, pc.dpsi_val)
 
 
-def tension(imm, point, calc=None):
+def tension(pc):
     """tau = m * H as an ambient vector."""
-    pc = calc or PointCalculus(imm, point)
     return float(pc.m) * pc.H_val
 
 
@@ -82,19 +73,17 @@ def _tau_field(pc):
     return pc.H_field * float(pc.m)
 
 
-def bitension_direct(imm, point, calc=None):
+def bitension_direct(pc):
     """Bitension field, section-Laplacian convention tr(nabla^2)."""
-    pc = calc or PointCalculus(imm, point)
     tau_f = _tau_field(pc)
     return pc.rough_laplacian(tau_f) - curvature_trace(pc, tau_f.values)
 
 
-def f_bitension_direct(imm, point, calc=None):
+def f_bitension_direct(pc):
     """f*tau2 + (tr Hess f) tau + 2 nabla_{grad f} tau (ambient vector)."""
-    pc = calc or PointCalculus(imm, point)
     tau_f = _tau_field(pc)
     tau = tau_f.values
-    tau2 = bitension_direct(imm, point, calc=pc)
+    tau2 = bitension_direct(pc)
     f = pc.f_jet.value
     delta_f_neg = -pc.delta_f_pos_field.value
     grad_dir = pc.grad_f_param
@@ -107,9 +96,8 @@ def _tau_weighted_field(pc):
     return f2 * pc.H_field * float(pc.m) + pc.grad_f_ambient_field
 
 
-def bi_f_tension_direct(imm, point, calc=None):
+def bi_f_tension_direct(pc):
     """f*J(tau_f) - nabla_{grad f} tau_f with the direct Jacobi operator."""
-    pc = calc or PointCalculus(imm, point)
     tau_w = _tau_weighted_field(pc)
     jacobi = -pc.rough_laplacian(tau_w) + curvature_trace(pc, tau_w.values)
     f = pc.f_jet.value
@@ -119,7 +107,7 @@ def bi_f_tension_direct(imm, point, calc=None):
 def direct_field(kind, pc):
     """The direct-mode field a theorem kind is compared against."""
     fn = f_bitension_direct if kind == "fbh" else bi_f_tension_direct
-    return fn(pc.imm, pc.point, calc=pc)
+    return fn(pc)
 
 
 def _curvature_traces(pc, t):
@@ -622,23 +610,18 @@ class ResidualReport:
         return float(np.hypot(self.normal_norm, self.tangent_norm))
 
 
-def theorem_residual(imm, point, kind="fbh", errata=False, corollary=None, calc=None):
+def theorem_residual(pc, kind="fbh", errata=False, corollary=None):
     """Evaluate a characterization equation (or a corollary reduction).
 
     Returns a ResidualReport; term values keep the printed/corrected
     coefficient actually used.
     """
-    if not imm.ambient.has_metric:
-        raise SpaceError(
-            f"{imm.ambient.kind}: theorem residuals need a concrete ambient"
-        )
-    eq_id = equation_for(imm, kind) if kind in ("fbh", "bif") else kind
+    eq_id = equation_for(pc.imm, kind) if kind in ("fbh", "bif") else kind
     cor = None
     if corollary is not None:
         cor = COROLLARIES[corollary]
         eq_id = cor.equation
-    pc = calc or PointCalculus(imm, point)
-    t = trace_terms_at(imm, point, calc=pc)
+    t = pc.trace_terms
     builder = EQUATIONS[eq_id]
     terms = builder() if eq_id != "bif_general" else builder(_curvature_traces(pc, t))
     nrm = pc.norm
@@ -692,15 +675,14 @@ def theorem_residual(imm, point, kind="fbh", errata=False, corollary=None, calc=
     )
 
 
-def compare_modes(imm, point, kind="fbh", errata=True, calc=None, tol=1e-6):
+def compare_modes(pc, kind="fbh", errata=True, tol=1e-6):
     """Theorem-mode vs direct-mode residuals at one point.
 
     Returns a dict with the theorem report, the direct field, the relative
     normal and tangent deltas between them, the per-term itemization of
     as-printed vs corrected coefficients, and the agreement verdict.
     """
-    pc = calc or PointCalculus(imm, point)
-    rep = theorem_residual(imm, point, kind=kind, errata=errata, calc=pc)
+    rep = theorem_residual(pc, kind=kind, errata=errata)
     direct = direct_field(kind, pc)
     # the f-biharmonic equations are the direct field times -1/(n f)
     s = -1.0 / (pc.m * pc.f_jet.value) if kind == "fbh" else 1.0

@@ -471,7 +471,7 @@ def _validate(sc):
                 "immersion", ax.name)
     # flag pre-checks
     try:
-        verify_flags(imm, points, tol=sc.tolerance("flags", FLAG_TOL), calcs=calcs)
+        verify_flags(imm, calcs, tol=sc.tolerance("flags", FLAG_TOL))
     except FlagError as exc:
         raise ScenarioError(f"flag pre-check failed: {exc}", "flags", exc.flag) from None
     return calcs

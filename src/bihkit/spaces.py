@@ -80,6 +80,17 @@ def _flat_contact_structure(phi, space):
             "eta": Jet.constant(space, reeb)}
 
 
+def _checked_metric(G):
+    """The metric values G, which must be finite and positive definite."""
+    if not np.all(np.isfinite(G)):
+        raise ChartError("metric not finite at point")
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        raise ChartError("metric not positive definite at point") from None
+    return G
+
+
 def chart_jets(point, order):
     """Seed chart coordinates as jet variables around `point`."""
     point = np.asarray(point, dtype=float)
@@ -120,14 +131,7 @@ class AmbientSpace:
 
     def metric_at(self, point):
         self.chart_check(point)
-        G = Jet.stack(self.metric_jets(chart_jets(point, 0))).values
-        if not np.all(np.isfinite(G)):
-            raise ChartError("metric not finite at point")
-        try:
-            np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            raise ChartError("metric not positive definite at point") from None
-        return G
+        return _checked_metric(Jet.stack(self.metric_jets(chart_jets(point, 0))).values)
 
     def structure_at(self, point):
         self.chart_check(point)
@@ -496,23 +500,22 @@ def christoffel_jets(G):
 
 
 def metric_and_christoffel_jets(space, point, order):
-    """Chart-seeded metric jets (given order) and Christoffels (order-1)."""
+    """Chart-seeded metric jets (given order; their values checked as in
+    `metric_at`) and Christoffels (order-1)."""
     if not space.has_metric:
         raise SpaceError(f"{space.kind} supplies no ambient connection")
     space.chart_check(point)
     x = chart_jets(point, order)
     G = Jet.stack(space.metric_jets(x))
+    _checked_metric(G.values)
     return G, christoffel_jets(G)
 
 
 def christoffels_at(space, point):
-    """Gamma^k_ij values; symmetric in the lower indices."""
-    return metric_and_christoffel_jets(space, point, 1)[1].values
-
-
-def curvature_tensor_at(space, point):
-    """R[l,i,j,k] with R(e_i, e_j) e_k = R[l,i,j,k] e_l (bracket convention)."""
-    return curvature_from_christoffels(metric_and_christoffel_jets(space, point, 2)[1])
+    """(G, Gam) values at a chart point from one order-1 build: the checked
+    metric and Gamma^k_ij, symmetric in the lower indices."""
+    G, Gam = metric_and_christoffel_jets(space, point, 1)
+    return G.values, Gam.values
 
 
 def curvature_from_christoffels(Gam):
@@ -525,40 +528,44 @@ def curvature_from_christoffels(Gam):
             + quad - quad.transpose(0, 2, 1, 3))
 
 
-def curvature_model(space, point, X, Y, Z):
-    """Algebraic space-form curvature with coefficients evaluated at `point`.
+def curvature_model(family, G, tensors, coeffs):
+    """Algebraic space-form curvature at a point, as the map
+    (X, Y, Z) -> R(X, Y)Z, from the point's metric G, structure tensors and
+    curvature coefficients (the fiducial identity metric on abstract spaces).
 
     Hermitian family: alpha*R1 + beta*R2; contact family: f1*R1s + f2*R2s
-    + f3*R3s, with the fiducial identity metric for abstract spaces.
+    + f3*R3s.
     """
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
-    Z = np.asarray(Z, float)
-    G = space.metric_at(point) if space.has_metric else np.eye(space.chart_dim)
-    tensors = space.structure_at(point)
     g = lambda a, b: float(a @ G @ b)
-    coeffs = space.curvature_coeffs_at(point)
-    if space.family == "gcsf":
+    if family == "gcsf":
         alpha, beta = coeffs
         J = tensors["J"]
-        R1 = g(Y, Z) * X - g(X, Z) * Y
-        JX, JY, JZ = J @ X, J @ Y, J @ Z
-        R2 = g(JY, Z) * JX - g(JX, Z) * JY + 2.0 * g(JY, X) * JZ
-        return alpha * R1 + beta * R2
+
+        def hermitian(X, Y, Z):
+            R1 = g(Y, Z) * X - g(X, Z) * Y
+            JX, JY, JZ = J @ X, J @ Y, J @ Z
+            R2 = g(JY, Z) * JX - g(JX, Z) * JY + 2.0 * g(JY, X) * JZ
+            return alpha * R1 + beta * R2
+
+        return hermitian
     f1, f2, f3 = coeffs
     phi, xi = tensors["phi"], tensors["xi"]
     eta = lambda v: g(v, xi)
-    R1 = g(Y, Z) * X - g(X, Z) * Y
-    R2 = (
-        eta(X) * eta(Z) * Y
-        - eta(Y) * eta(Z) * X
-        + g(X, Z) * eta(Y) * xi
-        - g(Y, Z) * eta(X) * xi
-    )
-    pX, pY, pZ = phi @ X, phi @ Y, phi @ Z
     Om = lambda a, pb: g(a, pb)  # Omega(A, B) = g(A, phi B)
-    R3 = Om(Z, pY) * pX - Om(Z, pX) * pY + 2.0 * Om(X, pY) * pZ
-    return f1 * R1 + f2 * R2 + f3 * R3
+
+    def contact(X, Y, Z):
+        R1 = g(Y, Z) * X - g(X, Z) * Y
+        R2 = (
+            eta(X) * eta(Z) * Y
+            - eta(Y) * eta(Z) * X
+            + g(X, Z) * eta(Y) * xi
+            - g(Y, Z) * eta(X) * xi
+        )
+        pX, pY, pZ = phi @ X, phi @ Y, phi @ Z
+        R3 = Om(Z, pY) * pX - Om(Z, pX) * pY + 2.0 * Om(X, pY) * pZ
+        return f1 * R1 + f2 * R2 + f3 * R3
+
+    return contact
 
 
 def gcsf_coefficient_sum_spread(space, points):

@@ -11,9 +11,11 @@ with the domain metric FROZEN at its t = 0 induced value: tension fields of
 the deformed maps are computed against the fixed metric, which is the setting
 in which the Euler-Lagrange fields below are the functional derivatives.
 
-`first_variation_check` compares a central finite difference of the energy
-against the pairing  -int <el_field, V> dv  where `el_field` returns the
-direct-mode residual field normalized so the pairing identity holds:
+`first_variation_suite` compares a central finite difference of each energy
+against the pairing  -int <el_field, V> dv.  Like every per-point function,
+`el_field` takes the point's `PointCalculus` (here a quadrature node's); it
+returns the direct-mode residual field normalized so the pairing identity
+holds:
 
     which   el_field            pairing constant (ledgered)
     E       tau                  +1
@@ -53,7 +55,7 @@ __all__ = [
     "VARIATION_PAIRING",
     "energies",
     "el_field",
-    "first_variation_check",
+    "first_variation_suite",
 ]
 
 ENERGIES = ("E", "E2", "E2F", "EF", "EF2")
@@ -121,13 +123,12 @@ class _NodeData:
 
 
 def _deformed_tension_data(node, v_jets, t):
-    """(tension vector, dpsi_t, ambient metric) of psi + t*V at fixed metric."""
+    """(tension vector, dpsi_t, ambient metric) of psi + t*V at fixed metric;
+    the metric and its Christoffels come from one chart build."""
     m, d = node.m, node.d
     psi_t = [node.psi_jets[a] + t * v_jets[a] for a in range(d)]
     pos = np.array([j.value for j in psi_t])
-    node.space.chart_check(pos)
-    G = node.space.metric_at(pos)
-    gam_amb = christoffels_at(node.space, pos)
+    G, gam_amb = christoffels_at(node.space, pos)
     dpsi = np.array([[psi_t[a].deriv(al).value for al in range(m)] for a in range(d)])
     ddpsi = np.array(
         [[[psi_t[a].deriv(al).deriv(be).value for be in range(m)] for al in range(m)]
@@ -190,25 +191,22 @@ def energies(imm, grid):
                           [_zero_jets(node) for node in nodes])
 
 
-def raw_field(imm, point, which, calc=None):
-    """The printed Euler-Lagrange field of one functional (direct mode)."""
-    pc = calc or PointCalculus(imm, point)
+def el_field(pc, which):
+    """Euler-Lagrange field of one functional (direct mode) at a point,
+    normalized so that dE(V) = -int <field, V> dv."""
     if which == "E":
-        return tension(imm, point, calc=pc)
-    if which == "EF":
-        return pc.f_jet.value * tension(imm, point, calc=pc) + pc.grad_f_ambient
-    if which == "E2":
-        return bitension_direct(imm, point, calc=pc)
-    if which == "E2F":
-        return f_bitension_direct(imm, point, calc=pc)
-    if which == "EF2":
-        return bi_f_tension_direct(imm, point, calc=pc)
-    raise ValueError(f"unknown energy {which!r}")
-
-
-def el_field(imm, point, which, calc=None):
-    """Euler-Lagrange field normalized so that dE(V) = -int <field, V> dv."""
-    return VARIATION_PAIRING[which] * raw_field(imm, point, which, calc=calc)
+        field = tension(pc)
+    elif which == "EF":
+        field = pc.f_jet.value * tension(pc) + pc.grad_f_ambient
+    elif which == "E2":
+        field = bitension_direct(pc)
+    elif which == "E2F":
+        field = f_bitension_direct(pc)
+    elif which == "EF2":
+        field = bi_f_tension_direct(pc)
+    else:
+        raise ValueError(f"unknown energy {which!r}")
+    return VARIATION_PAIRING[which] * field
 
 
 def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)):
@@ -238,7 +236,7 @@ def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)
         V = np.array([j.value for j in v_jets_all[i]])
         G = pc_full.G_val
         for which in whichs:
-            el = el_field(imm, grid.points[i], which, calc=pc_full)
+            el = el_field(pc_full, which)
             pair_vals[which][i] = -(el @ G @ V) * node.sqrt_det
 
     shifted = [
@@ -262,8 +260,3 @@ def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)
             "pairing": VARIATION_PAIRING[which],
         }
     return out
-
-
-def first_variation_check(imm, grid, which, variation, steps=(1e-2, 1e-3, 1e-4)):
-    """Single-functional front end of `first_variation_suite`."""
-    return first_variation_suite(imm, grid, [which], variation, steps)[which]

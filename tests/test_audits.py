@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from bihkit.audits import (
-    audit_deltaH_expansion,
-    audit_lemgene1,
     audit_lemgene2,
     audit_lemgene3,
+    audit_mean_curvature_laplacian,
     audit_phi_decompositions,
     curvature_trace_audit,
     identity_suite,
@@ -33,10 +32,14 @@ def surface_s3d(weight="1 + 0.2*sin(u)*cos(v)"):
          "0.2*sin(v) + 0.1"], weight)
 
 
+def deltaH(imm, p):
+    return audit_mean_curvature_laplacian(PointCalculus(imm, p))["deltaH"]
+
+
 def test_deltaH_flat_torus():
     imm = torus_r4()
     for p in ([0.4, 1.1], [2.0, 0.2]):
-        out = audit_deltaH_expansion(imm, p)
+        out = deltaH(imm, p)
         assert out["delta_translated"] <= 1e-6
         # flat ambient: the printed form is already exact
         assert out["delta_printed"] <= 1e-6
@@ -45,7 +48,7 @@ def test_deltaH_flat_torus():
 
 def test_deltaH_curved_needs_translation():
     imm = surface_s3d()
-    out = audit_deltaH_expansion(imm, [0.7, 0.9])
+    out = deltaH(imm, [0.7, 0.9])
     assert out["delta_translated"] <= 1e-6
     # the curvature correction is the whole printed-form discrepancy
     assert out["delta_printed"] == pytest.approx(
@@ -57,21 +60,21 @@ def test_deltaH_curved_needs_translation():
 
 def test_deltaH_independent_of_weight():
     p = [0.4, 1.1]
-    a = audit_deltaH_expansion(torus_r4("1"), p)
-    b = audit_deltaH_expansion(torus_r4("1 + 0.4*cos(u)"), p)
+    a = deltaH(torus_r4("1"), p)
+    b = deltaH(torus_r4("1 + 0.4*cos(u)"), p)
     assert a["delta_translated"] == pytest.approx(b["delta_translated"], abs=1e-12)
 
 
 def test_lemgene1_corrected_sign_wins():
     imm = surface_s3d()
-    out = audit_lemgene1(imm, [0.7, 0.9])
+    out = audit_mean_curvature_laplacian(PointCalculus(imm, [0.7, 0.9]))["lemgene1"]
     assert out["delta_corrected"] <= 1e-6
     assert out["delta_printed"] > 1e-3  # curvature term enters with flipped sign
 
 
 def test_lemgene2_resolution():
     for imm, p in ((torus_r4(), [0.4, 1.1]), (surface_s3d(), [0.7, 0.9])):
-        out = audit_lemgene2(imm, p)
+        out = audit_lemgene2(PointCalculus(imm, p))
         assert out["delta_corrected"] <= 1e-6
         assert out["curvature_reading"] == "single intrinsic Ricci"
         assert out["intrinsic_delta_single_ricci"] <= 1e-6
@@ -80,21 +83,21 @@ def test_lemgene2_resolution():
 
 
 def test_lemgene2_constant_weight_trivial():
-    out = audit_lemgene2(torus_r4("1"), [0.4, 1.1])
+    out = audit_lemgene2(PointCalculus(torus_r4("1"), [0.4, 1.1]))
     assert out["delta_corrected"] <= 1e-12
 
 
 def test_lemgene3():
     for imm, p in ((torus_r4(), [0.4, 1.1]), (surface_s3d(), [0.7, 0.9])):
-        assert audit_lemgene3(imm, p)["delta"] <= 1e-6
+        assert audit_lemgene3(PointCalculus(imm, p))["delta"] <= 1e-6
     # constant weight: both sides vanish
-    assert audit_lemgene3(torus_r4("1"), [0.4, 1.1])["delta"] <= 1e-12
+    assert audit_lemgene3(PointCalculus(torus_r4("1"), [0.4, 1.1]))["delta"] <= 1e-12
 
 
 def test_identity_suite_hermitian_and_contact():
-    out = identity_suite(torus_r4(), [0.4, 1.1])
+    out = identity_suite(PointCalculus(torus_r4(), [0.4, 1.1]))
     assert max(out.values()) <= 1e-10
-    out2 = identity_suite(surface_s3d(), [0.7, 0.9])
+    out2 = identity_suite(PointCalculus(surface_s3d(), [0.7, 0.9]))
     assert max(out2.values()) <= 1e-10
     assert "trace_P" in out2 and out2["trace_P"] <= 1e-12
 
@@ -104,7 +107,7 @@ def test_phi_decomposition_audit():
         ["u", "v"], S3,
         ["0.6*cos(u)/(1 + 0.8*sin(v))", "0.6*sin(u)/(1 + 0.8*sin(v))",
          "0.8*cos(v)/(1 + 0.8*sin(v))"], "1")
-    out = audit_phi_decompositions(hopf, [0.5, 1.1])
+    out = audit_phi_decompositions(PointCalculus(hopf, [0.5, 1.1]))
     assert out["phi2_normal_decomposition"] <= 1e-9
     # xi tangent + phi H tangent on a Hopf torus: conditional facts fire
     assert out["PsH_when_phiH_tangent"] <= 1e-9

@@ -6,9 +6,7 @@ from bihkit.calculus import (
     FlagError,
     Immersion,
     PointCalculus,
-    decomposition_operators_at,
     flag_deviation,
-    trace_terms_at,
     verify_flags,
 )
 from bihkit import calculus
@@ -85,7 +83,7 @@ def test_clifford_torus_minimal_in_s3():
          f"{r}*cos(v)/(1 + {r}*sin(v))"],
         "1")
     for p in ([0.3, 1.2], [2.1, 0.4]):
-        tt = trace_terms_at(imm, p)
+        tt = PointCalculus(imm, p).trace_terms
         assert np.sqrt(tt.h_norm2) <= 1e-9
 
 
@@ -106,7 +104,7 @@ def test_lagrangian_operators_vanish():
     imm = Immersion.from_strings(
         ["u", "v"], C2,
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"], "1")
-    tt_m, tn, nt, nn = decomposition_operators_at(imm, [0.4, 1.3])
+    tt_m, tn, nt, nn = PointCalculus(imm, [0.4, 1.3]).decomposition_operators
     assert np.abs(tt_m).max() <= 1e-10  # j = 0
     assert np.abs(nn).max() <= 1e-10    # m = 0
 
@@ -114,7 +112,7 @@ def test_lagrangian_operators_vanish():
 def test_complex_curve_operators_vanish():
     imm = Immersion.from_strings(
         ["u", "v"], C2, ["u", "v", "u^2 - v^2", "2*u*v"], "1")
-    tt_m, tn, nt, nn = decomposition_operators_at(imm, [0.3, -0.2])
+    tt_m, tn, nt, nn = PointCalculus(imm, [0.3, -0.2]).decomposition_operators
     assert np.abs(tn).max() <= 1e-10    # k = 0
     assert np.abs(nt).max() <= 1e-10    # l = 0
 
@@ -127,7 +125,7 @@ def test_hypersurface_hermitian_facts():
          "0.9*sin(v)*cos(w)", "0.9*sin(v)*sin(w)"], "1")
     p = [0.5, 0.7, 1.0]
     pc = PointCalculus(imm, p)
-    tt_m, tn, nt, nn = decomposition_operators_at(imm, p, calc=pc)
+    tt_m, tn, nt, nn = pc.decomposition_operators
     assert np.abs(nn).max() <= 1e-10
     tt = pc.trace_terms
     assert np.abs(tt.kl_H + tt.H).max() <= 1e-9
@@ -137,7 +135,7 @@ def test_hypersurface_hermitian_facts():
 def test_trace_terms_minimal_and_constant_weight():
     great = Immersion.from_strings(
         ["u", "v"], S3, ["cos(v)*cos(u)", "cos(v)*sin(u)", "sin(v)"], "1")
-    tt = trace_terms_at(great, [0.4, 0.2])
+    tt = PointCalculus(great, [0.4, 0.2]).trace_terms
     assert np.abs(tt.tb_ah).max() <= 1e-10
     assert np.abs(tt.a_h_grad_f).max() <= 1e-12
     assert np.abs(tt.grad_f).max() == 0.0
@@ -154,7 +152,7 @@ def test_hypersurface_tb_identity():
         ["(1 + 0.3*cos(v))*cos(u)", "(1 + 0.3*cos(v))*sin(u)", "0.3*sin(v)"],
         "1")
     for im, p in ((imm, [0.5, 0.3]), (imm2, [0.7, 1.1])):
-        tt = trace_terms_at(im, p)
+        tt = PointCalculus(im, p).trace_terms
         pc = PointCalculus(im, p)
         assert np.abs(tt.tb_ah - tt.b_norm2 * pc.H_val).max() <= 1e-8
 
@@ -203,7 +201,7 @@ def test_normal_laplacian_parallel_field_and_bochner():
         "1")
     for p in ([0.5, 1.0], [2.2, 0.3]):
         pc = PointCalculus(bumpy, p)
-        tt = trace_terms_at(bumpy, p, calc=pc)
+        tt = pc.trace_terms
         h2_field = None
         ord2 = pc.order - 2
         for a in range(pc.d):
@@ -235,7 +233,7 @@ def test_cauchy_schwarz_shape_bound():
     for imm in scenarios:
         for _ in range(5):
             p = RNG.uniform(0.1, 1.2, size=2)
-            tt = trace_terms_at(imm, p)
+            tt = PointCalculus(imm, p).trace_terms
             m = imm.param_dim
             assert tt.a_h_norm2 >= m * tt.h_norm2**2 - 1e-10
 
@@ -249,7 +247,7 @@ def test_frame_remix_invariance():
         "1 + 0.2*sin(u)")
     p = [0.8, 1.7]
     pc = PointCalculus(imm, p)
-    tt = trace_terms_at(imm, p, calc=pc)
+    tt = pc.trace_terms
     G = pc.G_val
     rng = np.random.default_rng(17)
     for _ in range(4):
@@ -295,7 +293,7 @@ def test_flag_verification_and_denial():
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"], "1",
         flags={"lagrangian": "asserted", "complex": "denied"})
     pts = [[0.3, 0.4], [1.5, 2.0]]
-    report = verify_flags(imm, pts)
+    report = verify_flags(imm, [PointCalculus(imm, p) for p in pts])
     assert report["lagrangian"] <= 1e-10
     assert report["complex"] > 1e-2
 
@@ -304,20 +302,21 @@ def test_flag_verification_and_denial():
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"], "1",
         flags={"complex": "asserted"})
     with pytest.raises(FlagError):
-        verify_flags(bad, pts)
+        verify_flags(bad, [PointCalculus(bad, p) for p in pts])
 
     denied_wrong = Immersion.from_strings(
         ["u", "v"], C2,
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"], "1",
         flags={"lagrangian": "denied"})
     with pytest.raises(FlagError):
-        verify_flags(denied_wrong, pts)
+        verify_flags(denied_wrong, [PointCalculus(denied_wrong, p) for p in pts])
 
 
 def test_structural_flags():
     curve = Immersion.from_strings(["u"], FLAT3, ["cos(u)", "sin(u)", "0"], "1")
-    assert flag_deviation(curve, [[0.1]], "curve") == 0.0
-    assert flag_deviation(curve, [[0.1]], "hypersurface") == float("inf")
+    calcs = [PointCalculus(curve, [0.1])]
+    assert flag_deviation(curve, calcs, "curve") == 0.0
+    assert flag_deviation(curve, calcs, "hypersurface") == float("inf")
 
 
 def test_weight_positivity_not_enforced_here():
@@ -505,8 +504,8 @@ def test_trace_terms_shared_and_read_only():
     imm = sphere_immersion(0.8, weight="1 + 0.2*sin(u)*cos(v)")
     p = [0.7, 0.4]
     pc = PointCalculus(imm, p)
-    tt = trace_terms_at(imm, p, calc=pc)
-    assert trace_terms_at(imm, p, calc=pc) is tt
+    tt = pc.trace_terms
+    assert pc.trace_terms is tt
     with pytest.raises(ValueError):
         tt.nabla_perp_h[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -528,15 +527,15 @@ def test_check_point_operation_counts(monkeypatch):
     for attr in ("__mul__", "__rmul__"):
         monkeypatch.setattr(Jet, attr, counted("mul", getattr(Jet, attr)))
     monkeypatch.setattr(Jet, "truncate", counted("truncate", Jet.truncate))
-    monkeypatch.setattr(calculus, "_trace_terms",
-                        counted("trace_terms", calculus._trace_terms))
+    monkeypatch.setattr(calculus, "trace_terms_at",
+                        counted("trace_terms", calculus.trace_terms_at))
     sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
     imm, p = sc.immersion, sc.sample_points()[0]
     kind = sc.mode["kind"]
     pc = PointCalculus(imm, p)
-    bi_f_tension_direct(imm, p, calc=pc)
-    theorem_residual(imm, p, kind=kind, errata=True, calc=pc)
-    compare_modes(imm, p, kind=kind, errata=True, calc=pc)
+    bi_f_tension_direct(pc)
+    theorem_residual(pc, kind=kind, errata=True)
+    compare_modes(pc, kind=kind, errata=True)
     assert counts["trace_terms"] == 1
     assert counts["mul"] <= 180
     assert counts["truncate"] <= 60

@@ -1,22 +1,26 @@
 """The command line end to end: malformed scenarios, the mislabeled catalog,
 abstract ambients, corollary validation, the pinned `curves` and `hyper3d`
-reports and evaluation counts."""
+reports, the catalog goldens and evaluation counts."""
 
 import contextlib
+import functools
 import io
 import os
 import sys
 
 import pytest
 
-from bihkit import calculus, cli
-from bihkit.scenario import MAX_SAMPLE_POINTS, load_scenario
+from bihkit import audits, calculus, cli
+from bihkit.residuals import theorem_residual
+from bihkit.scenario import MAX_SAMPLE_POINTS, _validate, load_scenario
 from conftest import scenario_path
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from jobs import WORKLOADS, job_name, load_reference, reports_match, run_job  # noqa: E402
+
+GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
 
 BASE = """\
 [ambient]
@@ -142,12 +146,32 @@ def test_abstract_ambient_runs_audit_only(tmp_path, command, expected):
         assert "section [ambient], key 'kind'" in err
 
 
-def _assert_matches_reference(monkeypatch, job):
+def _assert_matches_reference(monkeypatch, job, reference=None):
     monkeypatch.chdir(ROOT)  # reports print the scenario path they were given
     code, report = run_job(cli, sys.modules["bihkit.report"], job)
-    ref_code, ref_report = load_reference(job)
+    ref_code, ref_report = reference or load_reference(job)
     assert code == ref_code
     assert reports_match(ref_report, report)
+
+
+# Reports pinned under tests/golden/<command>.<scenario>.txt, in the format
+# of the benchmark's references.
+GOLDEN_JOBS = [("check", "c03_lagrangian_torus"), ("audit", "c03_lagrangian_torus")] + [
+    (command, scenario)
+    for scenario in ("c07_complex_curve", "c08_hopf_torus", "c12_torus_deformed_generic")
+    for command in ("check", "audit", "props")
+]
+
+
+@pytest.mark.parametrize("job", GOLDEN_JOBS, ids=job_name)
+def test_catalog_reports_match_goldens(monkeypatch, job):
+    """`check`/`audit` on c03 and `check`/`audit`/`props` on c07, c08 and
+    c12: complex and Lagrangian flags, an anti-invariant hypersurface with
+    tangent Reeb field, `props` exit 2 on c08 and every curvature term on
+    c12, pinned with their exit codes."""
+    with open(os.path.join(GOLDEN_DIR, f"{job[0]}.{job[1]}.txt"), encoding="utf-8") as fh:
+        first, _, report = fh.read().partition("\n")
+    _assert_matches_reference(monkeypatch, job, (int(first.removeprefix("# exit ")), report))
 
 
 @pytest.mark.parametrize("job", WORKLOADS["curves"]["jobs"], ids=job_name)
@@ -176,9 +200,36 @@ def test_corollary_needs_its_flags_and_equation_family(tmp_path, corollary, expe
         assert f"corollary: {corollary}" in out and "reduction_agreement: true" in out
 
 
-def test_check_builds_one_evaluation_per_sample_point(monkeypatch):
-    """`check` evaluates each sample point once: validation's PointCalculus
-    is the one the command consumes."""
+def test_reduction_delta_measures_with_the_ambient_metric(tmp_path):
+    """The corollary reduction delta is a length in the ambient metric, like
+    its scale and every other residual norm.  On a deformed Sasakian sphere
+    (ctilde = 3, so the chart metric is not the identity on the circle) with
+    xi only nearly normal, the reduction leaves a measurable delta."""
+    with open(scenario_path("c16_xi_normal_curve"), encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in (("ctilde = 1.0", "ctilde = 3.0"),
+                     ('"0", "sin(u)"', '"0.02*sin(u)", "sin(u)"'),
+                     ("anti_invariant = asserted\nparallel_H = asserted\ncmc = asserted\n", ""),
+                     ("kind = fbh", "kind = fbh\ncorollary = fbh_gssf_xi_normal")):
+        assert old in text
+        text = text.replace(old, new)
+    path = write(tmp_path, text + "\n[tolerances]\nflags = 0.05\n")
+    code, out, err = run_cli(["check", path])
+    assert code == 2, err  # the reduction does not hold off its hypothesis
+    reported = float(out.split("max_reduction_delta: ")[1].split("\n")[0])
+    expected = 0.0
+    for pc in _validate(load_scenario(path, validate=False)):
+        parent = theorem_residual(pc, kind="fbh", errata=True)
+        reduced = theorem_residual(pc, kind="fbh", errata=True,
+                                   corollary="fbh_gssf_xi_normal")
+        expected = max(expected, max(pc.norm(parent.normal - reduced.normal),
+                                     pc.norm(parent.tangent - reduced.tangent)) / parent.scale)
+    assert expected > 1e-7
+    assert reported == pytest.approx(expected, rel=1e-12)
+
+
+def _count_builds(monkeypatch):
+    """Orders of the PointCalculus instances built from now on."""
     builds = []
     init = calculus.PointCalculus.__init__
 
@@ -187,8 +238,53 @@ def test_check_builds_one_evaluation_per_sample_point(monkeypatch):
         init(self, imm, point, order)
 
     monkeypatch.setattr(calculus.PointCalculus, "__init__", counted)
+    return builds
+
+
+def test_check_builds_one_evaluation_per_sample_point(monkeypatch):
+    """`check` evaluates each sample point once: validation's PointCalculus
+    is the one the command consumes."""
+    builds = _count_builds(monkeypatch)
     path = scenario_path("c17_circle_c1")
     points = len(load_scenario(path, validate=False).sample_points())
     code, _out, _err = run_cli(["check", path])
     assert code == 0
     assert builds.count(4) == points
+
+
+@pytest.mark.parametrize("command,expected", [("audit", 0), ("props", 2)])
+def test_audit_and_props_build_one_evaluation_per_sample_point(monkeypatch, command,
+                                                                expected):
+    builds = _count_builds(monkeypatch)
+    path = scenario_path("c08_hopf_torus")
+    code, _out, err = run_cli([command, path])
+    assert code == expected, err
+    assert builds.count(4) == 36
+
+
+def _counting(counts, key, fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_audit_computes_each_quantity_once_per_point(monkeypatch):
+    """`audit` on c08 (36 points, anti-invariant asserted): two rough
+    Laplacians per point (tr nabla^2 H and tr nabla^2 grad f), one
+    structure decomposition per point shared by validation and the
+    audits, one identity suite per point."""
+    counts = {"rough_laplacian": 0, "decomposition": 0, "identity_suite": 0}
+    PC = calculus.PointCalculus
+    monkeypatch.setattr(PC, "rough_laplacian",
+                        _counting(counts, "rough_laplacian", PC.rough_laplacian))
+    decomposition = functools.cached_property(
+        _counting(counts, "decomposition", PC.decomposition_operators.func))
+    decomposition.__set_name__(PC, "decomposition_operators")
+    monkeypatch.setattr(PC, "decomposition_operators", decomposition)
+    monkeypatch.setattr(audits, "identity_suite",
+                        _counting(counts, "identity_suite", audits.identity_suite))
+    code, _out, err = run_cli(["audit", scenario_path("c08_hopf_torus")])
+    assert code == 0, err
+    assert counts == {"rough_laplacian": 2 * 36, "decomposition": 36, "identity_suite": 36}

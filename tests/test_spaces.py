@@ -7,8 +7,8 @@ from bihkit.spaces import (
     SpaceError,
     chart_jets,
     christoffels_at,
+    curvature_from_christoffels,
     curvature_model,
-    curvature_tensor_at,
     gcsf_coefficient_sum_spread,
     jet_matrix_inverse,
     make_space,
@@ -21,7 +21,17 @@ RNG = np.random.default_rng(123)
 
 def curvature_concrete(space, point, X, Y, Z):
     """R(X, Y)Z from the metric jets (bracket convention)."""
-    return np.einsum("lijk,i,j,k->l", curvature_tensor_at(space, point), X, Y, Z)
+    R = curvature_from_christoffels(metric_and_christoffel_jets(space, point, 2)[1])
+    return np.einsum("lijk,i,j,k->l", R, X, Y, Z)
+
+
+def curvature_model_at(space, point, X, Y, Z):
+    """The algebraic curvature R(X, Y)Z with the space's data at `point`
+    (the fiducial identity metric on abstract spaces)."""
+    G = space.metric_at(point) if space.has_metric else np.eye(space.chart_dim)
+    R = curvature_model(space.family, G, space.structure_at(point),
+                        space.curvature_coeffs_at(point))
+    return R(X, Y, Z)
 
 
 def sectional_curvature(space, point, X, Y):
@@ -38,7 +48,7 @@ def random_point(space, scale=0.4):
 def test_flat_christoffels_and_curvature():
     sp = make_space("euclidean_complex", n=2)
     p = random_point(sp)
-    assert np.abs(christoffels_at(sp, p)).max() == 0.0
+    assert np.abs(christoffels_at(sp, p)[1]).max() == 0.0
     X, Y, Z = RNG.normal(size=(3, 4))
     assert np.abs(curvature_concrete(sp, p, X, Y, Z)).max() == 0.0
     assert np.allclose(sp.metric_at(p), np.eye(4))
@@ -47,7 +57,7 @@ def test_flat_christoffels_and_curvature():
 def test_christoffel_symmetry_and_compatibility():
     sp = make_space("sasakian_sphere", n=1, ctilde=1.0)
     p = random_point(sp)
-    gam = christoffels_at(sp, p)
+    gam = christoffels_at(sp, p)[1]
     assert np.abs(gam - gam.transpose(0, 2, 1)).max() <= 1e-14
     # metric compatibility: d_k g_ij = Gamma^l_ki g_lj + Gamma^l_kj g_il
     G, Gam = metric_and_christoffel_jets(sp, p, 1)
@@ -103,7 +113,7 @@ def test_model_vs_concrete_all_spaces():
             p = random_point(sp, 0.2)
             X, Y, Z = RNG.normal(size=(3, sp.chart_dim))
             a = curvature_concrete(sp, p, X, Y, Z)
-            b = curvature_model(sp, p, X, Y, Z)
+            b = curvature_model_at(sp, p, X, Y, Z)
             scale = max(1.0, np.abs(a).max())
             assert np.abs(a - b).max() / scale <= 1e-7, sp.kind
 
@@ -155,7 +165,7 @@ def _reeb_covariant_derivative(sp, p):
     """nabla-bar_i xi in chart coordinates (values)."""
     x = chart_jets(p, 1)
     xi = sp.structure_jets(x)["xi"]
-    gam = christoffels_at(sp, p)
+    gam = christoffels_at(sp, p)[1]
     d = sp.chart_dim
     xi_val = np.array([j.value for j in xi])
     out = np.zeros((d, d))  # out[:, i] = nabla_i xi
@@ -214,7 +224,7 @@ def test_cosymplectic_parallel_structure():
 
 
 def _cyclic_sum(space, p, X, Y, Z, backend):
-    f = curvature_concrete if backend == "concrete" else curvature_model
+    f = curvature_concrete if backend == "concrete" else curvature_model_at
     return f(space, p, X, Y, Z) + f(space, p, Y, Z, X) + f(space, p, Z, X, Y)
 
 
@@ -250,7 +260,7 @@ def test_gssf_coefficient_selection():
     sp = make_space("abstract_gssf", n=1, f1="1", f2="0", f3="0")
     p = RNG.normal(size=3)
     X, Y, Z = RNG.normal(size=(3, 3))
-    got = curvature_model(sp, p, X, Y, Z)
+    got = curvature_model_at(sp, p, X, Y, Z)
     expect = np.dot(Y, Z) * X - np.dot(X, Z) * Y  # fiducial identity metric
     assert np.abs(got - expect).max() <= 1e-12
 

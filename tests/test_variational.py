@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bihkit.calculus import Immersion
+from bihkit.calculus import Immersion, PointCalculus
 from bihkit.residuals import tension
 from bihkit.spaces import ChartError, make_space
 from bihkit.variational import (
@@ -10,7 +10,6 @@ from bihkit.variational import (
     QuadratureGrid,
     el_field,
     energies,
-    first_variation_check,
     first_variation_suite,
 )
 from bihkit.variational import _deformed_tension_data, _integrand, _NodeData, _zero_jets
@@ -64,7 +63,7 @@ def test_quadrature_convergence_doubling():
 def test_zero_variation_gives_zero():
     imm = circle("1 + 0.3*cos(u)")
     grid = QuadratureGrid([(0.0, TAU, 16, True)])
-    fv = first_variation_check(imm, grid, "E2F", ["0", "0", "0"])
+    fv = first_variation_suite(imm, grid, ["E2F"], ["0", "0", "0"])["E2F"]
     assert fv["rhs"] == 0.0
     assert max(abs(v) for v in fv["lhs"]) <= 1e-12
 
@@ -74,10 +73,11 @@ def test_sign_coherence_tension_from_energy():
     its sign (pairing constant +1)."""
     imm = circle()
     assert VARIATION_PAIRING["E"] == 1.0
-    el = el_field(imm, [0.3], "E")
-    assert np.abs(el - tension(imm, [0.3])).max() == 0.0
+    pc = PointCalculus(imm, [0.3])
+    el = el_field(pc, "E")
+    assert np.abs(el - tension(pc)).max() == 0.0
     grid = QuadratureGrid([(0.0, TAU, 24, True)])
-    fv = first_variation_check(imm, grid, "E", ["cos(u)", "sin(u)", "0"])
+    fv = first_variation_suite(imm, grid, ["E"], ["cos(u)", "sin(u)", "0"])["E"]
     # expanding circle with frozen metric: dE/dt = 2 pi, pairing agrees
     assert fv["rhs"] == pytest.approx(2.0 * np.pi, abs=1e-10)
     assert min(fv["deltas"]) <= 1e-10
@@ -116,7 +116,7 @@ def test_open_axis_variation_with_window():
     grid = QuadratureGrid([(0.0, TAU, 12, True), (-1.2, 1.2, 10, False)])
     win = "((v) - (-1.2))*((1.2) - (v))"
     V = [f"0.1*sin(u)*{win}", f"0.05*cos(v)*{win}", f"0.08*cos(u)*{win}"]
-    fv = first_variation_check(imm, grid, "E2", V, steps=(1e-2, 1e-3))
+    fv = first_variation_suite(imm, grid, ["E2"], V, steps=(1e-2, 1e-3))["E2"]
     scale = 1.0 + abs(fv["rhs"])
     assert min(fv["deltas"]) <= 1e-5 * scale
 
@@ -127,8 +127,39 @@ def test_variation_chart_exit_detected():
         ["u"], ch, ["0.5*cos(u)", "0.5*sin(u)"], "1")
     grid = QuadratureGrid([(0.0, TAU, 8, True)])
     with pytest.raises(ChartError):
-        first_variation_check(imm, grid, "E", ["100*cos(u)", "100*sin(u)"],
+        first_variation_suite(imm, grid, ["E"], ["100*cos(u)", "100*sin(u)"],
                               steps=(1e-2,))
+
+
+def test_first_variation_builds_the_metric_once_per_node_and_step(monkeypatch):
+    """Each deformed map is evaluated from one chart build per quadrature
+    node and step: the metric and its Christoffels come from the same jets."""
+    from bihkit import variational
+
+    space = make_space("sasakian_sphere", n=1, ctilde=1.0)
+    imm = Immersion.from_strings(
+        ["u"], space, ["0.5*cos(u)", "0.4*sin(u)", "0.2 + 0.1*sin(u)"], "1")
+    grid = QuadratureGrid([(0.0, TAU, 8, True)])
+    builds, per_call = [], []
+    metric_jets = space.metric_jets
+
+    def counted_metric(x):
+        builds.append(x)
+        return metric_jets(x)
+
+    monkeypatch.setattr(space, "metric_jets", counted_metric)
+    deformed = variational._deformed_tension_data
+
+    def counted(node, v_jets, t):
+        before = len(builds)
+        out = deformed(node, v_jets, t)
+        per_call.append(len(builds) - before)
+        return out
+
+    monkeypatch.setattr(variational, "_deformed_tension_data", counted)
+    steps = (1e-2, 1e-3)
+    first_variation_suite(imm, grid, ["E", "E2"], ["0.1*cos(u)", "0", "0"], steps=steps)
+    assert per_call == [1] * (len(grid) * 2 * len(steps))
 
 
 def test_el_field_pairing_table():
