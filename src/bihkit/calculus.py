@@ -1,10 +1,12 @@
-"""Extrinsic and intrinsic invariants of an immersion at a sample point.
+"""Extrinsic and intrinsic invariants of an immersion at sample points.
 
-One `PointCalculus` instance evaluates everything the residual equations
-consume at a single parameter point: orthonormal frames, induced metric,
-second fundamental form, mean curvature, shape operators, normal connection
+`evaluate` builds the jet fields the residual equations consume (induced
+metric, second fundamental form, mean curvature, connection, projector,
+weight-function fields) at all sample points in one batched pass.  One
+`PointCalculus`, a view of one point of that evaluation, serves everything
+else at that point: orthonormal frames, shape operators, normal connection
 and Laplacian, the tangential/normal decomposition of the ambient structure
-tensor, intrinsic Ricci and Laplacians, and the weight-function terms.
+tensor, intrinsic Ricci and Laplacians, and the trace terms.
 
 All quantities are assembled in coordinate (not orthonormal) form wherever
 possible, so the results are frame-independent by construction; orthonormal
@@ -32,6 +34,11 @@ from .spaces import (AmbientSpace, SpaceError, chart_jets, christoffel_jets,
 
 __all__ = [
     "Immersion",
+    "Evaluation",
+    "evaluate",
+    "evaluate_batches",
+    "immersion_jets",
+    "parameter_jets",
     "TraceTerms",
     "CalcError",
     "FlagError",
@@ -180,71 +187,223 @@ class TraceTerms:
                 value.setflags(write=False)
 
 
+# Points per batched evaluation (`evaluate_batches`, validation): it bounds
+# the temporaries of one pass.  With 16, the peak resident memory of the
+# hyper3d benchmark (64 order-4 points) is 44.0 MB against 42.0 MB for
+# per-point evaluation; with 32 it is 46.8 MB and with 64 52.1 MB (2-vCPU
+# Xeon, numpy 2.4).
+BATCH_POINTS = 16
+
+
+def parameter_jets(params, points, order):
+    """{name: the parameter as a jet of the given order} at each row of a
+    (P, m) array of parameter points, for `eval_on_jets`."""
+    sp = jet_space(len(params), order)
+    return {name: Jet.variable(sp, i, points[:, i]) for i, name in enumerate(params)}
+
+
+def immersion_jets(imm, points, order):
+    """(psi, f): the map, as a vector jet over the chart axes, and the
+    weight, as jets of the given order at each row of a (P, m) array of
+    parameter points (a constant comes out without points axis)."""
+    env = parameter_jets(imm.params, points, order)
+    psi = Jet.stack([eval_on_jets(c, env) for c in imm.components])
+    return psi, eval_on_jets(imm.weight, env)
+
+
+def _laplacian_pos(ginv, Gam_int, scalar_jet):
+    """Positive Laplacian -tr_g Hess of a scalar jet, as a lower-order
+    field, from the inverse metric and intrinsic Christoffel jets."""
+    out_order = scalar_jet.space.order - 2
+    m = ginv.shape[0]
+    ginv = ginv.truncate(out_order)
+    Gam = Gam_int.truncate(out_order)
+    df = scalar_jet.derivs()
+    # hess[al, be] = d_be d_al s - sum_g Gam[g, al, be] d_g s
+    corr = Gam * df.truncate(out_order)[:, None, None]
+    hess = (-corr).sum(0, start=df.derivs())
+    return -(ginv * hess).reshape(m * m).sum(0)
+
+
+class Evaluation:
+    """The fields of one immersion at P parameter points, built by
+    `evaluate`: `fields` maps each field name to a jet with a points axis,
+    and `gram_det` and `structure` hold one leading entry per point.  Item
+    i is the `PointCalculus` of point i."""
+
+    def __init__(self, imm, points, order, fields, gram_det, structure):
+        self.imm = imm
+        self.points = points
+        self.order = order
+        self.fields = fields
+        self.gram_det = gram_det
+        self.structure = structure
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, index):
+        return PointCalculus(self, index)
+
+    def __iter__(self):
+        return (PointCalculus(self, i) for i in range(len(self)))
+
+
+def _ambient_along(space, psi, psi_val, order):
+    """The ambient metric (to order - 1) and Christoffels (to order - 2)
+    composed along the immersion psi, the depths the fields consume, and
+    the chart Christoffels to order 1 (for the curvature); the chart jets
+    are dropped on return.  Their coefficients are those of deeper jets,
+    truncated."""
+    G = Jet.stack(space.metric_jets(chart_jets(psi_val, max(order - 1, 2))))
+    Gam = christoffel_jets(G)
+    compose = Composer([psi[a].centered() for a in range(space.chart_dim)])
+    return (compose.apply_truncated(G.truncate(order - 1)),
+            compose.apply_truncated(Gam.truncate(order - 2)), Gam.truncate(1))
+
+
+def _induced_metric(G, dpsi):
+    """g[al, be] = sum_{a, b} dpsi[a, al] G[a, b] dpsi[b, be]."""
+    # row[a, be] = sum_b G[a, b] dpsi[b, be]; over the pairs al <= be,
+    # g[al, be] = g[be, al] = sum_a dpsi[a, al] row[a, be]
+    row = (G[:, :, None] * dpsi[None]).sum(1)
+    al, be = _upper_pairs(dpsi.shape[1])
+    return (dpsi[:, al] * row[:, be]).sum(0).symmetric()
+
+
+def _projector(dpsi, g_inv, G):
+    """Tangent projector P[a, b] = dpsi[a, al] ginv[al, be] dpsi[c, be] G[c, b]."""
+    col = (dpsi[:, :, None] * G[:, None, :]).sum(0)     # col[be, b]
+    row = (g_inv[:, :, None] * col[None]).sum(1)         # row[al, b]
+    return (dpsi[:, :, None] * row[None]).sum(1)
+
+
+def _second_fundamental_form(Gam_dpsi, Gam_int, dpsi):
+    """B[al, be, a] from Gam_dpsi[a, b, c, al] = Gam^a_bc d_al psi^b: over
+    the pairs al <= be, d_al d_be psi^a
+      + sum_{b, c} Gam[a, b, c] dpsi[b, al] dpsi[c, be]
+      - sum_g Gam_int[g, al, be] dpsi[a, g]."""
+    d, m = dpsi.shape
+    ord2 = Gam_dpsi.space.order
+    dpsi2 = dpsi.truncate(ord2)
+    al, be = _upper_pairs(m)
+    amb = Gam_dpsi[..., al] * dpsi2[None, None, :, be]
+    intr = Gam_int.truncate(ord2)[None, :, al, be] * dpsi2[..., None]  # [a, g, p]
+    terms = Jet.concatenate([amb.reshape(d, d * d, len(al)), -intr], axis=1)
+    return terms.sum(1, start=dpsi.derivs()[:, al, be]).transpose(1, 0).symmetric()
+
+
+def evaluate(imm, points, order=4):
+    """Every jet field of `imm` at each row of a (P, m) array of parameter
+    points, in one batched pass: psi, f, the ambient metric and
+    Christoffels composed along the immersion (and the chart Christoffels to
+    order 1, for the curvature), the induced metric, its inverse and
+    Christoffels, B, H, the connection along the immersion, the tangent
+    projector, grad f and the Laplacian of f.  `order` (>= 2) bounds the
+    derivative depth; 4 covers every assembled residual.
+
+    Each field rounds exactly as it would at each point alone.  Raises
+    ChartError off the chart, CalcError where the immersion is
+    rank-deficient (naming the first such point), SpaceError or JetError
+    where an expression or matrix fails at some point."""
+    space = imm.ambient
+    if not space.has_metric:
+        raise SpaceError(
+            f"{space.kind} has no concrete metric; only curvature-model "
+            "evaluation is available"
+        )
+    points = np.asarray(points, dtype=float)
+    count = len(points)
+    m, d = imm.param_dim, space.chart_dim
+    psi, f_jet = immersion_jets(imm, points, order)
+    psi_val = psi.point_values(count)
+    space.chart_check(psi_val)
+    G, Gam, chart_gam = _ambient_along(space, psi, psi_val, order)
+    dpsi = psi.derivs()
+    g = _induced_metric(G, dpsi)
+    gram_det = np.linalg.det(g.point_values(count))
+    bad = np.flatnonzero(gram_det <= RANK_TOL)
+    if bad.size:
+        raise CalcError(f"immersion rank-deficient at {points[bad[0]]}: "
+                        f"gram det {gram_det[bad[0]]:.3e}")
+    g_inv = jet_matrix_inverse(g)
+    Gam_int = christoffel_jets(g)
+    ord2 = order - 2
+    dpsi2, g_inv2 = dpsi.truncate(ord2), g_inv.truncate(ord2)
+    # Gam_dpsi[a, b, c, al] = Gam^a_bc d_al psi^b; summed over b it is the
+    # connection along the immersion A[a, c, al]
+    Gam_dpsi = Gam[..., None] * dpsi2[None, :, None]
+    B = _second_fundamental_form(Gam_dpsi, Gam_int, dpsi)
+    # mean curvature H = tr_g B / m
+    H = (g_inv2[:, :, None] * B).reshape(m * m, d).sum(0) / float(m)
+    # weight function: (grad f)^alpha, its ambient vector and Delta f
+    grad_f_param = (g_inv.truncate(order - 1) * f_jet.derivs()[None]).sum(1)
+    grad_f_ambient = (dpsi2 * grad_f_param.truncate(ord2)[None]).sum(1)
+    fields = {
+        "psi": psi, "f_jet": f_jet, "G_field": G, "Gam_field": Gam,
+        "chart_christoffels": chart_gam,
+        "dpsi": dpsi, "induced_metric_field": g, "induced_metric_inv_field": g_inv,
+        "intrinsic_christoffels": Gam_int,
+        "projector_field": _projector(dpsi2, g_inv2, G.truncate(ord2)),
+        "B_field": B, "H_field": H, "connection": Gam_dpsi.sum(1),
+        "grad_f_param_field": grad_f_param, "grad_f_ambient_field": grad_f_ambient,
+        "delta_f_pos_field": _laplacian_pos(g_inv, Gam_int, f_jet),
+    }
+    tensors = space.structure_jets(chart_jets(psi_val, 0))
+    structure = {key: Jet.stack(val).point_values(count) for key, val in tensors.items()}
+    return Evaluation(imm, points, order, fields, gram_det, structure)
+
+
+def evaluate_batches(imm, points, order=4):
+    """`evaluate` over consecutive blocks of at most BATCH_POINTS points,
+    yielded in order."""
+    for start in range(0, len(points), BATCH_POINTS):
+        yield evaluate(imm, points[start:start + BATCH_POINTS], order)
+
+
 class PointCalculus:
-    """All jet fields of one immersion at one parameter point.
+    """All jet fields of one immersion at one parameter point: a view of
+    one point of an `Evaluation` (`evaluate(imm, points)[i]`), the only way
+    one is built.
 
     Fields are truncated Taylor expansions in the parameters; `order`
     bounds the total derivative depth (4 covers every assembled residual).
     Each field is one tensor jet (index layout in its docstring or name:
-    ambient indices a, b, c, parameter indices al, be, g), built by whole-
-    tensor contractions that round exactly as the per-entry loops would.
+    ambient indices a, b, c, parameter indices al, be, g) of the point,
+    taken from the batched fields; the values, frames and per-point
+    operators below are computed from them on first use.
+
+    Jet fields: psi, f_jet, G_field (order - 1), Gam_field (Gam[k, a, b] =
+    Gamma^k_ab along the immersion, order - 2), chart_christoffels (order 1,
+    at psi(point)), dpsi (dpsi[a, al], order - 1), induced_metric_field and
+    its inverse, intrinsic_christoffels, projector_field (P[a, b]), B_field
+    (B[al, be, a]), H_field, connection (A[a, c, al], order - 2),
+    grad_f_param_field, grad_f_ambient_field and delta_f_pos_field.
     """
 
-    def __init__(self, imm, point, order=4):
-        self.imm = imm
-        self.space = imm.ambient
-        if not self.space.has_metric:
-            raise SpaceError(
-                f"{self.space.kind} has no concrete metric; only curvature-model "
-                "evaluation is available"
-            )
-        self.point = np.asarray(point, dtype=float)
-        self.order = order
-        self.m = imm.param_dim
-        self.d = imm.ambient.chart_dim
-        sp = jet_space(self.m, order)
-        self.env = {
-            name: Jet.variable(sp, i, self.point[i])
-            for i, name in enumerate(imm.params)
-        }
-        self.psi = Jet.stack([eval_on_jets(c, self.env) for c in imm.components])
-        self.f_jet = eval_on_jets(imm.weight, self.env)
-        self.psi_val = self.psi.values
-        self.space.chart_check(self.psi_val)
+    def __init__(self, ev, index):
+        self.imm = ev.imm
+        self.space = ev.imm.ambient
+        self.order = ev.order
+        self.m = self.imm.param_dim
+        self.d = self.space.chart_dim
+        self.point = ev.points[index]
+        for name, jet in ev.fields.items():
+            setattr(self, name, jet.at(index))
+        self.gram_det = float(ev.gram_det[index])
+        # structure tensor values at psi(point): J, or phi, xi and eta
+        self.structure = {key: val[index] for key, val in ev.structure.items()}
         self._connection = {}
 
-    # -- ambient data composed along the immersion -------------------------
-
     @cached_property
-    def _ambient(self):
-        """The ambient metric and Christoffels composed along the immersion,
-        and the chart Christoffels to order 1 (for the curvature).  The
-        composer and the full chart jets are dropped once used."""
-        G = Jet.stack(self.space.metric_jets(chart_jets(self.psi_val, self.order)))
-        Gam = christoffel_jets(G)
-        compose = Composer([self.psi[a] - self.psi_val[a] for a in range(self.d)])
-        return (compose.apply_truncated(G), compose.apply_truncated(Gam),
-                Gam.truncate(min(Gam.space.order, 1)))
-
-    @cached_property
-    def G_field(self):
-        return self._ambient[0]
-
-    @cached_property
-    def Gam_field(self):
-        """Gam[k, a, b] = Gamma^k_ab along the immersion."""
-        return self._ambient[1]
+    def psi_val(self):
+        return self.psi.values
 
     @cached_property
     def ambient_curvature(self):
         """R[l,i,j,k] values of the ambient curvature at psi(point), from the
         chart Christoffels of this point."""
-        return curvature_from_christoffels(self._ambient[2])
-
-    @cached_property
-    def structure(self):
-        """Structure tensor values at psi(point): J, or phi, xi and eta."""
-        return self.space.structure_at(self.psi_val)
+        return curvature_from_christoffels(self.chart_christoffels)
 
     @cached_property
     def structure_tensor(self):
@@ -267,34 +426,11 @@ class PointCalculus:
         nn = np.array([[Nf[r] @ G0 @ (T @ Nf[s]) for s in range(codim)] for r in range(codim)])
         return tt, tn, nt, nn
 
-    # -- first fundamental form --------------------------------------------
-
-    @cached_property
-    def dpsi(self):
-        """dpsi[a, alpha] jets at order-1 below psi."""
-        return self.psi.derivs()
+    # -- values of the fields ------------------------------------------------
 
     @cached_property
     def dpsi_val(self):
         return self.dpsi.values
-
-    @cached_property
-    def induced_metric_field(self):
-        G = self.G_field.truncate(self.order - 1)
-        dpsi = self.dpsi
-        # row[a, be] = sum_b G[a, b] dpsi[b, be]; over the pairs al <= be,
-        # g[al, be] = g[be, al] = sum_a dpsi[a, al] row[a, be]
-        row = (G[:, :, None] * dpsi[None]).sum(1)
-        al, be = _upper_pairs(self.m)
-        return (dpsi[:, al] * row[:, be]).sum(0).symmetric()
-
-    @cached_property
-    def induced_metric_inv_field(self):
-        return jet_matrix_inverse(self.induced_metric_field)
-
-    @cached_property
-    def intrinsic_christoffels(self):
-        return christoffel_jets(self.induced_metric_field)
 
     @cached_property
     def g_val(self):
@@ -307,15 +443,6 @@ class PointCalculus:
     @cached_property
     def G_val(self):
         return self.G_field.values
-
-    @cached_property
-    def gram_det(self):
-        det = float(np.linalg.det(self.g_val))
-        if det <= RANK_TOL:
-            raise CalcError(
-                f"immersion rank-deficient at {self.point}: gram det {det:.3e}"
-            )
-        return det
 
     # -- frames --------------------------------------------------------------
 
@@ -383,47 +510,11 @@ class PointCalculus:
         P = self.dpsi_val @ self.g_inv_val @ self.dpsi_val.T @ self.G_val
         return P, np.eye(self.d) - P
 
-    @cached_property
-    def projector_field(self):
-        """P[a, b] = dpsi[a, al] ginv[al, be] dpsi[c, be] G[c, b]."""
-        ord2 = self.order - 2
-        dpsi = self.dpsi.truncate(ord2)
-        ginv = self.induced_metric_inv_field.truncate(ord2)
-        G = self.G_field.truncate(ord2)
-        col = (dpsi[:, :, None] * G[:, None, :]).sum(0)      # col[be, b]
-        row = (ginv[:, :, None] * col[None]).sum(1)          # row[al, b]
-        return (dpsi[:, :, None] * row[None]).sum(1)
-
     # -- second fundamental form ---------------------------------------------
-
-    @cached_property
-    def B_field(self):
-        """B[al, be, a]: ambient jet vectors (order-2 fields)."""
-        ord2 = self.order - 2
-        d = self.d
-        Gam = self.Gam_field.truncate(ord2)
-        dpsi = self.dpsi.truncate(ord2)
-        Gam_int = self.intrinsic_christoffels.truncate(ord2)
-        # over the pairs al <= be: d_al d_be psi^a
-        #   + sum_{b, c} Gam[a, b, c] dpsi[b, al] dpsi[c, be]
-        #   - sum_g Gam_int[g, al, be] dpsi[a, g]
-        al, be = _upper_pairs(self.m)
-        amb = (Gam[..., None] * dpsi[None, :, None])[..., al] * dpsi[None, None, :, be]
-        intr = Gam_int[None, :, al, be] * dpsi[..., None]  # [a, g, p]
-        terms = Jet.concatenate([amb.reshape(d, d * d, len(al)), -intr], axis=1)
-        B = terms.sum(1, start=self.dpsi.derivs()[:, al, be])  # [a, p]
-        return B.transpose(1, 0).symmetric()
 
     @cached_property
     def B_val(self):
         return self.B_field.values
-
-    @cached_property
-    def H_field(self):
-        """Mean curvature vector field (order-2 jets), H = tr_g B / m."""
-        ginv = self.induced_metric_inv_field.truncate(self.order - 2)
-        terms = ginv[:, :, None] * self.B_field
-        return terms.reshape(self.m * self.m, self.d).sum(0) / float(self.m)
 
     @cached_property
     def H_val(self):
@@ -436,14 +527,11 @@ class PointCalculus:
     # -- connection helpers ----------------------------------------------------
 
     def _connection_along(self, order):
-        """A[a, c, al] = sum_b Gam^a_bc d_al psi^b, both factors truncated
-        to `order`; computed once per order."""
+        """The connection A[a, c, al] truncated to `order`, once per order
+        (its coefficients are those of the product of truncated factors)."""
         A = self._connection.get(order)
         if A is None:
-            Gam = self.Gam_field.truncate(order)
-            dpsi = self.dpsi.truncate(order)
-            A = (Gam[..., None] * dpsi[None, :, None]).sum(1)
-            self._connection[order] = A
+            A = self._connection[order] = self.connection.truncate(order)
         return A
 
     def pullback_derivative(self, field, alpha):
@@ -480,20 +568,8 @@ class PointCalculus:
     # -- weight function -------------------------------------------------------
 
     @cached_property
-    def grad_f_param_field(self):
-        """(grad f)^alpha as jet fields."""
-        ginv = self.induced_metric_inv_field.truncate(self.order - 1)
-        return (ginv * self.f_jet.derivs()[None]).sum(1)
-
-    @cached_property
     def grad_f_param(self):
         return self.grad_f_param_field.values
-
-    @cached_property
-    def grad_f_ambient_field(self):
-        ord2 = self.order - 2
-        terms = self.dpsi.truncate(ord2) * self.grad_f_param_field.truncate(ord2)[None]
-        return terms.sum(1)
 
     @cached_property
     def grad_f_ambient(self):
@@ -501,18 +577,8 @@ class PointCalculus:
 
     def laplacian_pos_field(self, scalar_jet):
         """Positive Laplacian -tr_g Hess of a scalar jet, as a lower-order field."""
-        out_order = scalar_jet.space.order - 2
-        ginv = self.induced_metric_inv_field.truncate(out_order)
-        Gam = self.intrinsic_christoffels.truncate(out_order)
-        df = scalar_jet.derivs()
-        # hess[al, be] = d_be d_al s - sum_g Gam[g, al, be] d_g s
-        corr = Gam * df.truncate(out_order)[:, None, None]
-        hess = (-corr).sum(0, start=df.derivs())
-        return -(ginv * hess).reshape(self.m * self.m).sum(0)
-
-    @cached_property
-    def delta_f_pos_field(self):
-        return self.laplacian_pos_field(self.f_jet)
+        return _laplacian_pos(self.induced_metric_inv_field,
+                              self.intrinsic_christoffels, scalar_jet)
 
     def gradient_ambient(self, scalar_jet):
         """Ambient components of the intrinsic gradient (values)."""

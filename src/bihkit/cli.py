@@ -20,15 +20,13 @@ import time
 
 from . import __version__
 from .audits import curvature_trace_audit, run_all_audits
-from .calculus import FLAG_TOL, PointCalculus, drain
-from .expr import eval_on_jets
-from .jets import Jet, jet_space
+from .calculus import FLAG_TOL, drain, immersion_jets
 from .props import proposition_checkers
 from .report import render_report, write_csv
 from .residuals import compare_modes, direct_field, theorem_residual
-from .scenario import ScenarioError, _validate, load_scenario
+from .scenario import ScenarioError, _validate, evaluate_points, load_scenario
 from .spaces import SpaceError
-from .variational import ENERGIES, energies, first_variation_suite
+from .variational import ENERGIES, ChartExitError, energies, first_variation_suite
 
 PASS, NUMERIC_FAIL, VALIDATION_FAIL, INTERNAL_FAIL = 0, 2, 3, 4
 
@@ -128,14 +126,8 @@ def cmd_audit(sc, args, out, calcs):
     if not sc.immersion.ambient.has_metric:
         seed = args.seed if args.seed is not None else sc.seed
         # evaluate the immersion map as plain chart positions
-        sp = jet_space(len(sc.immersion.params), 0)
-        chart_points = []
-        for p in points:
-            env = {name: Jet.constant(sp, p[i])
-                   for i, name in enumerate(sc.immersion.params)}
-            chart_points.append(
-                [eval_on_jets(c, env).value for c in sc.immersion.components]
-            )
+        psi = immersion_jets(sc.immersion, points, 0)[0]
+        chart_points = psi.point_values(len(points))
         result = curvature_trace_audit(sc.immersion.ambient, chart_points, seed=seed)
         out["curvature_trace_audit"] = result
         worst = max(result["normal_trace"], result["tangent_trace"])
@@ -163,7 +155,10 @@ def cmd_variation(sc, args, out, calcs):
     variation = sc.default_variation()
     tol = args.tol if args.tol is not None else sc.tolerance("variation", 1e-5)
     which_list = [args.functional] if args.functional else list(ENERGIES)
-    sweeps = first_variation_suite(imm, grid, which_list, variation)
+    try:
+        sweeps = first_variation_suite(imm, grid, which_list, variation)
+    except ChartExitError as exc:
+        raise ScenarioError(str(exc), "variation", "components") from None
     results = []
     ok = True
     for which in which_list:
@@ -206,7 +201,6 @@ def cmd_energy(sc, args, out, calcs):
 
 def cmd_sweep(sc, args, out, calcs):
     target = sc.mode.get("sweep_target", "check")
-    imm = sc.immersion
     levels = [1, 2]
     table = []
     if target == "energy":
@@ -223,8 +217,9 @@ def cmd_sweep(sc, args, out, calcs):
         errata = _errata_on(sc, args)
         for lv in levels:
             pts = sc.sample_points(factor=lv)
-            # level 1 is the validated grid; finer levels evaluate afresh
-            evals = drain(calcs) if lv == 1 else (PointCalculus(imm, p) for p in pts)
+            # level 1 is the validated grid; finer levels are evaluated and
+            # checked as validation checks it
+            evals = drain(calcs) if lv == 1 else evaluate_points(sc, pts)
             worst = 0.0
             for pc in evals:
                 rep = theorem_residual(pc, kind=kind, errata=errata)

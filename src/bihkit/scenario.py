@@ -44,13 +44,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import FLAG_NAMES, FLAG_TOL, FlagError, Immersion, PointCalculus, verify_flags
+from .calculus import (BATCH_POINTS, FLAG_NAMES, FLAG_TOL, FlagError, Immersion,
+                       evaluate, immersion_jets, verify_flags)
 from .expr import ParseError, parse
 from .residuals import COROLLARIES, equation_for
 from .spaces import ChartError, SpaceError, make_space
 from .variational import QuadratureGrid
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario_text"]
+__all__ = ["Scenario", "ScenarioError", "evaluate_points", "load_scenario",
+           "parse_scenario_text"]
 
 # Upper bound on the sample points of one scenario: validation keeps every
 # point's evaluation until the command has used it.
@@ -430,6 +432,38 @@ def parse_scenario(text, path="<memory>", validate=True):
     return scenario
 
 
+def evaluate_points(sc, points):
+    """Yield one `PointCalculus` per row of a (P, m) array of parameter
+    points, evaluated in batches with validation's chart, rank and weight
+    checks.  An error names the first failing point, with the message that
+    point fails with alone (a batch fails only where one of its points does,
+    so a failing batch is rescanned point by point)."""
+    for start in range(0, len(points), BATCH_POINTS):
+        yield from _checked_batch(sc, points[start:start + BATCH_POINTS])
+
+
+def _checked_batch(sc, points):
+    try:
+        ev = evaluate(sc.immersion, points)
+    except (ChartError, SpaceError, ValueError) as exc:
+        if len(points) > 1:  # the first point that fails alone raises
+            for i in range(len(points)):
+                _checked_batch(sc, points[i:i + 1])
+        raise ScenarioError(f"sample point {_where(points[0])} rejected: {exc}",
+                            "sampling", "grid") from None
+    f = ev.fields["f_jet"].point_values(len(points))
+    bad = np.flatnonzero(f <= 0.0)
+    if bad.size:
+        raise ScenarioError(
+            f"weight not positive at {_where(points[bad[0]])} (f = {f[bad[0]]:.3e})",
+            "weight", "f")
+    return ev
+
+
+def _where(point):
+    return [float(x) for x in point]
+
+
 def _validate(sc):
     """Check the scenario at its sample points; returns the validated
     evaluations, one `PointCalculus` per sample point, for the commands to
@@ -441,29 +475,14 @@ def _validate(sc):
         return []
     points = sc.sample_points()
     # rank, chart membership, weight positivity at every sample point
-    calcs = []
-    for p in points:
-        where = [float(x) for x in p]
-        try:
-            pc = PointCalculus(imm, p)
-            pc.gram_det
-        except (ChartError, SpaceError, ValueError) as exc:
-            raise ScenarioError(f"sample point {where} rejected: {exc}",
-                                "sampling", "grid") from None
-        if pc.f_jet.value <= 0.0:
-            raise ScenarioError(
-                f"weight not positive at {where} (f = {pc.f_jet.value:.3e})",
-                "weight", "f")
-        calcs.append(pc)
+    calcs = list(evaluate_points(sc, points))
     # periodic axes must close up
-    probe = points[0]
     for i, ax in enumerate(sc.axes):
         if not ax.periodic:
             continue
-        lo_pt, hi_pt = probe.copy(), probe.copy()
-        lo_pt[i], hi_pt[i] = ax.lo, ax.hi
-        a = PointCalculus(imm, lo_pt, order=0).psi_val
-        b = PointCalculus(imm, hi_pt, order=0).psi_val
+        ends = np.array([points[0], points[0]])
+        ends[0, i], ends[1, i] = ax.lo, ax.hi
+        a, b = immersion_jets(imm, ends, 0)[0].point_values(2)
         if float(np.max(np.abs(a - b))) > 1e-10:
             raise ScenarioError(
                 f"axis {ax.name!r} declared periodic but map endpoints differ "

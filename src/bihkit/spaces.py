@@ -81,7 +81,8 @@ def _flat_contact_structure(phi, space):
 
 
 def _checked_metric(G):
-    """The metric values G, which must be finite and positive definite."""
+    """The metric values G (one matrix, or a stack of them, one per point),
+    which must be finite and positive definite."""
     if not np.all(np.isfinite(G)):
         raise ChartError("metric not finite at point")
     try:
@@ -91,11 +92,12 @@ def _checked_metric(G):
     return G
 
 
-def chart_jets(point, order):
-    """Seed chart coordinates as jet variables around `point`."""
-    point = np.asarray(point, dtype=float)
-    sp = jet_space(len(point), order)
-    return [Jet.variable(sp, i, point[i]) for i in range(len(point))]
+def chart_jets(points, order):
+    """Seed chart coordinates as jet variables around a point, or around
+    each row of a (P, d) array of points (jets with a points axis)."""
+    points = np.asarray(points, dtype=float)
+    sp = jet_space(points.shape[-1], order)
+    return [Jet.variable(sp, i, points[..., i]) for i in range(sp.num_vars)]
 
 
 class AmbientSpace:
@@ -123,10 +125,11 @@ class AmbientSpace:
 
     # -- numeric conveniences ------------------------------------------------
 
-    def chart_check(self, point):
-        if len(point) != self.chart_dim:
+    def chart_check(self, points):
+        """Reject a point, or a (P, d) array of points, off the chart."""
+        if np.shape(points)[-1] != self.chart_dim:
             raise ChartError(
-                f"point has {len(point)} coordinates, chart needs {self.chart_dim}"
+                f"point has {np.shape(points)[-1]} coordinates, chart needs {self.chart_dim}"
             )
 
     def metric_at(self, point):
@@ -228,10 +231,11 @@ class ComplexHyperbolic(_KaehlerPotentialSpace):
             raise SpaceError("complex_hyperbolic needs negative holomorphic curvature")
         super().__init__(n, hol)
 
-    def chart_check(self, point):
-        super().chart_check(point)
-        if float(np.dot(point, point)) >= 1.0:
-            raise ChartError("complex_hyperbolic chart requires |x| < 1")
+    def chart_check(self, points):
+        super().chart_check(points)
+        for p in np.reshape(points, (-1, self.chart_dim)):
+            if float(np.dot(p, p)) >= 1.0:
+                raise ChartError("complex_hyperbolic chart requires |x| < 1")
 
     def _potential_hessian(self, x):
         # K = (1/c) log(1-rho), c < 0:
@@ -499,23 +503,27 @@ def christoffel_jets(G):
     return Gam.symmetric(axis=1)
 
 
-def metric_and_christoffel_jets(space, point, order):
+def metric_and_christoffel_jets(space, points, order):
     """Chart-seeded metric jets (given order; their values checked as in
-    `metric_at`) and Christoffels (order-1)."""
+    `metric_at`) and Christoffels (order-1), at a point or at each row of a
+    (P, d) array of points."""
     if not space.has_metric:
         raise SpaceError(f"{space.kind} supplies no ambient connection")
-    space.chart_check(point)
-    x = chart_jets(point, order)
+    space.chart_check(points)
+    x = chart_jets(points, order)
     G = Jet.stack(space.metric_jets(x))
-    _checked_metric(G.values)
+    _checked_metric(G.values if np.ndim(points) == 1 else G.point_values(len(points)))
     return G, christoffel_jets(G)
 
 
-def christoffels_at(space, point):
+def christoffels_at(space, points):
     """(G, Gam) values at a chart point from one order-1 build: the checked
-    metric and Gamma^k_ij, symmetric in the lower indices."""
-    G, Gam = metric_and_christoffel_jets(space, point, 1)
-    return G.values, Gam.values
+    metric and Gamma^k_ij, symmetric in the lower indices.  For a (P, d)
+    array of points, one build for all: arrays with a leading points axis."""
+    G, Gam = metric_and_christoffel_jets(space, points, 1)
+    if np.ndim(points) == 1:
+        return G.values, Gam.values
+    return G.point_values(len(points)), Gam.point_values(len(points))
 
 
 def curvature_from_christoffels(Gam):

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PointCalculus
+from .calculus import evaluate_batches, immersion_jets, parameter_jets
 from .expr import eval_on_jets, parse
-from .jets import Jet, jet_space
+from .jets import Jet
 from .residuals import (
     bi_f_tension_direct,
     bitension_direct,
@@ -50,6 +50,7 @@ from .residuals import (
 from .spaces import ChartError, christoffels_at
 
 __all__ = [
+    "ChartExitError",
     "QuadratureGrid",
     "ENERGIES",
     "VARIATION_PAIRING",
@@ -59,6 +60,11 @@ __all__ = [
 ]
 
 ENERGIES = ("E", "E2", "E2F", "EF", "EF2")
+
+
+class ChartExitError(ChartError):
+    """The deformed map psi + t V leaves the ambient chart at a node."""
+
 
 VARIATION_PAIRING = {"E": 1.0, "EF": 1.0, "E2": -1.0, "E2F": -1.0, "EF2": 2.0}
 
@@ -100,95 +106,104 @@ class QuadratureGrid:
         return len(self.points)
 
 
-class _NodeData:
-    """Frozen reference data at one quadrature node (t = 0 metric)."""
+@dataclass
+class _Frozen:
+    """Frozen reference data of the quadrature nodes (the t = 0 metric),
+    one leading entry per node."""
 
-    def __init__(self, imm, point):
-        pc = PointCalculus(imm, point, order=2)
-        self.g = pc.g_val
-        self.ginv = pc.g_inv_val
-        self.gam = pc.intrinsic_christoffels.values
-        self.sqrt_det = float(np.sqrt(pc.gram_det))
-        self.f = pc.f_jet.value
-        self.df = np.array([pc.f_jet.deriv(al).value for al in range(pc.m)])
-        self.grad_f_param = self.ginv @ self.df
-        self.space = imm.ambient
-        self.m = pc.m
-        self.d = pc.d
-        sp = jet_space(self.m, 2)
-        self.env = {
-            name: Jet.variable(sp, i, point[i]) for i, name in enumerate(imm.params)
-        }
-        self.psi_jets = [eval_on_jets(c, self.env) for c in imm.components]
+    ginv: np.ndarray           # (N, m, m) inverse induced metric
+    gam: np.ndarray            # (N, m, m, m) its Christoffels
+    sqrt_det: np.ndarray       # (N,)
+    f: np.ndarray              # (N,)
+    grad_f_param: np.ndarray   # (N, m)
 
 
-def _deformed_tension_data(node, v_jets, t):
-    """(tension vector, dpsi_t, ambient metric) of psi + t*V at fixed metric;
-    the metric and its Christoffels come from one chart build."""
-    m, d = node.m, node.d
-    psi_t = [node.psi_jets[a] + t * v_jets[a] for a in range(d)]
-    pos = np.array([j.value for j in psi_t])
-    G, gam_amb = christoffels_at(node.space, pos)
-    dpsi = np.array([[psi_t[a].deriv(al).value for al in range(m)] for a in range(d)])
-    ddpsi = np.array(
-        [[[psi_t[a].deriv(al).deriv(be).value for be in range(m)] for al in range(m)]
-         for a in range(d)]
-    )
-    tau = np.zeros(d)
-    for al in range(m):
-        for be in range(m):
-            vec = ddpsi[:, al, be] + np.einsum(
-                "abc,b,c->a", gam_amb, dpsi[:, al], dpsi[:, be]
-            )
-            vec = vec - np.einsum("g,ag->a", node.gam[:, al, be], dpsi)
-            tau = tau + node.ginv[al, be] * vec
+def _frozen(imm, points, order, visit=None):
+    """The frozen data of every node from batched evaluations of the given
+    order (the values do not depend on it); `visit(i, pc)` also sees the
+    PointCalculus of node i."""
+    rows = []
+    calcs = (pc for ev in evaluate_batches(imm, points, order) for pc in ev)
+    for i, pc in enumerate(calcs):
+        df = np.array([pc.f_jet.deriv(al).value for al in range(pc.m)])
+        rows.append((pc.g_inv_val, pc.intrinsic_christoffels.values,
+                     float(np.sqrt(pc.gram_det)), pc.f_jet.value, pc.g_inv_val @ df))
+        if visit is not None:
+            visit(i, pc)
+    return _Frozen(*(np.array(col) for col in zip(*rows)))
+
+
+def _deformed_tension_data(space, frozen, psi, v, t):
+    """(tension vectors, dpsi_t, ambient metrics) of psi + t*V at fixed
+    metric, one leading entry per node; `psi` and `v` are order-2 vector
+    jets over the nodes.  One chart build for all nodes gives the metric
+    and its Christoffels."""
+    count = len(frozen.f)
+    psi_t = psi + v * t
+    pos = psi_t.point_values(count)
+    try:
+        G, gam_amb = christoffels_at(space, pos)
+    except ChartError:
+        for i, p in enumerate(pos):  # name the first node off the chart
+            try:
+                christoffels_at(space, p)
+            except ChartError:
+                raise ChartExitError(
+                    f"the deformed map exits the ambient chart at node {i} (t={t})"
+                ) from None
+        raise
+    first = psi_t.derivs()
+    dpsi = first.point_values(count)             # dpsi[i, a, al]
+    ddpsi = first.derivs().point_values(count)   # ddpsi[i, a, al, be]
+    m = dpsi.shape[2]
+    tau = np.zeros(dpsi.shape[:2])
+    for i in range(count):
+        for al in range(m):
+            for be in range(m):
+                vec = ddpsi[i, :, al, be] + np.einsum(
+                    "abc,b,c->a", gam_amb[i], dpsi[i, :, al], dpsi[i, :, be]
+                )
+                vec = vec - np.einsum("g,ag->a", frozen.gam[i, :, al, be], dpsi[i])
+                tau[i] = tau[i] + frozen.ginv[i, al, be] * vec
     return tau, dpsi, G
 
 
-def _integrand(node, which, data):
-    """Energy density of one functional from `_deformed_tension_data`."""
-    tau, dpsi, G = data
+def _integrand(frozen, i, which, tau, dpsi, G):
+    """Energy density of one functional at node i from its tension vector,
+    dpsi_t and ambient metric."""
     if which in ("E", "EF"):
-        dens = float(np.einsum("ab,ia,jb,ij->", node.ginv, dpsi, dpsi, G))
+        dens = float(np.einsum("ab,ia,jb,ij->", frozen.ginv[i], dpsi, dpsi, G))
         val = 0.5 * dens
-        return val * node.f if which == "EF" else val
+        return val * frozen.f[i] if which == "EF" else val
     if which in ("E2", "E2F"):
         val = 0.5 * float(tau @ G @ tau)
-        return val * node.f if which == "E2F" else val
+        return val * frozen.f[i] if which == "E2F" else val
     if which == "EF2":
-        grad_f_amb = dpsi @ node.grad_f_param
-        w = node.f * tau + grad_f_amb
+        grad_f_amb = dpsi @ frozen.grad_f_param[i]
+        w = frozen.f[i] * tau + grad_f_amb
         return float(w @ G @ w)
     raise ValueError(f"unknown energy {which!r}")
 
 
-def _zero_jets(node):
-    sp = jet_space(node.m, 2)
-    return [Jet.constant(sp, 0.0) for _ in range(node.d)]
-
-
-def _energy_values(nodes, weights, whichs, t, v_jets):
+def _energy_values(space, frozen, weights, whichs, psi, v, t):
     """Quadrature values of the functionals `whichs` at psi + t V; the
     deformed map is evaluated once per node and shared by the functionals."""
-    vals = {which: np.empty(len(nodes)) for which in whichs}
-    for i, node in enumerate(nodes):
-        try:
-            data = _deformed_tension_data(node, v_jets[i], t)
-        except ChartError:
-            raise ChartError(
-                f"the deformed map exits the ambient chart at node {i} (t={t})"
-            ) from None
+    tau, dpsi, G = _deformed_tension_data(space, frozen, psi, v, t)
+    vals = {which: np.empty(len(weights)) for which in whichs}
+    for i in range(len(weights)):
         for which in whichs:
-            vals[which][i] = _integrand(node, which, data) * node.sqrt_det
-    return {which: float(np.dot(v, weights)) for which, v in vals.items()}
+            vals[which][i] = (_integrand(frozen, i, which, tau[i], dpsi[i], G[i])
+                              * frozen.sqrt_det[i])
+    return {which: float(np.dot(col, weights)) for which, col in vals.items()}
 
 
 def energies(imm, grid):
     """Quadrature values {which: value} of the five functionals on the
     undeformed immersion, from one evaluation per node."""
-    nodes = [_NodeData(imm, p) for p in grid.points]
-    return _energy_values(nodes, grid.weights, ENERGIES, 0.0,
-                          [_zero_jets(node) for node in nodes])
+    psi = immersion_jets(imm, grid.points, 2)[0]
+    zero = Jet.constant(psi.space, np.zeros(imm.ambient.chart_dim))
+    return _energy_values(imm.ambient, _frozen(imm, grid.points, 2), grid.weights,
+                          ENERGIES, psi, zero, 0.0)
 
 
 def el_field(pc, which):
@@ -214,7 +229,8 @@ def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)
 
     `variation` is a list of chart_dim expression strings (or trees) over the
     immersion parameters; it must vanish at non-periodic axis endpoints.
-    The expensive per-node jet stack is shared across the functionals.
+    The nodes' evaluations and each step's chart build are shared across
+    the functionals.
     Returns {which: sweep-result}; each sweep should show roughly O(h^2)
     decay of the mismatch to a plateau.
     """
@@ -224,23 +240,24 @@ def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)
     v_exprs = [
         parse(v, imm.params) if isinstance(v, str) else v for v in variation
     ]
-    nodes = [_NodeData(imm, p) for p in grid.points]
-    v_jets_all = [
-        [eval_on_jets(v, node.env) for v in v_exprs] for node in nodes
-    ]
+    env = parameter_jets(imm.params, grid.points, 2)
+    v = Jet.stack([eval_on_jets(e, env) for e in v_exprs])
+    V = v.point_values(len(grid))
+    psi = immersion_jets(imm, grid.points, 2)[0]
 
-    # pairing side: one heavy jet stack per node, all fields from it
-    pair_vals = {which: np.empty(len(nodes)) for which in whichs}
-    for i, node in enumerate(nodes):
-        pc_full = PointCalculus(imm, grid.points[i])
-        V = np.array([j.value for j in v_jets_all[i]])
-        G = pc_full.G_val
+    # one order-4 evaluation per node gives the frozen metric and, through
+    # the Euler-Lagrange fields, the pairing
+    pair_vals = {which: np.empty(len(grid)) for which in whichs}
+
+    def pair(i, pc):
+        G, sqrt_det = pc.G_val, float(np.sqrt(pc.gram_det))
         for which in whichs:
-            el = el_field(pc_full, which)
-            pair_vals[which][i] = -(el @ G @ V) * node.sqrt_det
+            pair_vals[which][i] = -(el_field(pc, which) @ G @ V[i]) * sqrt_det
 
+    frozen = _frozen(imm, grid.points, 4, visit=pair)
     shifted = [
-        tuple(_energy_values(nodes, grid.weights, whichs, s, v_jets_all) for s in (h, -h))
+        tuple(_energy_values(imm.ambient, frozen, grid.weights, whichs, psi, v, s)
+              for s in (h, -h))
         for h in steps
     ]
     out = {}

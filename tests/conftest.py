@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from bihkit.calculus import evaluate
 from bihkit.scenario import load_scenario
 
 CATALOG = os.path.join(
@@ -15,6 +16,11 @@ def scenario_path(name):
 
 
 _cache = {}
+
+
+def point_calculus(imm, point, order=4):
+    """The `PointCalculus` of `imm` at one parameter point."""
+    return evaluate(imm, [point], order)[0]
 
 
 def get_scenario(name):

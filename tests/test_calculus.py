@@ -5,17 +5,16 @@ from bihkit.calculus import (
     CalcError,
     FlagError,
     Immersion,
-    PointCalculus,
     flag_deviation,
     verify_flags,
 )
 from bihkit import calculus
 from bihkit.expr import eval_on_jets
-from bihkit.jets import Jet
+from bihkit.jets import Jet, jet_space
 from bihkit.residuals import bi_f_tension_direct, compare_modes, theorem_residual
 from bihkit.scenario import load_scenario
 from bihkit.spaces import SpaceError, chart_jets, make_space
-from conftest import scenario_path
+from conftest import point_calculus, scenario_path
 
 FLAT3 = make_space("cosymplectic_flat", n=1)
 C2 = make_space("euclidean_complex", n=2)
@@ -32,7 +31,7 @@ def sphere_immersion(r=1.0, ambient=FLAT3, weight="1"):
 
 def test_plane_is_totally_geodesic():
     plane = Immersion.from_strings(["u", "v"], FLAT3, ["u", "v", "0"], "1")
-    pc = PointCalculus(plane, [0.3, -0.7])
+    pc = point_calculus(plane, [0.3, -0.7])
     assert np.abs(pc.B_val).max() == 0.0
     assert np.abs(pc.H_val).max() == 0.0
 
@@ -41,7 +40,7 @@ def test_round_sphere_closed_forms():
     r = 0.8
     imm = sphere_immersion(r)
     for p in ([0.5, 0.3], [2.0, -0.6]):
-        pc = PointCalculus(imm, p)
+        pc = point_calculus(imm, p)
         tt = pc.trace_terms
         assert np.sqrt(tt.h_norm2) == pytest.approx(1.0 / r, abs=1e-9)
         assert tt.b_norm2 == pytest.approx(2.0 / r**2, abs=1e-9)
@@ -54,7 +53,7 @@ def test_round_sphere_closed_forms():
 def test_frames_and_duality():
     imm = sphere_immersion(0.8, weight="1 + 0.2*sin(u)*cos(v)")
     p = [0.7, 0.4]
-    pc = PointCalculus(imm, p)
+    pc = point_calculus(imm, p)
     G = pc.G_val
     E, N = pc.tangent_frame, pc.normal_frame
     assert np.abs(E @ G @ E.T - np.eye(2)).max() <= 1e-10
@@ -83,28 +82,28 @@ def test_clifford_torus_minimal_in_s3():
          f"{r}*cos(v)/(1 + {r}*sin(v))"],
         "1")
     for p in ([0.3, 1.2], [2.1, 0.4]):
-        tt = PointCalculus(imm, p).trace_terms
+        tt = point_calculus(imm, p).trace_terms
         assert np.sqrt(tt.h_norm2) <= 1e-9
 
 
 def test_rank_deficiency_raises():
     bad = Immersion.from_strings(["u", "v"], FLAT3, ["u", "u", "0"], "1")
     with pytest.raises(CalcError):
-        PointCalculus(bad, [0.1, 0.2]).tangent_frame
+        point_calculus(bad, [0.1, 0.2]).tangent_frame
 
 
 def test_abstract_ambient_rejected():
     ab = make_space("abstract_gcsf", alpha="1", beta="1")
     imm = Immersion.from_strings(["u"], ab, ["cos(u)", "sin(u)", "0", "0"], "1")
     with pytest.raises(SpaceError):
-        PointCalculus(imm, [0.1])
+        point_calculus(imm, [0.1])
 
 
 def test_lagrangian_operators_vanish():
     imm = Immersion.from_strings(
         ["u", "v"], C2,
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"], "1")
-    tt_m, tn, nt, nn = PointCalculus(imm, [0.4, 1.3]).decomposition_operators
+    tt_m, tn, nt, nn = point_calculus(imm, [0.4, 1.3]).decomposition_operators
     assert np.abs(tt_m).max() <= 1e-10  # j = 0
     assert np.abs(nn).max() <= 1e-10    # m = 0
 
@@ -112,7 +111,7 @@ def test_lagrangian_operators_vanish():
 def test_complex_curve_operators_vanish():
     imm = Immersion.from_strings(
         ["u", "v"], C2, ["u", "v", "u^2 - v^2", "2*u*v"], "1")
-    tt_m, tn, nt, nn = PointCalculus(imm, [0.3, -0.2]).decomposition_operators
+    tt_m, tn, nt, nn = point_calculus(imm, [0.3, -0.2]).decomposition_operators
     assert np.abs(tn).max() <= 1e-10    # k = 0
     assert np.abs(nt).max() <= 1e-10    # l = 0
 
@@ -124,7 +123,7 @@ def test_hypersurface_hermitian_facts():
         ["0.9*cos(v)*cos(u)", "0.9*cos(v)*sin(u)",
          "0.9*sin(v)*cos(w)", "0.9*sin(v)*sin(w)"], "1")
     p = [0.5, 0.7, 1.0]
-    pc = PointCalculus(imm, p)
+    pc = point_calculus(imm, p)
     tt_m, tn, nt, nn = pc.decomposition_operators
     assert np.abs(nn).max() <= 1e-10
     tt = pc.trace_terms
@@ -135,7 +134,7 @@ def test_hypersurface_hermitian_facts():
 def test_trace_terms_minimal_and_constant_weight():
     great = Immersion.from_strings(
         ["u", "v"], S3, ["cos(v)*cos(u)", "cos(v)*sin(u)", "sin(v)"], "1")
-    tt = PointCalculus(great, [0.4, 0.2]).trace_terms
+    tt = point_calculus(great, [0.4, 0.2]).trace_terms
     assert np.abs(tt.tb_ah).max() <= 1e-10
     assert np.abs(tt.a_h_grad_f).max() <= 1e-12
     assert np.abs(tt.grad_f).max() == 0.0
@@ -152,14 +151,14 @@ def test_hypersurface_tb_identity():
         ["(1 + 0.3*cos(v))*cos(u)", "(1 + 0.3*cos(v))*sin(u)", "0.3*sin(v)"],
         "1")
     for im, p in ((imm, [0.5, 0.3]), (imm2, [0.7, 1.1])):
-        tt = PointCalculus(im, p).trace_terms
-        pc = PointCalculus(im, p)
+        tt = point_calculus(im, p).trace_terms
+        pc = point_calculus(im, p)
         assert np.abs(tt.tb_ah - tt.b_norm2 * pc.H_val).max() <= 1e-8
 
 
 def test_intrinsic_scal_unit_sphere():
     imm = sphere_immersion(1.0)
-    pc = PointCalculus(imm, [0.7, 0.5])
+    pc = point_calculus(imm, [0.7, 0.5])
     assert pc.trace_terms.scal == pytest.approx(2.0, abs=1e-8)
 
 
@@ -174,12 +173,12 @@ def _covariant_split(pc, field):
 
 
 def test_normal_derivative_splits():
-    plane = PointCalculus(
+    plane = point_calculus(
         Immersion.from_strings(["u", "v"], FLAT3, ["u", "v", "0"], "1"), [0.2, 0.4])
     for nor, tan in _covariant_split(plane, plane.H_field):
         assert np.abs(nor).max() <= 1e-12 and np.abs(tan).max() <= 1e-12
     # round sphere: H is parallel, its tangential derivative is -A_H d_al
-    pc = PointCalculus(sphere_immersion(0.8), [0.6, 0.2])
+    pc = point_calculus(sphere_immersion(0.8), [0.6, 0.2])
     for al, (nor, tan) in enumerate(_covariant_split(pc, pc.H_field)):
         assert np.abs(nor).max() <= 1e-9
         # duality: g(A_H d_al, d_be) = g(B(d_al, d_be), H)
@@ -190,7 +189,7 @@ def test_normal_derivative_splits():
 
 
 def test_normal_laplacian_parallel_field_and_bochner():
-    pc = PointCalculus(sphere_immersion(0.9), [0.4, 0.8])
+    pc = point_calculus(sphere_immersion(0.9), [0.4, 0.8])
     assert np.abs(pc.trace_terms.delta_perp_h_pos).max() <= 1e-9
 
     # Bochner: (1/2) Delta |H|^2 = <Delta-perp H, H> - |nabla-perp H|^2
@@ -200,7 +199,7 @@ def test_normal_laplacian_parallel_field_and_bochner():
          "0.25*sin(v) + 0.05*sin(u)"],
         "1")
     for p in ([0.5, 1.0], [2.2, 0.3]):
-        pc = PointCalculus(bumpy, p)
+        pc = point_calculus(bumpy, p)
         tt = pc.trace_terms
         h2_field = None
         ord2 = pc.order - 2
@@ -219,7 +218,7 @@ def test_small_sphere_normal_laplacian_zero():
     imm = Immersion.from_strings(
         ["u", "v"], S3,
         [f"{r0}*cos(v)*cos(u)", f"{r0}*cos(v)*sin(u)", f"{r0}*sin(v)"], "1")
-    lap = PointCalculus(imm, [0.7, 0.4]).trace_terms.delta_perp_h_pos
+    lap = point_calculus(imm, [0.7, 0.4]).trace_terms.delta_perp_h_pos
     assert np.abs(lap).max() <= 1e-9
 
 
@@ -233,7 +232,7 @@ def test_cauchy_schwarz_shape_bound():
     for imm in scenarios:
         for _ in range(5):
             p = RNG.uniform(0.1, 1.2, size=2)
-            tt = PointCalculus(imm, p).trace_terms
+            tt = point_calculus(imm, p).trace_terms
             m = imm.param_dim
             assert tt.a_h_norm2 >= m * tt.h_norm2**2 - 1e-10
 
@@ -246,7 +245,7 @@ def test_frame_remix_invariance():
         ["0.9*cos(u)", "0.9*sin(u)", "0.55*cos(v) + 0.1*cos(u)", "0.55*sin(v)"],
         "1 + 0.2*sin(u)")
     p = [0.8, 1.7]
-    pc = PointCalculus(imm, p)
+    pc = point_calculus(imm, p)
     tt = pc.trace_terms
     G = pc.G_val
     rng = np.random.default_rng(17)
@@ -275,7 +274,7 @@ def test_hypersurface_xi_tangent_normal_line_facts():
          "0.8*cos(v)/(1 + 0.8*sin(v))"],
         "1")
     p = [0.5, 1.1]
-    pc = PointCalculus(imm, p)
+    pc = point_calculus(imm, p)
     st = S3.structure_at(pc.psi_val)
     phi = st["phi"]
     P_tan, P_nor = pc.projectors
@@ -293,7 +292,7 @@ def test_flag_verification_and_denial():
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"], "1",
         flags={"lagrangian": "asserted", "complex": "denied"})
     pts = [[0.3, 0.4], [1.5, 2.0]]
-    report = verify_flags(imm, [PointCalculus(imm, p) for p in pts])
+    report = verify_flags(imm, [point_calculus(imm, p) for p in pts])
     assert report["lagrangian"] <= 1e-10
     assert report["complex"] > 1e-2
 
@@ -302,19 +301,19 @@ def test_flag_verification_and_denial():
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"], "1",
         flags={"complex": "asserted"})
     with pytest.raises(FlagError):
-        verify_flags(bad, [PointCalculus(bad, p) for p in pts])
+        verify_flags(bad, [point_calculus(bad, p) for p in pts])
 
     denied_wrong = Immersion.from_strings(
         ["u", "v"], C2,
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"], "1",
         flags={"lagrangian": "denied"})
     with pytest.raises(FlagError):
-        verify_flags(denied_wrong, [PointCalculus(denied_wrong, p) for p in pts])
+        verify_flags(denied_wrong, [point_calculus(denied_wrong, p) for p in pts])
 
 
 def test_structural_flags():
     curve = Immersion.from_strings(["u"], FLAT3, ["cos(u)", "sin(u)", "0"], "1")
-    calcs = [PointCalculus(curve, [0.1])]
+    calcs = [point_calculus(curve, [0.1])]
     assert flag_deviation(curve, calcs, "curve") == 0.0
     assert flag_deviation(curve, calcs, "hypersurface") == float("inf")
 
@@ -323,7 +322,7 @@ def test_weight_positivity_not_enforced_here():
     # evaluation works even where f < 0; scenario validation owns the check
     imm = Immersion.from_strings(["u"], FLAT3, ["cos(u)", "sin(u)", "0"],
                                  "cos(u)")
-    pc = PointCalculus(imm, [3.0])
+    pc = point_calculus(imm, [3.0])
     assert pc.f_jet.value < 0
 
 
@@ -349,7 +348,7 @@ def test_pullback_derivative_matches_triple_sum(name):
     sc = load_scenario(scenario_path(name), validate=False)
     points = sc.sample_points()
     for p in points[:: len(points) // 2]:
-        pc = PointCalculus(sc.immersion, p)
+        pc = point_calculus(sc.immersion, p)
         # fields of order 3, 2 and 1, so every truncation depth is used
         dpsi_col = pc.dpsi[:, 0]
         first = pc.pullback_derivative(pc.H_field, 0)
@@ -428,7 +427,9 @@ def _ref_mean_curvature_path(pc):
     """Gam_field, induced metric, intrinsic Christoffels, B and H of `pc`
     from scalar jets and nested loops."""
     d, m, order = pc.d, pc.m, pc.order
-    psi = [eval_on_jets(c, pc.env) for c in pc.imm.components]
+    sp = jet_space(m, order)
+    env = {name: Jet.variable(sp, i, pc.point[i]) for i, name in enumerate(pc.imm.params)}
+    psi = [eval_on_jets(c, env) for c in pc.imm.components]
     compose = _ref_composer([psi[a] - psi[a].value for a in range(d)])
     metric = Jet.stack(pc.space.metric_jets(chart_jets(pc.psi_val, order)))
     G_chart = [[metric[a, b] for b in range(d)] for a in range(d)]
@@ -474,7 +475,9 @@ def _ref_mean_curvature_path(pc):
                 term = ginv[al][be].truncate(ord2) * B[al][be][a]
                 acc = term if acc is None else acc + term
         H.append(acc / float(m))
-    return {"Gam_field": Gam, "induced_metric_field": g,
+    # the evaluation keeps the composed Christoffels to the depth B uses
+    Gam2 = [[[x.truncate(ord2) for x in row] for row in plane] for plane in Gam]
+    return {"Gam_field": Gam2, "induced_metric_field": g,
             "intrinsic_christoffels": Gam_int, "B_field": B, "H_field": H}
 
 
@@ -490,8 +493,7 @@ def test_mean_curvature_path_matches_scalar_loops(name):
     """The tensor contractions round exactly as the scalar loops: the pinned
     c16 `props` ratios are quotients of round-off in H."""
     sc = load_scenario(scenario_path(name), validate=False)
-    for p in sc.sample_points():
-        pc = PointCalculus(sc.immersion, p)
+    for p, pc in zip(sc.sample_points(), calculus.evaluate(sc.immersion, sc.sample_points())):
         for field, want in _ref_mean_curvature_path(pc).items():
             got = getattr(pc, field).c
             want = _coefficients(want)
@@ -503,7 +505,7 @@ def test_mean_curvature_path_matches_scalar_loops(name):
 def test_trace_terms_shared_and_read_only():
     imm = sphere_immersion(0.8, weight="1 + 0.2*sin(u)*cos(v)")
     p = [0.7, 0.4]
-    pc = PointCalculus(imm, p)
+    pc = point_calculus(imm, p)
     tt = pc.trace_terms
     assert pc.trace_terms is tt
     with pytest.raises(ValueError):
@@ -532,10 +534,32 @@ def test_check_point_operation_counts(monkeypatch):
     sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
     imm, p = sc.immersion, sc.sample_points()[0]
     kind = sc.mode["kind"]
-    pc = PointCalculus(imm, p)
+    pc = point_calculus(imm, p)
     bi_f_tension_direct(pc)
     theorem_residual(pc, kind=kind, errata=True)
     compare_modes(pc, kind=kind, errata=True)
     assert counts["trace_terms"] == 1
     assert counts["mul"] <= 180
     assert counts["truncate"] <= 60
+
+
+def test_batched_evaluation_product_count_does_not_grow_with_points(monkeypatch):
+    """One batched evaluation makes the same number of jet products at 8 and
+    at 64 points of c13: per-point work is inside the products."""
+    counts = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[-1] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Jet, attr, counted(getattr(Jet, attr)))
+    sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
+    points = sc.sample_points()
+    assert len(points) == 64
+    for count in (8, 64):
+        counts.append(0)
+        calculus.evaluate(sc.immersion, points[:count])
+    assert counts[0] == counts[1] > 0

@@ -101,6 +101,81 @@ def test_rejected_sample_point_prints_plain_floats(tmp_path):
     assert "sample point [0.0]" in err and "np.float64" not in err
 
 
+OPEN_AXIS = """\
+[ambient]
+kind = {kind}
+
+[immersion]
+params = [u]
+u = [0.0, 1.0, open]
+map = {map}
+
+[weight]
+f = "{f}"
+
+[sampling]
+grid = [5]
+margin = 0.0
+"""
+
+# Scenarios whose sample points u = 0, 0.25, ..., 1 fail first at a middle
+# point, with the message the per-point validation printed.
+FAILING_POINT = {
+    "off_the_ball": (
+        "complex_hyperbolic\nn = 1\nhol = -4.0",
+        '["(0.5 + 2*u*(1 - u))*cos(u)", "(0.5 + 2*u*(1 - u))*sin(u)"]', "1",
+        "sample point [0.5] rejected: complex_hyperbolic chart requires |x| < 1 "
+        "(section [sampling], key 'grid')"),
+    "rank_deficient": (
+        "cosymplectic_flat\nn = 1", '["(u - 0.5)^2", "(u - 0.5)^3", "0"]', "1",
+        "sample point [0.5] rejected: immersion rank-deficient at [0.5]: "
+        "gram det 0.000e+00 (section [sampling], key 'grid')"),
+    "weight_not_positive": (
+        "cosymplectic_flat\nn = 1", '["cos(u)", "sin(u)", "0"]', "1 - 4*u*(1 - u)",
+        "weight not positive at [0.5] (f = 0.000e+00) (section [weight], key 'f')"),
+    # f vanishes at u = 0.25, before the rank-deficient point u = 0.5
+    "weight_before_rank": (
+        "cosymplectic_flat\nn = 1", '["(u - 0.5)^2", "(u - 0.5)^3", "0"]', "(u - 0.25)^2",
+        "weight not positive at [0.25] (f = 0.000e+00) (section [weight], key 'f')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_POINT))
+def test_batched_validation_names_the_first_failing_point(tmp_path, case):
+    """One batched evaluation checks the sample points; the error is the
+    one the first failing point gives alone."""
+    kind, chart_map, weight, message = FAILING_POINT[case]
+    text = OPEN_AXIS.format(kind=kind, map=chart_map, f=weight)
+    code, out, err = run_cli(["check", write(tmp_path, text)])
+    assert code == 3 and out == ""
+    assert err == f"validation error: {message}\n"
+
+
+def test_sweep_checks_refined_points(tmp_path):
+    """`sweep` evaluates its finer level with validation's checks: the map
+    is rank-deficient only at the refined point u = 3/7."""
+    text = OPEN_AXIS.format(kind="cosymplectic_flat\nn = 1",
+                            map='["(u - 3/7)^2", "(u - 3/7)^3", "0"]', f="1")
+    text = text.replace("[0.0, 1.0, open]", "[0.0, 3.0, open]").replace("[5]", "[4]")
+    code, _out, err = run_cli(["sweep", write(tmp_path, text + "\n[mode]\nsweep_target = check\n")])
+    assert code == 3
+    assert err == ("validation error: sample point [0.42857142857142855] rejected: immersion "
+                   "rank-deficient at [0.42857143]: gram det 0.000e+00 "
+                   "(section [sampling], key 'grid')\n")
+
+
+def test_variation_leaving_the_chart_exits_3(tmp_path):
+    text = OPEN_AXIS.format(kind="complex_hyperbolic\nn = 1\nhol = -4.0",
+                            map='["0.5*cos(u)", "0.5*sin(u)"]', f="1")
+    text = text.replace("[0.0, 1.0, open]", "[0.0, 6.283185307179586, periodic]")
+    text = text.replace("grid = [5]", "grid = [8]")
+    text += '\n[variation]\ncomponents = ["60*cos(u)", "60*sin(u)"]\n'
+    code, out, err = run_cli(["variation", write(tmp_path, text)])
+    assert code == 3 and out == ""
+    assert err == ("validation error: the deformed map exits the ambient chart at node 0 "
+                   "(t=0.01) (section [variation], key 'components')\n")
+
+
 MISLABELED = {
     "m1_bad_lagrangian": ("flags", "lagrangian"),
     "m2_bad_complex": ("flags", "complex"),
@@ -229,15 +304,16 @@ def test_reduction_delta_measures_with_the_ambient_metric(tmp_path):
 
 
 def _count_builds(monkeypatch):
-    """Orders of the PointCalculus instances built from now on."""
+    """Orders of the points evaluated from now on, one entry per point of
+    each batched evaluation."""
     builds = []
-    init = calculus.PointCalculus.__init__
+    init = calculus.Evaluation.__init__
 
-    def counted(self, imm, point, order=4):
-        builds.append(order)
-        init(self, imm, point, order)
+    def counted(self, imm, points, order, *args):
+        builds.extend([order] * len(points))
+        init(self, imm, points, order, *args)
 
-    monkeypatch.setattr(calculus.PointCalculus, "__init__", counted)
+    monkeypatch.setattr(calculus.Evaluation, "__init__", counted)
     return builds
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihkit import jets
 from bihkit.jets import MAX_ORDER, Composer, Jet, JetError, jet_space
 
 
@@ -283,6 +285,16 @@ def _same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
+@contextlib.contextmanager
+def _keyed_max(cap):
+    """Products whose temporary exceeds `cap` values take the rank sweep."""
+    saved, jets.KEYED_MAX = jets.KEYED_MAX, cap
+    try:
+        yield
+    finally:
+        jets.KEYED_MAX = saved
+
+
 COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-3.0, 3.0))
 
 
@@ -316,8 +328,10 @@ def test_tensor_ops_match_scalar_jets(data):
             out[idx] = op(*(Jet(sp, c[idx]) for c in cs)).c
         return out
 
-    assert _same_bits((a * b).c, entrywise(lambda x, y: x * y, ca, cb))
-    assert _same_bits((b * a).c, entrywise(lambda x, y: y * x, ca, cb))
+    for cap in (0, 1 << 62):  # the rank sweep, then one keyed bincount
+        with _keyed_max(cap):
+            assert _same_bits((a * b).c, entrywise(lambda x, y: x * y, ca, cb))
+            assert _same_bits((b * a).c, entrywise(lambda x, y: y * x, ca, cb))
     assert _same_bits((a + b).c, entrywise(lambda x, y: x + y, ca, cb))
     assert _same_bits((a - b).c, entrywise(lambda x, y: x - y, ca, cb))
     assert _same_bits((-a).c, entrywise(lambda x: -x, ca))
@@ -333,6 +347,102 @@ def test_tensor_ops_match_scalar_jets(data):
     for k in range(1, out_shape[0]):
         acc = acc + Jet(sp, ca[k])
     assert _same_bits(Jet(sp, ca).sum(0).c, acc.c)
+
+    # P base points at once: every result, at each point, is the one-point
+    # result; b has a points axis or is the same at every point
+    points = data.draw(st.integers(1, 7))
+    pa = Jet(sp, np.stack([tensor(shape_a).c for _ in range(points)], axis=-2), True)
+    pb = (Jet(sp, np.stack([tensor(shape_b).c for _ in range(points)], axis=-2), True)
+          if data.draw(st.booleans()) else b)
+
+    def per_point(op, *jets):
+        out = op(*jets)
+        for p in range(points):
+            assert _same_bits(out.at(p).c, op(*(j.at(p) for j in jets)).c)
+
+    for cap in (0, 1 << 62):
+        with _keyed_max(cap):
+            per_point(lambda x, y: x * y, pa, pb)
+            per_point(lambda x, y: y * x, pa, pb)
+    per_point(lambda x, y: x + y, pa, pb)
+    per_point(lambda x, y: y - x, pa, pb)
+    per_point(lambda x: x.sum(0), pa)
+    per_point(lambda x, y: x.sum(-1, start=y), pa, pb[..., 0] if pb.shape else pb)
+    per_point(lambda x: x.truncate(low), pa)
+    if order > 0:
+        per_point(lambda x: x.derivs(), pa)
+        per_point(lambda x: x.deriv(axis), pa)
+    # univariate functions, their derivative values taken point by point
+    scalar = pa[(0,) * len(shape_a)]
+    positive = Jet(sp, np.concatenate([np.abs(scalar.c[..., :1]) + 0.25, scalar.c[..., 1:]],
+                                      axis=-1), True)
+    for fn in (Jet.sin, Jet.cos, Jet.exp, Jet.atan):
+        per_point(fn, scalar)
+    for fn in (Jet.log, Jet.sqrt, lambda x: x ** 1.5, lambda x: x ** -2, lambda x: 1.0 / x):
+        per_point(fn, positive)
+    # Composer.apply: inner jets at each point, outer at each point or shared
+    inners = [Jet(sp, np.concatenate([np.zeros((points, 1)), c[..., 1:]], axis=-1), True)
+              for c in (positive.c, scalar.c)]
+    outer_sp = jet_space(2, order)
+    outer = Jet(outer_sp, np.reshape(data.draw(st.lists(
+        COEFF, min_size=points * outer_sp.size, max_size=points * outer_sp.size)),
+        (points, outer_sp.size)), True)
+    composed = Composer(inners).apply(outer)
+    for p in range(points):
+        want = Composer([h.at(p) for h in inners]).apply(outer.at(p))
+        assert _same_bits(composed.at(p).c, want.c)
+        assert _same_bits(Composer(inners).apply(outer.at(0)).at(p).c,
+                          Composer([h.at(p) for h in inners]).apply(outer.at(0)).c)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_batched_inverse_pivots_per_point(data):
+    """`inverse` on P points picks each point's pivot rows: rows are
+    permuted differently per point, and every point's inverse is the
+    one-point inverse bit for bit (a singular point fails the batch)."""
+    n = data.draw(st.integers(1, 4))
+    points = data.draw(st.integers(1, 7))
+    sp = jet_space(data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2)))
+    mats = []
+    for _ in range(points):
+        flat = data.draw(st.lists(COEFF, min_size=n * n * sp.size, max_size=n * n * sp.size))
+        c = np.reshape(flat, (n, n, sp.size))
+        c[range(n), range(n), 0] += 4.0  # usually invertible
+        mats.append(c[data.draw(st.permutations(range(n)))])
+    M = Jet(sp, np.stack(mats, axis=-2), True)
+    singles = []
+    for p in range(points):
+        try:
+            singles.append(M.at(p).inverse())
+        except JetError:
+            singles.append(None)
+    if any(x is None for x in singles):
+        with pytest.raises(JetError):
+            M.inverse()
+        return
+    inv = M.inverse()
+    for p in range(points):
+        assert _same_bits(inv.at(p).c, singles[p].c)
+
+
+def test_univariate_functions_make_no_constant_jets(monkeypatch):
+    """A univariate function adds its constant rows to the coefficients
+    directly instead of building a constant jet per Horner step."""
+    calls = []
+    constant = Jet.constant
+    monkeypatch.setattr(Jet, "constant", staticmethod(
+        lambda *args: calls.append(args) or constant(*args)))
+    sp = jet_space(2, 4)
+    scalar = Jet.variable(sp, 0, 0.7) * Jet.variable(sp, 1, 0.4) + 0.4
+    assert calls == [(sp, 0.4)]  # the one float added above
+    calls.clear()
+    batched = Jet.variable(sp, 0, np.array([0.3, 0.9, 1.4]))
+    for x in (scalar, Jet.stack([scalar, scalar * scalar]), batched):
+        for fn in (Jet.sin, Jet.cos, Jet.tan, Jet.exp, Jet.log, Jet.sqrt, Jet.atan,
+                   lambda y: y ** 0.5, lambda y: y ** -1, lambda y: y ** -2.5):
+            fn(x)
+    assert calls == []
 
 
 def test_tensor_layout_methods():

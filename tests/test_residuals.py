@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bihkit.calculus import Immersion, PointCalculus
+from bihkit.calculus import Immersion
 from bihkit.residuals import (
     COROLLARIES,
     ERRATA,
@@ -14,6 +14,7 @@ from bihkit.residuals import (
     theorem_residual,
 )
 from bihkit.spaces import SpaceError, curvature_model, make_space
+from conftest import point_calculus
 
 S3 = make_space("sasakian_sphere", n=1, ctilde=1.0)
 S3D = make_space("sasakian_sphere", n=1, ctilde=3.0)
@@ -36,36 +37,36 @@ def great_circle():
 
 def test_tension_examples():
     # geodesic great circle: tau = 0
-    assert np.abs(tension(PointCalculus(great_circle(), [0.4]))).max() <= 1e-12
+    assert np.abs(tension(point_calculus(great_circle(), [0.4]))).max() <= 1e-12
     # S^2(r) in flat space: |tau| = 2/r
     r = 0.7
     imm = Immersion.from_strings(
         ["u", "v"], FLAT3,
         [f"{r}*cos(v)*cos(u)", f"{r}*cos(v)*sin(u)", f"{r}*sin(v)"], "1")
-    tau = tension(PointCalculus(imm, [0.5, 0.3]))
+    tau = tension(point_calculus(imm, [0.5, 0.3]))
     assert np.linalg.norm(tau) == pytest.approx(2.0 / r, abs=1e-9)
 
 
 def test_bitension_known_examples():
     # proper biharmonic small sphere
-    assert np.linalg.norm(bitension_direct(PointCalculus(small_sphere(), [0.7, 0.4]))) <= 1e-6
+    assert np.linalg.norm(bitension_direct(point_calculus(small_sphere(), [0.7, 0.4]))) <= 1e-6
     # minimal great sphere: everything zero
     great = Immersion.from_strings(
         ["u", "v"], S3, ["cos(v)*cos(u)", "cos(v)*sin(u)", "sin(v)"], "1")
-    assert np.linalg.norm(tension(PointCalculus(great, [0.7, 0.4]))) <= 1e-10
-    assert np.linalg.norm(bitension_direct(PointCalculus(great, [0.7, 0.4]))) <= 1e-10
+    assert np.linalg.norm(tension(point_calculus(great, [0.7, 0.4]))) <= 1e-10
+    assert np.linalg.norm(bitension_direct(point_calculus(great, [0.7, 0.4]))) <= 1e-10
     # unit sphere in flat space: residual norm 4
     flat_sphere = Immersion.from_strings(
         ["u", "v"], FLAT3, ["cos(v)*cos(u)", "cos(v)*sin(u)", "sin(v)"], "1")
-    assert np.linalg.norm(bitension_direct(PointCalculus(flat_sphere, [0.7, 0.4]))) >= 0.1
+    assert np.linalg.norm(bitension_direct(point_calculus(flat_sphere, [0.7, 0.4]))) >= 0.1
 
 
 def test_constant_weight_reductions():
     imm1 = small_sphere("1")
     imm3 = small_sphere("3")
     p = [0.7, 0.4]
-    t2 = bitension_direct(PointCalculus(imm1, p))
-    fb = f_bitension_direct(PointCalculus(imm3, p))
+    t2 = bitension_direct(point_calculus(imm1, p))
+    fb = f_bitension_direct(point_calculus(imm3, p))
     assert np.abs(fb - 3.0 * t2).max() <= 1e-10
     # bi-f field is parallel to the bitension for constant weight
     nonminimal = Immersion.from_strings(
@@ -73,8 +74,8 @@ def test_constant_weight_reductions():
     base = Immersion.from_strings(
         ["u"], S3, ["0.5*cos(u)", "0.4*sin(u)", "0.2 + 0.1*sin(u)"], "1")
     p = [0.9]
-    bf = bi_f_tension_direct(PointCalculus(nonminimal, p))
-    t2 = bitension_direct(PointCalculus(base, p))
+    bf = bi_f_tension_direct(point_calculus(nonminimal, p))
+    t2 = bitension_direct(point_calculus(base, p))
     # stable wedge norm: |a ^ b| = |a - proj_b a| |b|
     rej = bf - (np.dot(bf, t2) / np.dot(t2, t2)) * t2
     cross = np.linalg.norm(rej) * np.linalg.norm(t2)
@@ -87,10 +88,10 @@ def test_f_constant_one_matches_bitension():
     imm = small_sphere("1")
     p = [0.3, 0.9]
     assert np.array_equal(
-        f_bitension_direct(PointCalculus(imm, p)), f_bitension_direct(PointCalculus(imm, p))
+        f_bitension_direct(point_calculus(imm, p)), f_bitension_direct(point_calculus(imm, p))
     )
     assert np.abs(
-        f_bitension_direct(PointCalculus(imm, p)) - bitension_direct(PointCalculus(imm, p))
+        f_bitension_direct(point_calculus(imm, p)) - bitension_direct(point_calculus(imm, p))
     ).max() <= 1e-14
 
 
@@ -98,9 +99,9 @@ def test_abstract_ambient_rejected_for_direct():
     ab = make_space("abstract_gssf", n=1, f1="1", f2="0", f3="0")
     imm = Immersion.from_strings(["u"], ab, ["cos(u)", "sin(u)", "0"], "1")
     with pytest.raises(SpaceError):
-        bitension_direct(PointCalculus(imm, [0.1]))
+        bitension_direct(point_calculus(imm, [0.1]))
     with pytest.raises(SpaceError):
-        theorem_residual(PointCalculus(imm, [0.1]), kind="fbh")
+        theorem_residual(point_calculus(imm, [0.1]), kind="fbh")
 
 
 def test_term_breakdown_sums_to_residual():
@@ -110,7 +111,7 @@ def test_term_breakdown_sums_to_residual():
          "0.2*sin(v) + 0.1"],
         "1 + 0.2*sin(u)*cos(v)")
     for kind in ("fbh", "bif"):
-        rep = theorem_residual(PointCalculus(imm, [0.4, 1.1]), kind=kind, errata=True)
+        rep = theorem_residual(point_calculus(imm, [0.4, 1.1]), kind=kind, errata=True)
         normal = np.zeros(3)
         tangent = np.zeros(3)
         for name, part, coeff, contrib in rep.terms:
@@ -143,7 +144,7 @@ MODE_CASES = [
 @pytest.mark.parametrize("kind,imm,points", MODE_CASES)
 def test_mode_agreement_with_errata(kind, imm, points):
     for p in points:
-        out = compare_modes(PointCalculus(imm, p), kind=kind, errata=True)
+        out = compare_modes(point_calculus(imm, p), kind=kind, errata=True)
         assert out["delta_normal"] <= 1e-10
         assert out["delta_tangent"] <= 1e-10
         assert out["agree"]
@@ -153,7 +154,7 @@ def test_mode_disagreement_without_errata_is_itemized():
     imm = Immersion.from_strings(
         ["u"], S3D, ["0.5*cos(u)", "0.4*sin(u)", "0.2 + 0.1*sin(u)"],
         "1 + 0.3*cos(u)")
-    out = compare_modes(PointCalculus(imm, [0.3]), kind="fbh", errata=False)
+    out = compare_modes(point_calculus(imm, [0.3]), kind="fbh", errata=False)
     assert not out["agree"]
     # every itemized term carries a catalogued correction
     catalogued = {e.term for e in ERRATA}
@@ -190,7 +191,7 @@ def test_gcsf_curvature_trace_identity():
         ["u", "v"], fs, ["0.3*cos(u)", "0.3*sin(u)", "0.2*cos(v)", "0.2*sin(v)"],
         "1")
     p = [0.4, 1.0]
-    pc = PointCalculus(imm, p)
+    pc = point_calculus(imm, p)
     tt = pc.trace_terms
     lhs = model_trace(pc, tt.H)
     alpha, beta = tt.coeffs
@@ -207,7 +208,7 @@ def test_gssf_curvature_trace_identity():
         ["(0.5 + 0.2*cos(v))*cos(u)", "(0.5 + 0.2*cos(v))*sin(u)",
          "0.2*sin(v) + 0.1"], "1")
     p = [0.7, 0.9]
-    pc = PointCalculus(imm, p)
+    pc = point_calculus(imm, p)
     tt = pc.trace_terms
     f1, f2, f3 = tt.coeffs
     xi = S3D.structure_at(pc.psi_val)["xi"]
@@ -228,7 +229,7 @@ def test_gradf_curvature_trace_lemmas():
         ["u", "v"], fs, ["0.3*cos(u)", "0.3*sin(u)", "0.2*cos(v)", "0.2*sin(v)"],
         "1 + 0.2*sin(u)")
     p = [0.4, 1.0]
-    pc = PointCalculus(imm, p)
+    pc = point_calculus(imm, p)
     tt = pc.trace_terms
     alpha, beta = tt.coeffs
     lhs = model_trace(pc, tt.grad_f)
@@ -240,7 +241,7 @@ def test_gradf_curvature_trace_lemmas():
         ["u", "v"], S3D,
         ["(0.5 + 0.2*cos(v))*cos(u)", "(0.5 + 0.2*cos(v))*sin(u)",
          "0.2*sin(v) + 0.1"], "1 + 0.2*sin(u)")
-    pc2 = PointCalculus(imm2, p)
+    pc2 = point_calculus(imm2, p)
     tt2 = pc2.trace_terms
     f1, f2, f3 = tt2.coeffs
     st = S3D.structure_at(pc2.psi_val)
@@ -261,7 +262,7 @@ def test_bif_general_matches_direct():
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"],
         "1 + 0.25*sin(u)*cos(v)")
     p = [0.4, 1.3]
-    pc = PointCalculus(imm, p)
+    pc = point_calculus(imm, p)
     rep = theorem_residual(pc, kind="bif_general", errata=True)
     direct = bi_f_tension_direct(pc)
     P_tan, P_nor = pc.projectors
@@ -272,7 +273,7 @@ def test_bif_general_matches_direct():
 def _reduction_delta(imm, p, name, errata=True):
     cor = COROLLARIES[name]
     kind = "fbh" if cor.equation.startswith("fbh") else "bif"
-    pc = PointCalculus(imm, p)
+    pc = point_calculus(imm, p)
     rep_parent = theorem_residual(pc, kind=kind, errata=errata)
     rep_cor = theorem_residual(pc, kind=kind, errata=errata, corollary=name)
     return max(

@@ -304,3 +304,42 @@ def test_sasaki_phi_sectional_curvature():
             X = X - (st["eta"] @ X) * st["xi"]  # X in the contact plane
             K = sectional_curvature(sp, p, X, st["phi"] @ X)
             assert K == pytest.approx(ct, abs=1e-7)
+
+
+CONCRETE = {
+    "euclidean_complex": {"n": 1},
+    "fubini_study": {"n": 2, "hol": 4.0},
+    "complex_hyperbolic": {"n": 1, "hol": -4.0},
+    "sasakian_sphere": {"n": 1, "ctilde": 3.0},
+    "cosymplectic_flat": {"n": 1},
+    "kenmotsu_hyperbolic": {"n": 1},
+}
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", sorted(CONCRETE))
+def test_batched_chart_jets_match_each_point(kind):
+    """Chart jets seeded at P points at once give, at each point, the
+    metric, structure and Christoffel jets of that point alone, bit for
+    bit, at every order."""
+    sp = make_space(kind, **CONCRETE[kind])
+    points = RNG.uniform(-0.45, 0.45, size=(5, sp.chart_dim))
+    for order in range(5):
+        x = chart_jets(points, order)
+        metric = Jet.stack(sp.metric_jets(x))
+        structure = {k: Jet.stack(v) for k, v in sp.structure_jets(x).items()}
+        gam = metric_and_christoffel_jets(sp, points, order)[1] if order else None
+        for i, p in enumerate(points):
+            one = chart_jets(p, order)
+            assert _same_bits(metric.at(i).c, Jet.stack(sp.metric_jets(one)).c)
+            for k, v in sp.structure_jets(one).items():
+                assert _same_bits(structure[k].at(i).c, Jet.stack(v).c)
+            if order:
+                assert _same_bits(gam.at(i).c, metric_and_christoffel_jets(sp, p, order)[1].c)
+    G, Gam = christoffels_at(sp, points)
+    for i, p in enumerate(points):
+        assert all(map(_same_bits, (G[i], Gam[i]), christoffels_at(sp, p)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bihkit.calculus import Immersion, PointCalculus
+from bihkit.calculus import Immersion, evaluate, immersion_jets
 from bihkit.residuals import tension
 from bihkit.spaces import ChartError, make_space
 from bihkit.variational import (
@@ -12,7 +12,8 @@ from bihkit.variational import (
     energies,
     first_variation_suite,
 )
-from bihkit.variational import _deformed_tension_data, _integrand, _NodeData, _zero_jets
+from bihkit.variational import _deformed_tension_data, _frozen, _integrand
+from conftest import get_scenario, point_calculus
 
 TAU = 2.0 * np.pi
 FLAT3 = make_space("cosymplectic_flat", n=1)
@@ -31,10 +32,11 @@ def test_circle_energy_closed_forms():
     assert values["E2"] == pytest.approx(np.pi, abs=1e-12)
     EF = energies(circle("2"), grid)["EF"]
     assert EF == pytest.approx(2.0 * np.pi, abs=1e-12)
-    node = _NodeData(imm, grid.points[0])
-    data = _deformed_tension_data(node, _zero_jets(node), 0.0)
+    frozen = _frozen(imm, grid.points, 2)
+    psi = immersion_jets(imm, grid.points, 2)[0]
+    tau, dpsi, G = _deformed_tension_data(FLAT3, frozen, psi, psi * 0.0, 0.0)
     with pytest.raises(ValueError):
-        _integrand(node, "E3", data)
+        _integrand(frozen, 0, "E3", tau[0], dpsi[0], G[0])
 
 
 def test_quadrature_grid_shapes():
@@ -73,7 +75,7 @@ def test_sign_coherence_tension_from_energy():
     its sign (pairing constant +1)."""
     imm = circle()
     assert VARIATION_PAIRING["E"] == 1.0
-    pc = PointCalculus(imm, [0.3])
+    pc = point_calculus(imm, [0.3])
     el = el_field(pc, "E")
     assert np.abs(el - tension(pc)).max() == 0.0
     grid = QuadratureGrid([(0.0, TAU, 24, True)])
@@ -132,8 +134,9 @@ def test_variation_chart_exit_detected():
 
 
 def test_first_variation_builds_the_metric_once_per_node_and_step(monkeypatch):
-    """Each deformed map is evaluated from one chart build per quadrature
-    node and step: the metric and its Christoffels come from the same jets."""
+    """Each deformed map is evaluated from one chart build per step, for all
+    quadrature nodes at once: the metric and its Christoffels come from the
+    same jets, which hold one point per node."""
     from bihkit import variational
 
     space = make_space("sasakian_sphere", n=1, ctilde=1.0)
@@ -150,19 +153,47 @@ def test_first_variation_builds_the_metric_once_per_node_and_step(monkeypatch):
     monkeypatch.setattr(space, "metric_jets", counted_metric)
     deformed = variational._deformed_tension_data
 
-    def counted(node, v_jets, t):
+    def counted(*args):
         before = len(builds)
-        out = deformed(node, v_jets, t)
-        per_call.append(len(builds) - before)
+        out = deformed(*args)
+        per_call.append(builds[before:])
         return out
 
     monkeypatch.setattr(variational, "_deformed_tension_data", counted)
     steps = (1e-2, 1e-3)
     first_variation_suite(imm, grid, ["E", "E2"], ["0.1*cos(u)", "0", "0"], steps=steps)
-    assert per_call == [1] * (len(grid) * 2 * len(steps))
+    assert len(per_call) == 2 * len(steps)
+    for calls in per_call:
+        assert len(calls) == 1
+        # every chart coordinate holds the positions of all the nodes
+        assert all(xi.point_values(len(grid)).shape == (len(grid),) for xi in calls[0])
+        assert all(xi.c.size == len(grid) * xi.space.size for xi in calls[0])
 
 
 def test_el_field_pairing_table():
     assert VARIATION_PAIRING == {
         "E": 1.0, "EF": 1.0, "E2": -1.0, "E2F": -1.0, "EF2": 2.0
     }
+
+
+def _bits(x):
+    x = np.ascontiguousarray(x, dtype=float)
+    return x.shape, x.view(np.int64).tobytes()
+
+
+@pytest.mark.parametrize("name", ["c04_small_sphere", "c08_hopf_torus",
+                                  "c12_torus_deformed_generic"])
+def test_order_4_node_evaluation_serves_the_frozen_metric(name):
+    """The frozen metric data of the order-4 evaluation of the quadrature
+    nodes (the one the pairing uses) equal those of an order-2 evaluation
+    bit for bit, so one evaluation per node serves both."""
+    sc = get_scenario(name)
+    points = sc.quadrature().points
+    def frozen(pc):
+        """g, its inverse and Christoffels, det g, f and df at a node."""
+        return [pc.g_val, pc.g_inv_val, pc.intrinsic_christoffels.values, pc.gram_det,
+                pc.f_jet.value, [pc.f_jet.deriv(al).value for al in range(pc.m)]]
+
+    for deep, shallow in zip(evaluate(sc.immersion, points, 4),
+                             evaluate(sc.immersion, points, 2)):
+        assert list(map(_bits, frozen(deep))) == list(map(_bits, frozen(shallow)))
