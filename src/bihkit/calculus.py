@@ -37,7 +37,7 @@ __all__ = [
     "Evaluation",
     "evaluate",
     "evaluate_batches",
-    "immersion_jets",
+    "map_jets",
     "parameter_jets",
     "TraceTerms",
     "CalcError",
@@ -202,13 +202,12 @@ def parameter_jets(params, points, order):
     return {name: Jet.variable(sp, i, points[:, i]) for i, name in enumerate(params)}
 
 
-def immersion_jets(imm, points, order):
-    """(psi, f): the map, as a vector jet over the chart axes, and the
-    weight, as jets of the given order at each row of a (P, m) array of
-    parameter points (a constant comes out without points axis)."""
+def map_jets(imm, points, order):
+    """The map, as a vector jet over the chart axes, of the given order at
+    each row of a (P, m) array of parameter points.  The weight is not
+    evaluated."""
     env = parameter_jets(imm.params, points, order)
-    psi = Jet.stack([eval_on_jets(c, env) for c in imm.components])
-    return psi, eval_on_jets(imm.weight, env)
+    return Jet.stack([eval_on_jets(c, env) for c in imm.components])
 
 
 def _laplacian_pos(ginv, Gam_int, scalar_jet):
@@ -315,7 +314,9 @@ def evaluate(imm, points, order=4):
     points = np.asarray(points, dtype=float)
     count = len(points)
     m, d = imm.param_dim, space.chart_dim
-    psi, f_jet = immersion_jets(imm, points, order)
+    psi = map_jets(imm, points, order)
+    # a constant weight comes out without points axis
+    f_jet = eval_on_jets(imm.weight, parameter_jets(imm.params, points, order))
     psi_val = psi.point_values(count)
     space.chart_check(psi_val)
     G, Gam, chart_gam = _ambient_along(space, psi, psi_val, order)
@@ -625,7 +626,10 @@ class PointCalculus:
 def drain(calcs):
     """Yield the evaluations in `calcs` in order, removing each from the list
     first: the caller's loop then holds the only reference to the point it
-    works on, and a point's evaluation is released once the loop moves on."""
+    works on.  A point's cached quantities are released once the loop moves
+    on; its jet fields are views into the arrays of its batch, which are
+    released once the loop has left every point of that batch (at most
+    BATCH_POINTS points)."""
     calcs.reverse()
     while calcs:
         yield calcs.pop()

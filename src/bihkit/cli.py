@@ -20,7 +20,7 @@ import time
 
 from . import __version__
 from .audits import curvature_trace_audit, run_all_audits
-from .calculus import FLAG_TOL, drain, immersion_jets
+from .calculus import FLAG_TOL, drain, map_jets
 from .props import proposition_checkers
 from .report import render_report, write_csv
 from .residuals import compare_modes, direct_field, theorem_residual
@@ -126,7 +126,7 @@ def cmd_audit(sc, args, out, calcs):
     if not sc.immersion.ambient.has_metric:
         seed = args.seed if args.seed is not None else sc.seed
         # evaluate the immersion map as plain chart positions
-        psi = immersion_jets(sc.immersion, points, 0)[0]
+        psi = map_jets(sc.immersion, points, 0)
         chart_points = psi.point_values(len(points))
         result = curvature_trace_audit(sc.immersion.ambient, chart_points, seed=seed)
         out["curvature_trace_audit"] = result

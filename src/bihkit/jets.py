@@ -39,10 +39,9 @@ Float order.  Every operation on a tensor jet, or on P points, rounds
 exactly as the same operation on each entry at each point as a scalar jet
 would:
   * a product accumulates, per output coefficient, its terms in table order
-    starting from 0.0: by one `np.bincount` over all entries (offset per
-    entry) while its temporary, entries x table pairs, stays small, else by a
-    sweep over the table by rank (step r adds the r-th term of every output
-    that has one), whose temporaries hold at most S values per entry;
+    starting from 0.0: by a sweep over the table by rank (step r adds the
+    r-th term of every output that has one), whose temporaries hold at most
+    S values per entry, or, for two scalar jets, by one `np.bincount`;
   * `sum` adds the slices of an axis left to right, never pairwise;
   * the operand order of a product is kept (a*b and b*a accumulate in a
     different order);
@@ -183,26 +182,9 @@ def _constant_terms(value, size):
     return c
 
 
-# Largest product temporary (entries x table pairs) that `_product` builds
-# whole for one keyed bincount; a larger product takes the rank sweep.  For
-# a (4, 4) matrix of order-3 jets in 3 variables the bincount is 3x faster
-# (28 against 86 us); for 64 points of a (4, 4) matrix of order-4 jets the
-# sweep is 6x faster (0.75 against 4.7 ms; 2-vCPU Xeon, numpy 2.4).
-KEYED_MAX = 1 << 14
-
-
 def _product(space, x, y):
     """Coefficients of the products of the (broadcast) jets x and y; each
     output adds its terms in table order from 0.0."""
-    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-    if math.prod(shape) * len(space._mul_k) <= KEYED_MAX:
-        # entry n's table row k goes to bin n*size + k, so one bincount
-        # keeps every entry's table order
-        prod = x[..., space._mul_i] * y[..., space._mul_j]
-        count = prod.size // prod.shape[-1]
-        keys = (np.arange(count)[:, None] * space.size + space._mul_k).ravel()
-        out = np.bincount(keys, weights=prod.ravel(), minlength=count * space.size)
-        return out.reshape(*prod.shape[:-1], space.size)
     # the rank sweep: step r adds the r-th term of every output that has one
     steps = iter(space._sweep)
     i, j, _n = next(steps)
@@ -503,9 +485,12 @@ class Jet:
             return NotImplemented
         sp = self.space
         if self.c.ndim == 1 == o.c.ndim:
-            # scalar jets skip the bin keys: 1.6 us against 7.5 us for an
-            # S = 5 product, 6 % of the curves and 9 % of the variation2d
-            # benchmark wall time (2-vCPU Xeon, numpy 2.4)
+            # scalar jets take one bincount, same float order as the sweep:
+            # 3.3 us against 23 us for an S = 5 product.  The benchmark
+            # workloads do not notice (within 1 %), but the scalar-loop
+            # references of the tier-1 tests do: the suite takes 15 s with
+            # it and 22 s, over its 20 s budget, without (2-vCPU Xeon,
+            # numpy 2.4)
             prod = self.c[sp._mul_i] * o.c[sp._mul_j]
             return Jet(sp, np.bincount(sp._mul_k, weights=prod, minlength=sp.size))
         (x, y), batched = Jet._common([self, o])

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (BATCH_POINTS, FLAG_NAMES, FLAG_TOL, FlagError, Immersion,
-                       evaluate, immersion_jets, verify_flags)
+                       evaluate, map_jets, verify_flags)
 from .expr import ParseError, parse
 from .residuals import COROLLARIES, equation_for
 from .spaces import ChartError, SpaceError, make_space
@@ -482,7 +482,7 @@ def _validate(sc):
             continue
         ends = np.array([points[0], points[0]])
         ends[0, i], ends[1, i] = ax.lo, ax.hi
-        a, b = immersion_jets(imm, ends, 0)[0].point_values(2)
+        a, b = map_jets(imm, ends, 0).point_values(2)
         if float(np.max(np.abs(a - b))) > 1e-10:
             raise ScenarioError(
                 f"axis {ax.name!r} declared periodic but map endpoints differ "

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import evaluate_batches, immersion_jets, parameter_jets
+from .calculus import evaluate_batches, map_jets, parameter_jets
 from .expr import eval_on_jets, parse
 from .jets import Jet
 from .residuals import (
@@ -200,7 +200,7 @@ def _energy_values(space, frozen, weights, whichs, psi, v, t):
 def energies(imm, grid):
     """Quadrature values {which: value} of the five functionals on the
     undeformed immersion, from one evaluation per node."""
-    psi = immersion_jets(imm, grid.points, 2)[0]
+    psi = map_jets(imm, grid.points, 2)
     zero = Jet.constant(psi.space, np.zeros(imm.ambient.chart_dim))
     return _energy_values(imm.ambient, _frozen(imm, grid.points, 2), grid.weights,
                           ENERGIES, psi, zero, 0.0)
@@ -243,7 +243,7 @@ def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)
     env = parameter_jets(imm.params, grid.points, 2)
     v = Jet.stack([eval_on_jets(e, env) for e in v_exprs])
     V = v.point_values(len(grid))
-    psi = immersion_jets(imm, grid.points, 2)[0]
+    psi = map_jets(imm, grid.points, 2)
 
     # one order-4 evaluation per node gives the frozen metric and, through
     # the Euler-Lagrange fields, the pairing

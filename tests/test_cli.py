@@ -221,6 +221,15 @@ def test_abstract_ambient_runs_audit_only(tmp_path, command, expected):
         assert "section [ambient], key 'kind'" in err
 
 
+def test_abstract_audit_does_not_evaluate_the_weight(tmp_path):
+    """The curvature-model audit reads only the map: a weight undefined at
+    the sample point u = 0 does not fail it."""
+    text = ABSTRACT.replace("[sampling]", '[weight]\nf = "log(u)"\n\n[sampling]')
+    code, out, err = run_cli(["audit", write(tmp_path, text)])
+    assert code == 0, err
+    assert "curvature_trace_audit:" in out
+
+
 def _assert_matches_reference(monkeypatch, job, reference=None):
     monkeypatch.chdir(ROOT)  # reports print the scenario path they were given
     code, report = run_job(cli, sys.modules["bihkit.report"], job)

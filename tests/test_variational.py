@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bihkit.calculus import Immersion, evaluate, immersion_jets
+from bihkit.calculus import Immersion, evaluate, map_jets
 from bihkit.residuals import tension
 from bihkit.spaces import ChartError, make_space
 from bihkit.variational import (
@@ -33,7 +33,7 @@ def test_circle_energy_closed_forms():
     EF = energies(circle("2"), grid)["EF"]
     assert EF == pytest.approx(2.0 * np.pi, abs=1e-12)
     frozen = _frozen(imm, grid.points, 2)
-    psi = immersion_jets(imm, grid.points, 2)[0]
+    psi = map_jets(imm, grid.points, 2)
     tau, dpsi, G = _deformed_tension_data(FLAT3, frozen, psi, psi * 0.0, 0.0)
     with pytest.raises(ValueError):
         _integrand(frozen, 0, "E3", tau[0], dpsi[0], G[0])
