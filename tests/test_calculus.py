@@ -563,3 +563,158 @@ def test_batched_evaluation_product_count_does_not_grow_with_points(monkeypatch)
         counts.append(0)
         calculus.evaluate(sc.immersion, points[:count])
     assert counts[0] == counts[1] > 0
+
+
+# -- index-loop references of the per-point contractions ------------------------
+# The nested loops the trace terms, the rough Laplacian and the intrinsic
+# Laplacian of the lemgene2 audit were first written with.  The contractions
+# add in numpy's order, so they agree to round-off, not bit for bit.
+
+
+def _ref_normal_trace(pc, fields, values):
+    """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g)."""
+    P_nor = pc.projectors[1]
+    Gam_int = pc.intrinsic_christoffels.values
+    ginv = pc.g_inv_val
+    covd = [pc.pullback_derivative(fields, al).values for al in range(pc.m)]
+    out = np.zeros(pc.d)
+    for al in range(pc.m):
+        for be in range(pc.m):
+            term = P_nor @ covd[al][be]
+            corr = np.zeros(pc.d)
+            for g in range(pc.m):
+                corr += Gam_int[g, al, be] * values[g]
+            out += ginv[al, be] * (term - corr)
+    return out
+
+
+def _ref_ricci(pc):
+    m = pc.m
+    Gam = pc.intrinsic_christoffels
+    Gv = Gam.values                                  # Gv[k, i, j]
+    dGv = np.moveaxis(Gam.derivs().values, -1, 0)    # dGv[l, k, i, j]
+    ric = np.zeros((m, m))
+    for j in range(m):
+        for k in range(m):
+            acc = 0.0
+            for i in range(m):
+                acc += (dGv[i, i, j, k] - dGv[j, i, i, k]
+                        + np.dot(Gv[i, i, :], Gv[:, j, k])
+                        - np.dot(Gv[i, j, :], Gv[:, i, k]))
+            ric[j, k] = acc
+    return ric
+
+
+def _ref_trace_terms(pc):
+    """The loop-built trace terms of `pc`, by their `TraceTerms` names."""
+    m, d = pc.m, pc.d
+    ginv, G0, dpsi, B, H = pc.g_inv_val, pc.G_val, pc.dpsi_val, pc.B_val, pc.H_val
+    ip = lambda u, v: float(u @ G0 @ v)
+    ord2 = pc.order - 2
+    # nabla-perp H along each coordinate direction, as jets and values
+    covd = Jet.stack([pc.pullback_derivative(pc.H_field, al) for al in range(m)])
+    N = (-pc.projector_field).add_diagonal(1.0).truncate(covd.space.order)
+    W_fields = (N[None] * covd[:, None, :]).sum(-1)
+    W = W_fields.values
+    X = pc.grad_f_param_field
+    gfp = pc.grad_f_param
+    omega_fields = (pc.B_field * X.truncate(ord2)[None, :, None]).sum(1)
+    omega = omega_fields.values
+    out = {"ta_nabla_perp_h": np.zeros(d), "ta_b_grad_f": np.zeros(d)}
+    for al in range(m):
+        for be in range(m):
+            for ga in range(m):
+                for de in range(m):
+                    w = ginv[al, be] * ginv[ga, de]
+                    out["ta_nabla_perp_h"] += w * ip(B[be, de], W[al]) * dpsi[:, ga]
+                    out["ta_b_grad_f"] += w * ip(B[be, de], omega[al]) * dpsi[:, ga]
+    Gam_int = pc.intrinsic_christoffels.values
+    dX = X.derivs().values
+    hess_vec = np.zeros((m, m))
+    for be in range(m):
+        for g in range(m):
+            acc = dX[g, be]
+            for de in range(m):
+                acc += Gam_int[g, be, de] * gfp[de]
+            hess_vec[be, g] = acc
+    out["tb_hess_f"] = np.zeros(d)
+    for al in range(m):
+        for be in range(m):
+            for g in range(m):
+                out["tb_hess_f"] += ginv[al, be] * hess_vec[be, g] * B[al, g]
+    out["a_h_grad_f"] = np.zeros(d)
+    for ga in range(m):
+        for be in range(m):
+            out["a_h_grad_f"] += (ginv[ga, be] * ip(np.einsum("a,abk->bk", gfp, B)[be], H)
+                                  * dpsi[:, ga])
+    out["nabla_perp_h_norm2"] = 0.0
+    for al in range(m):
+        for be in range(m):
+            out["nabla_perp_h_norm2"] += ginv[al, be] * ip(W[al], W[be])
+    out["b_norm2"] = 0.0
+    for al in range(m):
+        for be in range(m):
+            for ga in range(m):
+                for de in range(m):
+                    out["b_norm2"] += ginv[al, ga] * ginv[be, de] * ip(B[al, be], B[ga, de])
+    out["delta_perp_h_pos"] = -_ref_normal_trace(pc, W_fields, W)
+    out["tnb_grad_f"] = _ref_normal_trace(pc, omega_fields, omega)
+    out["scal"] = float(np.tensordot(ginv, _ref_ricci(pc)))
+    return out
+
+
+def _ref_rough_laplacian(pc, field):
+    """tr_g nabla^2 of an ambient jet field."""
+    first = Jet.stack([pc.pullback_derivative(field, al) for al in range(pc.m)])
+    second = [pc.pullback_derivative(first, al).values for al in range(pc.m)]
+    first_val = first.values
+    ginv, Gam_int = pc.g_inv_val, pc.intrinsic_christoffels.values
+    out = np.zeros(pc.d)
+    for al in range(pc.m):
+        for be in range(pc.m):
+            corr = np.zeros(pc.d)
+            for g in range(pc.m):
+                corr = corr + Gam_int[g, al, be] * first_val[g]
+            out = out + ginv[al, be] * (second[al][be] - corr)
+    return out
+
+
+def _ref_intrinsic_rough_laplacian_gradf(pc):
+    """tr nabla^2 grad f of the induced metric, in ambient components."""
+    m = pc.m
+    Gam = pc.intrinsic_christoffels
+    X = pc.grad_f_param_field
+    cov = (Gam * X.truncate(Gam.space.order)[None, None]).sum(-1, start=X.derivs())
+    cov_val, dcov_val = cov.values, cov.derivs().values
+    Gv, ginv = Gam.values, pc.g_inv_val
+    out_param = np.zeros(m)
+    for al in range(m):
+        for be in range(m):
+            for g in range(m):
+                acc = dcov_val[g, be, al]
+                for de in range(m):
+                    acc += Gv[g, al, de] * cov_val[de, be]
+                    acc -= Gv[de, al, be] * cov_val[g, de]
+                out_param[g] += ginv[al, be] * acc
+    return pc.dpsi_val @ out_param
+
+
+@pytest.mark.parametrize("name", ["c08_hopf_torus", "c12_torus_deformed_generic",
+                                  "c18_hypersphere_cp2"])
+def test_contractions_match_index_loops(name):
+    """Every sample point: the trace terms, tr nabla^2 H and the intrinsic
+    tr nabla^2 grad f agree with their index loops to 1e-12 relative (with
+    the catalog equality rule's absolute floor of 1e-12)."""
+    from bihkit.audits import _intrinsic_rough_laplacian_gradf
+
+    sc = load_scenario(scenario_path(name), validate=False)
+    for pc in calculus.evaluate(sc.immersion, sc.sample_points()):
+        tt = pc.trace_terms
+        pairs = [(key, getattr(tt, key), want) for key, want in _ref_trace_terms(pc).items()]
+        pairs += [("rough_laplacian", pc.rough_laplacian(pc.H_field),
+                   _ref_rough_laplacian(pc, pc.H_field)),
+                  ("intrinsic_laplacian", _intrinsic_rough_laplacian_gradf(pc)[0],
+                   _ref_intrinsic_rough_laplacian_gradf(pc))]
+        for key, got, want in pairs:
+            err = np.abs(np.subtract(got, want)).max()
+            assert err <= 1e-12 * max(1.0, np.abs(want).max()), (key, pc.point, err)

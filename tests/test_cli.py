@@ -240,19 +240,15 @@ def _assert_matches_reference(monkeypatch, job, reference=None):
 
 # Reports pinned under tests/golden/<command>.<scenario>.txt, in the format
 # of the benchmark's references.
-GOLDEN_JOBS = [("check", "c03_lagrangian_torus"), ("audit", "c03_lagrangian_torus")] + [
-    (command, scenario)
-    for scenario in ("c07_complex_curve", "c08_hopf_torus", "c12_torus_deformed_generic")
-    for command in ("check", "audit", "props")
-]
+GOLDEN_JOBS = sorted(tuple(name.split(".")[:2]) for name in os.listdir(GOLDEN_DIR))
 
 
 @pytest.mark.parametrize("job", GOLDEN_JOBS, ids=job_name)
 def test_catalog_reports_match_goldens(monkeypatch, job):
-    """`check`/`audit` on c03 and `check`/`audit`/`props` on c07, c08 and
-    c12: complex and Lagrangian flags, an anti-invariant hypersurface with
-    tangent Reeb field, `props` exit 2 on c08 and every curvature term on
-    c12, pinned with their exit codes."""
+    """The catalog reports the benchmark does not pin, with their exit
+    codes: complex and Lagrangian flags, hypersurfaces with tangent Reeb
+    field, spheres in flat and curved ambients, `props` exit 2 on c08, c11,
+    c13 and c18, and every curvature term on c12."""
     with open(os.path.join(GOLDEN_DIR, f"{job[0]}.{job[1]}.txt"), encoding="utf-8") as fh:
         first, _, report = fh.read().partition("\n")
     _assert_matches_reference(monkeypatch, job, (int(first.removeprefix("# exit ")), report))
