@@ -78,25 +78,17 @@ def audit_mean_curvature_laplacian(pc):
 
 def _intrinsic_rough_laplacian_gradf(pc):
     """tr nabla^2 grad f of the induced metric, in ambient components."""
-    m = pc.m
     Gam = pc.intrinsic_christoffels
-    ginv = pc.g_inv_val
     X = pc.grad_f_param_field  # components, order 3
     # cov[g, be] = (nabla_be X)^g as order-2 jet fields
     terms = Gam * X.truncate(Gam.space.order)[None, None]
     cov = terms.sum(-1, start=X.derivs())
-    cov_val, dcov_val = cov.values, cov.derivs().values
-    Gv = Gam.values
-    out_param = np.zeros(m)
-    for al in range(m):
-        for be in range(m):
-            for g in range(m):
-                # (nabla_al nabla_be X)^g minus the Christoffel corrections
-                acc = dcov_val[g, be, al]
-                for de in range(m):
-                    acc += Gv[g, al, de] * cov_val[de, be]
-                    acc -= Gv[de, al, be] * cov_val[g, de]
-                out_param[g] += ginv[al, be] * acc
+    cov_val = cov.values
+    # the (1,1)-tensor nabla grad f is the field F_be = cov[:, be]:
+    # covd[al, be, g] = d_al cov[g, be] + Gam^g_{al, de} cov[de, be]
+    covd = (np.einsum("gba->abg", cov.derivs().values)
+            + np.einsum("gad,db->abg", Gam.values, cov_val))
+    out_param = pc.covariant_trace(covd, cov_val.T)
     return pc.dpsi_val @ out_param, out_param
 
 

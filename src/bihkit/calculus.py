@@ -18,6 +18,11 @@ Laplacian conventions here are positive: Delta f = -tr Hess f on functions
 and Delta-perp = -(trace of the squared normal connection) on normal
 fields.  The raw ambient rough Laplacian tr(nabla^2), used by the direct
 Euler-Lagrange oracles, is exposed separately as `rough_laplacian`.
+
+Float order.  The batched jet fields round bit for bit as per-point scalar
+jets would (see `jets`).  What a `PointCalculus` computes from their values
+(covariant traces, trace terms, Ricci, frames and operators) is numpy
+contractions in numpy's float order, within 1e-12 relative of index loops.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ __all__ = [
     "TraceTerms",
     "CalcError",
     "FlagError",
+    "PointError",
     "PointCalculus",
     "trace_terms_at",
     "drain",
@@ -74,6 +80,15 @@ FLAG_NAMES = (
 
 class CalcError(ValueError):
     """Rank deficiency or unusable geometric data at a point."""
+
+
+class PointError(ValueError):
+    """Evaluation fails at `point` (a list of floats), with the message of
+    that point's own failure."""
+
+    def __init__(self, point, message):
+        super().__init__(message)
+        self.point = np.asarray(point, dtype=float).tolist()
 
 
 class FlagError(ValueError):
@@ -149,7 +164,6 @@ class TraceTerms:
     delta_f_pos: float               # -tr Hess f
     grad_delta_f_pos: np.ndarray
     grad_grad_f_norm2: np.ndarray    # grad |grad f|^2
-    hess_f_eigenform: np.ndarray     # (m, m) Hessian in coordinates
     ric_grad_f: np.ndarray           # Ric_M(grad f), ambient vector
     scal: float
     h_norm2: float
@@ -175,7 +189,6 @@ class TraceTerms:
     coeffs: tuple                    # ambient (alpha, beta) or (f1, f2, f3)
     kl_H: np.ndarray                 # [normal]
     jl_H: np.ndarray                 # [tangent]
-    mm_H: np.ndarray                 # [normal]
     kj_grad_f: np.ndarray            # [normal]
     j2_grad_f: np.ndarray            # [tangent]
     eta_grad_f: float
@@ -355,11 +368,27 @@ def evaluate(imm, points, order=4):
     return Evaluation(imm, points, order, fields, gram_det, structure)
 
 
-def evaluate_batches(imm, points, order=4):
+def evaluate_batches(imm, points, order=4, check=None):
     """`evaluate` over consecutive blocks of at most BATCH_POINTS points,
-    yielded in order."""
+    yielded in order; `check(evaluation)`, if given, rejects one by raising.
+
+    A block fails only where one of its points does, so a failing block is
+    evaluated again point by point, and the first point that fails alone
+    raises: an evaluation error as PointError, a check's error as it is."""
     for start in range(0, len(points), BATCH_POINTS):
-        yield evaluate(imm, points[start:start + BATCH_POINTS], order)
+        block = points[start:start + BATCH_POINTS]
+        try:
+            ev = evaluate(imm, block, order)
+        # chart, rank, jet and math-domain errors are ValueErrors; overflow
+        # and division by zero are ArithmeticErrors
+        except (ValueError, ArithmeticError) as exc:
+            if len(block) > 1:
+                for i in range(len(block)):
+                    next(evaluate_batches(imm, block[i:i + 1], order, check))
+            raise PointError(block[0], str(exc)) from None
+        if check is not None:
+            check(ev)
+        yield ev
 
 
 class PointCalculus:
@@ -418,14 +447,10 @@ class PointCalculus:
         NM->NM of J.  Contact ambient: (P, N, s, t) likewise for phi; s is the
         tangential and t the normal part on the normal bundle.
         """
-        T = self.structure_tensor
-        E, Nf, G0 = self.tangent_frame, self.normal_frame, self.G_val
-        m, codim = self.m, self.d - self.m
-        tt = np.array([[E[i] @ G0 @ (T @ E[j]) for j in range(m)] for i in range(m)])
-        tn = np.array([[Nf[s] @ G0 @ (T @ E[j]) for j in range(m)] for s in range(codim)])
-        nt = np.array([[E[i] @ G0 @ (T @ Nf[s]) for s in range(codim)] for i in range(m)])
-        nn = np.array([[Nf[r] @ G0 @ (T @ Nf[s]) for s in range(codim)] for r in range(codim)])
-        return tt, tn, nt, nn
+        F = np.vstack([self.tangent_frame, self.normal_frame])
+        M = F @ self.G_val @ self.structure_tensor @ F.T  # M[i, j] = <F_i, T F_j>
+        m = self.m
+        return M[:m, :m], M[m:, :m], M[:m, m:], M[m:, m:]
 
     # -- values of the fields ------------------------------------------------
 
@@ -498,12 +523,7 @@ class PointCalculus:
     @cached_property
     def shape_operators(self):
         """(codim, m, m) matrices of A_nu in the orthonormal frames."""
-        A = np.zeros((self.d - self.m, self.m, self.m))
-        for s in range(self.d - self.m):
-            for i in range(self.m):
-                for j in range(self.m):
-                    A[s, i, j] = self.B_frame[i, j] @ self.G_val @ self.normal_frame[s]
-        return A
+        return np.einsum("ijk,kl,sl->sij", self.B_frame, self.G_val, self.normal_frame)
 
     @cached_property
     def projectors(self):
@@ -528,43 +548,40 @@ class PointCalculus:
     # -- connection helpers ----------------------------------------------------
 
     def _connection_along(self, order):
-        """The connection A[a, c, al] truncated to `order`, once per order
+        """The connection as A[al, a, c] truncated to `order`, once per order
         (its coefficients are those of the product of truncated factors)."""
         A = self._connection.get(order)
         if A is None:
-            A = self._connection[order] = self.connection.truncate(order)
+            A = self._connection[order] = self.connection.truncate(order).transpose(2, 0, 1)
         return A
 
-    def pullback_derivative(self, field, alpha):
-        """nabla-bar_alpha of ambient jet fields along the immersion; the
-        last tensor axis of `field` is the ambient index."""
+    def pullback_derivative(self, field):
+        """nabla-bar_al of ambient jet fields along the immersion for every
+        al, on a new leading axis; the last tensor axis of `field` is the
+        ambient index.  Entry [al, ..., a] is d_al F[..., a] + sum_c
+        A[al, a, c] F[..., c], summed over c in order."""
         out_order = field.space.order - 1
-        A = self._connection_along(out_order)[:, :, alpha]
-        low = field.truncate(out_order)
-        return (A * low[..., None, :]).sum(-1, start=field.deriv(alpha))
+        k = len(field.shape) - 1  # tensor axes of `field` before the ambient one
+        A = self._connection_along(out_order)[(slice(None),) + (None,) * k]
+        low = field.truncate(out_order)[None, ..., None, :]
+        return (A * low).sum(-1, start=field.derivs().transpose(k + 1, *range(k + 1)))
+
+    def covariant_trace(self, covd, values):
+        """g^{ab} (covd[a, b] - Gam^g_ab values[g]), the values of the trace
+        of a covariant derivative: covd[a, b, ...] holds the derivative along
+        the parameter direction a of the field F_b, whose values are
+        values[b, ...]."""
+        corr = np.einsum("gab,g...->ab...", self.intrinsic_christoffels.values, values)
+        return np.einsum("ab,ab...->...", self.g_inv_val, covd - corr)
 
     def rough_laplacian(self, field):
         """tr_g nabla^2 of an ambient jet field (negative-convention values)."""
-        first = Jet.stack([self.pullback_derivative(field, al) for al in range(self.m)])
-        second = [self.pullback_derivative(first, al).values for al in range(self.m)]
-        first_val = first.values
-        ginv = self.g_inv_val
-        Gam_int = self.intrinsic_christoffels.values
-        out = np.zeros(self.d)
-        for al in range(self.m):
-            for be in range(self.m):
-                corr = np.zeros(self.d)
-                for g in range(self.m):
-                    corr = corr + Gam_int[g, al, be] * first_val[g]
-                out = out + ginv[al, be] * (second[al][be] - corr)
-        return out
+        first = self.pullback_derivative(field)
+        return self.covariant_trace(self.pullback_derivative(first).values, first.values)
 
     def directional_derivative(self, field, direction):
         """nabla-bar of a field along a tangent direction given in parameters."""
-        out = np.zeros(self.d)
-        for al in range(self.m):
-            out = out + direction[al] * self.pullback_derivative(field, al).values
-        return out
+        return direction @ self.pullback_derivative(field).values
 
     # -- weight function -------------------------------------------------------
 
@@ -583,32 +600,14 @@ class PointCalculus:
 
     def gradient_ambient(self, scalar_jet):
         """Ambient components of the intrinsic gradient (values)."""
-        df = np.array([scalar_jet.deriv(al).value for al in range(self.m)])
-        comp = self.g_inv_val @ df
-        return self.dpsi_val @ comp, comp
+        return self.dpsi_val @ (self.g_inv_val @ scalar_jet.derivs().values)
 
     # -- intrinsic curvature -----------------------------------------------------
 
     @cached_property
     def intrinsic_ricci(self):
-        """Ricci tensor (values) of the induced metric, Ric_jk."""
-        m = self.m
-        Gam = self.intrinsic_christoffels
-        Gv = Gam.values                                  # Gv[k, i, j]
-        dGv = np.moveaxis(Gam.derivs().values, -1, 0)    # dGv[l, k, i, j]
-        ric = np.zeros((m, m))
-        for j in range(m):
-            for k in range(m):
-                acc = 0.0
-                for i in range(m):
-                    acc += (
-                        dGv[i, i, j, k]
-                        - dGv[j, i, i, k]
-                        + np.dot(Gv[i, i, :], Gv[:, j, k])
-                        - np.dot(Gv[i, j, :], Gv[:, i, k])
-                    )
-                ric[j, k] = acc
-        return ric
+        """Ricci tensor (values) of the induced metric, Ric_jk = R^i_ijk."""
+        return np.einsum("iijk->jk", curvature_from_christoffels(self.intrinsic_christoffels))
 
     @cached_property
     def scal(self):
@@ -638,7 +637,7 @@ def drain(calcs):
 def _normal_connection(pc, field):
     """nabla-perp of a normal jet field along each coordinate direction, as
     a jet field W[al, a] and as its values."""
-    covd = Jet.stack([pc.pullback_derivative(field, al) for al in range(pc.m)])
+    covd = pc.pullback_derivative(field)
     P = pc.projector_field
     # normal projector I - P: -P off the diagonal and -P + 1 on it, which
     # rounds as the scalar loops' 1 - P did
@@ -651,19 +650,8 @@ def _normal_trace(pc, fields, values):
     """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g) for jet fields F[b]
     with values `values`: the normal part of the trace of their covariant
     derivative."""
-    P_nor = pc.projectors[1]
-    Gam_int = pc.intrinsic_christoffels.values
-    ginv = pc.g_inv_val
-    covd = [pc.pullback_derivative(fields, al).values for al in range(pc.m)]
-    out = np.zeros(pc.d)
-    for al in range(pc.m):
-        for be in range(pc.m):
-            term = P_nor @ covd[al][be]
-            corr = np.zeros(pc.d)
-            for g in range(pc.m):
-                corr += Gam_int[g, al, be] * values[g]
-            out += ginv[al, be] * (term - corr)
-    return out
+    covd = pc.pullback_derivative(fields).values
+    return pc.covariant_trace(covd @ pc.projectors[1].T, values)
 
 
 def trace_terms_at(pc):
@@ -682,18 +670,15 @@ def trace_terms_at(pc):
     # tr B(., A_H .) = g^{ag} g^{bd} <B_gd, H> B_ab
     BH = np.einsum("abk,kl,l->ab", B, G0, H)
     tb_ah = np.einsum("ag,bd,gd,abk->k", ginv, ginv, BH, B)
+    BG = B @ G0  # BG[al, be] = <B_al,be, .>
+
+    def trace_shape(W):
+        """tr A_{W}(.) = g^{ab} g^{gd} <B_bd, W_a> dpsi_g of a normal 1-form W[a]."""
+        return dpsi @ np.einsum("ab,gd,bdl,al->g", ginv, ginv, BG, W)
 
     # normal connection of H along coordinate directions
     H_field = pc.H_field
     nabla_perp_h_fields, nabla_perp_h = _normal_connection(pc, H_field)
-
-    # tr A_{nabla-perp H}(.) = g^{ab} g^{gd} <B_bd, W_a> dpsi_g
-    TA = np.zeros(d)
-    for al in range(m):
-        for be in range(m):
-            for ga in range(m):
-                for de in range(m):
-                    TA += ginv[al, be] * ginv[ga, de] * ip(B[be, de], nabla_perp_h[al]) * dpsi[:, ga]
 
     # positive normal Laplacian of H
     delta_perp_h_pos = -_normal_trace(pc, nabla_perp_h_fields, nabla_perp_h)
@@ -701,7 +686,7 @@ def trace_terms_at(pc):
     # |H|^2 field and gradient
     ord2 = pc.order - 2
     h2_terms = pc.G_field.truncate(ord2) * H_field[:, None] * H_field[None]
-    grad_h2, _ = pc.gradient_ambient(h2_terms.reshape(d * d).sum(0))
+    grad_h2 = pc.gradient_ambient(h2_terms.reshape(d * d).sum(0))
 
     # weight-function material
     f = pc.f_jet.value
@@ -711,51 +696,26 @@ def trace_terms_at(pc):
     gf2_terms = pc.induced_metric_field.truncate(pc.order - 1) * X[:, None] * X[None]
     gf2_field = gf2_terms.reshape(m * m).sum(0)
     grad_f_norm2 = gf2_field.value
-    grad_gradf2, _ = pc.gradient_ambient(gf2_field)
+    grad_gradf2 = pc.gradient_ambient(gf2_field)
 
     delta_f_pos = pc.delta_f_pos_field.value
-    grad_delta_f, _ = pc.gradient_ambient(pc.delta_f_pos_field)
+    grad_delta_f = pc.gradient_ambient(pc.delta_f_pos_field)
 
-    # nabla_. grad f (intrinsic Hessian endomorphism, values)
-    Gam_int = pc.intrinsic_christoffels.values
-    dX = X.derivs().values                   # dX[g, be] = d_be (grad f)^g
-    hess_vec = np.zeros((m, m))  # (nabla_be grad f)^gamma
-    for be in range(m):
-        for g in range(m):
-            acc = dX[g, be]
-            for de in range(m):
-                acc += Gam_int[g, be, de] * grad_f_param[de]
-            hess_vec[be, g] = acc
-
+    # (nabla_be grad f)^g = d_be (grad f)^g + Gam^g_{be, de} (grad f)^de
+    hess_vec = X.derivs().values.T + np.einsum(
+        "gbd,d->bg", pc.intrinsic_christoffels.values, grad_f_param)
     # tr B(., nabla_. grad f) = g^{ab} B_{a gamma} (nabla_b grad f)^gamma
-    tb_hess = np.zeros(d)
-    for al in range(m):
-        for be in range(m):
-            for g in range(m):
-                tb_hess += ginv[al, be] * hess_vec[be, g] * B[al, g]
+    tb_hess = np.einsum("ab,bg,agk->k", ginv, hess_vec, B)
 
     # omega_beta = B(e_beta, grad f) as a jet field; its normal-connection trace
     omega_fields = (pc.B_field * X.truncate(ord2)[None, :, None]).sum(1)
     omega_val = omega_fields.values
     tnb = _normal_trace(pc, omega_fields, omega_val)
 
-    # tr A_{B(., grad f)}(.) = g^{ab} g^{gd} <B_bd, omega_a> dpsi_g
-    ta_b_gradf = np.zeros(d)
-    for al in range(m):
-        for be in range(m):
-            for ga in range(m):
-                for de in range(m):
-                    ta_b_gradf += (
-                        ginv[al, be] * ginv[ga, de] * ip(B[be, de], omega_val[al]) * dpsi[:, ga]
-                    )
-
     b_gradf_gradf = np.einsum("a,b,abk->k", grad_f_param, grad_f_param, B)
 
     # A_H grad f = g^{gb} <B(grad f, e_b), H> dpsi_g
-    a_h_gradf = np.zeros(d)
-    for ga in range(m):
-        for be in range(m):
-            a_h_gradf += ginv[ga, be] * ip(np.einsum("a,abk->bk", grad_f_param, B)[be], H) * dpsi[:, ga]
+    a_h_gradf = dpsi @ (ginv @ np.einsum("a,abl,l->b", grad_f_param, BG, H))
 
     nabla_perp_gradf_h = np.einsum("a,ak->k", grad_f_param, nabla_perp_h)
 
@@ -783,10 +743,6 @@ def trace_terms_at(pc):
         eta_grad_f = 0.0
 
     a_h_norm2 = float(np.einsum("ag,bd,ab,gd->", ginv, ginv, BH, BH))
-    np_h2 = 0.0
-    for al in range(m):
-        for be in range(m):
-            np_h2 += ginv[al, be] * ip(nabla_perp_h[al], nabla_perp_h[be])
 
     return TraceTerms(
         n=m,
@@ -796,47 +752,36 @@ def trace_terms_at(pc):
         delta_f_pos=delta_f_pos,
         grad_delta_f_pos=grad_delta_f,
         grad_grad_f_norm2=grad_gradf2,
-        hess_f_eigenform=hess_vec,
         ric_grad_f=ric_grad_f,
         scal=pc.scal,
         h_norm2=ip(H, H),
         grad_h_norm2=grad_h2,
         tb_ah=tb_ah,
-        ta_nabla_perp_h=TA,
+        ta_nabla_perp_h=trace_shape(nabla_perp_h),
         delta_perp_h_pos=delta_perp_h_pos,
         nabla_perp_h=nabla_perp_h,
         nabla_perp_gradf_h=nabla_perp_gradf_h,
         a_h_grad_f=a_h_gradf,
         tb_hess_f=tb_hess,
         tnb_grad_f=tnb,
-        ta_b_grad_f=ta_b_gradf,
+        ta_b_grad_f=trace_shape(omega_val),
         b_gradf_gradf=b_gradf_gradf,
         eta_h=eta_h,
         xi_tan=xi_tan,
         xi_nor=xi_nor,
         xi_tan_norm2=xi_tan_norm2,
-        b_norm2=_b_norm2(B, G0, ginv, m),
+        b_norm2=float(np.einsum("ag,bd,abl,gdl->", ginv, ginv, BG, B)),
         a_h_norm2=a_h_norm2,
-        nabla_perp_h_norm2=np_h2,
+        nabla_perp_h_norm2=float(np.einsum("ab,al,bl->", ginv, nabla_perp_h @ G0,
+                                           nabla_perp_h)),
         H=H,
         coeffs=pc.space.curvature_coeffs_at(pc.psi_val),
         kl_H=P_nor @ (T @ tan_TH),
         jl_H=P_tan @ (T @ tan_TH),
-        mm_H=P_nor @ (T @ (P_nor @ (T @ H))),
         kj_grad_f=P_nor @ (T @ tan_Tgf),
         j2_grad_f=P_tan @ (T @ tan_Tgf),
         eta_grad_f=eta_grad_f,
     )
-
-
-def _b_norm2(B, G0, ginv, m):
-    total = 0.0
-    for al in range(m):
-        for be in range(m):
-            for ga in range(m):
-                for de in range(m):
-                    total += ginv[al, ga] * ginv[be, de] * float(B[al, be] @ G0 @ B[ga, de])
-    return total
 
 
 # -- flag verification -----------------------------------------------------------

@@ -20,7 +20,7 @@ import time
 
 from . import __version__
 from .audits import curvature_trace_audit, run_all_audits
-from .calculus import FLAG_TOL, drain, map_jets
+from .calculus import FLAG_TOL, PointError, drain, map_jets
 from .props import proposition_checkers
 from .report import render_report, write_csv
 from .residuals import compare_modes, direct_field, theorem_residual
@@ -280,6 +280,10 @@ def main(argv=None):
         code, rows = COMMANDS[args.command](sc, args, out, calcs)
     except (ScenarioError, SpaceError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return VALIDATION_FAIL
+    except PointError as exc:  # sample points fail as ScenarioErrors
+        error = ScenarioError(f"quadrature node {exc.point} rejected: {exc}", "sampling", "grid")
+        print(f"validation error: {error}", file=sys.stderr)
         return VALIDATION_FAIL
     except Exception as exc:  # pragma: no cover - guarded surface
         print(f"internal error: {exc}", file=sys.stderr)

@@ -54,7 +54,9 @@ would:
 This matters because some reports depend on round-off: on the Reeb-normal
 circle (scenario c16) |H|^2 is about 5e-32, and the pinned `props` ratios
 there are quotients of round-off noise, so the mean-curvature path must stay
-bit-identical to the scalar loops it replaced.
+bit-identical to the scalar loops it replaced.  This holds for jets only: the
+value-level contractions `calculus` makes from the fields' values add in
+numpy's order, within 1e-12 relative of index loops.
 
 Orders are capped at 4: the deepest quantity assembled downstream (the
 normal Laplacian of the mean curvature field) consumes four derivatives of

@@ -11,7 +11,9 @@ Sections and keys:
 
     [ambient]     kind = sasakian_sphere | fubini_study | ... plus the
                   kind's parameters (n, hol, ctilde, alpha, beta, f1.. as
-                  quoted expressions for the abstract kinds)
+                  quoted expressions for the abstract kinds); omitted,
+                  hol is 4 on fubini_study and -4 on complex_hyperbolic,
+                  ctilde is 1 and dim is 4 (the constructors' defaults)
     [immersion]   params = [u, v]; one axis per parameter:
                   u = [lo, hi, periodic|open]; map = ["expr", ...]
     [weight]      f = "expr"       (defaults to 1)
@@ -44,11 +46,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (BATCH_POINTS, FLAG_NAMES, FLAG_TOL, FlagError, Immersion,
-                       evaluate, map_jets, verify_flags)
+from .calculus import (FLAG_NAMES, FLAG_TOL, FlagError, Immersion, PointError,
+                       evaluate_batches, map_jets, verify_flags)
 from .expr import ParseError, parse
 from .residuals import COROLLARIES, equation_for
-from .spaces import ChartError, SpaceError, make_space
+from .spaces import SpaceError, make_space
 from .variational import QuadratureGrid
 
 __all__ = ["Scenario", "ScenarioError", "evaluate_points", "load_scenario",
@@ -252,7 +254,8 @@ _AMBIENT_KEYS = {
     "abstract_gssf": ("n", "f1", "f2", "f3"),
 }
 
-_DEFAULTS = {"hol": 4.0, "ctilde": 1.0, "dim": 4}
+# Keys an ambient may omit: the constructor's default applies.
+_OPTIONAL_KEYS = ("hol", "ctilde", "dim")
 
 _EXPRESSION_KEYS = ("alpha", "beta", "f1", "f2", "f3")
 
@@ -290,11 +293,9 @@ def _build_ambient(amb, prefix_error):
         if key in amb:
             _check_ambient_value(key, amb[key], prefix_error)
             kwargs[key] = amb[key]
-        elif key in _DEFAULTS:
-            kwargs[key] = _DEFAULTS[key]
         elif key == "n":
             prefix_error("ambient needs the complex/contact rank n", "ambient", "n")
-        else:
+        elif key not in _OPTIONAL_KEYS:
             prefix_error(f"ambient kind {kind!r} needs key {key!r}", "ambient", key)
     extra = set(amb) - set(_AMBIENT_KEYS[kind]) - {"kind"}
     if extra:
@@ -436,32 +437,22 @@ def evaluate_points(sc, points):
     """Yield one `PointCalculus` per row of a (P, m) array of parameter
     points, evaluated in batches with validation's chart, rank and weight
     checks.  An error names the first failing point, with the message that
-    point fails with alone (a batch fails only where one of its points does,
-    so a failing batch is rescanned point by point)."""
-    for start in range(0, len(points), BATCH_POINTS):
-        yield from _checked_batch(sc, points[start:start + BATCH_POINTS])
-
-
-def _checked_batch(sc, points):
+    point fails with alone."""
     try:
-        ev = evaluate(sc.immersion, points)
-    except (ChartError, SpaceError, ValueError) as exc:
-        if len(points) > 1:  # the first point that fails alone raises
-            for i in range(len(points)):
-                _checked_batch(sc, points[i:i + 1])
-        raise ScenarioError(f"sample point {_where(points[0])} rejected: {exc}",
+        for ev in evaluate_batches(sc.immersion, points, check=_check_weight):
+            yield from ev
+    except PointError as exc:
+        raise ScenarioError(f"sample point {exc.point} rejected: {exc}",
                             "sampling", "grid") from None
-    f = ev.fields["f_jet"].point_values(len(points))
+
+
+def _check_weight(ev):
+    f = ev.fields["f_jet"].point_values(len(ev))
     bad = np.flatnonzero(f <= 0.0)
     if bad.size:
         raise ScenarioError(
-            f"weight not positive at {_where(points[bad[0]])} (f = {f[bad[0]]:.3e})",
+            f"weight not positive at {ev.points[bad[0]].tolist()} (f = {f[bad[0]]:.3e})",
             "weight", "f")
-    return ev
-
-
-def _where(point):
-    return [float(x) for x in point]
 
 
 def _validate(sc):

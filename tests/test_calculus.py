@@ -166,8 +166,7 @@ def _covariant_split(pc, field):
     """(normal, tangential) parts of nabla-bar of `field` per direction."""
     P_tan, P_nor = pc.projectors
     out = []
-    for al in range(pc.m):
-        covd = np.array([j.value for j in pc.pullback_derivative(field, al)])
+    for covd in pc.pullback_derivative(field).values:
         out.append((P_nor @ covd, P_tan @ covd))
     return out
 
@@ -351,12 +350,18 @@ def test_pullback_derivative_matches_triple_sum(name):
         pc = point_calculus(sc.immersion, p)
         # fields of order 3, 2 and 1, so every truncation depth is used
         dpsi_col = pc.dpsi[:, 0]
-        first = pc.pullback_derivative(pc.H_field, 0)
-        for field in (dpsi_col, pc.H_field, first):
+        first = pc.pullback_derivative(pc.H_field)
+        for field in (dpsi_col, pc.H_field, first[0]):
             for al in range(pc.m):
-                got = np.array([j.c for j in pc.pullback_derivative(field, al)])
+                got = pc.pullback_derivative(field)[al].c
                 want = np.array([j.c for j in _pullback_triple_sum(pc, field, al)])
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # a field with a leading axis: each row is differentiated as alone
+        second = pc.pullback_derivative(first)
+        for al in range(pc.m):
+            for be in range(pc.m):
+                want = np.array([j.c for j in _pullback_triple_sum(pc, first[be], al)])
+                assert np.abs(second[al, be].c - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # -- scalar-loop references of the mean-curvature path -------------------------
@@ -576,7 +581,7 @@ def _ref_normal_trace(pc, fields, values):
     P_nor = pc.projectors[1]
     Gam_int = pc.intrinsic_christoffels.values
     ginv = pc.g_inv_val
-    covd = [pc.pullback_derivative(fields, al).values for al in range(pc.m)]
+    covd = pc.pullback_derivative(fields).values
     out = np.zeros(pc.d)
     for al in range(pc.m):
         for be in range(pc.m):
@@ -612,7 +617,7 @@ def _ref_trace_terms(pc):
     ip = lambda u, v: float(u @ G0 @ v)
     ord2 = pc.order - 2
     # nabla-perp H along each coordinate direction, as jets and values
-    covd = Jet.stack([pc.pullback_derivative(pc.H_field, al) for al in range(m)])
+    covd = pc.pullback_derivative(pc.H_field)
     N = (-pc.projector_field).add_diagonal(1.0).truncate(covd.space.order)
     W_fields = (N[None] * covd[:, None, :]).sum(-1)
     W = W_fields.values
@@ -665,8 +670,8 @@ def _ref_trace_terms(pc):
 
 def _ref_rough_laplacian(pc, field):
     """tr_g nabla^2 of an ambient jet field."""
-    first = Jet.stack([pc.pullback_derivative(field, al) for al in range(pc.m)])
-    second = [pc.pullback_derivative(first, al).values for al in range(pc.m)]
+    first = pc.pullback_derivative(field)
+    second = pc.pullback_derivative(first).values
     first_val = first.values
     ginv, Gam_int = pc.g_inv_val, pc.intrinsic_christoffels.values
     out = np.zeros(pc.d)

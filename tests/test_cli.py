@@ -137,6 +137,10 @@ FAILING_POINT = {
     "weight_before_rank": (
         "cosymplectic_flat\nn = 1", '["(u - 0.5)^2", "(u - 0.5)^3", "0"]', "(u - 0.25)^2",
         "weight not positive at [0.25] (f = 0.000e+00) (section [weight], key 'f')"),
+    # exp(750) overflows a float
+    "weight_overflow": (
+        "cosymplectic_flat\nn = 1", '["u", "0.5*u*u", "0"]', "exp(1000*u)",
+        "sample point [0.75] rejected: math range error (section [sampling], key 'grid')"),
 }
 
 
@@ -149,6 +153,45 @@ def test_batched_validation_names_the_first_failing_point(tmp_path, case):
     code, out, err = run_cli(["check", write(tmp_path, text)])
     assert code == 3 and out == ""
     assert err == f"validation error: {message}\n"
+
+
+# Scenarios whose sample points u = 0, 0.25, ..., 1 pass `check` but whose
+# 5-node Gauss quadrature fails at a node, with the message it fails with.
+FAILING_NODE = {
+    "off_the_ball": (
+        "complex_hyperbolic\nn = 1\nhol = -4.0",
+        '["0.5 + 3*u*(u-0.25)*(u-0.5)*(u-0.75)*(u-1)*400", "0.1*u"]',
+        "quadrature node [0.04691007703066802] rejected: complex_hyperbolic chart "
+        "requires |x| < 1 (section [sampling], key 'grid')"),
+    # dpsi vanishes at the second node
+    "rank_deficient": (
+        "cosymplectic_flat\nn = 1",
+        '["(u-0.23076534494715845)^2", "(u-0.23076534494715845)^3", "0"]',
+        "quadrature node [0.23076534494715845] rejected: immersion rank-deficient at "
+        "[0.23076534]: gram det 0.000e+00 (section [sampling], key 'grid')"),
+}
+
+
+@pytest.mark.parametrize("command", ["energy", "variation"])
+@pytest.mark.parametrize("case", sorted(FAILING_NODE))
+def test_failing_quadrature_node_exits_3_naming_it(tmp_path, case, command):
+    kind, chart_map, message = FAILING_NODE[case]
+    path = write(tmp_path, OPEN_AXIS.format(kind=kind, map=chart_map, f="1"))
+    assert run_cli(["check", path])[0] == 0
+    code, out, err = run_cli([command, path])
+    assert code == 3 and out == ""
+    assert err == f"validation error: {message}\n"
+
+
+def test_omitted_ambient_key_takes_the_constructor_default(tmp_path):
+    """complex_hyperbolic without `hol` has hol = -4, its constructor's
+    default."""
+    text = OPEN_AXIS.format(kind="complex_hyperbolic\nn = 1",
+                            map='["0.5*cos(u)", "0.5*sin(u)"]', f="1")
+    text = text.replace("[0.0, 1.0, open]", "[0.0, 6.283185307179586, periodic]")
+    code, out, err = run_cli(["check", write(tmp_path, text)])
+    assert code == 0, err
+    assert "mode_agreement: true" in out
 
 
 def test_sweep_checks_refined_points(tmp_path):
