@@ -88,8 +88,7 @@ def _intrinsic_rough_laplacian_gradf(pc):
     # covd[al, be, g] = d_al cov[g, be] + Gam^g_{al, de} cov[de, be]
     covd = (np.einsum("gba->abg", cov.derivs().values)
             + np.einsum("gad,db->abg", Gam.values, cov_val))
-    out_param = pc.covariant_trace(covd, cov_val.T)
-    return pc.dpsi_val @ out_param, out_param
+    return pc.dpsi_val @ pc.covariant_trace(covd, cov_val.T)
 
 
 def audit_lemgene2(pc):
@@ -110,7 +109,7 @@ def audit_lemgene2(pc):
     trR_amb = curvature_trace(pc, tt.grad_f)
     rhs_printed_ambient = grad_delta_neg + 2.0 * tt.ric_grad_f - trR_amb + b_terms
     # intrinsic sub-check: tr nabla^2 grad f (induced metric only)
-    intr_lhs, _ = _intrinsic_rough_laplacian_gradf(pc)
+    intr_lhs = _intrinsic_rough_laplacian_gradf(pc)
     intr_corrected = grad_delta_neg + tt.ric_grad_f
     intr_printed = grad_delta_neg + 2.0 * tt.ric_grad_f + tt.ric_grad_f  # intrinsic trace = -Ric
     scale = 1.0 + nrm(tt.grad_f)
