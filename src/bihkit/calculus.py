@@ -189,6 +189,7 @@ class TraceTerms:
     coeffs: tuple                    # ambient (alpha, beta) or (f1, f2, f3)
     kl_H: np.ndarray                 # [normal]
     jl_H: np.ndarray                 # [tangent]
+    mm_H: np.ndarray                 # [normal]
     kj_grad_f: np.ndarray            # [normal]
     j2_grad_f: np.ndarray            # [tangent]
     eta_grad_f: float
@@ -778,6 +779,7 @@ def trace_terms_at(pc):
         coeffs=pc.space.curvature_coeffs_at(pc.psi_val),
         kl_H=P_nor @ (T @ tan_TH),
         jl_H=P_tan @ (T @ tan_TH),
+        mm_H=P_nor @ (T @ (P_nor @ (T @ H))),
         kj_grad_f=P_nor @ (T @ tan_Tgf),
         j2_grad_f=P_tan @ (T @ tan_Tgf),
         eta_grad_f=eta_grad_f,

@@ -323,6 +323,18 @@ def test_corollary_needs_its_flags_and_equation_family(tmp_path, corollary, expe
         assert f"corollary: {corollary}" in out and "reduction_agreement: true" in out
 
 
+def test_curve_corollary_on_a_complex_space_form(tmp_path):
+    """The curve reduction of the Hermitian equation substitutes
+    -H - m^2 H for kl H."""
+    text = OPEN_AXIS.format(kind="fubini_study\nn = 2",
+                            map='["0.3*cos(u)", "0.2*sin(u)", "0.1*u", "0.15*sin(2*u)"]',
+                            f="1 + 0.2*sin(u)")
+    text += "\n[flags]\ncurve = asserted\n\n[mode]\nkind = fbh\ncorollary = fbh_gcsf_curve\n"
+    code, out, err = run_cli(["check", write(tmp_path, text)])
+    assert code == 0, err
+    assert "corollary: fbh_gcsf_curve" in out and "reduction_agreement: true" in out
+
+
 def test_reduction_delta_measures_with_the_ambient_metric(tmp_path):
     """The corollary reduction delta is a length in the ambient metric, like
     its scale and every other residual norm.  On a deformed Sasakian sphere

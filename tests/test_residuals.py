@@ -300,6 +300,19 @@ def test_sample_corollary_reductions():
                  "fbh_gssf_hypersurface", "bif_gssf_hypersurface"):
         assert _reduction_delta(hopf, [0.5, 1.1], name) <= 1e-10
 
+    # curves in CP^2: kl H = -H - m^2 H, with m^2 H far from zero on a
+    # generic curve and -H on a circle of the totally real RP^2 (parallel H)
+    fs = make_space("fubini_study", n=2, hol=4.0)
+    curve = Immersion.from_strings(
+        ["u"], fs, ["0.3*cos(u)", "0.2*sin(u)", "0.1*u", "0.15*sin(2*u)"],
+        "1 + 0.2*sin(u)")
+    assert np.abs(point_calculus(curve, [0.7]).trace_terms.mm_H).max() > 1.0
+    assert _reduction_delta(curve, [0.7], "fbh_gcsf_curve") <= 1e-10
+    circle = Immersion.from_strings(
+        ["u"], fs, ["0.3*cos(u)", "0", "0.3*sin(u)", "0"], "1 + 0.2*sin(u)")
+    for name in ("fbh_gcsf_curve", "fbh_gcsf_curve_parallel"):
+        assert _reduction_delta(circle, [0.7], name) <= 1e-10
+
 
 def test_corollary_requires_verified_flags_documented():
     # every registered corollary names only known flags
