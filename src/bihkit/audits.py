@@ -135,7 +135,7 @@ def audit_lemgene3(pc):
     nrm = pc.norm
     n = float(pc.m)
     tau_w = _tau_weighted_field(pc)
-    lhs = pc.directional_derivative(tau_w, pc.grad_f_param)
+    lhs = pc.grad_f_param @ pc.pullback_derivative(tau_w).values
     rhs = (
         n * tt.grad_f_norm2 * pc.H_val
         - n * tt.f * tt.a_h_grad_f

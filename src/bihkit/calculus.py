@@ -2,11 +2,14 @@
 
 `evaluate` builds the jet fields the residual equations consume (induced
 metric, second fundamental form, mean curvature, connection, projector,
-weight-function fields) at all sample points in one batched pass.  One
-`PointCalculus`, a view of one point of that evaluation, serves everything
-else at that point: orthonormal frames, shape operators, normal connection
-and Laplacian, the tangential/normal decomposition of the ambient structure
-tensor, intrinsic Ricci and Laplacians, and the trace terms.
+weight-function fields) at all sample points of a block in one batched pass,
+an `Evaluation`.  The trace terms (normal connection and Laplacian of H,
+intrinsic Ricci and scalar curvature, the weight-function traces, ...) are
+built once per block, for all its points at once.  One `PointCalculus`, a
+view of one point of that evaluation, serves everything else at that point:
+orthonormal frames, shape operators, the tangential/normal decomposition of
+the ambient structure tensor, covariant traces and rough Laplacians, and its
+view of the block's trace terms.
 
 All quantities are assembled in coordinate (not orthonormal) form wherever
 possible, so the results are frame-independent by construction; orthonormal
@@ -20,14 +23,16 @@ fields.  The raw ambient rough Laplacian tr(nabla^2), used by the direct
 Euler-Lagrange oracles, is exposed separately as `rough_laplacian`.
 
 Float order.  The batched jet fields round bit for bit as per-point scalar
-jets would (see `jets`).  What a `PointCalculus` computes from their values
-(covariant traces, trace terms, Ricci, frames and operators) is numpy
-contractions in numpy's float order, within 1e-12 relative of index loops.
+jets would (see `jets`).  What is computed from their values (covariant
+traces, the trace terms and Ricci of a block, the frames and operators of a
+`PointCalculus`) is numpy contractions, batched ones with a leading points
+index, which add in numpy's float order, within 1e-12 relative of index
+loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -42,12 +47,14 @@ __all__ = [
     "Evaluation",
     "evaluate",
     "evaluate_batches",
+    "check_weight",
     "map_jets",
     "parameter_jets",
     "TraceTerms",
     "CalcError",
     "FlagError",
     "PointError",
+    "WeightError",
     "PointCalculus",
     "trace_terms_at",
     "drain",
@@ -89,6 +96,10 @@ class PointError(ValueError):
     def __init__(self, point, message):
         super().__init__(message)
         self.point = np.asarray(point, dtype=float).tolist()
+
+
+class WeightError(PointError):
+    """The weight is not positive at `point`."""
 
 
 class FlagError(ValueError):
@@ -155,6 +166,10 @@ class TraceTerms:
     vectors); on contact ambients with phi = P + N on tangent and s + t on
     normal vectors, kl H = Ns H, jl H = Ps H, kj grad f = NP grad f and
     j^2 grad f = P^2 grad f.
+
+    `trace_terms_at` builds the instance of a block: every field but `n`
+    then carries a leading points axis (coeffs as a (P, k) array), and `at`
+    gives the instance of one point.
     """
 
     n: int                           # dimension of the submanifold
@@ -200,6 +215,14 @@ class TraceTerms:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
+    def at(self, index):
+        """The trace terms of point `index` of a block's instance: floats,
+        a tuple of coefficients and read-only slices of the block's arrays."""
+        view = {"int": lambda v: v, "float": lambda v: float(v[index]),
+                "tuple": lambda v: tuple(v[index].tolist()), "np.ndarray": lambda v: v[index]}
+        return TraceTerms(**{f.name: view[f.type](getattr(self, f.name))
+                             for f in dataclass_fields(self)})
+
 
 # Points per batched evaluation (`evaluate_batches`, validation): it bounds
 # the temporaries of one pass.  With 16, the peak resident memory of the
@@ -238,28 +261,15 @@ def _laplacian_pos(ginv, Gam_int, scalar_jet):
     return -(ginv * hess).reshape(m * m).sum(0)
 
 
-class Evaluation:
-    """The fields of one immersion at P parameter points, built by
-    `evaluate`: `fields` maps each field name to a jet with a points axis,
-    and `gram_det` and `structure` hold one leading entry per point.  Item
-    i is the `PointCalculus` of point i."""
-
-    def __init__(self, imm, points, order, fields, gram_det, structure):
-        self.imm = imm
-        self.points = points
-        self.order = order
-        self.fields = fields
-        self.gram_det = gram_det
-        self.structure = structure
-
-    def __len__(self):
-        return len(self.points)
-
-    def __getitem__(self, index):
-        return PointCalculus(self, index)
-
-    def __iter__(self):
-        return (PointCalculus(self, i) for i in range(len(self)))
+def _covariant_trace(ginv, gam, covd, values):
+    """g^{ab} (covd[a, b] - Gam^g_ab values[g]) at each point, every array
+    with a leading points axis: the values of the trace of a covariant
+    derivative, covd[p, a, b, ...] holding the derivative along the
+    parameter direction a of the field F_b, whose values are
+    values[p, b, ...], from the inverse metric ginv[p] and the intrinsic
+    Christoffels gam[p, g, a, b]."""
+    corr = np.einsum("pgab,pg...->pab...", gam, values)
+    return np.einsum("pab,pab...->p...", ginv, covd - corr)
 
 
 def _ambient_along(space, psi, psi_val, order):
@@ -392,6 +402,15 @@ def evaluate_batches(imm, points, order=4, check=None):
         yield ev
 
 
+def check_weight(ev):
+    """Raise a WeightError at the first point where the weight is not positive."""
+    f = ev.f_jet.point_values(len(ev))
+    bad = np.flatnonzero(f <= 0.0)
+    if bad.size:
+        point = ev.points[bad[0]]
+        raise WeightError(point, f"weight not positive at {point.tolist()} (f = {f[bad[0]]:.3e})")
+
+
 class PointCalculus:
     """All jet fields of one immersion at one parameter point: a view of
     one point of an `Evaluation` (`evaluate(imm, points)[i]`), the only way
@@ -419,16 +438,13 @@ class PointCalculus:
         self.m = self.imm.param_dim
         self.d = self.space.chart_dim
         self.point = ev.points[index]
+        self._ev, self._index = ev, index
         for name, jet in ev.fields.items():
             setattr(self, name, jet.at(index))
         self.gram_det = float(ev.gram_det[index])
         # structure tensor values at psi(point): J, or phi, xi and eta
         self.structure = {key: val[index] for key, val in ev.structure.items()}
         self._connection = {}
-
-    @cached_property
-    def psi_val(self):
-        return self.psi.values
 
     @cached_property
     def ambient_curvature(self):
@@ -458,10 +474,6 @@ class PointCalculus:
     @cached_property
     def dpsi_val(self):
         return self.dpsi.values
-
-    @cached_property
-    def g_val(self):
-        return self.induced_metric_field.values
 
     @cached_property
     def g_inv_val(self):
@@ -529,8 +541,7 @@ class PointCalculus:
     @cached_property
     def projectors(self):
         """(tangent, normal) projector matrices in ambient coordinates."""
-        P = self.dpsi_val @ self.g_inv_val @ self.dpsi_val.T @ self.G_val
-        return P, np.eye(self.d) - P
+        return tuple(P[self._index] for P in self._ev.projectors)
 
     # -- second fundamental form ---------------------------------------------
 
@@ -568,21 +579,18 @@ class PointCalculus:
         return (A * low).sum(-1, start=field.derivs().transpose(k + 1, *range(k + 1)))
 
     def covariant_trace(self, covd, values):
-        """g^{ab} (covd[a, b] - Gam^g_ab values[g]), the values of the trace
-        of a covariant derivative: covd[a, b, ...] holds the derivative along
-        the parameter direction a of the field F_b, whose values are
-        values[b, ...]."""
-        corr = np.einsum("gab,g...->ab...", self.intrinsic_christoffels.values, values)
-        return np.einsum("ab,ab...->...", self.g_inv_val, covd - corr)
+        """`_covariant_trace` at this point: covd[a, b, ...] holds the
+        derivative along the parameter direction a of the field F_b, whose
+        values are values[b, ...]."""
+        return _covariant_trace(self.g_inv_val[None], self.intrinsic_christoffels.values[None],
+                                covd[None], values[None])[0]
 
-    def rough_laplacian(self, field):
-        """tr_g nabla^2 of an ambient jet field (negative-convention values)."""
-        first = self.pullback_derivative(field)
+    def rough_laplacian(self, field, first=None):
+        """tr_g nabla^2 of an ambient jet field (negative-convention values);
+        `first` is its `pullback_derivative` when the caller has it."""
+        if first is None:
+            first = self.pullback_derivative(field)
         return self.covariant_trace(self.pullback_derivative(first).values, first.values)
-
-    def directional_derivative(self, field, direction):
-        """nabla-bar of a field along a tangent direction given in parameters."""
-        return direction @ self.pullback_derivative(field).values
 
     # -- weight function -------------------------------------------------------
 
@@ -594,29 +602,56 @@ class PointCalculus:
     def grad_f_ambient(self):
         return self.grad_f_ambient_field.values
 
-    def laplacian_pos_field(self, scalar_jet):
-        """Positive Laplacian -tr_g Hess of a scalar jet, as a lower-order field."""
-        return _laplacian_pos(self.induced_metric_inv_field,
-                              self.intrinsic_christoffels, scalar_jet)
+    @cached_property
+    def trace_terms(self):
+        """This point's view of the `TraceTerms` of its block."""
+        return self._ev.trace_terms.at(self._index)
 
-    def gradient_ambient(self, scalar_jet):
-        """Ambient components of the intrinsic gradient (values)."""
-        return self.dpsi_val @ (self.g_inv_val @ scalar_jet.derivs().values)
 
-    # -- intrinsic curvature -----------------------------------------------------
+class Evaluation:
+    """The fields of one immersion at P parameter points, built by
+    `evaluate`: `fields` maps each field name to a jet with a points axis,
+    also bound as an attribute of that name, and `gram_det` and `structure`
+    hold one leading entry per point.  Item i is the `PointCalculus` of
+    point i.  The projectors and the trace terms are computed for all points
+    at once, on first use."""
+
+    def __init__(self, imm, points, order, fields, gram_det, structure):
+        self.imm = imm
+        self.points = points
+        self.order = order
+        self.fields = fields
+        self.gram_det = gram_det
+        self.structure = structure
+        self.__dict__.update(fields)
+        self._connection = {}
+
+    # the one implementation of the derivative along the immersion, here on
+    # the batched fields
+    _connection_along = PointCalculus._connection_along
+    pullback_derivative = PointCalculus.pullback_derivative
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, index):
+        return PointCalculus(self, index)
+
+    def __iter__(self):
+        return (PointCalculus(self, i) for i in range(len(self)))
 
     @cached_property
-    def intrinsic_ricci(self):
-        """Ricci tensor (values) of the induced metric, Ric_jk = R^i_ijk."""
-        return np.einsum("iijk->jk", curvature_from_christoffels(self.intrinsic_christoffels))
-
-    @cached_property
-    def scal(self):
-        return float(np.tensordot(self.g_inv_val, self.intrinsic_ricci))
+    def projectors(self):
+        """(tangent, normal) projector matrices in ambient coordinates, one
+        leading entry per point."""
+        dpsi = self.dpsi.point_values(len(self))
+        P = (dpsi @ self.induced_metric_inv_field.point_values(len(self))
+             @ dpsi.swapaxes(-1, -2) @ self.G_field.point_values(len(self)))
+        return P, np.eye(P.shape[-1]) - P
 
     @cached_property
     def trace_terms(self):
-        """The `TraceTerms` at this point, computed once."""
+        """The `TraceTerms` of every point, computed once."""
         return trace_terms_at(self)
 
 
@@ -627,177 +662,130 @@ def drain(calcs):
     """Yield the evaluations in `calcs` in order, removing each from the list
     first: the caller's loop then holds the only reference to the point it
     works on.  A point's cached quantities are released once the loop moves
-    on; its jet fields are views into the arrays of its batch, which are
-    released once the loop has left every point of that batch (at most
-    BATCH_POINTS points)."""
+    on; its jet fields are views into the arrays of its batch, and its trace
+    terms a view of the batch's, which are released with the batch once the
+    loop has left every point of it (at most BATCH_POINTS points)."""
     calcs.reverse()
     while calcs:
         yield calcs.pop()
 
 
-def _normal_connection(pc, field):
-    """nabla-perp of a normal jet field along each coordinate direction, as
-    a jet field W[al, a] and as its values."""
-    covd = pc.pullback_derivative(field)
-    P = pc.projector_field
-    # normal projector I - P: -P off the diagonal and -P + 1 on it, which
-    # rounds as the scalar loops' 1 - P did
-    N = (-P).add_diagonal(1.0).truncate(covd.space.order)
-    W = (N[None] * covd[:, None, :]).sum(-1)
-    return W, W.values
-
-
-def _normal_trace(pc, fields, values):
-    """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g) for jet fields F[b]
-    with values `values`: the normal part of the trace of their covariant
-    derivative."""
-    covd = pc.pullback_derivative(fields).values
-    return pc.covariant_trace(covd @ pc.projectors[1].T, values)
-
-
-def trace_terms_at(pc):
-    """Build the `TraceTerms` of a point; `PointCalculus.trace_terms` keeps
-    the one instance every caller shares."""
-    m, d = pc.m, pc.d
-    ginv = pc.g_inv_val
-    G0 = pc.G_val
-    dpsi = pc.dpsi_val
-    B = pc.B_val  # (m, m, d)
-    H = pc.H_val
-    P_tan, P_nor = pc.projectors
-
-    ip = lambda u, v: float(u @ G0 @ v)
+def trace_terms_at(ev):
+    """Build the `TraceTerms` of every point of an `Evaluation` at once,
+    each field with a leading points axis: the jet products on the batched
+    fields, the contractions on their values point by point.
+    `Evaluation.trace_terms` keeps the one instance every point views."""
+    count, m, d = len(ev), ev.imm.param_dim, ev.imm.ambient.chart_dim
+    val = lambda jet: jet.point_values(count)
+    ginv, G0, dpsi = val(ev.induced_metric_inv_field), val(ev.G_field), val(ev.dpsi)
+    B, H = val(ev.B_field), val(ev.H_field)  # B[p, al, be, a]
+    gam = val(ev.intrinsic_christoffels)
+    P_tan, P_nor = ev.projectors
+    # matrix times vector and inner product, point by point
+    mv = lambda M, v: (M @ v[..., None])[..., 0]
+    ip = lambda u, v: (u[:, None, :] @ G0 @ v[:, :, None])[:, 0, 0]
+    # ambient components of the intrinsic gradient of a scalar jet field
+    gradient_ambient = lambda jet: mv(dpsi, mv(ginv, val(jet.derivs())))
 
     # tr B(., A_H .) = g^{ag} g^{bd} <B_gd, H> B_ab
-    BH = np.einsum("abk,kl,l->ab", B, G0, H)
-    tb_ah = np.einsum("ag,bd,gd,abk->k", ginv, ginv, BH, B)
-    BG = B @ G0  # BG[al, be] = <B_al,be, .>
+    BH = np.einsum("pabk,pkl,pl->pab", B, G0, H)
+    tb_ah = np.einsum("pag,pbd,pgd,pabk->pk", ginv, ginv, BH, B)
+    BG = B @ G0[:, None]  # BG[p, al, be] = <B_al,be, .>
 
     def trace_shape(W):
-        """tr A_{W}(.) = g^{ab} g^{gd} <B_bd, W_a> dpsi_g of a normal 1-form W[a]."""
-        return dpsi @ np.einsum("ab,gd,bdl,al->g", ginv, ginv, BG, W)
+        """tr A_{W}(.) = g^{ab} g^{gd} <B_bd, W_a> dpsi_g of normal 1-forms W[p, a]."""
+        return mv(dpsi, np.einsum("pab,pgd,pbdl,pal->pg", ginv, ginv, BG, W))
 
-    # normal connection of H along coordinate directions
-    H_field = pc.H_field
-    nabla_perp_h_fields, nabla_perp_h = _normal_connection(pc, H_field)
+    def normal_trace(fields, values):
+        """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g), the normal part of the
+        trace of the covariant derivative of jet fields F[b] with values [p, b, a]."""
+        covd = val(ev.pullback_derivative(fields))
+        return _covariant_trace(ginv, gam, covd @ P_nor.swapaxes(-1, -2)[:, None], values)
 
-    # positive normal Laplacian of H
-    delta_perp_h_pos = -_normal_trace(pc, nabla_perp_h_fields, nabla_perp_h)
+    # normal connection of H along coordinate directions, W[al, a]; the
+    # normal projector I - P is -P off the diagonal and -P + 1 on it, which
+    # rounds as the scalar loops' 1 - P did
+    covd_h = ev.pullback_derivative(ev.H_field)
+    N = (-ev.projector_field).add_diagonal(1.0).truncate(covd_h.space.order)
+    nabla_perp_h_field = (N[None] * covd_h[:, None, :]).sum(-1)
+    nabla_perp_h = val(nabla_perp_h_field)
 
-    # |H|^2 field and gradient
-    ord2 = pc.order - 2
-    h2_terms = pc.G_field.truncate(ord2) * H_field[:, None] * H_field[None]
-    grad_h2 = pc.gradient_ambient(h2_terms.reshape(d * d).sum(0))
+    # |H|^2 field and its gradient
+    ord2 = ev.order - 2
+    h2_terms = ev.G_field.truncate(ord2) * ev.H_field[:, None] * ev.H_field[None]
 
     # weight-function material
-    f = pc.f_jet.value
-    grad_f = pc.grad_f_ambient
-    grad_f_param = pc.grad_f_param
-    X = pc.grad_f_param_field
-    gf2_terms = pc.induced_metric_field.truncate(pc.order - 1) * X[:, None] * X[None]
+    grad_f = val(ev.grad_f_ambient_field)
+    X = ev.grad_f_param_field
+    grad_f_param = val(X)
+    gf2_terms = ev.induced_metric_field.truncate(ev.order - 1) * X[:, None] * X[None]
     gf2_field = gf2_terms.reshape(m * m).sum(0)
-    grad_f_norm2 = gf2_field.value
-    grad_gradf2 = pc.gradient_ambient(gf2_field)
-
-    delta_f_pos = pc.delta_f_pos_field.value
-    grad_delta_f = pc.gradient_ambient(pc.delta_f_pos_field)
 
     # (nabla_be grad f)^g = d_be (grad f)^g + Gam^g_{be, de} (grad f)^de
-    hess_vec = X.derivs().values.T + np.einsum(
-        "gbd,d->bg", pc.intrinsic_christoffels.values, grad_f_param)
-    # tr B(., nabla_. grad f) = g^{ab} B_{a gamma} (nabla_b grad f)^gamma
-    tb_hess = np.einsum("ab,bg,agk->k", ginv, hess_vec, B)
+    hess_vec = val(X.derivs()).swapaxes(-1, -2) + np.einsum("pgbd,pd->pbg", gam, grad_f_param)
 
     # omega_beta = B(e_beta, grad f) as a jet field; its normal-connection trace
-    omega_fields = (pc.B_field * X.truncate(ord2)[None, :, None]).sum(1)
-    omega_val = omega_fields.values
-    tnb = _normal_trace(pc, omega_fields, omega_val)
+    omega_field = (ev.B_field * X.truncate(ord2)[None, :, None]).sum(1)
+    omega = val(omega_field)
 
-    b_gradf_gradf = np.einsum("a,b,abk->k", grad_f_param, grad_f_param, B)
-
-    # A_H grad f = g^{gb} <B(grad f, e_b), H> dpsi_g
-    a_h_gradf = dpsi @ (ginv @ np.einsum("a,abl,l->b", grad_f_param, BG, H))
-
-    nabla_perp_gradf_h = np.einsum("a,ak->k", grad_f_param, nabla_perp_h)
-
-    # Ricci of the induced metric applied to grad f
-    ric = pc.intrinsic_ricci
-    ric_vec_param = ginv @ (ric @ grad_f_param)
-    ric_grad_f = dpsi @ ric_vec_param
+    # Ricci of the induced metric, Ric_jk = R^i_ijk, and the scalar curvature
+    ric = np.einsum("piijk->pjk", curvature_from_christoffels(ev.intrinsic_christoffels, count))
+    scal = (ginv.reshape(count, 1, m * m) @ ric.reshape(count, m * m, 1))[:, 0, 0]
 
     # structure material: two-step compositions of J (phi) and contact terms
-    T = pc.structure_tensor
-    tan_TH = P_tan @ (T @ H)
-    tan_Tgf = P_tan @ (T @ grad_f)
-    if pc.space.structure == "contact":
-        xi = pc.structure["xi"]
-        eta_h = ip(xi, H)
-        xi_tan = P_tan @ xi
-        xi_nor = P_nor @ xi
-        xi_tan_norm2 = ip(xi_tan, xi_tan)
-        eta_grad_f = ip(xi, grad_f)
+    T = ev.structure["J" if ev.imm.ambient.structure == "hermitian" else "phi"]
+    tan_TH = mv(P_tan, mv(T, H))
+    tan_Tgf = mv(P_tan, mv(T, grad_f))
+    if ev.imm.ambient.structure == "contact":
+        xi = ev.structure["xi"]
+        xi_tan = mv(P_tan, xi)
+        contact = dict(eta_h=ip(xi, H), xi_tan=xi_tan, xi_nor=mv(P_nor, xi),
+                       xi_tan_norm2=ip(xi_tan, xi_tan), eta_grad_f=ip(xi, grad_f))
     else:
-        eta_h = 0.0
-        xi_tan = np.zeros(d)
-        xi_nor = np.zeros(d)
-        xi_tan_norm2 = 0.0
-        eta_grad_f = 0.0
-
-    a_h_norm2 = float(np.einsum("ag,bd,ab,gd->", ginv, ginv, BH, BH))
+        zero, zeros = np.zeros(count), np.zeros((count, d))
+        contact = dict(eta_h=zero, xi_tan=zeros, xi_nor=zeros, xi_tan_norm2=zero,
+                       eta_grad_f=zero)
 
     return TraceTerms(
         n=m,
-        f=f,
+        f=val(ev.f_jet),
         grad_f=grad_f,
-        grad_f_norm2=grad_f_norm2,
-        delta_f_pos=delta_f_pos,
-        grad_delta_f_pos=grad_delta_f,
-        grad_grad_f_norm2=grad_gradf2,
-        ric_grad_f=ric_grad_f,
-        scal=pc.scal,
+        grad_f_norm2=val(gf2_field),
+        delta_f_pos=val(ev.delta_f_pos_field),
+        grad_delta_f_pos=gradient_ambient(ev.delta_f_pos_field),
+        grad_grad_f_norm2=gradient_ambient(gf2_field),
+        ric_grad_f=mv(dpsi, mv(ginv, mv(ric, grad_f_param))),
+        scal=scal,
         h_norm2=ip(H, H),
-        grad_h_norm2=grad_h2,
+        grad_h_norm2=gradient_ambient(h2_terms.reshape(d * d).sum(0)),
         tb_ah=tb_ah,
         ta_nabla_perp_h=trace_shape(nabla_perp_h),
-        delta_perp_h_pos=delta_perp_h_pos,
+        delta_perp_h_pos=-normal_trace(nabla_perp_h_field, nabla_perp_h),
         nabla_perp_h=nabla_perp_h,
-        nabla_perp_gradf_h=nabla_perp_gradf_h,
-        a_h_grad_f=a_h_gradf,
-        tb_hess_f=tb_hess,
-        tnb_grad_f=tnb,
-        ta_b_grad_f=trace_shape(omega_val),
-        b_gradf_gradf=b_gradf_gradf,
-        eta_h=eta_h,
-        xi_tan=xi_tan,
-        xi_nor=xi_nor,
-        xi_tan_norm2=xi_tan_norm2,
-        b_norm2=float(np.einsum("ag,bd,abl,gdl->", ginv, ginv, BG, B)),
-        a_h_norm2=a_h_norm2,
-        nabla_perp_h_norm2=float(np.einsum("ab,al,bl->", ginv, nabla_perp_h @ G0,
-                                           nabla_perp_h)),
+        nabla_perp_gradf_h=np.einsum("pa,pak->pk", grad_f_param, nabla_perp_h),
+        # A_H grad f = g^{gb} <B(grad f, e_b), H> dpsi_g
+        a_h_grad_f=mv(dpsi, mv(ginv, np.einsum("pa,pabl,pl->pb", grad_f_param, BG, H))),
+        # tr B(., nabla_. grad f) = g^{ab} B_{a gamma} (nabla_b grad f)^gamma
+        tb_hess_f=np.einsum("pab,pbg,pagk->pk", ginv, hess_vec, B),
+        tnb_grad_f=normal_trace(omega_field, omega),
+        ta_b_grad_f=trace_shape(omega),
+        b_gradf_gradf=np.einsum("pa,pb,pabk->pk", grad_f_param, grad_f_param, B),
+        b_norm2=np.einsum("pag,pbd,pabl,pgdl->p", ginv, ginv, BG, B),
+        a_h_norm2=np.einsum("pag,pbd,pab,pgd->p", ginv, ginv, BH, BH),
+        nabla_perp_h_norm2=np.einsum("pab,pal,pbl->p", ginv, nabla_perp_h @ G0,
+                                     nabla_perp_h),
         H=H,
-        coeffs=pc.space.curvature_coeffs_at(pc.psi_val),
-        kl_H=P_nor @ (T @ tan_TH),
-        jl_H=P_tan @ (T @ tan_TH),
-        mm_H=P_nor @ (T @ (P_nor @ (T @ H))),
-        kj_grad_f=P_nor @ (T @ tan_Tgf),
-        j2_grad_f=P_tan @ (T @ tan_Tgf),
-        eta_grad_f=eta_grad_f,
+        coeffs=np.stack(ev.imm.ambient.curvature_coeffs_at(val(ev.psi)), axis=-1),
+        kl_H=mv(P_nor, mv(T, tan_TH)),
+        jl_H=mv(P_tan, mv(T, tan_TH)),
+        mm_H=mv(P_nor, mv(T, mv(P_nor, mv(T, H)))),
+        kj_grad_f=mv(P_nor, mv(T, tan_Tgf)),
+        j2_grad_f=mv(P_tan, mv(T, tan_Tgf)),
+        **contact,
     )
 
 
 # -- flag verification -----------------------------------------------------------
-
-
-def _operator_norms(pc):
-    """Frobenius norms of the four structure-decomposition blocks."""
-    tt, tn, nt, nn = pc.decomposition_operators
-    return {
-        "tt": float(np.linalg.norm(tt)),
-        "tn": float(np.linalg.norm(tn)),
-        "nt": float(np.linalg.norm(nt)),
-        "nn": float(np.linalg.norm(nn)),
-    }
 
 
 def flag_deviation(imm, calcs, name):
@@ -819,15 +807,16 @@ def flag_deviation(imm, calcs, name):
                 raise FlagError(name, f"flag {name!r} needs a Hermitian ambient")
             if name in ("invariant", "anti_invariant") and imm.ambient.structure != "contact":
                 raise FlagError(name, f"flag {name!r} needs a contact ambient")
-            norms = _operator_norms(pc)
+            # Frobenius norms of the four structure-decomposition blocks
+            tt, tn, nt, nn = (float(np.linalg.norm(M)) for M in pc.decomposition_operators)
             if name == "complex":
-                dev = max(dev, norms["tn"], norms["nt"])
+                dev = max(dev, tn, nt)
             elif name == "lagrangian":
-                dev = max(dev, norms["tt"], norms["nn"])
+                dev = max(dev, tt, nn)
             elif name == "invariant":
-                dev = max(dev, norms["tn"])
+                dev = max(dev, tn)
             else:
-                dev = max(dev, norms["tt"])
+                dev = max(dev, tt)
         elif name in ("xi_tangent", "xi_normal"):
             if imm.ambient.structure != "contact":
                 raise FlagError(name, f"flag {name!r} needs a contact ambient")

@@ -20,13 +20,13 @@ import time
 
 from . import __version__
 from .audits import curvature_trace_audit, run_all_audits
-from .calculus import FLAG_TOL, PointError, drain, map_jets
+from .calculus import FLAG_TOL, PointError, WeightError, drain, map_jets
 from .props import proposition_checkers
 from .report import render_report, write_csv
 from .residuals import compare_modes, direct_field, theorem_residual
 from .scenario import ScenarioError, _validate, evaluate_points, load_scenario
 from .spaces import SpaceError
-from .variational import ENERGIES, ChartExitError, energies, first_variation_suite
+from .variational import ENERGIES, VariationError, energies, first_variation_suite
 
 PASS, NUMERIC_FAIL, VALIDATION_FAIL, INTERNAL_FAIL = 0, 2, 3, 4
 
@@ -157,7 +157,7 @@ def cmd_variation(sc, args, out, calcs):
     which_list = [args.functional] if args.functional else list(ENERGIES)
     try:
         sweeps = first_variation_suite(imm, grid, which_list, variation)
-    except ChartExitError as exc:
+    except VariationError as exc:
         raise ScenarioError(str(exc), "variation", "components") from None
     results = []
     ok = True
@@ -282,7 +282,8 @@ def main(argv=None):
         print(f"validation error: {exc}", file=sys.stderr)
         return VALIDATION_FAIL
     except PointError as exc:  # sample points fail as ScenarioErrors
-        error = ScenarioError(f"quadrature node {exc.point} rejected: {exc}", "sampling", "grid")
+        where = ("weight", "f") if isinstance(exc, WeightError) else ("sampling", "grid")
+        error = ScenarioError(f"quadrature node {exc.point} rejected: {exc}", *where)
         print(f"validation error: {error}", file=sys.stderr)
         return VALIDATION_FAIL
     except Exception as exc:  # pragma: no cover - guarded surface

@@ -73,21 +73,22 @@ def _tau_field(pc):
     return pc.H_field * float(pc.m)
 
 
-def bitension_direct(pc):
-    """Bitension field, section-Laplacian convention tr(nabla^2)."""
+def bitension_direct(pc, first=None):
+    """Bitension field, section-Laplacian convention tr(nabla^2); `first` is
+    the `pullback_derivative` of tau when the caller has it."""
     tau_f = _tau_field(pc)
-    return pc.rough_laplacian(tau_f) - curvature_trace(pc, tau_f.values)
+    return pc.rough_laplacian(tau_f, first) - curvature_trace(pc, tau_f.values)
 
 
 def f_bitension_direct(pc):
     """f*tau2 + (tr Hess f) tau + 2 nabla_{grad f} tau (ambient vector)."""
     tau_f = _tau_field(pc)
     tau = tau_f.values
-    tau2 = bitension_direct(pc)
+    first = pc.pullback_derivative(tau_f)
+    tau2 = bitension_direct(pc, first)
     f = pc.f_jet.value
     delta_f_neg = -pc.delta_f_pos_field.value
-    grad_dir = pc.grad_f_param
-    return f * tau2 + delta_f_neg * tau + 2.0 * pc.directional_derivative(tau_f, grad_dir)
+    return f * tau2 + delta_f_neg * tau + 2.0 * (pc.grad_f_param @ first.values)
 
 
 def _tau_weighted_field(pc):
@@ -99,9 +100,10 @@ def _tau_weighted_field(pc):
 def bi_f_tension_direct(pc):
     """f*J(tau_f) - nabla_{grad f} tau_f with the direct Jacobi operator."""
     tau_w = _tau_weighted_field(pc)
-    jacobi = -pc.rough_laplacian(tau_w) + curvature_trace(pc, tau_w.values)
+    first = pc.pullback_derivative(tau_w)
+    jacobi = -pc.rough_laplacian(tau_w, first) + curvature_trace(pc, tau_w.values)
     f = pc.f_jet.value
-    return f * jacobi - pc.directional_derivative(tau_w, pc.grad_f_param)
+    return f * jacobi - pc.grad_f_param @ first.values
 
 
 def direct_field(kind, pc):

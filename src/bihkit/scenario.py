@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (FLAG_NAMES, FLAG_TOL, FlagError, Immersion, PointError,
-                       evaluate_batches, map_jets, verify_flags)
+                       WeightError, check_weight, evaluate_batches, map_jets,
+                       verify_flags)
 from .expr import ParseError, parse
 from .residuals import COROLLARIES, equation_for
 from .spaces import SpaceError, make_space
@@ -439,20 +440,13 @@ def evaluate_points(sc, points):
     checks.  An error names the first failing point, with the message that
     point fails with alone."""
     try:
-        for ev in evaluate_batches(sc.immersion, points, check=_check_weight):
+        for ev in evaluate_batches(sc.immersion, points, check=check_weight):
             yield from ev
+    except WeightError as exc:
+        raise ScenarioError(str(exc), "weight", "f") from None
     except PointError as exc:
         raise ScenarioError(f"sample point {exc.point} rejected: {exc}",
                             "sampling", "grid") from None
-
-
-def _check_weight(ev):
-    f = ev.fields["f_jet"].point_values(len(ev))
-    bad = np.flatnonzero(f <= 0.0)
-    if bad.size:
-        raise ScenarioError(
-            f"weight not positive at {ev.points[bad[0]].tolist()} (f = {f[bad[0]]:.3e})",
-            "weight", "f")
 
 
 def _validate(sc):

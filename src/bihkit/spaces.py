@@ -141,9 +141,13 @@ class AmbientSpace:
         tensors = self.structure_jets(chart_jets(point, 0))
         return {key: Jet.stack(val).values for key, val in tensors.items()}
 
-    def curvature_coeffs_at(self, point):
-        x = chart_jets(point, 0)
-        return tuple(c.value for c in self.curvature_coeff_jets(x))
+    def curvature_coeffs_at(self, points):
+        """The curvature coefficients at a chart point, as floats, or at each
+        row of a (P, d) array of points, as arrays of P values."""
+        coeffs = self.curvature_coeff_jets(chart_jets(points, 0))
+        if np.ndim(points) == 1:
+            return tuple(c.value for c in coeffs)
+        return tuple(c.point_values(len(points)) for c in coeffs)
 
 
 # -- Hermitian spaces ---------------------------------------------------------
@@ -526,14 +530,17 @@ def christoffels_at(space, points):
     return G.point_values(len(points)), Gam.point_values(len(points))
 
 
-def curvature_from_christoffels(Gam):
+def curvature_from_christoffels(Gam, count=None):
     """R[l,i,j,k] = d_i Gam^l_jk - d_j Gam^l_ik + Gam^l_im Gam^m_jk
-    - Gam^l_jm Gam^m_ik from Christoffel jets of order >= 1."""
-    Gv = Gam.values                    # Gv[k, i, j] = Gamma^k_ij
-    dGv = Gam.derivs().values          # dGv[k, i, j, l] = d_l Gamma^k_ij
-    quad = np.einsum("lim,mjk->lijk", Gv, Gv)
-    return (np.einsum("ljki->lijk", dGv) - np.einsum("likj->lijk", dGv)
-            + quad - quad.transpose(0, 2, 1, 3))
+    - Gam^l_jm Gam^m_ik from Christoffel jets of order >= 1; with `count`,
+    at each of the `count` points of jets with a points axis, on a leading
+    axis."""
+    values = (lambda jet: jet.values) if count is None else (lambda jet: jet.point_values(count))
+    Gv = values(Gam)                   # Gv[k, i, j] = Gamma^k_ij
+    dGv = values(Gam.derivs())         # dGv[k, i, j, l] = d_l Gamma^k_ij
+    quad = np.einsum("...lim,...mjk->...lijk", Gv, Gv)
+    return (np.einsum("...ljki->...lijk", dGv) - np.einsum("...likj->...lijk", dGv)
+            + quad - quad.swapaxes(-3, -2))
 
 
 def curvature_model(family, G, tensors, coeffs):
@@ -583,8 +590,6 @@ def gcsf_coefficient_sum_spread(space, points):
     constant; user-supplied expressions are not forced to satisfy this, so
     consumers warn when the sampled spread is non-zero.
     """
-    vals = []
-    for p in points:
-        coeffs = space.curvature_coeffs_at(np.asarray(p, float))
-        vals.append(coeffs[0] + coeffs[1])
-    return float(max(vals) - min(vals))
+    alpha, beta = space.curvature_coeffs_at(np.asarray(points, float))
+    total = alpha + beta
+    return float(total.max() - total.min())

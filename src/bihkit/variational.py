@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import evaluate_batches, map_jets, parameter_jets
+from .calculus import check_weight, evaluate_batches, map_jets, parameter_jets
 from .expr import eval_on_jets, parse
 from .jets import Jet
 from .residuals import (
@@ -51,6 +51,7 @@ from .spaces import ChartError, christoffels_at
 
 __all__ = [
     "ChartExitError",
+    "VariationError",
     "QuadratureGrid",
     "ENERGIES",
     "VARIATION_PAIRING",
@@ -62,7 +63,11 @@ __all__ = [
 ENERGIES = ("E", "E2", "E2F", "EF", "EF2")
 
 
-class ChartExitError(ChartError):
+class VariationError(ValueError):
+    """The variation fails at the quadrature nodes."""
+
+
+class ChartExitError(VariationError, ChartError):
     """The deformed map psi + t V leaves the ambient chart at a node."""
 
 
@@ -123,7 +128,7 @@ def _frozen(imm, points, order, visit=None):
     order (the values do not depend on it); `visit(i, pc)` also sees the
     PointCalculus of node i."""
     rows = []
-    calcs = (pc for ev in evaluate_batches(imm, points, order) for pc in ev)
+    calcs = (pc for ev in evaluate_batches(imm, points, order, check_weight) for pc in ev)
     for i, pc in enumerate(calcs):
         df = np.array([pc.f_jet.deriv(al).value for al in range(pc.m)])
         rows.append((pc.g_inv_val, pc.intrinsic_christoffels.values,
@@ -241,7 +246,11 @@ def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)
         parse(v, imm.params) if isinstance(v, str) else v for v in variation
     ]
     env = parameter_jets(imm.params, grid.points, 2)
-    v = Jet.stack([eval_on_jets(e, env) for e in v_exprs])
+    try:
+        v = Jet.stack([eval_on_jets(e, env) for e in v_exprs])
+    # math-domain and jet errors are ValueErrors, overflow an ArithmeticError
+    except (ValueError, ArithmeticError) as exc:
+        raise VariationError(f"variation components fail at the quadrature nodes: {exc}") from None
     V = v.point_values(len(grid))
     psi = map_jets(imm, grid.points, 2)
 

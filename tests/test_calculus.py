@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from bihkit import calculus
 from bihkit.audits import _intrinsic_rough_laplacian_gradf
 from bihkit.expr import eval_on_jets
 from bihkit.jets import Jet, jet_space
-from bihkit.residuals import bi_f_tension_direct, compare_modes, theorem_residual
+from bihkit.residuals import (bi_f_tension_direct, compare_modes, f_bitension_direct,
+                               theorem_residual)
 from bihkit.scenario import load_scenario
 from bihkit.spaces import SpaceError, chart_jets, make_space
 from conftest import point_calculus, scenario_path
@@ -207,7 +210,8 @@ def test_normal_laplacian_parallel_field_and_bochner():
             for b in range(pc.d):
                 term = pc.G_field[a][b].truncate(ord2) * pc.H_field[a] * pc.H_field[b]
                 h2_field = term if h2_field is None else h2_field + term
-        lap_h2 = pc.laplacian_pos_field(h2_field).value
+        lap_h2 = calculus._laplacian_pos(pc.induced_metric_inv_field,
+                                         pc.intrinsic_christoffels, h2_field).value
         lhs = 0.5 * lap_h2
         rhs = float(tt.delta_perp_h_pos @ pc.G_val @ pc.H_val) - tt.nabla_perp_h_norm2
         assert abs(lhs - rhs) <= 1e-6 * (1.0 + abs(lhs))
@@ -275,7 +279,7 @@ def test_hypersurface_xi_tangent_normal_line_facts():
         "1")
     p = [0.5, 1.1]
     pc = point_calculus(imm, p)
-    st = S3.structure_at(pc.psi_val)
+    st = S3.structure_at(pc.psi.values)
     phi = st["phi"]
     P_tan, P_nor = pc.projectors
     nu = pc.normal_frame[0]
@@ -437,7 +441,7 @@ def _ref_mean_curvature_path(pc):
     env = {name: Jet.variable(sp, i, pc.point[i]) for i, name in enumerate(pc.imm.params)}
     psi = [eval_on_jets(c, env) for c in pc.imm.components]
     compose = _ref_composer([psi[a] - psi[a].value for a in range(d)])
-    metric = Jet.stack(pc.space.metric_jets(chart_jets(pc.psi_val, order)))
+    metric = Jet.stack(pc.space.metric_jets(chart_jets(pc.psi.values, order)))
     G_chart = [[metric[a, b] for b in range(d)] for a in range(d)]
     Gam_chart = _ref_christoffels(G_chart)
     G = [[compose(G_chart[a][b]) for b in range(d)] for a in range(d)]
@@ -524,7 +528,7 @@ def test_check_point_operation_counts(monkeypatch):
     """Jet work of one `check` point on c13 (order-4 jets in 3 variables):
     the direct field, one theorem residual and the mode comparison on one
     PointCalculus.  Counts, not times, so the guard is deterministic."""
-    counts = {"mul": 0, "truncate": 0, "trace_terms": 0}
+    counts = {"mul": 0, "truncate": 0, "trace_terms": 0, "pullback": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -537,16 +541,46 @@ def test_check_point_operation_counts(monkeypatch):
     monkeypatch.setattr(Jet, "truncate", counted("truncate", Jet.truncate))
     monkeypatch.setattr(calculus, "trace_terms_at",
                         counted("trace_terms", calculus.trace_terms_at))
+    PC = calculus.PointCalculus
+    monkeypatch.setattr(PC, "pullback_derivative",
+                        counted("pullback", PC.pullback_derivative))
     sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
     imm, p = sc.immersion, sc.sample_points()[0]
     kind = sc.mode["kind"]
     pc = point_calculus(imm, p)
     bi_f_tension_direct(pc)
+    # the first and second derivatives of tau_w; the directional derivative
+    # reuses the first
+    assert counts["pullback"] == 2
     theorem_residual(pc, kind=kind, errata=True)
     compare_modes(pc, kind=kind, errata=True)
     assert counts["trace_terms"] == 1
     assert counts["mul"] <= 180
     assert counts["truncate"] <= 60
+    counts["pullback"] = 0
+    f_bitension_direct(pc)
+    assert counts["pullback"] == 2
+
+
+def test_trace_terms_product_count_does_not_grow_with_points(monkeypatch):
+    """One trace-term build makes the same number of jet products at 1 and
+    at 16 points of c13: the block's points share every product."""
+    sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
+    evals = [calculus.evaluate(sc.immersion, sc.sample_points()[:count]) for count in (1, 16)]
+    counts = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[-1] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Jet, attr, counted(getattr(Jet, attr)))
+    for ev in evals:
+        counts.append(0)
+        calculus.trace_terms_at(ev)
+    assert counts[0] == counts[1] > 0
 
 
 def test_batched_evaluation_product_count_does_not_grow_with_points(monkeypatch):
@@ -571,22 +605,50 @@ def test_batched_evaluation_product_count_does_not_grow_with_points(monkeypatch)
     assert counts[0] == counts[1] > 0
 
 
-# -- index-loop references of the per-point contractions ------------------------
+# -- index-loop references of the contractions ---------------------------------
 # The nested loops the trace terms, the rough Laplacian and the intrinsic
-# Laplacian of the lemgene2 audit were first written with.  The contractions
-# add in numpy's order, so they agree to round-off, not bit for bit.
+# Laplacian of the lemgene2 audit were first written with, at one point from
+# that point's own fields.  The contractions (batched over a block for the
+# trace terms) add in numpy's order, so they agree to round-off, not bit for
+# bit.
 
 
-def _ref_normal_trace(pc, fields, values):
+def _ref_mat_vec(M, v):
+    out = np.zeros(M.shape[0])
+    for j in range(M.shape[1]):
+        out += M[:, j] * v[j]
+    return out
+
+
+def _ref_projectors(pc):
+    """P[a, b] = dpsi[a, al] ginv[al, be] dpsi[c, be] G[c, b] and I - P."""
+    dpsi, ginv, G0 = pc.dpsi_val, pc.g_inv_val, pc.G_val
+    P = np.zeros((pc.d, pc.d))
+    for al in range(pc.m):
+        for be in range(pc.m):
+            P += ginv[al, be] * np.outer(dpsi[:, al], dpsi[:, be] @ G0)
+    return P, np.eye(pc.d) - P
+
+
+def _ref_gradient(pc, scalar_jet):
+    """dpsi_g g^{ga} d_a s: ambient components of the intrinsic gradient."""
+    ds = scalar_jet.derivs().values
+    out = np.zeros(pc.d)
+    for g in range(pc.m):
+        for a in range(pc.m):
+            out += pc.dpsi_val[:, g] * pc.g_inv_val[g, a] * ds[a]
+    return out
+
+
+def _ref_normal_trace(pc, P_nor, fields, values):
     """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g)."""
-    P_nor = pc.projectors[1]
     Gam_int = pc.intrinsic_christoffels.values
     ginv = pc.g_inv_val
     covd = pc.pullback_derivative(fields).values
     out = np.zeros(pc.d)
     for al in range(pc.m):
         for be in range(pc.m):
-            term = P_nor @ covd[al][be]
+            term = _ref_mat_vec(P_nor, covd[al][be])
             corr = np.zeros(pc.d)
             for g in range(pc.m):
                 corr += Gam_int[g, al, be] * values[g]
@@ -612,10 +674,12 @@ def _ref_ricci(pc):
 
 
 def _ref_trace_terms(pc):
-    """The loop-built trace terms of `pc`, by their `TraceTerms` names."""
+    """Every loop-built trace term of `pc` but n, by its `TraceTerms` name."""
     m, d = pc.m, pc.d
     ginv, G0, dpsi, B, H = pc.g_inv_val, pc.G_val, pc.dpsi_val, pc.B_val, pc.H_val
     ip = lambda u, v: float(u @ G0 @ v)
+    mv = _ref_mat_vec
+    P_tan, P_nor = _ref_projectors(pc)
     ord2 = pc.order - 2
     # nabla-perp H along each coordinate direction, as jets and values
     covd = pc.pullback_derivative(pc.H_field)
@@ -624,16 +688,40 @@ def _ref_trace_terms(pc):
     W = W_fields.values
     X = pc.grad_f_param_field
     gfp = pc.grad_f_param
+    grad_f = pc.grad_f_ambient
     omega_fields = (pc.B_field * X.truncate(ord2)[None, :, None]).sum(1)
     omega = omega_fields.values
-    out = {"ta_nabla_perp_h": np.zeros(d), "ta_b_grad_f": np.zeros(d)}
+    out = {"f": pc.f_jet.value, "grad_f": grad_f, "H": H,
+           "delta_f_pos": pc.delta_f_pos_field.value,
+           "grad_delta_f_pos": _ref_gradient(pc, pc.delta_f_pos_field),
+           "nabla_perp_h": W, "coeffs": pc.space.curvature_coeffs_at(pc.psi.values),
+           "h_norm2": ip(H, H)}
+    # |grad f|^2 and |H|^2 as scalar jets, and their gradients
+    g1 = pc.induced_metric_field.truncate(pc.order - 1)
+    gf2 = sum(g1[al, be] * X[al] * X[be] for al in range(m) for be in range(m))
+    out["grad_f_norm2"] = gf2.value
+    out["grad_grad_f_norm2"] = _ref_gradient(pc, gf2)
+    G2 = pc.G_field.truncate(ord2)
+    h2 = sum(G2[a, b] * pc.H_field[a] * pc.H_field[b] for a in range(d) for b in range(d))
+    out["grad_h_norm2"] = _ref_gradient(pc, h2)
+    for key in ("ta_nabla_perp_h", "ta_b_grad_f", "tb_ah"):
+        out[key] = np.zeros(d)
+    for key in ("b_norm2", "a_h_norm2", "nabla_perp_h_norm2"):
+        out[key] = 0.0
+    BH = [[ip(B[al, be], H) for be in range(m)] for al in range(m)]
     for al in range(m):
         for be in range(m):
+            out["nabla_perp_h_norm2"] += ginv[al, be] * ip(W[al], W[be])
             for ga in range(m):
+                BW, Bomega = ip(B[be, ga], W[al]), ip(B[be, ga], omega[al])
                 for de in range(m):
-                    w = ginv[al, be] * ginv[ga, de]
-                    out["ta_nabla_perp_h"] += w * ip(B[be, de], W[al]) * dpsi[:, ga]
-                    out["ta_b_grad_f"] += w * ip(B[be, de], omega[al]) * dpsi[:, ga]
+                    w = ginv[al, be] * ginv[de, ga]
+                    out["ta_nabla_perp_h"] += w * BW * dpsi[:, de]
+                    out["ta_b_grad_f"] += w * Bomega * dpsi[:, de]
+                    w = ginv[al, ga] * ginv[be, de]
+                    out["tb_ah"] += w * BH[ga][de] * B[al, be]
+                    out["b_norm2"] += w * ip(B[al, be], B[ga, de])
+                    out["a_h_norm2"] += w * BH[al][be] * BH[ga][de]
     Gam_int = pc.intrinsic_christoffels.values
     dX = X.derivs().values
     hess_vec = np.zeros((m, m))
@@ -643,29 +731,31 @@ def _ref_trace_terms(pc):
             for de in range(m):
                 acc += Gam_int[g, be, de] * gfp[de]
             hess_vec[be, g] = acc
-    out["tb_hess_f"] = np.zeros(d)
+    for key in ("tb_hess_f", "a_h_grad_f", "nabla_perp_gradf_h", "b_gradf_gradf",
+                "ric_grad_f"):
+        out[key] = np.zeros(d)
+    ric = _ref_ricci(pc)
     for al in range(m):
+        out["nabla_perp_gradf_h"] += gfp[al] * W[al]
         for be in range(m):
+            out["b_gradf_gradf"] += gfp[al] * gfp[be] * B[al, be]
             for g in range(m):
                 out["tb_hess_f"] += ginv[al, be] * hess_vec[be, g] * B[al, g]
-    out["a_h_grad_f"] = np.zeros(d)
-    for ga in range(m):
-        for be in range(m):
-            out["a_h_grad_f"] += (ginv[ga, be] * ip(np.einsum("a,abk->bk", gfp, B)[be], H)
-                                  * dpsi[:, ga])
-    out["nabla_perp_h_norm2"] = 0.0
-    for al in range(m):
-        for be in range(m):
-            out["nabla_perp_h_norm2"] += ginv[al, be] * ip(W[al], W[be])
-    out["b_norm2"] = 0.0
-    for al in range(m):
-        for be in range(m):
-            for ga in range(m):
-                for de in range(m):
-                    out["b_norm2"] += ginv[al, ga] * ginv[be, de] * ip(B[al, be], B[ga, de])
-    out["delta_perp_h_pos"] = -_ref_normal_trace(pc, W_fields, W)
-    out["tnb_grad_f"] = _ref_normal_trace(pc, omega_fields, omega)
-    out["scal"] = float(np.tensordot(ginv, _ref_ricci(pc)))
+                out["a_h_grad_f"] += ginv[al, be] * gfp[g] * ip(B[g, be], H) * dpsi[:, al]
+                out["ric_grad_f"] += dpsi[:, al] * ginv[al, be] * ric[be, g] * gfp[g]
+    out["delta_perp_h_pos"] = -_ref_normal_trace(pc, P_nor, W_fields, W)
+    out["tnb_grad_f"] = _ref_normal_trace(pc, P_nor, omega_fields, omega)
+    out["scal"] = sum(ginv[j, k] * ric[j, k] for j in range(m) for k in range(m))
+    # two-step compositions of the structure tensor, and the contact terms
+    T = pc.structure_tensor
+    tan_TH, tan_Tgf = mv(P_tan, mv(T, H)), mv(P_tan, mv(T, grad_f))
+    out.update(kl_H=mv(P_nor, mv(T, tan_TH)), jl_H=mv(P_tan, mv(T, tan_TH)),
+               mm_H=mv(P_nor, mv(T, mv(P_nor, mv(T, H)))),
+               kj_grad_f=mv(P_nor, mv(T, tan_Tgf)), j2_grad_f=mv(P_tan, mv(T, tan_Tgf)))
+    xi = pc.structure.get("xi", np.zeros(d))
+    xi_tan = mv(P_tan, xi)
+    out.update(eta_h=ip(xi, H), xi_tan=xi_tan, xi_nor=mv(P_nor, xi),
+               xi_tan_norm2=ip(xi_tan, xi_tan), eta_grad_f=ip(xi, grad_f))
     return out
 
 
@@ -705,16 +795,23 @@ def _ref_intrinsic_rough_laplacian_gradf(pc):
     return pc.dpsi_val @ out_param
 
 
-@pytest.mark.parametrize("name", ["c08_hopf_torus", "c12_torus_deformed_generic",
+@pytest.mark.parametrize("name", ["c02_curve_sasakian", "c08_hopf_torus",
+                                  "c12_torus_deformed_generic", "c13_hypersphere_r4",
                                   "c18_hypersphere_cp2"])
 def test_contractions_match_index_loops(name):
-    """Every sample point: the trace terms, tr nabla^2 H and the intrinsic
-    tr nabla^2 grad f agree with their index loops to 1e-12 relative (with
-    the catalog equality rule's absolute floor of 1e-12)."""
+    """Every sample point, through the blocks `check` evaluates: every
+    trace term, tr nabla^2 H and the intrinsic tr nabla^2 grad f agree with
+    their index loops to 1e-12 relative (with the catalog equality rule's
+    absolute floor of 1e-12).  A curve, a contact ambient, a flat and a
+    curved Hermitian one."""
     sc = load_scenario(scenario_path(name), validate=False)
-    for pc in calculus.evaluate(sc.immersion, sc.sample_points()):
+    fields = {f.name for f in dataclasses.fields(calculus.TraceTerms)} - {"n"}
+    for pc in (pc for ev in calculus.evaluate_batches(sc.immersion, sc.sample_points())
+               for pc in ev):
         tt = pc.trace_terms
-        pairs = [(key, getattr(tt, key), want) for key, want in _ref_trace_terms(pc).items()]
+        ref = _ref_trace_terms(pc)
+        assert set(ref) == fields
+        pairs = [(key, getattr(tt, key), want) for key, want in ref.items()]
         pairs += [("rough_laplacian", pc.rough_laplacian(pc.H_field),
                    _ref_rough_laplacian(pc, pc.H_field)),
                   ("intrinsic_laplacian", _intrinsic_rough_laplacian_gradf(pc),

@@ -160,23 +160,29 @@ def test_batched_validation_names_the_first_failing_point(tmp_path, case):
 FAILING_NODE = {
     "off_the_ball": (
         "complex_hyperbolic\nn = 1\nhol = -4.0",
-        '["0.5 + 3*u*(u-0.25)*(u-0.5)*(u-0.75)*(u-1)*400", "0.1*u"]',
+        '["0.5 + 3*u*(u-0.25)*(u-0.5)*(u-0.75)*(u-1)*400", "0.1*u"]', "1",
         "quadrature node [0.04691007703066802] rejected: complex_hyperbolic chart "
         "requires |x| < 1 (section [sampling], key 'grid')"),
     # dpsi vanishes at the second node
     "rank_deficient": (
         "cosymplectic_flat\nn = 1",
-        '["(u-0.23076534494715845)^2", "(u-0.23076534494715845)^3", "0"]',
+        '["(u-0.23076534494715845)^2", "(u-0.23076534494715845)^3", "0"]', "1",
         "quadrature node [0.23076534494715845] rejected: immersion rank-deficient at "
         "[0.23076534]: gram det 0.000e+00 (section [sampling], key 'grid')"),
+    # f < 0 only near the second node
+    "weight_not_positive": (
+        "cosymplectic_flat\nn = 1", '["u", "0.5*u*u", "0"]',
+        "(u - 0.23076534494715845)^2 - 0.00001",
+        "quadrature node [0.23076534494715845] rejected: weight not positive at "
+        "[0.23076534494715845] (f = -1.000e-05) (section [weight], key 'f')"),
 }
 
 
 @pytest.mark.parametrize("command", ["energy", "variation"])
 @pytest.mark.parametrize("case", sorted(FAILING_NODE))
 def test_failing_quadrature_node_exits_3_naming_it(tmp_path, case, command):
-    kind, chart_map, message = FAILING_NODE[case]
-    path = write(tmp_path, OPEN_AXIS.format(kind=kind, map=chart_map, f="1"))
+    kind, chart_map, weight, message = FAILING_NODE[case]
+    path = write(tmp_path, OPEN_AXIS.format(kind=kind, map=chart_map, f=weight))
     assert run_cli(["check", path])[0] == 0
     code, out, err = run_cli([command, path])
     assert code == 3 and out == ""
@@ -217,6 +223,16 @@ def test_variation_leaving_the_chart_exits_3(tmp_path):
     assert code == 3 and out == ""
     assert err == ("validation error: the deformed map exits the ambient chart at node 0 "
                    "(t=0.01) (section [variation], key 'components')\n")
+
+
+def test_overflowing_variation_components_exit_3(tmp_path):
+    text = OPEN_AXIS.format(kind="cosymplectic_flat\nn = 1",
+                            map='["cos(u)", "sin(u)", "0"]', f="1")
+    text += '\n[variation]\ncomponents = ["exp(1000*u)", "0", "0"]\n'
+    code, out, err = run_cli(["variation", write(tmp_path, text)])
+    assert code == 3 and out == ""
+    assert err == ("validation error: variation components fail at the quadrature nodes: "
+                   "math range error (section [variation], key 'components')\n")
 
 
 MISLABELED = {
@@ -386,6 +402,20 @@ def test_check_builds_one_evaluation_per_sample_point(monkeypatch):
     code, _out, _err = run_cli(["check", path])
     assert code == 0
     assert builds.count(4) == points
+
+
+@pytest.mark.parametrize("name,blocks", [("c13_hypersphere_r4", [16] * 4),
+                                         ("c02_curve_sasakian", [12])])
+def test_check_builds_the_trace_terms_once_per_block(monkeypatch, name, blocks):
+    """The trace terms are built once per block of points: on c13 (64
+    points) validation's parallel_H pre-check builds them and `check`
+    reuses them."""
+    sizes = []
+    build = calculus.trace_terms_at
+    monkeypatch.setattr(calculus, "trace_terms_at", lambda ev: sizes.append(len(ev)) or build(ev))
+    code, _out, err = run_cli(["check", scenario_path(name)])
+    assert code == 0, err
+    assert sizes == blocks
 
 
 @pytest.mark.parametrize("command,expected", [("audit", 0), ("props", 2)])

@@ -211,7 +211,7 @@ def test_gssf_curvature_trace_identity():
     pc = point_calculus(imm, p)
     tt = pc.trace_terms
     f1, f2, f3 = tt.coeffs
-    xi = S3D.structure_at(pc.psi_val)["xi"]
+    xi = S3D.structure_at(pc.psi.values)["xi"]
     lhs = model_trace(pc, tt.H)
     rhs = (
         -pc.m * f1 * tt.H
@@ -244,7 +244,7 @@ def test_gradf_curvature_trace_lemmas():
     pc2 = point_calculus(imm2, p)
     tt2 = pc2.trace_terms
     f1, f2, f3 = tt2.coeffs
-    st = S3D.structure_at(pc2.psi_val)
+    st = S3D.structure_at(pc2.psi.values)
     lhs2 = model_trace(pc2, tt2.grad_f)
     rhs2 = (
         -(pc2.m - 1.0) * f1 * tt2.grad_f

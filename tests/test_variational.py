@@ -191,8 +191,8 @@ def test_order_4_node_evaluation_serves_the_frozen_metric(name):
     points = sc.quadrature().points
     def frozen(pc):
         """g, its inverse and Christoffels, det g, f and df at a node."""
-        return [pc.g_val, pc.g_inv_val, pc.intrinsic_christoffels.values, pc.gram_det,
-                pc.f_jet.value, [pc.f_jet.deriv(al).value for al in range(pc.m)]]
+        return [pc.induced_metric_field.values, pc.g_inv_val, pc.intrinsic_christoffels.values,
+                pc.gram_det, pc.f_jet.value, [pc.f_jet.deriv(al).value for al in range(pc.m)]]
 
     for deep, shallow in zip(evaluate(sc.immersion, points, 4),
                              evaluate(sc.immersion, points, 2)):
