@@ -12,16 +12,17 @@ Hermitian operator identities, their contact analogues, skewness and
 adjointness relations, and the hypothesis-conditional facts used inside the
 proofs (e.g. on the normal line of a hypersurface with tangent Reeb field).
 
-Every per-point audit takes the point's `PointCalculus`, whose memoized
-trace terms and structure decomposition all of them share.
+Every audit takes an evaluation block (`calculus.Evaluation`), whose trace
+terms and structure decomposition all of them share, and returns its
+deltas as arrays over the block's points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .calculus import drain
-from .residuals import curvature_trace, _tau_weighted_field
+from .calculus import matvec, point_rows
+from .residuals import _along_grad_f, _tau_weighted_field, curvature_trace
 from .spaces import curvature_model, gcsf_coefficient_sum_spread
 
 __all__ = [
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 
-def audit_mean_curvature_laplacian(pc):
+def audit_mean_curvature_laplacian(ev):
     """tr nabla^2 H against its printed trace-term expansion
     E = (n/2) grad|H|^2 + tr B(.,A_H.) + 2 tr A_{nperp H} + Dperp H (positive
     sign convention), for the two audits of that identity.
@@ -47,17 +48,17 @@ def audit_mean_curvature_laplacian(pc):
     The corrected and the translated forms are one identity, so their
     deltas are the same number.  Returns {"deltaH": ..., "lemgene1": ...}.
     """
-    tt = pc.trace_terms
-    nrm = pc.norm
+    tt = ev.trace_terms
+    nrm = ev.norm
     expansion = (
-        0.5 * float(pc.m) * tt.grad_h_norm2
+        0.5 * float(ev.m) * tt.grad_h_norm2
         + tt.tb_ah
         + 2.0 * tt.ta_nabla_perp_h
         + tt.delta_perp_h_pos
     )
-    trR_tan = pc.projectors[0] @ curvature_trace(pc, pc.H_val)
-    lap = pc.rough_laplacian(pc.H_field)
-    scale = 1.0 + nrm(pc.H_val)
+    trR_tan = matvec(ev.projectors[0], curvature_trace(ev, tt.H))
+    lap = ev.rough_laplacian(ev.H_field)
+    scale = 1.0 + nrm(tt.H)
     corrected = nrm(lap + (expansion + trR_tan)) / scale
     curvature_term_norm = nrm(trR_tan)
     return {
@@ -76,22 +77,22 @@ def audit_mean_curvature_laplacian(pc):
     }
 
 
-def _intrinsic_rough_laplacian_gradf(pc):
+def _intrinsic_rough_laplacian_gradf(ev):
     """tr nabla^2 grad f of the induced metric, in ambient components."""
-    Gam = pc.intrinsic_christoffels
-    X = pc.grad_f_param_field  # components, order 3
+    Gam = ev.intrinsic_christoffels
+    X = ev.grad_f_param_field  # components, order 3
     # cov[g, be] = (nabla_be X)^g as order-2 jet fields
     terms = Gam * X.truncate(Gam.space.order)[None, None]
     cov = terms.sum(-1, start=X.derivs())
-    cov_val = cov.values
+    cov_val = ev.values(cov)
     # the (1,1)-tensor nabla grad f is the field F_be = cov[:, be]:
     # covd[al, be, g] = d_al cov[g, be] + Gam^g_{al, de} cov[de, be]
-    covd = (np.einsum("gba->abg", cov.derivs().values)
-            + np.einsum("gad,db->abg", Gam.values, cov_val))
-    return pc.dpsi_val @ pc.covariant_trace(covd, cov_val.T)
+    covd = (np.einsum("pgba->pabg", ev.values(cov.derivs()))
+            + np.einsum("pgad,pdb->pabg", ev.values(Gam), cov_val))
+    return matvec(ev.values(ev.dpsi), ev.covariant_trace(covd, cov_val.swapaxes(-1, -2)))
 
 
-def audit_lemgene2(pc):
+def audit_lemgene2(ev):
     """tr nabla-bar^2 grad f vs its assembled split.
 
     corrected: grad(tr Hess f) + Ric(grad f) + tr B(., nabla_. grad f)
@@ -100,16 +101,16 @@ def audit_lemgene2(pc):
     The inner intrinsic identity is audited separately in both curvature
     readings (ambient vs intrinsic); the report states which matches.
     """
-    tt = pc.trace_terms
-    nrm = pc.norm
-    lhs = pc.rough_laplacian(pc.grad_f_ambient_field)
+    tt = ev.trace_terms
+    nrm = ev.norm
+    lhs = ev.rough_laplacian(ev.grad_f_ambient_field)
     grad_delta_neg = -tt.grad_delta_f_pos  # grad of tr Hess f
     b_terms = tt.tb_hess_f + tt.tnb_grad_f - tt.ta_b_grad_f
     rhs_corrected = grad_delta_neg + tt.ric_grad_f + b_terms
-    trR_amb = curvature_trace(pc, tt.grad_f)
+    trR_amb = curvature_trace(ev, tt.grad_f)
     rhs_printed_ambient = grad_delta_neg + 2.0 * tt.ric_grad_f - trR_amb + b_terms
     # intrinsic sub-check: tr nabla^2 grad f (induced metric only)
-    intr_lhs = _intrinsic_rough_laplacian_gradf(pc)
+    intr_lhs = _intrinsic_rough_laplacian_gradf(ev)
     intr_corrected = grad_delta_neg + tt.ric_grad_f
     intr_printed = grad_delta_neg + 2.0 * tt.ric_grad_f + tt.ric_grad_f  # intrinsic trace = -Ric
     scale = 1.0 + nrm(tt.grad_f)
@@ -120,103 +121,101 @@ def audit_lemgene2(pc):
         "intrinsic_delta_single_ricci": nrm(intr_lhs - intr_corrected) / scale,
         "intrinsic_delta_printed_intrinsic": nrm(intr_lhs - intr_printed) / scale,
     }
-    deltas["curvature_reading"] = (
-        "single intrinsic Ricci"
-        if deltas["intrinsic_delta_single_ricci"]
-        <= deltas["intrinsic_delta_printed_intrinsic"]
-        else "printed double-Ricci"
-    )
+    deltas["curvature_reading"] = np.where(
+        deltas["intrinsic_delta_single_ricci"] <= deltas["intrinsic_delta_printed_intrinsic"],
+        "single intrinsic Ricci", "printed double-Ricci")
     return deltas
 
 
-def audit_lemgene3(pc):
+def audit_lemgene3(ev):
     """nabla-bar_{grad f}(n f H + grad f) against its five-term split."""
-    tt = pc.trace_terms
-    nrm = pc.norm
-    n = float(pc.m)
-    tau_w = _tau_weighted_field(pc)
-    lhs = pc.grad_f_param @ pc.pullback_derivative(tau_w).values
+    tt = ev.trace_terms
+    nrm = ev.norm
+    n = float(ev.m)
+    lhs = _along_grad_f(ev, ev.pullback_derivative(_tau_weighted_field(ev)))
     rhs = (
-        n * tt.grad_f_norm2 * pc.H_val
-        - n * tt.f * tt.a_h_grad_f
-        + n * tt.f * tt.nabla_perp_gradf_h
+        (n * tt.grad_f_norm2)[:, None] * tt.H
+        - (n * tt.f)[:, None] * tt.a_h_grad_f
+        + (n * tt.f)[:, None] * tt.nabla_perp_gradf_h
         + 0.5 * tt.grad_grad_f_norm2
         + tt.b_gradf_gradf
     )
-    scale = 1.0 + nrm(pc.H_val) + nrm(tt.grad_f)
+    scale = 1.0 + nrm(tt.H) + nrm(tt.grad_f)
     return {"name": "lemgene3", "delta": nrm(lhs - rhs) / scale}
 
 
-def identity_suite(pc):
+def identity_suite(ev):
     """Structure-operator identities in the orthonormal frames.
 
     Hermitian: the five j/k/l/m identities plus skewness and adjointness.
     Contact: the phi-square decompositions on both bundles, skewness of the
     tangential block, zero trace, and the N/s adjointness.
-    Returns {identity: deviation}.
+    Returns {identity: deviation at each point}.
     """
-    tt_m, tn, nt, nn = pc.decomposition_operators
-    m = pc.m
-    codim = pc.d - m
+    tt_m, tn, nt, nn = ev.decomposition_operators
+    m = ev.m
+    codim = ev.d - m
     out = {}
-    mx = lambda a: float(np.max(np.abs(a))) if a.size else 0.0
-    if pc.space.structure == "hermitian":
+    mx = lambda a: np.abs(a).reshape(len(a), -1).max(axis=1, initial=0.0)
+    T = lambda a: a.swapaxes(-1, -2)
+    outer = lambda u, v: u[:, :, None] * v[:, None, :]
+    if ev.space.structure == "hermitian":
         out["j2_plus_lk"] = mx(tt_m @ tt_m + nt @ tn + np.eye(m))
         out["m2_plus_kl"] = mx(nn @ nn + tn @ nt + np.eye(codim))
         out["jl_plus_lm"] = mx(tt_m @ nt + nt @ nn)
         out["kj_plus_mk"] = mx(tn @ tt_m + nn @ tn)
-        out["k_l_adjoint"] = mx(tn + nt.T)
-        out["j_skew"] = mx(tt_m + tt_m.T)
-        out["m_skew"] = mx(nn + nn.T)
+        out["k_l_adjoint"] = mx(tn + T(nt))
+        out["j_skew"] = mx(tt_m + T(tt_m))
+        out["m_skew"] = mx(nn + T(nn))
     else:
-        xi, G0 = pc.structure["xi"], pc.G_val
-        E, Nf = pc.tangent_frame, pc.normal_frame
-        eta_tan = np.array([float(E[i] @ G0 @ xi) for i in range(m)])
-        eta_nor = np.array([float(Nf[s] @ G0 @ xi) for s in range(codim)])
+        xi = ev.structure["xi"]
+        E, Nf = ev.frames
+        G0 = ev.values(ev.G_field)
+        eta_tan, eta_nor = ((F @ G0 @ xi[..., None])[..., 0] for F in (E, Nf))
         # phi^2 X = -X + eta(X) xi, block by block
-        out["P2_plus_sN"] = mx(tt_m @ tt_m + nt @ tn + np.eye(m) - np.outer(eta_tan, eta_tan))
-        out["NP_plus_tN"] = mx(tn @ tt_m + nn @ tn - np.outer(eta_nor, eta_tan))
-        out["Ps_plus_st"] = mx(tt_m @ nt + nt @ nn - np.outer(eta_tan, eta_nor))
-        out["Ns_plus_t2"] = mx(tn @ nt + nn @ nn + np.eye(codim) - np.outer(eta_nor, eta_nor))
-        out["N_s_adjoint"] = mx(tn + nt.T)
-        out["P_skew"] = mx(tt_m + tt_m.T)
-        out["t_skew"] = mx(nn + nn.T)
-        out["trace_P"] = abs(float(np.trace(tt_m)))
+        out["P2_plus_sN"] = mx(tt_m @ tt_m + nt @ tn + np.eye(m) - outer(eta_tan, eta_tan))
+        out["NP_plus_tN"] = mx(tn @ tt_m + nn @ tn - outer(eta_nor, eta_tan))
+        out["Ps_plus_st"] = mx(tt_m @ nt + nt @ nn - outer(eta_tan, eta_nor))
+        out["Ns_plus_t2"] = mx(tn @ nt + nn @ nn + np.eye(codim) - outer(eta_nor, eta_nor))
+        out["N_s_adjoint"] = mx(tn + T(nt))
+        out["P_skew"] = mx(tt_m + T(tt_m))
+        out["t_skew"] = mx(nn + T(nn))
+        out["trace_P"] = np.abs(np.trace(tt_m, axis1=1, axis2=2))
     return out
 
 
-def audit_phi_decompositions(pc, tol=1e-8):
+def audit_phi_decompositions(ev, tol=1e-8):
     """Proof-level contact facts beyond `identity_suite`, hypothesis-
-    conditional ones included."""
-    if pc.space.structure != "contact":
+    conditional ones included: those are reported where any point of the
+    block meets the hypothesis, as NaN at the points that do not."""
+    if ev.space.structure != "contact":
         raise ValueError("phi-decomposition audit needs a contact ambient")
-    tt = pc.trace_terms
-    nrm = pc.norm
-    xi, G0 = pc.structure["xi"], pc.G_val
-    phi = pc.structure_tensor
-    P_tan, P_nor = pc.projectors
+    tt = ev.trace_terms
+    nrm = ev.norm
+    xi, phi = ev.structure["xi"], ev.structure_tensor
+    P_tan, P_nor = ev.projectors
+    mv = matvec
     out = {}
     # phi^2 nu decomposition on each normal frame vector
-    worst = 0.0
-    for nu in pc.normal_frame:
-        phinu = phi @ nu
-        s_nu, t_nu = P_tan @ phinu, P_nor @ phinu
+    worst = np.zeros(len(ev))
+    for nu in ev.frames[1].swapaxes(0, 1):
+        phinu = mv(phi, nu)
+        s_nu, t_nu = mv(P_tan, phinu), mv(P_nor, phinu)
         assembled = (
-            P_tan @ (phi @ s_nu) + P_nor @ (phi @ s_nu)
-            + P_tan @ (phi @ t_nu) + P_nor @ (phi @ t_nu)
+            mv(P_tan, mv(phi, s_nu)) + mv(P_nor, mv(phi, s_nu))
+            + mv(P_tan, mv(phi, t_nu)) + mv(P_nor, mv(phi, t_nu))
         )
-        eta_nu = float(nu @ G0 @ xi)
-        worst = max(worst, nrm(assembled + nu - eta_nu * xi))
+        eta_nu = ev.inner(nu, xi)
+        worst = np.maximum(worst, nrm(assembled + nu - eta_nu[:, None] * xi))
     out["phi2_normal_decomposition"] = worst
     # conditional facts: phi H tangent => PsH = 0 and NsH = -H
-    H = pc.H_val
-    h_norm = nrm(H)
-    if h_norm > tol:
-        tH = P_nor @ (phi @ H)
-        xi_nor = P_nor @ xi
-        if nrm(tH) <= tol * (1.0 + h_norm) and nrm(xi_nor) <= tol:
-            out["PsH_when_phiH_tangent"] = nrm(tt.jl_H) / (1.0 + h_norm)
-            out["NsH_plus_H_when_phiH_tangent"] = nrm(tt.kl_H + H) / (1.0 + h_norm)
+    h_norm = nrm(tt.H)
+    holds = ((h_norm > tol) & (nrm(mv(P_nor, mv(phi, tt.H))) <= tol * (1.0 + h_norm))
+             & (nrm(mv(P_nor, xi)) <= tol))
+    if holds.any():
+        out["PsH_when_phiH_tangent"] = np.where(holds, nrm(tt.jl_H) / (1.0 + h_norm), np.nan)
+        out["NsH_plus_H_when_phiH_tangent"] = np.where(
+            holds, nrm(tt.kl_H + tt.H) / (1.0 + h_norm), np.nan)
     return out
 
 
@@ -296,22 +295,22 @@ def _trace_rhs(family, coeffs, Gp, T, tensors, P_tan, P_nor, v, key, m):
     return -(mf - 1.0) * f1 * v + f2 * r2 + 3.0 * f3 * phi_sv
 
 
-def run_all_audits(imm, calcs):
-    """All audits over the points of `calcs` (one PointCalculus each);
-    returns the per-point rows and the per-audit max deltas.  The list is
-    emptied as it goes, so each point's evaluation is released once used."""
+def run_all_audits(imm, blocks):
+    """All audits over the points of the evaluation blocks `blocks`; returns
+    the per-point rows and the per-audit max deltas.  The list is emptied as
+    it goes, so each block is released once used."""
     rows = []
-    for pc in drain(calcs):
-        entry = {
-            "point": list(map(float, pc.point)),
-            **audit_mean_curvature_laplacian(pc),
-            "lemgene2": audit_lemgene2(pc),
-            "lemgene3": audit_lemgene3(pc),
-            "identities": identity_suite(pc),
+    while blocks:
+        ev = blocks.pop(0)
+        block = {
+            **audit_mean_curvature_laplacian(ev),
+            "lemgene2": audit_lemgene2(ev),
+            "lemgene3": audit_lemgene3(ev),
+            "identities": identity_suite(ev),
         }
         if imm.ambient.structure == "contact":
-            entry["phi_decompositions"] = audit_phi_decompositions(pc)
-        rows.append(entry)
+            block["phi_decompositions"] = audit_phi_decompositions(ev)
+        rows += point_rows(ev, block)
     summary = {
         "deltaH_translated": max(r["deltaH"]["delta_translated"] for r in rows),
         "lemgene1_corrected": max(r["lemgene1"]["delta_corrected"] for r in rows),

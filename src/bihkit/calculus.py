@@ -3,19 +3,19 @@
 `evaluate` builds the jet fields the residual equations consume (induced
 metric, second fundamental form, mean curvature, connection, projector,
 weight-function fields) at all sample points of a block in one batched pass,
-an `Evaluation`.  The trace terms (normal connection and Laplacian of H,
-intrinsic Ricci and scalar curvature, the weight-function traces, ...) are
-built once per block, for all its points at once.  One `PointCalculus`, a
-view of one point of that evaluation, serves everything else at that point:
-orthonormal frames, shape operators, the tangential/normal decomposition of
-the ambient structure tensor, covariant traces and rough Laplacians, and its
-view of the block's trace terms.
+an `Evaluation`.  The block is the unit every consumer takes: from it come
+the trace terms (normal connection and Laplacian of H, intrinsic Ricci and
+scalar curvature, the weight-function traces, ...), the projectors, covariant
+traces and rough Laplacians, the orthonormal frames and the
+tangential/normal decomposition of the ambient structure tensor, each
+computed once per block with a leading points axis.
 
 All quantities are assembled in coordinate (not orthonormal) form wherever
 possible, so the results are frame-independent by construction; orthonormal
 frames are produced deterministically (Gram-Schmidt in parameter order,
 normal completion by ambient coordinate axes in index order) for the
-operator matrices.
+operator matrices.  The frames alone are built point by point: the axes
+that complete the normal frame differ between points.
 
 Laplacian conventions here are positive: Delta f = -tr Hess f on functions
 and Delta-perp = -(trace of the squared normal connection) on normal
@@ -23,16 +23,17 @@ fields.  The raw ambient rough Laplacian tr(nabla^2), used by the direct
 Euler-Lagrange oracles, is exposed separately as `rough_laplacian`.
 
 Float order.  The batched jet fields round bit for bit as per-point scalar
-jets would (see `jets`).  What is computed from their values (covariant
-traces, the trace terms and Ricci of a block, the frames and operators of a
-`PointCalculus`) is numpy contractions, batched ones with a leading points
-index, which add in numpy's float order, within 1e-12 relative of index
-loops.
+jets would (see `jets`).  What is computed from their values is numpy
+contractions with a leading points index, which add in numpy's float order,
+within 1e-12 relative of index loops.  A chain of matrix products is one
+stacked matmul per factor, in the association a single point would use
+(`matvec`, `Evaluation.inner`), and a point's result does not depend on the
+other points of its block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -55,9 +56,10 @@ __all__ = [
     "FlagError",
     "PointError",
     "WeightError",
-    "PointCalculus",
+    "matvec",
+    "point_rows",
+    "orthonormal_frames",
     "trace_terms_at",
-    "drain",
     "verify_flags",
     "FLAG_NAMES",
     "FLAG_TOL",
@@ -167,21 +169,22 @@ class TraceTerms:
     normal vectors, kl H = Ns H, jl H = Ps H, kj grad f = NP grad f and
     j^2 grad f = P^2 grad f.
 
-    `trace_terms_at` builds the instance of a block: every field but `n`
-    then carries a leading points axis (coeffs as a (P, k) array), and `at`
-    gives the instance of one point.
+    `trace_terms_at` builds the instance of an evaluation block: every
+    field but `n` carries a leading points axis, scalars as P-arrays and
+    vectors as (P, chart_dim) arrays; `coeffs` is a (k, P) array, so that
+    coeffs[k] is a P-array like the other scalars.
     """
 
     n: int                           # dimension of the submanifold
-    f: float
+    f: np.ndarray
     grad_f: np.ndarray               # ambient tangent vector
-    grad_f_norm2: float
-    delta_f_pos: float               # -tr Hess f
+    grad_f_norm2: np.ndarray
+    delta_f_pos: np.ndarray          # -tr Hess f
     grad_delta_f_pos: np.ndarray
     grad_grad_f_norm2: np.ndarray    # grad |grad f|^2
     ric_grad_f: np.ndarray           # Ric_M(grad f), ambient vector
-    scal: float
-    h_norm2: float
+    scal: np.ndarray
+    h_norm2: np.ndarray
     grad_h_norm2: np.ndarray         # grad |H|^2
     tb_ah: np.ndarray                # tr B(., A_H .)            [normal]
     ta_nabla_perp_h: np.ndarray      # tr A_{nabla-perp H}(.)    [tangent]
@@ -193,35 +196,27 @@ class TraceTerms:
     tnb_grad_f: np.ndarray           # tr (nabla-perp_. B)(., grad f) [normal]
     ta_b_grad_f: np.ndarray          # tr A_{B(., grad f)}(.)    [tangent]
     b_gradf_gradf: np.ndarray        # B(grad f, grad f)         [normal]
-    eta_h: float
+    eta_h: np.ndarray
     xi_tan: np.ndarray
     xi_nor: np.ndarray
-    xi_tan_norm2: float
-    b_norm2: float
-    a_h_norm2: float
-    nabla_perp_h_norm2: float
+    xi_tan_norm2: np.ndarray
+    b_norm2: np.ndarray
+    a_h_norm2: np.ndarray
+    nabla_perp_h_norm2: np.ndarray
     H: np.ndarray                    # mean curvature vector
-    coeffs: tuple                    # ambient (alpha, beta) or (f1, f2, f3)
+    coeffs: np.ndarray               # ambient (alpha, beta) or (f1, f2, f3)
     kl_H: np.ndarray                 # [normal]
     jl_H: np.ndarray                 # [tangent]
     mm_H: np.ndarray                 # [normal]
     kj_grad_f: np.ndarray            # [normal]
     j2_grad_f: np.ndarray            # [tangent]
-    eta_grad_f: float
+    eta_grad_f: np.ndarray
 
     def __post_init__(self):
-        # One instance serves every caller at a point: forbid in-place edits.
+        # One instance serves every caller of a block: forbid in-place edits.
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-
-    def at(self, index):
-        """The trace terms of point `index` of a block's instance: floats,
-        a tuple of coefficients and read-only slices of the block's arrays."""
-        view = {"int": lambda v: v, "float": lambda v: float(v[index]),
-                "tuple": lambda v: tuple(v[index].tolist()), "np.ndarray": lambda v: v[index]}
-        return TraceTerms(**{f.name: view[f.type](getattr(self, f.name))
-                             for f in dataclass_fields(self)})
 
 
 # Points per batched evaluation (`evaluate_batches`, validation): it bounds
@@ -411,153 +406,156 @@ def check_weight(ev):
         raise WeightError(point, f"weight not positive at {point.tolist()} (f = {f[bad[0]]:.3e})")
 
 
-class PointCalculus:
-    """All jet fields of one immersion at one parameter point: a view of
-    one point of an `Evaluation` (`evaluate(imm, points)[i]`), the only way
-    one is built.
+def matvec(M, v):
+    """M[p] @ v[p] at each point, as one stacked matmul: it rounds as the
+    product at each point alone."""
+    return (M @ v[..., None])[..., 0]
 
-    Fields are truncated Taylor expansions in the parameters; `order`
-    bounds the total derivative depth (4 covers every assembled residual).
-    Each field is one tensor jet (index layout in its docstring or name:
-    ambient indices a, b, c, parameter indices al, be, g) of the point,
-    taken from the batched fields; the values, frames and per-point
-    operators below are computed from them on first use.
 
-    Jet fields: psi, f_jet, G_field (order - 1), Gam_field (Gam[k, a, b] =
-    Gamma^k_ab along the immersion, order - 2), chart_christoffels (order 1,
-    at psi(point)), dpsi (dpsi[a, al], order - 1), induced_metric_field and
-    its inverse, intrinsic_christoffels, projector_field (P[a, b]), B_field
-    (B[al, be, a]), H_field, connection (A[a, c, al], order - 2),
-    grad_f_param_field, grad_f_ambient_field and delta_f_pos_field.
-    """
+def point_rows(ev, columns):
+    """One report row per point of `ev`: the point's parameters, then entry
+    i of every per-point array of the (nested) dict `columns`, as Python
+    scalars; other values are copied."""
 
-    def __init__(self, ev, index):
-        self.imm = ev.imm
-        self.space = ev.imm.ambient
-        self.order = ev.order
-        self.m = self.imm.param_dim
-        self.d = self.space.chart_dim
-        self.point = ev.points[index]
-        self._ev, self._index = ev, index
-        for name, jet in ev.fields.items():
-            setattr(self, name, jet.at(index))
-        self.gram_det = float(ev.gram_det[index])
-        # structure tensor values at psi(point): J, or phi, xi and eta
-        self.structure = {key: val[index] for key, val in ev.structure.items()}
-        self._connection = {}
+    def entry(value, i):
+        if isinstance(value, dict):
+            return {key: entry(sub, i) for key, sub in value.items()}
+        return value[i].item() if isinstance(value, np.ndarray) else value
 
-    @cached_property
-    def ambient_curvature(self):
-        """R[l,i,j,k] values of the ambient curvature at psi(point), from the
-        chart Christoffels of this point."""
-        return curvature_from_christoffels(self.chart_christoffels)
+    return [{"point": ev.points[i].tolist(), **entry(columns, i)} for i in range(len(ev))]
 
-    @cached_property
-    def structure_tensor(self):
-        return self.structure["J" if self.space.structure == "hermitian" else "phi"]
 
-    @cached_property
-    def decomposition_operators(self):
-        """Matrices of the structure-tensor decomposition in the chosen frames.
+def orthonormal_frames(G, dpsi, point):
+    """Orthonormal (tangent, normal) frames at one point, rows E[i, a] and
+    N[s, a], from its ambient metric G[a, b] and dpsi[a, al]: Gram-Schmidt
+    of the coordinate tangent vectors in parameter order, completed by the
+    ambient coordinate axes in index order.  Which axes complete the frame
+    depends on the point, so frames are built point by point."""
+    d, m = dpsi.shape
 
-        Hermitian ambient: (j, k, l, m) with blocks TM->TM, TM->NM, NM->TM,
-        NM->NM of J.  Contact ambient: (P, N, s, t) likewise for phi; s is the
-        tangential and t the normal part on the normal bundle.
-        """
-        F = np.vstack([self.tangent_frame, self.normal_frame])
-        M = F @ self.G_val @ self.structure_tensor @ F.T  # M[i, j] = <F_i, T F_j>
-        m = self.m
-        return M[:m, :m], M[m:, :m], M[:m, m:], M[m:, m:]
-
-    # -- values of the fields ------------------------------------------------
-
-    @cached_property
-    def dpsi_val(self):
-        return self.dpsi.values
-
-    @cached_property
-    def g_inv_val(self):
-        return self.induced_metric_inv_field.values
-
-    @cached_property
-    def G_val(self):
-        return self.G_field.values
-
-    # -- frames --------------------------------------------------------------
-
-    def _gram_schmidt(self, vectors, against=()):
-        G0 = self.G_val
-        basis = [np.asarray(v, float) for v in against]
+    def gram_schmidt(vectors, basis):
         out = []
         for v in vectors:
             w = np.asarray(v, float).copy()
             for _ in range(2):  # re-orthogonalization pass
                 for b in basis + out:
-                    w = w - (b @ G0 @ w) * b
-            norm = float(np.sqrt(w @ G0 @ w))
+                    w = w - (b @ G @ w) * b
+            norm = float(np.sqrt(w @ G @ w))
             if norm < RANK_TOL:
                 return out, False
             out.append(w / norm)
         return out, True
 
-    @cached_property
-    def tangent_frame(self):
-        cols = [self.dpsi_val[:, al] for al in range(self.m)]
-        frame, ok = self._gram_schmidt(cols)
-        if not ok:
-            raise CalcError(f"tangent frame degenerate at {self.point}")
-        return np.array(frame)
+    tangent, ok = gram_schmidt([dpsi[:, al] for al in range(m)], [])
+    if not ok:
+        raise CalcError(f"tangent frame degenerate at {point}")
+    normal = []
+    for a in range(d):
+        if len(normal) == d - m:
+            break
+        added, ok = gram_schmidt([np.eye(d)[a]], tangent + normal)
+        if ok:
+            normal.extend(added)
+    if len(normal) != d - m:
+        raise CalcError(f"normal frame completion failed at {point}")
+    return np.array(tangent), np.array(normal)
 
-    @cached_property
-    def normal_frame(self):
-        frame = []
-        tangent = list(self.tangent_frame)
-        for a in range(self.d):
-            if len(frame) == self.d - self.m:
-                break
-            cand = np.zeros(self.d)
-            cand[a] = 1.0
-            added, ok = self._gram_schmidt([cand], against=tangent + frame)
-            if ok:
-                frame.extend(added)
-        if len(frame) != self.d - self.m:
-            raise CalcError(f"normal frame completion failed at {self.point}")
-        return np.array(frame)
 
-    @cached_property
-    def B_frame(self):
-        """Second fundamental form in the orthonormal tangent frame."""
-        # e_i = c_i^alpha d_alpha psi; rows of `coeff` are the frame coefficients
-        coeff = np.linalg.solve(
-            self.dpsi_val.T @ self.dpsi_val, self.dpsi_val.T @ self.tangent_frame.T
-        ).T
-        return np.einsum("ia,jb,abk->ijk", coeff, coeff, self.B_val)
+class Evaluation:
+    """The fields of one immersion at a block of P parameter points, built
+    by `evaluate`, and everything computed from them: the unit every
+    command, audit and checker consumes.
 
-    @cached_property
-    def shape_operators(self):
-        """(codim, m, m) matrices of A_nu in the orthonormal frames."""
-        return np.einsum("ijk,kl,sl->sij", self.B_frame, self.G_val, self.normal_frame)
+    `fields` maps each field name to a tensor jet with a points axis, also
+    bound as an attribute of that name (index layout in its name or below:
+    ambient indices a, b, c, parameter indices al, be, g); `values(jet)`
+    gives the constant terms of such a jet point by point.  `gram_det` and
+    `structure` (J, or phi, xi and eta, at psi of each point) hold one
+    leading entry per point.  Every quantity below carries a leading points
+    axis and is computed for all points at once, on first use.
+
+    Jet fields: psi, f_jet, G_field (order - 1), Gam_field (Gam[k, a, b] =
+    Gamma^k_ab along the immersion, order - 2), chart_christoffels (order 1,
+    at psi of each point), dpsi (dpsi[a, al], order - 1),
+    induced_metric_field and its inverse, intrinsic_christoffels,
+    projector_field (P[a, b]), B_field (B[al, be, a]), H_field, connection
+    (A[a, c, al], order - 2), grad_f_param_field, grad_f_ambient_field and
+    delta_f_pos_field.
+    """
+
+    def __init__(self, imm, points, order, fields, gram_det, structure):
+        self.imm = imm
+        self.space = imm.ambient
+        self.m, self.d = imm.param_dim, self.space.chart_dim
+        self.points = points
+        self.order = order
+        self.fields = fields
+        self.gram_det = gram_det
+        self.structure = structure
+        self.__dict__.update(fields)
+        self._connection = {}
+
+    def __len__(self):
+        return len(self.points)
+
+    def values(self, jet):
+        """Constant terms of a jet field of this block, point by point."""
+        return jet.point_values(len(self))
+
+    def inner(self, u, v):
+        """<u[p], v[p]> in the ambient metric at psi of each point."""
+        return (u[:, None] @ self.values(self.G_field) @ v[..., None])[:, 0, 0]
+
+    def norm(self, v):
+        """Length of the ambient vector v[p] at psi of each point."""
+        return np.sqrt(np.maximum(self.inner(v, v), 0.0))
 
     @cached_property
     def projectors(self):
         """(tangent, normal) projector matrices in ambient coordinates."""
-        return tuple(P[self._index] for P in self._ev.projectors)
-
-    # -- second fundamental form ---------------------------------------------
-
-    @cached_property
-    def B_val(self):
-        return self.B_field.values
+        dpsi = self.values(self.dpsi)
+        P = (dpsi @ self.values(self.induced_metric_inv_field)
+             @ dpsi.swapaxes(-1, -2) @ self.values(self.G_field))
+        return P, np.eye(P.shape[-1]) - P
 
     @cached_property
-    def H_val(self):
-        return self.H_field.values
+    def trace_terms(self):
+        """The `TraceTerms` of the block, computed once."""
+        return trace_terms_at(self)
 
-    def norm(self, v):
-        """Length of an ambient vector at psi(point)."""
-        return float(np.sqrt(max(v @ self.G_val @ v, 0.0)))
+    @cached_property
+    def ambient_curvature(self):
+        """R[p, l, i, j, k] values of the ambient curvature at psi of each
+        point, from the chart Christoffels."""
+        return curvature_from_christoffels(self.chart_christoffels, len(self))
 
-    # -- connection helpers ----------------------------------------------------
+    @property
+    def structure_tensor(self):
+        return self.structure["J" if self.space.structure == "hermitian" else "phi"]
+
+    @cached_property
+    def frames(self):
+        """Orthonormal (tangent, normal) frames E[p, i, a] and N[p, s, a]
+        (`orthonormal_frames` at each point)."""
+        G, dpsi = self.values(self.G_field), self.values(self.dpsi)
+        frames = [orthonormal_frames(G[i], dpsi[i], self.points[i]) for i in range(len(self))]
+        return tuple(np.array(f) for f in zip(*frames))
+
+    @cached_property
+    def decomposition_operators(self):
+        """Matrices of the structure-tensor decomposition in the frames.
+
+        Hermitian ambient: (j, k, l, m) with blocks TM->TM, TM->NM, NM->TM,
+        NM->NM of J.  Contact ambient: (P, N, s, t) likewise for phi; s is the
+        tangential and t the normal part on the normal bundle.
+        """
+        F = np.concatenate(self.frames, axis=1)
+        # M[p, i, j] = <F_i, T F_j>
+        M = F @ self.values(self.G_field) @ self.structure_tensor @ F.swapaxes(-1, -2)
+        m = self.m
+        return M[:, :m, :m], M[:, m:, :m], M[:, :m, m:], M[:, m:, m:]
+
+    # -- derivatives along the immersion ---------------------------------------
 
     def _connection_along(self, order):
         """The connection as A[al, a, c] truncated to `order`, once per order
@@ -579,111 +577,33 @@ class PointCalculus:
         return (A * low).sum(-1, start=field.derivs().transpose(k + 1, *range(k + 1)))
 
     def covariant_trace(self, covd, values):
-        """`_covariant_trace` at this point: covd[a, b, ...] holds the
-        derivative along the parameter direction a of the field F_b, whose
-        values are values[b, ...]."""
-        return _covariant_trace(self.g_inv_val[None], self.intrinsic_christoffels.values[None],
-                                covd[None], values[None])[0]
+        """`_covariant_trace` with this block's metric and Christoffels:
+        covd[p, a, b, ...] holds the derivative along the parameter
+        direction a of the field F_b, whose values are values[p, b, ...]."""
+        return _covariant_trace(self.values(self.induced_metric_inv_field),
+                                self.values(self.intrinsic_christoffels), covd, values)
 
     def rough_laplacian(self, field, first=None):
         """tr_g nabla^2 of an ambient jet field (negative-convention values);
         `first` is its `pullback_derivative` when the caller has it."""
         if first is None:
             first = self.pullback_derivative(field)
-        return self.covariant_trace(self.pullback_derivative(first).values, first.values)
-
-    # -- weight function -------------------------------------------------------
-
-    @cached_property
-    def grad_f_param(self):
-        return self.grad_f_param_field.values
-
-    @cached_property
-    def grad_f_ambient(self):
-        return self.grad_f_ambient_field.values
-
-    @cached_property
-    def trace_terms(self):
-        """This point's view of the `TraceTerms` of its block."""
-        return self._ev.trace_terms.at(self._index)
-
-
-class Evaluation:
-    """The fields of one immersion at P parameter points, built by
-    `evaluate`: `fields` maps each field name to a jet with a points axis,
-    also bound as an attribute of that name, and `gram_det` and `structure`
-    hold one leading entry per point.  Item i is the `PointCalculus` of
-    point i.  The projectors and the trace terms are computed for all points
-    at once, on first use."""
-
-    def __init__(self, imm, points, order, fields, gram_det, structure):
-        self.imm = imm
-        self.points = points
-        self.order = order
-        self.fields = fields
-        self.gram_det = gram_det
-        self.structure = structure
-        self.__dict__.update(fields)
-        self._connection = {}
-
-    # the one implementation of the derivative along the immersion, here on
-    # the batched fields
-    _connection_along = PointCalculus._connection_along
-    pullback_derivative = PointCalculus.pullback_derivative
-
-    def __len__(self):
-        return len(self.points)
-
-    def __getitem__(self, index):
-        return PointCalculus(self, index)
-
-    def __iter__(self):
-        return (PointCalculus(self, i) for i in range(len(self)))
-
-    @cached_property
-    def projectors(self):
-        """(tangent, normal) projector matrices in ambient coordinates, one
-        leading entry per point."""
-        dpsi = self.dpsi.point_values(len(self))
-        P = (dpsi @ self.induced_metric_inv_field.point_values(len(self))
-             @ dpsi.swapaxes(-1, -2) @ self.G_field.point_values(len(self)))
-        return P, np.eye(P.shape[-1]) - P
-
-    @cached_property
-    def trace_terms(self):
-        """The `TraceTerms` of every point, computed once."""
-        return trace_terms_at(self)
-
-
-# -- public operation surface ---------------------------------------------------
-
-
-def drain(calcs):
-    """Yield the evaluations in `calcs` in order, removing each from the list
-    first: the caller's loop then holds the only reference to the point it
-    works on.  A point's cached quantities are released once the loop moves
-    on; its jet fields are views into the arrays of its batch, and its trace
-    terms a view of the batch's, which are released with the batch once the
-    loop has left every point of it (at most BATCH_POINTS points)."""
-    calcs.reverse()
-    while calcs:
-        yield calcs.pop()
+        return self.covariant_trace(self.values(self.pullback_derivative(first)),
+                                    self.values(first))
 
 
 def trace_terms_at(ev):
     """Build the `TraceTerms` of every point of an `Evaluation` at once,
     each field with a leading points axis: the jet products on the batched
     fields, the contractions on their values point by point.
-    `Evaluation.trace_terms` keeps the one instance every point views."""
-    count, m, d = len(ev), ev.imm.param_dim, ev.imm.ambient.chart_dim
-    val = lambda jet: jet.point_values(count)
+    `Evaluation.trace_terms` keeps the one instance."""
+    count, m, d = len(ev), ev.m, ev.d
+    val = ev.values
     ginv, G0, dpsi = val(ev.induced_metric_inv_field), val(ev.G_field), val(ev.dpsi)
     B, H = val(ev.B_field), val(ev.H_field)  # B[p, al, be, a]
     gam = val(ev.intrinsic_christoffels)
     P_tan, P_nor = ev.projectors
-    # matrix times vector and inner product, point by point
-    mv = lambda M, v: (M @ v[..., None])[..., 0]
-    ip = lambda u, v: (u[:, None, :] @ G0 @ v[:, :, None])[:, 0, 0]
+    mv, ip = matvec, ev.inner
     # ambient components of the intrinsic gradient of a scalar jet field
     gradient_ambient = lambda jet: mv(dpsi, mv(ginv, val(jet.derivs())))
 
@@ -733,10 +653,10 @@ def trace_terms_at(ev):
     scal = (ginv.reshape(count, 1, m * m) @ ric.reshape(count, m * m, 1))[:, 0, 0]
 
     # structure material: two-step compositions of J (phi) and contact terms
-    T = ev.structure["J" if ev.imm.ambient.structure == "hermitian" else "phi"]
+    T = ev.structure_tensor
     tan_TH = mv(P_tan, mv(T, H))
     tan_Tgf = mv(P_tan, mv(T, grad_f))
-    if ev.imm.ambient.structure == "contact":
+    if ev.space.structure == "contact":
         xi = ev.structure["xi"]
         xi_tan = mv(P_tan, xi)
         contact = dict(eta_h=ip(xi, H), xi_tan=xi_tan, xi_nor=mv(P_nor, xi),
@@ -775,7 +695,7 @@ def trace_terms_at(ev):
         nabla_perp_h_norm2=np.einsum("pab,pal,pbl->p", ginv, nabla_perp_h @ G0,
                                      nabla_perp_h),
         H=H,
-        coeffs=np.stack(ev.imm.ambient.curvature_coeffs_at(val(ev.psi)), axis=-1),
+        coeffs=np.stack(ev.space.curvature_coeffs_at(val(ev.psi))),
         kl_H=mv(P_nor, mv(T, tan_TH)),
         jl_H=mv(P_tan, mv(T, tan_TH)),
         mm_H=mv(P_nor, mv(T, mv(P_nor, mv(T, H)))),
@@ -788,9 +708,9 @@ def trace_terms_at(ev):
 # -- flag verification -----------------------------------------------------------
 
 
-def flag_deviation(imm, calcs, name):
-    """Numeric deviation of one structural property over the points of
-    `calcs` (one PointCalculus each).
+def flag_deviation(imm, blocks, name):
+    """Numeric deviation of one structural property over the points of the
+    evaluation blocks `blocks`.
 
     Returns max deviation (0 = property holds exactly).  Structural flags
     (hypersurface, curve) return 0.0 or inf.
@@ -799,43 +719,38 @@ def flag_deviation(imm, calcs, name):
         return 0.0 if imm.codim == 1 else float("inf")
     if name == "curve":
         return 0.0 if imm.param_dim == 1 else float("inf")
-    dev = 0.0
-    h_values = []
-    for pc in calcs:
-        if name in ("complex", "lagrangian", "invariant", "anti_invariant"):
-            if name in ("complex", "lagrangian") and imm.ambient.structure != "hermitian":
-                raise FlagError(name, f"flag {name!r} needs a Hermitian ambient")
-            if name in ("invariant", "anti_invariant") and imm.ambient.structure != "contact":
-                raise FlagError(name, f"flag {name!r} needs a contact ambient")
-            # Frobenius norms of the four structure-decomposition blocks
-            tt, tn, nt, nn = (float(np.linalg.norm(M)) for M in pc.decomposition_operators)
-            if name == "complex":
-                dev = max(dev, tn, nt)
-            elif name == "lagrangian":
-                dev = max(dev, tt, nn)
-            elif name == "invariant":
-                dev = max(dev, tn)
-            else:
-                dev = max(dev, tt)
-        elif name in ("xi_tangent", "xi_normal"):
-            if imm.ambient.structure != "contact":
-                raise FlagError(name, f"flag {name!r} needs a contact ambient")
-            P_tan, P_nor = pc.projectors
-            xi = pc.structure["xi"]
-            part = P_nor @ xi if name == "xi_tangent" else P_tan @ xi
-            dev = max(dev, float(np.sqrt(part @ pc.G_val @ part)))
-        elif name == "parallel_H":
-            dev = max(dev, float(np.sqrt(max(pc.trace_terms.nabla_perp_h_norm2, 0.0))))
-        elif name == "cmc":
-            h_values.append(np.sqrt(float(pc.H_val @ pc.G_val @ pc.H_val)))
-        else:
-            raise FlagError(name, f"unknown flag {name!r}")
+    if name not in FLAG_NAMES:
+        raise FlagError(name, f"unknown flag {name!r}")
+    needs = {"complex": "hermitian", "lagrangian": "hermitian", "invariant": "contact",
+             "anti_invariant": "contact", "xi_tangent": "contact", "xi_normal": "contact"}
+    if needs.get(name, imm.ambient.structure) != imm.ambient.structure:
+        ambient = "a Hermitian" if needs[name] == "hermitian" else "a contact"
+        raise FlagError(name, f"flag {name!r} needs {ambient} ambient")
+    devs = np.concatenate([_point_deviations(ev, name) for ev in blocks] or [np.zeros(0)])
     if name == "cmc":
-        dev = float(max(h_values) - min(h_values)) if h_values else 0.0
-    return dev
+        return float(devs.max() - devs.min()) if devs.size else 0.0
+    return float(np.max(devs, initial=0.0))
 
 
-def verify_flags(imm, calcs, tol=FLAG_TOL):
+def _point_deviations(ev, name):
+    """The deviation of each point of a block from a non-structural flag
+    (for cmc, the length of H)."""
+    if name in ("complex", "lagrangian", "invariant", "anti_invariant"):
+        # Frobenius norms of the four structure-decomposition blocks
+        flat = lambda M: M.reshape(len(M), 1, -1)
+        tt, tn, nt, nn = (np.sqrt(flat(M) @ flat(M).swapaxes(-1, -2))[:, 0, 0]
+                          for M in ev.decomposition_operators)
+        return {"complex": np.maximum(tn, nt), "lagrangian": np.maximum(tt, nn),
+                "invariant": tn, "anti_invariant": tt}[name]
+    if name in ("xi_tangent", "xi_normal"):
+        P_tan, P_nor = ev.projectors
+        return ev.norm(matvec(P_nor if name == "xi_tangent" else P_tan, ev.structure["xi"]))
+    if name == "parallel_H":
+        return np.sqrt(np.maximum(ev.trace_terms.nabla_perp_h_norm2, 0.0))
+    return ev.norm(ev.values(ev.H_field))  # cmc
+
+
+def verify_flags(imm, blocks, tol=FLAG_TOL):
     """Check each asserted/denied flag numerically; raise FlagError on failure.
 
     Returns {flag: measured deviation} for all declared flags.
@@ -844,7 +759,7 @@ def verify_flags(imm, calcs, tol=FLAG_TOL):
     for name, state in imm.flags.items():
         if state == "unknown":
             continue
-        dev = flag_deviation(imm, calcs, name)
+        dev = flag_deviation(imm, blocks, name)
         report[name] = dev
         if state == "asserted" and not dev <= tol:
             raise FlagError(

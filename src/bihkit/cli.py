@@ -18,9 +18,11 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .audits import curvature_trace_audit, run_all_audits
-from .calculus import FLAG_TOL, PointError, WeightError, drain, map_jets
+from .calculus import FLAG_TOL, PointError, WeightError, map_jets, point_rows
 from .props import proposition_checkers
 from .report import render_report, write_csv
 from .residuals import compare_modes, direct_field, theorem_residual
@@ -48,7 +50,7 @@ def _errata_on(sc, args):
     return sc.mode.get("errata", "on") == "on"
 
 
-def cmd_check(sc, args, out, calcs):
+def cmd_check(sc, args, out, blocks):
     tol = args.tol if args.tol is not None else sc.tolerance("mode_agreement", 1e-6)
     mode = args.mode or sc.mode.get("residual", "both")
     kind = sc.mode.get("kind", "fbh")
@@ -59,40 +61,42 @@ def cmd_check(sc, args, out, calcs):
     worst_delta = 0.0
     worst_theorem = 0.0
     reduction_delta = 0.0
-    for pc in drain(calcs):
+    while blocks:
+        ev = blocks.pop(0)  # released once used
         cmp = direct = rep = None
         if mode == "both":
-            cmp = compare_modes(pc, kind=kind, errata=errata, tol=tol)
+            cmp = compare_modes(ev, kind=kind, errata=errata, tol=tol)
             direct, rep = cmp["direct"], cmp["report"]
         elif mode == "direct":
-            direct = direct_field(kind, pc)
+            direct = direct_field(kind, ev)
         else:
-            rep = theorem_residual(pc, kind=kind, errata=errata)
-        row = {"point": [float(x) for x in pc.point]}
+            rep = theorem_residual(ev, kind=kind, errata=errata)
+        columns = {}
         if direct is not None:
-            dn = pc.norm(direct)
-            row["direct_norm"] = dn
-            worst_direct = max(worst_direct, dn)
+            columns["direct_norm"] = ev.norm(direct)
+            worst_direct = max(worst_direct, float(columns["direct_norm"].max()))
         if rep is not None:
-            row["theorem_normal_norm"] = rep.normal_norm
-            row["theorem_tangent_norm"] = rep.tangent_norm
-            worst_theorem = max(worst_theorem, rep.total_norm / rep.scale)
+            columns["theorem_normal_norm"] = rep.normal_norm
+            columns["theorem_tangent_norm"] = rep.tangent_norm
+            worst_theorem = max(worst_theorem, float((rep.total_norm / rep.scale).max()))
         if cmp is not None:
-            row["mode_delta_normal"] = cmp["delta_normal"]
-            row["mode_delta_tangent"] = cmp["delta_tangent"]
-            worst_delta = max(worst_delta, cmp["delta_normal"], cmp["delta_tangent"])
-            if cmp["itemized_corrections"] and "itemized_corrections" not in out:
-                out["itemized_corrections"] = cmp["itemized_corrections"]
+            columns["mode_delta_normal"] = cmp["delta_normal"]
+            columns["mode_delta_tangent"] = cmp["delta_tangent"]
+            worst_delta = max(worst_delta, float(cmp["delta_normal"].max()),
+                              float(cmp["delta_tangent"].max()))
+            if "itemized_corrections" not in out:
+                first = next(filter(None, map(rep.corrections_at, range(len(ev)))), None)
+                if first:
+                    out["itemized_corrections"] = first
         if corollary:
-            rep_parent = rep or theorem_residual(pc, kind=kind, errata=errata)
-            rep_cor = theorem_residual(pc, kind=kind, errata=errata, corollary=corollary)
-            dd = max(
-                pc.norm(rep_parent.normal - rep_cor.normal),
-                pc.norm(rep_parent.tangent - rep_cor.tangent),
+            rep_parent = rep or theorem_residual(ev, kind=kind, errata=errata)
+            rep_cor = theorem_residual(ev, kind=kind, errata=errata, corollary=corollary)
+            columns["reduction_delta"] = np.maximum(
+                ev.norm(rep_parent.normal - rep_cor.normal),
+                ev.norm(rep_parent.tangent - rep_cor.tangent),
             ) / rep_parent.scale
-            row["reduction_delta"] = dd
-            reduction_delta = max(reduction_delta, dd)
-        rows.append(row)
+            reduction_delta = max(reduction_delta, float(columns["reduction_delta"].max()))
+        rows += point_rows(ev, columns)
     out["kind"] = kind
     out["points"] = len(rows)
     out["rows"] = rows
@@ -120,7 +124,7 @@ def cmd_check(sc, args, out, calcs):
     return exit_code, rows
 
 
-def cmd_audit(sc, args, out, calcs):
+def cmd_audit(sc, args, out, blocks):
     tol = args.tol if args.tol is not None else sc.tolerance("audit", 1e-6)
     points = sc.sample_points()
     if not sc.immersion.ambient.has_metric:
@@ -134,7 +138,7 @@ def cmd_audit(sc, args, out, calcs):
         out["max_delta"] = worst
         out["pass"] = bool(worst <= tol)
         return (PASS if out["pass"] else NUMERIC_FAIL), [result]
-    rows, summary = run_all_audits(sc.immersion, calcs)
+    rows, summary = run_all_audits(sc.immersion, blocks)
     out["summary"] = summary
     out["points"] = len(points)
     worst = max(
@@ -149,7 +153,7 @@ def cmd_audit(sc, args, out, calcs):
     return (PASS if out["pass"] else NUMERIC_FAIL), rows
 
 
-def cmd_variation(sc, args, out, calcs):
+def cmd_variation(sc, args, out, blocks):
     imm = sc.immersion
     grid = sc.quadrature()
     variation = sc.default_variation()
@@ -181,9 +185,9 @@ def cmd_variation(sc, args, out, calcs):
     return (PASS if ok else NUMERIC_FAIL), results
 
 
-def cmd_props(sc, args, out, calcs):
+def cmd_props(sc, args, out, blocks):
     tol = args.tol if args.tol is not None else sc.tolerance("identity", 1e-8)
-    verdicts = proposition_checkers(sc.immersion, calcs, tol=tol,
+    verdicts = proposition_checkers(sc.immersion, blocks, tol=tol,
                                     flag_tol=sc.tolerance("flags", FLAG_TOL))
     out["verdicts"] = verdicts
     bad = any(v.get("verdict") == "violated" for v in verdicts)
@@ -191,7 +195,7 @@ def cmd_props(sc, args, out, calcs):
     return (PASS if not bad else NUMERIC_FAIL), verdicts
 
 
-def cmd_energy(sc, args, out, calcs):
+def cmd_energy(sc, args, out, blocks):
     grid = sc.quadrature()
     values = energies(sc.immersion, grid)
     out["energies"] = values
@@ -199,12 +203,12 @@ def cmd_energy(sc, args, out, calcs):
     return PASS, [values]
 
 
-def cmd_sweep(sc, args, out, calcs):
+def cmd_sweep(sc, args, out, blocks):
     target = sc.mode.get("sweep_target", "check")
     levels = [1, 2]
     table = []
     if target == "energy":
-        calcs.clear()  # quadrature nodes are evaluated afresh
+        blocks.clear()  # quadrature nodes are evaluated afresh
         for lv in levels:
             grid = sc.quadrature(factor=lv)
             table.append({"refinement": lv, "nodes": len(grid),
@@ -217,13 +221,14 @@ def cmd_sweep(sc, args, out, calcs):
         errata = _errata_on(sc, args)
         for lv in levels:
             pts = sc.sample_points(factor=lv)
-            # level 1 is the validated grid; finer levels are evaluated and
-            # checked as validation checks it
-            evals = drain(calcs) if lv == 1 else evaluate_points(sc, pts)
+            # level 1 is the validated grid, released block by block; finer
+            # levels are evaluated and checked as validation checks it
+            evals = ((blocks.pop(0) for _ in range(len(blocks))) if lv == 1
+                     else evaluate_points(sc, pts))
             worst = 0.0
-            for pc in evals:
-                rep = theorem_residual(pc, kind=kind, errata=errata)
-                worst = max(worst, rep.total_norm / rep.scale)
+            for ev in evals:
+                rep = theorem_residual(ev, kind=kind, errata=errata)
+                worst = max(worst, float((rep.total_norm / rep.scale).max()))
             table.append({"refinement": lv, "points": len(pts),
                           "max_residual": worst})
         drift = abs(table[1]["max_residual"] - table[0]["max_residual"])
@@ -268,16 +273,17 @@ def main(argv=None):
         if not sc.immersion.ambient.has_metric and args.command != "audit":
             raise ScenarioError(f"{sc.ambient_kind} has only a curvature model; "
                                 "`audit` is the one command it supports", "ambient", "kind")
-        # one validated evaluation per sample point, shared with the command
-        calcs = _validate(sc)
+        # the validated evaluation blocks of the sample points, shared with
+        # the command
+        blocks = _validate(sc)
     except (ScenarioError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return VALIDATION_FAIL
     if args.command in ("energy", "variation"):
-        calcs.clear()  # quadrature commands evaluate their own nodes
+        blocks.clear()  # quadrature commands evaluate their own nodes
     out = _base_report(sc, args.command, args)
     try:
-        code, rows = COMMANDS[args.command](sc, args, out, calcs)
+        code, rows = COMMANDS[args.command](sc, args, out, blocks)
     except (ScenarioError, SpaceError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return VALIDATION_FAIL

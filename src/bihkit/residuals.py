@@ -17,8 +17,9 @@ oracle the term carries a catalogued correction (`ERRATA`); running with
 `errata=True` applies the corrected coefficients, and the comparison layer
 itemizes the per-term difference either way.  Nothing is silently fixed.
 
-Every per-point function takes the point's `PointCalculus` and reads the
-immersion, the point and the memoized trace terms from it.
+Every function takes an evaluation block (`calculus.Evaluation`), reads the
+immersion, the points and the block's trace terms from it, and returns
+arrays with a leading points axis.
 
 Naming of equations:
   fbh_gcsf / fbh_gssf   weighted-bienergy (f-biharmonic) conditions in
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import matvec
 
 __all__ = [
     "Term",
@@ -58,71 +60,77 @@ __all__ = [
 # -- direct mode ---------------------------------------------------------------
 
 
-def curvature_trace(pc, vector):
-    """tr R(dpsi, v) dpsi from the AD curvature at the point."""
-    return np.einsum("ab,lijk,ia,j,kb->l", pc.g_inv_val, pc.ambient_curvature,
-                     pc.dpsi_val, vector, pc.dpsi_val)
+def curvature_trace(ev, vector):
+    """tr R(dpsi, v) dpsi at each point of a block, from the AD curvature;
+    vector[p] is the point's ambient vector."""
+    dpsi = ev.values(ev.dpsi)
+    return np.einsum("pab,plijk,pia,pj,pkb->pl", ev.values(ev.induced_metric_inv_field),
+                     ev.ambient_curvature, dpsi, vector, dpsi)
 
 
-def tension(pc):
-    """tau = m * H as an ambient vector."""
-    return float(pc.m) * pc.H_val
+def tension(ev):
+    """tau = m * H as an ambient vector at each point."""
+    return float(ev.m) * ev.values(ev.H_field)
 
 
-def _tau_field(pc):
-    return pc.H_field * float(pc.m)
+def _tau_field(ev):
+    return ev.H_field * float(ev.m)
 
 
-def bitension_direct(pc, first=None):
+def _along_grad_f(ev, first):
+    """nabla-bar_{grad f} F at each point from the `pullback_derivative` of F."""
+    grad_f = ev.values(ev.grad_f_param_field)
+    return (grad_f[:, None] @ ev.values(first))[:, 0]
+
+
+def bitension_direct(ev, first=None):
     """Bitension field, section-Laplacian convention tr(nabla^2); `first` is
     the `pullback_derivative` of tau when the caller has it."""
-    tau_f = _tau_field(pc)
-    return pc.rough_laplacian(tau_f, first) - curvature_trace(pc, tau_f.values)
+    tau_f = _tau_field(ev)
+    return ev.rough_laplacian(tau_f, first) - curvature_trace(ev, ev.values(tau_f))
 
 
-def f_bitension_direct(pc):
-    """f*tau2 + (tr Hess f) tau + 2 nabla_{grad f} tau (ambient vector)."""
-    tau_f = _tau_field(pc)
-    tau = tau_f.values
-    first = pc.pullback_derivative(tau_f)
-    tau2 = bitension_direct(pc, first)
-    f = pc.f_jet.value
-    delta_f_neg = -pc.delta_f_pos_field.value
-    return f * tau2 + delta_f_neg * tau + 2.0 * (pc.grad_f_param @ first.values)
+def f_bitension_direct(ev):
+    """f*tau2 + (tr Hess f) tau + 2 nabla_{grad f} tau (ambient vectors)."""
+    tau_f = _tau_field(ev)
+    first = ev.pullback_derivative(tau_f)
+    tau2 = bitension_direct(ev, first)
+    f = ev.values(ev.f_jet)[:, None]
+    delta_f_neg = -ev.values(ev.delta_f_pos_field)[:, None]
+    return f * tau2 + delta_f_neg * ev.values(tau_f) + 2.0 * _along_grad_f(ev, first)
 
 
-def _tau_weighted_field(pc):
+def _tau_weighted_field(ev):
     """tau_f = f * tau + dpsi(grad f) as an order-2 jet field."""
-    f2 = pc.f_jet.truncate(pc.order - 2)
-    return f2 * pc.H_field * float(pc.m) + pc.grad_f_ambient_field
+    f2 = ev.f_jet.truncate(ev.order - 2)
+    return f2 * ev.H_field * float(ev.m) + ev.grad_f_ambient_field
 
 
-def bi_f_tension_direct(pc):
+def bi_f_tension_direct(ev):
     """f*J(tau_f) - nabla_{grad f} tau_f with the direct Jacobi operator."""
-    tau_w = _tau_weighted_field(pc)
-    first = pc.pullback_derivative(tau_w)
-    jacobi = -pc.rough_laplacian(tau_w, first) + curvature_trace(pc, tau_w.values)
-    f = pc.f_jet.value
-    return f * jacobi - pc.grad_f_param @ first.values
+    tau_w = _tau_weighted_field(ev)
+    first = ev.pullback_derivative(tau_w)
+    jacobi = -ev.rough_laplacian(tau_w, first) + curvature_trace(ev, ev.values(tau_w))
+    return ev.values(ev.f_jet)[:, None] * jacobi - _along_grad_f(ev, first)
 
 
-def direct_field(kind, pc):
+def direct_field(kind, ev):
     """The direct-mode field a theorem kind is compared against."""
     fn = f_bitension_direct if kind == "fbh" else bi_f_tension_direct
-    return fn(pc)
+    return fn(ev)
 
 
-def _curvature_traces(pc, t):
+def _curvature_traces(ev, t):
     """Tangent and normal parts of tr R(., H). and tr R(., grad f). (the
     general bi-f equation), from the concrete curvature."""
-    P_tan, P_nor = pc.projectors
-    trH = curvature_trace(pc, t.H)
-    trF = curvature_trace(pc, t.grad_f)
+    P_tan, P_nor = ev.projectors
+    trH = curvature_trace(ev, t.H)
+    trF = curvature_trace(ev, t.grad_f)
     return {
-        "trRH_tan": P_tan @ trH,
-        "trRH_nor": P_nor @ trH,
-        "trRgf_tan": P_tan @ trF,
-        "trRgf_nor": P_nor @ trF,
+        "trRH_tan": matvec(P_tan, trH),
+        "trRH_nor": matvec(P_nor, trH),
+        "trRgf_tan": matvec(P_tan, trF),
+        "trRgf_nor": matvec(P_nor, trF),
     }
 
 
@@ -131,7 +139,8 @@ def _curvature_traces(pc, t):
 
 @dataclass
 class Term:
-    """One term of an equation; every callable reads the point's TraceTerms."""
+    """One term of an equation; every callable reads the TraceTerms of a
+    block: a coefficient is a float or a P-array, a value (P, chart_dim)."""
 
     name: str
     part: str                     # "normal" | "tangent"
@@ -174,7 +183,7 @@ def _fbh_common_normal():
             "weight_connection", "normal",
             printed=lambda t: 2.0,
             corrected=lambda t: -2.0,
-            value=lambda t: t.nabla_perp_gradf_h / t.f,
+            value=lambda t: t.nabla_perp_gradf_h / t.f[:, None],
         ),
     ]
 
@@ -186,7 +195,7 @@ def _fbh_common_tangent():
             "shape_grad_ln_f", "tangent",
             printed=lambda t: -2.0,
             corrected=lambda t: +2.0,
-            value=lambda t: t.a_h_grad_f / t.f,
+            value=lambda t: t.a_h_grad_f / t.f[:, None],
         ),
         Term("ta_nabla_perp_h", "tangent", lambda t: 2.0, lambda t: t.ta_nabla_perp_h),
     ]
@@ -237,7 +246,7 @@ def _bif_lhs_terms():
             "weight_laplacian", "normal",
             printed=lambda t: -t.n * t.f,
             corrected=lambda t: +t.n * t.f,
-            value=lambda t: t.delta_f_pos * t.H,
+            value=lambda t: t.delta_f_pos[:, None] * t.H,
         ),
         Term(
             "weight_connection", "normal",
@@ -474,11 +483,11 @@ def _zero_vec(t):
 
 
 def _ns_hypersurface(t):
-    return -t.H + t.eta_h * t.xi_nor
+    return -t.H + t.eta_h[:, None] * t.xi_nor
 
 
 def _ps_hypersurface(t):
-    return t.eta_h * t.xi_tan
+    return t.eta_h[:, None] * t.xi_tan
 
 
 COROLLARIES = {}
@@ -528,7 +537,7 @@ _register(Corollary("fbh_gssf_hypersurface", "fbh_gssf", ("hypersurface",),
 _register(Corollary("bif_gcsf_hypersurface_cmc", "bif_gcsf",
                     ("hypersurface", "cmc"),
                     dict(_PARALLEL_DROPS,
-                         tb_ah=lambda t: t.b_norm2 * t.H,
+                         tb_ah=lambda t: t.b_norm2[:, None] * t.H,
                          curv_beta_klH=_neg_H,
                          curv_beta_kj_gf=_zero_vec,
                          curv_beta_jlH=_zero_vec)))
@@ -590,113 +599,123 @@ _register(Corollary("bif_gssf_hypersurface", "bif_gssf",
 
 @dataclass
 class ResidualReport:
-    """Per-point theorem evaluation with term breakdown.
+    """Theorem evaluation at the points of a block, with term breakdown;
+    every array has a leading points axis.
 
     `corrections` itemizes every term whose corrected coefficient differs
-    from the printed one, with the norm of the difference it makes.
+    from the printed one at some point, with the norm of the difference it
+    makes; `corrections_at(i)` lists those of point i.
     """
 
     mode: str
-    point: np.ndarray
+    points: np.ndarray
     normal: np.ndarray
     tangent: np.ndarray
-    normal_norm: float
-    tangent_norm: float
+    normal_norm: np.ndarray
+    tangent_norm: np.ndarray
     terms: list
     corrections: list
-    scale: float                  # 1 + |H| + |grad f| normalizer
+    scale: np.ndarray             # 1 + |H| + |grad f| normalizer
     errata_applied: bool
 
     @property
     def total_norm(self):
-        return float(np.hypot(self.normal_norm, self.tangent_norm))
+        return np.hypot(self.normal_norm, self.tangent_norm)
+
+    def corrections_at(self, i):
+        return [{**item, **{key: float(item[key][i]) for key in
+                            ("printed_coeff", "corrected_coeff", "delta_norm")}}
+                for item in self.corrections
+                if abs(item["corrected_coeff"][i] - item["printed_coeff"][i]) > 0.0]
 
 
-def theorem_residual(pc, kind="fbh", errata=False, corollary=None):
-    """Evaluate a characterization equation (or a corollary reduction).
+def theorem_residual(ev, kind="fbh", errata=False, corollary=None):
+    """Evaluate a characterization equation (or a corollary reduction) at
+    every point of an evaluation block.
 
     Returns a ResidualReport; term values keep the printed/corrected
     coefficient actually used.
     """
-    eq_id = equation_for(pc.imm, kind) if kind in ("fbh", "bif") else kind
+    eq_id = equation_for(ev.imm, kind) if kind in ("fbh", "bif") else kind
     cor = None
     if corollary is not None:
         cor = COROLLARIES[corollary]
         eq_id = cor.equation
-    t = pc.trace_terms
+    t = ev.trace_terms
     builder = EQUATIONS[eq_id]
-    terms = builder() if eq_id != "bif_general" else builder(_curvature_traces(pc, t))
-    nrm = pc.norm
-    normal = np.zeros(pc.d)
-    tangent = np.zeros(pc.d)
+    terms = builder() if eq_id != "bif_general" else builder(_curvature_traces(ev, t))
+    shape = (len(ev), ev.d)
+    per_point = lambda c: np.broadcast_to(np.asarray(c, dtype=float), shape[:1])
+    normal = np.zeros(shape)
+    tangent = np.zeros(shape)
     breakdown = []
     corrections = []
     for term in terms:
-        printed = float(term.printed(t))
-        corrected = printed if term.corrected is None else float(term.corrected(t))
+        printed = per_point(term.printed(t))
+        corrected = printed if term.corrected is None else per_point(term.corrected(t))
         if cor is not None and term.name in cor.substitutions:
             sub = cor.substitutions[term.name]
             if sub is None:
-                vec = np.zeros(pc.d)
+                vec = np.zeros(shape)
             else:
                 replaced = sub(t)
-                if np.isscalar(replaced):
+                if np.ndim(replaced) < 2:
                     # scalar substitution: hypothesis fixes the coefficient
-                    printed = corrected = float(replaced)
+                    printed = corrected = per_point(replaced)
                     vec = term.value(t)
                 else:
                     vec = replaced
         else:
             vec = term.value(t)
         coeff = corrected if errata else printed
-        contrib = coeff * vec
+        contrib = coeff[:, None] * vec
         if term.part == "normal":
             normal = normal + contrib
         else:
             tangent = tangent + contrib
         breakdown.append((term.name, term.part, coeff, contrib))
-        if abs(corrected - printed) > 0.0:
+        if np.any(np.abs(corrected - printed) > 0.0):
             corrections.append({
                 "term": term.name,
                 "part": term.part,
                 "printed_coeff": printed,
                 "corrected_coeff": corrected,
-                "delta_norm": nrm(corrected * vec - printed * vec),
+                "delta_norm": ev.norm(corrected[:, None] * vec - printed[:, None] * vec),
             })
     return ResidualReport(
         mode=(corollary or eq_id) + (":errata" if errata else ":printed"),
-        point=pc.point,
+        points=ev.points,
         normal=normal,
         tangent=tangent,
-        normal_norm=nrm(normal),
-        tangent_norm=nrm(tangent),
+        normal_norm=ev.norm(normal),
+        tangent_norm=ev.norm(tangent),
         terms=breakdown,
         corrections=corrections,
-        scale=1.0 + nrm(t.H) + nrm(t.grad_f),
+        scale=1.0 + ev.norm(t.H) + ev.norm(t.grad_f),
         errata_applied=errata,
     )
 
 
-def compare_modes(pc, kind="fbh", errata=True, tol=1e-6):
-    """Theorem-mode vs direct-mode residuals at one point.
+def compare_modes(ev, kind="fbh", errata=True, tol=1e-6):
+    """Theorem-mode vs direct-mode residuals at the points of a block.
 
     Returns a dict with the theorem report, the direct field, the relative
-    normal and tangent deltas between them, the per-term itemization of
-    as-printed vs corrected coefficients, and the agreement verdict.
+    normal and tangent deltas between them at each point, the per-term
+    itemization of as-printed vs corrected coefficients, and the agreement
+    verdict over the block.
     """
-    rep = theorem_residual(pc, kind=kind, errata=errata)
-    direct = direct_field(kind, pc)
+    rep = theorem_residual(ev, kind=kind, errata=errata)
+    direct = direct_field(kind, ev)
     # the f-biharmonic equations are the direct field times -1/(n f)
-    s = -1.0 / (pc.m * pc.f_jet.value) if kind == "fbh" else 1.0
-    P_tan, P_nor = pc.projectors
-    nrm = pc.norm
-    delta_nor = nrm(rep.normal - s * (P_nor @ direct)) / rep.scale
-    delta_tan = nrm(rep.tangent - s * (P_tan @ direct)) / rep.scale
+    s = (-1.0 / (ev.m * ev.values(ev.f_jet)))[:, None] if kind == "fbh" else 1.0
+    P_tan, P_nor = ev.projectors
+    delta_nor = ev.norm(rep.normal - s * matvec(P_nor, direct)) / rep.scale
+    delta_tan = ev.norm(rep.tangent - s * matvec(P_tan, direct)) / rep.scale
     return {
         "report": rep,
         "direct": direct,
         "delta_normal": delta_nor,
         "delta_tangent": delta_tan,
-        "agree": bool(delta_nor <= tol and delta_tan <= tol),
+        "agree": bool(np.all((delta_nor <= tol) & (delta_tan <= tol))),
         "itemized_corrections": rep.corrections,
     }

@@ -57,8 +57,8 @@ from .variational import QuadratureGrid
 __all__ = ["Scenario", "ScenarioError", "evaluate_points", "load_scenario",
            "parse_scenario_text"]
 
-# Upper bound on the sample points of one scenario: validation keeps every
-# point's evaluation until the command has used it.
+# Upper bound on the sample points of one scenario: validation keeps the
+# evaluation blocks of every point until the command has used them.
 MAX_SAMPLE_POINTS = 1024
 
 TOLERANCE_KEYS = ("mode_agreement", "flags", "identity", "reduction", "audit", "variation")
@@ -435,13 +435,12 @@ def parse_scenario(text, path="<memory>", validate=True):
 
 
 def evaluate_points(sc, points):
-    """Yield one `PointCalculus` per row of a (P, m) array of parameter
-    points, evaluated in batches with validation's chart, rank and weight
+    """Yield the evaluation blocks of the rows of a (P, m) array of
+    parameter points, in order, with validation's chart, rank and weight
     checks.  An error names the first failing point, with the message that
     point fails with alone."""
     try:
-        for ev in evaluate_batches(sc.immersion, points, check=check_weight):
-            yield from ev
+        yield from evaluate_batches(sc.immersion, points, check=check_weight)
     except WeightError as exc:
         raise ScenarioError(str(exc), "weight", "f") from None
     except PointError as exc:
@@ -451,7 +450,7 @@ def evaluate_points(sc, points):
 
 def _validate(sc):
     """Check the scenario at its sample points; returns the validated
-    evaluations, one `PointCalculus` per sample point, for the commands to
+    evaluation blocks of the sample points, in order, for the commands to
     consume (empty on a curvature-model-only ambient)."""
     imm = sc.immersion
     if not imm.ambient.has_metric:
@@ -460,7 +459,7 @@ def _validate(sc):
         return []
     points = sc.sample_points()
     # rank, chart membership, weight positivity at every sample point
-    calcs = list(evaluate_points(sc, points))
+    blocks = list(evaluate_points(sc, points))
     # periodic axes must close up
     for i, ax in enumerate(sc.axes):
         if not ax.periodic:
@@ -475,10 +474,10 @@ def _validate(sc):
                 "immersion", ax.name)
     # flag pre-checks
     try:
-        verify_flags(imm, calcs, tol=sc.tolerance("flags", FLAG_TOL))
+        verify_flags(imm, blocks, tol=sc.tolerance("flags", FLAG_TOL))
     except FlagError as exc:
         raise ScenarioError(f"flag pre-check failed: {exc}", "flags", exc.flag) from None
-    return calcs
+    return blocks
 
 
 def load_scenario(path, validate=True):

@@ -12,10 +12,10 @@ the deformed maps are computed against the fixed metric, which is the setting
 in which the Euler-Lagrange fields below are the functional derivatives.
 
 `first_variation_suite` compares a central finite difference of each energy
-against the pairing  -int <el_field, V> dv.  Like every per-point function,
-`el_field` takes the point's `PointCalculus` (here a quadrature node's); it
-returns the direct-mode residual field normalized so the pairing identity
-holds:
+against the pairing  -int <el_field, V> dv, with every node's evaluation
+done once, in blocks.  `el_field` takes an evaluation block (here of
+quadrature nodes) and returns the direct-mode residual field at its points,
+normalized so the pairing identity holds:
 
     which   el_field            pairing constant (ledgered)
     E       tau                  +1
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import check_weight, evaluate_batches, map_jets, parameter_jets
+from .calculus import check_weight, evaluate_batches, map_jets, matvec, parameter_jets
 from .expr import eval_on_jets, parse
 from .jets import Jet
 from .residuals import (
@@ -123,19 +123,16 @@ class _Frozen:
     grad_f_param: np.ndarray   # (N, m)
 
 
-def _frozen(imm, points, order, visit=None):
-    """The frozen data of every node from batched evaluations of the given
-    order (the values do not depend on it); `visit(i, pc)` also sees the
-    PointCalculus of node i."""
-    rows = []
-    calcs = (pc for ev in evaluate_batches(imm, points, order, check_weight) for pc in ev)
-    for i, pc in enumerate(calcs):
-        df = np.array([pc.f_jet.deriv(al).value for al in range(pc.m)])
-        rows.append((pc.g_inv_val, pc.intrinsic_christoffels.values,
-                     float(np.sqrt(pc.gram_det)), pc.f_jet.value, pc.g_inv_val @ df))
-        if visit is not None:
-            visit(i, pc)
-    return _Frozen(*(np.array(col) for col in zip(*rows)))
+def _frozen(blocks):
+    """The frozen data of every node from its evaluation blocks, in order
+    (the values do not depend on the jet order of the evaluation)."""
+    parts = []
+    for ev in blocks:
+        ginv = ev.values(ev.induced_metric_inv_field)
+        df = ev.values(ev.f_jet.derivs())
+        parts.append((ginv, ev.values(ev.intrinsic_christoffels), np.sqrt(ev.gram_det),
+                      ev.values(ev.f_jet), matvec(ginv, df)))
+    return _Frozen(*(np.concatenate(col) for col in zip(*parts)))
 
 
 def _deformed_tension_data(space, frozen, psi, v, t):
@@ -162,31 +159,30 @@ def _deformed_tension_data(space, frozen, psi, v, t):
     ddpsi = first.derivs().point_values(count)   # ddpsi[i, a, al, be]
     m = dpsi.shape[2]
     tau = np.zeros(dpsi.shape[:2])
-    for i in range(count):
-        for al in range(m):
-            for be in range(m):
-                vec = ddpsi[i, :, al, be] + np.einsum(
-                    "abc,b,c->a", gam_amb[i], dpsi[i, :, al], dpsi[i, :, be]
-                )
-                vec = vec - np.einsum("g,ag->a", frozen.gam[i, :, al, be], dpsi[i])
-                tau[i] = tau[i] + frozen.ginv[i, al, be] * vec
+    # all nodes at once, the pairs (al, be) in order: each node's sum rounds
+    # as it would alone
+    for al in range(m):
+        for be in range(m):
+            vec = ddpsi[:, :, al, be] + np.einsum(
+                "pabc,pb,pc->pa", gam_amb, dpsi[:, :, al], dpsi[:, :, be]
+            )
+            vec = vec - np.einsum("pg,pag->pa", frozen.gam[:, :, al, be], dpsi)
+            tau = tau + frozen.ginv[:, al, be, None] * vec
     return tau, dpsi, G
 
 
-def _integrand(frozen, i, which, tau, dpsi, G):
-    """Energy density of one functional at node i from its tension vector,
-    dpsi_t and ambient metric."""
+def _integrand(frozen, which, tau, dpsi, G):
+    """Energy density of one functional at every node from its tension
+    vector, dpsi_t and ambient metric."""
+    norm2 = lambda w: (w[:, None] @ G @ w[..., None])[:, 0, 0]
     if which in ("E", "EF"):
-        dens = float(np.einsum("ab,ia,jb,ij->", frozen.ginv[i], dpsi, dpsi, G))
-        val = 0.5 * dens
-        return val * frozen.f[i] if which == "EF" else val
+        val = 0.5 * np.einsum("pab,pia,pjb,pij->p", frozen.ginv, dpsi, dpsi, G)
+        return val * frozen.f if which == "EF" else val
     if which in ("E2", "E2F"):
-        val = 0.5 * float(tau @ G @ tau)
-        return val * frozen.f[i] if which == "E2F" else val
+        val = 0.5 * norm2(tau)
+        return val * frozen.f if which == "E2F" else val
     if which == "EF2":
-        grad_f_amb = dpsi @ frozen.grad_f_param[i]
-        w = frozen.f[i] * tau + grad_f_amb
-        return float(w @ G @ w)
+        return norm2(frozen.f[:, None] * tau + matvec(dpsi, frozen.grad_f_param))
     raise ValueError(f"unknown energy {which!r}")
 
 
@@ -194,12 +190,9 @@ def _energy_values(space, frozen, weights, whichs, psi, v, t):
     """Quadrature values of the functionals `whichs` at psi + t V; the
     deformed map is evaluated once per node and shared by the functionals."""
     tau, dpsi, G = _deformed_tension_data(space, frozen, psi, v, t)
-    vals = {which: np.empty(len(weights)) for which in whichs}
-    for i in range(len(weights)):
-        for which in whichs:
-            vals[which][i] = (_integrand(frozen, i, which, tau[i], dpsi[i], G[i])
-                              * frozen.sqrt_det[i])
-    return {which: float(np.dot(col, weights)) for which, col in vals.items()}
+    return {which: float(np.dot(_integrand(frozen, which, tau, dpsi, G) * frozen.sqrt_det,
+                                weights))
+            for which in whichs}
 
 
 def energies(imm, grid):
@@ -207,23 +200,23 @@ def energies(imm, grid):
     undeformed immersion, from one evaluation per node."""
     psi = map_jets(imm, grid.points, 2)
     zero = Jet.constant(psi.space, np.zeros(imm.ambient.chart_dim))
-    return _energy_values(imm.ambient, _frozen(imm, grid.points, 2), grid.weights,
-                          ENERGIES, psi, zero, 0.0)
+    frozen = _frozen(evaluate_batches(imm, grid.points, 2, check_weight))
+    return _energy_values(imm.ambient, frozen, grid.weights, ENERGIES, psi, zero, 0.0)
 
 
-def el_field(pc, which):
-    """Euler-Lagrange field of one functional (direct mode) at a point,
-    normalized so that dE(V) = -int <field, V> dv."""
+def el_field(ev, which):
+    """Euler-Lagrange field of one functional (direct mode) at the points of
+    an evaluation block, normalized so that dE(V) = -int <field, V> dv."""
     if which == "E":
-        field = tension(pc)
+        field = tension(ev)
     elif which == "EF":
-        field = pc.f_jet.value * tension(pc) + pc.grad_f_ambient
+        field = ev.values(ev.f_jet)[:, None] * tension(ev) + ev.values(ev.grad_f_ambient_field)
     elif which == "E2":
-        field = bitension_direct(pc)
+        field = bitension_direct(ev)
     elif which == "E2F":
-        field = f_bitension_direct(pc)
+        field = f_bitension_direct(ev)
     elif which == "EF2":
-        field = bi_f_tension_direct(pc)
+        field = bi_f_tension_direct(ev)
     else:
         raise ValueError(f"unknown energy {which!r}")
     return VARIATION_PAIRING[which] * field
@@ -256,14 +249,13 @@ def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)
 
     # one order-4 evaluation per node gives the frozen metric and, through
     # the Euler-Lagrange fields, the pairing
-    pair_vals = {which: np.empty(len(grid)) for which in whichs}
-
-    def pair(i, pc):
-        G, sqrt_det = pc.G_val, float(np.sqrt(pc.gram_det))
-        for which in whichs:
-            pair_vals[which][i] = -(el_field(pc, which) @ G @ V[i]) * sqrt_det
-
-    frozen = _frozen(imm, grid.points, 4, visit=pair)
+    blocks = list(evaluate_batches(imm, grid.points, 4, check_weight))
+    frozen = _frozen(blocks)
+    G = np.concatenate([ev.values(ev.G_field) for ev in blocks])
+    pair_vals = {which: -(np.concatenate([el_field(ev, which) for ev in blocks])[:, None]
+                          @ G @ V[..., None])[:, 0, 0] * frozen.sqrt_det
+                 for which in whichs}
+    del blocks, G
     shifted = [
         tuple(_energy_values(imm.ambient, frozen, grid.weights, whichs, psi, v, s)
               for s in (h, -h))

@@ -18,9 +18,10 @@ def scenario_path(name):
 _cache = {}
 
 
-def point_calculus(imm, point, order=4):
-    """The `PointCalculus` of `imm` at one parameter point."""
-    return evaluate(imm, [point], order)[0]
+def one_point(imm, point, order=4):
+    """The `Evaluation` of `imm` at one parameter point: every quantity of
+    it has a leading points axis of length 1."""
+    return evaluate(imm, [point], order)
 
 
 def get_scenario(name):

@@ -12,7 +12,7 @@ from bihkit.audits import (
 )
 from bihkit.calculus import Immersion
 from bihkit.spaces import make_space
-from conftest import point_calculus
+from conftest import one_point
 
 C2 = make_space("euclidean_complex", n=2)
 S3 = make_space("sasakian_sphere", n=1, ctilde=1.0)
@@ -34,7 +34,7 @@ def surface_s3d(weight="1 + 0.2*sin(u)*cos(v)"):
 
 
 def deltaH(imm, p):
-    return audit_mean_curvature_laplacian(point_calculus(imm, p))["deltaH"]
+    return audit_mean_curvature_laplacian(one_point(imm, p))["deltaH"]
 
 
 def test_deltaH_flat_torus():
@@ -68,14 +68,14 @@ def test_deltaH_independent_of_weight():
 
 def test_lemgene1_corrected_sign_wins():
     imm = surface_s3d()
-    out = audit_mean_curvature_laplacian(point_calculus(imm, [0.7, 0.9]))["lemgene1"]
+    out = audit_mean_curvature_laplacian(one_point(imm, [0.7, 0.9]))["lemgene1"]
     assert out["delta_corrected"] <= 1e-6
     assert out["delta_printed"] > 1e-3  # curvature term enters with flipped sign
 
 
 def test_lemgene2_resolution():
     for imm, p in ((torus_r4(), [0.4, 1.1]), (surface_s3d(), [0.7, 0.9])):
-        out = audit_lemgene2(point_calculus(imm, p))
+        out = audit_lemgene2(one_point(imm, p))
         assert out["delta_corrected"] <= 1e-6
         assert out["curvature_reading"] == "single intrinsic Ricci"
         assert out["intrinsic_delta_single_ricci"] <= 1e-6
@@ -84,21 +84,21 @@ def test_lemgene2_resolution():
 
 
 def test_lemgene2_constant_weight_trivial():
-    out = audit_lemgene2(point_calculus(torus_r4("1"), [0.4, 1.1]))
+    out = audit_lemgene2(one_point(torus_r4("1"), [0.4, 1.1]))
     assert out["delta_corrected"] <= 1e-12
 
 
 def test_lemgene3():
     for imm, p in ((torus_r4(), [0.4, 1.1]), (surface_s3d(), [0.7, 0.9])):
-        assert audit_lemgene3(point_calculus(imm, p))["delta"] <= 1e-6
+        assert audit_lemgene3(one_point(imm, p))["delta"] <= 1e-6
     # constant weight: both sides vanish
-    assert audit_lemgene3(point_calculus(torus_r4("1"), [0.4, 1.1]))["delta"] <= 1e-12
+    assert audit_lemgene3(one_point(torus_r4("1"), [0.4, 1.1]))["delta"] <= 1e-12
 
 
 def test_identity_suite_hermitian_and_contact():
-    out = identity_suite(point_calculus(torus_r4(), [0.4, 1.1]))
+    out = identity_suite(one_point(torus_r4(), [0.4, 1.1]))
     assert max(out.values()) <= 1e-10
-    out2 = identity_suite(point_calculus(surface_s3d(), [0.7, 0.9]))
+    out2 = identity_suite(one_point(surface_s3d(), [0.7, 0.9]))
     assert max(out2.values()) <= 1e-10
     assert "trace_P" in out2 and out2["trace_P"] <= 1e-12
 
@@ -108,7 +108,7 @@ def test_phi_decomposition_audit():
         ["u", "v"], S3,
         ["0.6*cos(u)/(1 + 0.8*sin(v))", "0.6*sin(u)/(1 + 0.8*sin(v))",
          "0.8*cos(v)/(1 + 0.8*sin(v))"], "1")
-    out = audit_phi_decompositions(point_calculus(hopf, [0.5, 1.1]))
+    out = audit_phi_decompositions(one_point(hopf, [0.5, 1.1]))
     assert out["phi2_normal_decomposition"] <= 1e-9
     # xi tangent + phi H tangent on a Hopf torus: conditional facts fire
     assert out["PsH_when_phiH_tangent"] <= 1e-9
@@ -117,9 +117,9 @@ def test_phi_decomposition_audit():
 
 def test_run_all_audits_summary():
     imm = surface_s3d()
-    calcs = [point_calculus(imm, p) for p in ([0.4, 0.8], [1.9, 2.4])]
-    rows, summary = run_all_audits(imm, calcs)
-    assert calcs == [] and len(rows) == 2  # each evaluation released once used
+    blocks = [one_point(imm, p) for p in ([0.4, 0.8], [1.9, 2.4])]
+    rows, summary = run_all_audits(imm, blocks)
+    assert blocks == [] and len(rows) == 2  # each evaluation released once used
     assert summary["lemgene1_corrected"] <= 1e-6
     assert summary["lemgene2_corrected"] <= 1e-6
     assert summary["lemgene3"] <= 1e-6

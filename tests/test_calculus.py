@@ -18,7 +18,7 @@ from bihkit.residuals import (bi_f_tension_direct, compare_modes, f_bitension_di
                                theorem_residual)
 from bihkit.scenario import load_scenario
 from bihkit.spaces import SpaceError, chart_jets, make_space
-from conftest import point_calculus, scenario_path
+from conftest import one_point, scenario_path
 
 FLAT3 = make_space("cosymplectic_flat", n=1)
 C2 = make_space("euclidean_complex", n=2)
@@ -33,46 +33,83 @@ def sphere_immersion(r=1.0, ambient=FLAT3, weight="1"):
         [f"{r}*cos(v)*cos(u)", f"{r}*cos(v)*sin(u)", f"{r}*sin(v)"], weight)
 
 
+class _Point:
+    """Point i of an evaluation block for the reference computations here:
+    its jet fields without the points axis, their values, frames and
+    projectors, and the block's derivative along the immersion at it."""
+
+    def __init__(self, ev, i=0):
+        self.ev, self.imm, self.space, self.order = ev, ev.imm, ev.space, ev.order
+        self.m, self.d, self.point = ev.m, ev.d, ev.points[i]
+        for name, jet in ev.fields.items():
+            setattr(self, name, jet.at(i))
+        self.G_val, self.g_inv_val = self.G_field.values, self.induced_metric_inv_field.values
+        self.dpsi_val, self.B_val, self.H_val = self.dpsi.values, self.B_field.values, self.H_field.values
+        self.grad_f_param = self.grad_f_param_field.values
+        self.grad_f_ambient = self.grad_f_ambient_field.values
+        self.structure = {key: val[i] for key, val in ev.structure.items()}
+        self.structure_tensor = ev.structure_tensor[i]
+        self.tangent_frame, self.normal_frame = (F[i] for F in ev.frames)
+        self.projectors = tuple(P[i] for P in ev.projectors)
+        self._i = i
+
+    def pullback_derivative(self, field):
+        return self.ev.pullback_derivative(field).at(self._i)
+
+
+def _B_frame(pt):
+    """Second fundamental form in the orthonormal tangent frame."""
+    # e_i = c_i^alpha d_alpha psi; rows of `coeff` are the frame coefficients
+    dpsi = pt.dpsi_val
+    coeff = np.linalg.solve(dpsi.T @ dpsi, dpsi.T @ pt.tangent_frame.T).T
+    return np.einsum("ia,jb,abk->ijk", coeff, coeff, pt.B_val)
+
+
+def _shape_operators(pt):
+    """(codim, m, m) matrices of A_nu in the orthonormal frames."""
+    return np.einsum("ijk,kl,sl->sij", _B_frame(pt), pt.G_val, pt.normal_frame)
+
+
 def test_plane_is_totally_geodesic():
     plane = Immersion.from_strings(["u", "v"], FLAT3, ["u", "v", "0"], "1")
-    pc = point_calculus(plane, [0.3, -0.7])
-    assert np.abs(pc.B_val).max() == 0.0
-    assert np.abs(pc.H_val).max() == 0.0
+    ev = one_point(plane, [0.3, -0.7])
+    assert np.abs(ev.values(ev.B_field)).max() == 0.0
+    assert np.abs(ev.values(ev.H_field)).max() == 0.0
 
 
 def test_round_sphere_closed_forms():
     r = 0.8
     imm = sphere_immersion(r)
     for p in ([0.5, 0.3], [2.0, -0.6]):
-        pc = point_calculus(imm, p)
-        tt = pc.trace_terms
+        ev = one_point(imm, p)
+        tt = ev.trace_terms
         assert np.sqrt(tt.h_norm2) == pytest.approx(1.0 / r, abs=1e-9)
         assert tt.b_norm2 == pytest.approx(2.0 / r**2, abs=1e-9)
         assert tt.scal == pytest.approx(2.0 / r**2, abs=1e-8)
         # umbilic shape operator: A = (1/r) Id up to sign
-        A = pc.shape_operators[0]
+        A = _shape_operators(_Point(ev))[0]
         assert np.abs(np.abs(A) - np.eye(2) / r).max() <= 1e-9
 
 
 def test_frames_and_duality():
     imm = sphere_immersion(0.8, weight="1 + 0.2*sin(u)*cos(v)")
     p = [0.7, 0.4]
-    pc = point_calculus(imm, p)
-    G = pc.G_val
-    E, N = pc.tangent_frame, pc.normal_frame
+    pt = _Point(one_point(imm, p))
+    G = pt.G_val
+    E, N = pt.tangent_frame, pt.normal_frame
     assert np.abs(E @ G @ E.T - np.eye(2)).max() <= 1e-10
     assert np.abs(N @ G @ N.T - np.eye(1)).max() <= 1e-10
     assert np.abs(E @ G @ N.T).max() <= 1e-10
-    B = pc.B_val
+    B = pt.B_val
     assert np.abs(B - B.transpose(1, 0, 2)).max() <= 1e-9
     # H = tr B / m in coordinates
     assert np.abs(
-        pc.H_val
-        - np.einsum("ab,abk->k", pc.g_inv_val, B) / 2.0
+        pt.H_val
+        - np.einsum("ab,abk->k", pt.g_inv_val, B) / 2.0
     ).max() <= 1e-12
     # Weingarten duality g(A_nu X, Y) = g(B(X,Y), nu)
-    got = np.einsum("ijk,kl,l->ij", pc.B_frame, G, N[0])
-    assert np.abs(got - pc.shape_operators[0]).max() <= 1e-9
+    got = np.einsum("ijk,kl,l->ij", _B_frame(pt), G, N[0])
+    assert np.abs(got - _shape_operators(pt)[0]).max() <= 1e-9
     # B is normal-valued
     assert np.abs(np.einsum("abk,kl,il->abi", B, G, E)).max() <= 1e-9
 
@@ -86,28 +123,28 @@ def test_clifford_torus_minimal_in_s3():
          f"{r}*cos(v)/(1 + {r}*sin(v))"],
         "1")
     for p in ([0.3, 1.2], [2.1, 0.4]):
-        tt = point_calculus(imm, p).trace_terms
+        tt = one_point(imm, p).trace_terms
         assert np.sqrt(tt.h_norm2) <= 1e-9
 
 
 def test_rank_deficiency_raises():
     bad = Immersion.from_strings(["u", "v"], FLAT3, ["u", "u", "0"], "1")
     with pytest.raises(CalcError):
-        point_calculus(bad, [0.1, 0.2]).tangent_frame
+        one_point(bad, [0.1, 0.2]).frames
 
 
 def test_abstract_ambient_rejected():
     ab = make_space("abstract_gcsf", alpha="1", beta="1")
     imm = Immersion.from_strings(["u"], ab, ["cos(u)", "sin(u)", "0", "0"], "1")
     with pytest.raises(SpaceError):
-        point_calculus(imm, [0.1])
+        one_point(imm, [0.1])
 
 
 def test_lagrangian_operators_vanish():
     imm = Immersion.from_strings(
         ["u", "v"], C2,
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"], "1")
-    tt_m, tn, nt, nn = point_calculus(imm, [0.4, 1.3]).decomposition_operators
+    tt_m, tn, nt, nn = one_point(imm, [0.4, 1.3]).decomposition_operators
     assert np.abs(tt_m).max() <= 1e-10  # j = 0
     assert np.abs(nn).max() <= 1e-10    # m = 0
 
@@ -115,7 +152,7 @@ def test_lagrangian_operators_vanish():
 def test_complex_curve_operators_vanish():
     imm = Immersion.from_strings(
         ["u", "v"], C2, ["u", "v", "u^2 - v^2", "2*u*v"], "1")
-    tt_m, tn, nt, nn = point_calculus(imm, [0.3, -0.2]).decomposition_operators
+    tt_m, tn, nt, nn = one_point(imm, [0.3, -0.2]).decomposition_operators
     assert np.abs(tn).max() <= 1e-10    # k = 0
     assert np.abs(nt).max() <= 1e-10    # l = 0
 
@@ -127,10 +164,10 @@ def test_hypersurface_hermitian_facts():
         ["0.9*cos(v)*cos(u)", "0.9*cos(v)*sin(u)",
          "0.9*sin(v)*cos(w)", "0.9*sin(v)*sin(w)"], "1")
     p = [0.5, 0.7, 1.0]
-    pc = point_calculus(imm, p)
-    tt_m, tn, nt, nn = pc.decomposition_operators
+    ev = one_point(imm, p)
+    tt_m, tn, nt, nn = ev.decomposition_operators
     assert np.abs(nn).max() <= 1e-10
-    tt = pc.trace_terms
+    tt = ev.trace_terms
     assert np.abs(tt.kl_H + tt.H).max() <= 1e-9
     assert np.abs(tt.jl_H).max() <= 1e-9
 
@@ -138,7 +175,7 @@ def test_hypersurface_hermitian_facts():
 def test_trace_terms_minimal_and_constant_weight():
     great = Immersion.from_strings(
         ["u", "v"], S3, ["cos(v)*cos(u)", "cos(v)*sin(u)", "sin(v)"], "1")
-    tt = point_calculus(great, [0.4, 0.2]).trace_terms
+    tt = one_point(great, [0.4, 0.2]).trace_terms
     assert np.abs(tt.tb_ah).max() <= 1e-10
     assert np.abs(tt.a_h_grad_f).max() <= 1e-12
     assert np.abs(tt.grad_f).max() == 0.0
@@ -155,45 +192,44 @@ def test_hypersurface_tb_identity():
         ["(1 + 0.3*cos(v))*cos(u)", "(1 + 0.3*cos(v))*sin(u)", "0.3*sin(v)"],
         "1")
     for im, p in ((imm, [0.5, 0.3]), (imm2, [0.7, 1.1])):
-        tt = point_calculus(im, p).trace_terms
-        pc = point_calculus(im, p)
-        assert np.abs(tt.tb_ah - tt.b_norm2 * pc.H_val).max() <= 1e-8
+        tt = one_point(im, p).trace_terms
+        assert np.abs(tt.tb_ah - tt.b_norm2 * tt.H).max() <= 1e-8
 
 
 def test_intrinsic_scal_unit_sphere():
     imm = sphere_immersion(1.0)
-    pc = point_calculus(imm, [0.7, 0.5])
-    assert pc.trace_terms.scal == pytest.approx(2.0, abs=1e-8)
+    ev = one_point(imm, [0.7, 0.5])
+    assert ev.trace_terms.scal == pytest.approx(2.0, abs=1e-8)
 
 
-def _covariant_split(pc, field):
+def _covariant_split(pt, field):
     """(normal, tangential) parts of nabla-bar of `field` per direction."""
-    P_tan, P_nor = pc.projectors
+    P_tan, P_nor = pt.projectors
     out = []
-    for covd in pc.pullback_derivative(field).values:
+    for covd in pt.pullback_derivative(field).values:
         out.append((P_nor @ covd, P_tan @ covd))
     return out
 
 
 def test_normal_derivative_splits():
-    plane = point_calculus(
-        Immersion.from_strings(["u", "v"], FLAT3, ["u", "v", "0"], "1"), [0.2, 0.4])
+    plane = _Point(one_point(
+        Immersion.from_strings(["u", "v"], FLAT3, ["u", "v", "0"], "1"), [0.2, 0.4]))
     for nor, tan in _covariant_split(plane, plane.H_field):
         assert np.abs(nor).max() <= 1e-12 and np.abs(tan).max() <= 1e-12
     # round sphere: H is parallel, its tangential derivative is -A_H d_al
-    pc = point_calculus(sphere_immersion(0.8), [0.6, 0.2])
-    for al, (nor, tan) in enumerate(_covariant_split(pc, pc.H_field)):
+    pt = _Point(one_point(sphere_immersion(0.8), [0.6, 0.2]))
+    for al, (nor, tan) in enumerate(_covariant_split(pt, pt.H_field)):
         assert np.abs(nor).max() <= 1e-9
         # duality: g(A_H d_al, d_be) = g(B(d_al, d_be), H)
-        shape = [tan @ pc.G_val @ pc.dpsi_val[:, be] for be in range(pc.m)]
-        dual = [pc.B_val[al, be] @ pc.G_val @ pc.H_val for be in range(pc.m)]
+        shape = [tan @ pt.G_val @ pt.dpsi_val[:, be] for be in range(pt.m)]
+        dual = [pt.B_val[al, be] @ pt.G_val @ pt.H_val for be in range(pt.m)]
         assert np.abs(np.add(shape, dual)).max() <= 1e-9
-    assert np.abs(pc.trace_terms.nabla_perp_h).max() <= 1e-9
+    assert np.abs(pt.ev.trace_terms.nabla_perp_h).max() <= 1e-9
 
 
 def test_normal_laplacian_parallel_field_and_bochner():
-    pc = point_calculus(sphere_immersion(0.9), [0.4, 0.8])
-    assert np.abs(pc.trace_terms.delta_perp_h_pos).max() <= 1e-9
+    ev = one_point(sphere_immersion(0.9), [0.4, 0.8])
+    assert np.abs(ev.trace_terms.delta_perp_h_pos).max() <= 1e-9
 
     # Bochner: (1/2) Delta |H|^2 = <Delta-perp H, H> - |nabla-perp H|^2
     bumpy = Immersion.from_strings(
@@ -202,18 +238,18 @@ def test_normal_laplacian_parallel_field_and_bochner():
          "0.25*sin(v) + 0.05*sin(u)"],
         "1")
     for p in ([0.5, 1.0], [2.2, 0.3]):
-        pc = point_calculus(bumpy, p)
-        tt = pc.trace_terms
+        pt = _Point(one_point(bumpy, p))
+        tt = pt.ev.trace_terms
         h2_field = None
-        ord2 = pc.order - 2
-        for a in range(pc.d):
-            for b in range(pc.d):
-                term = pc.G_field[a][b].truncate(ord2) * pc.H_field[a] * pc.H_field[b]
+        ord2 = pt.order - 2
+        for a in range(pt.d):
+            for b in range(pt.d):
+                term = pt.G_field[a][b].truncate(ord2) * pt.H_field[a] * pt.H_field[b]
                 h2_field = term if h2_field is None else h2_field + term
-        lap_h2 = calculus._laplacian_pos(pc.induced_metric_inv_field,
-                                         pc.intrinsic_christoffels, h2_field).value
+        lap_h2 = calculus._laplacian_pos(pt.induced_metric_inv_field,
+                                         pt.intrinsic_christoffels, h2_field).value
         lhs = 0.5 * lap_h2
-        rhs = float(tt.delta_perp_h_pos @ pc.G_val @ pc.H_val) - tt.nabla_perp_h_norm2
+        rhs = float(tt.delta_perp_h_pos[0] @ pt.G_val @ pt.H_val) - tt.nabla_perp_h_norm2[0]
         assert abs(lhs - rhs) <= 1e-6 * (1.0 + abs(lhs))
 
 
@@ -222,7 +258,7 @@ def test_small_sphere_normal_laplacian_zero():
     imm = Immersion.from_strings(
         ["u", "v"], S3,
         [f"{r0}*cos(v)*cos(u)", f"{r0}*cos(v)*sin(u)", f"{r0}*sin(v)"], "1")
-    lap = point_calculus(imm, [0.7, 0.4]).trace_terms.delta_perp_h_pos
+    lap = one_point(imm, [0.7, 0.4]).trace_terms.delta_perp_h_pos
     assert np.abs(lap).max() <= 1e-9
 
 
@@ -236,7 +272,7 @@ def test_cauchy_schwarz_shape_bound():
     for imm in scenarios:
         for _ in range(5):
             p = RNG.uniform(0.1, 1.2, size=2)
-            tt = point_calculus(imm, p).trace_terms
+            tt = one_point(imm, p).trace_terms
             m = imm.param_dim
             assert tt.a_h_norm2 >= m * tt.h_norm2**2 - 1e-10
 
@@ -249,16 +285,16 @@ def test_frame_remix_invariance():
         ["0.9*cos(u)", "0.9*sin(u)", "0.55*cos(v) + 0.1*cos(u)", "0.55*sin(v)"],
         "1 + 0.2*sin(u)")
     p = [0.8, 1.7]
-    pc = point_calculus(imm, p)
-    tt = pc.trace_terms
-    G = pc.G_val
+    pt = _Point(one_point(imm, p))
+    tt = pt.ev.trace_terms
+    G = pt.G_val
     rng = np.random.default_rng(17)
     for _ in range(4):
         Qt, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         Qn, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        E = Qt @ pc.tangent_frame
-        Nf = Qn @ pc.normal_frame
-        B = np.einsum("ia,jb,abk->ijk", Qt, Qt, pc.B_frame)
+        E = Qt @ pt.tangent_frame
+        Nf = Qn @ pt.normal_frame
+        B = np.einsum("ia,jb,abk->ijk", Qt, Qt, _B_frame(pt))
         H = np.einsum("ab,abk->k", np.eye(2), B) / 2.0
         b_norm2 = float(np.einsum("ijk,kl,ijl->", B, G, B))
         BH = np.einsum("ijk,kl,l->ij", B, G, H)
@@ -267,7 +303,7 @@ def test_frame_remix_invariance():
         assert abs(b_norm2 - tt.b_norm2) <= 1e-8 * (1 + abs(tt.b_norm2))
         assert abs(a_h_norm2 - tt.a_h_norm2) <= 1e-8 * (1 + abs(tt.a_h_norm2))
         assert np.abs(tb - tt.tb_ah).max() <= 1e-8 * (1 + np.abs(tt.tb_ah).max())
-        assert np.abs(H - pc.H_val).max() <= 1e-10
+        assert np.abs(H - pt.H_val).max() <= 1e-10
 
 
 def test_hypersurface_xi_tangent_normal_line_facts():
@@ -278,11 +314,11 @@ def test_hypersurface_xi_tangent_normal_line_facts():
          "0.8*cos(v)/(1 + 0.8*sin(v))"],
         "1")
     p = [0.5, 1.1]
-    pc = point_calculus(imm, p)
-    st = S3.structure_at(pc.psi.values)
+    pt = _Point(one_point(imm, p))
+    st = S3.structure_at(pt.psi.values)
     phi = st["phi"]
-    P_tan, P_nor = pc.projectors
-    nu = pc.normal_frame[0]
+    P_tan, P_nor = pt.projectors
+    nu = pt.normal_frame[0]
     s_nu = P_tan @ (phi @ nu)
     Ps = P_tan @ (phi @ s_nu)
     Ns = P_nor @ (phi @ s_nu)
@@ -296,7 +332,7 @@ def test_flag_verification_and_denial():
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"], "1",
         flags={"lagrangian": "asserted", "complex": "denied"})
     pts = [[0.3, 0.4], [1.5, 2.0]]
-    report = verify_flags(imm, [point_calculus(imm, p) for p in pts])
+    report = verify_flags(imm, [one_point(imm, p) for p in pts])
     assert report["lagrangian"] <= 1e-10
     assert report["complex"] > 1e-2
 
@@ -305,42 +341,42 @@ def test_flag_verification_and_denial():
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"], "1",
         flags={"complex": "asserted"})
     with pytest.raises(FlagError):
-        verify_flags(bad, [point_calculus(bad, p) for p in pts])
+        verify_flags(bad, [one_point(bad, p) for p in pts])
 
     denied_wrong = Immersion.from_strings(
         ["u", "v"], C2,
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"], "1",
         flags={"lagrangian": "denied"})
     with pytest.raises(FlagError):
-        verify_flags(denied_wrong, [point_calculus(denied_wrong, p) for p in pts])
+        verify_flags(denied_wrong, [one_point(denied_wrong, p) for p in pts])
 
 
 def test_structural_flags():
     curve = Immersion.from_strings(["u"], FLAT3, ["cos(u)", "sin(u)", "0"], "1")
-    calcs = [point_calculus(curve, [0.1])]
-    assert flag_deviation(curve, calcs, "curve") == 0.0
-    assert flag_deviation(curve, calcs, "hypersurface") == float("inf")
+    blocks = [one_point(curve, [0.1])]
+    assert flag_deviation(curve, blocks, "curve") == 0.0
+    assert flag_deviation(curve, blocks, "hypersurface") == float("inf")
 
 
 def test_weight_positivity_not_enforced_here():
     # evaluation works even where f < 0; scenario validation owns the check
     imm = Immersion.from_strings(["u"], FLAT3, ["cos(u)", "sin(u)", "0"],
                                  "cos(u)")
-    pc = point_calculus(imm, [3.0])
-    assert pc.f_jet.value < 0
+    ev = one_point(imm, [3.0])
+    assert ev.values(ev.f_jet)[0] < 0
 
 
-def _pullback_triple_sum(pc, field, alpha):
+def _pullback_triple_sum(pt, field, alpha):
     """nabla-bar_alpha as the plain triple sum Gam^a_bc d_alpha psi^b F^c
     (reference for the contracted-connection form)."""
     order = field[0].space.order - 1
     out = []
-    for a in range(pc.d):
+    for a in range(pt.d):
         acc = field[a].deriv(alpha)
-        for b in range(pc.d):
-            for c in range(pc.d):
-                acc = acc + (pc.Gam_field[a][b][c].truncate(order)
-                             * pc.dpsi[b][alpha].truncate(order)
+        for b in range(pt.d):
+            for c in range(pt.d):
+                acc = acc + (pt.Gam_field[a][b][c].truncate(order)
+                             * pt.dpsi[b][alpha].truncate(order)
                              * field[c].truncate(order))
         out.append(acc)
     return out
@@ -352,20 +388,20 @@ def test_pullback_derivative_matches_triple_sum(name):
     sc = load_scenario(scenario_path(name), validate=False)
     points = sc.sample_points()
     for p in points[:: len(points) // 2]:
-        pc = point_calculus(sc.immersion, p)
+        ev = one_point(sc.immersion, p)
         # fields of order 3, 2 and 1, so every truncation depth is used
-        dpsi_col = pc.dpsi[:, 0]
-        first = pc.pullback_derivative(pc.H_field)
-        for field in (dpsi_col, pc.H_field, first[0]):
-            for al in range(pc.m):
-                got = pc.pullback_derivative(field)[al].c
-                want = np.array([j.c for j in _pullback_triple_sum(pc, field, al)])
+        dpsi_col = ev.dpsi[:, 0]
+        first = ev.pullback_derivative(ev.H_field)
+        for field in (dpsi_col, ev.H_field, first[0]):
+            for al in range(ev.m):
+                got = ev.pullback_derivative(field)[al].c
+                want = np.array([j.c for j in _pullback_triple_sum(ev, field, al)])
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # a field with a leading axis: each row is differentiated as alone
-        second = pc.pullback_derivative(first)
-        for al in range(pc.m):
-            for be in range(pc.m):
-                want = np.array([j.c for j in _pullback_triple_sum(pc, first[be], al)])
+        second = ev.pullback_derivative(first)
+        for al in range(ev.m):
+            for be in range(ev.m):
+                want = np.array([j.c for j in _pullback_triple_sum(ev, first[be], al)])
                 assert np.abs(second[al, be].c - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -433,15 +469,15 @@ def _ref_composer(inners):
     return compose
 
 
-def _ref_mean_curvature_path(pc):
-    """Gam_field, induced metric, intrinsic Christoffels, B and H of `pc`
+def _ref_mean_curvature_path(pt):
+    """Gam_field, induced metric, intrinsic Christoffels, B and H of `pt`
     from scalar jets and nested loops."""
-    d, m, order = pc.d, pc.m, pc.order
+    d, m, order = pt.d, pt.m, pt.order
     sp = jet_space(m, order)
-    env = {name: Jet.variable(sp, i, pc.point[i]) for i, name in enumerate(pc.imm.params)}
-    psi = [eval_on_jets(c, env) for c in pc.imm.components]
+    env = {name: Jet.variable(sp, i, pt.point[i]) for i, name in enumerate(pt.imm.params)}
+    psi = [eval_on_jets(c, env) for c in pt.imm.components]
     compose = _ref_composer([psi[a] - psi[a].value for a in range(d)])
-    metric = Jet.stack(pc.space.metric_jets(chart_jets(pc.psi.values, order)))
+    metric = Jet.stack(pt.space.metric_jets(chart_jets(pt.psi.values, order)))
     G_chart = [[metric[a, b] for b in range(d)] for a in range(d)]
     Gam_chart = _ref_christoffels(G_chart)
     G = [[compose(G_chart[a][b]) for b in range(d)] for a in range(d)]
@@ -503,9 +539,11 @@ def test_mean_curvature_path_matches_scalar_loops(name):
     """The tensor contractions round exactly as the scalar loops: the pinned
     c16 `props` ratios are quotients of round-off in H."""
     sc = load_scenario(scenario_path(name), validate=False)
-    for p, pc in zip(sc.sample_points(), calculus.evaluate(sc.immersion, sc.sample_points())):
-        for field, want in _ref_mean_curvature_path(pc).items():
-            got = getattr(pc, field).c
+    ev = calculus.evaluate(sc.immersion, sc.sample_points())
+    for i, p in enumerate(sc.sample_points()):
+        pt = _Point(ev, i)
+        for field, want in _ref_mean_curvature_path(pt).items():
+            got = getattr(pt, field).c
             want = _coefficients(want)
             assert got.shape == want.shape
             assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
@@ -515,9 +553,9 @@ def test_mean_curvature_path_matches_scalar_loops(name):
 def test_trace_terms_shared_and_read_only():
     imm = sphere_immersion(0.8, weight="1 + 0.2*sin(u)*cos(v)")
     p = [0.7, 0.4]
-    pc = point_calculus(imm, p)
-    tt = pc.trace_terms
-    assert pc.trace_terms is tt
+    ev = one_point(imm, p)
+    tt = ev.trace_terms
+    assert ev.trace_terms is tt
     with pytest.raises(ValueError):
         tt.nabla_perp_h[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -525,9 +563,10 @@ def test_trace_terms_shared_and_read_only():
 
 
 def test_check_point_operation_counts(monkeypatch):
-    """Jet work of one `check` point on c13 (order-4 jets in 3 variables):
-    the direct field, one theorem residual and the mode comparison on one
-    PointCalculus.  Counts, not times, so the guard is deterministic."""
+    """Jet work of one `check` block on c13 (16 points, order-4 jets in 3
+    variables): its evaluation, the direct field, one theorem residual and
+    the mode comparison.  Counts, not times, so the guard is
+    deterministic."""
     counts = {"mul": 0, "truncate": 0, "trace_terms": 0, "pullback": 0}
 
     def counted(key, fn):
@@ -541,25 +580,46 @@ def test_check_point_operation_counts(monkeypatch):
     monkeypatch.setattr(Jet, "truncate", counted("truncate", Jet.truncate))
     monkeypatch.setattr(calculus, "trace_terms_at",
                         counted("trace_terms", calculus.trace_terms_at))
-    PC = calculus.PointCalculus
-    monkeypatch.setattr(PC, "pullback_derivative",
-                        counted("pullback", PC.pullback_derivative))
+    EV = calculus.Evaluation
+    monkeypatch.setattr(EV, "pullback_derivative",
+                        counted("pullback", EV.pullback_derivative))
     sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
-    imm, p = sc.immersion, sc.sample_points()[0]
     kind = sc.mode["kind"]
-    pc = point_calculus(imm, p)
-    bi_f_tension_direct(pc)
+    ev = calculus.evaluate(sc.immersion, sc.sample_points()[:calculus.BATCH_POINTS])
+    bi_f_tension_direct(ev)
     # the first and second derivatives of tau_w; the directional derivative
     # reuses the first
     assert counts["pullback"] == 2
-    theorem_residual(pc, kind=kind, errata=True)
-    compare_modes(pc, kind=kind, errata=True)
+    theorem_residual(ev, kind=kind, errata=True)
+    compare_modes(ev, kind=kind, errata=True)
     assert counts["trace_terms"] == 1
     assert counts["mul"] <= 180
     assert counts["truncate"] <= 60
     counts["pullback"] = 0
-    f_bitension_direct(pc)
+    f_bitension_direct(ev)
     assert counts["pullback"] == 2
+
+
+def test_direct_field_product_count_does_not_grow_with_points(monkeypatch):
+    """The direct fields make the same number of jet products at 1 and at
+    16 points of c13: the block's points share every product."""
+    sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
+    evals = [calculus.evaluate(sc.immersion, sc.sample_points()[:count]) for count in (1, 16)]
+    counts = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[-1] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Jet, attr, counted(getattr(Jet, attr)))
+    for ev in evals:
+        counts.append(0)
+        bi_f_tension_direct(ev)
+        f_bitension_direct(ev)
+    assert counts[0] == counts[1] > 0
 
 
 def test_trace_terms_product_count_does_not_grow_with_points(monkeypatch):
@@ -620,45 +680,45 @@ def _ref_mat_vec(M, v):
     return out
 
 
-def _ref_projectors(pc):
+def _ref_projectors(pt):
     """P[a, b] = dpsi[a, al] ginv[al, be] dpsi[c, be] G[c, b] and I - P."""
-    dpsi, ginv, G0 = pc.dpsi_val, pc.g_inv_val, pc.G_val
-    P = np.zeros((pc.d, pc.d))
-    for al in range(pc.m):
-        for be in range(pc.m):
+    dpsi, ginv, G0 = pt.dpsi_val, pt.g_inv_val, pt.G_val
+    P = np.zeros((pt.d, pt.d))
+    for al in range(pt.m):
+        for be in range(pt.m):
             P += ginv[al, be] * np.outer(dpsi[:, al], dpsi[:, be] @ G0)
-    return P, np.eye(pc.d) - P
+    return P, np.eye(pt.d) - P
 
 
-def _ref_gradient(pc, scalar_jet):
+def _ref_gradient(pt, scalar_jet):
     """dpsi_g g^{ga} d_a s: ambient components of the intrinsic gradient."""
     ds = scalar_jet.derivs().values
-    out = np.zeros(pc.d)
-    for g in range(pc.m):
-        for a in range(pc.m):
-            out += pc.dpsi_val[:, g] * pc.g_inv_val[g, a] * ds[a]
+    out = np.zeros(pt.d)
+    for g in range(pt.m):
+        for a in range(pt.m):
+            out += pt.dpsi_val[:, g] * pt.g_inv_val[g, a] * ds[a]
     return out
 
 
-def _ref_normal_trace(pc, P_nor, fields, values):
+def _ref_normal_trace(pt, P_nor, fields, values):
     """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g)."""
-    Gam_int = pc.intrinsic_christoffels.values
-    ginv = pc.g_inv_val
-    covd = pc.pullback_derivative(fields).values
-    out = np.zeros(pc.d)
-    for al in range(pc.m):
-        for be in range(pc.m):
+    Gam_int = pt.intrinsic_christoffels.values
+    ginv = pt.g_inv_val
+    covd = pt.pullback_derivative(fields).values
+    out = np.zeros(pt.d)
+    for al in range(pt.m):
+        for be in range(pt.m):
             term = _ref_mat_vec(P_nor, covd[al][be])
-            corr = np.zeros(pc.d)
-            for g in range(pc.m):
+            corr = np.zeros(pt.d)
+            for g in range(pt.m):
                 corr += Gam_int[g, al, be] * values[g]
             out += ginv[al, be] * (term - corr)
     return out
 
 
-def _ref_ricci(pc):
-    m = pc.m
-    Gam = pc.intrinsic_christoffels
+def _ref_ricci(pt):
+    m = pt.m
+    Gam = pt.intrinsic_christoffels
     Gv = Gam.values                                  # Gv[k, i, j]
     dGv = np.moveaxis(Gam.derivs().values, -1, 0)    # dGv[l, k, i, j]
     ric = np.zeros((m, m))
@@ -673,37 +733,37 @@ def _ref_ricci(pc):
     return ric
 
 
-def _ref_trace_terms(pc):
-    """Every loop-built trace term of `pc` but n, by its `TraceTerms` name."""
-    m, d = pc.m, pc.d
-    ginv, G0, dpsi, B, H = pc.g_inv_val, pc.G_val, pc.dpsi_val, pc.B_val, pc.H_val
+def _ref_trace_terms(pt):
+    """Every loop-built trace term of `pt` but n, by its `TraceTerms` name."""
+    m, d = pt.m, pt.d
+    ginv, G0, dpsi, B, H = pt.g_inv_val, pt.G_val, pt.dpsi_val, pt.B_val, pt.H_val
     ip = lambda u, v: float(u @ G0 @ v)
     mv = _ref_mat_vec
-    P_tan, P_nor = _ref_projectors(pc)
-    ord2 = pc.order - 2
+    P_tan, P_nor = _ref_projectors(pt)
+    ord2 = pt.order - 2
     # nabla-perp H along each coordinate direction, as jets and values
-    covd = pc.pullback_derivative(pc.H_field)
-    N = (-pc.projector_field).add_diagonal(1.0).truncate(covd.space.order)
+    covd = pt.pullback_derivative(pt.H_field)
+    N = (-pt.projector_field).add_diagonal(1.0).truncate(covd.space.order)
     W_fields = (N[None] * covd[:, None, :]).sum(-1)
     W = W_fields.values
-    X = pc.grad_f_param_field
-    gfp = pc.grad_f_param
-    grad_f = pc.grad_f_ambient
-    omega_fields = (pc.B_field * X.truncate(ord2)[None, :, None]).sum(1)
+    X = pt.grad_f_param_field
+    gfp = pt.grad_f_param
+    grad_f = pt.grad_f_ambient
+    omega_fields = (pt.B_field * X.truncate(ord2)[None, :, None]).sum(1)
     omega = omega_fields.values
-    out = {"f": pc.f_jet.value, "grad_f": grad_f, "H": H,
-           "delta_f_pos": pc.delta_f_pos_field.value,
-           "grad_delta_f_pos": _ref_gradient(pc, pc.delta_f_pos_field),
-           "nabla_perp_h": W, "coeffs": pc.space.curvature_coeffs_at(pc.psi.values),
+    out = {"f": pt.f_jet.value, "grad_f": grad_f, "H": H,
+           "delta_f_pos": pt.delta_f_pos_field.value,
+           "grad_delta_f_pos": _ref_gradient(pt, pt.delta_f_pos_field),
+           "nabla_perp_h": W, "coeffs": pt.space.curvature_coeffs_at(pt.psi.values),
            "h_norm2": ip(H, H)}
     # |grad f|^2 and |H|^2 as scalar jets, and their gradients
-    g1 = pc.induced_metric_field.truncate(pc.order - 1)
+    g1 = pt.induced_metric_field.truncate(pt.order - 1)
     gf2 = sum(g1[al, be] * X[al] * X[be] for al in range(m) for be in range(m))
     out["grad_f_norm2"] = gf2.value
-    out["grad_grad_f_norm2"] = _ref_gradient(pc, gf2)
-    G2 = pc.G_field.truncate(ord2)
-    h2 = sum(G2[a, b] * pc.H_field[a] * pc.H_field[b] for a in range(d) for b in range(d))
-    out["grad_h_norm2"] = _ref_gradient(pc, h2)
+    out["grad_grad_f_norm2"] = _ref_gradient(pt, gf2)
+    G2 = pt.G_field.truncate(ord2)
+    h2 = sum(G2[a, b] * pt.H_field[a] * pt.H_field[b] for a in range(d) for b in range(d))
+    out["grad_h_norm2"] = _ref_gradient(pt, h2)
     for key in ("ta_nabla_perp_h", "ta_b_grad_f", "tb_ah"):
         out[key] = np.zeros(d)
     for key in ("b_norm2", "a_h_norm2", "nabla_perp_h_norm2"):
@@ -722,7 +782,7 @@ def _ref_trace_terms(pc):
                     out["tb_ah"] += w * BH[ga][de] * B[al, be]
                     out["b_norm2"] += w * ip(B[al, be], B[ga, de])
                     out["a_h_norm2"] += w * BH[al][be] * BH[ga][de]
-    Gam_int = pc.intrinsic_christoffels.values
+    Gam_int = pt.intrinsic_christoffels.values
     dX = X.derivs().values
     hess_vec = np.zeros((m, m))
     for be in range(m):
@@ -734,7 +794,7 @@ def _ref_trace_terms(pc):
     for key in ("tb_hess_f", "a_h_grad_f", "nabla_perp_gradf_h", "b_gradf_gradf",
                 "ric_grad_f"):
         out[key] = np.zeros(d)
-    ric = _ref_ricci(pc)
+    ric = _ref_ricci(pt)
     for al in range(m):
         out["nabla_perp_gradf_h"] += gfp[al] * W[al]
         for be in range(m):
@@ -743,46 +803,46 @@ def _ref_trace_terms(pc):
                 out["tb_hess_f"] += ginv[al, be] * hess_vec[be, g] * B[al, g]
                 out["a_h_grad_f"] += ginv[al, be] * gfp[g] * ip(B[g, be], H) * dpsi[:, al]
                 out["ric_grad_f"] += dpsi[:, al] * ginv[al, be] * ric[be, g] * gfp[g]
-    out["delta_perp_h_pos"] = -_ref_normal_trace(pc, P_nor, W_fields, W)
-    out["tnb_grad_f"] = _ref_normal_trace(pc, P_nor, omega_fields, omega)
+    out["delta_perp_h_pos"] = -_ref_normal_trace(pt, P_nor, W_fields, W)
+    out["tnb_grad_f"] = _ref_normal_trace(pt, P_nor, omega_fields, omega)
     out["scal"] = sum(ginv[j, k] * ric[j, k] for j in range(m) for k in range(m))
     # two-step compositions of the structure tensor, and the contact terms
-    T = pc.structure_tensor
+    T = pt.structure_tensor
     tan_TH, tan_Tgf = mv(P_tan, mv(T, H)), mv(P_tan, mv(T, grad_f))
     out.update(kl_H=mv(P_nor, mv(T, tan_TH)), jl_H=mv(P_tan, mv(T, tan_TH)),
                mm_H=mv(P_nor, mv(T, mv(P_nor, mv(T, H)))),
                kj_grad_f=mv(P_nor, mv(T, tan_Tgf)), j2_grad_f=mv(P_tan, mv(T, tan_Tgf)))
-    xi = pc.structure.get("xi", np.zeros(d))
+    xi = pt.structure.get("xi", np.zeros(d))
     xi_tan = mv(P_tan, xi)
     out.update(eta_h=ip(xi, H), xi_tan=xi_tan, xi_nor=mv(P_nor, xi),
                xi_tan_norm2=ip(xi_tan, xi_tan), eta_grad_f=ip(xi, grad_f))
     return out
 
 
-def _ref_rough_laplacian(pc, field):
+def _ref_rough_laplacian(pt, field):
     """tr_g nabla^2 of an ambient jet field."""
-    first = pc.pullback_derivative(field)
-    second = pc.pullback_derivative(first).values
+    first = pt.pullback_derivative(field)
+    second = pt.pullback_derivative(first).values
     first_val = first.values
-    ginv, Gam_int = pc.g_inv_val, pc.intrinsic_christoffels.values
-    out = np.zeros(pc.d)
-    for al in range(pc.m):
-        for be in range(pc.m):
-            corr = np.zeros(pc.d)
-            for g in range(pc.m):
+    ginv, Gam_int = pt.g_inv_val, pt.intrinsic_christoffels.values
+    out = np.zeros(pt.d)
+    for al in range(pt.m):
+        for be in range(pt.m):
+            corr = np.zeros(pt.d)
+            for g in range(pt.m):
                 corr = corr + Gam_int[g, al, be] * first_val[g]
             out = out + ginv[al, be] * (second[al][be] - corr)
     return out
 
 
-def _ref_intrinsic_rough_laplacian_gradf(pc):
+def _ref_intrinsic_rough_laplacian_gradf(pt):
     """tr nabla^2 grad f of the induced metric, in ambient components."""
-    m = pc.m
-    Gam = pc.intrinsic_christoffels
-    X = pc.grad_f_param_field
+    m = pt.m
+    Gam = pt.intrinsic_christoffels
+    X = pt.grad_f_param_field
     cov = (Gam * X.truncate(Gam.space.order)[None, None]).sum(-1, start=X.derivs())
     cov_val, dcov_val = cov.values, cov.derivs().values
-    Gv, ginv = Gam.values, pc.g_inv_val
+    Gv, ginv = Gam.values, pt.g_inv_val
     out_param = np.zeros(m)
     for al in range(m):
         for be in range(m):
@@ -792,7 +852,7 @@ def _ref_intrinsic_rough_laplacian_gradf(pc):
                     acc += Gv[g, al, de] * cov_val[de, be]
                     acc -= Gv[de, al, be] * cov_val[g, de]
                 out_param[g] += ginv[al, be] * acc
-    return pc.dpsi_val @ out_param
+    return pt.dpsi_val @ out_param
 
 
 @pytest.mark.parametrize("name", ["c02_curve_sasakian", "c08_hopf_torus",
@@ -806,16 +866,19 @@ def test_contractions_match_index_loops(name):
     curved Hermitian one."""
     sc = load_scenario(scenario_path(name), validate=False)
     fields = {f.name for f in dataclasses.fields(calculus.TraceTerms)} - {"n"}
-    for pc in (pc for ev in calculus.evaluate_batches(sc.immersion, sc.sample_points())
-               for pc in ev):
-        tt = pc.trace_terms
-        ref = _ref_trace_terms(pc)
-        assert set(ref) == fields
-        pairs = [(key, getattr(tt, key), want) for key, want in ref.items()]
-        pairs += [("rough_laplacian", pc.rough_laplacian(pc.H_field),
-                   _ref_rough_laplacian(pc, pc.H_field)),
-                  ("intrinsic_laplacian", _intrinsic_rough_laplacian_gradf(pc),
-                   _ref_intrinsic_rough_laplacian_gradf(pc))]
-        for key, got, want in pairs:
-            err = np.abs(np.subtract(got, want)).max()
-            assert err <= 1e-12 * max(1.0, np.abs(want).max()), (key, pc.point, err)
+    for ev in calculus.evaluate_batches(sc.immersion, sc.sample_points()):
+        tt = ev.trace_terms
+        lap = ev.rough_laplacian(ev.H_field)
+        intrinsic = _intrinsic_rough_laplacian_gradf(ev)
+        for i in range(len(ev)):
+            pt = _Point(ev, i)
+            ref = _ref_trace_terms(pt)
+            assert set(ref) == fields
+            pairs = [(key, tt.coeffs[:, i] if key == "coeffs" else getattr(tt, key)[i], want)
+                     for key, want in ref.items()]
+            pairs += [("rough_laplacian", lap[i], _ref_rough_laplacian(pt, pt.H_field)),
+                      ("intrinsic_laplacian", intrinsic[i],
+                       _ref_intrinsic_rough_laplacian_gradf(pt))]
+            for key, got, want in pairs:
+                err = np.abs(np.subtract(got, want)).max()
+                assert err <= 1e-12 * max(1.0, np.abs(want).max()), (key, pt.point, err)

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from bihkit import audits, calculus, cli
+from bihkit import audits, calculus, cli, props
+from bihkit.report import strip_volatile
 from bihkit.residuals import theorem_residual
 from bihkit.scenario import MAX_SAMPLE_POINTS, _validate, load_scenario
 from conftest import scenario_path
@@ -369,12 +370,14 @@ def test_reduction_delta_measures_with_the_ambient_metric(tmp_path):
     assert code == 2, err  # the reduction does not hold off its hypothesis
     reported = float(out.split("max_reduction_delta: ")[1].split("\n")[0])
     expected = 0.0
-    for pc in _validate(load_scenario(path, validate=False)):
-        parent = theorem_residual(pc, kind="fbh", errata=True)
-        reduced = theorem_residual(pc, kind="fbh", errata=True,
+    for ev in _validate(load_scenario(path, validate=False)):
+        parent = theorem_residual(ev, kind="fbh", errata=True)
+        reduced = theorem_residual(ev, kind="fbh", errata=True,
                                    corollary="fbh_gssf_xi_normal")
-        expected = max(expected, max(pc.norm(parent.normal - reduced.normal),
-                                     pc.norm(parent.tangent - reduced.tangent)) / parent.scale)
+        for i in range(len(ev)):
+            expected = max(expected, max(ev.norm(parent.normal - reduced.normal)[i],
+                                         ev.norm(parent.tangent - reduced.tangent)[i])
+                           / parent.scale[i])
     assert expected > 1e-7
     assert reported == pytest.approx(expected, rel=1e-12)
 
@@ -394,8 +397,8 @@ def _count_builds(monkeypatch):
 
 
 def test_check_builds_one_evaluation_per_sample_point(monkeypatch):
-    """`check` evaluates each sample point once: validation's PointCalculus
-    is the one the command consumes."""
+    """`check` evaluates each sample point once: validation's evaluation
+    blocks are the ones the command consumes."""
     builds = _count_builds(monkeypatch)
     path = scenario_path("c17_circle_c1")
     points = len(load_scenario(path, validate=False).sample_points())
@@ -437,20 +440,58 @@ def _counting(counts, key, fn):
 
 
 def test_audit_computes_each_quantity_once_per_point(monkeypatch):
-    """`audit` on c08 (36 points, anti-invariant asserted): two rough
-    Laplacians per point (tr nabla^2 H and tr nabla^2 grad f), one
-    structure decomposition per point shared by validation and the
-    audits, one identity suite per point."""
+    """`audit` on c08 (36 points in blocks of 16, 16 and 4, anti-invariant
+    asserted), counted per block: two rough Laplacians per block (tr
+    nabla^2 H and tr nabla^2 grad f), one structure decomposition per block
+    shared by validation and the audits, one identity suite per block."""
     counts = {"rough_laplacian": 0, "decomposition": 0, "identity_suite": 0}
-    PC = calculus.PointCalculus
-    monkeypatch.setattr(PC, "rough_laplacian",
-                        _counting(counts, "rough_laplacian", PC.rough_laplacian))
+    EV = calculus.Evaluation
+    monkeypatch.setattr(EV, "rough_laplacian",
+                        _counting(counts, "rough_laplacian", EV.rough_laplacian))
     decomposition = functools.cached_property(
-        _counting(counts, "decomposition", PC.decomposition_operators.func))
-    decomposition.__set_name__(PC, "decomposition_operators")
-    monkeypatch.setattr(PC, "decomposition_operators", decomposition)
+        _counting(counts, "decomposition", EV.decomposition_operators.func))
+    decomposition.__set_name__(EV, "decomposition_operators")
+    monkeypatch.setattr(EV, "decomposition_operators", decomposition)
     monkeypatch.setattr(audits, "identity_suite",
                         _counting(counts, "identity_suite", audits.identity_suite))
     code, _out, err = run_cli(["audit", scenario_path("c08_hopf_torus")])
     assert code == 0, err
-    assert counts == {"rough_laplacian": 2 * 36, "decomposition": 36, "identity_suite": 36}
+    blocks = 3
+    assert counts == {"rough_laplacian": 2 * blocks, "decomposition": blocks,
+                      "identity_suite": blocks}
+
+
+def test_internal_error_in_a_hypothesis_check_exits_4(monkeypatch):
+    """A hypothesis the ambient structure does not support is reported in
+    the verdict (FlagError); any other error inside the flag check is an
+    internal error."""
+    def broken(imm, blocks, name):
+        raise RuntimeError("broken flag check")
+
+    monkeypatch.setattr(props, "flag_deviation", broken)
+    code, _out, err = run_cli(["props", scenario_path("c10_curve_cp1")])
+    assert code == 4
+    assert "internal error: broken flag check" in err
+
+
+@pytest.mark.parametrize("name", ["c16_xi_normal_curve", "c08_hopf_torus",
+                                  "c18_hypersphere_cp2"])
+def test_reports_do_not_depend_on_block_size(monkeypatch, name):
+    """`check`, `audit` and `props` give byte-identical reports whether the
+    sample points are evaluated one per block or BATCH_POINTS per block:
+    on the phi H ratios of c16 (quotients of round-off), on a contact torus
+    (36 points) and on a curved Hermitian hypersurface (3 parameters).  At
+    each block size the three commands share one validation."""
+    path = scenario_path(name)
+    reports = {}
+    for size in (1, calculus.BATCH_POINTS):
+        monkeypatch.setattr(calculus, "BATCH_POINTS", size)
+        sc = load_scenario(path, validate=False)
+        validated = _validate(sc)
+        assert max(map(len, validated)) == min(size, len(sc.sample_points()))
+        monkeypatch.setattr(cli, "_validate", lambda sc: list(validated))
+        for command in ("check", "audit", "props"):
+            code, out, err = run_cli([command, path])
+            reports.setdefault(command, []).append((code, strip_volatile(out), err))
+    for command, (single, batched) in reports.items():
+        assert single == batched, command

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bihkit.calculus import Immersion
+from bihkit.calculus import Immersion, matvec
 from bihkit.residuals import (
     COROLLARIES,
     ERRATA,
@@ -14,7 +14,7 @@ from bihkit.residuals import (
     theorem_residual,
 )
 from bihkit.spaces import SpaceError, curvature_model, make_space
-from conftest import point_calculus
+from conftest import one_point
 
 S3 = make_space("sasakian_sphere", n=1, ctilde=1.0)
 S3D = make_space("sasakian_sphere", n=1, ctilde=3.0)
@@ -37,36 +37,36 @@ def great_circle():
 
 def test_tension_examples():
     # geodesic great circle: tau = 0
-    assert np.abs(tension(point_calculus(great_circle(), [0.4]))).max() <= 1e-12
+    assert np.abs(tension(one_point(great_circle(), [0.4]))).max() <= 1e-12
     # S^2(r) in flat space: |tau| = 2/r
     r = 0.7
     imm = Immersion.from_strings(
         ["u", "v"], FLAT3,
         [f"{r}*cos(v)*cos(u)", f"{r}*cos(v)*sin(u)", f"{r}*sin(v)"], "1")
-    tau = tension(point_calculus(imm, [0.5, 0.3]))
+    tau = tension(one_point(imm, [0.5, 0.3]))
     assert np.linalg.norm(tau) == pytest.approx(2.0 / r, abs=1e-9)
 
 
 def test_bitension_known_examples():
     # proper biharmonic small sphere
-    assert np.linalg.norm(bitension_direct(point_calculus(small_sphere(), [0.7, 0.4]))) <= 1e-6
+    assert np.linalg.norm(bitension_direct(one_point(small_sphere(), [0.7, 0.4]))) <= 1e-6
     # minimal great sphere: everything zero
     great = Immersion.from_strings(
         ["u", "v"], S3, ["cos(v)*cos(u)", "cos(v)*sin(u)", "sin(v)"], "1")
-    assert np.linalg.norm(tension(point_calculus(great, [0.7, 0.4]))) <= 1e-10
-    assert np.linalg.norm(bitension_direct(point_calculus(great, [0.7, 0.4]))) <= 1e-10
+    assert np.linalg.norm(tension(one_point(great, [0.7, 0.4]))) <= 1e-10
+    assert np.linalg.norm(bitension_direct(one_point(great, [0.7, 0.4]))) <= 1e-10
     # unit sphere in flat space: residual norm 4
     flat_sphere = Immersion.from_strings(
         ["u", "v"], FLAT3, ["cos(v)*cos(u)", "cos(v)*sin(u)", "sin(v)"], "1")
-    assert np.linalg.norm(bitension_direct(point_calculus(flat_sphere, [0.7, 0.4]))) >= 0.1
+    assert np.linalg.norm(bitension_direct(one_point(flat_sphere, [0.7, 0.4]))) >= 0.1
 
 
 def test_constant_weight_reductions():
     imm1 = small_sphere("1")
     imm3 = small_sphere("3")
     p = [0.7, 0.4]
-    t2 = bitension_direct(point_calculus(imm1, p))
-    fb = f_bitension_direct(point_calculus(imm3, p))
+    t2 = bitension_direct(one_point(imm1, p))
+    fb = f_bitension_direct(one_point(imm3, p))
     assert np.abs(fb - 3.0 * t2).max() <= 1e-10
     # bi-f field is parallel to the bitension for constant weight
     nonminimal = Immersion.from_strings(
@@ -74,8 +74,8 @@ def test_constant_weight_reductions():
     base = Immersion.from_strings(
         ["u"], S3, ["0.5*cos(u)", "0.4*sin(u)", "0.2 + 0.1*sin(u)"], "1")
     p = [0.9]
-    bf = bi_f_tension_direct(point_calculus(nonminimal, p))
-    t2 = bitension_direct(point_calculus(base, p))
+    bf = bi_f_tension_direct(one_point(nonminimal, p))[0]
+    t2 = bitension_direct(one_point(base, p))[0]
     # stable wedge norm: |a ^ b| = |a - proj_b a| |b|
     rej = bf - (np.dot(bf, t2) / np.dot(t2, t2)) * t2
     cross = np.linalg.norm(rej) * np.linalg.norm(t2)
@@ -88,10 +88,10 @@ def test_f_constant_one_matches_bitension():
     imm = small_sphere("1")
     p = [0.3, 0.9]
     assert np.array_equal(
-        f_bitension_direct(point_calculus(imm, p)), f_bitension_direct(point_calculus(imm, p))
+        f_bitension_direct(one_point(imm, p)), f_bitension_direct(one_point(imm, p))
     )
     assert np.abs(
-        f_bitension_direct(point_calculus(imm, p)) - bitension_direct(point_calculus(imm, p))
+        f_bitension_direct(one_point(imm, p)) - bitension_direct(one_point(imm, p))
     ).max() <= 1e-14
 
 
@@ -99,9 +99,9 @@ def test_abstract_ambient_rejected_for_direct():
     ab = make_space("abstract_gssf", n=1, f1="1", f2="0", f3="0")
     imm = Immersion.from_strings(["u"], ab, ["cos(u)", "sin(u)", "0"], "1")
     with pytest.raises(SpaceError):
-        bitension_direct(point_calculus(imm, [0.1]))
+        bitension_direct(one_point(imm, [0.1]))
     with pytest.raises(SpaceError):
-        theorem_residual(point_calculus(imm, [0.1]), kind="fbh")
+        theorem_residual(one_point(imm, [0.1]), kind="fbh")
 
 
 def test_term_breakdown_sums_to_residual():
@@ -111,7 +111,7 @@ def test_term_breakdown_sums_to_residual():
          "0.2*sin(v) + 0.1"],
         "1 + 0.2*sin(u)*cos(v)")
     for kind in ("fbh", "bif"):
-        rep = theorem_residual(point_calculus(imm, [0.4, 1.1]), kind=kind, errata=True)
+        rep = theorem_residual(one_point(imm, [0.4, 1.1]), kind=kind, errata=True)
         normal = np.zeros(3)
         tangent = np.zeros(3)
         for name, part, coeff, contrib in rep.terms:
@@ -144,7 +144,7 @@ MODE_CASES = [
 @pytest.mark.parametrize("kind,imm,points", MODE_CASES)
 def test_mode_agreement_with_errata(kind, imm, points):
     for p in points:
-        out = compare_modes(point_calculus(imm, p), kind=kind, errata=True)
+        out = compare_modes(one_point(imm, p), kind=kind, errata=True)
         assert out["delta_normal"] <= 1e-10
         assert out["delta_tangent"] <= 1e-10
         assert out["agree"]
@@ -154,7 +154,7 @@ def test_mode_disagreement_without_errata_is_itemized():
     imm = Immersion.from_strings(
         ["u"], S3D, ["0.5*cos(u)", "0.4*sin(u)", "0.2 + 0.1*sin(u)"],
         "1 + 0.3*cos(u)")
-    out = compare_modes(point_calculus(imm, [0.3]), kind="fbh", errata=False)
+    out = compare_modes(one_point(imm, [0.3]), kind="fbh", errata=False)
     assert not out["agree"]
     # every itemized term carries a catalogued correction
     catalogued = {e.term for e in ERRATA}
@@ -174,13 +174,17 @@ def test_errata_catalog_covers_all_corrected_terms():
                 assert term.name in catalogued, (eq_id, term.name)
 
 
-def model_trace(pc, v):
-    """tr R(dpsi, v) dpsi from the algebraic space-form curvature."""
-    R = curvature_model(pc.space.family, pc.G_val, pc.structure, pc.trace_terms.coeffs)
-    out = np.zeros(pc.d)
-    for al in range(pc.m):
-        for be in range(pc.m):
-            out = out + pc.g_inv_val[al, be] * R(pc.dpsi_val[:, al], v, pc.dpsi_val[:, be])
+def model_trace(ev, v):
+    """tr R(dpsi, v) dpsi from the algebraic space-form curvature, at the
+    point of a one-point evaluation."""
+    G, ginv = ev.values(ev.G_field)[0], ev.values(ev.induced_metric_inv_field)[0]
+    dpsi = ev.values(ev.dpsi)[0]
+    structure = {key: val[0] for key, val in ev.structure.items()}
+    R = curvature_model(ev.space.family, G, structure, tuple(ev.trace_terms.coeffs[:, 0]))
+    out = np.zeros(ev.d)
+    for al in range(ev.m):
+        for be in range(ev.m):
+            out = out + ginv[al, be] * R(dpsi[:, al], v[0], dpsi[:, be])
     return out
 
 
@@ -191,14 +195,14 @@ def test_gcsf_curvature_trace_identity():
         ["u", "v"], fs, ["0.3*cos(u)", "0.3*sin(u)", "0.2*cos(v)", "0.2*sin(v)"],
         "1")
     p = [0.4, 1.0]
-    pc = point_calculus(imm, p)
-    tt = pc.trace_terms
-    lhs = model_trace(pc, tt.H)
+    ev = one_point(imm, p)
+    tt = ev.trace_terms
+    lhs = model_trace(ev, tt.H)
     alpha, beta = tt.coeffs
-    rhs = -pc.m * alpha * tt.H + 3.0 * beta * (tt.jl_H + tt.kl_H)
+    rhs = -ev.m * alpha * tt.H + 3.0 * beta * (tt.jl_H + tt.kl_H)
     assert np.abs(lhs - rhs).max() <= 1e-9
     # and the model trace agrees with the AD trace
-    lhs_ad = curvature_trace(pc, tt.H)
+    lhs_ad = curvature_trace(ev, tt.H)
     assert np.abs(lhs - lhs_ad).max() <= 1e-9
 
 
@@ -208,18 +212,18 @@ def test_gssf_curvature_trace_identity():
         ["(0.5 + 0.2*cos(v))*cos(u)", "(0.5 + 0.2*cos(v))*sin(u)",
          "0.2*sin(v) + 0.1"], "1")
     p = [0.7, 0.9]
-    pc = point_calculus(imm, p)
-    tt = pc.trace_terms
+    ev = one_point(imm, p)
+    tt = ev.trace_terms
     f1, f2, f3 = tt.coeffs
-    xi = S3D.structure_at(pc.psi.values)["xi"]
-    lhs = model_trace(pc, tt.H)
+    xi = S3D.structure_at(ev.values(ev.psi)[0])["xi"]
+    lhs = model_trace(ev, tt.H)
     rhs = (
-        -pc.m * f1 * tt.H
-        + f2 * (tt.xi_tan_norm2 * tt.H - tt.eta_h * tt.xi_tan + pc.m * tt.eta_h * xi)
+        -ev.m * f1 * tt.H
+        + f2 * (tt.xi_tan_norm2 * tt.H - tt.eta_h * tt.xi_tan + ev.m * tt.eta_h * xi)
         + 3.0 * f3 * (tt.jl_H + tt.kl_H)  # Ps H + Ns H
     )
     assert np.abs(lhs - rhs).max() <= 1e-9
-    assert np.abs(lhs - curvature_trace(pc, tt.H)).max() <= 1e-9
+    assert np.abs(lhs - curvature_trace(ev, tt.H)).max() <= 1e-9
 
 
 def test_gradf_curvature_trace_lemmas():
@@ -229,11 +233,11 @@ def test_gradf_curvature_trace_lemmas():
         ["u", "v"], fs, ["0.3*cos(u)", "0.3*sin(u)", "0.2*cos(v)", "0.2*sin(v)"],
         "1 + 0.2*sin(u)")
     p = [0.4, 1.0]
-    pc = point_calculus(imm, p)
-    tt = pc.trace_terms
+    ev = one_point(imm, p)
+    tt = ev.trace_terms
     alpha, beta = tt.coeffs
-    lhs = model_trace(pc, tt.grad_f)
-    rhs = -(pc.m - 1.0) * alpha * tt.grad_f + 3.0 * beta * (tt.j2_grad_f + tt.kj_grad_f)
+    lhs = model_trace(ev, tt.grad_f)
+    rhs = -(ev.m - 1.0) * alpha * tt.grad_f + 3.0 * beta * (tt.j2_grad_f + tt.kj_grad_f)
     assert np.abs(lhs - rhs).max() <= 1e-9
 
     # GSSF analogue with the corrected factor-3 phi-trace
@@ -241,16 +245,16 @@ def test_gradf_curvature_trace_lemmas():
         ["u", "v"], S3D,
         ["(0.5 + 0.2*cos(v))*cos(u)", "(0.5 + 0.2*cos(v))*sin(u)",
          "0.2*sin(v) + 0.1"], "1 + 0.2*sin(u)")
-    pc2 = point_calculus(imm2, p)
-    tt2 = pc2.trace_terms
+    ev2 = one_point(imm2, p)
+    tt2 = ev2.trace_terms
     f1, f2, f3 = tt2.coeffs
-    st = S3D.structure_at(pc2.psi.values)
-    lhs2 = model_trace(pc2, tt2.grad_f)
+    st = S3D.structure_at(ev2.values(ev2.psi)[0])
+    lhs2 = model_trace(ev2, tt2.grad_f)
     rhs2 = (
-        -(pc2.m - 1.0) * f1 * tt2.grad_f
+        -(ev2.m - 1.0) * f1 * tt2.grad_f
         + f2 * (tt2.xi_tan_norm2 * tt2.grad_f
                 - tt2.eta_grad_f * tt2.xi_tan
-                + (pc2.m - 1.0) * tt2.eta_grad_f * st["xi"])
+                + (ev2.m - 1.0) * tt2.eta_grad_f * st["xi"])
         + 3.0 * f3 * (tt2.j2_grad_f + tt2.kj_grad_f)  # P^2 grad f + NP grad f
     )
     assert np.abs(lhs2 - rhs2).max() <= 1e-9
@@ -262,20 +266,20 @@ def test_bif_general_matches_direct():
         ["0.8*cos(u)", "0.8*sin(u)", "0.5*cos(v)", "0.5*sin(v)"],
         "1 + 0.25*sin(u)*cos(v)")
     p = [0.4, 1.3]
-    pc = point_calculus(imm, p)
-    rep = theorem_residual(pc, kind="bif_general", errata=True)
-    direct = bi_f_tension_direct(pc)
-    P_tan, P_nor = pc.projectors
-    assert np.abs(rep.normal - P_nor @ direct).max() <= 1e-10
-    assert np.abs(rep.tangent - P_tan @ direct).max() <= 1e-10
+    ev = one_point(imm, p)
+    rep = theorem_residual(ev, kind="bif_general", errata=True)
+    direct = bi_f_tension_direct(ev)
+    P_tan, P_nor = ev.projectors
+    assert np.abs(rep.normal - matvec(P_nor, direct)).max() <= 1e-10
+    assert np.abs(rep.tangent - matvec(P_tan, direct)).max() <= 1e-10
 
 
 def _reduction_delta(imm, p, name, errata=True):
     cor = COROLLARIES[name]
     kind = "fbh" if cor.equation.startswith("fbh") else "bif"
-    pc = point_calculus(imm, p)
-    rep_parent = theorem_residual(pc, kind=kind, errata=errata)
-    rep_cor = theorem_residual(pc, kind=kind, errata=errata, corollary=name)
+    ev = one_point(imm, p)
+    rep_parent = theorem_residual(ev, kind=kind, errata=errata)
+    rep_cor = theorem_residual(ev, kind=kind, errata=errata, corollary=name)
     return max(
         np.abs(rep_parent.normal - rep_cor.normal).max(),
         np.abs(rep_parent.tangent - rep_cor.tangent).max(),
@@ -306,7 +310,7 @@ def test_sample_corollary_reductions():
     curve = Immersion.from_strings(
         ["u"], fs, ["0.3*cos(u)", "0.2*sin(u)", "0.1*u", "0.15*sin(2*u)"],
         "1 + 0.2*sin(u)")
-    assert np.abs(point_calculus(curve, [0.7]).trace_terms.mm_H).max() > 1.0
+    assert np.abs(one_point(curve, [0.7]).trace_terms.mm_H).max() > 1.0
     assert _reduction_delta(curve, [0.7], "fbh_gcsf_curve") <= 1e-10
     circle = Immersion.from_strings(
         ["u"], fs, ["0.3*cos(u)", "0", "0.3*sin(u)", "0"], "1 + 0.2*sin(u)")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bihkit.calculus import Immersion, evaluate, map_jets
+from bihkit.calculus import Immersion, evaluate, evaluate_batches, map_jets
 from bihkit.residuals import tension
 from bihkit.spaces import ChartError, make_space
 from bihkit.variational import (
@@ -13,7 +13,7 @@ from bihkit.variational import (
     first_variation_suite,
 )
 from bihkit.variational import _deformed_tension_data, _frozen, _integrand
-from conftest import get_scenario, point_calculus
+from conftest import get_scenario, one_point
 
 TAU = 2.0 * np.pi
 FLAT3 = make_space("cosymplectic_flat", n=1)
@@ -32,11 +32,11 @@ def test_circle_energy_closed_forms():
     assert values["E2"] == pytest.approx(np.pi, abs=1e-12)
     EF = energies(circle("2"), grid)["EF"]
     assert EF == pytest.approx(2.0 * np.pi, abs=1e-12)
-    frozen = _frozen(imm, grid.points, 2)
+    frozen = _frozen(evaluate_batches(imm, grid.points, 2))
     psi = map_jets(imm, grid.points, 2)
     tau, dpsi, G = _deformed_tension_data(FLAT3, frozen, psi, psi * 0.0, 0.0)
     with pytest.raises(ValueError):
-        _integrand(frozen, 0, "E3", tau[0], dpsi[0], G[0])
+        _integrand(frozen, "E3", tau, dpsi, G)
 
 
 def test_quadrature_grid_shapes():
@@ -75,9 +75,9 @@ def test_sign_coherence_tension_from_energy():
     its sign (pairing constant +1)."""
     imm = circle()
     assert VARIATION_PAIRING["E"] == 1.0
-    pc = point_calculus(imm, [0.3])
-    el = el_field(pc, "E")
-    assert np.abs(el - tension(pc)).max() == 0.0
+    ev = one_point(imm, [0.3])
+    el = el_field(ev, "E")
+    assert np.abs(el - tension(ev)).max() == 0.0
     grid = QuadratureGrid([(0.0, TAU, 24, True)])
     fv = first_variation_suite(imm, grid, ["E"], ["cos(u)", "sin(u)", "0"])["E"]
     # expanding circle with frozen metric: dE/dt = 2 pi, pairing agrees
@@ -189,11 +189,11 @@ def test_order_4_node_evaluation_serves_the_frozen_metric(name):
     bit for bit, so one evaluation per node serves both."""
     sc = get_scenario(name)
     points = sc.quadrature().points
-    def frozen(pc):
-        """g, its inverse and Christoffels, det g, f and df at a node."""
-        return [pc.induced_metric_field.values, pc.g_inv_val, pc.intrinsic_christoffels.values,
-                pc.gram_det, pc.f_jet.value, [pc.f_jet.deriv(al).value for al in range(pc.m)]]
+    def frozen(ev):
+        """g, its inverse and Christoffels, det g, f and df at the nodes."""
+        return [ev.values(ev.induced_metric_field), ev.values(ev.induced_metric_inv_field),
+                ev.values(ev.intrinsic_christoffels), ev.gram_det, ev.values(ev.f_jet),
+                ev.values(ev.f_jet.derivs())]
 
-    for deep, shallow in zip(evaluate(sc.immersion, points, 4),
-                             evaluate(sc.immersion, points, 2)):
-        assert list(map(_bits, frozen(deep))) == list(map(_bits, frozen(shallow)))
+    deep, shallow = (evaluate(sc.immersion, points, order) for order in (4, 2))
+    assert list(map(_bits, frozen(deep))) == list(map(_bits, frozen(shallow)))
