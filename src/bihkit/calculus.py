@@ -221,8 +221,8 @@ class TraceTerms:
 
 # Points per batched evaluation (`evaluate_batches`, validation): it bounds
 # the temporaries of one pass.  With 16, the peak resident memory of the
-# hyper3d benchmark (64 order-4 points) is 44.0 MB against 42.0 MB for
-# per-point evaluation; with 32 it is 46.8 MB and with 64 52.1 MB (2-vCPU
+# hyper3d benchmark (64 order-4 points) is 44.5 MB against 41.3 MB for
+# per-point evaluation; with 32 it is 47.6 MB and with 64 52.9 MB (2-vCPU
 # Xeon, numpy 2.4).
 BATCH_POINTS = 16
 
@@ -510,6 +510,11 @@ class Evaluation:
         """Length of the ambient vector v[p] at psi of each point."""
         return np.sqrt(np.maximum(self.inner(v, v), 0.0))
 
+    def form_norm2(self, W):
+        """g^{ab} <W_a, W_b> of ambient-valued 1-forms W[p, a], point by point."""
+        return np.einsum("pab,pal,pbl->p", self.values(self.induced_metric_inv_field),
+                         W @ self.values(self.G_field), W)
+
     @cached_property
     def projectors(self):
         """(tangent, normal) projector matrices in ambient coordinates."""
@@ -522,6 +527,14 @@ class Evaluation:
     def trace_terms(self):
         """The `TraceTerms` of the block, computed once."""
         return trace_terms_at(self)
+
+    @cached_property
+    def nabla_perp_h_field(self):
+        """nabla-perp_al H, a jet field W[al, a] of order - 3; the normal projector
+        as -P with 1 added on the diagonal rounds as the scalar loops' 1 - P."""
+        covd_h = self.pullback_derivative(self.H_field)
+        N = (-self.projector_field).add_diagonal(1.0).truncate(covd_h.space.order)
+        return (N[None] * covd_h[:, None, :]).sum(-1)
 
     @cached_property
     def ambient_curvature(self):
@@ -622,13 +635,7 @@ def trace_terms_at(ev):
         covd = val(ev.pullback_derivative(fields))
         return _covariant_trace(ginv, gam, covd @ P_nor.swapaxes(-1, -2)[:, None], values)
 
-    # normal connection of H along coordinate directions, W[al, a]; the
-    # normal projector I - P is -P off the diagonal and -P + 1 on it, which
-    # rounds as the scalar loops' 1 - P did
-    covd_h = ev.pullback_derivative(ev.H_field)
-    N = (-ev.projector_field).add_diagonal(1.0).truncate(covd_h.space.order)
-    nabla_perp_h_field = (N[None] * covd_h[:, None, :]).sum(-1)
-    nabla_perp_h = val(nabla_perp_h_field)
+    nabla_perp_h = val(ev.nabla_perp_h_field)
 
     # |H|^2 field and its gradient
     ord2 = ev.order - 2
@@ -680,7 +687,7 @@ def trace_terms_at(ev):
         grad_h_norm2=gradient_ambient(h2_terms.reshape(d * d).sum(0)),
         tb_ah=tb_ah,
         ta_nabla_perp_h=trace_shape(nabla_perp_h),
-        delta_perp_h_pos=-normal_trace(nabla_perp_h_field, nabla_perp_h),
+        delta_perp_h_pos=-normal_trace(ev.nabla_perp_h_field, nabla_perp_h),
         nabla_perp_h=nabla_perp_h,
         nabla_perp_gradf_h=np.einsum("pa,pak->pk", grad_f_param, nabla_perp_h),
         # A_H grad f = g^{gb} <B(grad f, e_b), H> dpsi_g
@@ -692,8 +699,7 @@ def trace_terms_at(ev):
         b_gradf_gradf=np.einsum("pa,pb,pabk->pk", grad_f_param, grad_f_param, B),
         b_norm2=np.einsum("pag,pbd,pabl,pgdl->p", ginv, ginv, BG, B),
         a_h_norm2=np.einsum("pag,pbd,pab,pgd->p", ginv, ginv, BH, BH),
-        nabla_perp_h_norm2=np.einsum("pab,pal,pbl->p", ginv, nabla_perp_h @ G0,
-                                     nabla_perp_h),
+        nabla_perp_h_norm2=ev.form_norm2(nabla_perp_h),
         H=H,
         coeffs=np.stack(ev.space.curvature_coeffs_at(val(ev.psi))),
         kl_H=mv(P_nor, mv(T, tan_TH)),
@@ -746,7 +752,7 @@ def _point_deviations(ev, name):
         P_tan, P_nor = ev.projectors
         return ev.norm(matvec(P_nor if name == "xi_tangent" else P_tan, ev.structure["xi"]))
     if name == "parallel_H":
-        return np.sqrt(np.maximum(ev.trace_terms.nabla_perp_h_norm2, 0.0))
+        return np.sqrt(np.maximum(ev.form_norm2(ev.values(ev.nabla_perp_h_field)), 0.0))
     return ev.norm(ev.values(ev.H_field))  # cmc
 
 

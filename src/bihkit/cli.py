@@ -273,14 +273,15 @@ def main(argv=None):
         if not sc.immersion.ambient.has_metric and args.command != "audit":
             raise ScenarioError(f"{sc.ambient_kind} has only a curvature model; "
                                 "`audit` is the one command it supports", "ambient", "kind")
-        # the validated evaluation blocks of the sample points, shared with
-        # the command
-        blocks = _validate(sc)
+        # the validated evaluation blocks of the sample points, shared with the
+        # command; the quadrature commands evaluate their own nodes instead
+        quadrature = args.command in ("energy", "variation")
+        blocks = _validate(sc, 3 if quadrature else 4)
     except (ScenarioError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return VALIDATION_FAIL
-    if args.command in ("energy", "variation"):
-        blocks.clear()  # quadrature commands evaluate their own nodes
+    if quadrature:
+        blocks.clear()
     out = _base_report(sc, args.command, args)
     try:
         code, rows = COMMANDS[args.command](sc, args, out, blocks)

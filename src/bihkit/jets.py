@@ -23,10 +23,9 @@ then have shape (*tensor_index, P, S), the points axis just before the
 coefficient axis, so tensor axes keep broadcasting from the right.
 `Jet.variable` with one value per point seeds such a jet, and everything
 computed from it carries the axis; a jet without it (a constant) is the same
-at every point and combines with one that has it.  `at(i)` is the jet of
-point i and `point_values(P)` the constant terms point by point.  Tensor
-indexing, `sum`, `transpose` and the other tensor methods never see the
-points axis.
+at every point and combines with one that has it.  `point_values(P)` gives
+the constant terms point by point.  Tensor indexing, `sum`, `transpose` and
+the other tensor methods never see the points axis.
 
 Tables.  The basis of a space is graded lexicographic, so the basis of every
 lower order is a prefix of it and truncation keeps leading coefficients.
@@ -39,9 +38,12 @@ Float order.  Every operation on a tensor jet, or on P points, rounds
 exactly as the same operation on each entry at each point as a scalar jet
 would:
   * a product accumulates, per output coefficient, its terms in table order
-    starting from 0.0: by a sweep over the table by rank (step r adds the
-    r-th term of every output that has one), whose temporaries hold at most
-    S values per entry, or, for two scalar jets, by one `np.bincount`;
+    from 0.0.  The table is in sweep order (step r holds the r-th term of
+    every output that has one, a prefix of the outputs): one gather per
+    factor, one multiply, R in-order slice adds (the first onto 0.0) and an
+    unsort, R + 4 numpy calls (R = 5, 9, 12 at order 4 in 1, 2, 3 variables).
+    Past _PRODUCT_BUDGET values the gathers go step by step, at most S values
+    per entry.  Two scalar jets take one `np.bincount`;
   * `sum` adds the slices of an axis left to right, never pairwise;
   * the operand order of a product is kept (a*b and b*a accumulate in a
     different order);
@@ -107,7 +109,7 @@ class JetSpace:
     """Shared context for jets with a fixed variable count and order.
 
     Precomputes the multi-index basis, the truncated multiplication table
-    and per-index factorials.  Instances are cached; jets only combine when
+    and the derivative tables.  Instances are cached; jets only combine when
     they carry the same space object.
     """
 
@@ -121,10 +123,6 @@ class JetSpace:
         self.indices = _multi_indices(num_vars, order)
         self.size = len(self.indices)
         self.index_of = {g: i for i, g in enumerate(self.indices)}
-        self.factorials = np.array(
-            [math.prod(math.factorial(k) for k in g) for g in self.indices],
-            dtype=float,
-        )
         mul_i, mul_j, mul_k = [], [], []
         for i, gi in enumerate(self.indices):
             for j, gj in enumerate(self.indices):
@@ -138,17 +136,27 @@ class JetSpace:
         self._mul_k = np.array(mul_k)
         # The rank sweep of the product: outputs sorted by their term count,
         # most first, so the outputs with an r-th term are a prefix; step r
-        # lists, over that prefix, the factor rows of each output's r-th
+        # lists, over that prefix, the table pairs of each output's r-th
         # term in table order.  _unsort restores basis order.
         terms = [[] for _ in range(self.size)]
         for p, k in enumerate(mul_k):
             terms[k].append(p)
         by_count = sorted(range(self.size), key=lambda k: -len(terms[k]))
-        self._sweep = []
-        for r in range(len(terms[by_count[0]])):
-            pairs = [terms[k][r] for k in by_count if len(terms[k]) > r]
-            self._sweep.append((self._mul_i[pairs], self._mul_j[pairs], len(pairs)))
+        steps = [[terms[k][r] for k in by_count if len(terms[k]) > r]
+                 for r in range(len(terms[by_count[0]]))]
         self._unsort = np.argsort(by_count)
+        # Two groupings of the steps into gathers, each group the factor rows
+        # of its steps' pairs and per step the slice of its terms and its
+        # output count: the whole table in one, or one per step.
+        def group(run):
+            pairs, spans = [], []
+            for step in run:
+                spans.append((slice(len(pairs), len(pairs) + len(step)), len(step)))
+                pairs += step
+            return self._mul_i[pairs], self._mul_j[pairs], spans
+
+        self._one_gather = [group(steps)]
+        self._by_step = [group([step]) for step in steps]
         # The basis is graded by total degree, so the basis of every lower
         # order is a prefix of this one: truncation keeps the first entries.
         # Derivative tables, over that order-1 prefix: _diff[axis][i] is the
@@ -184,16 +192,26 @@ def _constant_terms(value, size):
     return c
 
 
+# Values (broadcast entries times table pairs) a product may gather at once;
+# a larger one gathers the table step by step, S values per entry at most.
+_PRODUCT_BUDGET = 1 << 16
+
+
 def _product(space, x, y):
     """Coefficients of the products of the (broadcast) jets x and y; each
     output adds its terms in table order from 0.0."""
+    entries = np.broadcast(x[..., 0], y[..., 0]).size
+    groups = (space._one_gather if entries * len(space._mul_k) <= _PRODUCT_BUDGET
+              else space._by_step)
     # the rank sweep: step r adds the r-th term of every output that has one
-    steps = iter(space._sweep)
-    i, j, _n = next(steps)
-    acc = x[..., i] * y[..., j]
-    acc += 0.0
-    for i, j, n in steps:
-        acc[..., :n] += x[..., i] * y[..., j]
+    acc = None
+    for i, j, steps in groups:
+        terms = x[..., i] * y[..., j]
+        for part, n in steps:
+            if acc is None:
+                acc = terms[..., part] + 0.0
+            else:
+                acc[..., :n] += terms[..., part]
     return acc[..., space._unsort]
 
 
@@ -377,13 +395,6 @@ class Jet:
         """Constant terms of every entry, as a new C-ordered array."""
         return self.c[..., 0].copy()
 
-    def at(self, index):
-        """The jet of base point `index` (a jet without points axis is the
-        same at every point)."""
-        if not self.batched:
-            return self
-        return Jet(self.space, self.c[..., index, :])
-
     def point_values(self, count):
         """Constant terms point by point, shape (count, *tensor_shape), as a
         new C-ordered array; `count` is the number of points."""
@@ -391,20 +402,6 @@ class Jet:
         if self.batched:
             return np.ascontiguousarray(np.moveaxis(v, -1, 0))
         return np.array(np.broadcast_to(v, (count,) + v.shape))
-
-    def coeff(self, gamma):
-        return float(self.c[self.space.index_of[tuple(gamma)]])
-
-    def partial(self, gamma):
-        gamma = tuple(gamma)
-        if len(gamma) != self.space.num_vars:
-            raise JetError("multi-index length does not match num_vars")
-        if sum(gamma) > self.space.order:
-            raise JetError(
-                f"requested order {sum(gamma)} exceeds jet order {self.space.order}"
-            )
-        i = self.space.index_of[gamma]
-        return float(self.c[i] * self.space.factorials[i])
 
     def truncate(self, order):
         """Copy of this jet in the lower-order space (coefficients dropped)."""
@@ -417,11 +414,7 @@ class Jet:
 
     def deriv(self, axis):
         """Partial derivative along one variable; drops one order."""
-        if self.space.order == 0:
-            raise JetError("cannot differentiate an order-0 jet")
-        sp = jet_space(self.space.num_vars, self.space.order - 1)
-        c = self.c[..., self.space._diff[axis]]
-        return Jet(sp, c * self.space._diff_scale[axis], self.batched)
+        return self.derivs()[..., axis]
 
     def derivs(self):
         """Every first partial derivative, on a new last tensor axis."""
@@ -488,11 +481,10 @@ class Jet:
         sp = self.space
         if self.c.ndim == 1 == o.c.ndim:
             # scalar jets take one bincount, same float order as the sweep:
-            # 3.3 us against 23 us for an S = 5 product.  The benchmark
-            # workloads do not notice (within 1 %), but the scalar-loop
-            # references of the tier-1 tests do: the suite takes 15 s with
-            # it and 22 s, over its 20 s budget, without (2-vCPU Xeon,
-            # numpy 2.4)
+            # 3.0 us against 12-14 us for an S = 5 product.  The benchmark
+            # workloads hardly notice, but the scalar-loop references of the
+            # tier-1 tests do: back to back, the suite took 14.5 and 10.8 s
+            # with it and 19.6 and 18.8 s without (2-vCPU Xeon, numpy 2.4)
             prod = self.c[sp._mul_i] * o.c[sp._mul_j]
             return Jet(sp, np.bincount(sp._mul_k, weights=prod, minlength=sp.size))
         (x, y), batched = Jet._common([self, o])

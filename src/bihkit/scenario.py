@@ -434,13 +434,13 @@ def parse_scenario(text, path="<memory>", validate=True):
     return scenario
 
 
-def evaluate_points(sc, points):
-    """Yield the evaluation blocks of the rows of a (P, m) array of
-    parameter points, in order, with validation's chart, rank and weight
-    checks.  An error names the first failing point, with the message that
-    point fails with alone."""
+def evaluate_points(sc, points, order=4):
+    """Yield the evaluation blocks (jet order `order`) of the rows of a (P, m)
+    array of parameter points, in order, with validation's chart, rank and
+    weight checks.  An error names the first failing point, with the message
+    that point fails with alone."""
     try:
-        yield from evaluate_batches(sc.immersion, points, check=check_weight)
+        yield from evaluate_batches(sc.immersion, points, order, check_weight)
     except WeightError as exc:
         raise ScenarioError(str(exc), "weight", "f") from None
     except PointError as exc:
@@ -448,10 +448,10 @@ def evaluate_points(sc, points):
                             "sampling", "grid") from None
 
 
-def _validate(sc):
-    """Check the scenario at its sample points; returns the validated
-    evaluation blocks of the sample points, in order, for the commands to
-    consume (empty on a curvature-model-only ambient)."""
+def _validate(sc, order=4):
+    """Check the scenario at its sample points (jet order 3 suffices); returns
+    the validated evaluation blocks of jet order `order`, in order, for the
+    commands to consume (empty on a curvature-model-only ambient)."""
     imm = sc.immersion
     if not imm.ambient.has_metric:
         # curvature-model-only ambient: nothing metric-dependent to verify;
@@ -459,7 +459,7 @@ def _validate(sc):
         return []
     points = sc.sample_points()
     # rank, chart membership, weight positivity at every sample point
-    blocks = list(evaluate_points(sc, points))
+    blocks = list(evaluate_points(sc, points, order))
     # periodic axes must close up
     for i, ax in enumerate(sc.axes):
         if not ax.periodic:

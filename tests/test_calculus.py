@@ -18,7 +18,7 @@ from bihkit.residuals import (bi_f_tension_direct, compare_modes, f_bitension_di
                                theorem_residual)
 from bihkit.scenario import load_scenario
 from bihkit.spaces import SpaceError, chart_jets, make_space
-from conftest import one_point, scenario_path
+from conftest import at, one_point, scenario_path
 
 FLAT3 = make_space("cosymplectic_flat", n=1)
 C2 = make_space("euclidean_complex", n=2)
@@ -42,7 +42,7 @@ class _Point:
         self.ev, self.imm, self.space, self.order = ev, ev.imm, ev.space, ev.order
         self.m, self.d, self.point = ev.m, ev.d, ev.points[i]
         for name, jet in ev.fields.items():
-            setattr(self, name, jet.at(i))
+            setattr(self, name, at(jet, i))
         self.G_val, self.g_inv_val = self.G_field.values, self.induced_metric_inv_field.values
         self.dpsi_val, self.B_val, self.H_val = self.dpsi.values, self.B_field.values, self.H_field.values
         self.grad_f_param = self.grad_f_param_field.values
@@ -54,7 +54,7 @@ class _Point:
         self._i = i
 
     def pullback_derivative(self, field):
-        return self.ev.pullback_derivative(field).at(self._i)
+        return at(self.ev.pullback_derivative(field), self._i)
 
 
 def _B_frame(pt):

@@ -8,9 +8,10 @@ import io
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from bihkit import audits, calculus, cli, props
+from bihkit import audits, calculus, cli, props, scenario
 from bihkit.report import strip_volatile
 from bihkit.residuals import theorem_residual
 from bihkit.scenario import MAX_SAMPLE_POINTS, _validate, load_scenario
@@ -248,10 +249,12 @@ MISLABELED = {
 
 @pytest.mark.parametrize("name", sorted(MISLABELED))
 def test_mislabeled_scenario_exits_3_on_its_flag(name):
+    """Every command validates alike, the quadrature commands at order 3."""
     section, key = MISLABELED[name]
-    code, _out, err = run_cli(["check", scenario_path(name)])
-    assert code == 3
-    assert f"section [{section}], key {key!r}" in err
+    for command in ("check", "energy", "variation"):
+        code, _out, err = run_cli([command, scenario_path(name)])
+        assert code == 3, command
+        assert f"section [{section}], key {key!r}" in err, command
 
 
 ABSTRACT = """\
@@ -421,6 +424,33 @@ def test_check_builds_the_trace_terms_once_per_block(monkeypatch, name, blocks):
     assert sizes == blocks
 
 
+def test_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch):
+    """`energy` and `variation` discard the sample points' evaluations, so
+    validation evaluates them at order 3 and the parallel_H pre-check of
+    c08 builds no trace terms; `check` validates at order 4."""
+    path = scenario_path("c08_hopf_torus")
+    sample = load_scenario(path, validate=False).sample_points()
+    validated, trace_terms = [], []
+    evaluate_points = scenario.evaluate_points
+
+    def recorded(sc, points, order=4):
+        validated.append((order, np.array(points)))
+        return evaluate_points(sc, points, order)
+
+    build = calculus.trace_terms_at
+    monkeypatch.setattr(scenario, "evaluate_points", recorded)
+    monkeypatch.setattr(calculus, "trace_terms_at",
+                        lambda ev: trace_terms.append(len(ev)) or build(ev))
+    for command, order in (("energy", 3), ("variation", 3), ("check", 4)):
+        validated.clear()
+        trace_terms.clear()
+        code, _out, err = run_cli([command, path])
+        assert code == 0, err
+        assert [o for o, _p in validated] == [order], command
+        assert np.array_equal(validated[0][1], sample), command
+        assert trace_terms == ([] if order == 3 else [16, 16, 4]), command
+
+
 @pytest.mark.parametrize("command,expected", [("audit", 0), ("props", 2)])
 def test_audit_and_props_build_one_evaluation_per_sample_point(monkeypatch, command,
                                                                 expected):
@@ -489,7 +519,7 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name):
         sc = load_scenario(path, validate=False)
         validated = _validate(sc)
         assert max(map(len, validated)) == min(size, len(sc.sample_points()))
-        monkeypatch.setattr(cli, "_validate", lambda sc: list(validated))
+        monkeypatch.setattr(cli, "_validate", lambda sc, order: list(validated))
         for command in ("check", "audit", "props"):
             code, out, err = run_cli([command, path])
             reports.setdefault(command, []).append((code, strip_volatile(out), err))

@@ -21,6 +21,7 @@ from bihkit.expr import (
     to_source,
 )
 from bihkit.jets import Jet, jet_space
+from conftest import coeff, partial
 
 
 def test_parse_structure():
@@ -111,7 +112,7 @@ def test_eval_examples():
     env = {"u": Jet.variable(jet_space(2, 2), 0, 1.0), "v": Jet.variable(jet_space(2, 2), 1, 2.0)}
     j = eval_on_jets(parse("u+v", ["u", "v"]), env)
     assert j.value == 3.0
-    assert j.coeff((1, 0)) == 1.0 and j.coeff((0, 1)) == 1.0
+    assert coeff(j, (1, 0)) == 1.0 and coeff(j, (0, 1)) == 1.0
 
     j2 = eval_on_jets(parse("u^2", ["u"]), {"u": Jet.variable(jet_space(1, 2), 0, 3.0)})
     assert np.allclose(j2.c, [9.0, 6.0, 1.0])
@@ -132,9 +133,9 @@ def test_eval_partials_vs_finite_differences():
     fd_uv = (
         f(u0 + h, v0 + h) - f(u0 + h, v0 - h) - f(u0 - h, v0 + h) + f(u0 - h, v0 - h)
     ) / (4 * h * h)
-    assert abs(j.partial((1, 0)) - fd_u) <= 1e-6
-    assert abs(j.partial((0, 1)) - fd_v) <= 1e-6
-    assert abs(j.partial((1, 1)) - fd_uv) <= 1e-6
+    assert abs(partial(j, (1, 0)) - fd_u) <= 1e-6
+    assert abs(partial(j, (0, 1)) - fd_v) <= 1e-6
+    assert abs(partial(j, (1, 1)) - fd_uv) <= 1e-6
 
 
 def test_unbound_variable_at_eval():

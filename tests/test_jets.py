@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihkit import jets
 from bihkit.jets import MAX_ORDER, Composer, Jet, JetError, jet_space
+from conftest import at, coeff, partial
 
 
 def test_seed_variable_basic():
     j = Jet.variable(jet_space(2, 2), 0, 2.0)
     assert j.value == 2.0
-    assert j.coeff((1, 0)) == 1.0
-    assert j.coeff((0, 1)) == 0.0
-    assert j.coeff((2, 0)) == 0.0
+    assert coeff(j, (1, 0)) == 1.0
+    assert coeff(j, (0, 1)) == 0.0
+    assert coeff(j, (2, 0)) == 0.0
 
     j2 = Jet.variable(jet_space(2, 1), 1, 0.0)
     assert j2.value == 0.0
-    assert j2.coeff((0, 1)) == 1.0
+    assert coeff(j2, (0, 1)) == 1.0
 
 
 def test_square_of_seed():
@@ -56,7 +58,7 @@ D4_SIN_X2_AT_07 = -24.592023131086243
 
 def test_fourth_derivative_vs_finite_differences():
     x = Jet.variable(jet_space(1, 4), 0, 0.7)
-    val = (x * x).sin().partial((4,))
+    val = partial((x * x).sin(), (4,))
     assert abs(val - D4_SIN_X2_AT_07) <= 1e-5
     # the in-test oracle reproduces the frozen value
     assert abs(_richardson_d4(lambda t: math.sin(t * t), 0.7)
@@ -67,18 +69,18 @@ def test_extract_partial_examples():
     sp = jet_space(2, 2)
     x = Jet.variable(sp, 0, 1.0)
     y = Jet.variable(sp, 1, 1.0)
-    assert (x * y).partial((1, 1)) == pytest.approx(1.0)
+    assert partial(x * y, (1, 1)) == pytest.approx(1.0)
     xx = Jet.variable(jet_space(1, 2), 0, 0.4)
-    assert (xx * xx).partial((2,)) == pytest.approx(2.0)
+    assert partial(xx * xx, (2,)) == pytest.approx(2.0)
 
     sp3 = jet_space(2, 3)
     f = Jet.variable(sp3, 0, 0.3).sin() * Jet.variable(sp3, 1, 0.5).cos()
     # d^2/dx^2 d/dy sin(x)cos(y) = sin(x) sin(y)
     exact = math.sin(0.3) * math.sin(0.5)
-    assert abs(f.partial((2, 1)) - exact) <= 1e-12
+    assert abs(partial(f, (2, 1)) - exact) <= 1e-12
 
     with pytest.raises(JetError):
-        f.partial((2, 2))
+        partial(f, (2, 2))
 
 
 def test_space_mismatch_errors():
@@ -134,7 +136,7 @@ def test_random_polynomials_exact():
             acc = acc + c * x**i * y**j
         for gamma in sp.indices:
             exact = _poly_eval_partials(coeffs, pt, gamma)
-            got = acc.partial(gamma)
+            got = partial(acc, gamma)
             assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
@@ -160,10 +162,10 @@ def test_leibniz_rule(a, b, x0, y0):
             for iy in range(gy + 1):
                 conv += (
                     math.comb(gx, ix) * math.comb(gy, iy)
-                    * pa.partial((ix, iy))
-                    * pb.partial((gx - ix, gy - iy))
+                    * partial(pa, (ix, iy))
+                    * partial(pb, (gx - ix, gy - iy))
                 )
-        assert abs(prod.partial(gamma) - conv) <= 1e-10 * max(1.0, abs(conv))
+        assert abs(partial(prod, gamma) - conv) <= 1e-10 * max(1.0, abs(conv))
 
 
 def _random_source(rng, depth, var):
@@ -233,8 +235,8 @@ def test_truncate_and_deriv():
     f = (x * y).exp()
     fx = f.deriv(0)
     assert fx.space.order == 2
-    assert fx.value == pytest.approx(f.partial((1, 0)))
-    assert f.truncate(1).coeff((1, 0)) == pytest.approx(f.coeff((1, 0)))
+    assert fx.value == pytest.approx(partial(f, (1, 0)))
+    assert coeff(f.truncate(1), (1, 0)) == pytest.approx(coeff(f, (1, 0)))
     with pytest.raises(JetError):
         f.truncate(4)
 
@@ -248,7 +250,7 @@ def test_truncate_and_deriv_match_multi_index_lookup(num_vars):
         sp = jet_space(num_vars, order)
         f = Jet(sp, rng.standard_normal(sp.size))
         for low in range(order + 1):
-            expect = [f.coeff(g) for g in jet_space(num_vars, low).indices]
+            expect = [coeff(f, g) for g in jet_space(num_vars, low).indices]
             t = f.truncate(low)
             assert t.space is jet_space(num_vars, low)
             assert np.array_equal(t.c, expect)
@@ -257,7 +259,7 @@ def test_truncate_and_deriv_match_multi_index_lookup(num_vars):
         lower = jet_space(num_vars, order - 1)
         for axis in range(num_vars):
             expect = [
-                f.coeff(tuple(k + (a == axis) for a, k in enumerate(g))) * (g[axis] + 1)
+                coeff(f, tuple(k + (a == axis) for a, k in enumerate(g))) * (g[axis] + 1)
                 for g in lower.indices
             ]
             d = f.deriv(axis)
@@ -344,7 +346,7 @@ def test_tensor_ops_match_scalar_jets(data):
     def per_point(op, *jets):
         out = op(*jets)
         for p in range(points):
-            assert _same_bits(out.at(p).c, op(*(j.at(p) for j in jets)).c)
+            assert _same_bits(at(out, p).c, op(*(at(j, p) for j in jets)).c)
 
     per_point(lambda x, y: x * y, pa, pb)
     per_point(lambda x, y: y * x, pa, pb)
@@ -373,10 +375,51 @@ def test_tensor_ops_match_scalar_jets(data):
         (points, outer_sp.size)), True)
     composed = Composer(inners).apply(outer)
     for p in range(points):
-        want = Composer([h.at(p) for h in inners]).apply(outer.at(p))
-        assert _same_bits(composed.at(p).c, want.c)
-        assert _same_bits(Composer(inners).apply(outer.at(0)).at(p).c,
-                          Composer([h.at(p) for h in inners]).apply(outer.at(0)).c)
+        want = Composer([at(h, p) for h in inners]).apply(at(outer, p))
+        assert _same_bits(at(composed, p).c, want.c)
+        assert _same_bits(at(Composer(inners).apply(at(outer, 0)), p).c,
+                          Composer([at(h, p) for h in inners]).apply(at(outer, 0)).c)
+
+
+@pytest.mark.parametrize("num_vars", [3, 4])
+def test_products_over_the_gather_budget_match_scalar_jets(monkeypatch, num_vars):
+    """A product of tensor jets gathers the whole table at once, or step by
+    step once its broadcast entries times the table length exceed the
+    budget; both give every entry the scalar (bincount) product bit for
+    bit.  Signed zeros are in the coefficients, and the first rows' constant
+    terms are -0.0: a sum started from its first term instead of 0.0 would
+    keep a -0.0."""
+    sp = jet_space(num_vars, MAX_ORDER)
+    ran = []
+
+    class Recorded(list):
+        def __iter__(self):
+            ran.append(self.name)
+            return super().__iter__()
+
+    for name in ("_one_gather", "_by_step"):
+        groups = Recorded(getattr(sp, name))
+        groups.name = name
+        monkeypatch.setattr(sp, name, groups)
+    rng = np.random.default_rng(num_vars)
+
+    def tensor(shape):
+        c = rng.standard_normal(shape + (sp.size,))
+        c[rng.random(c.shape) < 0.3] = 0.0
+        c[rng.random(c.shape) < 0.3] = -0.0
+        return c
+
+    fit = jets._PRODUCT_BUDGET // len(sp._mul_k)  # entries one gather takes
+    for rows in (fit // 16, fit // 8 + 1):
+        ca, cb = tensor((rows, 1)), tensor((1, 8))
+        ca[:2, 0, 0], cb[0, :, 0] = -0.0, 1.0
+        ran.clear()
+        for x, y in ((ca, cb), (cb, ca)):
+            prod = (Jet(sp, x) * Jet(sp, y)).c
+            for i, j in np.ndindex(rows, 8):
+                pair = (x[i, 0], y[0, j]) if x is ca else (x[0, j], y[i, 0])
+                assert _same_bits(prod[i, j], (Jet(sp, pair[0]) * Jet(sp, pair[1])).c)
+        assert ran == ["_one_gather" if rows * 8 <= fit else "_by_step"] * 2
 
 
 @settings(max_examples=15, deadline=None)
@@ -398,7 +441,7 @@ def test_batched_inverse_pivots_per_point(data):
     singles = []
     for p in range(points):
         try:
-            singles.append(M.at(p).inverse())
+            singles.append(at(M, p).inverse())
         except JetError:
             singles.append(None)
     if any(x is None for x in singles):
@@ -407,7 +450,7 @@ def test_batched_inverse_pivots_per_point(data):
         return
     inv = M.inverse()
     for p in range(points):
-        assert _same_bits(inv.at(p).c, singles[p].c)
+        assert _same_bits(at(inv, p).c, singles[p].c)
 
 
 def test_univariate_functions_make_no_constant_jets(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bihkit.jets import Jet, jet_space
+from conftest import at
 from bihkit.spaces import (
     ChartError,
     SpaceError,
@@ -335,11 +336,11 @@ def test_batched_chart_jets_match_each_point(kind):
         gam = metric_and_christoffel_jets(sp, points, order)[1] if order else None
         for i, p in enumerate(points):
             one = chart_jets(p, order)
-            assert _same_bits(metric.at(i).c, Jet.stack(sp.metric_jets(one)).c)
+            assert _same_bits(at(metric, i).c, Jet.stack(sp.metric_jets(one)).c)
             for k, v in sp.structure_jets(one).items():
-                assert _same_bits(structure[k].at(i).c, Jet.stack(v).c)
+                assert _same_bits(at(structure[k], i).c, Jet.stack(v).c)
             if order:
-                assert _same_bits(gam.at(i).c, metric_and_christoffel_jets(sp, p, order)[1].c)
+                assert _same_bits(at(gam, i).c, metric_and_christoffel_jets(sp, p, order)[1].c)
     G, Gam = christoffels_at(sp, points)
     for i, p in enumerate(points):
         assert all(map(_same_bits, (G[i], Gam[i]), christoffels_at(sp, p)))
