@@ -3,10 +3,12 @@
 `evaluate` builds the jet fields the residual equations consume (induced
 metric, second fundamental form, mean curvature, connection, projector,
 weight-function fields) at all sample points of a block in one batched pass,
-an `Evaluation`.  The block is the unit every consumer takes: from it come
-the trace terms (normal connection and Laplacian of H, intrinsic Ricci and
-scalar curvature, the weight-function traces, ...), the projectors, covariant
-traces and rough Laplacians, the orthonormal frames and the
+an `Evaluation`, from the checked ambient metric and Christoffels of
+`spaces.metric_and_christoffel_jets`.  The block is the unit every consumer
+takes: from it come the trace terms (normal connection and Laplacian of H,
+intrinsic Ricci and scalar curvature, the weight-function traces, ...), the
+projectors, the covariant trace (`Evaluation.covariant_trace`, which every
+trace term and rough Laplacian uses), the orthonormal frames and the
 tangential/normal decomposition of the ambient structure tensor, each
 computed once per block with a leading points axis.
 
@@ -34,14 +36,15 @@ other points of its block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .expr import Expression, eval_on_jets, parse, variables_of
-from .jets import Composer, Jet, jet_space
+from .jets import Composer, Jet, _upper_pairs, jet_space
 from .spaces import (AmbientSpace, SpaceError, chart_jets, christoffel_jets,
-                     curvature_from_christoffels, jet_matrix_inverse)
+                     curvature_from_christoffels, jet_matrix_inverse,
+                     metric_and_christoffel_jets)
 
 __all__ = [
     "Immersion",
@@ -66,9 +69,6 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
-
-# index arrays (i, j) of the pairs i <= j < n, row-major
-_upper_pairs = lru_cache(maxsize=None)(np.triu_indices)
 
 # Default tolerance of the numeric flag checks (validation and `props`).
 FLAG_TOL = 1e-8
@@ -149,9 +149,6 @@ class Immersion:
     def codim(self):
         return self.ambient.chart_dim - len(self.params)
 
-    def flag(self, name):
-        return self.flags.get(name, "unknown")
-
     @staticmethod
     def from_strings(params, ambient, components, weight="1", flags=None):
         comp = [parse(c, params) if isinstance(c, str) else c for c in components]
@@ -189,7 +186,6 @@ class TraceTerms:
     tb_ah: np.ndarray                # tr B(., A_H .)            [normal]
     ta_nabla_perp_h: np.ndarray      # tr A_{nabla-perp H}(.)    [tangent]
     delta_perp_h_pos: np.ndarray     # positive normal Laplacian [normal]
-    nabla_perp_h: np.ndarray         # (m, chart_dim) coordinate directions
     nabla_perp_gradf_h: np.ndarray   # nabla-perp_{grad f} H     [normal]
     a_h_grad_f: np.ndarray           # A_H grad f                [tangent]
     tb_hess_f: np.ndarray            # tr B(., nabla_. grad f)   [normal]
@@ -201,8 +197,6 @@ class TraceTerms:
     xi_nor: np.ndarray
     xi_tan_norm2: np.ndarray
     b_norm2: np.ndarray
-    a_h_norm2: np.ndarray
-    nabla_perp_h_norm2: np.ndarray
     H: np.ndarray                    # mean curvature vector
     coeffs: np.ndarray               # ambient (alpha, beta) or (f1, f2, f3)
     kl_H: np.ndarray                 # [normal]
@@ -256,25 +250,14 @@ def _laplacian_pos(ginv, Gam_int, scalar_jet):
     return -(ginv * hess).reshape(m * m).sum(0)
 
 
-def _covariant_trace(ginv, gam, covd, values):
-    """g^{ab} (covd[a, b] - Gam^g_ab values[g]) at each point, every array
-    with a leading points axis: the values of the trace of a covariant
-    derivative, covd[p, a, b, ...] holding the derivative along the
-    parameter direction a of the field F_b, whose values are
-    values[p, b, ...], from the inverse metric ginv[p] and the intrinsic
-    Christoffels gam[p, g, a, b]."""
-    corr = np.einsum("pgab,pg...->pab...", gam, values)
-    return np.einsum("pab,pab...->p...", ginv, covd - corr)
-
-
 def _ambient_along(space, psi, psi_val, order):
     """The ambient metric (to order - 1) and Christoffels (to order - 2)
     composed along the immersion psi, the depths the fields consume, and
     the chart Christoffels to order 1 (for the curvature); the chart jets
     are dropped on return.  Their coefficients are those of deeper jets,
-    truncated."""
-    G = Jet.stack(space.metric_jets(chart_jets(psi_val, max(order - 1, 2))))
-    Gam = christoffel_jets(G)
+    truncated.  Raises ChartError off the chart or where the metric is not
+    finite and positive definite."""
+    G, Gam = metric_and_christoffel_jets(space, psi_val, max(order - 1, 2))
     compose = Composer([psi[a].centered() for a in range(space.chart_dim)])
     return (compose.apply_truncated(G.truncate(order - 1)),
             compose.apply_truncated(Gam.truncate(order - 2)), Gam.truncate(1))
@@ -321,9 +304,11 @@ def evaluate(imm, points, order=4):
     derivative depth; 4 covers every assembled residual.
 
     Each field rounds exactly as it would at each point alone.  Raises
-    ChartError off the chart, CalcError where the immersion is
-    rank-deficient (naming the first such point), SpaceError or JetError
-    where an expression or matrix fails at some point."""
+    ChartError off the chart or where the ambient metric is not finite and
+    positive definite, CalcError where the immersion is rank-deficient or
+    its Gram determinant not finite (naming the first such point),
+    SpaceError or JetError where an expression or matrix fails at some
+    point."""
     space = imm.ambient
     if not space.has_metric:
         raise SpaceError(
@@ -337,15 +322,15 @@ def evaluate(imm, points, order=4):
     # a constant weight comes out without points axis
     f_jet = eval_on_jets(imm.weight, parameter_jets(imm.params, points, order))
     psi_val = psi.point_values(count)
-    space.chart_check(psi_val)
     G, Gam, chart_gam = _ambient_along(space, psi, psi_val, order)
     dpsi = psi.derivs()
     g = _induced_metric(G, dpsi)
     gram_det = np.linalg.det(g.point_values(count))
-    bad = np.flatnonzero(gram_det <= RANK_TOL)
+    bad = np.flatnonzero(~(np.isfinite(gram_det) & (gram_det > RANK_TOL)))
     if bad.size:
-        raise CalcError(f"immersion rank-deficient at {points[bad[0]]}: "
-                        f"gram det {gram_det[bad[0]]:.3e}")
+        det = gram_det[bad[0]]
+        what = "immersion rank-deficient" if np.isfinite(det) else "induced metric not finite"
+        raise CalcError(f"{what} at {points[bad[0]]}: gram det {det:.3e}")
     g_inv = jet_matrix_inverse(g)
     Gam_int = christoffel_jets(g)
     ord2 = order - 2
@@ -398,12 +383,13 @@ def evaluate_batches(imm, points, order=4, check=None):
 
 
 def check_weight(ev):
-    """Raise a WeightError at the first point where the weight is not positive."""
+    """Raise a WeightError at the first point where the weight is not finite and positive."""
     f = ev.f_jet.point_values(len(ev))
-    bad = np.flatnonzero(f <= 0.0)
+    bad = np.flatnonzero(~(np.isfinite(f) & (f > 0.0)))
     if bad.size:
-        point = ev.points[bad[0]]
-        raise WeightError(point, f"weight not positive at {point.tolist()} (f = {f[bad[0]]:.3e})")
+        point, value = ev.points[bad[0]], f[bad[0]]
+        what = "positive" if np.isfinite(value) else "finite"
+        raise WeightError(point, f"weight not {what} at {point.tolist()} (f = {value:.3e})")
 
 
 def matvec(M, v):
@@ -590,11 +576,14 @@ class Evaluation:
         return (A * low).sum(-1, start=field.derivs().transpose(k + 1, *range(k + 1)))
 
     def covariant_trace(self, covd, values):
-        """`_covariant_trace` with this block's metric and Christoffels:
-        covd[p, a, b, ...] holds the derivative along the parameter
-        direction a of the field F_b, whose values are values[p, b, ...]."""
-        return _covariant_trace(self.values(self.induced_metric_inv_field),
-                                self.values(self.intrinsic_christoffels), covd, values)
+        """g^{ab} (covd[a, b] - Gam^g_ab values[g]) at each point, with the
+        block's inverse metric and intrinsic Christoffels: the values of the
+        trace of a covariant derivative, covd[p, a, b, ...] holding the
+        derivative along the parameter direction a of the field F_b, whose
+        values are values[p, b, ...]."""
+        corr = np.einsum("pgab,pg...->pab...", self.values(self.intrinsic_christoffels), values)
+        return np.einsum("pab,pab...->p...", self.values(self.induced_metric_inv_field),
+                         covd - corr)
 
     def rough_laplacian(self, field, first=None):
         """tr_g nabla^2 of an ambient jet field (negative-convention values);
@@ -633,7 +622,7 @@ def trace_terms_at(ev):
         """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g), the normal part of the
         trace of the covariant derivative of jet fields F[b] with values [p, b, a]."""
         covd = val(ev.pullback_derivative(fields))
-        return _covariant_trace(ginv, gam, covd @ P_nor.swapaxes(-1, -2)[:, None], values)
+        return ev.covariant_trace(covd @ P_nor.swapaxes(-1, -2)[:, None], values)
 
     nabla_perp_h = val(ev.nabla_perp_h_field)
 
@@ -688,7 +677,6 @@ def trace_terms_at(ev):
         tb_ah=tb_ah,
         ta_nabla_perp_h=trace_shape(nabla_perp_h),
         delta_perp_h_pos=-normal_trace(ev.nabla_perp_h_field, nabla_perp_h),
-        nabla_perp_h=nabla_perp_h,
         nabla_perp_gradf_h=np.einsum("pa,pak->pk", grad_f_param, nabla_perp_h),
         # A_H grad f = g^{gb} <B(grad f, e_b), H> dpsi_g
         a_h_grad_f=mv(dpsi, mv(ginv, np.einsum("pa,pabl,pl->pb", grad_f_param, BG, H))),
@@ -698,8 +686,6 @@ def trace_terms_at(ev):
         ta_b_grad_f=trace_shape(omega),
         b_gradf_gradf=np.einsum("pa,pb,pabk->pk", grad_f_param, grad_f_param, B),
         b_norm2=np.einsum("pag,pbd,pabl,pgdl->p", ginv, ginv, BG, B),
-        a_h_norm2=np.einsum("pag,pbd,pab,pgd->p", ginv, ginv, BH, BH),
-        nabla_perp_h_norm2=ev.form_norm2(nabla_perp_h),
         H=H,
         coeffs=np.stack(ev.space.curvature_coeffs_at(val(ev.psi))),
         kl_H=mv(P_nor, mv(T, tan_TH)),

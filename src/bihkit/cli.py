@@ -2,14 +2,14 @@
 
     bihkit check     SCENARIO   residual evaluation (direct/theorem/both)
     bihkit audit     SCENARIO   lemma and identity audits
-    bihkit variation SCENARIO   first-variation sweep for the functionals
+    bihkit variation SCENARIO   first-variation test of the functionals
     bihkit props     SCENARIO   proposition/inequality checkers
     bihkit energy    SCENARIO   the five functionals by quadrature
-    bihkit sweep     SCENARIO   refinement table for check/energy
 
 Exit codes: 0 all requested verdicts pass, 2 a numeric verdict failed,
 3 scenario validation error, 4 internal error.  An ambient given only by its
 curvature model (abstract_gcsf, abstract_gssf) supports `audit` alone.
+`--csv` writes the per-point norms of `check`; other commands ignore it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .calculus import FLAG_TOL, PointError, WeightError, map_jets, point_rows
 from .props import proposition_checkers
 from .report import render_report, write_csv
 from .residuals import compare_modes, direct_field, theorem_residual
-from .scenario import ScenarioError, _validate, evaluate_points, load_scenario
+from .scenario import ScenarioError, _validate, load_scenario
 from .spaces import SpaceError
 from .variational import ENERGIES, VariationError, energies, first_variation_suite
 
@@ -57,6 +57,7 @@ def cmd_check(sc, args, out, blocks):
     corollary = sc.mode.get("corollary")
     errata = _errata_on(sc, args)
     rows = []
+    # numpy's maxima keep a NaN, which fails the verdicts; Python's max may drop it
     worst_direct = 0.0
     worst_delta = 0.0
     worst_theorem = 0.0
@@ -65,7 +66,7 @@ def cmd_check(sc, args, out, blocks):
         ev = blocks.pop(0)  # released once used
         cmp = direct = rep = None
         if mode == "both":
-            cmp = compare_modes(ev, kind=kind, errata=errata, tol=tol)
+            cmp = compare_modes(ev, kind=kind, errata=errata)
             direct, rep = cmp["direct"], cmp["report"]
         elif mode == "direct":
             direct = direct_field(kind, ev)
@@ -74,16 +75,16 @@ def cmd_check(sc, args, out, blocks):
         columns = {}
         if direct is not None:
             columns["direct_norm"] = ev.norm(direct)
-            worst_direct = max(worst_direct, float(columns["direct_norm"].max()))
+            worst_direct = np.maximum(worst_direct, columns["direct_norm"].max())
         if rep is not None:
             columns["theorem_normal_norm"] = rep.normal_norm
             columns["theorem_tangent_norm"] = rep.tangent_norm
-            worst_theorem = max(worst_theorem, float((rep.total_norm / rep.scale).max()))
+            worst_theorem = np.maximum(worst_theorem, (rep.total_norm / rep.scale).max())
         if cmp is not None:
             columns["mode_delta_normal"] = cmp["delta_normal"]
             columns["mode_delta_tangent"] = cmp["delta_tangent"]
-            worst_delta = max(worst_delta, float(cmp["delta_normal"].max()),
-                              float(cmp["delta_tangent"].max()))
+            worst_delta = np.max([worst_delta, cmp["delta_normal"].max(),
+                                  cmp["delta_tangent"].max()])
             if "itemized_corrections" not in out:
                 first = next(filter(None, map(rep.corrections_at, range(len(ev)))), None)
                 if first:
@@ -95,7 +96,7 @@ def cmd_check(sc, args, out, blocks):
                 ev.norm(rep_parent.normal - rep_cor.normal),
                 ev.norm(rep_parent.tangent - rep_cor.tangent),
             ) / rep_parent.scale
-            reduction_delta = max(reduction_delta, float(columns["reduction_delta"].max()))
+            reduction_delta = np.maximum(reduction_delta, columns["reduction_delta"].max())
         rows += point_rows(ev, columns)
     out["kind"] = kind
     out["points"] = len(rows)
@@ -121,7 +122,7 @@ def cmd_check(sc, args, out, blocks):
         out["reduction_agreement"] = bool(reduction_delta <= rtol)
         if not out["reduction_agreement"]:
             exit_code = NUMERIC_FAIL
-    return exit_code, rows
+    return exit_code
 
 
 def cmd_audit(sc, args, out, blocks):
@@ -137,8 +138,8 @@ def cmd_audit(sc, args, out, blocks):
         worst = max(result["normal_trace"], result["tangent_trace"])
         out["max_delta"] = worst
         out["pass"] = bool(worst <= tol)
-        return (PASS if out["pass"] else NUMERIC_FAIL), [result]
-    rows, summary = run_all_audits(sc.immersion, blocks)
+        return PASS if out["pass"] else NUMERIC_FAIL
+    summary = run_all_audits(sc.immersion, blocks)[1]
     out["summary"] = summary
     out["points"] = len(points)
     worst = max(
@@ -150,7 +151,7 @@ def cmd_audit(sc, args, out, blocks):
     )
     out["max_delta"] = worst
     out["pass"] = bool(worst <= tol)
-    return (PASS if out["pass"] else NUMERIC_FAIL), rows
+    return PASS if out["pass"] else NUMERIC_FAIL
 
 
 def cmd_variation(sc, args, out, blocks):
@@ -182,7 +183,7 @@ def cmd_variation(sc, args, out, blocks):
         results.append(entry)
     out["results"] = results
     out["pass"] = ok
-    return (PASS if ok else NUMERIC_FAIL), results
+    return PASS if ok else NUMERIC_FAIL
 
 
 def cmd_props(sc, args, out, blocks):
@@ -192,7 +193,7 @@ def cmd_props(sc, args, out, blocks):
     out["verdicts"] = verdicts
     bad = any(v.get("verdict") == "violated" for v in verdicts)
     out["pass"] = not bad
-    return (PASS if not bad else NUMERIC_FAIL), verdicts
+    return PASS if not bad else NUMERIC_FAIL
 
 
 def cmd_energy(sc, args, out, blocks):
@@ -200,42 +201,7 @@ def cmd_energy(sc, args, out, blocks):
     values = energies(sc.immersion, grid)
     out["energies"] = values
     out["quadrature_nodes"] = len(grid)
-    return PASS, [values]
-
-
-def cmd_sweep(sc, args, out, blocks):
-    target = sc.mode.get("sweep_target", "check")
-    levels = [1, 2]
-    table = []
-    if target == "energy":
-        blocks.clear()  # quadrature nodes are evaluated afresh
-        for lv in levels:
-            grid = sc.quadrature(factor=lv)
-            table.append({"refinement": lv, "nodes": len(grid),
-                          **energies(sc.immersion, grid)})
-        drift = max(
-            abs(table[1][w] - table[0][w]) for w in ENERGIES
-        )
-    else:
-        kind = sc.mode.get("kind", "fbh")
-        errata = _errata_on(sc, args)
-        for lv in levels:
-            pts = sc.sample_points(factor=lv)
-            # level 1 is the validated grid, released block by block; finer
-            # levels are evaluated and checked as validation checks it
-            evals = ((blocks.pop(0) for _ in range(len(blocks))) if lv == 1
-                     else evaluate_points(sc, pts))
-            worst = 0.0
-            for ev in evals:
-                rep = theorem_residual(ev, kind=kind, errata=errata)
-                worst = max(worst, float((rep.total_norm / rep.scale).max()))
-            table.append({"refinement": lv, "points": len(pts),
-                          "max_residual": worst})
-        drift = abs(table[1]["max_residual"] - table[0]["max_residual"])
-    out["target"] = target
-    out["table"] = table
-    out["drift"] = drift
-    return PASS, table
+    return PASS
 
 
 COMMANDS = {
@@ -244,7 +210,6 @@ COMMANDS = {
     "variation": cmd_variation,
     "props": cmd_props,
     "energy": cmd_energy,
-    "sweep": cmd_sweep,
 }
 
 
@@ -258,7 +223,7 @@ def build_parser():
     ap.add_argument("--errata", choices=["on", "off"], default=None)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--report", default=None, help="write the report document here")
-    ap.add_argument("--csv", default=None, help="write per-point norms as CSV")
+    ap.add_argument("--csv", default=None, help="write the per-point norms of `check` as CSV")
     ap.add_argument("--quiet", action="store_true")
     ap.add_argument("--functional", choices=list(ENERGIES), default=None,
                     help="restrict `variation` to one functional")
@@ -277,15 +242,11 @@ def main(argv=None):
         # command; the quadrature commands evaluate their own nodes instead
         quadrature = args.command in ("energy", "variation")
         blocks = _validate(sc, 3 if quadrature else 4)
-    except (ScenarioError, OSError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return VALIDATION_FAIL
-    if quadrature:
-        blocks.clear()
-    out = _base_report(sc, args.command, args)
-    try:
-        code, rows = COMMANDS[args.command](sc, args, out, blocks)
-    except (ScenarioError, SpaceError) as exc:
+        if quadrature:
+            blocks.clear()
+        out = _base_report(sc, args.command, args)
+        code = COMMANDS[args.command](sc, args, out, blocks)
+    except (ScenarioError, SpaceError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return VALIDATION_FAIL
     except PointError as exc:  # sample points fail as ScenarioErrors
@@ -302,6 +263,7 @@ def main(argv=None):
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.csv and args.command == "check":
+        rows = out["rows"]
         header = sorted({k for r in rows for k in r if k != "point"})
         csv_rows = [
             [";".join(f"{x!r}" for x in r["point"])] + [r.get(k, "") for k in header]

@@ -607,8 +607,6 @@ class ResidualReport:
     makes; `corrections_at(i)` lists those of point i.
     """
 
-    mode: str
-    points: np.ndarray
     normal: np.ndarray
     tangent: np.ndarray
     normal_norm: np.ndarray
@@ -616,7 +614,6 @@ class ResidualReport:
     terms: list
     corrections: list
     scale: np.ndarray             # 1 + |H| + |grad f| normalizer
-    errata_applied: bool
 
     @property
     def total_norm(self):
@@ -683,8 +680,6 @@ def theorem_residual(ev, kind="fbh", errata=False, corollary=None):
                 "delta_norm": ev.norm(corrected[:, None] * vec - printed[:, None] * vec),
             })
     return ResidualReport(
-        mode=(corollary or eq_id) + (":errata" if errata else ":printed"),
-        points=ev.points,
         normal=normal,
         tangent=tangent,
         normal_norm=ev.norm(normal),
@@ -692,17 +687,14 @@ def theorem_residual(ev, kind="fbh", errata=False, corollary=None):
         terms=breakdown,
         corrections=corrections,
         scale=1.0 + ev.norm(t.H) + ev.norm(t.grad_f),
-        errata_applied=errata,
     )
 
 
-def compare_modes(ev, kind="fbh", errata=True, tol=1e-6):
+def compare_modes(ev, kind="fbh", errata=True):
     """Theorem-mode vs direct-mode residuals at the points of a block.
 
-    Returns a dict with the theorem report, the direct field, the relative
-    normal and tangent deltas between them at each point, the per-term
-    itemization of as-printed vs corrected coefficients, and the agreement
-    verdict over the block.
+    Returns a dict with the theorem report, the direct field and the
+    relative normal and tangent deltas between them at each point.
     """
     rep = theorem_residual(ev, kind=kind, errata=errata)
     direct = direct_field(kind, ev)
@@ -716,6 +708,4 @@ def compare_modes(ev, kind="fbh", errata=True, tol=1e-6):
         "direct": direct,
         "delta_normal": delta_nor,
         "delta_tangent": delta_tan,
-        "agree": bool(np.all((delta_nor <= tol) & (delta_tan <= tol))),
-        "itemized_corrections": rep.corrections,
     }

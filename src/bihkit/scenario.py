@@ -10,7 +10,7 @@ Grammar (one logical statement per line; `#` starts a comment):
 Sections and keys:
 
     [ambient]     kind = sasakian_sphere | fubini_study | ... plus the
-                  kind's parameters (n, hol, ctilde, alpha, beta, f1.. as
+                  kind's parameters (n = 1..6, hol, ctilde, alpha, beta, f1.. as
                   quoted expressions for the abstract kinds); omitted,
                   hol is 4 on fubini_study and -4 on complex_hyperbolic,
                   ctilde is 1 and dim is 4 (the constructors' defaults)
@@ -25,17 +25,16 @@ Sections and keys:
     [mode]        residual = both|direct|theorem; errata = on|off;
                   kind = fbh|bif|bif_general (the equation family);
                   corollary = name (a registered corollary reduction of
-                  this scenario's equation, its flags asserted);
-                  sweep_target = check|energy
+                  this scenario's equation, its flags asserted)
     [variation]   components = ["expr", ...]   (optional; the CLI builds a
                   windowed default otherwise)
 
 Validation parses every expression, enforces grid >= 4 nodes per axis and
 at most MAX_SAMPLE_POINTS sample points, checks periodic axes close up
-(endpoint values of the map agree), checks rank/weight-positivity/chart
-membership at the sample points and runs the numeric pre-check of every
-asserted or denied flag.  Errors carry section, key and the byte offset of
-the offending line.
+(endpoint values of the map agree), checks chart membership, rank, finite
+metrics and a finite positive weight at the sample points and runs the
+numeric pre-check of every asserted or denied flag.  Errors carry section,
+key and the byte offset of the offending line.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ MODE_CHOICES = {
     "errata": ("on", "off"),
     "kind": ("fbh", "bif", "bif_general"),
     "corollary": tuple(COROLLARIES),
-    "sweep_target": ("check", "energy"),
 }
 
 
@@ -197,24 +195,23 @@ class Scenario:
     mode: dict = field(default_factory=dict)
     variation: list = None
 
-    def sample_points(self, factor=1):
+    def sample_points(self):
         """Deterministic residual-evaluation grid (margin-shaved)."""
         axes_nodes = []
         for ax, n in zip(self.axes, self.grid_sizes):
-            count = int(n * factor)
             if ax.periodic:
-                h = (ax.hi - ax.lo) / count
-                axes_nodes.append(ax.lo + h * np.arange(count))
+                h = (ax.hi - ax.lo) / n
+                axes_nodes.append(ax.lo + h * np.arange(n))
             else:
                 lo = ax.lo + self.margin * (ax.hi - ax.lo)
                 hi = ax.hi - self.margin * (ax.hi - ax.lo)
-                axes_nodes.append(np.linspace(lo, hi, count))
+                axes_nodes.append(np.linspace(lo, hi, n))
         mesh = np.meshgrid(*axes_nodes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def quadrature(self, factor=1):
+    def quadrature(self):
         return QuadratureGrid(
-            [(ax.lo, ax.hi, int(n * factor), ax.periodic)
+            [(ax.lo, ax.hi, n, ax.periodic)
              for ax, n in zip(self.axes, self.grid_sizes)]
         )
 
@@ -260,8 +257,9 @@ _OPTIONAL_KEYS = ("hol", "ctilde", "dim")
 
 _EXPRESSION_KEYS = ("alpha", "beta", "f1", "f2", "f3")
 
-# Largest complex/contact rank n and abstract chart dimension accepted.
-_MAX_RANK = {"n": 16, "dim": 32}
+# Largest complex/contact rank n and abstract chart dimension accepted.  A
+# 16-point curve peaks at 0.5-0.7 GB with n = 6, at 2.2-3.1 GB with n = 8.
+_MAX_RANK = {"n": 6, "dim": 32}
 
 
 def _is_int(value):

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from bihkit import audits, calculus, cli, props, scenario
+from bihkit import audits, calculus, cli, props, residuals, scenario
 from bihkit.report import strip_volatile
 from bihkit.residuals import theorem_residual
 from bihkit.scenario import MAX_SAMPLE_POINTS, _validate, load_scenario
@@ -82,6 +82,9 @@ MALFORMED = {
     "seed_string": ("grid = [4]", "grid = [4]\nseed = x", "sampling", "seed"),
     "variation_component": (None, '[variation]\ncomponents = ["u", "1/", "0"]',
                             "variation", "components"),
+    "rank_seven": ("n = 1", "n = 7", "ambient", "n"),
+    "mode_sweep_target": ("kind = fbh", "kind = fbh\nsweep_target = check",
+                          "mode", "sweep_target"),
 }
 
 
@@ -94,6 +97,17 @@ def test_malformed_scenario_exits_3_naming_section_and_key(tmp_path, case):
     assert f"section [{section}]" in err and f"key {key!r}" in err
     assert "np.float64" not in err and "Traceback" not in err
     assert out == ""
+
+
+def test_docstrings_list_the_commands_and_mode_keys():
+    """The `cli` docstring lists exactly the commands, and the scenario
+    grammar names every [mode] key."""
+    listed = [line.split()[1] for line in cli.__doc__.splitlines()
+              if line.strip().startswith("bihkit ")]
+    assert sorted(listed) == sorted(cli.COMMANDS)
+    grammar = scenario.__doc__.split("[mode]", 1)[1].split("[variation]", 1)[0]
+    for key in scenario.MODE_CHOICES:
+        assert f"{key} =" in grammar, key
 
 
 def test_rejected_sample_point_prints_plain_floats(tmp_path):
@@ -143,6 +157,14 @@ FAILING_POINT = {
     "weight_overflow": (
         "cosymplectic_flat\nn = 1", '["u", "0.5*u*u", "0"]', "exp(1000*u)",
         "sample point [0.75] rejected: math range error (section [sampling], key 'grid')"),
+    # the induced metric overflows to inf at every point
+    "map_overflow": (
+        "cosymplectic_flat\nn = 1", '["1e200*u", "u^2", "0"]', "1",
+        "sample point [0.0] rejected: induced metric not finite at [0.]: gram det inf "
+        "(section [sampling], key 'grid')"),
+    "weight_infinite": (
+        "cosymplectic_flat\nn = 1", '["cos(u)", "sin(u)", "0"]', "1e308*1e308",
+        "weight not finite at [0.0] (f = inf) (section [weight], key 'f')"),
 }
 
 
@@ -200,19 +222,6 @@ def test_omitted_ambient_key_takes_the_constructor_default(tmp_path):
     code, out, err = run_cli(["check", write(tmp_path, text)])
     assert code == 0, err
     assert "mode_agreement: true" in out
-
-
-def test_sweep_checks_refined_points(tmp_path):
-    """`sweep` evaluates its finer level with validation's checks: the map
-    is rank-deficient only at the refined point u = 3/7."""
-    text = OPEN_AXIS.format(kind="cosymplectic_flat\nn = 1",
-                            map='["(u - 3/7)^2", "(u - 3/7)^3", "0"]', f="1")
-    text = text.replace("[0.0, 1.0, open]", "[0.0, 3.0, open]").replace("[5]", "[4]")
-    code, _out, err = run_cli(["sweep", write(tmp_path, text + "\n[mode]\nsweep_target = check\n")])
-    assert code == 3
-    assert err == ("validation error: sample point [0.42857142857142855] rejected: immersion "
-                   "rank-deficient at [0.42857143]: gram det 0.000e+00 "
-                   "(section [sampling], key 'grid')\n")
 
 
 def test_variation_leaving_the_chart_exits_3(tmp_path):
@@ -385,6 +394,24 @@ def test_reduction_delta_measures_with_the_ambient_metric(tmp_path):
     assert reported == pytest.approx(expected, rel=1e-12)
 
 
+def test_nan_in_one_block_fails_check(monkeypatch):
+    """A NaN direct field in the second of c08's three blocks makes its mode
+    deltas NaN; the maxima keep it, so `check` exits 2."""
+    direct_field = residuals.direct_field
+    calls = []
+
+    def poisoned(kind, ev):
+        calls.append(len(ev))
+        out = direct_field(kind, ev)
+        return np.full_like(out, np.nan) if len(calls) == 2 else out
+
+    monkeypatch.setattr(residuals, "direct_field", poisoned)
+    code, out, err = run_cli(["check", scenario_path("c08_hopf_torus")])
+    assert calls == [16, 16, 4]
+    assert code == 2, err
+    assert "max_mode_delta: nan" in out and "mode_agreement: false" in out
+
+
 def _count_builds(monkeypatch):
     """Orders of the points evaluated from now on, one entry per point of
     each batched evaluation."""
@@ -502,6 +529,16 @@ def test_internal_error_in_a_hypothesis_check_exits_4(monkeypatch):
     code, _out, err = run_cli(["props", scenario_path("c10_curve_cp1")])
     assert code == 4
     assert "internal error: broken flag check" in err
+
+
+def test_internal_error_during_validation_exits_4(monkeypatch):
+    def broken(imm, blocks, tol):
+        raise RuntimeError("broken flag pre-check")
+
+    monkeypatch.setattr(scenario, "verify_flags", broken)
+    code, out, err = run_cli(["check", scenario_path("c10_curve_cp1")])
+    assert (code, out) == (4, "")
+    assert err == "internal error: broken flag pre-check\n"
 
 
 @pytest.mark.parametrize("name", ["c16_xi_normal_curve", "c08_hopf_torus",

@@ -147,7 +147,6 @@ def test_mode_agreement_with_errata(kind, imm, points):
         out = compare_modes(one_point(imm, p), kind=kind, errata=True)
         assert out["delta_normal"] <= 1e-10
         assert out["delta_tangent"] <= 1e-10
-        assert out["agree"]
 
 
 def test_mode_disagreement_without_errata_is_itemized():
@@ -155,12 +154,12 @@ def test_mode_disagreement_without_errata_is_itemized():
         ["u"], S3D, ["0.5*cos(u)", "0.4*sin(u)", "0.2 + 0.1*sin(u)"],
         "1 + 0.3*cos(u)")
     out = compare_modes(one_point(imm, [0.3]), kind="fbh", errata=False)
-    assert not out["agree"]
+    assert max(out["delta_normal"].max(), out["delta_tangent"].max()) > 1e-6
     # every itemized term carries a catalogued correction
     catalogued = {e.term for e in ERRATA}
-    for item in out["itemized_corrections"]:
+    for item in out["report"].corrections:
         assert item["term"] in catalogued
-    assert out["itemized_corrections"]
+    assert out["report"].corrections
 
 
 def test_errata_catalog_covers_all_corrected_terms():
