@@ -311,12 +311,14 @@ def run_all_audits(imm, blocks):
         if imm.ambient.structure == "contact":
             block["phi_decompositions"] = audit_phi_decompositions(ev)
         rows += point_rows(ev, block)
+    # numpy's maximum keeps a NaN, which fails the verdict; Python's max may drop it
+    worst = lambda values: float(np.max(list(values)))
     summary = {
-        "deltaH_translated": max(r["deltaH"]["delta_translated"] for r in rows),
-        "lemgene1_corrected": max(r["lemgene1"]["delta_corrected"] for r in rows),
-        "lemgene2_corrected": max(r["lemgene2"]["delta_corrected"] for r in rows),
+        "deltaH_translated": worst(r["deltaH"]["delta_translated"] for r in rows),
+        "lemgene1_corrected": worst(r["lemgene1"]["delta_corrected"] for r in rows),
+        "lemgene2_corrected": worst(r["lemgene2"]["delta_corrected"] for r in rows),
         "lemgene2_reading": rows[0]["lemgene2"]["curvature_reading"],
-        "lemgene3": max(r["lemgene3"]["delta"] for r in rows),
-        "identity_max": max(max(r["identities"].values()) for r in rows),
+        "lemgene3": worst(r["lemgene3"]["delta"] for r in rows),
+        "identity_max": worst(v for r in rows for v in r["identities"].values()),
     }
     return rows, summary

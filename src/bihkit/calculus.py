@@ -318,9 +318,14 @@ def evaluate(imm, points, order=4):
     points = np.asarray(points, dtype=float)
     count = len(points)
     m, d = imm.param_dim, space.chart_dim
-    psi = map_jets(imm, points, order)
+    # the map and the weight share one memo: a sub-expression or reciprocal
+    # they have in common is built once; it is released before the ambient
+    # build
+    env, memo = parameter_jets(imm.params, points, order), {}
+    psi = Jet.stack([eval_on_jets(c, env, memo) for c in imm.components])
     # a constant weight comes out without points axis
-    f_jet = eval_on_jets(imm.weight, parameter_jets(imm.params, points, order))
+    f_jet = eval_on_jets(imm.weight, env, memo)
+    del memo
     psi_val = psi.point_values(count)
     G, Gam, chart_gam = _ambient_along(space, psi, psi_val, order)
     dpsi = psi.derivs()
@@ -332,7 +337,7 @@ def evaluate(imm, points, order=4):
         what = "immersion rank-deficient" if np.isfinite(det) else "induced metric not finite"
         raise CalcError(f"{what} at {points[bad[0]]}: gram det {det:.3e}")
     g_inv = jet_matrix_inverse(g)
-    Gam_int = christoffel_jets(g)
+    Gam_int = christoffel_jets(g, g_inv)
     ord2 = order - 2
     dpsi2, g_inv2 = dpsi.truncate(ord2), g_inv.truncate(ord2)
     # Gam_dpsi[a, b, c, al] = Gam^a_bc d_al psi^b; summed over b it is the
@@ -365,11 +370,14 @@ def evaluate_batches(imm, points, order=4, check=None):
 
     A block fails only where one of its points does, so a failing block is
     evaluated again point by point, and the first point that fails alone
-    raises: an evaluation error as PointError, a check's error as it is."""
+    raises: an evaluation error as PointError, a check's error as it is.
+    numpy's overflow, invalid-value and division warnings are silenced: the
+    finiteness checks of `evaluate` and `check` reject such points."""
     for start in range(0, len(points), BATCH_POINTS):
         block = points[start:start + BATCH_POINTS]
         try:
-            ev = evaluate(imm, block, order)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ev = evaluate(imm, block, order)
         # chart, rank, jet and math-domain errors are ValueErrors; overflow
         # and division by zero are ArithmeticErrors
         except (ValueError, ArithmeticError) as exc:

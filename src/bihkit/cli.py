@@ -135,20 +135,17 @@ def cmd_audit(sc, args, out, blocks):
         chart_points = psi.point_values(len(points))
         result = curvature_trace_audit(sc.immersion.ambient, chart_points, seed=seed)
         out["curvature_trace_audit"] = result
-        worst = max(result["normal_trace"], result["tangent_trace"])
+        worst = float(np.max([result["normal_trace"], result["tangent_trace"]]))
         out["max_delta"] = worst
         out["pass"] = bool(worst <= tol)
         return PASS if out["pass"] else NUMERIC_FAIL
     summary = run_all_audits(sc.immersion, blocks)[1]
     out["summary"] = summary
     out["points"] = len(points)
-    worst = max(
-        summary["deltaH_translated"],
-        summary["lemgene1_corrected"],
-        summary["lemgene2_corrected"],
-        summary["lemgene3"],
-        summary["identity_max"],
-    )
+    # numpy's maximum keeps a NaN, which fails the verdict
+    keys = ("deltaH_translated", "lemgene1_corrected", "lemgene2_corrected", "lemgene3",
+            "identity_max")
+    worst = float(np.max([summary[key] for key in keys]))
     out["max_delta"] = worst
     out["pass"] = bool(worst <= tol)
     return PASS if out["pass"] else NUMERIC_FAIL

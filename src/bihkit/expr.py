@@ -254,15 +254,17 @@ def parse(source, params):
 # -- evaluation ---------------------------------------------------------------
 
 
-def eval_on_jets(expression, env):
+def eval_on_jets(expression, env, memo=None):
     """Evaluate an expression tree in an environment of name -> Jet.
 
-    Identical sub-tree objects evaluate once per call (per-call memo).
+    Equal sub-trees evaluate once, and so does the reciprocal of each '/'
+    denominator: `memo` (keyed by the frozen nodes) holds them, per call
+    unless the caller passes one dict to every evaluation in one `env`.
     """
-    memo = {}
+    memo = {} if memo is None else memo
 
     def ev(node):
-        got = memo.get(id(node))
+        got = memo.get(node)
         if got is not None:
             return got
         if isinstance(node, Lit):
@@ -287,14 +289,18 @@ def eval_on_jets(expression, env):
             elif node.op == "*":
                 out = a * b
             else:
-                out = a / b
+                # a / b is a * (1 / b), as `Jet.__truediv__` computes it
+                key = ("reciprocal", node.right)
+                if key not in memo:
+                    memo[key] = b._reciprocal()
+                out = a * memo[key]
         elif isinstance(node, Pow):
             out = ev(node.base) ** node.exponent
         elif isinstance(node, Call):
             out = getattr(ev(node.arg), node.fn)()
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        memo[id(node)] = out
+        memo[node] = out
         return out
 
     return ev(expression)

@@ -45,6 +45,17 @@ would:
     Past _PRODUCT_BUDGET values the gathers go step by step, at most S values
     per entry.  Two scalar jets take one `np.bincount`;
   * `sum` adds the slices of an axis left to right, never pairwise;
+  * `inverse` (Gauss-Jordan on [M | I]) updates at step `col` only the
+    columns right of the pivot column, the ones later steps read; each
+    entry is computed as in the full-width elimination;
+  * a `Composer` serves a lower outer order from the prefix of a table it
+    built for a higher one: the rows are the same products;
+  * truncation commutes with every operation on finite values: a kept
+    coefficient adds the same terms in the same order at any order, plus,
+    in the Horner steps of a univariate function, terms that have the zero
+    constant term of the inner jet as a factor, which leave a sum begun at
+    +0.0 unchanged.  So `christoffel_jets` may truncate an inverse it is
+    given instead of inverting the truncated metric;
   * the operand order of a product is kept (a*b and b*a accumulate in a
     different order);
   * the derivative values a univariate function (sin, exp, log, powers, the
@@ -341,7 +352,9 @@ class Jet:
         """Inverse of a square matrix of jets by Gauss-Jordan elimination
         with value pivoting, the pivot chosen per point; each step scales the
         pivot row and clears its column in all other rows at once, on the
-        augmented matrix [M | I]."""
+        augmented matrix [M | I].  Only the live columns are kept: step `col`
+        reads column `col` and updates the ones right of it, then drops it,
+        so after n steps the n columns left are the inverse."""
         n = self.c.shape[0]
         sp = self.space
         c = self.c if self.batched else self.c[..., None, :]
@@ -350,19 +363,19 @@ class Jet:
         eye[range(n), range(n), :, 0] = 1.0
         aug = np.concatenate([c, eye], axis=1)
         for col in range(n):
-            piv = col + np.argmax(np.abs(aug[col:, col, :, 0]), axis=0)
-            if (np.abs(aug[piv, col, points, 0]) < 1e-14).any():
+            # aug holds the columns col.. of [M | I]: aug[:, 0] is column col
+            piv = col + np.argmax(np.abs(aug[col:, 0, :, 0]), axis=0)
+            if (np.abs(aug[piv, 0, points, 0]) < 1e-14).any():
                 raise JetError("singular jet matrix")
             if (piv != col).any():
                 rows = np.repeat(np.arange(n)[:, None], len(points), axis=1)
                 rows[col], rows[piv, points] = piv, col
                 aug = np.take_along_axis(aug, rows[:, None, :, None], axis=0)
-            pivot_row = Jet(sp, aug[col], True) * (1.0 / Jet(sp, aug[col, col], True))
+            pivot_row = Jet(sp, aug[col, 1:], True) * (1.0 / Jet(sp, aug[col, 0], True))
             # row r becomes row r - A[r, col] * pivot row
-            aug = (Jet(sp, aug, True) - Jet(sp, aug[:, col, None], True) * pivot_row).c
+            aug = (Jet(sp, aug[:, 1:], True) - Jet(sp, aug[:, :1], True) * pivot_row).c
             aug[col] = pivot_row.c
-        out = aug[:, n:]
-        return self._like(out if self.batched else out[..., 0, :])
+        return self._like(aug if self.batched else aug[..., 0, :])
 
     def add_diagonal(self, other):
         """Copy with `other` added onto every entry [k, k] of the first two
@@ -400,7 +413,7 @@ class Jet:
         new C-ordered array; `count` is the number of points."""
         v = self.c[..., 0]
         if self.batched:
-            return np.ascontiguousarray(np.moveaxis(v, -1, 0))
+            return np.ascontiguousarray(v.transpose(v.ndim - 1, *range(v.ndim - 1)))
         return np.array(np.broadcast_to(v, (count,) + v.shape))
 
     def truncate(self, order):
@@ -422,7 +435,7 @@ class Jet:
             raise JetError("cannot differentiate an order-0 jet")
         sp = jet_space(self.space.num_vars, self.space.order - 1)
         c = self.c[..., self.space._diff] * self.space._diff_scale
-        return Jet(sp, np.moveaxis(c, -2, -3) if self.batched else c, self.batched)
+        return Jet(sp, c.swapaxes(-3, -2) if self.batched else c, self.batched)
 
     def centered(self):
         """This jet minus its constant terms (rounded as subtracting each
@@ -667,9 +680,14 @@ class Composer:
         self._tables = {}
 
     def _table(self, space):
-        """Rows h^gamma over the basis of an outer space, built once."""
+        """Rows h^gamma over the basis of an outer space, built once; the
+        table of a lower order is the prefix of a built one (the rows of
+        its basis, computed the same way)."""
         table = self._tables.get(space)
         if table is None:
+            for built, rows in self._tables.items():
+                if built.num_vars == space.num_vars and built.order > space.order:
+                    return rows[:space.size]
             inners = self._inners
             table = np.zeros((space.size,) + inners.c.shape[1:])
             table[0, ..., 0] = 1.0

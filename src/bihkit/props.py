@@ -71,9 +71,9 @@ def _hyp_status(imm, blocks, required, tol):
         if not dev <= tol:
             ok = False
     if "cmc" in required:
-        h2 = max(float(ev.trace_terms.h_norm2.max()) for ev in blocks)
+        h2 = float(np.max([ev.trace_terms.h_norm2.max() for ev in blocks]))
         devs["nonzero_H"] = h2
-        if h2 <= tol:
+        if not h2 > tol:
             ok = False
     return ok, devs
 
@@ -107,8 +107,8 @@ def _cmc_identity_report(name, ok, devs, rows, tol, extra=()):
     """The verdict of a CMC hypersurface identity from its per-point rows:
     |B|^2 against its right-hand side, and A_H grad f = 0; `extra` items go
     after the residuals."""
-    identity_res = max(r["identity_residual"] for r in rows)
-    shape_res = max(r["a_h_grad_f_norm"] for r in rows)
+    identity_res = float(np.max([r["identity_residual"] for r in rows]))
+    shape_res = float(np.max([r["a_h_grad_f_norm"] for r in rows]))
     verdict = "consistent" if identity_res <= tol and shape_res <= tol else "violated"
     return {
         "name": name,
@@ -141,7 +141,7 @@ def gauss_equation_audit(imm, blocks):
         rows += point_rows(ev, {"scal_intrinsic": t.scal, "scal_gauss": gauss,
                                 "delta": np.abs(t.scal - gauss)})
     return {"name": "gauss_scal", "rows": rows,
-            "max_delta": max(r["delta"] for r in rows)}
+            "max_delta": float(np.max([r["delta"] for r in rows]))}
 
 
 def _bound_template(name, imm, blocks, required, coeff_fn, flag_tol,
@@ -158,7 +158,7 @@ def _bound_template(name, imm, blocks, required, coeff_fn, flag_tol,
     tts = [ev.trace_terms for ev in blocks]
     vals = np.concatenate([coeff_fn(t) for t in tts])
     inf_est = float(vals.min())
-    h2_max = max(float(t.h_norm2.max()) for t in tts)
+    h2_max = float(np.max([t.h_norm2.max() for t in tts]))
     bound = inf_est if q is None else inf_est / q
     if not ok:
         verdict = "hypotheses-unverifiable"
@@ -244,10 +244,10 @@ def check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol):
             "a_h_grad_f_norm": ev.norm(t.a_h_grad_f),
         })
     return _cmc_identity_report("cmc_hypersurface_gssf", ok, devs, rows, tol, {
-        "scal_corrected_residual": max(abs(r["scal_intrinsic"] - r["scal_corrected"])
-                                       for r in rows),
-        "scal_printed_residual": max(abs(r["scal_intrinsic"] - r["scal_printed"])
-                                     for r in rows),
+        "scal_corrected_residual": float(np.max(
+            [abs(r["scal_intrinsic"] - r["scal_corrected"]) for r in rows])),
+        "scal_printed_residual": float(np.max(
+            [abs(r["scal_intrinsic"] - r["scal_printed"]) for r in rows])),
         "scal_note": "weighted term read as a scalar; corrected coefficient "
                      "triple used for the pass verdict (printed triple fails "
                      "on the standard biharmonic small sphere)",

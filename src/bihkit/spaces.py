@@ -338,7 +338,10 @@ class SasakianSphere(AmbientSpace):
         self.n = n
         self.ctilde = float(ctilde)
         self.homothety = 4.0 / (self.ctilde + 3.0)
-        self._J_amb = _std_J(2 * n + 2)
+        # row a of the ambient J has its one entry _J_entry[a] in column _J_col[a]
+        J = _std_J(2 * n + 2)
+        self._J_col = np.argmax(J != 0, axis=1)
+        self._J_entry = J[np.arange(len(J)), self._J_col]
 
     def _embedding(self, x):
         """X(u) = (2u, 1-|u|^2)/(1+|u|^2), its closed-form differential
@@ -353,36 +356,33 @@ class SasakianSphere(AmbientSpace):
         dX = Jet.concatenate([dX, (x * -4.0 * denom_inv2)[None]])
         return X, dX, 4.0 * denom_inv2
 
-    def _round_structure(self, x):
-        """Round-metric conformal factor, Reeb field and phi in the chart.
+    def _round_contact_form(self, x):
+        """Round-metric conformal factor lambda (the round metric is
+        lambda*I in the chart), contact form eta0 and the differential dX.
 
-        The Reeb field is the pullback of -J.X: this orientation gives the
-        standard Sasakian sign nabla_X xi = -phi(X)."""
+        eta0 is the pullback of the ambient Reeb field -J.X: this
+        orientation gives the standard Sasakian sign nabla_X xi = -phi(X)."""
         X, dX, lam = self._embedding(x)
-        # row a of the ambient J has its one entry J[a, col[a]]
-        J = self._J_amb
-        col = np.argmax(J != 0, axis=1)
-        entry = J[np.arange(len(J)), col]
-        # ambient Reeb -J.X restricted to the sphere
-        JX = X[col] * -entry
-        # eta0_i = (dX^T (-J X))_i ; xi0 = eta0 / lambda (round metric lam*I)
-        eta0 = (dX * JX[:, None]).sum(0)
-        lam_inv = 1.0 / lam
-        # phi0 = dX^T J dX / lambda
-        JdX = dX[col] * entry[:, None]
-        phi0 = (dX[:, :, None] * JdX[:, None]).sum(0) * lam_inv
-        return lam, eta0 * lam_inv, eta0, phi0
+        # ambient Reeb -J.X restricted to the sphere; eta0_i = (dX^T (-J X))_i
+        JX = X[self._J_col] * -self._J_entry
+        return lam, (dX * JX[:, None]).sum(0), dX
 
     def metric_jets(self, x):
+        """The deformed metric a*lambda*I + a(a-1) eta0 (x) eta0, from lambda
+        and eta0 alone (phi and xi are not built)."""
         a = self.homothety
-        lam, xi0, eta0, phi0 = self._round_structure(x)
+        lam, eta0, _dX = self._round_contact_form(x)
         G = (eta0[:, None] * eta0[None] * (a * (a - 1.0))).add_diagonal(lam * a)
         return _mirror_upper(G)
 
     def structure_jets(self, x):
+        """phi = dX^T J dX / lambda, xi = eta0 / (lambda a), eta = a eta0."""
         a = self.homothety
-        lam, xi0, eta0, phi0 = self._round_structure(x)
-        return {"phi": phi0, "xi": xi0 / a, "eta": eta0 * a}
+        lam, eta0, dX = self._round_contact_form(x)
+        lam_inv = 1.0 / lam
+        JdX = dX[self._J_col] * self._J_entry[:, None]
+        phi0 = (dX[:, :, None] * JdX[:, None]).sum(0) * lam_inv
+        return {"phi": phi0, "xi": eta0 * lam_inv / a, "eta": eta0 * a}
 
     def curvature_coeff_jets(self, x):
         f1, f2, f3 = space_form_coefficients("sasaki", self.ctilde)
@@ -491,14 +491,17 @@ def jet_matrix_inverse(M):
         raise SpaceError(str(exc)) from None
 
 
-def christoffel_jets(G):
+def christoffel_jets(G, G_inv=None):
     """Christoffel symbols Gam[k, i, j] of the metric G[i, j] (tensor
-    jets), one order below G."""
+    jets), one order below G.  `G_inv`, the inverse of G at G's order when
+    the caller has it, is truncated instead of inverting again: truncation
+    commutes with every jet operation, bit for bit."""
     order = G.space.order
     if order < 1:
         raise SpaceError("christoffel symbols need metric jets of order >= 1")
     dG = G.derivs()  # dG[i, j, l] = d_l g_ij
-    Ginv = jet_matrix_inverse(G.truncate(order - 1))
+    Ginv = (jet_matrix_inverse(G.truncate(order - 1)) if G_inv is None
+            else G_inv.truncate(order - 1))
     # over the pairs i <= j: w[p, l] = d_i g_lj + d_j g_li - d_l g_ij, the
     # axes of dG permuted so that (i, j, l) index each term
     w = (dG.transpose(2, 1, 0) + dG.transpose(1, 2, 0) - dG).upper()

@@ -2,6 +2,7 @@ import glob
 import math
 import os
 
+import numpy as np
 import pytest
 
 from bihkit.calculus import evaluate
@@ -33,6 +34,12 @@ def partial(jet, gamma):
         raise JetError(f"requested order {sum(gamma)} exceeds jet order {jet.space.order}")
     scale = float(math.prod(math.factorial(k) for k in gamma))
     return float(jet.c[jet.space.index_of[gamma]] * scale)
+
+
+def same_bits(x, y):
+    """Equal arrays, signed zeros included."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
 def at(jet, index):

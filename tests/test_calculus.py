@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,13 +13,13 @@ from bihkit.calculus import (
 )
 from bihkit import calculus
 from bihkit.audits import _intrinsic_rough_laplacian_gradf
-from bihkit.expr import eval_on_jets
-from bihkit.jets import Jet, jet_space
+from bihkit.expr import CONSTANTS, Call, Const, Lit, Neg, Pow, Var, eval_on_jets
+from bihkit.jets import Jet, JetError, jet_space
 from bihkit.residuals import (bi_f_tension_direct, compare_modes, f_bitension_direct,
                                theorem_residual)
 from bihkit.scenario import load_scenario
-from bihkit.spaces import SpaceError, chart_jets, make_space
-from conftest import at, one_point, scenario_path
+from bihkit.spaces import SpaceError, chart_jets, christoffel_jets, make_space
+from conftest import at, one_point, same_bits, scenario_path
 
 FLAT3 = make_space("cosymplectic_flat", n=1)
 C2 = make_space("euclidean_complex", n=2)
@@ -645,6 +646,120 @@ def test_batched_evaluation_product_count_does_not_grow_with_points(monkeypatch)
         counts.append(0)
         calculus.evaluate(sc.immersion, points[:count])
     assert counts[0] == counts[1] > 0
+
+
+def _first_block(name, order=4):
+    sc = load_scenario(scenario_path(name), validate=False)
+    return calculus.evaluate(sc.immersion, sc.sample_points()[:calculus.BATCH_POINTS], order)
+
+
+def test_christoffels_from_the_evaluated_inverse_match_inverting_again(catalog_names):
+    """The intrinsic Christoffels built from the inverse metric `evaluate`
+    already has are those of inverting the truncated metric again, bit for
+    bit, on the first block of every catalog scenario."""
+    for name in catalog_names:
+        ev = _first_block(name)
+        g, g_inv = ev.induced_metric_field, ev.induced_metric_inv_field
+        expected = christoffel_jets(g).c
+        assert same_bits(christoffel_jets(g, g_inv).c, expected), name
+        assert same_bits(ev.intrinsic_christoffels.c, expected), name
+
+
+def _plain_eval(node, env):
+    """An expression tree evaluated with no memo at all, `/` as Jet
+    division: the oracle of `eval_on_jets`."""
+    if isinstance(node, Lit):
+        return Jet.constant(next(iter(env.values())).space, node.value)
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Const):
+        return Jet.constant(next(iter(env.values())).space, CONSTANTS[node.name])
+    if isinstance(node, Neg):
+        return -_plain_eval(node.arg, env)
+    if isinstance(node, Pow):
+        return _plain_eval(node.base, env) ** node.exponent
+    if isinstance(node, Call):
+        return getattr(_plain_eval(node.arg, env), node.fn)()
+    a, b = _plain_eval(node.left, env), _plain_eval(node.right, env)
+    return {"+": a + b, "-": a - b, "*": a * b}[node.op] if node.op != "/" else a / b
+
+
+# two different denominators, one of them repeated, and a weight sharing
+# sub-expressions with the map
+SHARED = Immersion.from_strings(
+    ["u", "v"], FLAT3,
+    ["cos(u)/(1 + 0.5*sin(v))", "sin(u)/(2 + cos(u))", "u*v/(1 + 0.5*sin(v)) - 1/(2 + cos(u))"],
+    "1 + 0.2*cos(u)/(2 + cos(u))")
+
+
+@pytest.mark.parametrize("name", ["c08_hopf_torus", "c13_hypersphere_r4", "shared"])
+def test_shared_memo_evaluation_matches_plain_evaluation(name):
+    """The map and weight `evaluate` builds with one memo (sub-expressions
+    and reciprocals of denominators shared) are, bit for bit, each
+    component and the weight evaluated on its own without a memo."""
+    if name == "shared":
+        imm, points = SHARED, np.array([[0.3, -0.4], [1.2, 0.8], [2.5, 2.0]])
+    else:
+        sc = load_scenario(scenario_path(name), validate=False)
+        imm, points = sc.immersion, sc.sample_points()[:calculus.BATCH_POINTS]
+    ev = calculus.evaluate(imm, points)
+    env = calculus.parameter_jets(imm.params, points, 4)
+    expected = Jet.stack([_plain_eval(c, env) for c in imm.components])
+    assert same_bits(ev.psi.c, expected.c)
+    assert same_bits(ev.f_jet.c, _plain_eval(imm.weight, env).c)
+
+
+def test_first_failing_expression_raises_its_own_error():
+    """With the memo shared, the first failing expression in map order, then
+    the weight, raises the error it raises alone."""
+    cases = [
+        (["u", "sin(v)/(u - u)", "log(-1 - v^2)"], "sqrt(-1 - u^2)", "division by jet"),
+        (["u", "log(-1 - v^2)", "sin(v)/(u - u)"], "sqrt(-1 - u^2)", "log of non-positive"),
+        (["u", "v", "u*v"], "sqrt(-1 - u^2)/(u - u)", "sqrt of non-positive"),
+    ]
+    points = np.array([[0.3, -0.4], [1.2, 0.8]])
+    for components, weight, message in cases:
+        imm = Immersion.from_strings(["u", "v"], FLAT3, components, weight)
+        env = calculus.parameter_jets(imm.params, points, 4)
+        with pytest.raises(JetError) as alone:
+            for expression in (*imm.components, imm.weight):
+                _plain_eval(expression, env)
+        assert message in str(alone.value)
+        with pytest.raises(JetError, match=re.escape(str(alone.value))):
+            calculus.evaluate(imm, points)
+
+
+def test_c08_block_builds_each_jet_once(monkeypatch):
+    """On one c08 block, the shared memo computes sin(v) and the reciprocal
+    of the denominator 1 + 0.8 sin(v) once for all three map components,
+    and only two matrices are inverted: the ambient metric and the induced
+    metric, whose inverse the intrinsic Christoffels reuse."""
+    sc = load_scenario(scenario_path("c08_hopf_torus"), validate=False)
+    points = sc.sample_points()[:calculus.BATCH_POINTS]
+    v = points[:, 1]
+    seen = {"sin": [], "reciprocal": [], "inverse": 0}
+
+    def recorded(key, fn):
+        def wrapper(self, *args):
+            seen[key].append(self.c[..., 0].copy())
+            return fn(self, *args)
+        return wrapper
+
+    def inverse(self):
+        seen["inverse"] += 1
+        return invert(self)
+
+    invert = Jet.inverse
+    monkeypatch.setattr(Jet, "sin", recorded("sin", Jet.sin))
+    monkeypatch.setattr(Jet, "_reciprocal", recorded("reciprocal", Jet._reciprocal))
+    monkeypatch.setattr(Jet, "inverse", inverse)
+    calculus.evaluate(sc.immersion, points)
+    denominator = np.array([1 + 0.8 * np.sin(x) for x in v])
+    of = lambda key, values: sum(x.shape == values.shape and np.allclose(x, values)
+                                 for x in seen[key])
+    assert of("sin", v) == 1
+    assert of("reciprocal", denominator) == 1
+    assert seen["inverse"] <= 2
 
 
 # -- index-loop references of the contractions ---------------------------------

@@ -3,9 +3,11 @@ abstract ambients, corollary validation, the pinned `curves` and `hyper3d`
 reports, the catalog goldens and evaluation counts."""
 
 import contextlib
+import dataclasses
 import functools
 import io
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -177,6 +179,20 @@ def test_batched_validation_names_the_first_failing_point(tmp_path, case):
     code, out, err = run_cli(["check", write(tmp_path, text)])
     assert code == 3 and out == ""
     assert err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize("case", ["map_overflow", "weight_infinite"])
+def test_overflow_prints_only_the_validation_error(tmp_path, case):
+    """numpy's overflow and invalid-value warnings stay off stderr: a
+    separate `python -m bihkit.cli` process (pytest's capture would hide
+    them in process) prints the one validation error line."""
+    kind, chart_map, weight, message = FAILING_POINT[case]
+    path = write(tmp_path, OPEN_AXIS.format(kind=kind, map=chart_map, f=weight))
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    run = subprocess.run([sys.executable, "-m", "bihkit.cli", "check", path],
+                         capture_output=True, text=True, env=env, cwd=ROOT)
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == f"validation error: {message}\n"
 
 
 # Scenarios whose sample points u = 0, 0.25, ..., 1 pass `check` but whose
@@ -410,6 +426,60 @@ def test_nan_in_one_block_fails_check(monkeypatch):
     assert calls == [16, 16, 4]
     assert code == 2, err
     assert "max_mode_delta: nan" in out and "mode_agreement: false" in out
+
+
+# A cylinder in flat R^3 with the Reeb axis as its rulings and f = cosh(v):
+# a CMC hypersurface with tangent Reeb field whose |B|^2 identity holds
+# (|B|^2 = 1 = -(Delta f)/f), so `props` calls it consistent and passes.
+CYLINDER = BASE.replace('params = [u]', 'params = [u, v]\nv = [-1.0, 1.0, open]').replace(
+    '["cos(u)", "sin(u)", "0"]', '["cos(u)", "sin(u)", "v"]').replace(
+    '"1 + 0.3*cos(u)"', '"0.5*(exp(v) + exp(-v))"').replace("grid = [4]", "grid = [4, 5]")
+
+
+def _nan_at_a_later_point(values):
+    """Copy of per-point values with a NaN at the last point: Python's max
+    keeps its first argument and drops a NaN found later."""
+    out = np.array(values, dtype=float)
+    out[-1] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("command", ["audit", "props"])
+def test_nan_residual_fails_audit_and_props(tmp_path, monkeypatch, command):
+    """One NaN residual, at the last point of the cylinder's second block,
+    fails `audit` (a NaN lemgene3 delta) and `props` (a NaN |B|^2, so a
+    NaN identity residual): the maxima keep it, and each exits 2."""
+    path = write(tmp_path, CYLINDER)
+    code, out, err = run_cli([command, path])
+    assert code == 0 and "pass: true" in out, err
+    blocks = []
+    if command == "audit":
+        lemgene3 = audits.audit_lemgene3
+
+        def poisoned(ev):
+            blocks.append(ev)
+            out = lemgene3(ev)
+            if len(blocks) == 2:
+                out = {**out, "delta": _nan_at_a_later_point(out["delta"])}
+            return out
+
+        monkeypatch.setattr(audits, "audit_lemgene3", poisoned)
+    else:
+        build = calculus.trace_terms_at
+
+        def poisoned(ev):
+            blocks.append(ev)
+            t = build(ev)
+            if len(blocks) == 2:
+                t = dataclasses.replace(t, b_norm2=_nan_at_a_later_point(t.b_norm2))
+            return t
+
+        monkeypatch.setattr(calculus, "trace_terms_at", poisoned)
+    code, out, err = run_cli([command, path])
+    assert [len(ev) for ev in blocks] == [16, 4]
+    assert code == 2, err
+    assert "pass: false" in out
+    assert ("max_delta: nan" if command == "audit" else "identity_residual: nan") in out
 
 
 def _count_builds(monkeypatch):

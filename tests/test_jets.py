@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bihkit import jets
 from bihkit.jets import MAX_ORDER, Composer, Jet, JetError, jet_space
-from conftest import at, coeff, partial
+from conftest import at, coeff, partial, same_bits
 
 
 def test_seed_variable_basic():
@@ -279,12 +279,6 @@ def test_referential_transparency():
     assert np.array_equal(a.c, b.c)
 
 
-def _same_bits(x, y):
-    """Equal arrays, signed zeros included."""
-    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
-    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
-
-
 COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-3.0, 3.0))
 
 
@@ -318,23 +312,23 @@ def test_tensor_ops_match_scalar_jets(data):
             out[idx] = op(*(Jet(sp, c[idx]) for c in cs)).c
         return out
 
-    assert _same_bits((a * b).c, entrywise(lambda x, y: x * y, ca, cb))
-    assert _same_bits((b * a).c, entrywise(lambda x, y: y * x, ca, cb))
-    assert _same_bits((a + b).c, entrywise(lambda x, y: x + y, ca, cb))
-    assert _same_bits((a - b).c, entrywise(lambda x, y: x - y, ca, cb))
-    assert _same_bits((-a).c, entrywise(lambda x: -x, ca))
+    assert same_bits((a * b).c, entrywise(lambda x, y: x * y, ca, cb))
+    assert same_bits((b * a).c, entrywise(lambda x, y: y * x, ca, cb))
+    assert same_bits((a + b).c, entrywise(lambda x, y: x + y, ca, cb))
+    assert same_bits((a - b).c, entrywise(lambda x, y: x - y, ca, cb))
+    assert same_bits((-a).c, entrywise(lambda x: -x, ca))
     low = data.draw(st.integers(0, order))
-    assert _same_bits(a.truncate(low).c, entrywise(lambda x: x.truncate(low), ca))
+    assert same_bits(a.truncate(low).c, entrywise(lambda x: x.truncate(low), ca))
     if order > 0:
         axis = data.draw(st.integers(0, num_vars - 1))
-        assert _same_bits(a.deriv(axis).c, entrywise(lambda x: x.deriv(axis), ca))
+        assert same_bits(a.deriv(axis).c, entrywise(lambda x: x.deriv(axis), ca))
         for ax in range(num_vars):
-            assert _same_bits(a.derivs().c[..., ax, :], a.deriv(ax).c)
+            assert same_bits(a.derivs().c[..., ax, :], a.deriv(ax).c)
     # the sum over an axis adds its slices left to right
     acc = Jet(sp, ca[0])
     for k in range(1, out_shape[0]):
         acc = acc + Jet(sp, ca[k])
-    assert _same_bits(Jet(sp, ca).sum(0).c, acc.c)
+    assert same_bits(Jet(sp, ca).sum(0).c, acc.c)
 
     # P base points at once: every result, at each point, is the one-point
     # result; b has a points axis or is the same at every point
@@ -346,7 +340,7 @@ def test_tensor_ops_match_scalar_jets(data):
     def per_point(op, *jets):
         out = op(*jets)
         for p in range(points):
-            assert _same_bits(at(out, p).c, op(*(at(j, p) for j in jets)).c)
+            assert same_bits(at(out, p).c, op(*(at(j, p) for j in jets)).c)
 
     per_point(lambda x, y: x * y, pa, pb)
     per_point(lambda x, y: y * x, pa, pb)
@@ -376,8 +370,8 @@ def test_tensor_ops_match_scalar_jets(data):
     composed = Composer(inners).apply(outer)
     for p in range(points):
         want = Composer([at(h, p) for h in inners]).apply(at(outer, p))
-        assert _same_bits(at(composed, p).c, want.c)
-        assert _same_bits(at(Composer(inners).apply(at(outer, 0)), p).c,
+        assert same_bits(at(composed, p).c, want.c)
+        assert same_bits(at(Composer(inners).apply(at(outer, 0)), p).c,
                           Composer([at(h, p) for h in inners]).apply(at(outer, 0)).c)
 
 
@@ -418,7 +412,7 @@ def test_products_over_the_gather_budget_match_scalar_jets(monkeypatch, num_vars
             prod = (Jet(sp, x) * Jet(sp, y)).c
             for i, j in np.ndindex(rows, 8):
                 pair = (x[i, 0], y[0, j]) if x is ca else (x[0, j], y[i, 0])
-                assert _same_bits(prod[i, j], (Jet(sp, pair[0]) * Jet(sp, pair[1])).c)
+                assert same_bits(prod[i, j], (Jet(sp, pair[0]) * Jet(sp, pair[1])).c)
         assert ran == ["_one_gather" if rows * 8 <= fit else "_by_step"] * 2
 
 
@@ -450,7 +444,69 @@ def test_batched_inverse_pivots_per_point(data):
         return
     inv = M.inverse()
     for p in range(points):
-        assert _same_bits(at(inv, p).c, singles[p].c)
+        assert same_bits(at(inv, p).c, singles[p].c)
+
+
+def _full_width_inverse(M):
+    """Gauss-Jordan on all 2n columns of [M | I] at every step, the pivot
+    chosen per point: the oracle of `Jet.inverse`, which updates only the
+    columns right of the pivot column."""
+    n, sp = M.c.shape[0], M.space
+    points = np.arange(M.c.shape[-2])
+    eye = np.zeros((n, n, len(points), sp.size))
+    eye[range(n), range(n), :, 0] = 1.0
+    aug = np.concatenate([M.c, eye], axis=1)
+    for col in range(n):
+        piv = col + np.argmax(np.abs(aug[col:, col, :, 0]), axis=0)
+        if (np.abs(aug[piv, col, points, 0]) < 1e-14).any():
+            raise JetError("singular jet matrix")
+        rows = np.repeat(np.arange(n)[:, None], len(points), axis=1)
+        rows[col], rows[piv, points] = piv, col
+        aug = np.take_along_axis(aug, rows[:, None, :, None], axis=0)
+        pivot_row = Jet(sp, aug[col], True) * (1.0 / Jet(sp, aug[col, col], True))
+        aug = (Jet(sp, aug, True) - Jet(sp, aug[:, col, None], True) * pivot_row).c
+        aug[col] = pivot_row.c
+    return aug[:, n:]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 4), points=st.integers(1, 5), num_vars=st.integers(1, 3),
+       order=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_inverse_matches_full_width_gauss_jordan(n, points, num_vars, order, seed):
+    """Eliminating on the live columns only gives the full-width
+    elimination's inverse bit for bit, with rows permuted differently per
+    point and coefficients of +-0.0 and 1.0 mixed in (and fails where it
+    fails)."""
+    sp = jet_space(num_vars, order)
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-3.0, 3.0, size=(points, n, n, sp.size))
+    special = rng.random(c.shape) < 0.3
+    c[special] = rng.choice([0.0, -0.0, 1.0], size=special.sum())
+    c[:, range(n), range(n), 0] += 4.0  # usually invertible
+    c = np.stack([c[p, rng.permutation(n)] for p in range(points)], axis=-2)
+    M = Jet(sp, c, True)
+    try:
+        expected = _full_width_inverse(M)
+    except JetError:
+        with pytest.raises(JetError):
+            M.inverse()
+        return
+    assert same_bits(M.inverse().c, expected)
+
+
+def test_lower_order_tables_are_prefixes():
+    """A composer that built its monomial table for an outer order serves a
+    lower order of the same variables from the prefix, bit for bit the
+    table a fresh composer builds for that order."""
+    sp = jet_space(2, 4)
+    x = Jet.variable(sp, 0, np.array([0.3, -0.8]))
+    y = Jet.variable(sp, 1, np.array([1.1, 0.2]))
+    inners = [(x * y).sin().centered(), (x + y * y).centered(), (x * x).centered()]
+    shared = Composer(inners)
+    for order in (3, 2, 1, 0):
+        outer = jet_space(3, order)
+        assert same_bits(shared._table(outer), Composer(inners)._table(outer))
+    assert list(shared._tables) == [jet_space(3, 3)]
 
 
 def test_univariate_functions_make_no_constant_jets(monkeypatch):

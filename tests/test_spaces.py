@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bihkit.jets import Jet, jet_space
-from conftest import at
+from conftest import at, same_bits
 from bihkit.spaces import (
     ChartError,
     SpaceError,
@@ -15,6 +15,7 @@ from bihkit.spaces import (
     make_space,
     metric_and_christoffel_jets,
     space_form_coefficients,
+    _std_J,
 )
 
 RNG = np.random.default_rng(123)
@@ -317,11 +318,6 @@ CONCRETE = {
 }
 
 
-def _same_bits(a, b):
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 @pytest.mark.parametrize("kind", sorted(CONCRETE))
 def test_batched_chart_jets_match_each_point(kind):
     """Chart jets seeded at P points at once give, at each point, the
@@ -336,11 +332,45 @@ def test_batched_chart_jets_match_each_point(kind):
         gam = metric_and_christoffel_jets(sp, points, order)[1] if order else None
         for i, p in enumerate(points):
             one = chart_jets(p, order)
-            assert _same_bits(at(metric, i).c, Jet.stack(sp.metric_jets(one)).c)
+            assert same_bits(at(metric, i).c, Jet.stack(sp.metric_jets(one)).c)
             for k, v in sp.structure_jets(one).items():
-                assert _same_bits(at(structure[k], i).c, Jet.stack(v).c)
+                assert same_bits(at(structure[k], i).c, Jet.stack(v).c)
             if order:
-                assert _same_bits(at(gam, i).c, metric_and_christoffel_jets(sp, p, order)[1].c)
+                assert same_bits(at(gam, i).c, metric_and_christoffel_jets(sp, p, order)[1].c)
     G, Gam = christoffels_at(sp, points)
     for i, p in enumerate(points):
-        assert all(map(_same_bits, (G[i], Gam[i]), christoffels_at(sp, p)))
+        assert all(map(same_bits, (G[i], Gam[i]), christoffels_at(sp, p)))
+
+
+def _round_structure(sp, x):
+    """The Sasakian round structure (lambda, xi0, eta0, phi0), all four
+    built in one pass as the metric once took them: the oracle of
+    `metric_jets` and `structure_jets`."""
+    X, dX, lam = sp._embedding(x)
+    J = _std_J(sp.chart_dim + 1)
+    col = np.argmax(J != 0, axis=1)
+    entry = J[np.arange(len(J)), col]
+    JX = X[col] * -entry
+    eta0 = (dX * JX[:, None]).sum(0)
+    lam_inv = 1.0 / lam
+    JdX = dX[col] * entry[:, None]
+    phi0 = (dX[:, :, None] * JdX[:, None]).sum(0) * lam_inv
+    return lam, eta0 * lam_inv, eta0, phi0
+
+
+@pytest.mark.parametrize("n,ctilde", [(1, 1.0), (1, 0.5), (2, -1.5)])
+def test_sasakian_metric_needs_only_lambda_and_eta(n, ctilde):
+    """`metric_jets` builds lambda and eta0 alone; its metric, and the
+    structure tensors, are those of the full round-structure build bit for
+    bit at orders 0-4, at P points at once."""
+    sp = make_space("sasakian_sphere", n=n, ctilde=ctilde)
+    a = sp.homothety
+    points = RNG.uniform(-0.45, 0.45, size=(3, sp.chart_dim))
+    for order in range(5):
+        x = chart_jets(points, order)
+        lam, xi0, eta0, phi0 = _round_structure(sp, x)
+        G = (eta0[:, None] * eta0[None] * (a * (a - 1.0))).add_diagonal(lam * a)
+        assert same_bits(Jet.stack(sp.metric_jets(x)).c, G.upper().symmetric().c)
+        structure = sp.structure_jets(x)
+        for key, expected in (("phi", phi0), ("xi", xi0 / a), ("eta", eta0 * a)):
+            assert same_bits(structure[key].c, expected.c), (order, key)
