@@ -431,9 +431,23 @@ def test_nan_in_one_block_fails_check(monkeypatch):
 # A cylinder in flat R^3 with the Reeb axis as its rulings and f = cosh(v):
 # a CMC hypersurface with tangent Reeb field whose |B|^2 identity holds
 # (|B|^2 = 1 = -(Delta f)/f), so `props` calls it consistent and passes.
-CYLINDER = BASE.replace('params = [u]', 'params = [u, v]\nv = [-1.0, 1.0, open]').replace(
-    '["cos(u)", "sin(u)", "0"]', '["cos(u)", "sin(u)", "v"]').replace(
-    '"1 + 0.3*cos(u)"', '"0.5*(exp(v) + exp(-v))"').replace("grid = [4]", "grid = [4, 5]")
+CYLINDER = """\
+[ambient]
+kind = cosymplectic_flat
+n = 1
+
+[immersion]
+params = [u, v]
+u = [0.0, 6.283185307179586, periodic]
+v = [-1.0, 1.0, open]
+map = ["cos(u)", "sin(u)", "v"]
+
+[weight]
+f = "0.5*(exp(v) + exp(-v))"
+
+[sampling]
+grid = [4, 5]
+"""
 
 
 def _nan_at_a_later_point(values):
