@@ -364,15 +364,16 @@ def evaluate(imm, points, order=4):
     return Evaluation(imm, points, order, fields, gram_det, structure)
 
 
-def evaluate_batches(imm, points, order=4, check=None):
+def evaluate_batches(imm, points, order=4):
     """`evaluate` over consecutive blocks of at most BATCH_POINTS points,
-    yielded in order; `check(evaluation)`, if given, rejects one by raising.
+    yielded in order; every block's weight is checked (`check_weight`).
 
     A block fails only where one of its points does, so a failing block is
     evaluated again point by point, and the first point that fails alone
-    raises: an evaluation error as PointError, a check's error as it is.
-    numpy's overflow, invalid-value and division warnings are silenced: the
-    finiteness checks of `evaluate` and `check` reject such points."""
+    raises: an evaluation error as PointError, a weight error as
+    WeightError.  numpy's overflow, invalid-value and division warnings are
+    silenced: the finiteness checks of `evaluate` and `check_weight` reject
+    such points."""
     for start in range(0, len(points), BATCH_POINTS):
         block = points[start:start + BATCH_POINTS]
         try:
@@ -383,10 +384,9 @@ def evaluate_batches(imm, points, order=4, check=None):
         except (ValueError, ArithmeticError) as exc:
             if len(block) > 1:
                 for i in range(len(block)):
-                    next(evaluate_batches(imm, block[i:i + 1], order, check))
+                    next(evaluate_batches(imm, block[i:i + 1], order))
             raise PointError(block[0], str(exc)) from None
-        if check is not None:
-            check(ev)
+        check_weight(ev)
         yield ev
 
 

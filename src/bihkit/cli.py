@@ -7,9 +7,11 @@
     bihkit energy    SCENARIO   the five functionals by quadrature
 
 Exit codes: 0 all requested verdicts pass, 2 a numeric verdict failed,
-3 scenario validation error, 4 internal error.  An ambient given only by its
-curvature model (abstract_gcsf, abstract_gssf) supports `audit` alone.
-`--csv` writes the per-point norms of `check`; other commands ignore it.
+3 scenario validation error or an unwritable `--report`/`--csv` path (one
+stderr line names the option and the path, stdout stays empty), 4 internal
+error.  An ambient given only by its curvature model (abstract_gcsf,
+abstract_gssf) supports `audit` alone.  `--csv` writes the per-point norms
+of `check`; other commands ignore it.
 """
 
 from __future__ import annotations
@@ -256,17 +258,18 @@ def main(argv=None):
         return INTERNAL_FAIL
     out["wall_time_ms"] = int((time.monotonic() - started) * 1000)
     text = render_report(out)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if args.csv and args.command == "check":
-        rows = out["rows"]
-        header = sorted({k for r in rows for k in r if k != "point"})
-        csv_rows = [
-            [";".join(f"{x!r}" for x in r["point"])] + [r.get(k, "") for k in header]
-            for r in rows
-        ]
-        write_csv(args.csv, ["point"] + header, csv_rows)
+    try:
+        if args.report:
+            option, path = "--report", args.report
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if args.csv and args.command == "check":
+            option, path = "--csv", args.csv
+            write_csv(path, out["rows"])
+    except OSError as exc:
+        print(f"output error: cannot write {option} {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return VALIDATION_FAIL
     if not args.quiet:
         sys.stdout.write(text)
     return code

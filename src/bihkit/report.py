@@ -70,8 +70,12 @@ def strip_volatile(text):
     )
 
 
-def write_csv(path, header, rows):
+def write_csv(path, rows):
+    """Write per-point report rows as CSV: the point (its coordinates joined
+    by ';'), then every other column, sorted by name."""
+    header = sorted({k for r in rows for k in r if k != "point"})
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(["point"] + header) + "\n")
+        for r in rows:
+            point = ";".join(f"{x!r}" for x in r["point"])
+            fh.write(",".join([point] + [_fmt(r.get(k, "")) for k in header]) + "\n")

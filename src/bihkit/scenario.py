@@ -31,7 +31,8 @@ Sections and keys:
 
 Validation parses every expression, enforces grid >= 4 nodes per axis and
 at most MAX_SAMPLE_POINTS sample points, checks periodic axes close up
-(endpoint values of the map agree), checks chart membership, rank, finite
+(the endpoint values of the map agree to 1e-10 times the larger of 1 and
+their largest magnitude), checks chart membership, rank, finite
 metrics and a finite positive weight at the sample points and runs the
 numeric pre-check of every asserted or denied flag.  Errors carry section,
 key and the byte offset of the offending line.
@@ -46,8 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (FLAG_NAMES, FLAG_TOL, FlagError, Immersion, PointError,
-                       WeightError, check_weight, evaluate_batches, map_jets,
-                       verify_flags)
+                       WeightError, evaluate_batches, map_jets, verify_flags)
 from .expr import ParseError, parse
 from .residuals import COROLLARIES, equation_for
 from .spaces import SpaceError, make_space
@@ -99,14 +99,11 @@ def _parse_scalar(text, section, key, offset):
         if not (len(text) >= 2 and text.endswith('"')):
             raise ScenarioError("unterminated string", section, key, offset)
         return text[1:-1]
-    try:
-        return float(text) if any(c in text for c in ".eE") or "inf" in text else int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
     if all(c.isalnum() or c == "_" for c in text):
         return text
     raise ScenarioError(f"malformed scalar {text!r}", section, key, offset)
@@ -438,7 +435,7 @@ def evaluate_points(sc, points, order=4):
     weight checks.  An error names the first failing point, with the message
     that point fails with alone."""
     try:
-        yield from evaluate_batches(sc.immersion, points, order, check_weight)
+        yield from evaluate_batches(sc.immersion, points, order)
     except WeightError as exc:
         raise ScenarioError(str(exc), "weight", "f") from None
     except PointError as exc:
@@ -465,10 +462,11 @@ def _validate(sc, order=4):
         ends = np.array([points[0], points[0]])
         ends[0, i], ends[1, i] = ax.lo, ax.hi
         a, b = map_jets(imm, ends, 0).point_values(2)
-        if float(np.max(np.abs(a - b))) > 1e-10:
+        gap = float(np.max(np.abs(a - b)))
+        # relative to the map's size: the round-off of sin(2 pi) grows with it
+        if not gap <= 1e-10 * max(1.0, float(np.max(np.abs([a, b])))):
             raise ScenarioError(
-                f"axis {ax.name!r} declared periodic but map endpoints differ "
-                f"by {float(np.max(np.abs(a - b))):.3e}",
+                f"axis {ax.name!r} declared periodic but map endpoints differ by {gap:.3e}",
                 "immersion", ax.name)
     # flag pre-checks
     try:

@@ -30,6 +30,10 @@ E-type sign (and a factor 2: that functional carries no 1/2).  The table
 is pinned empirically by the h-sweep in the test suite (finite differences
 are independent of the jet engine).  The sweep must show O(h^2) decay of
 the mismatch to a plateau.
+
+The map at the nodes comes from their evaluation blocks alone, as values,
+first and second derivatives; each deformed map psi + t V is the array sum
+x + y * t of those and V's (`_deformed_tension_data` says why that is exact).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import check_weight, evaluate_batches, map_jets, matvec, parameter_jets
+from .calculus import evaluate_batches, matvec, parameter_jets
 from .expr import eval_on_jets, parse
 from .jets import Jet
 from .residuals import (
@@ -54,6 +58,7 @@ __all__ = [
     "VariationError",
     "QuadratureGrid",
     "ENERGIES",
+    "STEPS",
     "VARIATION_PAIRING",
     "energies",
     "el_field",
@@ -61,6 +66,9 @@ __all__ = [
 ]
 
 ENERGIES = ("E", "E2", "E2F", "EF", "EF2")
+
+# The central-difference steps h of `first_variation_suite`.
+STEPS = (1e-2, 1e-3, 1e-4)
 
 
 class VariationError(ValueError):
@@ -74,32 +82,24 @@ class ChartExitError(VariationError, ChartError):
 VARIATION_PAIRING = {"E": 1.0, "EF": 1.0, "E2": -1.0, "E2F": -1.0, "EF2": 2.0}
 
 
-@dataclass
-class Axis:
-    lo: float
-    hi: float
-    n: int
-    periodic: bool
-
-
 class QuadratureGrid:
-    """Tensor-product quadrature: trapezoid on periodic axes (spectrally
-    accurate there), Gauss-Legendre on closed intervals."""
+    """Tensor-product quadrature over axes (lo, hi, n, periodic): trapezoid
+    on periodic axes (spectrally accurate there), Gauss-Legendre on closed
+    intervals."""
 
     def __init__(self, axes):
-        self.axes = [Axis(*a) if not isinstance(a, Axis) else a for a in axes]
         nodes_1d = []
         weights_1d = []
-        for ax in self.axes:
-            if ax.n < 2:
+        for lo, hi, n, periodic in axes:
+            if n < 2:
                 raise ValueError("quadrature axis needs at least 2 nodes")
-            if ax.periodic:
-                h = (ax.hi - ax.lo) / ax.n
-                nodes_1d.append(ax.lo + h * np.arange(ax.n))
-                weights_1d.append(np.full(ax.n, h))
+            if periodic:
+                h = (hi - lo) / n
+                nodes_1d.append(lo + h * np.arange(n))
+                weights_1d.append(np.full(n, h))
             else:
-                x, w = np.polynomial.legendre.leggauss(ax.n)
-                mid, half = 0.5 * (ax.hi + ax.lo), 0.5 * (ax.hi - ax.lo)
+                x, w = np.polynomial.legendre.leggauss(n)
+                mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
                 nodes_1d.append(mid + half * x)
                 weights_1d.append(half * w)
         mesh = np.meshgrid(*nodes_1d, indexing="ij")
@@ -113,9 +113,12 @@ class QuadratureGrid:
 
 @dataclass
 class _Frozen:
-    """Frozen reference data of the quadrature nodes (the t = 0 metric),
-    one leading entry per node."""
+    """Frozen reference data of the quadrature nodes (the t = 0 metric) and
+    the map there, one leading entry per node."""
 
+    psi: np.ndarray            # (N, d) map values
+    dpsi: np.ndarray           # (N, d, m) first derivatives dpsi[i, a, al]
+    ddpsi: np.ndarray          # (N, d, m, m) second derivatives ddpsi[i, a, al, be]
     ginv: np.ndarray           # (N, m, m) inverse induced metric
     gam: np.ndarray            # (N, m, m, m) its Christoffels
     sqrt_det: np.ndarray       # (N,)
@@ -130,19 +133,21 @@ def _frozen(blocks):
     for ev in blocks:
         ginv = ev.values(ev.induced_metric_inv_field)
         df = ev.values(ev.f_jet.derivs())
-        parts.append((ginv, ev.values(ev.intrinsic_christoffels), np.sqrt(ev.gram_det),
+        parts.append((ev.values(ev.psi), ev.values(ev.dpsi), ev.values(ev.dpsi.derivs()),
+                      ginv, ev.values(ev.intrinsic_christoffels), np.sqrt(ev.gram_det),
                       ev.values(ev.f_jet), matvec(ginv, df)))
     return _Frozen(*(np.concatenate(col) for col in zip(*parts)))
 
 
-def _deformed_tension_data(space, frozen, psi, v, t):
+def _deformed_tension_data(space, frozen, v, t):
     """(tension vectors, dpsi_t, ambient metrics) of psi + t*V at fixed
-    metric, one leading entry per node; `psi` and `v` are order-2 vector
-    jets over the nodes.  One chart build for all nodes gives the metric
-    and its Christoffels."""
-    count = len(frozen.f)
-    psi_t = psi + v * t
-    pos = psi_t.point_values(count)
+    metric, one leading entry per node; `v` holds V's values, first and
+    second derivatives at the nodes.  Each array is x + y * t, which rounds
+    as the jet sum psi + v * t differentiated: both multiply, then add, and
+    the derivative scale factors 1 and 2 commute with rounding while V t is
+    a normal float.  One chart build for all nodes gives the metric and its
+    Christoffels."""
+    pos, dpsi, ddpsi = (x + y * t for x, y in zip((frozen.psi, frozen.dpsi, frozen.ddpsi), v))
     try:
         G, gam_amb = christoffels_at(space, pos)
     except ChartError:
@@ -154,9 +159,6 @@ def _deformed_tension_data(space, frozen, psi, v, t):
                     f"the deformed map exits the ambient chart at node {i} (t={t})"
                 ) from None
         raise
-    first = psi_t.derivs()
-    dpsi = first.point_values(count)             # dpsi[i, a, al]
-    ddpsi = first.derivs().point_values(count)   # ddpsi[i, a, al, be]
     m = dpsi.shape[2]
     tau = np.zeros(dpsi.shape[:2])
     # all nodes at once, the pairs (al, be) in order: each node's sum rounds
@@ -186,10 +188,11 @@ def _integrand(frozen, which, tau, dpsi, G):
     raise ValueError(f"unknown energy {which!r}")
 
 
-def _energy_values(space, frozen, weights, whichs, psi, v, t):
-    """Quadrature values of the functionals `whichs` at psi + t V; the
-    deformed map is evaluated once per node and shared by the functionals."""
-    tau, dpsi, G = _deformed_tension_data(space, frozen, psi, v, t)
+def _energy_values(space, frozen, weights, whichs, v, t):
+    """Quadrature values of the functionals `whichs` at psi + t V (`v` as
+    in `_deformed_tension_data`); the deformed map is evaluated once per
+    node and shared by the functionals."""
+    tau, dpsi, G = _deformed_tension_data(space, frozen, v, t)
     return {which: float(np.dot(_integrand(frozen, which, tau, dpsi, G) * frozen.sqrt_det,
                                 weights))
             for which in whichs}
@@ -198,10 +201,9 @@ def _energy_values(space, frozen, weights, whichs, psi, v, t):
 def energies(imm, grid):
     """Quadrature values {which: value} of the five functionals on the
     undeformed immersion, from one evaluation per node."""
-    psi = map_jets(imm, grid.points, 2)
-    zero = Jet.constant(psi.space, np.zeros(imm.ambient.chart_dim))
-    frozen = _frozen(evaluate_batches(imm, grid.points, 2, check_weight))
-    return _energy_values(imm.ambient, frozen, grid.weights, ENERGIES, psi, zero, 0.0)
+    frozen = _frozen(evaluate_batches(imm, grid.points, 2))
+    # psi + 0 * 0, rounded as the deformed maps are (a -0.0 entry becomes 0.0)
+    return _energy_values(imm.ambient, frozen, grid.weights, ENERGIES, (0.0,) * 3, 0.0)
 
 
 def el_field(ev, which):
@@ -222,10 +224,11 @@ def el_field(ev, which):
     return VARIATION_PAIRING[which] * field
 
 
-def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)):
-    """Central-difference dE/dt vs -int <el_field, V> dv, several functionals.
+def first_variation_suite(imm, grid, whichs, variation):
+    """Central-difference dE/dt at the STEPS vs -int <el_field, V> dv,
+    several functionals.
 
-    `variation` is a list of chart_dim expression strings (or trees) over the
+    `variation` is a list of chart_dim expression strings over the
     immersion parameters; it must vanish at non-periodic axis endpoints.
     The nodes' evaluations and each step's chart build are shared across
     the functionals.
@@ -235,46 +238,35 @@ def first_variation_suite(imm, grid, whichs, variation, steps=(1e-2, 1e-3, 1e-4)
     d = imm.ambient.chart_dim
     if len(variation) != d:
         raise ValueError(f"variation needs {d} components")
-    v_exprs = [
-        parse(v, imm.params) if isinstance(v, str) else v for v in variation
-    ]
+    v_exprs = [parse(v, imm.params) for v in variation]
     env = parameter_jets(imm.params, grid.points, 2)
     try:
         v = Jet.stack([eval_on_jets(e, env) for e in v_exprs])
     # math-domain and jet errors are ValueErrors, overflow an ArithmeticError
     except (ValueError, ArithmeticError) as exc:
         raise VariationError(f"variation components fail at the quadrature nodes: {exc}") from None
-    V = v.point_values(len(grid))
-    psi = map_jets(imm, grid.points, 2)
+    count = len(grid)
+    first = v.derivs()
+    v = (v.point_values(count), first.point_values(count), first.derivs().point_values(count))
 
-    # one order-4 evaluation per node gives the frozen metric and, through
-    # the Euler-Lagrange fields, the pairing
-    blocks = list(evaluate_batches(imm, grid.points, 4, check_weight))
+    # one order-4 evaluation per node gives the map, the frozen metric and,
+    # through the Euler-Lagrange fields, the pairing
+    blocks = list(evaluate_batches(imm, grid.points, 4))
     frozen = _frozen(blocks)
     G = np.concatenate([ev.values(ev.G_field) for ev in blocks])
     pair_vals = {which: -(np.concatenate([el_field(ev, which) for ev in blocks])[:, None]
-                          @ G @ V[..., None])[:, 0, 0] * frozen.sqrt_det
+                          @ G @ v[0][..., None])[:, 0, 0] * frozen.sqrt_det
                  for which in whichs}
     del blocks, G
     shifted = [
-        tuple(_energy_values(imm.ambient, frozen, grid.weights, whichs, psi, v, s)
+        tuple(_energy_values(imm.ambient, frozen, grid.weights, whichs, v, s)
               for s in (h, -h))
-        for h in steps
+        for h in STEPS
     ]
     out = {}
     for which in whichs:
         rhs = float(np.dot(pair_vals[which], grid.weights))
-        lhs, deltas = [], []
-        for h, (plus, minus) in zip(steps, shifted):
-            fd = (plus[which] - minus[which]) / (2.0 * h)
-            lhs.append(fd)
-            deltas.append(abs(fd - rhs))
-        out[which] = {
-            "which": which,
-            "steps": list(steps),
-            "lhs": lhs,
-            "rhs": rhs,
-            "deltas": deltas,
-            "pairing": VARIATION_PAIRING[which],
-        }
+        lhs = [(plus[which] - minus[which]) / (2.0 * h) for h, (plus, minus) in zip(STEPS, shifted)]
+        out[which] = {"steps": list(STEPS), "lhs": lhs, "rhs": rhs,
+                      "deltas": [abs(fd - rhs) for fd in lhs]}
     return out

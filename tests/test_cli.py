@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from bihkit import audits, calculus, cli, props, residuals, scenario
+from bihkit import audits, calculus, cli, props, residuals, scenario, variational
 from bihkit.report import strip_volatile
 from bihkit.residuals import theorem_residual
 from bihkit.scenario import MAX_SAMPLE_POINTS, _validate, load_scenario
@@ -210,6 +210,12 @@ FAILING_NODE = {
         "quadrature node [0.23076534494715845] rejected: immersion rank-deficient at "
         "[0.23076534]: gram det 0.000e+00 (section [sampling], key 'grid')"),
     # f < 0 only near the second node
+    # the map has a pole at the first node: the nodes' evaluation blocks are
+    # the only place the map is built there
+    "map_pole": (
+        "cosymplectic_flat\nn = 1", '["u", "1/(u - 0.04691007703066802)", "0"]', "1",
+        "quadrature node [0.04691007703066802] rejected: division by jet with zero "
+        "constant term (section [sampling], key 'grid')"),
     "weight_not_positive": (
         "cosymplectic_flat\nn = 1", '["u", "0.5*u*u", "0"]',
         "(u - 0.23076534494715845)^2 - 0.00001",
@@ -227,6 +233,30 @@ def test_failing_quadrature_node_exits_3_naming_it(tmp_path, case, command):
     code, out, err = run_cli([command, path])
     assert code == 3 and out == ""
     assert err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["energy", "variation"])
+def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch, command):
+    """`energy` and `variation` on c08 (36 quadrature nodes, 36 sample
+    points) evaluate the map components only in blocks of at most
+    BATCH_POINTS points, never over all nodes at once: at the command's
+    jet order, once per node in blocks of 16, 16 and 4."""
+    path = scenario_path("c08_hopf_torus")
+    components = load_scenario(path, validate=False).immersion.components
+    sizes = []
+    for module in (calculus, variational):
+        def recorded(expression, env, memo=None, evaluate=module.eval_on_jets):
+            if expression in components:
+                some = next(iter(env.values()))
+                sizes.append((some.space.order, some.c.shape[-2] if some.batched else 1))
+            return evaluate(expression, env, memo)
+
+        monkeypatch.setattr(module, "eval_on_jets", recorded)
+    code, _out, err = run_cli([command, path])
+    assert code == 0, err
+    assert max(size for _order, size in sizes) <= calculus.BATCH_POINTS
+    order = 2 if command == "energy" else 4
+    assert sorted(size for o, size in sizes if o == order) == sorted([16, 16, 4] * 3)
 
 
 def test_omitted_ambient_key_takes_the_constructor_default(tmp_path):
@@ -260,6 +290,81 @@ def test_overflowing_variation_components_exit_3(tmp_path):
     assert code == 3 and out == ""
     assert err == ("validation error: variation components fail at the quadrature nodes: "
                    "math range error (section [variation], key 'components')\n")
+
+
+@pytest.mark.parametrize("option", ["--report", "--csv"])
+def test_unwritable_output_path_exits_3_naming_it(tmp_path, option):
+    path = str(tmp_path / "missing" / "x.txt")
+    code, out, err = run_cli(["check", scenario_path("c17_circle_c1"), option, path])
+    assert (code, out) == (3, "")
+    assert err == f"output error: cannot write {option} {path}: No such file or directory\n"
+
+
+def test_periodic_close_up_scales_with_the_map(tmp_path):
+    """The endpoints of a periodic axis are compared relative to the map's
+    size: a circle of radius 1e6 closes up (its endpoints differ by the
+    round-off of 1e6 sin(2 pi), 2.4e-10), m5's half circle does not."""
+    text = BASE.replace('["cos(u)", "sin(u)", "0"]', '["1e6*cos(u)", "1e6*sin(u)", "0"]')
+    code, _out, err = run_cli(["check", write(tmp_path, text)])
+    assert code == 0, err
+    code, out, err = run_cli(["check", scenario_path("m5_bad_periodic")])
+    assert (code, out) == (3, "")
+    assert "map endpoints differ" in err and "section [immersion], key 'u'" in err
+
+
+C01 = scenario_path("c01_circle_flat")
+
+
+def _keys(report):
+    """Every key of a report, at any depth."""
+    return {line.strip(" -").split(":")[0] for line in report.splitlines() if ":" in line}
+
+
+DIRECT_KEYS = {"max_direct_norm", "direct_verdict", "direct_norm"}
+THEOREM_KEYS = {"max_theorem_norm", "theorem_normal_norm", "theorem_tangent_norm"}
+BOTH_KEYS = {"max_mode_delta", "mode_agreement", "mode_delta_normal", "mode_delta_tangent",
+             "itemized_corrections"}
+
+
+@pytest.mark.parametrize("mode,own,other", [("direct", DIRECT_KEYS, THEOREM_KEYS),
+                                            ("theorem", THEOREM_KEYS, DIRECT_KEYS)])
+def test_mode_option_prints_only_its_own_keys(mode, own, other):
+    code, out, err = run_cli(["check", C01, "--mode", mode])
+    assert code == 0, err
+    assert own <= _keys(out)
+    assert not (other | BOTH_KEYS) & _keys(out)
+    assert (own | other | BOTH_KEYS) <= _keys(run_cli(["check", C01])[1])
+
+
+@pytest.mark.parametrize("option", [["--errata", "off"], ["--tol", "1e-300"]])
+def test_errata_off_and_a_tiny_tolerance_fail_mode_agreement(option):
+    code, out, err = run_cli(["check", C01, *option])
+    assert code == 2, err
+    assert "mode_agreement: false" in out.splitlines()
+
+
+def test_report_csv_quiet_and_seed_options(tmp_path):
+    report, table = tmp_path / "report.txt", tmp_path / "norms.csv"
+    code, out, err = run_cli(["check", C01, "--report", str(report), "--csv", str(table),
+                              "--seed", "5"])
+    assert code == 0, err
+    assert report.read_text(encoding="utf-8") == out
+    assert "seed: 5" in out.splitlines() and "seed: 0" in run_cli(["check", C01])[1]
+    lines = table.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ("point,direct_norm,mode_delta_normal,mode_delta_tangent,"
+                        "theorem_normal_norm,theorem_tangent_norm")
+    points = load_scenario(C01, validate=False).sample_points()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == points[:, 0].tolist()
+    for argv, expected in ((["check", C01], 0), (["check", C01, "--errata", "off"], 2)):
+        assert run_cli(argv + ["--quiet"]) == (expected, "", "")
+
+
+def test_functional_option_restricts_variation():
+    code, out, err = run_cli(["variation", C01, "--functional", "E"])
+    assert code == 0, err
+    functionals = [line.split(":")[1].strip() for line in out.splitlines()
+                   if line.strip().startswith("functional:")]
+    assert functionals == ["E"]
 
 
 MISLABELED = {

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bihkit.calculus import Immersion, evaluate, evaluate_batches, map_jets
+from bihkit.calculus import Immersion, evaluate, evaluate_batches
+from bihkit.jets import Jet, jet_space
 from bihkit.residuals import tension
 from bihkit.spaces import ChartError, make_space
 from bihkit.variational import (
     ENERGIES,
+    STEPS,
     VARIATION_PAIRING,
     QuadratureGrid,
     el_field,
@@ -13,7 +17,7 @@ from bihkit.variational import (
     first_variation_suite,
 )
 from bihkit.variational import _deformed_tension_data, _frozen, _integrand
-from conftest import get_scenario, one_point
+from conftest import get_scenario, one_point, same_bits
 
 TAU = 2.0 * np.pi
 FLAT3 = make_space("cosymplectic_flat", n=1)
@@ -33,8 +37,7 @@ def test_circle_energy_closed_forms():
     EF = energies(circle("2"), grid)["EF"]
     assert EF == pytest.approx(2.0 * np.pi, abs=1e-12)
     frozen = _frozen(evaluate_batches(imm, grid.points, 2))
-    psi = map_jets(imm, grid.points, 2)
-    tau, dpsi, G = _deformed_tension_data(FLAT3, frozen, psi, psi * 0.0, 0.0)
+    tau, dpsi, G = _deformed_tension_data(FLAT3, frozen, (0.0,) * 3, 0.0)
     with pytest.raises(ValueError):
         _integrand(frozen, "E3", tau, dpsi, G)
 
@@ -118,7 +121,7 @@ def test_open_axis_variation_with_window():
     grid = QuadratureGrid([(0.0, TAU, 12, True), (-1.2, 1.2, 10, False)])
     win = "((v) - (-1.2))*((1.2) - (v))"
     V = [f"0.1*sin(u)*{win}", f"0.05*cos(v)*{win}", f"0.08*cos(u)*{win}"]
-    fv = first_variation_suite(imm, grid, ["E2"], V, steps=(1e-2, 1e-3))["E2"]
+    fv = first_variation_suite(imm, grid, ["E2"], V)["E2"]
     scale = 1.0 + abs(fv["rhs"])
     assert min(fv["deltas"]) <= 1e-5 * scale
 
@@ -129,8 +132,7 @@ def test_variation_chart_exit_detected():
         ["u"], ch, ["0.5*cos(u)", "0.5*sin(u)"], "1")
     grid = QuadratureGrid([(0.0, TAU, 8, True)])
     with pytest.raises(ChartError):
-        first_variation_suite(imm, grid, ["E"], ["100*cos(u)", "100*sin(u)"],
-                              steps=(1e-2,))
+        first_variation_suite(imm, grid, ["E"], ["100*cos(u)", "100*sin(u)"])
 
 
 def test_first_variation_builds_the_metric_once_per_node_and_step(monkeypatch):
@@ -160,9 +162,8 @@ def test_first_variation_builds_the_metric_once_per_node_and_step(monkeypatch):
         return out
 
     monkeypatch.setattr(variational, "_deformed_tension_data", counted)
-    steps = (1e-2, 1e-3)
-    first_variation_suite(imm, grid, ["E", "E2"], ["0.1*cos(u)", "0", "0"], steps=steps)
-    assert len(per_call) == 2 * len(steps)
+    first_variation_suite(imm, grid, ["E", "E2"], ["0.1*cos(u)", "0", "0"])
+    assert len(per_call) == 2 * len(STEPS)
     for calls in per_call:
         assert len(calls) == 1
         # every chart coordinate holds the positions of all the nodes
@@ -176,24 +177,50 @@ def test_el_field_pairing_table():
     }
 
 
-def _bits(x):
-    x = np.ascontiguousarray(x, dtype=float)
-    return x.shape, x.view(np.int64).tobytes()
-
-
 @pytest.mark.parametrize("name", ["c04_small_sphere", "c08_hopf_torus",
                                   "c12_torus_deformed_generic"])
 def test_order_4_node_evaluation_serves_the_frozen_metric(name):
-    """The frozen metric data of the order-4 evaluation of the quadrature
-    nodes (the one the pairing uses) equal those of an order-2 evaluation
-    bit for bit, so one evaluation per node serves both."""
+    """The frozen data of the order-4 evaluation of the quadrature nodes
+    (the one the pairing uses) equal those of an order-2 evaluation bit for
+    bit, so one evaluation per node serves both."""
     sc = get_scenario(name)
     points = sc.quadrature().points
     def frozen(ev):
-        """g, its inverse and Christoffels, det g, f and df at the nodes."""
-        return [ev.values(ev.induced_metric_field), ev.values(ev.induced_metric_inv_field),
+        """The map's values, first and second derivatives, g, its inverse
+        and Christoffels, det g, f and df at the nodes."""
+        return [ev.values(ev.psi), ev.values(ev.dpsi), ev.values(ev.dpsi.derivs()),
+                ev.values(ev.induced_metric_field), ev.values(ev.induced_metric_inv_field),
                 ev.values(ev.intrinsic_christoffels), ev.gram_det, ev.values(ev.f_jet),
                 ev.values(ev.f_jet.derivs())]
 
     deep, shallow = (evaluate(sc.immersion, points, order) for order in (4, 2))
-    assert list(map(_bits, frozen(deep))) == list(map(_bits, frozen(shallow)))
+    assert all(map(same_bits, frozen(deep), frozen(shallow)))
+
+
+# Jet coefficients: signed zeros, and magnitudes whose products with the
+# steps stay normal floats (below that, doubling a rounded subnormal need
+# not equal rounding the doubled product, and the array sum may differ).
+COEFF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-290, 1e6),
+                  st.floats(-1e6, -1e-290))
+
+
+def _arrays(jet, count):
+    """Values, first and second derivatives of a vector jet, point by point."""
+    first = jet.derivs()
+    return jet.point_values(count), first.point_values(count), first.derivs().point_values(count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3), d=st.integers(1, 4), count=st.integers(1, 3),
+       t=st.sampled_from([s * h for h in STEPS for s in (1.0, -1.0)] + [0.0]))
+def test_deformed_map_arrays_round_as_the_jet_sum(data, m, d, count, t):
+    """x + y * t on the values, first and second derivatives of order-2
+    jets psi and V equals those of the jet psi + v * t, bit for bit: the
+    derivative scale factors 1 and 2 commute with the rounding."""
+    sp = jet_space(m, 2)
+    size = d * count * sp.size
+    psi, v = (Jet(sp, np.reshape(data.draw(st.lists(COEFF, min_size=size, max_size=size)),
+                                 (d, count, sp.size)), True) for _ in range(2))
+    summed = _arrays(psi + v * t, count)
+    for jet_array, x, y in zip(summed, _arrays(psi, count), _arrays(v, count)):
+        assert same_bits(jet_array, x + y * t)
