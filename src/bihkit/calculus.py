@@ -4,13 +4,16 @@
 metric, second fundamental form, mean curvature, connection, projector,
 weight-function fields) at all sample points of a block in one batched pass,
 an `Evaluation`, from the checked ambient metric and Christoffels of
-`spaces.metric_and_christoffel_jets`.  The block is the unit every consumer
-takes: from it come the trace terms (normal connection and Laplacian of H,
-intrinsic Ricci and scalar curvature, the weight-function traces, ...), the
-projectors, the covariant trace (`Evaluation.covariant_trace`, which every
-trace term and rough Laplacian uses), the orthonormal frames and the
-tangential/normal decomposition of the ambient structure tensor, each
-computed once per block with a leading points axis.
+`spaces.metric_and_christoffel_jets`.  `evaluate_batches` cuts the points
+into blocks as large as `block_points` allows: the larger a block, the fewer
+times the fixed cost of a pass's jet operations is paid, and the budget
+bounds its temporaries.  The block is the unit every consumer takes: from it
+come the trace terms (normal connection and Laplacian of H, intrinsic Ricci
+and scalar curvature, the weight-function traces, ...), the projectors, the
+covariant trace (`Evaluation.covariant_trace`, which every trace term and
+rough Laplacian uses), the orthonormal frames and the tangential/normal
+decomposition of the ambient structure tensor, each computed once per block
+with a leading points axis.
 
 All quantities are assembled in coordinate (not orthonormal) form wherever
 possible, so the results are frame-independent by construction; orthonormal
@@ -35,6 +38,7 @@ other points of its block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,6 +55,7 @@ __all__ = [
     "Evaluation",
     "evaluate",
     "evaluate_batches",
+    "block_points",
     "check_weight",
     "map_jets",
     "parameter_jets",
@@ -213,12 +218,29 @@ class TraceTerms:
                 value.setflags(write=False)
 
 
-# Points per batched evaluation (`evaluate_batches`, validation): it bounds
-# the temporaries of one pass.  With 16, the peak resident memory of the
-# hyper3d benchmark (64 order-4 points) is 44.5 MB against 41.3 MB for
-# per-point evaluation; with 32 it is 47.6 MB and with 64 52.9 MB (2-vCPU
-# Xeon, numpy 2.4).
-BATCH_POINTS = 16
+# The footprint one evaluation block may hold (`block_points`): that of the
+# heaviest catalog block, 16 points of a 3-parameter immersion in a
+# 4-dimensional chart at order 4.  Each block pays a fixed cost in jet
+# operations, whatever its size, so fewer blocks cost less.  Peak resident
+# memory of the benchmark workloads with it, against 16-point blocks:
+# hyper3d 42.9 against 44.4 MB (the ambient term of `_second_fundamental_form`
+# is summed one b at a time), variation2d 41.4 against 40.8 MB, curves 41.4
+# against 41.0 MB (2-vCPU Xeon, numpy 2.4).
+BLOCK_BUDGET = 16 * 4**3 * 35
+
+
+def block_points(m, d, order):
+    """Points per evaluation block (`evaluate_batches`, validation) of an
+    m-parameter immersion in a d-dimensional chart at jet order `order`:
+    BLOCK_BUDGET over the footprint d^3 max(S(m, order), S(d, order - 2))
+    of a point, S(v, o) = C(v + o, v) being the size of a jet space, and
+    never below 16: d^3 entries of an ambient 3-tensor, times the larger
+    coefficient count of a jet in the parameters at `order` and of one in
+    the chart coordinates at order - 2.  Every 1- and 2-parameter catalog
+    scenario is one block at every order; the 3-parameter ones keep 16
+    points at order 4."""
+    footprint = d**3 * max(math.comb(m + order, m), math.comb(d + order - 2, d))
+    return max(16, BLOCK_BUDGET // footprint)
 
 
 def parameter_jets(params, points, order):
@@ -283,15 +305,19 @@ def _second_fundamental_form(Gam_dpsi, Gam_int, dpsi):
     """B[al, be, a] from Gam_dpsi[a, b, c, al] = Gam^a_bc d_al psi^b: over
     the pairs al <= be, d_al d_be psi^a
       + sum_{b, c} Gam[a, b, c] dpsi[b, al] dpsi[c, be]
-      - sum_g Gam_int[g, al, be] dpsi[a, g]."""
+      - sum_g Gam_int[g, al, be] dpsi[a, g],
+    added left to right in that order, (b, c) = (0, 0), (0, 1), ..., then
+    g = 0, 1, ...  The ambient terms are formed one b at a time and added
+    into the running sum, so no (d, d, d, pairs) product is held."""
     d, m = dpsi.shape
     ord2 = Gam_dpsi.space.order
     dpsi2 = dpsi.truncate(ord2)
     al, be = _upper_pairs(m)
-    amb = Gam_dpsi[..., al] * dpsi2[None, None, :, be]
+    acc = dpsi.derivs()[:, al, be]
+    for b in range(d):
+        acc = (Gam_dpsi[:, b][..., al] * dpsi2[None, :, be]).sum(1, start=acc)  # [a, c, p]
     intr = Gam_int.truncate(ord2)[None, :, al, be] * dpsi2[..., None]  # [a, g, p]
-    terms = Jet.concatenate([amb.reshape(d, d * d, len(al)), -intr], axis=1)
-    return terms.sum(1, start=dpsi.derivs()[:, al, be]).transpose(1, 0).symmetric()
+    return (-intr).sum(1, start=acc).transpose(1, 0).symmetric()
 
 
 def evaluate(imm, points, order=4):
@@ -365,8 +391,10 @@ def evaluate(imm, points, order=4):
 
 
 def evaluate_batches(imm, points, order=4):
-    """`evaluate` over consecutive blocks of at most BATCH_POINTS points,
-    yielded in order; every block's weight is checked (`check_weight`).
+    """`evaluate` over consecutive blocks of `block_points` points (the last
+    one shorter), yielded in order; every block's weight is checked
+    (`check_weight`).  A point's fields do not depend on its block, so the
+    block size changes no report.
 
     A block fails only where one of its points does, so a failing block is
     evaluated again point by point, and the first point that fails alone
@@ -374,8 +402,9 @@ def evaluate_batches(imm, points, order=4):
     WeightError.  numpy's overflow, invalid-value and division warnings are
     silenced: the finiteness checks of `evaluate` and `check_weight` reject
     such points."""
-    for start in range(0, len(points), BATCH_POINTS):
-        block = points[start:start + BATCH_POINTS]
+    size = block_points(imm.param_dim, imm.ambient.chart_dim, order)
+    for start in range(0, len(points), size):
+        block = points[start:start + size]
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 ev = evaluate(imm, block, order)

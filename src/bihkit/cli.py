@@ -7,9 +7,9 @@
     bihkit energy    SCENARIO   the five functionals by quadrature
 
 Exit codes: 0 all requested verdicts pass, 2 a numeric verdict failed,
-3 scenario validation error or an unwritable `--report`/`--csv` path (one
-stderr line names the option and the path, stdout stays empty), 4 internal
-error.  An ambient given only by its curvature model (abstract_gcsf,
+3 scenario validation error, a `--tol` that is not a finite non-negative
+number or an unwritable `--report`/`--csv` path (one stderr line names the
+option, stdout stays empty), 4 internal error.  An ambient given only by its curvature model (abstract_gcsf,
 abstract_gssf) supports `audit` alone.  `--csv` writes the per-point norms
 of `check`; other commands ignore it.
 """
@@ -231,6 +231,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # as the [tolerances] values: inf would pass every verdict, nan or a
+    # negative one fail them all
+    if args.tol is not None and not 0.0 <= args.tol < float("inf"):
+        print(f"validation error: --tol must be a finite non-negative number, got {args.tol!r}",
+              file=sys.stderr)
+        return VALIDATION_FAIL
     started = time.monotonic()
     try:
         sc = load_scenario(args.scenario, validate=False)

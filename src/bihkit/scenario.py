@@ -461,7 +461,14 @@ def _validate(sc, order=4):
             continue
         ends = np.array([points[0], points[0]])
         ends[0, i], ends[1, i] = ax.lo, ax.hi
-        a, b = map_jets(imm, ends, 0).point_values(2)
+        # as in `evaluate_batches`: a map that fails or overflows at an end
+        # does not close up
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                a, b = map_jets(imm, ends, 0).point_values(2)
+        except (ValueError, ArithmeticError) as exc:
+            raise ScenarioError(f"axis {ax.name!r} declared periodic but the map fails at "
+                                f"its endpoints: {exc}", "immersion", ax.name) from None
         gap = float(np.max(np.abs(a - b)))
         # relative to the map's size: the round-off of sin(2 pi) grows with it
         if not gap <= 1e-10 * max(1.0, float(np.max(np.abs([a, b])))):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -568,7 +569,7 @@ def test_check_point_operation_counts(monkeypatch):
                         counted("pullback", EV.pullback_derivative))
     sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
     kind = sc.mode["kind"]
-    ev = calculus.evaluate(sc.immersion, sc.sample_points()[:calculus.BATCH_POINTS])
+    ev = calculus.evaluate(sc.immersion, _first_block_points(sc))
     bi_f_tension_direct(ev)
     # the first and second derivatives of tau_w; the directional derivative
     # reuses the first
@@ -648,9 +649,36 @@ def test_batched_evaluation_product_count_does_not_grow_with_points(monkeypatch)
     assert counts[0] == counts[1] > 0
 
 
+def test_block_points_rule():
+    """Blocks are as large as the budget allows over a point's footprint
+    d^3 max(S(m, order), S(d, order - 2)), with 16 points at least: the
+    3-parameter catalog hypersurfaces keep 16 points at order 4, a
+    2-parameter surface in a 3-dimensional chart gets all of its 36 points
+    at every order."""
+    assert calculus.block_points(3, 4, 4) == 16
+    for order in (2, 3, 4):
+        assert calculus.block_points(2, 3, order) >= 36
+    for d in range(2, 14):
+        for m in range(1, d):
+            for order in (2, 3, 4):
+                footprint = d**3 * max(math.comb(m + order, m), math.comb(d + order - 2, d))
+                points = calculus.block_points(m, d, order)
+                assert points >= 16
+                if points > 16:
+                    assert points * footprint <= calculus.BLOCK_BUDGET
+                    assert (points + 1) * footprint > calculus.BLOCK_BUDGET
+
+
+def _first_block_points(sc, order=4):
+    """The sample points of a scenario's first evaluation block at `order`."""
+    imm = sc.immersion
+    return sc.sample_points()[:calculus.block_points(imm.param_dim, imm.ambient.chart_dim,
+                                                     order)]
+
+
 def _first_block(name, order=4):
     sc = load_scenario(scenario_path(name), validate=False)
-    return calculus.evaluate(sc.immersion, sc.sample_points()[:calculus.BATCH_POINTS], order)
+    return calculus.evaluate(sc.immersion, _first_block_points(sc, order), order)
 
 
 def test_christoffels_from_the_evaluated_inverse_match_inverting_again(catalog_names):
@@ -701,7 +729,7 @@ def test_shared_memo_evaluation_matches_plain_evaluation(name):
         imm, points = SHARED, np.array([[0.3, -0.4], [1.2, 0.8], [2.5, 2.0]])
     else:
         sc = load_scenario(scenario_path(name), validate=False)
-        imm, points = sc.immersion, sc.sample_points()[:calculus.BATCH_POINTS]
+        imm, points = sc.immersion, _first_block_points(sc)
     ev = calculus.evaluate(imm, points)
     env = calculus.parameter_jets(imm.params, points, 4)
     expected = Jet.stack([_plain_eval(c, env) for c in imm.components])
@@ -735,7 +763,7 @@ def test_c08_block_builds_each_jet_once(monkeypatch):
     and only two matrices are inverted: the ambient metric and the induced
     metric, whose inverse the intrinsic Christoffels reuse."""
     sc = load_scenario(scenario_path("c08_hopf_torus"), validate=False)
-    points = sc.sample_points()[:calculus.BATCH_POINTS]
+    points = _first_block_points(sc)
     v = points[:, 1]
     seen = {"sin": [], "reciprocal": [], "inverse": 0}
 

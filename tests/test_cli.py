@@ -87,6 +87,8 @@ MALFORMED = {
     "rank_seven": ("n = 1", "n = 7", "ambient", "n"),
     "mode_sweep_target": ("kind = fbh", "kind = fbh\nsweep_target = check",
                           "mode", "sweep_target"),
+    # the sample points pass; the close-up check fails at u = 2 pi
+    "periodic_map_fails_at_end": ('"0"]', '"sqrt(6.283185307179586 - u)"]', "immersion", "u"),
 }
 
 
@@ -235,12 +237,21 @@ def test_failing_quadrature_node_exits_3_naming_it(tmp_path, case, command):
     assert err == f"validation error: {message}\n"
 
 
+def _force_block_points(monkeypatch, points):
+    """Evaluate in blocks of `points` points, whatever `block_points` says."""
+    monkeypatch.setattr(calculus, "block_points", lambda m, d, order: points)
+
+
 @pytest.mark.parametrize("command", ["energy", "variation"])
 def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch, command):
     """`energy` and `variation` on c08 (36 quadrature nodes, 36 sample
-    points) evaluate the map components only in blocks of at most
-    BATCH_POINTS points, never over all nodes at once: at the command's
-    jet order, once per node in blocks of 16, 16 and 4."""
+    points) evaluate the map components only in the evaluation blocks,
+    once per point: validation at order 3, then the command at its jet
+    order; besides, the close-up check of each periodic axis evaluates the
+    map at its two ends at order 0.  Under the block rule each evaluation
+    is one block of 36 points, so a second build over all nodes would add
+    entries; in blocks of 16 points they are blocks of 16, 16 and 4, so a
+    build over all nodes would also be too large."""
     path = scenario_path("c08_hopf_torus")
     components = load_scenario(path, validate=False).immersion.components
     sizes = []
@@ -252,11 +263,17 @@ def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch
             return evaluate(expression, env, memo)
 
         monkeypatch.setattr(module, "eval_on_jets", recorded)
-    code, _out, err = run_cli([command, path])
-    assert code == 0, err
-    assert max(size for _order, size in sizes) <= calculus.BATCH_POINTS
     order = 2 if command == "energy" else 4
-    assert sorted(size for o, size in sizes if o == order) == sorted([16, 16, 4] * 3)
+    assert min(calculus.block_points(2, 3, o) for o in (3, order)) >= 36
+    for blocks in ([36], [16, 16, 4]):
+        if blocks != [36]:
+            _force_block_points(monkeypatch, 16)
+        sizes.clear()
+        code, _out, err = run_cli([command, path])
+        assert code == 0, err
+        # one entry per map component and block or axis
+        expected = [(o, size) for o in (3, order) for size in blocks] + [(0, 2)] * 2
+        assert sorted(sizes) == sorted(expected * 3)
 
 
 def test_omitted_ambient_key_takes_the_constructor_default(tmp_path):
@@ -334,6 +351,19 @@ def test_mode_option_prints_only_its_own_keys(mode, own, other):
     assert own <= _keys(out)
     assert not (other | BOTH_KEYS) & _keys(out)
     assert (own | other | BOTH_KEYS) <= _keys(run_cli(["check", C01])[1])
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_tol_must_be_finite_and_non_negative(tol):
+    """A `--tol` of inf would pass every verdict, nan or a negative one fail
+    them all: each exits 3 with one line naming `--tol`; 0 is valid."""
+    code, out, err = run_cli(["check", C01, f"--tol={tol}"])
+    assert (code, out) == (3, "")
+    assert err == (f"validation error: --tol must be a finite non-negative number, "
+                   f"got {float(tol)!r}\n")
+    code, out, err = run_cli(["check", C01, "--tol=0"])
+    assert (code, err) == (2, "")
+    assert "mode_agreement: false" in out.splitlines()
 
 
 @pytest.mark.parametrize("option", [["--errata", "off"], ["--tol", "1e-300"]])
@@ -516,8 +546,10 @@ def test_reduction_delta_measures_with_the_ambient_metric(tmp_path):
 
 
 def test_nan_in_one_block_fails_check(monkeypatch):
-    """A NaN direct field in the second of c08's three blocks makes its mode
-    deltas NaN; the maxima keep it, so `check` exits 2."""
+    """A NaN direct field in the second of c08's three blocks (16 points a
+    block) makes its mode deltas NaN; the maxima keep it, so `check` exits
+    2."""
+    _force_block_points(monkeypatch, 16)
     direct_field = residuals.direct_field
     calls = []
 
@@ -565,9 +597,11 @@ def _nan_at_a_later_point(values):
 
 @pytest.mark.parametrize("command", ["audit", "props"])
 def test_nan_residual_fails_audit_and_props(tmp_path, monkeypatch, command):
-    """One NaN residual, at the last point of the cylinder's second block,
-    fails `audit` (a NaN lemgene3 delta) and `props` (a NaN |B|^2, so a
-    NaN identity residual): the maxima keep it, and each exits 2."""
+    """One NaN residual, at the last point of the cylinder's second block
+    (16 points a block), fails `audit` (a NaN lemgene3 delta) and `props` (a
+    NaN |B|^2, so a NaN identity residual): the maxima keep it, and each
+    exits 2."""
+    _force_block_points(monkeypatch, 16)
     path = write(tmp_path, CYLINDER)
     code, out, err = run_cli([command, path])
     assert code == 0 and "pass: true" in out, err
@@ -643,7 +677,8 @@ def test_check_builds_the_trace_terms_once_per_block(monkeypatch, name, blocks):
 def test_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch):
     """`energy` and `variation` discard the sample points' evaluations, so
     validation evaluates them at order 3 and the parallel_H pre-check of
-    c08 builds no trace terms; `check` validates at order 4."""
+    c08 builds no trace terms; `check` validates at order 4 and builds the
+    trace terms once, for its one block of 36 points."""
     path = scenario_path("c08_hopf_torus")
     sample = load_scenario(path, validate=False).sample_points()
     validated, trace_terms = [], []
@@ -664,7 +699,7 @@ def test_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch
         assert code == 0, err
         assert [o for o, _p in validated] == [order], command
         assert np.array_equal(validated[0][1], sample), command
-        assert trace_terms == ([] if order == 3 else [16, 16, 4]), command
+        assert trace_terms == ([] if order == 3 else [36]), command
 
 
 @pytest.mark.parametrize("command,expected", [("audit", 0), ("props", 2)])
@@ -690,6 +725,7 @@ def test_audit_computes_each_quantity_once_per_point(monkeypatch):
     asserted), counted per block: two rough Laplacians per block (tr
     nabla^2 H and tr nabla^2 grad f), one structure decomposition per block
     shared by validation and the audits, one identity suite per block."""
+    _force_block_points(monkeypatch, 16)
     counts = {"rough_laplacian": 0, "decomposition": 0, "identity_suite": 0}
     EV = calculus.Evaluation
     monkeypatch.setattr(EV, "rough_laplacian",
@@ -730,23 +766,36 @@ def test_internal_error_during_validation_exits_4(monkeypatch):
     assert err == "internal error: broken flag pre-check\n"
 
 
-@pytest.mark.parametrize("name", ["c16_xi_normal_curve", "c08_hopf_torus",
-                                  "c18_hypersphere_cp2"])
-def test_reports_do_not_depend_on_block_size(monkeypatch, name):
-    """`check`, `audit` and `props` give byte-identical reports whether the
-    sample points are evaluated one per block or BATCH_POINTS per block:
-    on the phi H ratios of c16 (quotients of round-off), on a contact torus
-    (36 points) and on a curved Hermitian hypersurface (3 parameters).  At
-    each block size the three commands share one validation."""
+SAMPLE_COMMANDS = ("check", "audit", "props")
+QUADRATURE_COMMANDS = ("energy", "variation")
+
+
+@pytest.mark.parametrize("name,commands", [
+    pytest.param(name, commands, id=name) for name, commands in (
+        ("c16_xi_normal_curve", SAMPLE_COMMANDS),
+        ("c08_hopf_torus", SAMPLE_COMMANDS + QUADRATURE_COMMANDS),
+        ("c18_hypersphere_cp2", SAMPLE_COMMANDS),
+        ("c04_small_sphere", QUADRATURE_COMMANDS))])
+def test_reports_do_not_depend_on_block_size(monkeypatch, name, commands):
+    """Reports are byte-identical whether the points are evaluated one per
+    block or in the blocks of the rule (`block_points`): `check`, `audit`
+    and `props` on the phi H ratios of c16 (quotients of round-off), on a
+    contact torus (36 points, one block) and on a curved Hermitian
+    hypersurface (3 parameters, blocks of 16); `energy` and `variation`,
+    whose quadrature nodes are one block under the rule, on the two contact
+    surfaces c04 and c08.  At each block size the sample commands share one
+    validation."""
     path = scenario_path(name)
+    imm = load_scenario(path, validate=False).immersion
+    rule = calculus.block_points
     reports = {}
-    for size in (1, calculus.BATCH_POINTS):
-        monkeypatch.setattr(calculus, "BATCH_POINTS", size)
+    for size in (1, rule(imm.param_dim, imm.ambient.chart_dim, 4)):
+        monkeypatch.setattr(calculus, "block_points", rule if size > 1 else lambda *_: 1)
         sc = load_scenario(path, validate=False)
         validated = _validate(sc)
         assert max(map(len, validated)) == min(size, len(sc.sample_points()))
         monkeypatch.setattr(cli, "_validate", lambda sc, order: list(validated))
-        for command in ("check", "audit", "props"):
+        for command in commands:
             code, out, err = run_cli([command, path])
             reports.setdefault(command, []).append((code, strip_volatile(out), err))
     for command, (single, batched) in reports.items():
