@@ -4,10 +4,9 @@
 metric, second fundamental form, mean curvature, connection, projector,
 weight-function fields) at all sample points of a block in one batched pass,
 an `Evaluation`, from the checked ambient metric and Christoffels of
-`spaces.metric_and_christoffel_jets`.  `evaluate_batches` cuts the points
-into blocks as large as `block_points` allows: the larger a block, the fewer
-times the fixed cost of a pass's jet operations is paid, and the budget
-bounds its temporaries.  The block is the unit every consumer takes: from it
+`spaces.metric_and_christoffel_jets`.  A pass has a fixed cost in jet
+operations, so `evaluate_batches` makes blocks as large as a memory budget
+allows (`block_points`).  The block is the unit every consumer takes: from it
 come the trace terms (normal connection and Laplacian of H, intrinsic Ricci
 and scalar curvature, the weight-function traces, ...), the projectors, the
 covariant trace (`Evaluation.covariant_trace`, which every trace term and
@@ -218,27 +217,20 @@ class TraceTerms:
                 value.setflags(write=False)
 
 
-# The footprint one evaluation block may hold (`block_points`): that of the
-# heaviest catalog block, 16 points of a 3-parameter immersion in a
-# 4-dimensional chart at order 4.  Each block pays a fixed cost in jet
-# operations, whatever its size, so fewer blocks cost less.  Peak resident
-# memory of the benchmark workloads with it, against 16-point blocks:
-# hyper3d 42.9 against 44.4 MB (the ambient term of `_second_fundamental_form`
-# is summed one b at a time), variation2d 41.4 against 40.8 MB, curves 41.4
-# against 41.0 MB (2-vCPU Xeon, numpy 2.4).
+# The footprint of the heaviest catalog block, 16 points of a 3-parameter
+# immersion in a 4-dimensional chart at order 4, bounds every block
+# (`block_points`); a block pays a fixed cost in jet operations whatever its
+# size.  Peak resident memory of the benchmark workloads (medians of ten
+# runs), against 16-point blocks: hyper3d 42.9 against 44.5 MB, variation2d
+# 41.6 against 40.9 MB, curves 41.6 against 41.2 MB (2-vCPU Xeon, numpy 2.4).
 BLOCK_BUDGET = 16 * 4**3 * 35
 
 
 def block_points(m, d, order):
-    """Points per evaluation block (`evaluate_batches`, validation) of an
-    m-parameter immersion in a d-dimensional chart at jet order `order`:
-    BLOCK_BUDGET over the footprint d^3 max(S(m, order), S(d, order - 2))
-    of a point, S(v, o) = C(v + o, v) being the size of a jet space, and
-    never below 16: d^3 entries of an ambient 3-tensor, times the larger
-    coefficient count of a jet in the parameters at `order` and of one in
-    the chart coordinates at order - 2.  Every 1- and 2-parameter catalog
-    scenario is one block at every order; the 3-parameter ones keep 16
-    points at order 4."""
+    """Points per evaluation block of an m-parameter immersion in a
+    d-dimensional chart at jet order `order`: BLOCK_BUDGET over a point's
+    footprint d^3 max(S(m, order), S(d, order - 2)), S(v, o) = C(v + o, v)
+    being the size of a jet space, and at least 16."""
     footprint = d**3 * max(math.comb(m + order, m), math.comb(d + order - 2, d))
     return max(16, BLOCK_BUDGET // footprint)
 

@@ -9,9 +9,9 @@
 Exit codes: 0 all requested verdicts pass, 2 a numeric verdict failed,
 3 scenario validation error, a `--tol` that is not a finite non-negative
 number or an unwritable `--report`/`--csv` path (one stderr line names the
-option, stdout stays empty), 4 internal error.  An ambient given only by its curvature model (abstract_gcsf,
-abstract_gssf) supports `audit` alone.  `--csv` writes the per-point norms
-of `check`; other commands ignore it.
+option, stdout stays empty), 4 internal error.  An ambient given only by
+its curvature model (abstract_gcsf, abstract_gssf) supports `audit` alone.
+`--csv` writes the per-point norms of `check`; other commands ignore it.
 """
 
 from __future__ import annotations

@@ -461,8 +461,7 @@ def _validate(sc, order=4):
             continue
         ends = np.array([points[0], points[0]])
         ends[0, i], ends[1, i] = ax.lo, ax.hi
-        # as in `evaluate_batches`: a map that fails or overflows at an end
-        # does not close up
+        # a map that fails or overflows at an end does not close up
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 a, b = map_jets(imm, ends, 0).point_values(2)

@@ -265,9 +265,9 @@ def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch
         monkeypatch.setattr(module, "eval_on_jets", recorded)
     order = 2 if command == "energy" else 4
     assert min(calculus.block_points(2, 3, o) for o in (3, order)) >= 36
-    for blocks in ([36], [16, 16, 4]):
-        if blocks != [36]:
-            _force_block_points(monkeypatch, 16)
+    for points, blocks in ((None, [36]), (16, [16, 16, 4])):
+        if points:
+            _force_block_points(monkeypatch, points)
         sizes.clear()
         code, _out, err = run_cli([command, path])
         assert code == 0, err
@@ -787,10 +787,10 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name, commands):
     validation."""
     path = scenario_path(name)
     imm = load_scenario(path, validate=False).immersion
-    rule = calculus.block_points
     reports = {}
-    for size in (1, rule(imm.param_dim, imm.ambient.chart_dim, 4)):
-        monkeypatch.setattr(calculus, "block_points", rule if size > 1 else lambda *_: 1)
+    for size in (calculus.block_points(imm.param_dim, imm.ambient.chart_dim, 4), 1):
+        if size == 1:
+            _force_block_points(monkeypatch, 1)
         sc = load_scenario(path, validate=False)
         validated = _validate(sc)
         assert max(map(len, validated)) == min(size, len(sc.sample_points()))
@@ -798,5 +798,5 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name, commands):
         for command in commands:
             code, out, err = run_cli([command, path])
             reports.setdefault(command, []).append((code, strip_volatile(out), err))
-    for command, (single, batched) in reports.items():
+    for command, (batched, single) in reports.items():
         assert single == batched, command
