@@ -272,27 +272,23 @@ def curvature_trace_audit(space, points, seed=0, samples_per_point=4):
 
 def _trace_rhs(family, coeffs, Gp, T, tensors, P_tan, P_nor, v, key, m):
     """Decomposition form of tr R(., v). for v normal or tangent."""
-    mf = float(m)
+    # tr R1(., v). = -k v: k = m on a normal v, m - 1 on a tangent one
+    k = float(m) if key == "normal_trace" else float(m) - 1.0
     if family == "gcsf":
         alpha, beta = coeffs
         jv_or_lv = P_tan @ (T @ v)
         two_step_t = P_tan @ (T @ jv_or_lv)
         two_step_n = P_nor @ (T @ jv_or_lv)
-        if key == "normal_trace":
-            return -mf * alpha * v + 3.0 * beta * (two_step_t + two_step_n)
-        return -(mf - 1.0) * alpha * v + 3.0 * beta * (two_step_t + two_step_n)
+        return -k * alpha * v + 3.0 * beta * (two_step_t + two_step_n)
     f1, f2, f3 = coeffs
     xi = tensors["xi"]
-    xi_tan, xi_nor = P_tan @ xi, P_nor @ xi
+    xi_tan = P_tan @ xi
     eta_v = float(v @ Gp @ xi)
     xt2 = float(xi_tan @ Gp @ xi_tan)
     sv = P_tan @ (T @ v)
     phi_sv = T @ sv
-    if key == "normal_trace":
-        r2 = xt2 * v - eta_v * xi_tan + mf * eta_v * xi
-        return -mf * f1 * v + f2 * r2 + 3.0 * f3 * phi_sv
-    r2 = xt2 * v - eta_v * xi_tan + (mf - 1.0) * eta_v * xi
-    return -(mf - 1.0) * f1 * v + f2 * r2 + 3.0 * f3 * phi_sv
+    r2 = xt2 * v - eta_v * xi_tan + k * eta_v * xi
+    return -k * f1 * v + f2 * r2 + 3.0 * f3 * phi_sv
 
 
 def run_all_audits(imm, blocks):

@@ -18,8 +18,7 @@ All quantities are assembled in coordinate (not orthonormal) form wherever
 possible, so the results are frame-independent by construction; orthonormal
 frames are produced deterministically (Gram-Schmidt in parameter order,
 normal completion by ambient coordinate axes in index order) for the
-operator matrices.  The frames alone are built point by point: the axes
-that complete the normal frame differ between points.
+operator matrices, for all points of a block at once.
 
 Laplacian conventions here are positive: Delta f = -tr Hess f on functions
 and Delta-perp = -(trace of the squared normal connection) on normal
@@ -46,7 +45,7 @@ import numpy as np
 from .expr import Expression, eval_on_jets, parse, variables_of
 from .jets import Composer, Jet, _upper_pairs, jet_space
 from .spaces import (AmbientSpace, SpaceError, chart_jets, christoffel_jets,
-                     curvature_from_christoffels, jet_matrix_inverse,
+                     curvature_from_christoffels, jet_matrix_inverse, matvec,
                      metric_and_christoffel_jets)
 
 __all__ = [
@@ -421,59 +420,62 @@ def check_weight(ev):
         raise WeightError(point, f"weight not {what} at {point.tolist()} (f = {value:.3e})")
 
 
-def matvec(M, v):
-    """M[p] @ v[p] at each point, as one stacked matmul: it rounds as the
-    product at each point alone."""
-    return (M @ v[..., None])[..., 0]
-
-
 def point_rows(ev, columns):
     """One report row per point of `ev`: the point's parameters, then entry
     i of every per-point array of the (nested) dict `columns`, as Python
-    scalars; other values are copied."""
+    scalars (one `tolist` per array); other values are copied."""
+    count = len(ev)  # the recursive closure must not hold the block alive
 
-    def entry(value, i):
+    def entries(value):
         if isinstance(value, dict):
-            return {key: entry(sub, i) for key, sub in value.items()}
-        return value[i].item() if isinstance(value, np.ndarray) else value
+            per_key = {key: entries(sub) for key, sub in value.items()}
+            return [{key: col[i] for key, col in per_key.items()} for i in range(count)]
+        return value.tolist() if isinstance(value, np.ndarray) else [value] * count
 
-    return [{"point": ev.points[i].tolist(), **entry(columns, i)} for i in range(len(ev))]
+    return [{"point": point, **row} for point, row in zip(ev.points.tolist(), entries(columns))]
 
 
-def orthonormal_frames(G, dpsi, point):
-    """Orthonormal (tangent, normal) frames at one point, rows E[i, a] and
-    N[s, a], from its ambient metric G[a, b] and dpsi[a, al]: Gram-Schmidt
-    of the coordinate tangent vectors in parameter order, completed by the
-    ambient coordinate axes in index order.  Which axes complete the frame
-    depends on the point, so frames are built point by point."""
-    d, m = dpsi.shape
+def orthonormal_frames(G, dpsi, points):
+    """Orthonormal (tangent, normal) frames E[p, i, a] and N[p, s, a] of each
+    point of a block, from G[p, a, b] and dpsi[p, a, al]: Gram-Schmidt (two
+    passes) of the coordinate tangent vectors in parameter order, completed
+    by the ambient axes in index order, one frame slot of every point at a
+    time.  A point takes an axis only while it has a slot left and the axis
+    leaves its span, so the completing axes may differ between points.  Each
+    point rounds as if alone (stacked matmuls in its association).  Raises
+    CalcError at the first point with a degenerate or incomplete frame."""
+    count, d, m = dpsi.shape
+    F = np.zeros((count, d, d))
+    filled = np.zeros(count, dtype=int)  # slots filled at each point
+    inner = lambda u, v: (u[:, None] @ G @ v[..., None])[:, 0]
 
-    def gram_schmidt(vectors, basis):
-        out = []
-        for v in vectors:
-            w = np.asarray(v, float).copy()
-            for _ in range(2):  # re-orthogonalization pass
-                for b in basis + out:
-                    w = w - (b @ G @ w) * b
-            norm = float(np.sqrt(w @ G @ w))
-            if norm < RANK_TOL:
-                return out, False
-            out.append(w / norm)
-        return out, True
+    def orthonormalize(w):
+        """w[p] normalized off the filled slots of point p; is it >= RANK_TOL long?"""
+        for _ in range(2):  # re-orthogonalization pass
+            for s in range(filled.max()):
+                b = F[:, s]
+                w = np.where((s < filled)[:, None], w - inner(b, w) * b, w)
+        norm = np.sqrt(inner(w, w))
+        ok = ~(norm < RANK_TOL)
+        return w / np.where(ok, norm, 1.0), ok[:, 0]
 
-    tangent, ok = gram_schmidt([dpsi[:, al] for al in range(m)], [])
-    if not ok:
-        raise CalcError(f"tangent frame degenerate at {point}")
-    normal = []
+    degenerate = np.zeros(count, dtype=bool)
+    for al in range(m):
+        F[:, al], ok = orthonormalize(np.ascontiguousarray(dpsi[:, :, al]))
+        degenerate |= ~ok
+        filled += 1
     for a in range(d):
-        if len(normal) == d - m:
+        if filled.min() == d:
             break
-        added, ok = gram_schmidt([np.eye(d)[a]], tangent + normal)
-        if ok:
-            normal.extend(added)
-    if len(normal) != d - m:
-        raise CalcError(f"normal frame completion failed at {point}")
-    return np.array(tangent), np.array(normal)
+        w, ok = orthonormalize(np.broadcast_to(np.eye(d)[a], (count, d)))
+        take = ok & (filled < d)
+        F[take, filled[take]] = w[take]
+        filled += take
+    bad = np.flatnonzero(degenerate | (filled < d))
+    if bad.size:
+        what = "tangent frame degenerate" if degenerate[bad[0]] else "normal frame completion failed"
+        raise CalcError(f"{what} at {points[bad[0]]}")
+    return F[:, :m], F[:, m:]
 
 
 class Evaluation:
@@ -563,11 +565,8 @@ class Evaluation:
 
     @cached_property
     def frames(self):
-        """Orthonormal (tangent, normal) frames E[p, i, a] and N[p, s, a]
-        (`orthonormal_frames` at each point)."""
-        G, dpsi = self.values(self.G_field), self.values(self.dpsi)
-        frames = [orthonormal_frames(G[i], dpsi[i], self.points[i]) for i in range(len(self))]
-        return tuple(np.array(f) for f in zip(*frames))
+        """Orthonormal frames E[p, i, a], N[p, s, a] of the block (`orthonormal_frames`)."""
+        return orthonormal_frames(self.values(self.G_field), self.values(self.dpsi), self.points)
 
     @cached_property
     def decomposition_operators(self):

@@ -229,8 +229,12 @@ def build_parser():
     return ap
 
 
+# built once per process: each `add_argument` asks the terminal for its size
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # as the [tolerances] values: inf would pass every verdict, nan or a
     # negative one fail them all
     if args.tol is not None and not 0.0 <= args.tol < float("inf"):

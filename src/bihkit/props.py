@@ -126,18 +126,13 @@ def gauss_equation_audit(imm, blocks):
     """Scal_M vs ambient-trace Gauss assembly (model curvature backend)."""
     rows = []
     for ev in blocks:
-        t = ev.trace_terms
-        gauss = np.empty(len(ev))
-        for p, (E, G0) in enumerate(zip(ev.frames[0], ev.values(ev.G_field))):
-            # sum_{ij} <R(e_i, e_j) e_j, e_i> over an orthonormal tangent frame
-            R = curvature_model(imm.ambient.family, G0,
-                                {key: val[p] for key, val in ev.structure.items()},
-                                tuple(t.coeffs[:, p].tolist()))
-            total = 0.0
-            for i in range(ev.m):
-                for j in range(ev.m):
-                    total += float(R(E[i], E[j], E[j]) @ G0 @ E[i])
-            gauss[p] = total - t.b_norm2[p] + ev.m**2 * t.h_norm2[p]
+        t, E, m = ev.trace_terms, ev.frames[0], ev.m
+        R = curvature_model(imm.ambient.family, ev.values(ev.G_field), ev.structure,
+                            tuple(t.coeffs))
+        # sum_{ij} <R(e_i, e_j) e_j, e_i> over an orthonormal tangent frame
+        total = sum(ev.inner(R(E[:, i], E[:, j], E[:, j]), E[:, i])
+                    for i in range(m) for j in range(m))
+        gauss = total - t.b_norm2 + m**2 * t.h_norm2
         rows += point_rows(ev, {"scal_intrinsic": t.scal, "scal_gauss": gauss,
                                 "delta": np.abs(t.scal - gauss)})
     return {"name": "gauss_scal", "rows": rows,
@@ -320,9 +315,7 @@ def _space_form_function_table(imm, q, which):
     if kind is None:
         return None
     f1, f2, f3 = space_form_coefficients(kind, imm.ambient.ctilde)
-    if which == "F":
-        return q * f1 - f2 + 3.0 * f3
-    return q * f1 - f2
+    return q * f1 - f2 + (3.0 * f3 if which == "F" else 0.0)
 
 
 def check_F_bound(imm, blocks, flag_tol):

@@ -546,22 +546,29 @@ def curvature_from_christoffels(Gam, count=None):
             + quad - quad.swapaxes(-3, -2))
 
 
-def curvature_model(family, G, tensors, coeffs):
-    """Algebraic space-form curvature at a point, as the map
-    (X, Y, Z) -> R(X, Y)Z, from the point's metric G, structure tensors and
-    curvature coefficients (the fiducial identity metric on abstract spaces).
+def matvec(M, v):
+    """M @ v, or M[p] @ v[p] at each point of a stack as one stacked matmul:
+    each point rounds as its product alone."""
+    return (M @ v[..., None])[..., 0]
 
-    Hermitian family: alpha*R1 + beta*R2; contact family: f1*R1s + f2*R2s
-    + f3*R3s.
+
+def curvature_model(family, G, tensors, coeffs):
+    """Algebraic space-form curvature as the map (X, Y, Z) -> R(X, Y)Z, from
+    the metric G, structure tensors and curvature coefficients (the fiducial
+    identity metric on abstract spaces) of a point, or of P points stacked
+    (G[p, a, b], coefficients as P-arrays, X[p, a]), each rounding as alone.
+    Hermitian family: alpha*R1 + beta*R2; contact: f1*R1s + f2*R2s + f3*R3s.
     """
-    g = lambda a, b: float(a @ G @ b)
+    # inner products and coefficients keep a unit last axis, to scale vectors
+    g = lambda a, b: (a[..., None, :] @ G @ b[..., None])[..., 0]
+    coeffs = [np.asarray(c)[..., None] for c in coeffs]
     if family == "gcsf":
         alpha, beta = coeffs
         J = tensors["J"]
 
         def hermitian(X, Y, Z):
             R1 = g(Y, Z) * X - g(X, Z) * Y
-            JX, JY, JZ = J @ X, J @ Y, J @ Z
+            JX, JY, JZ = matvec(J, X), matvec(J, Y), matvec(J, Z)
             R2 = g(JY, Z) * JX - g(JX, Z) * JY + 2.0 * g(JY, X) * JZ
             return alpha * R1 + beta * R2
 
@@ -579,7 +586,7 @@ def curvature_model(family, G, tensors, coeffs):
             + g(X, Z) * eta(Y) * xi
             - g(Y, Z) * eta(X) * xi
         )
-        pX, pY, pZ = phi @ X, phi @ Y, phi @ Z
+        pX, pY, pZ = matvec(phi, X), matvec(phi, Y), matvec(phi, Z)
         R3 = Om(Z, pY) * pX - Om(Z, pX) * pY + 2.0 * Om(X, pY) * pZ
         return f1 * R1 + f2 * R2 + f3 * R3
 

@@ -42,6 +42,37 @@ def same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
+def point_curvature_model(family, G, tensors, coeffs):
+    """The algebraic space-form curvature map (X, Y, Z) -> R(X, Y)Z at one
+    point, with Python-float inner products a @ G @ b: the reference of the
+    stacked `spaces.curvature_model`."""
+    g = lambda a, b: float(a @ G @ b)
+    if family == "gcsf":
+        alpha, beta = coeffs
+        J = tensors["J"]
+
+        def hermitian(X, Y, Z):
+            R1 = g(Y, Z) * X - g(X, Z) * Y
+            JX, JY, JZ = J @ X, J @ Y, J @ Z
+            R2 = g(JY, Z) * JX - g(JX, Z) * JY + 2.0 * g(JY, X) * JZ
+            return alpha * R1 + beta * R2
+
+        return hermitian
+    f1, f2, f3 = coeffs
+    phi, xi = tensors["phi"], tensors["xi"]
+    eta = lambda v: g(v, xi)
+
+    def contact(X, Y, Z):
+        R1 = g(Y, Z) * X - g(X, Z) * Y
+        R2 = (eta(X) * eta(Z) * Y - eta(Y) * eta(Z) * X
+              + g(X, Z) * eta(Y) * xi - g(Y, Z) * eta(X) * xi)
+        pX, pY, pZ = phi @ X, phi @ Y, phi @ Z
+        R3 = g(Z, pY) * pX - g(Z, pX) * pY + 2.0 * g(X, pY) * pZ
+        return f1 * R1 + f2 * R2 + f3 * R3
+
+    return contact
+
+
 def at(jet, index):
     """The jet of base point `index` (a jet without points axis is the same
     at every point)."""

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -1004,3 +1006,92 @@ def test_contractions_match_index_loops(name):
             for key, got, want in pairs:
                 err = np.abs(np.subtract(got, want)).max()
                 assert err <= 1e-12 * max(1.0, np.abs(want).max()), (key, pt.point, err)
+
+
+def _ref_orthonormal_frames(G, dpsi, point):
+    """Orthonormal frames at one point, built vector by vector: the reference
+    of `calculus.orthonormal_frames`.  Returns (E, N, the completing axes)."""
+    d, m = dpsi.shape
+
+    def gram_schmidt(vectors, basis):
+        out = []
+        for v in vectors:
+            w = np.asarray(v, float).copy()
+            for _ in range(2):  # re-orthogonalization pass
+                for b in basis + out:
+                    w = w - (b @ G @ w) * b
+            norm = float(np.sqrt(w @ G @ w))
+            if norm < calculus.RANK_TOL:
+                return out, False
+            out.append(w / norm)
+        return out, True
+
+    tangent, ok = gram_schmidt([dpsi[:, al] for al in range(m)], [])
+    if not ok:
+        raise CalcError(f"tangent frame degenerate at {point}")
+    normal, axes = [], []
+    for a in range(d):
+        if len(normal) == d - m:
+            break
+        added, ok = gram_schmidt([np.eye(d)[a]], tangent + normal)
+        if ok:
+            normal.extend(added)
+            axes.append(a)
+    if len(normal) != d - m:
+        raise CalcError(f"normal frame completion failed at {point}")
+    return np.array(tangent), np.array(normal), tuple(axes)
+
+
+def test_frames_match_the_point_by_point_build(catalog_names):
+    """The frames of every block of every catalog scenario are those built
+    point by point, bit for bit; c01's one block holds points whose normal
+    frames complete with different axes."""
+    for name in catalog_names:
+        sc = load_scenario(scenario_path(name), validate=False)
+        if not sc.immersion.ambient.has_metric:
+            continue
+        blocks = list(calculus.evaluate_batches(sc.immersion, sc.sample_points()))
+        for ev in blocks:
+            G, dpsi = ev.values(ev.G_field), ev.values(ev.dpsi)
+            ref = [_ref_orthonormal_frames(G[i], dpsi[i], ev.points[i]) for i in range(len(ev))]
+            for got, want in zip(ev.frames, zip(*ref)):
+                assert same_bits(got, np.array(want)), name
+        if name == "c01_circle_flat":
+            axes = {r[2] for r in ref}
+            assert len(blocks) == 1 and axes == {(0, 2), (1, 2)}, axes
+
+
+def test_frame_failure_names_the_first_failing_point():
+    """A degenerate tangent vector and an incomplete normal frame (an axis
+    too short in the metric) raise at the first point that fails, with that
+    point's own message."""
+    good = (np.eye(3), np.eye(3)[:, :1])
+    tangent_bad = (np.eye(3), np.zeros((3, 1)))
+    normal_bad = (np.diag([1.0, 1.0, 1e-30]), np.eye(3)[:, :1])
+    for order in ([good, normal_bad, tangent_bad], [good, tangent_bad, normal_bad]):
+        G, dpsi = (np.array(x) for x in zip(*order))
+        points = np.array([[0.1], [0.2], [0.3]])
+        with pytest.raises(CalcError) as want:
+            for i in range(3):
+                _ref_orthonormal_frames(G[i], dpsi[i], points[i])
+        with pytest.raises(CalcError, match=re.escape(str(want.value))):
+            calculus.orthonormal_frames(G, dpsi, points)
+        assert "[0.2]" in str(want.value)
+
+
+def test_point_rows_release_the_block():
+    """Rows hold Python scalars only: once dropped, the block is freed by
+    reference counting alone, without waiting for the cycle collector."""
+    ev = one_point(sphere_immersion(0.8), [0.7, 0.4])
+    block = weakref.ref(ev)
+    gc.disable()
+    try:
+        tt = ev.trace_terms
+        rows = calculus.point_rows(ev, {"h": tt.h_norm2, "nested": {"f": tt.f}, "name": "x"})
+        del tt
+        del ev
+        assert block() is None
+    finally:
+        gc.enable()
+    assert rows == [{"point": [0.7, 0.4], "h": rows[0]["h"], "nested": {"f": 1.0}, "name": "x"}]
+    assert isinstance(rows[0]["h"], float)

@@ -103,6 +103,17 @@ def test_malformed_scenario_exits_3_naming_section_and_key(tmp_path, case):
     assert out == ""
 
 
+def test_main_does_not_build_the_parser(monkeypatch):
+    """The argument parser is built once, on import: `main` parses with it."""
+    def fail():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", fail)
+    code, out, err = run_cli(["check", scenario_path("c01_circle_flat")])
+    assert code == 0, err
+    assert out.startswith("tool_version")
+
+
 def test_docstrings_list_the_commands_and_mode_keys():
     """The `cli` docstring lists exactly the commands, and the scenario
     grammar names every [mode] key."""

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from bihkit.calculus import evaluate_batches
 from bihkit.jets import Jet, jet_space
-from conftest import at, same_bits
+from bihkit.scenario import load_scenario
+from conftest import at, point_curvature_model, same_bits, scenario_path
 from bihkit.spaces import (
     ChartError,
     SpaceError,
@@ -374,3 +378,27 @@ def test_sasakian_metric_needs_only_lambda_and_eta(n, ctilde):
         structure = sp.structure_jets(x)
         for key, expected in (("phi", phi0), ("xi", xi0 / a), ("eta", eta0 * a)):
             assert same_bits(structure[key].c, expected.c), (order, key)
+
+
+@pytest.mark.parametrize("name", ["c03_lagrangian_torus", "c18_hypersphere_cp2",
+                                  "c02_curve_sasakian", "c16_xi_normal_curve"])
+def test_stacked_curvature_model_matches_each_point(name):
+    """The curvature model on the stacked points of a block is, bit for bit,
+    the model called at each point alone and its Python-float reference:
+    two Hermitian (gcsf) and two contact (gssf) scenarios, on every triple
+    of a tangent, a normal and a coordinate vector."""
+    sc = load_scenario(scenario_path(name), validate=False)
+    ev = next(evaluate_batches(sc.immersion, sc.sample_points()))
+    space, G, st = ev.space, ev.values(ev.G_field), ev.structure
+    coeffs = space.curvature_coeffs_at(ev.values(ev.psi))
+    E, N = ev.frames
+    vectors = [E[:, 0], N[:, 0], np.ascontiguousarray(ev.values(ev.dpsi)[:, :, -1])]
+    stacked = curvature_model(space.family, G, st, coeffs)
+    for X, Y, Z in itertools.product(vectors, repeat=3):
+        got = stacked(X, Y, Z)
+        for p in range(len(ev)):
+            data = (G[p], {key: val[p] for key, val in st.items()}, [c[p] for c in coeffs])
+            one = curvature_model(space.family, *data)(X[p], Y[p], Z[p])
+            ref = point_curvature_model(space.family, data[0], data[1],
+                                        [float(c) for c in data[2]])(X[p], Y[p], Z[p])
+            assert same_bits(got[p], one) and same_bits(got[p], ref), (name, p)
