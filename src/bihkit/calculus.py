@@ -6,13 +6,13 @@ weight-function fields) at all sample points of a block in one batched pass,
 an `Evaluation`, from the checked ambient metric and Christoffels of
 `spaces.metric_and_christoffel_jets`.  A pass has a fixed cost in jet
 operations, so `evaluate_batches` makes blocks as large as a memory budget
-allows (`block_points`).  The block is the unit every consumer takes: from it
-come the trace terms (normal connection and Laplacian of H, intrinsic Ricci
-and scalar curvature, the weight-function traces, ...), the projectors, the
-covariant trace (`Evaluation.covariant_trace`, which every trace term and
-rough Laplacian uses), the orthonormal frames and the tangential/normal
-decomposition of the ambient structure tensor, each computed once per block
-with a leading points axis.
+allows (`block_points`), one block per catalog immersion.  The block is the
+unit every consumer takes: from it come the trace terms (normal connection
+and Laplacian of H, intrinsic Ricci and scalar curvature, the weight-function
+traces, ...), the projectors, the covariant trace (`Evaluation.covariant_trace`,
+which every trace term and rough Laplacian uses), the orthonormal frames and
+the tangential/normal decomposition of the ambient structure tensor, each
+computed once per block with a leading points axis.
 
 All quantities are assembled in coordinate (not orthonormal) form wherever
 possible, so the results are frame-independent by construction; orthonormal
@@ -216,21 +216,22 @@ class TraceTerms:
                 value.setflags(write=False)
 
 
-# The footprint of the heaviest catalog block, 16 points of a 3-parameter
+# The footprint of 64 points of the heaviest catalog block, a 3-parameter
 # immersion in a 4-dimensional chart at order 4, bounds every block
-# (`block_points`); a block pays a fixed cost in jet operations whatever its
-# size.  Peak resident memory of the benchmark workloads (medians of ten
-# runs), against 16-point blocks: hyper3d 42.9 against 44.5 MB, variation2d
-# 41.6 against 40.9 MB, curves 41.6 against 41.2 MB (2-vCPU Xeon, numpy 2.4).
-BLOCK_BUDGET = 16 * 4**3 * 35
+# (`block_points`), so every catalog immersion is one block at orders 2-4:
+# a block pays a fixed cost in jet operations whatever its size.  c18's
+# order-4 block peaks at 5.9 MB traced (1.8 MB at 16 points); hyper3d's peak
+# resident memory is 42.5 against 43.1 MB at 16 points (medians, 2-vCPU Xeon).
+BLOCK_BUDGET = 64 * 4**3 * 35
 
 
 def block_points(m, d, order):
     """Points per evaluation block of an m-parameter immersion in a
     d-dimensional chart at jet order `order`: BLOCK_BUDGET over a point's
-    footprint d^3 max(S(m, order), S(d, order - 2)), S(v, o) = C(v + o, v)
-    being the size of a jet space, and at least 16."""
-    footprint = d**3 * max(math.comb(m + order, m), math.comb(d + order - 2, d))
+    footprint d^3 max(S(m, order), S(d, max(order - 1, 2))), S(v, o) =
+    C(v + o, v) being the size of a jet space (the chart jets are built at
+    order max(order - 1, 2), `_ambient_along`), and at least 16."""
+    footprint = d**3 * max(math.comb(m + order, m), math.comb(d + max(order - 1, 2), d))
     return max(16, BLOCK_BUDGET // footprint)
 
 

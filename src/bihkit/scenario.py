@@ -40,11 +40,18 @@ key and the byte offset of the offending line.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:  # hashlib loads OpenSSL (+3.6 MB resident) for one digest: lean module first
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .calculus import (FLAG_NAMES, FLAG_TOL, FlagError, Immersion, PointError,
                        WeightError, evaluate_batches, map_jets, verify_flags)
@@ -410,7 +417,7 @@ def parse_scenario(text, path="<memory>", validate=True):
         except ParseError as exc:
             fail(f"variation component rejected: {exc}", "variation", "components")
 
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = sha256(text.encode()).hexdigest()
     scenario = Scenario(
         path=path,
         digest=digest,
@@ -425,7 +432,7 @@ def parse_scenario(text, path="<memory>", validate=True):
         variation=variation,
     )
     if validate:
-        _validate(scenario)
+        _validate(scenario, 3)
     return scenario
 
 
@@ -444,9 +451,9 @@ def evaluate_points(sc, points, order=4):
 
 
 def _validate(sc, order=4):
-    """Check the scenario at its sample points (jet order 3 suffices); returns
-    the validated evaluation blocks of jet order `order`, in order, for the
-    commands to consume (empty on a curvature-model-only ambient)."""
+    """Check the scenario at its sample points (jet order 3 suffices, as in
+    `load_scenario`); returns the validated evaluation blocks of jet order
+    `order`, in order, for the commands (empty on a curvature-model ambient)."""
     imm = sc.immersion
     if not imm.ambient.has_metric:
         # curvature-model-only ambient: nothing metric-dependent to verify;
@@ -483,8 +490,8 @@ def _validate(sc, order=4):
 
 
 def load_scenario(path, validate=True):
-    """Read, parse and (by default) validate a scenario file.  Validation
-    keeps nothing: commands that reuse its evaluations call `_validate`."""
+    """Read, parse and (by default) validate a scenario file at jet order 3,
+    keeping nothing: commands that reuse evaluations call `_validate`."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_scenario(text, path=str(path), validate=validate)

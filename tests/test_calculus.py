@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -549,7 +550,7 @@ def test_trace_terms_shared_and_read_only():
 
 
 def test_check_point_operation_counts(monkeypatch):
-    """Jet work of one `check` block on c13 (16 points, order-4 jets in 3
+    """Jet work of one `check` block on c13 (64 points, order-4 jets in 3
     variables): its evaluation, the direct field, one theorem residual and
     the mode comparison.  Counts, not times, so the guard is
     deterministic."""
@@ -653,22 +654,36 @@ def test_batched_evaluation_product_count_does_not_grow_with_points(monkeypatch)
 
 def test_block_points_rule():
     """Blocks are as large as the budget allows over a point's footprint
-    d^3 max(S(m, order), S(d, order - 2)), with 16 points at least: the
-    3-parameter catalog hypersurfaces keep 16 points at order 4, a
-    2-parameter surface in a 3-dimensional chart gets all of its 36 points
-    at every order."""
-    assert calculus.block_points(3, 4, 4) == 16
+    d^3 max(S(m, order), S(d, max(order - 1, 2))), the chart jets counted
+    at the order `_ambient_along` builds them, with 16 points at least: the
+    3-parameter catalog hypersurfaces and the 2-parameter surfaces in a
+    4-dimensional chart get 64 points at order 4, a 2-parameter surface in
+    a 3-dimensional chart gets all of its 36 points at every order."""
+    assert calculus.block_points(3, 4, 4) == 64
+    assert calculus.block_points(2, 4, 4) == 64
     for order in (2, 3, 4):
         assert calculus.block_points(2, 3, order) >= 36
     for d in range(2, 14):
         for m in range(1, d):
             for order in (2, 3, 4):
-                footprint = d**3 * max(math.comb(m + order, m), math.comb(d + order - 2, d))
+                footprint = d**3 * max(math.comb(m + order, m),
+                                       math.comb(d + max(order - 1, 2), d))
                 points = calculus.block_points(m, d, order)
                 assert points >= 16
                 if points > 16:
                     assert points * footprint <= calculus.BLOCK_BUDGET
                     assert (points + 1) * footprint > calculus.BLOCK_BUDGET
+
+
+def test_every_catalog_scenario_is_one_block(catalog_names):
+    """Every catalog scenario's sample points make one evaluation block at
+    jet orders 2, 3 and 4."""
+    for name in catalog_names:
+        sc = load_scenario(scenario_path(name), validate=False)
+        imm, count = sc.immersion, len(sc.sample_points())
+        for order in (2, 3, 4):
+            size = calculus.block_points(imm.param_dim, imm.ambient.chart_dim, order)
+            assert size >= count, (name, order)
 
 
 def _first_block_points(sc, order=4):
@@ -681,6 +696,23 @@ def _first_block_points(sc, order=4):
 def _first_block(name, order=4):
     sc = load_scenario(scenario_path(name), validate=False)
     return calculus.evaluate(sc.immersion, _first_block_points(sc, order), order)
+
+
+@pytest.mark.parametrize("name", ["c18_hypersphere_cp2", "c13_hypersphere_r4",
+                                  "c07_complex_curve"])
+def test_first_block_memory_peak(name):
+    """The traced memory peak of `evaluate` on the first order-4 block of
+    the heaviest catalog scenarios (64, 64 and 25 points) is at most 8 MB
+    (10^6 bytes): 5.9, 5.3 and 2.2 MB measured with numpy 2.4."""
+    sc = load_scenario(scenario_path(name), validate=False)
+    points = _first_block_points(sc)
+    tracemalloc.start()
+    try:
+        calculus.evaluate(sc.immersion, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, peak
 
 
 def test_christoffels_from_the_evaluated_inverse_match_inverting_again(catalog_names):

@@ -5,6 +5,7 @@ reports, the catalog goldens and evaluation counts."""
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import io
 import os
 import subprocess
@@ -112,6 +113,41 @@ def test_main_does_not_build_the_parser(monkeypatch):
     code, out, err = run_cli(["check", scenario_path("c01_circle_flat")])
     assert code == 0, err
     assert out.startswith("tool_version")
+
+
+def test_scenario_digest_is_the_sha256_of_the_file(catalog_names, mislabeled_paths):
+    """The scenario digest, taken from the lean internal SHA-256 module, is
+    hashlib's SHA-256 of the file's text, on every catalog file."""
+    for path in [scenario_path(name) for name in catalog_names] + mislabeled_paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        sc = load_scenario(path, validate=False)
+        assert sc.digest == hashlib.sha256(text.encode()).hexdigest(), path
+
+
+def test_importing_the_cli_does_not_load_openssl():
+    """`import bihkit.cli` leaves hashlib's OpenSSL module `_hashlib`
+    unloaded: a fresh process, since pytest itself may have loaded it."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    run = subprocess.run([sys.executable, "-c",
+                          "import sys, bihkit.cli; print('_hashlib' in sys.modules)"],
+                         capture_output=True, text=True, env=env, cwd=ROOT)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+
+def test_load_scenario_validates_at_order_3_in_one_block(monkeypatch):
+    """`load_scenario` validates c13's 64 sample points with one evaluation
+    at jet order 3: it keeps none of them, so order 4 would be wasted."""
+    evaluated = []
+    evaluate = calculus.evaluate
+
+    def recorded(imm, points, order=4):
+        evaluated.append((order, len(points)))
+        return evaluate(imm, points, order)
+
+    monkeypatch.setattr(calculus, "evaluate", recorded)
+    load_scenario(scenario_path("c13_hypersphere_r4"))
+    assert evaluated == [(3, 64)]
 
 
 def test_docstrings_list_the_commands_and_mode_keys():
@@ -672,11 +708,14 @@ def test_check_builds_one_evaluation_per_sample_point(monkeypatch):
 
 
 @pytest.mark.parametrize("name,blocks", [("c13_hypersphere_r4", [16] * 4),
-                                         ("c02_curve_sasakian", [12])])
+                                         ("c02_curve_sasakian", [12]),
+                                         ("c13_hypersphere_r4", [64])])
 def test_check_builds_the_trace_terms_once_per_block(monkeypatch, name, blocks):
     """The trace terms are built once per block of points: on c13 (64
-    points) validation's parallel_H pre-check builds them and `check`
-    reuses them."""
+    points, one block under the rule, four in blocks of 16) validation's
+    parallel_H pre-check builds them and `check` reuses them."""
+    if len(blocks) > 1:  # the rule makes every catalog scenario one block
+        _force_block_points(monkeypatch, blocks[0])
     sizes = []
     build = calculus.trace_terms_at
     monkeypatch.setattr(calculus, "trace_terms_at", lambda ev: sizes.append(len(ev)) or build(ev))
@@ -792,7 +831,7 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name, commands):
     block or in the blocks of the rule (`block_points`): `check`, `audit`
     and `props` on the phi H ratios of c16 (quotients of round-off), on a
     contact torus (36 points, one block) and on a curved Hermitian
-    hypersurface (3 parameters, blocks of 16); `energy` and `variation`,
+    hypersurface (3 parameters, one block of 64); `energy` and `variation`,
     whose quadrature nodes are one block under the rule, on the two contact
     surfaces c04 and c08.  At each block size the sample commands share one
     validation."""
