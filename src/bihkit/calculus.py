@@ -220,8 +220,8 @@ class TraceTerms:
 # immersion in a 4-dimensional chart at order 4, bounds every block
 # (`block_points`), so every catalog immersion is one block at orders 2-4:
 # a block pays a fixed cost in jet operations whatever its size.  c18's
-# order-4 block peaks at 5.9 MB traced (1.8 MB at 16 points); hyper3d's peak
-# resident memory is 42.5 against 43.1 MB at 16 points (medians, 2-vCPU Xeon).
+# order-4 block peaks at 5.9 MB traced, 1.8 MB at 16 points; peak RSS of
+# hyper3d 42.8 MB, 43.2 at 16 points with OpenSSL loaded (medians, 2-vCPU Xeon).
 BLOCK_BUDGET = 64 * 4**3 * 35
 
 
@@ -389,11 +389,11 @@ def evaluate_batches(imm, points, order=4):
     block size changes no report.
 
     A block fails only where one of its points does, so a failing block is
-    evaluated again point by point, and the first point that fails alone
-    raises: an evaluation error as PointError, a weight error as
-    WeightError.  numpy's overflow, invalid-value and division warnings are
-    silenced: the finiteness checks of `evaluate` and `check_weight` reject
-    such points."""
+    evaluated again in halves, the first half first, down to the first point
+    that fails alone, which raises: an evaluation error as PointError, a
+    weight error as WeightError.  numpy's overflow, invalid-value and
+    division warnings are silenced: the finiteness checks of `evaluate` and
+    `check_weight` reject such points."""
     size = block_points(imm.param_dim, imm.ambient.chart_dim, order)
     for start in range(0, len(points), size):
         block = points[start:start + size]
@@ -404,8 +404,8 @@ def evaluate_batches(imm, points, order=4):
         # and division by zero are ArithmeticErrors
         except (ValueError, ArithmeticError) as exc:
             if len(block) > 1:
-                for i in range(len(block)):
-                    next(evaluate_batches(imm, block[i:i + 1], order))
+                for half in np.array_split(block, 2):
+                    next(evaluate_batches(imm, half, order))
             raise PointError(block[0], str(exc)) from None
         check_weight(ev)
         yield ev

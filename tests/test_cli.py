@@ -230,6 +230,30 @@ def test_batched_validation_names_the_first_failing_point(tmp_path, case):
     assert err == f"validation error: {message}\n"
 
 
+def test_failing_block_is_halved_down_to_its_first_failing_point(tmp_path, monkeypatch):
+    """A failing block is evaluated again in halves, not point by point: c13
+    with a map that fails only at the last of its 64 sample points takes 13
+    evaluations (64, then 32 and 32, ..., 1 and 1), and the error is the one
+    that point gives alone."""
+    with open(scenario_path("c13_hypersphere_r4"), encoding="utf-8") as fh:
+        text = fh.read()
+    good = '"0.9*sin(v)*cos(w)"'
+    assert good in text
+    # u*w + v is largest, 23.473, at the last sample point only
+    path = write(tmp_path, text.replace(good, '"0.9*sin(v)*cos(w) + 0*sqrt(23.47 - u*w - v)"'))
+    sizes = []
+    evaluate = calculus.evaluate
+    monkeypatch.setattr(calculus, "evaluate",
+                        lambda imm, points, order=4: sizes.append(len(points))
+                        or evaluate(imm, points, order))
+    code, out, err = run_cli(["check", path])
+    assert (code, out) == (3, "")
+    assert err == ("validation error: sample point [4.71238898038469, 1.2665, "
+                   "4.71238898038469] rejected: sqrt of non-positive jet value "
+                   "(section [sampling], key 'grid')\n")
+    assert sizes == [64] + [size for size in (32, 16, 8, 4, 2, 1) for _ in range(2)]
+
+
 @pytest.mark.parametrize("case", ["map_overflow", "weight_infinite"])
 def test_overflow_prints_only_the_validation_error(tmp_path, case):
     """numpy's overflow and invalid-value warnings stay off stderr: a
