@@ -221,7 +221,7 @@ class TraceTerms:
 # (`block_points`), so every catalog immersion is one block at orders 2-4:
 # a block pays a fixed cost in jet operations whatever its size.  c18's
 # order-4 block peaks at 5.9 MB traced, 1.8 MB at 16 points; peak RSS of
-# hyper3d 42.8 MB, 43.2 at 16 points with OpenSSL loaded (medians, 2-vCPU Xeon).
+# hyper3d 42.4 MB, 43.1 at 16 points with OpenSSL loaded (medians, 2-vCPU Xeon).
 BLOCK_BUDGET = 64 * 4**3 * 35
 
 
