@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import matvec, point_rows
-from .residuals import _along_grad_f, _tau_weighted_field, curvature_trace
+from .residuals import _along_grad_f, _tau_weighted_field
 from .spaces import curvature_model, gcsf_coefficient_sum_spread
 
 __all__ = [
@@ -56,7 +56,7 @@ def audit_mean_curvature_laplacian(ev):
         + 2.0 * tt.ta_nabla_perp_h
         + tt.delta_perp_h_pos
     )
-    trR_tan = matvec(ev.projectors[0], curvature_trace(ev, tt.H))
+    trR_tan = matvec(ev.projectors[0], ev.curvature_trace(tt.H))
     lap = ev.rough_laplacian(ev.H_field)
     scale = 1.0 + nrm(tt.H)
     corrected = nrm(lap + (expansion + trR_tan)) / scale
@@ -107,7 +107,7 @@ def audit_lemgene2(ev):
     grad_delta_neg = -tt.grad_delta_f_pos  # grad of tr Hess f
     b_terms = tt.tb_hess_f + tt.tnb_grad_f - tt.ta_b_grad_f
     rhs_corrected = grad_delta_neg + tt.ric_grad_f + b_terms
-    trR_amb = curvature_trace(ev, tt.grad_f)
+    trR_amb = ev.curvature_trace(tt.grad_f)
     rhs_printed_ambient = grad_delta_neg + 2.0 * tt.ric_grad_f - trR_amb + b_terms
     # intrinsic sub-check: tr nabla^2 grad f (induced metric only)
     intr_lhs = _intrinsic_rough_laplacian_gradf(ev)

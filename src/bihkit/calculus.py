@@ -377,9 +377,7 @@ def evaluate(imm, points, order=4):
         "grad_f_param_field": grad_f_param, "grad_f_ambient_field": grad_f_ambient,
         "delta_f_pos_field": _laplacian_pos(g_inv, Gam_int, f_jet),
     }
-    tensors = space.structure_jets(chart_jets(psi_val, 0))
-    structure = {key: Jet.stack(val).point_values(count) for key, val in tensors.items()}
-    return Evaluation(imm, points, order, fields, gram_det, structure)
+    return Evaluation(imm, points, order, fields, gram_det)
 
 
 def evaluate_batches(imm, points, order=4):
@@ -487,10 +485,10 @@ class Evaluation:
     `fields` maps each field name to a tensor jet with a points axis, also
     bound as an attribute of that name (index layout in its name or below:
     ambient indices a, b, c, parameter indices al, be, g); `values(jet)`
-    gives the constant terms of such a jet point by point.  `gram_det` and
-    `structure` (J, or phi, xi and eta, at psi of each point) hold one
-    leading entry per point.  Every quantity below carries a leading points
-    axis and is computed for all points at once, on first use.
+    gives the constant terms of such a jet point by point.  `gram_det` holds
+    one entry per point.  Every quantity below carries a leading points
+    axis and is computed for all points at once, on first use: the
+    structure tensors too, which `energy` and `variation` never read.
 
     Jet fields: psi, f_jet, G_field (order - 1), Gam_field (Gam[k, a, b] =
     Gamma^k_ab along the immersion, order - 2), chart_christoffels (order 1,
@@ -501,7 +499,7 @@ class Evaluation:
     delta_f_pos_field.
     """
 
-    def __init__(self, imm, points, order, fields, gram_det, structure):
+    def __init__(self, imm, points, order, fields, gram_det):
         self.imm = imm
         self.space = imm.ambient
         self.m, self.d = imm.param_dim, self.space.chart_dim
@@ -509,7 +507,6 @@ class Evaluation:
         self.order = order
         self.fields = fields
         self.gram_det = gram_det
-        self.structure = structure
         self.__dict__.update(fields)
         self._connection = {}
 
@@ -559,6 +556,12 @@ class Evaluation:
         """R[p, l, i, j, k] values of the ambient curvature at psi of each
         point, from the chart Christoffels."""
         return curvature_from_christoffels(self.chart_christoffels, len(self))
+
+    @cached_property
+    def structure(self):
+        """Values of the structure tensors J, or phi, xi and eta, at psi of each point."""
+        tensors = self.space.structure_jets(chart_jets(self.values(self.psi), 0))
+        return {key: self.values(Jet.stack(val)) for key, val in tensors.items()}
 
     @property
     def structure_tensor(self):
@@ -613,6 +616,23 @@ class Evaluation:
         corr = np.einsum("pgab,pg...->pab...", self.values(self.intrinsic_christoffels), values)
         return np.einsum("pab,pab...->p...", self.values(self.induced_metric_inv_field),
                          covd - corr)
+
+    def curvature_trace(self, vector):
+        """tr R(dpsi, v) dpsi at each point, from the AD curvature; vector[p]
+        is the point's ambient vector."""
+        dpsi = self.values(self.dpsi)
+        return np.einsum("pab,plijk,pia,pj,pkb->pl", self.values(self.induced_metric_inv_field),
+                         self.ambient_curvature, dpsi, vector, dpsi)
+
+    @cached_property
+    def bitension(self):
+        """(tau2, nabla-bar tau), once per block: the bitension tr(nabla^2) tau
+        - tr R(dpsi, tau) dpsi of tau = m H and tau's `pullback_derivative`."""
+        tau = self.H_field * float(self.m)
+        first = self.pullback_derivative(tau)
+        tau2 = self.rough_laplacian(tau, first) - self.curvature_trace(self.values(tau))
+        tau2.setflags(write=False)  # shared by every caller of the block
+        return tau2, first
 
     def rough_laplacian(self, field, first=None):
         """tr_g nabla^2 of an ambient jet field (negative-convention values);

@@ -53,28 +53,15 @@ __all__ = [
     "theorem_residual",
     "equation_for",
     "compare_modes",
-    "curvature_trace",
 ]
 
 
 # -- direct mode ---------------------------------------------------------------
 
 
-def curvature_trace(ev, vector):
-    """tr R(dpsi, v) dpsi at each point of a block, from the AD curvature;
-    vector[p] is the point's ambient vector."""
-    dpsi = ev.values(ev.dpsi)
-    return np.einsum("pab,plijk,pia,pj,pkb->pl", ev.values(ev.induced_metric_inv_field),
-                     ev.ambient_curvature, dpsi, vector, dpsi)
-
-
 def tension(ev):
     """tau = m * H as an ambient vector at each point."""
     return float(ev.m) * ev.values(ev.H_field)
-
-
-def _tau_field(ev):
-    return ev.H_field * float(ev.m)
 
 
 def _along_grad_f(ev, first):
@@ -83,21 +70,19 @@ def _along_grad_f(ev, first):
     return (grad_f[:, None] @ ev.values(first))[:, 0]
 
 
-def bitension_direct(ev, first=None):
-    """Bitension field, section-Laplacian convention tr(nabla^2); `first` is
-    the `pullback_derivative` of tau when the caller has it."""
-    tau_f = _tau_field(ev)
-    return ev.rough_laplacian(tau_f, first) - curvature_trace(ev, ev.values(tau_f))
+def bitension_direct(ev):
+    """Bitension field, section-Laplacian convention tr(nabla^2)
+    (`Evaluation.bitension`)."""
+    return ev.bitension[0]
 
 
 def f_bitension_direct(ev):
-    """f*tau2 + (tr Hess f) tau + 2 nabla_{grad f} tau (ambient vectors)."""
-    tau_f = _tau_field(ev)
-    first = ev.pullback_derivative(tau_f)
-    tau2 = bitension_direct(ev, first)
+    """f*tau2 + (tr Hess f) tau + 2 nabla_{grad f} tau (ambient vectors),
+    from the block's bitension and derivative of tau."""
+    tau2, first = ev.bitension
     f = ev.values(ev.f_jet)[:, None]
     delta_f_neg = -ev.values(ev.delta_f_pos_field)[:, None]
-    return f * tau2 + delta_f_neg * ev.values(tau_f) + 2.0 * _along_grad_f(ev, first)
+    return f * tau2 + delta_f_neg * tension(ev) + 2.0 * _along_grad_f(ev, first)
 
 
 def _tau_weighted_field(ev):
@@ -110,7 +95,7 @@ def bi_f_tension_direct(ev):
     """f*J(tau_f) - nabla_{grad f} tau_f with the direct Jacobi operator."""
     tau_w = _tau_weighted_field(ev)
     first = ev.pullback_derivative(tau_w)
-    jacobi = -ev.rough_laplacian(tau_w, first) + curvature_trace(ev, ev.values(tau_w))
+    jacobi = -ev.rough_laplacian(tau_w, first) + ev.curvature_trace(ev.values(tau_w))
     return ev.values(ev.f_jet)[:, None] * jacobi - _along_grad_f(ev, first)
 
 
@@ -124,8 +109,8 @@ def _curvature_traces(ev, t):
     """Tangent and normal parts of tr R(., H). and tr R(., grad f). (the
     general bi-f equation), from the concrete curvature."""
     P_tan, P_nor = ev.projectors
-    trH = curvature_trace(ev, t.H)
-    trF = curvature_trace(ev, t.grad_f)
+    trH = ev.curvature_trace(t.H)
+    trF = ev.curvature_trace(t.grad_f)
     return {
         "trRH_tan": matvec(P_tan, trH),
         "trRH_nor": matvec(P_nor, trH),

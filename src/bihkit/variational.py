@@ -33,7 +33,8 @@ the mismatch to a plateau.
 
 The map at the nodes comes from their evaluation blocks alone, as values,
 first and second derivatives; each deformed map psi + t V is the array sum
-x + y * t of those and V's (`_deformed_tension_data` says why that is exact).
+x + y * t of those and V's (`_deformed_tension_data` says why that is exact),
+and one chart build serves the deformed maps of all the steps.
 """
 
 from __future__ import annotations
@@ -139,27 +140,33 @@ def _frozen(blocks):
     return _Frozen(*(np.concatenate(col) for col in zip(*parts)))
 
 
-def _deformed_tension_data(space, frozen, v, t):
+def _deformed_tension_data(space, frozen, v, ts):
     """(tension vectors, dpsi_t, ambient metrics) of psi + t*V at fixed
-    metric, one leading entry per node; `v` holds V's values, first and
-    second derivatives at the nodes.  Each array is x + y * t, which rounds
-    as the jet sum psi + v * t differentiated: both multiply, then add, and
-    the derivative scale factors 1 and 2 commute with rounding while V t is
-    a normal float.  One chart build for all nodes gives the metric and its
-    Christoffels."""
-    pos, dpsi, ddpsi = (x + y * t for x, y in zip((frozen.psi, frozen.dpsi, frozen.ddpsi), v))
-    try:
-        G, gam_amb = christoffels_at(space, pos)
-    except ChartError:
-        for i, p in enumerate(pos):  # name the first node off the chart
-            try:
-                christoffels_at(space, p)
-            except ChartError:
-                raise ChartExitError(
-                    f"the deformed map exits the ambient chart at node {i} (t={t})"
-                ) from None
-        raise
+    metric for each step t of `ts`, t-major (entry k N + i is node i at
+    step k); `v` holds V's values, first and second derivatives at the
+    nodes.  Each array is x + y * t, which rounds as the jet sum psi + v * t
+    differentiated: both multiply, then add, and the derivative scale
+    factors 1 and 2 commute with rounding while V t is a normal float.  One
+    chart build for all nodes and steps gives the metric and its
+    Christoffels (a point's values do not depend on its batch); numpy's
+    warnings are silenced, as in `evaluate_batches`, and the first step,
+    then node, off the chart raises ChartExitError."""
+    count = len(frozen.f)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pos, dpsi, ddpsi = (np.concatenate([x + y * t for t in ts])
+                            for x, y in zip((frozen.psi, frozen.dpsi, frozen.ddpsi), v))
+        try:
+            G, gam_amb = christoffels_at(space, pos)
+        except ChartError:
+            for j, p in enumerate(pos):
+                try:
+                    christoffels_at(space, p)
+                except ChartError:
+                    raise ChartExitError("the deformed map exits the ambient chart at node "
+                                         f"{j % count} (t={ts[j // count]})") from None
+            raise
     m = dpsi.shape[2]
+    ginv, gam = (np.concatenate([x] * len(ts)) for x in (frozen.ginv, frozen.gam))
     tau = np.zeros(dpsi.shape[:2])
     # all nodes at once, the pairs (al, be) in order: each node's sum rounds
     # as it would alone
@@ -168,34 +175,37 @@ def _deformed_tension_data(space, frozen, v, t):
             vec = ddpsi[:, :, al, be] + np.einsum(
                 "pabc,pb,pc->pa", gam_amb, dpsi[:, :, al], dpsi[:, :, be]
             )
-            vec = vec - np.einsum("pg,pag->pa", frozen.gam[:, :, al, be], dpsi)
-            tau = tau + frozen.ginv[:, al, be, None] * vec
+            vec = vec - np.einsum("pg,pag->pa", gam[:, :, al, be], dpsi)
+            tau = tau + ginv[:, al, be, None] * vec
     return tau, dpsi, G
 
 
 def _integrand(frozen, which, tau, dpsi, G):
-    """Energy density of one functional at every node from its tension
-    vector, dpsi_t and ambient metric."""
+    """Energy density of one functional at every node and step of a stack
+    from `_deformed_tension_data`: tension vectors, dpsi_t, ambient metrics."""
+    ginv, f, grad_f = (np.concatenate([x] * (len(tau) // len(frozen.f)))
+                       for x in (frozen.ginv, frozen.f, frozen.grad_f_param))
     norm2 = lambda w: (w[:, None] @ G @ w[..., None])[:, 0, 0]
     if which in ("E", "EF"):
-        val = 0.5 * np.einsum("pab,pia,pjb,pij->p", frozen.ginv, dpsi, dpsi, G)
-        return val * frozen.f if which == "EF" else val
+        val = 0.5 * np.einsum("pab,pia,pjb,pij->p", ginv, dpsi, dpsi, G)
+        return val * f if which == "EF" else val
     if which in ("E2", "E2F"):
         val = 0.5 * norm2(tau)
-        return val * frozen.f if which == "E2F" else val
+        return val * f if which == "E2F" else val
     if which == "EF2":
-        return norm2(frozen.f[:, None] * tau + matvec(dpsi, frozen.grad_f_param))
+        return norm2(f[:, None] * tau + matvec(dpsi, grad_f))
     raise ValueError(f"unknown energy {which!r}")
 
 
-def _energy_values(space, frozen, weights, whichs, v, t):
-    """Quadrature values of the functionals `whichs` at psi + t V (`v` as
-    in `_deformed_tension_data`); the deformed map is evaluated once per
-    node and shared by the functionals."""
-    tau, dpsi, G = _deformed_tension_data(space, frozen, v, t)
-    return {which: float(np.dot(_integrand(frozen, which, tau, dpsi, G) * frozen.sqrt_det,
-                                weights))
+def _energy_values(space, frozen, weights, whichs, v, ts):
+    """Quadrature values {which: value} of the functionals `whichs` at
+    psi + t V, one dict per step t of `ts` (`v` as in
+    `_deformed_tension_data`), from one deformed-map stack they share."""
+    tau, dpsi, G = _deformed_tension_data(space, frozen, v, ts)
+    rows = {which: _integrand(frozen, which, tau, dpsi, G).reshape(len(ts), -1) * frozen.sqrt_det
             for which in whichs}
+    return [{which: float(np.dot(rows[which][k], weights)) for which in whichs}
+            for k in range(len(ts))]
 
 
 def energies(imm, grid):
@@ -203,7 +213,7 @@ def energies(imm, grid):
     undeformed immersion, from one evaluation per node."""
     frozen = _frozen(evaluate_batches(imm, grid.points, 2))
     # psi + 0 * 0, rounded as the deformed maps are (a -0.0 entry becomes 0.0)
-    return _energy_values(imm.ambient, frozen, grid.weights, ENERGIES, (0.0,) * 3, 0.0)
+    return _energy_values(imm.ambient, frozen, grid.weights, ENERGIES, (0.0,) * 3, (0.0,))[0]
 
 
 def el_field(ev, which):
@@ -229,9 +239,10 @@ def first_variation_suite(imm, grid, whichs, variation):
     several functionals.
 
     `variation` is a list of chart_dim expression strings over the
-    immersion parameters; it must vanish at non-periodic axis endpoints.
-    The nodes' evaluations and each step's chart build are shared across
-    the functionals.
+    immersion parameters; it must vanish at non-periodic axis endpoints,
+    and it and its derivatives must be finite at the nodes.  The nodes'
+    evaluations, each block's bitension and one chart build for the
+    deformed maps of all the steps are shared across the functionals.
     Returns {which: sweep-result}; each sweep should show roughly O(h^2)
     decay of the mismatch to a plateau.
     """
@@ -240,14 +251,18 @@ def first_variation_suite(imm, grid, whichs, variation):
         raise ValueError(f"variation needs {d} components")
     v_exprs = [parse(v, imm.params) for v in variation]
     env = parameter_jets(imm.params, grid.points, 2)
+    count = len(grid)
     try:
-        v = Jet.stack([eval_on_jets(e, env) for e in v_exprs])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v = Jet.stack([eval_on_jets(e, env) for e in v_exprs])
+            first = v.derivs()
+            v = tuple(x.point_values(count) for x in (v, first, first.derivs()))
+        bad = ~np.isfinite(np.hstack([x.reshape(count, -1) for x in v])).all(axis=1)
+        if bad.any():
+            raise ValueError(f"not finite at node {np.argmax(bad)}")
     # math-domain and jet errors are ValueErrors, overflow an ArithmeticError
     except (ValueError, ArithmeticError) as exc:
         raise VariationError(f"variation components fail at the quadrature nodes: {exc}") from None
-    count = len(grid)
-    first = v.derivs()
-    v = (v.point_values(count), first.point_values(count), first.derivs().point_values(count))
 
     # one order-4 evaluation per node gives the map, the frozen metric and,
     # through the Euler-Lagrange fields, the pairing
@@ -258,15 +273,13 @@ def first_variation_suite(imm, grid, whichs, variation):
                           @ G @ v[0][..., None])[:, 0, 0] * frozen.sqrt_det
                  for which in whichs}
     del blocks, G
-    shifted = [
-        tuple(_energy_values(imm.ambient, frozen, grid.weights, whichs, v, s)
-              for s in (h, -h))
-        for h in STEPS
-    ]
+    shifted = _energy_values(imm.ambient, frozen, grid.weights, whichs, v,
+                             [s for h in STEPS for s in (h, -h)])
     out = {}
     for which in whichs:
         rhs = float(np.dot(pair_vals[which], grid.weights))
-        lhs = [(plus[which] - minus[which]) / (2.0 * h) for h, (plus, minus) in zip(STEPS, shifted)]
+        lhs = [(plus[which] - minus[which]) / (2.0 * h)
+               for h, plus, minus in zip(STEPS, shifted[::2], shifted[1::2])]
         out[which] = {"steps": list(STEPS), "lhs": lhs, "rhs": rhs,
                       "deltas": [abs(fd - rhs) for fd in lhs]}
     return out

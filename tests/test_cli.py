@@ -358,26 +358,57 @@ def test_omitted_ambient_key_takes_the_constructor_default(tmp_path):
     assert "mode_agreement: true" in out
 
 
-def test_variation_leaving_the_chart_exits_3(tmp_path):
+# [variation] components that leave the chart of the complex hyperbolic
+# disc, with the node and step the error names: the first step, in the
+# order +h, -h of each step h, that leaves it, and its first node off it.
+CHART_EXIT = {
+    "outward": ('["60*cos(u)", "60*sin(u)"]', 0, 0.01),
+    "inward": ('["-60*cos(u)", "-60*sin(u)"]', 0, -0.01),
+    "inward_where_cos_u_is_negative": ('["-60*cos(u)*cos(u)", "-60*cos(u)*sin(u)"]', 4, 0.01),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHART_EXIT))
+def test_variation_leaving_the_chart_exits_3(tmp_path, case):
+    components, node, t = CHART_EXIT[case]
     text = OPEN_AXIS.format(kind="complex_hyperbolic\nn = 1\nhol = -4.0",
                             map='["0.5*cos(u)", "0.5*sin(u)"]', f="1")
     text = text.replace("[0.0, 1.0, open]", "[0.0, 6.283185307179586, periodic]")
     text = text.replace("grid = [5]", "grid = [8]")
-    text += '\n[variation]\ncomponents = ["60*cos(u)", "60*sin(u)"]\n'
+    text += f"\n[variation]\ncomponents = {components}\n"
     code, out, err = run_cli(["variation", write(tmp_path, text)])
     assert code == 3 and out == ""
-    assert err == ("validation error: the deformed map exits the ambient chart at node 0 "
-                   "(t=0.01) (section [variation], key 'components')\n")
+    assert err == (f"validation error: the deformed map exits the ambient chart at node {node} "
+                   f"(t={t}) (section [variation], key 'components')\n")
 
 
-def test_overflowing_variation_components_exit_3(tmp_path):
-    text = OPEN_AXIS.format(kind="cosymplectic_flat\nn = 1",
-                            map='["cos(u)", "sin(u)", "0"]', f="1")
-    text += '\n[variation]\ncomponents = ["exp(1000*u)", "0", "0"]\n'
+# [variation] components that overflow: on the flat ambient where the jet
+# engine raises, and on c04 where V, or the deformed map, overflows in numpy
+# arrays (no numpy warning may be printed).
+OVERFLOWING_VARIATION = {
+    "math_range": (None, '["exp(1000*u)", "0", "0"]',
+                   "variation components fail at the quadrature nodes: math range error"),
+    "deformed_map_overflows": ("c04_small_sphere", '["1e300*cos(u)", "0", "0"]',
+                               "the deformed map exits the ambient chart at node 0 (t=0.01)"),
+    "infinite_components": ("c04_small_sphere", '["1e200*cos(u)*1e200", "0", "0"]',
+                            "variation components fail at the quadrature nodes: not finite "
+                            "at node 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_VARIATION))
+def test_overflowing_variation_components_exit_3(tmp_path, case):
+    name, components, message = OVERFLOWING_VARIATION[case]
+    if name is None:
+        text = OPEN_AXIS.format(kind="cosymplectic_flat\nn = 1",
+                                map='["cos(u)", "sin(u)", "0"]', f="1")
+    else:
+        with open(scenario_path(name), encoding="utf-8") as fh:
+            text = fh.read()
+    text += f"\n[variation]\ncomponents = {components}\n"
     code, out, err = run_cli(["variation", write(tmp_path, text)])
     assert code == 3 and out == ""
-    assert err == ("validation error: variation components fail at the quadrature nodes: "
-                   "math range error (section [variation], key 'components')\n")
+    assert err == f"validation error: {message} (section [variation], key 'components')\n"
 
 
 @pytest.mark.parametrize("option", ["--report", "--csv"])
@@ -774,6 +805,51 @@ def test_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch
         assert [o for o, _p in validated] == [order], command
         assert np.array_equal(validated[0][1], sample), command
         assert trace_terms == ([] if order == 3 else [36]), command
+
+
+def _record_structure_builds(monkeypatch, path):
+    """Record (points, built inside `evaluate`) of each structure-tensor
+    build of the scenario's ambient class."""
+    cls = type(load_scenario(path, validate=False).immersion.ambient)
+    builds, evaluating = [], []
+    structure_jets, evaluate = cls.structure_jets, calculus.evaluate
+
+    def recorded_structure(space, x):
+        builds.append((len(x[0].c), bool(evaluating)))
+        return structure_jets(space, x)
+
+    def recorded_evaluate(*args, **kwargs):
+        evaluating.append(True)
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            evaluating.pop()
+
+    monkeypatch.setattr(cls, "structure_jets", recorded_structure)
+    monkeypatch.setattr(calculus, "evaluate", recorded_evaluate)
+    return builds
+
+
+def test_energy_builds_no_structure_tensors(monkeypatch):
+    """`energy` reads no structure tensor, so on c04 (whose flags read none
+    either) neither validation nor the evaluation of the quadrature nodes
+    builds them."""
+    path = scenario_path("c04_small_sphere")
+    builds = _record_structure_builds(monkeypatch, path)
+    code, _out, err = run_cli(["energy", path])
+    assert code == 0, err
+    assert builds == []
+
+
+def test_check_builds_the_structure_tensors_once_per_block(monkeypatch):
+    """`check` on c08 reads the structure tensors of its one block of 36
+    points (the trace terms and the flag pre-checks): they are built once,
+    on first read, after `evaluate` returned."""
+    path = scenario_path("c08_hopf_torus")
+    builds = _record_structure_builds(monkeypatch, path)
+    code, _out, err = run_cli(["check", path])
+    assert code == 0, err
+    assert builds == [(36, False)]
 
 
 @pytest.mark.parametrize("command,expected", [("audit", 0), ("props", 2)])

@@ -8,7 +8,6 @@ from bihkit.residuals import (
     bi_f_tension_direct,
     bitension_direct,
     compare_modes,
-    curvature_trace,
     f_bitension_direct,
     tension,
     theorem_residual,
@@ -201,7 +200,7 @@ def test_gcsf_curvature_trace_identity():
     rhs = -ev.m * alpha * tt.H + 3.0 * beta * (tt.jl_H + tt.kl_H)
     assert np.abs(lhs - rhs).max() <= 1e-9
     # and the model trace agrees with the AD trace
-    lhs_ad = curvature_trace(ev, tt.H)
+    lhs_ad = ev.curvature_trace(tt.H)
     assert np.abs(lhs - lhs_ad).max() <= 1e-9
 
 
@@ -222,7 +221,7 @@ def test_gssf_curvature_trace_identity():
         + 3.0 * f3 * (tt.jl_H + tt.kl_H)  # Ps H + Ns H
     )
     assert np.abs(lhs - rhs).max() <= 1e-9
-    assert np.abs(lhs - curvature_trace(ev, tt.H)).max() <= 1e-9
+    assert np.abs(lhs - ev.curvature_trace(tt.H)).max() <= 1e-9
 
 
 def test_gradf_curvature_trace_lemmas():

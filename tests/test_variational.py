@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bihkit.calculus import Immersion, evaluate, evaluate_batches
+from bihkit.calculus import Evaluation, Immersion, evaluate, evaluate_batches, parameter_jets
+from bihkit.expr import eval_on_jets, parse
 from bihkit.jets import Jet, jet_space
 from bihkit.residuals import tension
 from bihkit.spaces import ChartError, make_space
@@ -37,7 +38,7 @@ def test_circle_energy_closed_forms():
     EF = energies(circle("2"), grid)["EF"]
     assert EF == pytest.approx(2.0 * np.pi, abs=1e-12)
     frozen = _frozen(evaluate_batches(imm, grid.points, 2))
-    tau, dpsi, G = _deformed_tension_data(FLAT3, frozen, (0.0,) * 3, 0.0)
+    tau, dpsi, G = _deformed_tension_data(FLAT3, frozen, (0.0,) * 3, (0.0,))
     with pytest.raises(ValueError):
         _integrand(frozen, "E3", tau, dpsi, G)
 
@@ -136,39 +137,52 @@ def test_variation_chart_exit_detected():
 
 
 def test_first_variation_builds_the_metric_once_per_node_and_step(monkeypatch):
-    """Each deformed map is evaluated from one chart build per step, for all
-    quadrature nodes at once: the metric and its Christoffels come from the
-    same jets, which hold one point per node."""
-    from bihkit import variational
-
+    """The deformed maps of all the steps are evaluated from one chart
+    build, for all quadrature nodes at once: the metric and its
+    Christoffels come from the same jets, which hold one point per node and
+    step, t-major, in the order +h, -h of each of the STEPS."""
     space = make_space("sasakian_sphere", n=1, ctilde=1.0)
     imm = Immersion.from_strings(
         ["u"], space, ["0.5*cos(u)", "0.4*sin(u)", "0.2 + 0.1*sin(u)"], "1")
     grid = QuadratureGrid([(0.0, TAU, 8, True)])
-    builds, per_call = [], []
+    V = ["0.1*cos(u)", "0", "0"]
+    builds = []
     metric_jets = space.metric_jets
 
     def counted_metric(x):
         builds.append(x)
         return metric_jets(x)
 
+    frozen = _frozen(evaluate_batches(imm, grid.points, 2))
+    env = parameter_jets(imm.params, grid.points, 2)
+    v = Jet.stack([eval_on_jets(parse(c, imm.params), env) for c in V]).point_values(len(grid))
     monkeypatch.setattr(space, "metric_jets", counted_metric)
-    deformed = variational._deformed_tension_data
+    first_variation_suite(imm, grid, ["E", "E2"], V)
+    # the order-4 evaluation of the nodes builds the metric once, the steps once
+    assert len(builds) == 2
+    count = 2 * len(STEPS) * len(grid)
+    assert all(xi.c.size == count * xi.space.size for xi in builds[1])
+    positions = np.stack([xi.point_values(count) for xi in builds[1]], axis=-1)
+    assert same_bits(positions,
+                     np.concatenate([frozen.psi + v * t for h in STEPS for t in (h, -h)]))
 
-    def counted(*args):
-        before = len(builds)
-        out = deformed(*args)
-        per_call.append(builds[before:])
-        return out
 
-    monkeypatch.setattr(variational, "_deformed_tension_data", counted)
-    first_variation_suite(imm, grid, ["E", "E2"], ["0.1*cos(u)", "0", "0"])
-    assert len(per_call) == 2 * len(STEPS)
-    for calls in per_call:
-        assert len(calls) == 1
-        # every chart coordinate holds the positions of all the nodes
-        assert all(xi.point_values(len(grid)).shape == (len(grid),) for xi in calls[0])
-        assert all(xi.c.size == len(grid) * xi.space.size for xi in calls[0])
+def test_first_variation_derives_tau_once_per_block(monkeypatch):
+    """E2 and E2F share the bitension of c08's one block of 36 nodes: over
+    the five functionals the block takes the `pullback_derivative` of tau
+    and of its first derivative once (the bitension), and those of
+    tau_f = f tau + dpsi(grad f) once (EF2)."""
+    sc = get_scenario("c08_hopf_torus")
+    pullback = Evaluation.pullback_derivative
+    calls = []
+
+    def counted(ev, field):
+        calls.append(len(ev))
+        return pullback(ev, field)
+
+    monkeypatch.setattr(Evaluation, "pullback_derivative", counted)
+    first_variation_suite(sc.immersion, sc.quadrature(), list(ENERGIES), sc.default_variation())
+    assert calls == [36] * 4
 
 
 def test_el_field_pairing_table():
@@ -195,6 +209,32 @@ def test_order_4_node_evaluation_serves_the_frozen_metric(name):
 
     deep, shallow = (evaluate(sc.immersion, points, order) for order in (4, 2))
     assert all(map(same_bits, frozen(deep), frozen(shallow)))
+
+
+@pytest.mark.parametrize("name", ["c04_small_sphere", "c08_hopf_torus",
+                                  "c12_torus_deformed_generic"])
+def test_batched_steps_equal_one_step_calls(name):
+    """Each step's tension vectors, dpsi_t and ambient metrics from the call
+    that deforms the map by every step at once, and each functional's
+    density from them, equal those of a call with that step alone, bit for
+    bit: a node's chart values do not depend on the other positions."""
+    sc = get_scenario(name)
+    imm, grid = sc.immersion, sc.quadrature()
+    count = len(grid)
+    frozen = _frozen(evaluate_batches(imm, grid.points, 4))
+    env = parameter_jets(imm.params, grid.points, 2)
+    v = _arrays(Jet.stack([eval_on_jets(parse(c, imm.params), env)
+                           for c in sc.default_variation()]), count)
+    ts = [s for h in STEPS for s in (h, -h)]
+    batched = _deformed_tension_data(imm.ambient, frozen, v, ts)
+    assert all(len(x) == len(ts) * count for x in batched)
+    densities = {which: _integrand(frozen, which, *batched) for which in ENERGIES}
+    for k, t in enumerate(ts):
+        rows = slice(k * count, (k + 1) * count)
+        alone = _deformed_tension_data(imm.ambient, frozen, v, (t,))
+        assert all(same_bits(x[rows], y) for x, y in zip(batched, alone)), t
+        for which in ENERGIES:
+            assert same_bits(densities[which][rows], _integrand(frozen, which, *alone)), (t, which)
 
 
 # Jet coefficients: signed zeros, and magnitudes whose products with the
