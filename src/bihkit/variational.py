@@ -252,17 +252,18 @@ def first_variation_suite(imm, grid, whichs, variation):
     v_exprs = [parse(v, imm.params) for v in variation]
     env = parameter_jets(imm.params, grid.points, 2)
     count = len(grid)
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
             v = Jet.stack([eval_on_jets(e, env) for e in v_exprs])
-            first = v.derivs()
-            v = tuple(x.point_values(count) for x in (v, first, first.derivs()))
-        bad = ~np.isfinite(np.hstack([x.reshape(count, -1) for x in v])).all(axis=1)
-        if bad.any():
-            raise ValueError(f"not finite at node {np.argmax(bad)}")
-    # math-domain and jet errors are ValueErrors, overflow an ArithmeticError
-    except (ValueError, ArithmeticError) as exc:
-        raise VariationError(f"variation components fail at the quadrature nodes: {exc}") from None
+        # math-domain and jet errors are ValueErrors, overflow an ArithmeticError
+        except (ValueError, ArithmeticError) as exc:
+            raise VariationError(f"variation components fail at the quadrature nodes: {exc}") from None
+        first = v.derivs()
+        v = tuple(x.point_values(count) for x in (v, first, first.derivs()))
+    bad = ~np.isfinite(np.hstack([x.reshape(count, -1) for x in v])).all(axis=1)
+    if bad.any():
+        raise VariationError("variation components fail at the quadrature nodes: "
+                             f"not finite at node {np.argmax(bad)}")
 
     # one order-4 evaluation per node gives the map, the frozen metric and,
     # through the Euler-Lagrange fields, the pairing
