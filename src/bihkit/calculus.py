@@ -269,12 +269,18 @@ def _ambient_along(space, psi, psi_val, order):
     composed along the immersion psi, the depths the fields consume, and
     the chart Christoffels to order 1 (for the curvature); the chart jets
     are dropped on return.  Their coefficients are those of deeper jets,
-    truncated.  Raises ChartError off the chart or where the metric is not
-    finite and positive definite."""
+    truncated.  One composer serves both: its monomial table reaches only
+    the highest degree a chart jet is nonzero at and the order kept, so a
+    constant metric composes one row and vanishing Christoffels none.  Both
+    are symmetric in (the lower) two indices, so only the entries i <= j
+    are composed.  Raises ChartError off the chart or where the metric is
+    not finite and positive definite."""
     G, Gam = metric_and_christoffel_jets(space, psi_val, max(order - 1, 2))
     compose = Composer([psi[a].centered() for a in range(space.chart_dim)])
-    return (compose.apply_truncated(G.truncate(order - 1)),
-            compose.apply_truncated(Gam.truncate(order - 2)), Gam.truncate(1))
+    i, j = _upper_pairs(space.chart_dim)
+    return (compose.apply_truncated(G.truncate(order - 1)[i, j]).symmetric(),
+            compose.apply_truncated(Gam.truncate(order - 2)[:, i, j]).symmetric(axis=1),
+            Gam.truncate(1))
 
 
 def _induced_metric(G, dpsi):

@@ -48,8 +48,12 @@ would:
   * `inverse` (Gauss-Jordan on [M | I]) updates at step `col` only the
     columns right of the pivot column, the ones later steps read; each
     entry is computed as in the full-width elimination;
-  * a `Composer` serves a lower outer order from the prefix of a table it
-    built for a higher one: the rows are the same products;
+  * a `Composer` adds only the live rows of an outer (a dead row adds
+    0 * h^gamma = +-0.0 to a sum begun at +0.0) and serves every outer and
+    kept order from a prefix, on rows and coefficients, of the one table it
+    built, at the inner jets truncated to the kept order: the rows are the
+    same products.  Only where h^gamma overflows does this differ: a zero
+    coefficient no longer makes it NaN;
   * truncation commutes with every operation on finite values: a kept
     coefficient adds the same terms in the same order at any order, plus,
     in the Horner steps of a univariate function, terms that have the zero
@@ -663,8 +667,11 @@ class Composer:
     that h_i encodes inner_i - inner_i(base), see `Jet.centered`), an outer
     jet in k variables evaluates to sum_gamma c_gamma * prod_i h_i^gamma_i;
     the outer may be a tensor jet, and inners and outer may hold P points
-    (the same P).  The monomials h^gamma are tabulated once per outer space,
-    so many outers compose against one inner set.
+    (the same P).  Only the live rows are added: those whose outer
+    coefficient is nonzero (NaN and inf count) on some entry and point.
+    The monomials h^gamma are tabulated once per composer, up to the highest
+    live degree and to the order the result keeps, so many outers compose
+    against one table, each reading a prefix of its rows and coefficients.
     """
 
     def __init__(self, inners):
@@ -677,24 +684,28 @@ class Composer:
             if (h.c[..., 0] != 0.0).any():
                 raise JetError("inner jets must have zero constant term")
         self._inners = Jet.stack(inners)
-        self._tables = {}
+        self._depth = (-1, -1)  # (degree, order) of the table built
+        self._built = None
 
-    def _table(self, space):
-        """Rows h^gamma over the basis of an outer space, built once; the
-        table of a lower order is the prefix of a built one (the rows of
-        its basis, computed the same way)."""
-        table = self._tables.get(space)
-        if table is None:
-            for built, rows in self._tables.items():
-                if built.num_vars == space.num_vars and built.order > space.order:
-                    return rows[:space.size]
-            inners = self._inners
-            table = np.zeros((space.size,) + inners.c.shape[1:])
+    def _table(self, degree, order):
+        """Rows h^gamma, |gamma| <= degree, to the given order: a prefix,
+        on rows and coefficients, of the one table, built again deeper when
+        it is too shallow (the kept coefficients of a row are the same
+        products at any order, as truncation commutes with them)."""
+        k = self._inners.shape[0]
+        if degree > self._depth[0] or order > self._depth[1]:
+            top, depth = max(degree, self._depth[0]), max(order, self._depth[1])
+            self._depth = (top, depth)
+            sp = jet_space(self.inner_space.num_vars, depth)
+            inners = Jet(sp, self._inners.c[..., :sp.size], self._inners.batched)
+            outer = jet_space(k, top)
+            table = np.zeros((outer.size,) + inners.c.shape[1:])
             table[0, ..., 0] = 1.0
-            for rows, parents, axes in _monomial_plan(space):
+            for rows, parents, axes in _monomial_plan(outer):
                 table[rows] = (inners._like(table[parents]) * inners[axes]).c
-            self._tables[space] = table
-        return table
+            self._built = table
+        return self._built[:jet_space(k, degree).size, ...,
+                           :jet_space(self.inner_space.num_vars, order).size]
 
     def apply(self, outer):
         return self._apply(outer, self.inner_space)
@@ -710,16 +721,19 @@ class Composer:
         it: the first coefficients of the inner basis, a prefix."""
         if outer.space.num_vars != self._inners.shape[0]:
             raise JetError("outer jet variable count does not match inners")
-        table = self._table(outer.space)[..., :space.size]
         c = outer.c
         batched = self._inners.batched or outer.batched
         if batched and not outer.batched:
             c = c[..., None, :]
-        # acc = 0 + c_0 h^gamma_0 + c_1 h^gamma_1 + ... in basis order, one
-        # row at a time into one buffer; a zero coefficient adds a signed
-        # zero to a sum that started at +0.0, which leaves it unchanged
-        acc = np.zeros(np.broadcast_shapes(c.shape[:-1] + (1,), table.shape[1:]))
-        term = np.empty_like(acc)
-        for i in range(table.shape[0]):
-            acc += np.multiply(c[..., i, None], table[i], out=term)
+        live = np.flatnonzero((c != 0.0).reshape(-1, c.shape[-1]).any(axis=0))
+        # acc = 0 + c_0 h^gamma_0 + c_1 h^gamma_1 + ... over the live rows in
+        # basis order, one row at a time into one buffer; a dead row would
+        # add 0 * (finite) = +-0.0 to a sum begun at +0.0, leaving it as is
+        acc = np.zeros(np.broadcast_shapes(
+            c.shape[:-1] + (1,), self._inners.c.shape[1:-1] + (space.size,)))
+        if live.size:
+            table = self._table(sum(outer.space.indices[live[-1]]), space.order)
+            term = np.empty_like(acc)
+            for i in live:
+                acc += np.multiply(c[..., i, None], table[i], out=term)
         return Jet(space, acc, batched)

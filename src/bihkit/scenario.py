@@ -450,6 +450,13 @@ def evaluate_points(sc, points, order=4):
                             "sampling", "grid") from None
 
 
+def _map_values(imm, points):
+    """The map's values at the rows of a (P, m) array of parameter points,
+    numpy's warnings silenced: an overflow shows as a non-finite value."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return map_jets(imm, points, 0).point_values(len(points))
+
+
 def _validate(sc, order=4):
     """Check the scenario at its sample points (jet order 3 suffices, as in
     `load_scenario`); returns the validated evaluation blocks of jet order
@@ -462,19 +469,27 @@ def _validate(sc, order=4):
     points = sc.sample_points()
     # rank, chart membership, weight positivity at every sample point
     blocks = list(evaluate_points(sc, points, order))
-    # periodic axes must close up
-    for i, ax in enumerate(sc.axes):
-        if not ax.periodic:
-            continue
-        ends = np.array([points[0], points[0]])
-        ends[0, i], ends[1, i] = ax.lo, ax.hi
-        # a map that fails or overflows at an end does not close up
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                a, b = map_jets(imm, ends, 0).point_values(2)
-        except (ValueError, ArithmeticError) as exc:
-            raise ScenarioError(f"axis {ax.name!r} declared periodic but the map fails at "
-                                f"its endpoints: {exc}", "immersion", ax.name) from None
+    # periodic axes must close up: the map at both ends of every periodic
+    # axis in one evaluation, again axis by axis only to name a failing one
+    periodic = [(i, ax) for i, ax in enumerate(sc.axes) if ax.periodic]
+    ends = np.repeat(points[:1], 2 * len(periodic), axis=0)
+    for k, (i, ax) in enumerate(periodic):
+        ends[2 * k, i], ends[2 * k + 1, i] = ax.lo, ax.hi
+    try:
+        values = _map_values(imm, ends) if periodic else None
+    except (ValueError, ArithmeticError):
+        values = None
+    for k, (i, ax) in enumerate(periodic):
+        pair = slice(2 * k, 2 * k + 2)
+        if values is not None:
+            a, b = values[pair]
+        else:
+            # a map that fails or overflows at an end does not close up
+            try:
+                a, b = _map_values(imm, ends[pair])
+            except (ValueError, ArithmeticError) as exc:
+                raise ScenarioError(f"axis {ax.name!r} declared periodic but the map fails "
+                                    f"at its endpoints: {exc}", "immersion", ax.name) from None
         gap = float(np.max(np.abs(a - b)))
         # relative to the map's size: the round-off of sin(2 pi) grows with it
         if not gap <= 1e-10 * max(1.0, float(np.max(np.abs([a, b])))):

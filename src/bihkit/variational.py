@@ -197,15 +197,13 @@ def _integrand(frozen, which, tau, dpsi, G):
     raise ValueError(f"unknown energy {which!r}")
 
 
-def _energy_values(space, frozen, weights, whichs, v, ts):
-    """Quadrature values {which: value} of the functionals `whichs` at
-    psi + t V, one dict per step t of `ts` (`v` as in
+def _densities(space, frozen, whichs, v, ts):
+    """{which: (steps, nodes) array of weighted energy densities} of the
+    functionals `whichs` at psi + t V for each step t of `ts` (`v` as in
     `_deformed_tension_data`), from one deformed-map stack they share."""
     tau, dpsi, G = _deformed_tension_data(space, frozen, v, ts)
-    rows = {which: _integrand(frozen, which, tau, dpsi, G).reshape(len(ts), -1) * frozen.sqrt_det
+    return {which: _integrand(frozen, which, tau, dpsi, G).reshape(len(ts), -1) * frozen.sqrt_det
             for which in whichs}
-    return [{which: float(np.dot(rows[which][k], weights)) for which in whichs}
-            for k in range(len(ts))]
 
 
 def energies(imm, grid):
@@ -213,7 +211,8 @@ def energies(imm, grid):
     undeformed immersion, from one evaluation per node."""
     frozen = _frozen(evaluate_batches(imm, grid.points, 2))
     # psi + 0 * 0, rounded as the deformed maps are (a -0.0 entry becomes 0.0)
-    return _energy_values(imm.ambient, frozen, grid.weights, ENERGIES, (0.0,) * 3, (0.0,))[0]
+    rows = _densities(imm.ambient, frozen, ENERGIES, (0.0,) * 3, (0.0,))
+    return {which: float(np.dot(row[0], grid.weights)) for which, row in rows.items()}
 
 
 def el_field(ev, which):
@@ -274,12 +273,21 @@ def first_variation_suite(imm, grid, whichs, variation):
                           @ G @ v[0][..., None])[:, 0, 0] * frozen.sqrt_det
                  for which in whichs}
     del blocks, G
-    shifted = _energy_values(imm.ambient, frozen, grid.weights, whichs, v,
-                             [s for h in STEPS for s in (h, -h)])
+    ts = [s for h in STEPS for s in (h, -h)]
+    # numpy's warnings silenced, as in `evaluate_batches`: a density that
+    # overflows is rejected at its first step, then node
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows = _densities(imm.ambient, frozen, whichs, v, ts)
+    bad = ~np.isfinite(np.stack(list(rows.values()))).all(axis=0)
+    if bad.any():
+        k, i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise VariationError("the energy densities of the deformed map are not finite "
+                             f"at node {i} (t={ts[k]})")
     out = {}
     for which in whichs:
         rhs = float(np.dot(pair_vals[which], grid.weights))
-        lhs = [(plus[which] - minus[which]) / (2.0 * h)
+        shifted = [float(np.dot(row, grid.weights)) for row in rows[which]]
+        lhs = [(plus - minus) / (2.0 * h)
                for h, plus, minus in zip(STEPS, shifted[::2], shifted[1::2])]
         out[which] = {"steps": list(STEPS), "lhs": lhs, "rhs": rhs,
                       "deltas": [abs(fd - rhs) for fd in lhs]}

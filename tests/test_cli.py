@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from bihkit import audits, calculus, cli, props, residuals, scenario, variational
+from bihkit import audits, calculus, cli, jets, props, residuals, scenario, variational
 from bihkit.report import strip_volatile
 from bihkit.residuals import theorem_residual
 from bihkit.scenario import MAX_SAMPLE_POINTS, _validate, load_scenario
@@ -318,8 +318,8 @@ def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch
     """`energy` and `variation` on c08 (36 quadrature nodes, 36 sample
     points) evaluate the map components only in the evaluation blocks,
     once per point: validation at order 3, then the command at its jet
-    order; besides, the close-up check of each periodic axis evaluates the
-    map at its two ends at order 0.  Under the block rule each evaluation
+    order; besides, the close-up check evaluates the map at the two ends
+    of both periodic axes at order 0, in one call of 4 points.  Under the block rule each evaluation
     is one block of 36 points, so a second build over all nodes would add
     entries; in blocks of 16 points they are blocks of 16, 16 and 4, so a
     build over all nodes would also be too large."""
@@ -343,8 +343,36 @@ def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch
         code, _out, err = run_cli([command, path])
         assert code == 0, err
         # one entry per map component and block or axis
-        expected = [(o, size) for o in (3, order) for size in blocks] + [(0, 2)] * 2
+        expected = [(o, size) for o in (3, order) for size in blocks] + [(0, 4)]
         assert sorted(sizes) == sorted(expected * 3)
+
+
+@pytest.mark.parametrize("command, name, rows, sizes", [
+    # flat R^4: G constant, Christoffels zero, so only the constant row
+    ("check", "c13_hypersphere_r4", {1}, {20}),
+    # Fubini-Study: the 35 rows of G to degree 3 in 4 chart variables; the
+    # inner jets of the order-4 block kept to order 3 (20 of their 35
+    # coefficients), the Christoffels reading a prefix
+    ("audit", "c18_hypersphere_cp2", {35}, {20}),
+])
+def test_composers_build_only_live_rows_to_the_kept_order(monkeypatch, command, name,
+                                                           rows, sizes):
+    """The composer of each evaluation block builds its monomial table only
+    to the highest degree a chart jet is nonzero at, and to the order the
+    composed metric keeps (order - 1)."""
+    built = []
+    table = jets.Composer._table
+
+    def recorded(self, degree, order):
+        out = table(self, degree, order)
+        built.append(self._built.shape)
+        return out
+
+    monkeypatch.setattr(jets.Composer, "_table", recorded)
+    code, _out, err = run_cli([command, scenario_path(name)])
+    assert code in (0, 2), err
+    assert {shape[0] for shape in built} == rows
+    assert {shape[-1] for shape in built} == sizes
 
 
 def test_omitted_ambient_key_takes_the_constructor_default(tmp_path):
@@ -393,6 +421,9 @@ OVERFLOWING_VARIATION = {
     "infinite_components": ("c04_small_sphere", '["1e200*cos(u)*1e200", "0", "0"]',
                             "variation components fail at the quadrature nodes: not finite "
                             "at node 0"),
+    "densities_overflow": ("c01_circle_flat", '["1e300*cos(u)", "0", "0"]',
+                           "the energy densities of the deformed map are not finite at node 0 "
+                           "(t=0.01)"),
 }
 
 
@@ -429,6 +460,35 @@ def test_periodic_close_up_scales_with_the_map(tmp_path):
     code, out, err = run_cli(["check", scenario_path("m5_bad_periodic")])
     assert (code, out) == (3, "")
     assert "map endpoints differ" in err and "section [immersion], key 'u'" in err
+
+
+# c08 edits: (replaced text, new text, the stderr line before the section)
+HOPF_ENDS = {
+    # the sample points pass; the map fails at v = 2 pi only
+    "second_axis_fails": (
+        '/(1 + 0.8*sin(v))"]', '/(1 + 0.8*sin(v)) + 0*sqrt(6.283185307179586 - v)"]',
+        "axis 'v' declared periodic but the map fails at its endpoints: "
+        "sqrt of non-positive jet value"),
+    # u does not close up and the map fails at v = 2 pi: u is checked first
+    "first_axis_open": (
+        '["0.6*cos(u)', '["0.6*cos(0.9*u) + 0*sqrt(6.283185307179586 - v)',
+        "axis 'u' declared periodic but map endpoints differ by 1.146e-01"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOPF_ENDS))
+def test_periodic_close_up_names_the_first_failing_axis(tmp_path, case):
+    """The ends of both periodic axes of c08 are evaluated in one call; when
+    it fails, they are evaluated axis by axis, so the error names the axis
+    the map fails at, or an earlier one that does not close up."""
+    old, new, message = HOPF_ENDS[case]
+    with open(scenario_path("c08_hopf_torus"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    name = message.split("'")[1]
+    code, out, err = run_cli(["check", write(tmp_path, text.replace(old, new))])
+    assert (code, out) == (3, "")
+    assert err == f"validation error: {message} (section [immersion], key {name!r})\n"
 
 
 C01 = scenario_path("c01_circle_flat")

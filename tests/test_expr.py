@@ -18,10 +18,59 @@ from bihkit.expr import (
     Var,
     eval_on_jets,
     parse,
-    to_source,
 )
 from bihkit.jets import Jet, jet_space
 from conftest import coeff, partial
+
+
+# -- the printer: the parser's round-trip oracle ---------------------------
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
+
+def _fmt_number(x):
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(x)
+
+
+def to_source(node):
+    """Render a tree back to parseable source; reparsing gives an equal tree."""
+
+    def render(n):
+        # returns (text, precedence)
+        if isinstance(n, Lit):
+            return _fmt_number(n.value), _PREC["atom"]
+        if isinstance(n, Var):
+            return n.name, _PREC["atom"]
+        if isinstance(n, Const):
+            return n.name, _PREC["atom"]
+        if isinstance(n, Call):
+            inner, _ = render(n.arg)
+            return f"{n.fn}({inner})", _PREC["atom"]
+        if isinstance(n, Neg):
+            text, prec = render(n.arg)
+            if prec < _PREC["neg"]:
+                text = f"({text})"
+            return f"-{text}", _PREC["neg"]
+        if isinstance(n, Pow):
+            text, prec = render(n.base)
+            if prec < _PREC["atom"]:
+                text = f"({text})"
+            return f"{text}^{_fmt_number(n.exponent)}", _PREC["^"]
+        if isinstance(n, Bin):
+            lt, lp = render(n.left)
+            rt, rp = render(n.right)
+            prec = _PREC[n.op]
+            if lp < prec:
+                lt = f"({lt})"
+            # left-associative: parenthesize right operand at equal precedence
+            if rp <= prec:
+                rt = f"({rt})"
+            return f"{lt} {n.op} {rt}", prec
+        raise TypeError(f"not an expression node: {n!r}")
+
+    return render(node)[0]
 
 
 def test_parse_structure():

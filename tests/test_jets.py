@@ -495,18 +495,106 @@ def test_inverse_matches_full_width_gauss_jordan(n, points, num_vars, order, see
 
 
 def test_lower_order_tables_are_prefixes():
-    """A composer that built its monomial table for an outer order serves a
-    lower order of the same variables from the prefix, bit for bit the
-    table a fresh composer builds for that order."""
+    """A composer keeps one monomial table: it serves a lower degree or a
+    lower order from the prefix, on rows and coefficients, bit for bit the
+    table a fresh composer builds for exactly that degree and order, and
+    builds the table again only when a call needs more of either."""
     sp = jet_space(2, 4)
     x = Jet.variable(sp, 0, np.array([0.3, -0.8]))
     y = Jet.variable(sp, 1, np.array([1.1, 0.2]))
     inners = [(x * y).sin().centered(), (x + y * y).centered(), (x * x).centered()]
     shared = Composer(inners)
-    for order in (3, 2, 1, 0):
-        outer = jet_space(3, order)
-        assert same_bits(shared._table(outer), Composer(inners)._table(outer))
-    assert list(shared._tables) == [jet_space(3, 3)]
+    for degree, order in ((3, 3), (2, 3), (1, 2), (0, 0), (3, 1)):
+        assert same_bits(shared._table(degree, order), Composer(inners)._table(degree, order))
+    assert shared._depth == (3, 3) and shared._built.shape == (20, 2, 10)
+    assert same_bits(shared._table(1, 4), Composer(inners)._table(1, 4))
+    assert shared._depth == (3, 4) and shared._built.shape == (20, 2, 15)
+
+
+def _dense_compose(inners, outer, order):
+    """The reference composer: every row of the outer's basis, the
+    monomials at the inner jets' full order, then the first coefficients of
+    the jet space of `order` kept."""
+    h = Jet.stack(inners)
+    sp = jet_space(h.space.num_vars, order)
+    table = np.zeros((outer.space.size,) + h.c.shape[1:])
+    table[0, ..., 0] = 1.0
+    for rows, parents, axes in jets._monomial_plan(outer.space):
+        table[rows] = (h._like(table[parents]) * h[axes]).c
+    c = outer.c
+    batched = h.batched or outer.batched
+    if batched and not outer.batched:
+        c = c[..., None, :]
+    acc = np.zeros(np.broadcast_shapes(c.shape[:-1] + (1,), table.shape[1:-1] + (sp.size,)))
+    for i in range(outer.space.size):
+        acc += c[..., i, None] * table[i, ..., :sp.size]
+    return Jet(sp, acc, batched)
+
+
+def _outer_rows(rng, space, kind, lead):
+    """Coefficients (lead + (S,)) of an outer whose rows are live by `kind`:
+    random with zero rows, all zero, constant, or only the pure powers of
+    the first variable (a metric of t alone, as on a Kenmotsu chart)."""
+    c = rng.normal(size=lead + (space.size,))
+    if kind == "zero_rows":
+        live = rng.random(space.size) < 0.5
+    elif kind == "zero":
+        live = np.zeros(space.size, dtype=bool)
+    elif kind == "constant":
+        live = np.arange(space.size) == 0
+    else:
+        live = np.array([sum(g) == g[0] for g in space.indices])
+    return np.where(live, c, 0.0)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("kind", ["zero_rows", "zero", "constant", "t_only"])
+def test_live_rows_compose_as_the_dense_table(batched, kind):
+    """Composing only the live rows, from one shallow table, gives the bits
+    of the dense all-rows, full-depth composition: a metric to order 3 and
+    Christoffels to order 2 along three inners of order 4, as
+    `calculus._ambient_along` composes them, then a full-order `apply` that
+    makes the table deeper."""
+    rng = np.random.default_rng(["zero_rows", "zero", "constant", "t_only"].index(kind))
+    sp = jet_space(2, 4)
+    value = rng.normal(size=3) if batched else 0.4
+    x, y = Jet.variable(sp, 0, value), Jet.variable(sp, 1, value)
+    inners = [(x * y).sin().centered(), (x + y * y).centered(), (x * 0.5).exp().centered()]
+    composer = Composer(inners)
+    for trial in range(3):
+        for outer_order, shape, truncated in ((3, (3, 3), True), (2, (3, 3, 3), True),
+                                              (2, (3,), False)):
+            outer_sp = jet_space(3, outer_order)
+            points = (3,) if batched and trial == 1 else ()
+            outer = Jet(outer_sp, _outer_rows(rng, outer_sp, kind, shape + points),
+                        bool(points))
+            got = (composer.apply_truncated if truncated else composer.apply)(outer)
+            order = outer_order if truncated else sp.order
+            assert same_bits(got.c, _dense_compose(inners, outer, order).c)
+            assert got.space is jet_space(2, order) and got.batched == (batched or bool(points))
+
+
+def test_zero_coefficients_leave_overflowing_monomials_out():
+    """A monomial that overflows adds nothing where its outer coefficient is
+    zero, on every entry and point: the row is dead.  The dense composition
+    made such a coefficient NaN (0 * inf); a live row still overflows."""
+    sp = jet_space(1, 2)
+    inners = [Jet(sp, [0.0, 1e200, 0.0]), Jet(sp, [0.0, 1.0, 0.0])]  # h1^2 overflows
+    outer_sp = jet_space(2, 2)  # rows 1, h1, h2, h1^2, h1 h2, h2^2
+    outer = Jet(outer_sp, [[1.0, 0.0, 0.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(Composer(inners).apply(outer).c, np.array([[1.0, 0.0, 1.0],
+                                                                    [2.0, 0.0, 0.0]]))
+        assert np.isnan(_dense_compose(inners, outer, 2).c[:, 2]).all()
+        live = Jet(outer_sp, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+        assert Composer(inners).apply(live).c[2] == np.inf
+    # NaN and inf coefficients count as live: bad * h2 = [NaN, bad, NaN]
+    for bad in (np.nan, np.inf):
+        outer = Jet(outer_sp, [1.0, 0.0, bad, 0.0, 0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = Composer(inners).apply(outer).c
+            assert same_bits(got, _dense_compose(inners, outer, 2).c)
+        assert np.isnan(got[[0, 2]]).all() and same_bits(got[1], np.float64(bad))
 
 
 def test_univariate_functions_make_no_constant_jets(monkeypatch):

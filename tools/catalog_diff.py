@@ -1,0 +1,103 @@
+"""Compare the CLI's catalog runs of this checkout with those of a git revision.
+
+    python tools/catalog_diff.py REV
+
+Exports REV with `git archive` into a temporary directory.  Then runs the
+same 192 CLI runs in both trees, one after another, each a fresh
+`python -m bihkit.cli` process on that tree's own scenario files:
+
+  * check, audit, props, energy and variation on c01-c18 and m1-m6;
+  * check with --mode direct, --mode theorem, --errata off and --tol 1e-30
+    on c01-c18.
+
+A run matches when its exit code, stderr and stdout are equal after the
+wall-time line is dropped (`bihkit.report.strip_volatile`) and each tree's
+path is replaced by `<tree>`.  Prints every run that differs, with a short
+diff, and exits 1 if any does.  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import difflib
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = Path("src", "bihkit", "scenarios")
+COMMANDS = ("check", "audit", "props", "energy", "variation")
+CHECK_OPTIONS = (("--mode", "direct"), ("--mode", "theorem"), ("--errata", "off"),
+                 ("--tol", "1e-30"))
+
+
+def runs(tree):
+    """(label, argv after `python -m bihkit.cli`) of every run, in order."""
+    names = sorted(p.stem for p in (tree / SCENARIOS).glob("*.scn"))
+    catalog = [n for n in names if n.startswith("c")]
+    out = [(f"{cmd} {name}", [cmd, name]) for name in names for cmd in COMMANDS]
+    out += [(f"check {name} {' '.join(opt)}", ["check", name, *opt])
+            for name in catalog for opt in CHECK_OPTIONS]
+    return out
+
+
+def run(tree, argv):
+    """(exit code, stderr, stdout) of one run in `tree`, normalized."""
+    cmd, name, *opts = argv
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bihkit.cli", cmd, str(tree / SCENARIOS / f"{name}.scn"), *opts],
+        cwd=tree, env=env, capture_output=True, text=True)
+    stdout = "\n".join(line for line in proc.stdout.splitlines()
+                       if not line.strip().startswith("wall_time_ms:"))
+    return (proc.returncode, proc.stderr.replace(str(tree), "<tree>"),
+            stdout.replace(str(tree), "<tree>"))
+
+
+def export(rev, dest):
+    """Extract the files of `rev` into `dest` with `git archive`."""
+    archive = Path(dest, "rev.tar")
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "-C", str(ROOT), "archive", rev], stdout=fh, check=True)
+    tree = Path(dest, "tree")
+    with tarfile.open(archive) as tar:
+        tar.extractall(tree, filter="data")
+    return tree
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        other = export(args[0], tmp)
+        jobs = runs(ROOT)
+        if jobs != runs(other):
+            print(f"the scenario catalogs of {args[0]} and this checkout differ")
+            return 1
+        differ = 0
+        for label, job in jobs:
+            theirs, ours = run(other, job), run(ROOT, job)
+            if theirs == ours:
+                continue
+            differ += 1
+            print(f"DIFFERS: {label}")
+            for what, a, b in zip(("exit code", "stderr", "stdout"), theirs, ours):
+                if a == b:
+                    continue
+                if what == "exit code":
+                    print(f"  exit code {a} -> {b}")
+                    continue
+                diff = difflib.unified_diff(str(a).splitlines(), str(b).splitlines(),
+                                            f"{args[0]} {what}", f"checkout {what}",
+                                            lineterm="", n=1)
+                print("\n".join("  " + line for line in list(diff)[:40]))
+    print(f"{differ} of {len(jobs)} runs differ from {args[0]}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
