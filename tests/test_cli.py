@@ -319,10 +319,11 @@ def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch
     points) evaluate the map components only in the evaluation blocks,
     once per point: validation at order 3, then the command at its jet
     order; besides, the close-up check evaluates the map at the two ends
-    of both periodic axes at order 0, in one call of 4 points.  Under the block rule each evaluation
-    is one block of 36 points, so a second build over all nodes would add
-    entries; in blocks of 16 points they are blocks of 16, 16 and 4, so a
-    build over all nodes would also be too large."""
+    of both periodic axes at order 0, in one call of 4 points.  Under the
+    block rule each evaluation is one block of 36 points, so a second build
+    over all nodes would add entries; in blocks of 16 points they are
+    blocks of 16, 16 and 4, so a build over all nodes would also be too
+    large."""
     path = scenario_path("c08_hopf_torus")
     components = load_scenario(path, validate=False).immersion.components
     sizes = []
