@@ -44,9 +44,8 @@ import numpy as np
 
 from .expr import Expression, eval_on_jets, parse, variables_of
 from .jets import Composer, Jet, _upper_pairs, jet_space
-from .spaces import (AmbientSpace, SpaceError, chart_jets, christoffel_jets,
-                     curvature_from_christoffels, jet_matrix_inverse, matvec,
-                     metric_and_christoffel_jets)
+from .spaces import (AmbientSpace, christoffel_jets, curvature_from_christoffels,
+                     jet_matrix_inverse, matvec, metric_and_christoffel_jets)
 
 __all__ = [
     "Immersion",
@@ -332,13 +331,8 @@ def evaluate(imm, points, order=4):
     positive definite, CalcError where the immersion is rank-deficient or
     its Gram determinant not finite (naming the first such point),
     SpaceError or JetError where an expression or matrix fails at some
-    point."""
+    point, and SpaceError on an ambient without a concrete metric."""
     space = imm.ambient
-    if not space.has_metric:
-        raise SpaceError(
-            f"{space.kind} has no concrete metric; only curvature-model "
-            "evaluation is available"
-        )
     points = np.asarray(points, dtype=float)
     count = len(points)
     m, d = imm.param_dim, space.chart_dim
@@ -566,8 +560,7 @@ class Evaluation:
     @cached_property
     def structure(self):
         """Values of the structure tensors J, or phi, xi and eta, at psi of each point."""
-        tensors = self.space.structure_jets(chart_jets(self.values(self.psi), 0))
-        return {key: self.values(Jet.stack(val)) for key, val in tensors.items()}
+        return self.space.structure_at(self.values(self.psi))
 
     @property
     def structure_tensor(self):

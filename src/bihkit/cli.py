@@ -10,7 +10,8 @@ Exit codes: 0 all requested verdicts pass, 2 a numeric verdict failed,
 3 scenario validation error, a `--tol` that is not a finite non-negative
 number or an unwritable `--report`/`--csv` path (one stderr line names the
 option, stdout stays empty), 4 internal error.  An ambient given only by
-its curvature model (abstract_gcsf, abstract_gssf) supports `audit` alone.
+its curvature model (abstract_gcsf, abstract_gssf) supports `audit` alone;
+its map and coefficients must be finite at the sample points (exit 3).
 `--csv` writes the per-point norms of `check`; other commands ignore it.
 """
 
@@ -131,11 +132,9 @@ def cmd_audit(sc, args, out, blocks):
     tol = args.tol if args.tol is not None else sc.tolerance("audit", 1e-6)
     points = sc.sample_points()
     if not sc.immersion.ambient.has_metric:
-        seed = args.seed if args.seed is not None else sc.seed
-        # evaluate the immersion map as plain chart positions
-        psi = map_jets(sc.immersion, points, 0)
-        chart_points = psi.point_values(len(points))
-        result = curvature_trace_audit(sc.immersion.ambient, chart_points, seed=seed)
+        # the immersion map as plain chart positions, validated finite
+        chart_points = map_jets(sc.immersion, points, 0).point_values(len(points))
+        result = curvature_trace_audit(sc.immersion.ambient, chart_points, seed=out["seed"])
         out["curvature_trace_audit"] = result
         worst = float(np.max([result["normal_trace"], result["tangent_trace"]]))
         out["max_delta"] = worst

@@ -127,7 +127,7 @@ def gauss_equation_audit(imm, blocks):
     rows = []
     for ev in blocks:
         t, E, m = ev.trace_terms, ev.frames[0], ev.m
-        R = curvature_model(imm.ambient.family, ev.values(ev.G_field), ev.structure,
+        R = curvature_model(imm.ambient.structure, ev.values(ev.G_field), ev.structure,
                             tuple(t.coeffs))
         # sum_{ij} <R(e_i, e_j) e_j, e_i> over an orthonormal tangent frame
         total = sum(ev.inner(R(E[:, i], E[:, j], E[:, j]), E[:, i])

@@ -422,11 +422,11 @@ _erratum("bif_gssf", "curv_f3_P2_gf",
 
 def equation_for(imm, kind):
     """Pick the theorem equation id for an immersion and residual kind."""
-    fam = imm.ambient.family
+    hermitian = imm.ambient.structure == "hermitian"
     if kind == "fbh":
-        return "fbh_gcsf" if fam == "gcsf" else "fbh_gssf"
+        return "fbh_gcsf" if hermitian else "fbh_gssf"
     if kind == "bif":
-        return "bif_gcsf" if fam == "gcsf" else "bif_gssf"
+        return "bif_gcsf" if hermitian else "bif_gssf"
     if kind == "bif_general":
         return "bif_general"
     raise ValueError(f"unknown residual kind {kind!r}")

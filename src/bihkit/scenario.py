@@ -32,10 +32,11 @@ Sections and keys:
 Validation parses every expression, enforces grid >= 4 nodes per axis and
 at most MAX_SAMPLE_POINTS sample points, checks periodic axes close up
 (the endpoint values of the map agree to 1e-10 times the larger of 1 and
-their largest magnitude), checks chart membership, rank, finite
-metrics and a finite positive weight at the sample points and runs the
-numeric pre-check of every asserted or denied flag.  Errors carry section,
-key and the byte offset of the offending line.
+their largest magnitude), checks chart membership, rank, finite metrics
+and a finite positive weight at the sample points and runs the numeric
+pre-check of every asserted or denied flag; on a curvature-model ambient,
+the map and the coefficients must be finite at the sample points instead.
+Errors carry section, key and the byte offset of the offending line.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ except ImportError:
 
 from .calculus import (FLAG_NAMES, FLAG_TOL, FlagError, Immersion, PointError,
                        WeightError, evaluate_batches, map_jets, verify_flags)
-from .expr import ParseError, parse
+from .expr import ParseError, eval_on_jets, parse
 from .residuals import COROLLARIES, equation_for
-from .spaces import SpaceError, make_space
+from .spaces import SpaceError, chart_jets, make_space
 from .variational import QuadratureGrid
 
 __all__ = ["Scenario", "ScenarioError", "evaluate_points", "load_scenario",
@@ -460,15 +461,17 @@ def _map_values(imm, points):
 def _validate(sc, order=4):
     """Check the scenario at its sample points (jet order 3 suffices, as in
     `load_scenario`); returns the validated evaluation blocks of jet order
-    `order`, in order, for the commands (empty on a curvature-model ambient)."""
+    `order`, in order, for the commands: none on a curvature-model ambient,
+    whose flags go unchecked."""
     imm = sc.immersion
-    if not imm.ambient.has_metric:
-        # curvature-model-only ambient: nothing metric-dependent to verify;
-        # commands other than the curvature-trace audit reject the scenario
-        return []
     points = sc.sample_points()
-    # rank, chart membership, weight positivity at every sample point
-    blocks = list(evaluate_points(sc, points, order))
+    blocks = []
+    if imm.ambient.has_metric:
+        # rank, chart membership, weight positivity at every sample point
+        blocks = list(evaluate_points(sc, points, order))
+    elif _model_failure(imm, points):
+        # name the first point that fails alone, as `evaluate_batches` does
+        raise next(filter(None, (_model_failure(imm, p[None]) for p in points)))
     # periodic axes must close up: the map at both ends of every periodic
     # axis in one evaluation, again axis by axis only to name a failing one
     periodic = [(i, ax) for i, ax in enumerate(sc.axes) if ax.periodic]
@@ -497,11 +500,36 @@ def _validate(sc, order=4):
                 f"axis {ax.name!r} declared periodic but map endpoints differ by {gap:.3e}",
                 "immersion", ax.name)
     # flag pre-checks
-    try:
-        verify_flags(imm, blocks, tol=sc.tolerance("flags", FLAG_TOL))
-    except FlagError as exc:
-        raise ScenarioError(f"flag pre-check failed: {exc}", "flags", exc.flag) from None
+    if imm.ambient.has_metric:
+        try:
+            verify_flags(imm, blocks, tol=sc.tolerance("flags", FLAG_TOL))
+        except FlagError as exc:
+            raise ScenarioError(f"flag pre-check failed: {exc}", "flags", exc.flag) from None
     return blocks
+
+
+def _model_failure(imm, points):
+    """The ScenarioError, naming the first row of `points`, of the map or of
+    a curvature coefficient at the map's values failing or not finite at
+    some row, or None; numpy's warnings silenced."""
+    space, where = imm.ambient, f"sample point {points[0].tolist()} rejected"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            chart = _map_values(imm, points)
+        except (ValueError, ArithmeticError) as exc:
+            return ScenarioError(f"{where}: {exc}", "sampling", "grid")
+        if not np.isfinite(chart).all():
+            return ScenarioError(f"{where}: map not finite", "sampling", "grid")
+        env = dict(zip(space.coord_names, chart_jets(chart, 0)))
+        keys = [key for key in _AMBIENT_KEYS[space.kind] if key in _EXPRESSION_KEYS]
+        for key, expr in zip(keys, space.coeffs):
+            try:
+                finite = np.isfinite(eval_on_jets(expr, env).point_values(len(points))).all()
+            except (ValueError, ArithmeticError) as exc:
+                return ScenarioError(f"{where}: {exc}", "ambient", key)
+            if not finite:
+                return ScenarioError(f"{where}: {key} not finite", "ambient", key)
+    return None
 
 
 def load_scenario(path, validate=True):

@@ -7,6 +7,11 @@ The algebraic space-form curvature expressions form the second, independent
 backend ("model"); agreement of the two on the concrete spaces is part of
 the acceptance suite.
 
+A space's `structure` is "hermitian" (generalized complex space forms, R =
+alpha R1 + beta R2) or "contact" (generalized Sasakian space forms, R = f1 R1
++ f2 R2 + f3 R3).  Every numeric entry point takes a (P, d) stack of chart
+points and returns arrays, or jets, with a leading points axis.
+
 Charts:
   * euclidean_complex(n): R^2n, identity metric, standard J on coordinate
     pairs (2k, 2k+1).
@@ -23,7 +28,7 @@ Charts:
   * abstract_gcsf / abstract_gssf: curvature model only (coefficient
     expressions over chart coordinates x1, x2, ...), evaluated in a fiducial
     frame with identity metric and standard structure tensors.  Operations
-    needing the ambient connection reject these spaces.
+    needing the ambient connection reject these spaces (`metric_jets`).
 """
 
 from __future__ import annotations
@@ -72,29 +77,19 @@ def _std_J(dim):
     return J
 
 
-def _flat_contact_structure(phi, space):
-    """Constant phi with Reeb field and contact form along the last axis."""
-    reeb = np.zeros(len(phi))
-    reeb[-1] = 1.0
-    return {"phi": Jet.constant(space, phi), "xi": Jet.constant(space, reeb),
-            "eta": Jet.constant(space, reeb)}
-
-
 def _checked_metric(G):
-    """The metric values G (one matrix, or a stack of them, one per point),
-    which must be finite and positive definite."""
+    """Reject metric values G[p, a, b] that are not finite and positive definite."""
     if not np.all(np.isfinite(G)):
         raise ChartError("metric not finite at point")
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         raise ChartError("metric not positive definite at point") from None
-    return G
 
 
 def chart_jets(points, order):
-    """Seed chart coordinates as jet variables around a point, or around
-    each row of a (P, d) array of points (jets with a points axis)."""
+    """Seed chart coordinates as jet variables around each row of a (P, d)
+    array of points (jets with a points axis)."""
     points = np.asarray(points, dtype=float)
     sp = jet_space(points.shape[-1], order)
     return [Jet.variable(sp, i, points[..., i]) for i in range(sp.num_vars)]
@@ -103,93 +98,105 @@ def chart_jets(points, order):
 class AmbientSpace:
     """Base class; concrete subclasses provide jet-valued evaluators."""
 
-    kind = "abstract"
     structure = None       # "hermitian" | "contact"
-    family = None          # "gcsf" | "gssf"
     has_metric = True
+    coeffs = ()            # the constant curvature coefficients
 
     def __init__(self, chart_dim):
         self.chart_dim = chart_dim
 
-    # -- every subclass with a metric implements metric_jets/structure_jets --
+    # -- subclasses implement structure_jets, and metric_jets if they have a metric --
 
     def metric_jets(self, x):
         raise SpaceError(f"{self.kind} has no concrete metric")
 
-    def structure_jets(self, x):
-        raise NotImplementedError
-
     def curvature_coeff_jets(self, x):
         """GCSF (alpha, beta) or GSSF (f1, f2, f3) fields at chart jets x."""
-        raise NotImplementedError
+        return tuple(Jet.constant(x[0].space, c) for c in self.coeffs)
 
-    # -- numeric conveniences ------------------------------------------------
+    # -- numeric conveniences, on a (P, d) stack of points ---------------------
 
     def chart_check(self, points):
-        """Reject a point, or a (P, d) array of points, off the chart."""
+        """Reject a (P, d) array of points off the chart."""
         if np.shape(points)[-1] != self.chart_dim:
             raise ChartError(
                 f"point has {np.shape(points)[-1]} coordinates, chart needs {self.chart_dim}"
             )
 
-    def metric_at(self, point):
-        self.chart_check(point)
-        return _checked_metric(Jet.stack(self.metric_jets(chart_jets(point, 0))).values)
-
-    def structure_at(self, point):
-        self.chart_check(point)
-        tensors = self.structure_jets(chart_jets(point, 0))
-        return {key: Jet.stack(val).values for key, val in tensors.items()}
+    def structure_at(self, points):
+        """The structure tensors at each point, with a leading points axis."""
+        self.chart_check(points)
+        tensors = self.structure_jets(chart_jets(points, 0))
+        return {key: Jet.stack(val).point_values(len(points)) for key, val in tensors.items()}
 
     def curvature_coeffs_at(self, points):
-        """The curvature coefficients at a chart point, as floats, or at each
-        row of a (P, d) array of points, as arrays of P values."""
+        """The curvature coefficients at each point, as arrays of P values."""
         coeffs = self.curvature_coeff_jets(chart_jets(points, 0))
-        if np.ndim(points) == 1:
-            return tuple(c.value for c in coeffs)
         return tuple(c.point_values(len(points)) for c in coeffs)
+
+
+class _Hermitian(AmbientSpace):
+    """The constant standard complex structure J on coordinate pairs."""
+
+    structure = "hermitian"
+
+    def __init__(self, chart_dim):
+        super().__init__(chart_dim)
+        self._J = _std_J(chart_dim)
+
+    def structure_jets(self, x):
+        return {"J": Jet.constant(x[0].space, self._J)}
+
+
+class _Contact(AmbientSpace):
+    """The constant contact structure of R^(2n+1): phi the standard J on the
+    first 2n axes, Reeb field xi and contact form eta along the last one.  A
+    contact space form (`space_form`) takes its constant coefficients from
+    `space_form_coefficients`."""
+
+    structure = "contact"
+    space_form = None      # "sasaki" | "kenmotsu" | "cosymplectic"
+
+    def __init__(self, n, ctilde=None):
+        super().__init__(2 * n + 1)
+        self.n = n
+        self._phi = np.zeros((self.chart_dim, self.chart_dim))
+        self._phi[: 2 * n, : 2 * n] = _std_J(2 * n)
+        self._reeb = np.eye(self.chart_dim)[-1]
+        if self.space_form:
+            self.ctilde = float(ctilde)
+            self.coeffs = space_form_coefficients(self.space_form, self.ctilde)
+
+    def structure_jets(self, x):
+        sp = x[0].space
+        return {"phi": Jet.constant(sp, self._phi), "xi": Jet.constant(sp, self._reeb),
+                "eta": Jet.constant(sp, self._reeb)}
 
 
 # -- Hermitian spaces ---------------------------------------------------------
 
 
-class EuclideanComplex(AmbientSpace):
+class EuclideanComplex(_Hermitian):
     kind = "euclidean_complex"
-    structure = "hermitian"
-    family = "gcsf"
+    coeffs = (0.0, 0.0)
 
     def __init__(self, n):
         super().__init__(2 * n)
         self.n = n
-        self._J = _std_J(self.chart_dim)
 
     def metric_jets(self, x):
         return Jet.constant(x[0].space, np.eye(self.chart_dim))
 
-    def structure_jets(self, x):
-        return {"J": Jet.constant(x[0].space, self._J)}
 
-    def curvature_coeff_jets(self, x):
-        zero = Jet.constant(x[0].space, 0.0)
-        return (zero, zero)
-
-
-class _KaehlerPotentialSpace(AmbientSpace):
+class _KaehlerPotentialSpace(_Hermitian):
     """Kaehler metric from a radial potential: G = (Hess K + J^T Hess K J)/4."""
-
-    structure = "hermitian"
-    family = "gcsf"
 
     def __init__(self, n, hol):
         super().__init__(2 * n)
         self.n = n
         self.hol = float(hol)
         self.csf_coeff = self.hol / 4.0
-        self._J = _std_J(self.chart_dim)
-
-    def _potential_hessian(self, x):
-        """Closed-form Euclidean Hessian of the Kaehler potential (jets)."""
-        raise NotImplementedError
+        self.coeffs = (self.csf_coeff, self.csf_coeff)
 
     def _radial_hessian(self, x, w, scale, cross):
         """H[a, b] = (cross * x_a x_b + delta_ab w) * scale."""
@@ -204,13 +211,6 @@ class _KaehlerPotentialSpace(AmbientSpace):
         sign = J[r, np.arange(self.chart_dim)]
         JHJ = H[r][:, r] * (sign[:, None] * sign[None, :])
         return _mirror_upper((H + JHJ) * 0.25)
-
-    def structure_jets(self, x):
-        return {"J": Jet.constant(x[0].space, self._J)}
-
-    def curvature_coeff_jets(self, x):
-        c = Jet.constant(x[0].space, self.csf_coeff)
-        return (c, c)
 
 
 class FubiniStudy(_KaehlerPotentialSpace):
@@ -237,9 +237,8 @@ class ComplexHyperbolic(_KaehlerPotentialSpace):
 
     def chart_check(self, points):
         super().chart_check(points)
-        for p in np.reshape(points, (-1, self.chart_dim)):
-            if float(np.dot(p, p)) >= 1.0:
-                raise ChartError("complex_hyperbolic chart requires |x| < 1")
+        if np.any(np.square(points).sum(-1) >= 1.0):
+            raise ChartError("complex_hyperbolic chart requires |x| < 1")
 
     def _potential_hessian(self, x):
         # K = (1/c) log(1-rho), c < 0:
@@ -251,49 +250,30 @@ class ComplexHyperbolic(_KaehlerPotentialSpace):
 # -- contact spaces -----------------------------------------------------------
 
 
-class CosymplecticFlat(AmbientSpace):
+class CosymplecticFlat(_Contact):
     """Flat R^(2n+1) = C^n x R with parallel contact structure (ctilde = 0).
 
     Doubles as plain Euclidean ambient space for curves and surfaces.
     """
 
     kind = "cosymplectic_flat"
-    structure = "contact"
-    family = "gssf"
     space_form = "cosymplectic"
-    ctilde = 0.0
 
     def __init__(self, n):
-        super().__init__(2 * n + 1)
-        self.n = n
-        self._phi = np.zeros((self.chart_dim, self.chart_dim))
-        self._phi[: 2 * n, : 2 * n] = _std_J(2 * n)
+        super().__init__(n, 0.0)
 
     def metric_jets(self, x):
         return Jet.constant(x[0].space, np.eye(self.chart_dim))
 
-    def structure_jets(self, x):
-        return _flat_contact_structure(self._phi, x[0].space)
 
-    def curvature_coeff_jets(self, x):
-        zero = Jet.constant(x[0].space, 0.0)
-        return (zero, zero, zero)
-
-
-class KenmotsuHyperbolic(AmbientSpace):
+class KenmotsuHyperbolic(_Contact):
     """Warped product dt^2 + e^(2t) * flat over C^n; Kenmotsu, ctilde = -1."""
 
     kind = "kenmotsu_hyperbolic"
-    structure = "contact"
-    family = "gssf"
     space_form = "kenmotsu"
-    ctilde = -1.0
 
     def __init__(self, n):
-        super().__init__(2 * n + 1)
-        self.n = n
-        self._phi = np.zeros((self.chart_dim, self.chart_dim))
-        self._phi[: 2 * n, : 2 * n] = _std_J(2 * n)
+        super().__init__(n, -1.0)
 
     def metric_jets(self, x):
         sp = x[0].space
@@ -308,16 +288,8 @@ class KenmotsuHyperbolic(AmbientSpace):
         G[d - 1][d - 1] = Jet.constant(sp, 1.0)
         return G
 
-    def structure_jets(self, x):
-        return _flat_contact_structure(self._phi, x[0].space)
 
-    def curvature_coeff_jets(self, x):
-        f1, f2, f3 = space_form_coefficients("kenmotsu", self.ctilde)
-        sp = x[0].space
-        return tuple(Jet.constant(sp, v) for v in (f1, f2, f3))
-
-
-class SasakianSphere(AmbientSpace):
+class SasakianSphere(_Contact):
     """Unit sphere with its standard Sasakian structure, stereographic chart.
 
     For ctilde != 1 the metric, Reeb field and contact form carry the
@@ -327,16 +299,12 @@ class SasakianSphere(AmbientSpace):
     """
 
     kind = "sasakian_sphere"
-    structure = "contact"
-    family = "gssf"
     space_form = "sasaki"
 
     def __init__(self, n, ctilde=1.0):
         if ctilde <= -3.0:
             raise SpaceError("sasakian_sphere needs ctilde > -3")
-        super().__init__(2 * n + 1)
-        self.n = n
-        self.ctilde = float(ctilde)
+        super().__init__(n, ctilde)
         self.homothety = 4.0 / (self.ctilde + 3.0)
         # row a of the ambient J has its one entry _J_entry[a] in column _J_col[a]
         J = _std_J(2 * n + 2)
@@ -384,16 +352,26 @@ class SasakianSphere(AmbientSpace):
         phi0 = (dX[:, :, None] * JdX[:, None]).sum(0) * lam_inv
         return {"phi": phi0, "xi": eta0 * lam_inv / a, "eta": eta0 * a}
 
-    def curvature_coeff_jets(self, x):
-        f1, f2, f3 = space_form_coefficients("sasaki", self.ctilde)
-        sp = x[0].space
-        return tuple(Jet.constant(sp, v) for v in (f1, f2, f3))
-
 
 # -- abstract curvature-model-only spaces --------------------------------------
 
 
-class AbstractGCSF(AmbientSpace):
+class _CurvatureModel(AmbientSpace):
+    """Curvature coefficients given as expressions over the chart
+    coordinates x1, x2, ...; no concrete metric."""
+
+    has_metric = False
+
+    def _parse_coeffs(self, exprs):
+        self.coord_names = [f"x{i + 1}" for i in range(self.chart_dim)]
+        self.coeffs = tuple(parse(e, self.coord_names) for e in exprs)
+
+    def curvature_coeff_jets(self, x):
+        env = dict(zip(self.coord_names, x))
+        return tuple(eval_on_jets(e, env) for e in self.coeffs)
+
+
+class AbstractGCSF(_CurvatureModel, _Hermitian):
     """Generalized complex space form given only by curvature coefficients.
 
     No concrete metric exists for non-constant (alpha, beta); evaluation
@@ -401,68 +379,31 @@ class AbstractGCSF(AmbientSpace):
     """
 
     kind = "abstract_gcsf"
-    structure = "hermitian"
-    family = "gcsf"
-    has_metric = False
 
     def __init__(self, alpha, beta, dim=4):
         if dim % 2:
             raise SpaceError("abstract_gcsf needs even dimension")
         super().__init__(dim)
-        self.coord_names = [f"x{i + 1}" for i in range(dim)]
-        self.alpha = parse(alpha, self.coord_names) if isinstance(alpha, str) else alpha
-        self.beta = parse(beta, self.coord_names) if isinstance(beta, str) else beta
-        self._J = _std_J(dim)
-
-    def structure_jets(self, x):
-        return {"J": Jet.constant(x[0].space, self._J)}
-
-    def curvature_coeff_jets(self, x):
-        env = dict(zip(self.coord_names, x))
-        return (eval_on_jets(self.alpha, env), eval_on_jets(self.beta, env))
+        self._parse_coeffs((alpha, beta))
 
 
-class AbstractGSSF(AmbientSpace):
+class AbstractGSSF(_CurvatureModel, _Contact):
     """Generalized Sasakian space form by coefficient expressions only."""
 
     kind = "abstract_gssf"
-    structure = "contact"
-    family = "gssf"
-    has_metric = False
 
     def __init__(self, n, f1, f2, f3):
-        super().__init__(2 * n + 1)
-        self.n = n
-        self.coord_names = [f"x{i + 1}" for i in range(self.chart_dim)]
-        parse_maybe = lambda e: parse(e, self.coord_names) if isinstance(e, str) else e
-        self.f1 = parse_maybe(f1)
-        self.f2 = parse_maybe(f2)
-        self.f3 = parse_maybe(f3)
-        self._phi = np.zeros((self.chart_dim, self.chart_dim))
-        self._phi[: 2 * n, : 2 * n] = _std_J(2 * n)
-
-    def structure_jets(self, x):
-        return _flat_contact_structure(self._phi, x[0].space)
-
-    def curvature_coeff_jets(self, x):
-        env = dict(zip(self.coord_names, x))
-        return tuple(eval_on_jets(f, env) for f in (self.f1, self.f2, self.f3))
+        super().__init__(n)
+        self._parse_coeffs((f1, f2, f3))
 
 
 # -- factories and tables -------------------------------------------------------
 
 
 def make_space(kind, **params):
-    table = {
-        "euclidean_complex": EuclideanComplex,
-        "fubini_study": FubiniStudy,
-        "complex_hyperbolic": ComplexHyperbolic,
-        "sasakian_sphere": SasakianSphere,
-        "cosymplectic_flat": CosymplecticFlat,
-        "kenmotsu_hyperbolic": KenmotsuHyperbolic,
-        "abstract_gcsf": AbstractGCSF,
-        "abstract_gssf": AbstractGSSF,
-    }
+    table = {cls.kind: cls for cls in (EuclideanComplex, FubiniStudy, ComplexHyperbolic,
+                                       SasakianSphere, CosymplecticFlat, KenmotsuHyperbolic,
+                                       AbstractGCSF, AbstractGSSF)}
     if kind not in table:
         raise SpaceError(f"unknown ambient kind {kind!r}")
     return table[kind](**params)
@@ -511,36 +452,30 @@ def christoffel_jets(G, G_inv=None):
 
 
 def metric_and_christoffel_jets(space, points, order):
-    """Chart-seeded metric jets (given order; their values checked as in
-    `metric_at`) and Christoffels (order-1), at a point or at each row of a
+    """Chart-seeded metric jets (given order; their values must be finite
+    and positive definite) and Christoffels (order-1), at each row of a
     (P, d) array of points."""
-    if not space.has_metric:
-        raise SpaceError(f"{space.kind} supplies no ambient connection")
     space.chart_check(points)
     x = chart_jets(points, order)
     G = Jet.stack(space.metric_jets(x))
-    _checked_metric(G.values if np.ndim(points) == 1 else G.point_values(len(points)))
+    _checked_metric(G.point_values(len(points)))
     return G, christoffel_jets(G)
 
 
 def christoffels_at(space, points):
-    """(G, Gam) values at a chart point from one order-1 build: the checked
-    metric and Gamma^k_ij, symmetric in the lower indices.  For a (P, d)
-    array of points, one build for all: arrays with a leading points axis."""
+    """(G, Gam) values at each row of a (P, d) array of chart points, from
+    one order-1 build for all: the checked metric and Gamma^k_ij, symmetric
+    in the lower indices, with a leading points axis."""
     G, Gam = metric_and_christoffel_jets(space, points, 1)
-    if np.ndim(points) == 1:
-        return G.values, Gam.values
     return G.point_values(len(points)), Gam.point_values(len(points))
 
 
-def curvature_from_christoffels(Gam, count=None):
-    """R[l,i,j,k] = d_i Gam^l_jk - d_j Gam^l_ik + Gam^l_im Gam^m_jk
-    - Gam^l_jm Gam^m_ik from Christoffel jets of order >= 1; with `count`,
-    at each of the `count` points of jets with a points axis, on a leading
-    axis."""
-    values = (lambda jet: jet.values) if count is None else (lambda jet: jet.point_values(count))
-    Gv = values(Gam)                   # Gv[k, i, j] = Gamma^k_ij
-    dGv = values(Gam.derivs())         # dGv[k, i, j, l] = d_l Gamma^k_ij
+def curvature_from_christoffels(Gam, count):
+    """R[p, l, i, j, k] = d_i Gam^l_jk - d_j Gam^l_ik + Gam^l_im Gam^m_jk
+    - Gam^l_jm Gam^m_ik at each of the `count` points of Christoffel jets
+    of order >= 1 with a points axis."""
+    Gv = Gam.point_values(count)                # Gv[p, k, i, j] = Gamma^k_ij
+    dGv = Gam.derivs().point_values(count)      # dGv[p, k, i, j, l] = d_l Gamma^k_ij
     quad = np.einsum("...lim,...mjk->...lijk", Gv, Gv)
     return (np.einsum("...ljki->...lijk", dGv) - np.einsum("...likj->...lijk", dGv)
             + quad - quad.swapaxes(-3, -2))
@@ -552,17 +487,17 @@ def matvec(M, v):
     return (M @ v[..., None])[..., 0]
 
 
-def curvature_model(family, G, tensors, coeffs):
+def curvature_model(structure, G, tensors, coeffs):
     """Algebraic space-form curvature as the map (X, Y, Z) -> R(X, Y)Z, from
     the metric G, structure tensors and curvature coefficients (the fiducial
     identity metric on abstract spaces) of a point, or of P points stacked
     (G[p, a, b], coefficients as P-arrays, X[p, a]), each rounding as alone.
-    Hermitian family: alpha*R1 + beta*R2; contact: f1*R1s + f2*R2s + f3*R3s.
+    Hermitian structure: alpha*R1 + beta*R2; contact: f1*R1s + f2*R2s + f3*R3s.
     """
     # inner products and coefficients keep a unit last axis, to scale vectors
     g = lambda a, b: (a[..., None, :] @ G @ b[..., None])[..., 0]
     coeffs = [np.asarray(c)[..., None] for c in coeffs]
-    if family == "gcsf":
+    if structure == "hermitian":
         alpha, beta = coeffs
         J = tensors["J"]
 
@@ -592,14 +527,3 @@ def curvature_model(family, G, tensors, coeffs):
 
     return contact
 
-
-def gcsf_coefficient_sum_spread(space, points):
-    """Spread of alpha+beta over sample points.
-
-    The coefficient sum of a generalized complex space form is necessarily
-    constant; user-supplied expressions are not forced to satisfy this, so
-    consumers warn when the sampled spread is non-zero.
-    """
-    alpha, beta = space.curvature_coeffs_at(np.asarray(points, float))
-    total = alpha + beta
-    return float(total.max() - total.min())

@@ -160,7 +160,7 @@ def _deformed_tension_data(space, frozen, v, ts):
         except ChartError:
             for j, p in enumerate(pos):
                 try:
-                    christoffels_at(space, p)
+                    christoffels_at(space, p[None])
                 except ChartError:
                     raise ChartExitError("the deformed map exits the ambient chart at node "
                                          f"{j % count} (t={ts[j // count]})") from None

@@ -8,6 +8,7 @@ import pytest
 from bihkit.calculus import evaluate
 from bihkit.jets import Jet, JetError
 from bihkit.scenario import load_scenario
+from bihkit.spaces import christoffels_at
 
 CATALOG = os.path.join(
     os.path.dirname(__file__), "..", "src", "bihkit", "scenarios"
@@ -42,12 +43,27 @@ def same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
-def point_curvature_model(family, G, tensors, coeffs):
+def metric_at(space, point):
+    """The checked ambient metric at one chart point, from a one-row stack."""
+    return christoffels_at(space, np.asarray(point, dtype=float)[None])[0][0]
+
+
+def structure_at(space, point):
+    """The structure tensors at one chart point, from a one-row stack."""
+    return {key: val[0] for key, val in space.structure_at(np.asarray(point)[None]).items()}
+
+
+def coeffs_at(space, point):
+    """The curvature coefficients at one chart point, from a one-row stack."""
+    return tuple(c[0] for c in space.curvature_coeffs_at(np.asarray(point)[None]))
+
+
+def point_curvature_model(structure, G, tensors, coeffs):
     """The algebraic space-form curvature map (X, Y, Z) -> R(X, Y)Z at one
     point, with Python-float inner products a @ G @ b: the reference of the
     stacked `spaces.curvature_model`."""
     g = lambda a, b: float(a @ G @ b)
-    if family == "gcsf":
+    if structure == "hermitian":
         alpha, beta = coeffs
         J = tensors["J"]
 

@@ -128,11 +128,8 @@ def test_run_all_audits_summary():
     assert summary["lemgene2_reading"] == "single intrinsic Ricci"
 
 
-def test_curvature_trace_audit_concrete_and_abstract():
+def test_curvature_trace_audit_abstract():
     rng = np.random.default_rng(2)
-    out = curvature_trace_audit(S3D, rng.normal(size=(3, 3)) * 0.4, seed=5)
-    assert out["normal_trace"] <= 1e-9 and out["tangent_trace"] <= 1e-9
-
     ab = make_space("abstract_gcsf", alpha="1 + 0.1*x1", beta="0.5")
     out2 = curvature_trace_audit(ab, rng.normal(size=(4, 4)) * 0.4, seed=5)
     assert out2["normal_trace"] <= 1e-9 and out2["tangent_trace"] <= 1e-9
@@ -145,3 +142,16 @@ def test_curvature_trace_audit_concrete_and_abstract():
     ag = make_space("abstract_gssf", n=2, f1="1 + 0.2*x5", f2="0.3*x1", f3="0.1")
     out4 = curvature_trace_audit(ag, rng.normal(size=(3, 5)) * 0.4, seed=6)
     assert out4["normal_trace"] <= 1e-9 and out4["tangent_trace"] <= 1e-9
+
+
+def test_curvature_trace_audit_keeps_a_nan():
+    """A coefficient that is NaN at one point of three makes the traces NaN
+    and fires the alpha + beta warning: the maxima keep the NaN."""
+    nan_off_zero = "(1e200*x1)*(1e200*x1) - (1e200*x1)*(1e200*x1)"
+    ab = make_space("abstract_gcsf", alpha=nan_off_zero, beta="0.5")
+    points = np.zeros((3, 4))
+    points[1, 0] = 0.3
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = curvature_trace_audit(ab, points, seed=5)
+    assert np.isnan(out["normal_trace"]) and np.isnan(out["tangent_trace"])
+    assert out["alpha_beta_warning"]

@@ -23,7 +23,7 @@ from bihkit.residuals import (bi_f_tension_direct, compare_modes, f_bitension_di
                                theorem_residual)
 from bihkit.scenario import load_scenario
 from bihkit.spaces import SpaceError, chart_jets, christoffel_jets, make_space
-from conftest import at, one_point, same_bits, scenario_path
+from conftest import at, coeffs_at, one_point, same_bits, scenario_path, structure_at
 
 FLAT3 = make_space("cosymplectic_flat", n=1)
 C2 = make_space("euclidean_complex", n=2)
@@ -302,7 +302,7 @@ def test_hypersurface_xi_tangent_normal_line_facts():
         "1")
     p = [0.5, 1.1]
     pt = _Point(one_point(imm, p))
-    st = S3.structure_at(pt.psi.values)
+    st = structure_at(S3, pt.psi.values)
     phi = st["phi"]
     P_tan, P_nor = pt.projectors
     nu = pt.normal_frame[0]
@@ -913,7 +913,7 @@ def _ref_trace_terms(pt):
     out = {"f": pt.f_jet.value, "grad_f": grad_f, "H": H,
            "delta_f_pos": pt.delta_f_pos_field.value,
            "grad_delta_f_pos": _ref_gradient(pt, pt.delta_f_pos_field),
-           "coeffs": pt.space.curvature_coeffs_at(pt.psi.values),
+           "coeffs": coeffs_at(pt.space, pt.psi.values),
            "h_norm2": ip(H, H)}
     # |grad f|^2 and |H|^2 as scalar jets, and their gradients
     g1 = pt.induced_metric_field.truncate(pt.order - 1)

@@ -616,6 +616,74 @@ def test_abstract_audit_does_not_evaluate_the_weight(tmp_path):
     assert "curvature_trace_audit:" in out
 
 
+# Curvature-model scenarios (edits of ABSTRACT) that validation rejects,
+# with the one stderr line they exit 3 with.
+ABSTRACT_REJECTED = {
+    "alpha_log_negative": (
+        [('alpha = "1 + 0.1*x1"', 'alpha = "log(x1)"')],
+        "sample point [3.141592653589793] rejected: log of non-positive jet value "
+        "(section [ambient], key 'alpha')"),
+    "map_log_at_zero": (
+        [('"0.3*cos(u)"', '"log(u)"')],
+        "sample point [0.0] rejected: log of non-positive jet value "
+        "(section [sampling], key 'grid')"),
+    "alpha_not_finite": (
+        [('alpha = "1 + 0.1*x1"',
+          'alpha = "(1e200*x1)*(1e200*x1) - (1e200*x1)*(1e200*x1)"')],
+        "sample point [0.0] rejected: alpha not finite (section [ambient], key 'alpha')"),
+    "map_not_periodic": (
+        [("u = [0.0, 6.283185307179586, periodic]", "u = [0.0, 1.0, periodic]"),
+         ('"0.3*cos(u)"', '"u"')],
+        "axis 'u' declared periodic but map endpoints differ by 1.000e+00 "
+        "(section [immersion], key 'u')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ABSTRACT_REJECTED))
+def test_abstract_scenario_is_validated(tmp_path, case):
+    """A curvature-model scenario is validated like a concrete one: the map
+    and the coefficients must be finite at the sample points (no numpy
+    warning escapes) and periodic axes must close up."""
+    edits, message = ABSTRACT_REJECTED[case]
+    text = ABSTRACT
+    for old, new in edits:
+        text = text.replace(old, new)
+    code, out, err = run_cli(["audit", write(tmp_path, text)])
+    assert (code, out) == (3, "")
+    assert err == f"validation error: {message}\n"
+
+
+ABSTRACT_GSSF = """\
+[ambient]
+kind = abstract_gssf
+n = 2
+f1 = "1 + 0.2*x5"
+f2 = "0.3*x1"
+f3 = "0.1"
+
+[immersion]
+params = [u]
+u = [0.0, 6.283185307179586, periodic]
+map = ["0.3*cos(u)", "0.3*sin(u)", "0", "0", "0.2*sin(u)"]
+
+[sampling]
+grid = [4]
+"""
+
+
+@pytest.mark.parametrize("name", ["abstract_gcsf", "abstract_gssf"])
+def test_abstract_audit_reports_match_goldens(tmp_path, monkeypatch, name):
+    """The curvature-model audit reports, pinned under tests/golden/abstract/."""
+    monkeypatch.chdir(tmp_path)  # the report prints the scenario path it was given
+    text = {"abstract_gcsf": ABSTRACT, "abstract_gssf": ABSTRACT_GSSF}[name]
+    (tmp_path / f"{name}.scn").write_text(text)
+    code, out, err = run_cli(["audit", f"{name}.scn"])
+    with open(os.path.join(GOLDEN_DIR, "abstract", f"audit.{name}.txt"), encoding="utf-8") as fh:
+        first, _, report = fh.read().partition("\n")
+    assert code == int(first.removeprefix("# exit ")), err
+    assert reports_match(report, strip_volatile(out))
+
+
 def _assert_matches_reference(monkeypatch, job, reference=None):
     monkeypatch.chdir(ROOT)  # reports print the scenario path they were given
     code, report = run_job(cli, sys.modules["bihkit.report"], job)
@@ -626,7 +694,8 @@ def _assert_matches_reference(monkeypatch, job, reference=None):
 
 # Reports pinned under tests/golden/<command>.<scenario>.txt, in the format
 # of the benchmark's references.
-GOLDEN_JOBS = sorted(tuple(name.split(".")[:2]) for name in os.listdir(GOLDEN_DIR))
+GOLDEN_JOBS = sorted(tuple(name.split(".")[:2]) for name in os.listdir(GOLDEN_DIR)
+                     if name.endswith(".txt"))
 
 
 @pytest.mark.parametrize("job", GOLDEN_JOBS, ids=job_name)

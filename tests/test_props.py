@@ -15,7 +15,7 @@ def _ref_gauss(ev):
     t = ev.trace_terms
     gauss = np.empty(len(ev))
     for p, (E, G0) in enumerate(zip(ev.frames[0], ev.values(ev.G_field))):
-        R = point_curvature_model(ev.space.family, G0,
+        R = point_curvature_model(ev.space.structure, G0,
                                   {key: val[p] for key, val in ev.structure.items()},
                                   tuple(t.coeffs[:, p].tolist()))
         total = 0.0

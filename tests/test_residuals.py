@@ -13,7 +13,7 @@ from bihkit.residuals import (
     theorem_residual,
 )
 from bihkit.spaces import SpaceError, curvature_model, make_space
-from conftest import one_point
+from conftest import one_point, structure_at
 
 S3 = make_space("sasakian_sphere", n=1, ctilde=1.0)
 S3D = make_space("sasakian_sphere", n=1, ctilde=3.0)
@@ -178,7 +178,7 @@ def model_trace(ev, v):
     G, ginv = ev.values(ev.G_field)[0], ev.values(ev.induced_metric_inv_field)[0]
     dpsi = ev.values(ev.dpsi)[0]
     structure = {key: val[0] for key, val in ev.structure.items()}
-    R = curvature_model(ev.space.family, G, structure, tuple(ev.trace_terms.coeffs[:, 0]))
+    R = curvature_model(ev.space.structure, G, structure, tuple(ev.trace_terms.coeffs[:, 0]))
     out = np.zeros(ev.d)
     for al in range(ev.m):
         for be in range(ev.m):
@@ -213,7 +213,7 @@ def test_gssf_curvature_trace_identity():
     ev = one_point(imm, p)
     tt = ev.trace_terms
     f1, f2, f3 = tt.coeffs
-    xi = S3D.structure_at(ev.values(ev.psi)[0])["xi"]
+    xi = S3D.structure_at(ev.values(ev.psi))["xi"][0]
     lhs = model_trace(ev, tt.H)
     rhs = (
         -ev.m * f1 * tt.H
@@ -246,7 +246,7 @@ def test_gradf_curvature_trace_lemmas():
     ev2 = one_point(imm2, p)
     tt2 = ev2.trace_terms
     f1, f2, f3 = tt2.coeffs
-    st = S3D.structure_at(ev2.values(ev2.psi)[0])
+    st = structure_at(S3D, ev2.values(ev2.psi)[0])
     lhs2 = model_trace(ev2, tt2.grad_f)
     rhs2 = (
         -(ev2.m - 1.0) * f1 * tt2.grad_f

@@ -6,7 +6,9 @@ import pytest
 from bihkit.calculus import evaluate_batches
 from bihkit.jets import Jet, jet_space
 from bihkit.scenario import load_scenario
-from conftest import at, point_curvature_model, same_bits, scenario_path
+from bihkit.audits import curvature_trace_audit
+from conftest import (at, coeffs_at, metric_at, point_curvature_model, same_bits,
+                      scenario_path, structure_at)
 from bihkit.spaces import (
     ChartError,
     SpaceError,
@@ -14,7 +16,6 @@ from bihkit.spaces import (
     christoffels_at,
     curvature_from_christoffels,
     curvature_model,
-    gcsf_coefficient_sum_spread,
     jet_matrix_inverse,
     make_space,
     metric_and_christoffel_jets,
@@ -27,21 +28,20 @@ RNG = np.random.default_rng(123)
 
 def curvature_concrete(space, point, X, Y, Z):
     """R(X, Y)Z from the metric jets (bracket convention)."""
-    R = curvature_from_christoffels(metric_and_christoffel_jets(space, point, 2)[1])
-    return np.einsum("lijk,i,j,k->l", R, X, Y, Z)
+    R = curvature_from_christoffels(metric_and_christoffel_jets(space, point[None], 2)[1], 1)
+    return np.einsum("lijk,i,j,k->l", R[0], X, Y, Z)
 
 
 def curvature_model_at(space, point, X, Y, Z):
     """The algebraic curvature R(X, Y)Z with the space's data at `point`
     (the fiducial identity metric on abstract spaces)."""
-    G = space.metric_at(point) if space.has_metric else np.eye(space.chart_dim)
-    R = curvature_model(space.family, G, space.structure_at(point),
-                        space.curvature_coeffs_at(point))
+    G = metric_at(space, point) if space.has_metric else np.eye(space.chart_dim)
+    R = curvature_model(space.structure, G, structure_at(space, point), coeffs_at(space, point))
     return R(X, Y, Z)
 
 
 def sectional_curvature(space, point, X, Y):
-    G = space.metric_at(point)
+    G = metric_at(space, point)
     g = lambda a, b: float(a @ G @ b)
     R = curvature_concrete(space, point, X, Y, Y)
     return g(R, X) / (g(X, X) * g(Y, Y) - g(X, Y) ** 2)
@@ -54,19 +54,19 @@ def random_point(space, scale=0.4):
 def test_flat_christoffels_and_curvature():
     sp = make_space("euclidean_complex", n=2)
     p = random_point(sp)
-    assert np.abs(christoffels_at(sp, p)[1]).max() == 0.0
+    assert np.abs(christoffels_at(sp, p[None])[1]).max() == 0.0
     X, Y, Z = RNG.normal(size=(3, 4))
     assert np.abs(curvature_concrete(sp, p, X, Y, Z)).max() == 0.0
-    assert np.allclose(sp.metric_at(p), np.eye(4))
+    assert np.allclose(metric_at(sp, p), np.eye(4))
 
 
 def test_christoffel_symmetry_and_compatibility():
     sp = make_space("sasakian_sphere", n=1, ctilde=1.0)
     p = random_point(sp)
-    gam = christoffels_at(sp, p)[1]
+    gam = christoffels_at(sp, p[None])[1][0]
     assert np.abs(gam - gam.transpose(0, 2, 1)).max() <= 1e-14
     # metric compatibility: d_k g_ij = Gamma^l_ki g_lj + Gamma^l_kj g_il
-    G, Gam = metric_and_christoffel_jets(sp, p, 1)
+    G, Gam = (at(jet, 0) for jet in metric_and_christoffel_jets(sp, p[None], 1))
     d = sp.chart_dim
     worst = 0.0
     for k in range(d):
@@ -143,8 +143,8 @@ def test_hermitian_structure_invariants():
                make_space("fubini_study", n=2, hol=4.0),
                make_space("complex_hyperbolic", n=1, hol=-2.0)):
         p = random_point(sp, 0.3)
-        G = sp.metric_at(p)
-        J = sp.structure_at(p)["J"]
+        G = metric_at(sp, p)
+        J = structure_at(sp, p)["J"]
         assert np.abs(J @ J + np.eye(sp.chart_dim)).max() <= 1e-10
         assert np.abs(J.T @ G @ J - G).max() <= 1e-10
 
@@ -156,8 +156,8 @@ def test_contact_structure_invariants():
                make_space("cosymplectic_flat", n=1)):
         for _ in range(5):
             p = random_point(sp, 0.5)
-            G = sp.metric_at(p)
-            st = sp.structure_at(p)
+            G = metric_at(sp, p)
+            st = structure_at(sp, p)
             phi, xi, eta_vec = st["phi"], st["xi"], st["eta"]
             d = sp.chart_dim
             assert abs(eta_vec @ xi - 1.0) <= 1e-10
@@ -171,7 +171,7 @@ def _reeb_covariant_derivative(sp, p):
     """nabla-bar_i xi in chart coordinates (values)."""
     x = chart_jets(p, 1)
     xi = sp.structure_jets(x)["xi"]
-    gam = christoffels_at(sp, p)[1]
+    gam = christoffels_at(sp, p[None])[1][0]
     d = sp.chart_dim
     xi_val = np.array([j.value for j in xi])
     out = np.zeros((d, d))  # out[:, i] = nabla_i xi
@@ -185,13 +185,13 @@ def test_sasakian_reeb_field_equation():
     sp = make_space("sasakian_sphere", n=1, ctilde=1.0)
     for _ in range(20):
         p = random_point(sp, 0.6)
-        st = sp.structure_at(p)
+        st = structure_at(sp, p)
         assert abs(st["eta"] @ st["xi"] - 1.0) <= 1e-12
         assert np.abs(st["phi"] @ st["xi"]).max() <= 1e-12
     for _ in range(5):
         p = random_point(sp, 0.5)
         nab = _reeb_covariant_derivative(sp, p)
-        phi = sp.structure_at(p)["phi"]
+        phi = structure_at(sp, p)["phi"]
         assert np.abs(nab + phi).max() <= 1e-8
 
 
@@ -200,7 +200,7 @@ def test_deformed_sasakian_reeb_field_equation():
     for _ in range(4):
         p = random_point(sp, 0.5)
         nab = _reeb_covariant_derivative(sp, p)
-        phi = sp.structure_at(p)["phi"]
+        phi = structure_at(sp, p)["phi"]
         assert np.abs(nab + phi).max() <= 1e-8
 
 
@@ -209,7 +209,7 @@ def test_kenmotsu_reeb_field_equation():
     for _ in range(4):
         p = random_point(sp, 0.5)
         nab = _reeb_covariant_derivative(sp, p)
-        st = sp.structure_at(p)
+        st = structure_at(sp, p)
         # nabla_X xi = X - eta(X) xi
         expected = np.eye(3) - np.outer(st["xi"], st["eta"])
         assert np.abs(nab - expected).max() <= 1e-8
@@ -274,9 +274,9 @@ def test_gssf_coefficient_selection():
 def test_chart_rejections():
     ch = make_space("complex_hyperbolic", n=1, hol=-4.0)
     with pytest.raises(ChartError):
-        ch.metric_at(np.array([0.9, 0.7]))
+        metric_at(ch, [0.9, 0.7])
     with pytest.raises(ChartError):
-        ch.metric_at(np.array([0.9]))
+        metric_at(ch, [0.9])
     eu = make_space("euclidean_complex", n=1)
     with pytest.raises(SpaceError):
         make_space("euclidean_sasakian")
@@ -285,15 +285,15 @@ def test_chart_rejections():
 def test_abstract_spaces_reject_connection():
     ab = make_space("abstract_gcsf", alpha="1", beta="x1")
     with pytest.raises(SpaceError):
-        christoffels_at(ab, np.zeros(4))
-    assert gcsf_coefficient_sum_spread(ab, [np.zeros(4), np.ones(4)]) > 0.0
+        christoffels_at(ab, np.zeros((1, 4)))
+    assert curvature_trace_audit(ab, np.array([np.zeros(4), np.ones(4)]))["alpha_beta_spread"] > 0.0
 
 
 def test_metric_positive_definite_rejection():
     # kenmotsu metric is PD everywhere it evaluates; degenerate matrices
     # surface through the jet inverse instead
     sp = make_space("kenmotsu_hyperbolic", n=1)
-    G = sp.metric_at(np.array([0.1, 0.2, -0.4]))
+    G = metric_at(sp, [0.1, 0.2, -0.4])
     assert np.linalg.eigvalsh(G).min() > 0.0
     with pytest.raises(SpaceError, match="singular"):
         jet_matrix_inverse(Jet.constant(jet_space(3, 1), np.ones((3, 3))))
@@ -305,7 +305,7 @@ def test_sasaki_phi_sectional_curvature():
         sp = make_space("sasakian_sphere", n=1, ctilde=ct)
         for _ in range(4):
             p = random_point(sp, 0.4)
-            st = sp.structure_at(p)
+            st = structure_at(sp, p)
             X = RNG.normal(size=3)
             X = X - (st["eta"] @ X) * st["xi"]  # X in the contact plane
             K = sectional_curvature(sp, p, X, st["phi"] @ X)
@@ -335,15 +335,16 @@ def test_batched_chart_jets_match_each_point(kind):
         structure = {k: Jet.stack(v) for k, v in sp.structure_jets(x).items()}
         gam = metric_and_christoffel_jets(sp, points, order)[1] if order else None
         for i, p in enumerate(points):
-            one = chart_jets(p, order)
-            assert same_bits(at(metric, i).c, Jet.stack(sp.metric_jets(one)).c)
+            one = chart_jets(p[None], order)
+            assert same_bits(at(metric, i).c, at(Jet.stack(sp.metric_jets(one)), 0).c)
             for k, v in sp.structure_jets(one).items():
-                assert same_bits(at(structure[k], i).c, Jet.stack(v).c)
+                assert same_bits(at(structure[k], i).c, at(Jet.stack(v), 0).c)
             if order:
-                assert same_bits(at(gam, i).c, metric_and_christoffel_jets(sp, p, order)[1].c)
+                one_gam = metric_and_christoffel_jets(sp, p[None], order)[1]
+                assert same_bits(at(gam, i).c, at(one_gam, 0).c)
     G, Gam = christoffels_at(sp, points)
     for i, p in enumerate(points):
-        assert all(map(same_bits, (G[i], Gam[i]), christoffels_at(sp, p)))
+        assert all(map(same_bits, (G[i], Gam[i]), (x[0] for x in christoffels_at(sp, p[None]))))
 
 
 def _round_structure(sp, x):
@@ -393,12 +394,12 @@ def test_stacked_curvature_model_matches_each_point(name):
     coeffs = space.curvature_coeffs_at(ev.values(ev.psi))
     E, N = ev.frames
     vectors = [E[:, 0], N[:, 0], np.ascontiguousarray(ev.values(ev.dpsi)[:, :, -1])]
-    stacked = curvature_model(space.family, G, st, coeffs)
+    stacked = curvature_model(space.structure, G, st, coeffs)
     for X, Y, Z in itertools.product(vectors, repeat=3):
         got = stacked(X, Y, Z)
         for p in range(len(ev)):
             data = (G[p], {key: val[p] for key, val in st.items()}, [c[p] for c in coeffs])
-            one = curvature_model(space.family, *data)(X[p], Y[p], Z[p])
-            ref = point_curvature_model(space.family, data[0], data[1],
+            one = curvature_model(space.structure, *data)(X[p], Y[p], Z[p])
+            ref = point_curvature_model(space.structure, data[0], data[1],
                                         [float(c) for c in data[2]])(X[p], Y[p], Z[p])
             assert same_bits(got[p], one) and same_bits(got[p], ref), (name, p)
