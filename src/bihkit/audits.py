@@ -34,6 +34,11 @@ __all__ = [
     "run_all_audits",
 ]
 
+# Tolerance of the hypotheses of the conditional phi-decomposition facts
+PHI_TOL = 1e-8
+# Random tangent/normal splits per point in the curvature-model audit
+TRACE_SAMPLES = 4
+
 
 def audit_mean_curvature_laplacian(ev):
     """tr nabla^2 H against its printed trace-term expansion
@@ -184,7 +189,7 @@ def identity_suite(ev):
     return out
 
 
-def audit_phi_decompositions(ev, tol=1e-8):
+def audit_phi_decompositions(ev):
     """Proof-level contact facts beyond `identity_suite`, hypothesis-
     conditional ones included: those are reported where any point of the
     block meets the hypothesis, as NaN at the points that do not."""
@@ -210,8 +215,8 @@ def audit_phi_decompositions(ev, tol=1e-8):
     out["phi2_normal_decomposition"] = worst
     # conditional facts: phi H tangent => PsH = 0 and NsH = -H
     h_norm = nrm(tt.H)
-    holds = ((h_norm > tol) & (nrm(mv(P_nor, mv(phi, tt.H))) <= tol * (1.0 + h_norm))
-             & (nrm(mv(P_nor, xi)) <= tol))
+    holds = ((h_norm > PHI_TOL) & (nrm(mv(P_nor, mv(phi, tt.H))) <= PHI_TOL * (1.0 + h_norm))
+             & (nrm(mv(P_nor, xi)) <= PHI_TOL))
     if holds.any():
         out["PsH_when_phiH_tangent"] = np.where(holds, nrm(tt.jl_H) / (1.0 + h_norm), np.nan)
         out["NsH_plus_H_when_phiH_tangent"] = np.where(
@@ -219,14 +224,15 @@ def audit_phi_decompositions(ev, tol=1e-8):
     return out
 
 
-def curvature_trace_audit(space, points, seed=0, samples_per_point=4):
+def curvature_trace_audit(space, points, seed=0):
     """Trace-identity audit of a curvature-model ambient at the rows of a
-    (P, d) array of chart points, all at once.  Each sample splits a random
-    orthonormal basis of every point (one stacked QR; the fiducial identity
-    metric) into m tangent and d - m normal vectors and compares tr R(., v).
-    of the algebraic curvature, for a normal and a tangent v, with its
-    operator decomposition.  The maxima keep a NaN.  On abstract_gcsf the
-    spread of alpha + beta, which should be constant, is reported too."""
+    (P, d) array of chart points, all at once.  Each of TRACE_SAMPLES
+    samples splits a random orthonormal basis of every point (one stacked
+    QR; the fiducial identity metric) into m tangent and d - m normal
+    vectors and compares tr R(., v). of the algebraic curvature, for a
+    normal and a tangent v, with its operator decomposition.  The maxima
+    keep a NaN.  On abstract_gcsf the spread of alpha + beta, which should
+    be constant, is reported too."""
     rng = np.random.default_rng(seed)
     count, d = len(points), space.chart_dim
     tensors = space.structure_at(points)
@@ -234,7 +240,7 @@ def curvature_trace_audit(space, points, seed=0, samples_per_point=4):
     R = curvature_model(space.structure, np.eye(d), tensors, coeffs)
     T = tensors["J" if space.structure == "hermitian" else "phi"]
     worst = {"normal_trace": [], "tangent_trace": []}
-    for _ in range(samples_per_point):
+    for _ in range(TRACE_SAMPLES):
         m = rng.integers(1, d, size=count)
         # E[p, i] is basis vector i of point p
         E = np.linalg.qr(rng.normal(size=(count, d, d)))[0].swapaxes(-1, -2)

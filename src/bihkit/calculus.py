@@ -327,9 +327,10 @@ def evaluate(imm, points, order=4):
     derivative depth; 4 covers every assembled residual.
 
     Each field rounds exactly as it would at each point alone.  Raises
-    ChartError off the chart or where the ambient metric is not finite and
-    positive definite, CalcError where the immersion is rank-deficient or
-    its Gram determinant not finite (naming the first such point),
+    CalcError where the map is not finite, ChartError off the chart or where
+    the ambient metric is not finite and positive definite, CalcError where
+    the immersion is rank-deficient or its Gram determinant not finite
+    (naming the first such point),
     SpaceError or JetError where an expression or matrix fails at some
     point, and SpaceError on an ambient without a concrete metric."""
     space = imm.ambient
@@ -345,6 +346,8 @@ def evaluate(imm, points, order=4):
     f_jet = eval_on_jets(imm.weight, env, memo)
     del memo
     psi_val = psi.point_values(count)
+    if not np.isfinite(psi_val).all():
+        raise CalcError("map not finite")
     G, Gam, chart_gam = _ambient_along(space, psi, psi_val, order)
     dpsi = psi.derivs()
     g = _induced_metric(G, dpsi)
@@ -753,7 +756,8 @@ def flag_deviation(imm, blocks, name):
     evaluation blocks `blocks`.
 
     Returns max deviation (0 = property holds exactly).  Structural flags
-    (hypersurface, curve) return 0.0 or inf.
+    (hypersurface, curve) return 0.0 or inf; any other flag is a FlagError
+    on a curvature-model ambient, which has no evaluation blocks.
     """
     if name == "hypersurface":
         return 0.0 if imm.codim == 1 else float("inf")
@@ -761,6 +765,8 @@ def flag_deviation(imm, blocks, name):
         return 0.0 if imm.param_dim == 1 else float("inf")
     if name not in FLAG_NAMES:
         raise FlagError(name, f"unknown flag {name!r}")
+    if not imm.ambient.has_metric:
+        raise FlagError(name, f"flag {name!r} cannot be checked on a curvature-model ambient")
     needs = {"complex": "hermitian", "lagrangian": "hermitian", "invariant": "contact",
              "anti_invariant": "contact", "xi_tangent": "contact", "xi_normal": "contact"}
     if needs.get(name, imm.ambient.structure) != imm.ambient.structure:

@@ -11,7 +11,8 @@ Exit codes: 0 all requested verdicts pass, 2 a numeric verdict failed,
 number or an unwritable `--report`/`--csv` path (one stderr line names the
 option, stdout stays empty), 4 internal error.  An ambient given only by
 its curvature model (abstract_gcsf, abstract_gssf) supports `audit` alone;
-its map and coefficients must be finite at the sample points (exit 3).
+its map and coefficients must be finite at the sample points, and only its
+curve and hypersurface flags can be asserted or denied (exit 3).
 `--csv` writes the per-point norms of `check`; other commands ignore it.
 """
 

@@ -12,8 +12,8 @@ Left-associative at equal precedence, '^' binds tighter than unary minus,
 and its exponent must be a (possibly signed) numeric literal.  Function
 application requires parentheses; the catalogue matches the jet operations
 exactly (sin, cos, tan, exp, log, sqrt, atan).  Identifiers resolve to the
-declared parameter names or the constants pi, e; resolution runs after the
-structural parse, so syntax errors win over unknown-identifier errors.
+declared parameter names or the constants pi, e as they are parsed; unknown
+ones are reported after the structural parse, so syntax errors win over them.
 Angles are radians; no implicit multiplication.  Offsets are 1-based.
 """
 
@@ -140,11 +140,10 @@ def _tokenize(source):
 
 class _Parser:
     def __init__(self, source, params):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.params = list(params)
-        self.pending_names = []  # (name, offset), resolved post-parse
+        self.unknown = []  # (name, offset), reported post-parse
 
     def peek(self):
         return self.tokens[self.pos]
@@ -165,10 +164,10 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing {tok[0]!r}", tok[2])
-        for name, off in self.pending_names:
-            if name not in self.params and name not in CONSTANTS:
-                raise ParseError(f"unknown identifier {name!r}", off)
-        return _resolve(node, self.params)
+        if self.unknown:
+            name, off = self.unknown[0]
+            raise ParseError(f"unknown identifier {name!r}", off)
+        return node
 
     def expr(self):
         node = self.term()
@@ -205,8 +204,7 @@ class _Parser:
         return base
 
     def atom(self):
-        tok = self.advance()
-        kind, val, off = tok
+        kind, val, off = self.advance()
         if kind == "num":
             return Lit(val)
         if kind == "(":
@@ -224,24 +222,12 @@ class _Parser:
                     raise ParseError(f"function {val!r} takes one argument", nxt[2])
                 self.expect(")")
                 return Call(val, arg)
-            self.pending_names.append((val, off))
-            return Var(val)
+            if val in self.params:
+                return Var(val)
+            if val not in CONSTANTS:
+                self.unknown.append((val, off))
+            return Const(val)
         raise ParseError(f"unexpected token {kind!r}", off)
-
-
-def _resolve(node, params):
-    """Rewrite bare names into Var/Const nodes after the structural parse."""
-    if isinstance(node, Var):
-        return node if node.name in params else Const(node.name)
-    if isinstance(node, Neg):
-        return Neg(_resolve(node.arg, params))
-    if isinstance(node, Bin):
-        return Bin(node.op, _resolve(node.left, params), _resolve(node.right, params))
-    if isinstance(node, Pow):
-        return Pow(_resolve(node.base, params), node.exponent)
-    if isinstance(node, Call):
-        return Call(node.fn, _resolve(node.arg, params))
-    return node
 
 
 def parse(source, params):

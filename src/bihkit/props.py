@@ -32,17 +32,14 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import FLAG_TOL, FlagError, flag_deviation, matvec, point_rows
-from .spaces import curvature_model, space_form_coefficients
+from .spaces import curvature_model
 
 __all__ = [
     "proposition_checkers",
     "check_cmc_hypersurface_gcsf",
-    "check_lagrangian_bound",
-    "check_complex_bound",
+    "check_bound",
     "check_cmc_hypersurface_gssf",
     "check_nonexistence_gssf",
-    "check_F_bound",
-    "check_G_bound",
 ]
 
 _CONDITIONAL_NOTE = (
@@ -52,36 +49,56 @@ _CONDITIONAL_NOTE = (
 )
 
 
-def _hyp_status(imm, blocks, required, tol):
-    """Verify required flags numerically; returns (ok, {flag: deviation}).
+def _hypotheses(imm, blocks, required, tol, phiH=None):
+    """Verify the hypotheses numerically; returns (ok, {name: deviation}).
 
     A flag the ambient structure does not support (FlagError) is reported
     as an error and fails the hypotheses.  'cmc' additionally requires a
     non-zero mean curvature (every checker here assumes |H| is a non-zero
-    constant).
+    constant).  `phiH` adds the tangency ('tangent') or normality
+    ('normal') of phi H, its deviation measured relative to |H|.
     """
     devs = {}
-    ok = True
     for name in required:
         try:
-            dev = flag_deviation(imm, blocks, name)
+            devs[name] = flag_deviation(imm, blocks, name)
         except FlagError as exc:  # structural mismatch (wrong ambient kind)
             return False, {name: f"error: {exc}"}
-        devs[name] = dev
-        if not dev <= tol:
-            ok = False
+    ok = all(dev <= tol for dev in devs.values())
     if "cmc" in required:
-        h2 = float(np.max([ev.trace_terms.h_norm2.max() for ev in blocks]))
-        devs["nonzero_H"] = h2
-        if not h2 > tol:
-            ok = False
+        devs["nonzero_H"] = h2 = float(np.max([ev.trace_terms.h_norm2.max() for ev in blocks]))
+        ok = ok and h2 > tol
+    if phiH is not None:
+        worst = 0.0
+        for ev in blocks:
+            t = ev.trace_terms
+            h_norm = np.sqrt(np.maximum(t.h_norm2, 0.0))
+            P_tan, P_nor = ev.projectors
+            part = matvec(P_nor if phiH == "tangent" else P_tan, matvec(ev.structure_tensor, t.H))
+            nonzero = h_norm != 0.0
+            worst = float(np.max(ev.norm(part)[nonzero] / h_norm[nonzero], initial=worst))
+        devs[f"phiH_{phiH}"] = worst
+        ok = ok and worst <= tol
     return ok, devs
+
+
+def _ratio(t):
+    """(Delta f)/f at the points of a block."""
+    return t.delta_f_pos / t.f
+
+
+def _space_form_function(q, coeffs, which, ratio=0.0):
+    """F = q f1 - f2 + 3 f3 - (Delta f)/f of the contact coefficients, or G
+    (`which`), the same without 3 f3; the default `ratio` 0 gives the
+    closed form of the coefficients alone."""
+    f1, f2, f3 = coeffs
+    return q * f1 - f2 + (3.0 * f3 if which == "F" else 0.0) - ratio
 
 
 def check_cmc_hypersurface_gcsf(imm, blocks, tol, flag_tol):
     """CMC hypersurface of a Hermitian space form: |B|^2 identity and the
     two scalar-curvature forms (Gauss audit included)."""
-    ok, devs = _hyp_status(imm, blocks, ("hypersurface", "cmc"), flag_tol)
+    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc"), flag_tol)
     p_dim = float(imm.param_dim)
     rows = []
     for ev in blocks:
@@ -89,7 +106,7 @@ def check_cmc_hypersurface_gcsf(imm, blocks, tol, flag_tol):
         alpha, beta = t.coeffs
         # p alpha + 3 beta: equals the printed 3(alpha+beta) at p = 3
         coeff = p_dim * alpha + 3.0 * beta
-        ratio = t.delta_f_pos / t.f
+        ratio = _ratio(t)
         b2_rhs = coeff - ratio
         rows += point_rows(ev, {
             "b_norm2": t.b_norm2,
@@ -139,22 +156,22 @@ def gauss_equation_audit(imm, blocks):
             "max_delta": float(np.max([r["delta"] for r in rows]))}
 
 
-def _bound_template(name, imm, blocks, required, coeff_fn, flag_tol,
-                    q=None, phiH=None, table=None):
-    """Infimum-bound checker: 0 < |H|^2 <= inf coeff_fn (divided by q when
-    given).  `phiH` adds the tangency ('tangent') or normality ('normal') of
-    phi H as a hypothesis; with q, the report carries the bound and the
-    residual against the closed-form `table` value of the coefficients."""
-    ok, devs = _hyp_status(imm, blocks, required, flag_tol)
-    if phiH is not None:
-        dev = _phiH_deviation(blocks, phiH)
-        devs[f"phiH_{phiH}"] = dev
-        ok = ok and dev <= flag_tol
+def check_bound(name, imm, blocks, required, flag_tol, values=None, which=None):
+    """Infimum-bound checker: 0 < |H|^2 <= inf `values` over the samples.
+    A contact bound (`which` "F" or "G", no `values`) is 0 < |H|^2 <= inf F
+    / q (or G / q, q = dim M) with phi H tangent (F) or normal (G) as a
+    further hypothesis; its report carries the bound and the residual
+    against the closed-form value on a declared contact space form."""
+    q = float(imm.param_dim)
+    if which is not None:
+        values = lambda t: _space_form_function(q, t.coeffs, which, _ratio(t))
+    phiH = {"F": "tangent", "G": "normal"}.get(which)
+    ok, devs = _hypotheses(imm, blocks, required, flag_tol, phiH)
     tts = [ev.trace_terms for ev in blocks]
-    vals = np.concatenate([coeff_fn(t) for t in tts])
+    vals = np.concatenate([values(t) for t in tts])
     inf_est = float(vals.min())
     h2_max = float(np.max([t.h_norm2.max() for t in tts]))
-    bound = inf_est if q is None else inf_est / q
+    bound = inf_est if which is None else inf_est / q
     if not ok:
         verdict = "hypotheses-unverifiable"
     elif inf_est <= 0.0:
@@ -169,34 +186,15 @@ def _bound_template(name, imm, blocks, required, coeff_fn, flag_tol,
         "hypotheses": devs,
         "inf_estimate": inf_est,
     }
-    if q is not None:
+    if which is not None:
         out["bound"] = bound
     out["h_norm2_max"] = h2_max
-    if q is not None:
-        ratios = np.concatenate([t.delta_f_pos / t.f for t in tts])
-        out["table_residual"] = None if table is None else float(
-            np.max(np.abs(vals + ratios - table)))
+    if which is not None:
+        ratios = np.concatenate([_ratio(t) for t in tts])
+        out["table_residual"] = None if imm.ambient.space_form is None else float(np.max(
+            np.abs(vals + ratios - _space_form_function(q, imm.ambient.coeffs, which))))
     out["note"] = "infimum over the sample grid; an estimate, not a proof"
     return out
-
-
-def check_lagrangian_bound(imm, blocks, flag_tol):
-    """CMC Lagrangian surface bound 0 < |H|^2 <= inf (2a+3b-(Df)/f)/2."""
-    return _bound_template(
-        "lagrangian_bound", imm, blocks, ("lagrangian", "cmc"),
-        lambda t: 0.5 * (2.0 * t.coeffs[0] + 3.0 * t.coeffs[1]
-                         - t.delta_f_pos / t.f),
-        flag_tol,
-    )
-
-
-def check_complex_bound(imm, blocks, flag_tol):
-    """CMC complex surface bound with 2 alpha - (Delta f)/f."""
-    return _bound_template(
-        "complex_bound", imm, blocks, ("complex", "cmc"),
-        lambda t: 0.5 * (2.0 * t.coeffs[0] - t.delta_f_pos / t.f),
-        flag_tol,
-    )
 
 
 def check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol):
@@ -205,15 +203,15 @@ def check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol):
     |B|^2 = p f1 - f2 + 3 f3 - (Delta f)/f (p = 2n) plus the two scalar
     curvature forms (printed and corrected) against intrinsic Scal.
     """
-    ok, devs = _hyp_status(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol)
+    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol)
     p_dim = float(imm.param_dim)      # p = 2n
     n_half = p_dim / 2.0
     rows = []
     for ev in blocks:
         t = ev.trace_terms
         f1, f2, f3 = t.coeffs
-        ratio = t.delta_f_pos / t.f
-        b2_rhs = p_dim * f1 - f2 + 3.0 * f3 - ratio
+        ratio = _ratio(t)
+        b2_rhs = _space_form_function(p_dim, t.coeffs, "F", ratio)
         h2 = t.h_norm2
         scal_printed = (
             2.0 * n_half * (2.0 * n_half - 2.0) * f1
@@ -256,12 +254,12 @@ def check_nonexistence_gssf(imm, blocks, flag_tol):
     with tangent Reeb field; on concrete space forms the equivalent
     phi-sectional-curvature threshold is cross-checked.
     """
-    ok, devs = _hyp_status(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol)
+    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol)
     p_dim = float(imm.param_dim)
     n_half = p_dim / 2.0
-    ratio = np.concatenate([ev.trace_terms.delta_f_pos / ev.trace_terms.f for ev in blocks])
-    f1, f2, f3 = np.concatenate([ev.trace_terms.coeffs for ev in blocks], axis=1)
-    mx = float(np.max(p_dim * f1 - f2 + 3.0 * f3 - ratio))
+    ratio = np.concatenate([_ratio(ev.trace_terms) for ev in blocks])
+    coeffs = np.concatenate([ev.trace_terms.coeffs for ev in blocks], axis=1)
+    mx = float(np.max(_space_form_function(p_dim, coeffs, "F", ratio)))
     boundary = abs(mx) <= 1e-12
     if not ok:
         verdict = "hypotheses-unverifiable"
@@ -276,7 +274,7 @@ def check_nonexistence_gssf(imm, blocks, flag_tol):
         "max_value": mx,
         "boundary": boundary,
     }
-    kind = getattr(imm.ambient, "space_form", None)
+    kind = imm.ambient.space_form
     if kind is not None:
         # closed-form threshold on ctilde, equivalent to the sign test
         shift = {"sasaki": -(6 * n_half - 2) / 4.0,
@@ -290,54 +288,6 @@ def check_nonexistence_gssf(imm, blocks, flag_tol):
     return out
 
 
-def _phiH_deviation(blocks, which):
-    """Deviation of phi H from tangency ('tangent') or normality ('normal')."""
-    worst = 0.0
-    for ev in blocks:
-        t = ev.trace_terms
-        h_norm = np.sqrt(np.maximum(t.h_norm2, 0.0))
-        P_tan, P_nor = ev.projectors
-        part = matvec(P_nor if which == "tangent" else P_tan, matvec(ev.structure_tensor, t.H))
-        nonzero = h_norm != 0.0
-        worst = float(np.max(ev.norm(part)[nonzero] / h_norm[nonzero], initial=worst))
-    return worst
-
-
-def _f_function(t, q, with_f3):
-    f1, f2, f3 = t.coeffs
-    base = q * f1 - f2 + (3.0 * f3 if with_f3 else 0.0)
-    return base - t.delta_f_pos / t.f
-
-
-def _space_form_function_table(imm, q, which):
-    """Closed-form value of F (or G) on a declared contact space form."""
-    kind = getattr(imm.ambient, "space_form", None)
-    if kind is None:
-        return None
-    f1, f2, f3 = space_form_coefficients(kind, imm.ambient.ctilde)
-    return q * f1 - f2 + (3.0 * f3 if which == "F" else 0.0)
-
-
-def check_F_bound(imm, blocks, flag_tol):
-    """CMC, xi tangent, phi H tangent: 0 < |H|^2 <= inf F / q."""
-    q = float(imm.param_dim)
-    return _bound_template(
-        "F_bound", imm, blocks, ("cmc", "xi_tangent"),
-        lambda t: _f_function(t, q, with_f3=True), flag_tol,
-        q=q, phiH="tangent", table=_space_form_function_table(imm, q, "F"),
-    )
-
-
-def check_G_bound(imm, blocks, flag_tol):
-    """CMC, xi tangent, phi H normal: 0 < |H|^2 <= inf G / q."""
-    q = float(imm.param_dim)
-    return _bound_template(
-        "G_bound", imm, blocks, ("cmc", "xi_tangent"),
-        lambda t: _f_function(t, q, with_f3=False), flag_tol,
-        q=q, phiH="normal", table=_space_form_function_table(imm, q, "G"),
-    )
-
-
 def proposition_checkers(imm, blocks, tol=1e-6, flag_tol=FLAG_TOL):
     """Every checker applicable to the ambient structure, plus the Gauss
     scalar-curvature audit.  All of them share `blocks`, the evaluation
@@ -346,11 +296,19 @@ def proposition_checkers(imm, blocks, tol=1e-6, flag_tol=FLAG_TOL):
     if imm.ambient.structure == "hermitian":
         out.append(check_cmc_hypersurface_gcsf(imm, blocks, tol, flag_tol))
         if imm.param_dim == 2:
-            out.append(check_lagrangian_bound(imm, blocks, flag_tol))
-            out.append(check_complex_bound(imm, blocks, flag_tol))
+            # CMC Lagrangian surface: 0 < |H|^2 <= inf (2 alpha + 3 beta - (Delta f)/f)/2
+            out.append(check_bound(
+                "lagrangian_bound", imm, blocks, ("lagrangian", "cmc"), flag_tol,
+                lambda t: 0.5 * (2.0 * t.coeffs[0] + 3.0 * t.coeffs[1] - _ratio(t))))
+            # CMC complex surface: the same with 2 alpha - (Delta f)/f
+            out.append(check_bound(
+                "complex_bound", imm, blocks, ("complex", "cmc"), flag_tol,
+                lambda t: 0.5 * (2.0 * t.coeffs[0] - _ratio(t))))
     else:
         out.append(check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol))
         out.append(check_nonexistence_gssf(imm, blocks, flag_tol))
-        out.append(check_F_bound(imm, blocks, flag_tol))
-        out.append(check_G_bound(imm, blocks, flag_tol))
+        # CMC, xi tangent, phi H tangent (F) or normal (G): 0 < |H|^2 <= inf F / q
+        for which in ("F", "G"):
+            out.append(check_bound(f"{which}_bound", imm, blocks, ("cmc", "xi_tangent"),
+                                   flag_tol, which=which))
     return out

@@ -440,11 +440,7 @@ class Corollary:
     name: str
     equation: str
     flags: tuple                    # flags that must be verified 'asserted'
-    substitutions: dict             # term name -> replacement value fn | 0
-
-
-def _zero(_t):
-    return 0.0
+    substitutions: dict             # term name -> replacement value fn | None (dropped)
 
 
 _PARALLEL_DROPS = {
@@ -461,10 +457,6 @@ def _neg_H(t):
 
 def _neg_H_minus_m2H(t):
     return -t.H - t.mm_H
-
-
-def _zero_vec(t):
-    return np.zeros_like(t.H)
 
 
 def _ns_hypersurface(t):
@@ -484,37 +476,37 @@ def _register(cor):
 
 # f-biharmonic, generalized complex space form
 _register(Corollary("fbh_gcsf_hypersurface", "fbh_gcsf", ("hypersurface",),
-                    {"curv_beta_klH": _neg_H, "curv_beta_jlH": _zero_vec}))
+                    {"curv_beta_klH": _neg_H, "curv_beta_jlH": None}))
 _register(Corollary("fbh_gcsf_complex", "fbh_gcsf", ("complex",),
-                    {"curv_beta_klH": _zero_vec, "curv_beta_jlH": _zero_vec}))
+                    {"curv_beta_klH": None, "curv_beta_jlH": None}))
 _register(Corollary("fbh_gcsf_lagrangian", "fbh_gcsf", ("lagrangian",),
-                    {"curv_beta_klH": _neg_H, "curv_beta_jlH": _zero_vec}))
+                    {"curv_beta_klH": _neg_H, "curv_beta_jlH": None}))
 _register(Corollary("fbh_gcsf_curve", "fbh_gcsf", ("curve",),
-                    {"curv_beta_klH": _neg_H_minus_m2H, "curv_beta_jlH": _zero_vec}))
+                    {"curv_beta_klH": _neg_H_minus_m2H, "curv_beta_jlH": None}))
 _register(Corollary("fbh_gcsf_lagrangian_parallel", "fbh_gcsf",
                     ("lagrangian", "parallel_H"),
                     dict(_PARALLEL_DROPS,
-                         curv_beta_klH=_neg_H, curv_beta_jlH=_zero_vec)))
+                         curv_beta_klH=_neg_H, curv_beta_jlH=None)))
 _register(Corollary("fbh_gcsf_complex_parallel", "fbh_gcsf",
                     ("complex", "parallel_H"),
                     dict(_PARALLEL_DROPS,
-                         curv_beta_klH=_zero_vec, curv_beta_jlH=_zero_vec)))
+                         curv_beta_klH=None, curv_beta_jlH=None)))
 _register(Corollary("fbh_gcsf_curve_parallel", "fbh_gcsf",
                     ("curve", "parallel_H"),
                     dict(_PARALLEL_DROPS,
-                         curv_beta_klH=_neg_H_minus_m2H, curv_beta_jlH=_zero_vec)))
+                         curv_beta_klH=_neg_H_minus_m2H, curv_beta_jlH=None)))
 
 # f-biharmonic, generalized Sasakian space form
 _register(Corollary("fbh_gssf_invariant", "fbh_gssf", ("invariant",),
-                    {"curv_f3_NsH": _zero_vec}))
+                    {"curv_f3_NsH": None}))
 _register(Corollary("fbh_gssf_anti_invariant", "fbh_gssf", ("anti_invariant",),
-                    {"curv_f3_PsH": _zero_vec}))
+                    {"curv_f3_PsH": None}))
 _register(Corollary("fbh_gssf_xi_normal", "fbh_gssf", ("xi_normal",),
-                    {"curv_f2_xi2": _zero, "curv_f2_eta_tan": _zero_vec,
-                     "curv_f3_PsH": _zero_vec}))
+                    {"curv_f2_xi2": None, "curv_f2_eta_tan": None,
+                     "curv_f3_PsH": None}))
 _register(Corollary("fbh_gssf_xi_tangent", "fbh_gssf", ("xi_tangent",),
                     {"curv_f2_xi2": lambda t: t.coeffs[1],
-                     "curv_f2_eta_nor": _zero_vec, "curv_f2_eta_tan": _zero_vec}))
+                     "curv_f2_eta_nor": None, "curv_f2_eta_tan": None}))
 _register(Corollary("fbh_gssf_hypersurface", "fbh_gssf", ("hypersurface",),
                     {"curv_f3_NsH": _ns_hypersurface, "curv_f3_PsH": _ps_hypersurface}))
 
@@ -524,54 +516,54 @@ _register(Corollary("bif_gcsf_hypersurface_cmc", "bif_gcsf",
                     dict(_PARALLEL_DROPS,
                          tb_ah=lambda t: t.b_norm2[:, None] * t.H,
                          curv_beta_klH=_neg_H,
-                         curv_beta_kj_gf=_zero_vec,
-                         curv_beta_jlH=_zero_vec)))
+                         curv_beta_kj_gf=None,
+                         curv_beta_jlH=None)))
 _register(Corollary("bif_gcsf_complex_parallel", "bif_gcsf",
                     ("complex", "parallel_H"),
                     dict(_PARALLEL_DROPS,
-                         curv_beta_klH=_zero_vec,
-                         curv_beta_kj_gf=_zero_vec,
-                         curv_beta_jlH=_zero_vec)))
+                         curv_beta_klH=None,
+                         curv_beta_kj_gf=None,
+                         curv_beta_jlH=None)))
 _register(Corollary("bif_gcsf_lagrangian_parallel", "bif_gcsf",
                     ("lagrangian", "parallel_H"),
                     dict(_PARALLEL_DROPS,
                          curv_beta_klH=_neg_H,
-                         curv_beta_kj_gf=_zero_vec,
-                         curv_beta_jlH=_zero_vec,
-                         curv_beta_j2_gf=_zero_vec)))
+                         curv_beta_kj_gf=None,
+                         curv_beta_jlH=None,
+                         curv_beta_j2_gf=None)))
 _register(Corollary("bif_gcsf_curve_parallel", "bif_gcsf",
                     ("curve", "parallel_H"),
                     dict(_PARALLEL_DROPS,
-                         curv_beta_kj_gf=_zero_vec,
-                         curv_beta_jlH=_zero_vec,
-                         curv_beta_j2_gf=_zero_vec)))
+                         curv_beta_kj_gf=None,
+                         curv_beta_jlH=None,
+                         curv_beta_j2_gf=None)))
 
 # bi-f-harmonic, generalized Sasakian space form (parallel-H reductions)
 _register(Corollary("bif_gssf_invariant", "bif_gssf",
                     ("invariant", "parallel_H"),
                     dict(_PARALLEL_DROPS,
-                         curv_f3_NsH=_zero_vec, curv_f3_NP_gf=_zero_vec)))
+                         curv_f3_NsH=None, curv_f3_NP_gf=None)))
 _register(Corollary("bif_gssf_anti_invariant", "bif_gssf",
                     ("anti_invariant", "parallel_H"),
                     dict(_PARALLEL_DROPS,
-                         curv_f3_PsH=_zero_vec, curv_f3_P2_gf=_zero_vec,
-                         curv_f3_NP_gf=_zero_vec)))
+                         curv_f3_PsH=None, curv_f3_P2_gf=None,
+                         curv_f3_NP_gf=None)))
 _register(Corollary("bif_gssf_xi_normal", "bif_gssf",
                     ("xi_normal", "parallel_H"),
                     dict(_PARALLEL_DROPS,
-                         curv_f2_xi2_H=_zero,
-                         curv_f2_eta_gf_nor=_zero,
-                         curv_f2_xi2_gf=_zero,
-                         curv_f2_eta_H_tan=_zero,
-                         curv_f2_eta_gf_tan=_zero_vec,
-                         curv_f3_PsH=_zero_vec, curv_f3_P2_gf=_zero_vec,
-                         curv_f3_NP_gf=_zero_vec)))
+                         curv_f2_xi2_H=None,
+                         curv_f2_eta_gf_nor=None,
+                         curv_f2_xi2_gf=None,
+                         curv_f2_eta_H_tan=None,
+                         curv_f2_eta_gf_tan=None,
+                         curv_f3_PsH=None, curv_f3_P2_gf=None,
+                         curv_f3_NP_gf=None)))
 _register(Corollary("bif_gssf_xi_tangent", "bif_gssf",
                     ("xi_tangent", "parallel_H"),
                     dict(_PARALLEL_DROPS,
                          curv_f2_xi2_H=lambda t: t.n * t.f**2 * t.coeffs[1],
-                         curv_f2_eta_nor=_zero_vec,
-                         curv_f2_eta_gf_nor=_zero)))
+                         curv_f2_eta_nor=None,
+                         curv_f2_eta_gf_nor=None)))
 _register(Corollary("bif_gssf_hypersurface", "bif_gssf",
                     ("hypersurface", "parallel_H"),
                     dict(_PARALLEL_DROPS,

@@ -35,7 +35,8 @@ at most MAX_SAMPLE_POINTS sample points, checks periodic axes close up
 their largest magnitude), checks chart membership, rank, finite metrics
 and a finite positive weight at the sample points and runs the numeric
 pre-check of every asserted or denied flag; on a curvature-model ambient,
-the map and the coefficients must be finite at the sample points instead.
+the map and the coefficients must be finite at the sample points instead,
+and a flag other than curve or hypersurface cannot be asserted or denied.
 Errors carry section, key and the byte offset of the offending line.
 """
 
@@ -462,7 +463,7 @@ def _validate(sc, order=4):
     """Check the scenario at its sample points (jet order 3 suffices, as in
     `load_scenario`); returns the validated evaluation blocks of jet order
     `order`, in order, for the commands: none on a curvature-model ambient,
-    whose flags go unchecked."""
+    where only the structural flags (curve, hypersurface) can be checked."""
     imm = sc.immersion
     points = sc.sample_points()
     blocks = []
@@ -499,12 +500,12 @@ def _validate(sc, order=4):
             raise ScenarioError(
                 f"axis {ax.name!r} declared periodic but map endpoints differ by {gap:.3e}",
                 "immersion", ax.name)
-    # flag pre-checks
-    if imm.ambient.has_metric:
-        try:
-            verify_flags(imm, blocks, tol=sc.tolerance("flags", FLAG_TOL))
-        except FlagError as exc:
-            raise ScenarioError(f"flag pre-check failed: {exc}", "flags", exc.flag) from None
+    # flag pre-checks; a curvature-model ambient has no blocks, so only its
+    # structural flags can be checked
+    try:
+        verify_flags(imm, blocks, tol=sc.tolerance("flags", FLAG_TOL))
+    except FlagError as exc:
+        raise ScenarioError(f"flag pre-check failed: {exc}", "flags", exc.flag) from None
     return blocks
 
 

@@ -216,6 +216,10 @@ FAILING_POINT = {
     "weight_infinite": (
         "cosymplectic_flat\nn = 1", '["cos(u)", "sin(u)", "0"]', "1e308*1e308",
         "weight not finite at [0.0] (f = inf) (section [weight], key 'f')"),
+    # psi overflows from u = 0.25 on, before the chart metric is composed
+    "map_not_finite": (
+        "euclidean_complex\nn = 2", '["(1e200*u)*(1e200*u)", "0.3*sin(u)", "0", "0"]', "1",
+        "sample point [0.25] rejected: map not finite (section [sampling], key 'grid')"),
 }
 
 
@@ -636,6 +640,16 @@ ABSTRACT_REJECTED = {
          ('"0.3*cos(u)"', '"u"')],
         "axis 'u' declared periodic but map endpoints differ by 1.000e+00 "
         "(section [immersion], key 'u')"),
+    # a curve in a 4-dimensional chart: checked from the dimensions
+    "hypersurface_asserted": (
+        [("[sampling]", "[flags]\nhypersurface = asserted\n\n[sampling]")],
+        "flag pre-check failed: flag 'hypersurface' asserted but deviation inf exceeds "
+        "1.0e-08 (section [flags], key 'hypersurface')"),
+    # no evaluation blocks to measure a non-structural flag on
+    "complex_denied": (
+        [("[sampling]", "[flags]\ncomplex = denied\n\n[sampling]")],
+        "flag pre-check failed: flag 'complex' cannot be checked on a curvature-model "
+        "ambient (section [flags], key 'complex')"),
 }
 
 
@@ -643,7 +657,8 @@ ABSTRACT_REJECTED = {
 def test_abstract_scenario_is_validated(tmp_path, case):
     """A curvature-model scenario is validated like a concrete one: the map
     and the coefficients must be finite at the sample points (no numpy
-    warning escapes) and periodic axes must close up."""
+    warning escapes), periodic axes must close up and asserted or denied
+    flags must hold; only curve and hypersurface can be checked there."""
     edits, message = ABSTRACT_REJECTED[case]
     text = ABSTRACT
     for old, new in edits:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bihkit.calculus import Immersion, matvec
+from bihkit.calculus import Immersion, evaluate_batches, matvec
 from bihkit.residuals import (
     COROLLARIES,
     ERRATA,
@@ -12,8 +12,9 @@ from bihkit.residuals import (
     tension,
     theorem_residual,
 )
+from bihkit.scenario import load_scenario
 from bihkit.spaces import SpaceError, curvature_model, make_space
-from conftest import one_point, structure_at
+from conftest import one_point, scenario_path, structure_at
 
 S3 = make_space("sasakian_sphere", n=1, ctilde=1.0)
 S3D = make_space("sasakian_sphere", n=1, ctilde=3.0)
@@ -146,6 +147,35 @@ def test_mode_agreement_with_errata(kind, imm, points):
         out = compare_modes(one_point(imm, p), kind=kind, errata=True)
         assert out["delta_normal"] <= 1e-10
         assert out["delta_tangent"] <= 1e-10
+
+
+# Null directions of the curvature model: in dimension 3 the contact tensors
+# satisfy R1 + R2 - R3/3 = 0, and in real dimension 2 the Hermitian ones
+# R2 = 3 R1.  Shifting the coefficients along them leaves the curvature, and
+# so the direct field, unchanged; theorem mode must follow.  The catalog has
+# f2 = f3 and alpha = beta, so only a shift tells the coefficients apart.
+GAUGES = {"contact": (3, (1.0, 1.0, -1.0 / 3.0)), "hermitian": (2, (3.0, -1.0))}
+GAUGE_SCENARIOS = [
+    "c01_circle_flat", "c02_curve_sasakian", "c04_small_sphere", "c05_great_sphere",
+    "c06_sphere_r3", "c08_hopf_torus", "c09_curve_kenmotsu", "c11_hopf_torus_deformed",
+    "c12_torus_deformed_generic", "c15_invariant_curve", "c16_xi_normal_curve",
+    "c10_curve_cp1", "c17_circle_c1",
+]
+
+
+@pytest.mark.parametrize("name", GAUGE_SCENARIOS)
+def test_mode_agreement_under_null_coefficient_shifts(name):
+    """Every catalog scenario in a contact ambient of dimension 3 or a
+    Hermitian one of real dimension 2: with the coefficients shifted by 0.7
+    along the null direction, theorem and direct mode agree to 1e-10."""
+    sc = load_scenario(scenario_path(name), validate=False)
+    space = sc.immersion.ambient
+    dim, gauge = GAUGES[space.structure]
+    assert space.chart_dim == dim
+    space.coeffs = tuple(c + 0.7 * g for c, g in zip(space.coeffs, gauge))
+    for ev in evaluate_batches(sc.immersion, sc.sample_points()):
+        out = compare_modes(ev, kind=sc.mode.get("kind", "fbh"), errata=True)
+        assert max(out["delta_normal"].max(), out["delta_tangent"].max()) <= 1e-10, name
 
 
 def test_mode_disagreement_without_errata_is_itemized():
