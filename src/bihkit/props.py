@@ -158,9 +158,9 @@ def gauss_equation_audit(imm, blocks):
 
 def check_bound(name, imm, blocks, required, flag_tol, values=None, which=None):
     """Infimum-bound checker: 0 < |H|^2 <= inf `values` over the samples.
-    A contact bound (`which` "F" or "G", no `values`) is 0 < |H|^2 <= inf F
-    / q (or G / q, q = dim M) with phi H tangent (F) or normal (G) as a
-    further hypothesis; its report carries the bound and the residual
+    A contact bound (`which` "F" or "G", no `values`) is 0 < |H|^2 <=
+    inf F / q (or G / q; q = dim M) with phi H tangent (F) or normal (G) as
+    a further hypothesis; its report carries the bound and the residual
     against the closed-form value on a declared contact space form."""
     q = float(imm.param_dim)
     if which is not None:
