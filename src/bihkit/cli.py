@@ -7,12 +7,13 @@
     bihkit energy    SCENARIO   the five functionals by quadrature
 
 Exit codes: 0 all requested verdicts pass, 2 a numeric verdict failed,
-3 scenario validation error, a `--tol` that is not a finite non-negative
-number or an unwritable `--report`/`--csv` path (one stderr line names the
-option, stdout stays empty), 4 internal error.  An ambient given only by
-its curvature model (abstract_gcsf, abstract_gssf) supports `audit` alone;
-its map and coefficients must be finite at the sample points, and only its
-curve and hypersurface flags can be asserted or denied (exit 3).
+3 scenario validation error, a usage error (argparse's message on stderr),
+a `--tol` that is not a finite non-negative number or an unwritable
+`--report`/`--csv` path (one stderr line names the option, stdout stays
+empty), 4 internal error.  An ambient given only by its curvature model
+(abstract_gcsf, abstract_gssf) supports `audit` alone; its map and
+coefficients must be finite at the sample points, and only its curve and
+hypersurface flags can be asserted or denied (exit 3).
 `--csv` writes the per-point norms of `check`; other commands ignore it.
 """
 
@@ -212,9 +213,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 3, as a validation error: 2 is a failed verdict
+        self.print_usage(sys.stderr)
+        self.exit(VALIDATION_FAIL, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="bihkit", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="bihkit", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("scenario", help="path to a scenario file")
     ap.add_argument("--mode", choices=["direct", "theorem", "both"], default=None)

@@ -44,6 +44,11 @@ would:
     unsort, R + 4 numpy calls (R = 5, 9, 12 at order 4 in 1, 2, 3 variables).
     Past _PRODUCT_BUDGET values the gathers go step by step, at most S values
     per entry.  Two scalar jets take one `np.bincount`;
+  * a product skips the pairs past its factors' degree bounds (a jet is
+    +-0.0 past its bound): their terms are +-0.0, and a sum begun at +0.0
+    never holds -0.0, so no bit changes.  A non-finite factor shows in the
+    product via pair (0, j) or (i, 0), and a product that is not finite is
+    taken again over the whole table, keeping its 0 * inf NaNs;
   * `sum` adds the slices of an axis left to right, never pairwise;
   * `inverse` (Gauss-Jordan on [M | I]) updates at step `col` only the
     columns right of the pivot column, the ones later steps read; each
@@ -149,29 +154,6 @@ class JetSpace:
         self._mul_i = np.array(mul_i)
         self._mul_j = np.array(mul_j)
         self._mul_k = np.array(mul_k)
-        # The rank sweep of the product: outputs sorted by their term count,
-        # most first, so the outputs with an r-th term are a prefix; step r
-        # lists, over that prefix, the table pairs of each output's r-th
-        # term in table order.  _unsort restores basis order.
-        terms = [[] for _ in range(self.size)]
-        for p, k in enumerate(mul_k):
-            terms[k].append(p)
-        by_count = sorted(range(self.size), key=lambda k: -len(terms[k]))
-        steps = [[terms[k][r] for k in by_count if len(terms[k]) > r]
-                 for r in range(len(terms[by_count[0]]))]
-        self._unsort = np.argsort(by_count)
-        # Two groupings of the steps into gathers, each group the factor rows
-        # of its steps' pairs and per step the slice of its terms and its
-        # output count: the whole table in one, or one per step.
-        def group(run):
-            pairs, spans = [], []
-            for step in run:
-                spans.append((slice(len(pairs), len(pairs) + len(step)), len(step)))
-                pairs += step
-            return self._mul_i[pairs], self._mul_j[pairs], spans
-
-        self._one_gather = [group(steps)]
-        self._by_step = [group([step]) for step in steps]
         # The basis is graded by total degree, so the basis of every lower
         # order is a prefix of this one: truncation keeps the first entries.
         # Derivative tables, over that order-1 prefix: _diff[axis][i] is the
@@ -207,54 +189,94 @@ def _constant_terms(value, size):
     return c
 
 
+@lru_cache(maxsize=None)
+def _sweep(space, dx, dy):
+    """(pair count, gathers of the whole sweep in one, one per step, unsort)
+    of the table pairs (i, j) with |i| <= dx, |j| <= dy, and (0, k) for each
+    output k past degree dx + dy (one +-0.0 term), in sweep order."""
+    deg = [sum(g) for g in space.indices]
+    terms = [[] for _ in range(space.size)]
+    for p, (i, j, k) in enumerate(zip(space._mul_i.tolist(), space._mul_j.tolist(),
+                                      space._mul_k.tolist())):
+        if deg[i] <= dx and deg[j] <= dy or i == 0 and deg[k] > dx + dy:
+            terms[k].append(p)
+    by_count = sorted(range(space.size), key=lambda k: -len(terms[k]))
+    steps = [[terms[k][r] for k in by_count if len(terms[k]) > r]
+             for r in range(len(terms[by_count[0]]))]
+
+    def group(run):  # factor rows of the pairs; per step its terms and output count
+        pairs, spans = [], []
+        for step in run:
+            spans.append((slice(len(pairs), len(pairs) + len(step)), len(step)))
+            pairs += step
+        return space._mul_i[pairs], space._mul_j[pairs], spans
+
+    return (sum(map(len, steps)), [group(steps)], [group([step]) for step in steps],
+            np.argsort(by_count))
+
+
 # Values (broadcast entries times table pairs) a product may gather at once;
 # a larger one gathers the table step by step, S values per entry at most.
 _PRODUCT_BUDGET = 1 << 16
 
 
-def _product(space, x, y):
-    """Coefficients of the products of the (broadcast) jets x and y; each
-    output adds its terms in table order from 0.0."""
-    entries = np.broadcast(x[..., 0], y[..., 0]).size
-    groups = (space._one_gather if entries * len(space._mul_k) <= _PRODUCT_BUDGET
-              else space._by_step)
-    # the rank sweep: step r adds the r-th term of every output that has one
-    acc = None
-    for i, j, steps in groups:
-        terms = x[..., i] * y[..., j]
-        for part, n in steps:
-            if acc is None:
-                acc = terms[..., part] + 0.0
-            else:
-                acc[..., :n] += terms[..., part]
-    return acc[..., space._unsort]
+def _product(space, x, y, dx, dy):
+    """(coefficients, degree bound) of x * y, (broadcast) jets of degree bounds
+    dx and dy: each output adds the terms the bounds leave, in table order from 0.0."""
+    top = space.order
+    if min(dx, dy) <= 0:  # a constant or zero factor scales the other
+        acc = x[..., :1] * y if dx <= dy else x * y[..., :1]
+        acc += 0.0
+    elif x.ndim == 1 == y.ndim:
+        # scalar jets: one bincount, in the sweep's float order (3 vs 12-14 us at S = 5)
+        acc = np.bincount(space._mul_k, weights=x[space._mul_i] * y[space._mul_j],
+                          minlength=space.size)
+    else:
+        count, one_gather, by_step, unsort = _sweep(space, dx, dy)
+        entries = np.broadcast(x[..., 0], y[..., 0]).size
+        # the rank sweep: step r adds the r-th term of every output that has one
+        acc = None
+        for i, j, steps in one_gather if entries * count <= _PRODUCT_BUDGET else by_step:
+            terms = x[..., i] * y[..., j]
+            for part, n in steps:
+                if acc is None:
+                    acc = terms[..., part] + 0.0
+                else:
+                    acc[..., :n] += terms[..., part]
+        acc = acc[..., unsort]
+    if min(dx, dy) < top and not math.isfinite(acc.sum()):
+        # a non-finite factor shows via pair (i, 0) or (0, j): keep 0 * inf
+        return _product(space, x, y, top, top)
+    return acc, (-1 if min(dx, dy) < 0 else min(dx + dy, top))
 
 
 class Jet:
     """Immutable truncated Taylor expansion of a scalar or of a tensor of
     scalars (coefficients on the last axis), at one base point or at P
-    points (`batched`: a points axis just before the coefficient axis)."""
+    points (`batched`: a points axis just before the coefficient axis).
+    Every coefficient past total degree `_degree` is +-0.0 (-1: all are)."""
 
-    __slots__ = ("space", "c", "batched")
+    __slots__ = ("space", "c", "batched", "_degree")
     # numpy operands defer to the Jet operators instead of broadcasting
     __array_ufunc__ = None
 
-    def __init__(self, space, coeffs, batched=False):
+    def __init__(self, space, coeffs, batched=False, degree=None):
         self.space = space
         self.c = np.asarray(coeffs, dtype=float)
         self.batched = batched
+        self._degree = space.order if degree is None else min(degree, space.order)
         if self.c.shape[-1:] != (space.size,) or self.c.ndim < 1 + batched:
             raise JetError("coefficient vector does not match jet space")
 
-    def _like(self, c):
-        return Jet(self.space, c, self.batched)
+    def _like(self, c, degree=None):
+        return Jet(self.space, c, self.batched, degree)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(space, value):
         """Constant jet; an ndarray `value` gives a tensor of constants."""
-        return Jet(space, _constant_terms(value, space.size))
+        return Jet(space, _constant_terms(value, space.size), degree=0)
 
     @staticmethod
     def variable(space, index, value):
@@ -271,7 +293,7 @@ class Jet:
         if space.order >= 1:
             unit = tuple(1 if a == index else 0 for a in range(space.num_vars))
             c[..., space.index_of[unit]] = 1.0
-        return Jet(space, c, value.ndim == 1)
+        return Jet(space, c, value.ndim == 1, 1)
 
     @staticmethod
     def _common(jets, full=False):
@@ -303,14 +325,15 @@ class Jet:
         def build(x):
             return next(coeffs) if isinstance(x, Jet) else np.array([build(e) for e in x])
 
-        return Jet(leaves[0].space, build(items), batched)
+        return Jet(leaves[0].space, build(items), batched, max(x._degree for x in leaves))
 
     @staticmethod
     def concatenate(items, axis=0):
         """Join tensor jets of one space along an existing tensor axis."""
         coeffs, batched = Jet._common(items, full=True)
         axis = axis if axis >= 0 else axis - 1 - batched
-        return Jet(items[0].space, np.concatenate(coeffs, axis=axis), batched)
+        return Jet(items[0].space, np.concatenate(coeffs, axis=axis), batched,
+                   max(x._degree for x in items))
 
     # -- tensor structure --------------------------------------------------
 
@@ -323,14 +346,14 @@ class Jet:
         stands for tensor axes only)."""
         if not isinstance(index, tuple):
             index = (index,)
-        return self._like(self.c[index + (slice(None),) * (1 + self.batched)])
+        return self._like(self.c[index + (slice(None),) * (1 + self.batched)], self._degree)
 
     def reshape(self, *shape):
-        return self._like(self.c.reshape(*shape, *self.c.shape[len(self.shape):]))
+        return self._like(self.c.reshape(*shape, *self.c.shape[len(self.shape):]), self._degree)
 
     def transpose(self, *axes):
         """Permute the tensor axes."""
-        return self._like(self.c.transpose(*axes, *range(len(axes), self.c.ndim)))
+        return self._like(self.c.transpose(*axes, *range(len(axes), self.c.ndim)), self._degree)
 
     def upper(self):
         """Entries over the pairs i <= j of the first two axes, row-major
@@ -350,7 +373,7 @@ class Jet:
         c = np.empty(self.c.shape[:axis] + (n, n) + self.c.shape[axis + 1:])
         c[lead + (i, j)] = self.c
         c[lead + (j, i)] = self.c
-        return self._like(c)
+        return self._like(c, self._degree)
 
     def inverse(self):
         """Inverse of a square matrix of jets by Gauss-Jordan elimination
@@ -388,7 +411,7 @@ class Jet:
         k = np.arange(x.shape[0])
         c = x.copy()
         c[k, k] = c[k, k] + y
-        return Jet(self.space, c, batched)
+        return Jet(self.space, c, batched, max(self._degree, getattr(other, "_degree", 0)))
 
     def sum(self, axis=0, start=None):
         """Sum over one tensor axis, left to right, optionally onto `start`."""
@@ -399,7 +422,7 @@ class Jet:
             acc = s[0] + acc
         for k in range(1, c.shape[len(lead)]):
             acc = acc + c[lead + (k,)]
-        return Jet(self.space, acc, batched)
+        return Jet(self.space, acc, batched, max(self._degree, getattr(start, "_degree", -1)))
 
     # -- basic access ------------------------------------------------------
 
@@ -427,7 +450,7 @@ class Jet:
         if order > self.space.order:
             raise JetError("cannot raise jet order by truncation")
         sp = jet_space(self.space.num_vars, order)
-        return Jet(sp, self.c[..., : sp.size].copy(), self.batched)
+        return Jet(sp, self.c[..., : sp.size].copy(), self.batched, self._degree)
 
     def deriv(self, axis):
         """Partial derivative along one variable; drops one order."""
@@ -439,14 +462,16 @@ class Jet:
             raise JetError("cannot differentiate an order-0 jet")
         sp = jet_space(self.space.num_vars, self.space.order - 1)
         c = self.c[..., self.space._diff] * self.space._diff_scale
-        return Jet(sp, c.swapaxes(-3, -2) if self.batched else c, self.batched)
+        return Jet(sp, c.swapaxes(-3, -2) if self.batched else c, self.batched,
+                   max(self._degree - 1, -1))
 
     def centered(self):
         """This jet minus its constant terms (rounded as subtracting each
         entry's value): the zero-shifted inner jet a `Composer` takes."""
         c = self.c.copy()
         c[..., 0] -= self.c[..., 0]
-        return self._like(c)
+        # a constant leaves 0.0 everywhere, or NaN where it was not finite
+        return self._like(c, -1 if self._degree <= 0 and not c[..., 0].any() else self._degree)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -466,7 +491,7 @@ class Jet:
         if o is None:
             return NotImplemented
         (x, y), batched = Jet._common([self, o])
-        return Jet(self.space, x + y, batched)
+        return Jet(self.space, x + y, batched, max(self._degree, o._degree))
 
     __radd__ = __add__
 
@@ -475,43 +500,37 @@ class Jet:
         if o is None:
             return NotImplemented
         (x, y), batched = Jet._common([self, o])
-        return Jet(self.space, x - y, batched)
+        return Jet(self.space, x - y, batched, max(self._degree, o._degree))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         (x, y), batched = Jet._common([o, self])
-        return Jet(self.space, x - y, batched)
+        return Jet(self.space, x - y, batched, max(self._degree, o._degree))
 
     def __neg__(self):
-        return self._like(-self.c)
+        return self._like(-self.c, self._degree)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return self._like(self.c * float(other))
+            return self._like(self.c * float(other), self._degree if math.isfinite(other) else None)
         o = self._coerce(other)
         if o is None:
             if isinstance(other, np.ndarray):  # one float factor per tensor entry
-                return self._like(self.c * other.reshape(other.shape + (1,) * (1 + self.batched)))
+                return self._like(self.c * other.reshape(other.shape + (1,) * (1 + self.batched)),
+                                  self._degree if np.isfinite(other).all() else None)
             return NotImplemented
-        sp = self.space
-        if self.c.ndim == 1 == o.c.ndim:
-            # scalar jets take one bincount, same float order as the sweep:
-            # 3.0 us against 12-14 us for an S = 5 product.  The benchmark
-            # workloads hardly notice, but the scalar-loop references of the
-            # tier-1 tests do: back to back, the suite took 14.5 and 10.8 s
-            # with it and 19.6 and 18.8 s without (2-vCPU Xeon, numpy 2.4)
-            prod = self.c[sp._mul_i] * o.c[sp._mul_j]
-            return Jet(sp, np.bincount(sp._mul_k, weights=prod, minlength=sp.size))
         (x, y), batched = Jet._common([self, o])
-        return Jet(sp, _product(sp, x, y), batched)
+        c, degree = _product(self.space, x, y, self._degree, o._degree)
+        return Jet(self.space, c, batched, degree)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return self._like(self.c / float(other))
+            return self._like(self.c / float(other),
+                              self._degree if math.isfinite(other) and other else None)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -569,11 +588,12 @@ class Jet:
         sp = self.space
         h = self.c.copy()
         h[..., 0] = 0.0
-        h = self._like(h)
-        acc = self._like(_constant_terms(derivs[sp.order] / math.factorial(sp.order), sp.size))
+        h = self._like(h, self._degree if self._degree > 0 else -1)
+        acc = self._like(_constant_terms(derivs[sp.order] / math.factorial(sp.order), sp.size), 0)
         for k in range(sp.order - 1, -1, -1):
             acc = acc * h
-            acc = self._like(acc.c + _constant_terms(derivs[k] / math.factorial(k), sp.size))
+            acc = self._like(acc.c + _constant_terms(derivs[k] / math.factorial(k), sp.size),
+                             max(acc._degree, 0))
         return acc
 
     def _reciprocal(self):
@@ -696,13 +716,15 @@ class Composer:
         if degree > self._depth[0] or order > self._depth[1]:
             top, depth = max(degree, self._depth[0]), max(order, self._depth[1])
             self._depth = (top, depth)
-            sp = jet_space(self.inner_space.num_vars, depth)
-            inners = Jet(sp, self._inners.c[..., :sp.size], self._inners.batched)
+            inners = self._inners.truncate(depth)
             outer = jet_space(k, top)
             table = np.zeros((outer.size,) + inners.c.shape[1:])
             table[0, ..., 0] = 1.0
+            self._degrees = [0]  # the degree bound of each level
             for rows, parents, axes in _monomial_plan(outer):
-                table[rows] = (inners._like(table[parents]) * inners[axes]).c
+                level = inners._like(table[parents], self._degrees[-1]) * inners[axes]
+                table[rows] = level.c
+                self._degrees.append(level._degree)
             self._built = table
         return self._built[:jet_space(k, degree).size, ...,
                            :jet_space(self.inner_space.num_vars, order).size]
@@ -731,9 +753,13 @@ class Composer:
         # add 0 * (finite) = +-0.0 to a sum begun at +0.0, leaving it as is
         acc = np.zeros(np.broadcast_shapes(
             c.shape[:-1] + (1,), self._inners.c.shape[1:-1] + (space.size,)))
+        degree = -1
         if live.size:
-            table = self._table(sum(outer.space.indices[live[-1]]), space.order)
+            top = sum(outer.space.indices[live[-1]])
+            table = self._table(top, space.order)
             term = np.empty_like(acc)
             for i in live:
                 acc += np.multiply(c[..., i, None], table[i], out=term)
-        return Jet(space, acc, batched)
+            # +-0.0 past a row's bound stays so times a finite coefficient
+            degree = max(self._degrees[:top + 1]) if math.isfinite(acc.sum()) else space.order
+        return Jet(space, acc, batched, degree)

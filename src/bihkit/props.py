@@ -49,24 +49,30 @@ _CONDITIONAL_NOTE = (
 )
 
 
-def _hypotheses(imm, blocks, required, tol, phiH=None):
+def _hypotheses(imm, blocks, required, tol, phiH=None, memo=None):
     """Verify the hypotheses numerically; returns (ok, {name: deviation}).
 
     A flag the ambient structure does not support (FlagError) is reported
     as an error and fails the hypotheses.  'cmc' additionally requires a
     non-zero mean curvature (every checker here assumes |H| is a non-zero
     constant).  `phiH` adds the tangency ('tangent') or normality
-    ('normal') of phi H, its deviation measured relative to |H|.
-    """
+    ('normal') of phi H, its deviation measured relative to |H|.  The
+    checkers of one run share `memo`, so each flag and max |H|^2 is
+    measured once."""
+    memo = {} if memo is None else memo
     devs = {}
     for name in required:
         try:
-            devs[name] = flag_deviation(imm, blocks, name)
+            if name not in memo:
+                memo[name] = flag_deviation(imm, blocks, name)
         except FlagError as exc:  # structural mismatch (wrong ambient kind)
             return False, {name: f"error: {exc}"}
+        devs[name] = memo[name]
     ok = all(dev <= tol for dev in devs.values())
     if "cmc" in required:
-        devs["nonzero_H"] = h2 = float(np.max([ev.trace_terms.h_norm2.max() for ev in blocks]))
+        if "|H|^2" not in memo:
+            memo["|H|^2"] = float(np.max([ev.trace_terms.h_norm2.max() for ev in blocks]))
+        devs["nonzero_H"] = h2 = memo["|H|^2"]
         ok = ok and h2 > tol
     if phiH is not None:
         worst = 0.0
@@ -95,10 +101,10 @@ def _space_form_function(q, coeffs, which, ratio=0.0):
     return q * f1 - f2 + (3.0 * f3 if which == "F" else 0.0) - ratio
 
 
-def check_cmc_hypersurface_gcsf(imm, blocks, tol, flag_tol):
+def check_cmc_hypersurface_gcsf(imm, blocks, tol, flag_tol, memo=None):
     """CMC hypersurface of a Hermitian space form: |B|^2 identity and the
     two scalar-curvature forms (Gauss audit included)."""
-    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc"), flag_tol)
+    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc"), flag_tol, memo=memo)
     p_dim = float(imm.param_dim)
     rows = []
     for ev in blocks:
@@ -156,7 +162,7 @@ def gauss_equation_audit(imm, blocks):
             "max_delta": float(np.max([r["delta"] for r in rows]))}
 
 
-def check_bound(name, imm, blocks, required, flag_tol, values=None, which=None):
+def check_bound(name, imm, blocks, required, flag_tol, values=None, which=None, memo=None):
     """Infimum-bound checker: 0 < |H|^2 <= inf `values` over the samples.
     A contact bound (`which` "F" or "G", no `values`) is 0 < |H|^2 <=
     inf F / q (or G / q; q = dim M) with phi H tangent (F) or normal (G) as
@@ -166,11 +172,12 @@ def check_bound(name, imm, blocks, required, flag_tol, values=None, which=None):
     if which is not None:
         values = lambda t: _space_form_function(q, t.coeffs, which, _ratio(t))
     phiH = {"F": "tangent", "G": "normal"}.get(which)
-    ok, devs = _hypotheses(imm, blocks, required, flag_tol, phiH)
+    ok, devs = _hypotheses(imm, blocks, required, flag_tol, phiH, memo)
     tts = [ev.trace_terms for ev in blocks]
     vals = np.concatenate([values(t) for t in tts])
     inf_est = float(vals.min())
-    h2_max = float(np.max([t.h_norm2.max() for t in tts]))
+    h2_max = (devs["nonzero_H"] if "nonzero_H" in devs  # measured with "cmc"
+              else float(np.max([t.h_norm2.max() for t in tts])))
     bound = inf_est if which is None else inf_est / q
     if not ok:
         verdict = "hypotheses-unverifiable"
@@ -197,13 +204,13 @@ def check_bound(name, imm, blocks, required, flag_tol, values=None, which=None):
     return out
 
 
-def check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol):
+def check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol, memo=None):
     """CMC hypersurface with tangent Reeb field in a contact space form.
 
     |B|^2 = p f1 - f2 + 3 f3 - (Delta f)/f (p = 2n) plus the two scalar
     curvature forms (printed and corrected) against intrinsic Scal.
     """
-    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol)
+    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol, None, memo)
     p_dim = float(imm.param_dim)      # p = 2n
     n_half = p_dim / 2.0
     rows = []
@@ -247,14 +254,14 @@ def check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol):
     })
 
 
-def check_nonexistence_gssf(imm, blocks, flag_tol):
+def check_nonexistence_gssf(imm, blocks, flag_tol, memo=None):
     """Sign test of p f1 - f2 + 3 f3 - (Delta f)/f over the samples.
 
     Non-positive everywhere rules out f-biharmonicity for CMC hypersurfaces
     with tangent Reeb field; on concrete space forms the equivalent
     phi-sectional-curvature threshold is cross-checked.
     """
-    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol)
+    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol, None, memo)
     p_dim = float(imm.param_dim)
     n_half = p_dim / 2.0
     ratio = np.concatenate([_ratio(ev.trace_terms) for ev in blocks])
@@ -291,24 +298,24 @@ def check_nonexistence_gssf(imm, blocks, flag_tol):
 def proposition_checkers(imm, blocks, tol=1e-6, flag_tol=FLAG_TOL):
     """Every checker applicable to the ambient structure, plus the Gauss
     scalar-curvature audit.  All of them share `blocks`, the evaluation
-    blocks of the sample points."""
-    out = [gauss_equation_audit(imm, blocks)]
+    blocks of the sample points, and one memo of the measured hypotheses."""
+    out, memo = [gauss_equation_audit(imm, blocks)], {}
     if imm.ambient.structure == "hermitian":
-        out.append(check_cmc_hypersurface_gcsf(imm, blocks, tol, flag_tol))
+        out.append(check_cmc_hypersurface_gcsf(imm, blocks, tol, flag_tol, memo))
         if imm.param_dim == 2:
             # CMC Lagrangian surface: 0 < |H|^2 <= inf (2 alpha + 3 beta - (Delta f)/f)/2
             out.append(check_bound(
                 "lagrangian_bound", imm, blocks, ("lagrangian", "cmc"), flag_tol,
-                lambda t: 0.5 * (2.0 * t.coeffs[0] + 3.0 * t.coeffs[1] - _ratio(t))))
+                lambda t: 0.5 * (2.0 * t.coeffs[0] + 3.0 * t.coeffs[1] - _ratio(t)), memo=memo))
             # CMC complex surface: the same with 2 alpha - (Delta f)/f
             out.append(check_bound(
                 "complex_bound", imm, blocks, ("complex", "cmc"), flag_tol,
-                lambda t: 0.5 * (2.0 * t.coeffs[0] - _ratio(t))))
+                lambda t: 0.5 * (2.0 * t.coeffs[0] - _ratio(t)), memo=memo))
     else:
-        out.append(check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol))
-        out.append(check_nonexistence_gssf(imm, blocks, flag_tol))
+        out.append(check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol, memo))
+        out.append(check_nonexistence_gssf(imm, blocks, flag_tol, memo))
         # CMC, xi tangent, phi H tangent (F) or normal (G): 0 < |H|^2 <= inf F / q
         for which in ("F", "G"):
             out.append(check_bound(f"{which}_bound", imm, blocks, ("cmc", "xi_tangent"),
-                                   flag_tol, which=which))
+                                   flag_tol, which=which, memo=memo))
     return out

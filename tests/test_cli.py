@@ -533,6 +533,25 @@ def test_tol_must_be_finite_and_non_negative(tol):
     assert "mode_agreement: false" in out.splitlines()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", C01, "--bogus"], "unrecognized arguments: --bogus"),
+    (["bogus", C01], "argument command: invalid choice: 'bogus'"),
+    (["check"], "the following arguments are required: scenario"),
+])
+def test_usage_error_exits_3_with_argparse_message(argv, message):
+    """A usage error is not a failed verification (exit 2): it exits 3 with
+    argparse's usage line and message on stderr; `--help` still exits 0."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 3
+    assert err.getvalue().startswith("usage: bihkit ")
+    assert f"bihkit: error: {message}" in err.getvalue()
+    with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit) as stop:
+        cli.main(["--help"])
+    assert stop.value.code == 0 and "Exit codes:" in out.getvalue()
+
+
 @pytest.mark.parametrize("option", [["--errata", "off"], ["--tol", "1e-300"]])
 def test_errata_off_and_a_tiny_tolerance_fail_mode_agreement(option):
     code, out, err = run_cli(["check", C01, *option])
@@ -1036,6 +1055,25 @@ def test_audit_computes_each_quantity_once_per_point(monkeypatch):
     blocks = 3
     assert counts == {"rough_laplacian": 2 * blocks, "decomposition": blocks,
                       "identity_suite": blocks}
+
+
+def test_props_measures_each_flag_once(monkeypatch):
+    """The checkers of one `props` run share their hypotheses: on c08 each
+    flag is measured once (cmc and xi_tangent were measured 4 times,
+    hypersurface twice), and the report is unchanged."""
+    calls = []
+
+    def counted(imm, blocks, name):
+        calls.append(name)
+        return calculus.flag_deviation(imm, blocks, name)
+
+    path = scenario_path("c08_hopf_torus")
+    code, out, err = run_cli(["props", path])
+    monkeypatch.setattr(props, "flag_deviation", counted)
+    counted_code, counted_out, counted_err = run_cli(["props", path])
+    assert (counted_code, strip_volatile(counted_out), counted_err) == (
+        code, strip_volatile(out), err)
+    assert sorted(calls) == ["cmc", "hypersurface", "xi_tangent"]
 
 
 def test_internal_error_in_a_hypothesis_check_exits_4(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -391,10 +392,15 @@ def test_products_over_the_gather_budget_match_scalar_jets(monkeypatch, num_vars
             ran.append(self.name)
             return super().__iter__()
 
-    for name in ("_one_gather", "_by_step"):
-        groups = Recorded(getattr(sp, name))
-        groups.name = name
-        monkeypatch.setattr(sp, name, groups)
+    # the whole table, which jets without a degree bound take
+    count, one_gather, by_step, unsort = jets._sweep(sp, MAX_ORDER, MAX_ORDER)
+    recorded = []
+    for name, groups in (("one gather", one_gather), ("by step", by_step)):
+        recorded.append(Recorded(groups))
+        recorded[-1].name = name
+    sweep = jets._sweep
+    monkeypatch.setattr(jets, "_sweep", lambda space, dx, dy: (count, *recorded, unsort)
+                        if (space, dx, dy) == (sp, MAX_ORDER, MAX_ORDER) else sweep(space, dx, dy))
     rng = np.random.default_rng(num_vars)
 
     def tensor(shape):
@@ -413,7 +419,7 @@ def test_products_over_the_gather_budget_match_scalar_jets(monkeypatch, num_vars
             for i, j in np.ndindex(rows, 8):
                 pair = (x[i, 0], y[0, j]) if x is ca else (x[0, j], y[i, 0])
                 assert same_bits(prod[i, j], (Jet(sp, pair[0]) * Jet(sp, pair[1])).c)
-        assert ran == ["_one_gather" if rows * 8 <= fit else "_by_step"] * 2
+        assert ran == ["one gather" if rows * 8 <= fit else "by step"] * 2
 
 
 @settings(max_examples=15, deadline=None)
@@ -649,3 +655,128 @@ def test_tensor_layout_methods():
     assert np.array_equal((a * f).c, (f * a).c)
     for p in range(3):
         assert np.array_equal((a * f).c[:, p], (a[:, p] * f[p]).c)
+
+
+def _past_degree_is_zero(x):
+    """Every coefficient of `x` past its degree bound is +-0.0."""
+    past = [k for k, g in enumerate(x.space.indices) if sum(g) > x._degree]
+    return not x.c[..., past].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_degree_bounds_every_built_jet(data):
+    """A jet built from variables and constants by the public operations,
+    composition, inverse and the univariate functions included, is +-0.0
+    past its degree bound: the bound that lets a product skip pairs."""
+    sp = jet_space(data.draw(st.integers(1, 3)), data.draw(st.integers(0, MAX_ORDER)))
+    points = data.draw(st.sampled_from([(), (3,)]))
+    value = lambda: np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=math.prod(
+        points), max_size=math.prod(points)))).reshape(points)
+    pool = [Jet.variable(sp, i, value()) for i in range(sp.num_vars)]
+    pool += [Jet.constant(sp, data.draw(COEFF)), Jet.constant(sp, 0.0) * pool[0]]
+    bounded = lambda x: (x.sin() + 2.0) * 0.5  # values in [0.5, 1.5]
+    outer_sp = jet_space(2, sp.order)
+    u, v = Jet.variable(outer_sp, 0, 0.3), Jet.variable(outer_sp, 1, -0.2)
+    outers = (u * v + 1.0, u * u * v, Jet.constant(outer_sp, 2.0), (u + v).exp(), v * 0.0)
+    ops = {
+        "add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b,
+        "scale": lambda a, b: a * data.draw(COEFF), "div": lambda a, b: -a / 3.0,
+        "sin": lambda a, b: a.sin(), "cos": lambda a, b: a.cos(), "atan": lambda a, b: a.atan(),
+        "exp": lambda a, b: bounded(a).exp(), "log": lambda a, b: bounded(a).log(),
+        "sqrt": lambda a, b: bounded(a).sqrt(), "pow": lambda a, b: bounded(a) ** -1.5,
+        "recip": lambda a, b: b / bounded(a), "square": lambda a, b: a ** 2,
+        "centered": lambda a, b: a.centered(),
+        "sum": lambda a, b: Jet.stack([a, b]).sum(0),
+        "concatenate": lambda a, b: Jet.concatenate([a[None], b[None]])[1],
+        "diagonal": lambda a, b: Jet.stack([[a, b], [b, a]]).add_diagonal(b)[0, 0],
+        "inverse": lambda a, b: Jet.stack([[bounded(a) + 1.0, bounded(b) * 0.5],
+                                           [bounded(b) * 0.5, bounded(a) + 1.0]]).inverse()[0, 1],
+        "compose": lambda a, b: Composer([a.centered(), b.centered()]).apply(
+            data.draw(st.sampled_from(outers))),
+    }
+    for _ in range(data.draw(st.integers(1, 6))):
+        name = data.draw(st.sampled_from(sorted(ops)))
+        a, b = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        with np.errstate(all="ignore"):
+            x = ops[name](a, b)
+        assert _past_degree_is_zero(x), name
+        if np.isfinite(x.c).all() and np.abs(x.c).max() < 1e6:
+            pool.append(x)
+    for x in pool:
+        for low in range(sp.order + 1):
+            assert _past_degree_is_zero(x.truncate(low))
+        if sp.order:
+            assert _past_degree_is_zero(x.derivs())
+            assert _past_degree_is_zero(x.derivs()[..., 0] * x.truncate(sp.order - 1))
+
+
+def test_degree_rules():
+    """The bound each operation gives: tight where the rule knows a zero
+    (a derivative drops one degree, a composition multiplies the top live
+    degree of the outer by the inner bound), the order where it claims
+    nothing."""
+    sp = jet_space(2, 4)
+    x, y = Jet.variable(sp, 0, 0.5), Jet.variable(sp, 1, np.array([0.2, -0.7]))
+    one = Jet.constant(sp, 1.0)
+    assert [j._degree for j in (x, one, x.derivs(), one.derivs(), x * y, x * y * y,
+                                x + one, (x * y).truncate(1), one.centered(),
+                                (x * one).centered(), x * y * x * y * x)] == [
+        1, 0, 0, -1, 2, 3, 1, 1, -1, 1, 4]
+    assert (x * y).derivs()._degree == 1 and (x * x).derivs().derivs()._degree == 0
+    assert (one.derivs()[0] * x.truncate(3))._degree == -1 and (x * 2.0)._degree == 1
+    with np.errstate(all="ignore"):  # +-0.0 * inf and +-0.0 / 0.0 are NaN
+        assert (x * math.inf)._degree == 4 and (x / 0.0)._degree == 4
+    # Horner steps from a constant: a function of a constant is a constant
+    assert one.sin()._degree == 0 and x.sin()._degree == 4
+    assert Jet.stack([x, x * y])._degree == 2
+    assert Jet(sp, np.zeros(sp.size))._degree == 4
+    assert Jet.stack([[x + 2.0, one], [one, y + 2.0]]).inverse()._degree == 4
+    outer_sp = jet_space(2, 4)
+    u, v = Jet.variable(outer_sp, 0, 0.0), Jet.variable(outer_sp, 1, 0.0)
+    inners = [(x * y).centered(), (x * x).centered()]  # degree 2
+    compose = Composer(inners)
+    assert compose.apply(u * 3.0 + 1.0)._degree == 2
+    assert compose.apply(u * v)._degree == 4
+    assert compose.apply(Jet.constant(outer_sp, 2.0))._degree == 0
+    assert compose.apply(u * 0.0)._degree == -1
+    assert Composer([x.centered(), y.centered()]).apply(u * v + v)._degree == 2
+    # zero inners leave the constant row
+    assert Composer([one.centered(), one.centered()]).apply(u * v + 1.0)._degree == 0
+
+
+@pytest.mark.parametrize("num_vars, order", [(1, 4), (2, 3), (3, 4)])
+def test_degree_bounded_products_match_the_whole_table(num_vars, order):
+    """A product of jets with degree bounds gathers only the pairs the
+    bounds leave, and gives the whole table's bits: signed zeros in the
+    coefficients, -0.0 constant terms, scalar and tensor jets, both gather
+    modes (one gather, or step by step past the budget), and an inf or NaN
+    factor, which makes the whole table's 0 * inf NaNs."""
+    sp = jet_space(num_vars, order)
+    rng = np.random.default_rng(num_vars * 10 + order)
+    degree = np.array([sum(g) for g in sp.indices])
+
+    def factor(shape, bound):
+        c = rng.standard_normal(shape + (sp.size,))
+        c[rng.random(c.shape) < 0.2] = -0.0
+        c[rng.random(c.shape) < 0.2] = 0.0
+        c.reshape(-1, sp.size)[:2, 0] = -0.0
+        c[..., degree > bound] = rng.choice([0.0, -0.0], size=c[..., degree > bound].shape)
+        return c
+
+    fit = jets._PRODUCT_BUDGET // len(sp._mul_k)
+    shapes = [((), ()), ((3, 1), (1, 4)), ((fit // 4 + 1, 1), (1, 8))]
+    for (sa, sb), dx, dy in itertools.product(shapes, range(-1, order + 1), range(-1, order + 1)):
+        for bad in (None, np.inf, -np.inf, np.nan):
+            a, b = factor(sa, dx), factor(sb, dy)
+            if bad is not None and max(dx, dy) >= 0:  # one coefficient within a bound
+                rows, bound = (a, dx) if dx >= 0 else (b, dy)
+                rows = rows.reshape(-1, sp.size)
+                rows[rng.integers(len(rows)), rng.choice(np.flatnonzero(degree <= bound))] = bad
+            with np.errstate(all="ignore"):
+                got = Jet(sp, a, degree=dx) * Jet(sp, b, degree=dy)
+                want = Jet(sp, a) * Jet(sp, b)
+            assert same_bits(got.c, want.c), (sa, dx, dy, bad)
+            assert _past_degree_is_zero(got)
+            if bad is None and np.isfinite(got.c).all():
+                assert got._degree == (-1 if min(dx, dy) < 0 else min(dx + dy, order))
