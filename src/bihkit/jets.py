@@ -67,12 +67,12 @@ would:
     given instead of inverting the truncated metric;
   * the operand order of a product is kept (a*b and b*a accumulate in a
     different order);
-  * the derivative values a univariate function (sin, exp, log, powers, the
-    reciprocal, ...) composes with are computed point by point with `math`
-    and float `**`, never with numpy ufuncs: on a 2.1 GHz Xeon with numpy 2.4,
-    `np.exp`, `np.log`, `np.arctan` and array `**` differ from them in the
-    last bit on 9,457, 209, 286 and 10,689 of 200,000 random arguments
-    (`np.sin`, `np.cos` and `np.sqrt` matched on all).
+  * a univariate function (sin, exp, log, powers, the reciprocal, ...) takes
+    its derivative values value by value in C loops with `math` and float
+    `**`, never numpy ufuncs (on a 2.1 GHz Xeon with numpy 2.4, `np.exp`,
+    `np.log`, `np.arctan` and array `**` differ in the last bit on 9,457,
+    209, 286 and 10,689 of 200,000 random arguments), and combines them with
+    numpy's element-wise IEEE + - * /, which rounds as float arithmetic does.
 This matters because some reports depend on round-off: on the Reeb-normal
 circle (scenario c16) |H|^2 is about 5e-32, and the pinned `props` ratios
 there are quotients of round-off noise, so the mean-curvature path must stay
@@ -88,19 +88,15 @@ an immersion.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
 MAX_ORDER = 4
 
-__all__ = [
-    "Jet",
-    "JetError",
-    "JetSpace",
-    "jet_space",
-    "Composer",
-]
+__all__ = ["Jet", "JetError", "JetSpace", "jet_space", "Composer"]
 
 
 class JetError(ValueError):
@@ -138,8 +134,7 @@ class JetSpace:
             raise JetError(f"num_vars must be >= 1, got {num_vars}")
         if not 0 <= order <= MAX_ORDER:
             raise JetError(f"order must be in 0..{MAX_ORDER}, got {order}")
-        self.num_vars = num_vars
-        self.order = order
+        self.num_vars, self.order = num_vars, order
         self.indices = _multi_indices(num_vars, order)
         self.size = len(self.indices)
         self.index_of = {g: i for i, g in enumerate(self.indices)}
@@ -147,13 +142,10 @@ class JetSpace:
         for i, gi in enumerate(self.indices):
             for j, gj in enumerate(self.indices):
                 if sum(gi) + sum(gj) <= order:
-                    g = tuple(a + b for a, b in zip(gi, gj))
                     mul_i.append(i)
                     mul_j.append(j)
-                    mul_k.append(self.index_of[g])
-        self._mul_i = np.array(mul_i)
-        self._mul_j = np.array(mul_j)
-        self._mul_k = np.array(mul_k)
+                    mul_k.append(self.index_of[tuple(map(operator.add, gi, gj))])
+        self._mul_i, self._mul_j, self._mul_k = map(np.array, (mul_i, mul_j, mul_k))
         # The basis is graded by total degree, so the basis of every lower
         # order is a prefix of this one: truncation keeps the first entries.
         # Derivative tables, over that order-1 prefix: _diff[axis][i] is the
@@ -250,6 +242,23 @@ def _product(space, x, y, dx, dy):
     return acc, (-1 if min(dx, dy) < 0 else min(dx + dy, top))
 
 
+_SIGNED_FACTORIALS = np.array([(-1.0) ** k * math.factorial(k) for k in range(MAX_ORDER + 1)])
+
+
+def _rows(*rows):
+    """The rows (iterables of floats, all of one length) as one 2-d array."""
+    return np.fromiter(chain(*rows), float).reshape(len(rows), -1)
+
+
+def _over_powers(head, xs, count):
+    """Rows `head`, then (-1)^k k! / x^(k+1), k < count; a zero power raises as float / does."""
+    t = _rows(*head, *(map(pow, xs, repeat(k + 1.0)) for k in range(count)))
+    if np.count_nonzero(t[len(head):]) < count * len(xs):
+        raise ZeroDivisionError("float division by zero")
+    t[len(head):] = _SIGNED_FACTORIALS[:count, None] / t[len(head):]
+    return t
+
+
 class Jet:
     """Immutable truncated Taylor expansion of a scalar or of a tensor of
     scalars (coefficients on the last axis), at one base point or at P
@@ -283,9 +292,7 @@ class Jet:
         """The coordinate `index` as a jet at `value`; one value per point
         (a 1-d array) gives a jet with a points axis."""
         if not 0 <= index < space.num_vars:
-            raise JetError(
-                f"variable index {index} out of range for {space.num_vars} vars"
-            )
+            raise JetError(f"variable index {index} out of range for {space.num_vars} vars")
         value = np.asarray(value, dtype=float)
         if value.ndim > 1:
             raise JetError("a variable takes one value or one value per point")
@@ -478,9 +485,7 @@ class Jet:
     def _coerce(self, other):
         if isinstance(other, Jet):
             if other.space is not self.space:
-                raise JetError(
-                    f"jet space mismatch: {self.space} vs {other.space}"
-                )
+                raise JetError(f"jet space mismatch: {self.space} vs {other.space}")
             return other
         if isinstance(other, (int, float, np.floating, np.integer)):
             return Jet.constant(self.space, other)
@@ -543,9 +548,8 @@ class Jet:
         return o * self._reciprocal()
 
     def __pow__(self, exponent):
-        if isinstance(exponent, (int, np.integer)) or (
-            isinstance(exponent, float) and exponent.is_integer()
-        ):
+        if isinstance(exponent, (int, np.integer)) or (isinstance(exponent, float)
+                                                       and exponent.is_integer()):
             n = int(exponent)
             if n == 0:
                 return Jet.constant(self.space, 1.0)
@@ -556,29 +560,32 @@ class Jet:
                 acc = acc * self
             return acc
         r = float(exponent)
+        scales = np.array([*accumulate([1.0] + [r - k for k in range(self.space.order)],
+                                       operator.mul)])[:, None]  # r (r - 1) ... (r - k + 1)
 
-        def derivs(c0):
-            if c0 <= 0.0:
+        def derivs(xs):
+            if any(map(operator.le, xs, repeat(0.0))):
                 raise JetError("non-integer power requires positive base value")
-            out, scale = [], 1.0
-            for k in range(self.space.order + 1):
-                out.append(scale * c0 ** (r - k))
-                scale *= r - k
-            return out
+            return scales * _rows(*(map(pow, xs, repeat(r - k)) for k in range(len(scales))))
 
         return self._apply(derivs)
 
     # -- composition with univariate functions -----------------------------
 
     def _apply(self, derivs):
-        """phi(self) for a univariate phi, `derivs(x)` listing the
-        derivative values phi^(k)(x), k = 0..order, at a float x; they are
-        taken entry by entry and point by point."""
-        if self.c.ndim == 1:
-            return self._compose(derivs(float(self.c[0])))
+        """phi(self) for a univariate phi: `derivs(xs)` gives phi^(k)(x), k = 0..order, on
+        rows for the list xs of constant terms, in C loops (see Float order; no warnings).
+        If it raises, each value is taken alone in order; the first failing one raises."""
         x = self.c[..., 0]
-        table = np.array([derivs(v) for v in x.ravel().tolist()])
-        return self._compose(list(table.T.reshape((-1,) + x.shape)))
+        xs = x.ravel().tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                table = derivs(xs)
+            except (ValueError, ArithmeticError):
+                for v in xs:
+                    derivs([v])
+                raise
+        return self._compose(table.reshape((-1,) + x.shape))
 
     def _compose(self, derivs):
         """Jet of phi(self) from the derivative values phi^(k) at the
@@ -597,27 +604,26 @@ class Jet:
         return acc
 
     def _reciprocal(self):
-        def derivs(c0):
-            if c0 == 0.0:
+        def derivs(xs):
+            if 0.0 in xs:
                 raise JetError("division by jet with zero constant term")
-            return [(-1.0) ** k * math.factorial(k) / c0 ** (k + 1)
-                    for k in range(self.space.order + 1)]
+            return _over_powers([], xs, self.space.order + 1)
+
+        return self._apply(derivs)
+
+    def _turns(self, f, g, rows):
+        """sin or cos: phi^(k) is row rows[k] of f, g, -f, -g at the values."""
+        def derivs(xs):
+            t = _rows(map(f, xs), map(g, xs))
+            return np.concatenate([t, -t])[rows[: self.space.order + 1]]
 
         return self._apply(derivs)
 
     def sin(self):
-        def derivs(c0):
-            table = [math.sin(c0), math.cos(c0), -math.sin(c0), -math.cos(c0)]
-            return [table[k % 4] for k in range(self.space.order + 1)]
-
-        return self._apply(derivs)
+        return self._turns(math.sin, math.cos, [0, 1, 2, 3, 0])
 
     def cos(self):
-        def derivs(c0):
-            table = [math.cos(c0), -math.sin(c0), -math.cos(c0), math.sin(c0)]
-            return [table[k % 4] for k in range(self.space.order + 1)]
-
-        return self._apply(derivs)
+        return self._turns(math.cos, math.sin, [0, 3, 2, 1, 0])
 
     def tan(self):
         c = self.cos()
@@ -626,16 +632,13 @@ class Jet:
         return self.sin() / c
 
     def exp(self):
-        return self._apply(lambda c0: [math.exp(c0)] * (self.space.order + 1))
+        return self._apply(lambda xs: _rows(map(math.exp, xs)).repeat(self.space.order + 1, 0))
 
     def log(self):
-        def derivs(c0):
-            if c0 <= 0.0:
+        def derivs(xs):
+            if any(map(operator.le, xs, repeat(0.0))):
                 raise JetError("log of non-positive jet value")
-            return [math.log(c0)] + [
-                (-1.0) ** (k - 1) * math.factorial(k - 1) / c0**k
-                for k in range(1, self.space.order + 1)
-            ]
+            return _over_powers([map(math.log, xs)], xs, self.space.order)
 
         return self._apply(derivs)
 
@@ -645,15 +648,12 @@ class Jet:
         return self.__pow__(0.5)
 
     def atan(self):
-        def derivs(c0):
-            w = 1.0 + c0 * c0
-            return [
-                math.atan(c0),
-                1.0 / w,
-                -2.0 * c0 / w**2,
-                (6.0 * c0 * c0 - 2.0) / w**3,
-                (24.0 * c0 - 24.0 * c0**3) / w**4,
-            ][: self.space.order + 1]
+        def derivs(xs):
+            ws = list(map(operator.add, repeat(1.0), map(operator.mul, xs, xs)))  # 1 + x * x
+            at, x, w, w2, w3, w4, x3 = _rows(map(math.atan, xs), xs, ws, *(
+                map(pow, ws, repeat(e)) for e in (2.0, 3.0, 4.0)), map(pow, xs, repeat(3.0)))
+            return np.array([at, 1.0 / w, -2.0 * x / w2, (6.0 * x * x - 2.0) / w3,
+                             (24.0 * x - 24.0 * x3) / w4][: self.space.order + 1])
 
         return self._apply(derivs)
 

@@ -780,3 +780,134 @@ def test_degree_bounded_products_match_the_whole_table(num_vars, order):
             assert _past_degree_is_zero(got)
             if bad is None and np.isfinite(got.c).all():
                 assert got._degree == (-1 if min(dx, dy) < 0 else min(dx + dy, order))
+
+
+# The derivative values of each univariate function as the per-value closures
+# listed them, one call per value: the reference the table built in C loops
+# must match bit for bit.
+def _ref_reciprocal(c0, order):
+    if c0 == 0.0:
+        raise JetError("division by jet with zero constant term")
+    return [(-1.0) ** k * math.factorial(k) / c0 ** (k + 1) for k in range(order + 1)]
+
+
+def _ref_sin(c0, order):
+    table = [math.sin(c0), math.cos(c0), -math.sin(c0), -math.cos(c0)]
+    return [table[k % 4] for k in range(order + 1)]
+
+
+def _ref_cos(c0, order):
+    table = [math.cos(c0), -math.sin(c0), -math.cos(c0), math.sin(c0)]
+    return [table[k % 4] for k in range(order + 1)]
+
+
+def _ref_exp(c0, order):
+    return [math.exp(c0)] * (order + 1)
+
+
+def _ref_log(c0, order):
+    if c0 <= 0.0:
+        raise JetError("log of non-positive jet value")
+    return [math.log(c0)] + [(-1.0) ** (k - 1) * math.factorial(k - 1) / c0**k
+                             for k in range(1, order + 1)]
+
+
+def _ref_atan(c0, order):
+    w = 1.0 + c0 * c0
+    return [math.atan(c0), 1.0 / w, -2.0 * c0 / w**2, (6.0 * c0 * c0 - 2.0) / w**3,
+            (24.0 * c0 - 24.0 * c0**3) / w**4][: order + 1]
+
+
+def _ref_power(r):
+    def derivs(c0, order):
+        if c0 <= 0.0:
+            raise JetError("non-integer power requires positive base value")
+        out, scale = [], 1.0
+        for k in range(order + 1):
+            out.append(scale * c0 ** (r - k))
+            scale *= r - k
+        return out
+
+    return derivs
+
+
+def _per_value(derivs):
+    """phi(x) from `derivs` called once per value, composed by Jet._compose."""
+    def phi(x):
+        v = x.c[..., 0]
+        table = np.array([derivs(c0, x.space.order) for c0 in v.ravel().tolist()])
+        return x._compose(list(table.T.reshape((-1,) + v.shape)))
+
+    return phi
+
+
+def _ref_tan(x):
+    return _per_value(_ref_sin)(x) * _per_value(_ref_reciprocal)(_per_value(_ref_cos)(x))
+
+
+# name: (function, its per-value reference, the magnitudes of its values
+# (powers of ten), whether negative values are in its domain)
+_UNIVARIATE = {
+    "sin": (Jet.sin, _per_value(_ref_sin), (-300, 300), True),
+    "cos": (Jet.cos, _per_value(_ref_cos), (-300, 300), True),
+    "tan": (Jet.tan, _ref_tan, (-300, 300), True),
+    "exp": (Jet.exp, _per_value(_ref_exp), (-300, 2.85), True),  # e^709 is near overflow
+    "log": (Jet.log, _per_value(_ref_log), (-75, 75), False),
+    "sqrt": (Jet.sqrt, _per_value(_ref_power(0.5)), (-85, 300), False),  # x^-3.5 overflows
+    "atan": (Jet.atan, _per_value(_ref_atan), (-30, 38), True),  # (1 + x^2)^4 overflows
+    "pow_1.5": (lambda x: x ** 1.5, _per_value(_ref_power(1.5)), (-40, 40), False),
+    "pow_-2.5": (lambda x: x ** -2.5, _per_value(_ref_power(-2.5)), (-40, 40), False),
+    "reciprocal": (lambda x: 1.0 / x,
+                   lambda x: Jet.constant(x.space, 1.0) * _per_value(_ref_reciprocal)(x),
+                   (-60, 60), True),
+}
+
+
+@pytest.mark.parametrize("name", list(_UNIVARIATE))
+def test_univariate_tables_match_the_per_value_closures(name):
+    """Each univariate function on a batched tensor jet, at orders 0-4, equals
+    bit for bit the composition of its derivative values taken one value at a
+    time with `math` and float `**`."""
+    fn, ref, (low, high), signed = _UNIVARIATE[name]
+    rng = np.random.default_rng(2200 + list(_UNIVARIATE).index(name))
+    for order in range(MAX_ORDER + 1):
+        sp = jet_space(2, order)
+        values = 10.0 ** rng.uniform(low, high, (3, 4, 8))  # a (3, 4) tensor at 8 points
+        if signed:
+            values *= rng.choice([-1.0, 1.0], values.shape)
+        c = rng.normal(size=values.shape + (sp.size,))
+        c[..., 0] = values
+        x = Jet(sp, c, True)
+        with np.errstate(all="ignore"):  # Horner may overflow near the top of the range
+            got, want = fn(x), ref(x)
+        assert same_bits(got.c, want.c)
+
+
+def _raised(fn, values):
+    """(type, message) of what fn raises on a batched jet at `values`."""
+    try:
+        fn(Jet.variable(jet_space(2, 4), 0, np.array(values)))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name, values, error", [
+    ("reciprocal", [1e200, 0.0], OverflowError),
+    ("reciprocal", [0.0, 1e200], JetError),
+    ("reciprocal", [1e-100, 0.0], ZeroDivisionError),  # x^4 underflows to 0
+    ("log", [1e200, -1.0], OverflowError),
+    ("log", [-1.0, 1e200], JetError),
+    ("exp", [0.5, 1e3, -1.0], OverflowError),
+    ("sin", [0.5, math.inf], ValueError),
+])
+def test_a_multi_value_jet_raises_its_first_failing_value_error(name, values, error):
+    """A jet at several values raises what its first failing value raises on
+    its own, as the per-value closures did, whatever the values after it
+    raise."""
+    fn, ref = _UNIVARIATE[name][:2]
+    got = _raised(fn, values)
+    assert got[0] is error
+    assert got == _raised(ref, values)
+    first = next(v for v in values if _raised(fn, [v]) is not None)
+    assert got == _raised(fn, [first])

@@ -2,8 +2,10 @@
 
     python tools/catalog_diff.py REV
 
-Exports REV with `git archive` into a temporary directory.  Then runs the
-same 192 CLI runs in both trees, one after another, each a fresh
+Exports REV with `git archive` into a temporary directory and copies this
+checkout's `src/` beside it at the start, so that an edit made during the
+run (about 3 minutes) does not mix two states into "this checkout".  Then
+runs the same 192 CLI runs in both trees, one after another, each a fresh
 `python -m bihkit.cli` process on that tree's own scenario files:
 
   * check, audit, props, energy and variation on c01-c18 and m1-m6;
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import difflib
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -74,18 +77,20 @@ def main(argv=None):
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         other = export(args[0], tmp)
-        jobs = runs(ROOT)
+        ours = Path(tmp, "ours")
+        shutil.copytree(ROOT / "src", ours / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        jobs = runs(ours)
         if jobs != runs(other):
             print(f"the scenario catalogs of {args[0]} and this checkout differ")
             return 1
         differ = 0
         for label, job in jobs:
-            theirs, ours = run(other, job), run(ROOT, job)
-            if theirs == ours:
+            theirs, mine = run(other, job), run(ours, job)
+            if theirs == mine:
                 continue
             differ += 1
             print(f"DIFFERS: {label}")
-            for what, a, b in zip(("exit code", "stderr", "stdout"), theirs, ours):
+            for what, a, b in zip(("exit code", "stderr", "stdout"), theirs, mine):
                 if a == b:
                     continue
                 if what == "exit code":
