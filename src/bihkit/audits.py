@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import matvec, point_rows
+from .calculus import FLAG_TOL, matvec, point_rows
 from .residuals import _along_grad_f, _tau_weighted_field
 from .spaces import curvature_model
 
@@ -34,8 +34,6 @@ __all__ = [
     "run_all_audits",
 ]
 
-# Tolerance of the hypotheses of the conditional phi-decomposition facts
-PHI_TOL = 1e-8
 # Random tangent/normal splits per point in the curvature-model audit
 TRACE_SAMPLES = 4
 
@@ -215,8 +213,8 @@ def audit_phi_decompositions(ev):
     out["phi2_normal_decomposition"] = worst
     # conditional facts: phi H tangent => PsH = 0 and NsH = -H
     h_norm = nrm(tt.H)
-    holds = ((h_norm > PHI_TOL) & (nrm(mv(P_nor, mv(phi, tt.H))) <= PHI_TOL * (1.0 + h_norm))
-             & (nrm(mv(P_nor, xi)) <= PHI_TOL))
+    holds = ((h_norm > FLAG_TOL) & (nrm(mv(P_nor, mv(phi, tt.H))) <= FLAG_TOL * (1.0 + h_norm))
+             & (nrm(mv(P_nor, xi)) <= FLAG_TOL))
     if holds.any():
         out["PsH_when_phiH_tangent"] = np.where(holds, nrm(tt.jl_H) / (1.0 + h_norm), np.nan)
         out["NsH_plus_H_when_phiH_tangent"] = np.where(

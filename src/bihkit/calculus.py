@@ -43,8 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from .expr import Expression, eval_on_jets, parse, variables_of
-from .jets import Composer, Jet, _upper_pairs, jet_space
-from .spaces import (AmbientSpace, christoffel_jets, curvature_from_christoffels,
+from .jets import Composer, Jet, _upper_pairs
+from .spaces import (AmbientSpace, chart_jets, christoffel_jets, curvature_from_christoffels,
                      jet_matrix_inverse, matvec, metric_and_christoffel_jets)
 
 __all__ = [
@@ -237,8 +237,7 @@ def block_points(m, d, order):
 def parameter_jets(params, points, order):
     """{name: the parameter as a jet of the given order} at each row of a
     (P, m) array of parameter points, for `eval_on_jets`."""
-    sp = jet_space(len(params), order)
-    return {name: Jet.variable(sp, i, points[:, i]) for i, name in enumerate(params)}
+    return dict(zip(params, chart_jets(points, order)))
 
 
 def map_jets(imm, points, order):

@@ -1,9 +1,17 @@
 """Command-line front end.
 
-    bihkit check     SCENARIO   residual evaluation (direct/theorem/both)
-    bihkit audit     SCENARIO   lemma and identity audits
-    bihkit variation SCENARIO   first-variation test of the functionals
-    bihkit props     SCENARIO   proposition/inequality checkers
+Each command reads the options listed with it, plus `--report PATH` (write
+the report there too) and `--quiet` (no report on stdout), and no other:
+an option a command does not read exits 3.  `--tol` replaces the scenario's
+tolerance of the command's verdict, `--mode` and `--errata` its [mode]
+residual and errata.
+
+    bihkit check     SCENARIO   residual evaluation (direct/theorem/both);
+                     --mode, --tol, --errata, --csv PATH (per-point norms)
+    bihkit audit     SCENARIO   lemma and identity audits; --tol
+    bihkit variation SCENARIO   first-variation test of the functionals;
+                     --tol, --functional NAME (that functional only)
+    bihkit props     SCENARIO   proposition/inequality checkers; --tol
     bihkit energy    SCENARIO   the five functionals by quadrature
 
 Exit codes: 0 all requested verdicts pass, 2 a numeric verdict failed,
@@ -14,7 +22,6 @@ empty), 4 internal error.  An ambient given only by its curvature model
 (abstract_gcsf, abstract_gssf) supports `audit` alone; its map and
 coefficients must be finite at the sample points, and only its curve and
 hypersurface flags can be asserted or denied (exit 3).
-`--csv` writes the per-point norms of `check`; other commands ignore it.
 """
 
 from __future__ import annotations
@@ -44,15 +51,9 @@ def _base_report(sc, command, args):
         "command": command,
         "scenario": sc.path,
         "scenario_digest": f"sha256:{sc.digest}",
-        "errata": "on" if _errata_on(sc, args) else "off",
-        "seed": args.seed if args.seed is not None else sc.seed,
+        "errata": args.errata or sc.mode.get("errata", "on"),
+        "seed": sc.seed,
     }
-
-
-def _errata_on(sc, args):
-    if args.errata is not None:
-        return args.errata == "on"
-    return sc.mode.get("errata", "on") == "on"
 
 
 def cmd_check(sc, args, out, blocks):
@@ -60,13 +61,10 @@ def cmd_check(sc, args, out, blocks):
     mode = args.mode or sc.mode.get("residual", "both")
     kind = sc.mode.get("kind", "fbh")
     corollary = sc.mode.get("corollary")
-    errata = _errata_on(sc, args)
+    errata = out["errata"] == "on"
     rows = []
     # numpy's maxima keep a NaN, which fails the verdicts; Python's max may drop it
-    worst_direct = 0.0
-    worst_delta = 0.0
-    worst_theorem = 0.0
-    reduction_delta = 0.0
+    worst_direct = worst_delta = worst_theorem = reduction_delta = 0.0
     while blocks:
         ev = blocks.pop(0)  # released once used
         cmp = direct = rep = None
@@ -136,7 +134,7 @@ def cmd_audit(sc, args, out, blocks):
     if not sc.immersion.ambient.has_metric:
         # the immersion map as plain chart positions, validated finite
         chart_points = map_jets(sc.immersion, points, 0).point_values(len(points))
-        result = curvature_trace_audit(sc.immersion.ambient, chart_points, seed=out["seed"])
+        result = curvature_trace_audit(sc.immersion.ambient, chart_points, seed=sc.seed)
         out["curvature_trace_audit"] = result
         worst = float(np.max([result["normal_trace"], result["tangent_trace"]]))
         out["max_delta"] = worst
@@ -212,6 +210,10 @@ COMMANDS = {
     "energy": cmd_energy,
 }
 
+# The options each command reads besides --report and --quiet.
+OPTIONS = {"check": ("--mode", "--tol", "--errata", "--csv"), "audit": ("--tol",),
+           "variation": ("--tol", "--functional"), "props": ("--tol",), "energy": ()}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 3, as a validation error: 2 is a failed verdict
@@ -227,7 +229,6 @@ def build_parser():
     ap.add_argument("--mode", choices=["direct", "theorem", "both"], default=None)
     ap.add_argument("--tol", type=float, default=None)
     ap.add_argument("--errata", choices=["on", "off"], default=None)
-    ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--report", default=None, help="write the report document here")
     ap.add_argument("--csv", default=None, help="write the per-point norms of `check` as CSV")
     ap.add_argument("--quiet", action="store_true")
@@ -242,6 +243,10 @@ _PARSER = build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
+    for option in sorted(set().union(*OPTIONS.values()) - set(OPTIONS[args.command])):
+        if getattr(args, option[2:]) is not None:
+            _PARSER.error(f"argument {option}: not read by `{args.command}`, which reads "
+                          f"{', '.join(OPTIONS[args.command] + ('--report', '--quiet'))}")
     # as the [tolerances] values: inf would pass every verdict, nan or a
     # negative one fail them all
     if args.tol is not None and not 0.0 <= args.tol < float("inf"):
@@ -280,7 +285,7 @@ def main(argv=None):
             option, path = "--report", args.report
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        if args.csv and args.command == "check":
+        if args.csv:
             option, path = "--csv", args.csv
             write_csv(path, out["rows"])
     except OSError as exc:

@@ -559,13 +559,16 @@ class Jet:
             for _ in range(n - 1):
                 acc = acc * self
             return acc
-        r = float(exponent)
+        return self._power(float(exponent), "non-integer power requires positive base value")
+
+    def _power(self, r, domain_error):
+        """self ** r for a non-integer r; a non-positive value raises `domain_error`."""
         scales = np.array([*accumulate([1.0] + [r - k for k in range(self.space.order)],
                                        operator.mul)])[:, None]  # r (r - 1) ... (r - k + 1)
 
         def derivs(xs):
             if any(map(operator.le, xs, repeat(0.0))):
-                raise JetError("non-integer power requires positive base value")
+                raise JetError(domain_error)
             return scales * _rows(*(map(pow, xs, repeat(r - k)) for k in range(len(scales))))
 
         return self._apply(derivs)
@@ -626,10 +629,7 @@ class Jet:
         return self._turns(math.cos, math.sin, [0, 3, 2, 1, 0])
 
     def tan(self):
-        c = self.cos()
-        if (c.c[..., 0] == 0.0).any():
-            raise JetError("tan at a pole of cosine")
-        return self.sin() / c
+        return self.sin() / self.cos()
 
     def exp(self):
         return self._apply(lambda xs: _rows(map(math.exp, xs)).repeat(self.space.order + 1, 0))
@@ -643,9 +643,7 @@ class Jet:
         return self._apply(derivs)
 
     def sqrt(self):
-        if (self.c[..., 0] <= 0.0).any():
-            raise JetError("sqrt of non-positive jet value")
-        return self.__pow__(0.5)
+        return self._power(0.5, "sqrt of non-positive jet value")
 
     def atan(self):
         def derivs(xs):

@@ -7,17 +7,21 @@ Grammar (one logical statement per line; `#` starts a comment):
     value  := scalar | '[' scalar (',' scalar)* ']'
     scalar := number | true | false | bareword | "quoted string"
 
-Sections and keys:
+Sections and keys (any other section or key is an error):
 
-    [ambient]     kind = sasakian_sphere | fubini_study | ... plus the
-                  kind's parameters (n = 1..6, hol, ctilde, alpha, beta, f1.. as
-                  quoted expressions for the abstract kinds); omitted,
+    [ambient]     kind = euclidean_complex | fubini_study | complex_hyperbolic
+                  | sasakian_sphere | cosymplectic_flat | kenmotsu_hyperbolic
+                  | abstract_gcsf | abstract_gssf; the kind's parameters are
+                  its constructor's: n = 1..6, hol, ctilde, dim = 1..32 and,
+                  as quoted expressions, alpha, beta, f1, f2, f3; omitted,
                   hol is 4 on fubini_study and -4 on complex_hyperbolic,
                   ctilde is 1 and dim is 4 (the constructors' defaults)
     [immersion]   params = [u, v]; one axis per parameter:
                   u = [lo, hi, periodic|open]; map = ["expr", ...]
     [weight]      f = "expr"       (defaults to 1)
-    [flags]       name = asserted | denied   (unlisted flags are unknown)
+    [flags]       name = asserted | denied, for hypersurface, curve, complex,
+                  lagrangian, invariant, anti_invariant, xi_tangent,
+                  xi_normal, parallel_H, cmc (unlisted flags are unknown)
     [sampling]    grid = [n1, ...]; margin = 0.05; seed = 7
     [tolerances]  optional non-negative numbers: mode_agreement (check),
                   flags (flag pre-checks and props hypotheses), identity
@@ -42,8 +46,10 @@ Errors carry section, key and the byte offset of the offending line.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -59,7 +65,7 @@ from .calculus import (FLAG_NAMES, FLAG_TOL, FlagError, Immersion, PointError,
                        WeightError, evaluate_batches, map_jets, verify_flags)
 from .expr import ParseError, eval_on_jets, parse
 from .residuals import COROLLARIES, equation_for
-from .spaces import SpaceError, chart_jets, make_space
+from .spaces import SPACES, SpaceError, chart_jets, make_space
 from .variational import QuadratureGrid
 
 __all__ = ["Scenario", "ScenarioError", "evaluate_points", "load_scenario",
@@ -77,6 +83,19 @@ MODE_CHOICES = {
     "errata": ("on", "off"),
     "kind": ("fbh", "bif", "bif_general"),
     "corollary": tuple(COROLLARIES),
+}
+
+# The keys of each section: [ambient] adds its kind's parameters, [immersion]
+# one axis per parameter.
+SECTION_KEYS = {
+    "ambient": ("kind",),
+    "immersion": ("params", "map"),
+    "weight": ("f",),
+    "flags": FLAG_NAMES,
+    "sampling": ("grid", "margin", "seed"),
+    "tolerances": TOLERANCE_KEYS,
+    "mode": tuple(MODE_CHOICES),
+    "variation": ("components",),
 }
 
 
@@ -247,19 +266,13 @@ class Scenario:
         return out
 
 
-_AMBIENT_KEYS = {
-    "euclidean_complex": ("n",),
-    "fubini_study": ("n", "hol"),
-    "complex_hyperbolic": ("n", "hol"),
-    "sasakian_sphere": ("n", "ctilde"),
-    "cosymplectic_flat": ("n",),
-    "kenmotsu_hyperbolic": ("n",),
-    "abstract_gcsf": ("alpha", "beta", "dim"),
-    "abstract_gssf": ("n", "f1", "f2", "f3"),
-}
+@cache
+def _ambient_keys(kind):
+    """{key: whether it is required} of an ambient kind's parameters, from
+    its constructor: a parameter with a default may be omitted."""
+    return {name: p.default is p.empty
+            for name, p in inspect.signature(SPACES[kind]).parameters.items()}
 
-# Keys an ambient may omit: the constructor's default applies.
-_OPTIONAL_KEYS = ("hol", "ctilde", "dim")
 
 _EXPRESSION_KEYS = ("alpha", "beta", "f1", "f2", "f3")
 
@@ -277,38 +290,28 @@ def _is_real(value):
             and bool(np.isfinite(value)))
 
 
-def _check_ambient_value(key, value, prefix_error):
-    if key in _MAX_RANK:
-        if not _is_int(value) or not 1 <= value <= _MAX_RANK[key]:
-            prefix_error(f"{key} must be an integer in 1..{_MAX_RANK[key]}, got {value!r}",
-                         "ambient", key)
-    elif key in _EXPRESSION_KEYS:
-        if not isinstance(value, str):
-            prefix_error(f"{key} must be a quoted expression, got {value!r}", "ambient", key)
-    elif not _is_real(value):
-        prefix_error(f"{key} must be a finite number, got {value!r}", "ambient", key)
-
-
-def _build_ambient(amb, prefix_error):
-    kind = amb.get("kind")
-    if not isinstance(kind, str) or kind not in _AMBIENT_KEYS:
-        prefix_error(f"unknown or missing ambient kind {kind!r}", "ambient", "kind")
-    kwargs = {}
-    for key in _AMBIENT_KEYS[kind]:
-        if key in amb:
-            _check_ambient_value(key, amb[key], prefix_error)
-            kwargs[key] = amb[key]
-        elif key == "n":
-            prefix_error("ambient needs the complex/contact rank n", "ambient", "n")
-        elif key not in _OPTIONAL_KEYS:
-            prefix_error(f"ambient kind {kind!r} needs key {key!r}", "ambient", key)
-    extra = set(amb) - set(_AMBIENT_KEYS[kind]) - {"kind"}
-    if extra:
-        prefix_error(f"unknown ambient keys {sorted(extra)}", "ambient", sorted(extra)[0])
+def _build_ambient(amb, fail):
+    """The space of `amb`, its kind and keys known: each given parameter's
+    value is checked, and each parameter without a default must be given."""
+    kind = amb["kind"]
+    for key, required in _ambient_keys(kind).items():
+        value = amb.get(key)
+        if key not in amb:
+            if required:
+                fail(f"ambient kind {kind!r} needs key {key!r}", "ambient", key)
+        elif key in _MAX_RANK:
+            if not _is_int(value) or not 1 <= value <= _MAX_RANK[key]:
+                fail(f"{key} must be an integer in 1..{_MAX_RANK[key]}, got {value!r}",
+                     "ambient", key)
+        elif key in _EXPRESSION_KEYS:
+            if not isinstance(value, str):
+                fail(f"{key} must be a quoted expression, got {value!r}", "ambient", key)
+        elif not _is_real(value):
+            fail(f"{key} must be a finite number, got {value!r}", "ambient", key)
     try:
-        return make_space(kind, **kwargs)
+        return make_space(kind, **{key: amb[key] for key in amb if key != "kind"})
     except (SpaceError, ParseError) as exc:
-        prefix_error(f"ambient construction failed: {exc}", "ambient", "kind")
+        fail(f"ambient construction failed: {exc}", "ambient", "kind")
 
 
 def parse_scenario(text, path="<memory>", validate=True):
@@ -321,14 +324,25 @@ def parse_scenario(text, path="<memory>", validate=True):
         if required not in raw:
             fail(f"missing [{required}] section", required)
 
-    space = _build_ambient(raw["ambient"], lambda m, s, k: fail(m, s, k))
-
+    kind = raw["ambient"].get("kind")
+    if not isinstance(kind, str) or kind not in SPACES:
+        fail(f"unknown or missing ambient kind {kind!r}", "ambient", "kind")
     imm_block = raw["immersion"]
     params = imm_block.get("params")
-    if not isinstance(params, list) or not params or not all(
-        isinstance(p, str) for p in params
-    ):
+    if not (isinstance(params, list) and params and all(isinstance(p, str) for p in params)):
         fail("params must be a list of names", "immersion", "params")
+    known = {**SECTION_KEYS, "ambient": ("kind", *_ambient_keys(kind)),
+             "immersion": (*SECTION_KEYS["immersion"], *params)}
+    for section, block in raw.items():
+        if section not in known:
+            fail(f"unknown section; the sections are {', '.join(known)}",
+                 section, next(iter(block), None))
+        for key in block:
+            if key not in known[section]:
+                fail(f"unknown key; [{section}] takes {', '.join(known[section])}",
+                     section, key)
+    space = _build_ambient(raw["ambient"], fail)
+
     axes = []
     for name in params:
         spec = imm_block.get(name)
@@ -352,8 +366,6 @@ def parse_scenario(text, path="<memory>", validate=True):
         fail("f must be a quoted expression", "weight", "f")
     flags = {}
     for name, state in raw.get("flags", {}).items():
-        if name not in FLAG_NAMES:
-            fail(f"unknown flag {name!r}", "flags", name)
         if state not in ("asserted", "denied", "unknown"):
             fail(f"flag state must be asserted|denied|unknown", "flags", name)
         flags[name] = state
@@ -383,15 +395,11 @@ def parse_scenario(text, path="<memory>", validate=True):
 
     tolerances = raw.get("tolerances", {})
     for key, value in tolerances.items():
-        if key not in TOLERANCE_KEYS:
-            fail(f"unknown tolerance {key!r}", "tolerances", key)
         if not _is_real(value) or value < 0:
             fail(f"tolerance must be a non-negative number, got {value!r}",
                  "tolerances", key)
     mode = raw.get("mode", {})
     for key, value in mode.items():
-        if key not in MODE_CHOICES:
-            fail(f"unknown mode key {key!r}", "mode", key)
         if value not in MODE_CHOICES[key]:
             fail(f"{key} must be one of {', '.join(MODE_CHOICES[key])}, got {value!r}",
                  "mode", key)
@@ -419,20 +427,10 @@ def parse_scenario(text, path="<memory>", validate=True):
         except ParseError as exc:
             fail(f"variation component rejected: {exc}", "variation", "components")
 
-    digest = sha256(text.encode()).hexdigest()
-    scenario = Scenario(
-        path=path,
-        digest=digest,
-        ambient_kind=space.kind,
-        immersion=immersion,
-        axes=axes,
-        grid_sizes=grid_sizes,
-        margin=float(margin),
-        seed=seed,
-        tolerances=tolerances,
-        mode=mode,
-        variation=variation,
-    )
+    scenario = Scenario(path=path, digest=sha256(text.encode()).hexdigest(),
+                        ambient_kind=space.kind, immersion=immersion, axes=axes,
+                        grid_sizes=grid_sizes, margin=float(margin), seed=seed,
+                        tolerances=tolerances, mode=mode, variation=variation)
     if validate:
         _validate(scenario, 3)
     return scenario
@@ -522,7 +520,7 @@ def _model_failure(imm, points):
         if not np.isfinite(chart).all():
             return ScenarioError(f"{where}: map not finite", "sampling", "grid")
         env = dict(zip(space.coord_names, chart_jets(chart, 0)))
-        keys = [key for key in _AMBIENT_KEYS[space.kind] if key in _EXPRESSION_KEYS]
+        keys = [key for key in _ambient_keys(space.kind) if key in _EXPRESSION_KEYS]
         for key, expr in zip(keys, space.coeffs):
             try:
                 finite = np.isfinite(eval_on_jets(expr, env).point_values(len(points))).all()

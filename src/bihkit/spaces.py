@@ -41,6 +41,7 @@ from .jets import Jet, JetError, jet_space
 __all__ = [
     "AmbientSpace",
     "ChartError",
+    "SPACES",
     "SpaceError",
     "make_space",
     "space_form_coefficients",
@@ -60,11 +61,6 @@ class SpaceError(ValueError):
 
 class ChartError(ValueError):
     """Point outside the chart domain."""
-
-
-def _mirror_upper(M):
-    """Copy of the square tensor jet M with M[j, i] = M[i, j] for i < j."""
-    return M.upper().symmetric()
 
 
 def _std_J(dim):
@@ -201,7 +197,7 @@ class _KaehlerPotentialSpace(_Hermitian):
     def _radial_hessian(self, x, w, scale, cross):
         """H[a, b] = (cross * x_a x_b + delta_ab w) * scale."""
         term = ((x * cross)[:, None] * x[None]).add_diagonal(w)
-        return _mirror_upper(term * scale)
+        return (term * scale).upper().symmetric()
 
     def metric_jets(self, x):
         H = self._potential_hessian(Jet.stack(x))
@@ -210,7 +206,7 @@ class _KaehlerPotentialSpace(_Hermitian):
         r = np.argmax(J != 0, axis=0)
         sign = J[r, np.arange(self.chart_dim)]
         JHJ = H[r][:, r] * (sign[:, None] * sign[None, :])
-        return _mirror_upper((H + JHJ) * 0.25)
+        return ((H + JHJ) * 0.25).upper().symmetric()
 
 
 class FubiniStudy(_KaehlerPotentialSpace):
@@ -341,7 +337,7 @@ class SasakianSphere(_Contact):
         a = self.homothety
         lam, eta0, _dX = self._round_contact_form(x)
         G = (eta0[:, None] * eta0[None] * (a * (a - 1.0))).add_diagonal(lam * a)
-        return _mirror_upper(G)
+        return G.upper().symmetric()
 
     def structure_jets(self, x):
         """phi = dX^T J dX / lambda, xi = eta0 / (lambda a), eta = a eta0."""
@@ -400,13 +396,17 @@ class AbstractGSSF(_CurvatureModel, _Contact):
 # -- factories and tables -------------------------------------------------------
 
 
+# The space of each ambient kind; its constructor's parameters are the kind's
+# scenario keys, those with a default optional.
+SPACES = {cls.kind: cls for cls in (EuclideanComplex, FubiniStudy, ComplexHyperbolic,
+                                    SasakianSphere, CosymplecticFlat, KenmotsuHyperbolic,
+                                    AbstractGCSF, AbstractGSSF)}
+
+
 def make_space(kind, **params):
-    table = {cls.kind: cls for cls in (EuclideanComplex, FubiniStudy, ComplexHyperbolic,
-                                       SasakianSphere, CosymplecticFlat, KenmotsuHyperbolic,
-                                       AbstractGCSF, AbstractGSSF)}
-    if kind not in table:
+    if kind not in SPACES:
         raise SpaceError(f"unknown ambient kind {kind!r}")
-    return table[kind](**params)
+    return SPACES[kind](**params)
 
 
 def space_form_coefficients(kind, ctilde):

@@ -8,13 +8,15 @@ import functools
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from bihkit import audits, calculus, cli, jets, props, residuals, scenario, variational
+from bihkit import (audits, calculus, cli, jets, props, residuals, scenario, spaces,
+                    variational)
 from bihkit.report import strip_volatile
 from bihkit.residuals import theorem_residual
 from bihkit.scenario import MAX_SAMPLE_POINTS, _validate, load_scenario
@@ -88,6 +90,17 @@ MALFORMED = {
     "rank_seven": ("n = 1", "n = 7", "ambient", "n"),
     "mode_sweep_target": ("kind = fbh", "kind = fbh\nsweep_target = check",
                           "mode", "sweep_target"),
+    # a key or section that SECTION_KEYS does not list, in every section
+    "ambient_key": ("n = 1", "n = 1\nhol = 4.0", "ambient", "hol"),
+    "immersion_key": ("params = [u]", "params = [u]\nv = [0.0, 1.0, open]", "immersion", "v"),
+    "weight_key": ('f = "1 + 0.3*cos(u)"', 'weight = "1 + 0.3*cos(u)"', "weight", "weight"),
+    "flags_key": (None, "[flags]\nminimal = asserted", "flags", "minimal"),
+    "sampling_key": ("grid = [4]", "grdi = [4]", "sampling", "grdi"),
+    "tolerances_key": (None, "[tolerances]\nmode_agreemnt = 1e-6", "tolerances",
+                       "mode_agreemnt"),
+    "variation_key": (None, '[variation]\ncomponent = ["0", "0", "0"]', "variation",
+                      "component"),
+    "section_unknown": ("[sampling]", "[sampleing]", "sampleing", "grid"),
     # the sample points pass; the close-up check fails at u = 2 pi
     "periodic_map_fails_at_end": ('"0"]', '"sqrt(6.283185307179586 - u)"]', "immersion", "u"),
 }
@@ -151,14 +164,36 @@ def test_load_scenario_validates_at_order_3_in_one_block(monkeypatch):
 
 
 def test_docstrings_list_the_commands_and_mode_keys():
-    """The `cli` docstring lists exactly the commands, and the scenario
-    grammar names every [mode] key."""
+    """The `cli` docstring lists exactly the commands, each with the options
+    it reads, and the scenario grammar names every [mode] key, every key of
+    the section table under its section and every ambient kind and key."""
     listed = [line.split()[1] for line in cli.__doc__.splitlines()
               if line.strip().startswith("bihkit ")]
     assert sorted(listed) == sorted(cli.COMMANDS)
+    usage = cli.__doc__.split("    bihkit ")[1:]
+    for entry in usage:
+        command = entry.split()[0]
+        assert re.findall(r"--\w+", entry.split("\n\n")[0]) == list(cli.OPTIONS[command])
+    assert "`--report PATH`" in cli.__doc__ and "`--quiet`" in cli.__doc__
     grammar = scenario.__doc__.split("[mode]", 1)[1].split("[variation]", 1)[0]
     for key in scenario.MODE_CHOICES:
         assert f"{key} =" in grammar, key
+    grammar = scenario.__doc__.split("Sections and keys", 1)[1].split("Validation", 1)[0]
+    blocks = dict(zip(*[iter(re.split(r"^    \[(\w+)\]", grammar, flags=re.M)[1:])] * 2))
+    assert list(blocks) == list(scenario.SECTION_KEYS)
+    ambient_keys = [key for kind in spaces.SPACES for key in scenario._ambient_keys(kind)]
+    for section, keys in scenario.SECTION_KEYS.items():
+        extra = [*spaces.SPACES, *ambient_keys] if section == "ambient" else []
+        for key in [*keys, *extra]:
+            assert re.search(rf"\b{key}\b", blocks[section]), (section, key)
+
+
+def test_catalog_diff_passes_check_only_options_it_reads():
+    """`tools/catalog_diff.py` runs `check` with options that `check` reads."""
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    import catalog_diff
+
+    assert {option for option, _value in catalog_diff.CHECK_OPTIONS} <= set(cli.OPTIONS["check"])
 
 
 def test_rejected_sample_point_prints_plain_floats(tmp_path):
@@ -552,6 +587,39 @@ def test_usage_error_exits_3_with_argparse_message(argv, message):
     assert stop.value.code == 0 and "Exit codes:" in out.getvalue()
 
 
+# The options each command reads besides --report and --quiet, and a valid
+# value of every option a command may be given, `--seed` included.
+READS = {"check": ("--mode", "--tol", "--errata", "--csv"), "audit": ("--tol",),
+         "variation": ("--tol", "--functional"), "props": ("--tol",), "energy": ()}
+VALUES = {"--mode": "direct", "--tol": "1e-6", "--errata": "on", "--csv": "norms.csv",
+          "--functional": "E", "--seed": "5"}
+REJECTED = [(command, option) for command in READS for option in VALUES
+            if option not in READS[command]]
+
+
+def test_option_table_rejects_17_pairs_besides_seed():
+    """`cli.OPTIONS` is the table above: of the 25 pairs of a command and an
+    option that not every command reads, 8 are accepted and 17 rejected."""
+    assert len(REJECTED) == 17 + len(READS)
+    assert cli.OPTIONS == READS
+
+
+@pytest.mark.parametrize("command, option", REJECTED)
+def test_an_option_the_command_does_not_read_exits_3(tmp_path, command, option):
+    """An option the command does not read, and `--seed` on any command, is
+    a usage error: exit 3, argparse's usage line on stderr, empty stdout, no
+    file written."""
+    value = str(tmp_path / VALUES[option]) if option == "--csv" else VALUES[option]
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          pytest.raises(SystemExit) as stop):
+        cli.main([command, C01, option, value])
+    assert stop.value.code == 3 and out.getvalue() == ""
+    assert err.getvalue().startswith("usage: bihkit ")
+    assert "bihkit: error: " in err.getvalue() and option in err.getvalue()
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("option", [["--errata", "off"], ["--tol", "1e-300"]])
 def test_errata_off_and_a_tiny_tolerance_fail_mode_agreement(option):
     code, out, err = run_cli(["check", C01, *option])
@@ -561,11 +629,10 @@ def test_errata_off_and_a_tiny_tolerance_fail_mode_agreement(option):
 
 def test_report_csv_quiet_and_seed_options(tmp_path):
     report, table = tmp_path / "report.txt", tmp_path / "norms.csv"
-    code, out, err = run_cli(["check", C01, "--report", str(report), "--csv", str(table),
-                              "--seed", "5"])
+    code, out, err = run_cli(["check", C01, "--report", str(report), "--csv", str(table)])
     assert code == 0, err
     assert report.read_text(encoding="utf-8") == out
-    assert "seed: 5" in out.splitlines() and "seed: 0" in run_cli(["check", C01])[1]
+    assert "seed: 0" in run_cli(["check", C01])[1]
     lines = table.read_text(encoding="utf-8").splitlines()
     assert lines[0] == ("point,direct_norm,mode_delta_normal,mode_delta_tangent,"
                         "theorem_normal_norm,theorem_tangent_norm")

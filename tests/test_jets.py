@@ -900,6 +900,8 @@ def _raised(fn, values):
     ("log", [-1.0, 1e200], JetError),
     ("exp", [0.5, 1e3, -1.0], OverflowError),
     ("sin", [0.5, math.inf], ValueError),
+    ("tan", [0.5, math.inf], ValueError),
+    ("sqrt", [1e-90, -1.0], OverflowError),  # 1e-90 ** -3.5 overflows, as ** 0.5 does
 ])
 def test_a_multi_value_jet_raises_its_first_failing_value_error(name, values, error):
     """A jet at several values raises what its first failing value raises on
