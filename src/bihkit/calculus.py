@@ -26,12 +26,11 @@ fields.  The raw ambient rough Laplacian tr(nabla^2), used by the direct
 Euler-Lagrange oracles, is exposed separately as `rough_laplacian`.
 
 Float order.  The batched jet fields round bit for bit as per-point scalar
-jets would (see `jets`).  What is computed from their values is numpy
-contractions with a leading points index, which add in numpy's float order,
-within 1e-12 relative of index loops.  A chain of matrix products is one
-stacked matmul per factor, in the association a single point would use
-(`matvec`, `Evaluation.inner`), and a point's result does not depend on the
-other points of its block.
+jets would (see `jets`).  Their values are contracted two operands at a
+time, by stacked matmuls or einsums with a leading points index, in numpy's
+float order: within 1e-12 relative of index loops, each point rounding as
+alone.  The curvature trace tr R(dpsi, v) dpsi, linear in v, is one cached
+operator per block (`Evaluation.curvature_operator`), one `matvec` per v.
 """
 
 from __future__ import annotations
@@ -198,7 +197,7 @@ class TraceTerms:
     xi_tan: np.ndarray
     xi_nor: np.ndarray
     xi_tan_norm2: np.ndarray
-    b_norm2: np.ndarray
+    b_norm2: np.ndarray              # g^{ag} g^{bd} <B_ab, B_gd>
     H: np.ndarray                    # mean curvature vector
     coeffs: np.ndarray               # ambient (alpha, beta) or (f1, f2, f3)
     kl_H: np.ndarray                 # [normal]
@@ -529,8 +528,8 @@ class Evaluation:
 
     def form_norm2(self, W):
         """g^{ab} <W_a, W_b> of ambient-valued 1-forms W[p, a], point by point."""
-        return np.einsum("pab,pal,pbl->p", self.values(self.induced_metric_inv_field),
-                         W @ self.values(self.G_field), W)
+        return np.einsum("pab,pab->p", self.values(self.induced_metric_inv_field),
+                         W @ self.values(self.G_field) @ W.swapaxes(-1, -2))
 
     @cached_property
     def projectors(self):
@@ -554,10 +553,12 @@ class Evaluation:
         return (N[None] * covd_h[:, None, :]).sum(-1)
 
     @cached_property
-    def ambient_curvature(self):
-        """R[p, l, i, j, k] values of the ambient curvature at psi of each
-        point, from the chart Christoffels."""
-        return curvature_from_christoffels(self.chart_christoffels, len(self))
+    def curvature_operator(self):
+        """C[p, l, j] = sum_ik R^l_ijk h^ik, h = dpsi g^-1 dpsi^T: tr R(dpsi, v) dpsi = C v."""
+        dpsi = self.values(self.dpsi)
+        h = dpsi @ self.values(self.induced_metric_inv_field) @ dpsi.swapaxes(-1, -2)
+        R = curvature_from_christoffels(self.chart_christoffels, len(self))
+        return np.einsum("plijk,pik->plj", R, h)
 
     @cached_property
     def structure(self):
@@ -621,9 +622,7 @@ class Evaluation:
     def curvature_trace(self, vector):
         """tr R(dpsi, v) dpsi at each point, from the AD curvature; vector[p]
         is the point's ambient vector."""
-        dpsi = self.values(self.dpsi)
-        return np.einsum("pab,plijk,pia,pj,pkb->pl", self.values(self.induced_metric_inv_field),
-                         self.ambient_curvature, dpsi, vector, dpsi)
+        return matvec(self.curvature_operator, vector)
 
     @cached_property
     def bitension(self):
@@ -659,14 +658,12 @@ def trace_terms_at(ev):
     # ambient components of the intrinsic gradient of a scalar jet field
     gradient_ambient = lambda jet: mv(dpsi, mv(ginv, val(jet.derivs())))
 
-    # tr B(., A_H .) = g^{ag} g^{bd} <B_gd, H> B_ab
-    BH = np.einsum("pabk,pkl,pl->pab", B, G0, H)
-    tb_ah = np.einsum("pag,pbd,pgd,pabk->pk", ginv, ginv, BH, B)
+    ginv_t, Bk = ginv.swapaxes(-1, -2), B.transpose(0, 3, 1, 2)  # Bk[p, k, al, be]
     BG = B @ G0[:, None]  # BG[p, al, be] = <B_al,be, .>
 
     def trace_shape(W):
         """tr A_{W}(.) = g^{ab} g^{gd} <B_bd, W_a> dpsi_g of normal 1-forms W[p, a]."""
-        return mv(dpsi, np.einsum("pab,pgd,pbdl,pal->pg", ginv, ginv, BG, W))
+        return mv(dpsi, mv(ginv, np.einsum("pbl,pbdl->pd", ginv_t @ W, BG)))
 
     def normal_trace(fields, values):
         """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g), the normal part of the
@@ -724,18 +721,19 @@ def trace_terms_at(ev):
         scal=scal,
         h_norm2=ip(H, H),
         grad_h_norm2=gradient_ambient(h2_terms.reshape(d * d).sum(0)),
-        tb_ah=tb_ah,
+        # tr B(., A_H .) = g^{ag} g^{bd} <B_gd, H> B_ab
+        tb_ah=np.einsum("pab,pabk->pk", ginv @ mv(BG, H[:, None]) @ ginv_t, B),
         ta_nabla_perp_h=trace_shape(nabla_perp_h),
         delta_perp_h_pos=-normal_trace(ev.nabla_perp_h_field, nabla_perp_h),
         nabla_perp_gradf_h=np.einsum("pa,pak->pk", grad_f_param, nabla_perp_h),
         # A_H grad f = g^{gb} <B(grad f, e_b), H> dpsi_g
-        a_h_grad_f=mv(dpsi, mv(ginv, np.einsum("pa,pabl,pl->pb", grad_f_param, BG, H))),
+        a_h_grad_f=mv(dpsi, mv(ginv, mv(np.einsum("pa,pabl->pbl", grad_f_param, BG), H))),
         # tr B(., nabla_. grad f) = g^{ab} B_{a gamma} (nabla_b grad f)^gamma
-        tb_hess_f=np.einsum("pab,pbg,pagk->pk", ginv, hess_vec, B),
+        tb_hess_f=np.einsum("pag,pagk->pk", ginv @ hess_vec, B),
         tnb_grad_f=normal_trace(omega_field, omega),
         ta_b_grad_f=trace_shape(omega),
-        b_gradf_gradf=np.einsum("pa,pb,pabk->pk", grad_f_param, grad_f_param, B),
-        b_norm2=np.einsum("pag,pbd,pabl,pgdl->p", ginv, ginv, BG, B),
+        b_gradf_gradf=mv(mv(Bk, grad_f_param[:, None]), grad_f_param),
+        b_norm2=np.einsum("pabl,plab->p", BG, ginv[:, None] @ Bk @ ginv_t[:, None]),
         H=H,
         coeffs=np.stack(ev.space.curvature_coeffs_at(val(ev.psi))),
         kl_H=mv(P_nor, mv(T, tan_TH)),

@@ -16,7 +16,7 @@ Sections and keys (any other section or key is an error):
                   as quoted expressions, alpha, beta, f1, f2, f3; omitted,
                   hol is 4 on fubini_study and -4 on complex_hyperbolic,
                   ctilde is 1 and dim is 4 (the constructors' defaults)
-    [immersion]   params = [u, v]; one axis per parameter:
+    [immersion]   params = [u, v], distinct names; one axis per parameter:
                   u = [lo, hi, periodic|open]; map = ["expr", ...]
     [weight]      f = "expr"       (defaults to 1)
     [flags]       name = asserted | denied, for hypersurface, curve, complex,
@@ -345,6 +345,8 @@ def parse_scenario(text, path="<memory>", validate=True):
 
     axes = []
     for name in params:
+        if name in params[:len(axes)]:
+            fail(f"parameter {name!r} is repeated", "immersion", "params")
         spec = imm_block.get(name)
         if (
             not isinstance(spec, list)

@@ -22,7 +22,8 @@ from bihkit.jets import Jet, JetError, jet_space
 from bihkit.residuals import (bi_f_tension_direct, compare_modes, f_bitension_direct,
                                theorem_residual)
 from bihkit.scenario import load_scenario
-from bihkit.spaces import SpaceError, chart_jets, christoffel_jets, make_space
+from bihkit.spaces import (SpaceError, chart_jets, christoffel_jets, curvature_from_christoffels,
+                           make_space)
 from conftest import at, coeffs_at, one_point, same_bits, scenario_path, structure_at
 
 FLAT3 = make_space("cosymplectic_flat", n=1)
@@ -1127,3 +1128,82 @@ def test_point_rows_release_the_block():
         gc.enable()
     assert rows == [{"point": [0.7, 0.4], "h": rows[0]["h"], "nested": {"f": 1.0}, "name": "x"}]
     assert isinstance(rows[0]["h"], float)
+
+
+# Multi-operand einsum references for the block's two-operand contractions:
+# each adds over all its summed indices at once.
+
+
+def _einsum_curvature_trace(ev, vector):
+    """tr R(dpsi, v) dpsi as one 5-operand einsum over the ambient curvature."""
+    dpsi = ev.values(ev.dpsi)
+    R = curvature_from_christoffels(ev.chart_christoffels, len(ev))
+    return np.einsum("pab,plijk,pia,pj,pkb->pl", ev.values(ev.induced_metric_inv_field),
+                     R, dpsi, vector, dpsi)
+
+
+def _einsum_trace_terms(ev):
+    """The trace terms `trace_terms_at` contracts two operands at a time,
+    and `form_norm2` of nabla-perp H, as multi-operand einsums."""
+    val = ev.values
+    ginv, G0, dpsi = val(ev.induced_metric_inv_field), val(ev.G_field), val(ev.dpsi)
+    B, H, gam = val(ev.B_field), val(ev.H_field), val(ev.intrinsic_christoffels)
+    X = ev.grad_f_param_field
+    gfp = val(X)
+    BG = B @ G0[:, None]
+    BH = np.einsum("pabk,pkl,pl->pab", B, G0, H)
+    W = val(ev.nabla_perp_h_field)
+    omega = val((ev.B_field * X.truncate(ev.order - 2)[None, :, None]).sum(1))
+    hess_vec = val(X.derivs()).swapaxes(-1, -2) + np.einsum("pgbd,pd->pbg", gam, gfp)
+    shape = lambda V: calculus.matvec(dpsi, np.einsum("pab,pgd,pbdl,pal->pg", ginv, ginv, BG, V))
+    return {
+        "tb_ah": np.einsum("pag,pbd,pgd,pabk->pk", ginv, ginv, BH, B),
+        "ta_nabla_perp_h": shape(W),
+        "ta_b_grad_f": shape(omega),
+        "tb_hess_f": np.einsum("pab,pbg,pagk->pk", ginv, hess_vec, B),
+        "a_h_grad_f": calculus.matvec(dpsi, calculus.matvec(
+            ginv, np.einsum("pa,pabl,pl->pb", gfp, BG, H))),
+        "b_gradf_gradf": np.einsum("pa,pb,pabk->pk", gfp, gfp, B),
+        "b_norm2": np.einsum("pag,pbd,pabl,pgdl->p", ginv, ginv, BG, B),
+        "form_norm2": np.einsum("pab,pal,pbl->p", ginv, W @ G0, W),
+    }
+
+
+@pytest.mark.parametrize("name", ["c13_hypersphere_r4", "c18_hypersphere_cp2",
+                                  "c02_curve_sasakian", "c10_curve_cp1"])
+def test_curvature_trace_matches_the_five_operand_einsum(name):
+    """On H, grad f and a random vector at every point of the first block,
+    within 1e-12 of the reference's norm, or 1e-12 where that is below 1
+    (the catalog equality rule's floor: tr R(dpsi, grad f) dpsi vanishes on
+    a curve); and linear in the vector.  c13's flat ambient gives zeros."""
+    ev = _first_block(name)
+    tt = ev.trace_terms
+    rng = np.random.default_rng(24)
+    vectors = [tt.H, tt.grad_f, rng.normal(size=(len(ev), ev.d))]
+    for v in vectors:
+        got, want = ev.curvature_trace(v), _einsum_curvature_trace(ev, v)
+        norm = np.maximum(np.linalg.norm(want, axis=1), 1.0)
+        assert (np.linalg.norm(got - want, axis=1) <= 1e-12 * norm).all(), name
+    assert ev.curvature_operator is ev.curvature_operator
+    u, w = vectors[1:]
+    a, b = rng.normal(size=(2, len(ev), 1))
+    combined = ev.curvature_trace(a * u + b * w)
+    separate = a * ev.curvature_trace(u) + b * ev.curvature_trace(w)
+    scale = np.abs(a * ev.curvature_trace(u)) + np.abs(b * ev.curvature_trace(w))
+    assert (np.abs(combined - separate) <= 1e-12 * np.maximum(scale, 1.0)).all(), name
+
+
+@pytest.mark.parametrize("name", ["c02_curve_sasakian", "c08_hopf_torus",
+                                  "c12_torus_deformed_generic", "c13_hypersphere_r4",
+                                  "c18_hypersphere_cp2"])
+def test_two_operand_contractions_match_the_multi_operand_einsums(name):
+    """Every trace term and `form_norm2` that `calculus` contracts two
+    operands at a time agrees with its multi-operand einsum to 1e-12
+    relative, with the catalog equality rule's absolute floor of 1e-12."""
+    ev = _first_block(name)
+    expected = _einsum_trace_terms(ev)
+    got = {key: getattr(ev.trace_terms, key) for key in expected if key != "form_norm2"}
+    got["form_norm2"] = ev.form_norm2(ev.values(ev.nabla_perp_h_field))
+    for key, want in expected.items():
+        err = np.abs(got[key] - want)
+        assert (err <= 1e-12 * np.maximum(np.abs(want), 1.0)).all(), (name, key, err.max())

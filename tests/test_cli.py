@@ -101,6 +101,7 @@ MALFORMED = {
     "variation_key": (None, '[variation]\ncomponent = ["0", "0", "0"]', "variation",
                       "component"),
     "section_unknown": ("[sampling]", "[sampleing]", "sampleing", "grid"),
+    "params_repeated": ("params = [u]", "params = [u, u]", "immersion", "params"),
     # the sample points pass; the close-up check fails at u = 2 pi
     "periodic_map_fails_at_end": ('"0"]', '"sqrt(6.283185307179586 - u)"]', "immersion", "u"),
 }
@@ -115,6 +116,15 @@ def test_malformed_scenario_exits_3_naming_section_and_key(tmp_path, case):
     assert f"section [{section}]" in err and f"key {key!r}" in err
     assert "np.float64" not in err and "Traceback" not in err
     assert out == ""
+
+
+def test_a_repeated_parameter_is_named(tmp_path):
+    """With one grid count per name the repeated name reaches evaluation,
+    which found the immersion rank-deficient and blamed [sampling] grid."""
+    text = BASE.replace("params = [u]", "params = [u, u]").replace("grid = [4]", "grid = [4, 4]")
+    code, out, err = run_cli(["check", write(tmp_path, text)])
+    assert code == 3 and out == ""
+    assert "parameter 'u' is repeated (section [immersion], key 'params')" in err, err
 
 
 def test_main_does_not_build_the_parser(monkeypatch):
@@ -194,6 +204,21 @@ def test_catalog_diff_passes_check_only_options_it_reads():
     import catalog_diff
 
     assert {option for option, _value in catalog_diff.CHECK_OPTIONS} <= set(cli.OPTIONS["check"])
+
+
+def test_catalog_diff_labels_a_differing_run():
+    """A run whose exit code and stderr agree and whose numbers agree to the
+    1e-12 rule is within it; 9e-13 against 2e-13 passes by the absolute
+    floor and is left out of the worst relative change."""
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    import catalog_diff
+
+    ours, near = (0, "", "x: 1.0\ny: 2e-13"), (0, "", "x: 1.0000000000005\ny: 9e-13")
+    assert catalog_diff.within_rule(ours, near)
+    assert f"{catalog_diff.worst_relative_change(ours[2], near[2]):.2g}" == "5e-13"
+    assert not catalog_diff.within_rule(ours, (0, "", "x: 1.1\ny: 2e-13"))
+    assert not catalog_diff.within_rule(ours, (2, *near[1:]))
+    assert not catalog_diff.within_rule(ours, (0, "warning", near[2]))
 
 
 def test_rejected_sample_point_prints_plain_floats(tmp_path):

@@ -15,7 +15,13 @@ runs the same 192 CLI runs in both trees, one after another, each a fresh
 A run matches when its exit code, stderr and stdout are equal after the
 wall-time line is dropped (`bihkit.report.strip_volatile`) and each tree's
 path is replaced by `<tree>`.  Prints every run that differs, with a short
-diff, and exits 1 if any does.  Uses the standard library only.
+diff, and exits 1 if any does.  Each differing run is labelled "numbers
+within the 1e-12 rule" when its exit code and stderr are equal and its
+stdout differs only in numbers that agree to the benchmark's equality rule
+(`reports_match` of perfbench/jobs.py: 1e-12 relative, or 1e-12 absolute),
+"beyond the rule" otherwise, with the worst relative change among the
+changed numbers above the 1e-12 absolute floor.  Uses the standard library
+only.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from jobs import _NUMBER, ATOL, reports_match  # noqa: E402
+
 SCENARIOS = Path("src", "bihkit", "scenarios")
 COMMANDS = ("check", "audit", "props", "energy", "variation")
 CHECK_OPTIONS = (("--mode", "direct"), ("--mode", "theorem"), ("--errata", "off"),
@@ -59,6 +68,27 @@ def run(tree, argv):
             stdout.replace(str(tree), "<tree>"))
 
 
+def worst_relative_change(a, b):
+    """The largest |x - y| / max(|x|, |y|) over the numbers of the lines of
+    `a` and `b` that differ only in numbers, where max(|x|, |y|) > ATOL; 0.0
+    if there is none."""
+    worst = 0.0
+    for line_a, line_b in zip(a.splitlines(), b.splitlines()):
+        if line_a == line_b or _NUMBER.split(line_a) != _NUMBER.split(line_b):
+            continue
+        for x, y in zip(map(float, _NUMBER.findall(line_a)), map(float, _NUMBER.findall(line_b))):
+            size = max(abs(x), abs(y))
+            if x != y and size > ATOL:
+                worst = max(worst, abs(x - y) / size)
+    return worst
+
+
+def within_rule(theirs, mine):
+    """Whether a run (exit code, stderr, stdout) keeps its exit code and
+    stderr and moves only numbers within the 1e-12 rule."""
+    return theirs[:2] == mine[:2] and reports_match(theirs[2], mine[2])
+
+
 def export(rev, dest):
     """Extract the files of `rev` into `dest` with `git archive`."""
     archive = Path(dest, "rev.tar")
@@ -83,13 +113,18 @@ def main(argv=None):
         if jobs != runs(other):
             print(f"the scenario catalogs of {args[0]} and this checkout differ")
             return 1
-        differ = 0
+        differ = within = 0
         for label, job in jobs:
             theirs, mine = run(other, job), run(ours, job)
             if theirs == mine:
                 continue
             differ += 1
-            print(f"DIFFERS: {label}")
+            ok = within_rule(theirs, mine)
+            within += ok
+            rule = "numbers within the 1e-12 rule" if ok else "beyond the rule"
+            worst = worst_relative_change(theirs[2], mine[2])
+            print(f"DIFFERS: {label} ({rule}; worst relative change {worst:.2g} among numbers "
+                  f"above the {ATOL:g} floor)")
             for what, a, b in zip(("exit code", "stderr", "stdout"), theirs, mine):
                 if a == b:
                     continue
@@ -100,7 +135,8 @@ def main(argv=None):
                                             f"{args[0]} {what}", f"checkout {what}",
                                             lineterm="", n=1)
                 print("\n".join("  " + line for line in list(diff)[:40]))
-    print(f"{differ} of {len(jobs)} runs differ from {args[0]}")
+    print(f"{differ} of {len(jobs)} runs differ from {args[0]}, {within} of them only in "
+          "numbers within the 1e-12 rule")
     return 1 if differ else 0
 
 
