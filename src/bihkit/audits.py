@@ -49,8 +49,10 @@ def audit_mean_curvature_laplacian(ev):
                equals E, exact only in flat ambients, and the ledger
                translation adds the tangential curvature trace.
     The corrected and the translated forms are one identity, so their
-    deltas are the same number.  Returns {"deltaH": ..., "lemgene1": ...}.
-    """
+    deltas are the same number.  Returns {"deltaH": ..., "lemgene1": ...};
+    a block below order 4 (no Dperp H) is a ValueError."""
+    if ev.order < 4:
+        raise ValueError(f"the Laplacian of H needs an order-4 block, not order {ev.order}")
     tt = ev.trace_terms
     nrm = ev.norm
     expansion = (
@@ -83,10 +85,9 @@ def audit_mean_curvature_laplacian(ev):
 def _intrinsic_rough_laplacian_gradf(ev):
     """tr nabla^2 grad f of the induced metric, in ambient components."""
     Gam = ev.intrinsic_christoffels
-    X = ev.grad_f_param_field  # components, order 3
-    # cov[g, be] = (nabla_be X)^g as order-2 jet fields
-    terms = Gam * X.truncate(Gam.space.order)[None, None]
-    cov = terms.sum(-1, start=X.derivs())
+    X = ev.grad_f_param_field  # components, order - 2
+    # cov[g, be] = (nabla_be X)^g as jet fields of order - 3
+    cov = (Gam * X[None, None]).truncate(X.space.order - 1).sum(-1, start=X.derivs())
     cov_val = ev.values(cov)
     # the (1,1)-tensor nabla grad f is the field F_be = cov[:, be]:
     # covd[al, be, g] = d_al cov[g, be] + Gam^g_{al, de} cov[de, be]

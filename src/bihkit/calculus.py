@@ -186,7 +186,7 @@ class TraceTerms:
     grad_h_norm2: np.ndarray         # grad |H|^2
     tb_ah: np.ndarray                # tr B(., A_H .)            [normal]
     ta_nabla_perp_h: np.ndarray      # tr A_{nabla-perp H}(.)    [tangent]
-    delta_perp_h_pos: np.ndarray     # positive normal Laplacian [normal]
+    delta_perp_h_pos: np.ndarray     # positive normal Laplacian [normal]; None below order 4
     nabla_perp_gradf_h: np.ndarray   # nabla-perp_{grad f} H     [normal]
     a_h_grad_f: np.ndarray           # A_H grad f                [tangent]
     tb_hess_f: np.ndarray            # tr B(., nabla_. grad f)   [normal]
@@ -355,25 +355,26 @@ def evaluate(imm, points, order=4):
         det = gram_det[bad[0]]
         what = "immersion rank-deficient" if np.isfinite(det) else "induced metric not finite"
         raise CalcError(f"{what} at {points[bad[0]]}: gram det {det:.3e}")
-    g_inv = jet_matrix_inverse(g)
-    Gam_int = christoffel_jets(g, g_inv)
+    # every reader of the inverse takes it at order - 2
     ord2 = order - 2
-    dpsi2, g_inv2 = dpsi.truncate(ord2), g_inv.truncate(ord2)
+    g_inv = jet_matrix_inverse(g.truncate(ord2))
+    Gam_int = christoffel_jets(g, g_inv)
+    dpsi2 = dpsi.truncate(ord2)
     # Gam_dpsi[a, b, c, al] = Gam^a_bc d_al psi^b; summed over b it is the
     # connection along the immersion A[a, c, al]
     Gam_dpsi = Gam[..., None] * dpsi2[None, :, None]
     B = _second_fundamental_form(Gam_dpsi, Gam_int, dpsi)
     # mean curvature H = tr_g B / m
-    H = (g_inv2[:, :, None] * B).reshape(m * m, d).sum(0) / float(m)
+    H = (g_inv[:, :, None] * B).reshape(m * m, d).sum(0) / float(m)
     # weight function: (grad f)^alpha, its ambient vector and Delta f
-    grad_f_param = (g_inv.truncate(order - 1) * f_jet.derivs()[None]).sum(1)
-    grad_f_ambient = (dpsi2 * grad_f_param.truncate(ord2)[None]).sum(1)
+    grad_f_param = (g_inv * f_jet.derivs().truncate(ord2)[None]).sum(1)
+    grad_f_ambient = (dpsi2 * grad_f_param[None]).sum(1)
     fields = {
         "psi": psi, "f_jet": f_jet, "G_field": G, "Gam_field": Gam,
         "chart_christoffels": chart_gam,
         "dpsi": dpsi, "induced_metric_field": g, "induced_metric_inv_field": g_inv,
         "intrinsic_christoffels": Gam_int,
-        "projector_field": _projector(dpsi2, g_inv2, G.truncate(ord2)),
+        "projector_field": _projector(dpsi2, g_inv, G.truncate(ord2)),
         "B_field": B, "H_field": H, "connection": Gam_dpsi.sum(1),
         "grad_f_param_field": grad_f_param, "grad_f_ambient_field": grad_f_ambient,
         "delta_f_pos_field": _laplacian_pos(g_inv, Gam_int, f_jet),
@@ -494,10 +495,10 @@ class Evaluation:
     Jet fields: psi, f_jet, G_field (order - 1), Gam_field (Gam[k, a, b] =
     Gamma^k_ab along the immersion, order - 2), chart_christoffels (order 1,
     at psi of each point), dpsi (dpsi[a, al], order - 1),
-    induced_metric_field and its inverse, intrinsic_christoffels,
-    projector_field (P[a, b]), B_field (B[al, be, a]), H_field, connection
-    (A[a, c, al], order - 2), grad_f_param_field, grad_f_ambient_field and
-    delta_f_pos_field.
+    induced_metric_field (order - 1); at order - 2 its inverse,
+    intrinsic_christoffels, projector_field (P[a, b]), B_field
+    (B[al, be, a]), H_field, connection (A[a, c, al]), grad_f_param_field,
+    grad_f_ambient_field and delta_f_pos_field.
     """
 
     def __init__(self, imm, points, order, fields, gram_det):
@@ -681,14 +682,14 @@ def trace_terms_at(ev):
     grad_f = val(ev.grad_f_ambient_field)
     X = ev.grad_f_param_field
     grad_f_param = val(X)
-    gf2_terms = ev.induced_metric_field.truncate(ev.order - 1) * X[:, None] * X[None]
+    gf2_terms = ev.induced_metric_field.truncate(ord2) * X[:, None] * X[None]
     gf2_field = gf2_terms.reshape(m * m).sum(0)
 
     # (nabla_be grad f)^g = d_be (grad f)^g + Gam^g_{be, de} (grad f)^de
     hess_vec = val(X.derivs()).swapaxes(-1, -2) + np.einsum("pgbd,pd->pbg", gam, grad_f_param)
 
     # omega_beta = B(e_beta, grad f) as a jet field; its normal-connection trace
-    omega_field = (ev.B_field * X.truncate(ord2)[None, :, None]).sum(1)
+    omega_field = (ev.B_field * X[None, :, None]).sum(1)
     omega = val(omega_field)
 
     # Ricci of the induced metric, Ric_jk = R^i_ijk, and the scalar curvature
@@ -724,7 +725,8 @@ def trace_terms_at(ev):
         # tr B(., A_H .) = g^{ag} g^{bd} <B_gd, H> B_ab
         tb_ah=np.einsum("pab,pabk->pk", ginv @ mv(BG, H[:, None]) @ ginv_t, B),
         ta_nabla_perp_h=trace_shape(nabla_perp_h),
-        delta_perp_h_pos=-normal_trace(ev.nabla_perp_h_field, nabla_perp_h),
+        delta_perp_h_pos=(-normal_trace(ev.nabla_perp_h_field, nabla_perp_h)
+                          if ev.order >= 4 else None),
         nabla_perp_gradf_h=np.einsum("pa,pak->pk", grad_f_param, nabla_perp_h),
         # A_H grad f = g^{gb} <B(grad f, e_b), H> dpsi_g
         a_h_grad_f=mv(dpsi, mv(ginv, mv(np.einsum("pa,pabl->pbl", grad_f_param, BG), H))),

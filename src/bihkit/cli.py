@@ -137,16 +137,14 @@ def cmd_audit(sc, args, out, blocks):
         result = curvature_trace_audit(sc.immersion.ambient, chart_points, seed=sc.seed)
         out["curvature_trace_audit"] = result
         worst = float(np.max([result["normal_trace"], result["tangent_trace"]]))
-        out["max_delta"] = worst
-        out["pass"] = bool(worst <= tol)
-        return PASS if out["pass"] else NUMERIC_FAIL
-    summary = run_all_audits(sc.immersion, blocks)[1]
-    out["summary"] = summary
-    out["points"] = len(points)
-    # numpy's maximum keeps a NaN, which fails the verdict
-    keys = ("deltaH_translated", "lemgene1_corrected", "lemgene2_corrected", "lemgene3",
-            "identity_max")
-    worst = float(np.max([summary[key] for key in keys]))
+    else:
+        summary = run_all_audits(sc.immersion, blocks)[1]
+        out["summary"] = summary
+        out["points"] = len(points)
+        # numpy's maximum keeps a NaN, which fails the verdict
+        keys = ("deltaH_translated", "lemgene1_corrected", "lemgene2_corrected", "lemgene3",
+                "identity_max")
+        worst = float(np.max([summary[key] for key in keys]))
     out["max_delta"] = worst
     out["pass"] = bool(worst <= tol)
     return PASS if out["pass"] else NUMERIC_FAIL
@@ -213,6 +211,9 @@ COMMANDS = {
 # The options each command reads besides --report and --quiet.
 OPTIONS = {"check": ("--mode", "--tol", "--errata", "--csv"), "audit": ("--tol",),
            "variation": ("--tol", "--functional"), "props": ("--tol",), "energy": ()}
+# The jet order of each command's validated blocks: tau2 and the Laplacian of H take
+# four derivatives of the map; the propositions, and validation alone, take three.
+ORDERS = {"check": 4, "audit": 4, "variation": 3, "props": 3, "energy": 3}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,9 +262,8 @@ def main(argv=None):
                                 "`audit` is the one command it supports", "ambient", "kind")
         # the validated evaluation blocks of the sample points, shared with the
         # command; the quadrature commands evaluate their own nodes instead
-        quadrature = args.command in ("energy", "variation")
-        blocks = _validate(sc, 3 if quadrature else 4)
-        if quadrature:
+        blocks = _validate(sc, ORDERS[args.command])
+        if args.command in ("energy", "variation"):
             blocks.clear()
         out = _base_report(sc, args.command, args)
         code = COMMANDS[args.command](sc, args, out, blocks)

@@ -52,7 +52,11 @@ would:
   * `sum` adds the slices of an axis left to right, never pairwise;
   * `inverse` (Gauss-Jordan on [M | I]) updates at step `col` only the
     columns right of the pivot column, the ones later steps read; each
-    entry is computed as in the full-width elimination;
+    entry is computed as in the full-width elimination.  A finite constant
+    or an order-0 matrix is eliminated on its constant terms, as its jet
+    products round them (x * y + 0.0, the pivot 1.0 / x + 0.0, +0.0 past
+    them); a 1 x 1 one with a finite reciprocal is that reciprocal + 0.0,
+    as its product with the I entry rounds (else 0 * inf fills it with NaN);
   * a `Composer` adds only the live rows of an outer (a dead row adds
     0 * h^gamma = +-0.0 to a sum begun at +0.0) and serves every outer and
     kept order from a prefix, on rows and coefficients, of the one table it
@@ -388,12 +392,23 @@ class Jet:
         pivot row and clears its column in all other rows at once, on the
         augmented matrix [M | I].  Only the live columns are kept: step `col`
         reads column `col` and updates the ones right of it, then drops it,
-        so after n steps the n columns left are the inverse."""
-        n = self.c.shape[0]
-        sp = self.space
+        so after n steps the n columns left are the inverse.  A finite
+        constant or an order-0 matrix is eliminated on its constant terms
+        alone, a 1 x 1 one is its reciprocal (see Float order)."""
+        n, sp = self.c.shape[0], self.space
         c = self.c if self.batched else self.c[..., None, :]
+        constant = sp.order == 0 or self._degree <= 0 and np.isfinite(c[..., 0]).all()
+        if n == 1 and not constant and (np.abs(c[..., 0]) >= 1e-14).all():
+            inv = self._reciprocal()
+            if np.isfinite(inv.c).all():  # else 0 * inf fills its product with the I entry
+                return inv._like(inv.c + 0.0, inv._degree)
+        if constant:  # each product rounds as its constant term, x * y + 0.0
+            c, mul, reciprocal = c[..., :1], (lambda x, y: x * y + 0.0), (lambda x: 1.0 / x + 0.0)
+        else:
+            mul = lambda x, y: (Jet(sp, x, True) * Jet(sp, y, True)).c
+            reciprocal = lambda x: (1.0 / Jet(sp, x, True)).c
         points = np.arange(c.shape[2])
-        eye = np.zeros((n, n, len(points), sp.size))
+        eye = np.zeros((n, n, len(points), c.shape[-1]))
         eye[range(n), range(n), :, 0] = 1.0
         aug = np.concatenate([c, eye], axis=1)
         for col in range(n):
@@ -405,11 +420,14 @@ class Jet:
                 rows = np.repeat(np.arange(n)[:, None], len(points), axis=1)
                 rows[col], rows[piv, points] = piv, col
                 aug = np.take_along_axis(aug, rows[:, None, :, None], axis=0)
-            pivot_row = Jet(sp, aug[col, 1:], True) * (1.0 / Jet(sp, aug[col, 0], True))
+            pivot_row = mul(aug[col, 1:], reciprocal(aug[col, 0]))
             # row r becomes row r - A[r, col] * pivot row
-            aug = (Jet(sp, aug[:, 1:], True) - Jet(sp, aug[:, :1], True) * pivot_row).c
-            aug[col] = pivot_row.c
-        return self._like(aug if self.batched else aug[..., 0, :])
+            aug = aug[:, 1:] - mul(aug[:, :1], pivot_row)
+            aug[col] = pivot_row
+        aug = aug if self.batched else aug[..., 0, :]
+        if constant:
+            return Jet(sp, _constant_terms(aug[..., 0], sp.size), self.batched, 0)
+        return self._like(aug)
 
     def add_diagonal(self, other):
         """Copy with `other` added onto every entry [k, k] of the first two

@@ -608,8 +608,9 @@ def theorem_residual(ev, kind="fbh", errata=False, corollary=None):
     every point of an evaluation block.
 
     Returns a ResidualReport; term values keep the printed/corrected
-    coefficient actually used.
-    """
+    coefficient actually used; a block below order 4 is a ValueError."""
+    if ev.order < 4:
+        raise ValueError(f"theorem residuals need an order-4 block, not order {ev.order}")
     eq_id = equation_for(ev.imm, kind) if kind in ("fbh", "bif") else kind
     cor = None
     if corollary is not None:

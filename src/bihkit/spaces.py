@@ -434,9 +434,9 @@ def jet_matrix_inverse(M):
 
 def christoffel_jets(G, G_inv=None):
     """Christoffel symbols Gam[k, i, j] of the metric G[i, j] (tensor
-    jets), one order below G.  `G_inv`, the inverse of G at G's order when
-    the caller has it, is truncated instead of inverting again: truncation
-    commutes with every jet operation, bit for bit."""
+    jets), one order below G.  `G_inv`, the inverse of G at G's order or one
+    below when the caller has it, is truncated instead of inverting again:
+    truncation commutes with every jet operation, bit for bit."""
     order = G.space.order
     if order < 1:
         raise SpaceError("christoffel symbols need metric jets of order >= 1")

@@ -11,6 +11,7 @@ from bihkit.audits import (
     run_all_audits,
 )
 from bihkit.calculus import Immersion
+from bihkit.residuals import theorem_residual
 from bihkit.spaces import make_space
 from conftest import one_point
 
@@ -155,3 +156,14 @@ def test_curvature_trace_audit_keeps_a_nan():
         out = curvature_trace_audit(ab, points, seed=5)
     assert np.isnan(out["normal_trace"]) and np.isnan(out["tangent_trace"])
     assert out["alpha_beta_warning"]
+
+
+@pytest.mark.parametrize("check", [audit_mean_curvature_laplacian, theorem_residual])
+def test_fourth_order_checks_reject_an_order_3_block(check):
+    """The Laplacian of H and the theorem equations take four derivatives
+    of the map; an order-3 block, whose trace terms have no Dperp H, is a
+    ValueError that says so, not a TypeError on the missing term."""
+    ev = one_point(torus_r4(), [0.3, 0.7], order=3)
+    assert ev.trace_terms.delta_perp_h_pos is None
+    with pytest.raises(ValueError, match="order-4 block, not order 3"):
+        check(ev)

@@ -728,6 +728,21 @@ def test_christoffels_from_the_evaluated_inverse_match_inverting_again(catalog_n
         assert same_bits(ev.intrinsic_christoffels.c, expected), name
 
 
+def test_inverse_metric_and_grad_f_are_the_truncated_order_minus_1_builds(catalog_names):
+    """`evaluate` inverts the induced metric at order - 2, the order every
+    reader takes: on the first block of every catalog scenario, the inverse
+    and grad f are those of the order - 1 builds, truncated, bit for bit."""
+    for name in catalog_names:
+        ev = _first_block(name)
+        low = ev.order - 2
+        g_inv = ev.induced_metric_field.inverse()  # order - 1
+        grad_f = (g_inv * ev.f_jet.derivs()[None]).sum(1)
+        assert ev.induced_metric_inv_field.space.order == low
+        assert same_bits(ev.induced_metric_inv_field.c, g_inv.truncate(low).c), name
+        assert ev.grad_f_param_field.space.order == low
+        assert same_bits(ev.grad_f_param_field.c, grad_f.truncate(low).c), name
+
+
 def _plain_eval(node, env):
     """An expression tree evaluated with no memo at all, `/` as Jet
     division: the oracle of `eval_on_jets`."""
@@ -917,7 +932,7 @@ def _ref_trace_terms(pt):
            "coeffs": coeffs_at(pt.space, pt.psi.values),
            "h_norm2": ip(H, H)}
     # |grad f|^2 and |H|^2 as scalar jets, and their gradients
-    g1 = pt.induced_metric_field.truncate(pt.order - 1)
+    g1 = pt.induced_metric_field.truncate(X.space.order)
     gf2 = sum(g1[al, be] * X[al] * X[be] for al in range(m) for be in range(m))
     out["grad_f_norm2"] = gf2.value
     out["grad_grad_f_norm2"] = _ref_gradient(pt, gf2)
@@ -997,7 +1012,8 @@ def _ref_intrinsic_rough_laplacian_gradf(pt):
     m = pt.m
     Gam = pt.intrinsic_christoffels
     X = pt.grad_f_param_field
-    cov = (Gam * X.truncate(Gam.space.order)[None, None]).sum(-1, start=X.derivs())
+    low = X.space.order - 1  # the order of X.derivs()
+    cov = (Gam.truncate(low) * X.truncate(low)[None, None]).sum(-1, start=X.derivs())
     cov_val, dcov_val = cov.values, cov.derivs().values
     Gv, ginv = Gam.values, pt.g_inv_val
     out_param = np.zeros(m)

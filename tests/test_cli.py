@@ -1111,11 +1111,29 @@ def test_check_builds_the_structure_tensors_once_per_block(monkeypatch):
 @pytest.mark.parametrize("command,expected", [("audit", 0), ("props", 2)])
 def test_audit_and_props_build_one_evaluation_per_sample_point(monkeypatch, command,
                                                                 expected):
+    """One evaluation per sample point of c08 (36), at order 4 for `audit`
+    and at order 3 for `props`, which reads no fourth derivative."""
     builds = _count_builds(monkeypatch)
     path = scenario_path("c08_hopf_torus")
     code, _out, err = run_cli([command, path])
     assert code == expected, err
-    assert builds.count(4) == 36
+    assert builds == [{"audit": 4, "props": 3}[command]] * 36
+
+
+def test_props_renders_the_same_bytes_from_order_3_and_order_4_blocks(monkeypatch,
+                                                                      catalog_names):
+    """`props` reads no fourth derivative: on every catalog scenario, its
+    report and exit code from the order-3 blocks it validates are those
+    from order-4 blocks, byte for byte (the phi H ratios of c16, quotients
+    of round-off, included)."""
+    assert len(catalog_names) == 18
+    for name in catalog_names:
+        runs = []
+        for order in (3, 4):
+            monkeypatch.setitem(cli.ORDERS, "props", order)
+            code, out, err = run_cli(["props", scenario_path(name)])
+            runs.append((code, strip_volatile(out), err))
+        assert runs[0] == runs[1], name
 
 
 def _counting(counts, key, fn):

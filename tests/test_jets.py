@@ -500,6 +500,136 @@ def test_inverse_matches_full_width_gauss_jordan(n, points, num_vars, order, see
     assert same_bits(M.inverse().c, expected)
 
 
+def _jet_elimination(M):
+    """The inverse of `M` by the jet elimination (`_full_width_inverse`),
+    with or without points axis as `M`."""
+    batched = M if M.batched else Jet(M.space, M.c[..., None, :], True)
+    out = _full_width_inverse(batched)
+    return out if M.batched else out[..., 0, :]
+
+
+def _assert_inverse_is_the_jet_elimination(M):
+    """M.inverse() is the jet elimination's inverse bit for bit, or both
+    raise JetError."""
+    try:
+        expected = _jet_elimination(M)
+    except JetError:
+        with pytest.raises(JetError, match="singular jet matrix"):
+            M.inverse()
+        return False
+    assert same_bits(M.inverse().c, expected)
+    return True
+
+
+def _counting_products(monkeypatch, fn):
+    """(fn(), the number of jet products it ran)."""
+    count = [0]
+    product = jets._product
+
+    def counted(*args):
+        count[0] += 1
+        return product(*args)
+
+    monkeypatch.setattr(jets, "_product", counted)
+    try:
+        return fn(), count[0]
+    finally:
+        monkeypatch.setattr(jets, "_product", product)
+
+
+def _matrices(rng, n, sp, points, degree):
+    """An n x n matrix of jets of `sp`, +-0.0 past the degree bound
+    `degree`, with a points axis of `points` (0: none) and rows permuted
+    per point; entries of +-0.0 and +-1 mixed in, diagonal values shifted
+    by +-4 (usually invertible, pivots of both signs)."""
+    shape = (n, n) + ((points,) if points else ())
+    c = rng.uniform(-3.0, 3.0, size=shape + (sp.size,))
+    special = rng.random(c.shape) < 0.3
+    c[special] = rng.choice([0.0, -0.0, 1.0, -1.0], size=special.sum())
+    c[range(n), range(n), ..., 0] += rng.choice([-4.0, 4.0], size=(n,) + shape[2:])
+    past = np.array([sum(g) > degree for g in sp.indices])
+    c[..., past] = rng.choice([0.0, -0.0], size=c[..., past].shape)
+    if points:
+        c = np.stack([c[rng.permutation(n), :, p] for p in range(points)], axis=-2)
+    return Jet(sp, c, bool(points), degree)
+
+
+INVERSE_SPACES = [(1, 0), (2, 0), (1, 4), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("num_vars, order", INVERSE_SPACES)
+@pytest.mark.parametrize("points", [0, 1, 5])
+def test_constant_inverse_is_the_jet_elimination(monkeypatch, num_vars, order, points):
+    """A constant matrix (degree 0) or one of order 0 is eliminated on its
+    constant terms alone, with no jet product: bit for bit the jet
+    elimination, signed zeros included, at n = 1 to 4 with the pivot rows
+    swapped per point, with and without points axis; the inverse is a
+    degree-0 jet."""
+    sp = jet_space(num_vars, order)
+    rng = np.random.default_rng(order * 100 + num_vars * 10 + points)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            M = _matrices(rng, n, sp, points, 0)
+            inv, products = _counting_products(monkeypatch, M.inverse)
+            assert products == 0
+            assert inv._degree == 0 and inv.shape == M.shape and inv.batched == M.batched
+            assert same_bits(inv.c, _jet_elimination(M)), n
+
+
+@pytest.mark.parametrize("num_vars, order", INVERSE_SPACES)
+@pytest.mark.parametrize("points", [0, 3])
+def test_one_by_one_inverse_is_the_reciprocal(monkeypatch, num_vars, order, points):
+    """A 1 x 1 matrix of every degree bound is inverted by its reciprocal,
+    the products of its Horner steps and none more: bit for bit the jet
+    elimination, signed zeros included."""
+    sp = jet_space(num_vars, order)
+    rng = np.random.default_rng(order * 100 + num_vars * 10 + points)
+    for degree in range(order + 1):
+        M = _matrices(rng, 1, sp, points, degree)
+        inv, products = _counting_products(monkeypatch, M.inverse)
+        reciprocal, own = _counting_products(monkeypatch, M._reciprocal)
+        assert products == (own if degree > 0 else 0)  # degree 0: a constant matrix
+        assert same_bits(inv.c, _jet_elimination(M)), degree
+        assert same_bits(inv.c, reciprocal.c + 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_non_finite_matrices_keep_the_jet_elimination(n):
+    """A NaN or inf entry, and a 1 x 1 matrix whose reciprocal overflows,
+    give the jet elimination's inverse bit for bit: 0 * inf and 0 * NaN
+    fill the higher coefficients with NaN there."""
+    sp = jet_space(2, 3)
+    rng = np.random.default_rng(n)
+    for bad in (math.nan, math.inf, -math.inf):
+        for degree in (0, 3):
+            for row in range(n):
+                M = _matrices(rng, n, sp, 2, degree)
+                M.c[row, 0, 1, 0] = bad  # at point 1 only
+                with np.errstate(all="ignore"):
+                    _assert_inverse_is_the_jet_elimination(M)
+    M = _matrices(rng, n, sp, 0, 3)
+    M.c[..., 1] = 1e300  # finite, but h^2 overflows in the Horner steps of a reciprocal
+    with np.errstate(all="ignore"):
+        assert _assert_inverse_is_the_jet_elimination(M)
+        assert np.isnan(M.inverse().c[..., 1:]).any()
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_singular_threshold_of_the_cheap_inverses(degree):
+    """The constant-term and the 1 x 1 inverses raise JetError exactly
+    where the jet elimination does: a pivot below 1e-14 in magnitude, at
+    any point of a batch."""
+    sp = jet_space(1, 2)
+    rng = np.random.default_rng(degree)
+    raised = []
+    for pivot in (0.0, -0.0, 9e-15, -9.9e-15, 1e-14, -1.2e-14, 1.0):
+        for n in (1, 2):
+            M = _matrices(rng, n, sp, 3, degree)
+            M.c[..., 0] = np.diag([1.0, pivot][-n:])[..., None]  # the last pivot at each point
+            raised.append(not _assert_inverse_is_the_jet_elimination(M))
+    assert raised == [True] * 8 + [False] * 6
+
+
 def test_lower_order_tables_are_prefixes():
     """A composer keeps one monomial table: it serves a lower degree or a
     lower order from the prefix, on rows and coefficients, bit for bit the
