@@ -84,16 +84,13 @@ def audit_mean_curvature_laplacian(ev):
 
 def _intrinsic_rough_laplacian_gradf(ev):
     """tr nabla^2 grad f of the induced metric, in ambient components."""
-    Gam = ev.intrinsic_christoffels
-    X = ev.grad_f_param_field  # components, order - 2
-    # cov[g, be] = (nabla_be X)^g as jet fields of order - 3
-    cov = (Gam * X[None, None]).truncate(X.space.order - 1).sum(-1, start=X.derivs())
-    cov_val = ev.values(cov)
-    # the (1,1)-tensor nabla grad f is the field F_be = cov[:, be]:
-    # covd[al, be, g] = d_al cov[g, be] + Gam^g_{al, de} cov[de, be]
-    covd = (np.einsum("pgba->pabg", ev.values(cov.derivs()))
-            + np.einsum("pgad,pdb->pabg", ev.values(Gam), cov_val))
-    return matvec(ev.values(ev.dpsi), ev.covariant_trace(covd, cov_val.swapaxes(-1, -2)))
+    # the (1,1)-tensor nabla grad f is the field F_be = W[:, be] of the block's
+    # W[g, be]: covd[al, be, g] = d_al W[g, be] + Gam^g_{al, de} W[de, be]
+    W = ev.nabla_grad_f_field
+    W_val = ev.values(W)
+    covd = (np.einsum("pgba->pabg", ev.values(W.derivs()))
+            + np.einsum("pgad,pdb->pabg", ev.values(ev.intrinsic_christoffels), W_val))
+    return matvec(ev.values(ev.dpsi), ev.covariant_trace(covd, W_val.swapaxes(-1, -2)))
 
 
 def audit_lemgene2(ev):
@@ -215,7 +212,7 @@ def audit_phi_decompositions(ev):
     # conditional facts: phi H tangent => PsH = 0 and NsH = -H
     h_norm = nrm(tt.H)
     holds = ((h_norm > FLAG_TOL) & (nrm(mv(P_nor, mv(phi, tt.H))) <= FLAG_TOL * (1.0 + h_norm))
-             & (nrm(mv(P_nor, xi)) <= FLAG_TOL))
+             & (nrm(tt.xi_nor) <= FLAG_TOL))
     if holds.any():
         out["PsH_when_phiH_tangent"] = np.where(holds, nrm(tt.jl_H) / (1.0 + h_norm), np.nan)
         out["NsH_plus_H_when_phiH_tangent"] = np.where(

@@ -9,10 +9,11 @@ operations, so `evaluate_batches` makes blocks as large as a memory budget
 allows (`block_points`), one block per catalog immersion.  The block is the
 unit every consumer takes: from it come the trace terms (normal connection
 and Laplacian of H, intrinsic Ricci and scalar curvature, the weight-function
-traces, ...), the projectors, the covariant trace (`Evaluation.covariant_trace`,
+traces, ...), the projectors (P is the values of `projector_field`), nabla
+grad f (`nabla_grad_f_field`), the covariant trace (`Evaluation.covariant_trace`,
 which every trace term and rough Laplacian uses), the orthonormal frames and
 the tangential/normal decomposition of the ambient structure tensor, each
-computed once per block with a leading points axis.
+from one producer, once per block with a leading points axis.
 
 All quantities are assembled in coordinate (not orthonormal) form wherever
 possible, so the results are frame-independent by construction; orthonormal
@@ -496,9 +497,10 @@ class Evaluation:
     Gamma^k_ab along the immersion, order - 2), chart_christoffels (order 1,
     at psi of each point), dpsi (dpsi[a, al], order - 1),
     induced_metric_field (order - 1); at order - 2 its inverse,
-    intrinsic_christoffels, projector_field (P[a, b]), B_field
-    (B[al, be, a]), H_field, connection (A[a, c, al]), grad_f_param_field,
-    grad_f_ambient_field and delta_f_pos_field.
+    intrinsic_christoffels, projector_field (P[a, b]; `projectors` holds its
+    values), B_field (B[al, be, a]), H_field, connection (A[a, c, al]),
+    grad_f_param_field, grad_f_ambient_field and delta_f_pos_field; cached,
+    at order - 3: nabla_perp_h_field (W[al, a]), nabla_grad_f_field (W[g, be]).
     """
 
     def __init__(self, imm, points, order, fields, gram_det):
@@ -534,11 +536,9 @@ class Evaluation:
 
     @cached_property
     def projectors(self):
-        """(tangent, normal) projector matrices in ambient coordinates."""
-        dpsi = self.values(self.dpsi)
-        P = (dpsi @ self.values(self.induced_metric_inv_field)
-             @ dpsi.swapaxes(-1, -2) @ self.values(self.G_field))
-        return P, np.eye(P.shape[-1]) - P
+        """Tangent and normal projectors: the values P of `projector_field`, and I - P."""
+        P = self.values(self.projector_field)
+        return P, np.eye(self.d) - P
 
     @cached_property
     def trace_terms(self):
@@ -552,6 +552,14 @@ class Evaluation:
         covd_h = self.pullback_derivative(self.H_field)
         N = (-self.projector_field).add_diagonal(1.0).truncate(covd_h.space.order)
         return (N[None] * covd_h[:, None, :]).sum(-1)
+
+    @cached_property
+    def nabla_grad_f_field(self):
+        """nabla_be grad f of the induced metric, a jet field W[g, be] =
+        d_be (grad f)^g + Gam^g_{be, de} (grad f)^de of order - 3."""
+        X, low = self.grad_f_param_field, self.order - 3
+        gam_x = self.intrinsic_christoffels.truncate(low) * X.truncate(low)[None, None]
+        return gam_x.sum(-1, start=X.derivs())
 
     @cached_property
     def curvature_operator(self):
@@ -653,7 +661,6 @@ def trace_terms_at(ev):
     val = ev.values
     ginv, G0, dpsi = val(ev.induced_metric_inv_field), val(ev.G_field), val(ev.dpsi)
     B, H = val(ev.B_field), val(ev.H_field)  # B[p, al, be, a]
-    gam = val(ev.intrinsic_christoffels)
     P_tan, P_nor = ev.projectors
     mv, ip = matvec, ev.inner
     # ambient components of the intrinsic gradient of a scalar jet field
@@ -684,9 +691,6 @@ def trace_terms_at(ev):
     grad_f_param = val(X)
     gf2_terms = ev.induced_metric_field.truncate(ord2) * X[:, None] * X[None]
     gf2_field = gf2_terms.reshape(m * m).sum(0)
-
-    # (nabla_be grad f)^g = d_be (grad f)^g + Gam^g_{be, de} (grad f)^de
-    hess_vec = val(X.derivs()).swapaxes(-1, -2) + np.einsum("pgbd,pd->pbg", gam, grad_f_param)
 
     # omega_beta = B(e_beta, grad f) as a jet field; its normal-connection trace
     omega_field = (ev.B_field * X[None, :, None]).sum(1)
@@ -731,7 +735,7 @@ def trace_terms_at(ev):
         # A_H grad f = g^{gb} <B(grad f, e_b), H> dpsi_g
         a_h_grad_f=mv(dpsi, mv(ginv, mv(np.einsum("pa,pabl->pbl", grad_f_param, BG), H))),
         # tr B(., nabla_. grad f) = g^{ab} B_{a gamma} (nabla_b grad f)^gamma
-        tb_hess_f=np.einsum("pag,pagk->pk", ginv @ hess_vec, B),
+        tb_hess_f=np.einsum("pag,pagk->pk", ginv @ val(ev.nabla_grad_f_field).swapaxes(-1, -2), B),
         tnb_grad_f=normal_trace(omega_field, omega),
         ta_b_grad_f=trace_shape(omega),
         b_gradf_gradf=mv(mv(Bk, grad_f_param[:, None]), grad_f_param),
@@ -788,8 +792,7 @@ def _point_deviations(ev, name):
         return {"complex": np.maximum(tn, nt), "lagrangian": np.maximum(tt, nn),
                 "invariant": tn, "anti_invariant": tt}[name]
     if name in ("xi_tangent", "xi_normal"):
-        P_tan, P_nor = ev.projectors
-        return ev.norm(matvec(P_nor if name == "xi_tangent" else P_tan, ev.structure["xi"]))
+        return ev.norm(matvec(ev.projectors[1 if name == "xi_tangent" else 0], ev.structure["xi"]))
     if name == "parallel_H":
         return np.sqrt(np.maximum(ev.form_norm2(ev.values(ev.nabla_perp_h_field)), 0.0))
     return ev.norm(ev.values(ev.H_field))  # cmc

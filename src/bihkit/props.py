@@ -78,7 +78,7 @@ def _hypotheses(imm, blocks, required, tol, phiH=None, memo=None):
         worst = 0.0
         for ev in blocks:
             t = ev.trace_terms
-            h_norm = np.sqrt(np.maximum(t.h_norm2, 0.0))
+            h_norm = ev.norm(t.H)
             P_tan, P_nor = ev.projectors
             part = matvec(P_nor if phiH == "tangent" else P_tan, matvec(ev.structure_tensor, t.H))
             nonzero = h_norm != 0.0

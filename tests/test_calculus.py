@@ -908,6 +908,21 @@ def _ref_ricci(pt):
     return ric
 
 
+def _ref_nabla_grad_f(pt):
+    """W[g, be] = (nabla_be grad f)^g = d_be (grad f)^g + Gam^g_{be, de} (grad f)^de."""
+    m = pt.m
+    Gam_int = pt.intrinsic_christoffels.values
+    dX = pt.grad_f_param_field.derivs().values
+    W = np.zeros((m, m))
+    for be in range(m):
+        for g in range(m):
+            acc = dX[g, be]
+            for de in range(m):
+                acc += Gam_int[g, be, de] * pt.grad_f_param[de]
+            W[g, be] = acc
+    return W
+
+
 def _ref_trace_terms(pt):
     """Every loop-built trace term of `pt` but n, by its `TraceTerms` name."""
     m, d = pt.m, pt.d
@@ -954,15 +969,7 @@ def _ref_trace_terms(pt):
                     w = ginv[al, ga] * ginv[be, de]
                     out["tb_ah"] += w * BH[ga][de] * B[al, be]
                     out["b_norm2"] += w * ip(B[al, be], B[ga, de])
-    Gam_int = pt.intrinsic_christoffels.values
-    dX = X.derivs().values
-    hess_vec = np.zeros((m, m))
-    for be in range(m):
-        for g in range(m):
-            acc = dX[g, be]
-            for de in range(m):
-                acc += Gam_int[g, be, de] * gfp[de]
-            hess_vec[be, g] = acc
+    hess_vec = _ref_nabla_grad_f(pt).T
     for key in ("tb_hess_f", "a_h_grad_f", "nabla_perp_gradf_h", "b_gradf_gradf",
                 "ric_grad_f"):
         out[key] = np.zeros(d)
@@ -1055,6 +1062,48 @@ def test_contractions_match_index_loops(name):
             for key, got, want in pairs:
                 err = np.abs(np.subtract(got, want)).max()
                 assert err <= 1e-12 * max(1.0, np.abs(want).max()), (key, pt.point, err)
+
+
+@pytest.mark.parametrize("name", ["c08_hopf_torus", "c13_hypersphere_r4", "c18_hypersphere_cp2"])
+def test_projectors_are_the_projector_field_values(name):
+    """P is the constant terms of the jet `projector_field`, bit for bit,
+    and the normal projector is I - P: the block has one tangent projector
+    (a second, matrix-product P differed by up to 3.3e-16 on c08)."""
+    ev = _first_block(name)
+    P_tan, P_nor = ev.projectors
+    assert same_bits(P_tan, ev.values(ev.projector_field)), name
+    assert same_bits(P_nor, np.eye(ev.d) - P_tan), name
+
+
+@pytest.mark.parametrize("name", ["c02_curve_sasakian", "c08_hopf_torus",
+                                  "c12_torus_deformed_generic", "c13_hypersphere_r4",
+                                  "c18_hypersphere_cp2"])
+def test_nabla_grad_f_field_matches_the_index_loop(name):
+    """`nabla_grad_f_field` is an order - 3 jet whose values agree with the
+    loop-built nabla grad f at every point of the first block to 1e-12
+    relative, with the catalog equality rule's absolute floor of 1e-12."""
+    ev = _first_block(name)
+    W = ev.nabla_grad_f_field
+    assert W.space.order == ev.order - 3 and ev.nabla_grad_f_field is W
+    got = ev.values(W)
+    for i in range(len(ev)):
+        want = _ref_nabla_grad_f(_Point(ev, i))
+        err = np.abs(got[i] - want).max()
+        assert err <= 1e-12 * max(1.0, np.abs(want).max()), (name, i, err)
+
+
+@pytest.mark.parametrize("name", ["c02_curve_sasakian", "c12_torus_deformed_generic",
+                                  "c18_hypersphere_cp2"])
+def test_trace_terms_and_audit_read_the_one_nabla_grad_f_field(name):
+    """tr B(., nabla_. grad f) and the audit's intrinsic tr nabla^2 grad f
+    are linear in nabla grad f and take it from `nabla_grad_f_field` alone:
+    a block whose field is doubled (exactly) gives both exactly doubled."""
+    ev, doubled = _first_block(name), _first_block(name)
+    doubled.nabla_grad_f_field = ev.nabla_grad_f_field * 2.0  # the cached value
+    for read in (lambda e: e.trace_terms.tb_hess_f, _intrinsic_rough_laplacian_gradf):
+        base = read(ev)
+        assert np.abs(base).max() > 1e-3, name
+        assert same_bits(read(doubled), 2.0 * base), name
 
 
 def _ref_orthonormal_frames(G, dpsi, point):
