@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Expression, eval_on_jets, parse, variables_of
+from .expr import Expression, eval_on_jets, parse
 from .jets import Composer, Jet, _upper_pairs
 from .spaces import (AmbientSpace, chart_jets, christoffel_jets, curvature_from_christoffels,
                      jet_matrix_inverse, matvec, metric_and_christoffel_jets)
@@ -135,13 +135,6 @@ class Immersion:
             )
         if len(self.params) >= self.ambient.chart_dim:
             raise CalcError("parameter count must be below the ambient dimension")
-        for name in self.flags:
-            if name not in FLAG_NAMES:
-                raise CalcError(f"unknown flag {name!r}")
-        for expr in (*self.components, self.weight):
-            bad = variables_of(expr) - set(self.params)
-            if bad:
-                raise CalcError(f"expression uses undeclared parameters {sorted(bad)}")
 
     @property
     def param_dim(self):
@@ -153,8 +146,8 @@ class Immersion:
 
     @staticmethod
     def from_strings(params, ambient, components, weight="1", flags=None):
-        comp = [parse(c, params) if isinstance(c, str) else c for c in components]
-        w = parse(weight, params) if isinstance(weight, str) else weight
+        comp = [parse(c, params) for c in components]
+        w = parse(weight, params)
         return Immersion(list(params), ambient, comp, w, dict(flags or {}))
 
 

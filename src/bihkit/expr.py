@@ -291,23 +291,3 @@ def eval_on_jets(expression, env, memo=None):
 
     return ev(expression)
 
-
-def variables_of(expression):
-    """Set of parameter names referenced by the expression."""
-    out = set()
-
-    def walk(node):
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Neg):
-            walk(node.arg)
-        elif isinstance(node, Bin):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Pow):
-            walk(node.base)
-        elif isinstance(node, Call):
-            walk(node.arg)
-
-    walk(expression)
-    return out

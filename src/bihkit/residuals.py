@@ -13,7 +13,7 @@ variational module.
 
 Theorem mode assembles the published characterization equations term by
 term, exactly as printed.  Where the printed coefficient disagrees with the
-oracle the term carries a catalogued correction (`ERRATA`); running with
+oracle the term carries a catalogued correction (`Term.erratum`); running with
 `errata=True` applies the corrected coefficients, and the comparison layer
 itemizes the per-term difference either way.  Nothing is silently fixed.
 
@@ -33,7 +33,8 @@ direct field; the bi-f equations equal the projected direct field itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .calculus import matvec
 __all__ = [
     "Term",
     "Erratum",
-    "ERRATA",
     "COROLLARIES",
     "ResidualReport",
     "tension",
@@ -122,83 +122,144 @@ def _curvature_traces(ev, t):
 # -- term tables ------------------------------------------------------------------
 
 
-@dataclass
-class Term:
-    """One term of an equation; every callable reads the TraceTerms of a
-    block: a coefficient is a float or a P-array, a value (P, chart_dim)."""
-
-    name: str
-    part: str                     # "normal" | "tangent"
-    printed: object               # t -> float coefficient as printed
-    value: object                 # t -> ambient vector
-    corrected: object = None      # t -> float, when an erratum applies
-
-
-@dataclass
+@dataclass(frozen=True)
 class Erratum:
-    equation: str
-    term: str
+    """A catalogued correction of a printed coefficient: `corrected` is the
+    coefficient (t -> float or P-array) that errata mode uses instead; the
+    forms and the evidence say what was printed, what holds and why."""
+
+    corrected: object
     printed_form: str
     corrected_form: str
     evidence: str
 
 
-ERRATA: list = []
+@dataclass(frozen=True)
+class Term:
+    """One term of an equation; every callable reads the TraceTerms of a
+    block: a coefficient is a float or a P-array, a value (P, chart_dim).
+    A term has a corrected coefficient exactly when it carries an
+    `erratum`."""
+
+    name: str
+    part: str                     # "normal" | "tangent"
+    printed: object               # t -> coefficient as printed
+    value: object                 # t -> ambient vector
+    erratum: Erratum = None
 
 
-def _erratum(equation, term, printed_form, corrected_form, evidence):
-    ERRATA.append(Erratum(equation, term, printed_form, corrected_form, evidence))
+# Terms shared by both f-biharmonic equations, and their errata.
+_FBH_NORMAL = (
+    Term(
+        "delta_perp_H", "normal",
+        printed=lambda t: -1.0,
+        value=lambda t: t.delta_perp_h_pos,
+        erratum=Erratum(
+            lambda t: +1.0,
+            "-Delta-perp H (positive convention)", "+Delta-perp H",
+            "the Bochner step used downstream and the direct oracle both need the "
+            "connection-Laplacian term with positive sign; the printed minus reads "
+            "the symbol in the opposite convention"),
+    ),
+    Term("tb_ah", "normal", lambda t: 1.0, lambda t: t.tb_ah),
+    Term(
+        "weight_laplacian", "normal",
+        lambda t: t.delta_f_pos / t.f,
+        lambda t: t.H,
+    ),
+    Term(
+        "weight_connection", "normal",
+        printed=lambda t: 2.0,
+        value=lambda t: t.nabla_perp_gradf_h / t.f[:, None],
+        erratum=Erratum(
+            lambda t: -2.0,
+            "+2 nabla-perp_{grad ln f} H", "-2 nabla-perp_{grad ln f} H",
+            "first-variation anchor of the weighted bienergy fixes the sign of the "
+            "gradient-connection term; direct oracle per-term delta is 4x this term "
+            "when evaluated as printed"),
+    ),
+)
 
+_FBH_TANGENT = (
+    Term("grad_h2", "tangent", lambda t: 0.5 * t.n, lambda t: t.grad_h_norm2),
+    Term(
+        "shape_grad_ln_f", "tangent",
+        printed=lambda t: -2.0,
+        value=lambda t: t.a_h_grad_f / t.f[:, None],
+        erratum=Erratum(
+            lambda t: +2.0,
+            "-2 A_H grad(ln f)", "+2 A_H grad(ln f)",
+            "same source as the weight_connection sign (both descend from the "
+            "2 nabla_{grad f} tau term of the weighted bitension field)"),
+    ),
+    Term("ta_nabla_perp_h", "tangent", lambda t: 2.0, lambda t: t.ta_nabla_perp_h),
+)
 
-def _fbh_common_normal():
-    return [
-        Term(
-            "delta_perp_H", "normal",
-            printed=lambda t: -1.0,
-            corrected=lambda t: +1.0,
-            value=lambda t: t.delta_perp_h_pos,
-        ),
-        Term("tb_ah", "normal", lambda t: 1.0, lambda t: t.tb_ah),
-        Term(
-            "weight_laplacian", "normal",
-            lambda t: t.delta_f_pos / t.f,
-            lambda t: t.H,
-        ),
-        Term(
-            "weight_connection", "normal",
-            printed=lambda t: 2.0,
-            corrected=lambda t: -2.0,
-            value=lambda t: t.nabla_perp_gradf_h / t.f[:, None],
-        ),
-    ]
+# The left-hand side shared by the three bi-f-harmonic equations, and its
+# errata.
+_BIF_LHS = (
+    Term("delta_perp_H", "normal", lambda t: t.n * t.f**2, lambda t: t.delta_perp_h_pos),
+    Term("tb_ah", "normal", lambda t: t.n * t.f**2, lambda t: t.tb_ah),
+    Term(
+        "weight_laplacian", "normal",
+        printed=lambda t: -t.n * t.f,
+        value=lambda t: t.delta_f_pos[:, None] * t.H,
+        erratum=Erratum(
+            lambda t: +t.n * t.f,
+            "-n f (Delta f) H (positive convention)", "+n f (Delta f) H",
+            "the function Laplacian enters through tr Hess f = -Delta_pos f; "
+            "oracle comparison flips the printed sign under the positive reading"),
+    ),
+    Term(
+        "weight_connection", "normal",
+        printed=lambda t: -3.0 * t.n,
+        value=lambda t: t.nabla_perp_gradf_h,
+        erratum=Erratum(
+            lambda t: -3.0 * t.n * t.f,
+            "-3n nabla-perp_{grad f} H", "-3n f nabla-perp_{grad f} H",
+            "dimensional bookkeeping: the three contributing connection terms each "
+            "carry one factor of the weight; confirmed by the direct oracle"),
+    ),
+    Term("tb_hess_f", "normal", lambda t: -t.f, lambda t: t.tb_hess_f),
+    Term("tnb_grad_f", "normal", lambda t: -t.f, lambda t: t.tnb_grad_f),
+    Term("grad_f_norm2_H", "normal", lambda t: -t.n * t.grad_f_norm2, lambda t: t.H),
+    Term("b_gradf_gradf", "normal", lambda t: -1.0, lambda t: t.b_gradf_gradf),
+    Term("grad_h2", "tangent", lambda t: 0.5 * t.n**2 * t.f**2, lambda t: t.grad_h_norm2),
+    Term(
+        "ta_nabla_perp_h", "tangent",
+        printed=lambda t: 2.0 * t.n**2 * t.f**2,
+        value=lambda t: t.ta_nabla_perp_h,
+        erratum=Erratum(
+            lambda t: 2.0 * t.n * t.f**2,
+            "2 n^2 f^2 tr A_{nabla-perp H}", "2 n f^2 tr A_{nabla-perp H}",
+            "single n: the term descends from n f * (sum of second derivatives of "
+            "H), not from the squared dimension; direct oracle"),
+    ),
+    Term("shape_grad_f", "tangent", lambda t: 3.0 * t.n * t.f, lambda t: t.a_h_grad_f),
+    Term(
+        "ricci_grad_f", "tangent",
+        printed=lambda t: +t.f,
+        value=lambda t: t.ric_grad_f,
+        erratum=Erratum(
+            lambda t: -t.f,
+            "+f Ric(grad f)", "-f Ric(grad f)",
+            "the rough Laplacian of grad f contributes +Ric(grad f) and enters "
+            "negated through the Jacobi operator; verified on curved submanifolds "
+            "against the oracle"),
+    ),
+    Term("grad_delta_f", "tangent", lambda t: t.f, lambda t: t.grad_delta_f_pos),
+    Term("ta_b_grad_f", "tangent", lambda t: t.f, lambda t: t.ta_b_grad_f),
+    Term("grad_gradf_norm2", "tangent", lambda t: -0.5, lambda t: t.grad_grad_f_norm2),
+)
 
-
-def _fbh_common_tangent():
-    return [
-        Term("grad_h2", "tangent", lambda t: 0.5 * t.n, lambda t: t.grad_h_norm2),
-        Term(
-            "shape_grad_ln_f", "tangent",
-            printed=lambda t: -2.0,
-            corrected=lambda t: +2.0,
-            value=lambda t: t.a_h_grad_f / t.f[:, None],
-        ),
-        Term("ta_nabla_perp_h", "tangent", lambda t: 2.0, lambda t: t.ta_nabla_perp_h),
-    ]
-
-
-def _eq_fbh_gcsf():
-    terms = _fbh_common_normal() + [
+EQUATIONS = {
+    "fbh_gcsf": _FBH_NORMAL + (
         Term("curv_alpha", "normal", lambda t: -t.n * t.coeffs[0], lambda t: t.H),
         Term("curv_beta_klH", "normal", lambda t: 3.0 * t.coeffs[1], lambda t: t.kl_H),
-    ]
-    terms += _fbh_common_tangent() + [
+    ) + _FBH_TANGENT + (
         Term("curv_beta_jlH", "tangent", lambda t: 6.0 * t.coeffs[1], lambda t: t.jl_H),
-    ]
-    return terms
-
-
-def _eq_fbh_gssf():
-    terms = _fbh_common_normal() + [
+    ),
+    "fbh_gssf": _FBH_NORMAL + (
         Term("curv_f1", "normal", lambda t: -t.n * t.coeffs[0], lambda t: t.H),
         Term(
             "curv_f2_xi2", "normal",
@@ -211,74 +272,22 @@ def _eq_fbh_gssf():
             lambda t: t.xi_nor,
         ),
         Term("curv_f3_NsH", "normal", lambda t: 3.0 * t.coeffs[2], lambda t: t.kl_H),
-    ]
-    terms += _fbh_common_tangent() + [
+    ) + _FBH_TANGENT + (
         Term(
             "curv_f2_eta_tan", "tangent",
             lambda t: 2.0 * t.coeffs[1] * (t.n - 1.0) * t.eta_h,
             lambda t: t.xi_tan,
         ),
         Term("curv_f3_PsH", "tangent", lambda t: 6.0 * t.coeffs[2], lambda t: t.jl_H),
-    ]
-    return terms
-
-
-def _bif_lhs_terms():
-    return [
-        Term("delta_perp_H", "normal", lambda t: t.n * t.f**2, lambda t: t.delta_perp_h_pos),
-        Term("tb_ah", "normal", lambda t: t.n * t.f**2, lambda t: t.tb_ah),
-        Term(
-            "weight_laplacian", "normal",
-            printed=lambda t: -t.n * t.f,
-            corrected=lambda t: +t.n * t.f,
-            value=lambda t: t.delta_f_pos[:, None] * t.H,
-        ),
-        Term(
-            "weight_connection", "normal",
-            printed=lambda t: -3.0 * t.n,
-            corrected=lambda t: -3.0 * t.n * t.f,
-            value=lambda t: t.nabla_perp_gradf_h,
-        ),
-        Term("tb_hess_f", "normal", lambda t: -t.f, lambda t: t.tb_hess_f),
-        Term("tnb_grad_f", "normal", lambda t: -t.f, lambda t: t.tnb_grad_f),
-        Term("grad_f_norm2_H", "normal", lambda t: -t.n * t.grad_f_norm2, lambda t: t.H),
-        Term("b_gradf_gradf", "normal", lambda t: -1.0, lambda t: t.b_gradf_gradf),
-        Term("grad_h2", "tangent", lambda t: 0.5 * t.n**2 * t.f**2, lambda t: t.grad_h_norm2),
-        Term(
-            "ta_nabla_perp_h", "tangent",
-            printed=lambda t: 2.0 * t.n**2 * t.f**2,
-            corrected=lambda t: 2.0 * t.n * t.f**2,
-            value=lambda t: t.ta_nabla_perp_h,
-        ),
-        Term("shape_grad_f", "tangent", lambda t: 3.0 * t.n * t.f, lambda t: t.a_h_grad_f),
-        Term(
-            "ricci_grad_f", "tangent",
-            printed=lambda t: +t.f,
-            corrected=lambda t: -t.f,
-            value=lambda t: t.ric_grad_f,
-        ),
-        Term("grad_delta_f", "tangent", lambda t: t.f, lambda t: t.grad_delta_f_pos),
-        Term("ta_b_grad_f", "tangent", lambda t: t.f, lambda t: t.ta_b_grad_f),
-        Term("grad_gradf_norm2", "tangent", lambda t: -0.5, lambda t: t.grad_grad_f_norm2),
-    ]
-
-
-def _eq_bif_general(traces):
-    """`traces` holds the split curvature traces, computed once per residual."""
-
-    def tr(which):
-        return lambda t: traces[which]
-
-    return _bif_lhs_terms() + [
-        Term("curv_trace_H_nor", "normal", lambda t: t.n * t.f**2, tr("trRH_nor")),
-        Term("curv_trace_gf_nor", "normal", lambda t: t.f, tr("trRgf_nor")),
-        Term("curv_trace_H_tan", "tangent", lambda t: 2.0 * t.n * t.f**2, tr("trRH_tan")),
-        Term("curv_trace_gf_tan", "tangent", lambda t: t.f, tr("trRgf_tan")),
-    ]
-
-
-def _eq_bif_gcsf():
-    return _bif_lhs_terms() + [
+    ),
+    # the split curvature traces are the `_curvature_traces` of the block
+    "bif_general": _BIF_LHS + (
+        Term("curv_trace_H_nor", "normal", lambda t: t.n * t.f**2, lambda t: t.trRH_nor),
+        Term("curv_trace_gf_nor", "normal", lambda t: t.f, lambda t: t.trRgf_nor),
+        Term("curv_trace_H_tan", "tangent", lambda t: 2.0 * t.n * t.f**2, lambda t: t.trRH_tan),
+        Term("curv_trace_gf_tan", "tangent", lambda t: t.f, lambda t: t.trRgf_tan),
+    ),
+    "bif_gcsf": _BIF_LHS + (
         # LHS-minus-RHS form of the printed right-hand sides
         Term("curv_alpha_H", "normal", lambda t: -t.n**2 * t.f**2 * t.coeffs[0], lambda t: t.H),
         Term("curv_beta_klH", "normal", lambda t: 3.0 * t.n * t.f**2 * t.coeffs[1], lambda t: t.kl_H),
@@ -287,20 +296,24 @@ def _eq_bif_gcsf():
         Term(
             "curv_alpha_grad_f", "tangent",
             printed=lambda t: -2.0 * t.f * (t.n - 1.0) * t.coeffs[0],
-            corrected=lambda t: -t.f * (t.n - 1.0) * t.coeffs[0],
             value=lambda t: t.grad_f,
+            erratum=Erratum(
+                lambda t: -t.f * (t.n - 1.0) * t.coeffs[0],
+                "2f(n-1) alpha grad f", "f(n-1) alpha grad f",
+                "the grad-f curvature trace enters once (unlike the H-trace, which "
+                "enters twice); direct oracle"),
         ),
         Term(
             "curv_beta_j2_gf", "tangent",
             printed=lambda t: 6.0 * t.f * t.coeffs[1],
-            corrected=lambda t: 3.0 * t.f * t.coeffs[1],
             value=lambda t: t.j2_grad_f,
+            erratum=Erratum(
+                lambda t: 3.0 * t.f * t.coeffs[1],
+                "-6f beta j^2 grad f", "-3f beta j^2 grad f",
+                "same single-entry bookkeeping as the alpha grad-f term"),
         ),
-    ]
-
-
-def _eq_bif_gssf():
-    return _bif_lhs_terms() + [
+    ),
+    "bif_gssf": _BIF_LHS + (
         Term("curv_f1_H", "normal", lambda t: -t.n**2 * t.f**2 * t.coeffs[0], lambda t: t.H),
         Term(
             "curv_f2_xi2_H", "normal",
@@ -321,20 +334,29 @@ def _eq_bif_gssf():
         Term(
             "curv_f3_NP_gf", "normal",
             printed=lambda t: 3.0 * t.f,
-            corrected=lambda t: 3.0 * t.f * t.coeffs[2],
             value=lambda t: t.kj_grad_f,
+            erratum=Erratum(
+                lambda t: 3.0 * t.f * t.coeffs[2],
+                "-3f NP grad f", "-3f f3 NP grad f",
+                "coefficient field dropped in print; restored by the trace identity"),
         ),
         Term(
             "curv_f2_eta_H_tan", "tangent",
             printed=lambda t: 2.0 * t.n * (t.n - 1.0) * t.f * t.coeffs[1] * t.eta_h,
-            corrected=lambda t: 2.0 * t.n * (t.n - 1.0) * t.f**2 * t.coeffs[1] * t.eta_h,
             value=lambda t: t.xi_tan,
+            erratum=Erratum(
+                lambda t: 2.0 * t.n * (t.n - 1.0) * t.f**2 * t.coeffs[1] * t.eta_h,
+                "-2n(n-1) f f2 eta(H) xi-tan", "-2n(n-1) f^2 f2 eta(H) xi-tan",
+                "weight power: the H-trace carries f^2; direct oracle"),
         ),
         Term(
             "curv_f3_PsH", "tangent",
             printed=lambda t: 6.0 * t.n * t.f * t.coeffs[2],
-            corrected=lambda t: 6.0 * t.n * t.f**2 * t.coeffs[2],
             value=lambda t: t.jl_H,
+            erratum=Erratum(
+                lambda t: 6.0 * t.n * t.f**2 * t.coeffs[2],
+                "-6n f f3 PsH", "-6n f^2 f3 PsH",
+                "weight power, as above"),
         ),
         Term(
             "curv_f1_grad_f", "tangent",
@@ -354,70 +376,14 @@ def _eq_bif_gssf():
         Term(
             "curv_f3_P2_gf", "tangent",
             printed=lambda t: t.f,
-            corrected=lambda t: 3.0 * t.f * t.coeffs[2],
             value=lambda t: t.j2_grad_f,
+            erratum=Erratum(
+                lambda t: 3.0 * t.f * t.coeffs[2],
+                "-f f3 P^2 grad f", "-3f f3 P^2 grad f",
+                "factor 3 of the phi-trace; same source as the NP grad f term"),
         ),
-    ]
-
-
-EQUATIONS = {
-    "fbh_gcsf": _eq_fbh_gcsf,
-    "fbh_gssf": _eq_fbh_gssf,
-    "bif_general": _eq_bif_general,
-    "bif_gcsf": _eq_bif_gcsf,
-    "bif_gssf": _eq_bif_gssf,
+    ),
 }
-
-_erratum("fbh_gcsf/fbh_gssf", "delta_perp_H",
-         "-Delta-perp H (positive convention)", "+Delta-perp H",
-         "the Bochner step used downstream and the direct oracle both need the "
-         "connection-Laplacian term with positive sign; the printed minus reads "
-         "the symbol in the opposite convention")
-_erratum("fbh_gcsf/fbh_gssf", "weight_connection",
-         "+2 nabla-perp_{grad ln f} H", "-2 nabla-perp_{grad ln f} H",
-         "first-variation anchor of the weighted bienergy fixes the sign of the "
-         "gradient-connection term; direct oracle per-term delta is 4x this term "
-         "when evaluated as printed")
-_erratum("fbh_gcsf/fbh_gssf", "shape_grad_ln_f",
-         "-2 A_H grad(ln f)", "+2 A_H grad(ln f)",
-         "same source as the weight_connection sign (both descend from the "
-         "2 nabla_{grad f} tau term of the weighted bitension field)")
-_erratum("bif_*", "weight_laplacian",
-         "-n f (Delta f) H (positive convention)", "+n f (Delta f) H",
-         "the function Laplacian enters through tr Hess f = -Delta_pos f; "
-         "oracle comparison flips the printed sign under the positive reading")
-_erratum("bif_*", "weight_connection",
-         "-3n nabla-perp_{grad f} H", "-3n f nabla-perp_{grad f} H",
-         "dimensional bookkeeping: the three contributing connection terms each "
-         "carry one factor of the weight; confirmed by the direct oracle")
-_erratum("bif_*", "ta_nabla_perp_h",
-         "2 n^2 f^2 tr A_{nabla-perp H}", "2 n f^2 tr A_{nabla-perp H}",
-         "single n: the term descends from n f * (sum of second derivatives of "
-         "H), not from the squared dimension; direct oracle")
-_erratum("bif_*", "ricci_grad_f",
-         "+f Ric(grad f)", "-f Ric(grad f)",
-         "the rough Laplacian of grad f contributes +Ric(grad f) and enters "
-         "negated through the Jacobi operator; verified on curved submanifolds "
-         "against the oracle")
-_erratum("bif_gcsf", "curv_alpha_grad_f",
-         "2f(n-1) alpha grad f", "f(n-1) alpha grad f",
-         "the grad-f curvature trace enters once (unlike the H-trace, which "
-         "enters twice); direct oracle")
-_erratum("bif_gcsf", "curv_beta_j2_gf",
-         "-6f beta j^2 grad f", "-3f beta j^2 grad f",
-         "same single-entry bookkeeping as the alpha grad-f term")
-_erratum("bif_gssf", "curv_f3_NP_gf",
-         "-3f NP grad f", "-3f f3 NP grad f",
-         "coefficient field dropped in print; restored by the trace identity")
-_erratum("bif_gssf", "curv_f2_eta_H_tan",
-         "-2n(n-1) f f2 eta(H) xi-tan", "-2n(n-1) f^2 f2 eta(H) xi-tan",
-         "weight power: the H-trace carries f^2; direct oracle")
-_erratum("bif_gssf", "curv_f3_PsH",
-         "-6n f f3 PsH", "-6n f^2 f3 PsH",
-         "weight power, as above")
-_erratum("bif_gssf", "curv_f3_P2_gf",
-         "-f f3 P^2 grad f", "-3f f3 P^2 grad f",
-         "factor 3 of the phi-trace; same source as the NP grad f term")
 
 
 def equation_for(imm, kind):
@@ -435,12 +401,18 @@ def equation_for(imm, kind):
 # -- corollary reductions -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corollary:
+    """A reduction of one equation under the hypotheses its flags state.
+    `substitutions` replaces the value of a term (None drops the term);
+    `coefficients` replaces a coefficient the flags fix, printed and
+    corrected alike."""
+
     name: str
     equation: str
     flags: tuple                    # flags that must be verified 'asserted'
     substitutions: dict             # term name -> replacement value fn | None (dropped)
+    coefficients: dict = field(default_factory=dict)  # term name -> coefficient fn
 
 
 _PARALLEL_DROPS = {
@@ -467,108 +439,103 @@ def _ps_hypersurface(t):
     return t.eta_h[:, None] * t.xi_tan
 
 
-COROLLARIES = {}
+COROLLARIES = {cor.name: cor for cor in (
+    # f-biharmonic, generalized complex space form
+    Corollary("fbh_gcsf_hypersurface", "fbh_gcsf", ("hypersurface",),
+              {"curv_beta_klH": _neg_H, "curv_beta_jlH": None}),
+    Corollary("fbh_gcsf_complex", "fbh_gcsf", ("complex",),
+              {"curv_beta_klH": None, "curv_beta_jlH": None}),
+    Corollary("fbh_gcsf_lagrangian", "fbh_gcsf", ("lagrangian",),
+              {"curv_beta_klH": _neg_H, "curv_beta_jlH": None}),
+    Corollary("fbh_gcsf_curve", "fbh_gcsf", ("curve",),
+              {"curv_beta_klH": _neg_H_minus_m2H, "curv_beta_jlH": None}),
+    Corollary("fbh_gcsf_lagrangian_parallel", "fbh_gcsf",
+              ("lagrangian", "parallel_H"),
+              dict(_PARALLEL_DROPS,
+                   curv_beta_klH=_neg_H, curv_beta_jlH=None)),
+    Corollary("fbh_gcsf_complex_parallel", "fbh_gcsf",
+              ("complex", "parallel_H"),
+              dict(_PARALLEL_DROPS,
+                   curv_beta_klH=None, curv_beta_jlH=None)),
+    Corollary("fbh_gcsf_curve_parallel", "fbh_gcsf",
+              ("curve", "parallel_H"),
+              dict(_PARALLEL_DROPS,
+                   curv_beta_klH=_neg_H_minus_m2H, curv_beta_jlH=None)),
 
+    # f-biharmonic, generalized Sasakian space form
+    Corollary("fbh_gssf_invariant", "fbh_gssf", ("invariant",),
+              {"curv_f3_NsH": None}),
+    Corollary("fbh_gssf_anti_invariant", "fbh_gssf", ("anti_invariant",),
+              {"curv_f3_PsH": None}),
+    Corollary("fbh_gssf_xi_normal", "fbh_gssf", ("xi_normal",),
+              {"curv_f2_xi2": None, "curv_f2_eta_tan": None,
+               "curv_f3_PsH": None}),
+    Corollary("fbh_gssf_xi_tangent", "fbh_gssf", ("xi_tangent",),
+              {"curv_f2_eta_nor": None, "curv_f2_eta_tan": None},
+              {"curv_f2_xi2": lambda t: t.coeffs[1]}),
+    Corollary("fbh_gssf_hypersurface", "fbh_gssf", ("hypersurface",),
+              {"curv_f3_NsH": _ns_hypersurface, "curv_f3_PsH": _ps_hypersurface}),
 
-def _register(cor):
-    COROLLARIES[cor.name] = cor
+    # bi-f-harmonic, generalized complex space form (parallel/CMC reductions)
+    Corollary("bif_gcsf_hypersurface_cmc", "bif_gcsf",
+              ("hypersurface", "cmc"),
+              dict(_PARALLEL_DROPS,
+                   tb_ah=lambda t: t.b_norm2[:, None] * t.H,
+                   curv_beta_klH=_neg_H,
+                   curv_beta_kj_gf=None,
+                   curv_beta_jlH=None)),
+    Corollary("bif_gcsf_complex_parallel", "bif_gcsf",
+              ("complex", "parallel_H"),
+              dict(_PARALLEL_DROPS,
+                   curv_beta_klH=None,
+                   curv_beta_kj_gf=None,
+                   curv_beta_jlH=None)),
+    Corollary("bif_gcsf_lagrangian_parallel", "bif_gcsf",
+              ("lagrangian", "parallel_H"),
+              dict(_PARALLEL_DROPS,
+                   curv_beta_klH=_neg_H,
+                   curv_beta_kj_gf=None,
+                   curv_beta_jlH=None,
+                   curv_beta_j2_gf=None)),
+    Corollary("bif_gcsf_curve_parallel", "bif_gcsf",
+              ("curve", "parallel_H"),
+              dict(_PARALLEL_DROPS,
+                   curv_beta_kj_gf=None,
+                   curv_beta_jlH=None,
+                   curv_beta_j2_gf=None)),
 
-
-# f-biharmonic, generalized complex space form
-_register(Corollary("fbh_gcsf_hypersurface", "fbh_gcsf", ("hypersurface",),
-                    {"curv_beta_klH": _neg_H, "curv_beta_jlH": None}))
-_register(Corollary("fbh_gcsf_complex", "fbh_gcsf", ("complex",),
-                    {"curv_beta_klH": None, "curv_beta_jlH": None}))
-_register(Corollary("fbh_gcsf_lagrangian", "fbh_gcsf", ("lagrangian",),
-                    {"curv_beta_klH": _neg_H, "curv_beta_jlH": None}))
-_register(Corollary("fbh_gcsf_curve", "fbh_gcsf", ("curve",),
-                    {"curv_beta_klH": _neg_H_minus_m2H, "curv_beta_jlH": None}))
-_register(Corollary("fbh_gcsf_lagrangian_parallel", "fbh_gcsf",
-                    ("lagrangian", "parallel_H"),
-                    dict(_PARALLEL_DROPS,
-                         curv_beta_klH=_neg_H, curv_beta_jlH=None)))
-_register(Corollary("fbh_gcsf_complex_parallel", "fbh_gcsf",
-                    ("complex", "parallel_H"),
-                    dict(_PARALLEL_DROPS,
-                         curv_beta_klH=None, curv_beta_jlH=None)))
-_register(Corollary("fbh_gcsf_curve_parallel", "fbh_gcsf",
-                    ("curve", "parallel_H"),
-                    dict(_PARALLEL_DROPS,
-                         curv_beta_klH=_neg_H_minus_m2H, curv_beta_jlH=None)))
-
-# f-biharmonic, generalized Sasakian space form
-_register(Corollary("fbh_gssf_invariant", "fbh_gssf", ("invariant",),
-                    {"curv_f3_NsH": None}))
-_register(Corollary("fbh_gssf_anti_invariant", "fbh_gssf", ("anti_invariant",),
-                    {"curv_f3_PsH": None}))
-_register(Corollary("fbh_gssf_xi_normal", "fbh_gssf", ("xi_normal",),
-                    {"curv_f2_xi2": None, "curv_f2_eta_tan": None,
-                     "curv_f3_PsH": None}))
-_register(Corollary("fbh_gssf_xi_tangent", "fbh_gssf", ("xi_tangent",),
-                    {"curv_f2_xi2": lambda t: t.coeffs[1],
-                     "curv_f2_eta_nor": None, "curv_f2_eta_tan": None}))
-_register(Corollary("fbh_gssf_hypersurface", "fbh_gssf", ("hypersurface",),
-                    {"curv_f3_NsH": _ns_hypersurface, "curv_f3_PsH": _ps_hypersurface}))
-
-# bi-f-harmonic, generalized complex space form (parallel/CMC reductions)
-_register(Corollary("bif_gcsf_hypersurface_cmc", "bif_gcsf",
-                    ("hypersurface", "cmc"),
-                    dict(_PARALLEL_DROPS,
-                         tb_ah=lambda t: t.b_norm2[:, None] * t.H,
-                         curv_beta_klH=_neg_H,
-                         curv_beta_kj_gf=None,
-                         curv_beta_jlH=None)))
-_register(Corollary("bif_gcsf_complex_parallel", "bif_gcsf",
-                    ("complex", "parallel_H"),
-                    dict(_PARALLEL_DROPS,
-                         curv_beta_klH=None,
-                         curv_beta_kj_gf=None,
-                         curv_beta_jlH=None)))
-_register(Corollary("bif_gcsf_lagrangian_parallel", "bif_gcsf",
-                    ("lagrangian", "parallel_H"),
-                    dict(_PARALLEL_DROPS,
-                         curv_beta_klH=_neg_H,
-                         curv_beta_kj_gf=None,
-                         curv_beta_jlH=None,
-                         curv_beta_j2_gf=None)))
-_register(Corollary("bif_gcsf_curve_parallel", "bif_gcsf",
-                    ("curve", "parallel_H"),
-                    dict(_PARALLEL_DROPS,
-                         curv_beta_kj_gf=None,
-                         curv_beta_jlH=None,
-                         curv_beta_j2_gf=None)))
-
-# bi-f-harmonic, generalized Sasakian space form (parallel-H reductions)
-_register(Corollary("bif_gssf_invariant", "bif_gssf",
-                    ("invariant", "parallel_H"),
-                    dict(_PARALLEL_DROPS,
-                         curv_f3_NsH=None, curv_f3_NP_gf=None)))
-_register(Corollary("bif_gssf_anti_invariant", "bif_gssf",
-                    ("anti_invariant", "parallel_H"),
-                    dict(_PARALLEL_DROPS,
-                         curv_f3_PsH=None, curv_f3_P2_gf=None,
-                         curv_f3_NP_gf=None)))
-_register(Corollary("bif_gssf_xi_normal", "bif_gssf",
-                    ("xi_normal", "parallel_H"),
-                    dict(_PARALLEL_DROPS,
-                         curv_f2_xi2_H=None,
-                         curv_f2_eta_gf_nor=None,
-                         curv_f2_xi2_gf=None,
-                         curv_f2_eta_H_tan=None,
-                         curv_f2_eta_gf_tan=None,
-                         curv_f3_PsH=None, curv_f3_P2_gf=None,
-                         curv_f3_NP_gf=None)))
-_register(Corollary("bif_gssf_xi_tangent", "bif_gssf",
-                    ("xi_tangent", "parallel_H"),
-                    dict(_PARALLEL_DROPS,
-                         curv_f2_xi2_H=lambda t: t.n * t.f**2 * t.coeffs[1],
-                         curv_f2_eta_nor=None,
-                         curv_f2_eta_gf_nor=None)))
-_register(Corollary("bif_gssf_hypersurface", "bif_gssf",
-                    ("hypersurface", "parallel_H"),
-                    dict(_PARALLEL_DROPS,
-                         curv_f3_NsH=_ns_hypersurface,
-                         curv_f3_PsH=_ps_hypersurface)))
+    # bi-f-harmonic, generalized Sasakian space form (parallel-H reductions)
+    Corollary("bif_gssf_invariant", "bif_gssf",
+              ("invariant", "parallel_H"),
+              dict(_PARALLEL_DROPS,
+                   curv_f3_NsH=None, curv_f3_NP_gf=None)),
+    Corollary("bif_gssf_anti_invariant", "bif_gssf",
+              ("anti_invariant", "parallel_H"),
+              dict(_PARALLEL_DROPS,
+                   curv_f3_PsH=None, curv_f3_P2_gf=None,
+                   curv_f3_NP_gf=None)),
+    Corollary("bif_gssf_xi_normal", "bif_gssf",
+              ("xi_normal", "parallel_H"),
+              dict(_PARALLEL_DROPS,
+                   curv_f2_xi2_H=None,
+                   curv_f2_eta_gf_nor=None,
+                   curv_f2_xi2_gf=None,
+                   curv_f2_eta_H_tan=None,
+                   curv_f2_eta_gf_tan=None,
+                   curv_f3_PsH=None, curv_f3_P2_gf=None,
+                   curv_f3_NP_gf=None)),
+    Corollary("bif_gssf_xi_tangent", "bif_gssf",
+              ("xi_tangent", "parallel_H"),
+              dict(_PARALLEL_DROPS,
+                   curv_f2_eta_nor=None,
+                   curv_f2_eta_gf_nor=None),
+              {"curv_f2_xi2_H": lambda t: t.n * t.f**2 * t.coeffs[1]}),
+    Corollary("bif_gssf_hypersurface", "bif_gssf",
+              ("hypersurface", "parallel_H"),
+              dict(_PARALLEL_DROPS,
+                   curv_f3_NsH=_ns_hypersurface,
+                   curv_f3_PsH=_ps_hypersurface)),
+)}
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -612,34 +579,28 @@ def theorem_residual(ev, kind="fbh", errata=False, corollary=None):
     if ev.order < 4:
         raise ValueError(f"theorem residuals need an order-4 block, not order {ev.order}")
     eq_id = equation_for(ev.imm, kind) if kind in ("fbh", "bif") else kind
-    cor = None
+    substitutions = coefficients = {}
     if corollary is not None:
         cor = COROLLARIES[corollary]
-        eq_id = cor.equation
+        eq_id, substitutions, coefficients = cor.equation, cor.substitutions, cor.coefficients
     t = ev.trace_terms
-    builder = EQUATIONS[eq_id]
-    terms = builder() if eq_id != "bif_general" else builder(_curvature_traces(ev, t))
+    if eq_id == "bif_general":
+        t = SimpleNamespace(**vars(t), **_curvature_traces(ev, t))
     shape = (len(ev), ev.d)
     per_point = lambda c: np.broadcast_to(np.asarray(c, dtype=float), shape[:1])
     normal = np.zeros(shape)
     tangent = np.zeros(shape)
     breakdown = []
     corrections = []
-    for term in terms:
-        printed = per_point(term.printed(t))
-        corrected = printed if term.corrected is None else per_point(term.corrected(t))
-        if cor is not None and term.name in cor.substitutions:
-            sub = cor.substitutions[term.name]
-            if sub is None:
-                vec = np.zeros(shape)
-            else:
-                replaced = sub(t)
-                if np.ndim(replaced) < 2:
-                    # scalar substitution: hypothesis fixes the coefficient
-                    printed = corrected = per_point(replaced)
-                    vec = term.value(t)
-                else:
-                    vec = replaced
+    for term in EQUATIONS[eq_id]:
+        if term.name in coefficients:
+            printed = corrected = per_point(coefficients[term.name](t))
+        else:
+            printed = per_point(term.printed(t))
+            corrected = printed if term.erratum is None else per_point(term.erratum.corrected(t))
+        if term.name in substitutions:
+            sub = substitutions[term.name]
+            vec = np.zeros(shape) if sub is None else sub(t)
         else:
             vec = term.value(t)
         coeff = corrected if errata else printed

@@ -102,6 +102,8 @@ MALFORMED = {
                       "component"),
     "section_unknown": ("[sampling]", "[sampleing]", "sampleing", "grid"),
     "params_repeated": ("params = [u]", "params = [u, u]", "immersion", "params"),
+    "map_unknown_identifier": ('map = ["cos(u)", "sin(u)", "0"]',
+                               'map = ["cos(x)", "sin(u)", "0"]', "immersion", "map"),
     # the sample points pass; the close-up check fails at u = 2 pi
     "periodic_map_fails_at_end": ('"0"]', '"sqrt(6.283185307179586 - u)"]', "immersion", "u"),
 }
@@ -871,6 +873,35 @@ def test_curve_corollary_on_a_complex_space_form(tmp_path):
     code, out, err = run_cli(["check", write(tmp_path, text)])
     assert code == 0, err
     assert "corollary: fbh_gcsf_curve" in out and "reduction_agreement: true" in out
+
+
+def _catalog_text(name, old, new):
+    with open(scenario_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+def test_bif_general_check_reads_the_split_curvature_traces(tmp_path):
+    """`kind = bif_general`, which no catalog scenario sets, assembles its
+    curvature terms from the block's curvature traces and agrees with the
+    direct field on c13."""
+    text = _catalog_text("c13_hypersphere_r4", "kind = bif", "kind = bif_general")
+    code, out, err = run_cli(["check", write(tmp_path, text)])
+    assert code == 0, err
+    assert "mode_agreement: true" in out.splitlines()
+
+
+def test_corollary_that_fixes_a_coefficient(tmp_path):
+    """bif_gssf_xi_tangent fixes the coefficient of curv_f2_xi2_H (|xi-tan|^2
+    = 1) and keeps the term's value; on c08 as a bi-f check the reduction
+    agrees with the full equation."""
+    text = _catalog_text("c08_hopf_torus", "kind = fbh",
+                         "kind = bif\ncorollary = bif_gssf_xi_tangent")
+    code, out, err = run_cli(["check", write(tmp_path, text)])
+    assert code == 0, err
+    assert "corollary: bif_gssf_xi_tangent" in out
+    assert "reduction_agreement: true" in out.splitlines()
 
 
 def test_reduction_delta_measures_with_the_ambient_metric(tmp_path):

@@ -4,10 +4,11 @@ import pytest
 from bihkit.calculus import Immersion, evaluate_batches, matvec
 from bihkit.residuals import (
     COROLLARIES,
-    ERRATA,
+    EQUATIONS,
     bi_f_tension_direct,
     bitension_direct,
     compare_modes,
+    equation_for,
     f_bitension_direct,
     tension,
     theorem_residual,
@@ -185,21 +186,43 @@ def test_mode_disagreement_without_errata_is_itemized():
     out = compare_modes(one_point(imm, [0.3]), kind="fbh", errata=False)
     assert max(out["delta_normal"].max(), out["delta_tangent"].max()) > 1e-6
     # every itemized term carries a catalogued correction
-    catalogued = {e.term for e in ERRATA}
+    catalogued = {term.name for term in EQUATIONS[equation_for(imm, "fbh")]
+                  if term.erratum is not None}
     for item in out["report"].corrections:
         assert item["term"] in catalogued
     assert out["report"].corrections
 
 
-def test_errata_catalog_covers_all_corrected_terms():
-    from bihkit.residuals import EQUATIONS
+# The (equation, term) pairs that carry an erratum: the f-biharmonic records
+# sit on both fbh equations, the bi-f left-hand side's on all three bif ones.
+ERRATUM_PAIRS = (
+    {(eq_id, name) for eq_id in ("fbh_gcsf", "fbh_gssf")
+     for name in ("delta_perp_H", "weight_connection", "shape_grad_ln_f")}
+    | {(eq_id, name) for eq_id in ("bif_general", "bif_gcsf", "bif_gssf")
+       for name in ("weight_laplacian", "weight_connection", "ta_nabla_perp_h",
+                    "ricci_grad_f")}
+    | {("bif_gcsf", "curv_alpha_grad_f"), ("bif_gcsf", "curv_beta_j2_gf"),
+       ("bif_gssf", "curv_f3_NP_gf"), ("bif_gssf", "curv_f2_eta_H_tan"),
+       ("bif_gssf", "curv_f3_PsH"), ("bif_gssf", "curv_f3_P2_gf")}
+)
 
-    catalogued = {e.term for e in ERRATA}
-    for eq_id, builder in EQUATIONS.items():
-        terms = builder() if eq_id != "bif_general" else builder({})
-        for term in terms:
-            if term.corrected is not None:
-                assert term.name in catalogued, (eq_id, term.name)
+
+def test_errata_catalog_covers_all_corrected_terms():
+    carried = [(eq_id, term) for eq_id, terms in EQUATIONS.items() for term in terms
+               if term.erratum is not None]
+    assert len(ERRATUM_PAIRS) == 24
+    assert {(eq_id, term.name) for eq_id, term in carried} == ERRATUM_PAIRS
+    assert len({term.erratum for _, term in carried}) == 13
+
+
+def test_corollary_keys_name_terms_of_its_equation():
+    """A substitution or coefficient key that names no term of the
+    corollary's equation would silently substitute nothing."""
+    assert len(COROLLARIES) == 21
+    for cor in COROLLARIES.values():
+        names = {term.name for term in EQUATIONS[cor.equation]}
+        stray = (set(cor.substitutions) | set(cor.coefficients)) - names
+        assert not stray, (cor.name, sorted(stray))
 
 
 def model_trace(ev, v):
