@@ -22,6 +22,10 @@ empty), 4 internal error.  An ambient given only by its curvature model
 (abstract_gcsf, abstract_gssf) supports `audit` alone; its map and
 coefficients must be finite at the sample points, and only its curve and
 hypersurface flags can be asserted or denied (exit 3).
+
+On all-periodic axes the quadrature nodes of `energy` and `variation` are
+the sample points, validated at order 3 and 4: a point failing only at order
+4 is a sample point to `variation`, as to `check`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .audits import curvature_trace_audit, run_all_audits
-from .calculus import FLAG_TOL, PointError, WeightError, map_jets, point_rows
+from .calculus import FLAG_TOL, PointError, WeightError, evaluate_batches, map_jets, point_rows
 from .props import proposition_checkers
 from .report import render_report, write_csv
 from .residuals import compare_modes, direct_field, theorem_residual
@@ -157,7 +161,8 @@ def cmd_variation(sc, args, out, blocks):
     tol = args.tol if args.tol is not None else sc.tolerance("variation", 1e-5)
     which_list = [args.functional] if args.functional else list(ENERGIES)
     try:
-        sweeps = first_variation_suite(imm, grid, which_list, variation)
+        sweeps = first_variation_suite(imm, grid, _node_blocks(sc, grid, "variation"),
+                                       which_list, variation)
     except VariationError as exc:
         raise ScenarioError(str(exc), "variation", "components") from None
     results = []
@@ -194,7 +199,7 @@ def cmd_props(sc, args, out, blocks):
 
 def cmd_energy(sc, args, out, blocks):
     grid = sc.quadrature()
-    values = energies(sc.immersion, grid)
+    values = energies(sc.immersion, grid, _node_blocks(sc, grid, "energy"))
     out["energies"] = values
     out["quadrature_nodes"] = len(grid)
     return PASS
@@ -211,9 +216,23 @@ COMMANDS = {
 # The options each command reads besides --report and --quiet.
 OPTIONS = {"check": ("--mode", "--tol", "--errata", "--csv"), "audit": ("--tol",),
            "variation": ("--tol", "--functional"), "props": ("--tol",), "energy": ()}
-# The jet order of each command's validated blocks: tau2 and the Laplacian of H take
-# four derivatives of the map; the propositions, and validation alone, take three.
-ORDERS = {"check": 4, "audit": 4, "variation": 3, "props": 3, "energy": 3}
+# The jet order each command reads: tau2, the Laplacian of H and the Euler-Lagrange
+# fields take four derivatives of the map, the propositions three and the energies
+# (values alone) two; validation takes three.
+ORDERS = {"check": 4, "audit": 4, "variation": 4, "props": 3, "energy": 2}
+
+
+def _node_blocks(sc, grid, command):
+    """Validate the scenario; return the blocks of `grid`'s nodes at the order
+    `command` reads, in order: where the nodes are the sample points, the
+    validated ones, each released once taken; else the nodes' own, evaluated
+    as taken."""
+    order = ORDERS[command]
+    if np.array_equal(grid.points, sc.sample_points()):
+        blocks = _validate(sc, max(order, 3))
+        return (blocks.pop(0) for _ in range(len(blocks)))
+    _validate(sc, 3)
+    return evaluate_batches(sc.immersion, grid.points, order)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,10 +280,9 @@ def main(argv=None):
             raise ScenarioError(f"{sc.ambient_kind} has only a curvature model; "
                                 "`audit` is the one command it supports", "ambient", "kind")
         # the validated evaluation blocks of the sample points, shared with the
-        # command; the quadrature commands evaluate their own nodes instead
-        blocks = _validate(sc, ORDERS[args.command])
-        if args.command in ("energy", "variation"):
-            blocks.clear()
+        # command; the quadrature commands validate in `_node_blocks`
+        blocks = (None if args.command in ("energy", "variation")
+                  else _validate(sc, ORDERS[args.command]))
         out = _base_report(sc, args.command, args)
         code = COMMANDS[args.command](sc, args, out, blocks)
     except (ScenarioError, SpaceError, OSError) as exc:

@@ -462,7 +462,8 @@ def _map_values(imm, points):
 def _validate(sc, order=4):
     """Check the scenario at its sample points (jet order 3 suffices, as in
     `load_scenario`); returns the validated evaluation blocks of jet order
-    `order`, in order, for the commands: none on a curvature-model ambient,
+    `order` >= 3, in order, for the commands (`energy` and `variation` where
+    their nodes are the sample points): none on a curvature-model ambient,
     where only the structural flags (curve, hypersurface) can be checked."""
     imm = sc.immersion
     points = sc.sample_points()

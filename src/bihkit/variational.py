@@ -12,10 +12,10 @@ the deformed maps are computed against the fixed metric, which is the setting
 in which the Euler-Lagrange fields below are the functional derivatives.
 
 `first_variation_suite` compares a central finite difference of each energy
-against the pairing  -int <el_field, V> dv, with every node's evaluation
-done once, in blocks.  `el_field` takes an evaluation block (here of
-quadrature nodes) and returns the direct-mode residual field at its points,
-normalized so the pairing identity holds:
+against the pairing  -int <el_field, V> dv; it and `energies` take one
+evaluation per node from their caller, in blocks.  `el_field` takes an
+evaluation block (here of quadrature nodes) and returns the direct-mode
+residual field at its points, normalized so the pairing identity holds:
 
     which   el_field            pairing constant (ledgered)
     E       tau                  +1
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import evaluate_batches, matvec, parameter_jets
+from .calculus import matvec, parameter_jets
 from .expr import eval_on_jets, parse
 from .jets import Jet
 from .residuals import (
@@ -206,10 +206,11 @@ def _densities(space, frozen, whichs, v, ts):
             for which in whichs}
 
 
-def energies(imm, grid):
+def energies(imm, grid, blocks):
     """Quadrature values {which: value} of the five functionals on the
-    undeformed immersion, from one evaluation per node."""
-    frozen = _frozen(evaluate_batches(imm, grid.points, 2))
+    undeformed immersion, from `blocks`: the evaluation blocks of the nodes
+    of `grid`, in order, at any jet order >= 2 (only values are read)."""
+    frozen = _frozen(blocks)
     # psi + 0 * 0, rounded as the deformed maps are (a -0.0 entry becomes 0.0)
     rows = _densities(imm.ambient, frozen, ENERGIES, (0.0,) * 3, (0.0,))
     return {which: float(np.dot(row[0], grid.weights)) for which, row in rows.items()}
@@ -233,15 +234,17 @@ def el_field(ev, which):
     return VARIATION_PAIRING[which] * field
 
 
-def first_variation_suite(imm, grid, whichs, variation):
+def first_variation_suite(imm, grid, blocks, whichs, variation):
     """Central-difference dE/dt at the STEPS vs -int <el_field, V> dv,
     several functionals.
 
-    `variation` is a list of chart_dim expression strings over the
-    immersion parameters; it must vanish at non-periodic axis endpoints,
-    and it and its derivatives must be finite at the nodes.  The nodes'
-    evaluations, each block's bitension and one chart build for the
-    deformed maps of all the steps are shared across the functionals.
+    `blocks` are the order-4 evaluation blocks of the nodes of `grid`, in
+    order, taken after the variation is checked.  `variation` is a list of
+    chart_dim expression strings over the immersion parameters; it must
+    vanish at non-periodic axis endpoints, and it and its derivatives must
+    be finite at the nodes.  The nodes' evaluations, each block's bitension
+    and one chart build for the deformed maps of all the steps are shared
+    across the functionals.
     Returns {which: sweep-result}; each sweep should show roughly O(h^2)
     decay of the mismatch to a plateau.
     """
@@ -266,7 +269,7 @@ def first_variation_suite(imm, grid, whichs, variation):
 
     # one order-4 evaluation per node gives the map, the frozen metric and,
     # through the Euler-Lagrange fields, the pairing
-    blocks = list(evaluate_batches(imm, grid.points, 4))
+    blocks = list(blocks)
     frozen = _frozen(blocks)
     G = np.concatenate([ev.values(ev.G_field) for ev in blocks])
     pair_vals = {which: -(np.concatenate([el_field(ev, which) for ev in blocks])[:, None]

@@ -7,10 +7,12 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -374,23 +376,28 @@ def test_failing_quadrature_node_exits_3_naming_it(tmp_path, case, command):
     assert err == f"validation error: {message}\n"
 
 
+def test_sample_point_failing_only_at_order_4_is_named_by_variation(tmp_path):
+    """On an all-periodic scenario `variation` takes the order-4 blocks of
+    its sample points, so a point whose map fails only at order 4 is
+    rejected as a sample point, as `check` rejects it; `energy`, validated
+    at order 3, passes."""
+    path = write(tmp_path, BASE.replace('"0"]', '"1/(1e-65 + (1 - cos(u))^2)"]')
+                 .replace('f = "1 + 0.3*cos(u)"', 'f = "1"'))
+    message = ("validation error: sample point [0.0] rejected: float division by zero "
+               "(section [sampling], key 'grid')\n")
+    assert run_cli(["check", path])[::2] == (3, message)
+    assert run_cli(["variation", path]) == (3, "", message)
+    assert run_cli(["energy", path])[0] == 0
+
+
 def _force_block_points(monkeypatch, points):
     """Evaluate in blocks of `points` points, whatever `block_points` says."""
     monkeypatch.setattr(calculus, "block_points", lambda m, d, order: points)
 
 
-@pytest.mark.parametrize("command", ["energy", "variation"])
-def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch, command):
-    """`energy` and `variation` on c08 (36 quadrature nodes, 36 sample
-    points) evaluate the map components only in the evaluation blocks,
-    once per point: validation at order 3, then the command at its jet
-    order; besides, the close-up check evaluates the map at the two ends
-    of both periodic axes at order 0, in one call of 4 points.  Under the
-    block rule each evaluation is one block of 36 points, so a second build
-    over all nodes would add entries; in blocks of 16 points they are
-    blocks of 16, 16 and 4, so a build over all nodes would also be too
-    large."""
-    path = scenario_path("c08_hopf_torus")
+def _record_map_builds(monkeypatch, path):
+    """Record (jet order, points) of each build of a map component of the
+    scenario at `path`."""
     components = load_scenario(path, validate=False).immersion.components
     sizes = []
     for module in (calculus, variational):
@@ -401,8 +408,25 @@ def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch
             return evaluate(expression, env, memo)
 
         monkeypatch.setattr(module, "eval_on_jets", recorded)
-    order = 2 if command == "energy" else 4
-    assert min(calculus.block_points(2, 3, o) for o in (3, order)) >= 36
+    return sizes
+
+
+@pytest.mark.parametrize("command", ["energy", "variation"])
+def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch, command):
+    """`energy` and `variation` on c08 (both axes periodic, so its 36
+    trapezoid nodes are its 36 sample points) evaluate the map components
+    only in the evaluation blocks, once per point: validation at the order
+    the command reads (3 for `energy`, whose flag pre-check needs it, 4 for
+    `variation`), whose blocks the command takes; besides, the close-up
+    check evaluates the map at the two ends of both periodic axes at order
+    0, in one call of 4 points.  Under the block rule the evaluation is one
+    block of 36 points, so a second build over all nodes would add entries;
+    in blocks of 16 points it is blocks of 16, 16 and 4, so a build over all
+    nodes would also be too large."""
+    path = scenario_path("c08_hopf_torus")
+    sizes = _record_map_builds(monkeypatch, path)
+    order = 3 if command == "energy" else 4
+    assert calculus.block_points(2, 3, order) >= 36
     for points, blocks in ((None, [36]), (16, [16, 16, 4])):
         if points:
             _force_block_points(monkeypatch, points)
@@ -410,7 +434,32 @@ def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch
         code, _out, err = run_cli([command, path])
         assert code == 0, err
         # one entry per map component and block or axis
-        expected = [(o, size) for o in (3, order) for size in blocks] + [(0, 4)]
+        expected = [(order, size) for size in blocks] + [(0, 4)]
+        assert sorted(sizes) == sorted(expected * 3)
+
+
+@pytest.mark.parametrize("command", ["energy", "variation"])
+def test_open_axis_quadrature_commands_build_the_map_for_samples_then_nodes(monkeypatch,
+                                                                            command):
+    """`energy` and `variation` on c04 (v open, so its 36 Gauss-trapezoid
+    nodes are not its 36 sample points) evaluate the map components in the
+    evaluation blocks of the sample points at order 3, then in those of the
+    nodes at the command's order (2 for `energy`, 4 for `variation`);
+    besides, the close-up check evaluates the map at the two ends of the
+    periodic axis at order 0, in one call of 2 points.  One block of 36
+    points each under the block rule, blocks of 16, 16 and 4 in blocks of
+    16 points."""
+    path = scenario_path("c04_small_sphere")
+    sizes = _record_map_builds(monkeypatch, path)
+    order = 2 if command == "energy" else 4
+    assert min(calculus.block_points(2, 3, o) for o in (3, order)) >= 36
+    for points, blocks in ((None, [36]), (16, [16, 16, 4])):
+        if points:
+            _force_block_points(monkeypatch, points)
+        sizes.clear()
+        code, _out, err = run_cli([command, path])
+        assert code in (0, 2), err
+        expected = [(o, size) for o in (3, order) for size in blocks] + [(0, 2)]
         assert sorted(sizes) == sorted(expected * 3)
 
 
@@ -1066,13 +1115,9 @@ def test_check_builds_the_trace_terms_once_per_block(monkeypatch, name, blocks):
     assert sizes == blocks
 
 
-def test_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch):
-    """`energy` and `variation` discard the sample points' evaluations, so
-    validation evaluates them at order 3 and the parallel_H pre-check of
-    c08 builds no trace terms; `check` validates at order 4 and builds the
-    trace terms once, for its one block of 36 points."""
-    path = scenario_path("c08_hopf_torus")
-    sample = load_scenario(path, validate=False).sample_points()
+def _record_validation(monkeypatch):
+    """Record (jet order, points) of each validation of the sample points and
+    the size of each block whose trace terms are built."""
     validated, trace_terms = [], []
     evaluate_points = scenario.evaluate_points
 
@@ -1084,14 +1129,111 @@ def test_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch
     monkeypatch.setattr(scenario, "evaluate_points", recorded)
     monkeypatch.setattr(calculus, "trace_terms_at",
                         lambda ev: trace_terms.append(len(ev)) or build(ev))
-    for command, order in (("energy", 3), ("variation", 3), ("check", 4)):
+    return validated, trace_terms
+
+
+def test_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch):
+    """On c08, whose quadrature nodes are its sample points, `energy` and
+    `variation` validate the sample points at the order they read, 3 and 4,
+    and take those blocks; neither the parallel_H pre-check nor the
+    command builds trace terms.  `check` validates at order 4 and builds
+    the trace terms once, for its one block of 36 points."""
+    path = scenario_path("c08_hopf_torus")
+    sample = load_scenario(path, validate=False).sample_points()
+    validated, trace_terms = _record_validation(monkeypatch)
+    for command, order in (("energy", 3), ("variation", 4), ("check", 4)):
         validated.clear()
         trace_terms.clear()
         code, _out, err = run_cli([command, path])
         assert code == 0, err
         assert [o for o, _p in validated] == [order], command
         assert np.array_equal(validated[0][1], sample), command
-        assert trace_terms == ([] if order == 3 else [36]), command
+        assert trace_terms == ([] if command != "check" else [36]), command
+
+
+def test_open_axis_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch):
+    """On c04, whose quadrature nodes are not its sample points, `energy`
+    and `variation` validate the sample points at order 3 and evaluate
+    their nodes apart; neither builds trace terms."""
+    path = scenario_path("c04_small_sphere")
+    sample = load_scenario(path, validate=False).sample_points()
+    validated, trace_terms = _record_validation(monkeypatch)
+    for command in ("energy", "variation"):
+        validated.clear()
+        trace_terms.clear()
+        code, _out, err = run_cli([command, path])
+        assert code in (0, 2), err
+        assert [o for o, _p in validated] == [3], command
+        assert np.array_equal(validated[0][1], sample), command
+        assert trace_terms == [], command
+
+
+@pytest.mark.parametrize("command", ["energy", "variation"])
+@pytest.mark.parametrize("name", ["c04_small_sphere", "c08_hopf_torus"])
+def test_quadrature_commands_release_the_blocks_before_the_densities(monkeypatch, name,
+                                                                     command):
+    """No evaluation block of `energy` or `variation` is alive when the
+    energy densities are computed: neither c08's validated blocks, which
+    the command takes from validation's list, nor c04's sample and node
+    blocks."""
+    evaluations, alive = [], []
+    init, densities = calculus.Evaluation.__init__, variational._densities
+
+    def tracked(self, *args):
+        init(self, *args)
+        evaluations.append(weakref.ref(self))
+
+    def counted(*args):
+        alive.append(sum(ref() is not None for ref in evaluations))
+        return densities(*args)
+
+    monkeypatch.setattr(calculus.Evaluation, "__init__", tracked)
+    monkeypatch.setattr(variational, "_densities", counted)
+    code, _out, err = run_cli([command, scenario_path(name)])
+    assert code in (0, 2), err
+    assert evaluations and alive == [0]
+
+
+# The catalog scenarios whose axes are all periodic: their trapezoid nodes
+# are their sample points.
+ALL_PERIODIC = ("c01_circle_flat", "c02_curve_sasakian", "c03_lagrangian_torus",
+                "c08_hopf_torus", "c09_curve_kenmotsu", "c10_curve_cp1",
+                "c11_hopf_torus_deformed", "c12_torus_deformed_generic",
+                "c15_invariant_curve", "c16_xi_normal_curve", "c17_circle_c1")
+
+
+def test_quadrature_commands_evaluate_each_point_once(monkeypatch, catalog_names):
+    """The (jet order, points) of every `calculus.evaluate` call that
+    `energy` and `variation` make on the 18 catalog scenarios, runs of one
+    order joined: the 11 whose axes are all periodic evaluate their sample
+    points once, at the order the command reads (3 for `energy`, which
+    validation needs, 4 for `variation`); the other 7 evaluate their
+    sample points at order 3, then their quadrature nodes once at the
+    command's order (2 or 4)."""
+    ledger = []
+    evaluate = calculus.evaluate
+
+    def recorded(imm, points, order=4):
+        ledger.append((order, np.array(points)))
+        return evaluate(imm, points, order)
+
+    monkeypatch.setattr(calculus, "evaluate", recorded)
+    assert len(catalog_names) == 18 and set(ALL_PERIODIC) < set(catalog_names)
+    for name in catalog_names:
+        sc = load_scenario(scenario_path(name), validate=False)
+        for command, order in (("energy", 2), ("variation", 4)):
+            ledger.clear()
+            code, _out, err = run_cli([command, scenario_path(name)])
+            assert code in (0, 2), err
+            runs = [(o, np.concatenate([p for _o, p in run]))
+                    for o, run in itertools.groupby(ledger, key=lambda entry: entry[0])]
+            if name in ALL_PERIODIC:
+                expected = [(max(order, 3), sc.sample_points())]
+            else:
+                expected = [(3, sc.sample_points()), (order, sc.quadrature().points)]
+            assert [o for o, _p in runs] == [o for o, _p in expected], (name, command)
+            assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(runs, expected)), \
+                (name, command)
 
 
 def _record_structure_builds(monkeypatch, path):

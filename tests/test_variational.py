@@ -30,13 +30,24 @@ def circle(weight="1"):
     return Immersion.from_strings(["u"], FLAT3, ["cos(u)", "sin(u)", "0"], weight)
 
 
+def node_energies(imm, grid):
+    """`energies` from an order-2 evaluation of the nodes."""
+    return energies(imm, grid, evaluate_batches(imm, grid.points, 2))
+
+
+def suite(imm, grid, whichs, variation):
+    """`first_variation_suite` on an order-4 evaluation of the nodes."""
+    return first_variation_suite(imm, grid, evaluate_batches(imm, grid.points, 4), whichs,
+                                 variation)
+
+
 def test_circle_energy_closed_forms():
     grid = QuadratureGrid([(0.0, TAU, 24, True)])
     imm = circle()
-    values = energies(imm, grid)
+    values = node_energies(imm, grid)
     assert values["E"] == pytest.approx(np.pi, abs=1e-12)
     assert values["E2"] == pytest.approx(np.pi, abs=1e-12)
-    EF = energies(circle("2"), grid)["EF"]
+    EF = node_energies(circle("2"), grid)["EF"]
     assert EF == pytest.approx(2.0 * np.pi, abs=1e-12)
     frozen = _frozen(evaluate_batches(imm, grid.points, 2))
     tau, dpsi, G = _deformed_tension_data(FLAT3, frozen, (0.0,) * 3, (0.0,))
@@ -61,7 +72,7 @@ def test_quadrature_convergence_doubling():
     vals = {}
     for n in (32, 64):
         grid = QuadratureGrid([(0.0, TAU, n, True)])
-        for which, v in energies(imm, grid).items():
+        for which, v in node_energies(imm, grid).items():
             vals.setdefault(which, []).append(v)
     for which, (a, b) in vals.items():
         assert abs(a - b) <= 1e-9 * (1.0 + abs(b)), which
@@ -70,7 +81,7 @@ def test_quadrature_convergence_doubling():
 def test_zero_variation_gives_zero():
     imm = circle("1 + 0.3*cos(u)")
     grid = QuadratureGrid([(0.0, TAU, 16, True)])
-    fv = first_variation_suite(imm, grid, ["E2F"], ["0", "0", "0"])["E2F"]
+    fv = suite(imm, grid, ["E2F"], ["0", "0", "0"])["E2F"]
     assert fv["rhs"] == 0.0
     assert max(abs(v) for v in fv["lhs"]) <= 1e-12
 
@@ -84,7 +95,7 @@ def test_sign_coherence_tension_from_energy():
     el = el_field(ev, "E")
     assert np.abs(el - tension(ev)).max() == 0.0
     grid = QuadratureGrid([(0.0, TAU, 24, True)])
-    fv = first_variation_suite(imm, grid, ["E"], ["cos(u)", "sin(u)", "0"])["E"]
+    fv = suite(imm, grid, ["E"], ["cos(u)", "sin(u)", "0"])["E"]
     # expanding circle with frozen metric: dE/dt = 2 pi, pairing agrees
     assert fv["rhs"] == pytest.approx(2.0 * np.pi, abs=1e-10)
     assert min(fv["deltas"]) <= 1e-10
@@ -94,7 +105,7 @@ def test_all_functionals_anchor_flat():
     imm = circle("1 + 0.3*cos(u)")
     grid = QuadratureGrid([(0.0, TAU, 24, True)])
     V = ["0.3*cos(2*u)", "-0.2*sin(u)", "0.1*cos(u)"]
-    out = first_variation_suite(imm, grid, list(ENERGIES), V)
+    out = suite(imm, grid, list(ENERGIES), V)
     for which, fv in out.items():
         assert min(fv["deltas"]) <= 1e-10, which
 
@@ -105,7 +116,7 @@ def test_all_functionals_anchor_curved_with_decay():
         "1 + 0.2*cos(u)")
     grid = QuadratureGrid([(0.0, TAU, 32, True)])
     V = ["0.3*cos(2*u)", "-0.2*sin(u)", "0.1*cos(u)"]
-    out = first_variation_suite(imm, grid, list(ENERGIES), V)
+    out = suite(imm, grid, list(ENERGIES), V)
     for which, fv in out.items():
         scale = 1.0 + abs(fv["rhs"])
         plateau = min(fv["deltas"])
@@ -123,7 +134,7 @@ def test_open_axis_variation_with_window():
     grid = QuadratureGrid([(0.0, TAU, 12, True), (-1.2, 1.2, 10, False)])
     win = "((v) - (-1.2))*((1.2) - (v))"
     V = [f"0.1*sin(u)*{win}", f"0.05*cos(v)*{win}", f"0.08*cos(u)*{win}"]
-    fv = first_variation_suite(imm, grid, ["E2"], V)["E2"]
+    fv = suite(imm, grid, ["E2"], V)["E2"]
     scale = 1.0 + abs(fv["rhs"])
     assert min(fv["deltas"]) <= 1e-5 * scale
 
@@ -134,7 +145,7 @@ def test_variation_chart_exit_detected():
         ["u"], ch, ["0.5*cos(u)", "0.5*sin(u)"], "1")
     grid = QuadratureGrid([(0.0, TAU, 8, True)])
     with pytest.raises(ChartError):
-        first_variation_suite(imm, grid, ["E"], ["100*cos(u)", "100*sin(u)"])
+        suite(imm, grid, ["E"], ["100*cos(u)", "100*sin(u)"])
 
 
 def test_first_variation_builds_the_metric_once_per_node_and_step(monkeypatch):
@@ -158,7 +169,7 @@ def test_first_variation_builds_the_metric_once_per_node_and_step(monkeypatch):
     env = parameter_jets(imm.params, grid.points, 2)
     v = Jet.stack([eval_on_jets(parse(c, imm.params), env) for c in V]).point_values(len(grid))
     monkeypatch.setattr(space, "metric_jets", counted_metric)
-    first_variation_suite(imm, grid, ["E", "E2"], V)
+    suite(imm, grid, ["E", "E2"], V)
     # the order-4 evaluation of the nodes builds the metric once, the steps once
     assert len(builds) == 2
     count = 2 * len(STEPS) * len(grid)
@@ -182,7 +193,7 @@ def test_first_variation_derives_tau_once_per_block(monkeypatch):
         return pullback(ev, field)
 
     monkeypatch.setattr(Evaluation, "pullback_derivative", counted)
-    first_variation_suite(sc.immersion, sc.quadrature(), list(ENERGIES), sc.default_variation())
+    suite(sc.immersion, sc.quadrature(), list(ENERGIES), sc.default_variation())
     assert calls == [36] * 4
 
 
