@@ -45,7 +45,7 @@ import numpy as np
 from .expr import Expression, eval_on_jets, parse
 from .jets import Composer, Jet, _upper_pairs
 from .spaces import (AmbientSpace, chart_jets, christoffel_jets, curvature_from_christoffels,
-                     jet_matrix_inverse, matvec, metric_and_christoffel_jets)
+                     inner, jet_matrix_inverse, matvec, metric_and_christoffel_jets)
 
 __all__ = [
     "Immersion",
@@ -442,17 +442,16 @@ def orthonormal_frames(G, dpsi, points):
     count, d, m = dpsi.shape
     F = np.zeros((count, d, d))
     filled = np.zeros(count, dtype=int)  # slots filled at each point
-    inner = lambda u, v: (u[:, None] @ G @ v[..., None])[:, 0]
 
     def orthonormalize(w):
         """w[p] normalized off the filled slots of point p; is it >= RANK_TOL long?"""
         for _ in range(2):  # re-orthogonalization pass
             for s in range(filled.max()):
                 b = F[:, s]
-                w = np.where((s < filled)[:, None], w - inner(b, w) * b, w)
-        norm = np.sqrt(inner(w, w))
+                w = np.where((s < filled)[:, None], w - inner(G, b, w)[:, None] * b, w)
+        norm = np.sqrt(inner(G, w, w))
         ok = ~(norm < RANK_TOL)
-        return w / np.where(ok, norm, 1.0), ok[:, 0]
+        return w / np.where(ok, norm, 1.0)[:, None], ok
 
     degenerate = np.zeros(count, dtype=bool)
     for al in range(m):
@@ -516,7 +515,7 @@ class Evaluation:
 
     def inner(self, u, v):
         """<u[p], v[p]> in the ambient metric at psi of each point."""
-        return (u[:, None] @ self.values(self.G_field) @ v[..., None])[:, 0, 0]
+        return inner(self.values(self.G_field), u, v)
 
     def norm(self, v):
         """Length of the ambient vector v[p] at psi of each point."""

@@ -224,11 +224,11 @@ ORDERS = {"check": 4, "audit": 4, "variation": 4, "props": 3, "energy": 2}
 
 def _node_blocks(sc, grid, command):
     """Validate the scenario; return the blocks of `grid`'s nodes at the order
-    `command` reads, in order: where the nodes are the sample points, the
-    validated ones, each released once taken; else the nodes' own, evaluated
-    as taken."""
+    `command` reads, in order: on all-periodic axes, where the nodes are the
+    sample points, the validated ones, each released once taken; else the
+    nodes' own, evaluated as taken."""
     order = ORDERS[command]
-    if np.array_equal(grid.points, sc.sample_points()):
+    if all(ax.periodic for ax in sc.axes):
         blocks = _validate(sc, max(order, 3))
         return (blocks.pop(0) for _ in range(len(blocks)))
     _validate(sc, 3)

@@ -9,23 +9,27 @@ Grammar (byte offsets reported on errors):
     atom    := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 Left-associative at equal precedence, '^' binds tighter than unary minus,
-and its exponent must be a (possibly signed) numeric literal.  Function
-application requires parentheses; the catalogue matches the jet operations
-exactly (sin, cos, tan, exp, log, sqrt, atan).  Identifiers resolve to the
-declared parameter names or the constants pi, e as they are parsed; unknown
-ones are reported after the structural parse, so syntax errors win over them.
-Angles are radians; no implicit multiplication.  Offsets are 1-based.
+and its exponent must be a (possibly signed) numeric literal of magnitude
+at most MAX_EXPONENT (1024).  Function application requires parentheses;
+the catalogue matches the jet operations exactly (sin, cos, tan, exp, log,
+sqrt, atan).  Identifiers resolve to the declared parameter names or the
+constants pi, e as they are parsed; unknown ones are reported after the
+structural parse, so syntax errors win over them.  Angles are radians; no
+implicit multiplication.  Offsets are 1-based.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .jets import Jet
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "atan")
 CONSTANTS = {"pi": math.pi, "e": math.e}
+MAX_EXPONENT = 1024  # an integer power n multiplies |n| - 1 times
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 __all__ = ["Expression", "ParseError", "parse", "eval_on_jets",
            "Lit", "Var", "Const", "Neg", "Bin", "Pow", "Call", "FUNCTIONS"]
@@ -200,6 +204,8 @@ class _Parser:
             tok = self.advance()
             if tok[0] != "num":
                 raise ParseError("exponent must be a numeric literal", tok[2])
+            if not tok[1] <= MAX_EXPONENT:
+                raise ParseError(f"exponent beyond {MAX_EXPONENT} in magnitude", tok[2])
             return Pow(base, sign * tok[1])
         return base
 
@@ -253,27 +259,20 @@ def eval_on_jets(expression, env, memo=None):
         got = memo.get(node)
         if got is not None:
             return got
-        if isinstance(node, Lit):
-            some = next(iter(env.values()))
-            out = Jet.constant(some.space, node.value)
+        if isinstance(node, (Lit, Const)):
+            value = node.value if isinstance(node, Lit) else CONSTANTS[node.name]
+            out = Jet.constant(next(iter(env.values())).space, value)
         elif isinstance(node, Var):
             try:
                 out = env[node.name]
             except KeyError:
                 raise KeyError(f"unbound variable {node.name!r}") from None
-        elif isinstance(node, Const):
-            some = next(iter(env.values()))
-            out = Jet.constant(some.space, CONSTANTS[node.name])
         elif isinstance(node, Neg):
             out = -ev(node.arg)
         elif isinstance(node, Bin):
             a, b = ev(node.left), ev(node.right)
-            if node.op == "+":
-                out = a + b
-            elif node.op == "-":
-                out = a - b
-            elif node.op == "*":
-                out = a * b
+            if node.op != "/":
+                out = _BINARY[node.op](a, b)
             else:
                 # a / b is a * (1 / b), as `Jet.__truediv__` computes it
                 key = ("reciprocal", node.right)

@@ -94,7 +94,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, combinations_with_replacement, repeat
 
 import numpy as np
 
@@ -108,21 +108,11 @@ class JetError(ValueError):
 
 
 def _multi_indices(num_vars, order):
-    """All multi-indices with |gamma| <= order, graded lexicographic."""
-    out = []
-    for total in range(order + 1):
-        level = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                level.append(prefix + (remaining,))
-                return
-            for k in range(remaining, -1, -1):
-                rec(prefix + (k,), remaining - k, slots - 1)
-
-        rec((), total, num_vars)
-        out.extend(sorted(level, reverse=True))
-    return out
+    """All multi-indices with |gamma| <= order, graded lexicographic: the
+    sorted variable tuples of each degree, in order, counted variable by
+    variable, come out in decreasing lexicographic order of the exponents."""
+    return [tuple(map(combo.count, range(num_vars))) for total in range(order + 1)
+            for combo in combinations_with_replacement(range(num_vars), total)]
 
 
 class JetSpace:
@@ -509,28 +499,24 @@ class Jet:
             return Jet.constant(self.space, other)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op(self's coefficients, other's), for + and -."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         (x, y), batched = Jet._common([self, o])
-        return Jet(self.space, x + y, batched, max(self._degree, o._degree))
+        return Jet(self.space, op(x, y), batched, max(self._degree, o._degree))
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        (x, y), batched = Jet._common([self, o])
-        return Jet(self.space, x - y, batched, max(self._degree, o._degree))
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        (x, y), batched = Jet._common([o, self])
-        return Jet(self.space, x - y, batched, max(self._degree, o._degree))
+        return self._combine(other, lambda x, y: y - x)
 
     def __neg__(self):
         return self._like(-self.c, self._degree)

@@ -49,7 +49,7 @@ _CONDITIONAL_NOTE = (
 )
 
 
-def _hypotheses(imm, blocks, required, tol, phiH=None, memo=None):
+def _hypotheses(imm, blocks, required, tol, memo, phiH=None):
     """Verify the hypotheses numerically; returns (ok, {name: deviation}).
 
     A flag the ambient structure does not support (FlagError) is reported
@@ -59,7 +59,6 @@ def _hypotheses(imm, blocks, required, tol, phiH=None, memo=None):
     ('normal') of phi H, its deviation measured relative to |H|.  The
     checkers of one run share `memo`, so each flag and max |H|^2 is
     measured once."""
-    memo = {} if memo is None else memo
     devs = {}
     for name in required:
         try:
@@ -101,10 +100,10 @@ def _space_form_function(q, coeffs, which, ratio=0.0):
     return q * f1 - f2 + (3.0 * f3 if which == "F" else 0.0) - ratio
 
 
-def check_cmc_hypersurface_gcsf(imm, blocks, tol, flag_tol, memo=None):
+def check_cmc_hypersurface_gcsf(imm, blocks, tol, flag_tol, memo):
     """CMC hypersurface of a Hermitian space form: |B|^2 identity and the
     two scalar-curvature forms (Gauss audit included)."""
-    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc"), flag_tol, memo=memo)
+    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc"), flag_tol, memo)
     p_dim = float(imm.param_dim)
     rows = []
     for ev in blocks:
@@ -162,7 +161,7 @@ def gauss_equation_audit(imm, blocks):
             "max_delta": float(np.max([r["delta"] for r in rows]))}
 
 
-def check_bound(name, imm, blocks, required, flag_tol, values=None, which=None, memo=None):
+def check_bound(name, imm, blocks, required, flag_tol, memo, values=None, which=None):
     """Infimum-bound checker: 0 < |H|^2 <= inf `values` over the samples.
     A contact bound (`which` "F" or "G", no `values`) is 0 < |H|^2 <=
     inf F / q (or G / q; q = dim M) with phi H tangent (F) or normal (G) as
@@ -172,7 +171,7 @@ def check_bound(name, imm, blocks, required, flag_tol, values=None, which=None, 
     if which is not None:
         values = lambda t: _space_form_function(q, t.coeffs, which, _ratio(t))
     phiH = {"F": "tangent", "G": "normal"}.get(which)
-    ok, devs = _hypotheses(imm, blocks, required, flag_tol, phiH, memo)
+    ok, devs = _hypotheses(imm, blocks, required, flag_tol, memo, phiH)
     tts = [ev.trace_terms for ev in blocks]
     vals = np.concatenate([values(t) for t in tts])
     inf_est = float(vals.min())
@@ -204,13 +203,13 @@ def check_bound(name, imm, blocks, required, flag_tol, values=None, which=None, 
     return out
 
 
-def check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol, memo=None):
+def check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol, memo):
     """CMC hypersurface with tangent Reeb field in a contact space form.
 
     |B|^2 = p f1 - f2 + 3 f3 - (Delta f)/f (p = 2n) plus the two scalar
     curvature forms (printed and corrected) against intrinsic Scal.
     """
-    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol, None, memo)
+    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol, memo)
     p_dim = float(imm.param_dim)      # p = 2n
     n_half = p_dim / 2.0
     rows = []
@@ -254,14 +253,14 @@ def check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol, memo=None):
     })
 
 
-def check_nonexistence_gssf(imm, blocks, flag_tol, memo=None):
+def check_nonexistence_gssf(imm, blocks, flag_tol, memo):
     """Sign test of p f1 - f2 + 3 f3 - (Delta f)/f over the samples.
 
     Non-positive everywhere rules out f-biharmonicity for CMC hypersurfaces
     with tangent Reeb field; on concrete space forms the equivalent
     phi-sectional-curvature threshold is cross-checked.
     """
-    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol, None, memo)
+    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol, memo)
     p_dim = float(imm.param_dim)
     n_half = p_dim / 2.0
     ratio = np.concatenate([_ratio(ev.trace_terms) for ev in blocks])
@@ -305,17 +304,17 @@ def proposition_checkers(imm, blocks, tol=1e-6, flag_tol=FLAG_TOL):
         if imm.param_dim == 2:
             # CMC Lagrangian surface: 0 < |H|^2 <= inf (2 alpha + 3 beta - (Delta f)/f)/2
             out.append(check_bound(
-                "lagrangian_bound", imm, blocks, ("lagrangian", "cmc"), flag_tol,
-                lambda t: 0.5 * (2.0 * t.coeffs[0] + 3.0 * t.coeffs[1] - _ratio(t)), memo=memo))
+                "lagrangian_bound", imm, blocks, ("lagrangian", "cmc"), flag_tol, memo,
+                lambda t: 0.5 * (2.0 * t.coeffs[0] + 3.0 * t.coeffs[1] - _ratio(t))))
             # CMC complex surface: the same with 2 alpha - (Delta f)/f
             out.append(check_bound(
-                "complex_bound", imm, blocks, ("complex", "cmc"), flag_tol,
-                lambda t: 0.5 * (2.0 * t.coeffs[0] - _ratio(t)), memo=memo))
+                "complex_bound", imm, blocks, ("complex", "cmc"), flag_tol, memo,
+                lambda t: 0.5 * (2.0 * t.coeffs[0] - _ratio(t))))
     else:
         out.append(check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol, memo))
         out.append(check_nonexistence_gssf(imm, blocks, flag_tol, memo))
         # CMC, xi tangent, phi H tangent (F) or normal (G): 0 < |H|^2 <= inf F / q
         for which in ("F", "G"):
             out.append(check_bound(f"{which}_bound", imm, blocks, ("cmc", "xi_tangent"),
-                                   flag_tol, which=which, memo=memo))
+                                   flag_tol, memo, which=which))
     return out

@@ -19,10 +19,11 @@ Sections and keys (any other section or key is an error):
     [immersion]   params = [u, v], distinct names; one axis per parameter:
                   u = [lo, hi, periodic|open]; map = ["expr", ...]
     [weight]      f = "expr"       (defaults to 1)
-    [flags]       name = asserted | denied, for hypersurface, curve, complex,
-                  lagrangian, invariant, anti_invariant, xi_tangent,
+    [flags]       name = asserted | denied | unknown, for hypersurface, curve,
+                  complex, lagrangian, invariant, anti_invariant, xi_tangent,
                   xi_normal, parallel_H, cmc (unlisted flags are unknown)
-    [sampling]    grid = [n1, ...]; margin = 0.05; seed = 7
+    [sampling]    grid = [n1, ...]   (defaults to 8 nodes per axis);
+                  margin = 0.05; seed = 0   (the defaults)
     [tolerances]  optional non-negative numbers: mode_agreement (check),
                   flags (flag pre-checks and props hypotheses), identity
                   (props), reduction (corollary check), audit, variation
@@ -41,7 +42,8 @@ and a finite positive weight at the sample points and runs the numeric
 pre-check of every asserted or denied flag; on a curvature-model ambient,
 the map and the coefficients must be finite at the sample points instead,
 and a flag other than curve or hypersurface cannot be asserted or denied.
-Errors carry section, key and the byte offset of the offending line.
+Errors name their section and key where known; a syntax error gives the
+offset of its line, a file that is not UTF-8 that of its first bad byte.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .calculus import (FLAG_NAMES, FLAG_TOL, FlagError, Immersion, PointError,
 from .expr import ParseError, eval_on_jets, parse
 from .residuals import COROLLARIES, equation_for
 from .spaces import SPACES, SpaceError, chart_jets, make_space
-from .variational import QuadratureGrid
+from .variational import QuadratureGrid, periodic_nodes, tensor_grid
 
 __all__ = ["Scenario", "ScenarioError", "evaluate_points", "load_scenario",
            "parse_scenario_text"]
@@ -101,13 +103,8 @@ SECTION_KEYS = {
 
 class ScenarioError(ValueError):
     def __init__(self, message, section=None, key=None, offset=None):
-        loc = []
-        if section is not None:
-            loc.append(f"section [{section}]")
-        if key is not None:
-            loc.append(f"key {key!r}")
-        if offset is not None:
-            loc.append(f"offset {offset}")
+        loc = [text for text, value in ((f"section [{section}]", section), (f"key {key!r}", key),
+                                        (f"offset {offset}", offset)) if value is not None]
         suffix = f" ({', '.join(loc)})" if loc else ""
         super().__init__(message + suffix)
         self.section = section
@@ -224,15 +221,10 @@ class Scenario:
         """Deterministic residual-evaluation grid (margin-shaved)."""
         axes_nodes = []
         for ax, n in zip(self.axes, self.grid_sizes):
-            if ax.periodic:
-                h = (ax.hi - ax.lo) / n
-                axes_nodes.append(ax.lo + h * np.arange(n))
-            else:
-                lo = ax.lo + self.margin * (ax.hi - ax.lo)
-                hi = ax.hi - self.margin * (ax.hi - ax.lo)
-                axes_nodes.append(np.linspace(lo, hi, n))
-        mesh = np.meshgrid(*axes_nodes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+            shave = self.margin * (ax.hi - ax.lo)
+            axes_nodes.append(periodic_nodes(ax.lo, ax.hi, n)[0] if ax.periodic
+                              else np.linspace(ax.lo + shave, ax.hi - shave, n))
+        return tensor_grid(axes_nodes)
 
     def quadrature(self):
         return QuadratureGrid(
@@ -356,8 +348,8 @@ def parse_scenario(text, path="<memory>", validate=True):
         ):
             fail(f"axis {name!r} must be [lo, hi, periodic|open]", "immersion", name)
         lo, hi = float(spec[0]), float(spec[1])
-        if not hi > lo:
-            fail(f"axis {name!r} needs hi > lo", "immersion", name)
+        if not 0.0 < hi - lo < math.inf:
+            fail(f"axis {name!r} needs hi > lo and a finite hi - lo", "immersion", name)
         axes.append(AxisSpec(name, lo, hi, spec[2] == "periodic"))
     comp = imm_block.get("map")
     if not isinstance(comp, list) or not all(isinstance(cstr, str) for cstr in comp):
@@ -373,9 +365,13 @@ def parse_scenario(text, path="<memory>", validate=True):
         flags[name] = state
 
     try:
-        immersion = Immersion.from_strings(params, space, comp, weight, flags)
+        immersion = Immersion.from_strings(params, space, comp, flags=flags)
     except (ParseError, ValueError) as exc:
         fail(f"immersion construction failed: {exc}", "immersion", "map")
+    try:  # the weight apart from the map, so that its errors name [weight] f
+        immersion.weight = parse(weight, params)
+    except ParseError as exc:
+        fail(f"weight rejected: {exc}", "weight", "f")
 
     sampling = raw.get("sampling", {})
     grid_sizes = sampling.get("grid", [8] * len(params))
@@ -537,6 +533,9 @@ def _model_failure(imm, points):
 def load_scenario(path, validate=True):
     """Read, parse and (by default) validate a scenario file at jet order 3,
     keeping nothing: commands that reuse evaluations call `_validate`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8 text: {exc.reason}", offset=exc.start) from None
     return parse_scenario(text, path=str(path), validate=validate)

@@ -91,6 +91,11 @@ def chart_jets(points, order):
     return [Jet.variable(sp, i, points[..., i]) for i in range(sp.num_vars)]
 
 
+def _flat_metric_jets(space, x):
+    """The identity metric of a flat chart, as `metric_jets`."""
+    return Jet.constant(x[0].space, np.eye(space.chart_dim))
+
+
 class AmbientSpace:
     """Base class; concrete subclasses provide jet-valued evaluators."""
 
@@ -180,8 +185,7 @@ class EuclideanComplex(_Hermitian):
         super().__init__(2 * n)
         self.n = n
 
-    def metric_jets(self, x):
-        return Jet.constant(x[0].space, np.eye(self.chart_dim))
+    metric_jets = _flat_metric_jets
 
 
 class _KaehlerPotentialSpace(_Hermitian):
@@ -194,10 +198,13 @@ class _KaehlerPotentialSpace(_Hermitian):
         self.csf_coeff = self.hol / 4.0
         self.coeffs = (self.csf_coeff, self.csf_coeff)
 
-    def _radial_hessian(self, x, w, scale, cross):
-        """H[a, b] = (cross * x_a x_b + delta_ab w) * scale."""
-        term = ((x * cross)[:, None] * x[None]).add_diagonal(w)
-        return (term * scale).upper().symmetric()
+    def _potential_hessian(self, x):
+        """Hess K of K = (1/c) log(1 + s rho), s the sign of c and rho = |x|^2:
+        K_ab = (2s/c) (delta_ab w - 2s x_a x_b)/w^2 with w = 1 + s rho."""
+        s = 1.0 if self.hol > 0 else -1.0
+        w = (x * x).sum(0) + 1.0 if s > 0 else 1.0 - (x * x).sum(0)
+        term = ((x * (-2.0 * s))[:, None] * x[None]).add_diagonal(w)
+        return (term * ((2.0 * s / self.csf_coeff) / (w * w))).upper().symmetric()
 
     def metric_jets(self, x):
         H = self._potential_hessian(Jet.stack(x))
@@ -217,11 +224,6 @@ class FubiniStudy(_KaehlerPotentialSpace):
             raise SpaceError("fubini_study needs positive holomorphic curvature")
         super().__init__(n, hol)
 
-    def _potential_hessian(self, x):
-        # K = (1/c) log(1+rho): K_ab = (2/c) (delta_ab (1+rho) - 2 x_a x_b)/(1+rho)^2
-        w = (x * x).sum(0) + 1.0
-        return self._radial_hessian(x, w, (2.0 / self.csf_coeff) / (w * w), -2.0)
-
 
 class ComplexHyperbolic(_KaehlerPotentialSpace):
     kind = "complex_hyperbolic"
@@ -235,12 +237,6 @@ class ComplexHyperbolic(_KaehlerPotentialSpace):
         super().chart_check(points)
         if np.any(np.square(points).sum(-1) >= 1.0):
             raise ChartError("complex_hyperbolic chart requires |x| < 1")
-
-    def _potential_hessian(self, x):
-        # K = (1/c) log(1-rho), c < 0:
-        # K_ab = -(2/c) (delta_ab (1-rho) + 2 x_a x_b)/(1-rho)^2
-        w = 1.0 - (x * x).sum(0)
-        return self._radial_hessian(x, w, (-2.0 / self.csf_coeff) / (w * w), 2.0)
 
 
 # -- contact spaces -----------------------------------------------------------
@@ -258,8 +254,7 @@ class CosymplecticFlat(_Contact):
     def __init__(self, n):
         super().__init__(n, 0.0)
 
-    def metric_jets(self, x):
-        return Jet.constant(x[0].space, np.eye(self.chart_dim))
+    metric_jets = _flat_metric_jets
 
 
 class KenmotsuHyperbolic(_Contact):
@@ -278,9 +273,7 @@ class KenmotsuHyperbolic(_Contact):
         zero = Jet.constant(sp, 0.0)
         G = [[zero] * d for _ in range(d)]
         for a in range(2 * self.n):
-            G[a] = list(G[a])
             G[a][a] = warp
-        G[d - 1] = list(G[d - 1])
         G[d - 1][d - 1] = Jet.constant(sp, 1.0)
         return G
 
@@ -377,8 +370,6 @@ class AbstractGCSF(_CurvatureModel, _Hermitian):
     kind = "abstract_gcsf"
 
     def __init__(self, alpha, beta, dim=4):
-        if dim % 2:
-            raise SpaceError("abstract_gcsf needs even dimension")
         super().__init__(dim)
         self._parse_coeffs((alpha, beta))
 
@@ -487,6 +478,12 @@ def matvec(M, v):
     return (M @ v[..., None])[..., 0]
 
 
+def inner(G, u, v):
+    """<u, v>_G = (u G) v, or <u[p], v[p]>_G[p] at each point of a stack as
+    stacked matmuls: each point rounds as its product alone."""
+    return (u[..., None, :] @ G @ v[..., None])[..., 0, 0]
+
+
 def curvature_model(structure, G, tensors, coeffs):
     """Algebraic space-form curvature as the map (X, Y, Z) -> R(X, Y)Z, from
     the metric G, structure tensors and curvature coefficients (the fiducial
@@ -495,7 +492,7 @@ def curvature_model(structure, G, tensors, coeffs):
     Hermitian structure: alpha*R1 + beta*R2; contact: f1*R1s + f2*R2s + f3*R3s.
     """
     # inner products and coefficients keep a unit last axis, to scale vectors
-    g = lambda a, b: (a[..., None, :] @ G @ b[..., None])[..., 0]
+    g = lambda a, b: inner(G, a, b)[..., None]
     coeffs = [np.asarray(c)[..., None] for c in coeffs]
     if structure == "hermitian":
         alpha, beta = coeffs
@@ -511,7 +508,6 @@ def curvature_model(structure, G, tensors, coeffs):
     f1, f2, f3 = coeffs
     phi, xi = tensors["phi"], tensors["xi"]
     eta = lambda v: g(v, xi)
-    Om = lambda a, pb: g(a, pb)  # Omega(A, B) = g(A, phi B)
 
     def contact(X, Y, Z):
         R1 = g(Y, Z) * X - g(X, Z) * Y
@@ -522,7 +518,7 @@ def curvature_model(structure, G, tensors, coeffs):
             - g(Y, Z) * eta(X) * xi
         )
         pX, pY, pZ = matvec(phi, X), matvec(phi, Y), matvec(phi, Z)
-        R3 = Om(Z, pY) * pX - Om(Z, pX) * pY + 2.0 * Om(X, pY) * pZ
+        R3 = g(Z, pY) * pX - g(Z, pX) * pY + 2.0 * g(X, pY) * pZ  # Omega(A, B) = g(A, phi B)
         return f1 * R1 + f2 * R2 + f3 * R3
 
     return contact

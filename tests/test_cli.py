@@ -22,7 +22,7 @@ from bihkit import (audits, calculus, cli, jets, props, residuals, scenario, spa
 from bihkit.report import strip_volatile
 from bihkit.residuals import theorem_residual
 from bihkit.scenario import MAX_SAMPLE_POINTS, _validate, load_scenario
-from conftest import scenario_path
+from conftest import same_bits, scenario_path
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -108,6 +108,12 @@ MALFORMED = {
                                'map = ["cos(x)", "sin(u)", "0"]', "immersion", "map"),
     # the sample points pass; the close-up check fails at u = 2 pi
     "periodic_map_fails_at_end": ('"0"]', '"sqrt(6.283185307179586 - u)"]', "immersion", "u"),
+    # an integer power multiplies |n| - 1 times: u^1e308 would not end
+    "weight_exponent_beyond_bound": ('f = "1 + 0.3*cos(u)"', 'f = "1 + 0.3*cos(u)^1025"',
+                                     "weight", "f"),
+    # hi - lo overflows: the margin-shaved linspace was NaN
+    "axis_span_overflows": ("u = [0.0, 6.283185307179586, periodic]", "u = [-1e308, 1e308, open]",
+                            "immersion", "u"),
 }
 
 
@@ -120,6 +126,49 @@ def test_malformed_scenario_exits_3_naming_section_and_key(tmp_path, case):
     assert f"section [{section}]" in err and f"key {key!r}" in err
     assert "np.float64" not in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["check", "energy"])
+@pytest.mark.parametrize("at", [0, 60])
+def test_scenario_file_not_utf8_exits_3_at_its_byte_offset(tmp_path, command, at):
+    """A file that is not UTF-8 (here a UTF-16 byte-order mark, or one stray
+    byte inside a line) is a validation error with the offset of its first
+    bad byte, not an internal error."""
+    data = BASE.encode()
+    path = tmp_path / "case.scn"
+    path.write_bytes(data[:at] + b"\xff\xfe" + data[at:])
+    code, out, err = run_cli([command, str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"validation error: not UTF-8 text: invalid start byte (offset {at})\n"
+
+
+@pytest.mark.parametrize("command", ["check", "energy"])
+def test_huge_weight_exponent_exits_3_naming_the_weight(tmp_path, command):
+    """f = 1 + 0.3 cos(u)^1e308 is refused as it is parsed, naming [weight]
+    f, instead of multiplying 1e308 - 1 times (the parse is checked first,
+    so that a tree without the bound fails here rather than hangs)."""
+    from bihkit.expr import ParseError, parse
+
+    with pytest.raises(ParseError):
+        parse("1 + 0.3*cos(u)^1e308", ["u"])
+    path = write(tmp_path, BASE.replace('f = "1 + 0.3*cos(u)"', 'f = "1 + 0.3*cos(u)^1e308"'))
+    code, out, err = run_cli([command, path])
+    assert (code, out) == (3, "")
+    assert err == ("validation error: weight rejected: exponent beyond 1024 in magnitude "
+                   "(offset 16) (section [weight], key 'f')\n")
+
+
+def test_axis_span_that_overflows_is_named_without_warnings(tmp_path):
+    """An axis whose hi - lo is not finite is rejected as it is parsed,
+    naming [immersion] u, before numpy computes NaN sample points."""
+    path = write(tmp_path, BASE.replace("u = [0.0, 6.283185307179586, periodic]",
+                                        "u = [-1e308, 1e308, open]"))
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    run = subprocess.run([sys.executable, "-m", "bihkit.cli", "check", path],
+                         capture_output=True, text=True, env=env, cwd=ROOT)
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == ("validation error: axis 'u' needs hi > lo and a finite hi - lo "
+                          "(section [immersion], key 'u')\n")
 
 
 def test_a_repeated_parameter_is_named(tmp_path):
@@ -208,6 +257,28 @@ def test_catalog_diff_passes_check_only_options_it_reads():
     import catalog_diff
 
     assert {option for option, _value in catalog_diff.CHECK_OPTIONS} <= set(cli.OPTIONS["check"])
+
+
+def test_catalog_diff_counts_the_source_lines(monkeypatch, capsys):
+    """`tools/catalog_diff.py` counts the lines of `src/bihkit/*.py` as
+    `wc -l` does and prints that count of both trees in one line before the
+    runs; with no runs its summary line and exit code are as before."""
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    import catalog_diff
+
+    expected = 0
+    for name in os.listdir(os.path.join(ROOT, "src", "bihkit")):
+        if name.endswith(".py"):
+            with open(os.path.join(ROOT, "src", "bihkit", name), "rb") as fh:
+                expected += fh.read().count(b"\n")
+    assert catalog_diff.src_lines(ROOT) == expected > 0
+    # the revision's tree is this checkout, and neither tree has runs
+    monkeypatch.setattr(catalog_diff, "export", lambda rev, dest: catalog_diff.ROOT)
+    monkeypatch.setattr(catalog_diff, "runs", lambda tree: [])
+    assert catalog_diff.main(["REV"]) == 0
+    assert capsys.readouterr().out == (
+        f"src/ lines: {expected} in REV, {expected} in this checkout\n"
+        "0 of 0 runs differ from REV, 0 of them only in numbers within the 1e-12 rule\n")
 
 
 def test_catalog_diff_labels_a_differing_run():
@@ -388,6 +459,22 @@ def test_sample_point_failing_only_at_order_4_is_named_by_variation(tmp_path):
     assert run_cli(["check", path])[::2] == (3, message)
     assert run_cli(["variation", path]) == (3, "", message)
     assert run_cli(["energy", path])[0] == 0
+
+
+def test_sample_points_are_the_quadrature_nodes_exactly_on_all_periodic_axes(catalog_names,
+                                                                           mislabeled_paths):
+    """On c01-c18 and m1-m6 the sample points equal the quadrature nodes,
+    bit for bit, exactly when every axis is periodic: `energy` and
+    `variation` take the validated blocks of the sample points as those of
+    the nodes on that condition alone."""
+    periodic = 0
+    for path in [scenario_path(name) for name in catalog_names] + mislabeled_paths:
+        sc = load_scenario(path, validate=False)
+        samples, nodes = sc.sample_points(), sc.quadrature().points
+        same = samples.shape == nodes.shape and same_bits(samples, nodes)
+        assert same == all(ax.periodic for ax in sc.axes), path
+        periodic += same
+    assert periodic >= 11
 
 
 def _force_block_points(monkeypatch, points):

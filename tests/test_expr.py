@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bihkit.expr import (
     FUNCTIONS,
+    MAX_EXPONENT,
     Bin,
     Call,
     Const,
@@ -101,6 +102,22 @@ def test_power_exponent_must_be_literal():
     assert to_source(e) == "u^-2"
     with pytest.raises(ParseError):
         parse("u^2^3", ["u"])  # non-associative
+
+
+def test_power_exponent_is_bounded():
+    """An exponent beyond MAX_EXPONENT in magnitude is a located parse error:
+    an integer power n multiplies |n| - 1 times, so u^1e308 would not end."""
+    assert MAX_EXPONENT == 1024
+    for source in ("u^1024", "u^-1024", "u^1024.0", "u^0.5"):
+        parse(source, ["u"])
+    for source, offset in (("u^1025", 3), ("u^1e308", 3), ("u^-1e308", 4), ("u^1e999", 3),
+                           ("1 + 0.3*cos(u)^1e308", 16)):
+        with pytest.raises(ParseError, match="exponent beyond 1024") as err:
+            parse(source, ["u"])
+        assert err.value.offset == offset, source
+    x = Jet.variable(jet_space(1, 2), 0, 1.0 + 2.0**-20)
+    value = coeff(eval_on_jets(parse("u^1024", ["u"]), {"u": x}), [0])
+    assert math.isclose(value, (1.0 + 2.0**-20)**1024, rel_tol=1e-12)
 
 
 def test_function_arity_and_calls():

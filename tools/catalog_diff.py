@@ -20,8 +20,9 @@ within the 1e-12 rule" when its exit code and stderr are equal and its
 stdout differs only in numbers that agree to the benchmark's equality rule
 (`reports_match` of perfbench/jobs.py: 1e-12 relative, or 1e-12 absolute),
 "beyond the rule" otherwise, with the worst relative change among the
-changed numbers above the 1e-12 absolute floor.  Uses the standard library
-only.
+changed numbers above the 1e-12 absolute floor.  Also prints one line
+with the line count of `src/bihkit/*.py` in both trees.  Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -89,6 +90,11 @@ def within_rule(theirs, mine):
     return theirs[:2] == mine[:2] and reports_match(theirs[2], mine[2])
 
 
+def src_lines(tree):
+    """The number of lines of the modules `src/bihkit/*.py` of `tree`."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(tree, "src", "bihkit").glob("*.py"))
+
+
 def export(rev, dest):
     """Extract the files of `rev` into `dest` with `git archive`."""
     archive = Path(dest, "rev.tar")
@@ -109,6 +115,7 @@ def main(argv=None):
         other = export(args[0], tmp)
         ours = Path(tmp, "ours")
         shutil.copytree(ROOT / "src", ours / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        print(f"src/ lines: {src_lines(other)} in {args[0]}, {src_lines(ours)} in this checkout")
         jobs = runs(ours)
         if jobs != runs(other):
             print(f"the scenario catalogs of {args[0]} and this checkout differ")
