@@ -61,7 +61,7 @@ def audit_mean_curvature_laplacian(ev):
         + 2.0 * tt.ta_nabla_perp_h
         + tt.delta_perp_h_pos
     )
-    trR_tan = matvec(ev.projectors[0], ev.curvature_trace(tt.H))
+    trR_tan = ev.curvature_traces["trRH_tan"]
     lap = ev.rough_laplacian(ev.H_field)
     scale = 1.0 + nrm(tt.H)
     corrected = nrm(lap + (expansion + trR_tan)) / scale
@@ -108,7 +108,7 @@ def audit_lemgene2(ev):
     grad_delta_neg = -tt.grad_delta_f_pos  # grad of tr Hess f
     b_terms = tt.tb_hess_f + tt.tnb_grad_f - tt.ta_b_grad_f
     rhs_corrected = grad_delta_neg + tt.ric_grad_f + b_terms
-    trR_amb = ev.curvature_trace(tt.grad_f)
+    trR_amb = ev.curvature_traces["trRgf"]
     rhs_printed_ambient = grad_delta_neg + 2.0 * tt.ric_grad_f - trR_amb + b_terms
     # intrinsic sub-check: tr nabla^2 grad f (induced metric only)
     intr_lhs = _intrinsic_rough_laplacian_gradf(ev)
@@ -186,32 +186,18 @@ def identity_suite(ev):
 
 
 def audit_phi_decompositions(ev):
-    """Proof-level contact facts beyond `identity_suite`, hypothesis-
-    conditional ones included: those are reported where any point of the
-    block meets the hypothesis, as NaN at the points that do not."""
+    """The hypothesis-conditional contact facts of the proofs: phi H tangent
+    (and xi normal) gives PsH = 0 and NsH = -H.  They are reported where any
+    point of the block meets the hypothesis, as NaN at the points that do
+    not, else the result is empty.  phi^2 nu = -nu + eta(nu) xi on the normal
+    frame is `identity_suite`'s Ps_plus_st and Ns_plus_t2."""
     if ev.space.structure != "contact":
         raise ValueError("phi-decomposition audit needs a contact ambient")
     tt = ev.trace_terms
     nrm = ev.norm
-    xi, phi = ev.structure["xi"], ev.structure_tensor
-    P_tan, P_nor = ev.projectors
-    mv = matvec
     out = {}
-    # phi^2 nu decomposition on each normal frame vector
-    worst = np.zeros(len(ev))
-    for nu in ev.frames[1].swapaxes(0, 1):
-        phinu = mv(phi, nu)
-        s_nu, t_nu = mv(P_tan, phinu), mv(P_nor, phinu)
-        assembled = (
-            mv(P_tan, mv(phi, s_nu)) + mv(P_nor, mv(phi, s_nu))
-            + mv(P_tan, mv(phi, t_nu)) + mv(P_nor, mv(phi, t_nu))
-        )
-        eta_nu = ev.inner(nu, xi)
-        worst = np.maximum(worst, nrm(assembled + nu - eta_nu[:, None] * xi))
-    out["phi2_normal_decomposition"] = worst
-    # conditional facts: phi H tangent => PsH = 0 and NsH = -H
     h_norm = nrm(tt.H)
-    holds = ((h_norm > FLAG_TOL) & (nrm(mv(P_nor, mv(phi, tt.H))) <= FLAG_TOL * (1.0 + h_norm))
+    holds = ((h_norm > FLAG_TOL) & (nrm(tt.m_H) <= FLAG_TOL * (1.0 + h_norm))
              & (nrm(tt.xi_nor) <= FLAG_TOL))
     if holds.any():
         out["PsH_when_phiH_tangent"] = np.where(holds, nrm(tt.jl_H) / (1.0 + h_norm), np.nan)

@@ -17,9 +17,9 @@ from one producer, once per block with a leading points axis.
 
 All quantities are assembled in coordinate (not orthonormal) form wherever
 possible, so the results are frame-independent by construction; orthonormal
-frames are produced deterministically (Gram-Schmidt in parameter order,
-normal completion by ambient coordinate axes in index order) for the
-operator matrices, for all points of a block at once.
+frames are produced deterministically (a Cholesky factor of the metric and
+one complete QR, `orthonormal_frames`) for the operator matrices, for all
+points of a block at once.
 
 Laplacian conventions here are positive: Delta f = -tr Hess f on functions
 and Delta-perp = -(trace of the squared normal connection) on normal
@@ -155,11 +155,11 @@ class Immersion:
 class TraceTerms:
     """Every scalar/vector ingredient the residual equations consume.
 
-    The two-step structure compositions are named in the Hermitian
-    notation (J X = jX + kX on tangent, J nu = l nu + m nu on normal
-    vectors); on contact ambients with phi = P + N on tangent and s + t on
-    normal vectors, kl H = Ns H, jl H = Ps H, kj grad f = NP grad f and
-    j^2 grad f = P^2 grad f.
+    The structure compositions are named in the Hermitian notation
+    (J X = jX + kX on tangent, J nu = l nu + m nu on normal vectors); on
+    contact ambients with phi = P + N on tangent and s + t on normal
+    vectors, l H = sH, m H = tH, kl H = Ns H, jl H = Ps H, kj grad f =
+    NP grad f and j^2 grad f = P^2 grad f.
 
     `trace_terms_at` builds the instance of an evaluation block: every
     field but `n` carries a leading points axis, scalars as P-arrays and
@@ -194,6 +194,8 @@ class TraceTerms:
     b_norm2: np.ndarray              # g^{ag} g^{bd} <B_ab, B_gd>
     H: np.ndarray                    # mean curvature vector
     coeffs: np.ndarray               # ambient (alpha, beta) or (f1, f2, f3)
+    l_H: np.ndarray                  # [tangent]
+    m_H: np.ndarray                  # [normal]
     kl_H: np.ndarray                 # [normal]
     jl_H: np.ndarray                 # [tangent]
     mm_H: np.ndarray                 # [normal]
@@ -430,45 +432,16 @@ def point_rows(ev, columns):
     return [{"point": point, **row} for point, row in zip(ev.points.tolist(), entries(columns))]
 
 
-def orthonormal_frames(G, dpsi, points):
-    """Orthonormal (tangent, normal) frames E[p, i, a] and N[p, s, a] of each
-    point of a block, from G[p, a, b] and dpsi[p, a, al]: Gram-Schmidt (two
-    passes) of the coordinate tangent vectors in parameter order, completed
-    by the ambient axes in index order, one frame slot of every point at a
-    time.  A point takes an axis only while it has a slot left and the axis
-    leaves its span, so the completing axes may differ between points.  Each
-    point rounds as if alone (stacked matmuls in its association).  Raises
-    CalcError at the first point with a degenerate or incomplete frame."""
-    count, d, m = dpsi.shape
-    F = np.zeros((count, d, d))
-    filled = np.zeros(count, dtype=int)  # slots filled at each point
-
-    def orthonormalize(w):
-        """w[p] normalized off the filled slots of point p; is it >= RANK_TOL long?"""
-        for _ in range(2):  # re-orthogonalization pass
-            for s in range(filled.max()):
-                b = F[:, s]
-                w = np.where((s < filled)[:, None], w - inner(G, b, w)[:, None] * b, w)
-        norm = np.sqrt(inner(G, w, w))
-        ok = ~(norm < RANK_TOL)
-        return w / np.where(ok, norm, 1.0)[:, None], ok
-
-    degenerate = np.zeros(count, dtype=bool)
-    for al in range(m):
-        F[:, al], ok = orthonormalize(np.ascontiguousarray(dpsi[:, :, al]))
-        degenerate |= ~ok
-        filled += 1
-    for a in range(d):
-        if filled.min() == d:
-            break
-        w, ok = orthonormalize(np.broadcast_to(np.eye(d)[a], (count, d)))
-        take = ok & (filled < d)
-        F[take, filled[take]] = w[take]
-        filled += take
-    bad = np.flatnonzero(degenerate | (filled < d))
-    if bad.size:
-        what = "tangent frame degenerate" if degenerate[bad[0]] else "normal frame completion failed"
-        raise CalcError(f"{what} at {points[bad[0]]}")
+def orthonormal_frames(G, dpsi):
+    """G-orthonormal (tangent, normal) frames E[p, i, a], N[p, s, a] of a block
+    from G[p, a, b] = L L^T and dpsi[p, a, al]: the complete QR of L^T dpsi,
+    mapped back by (L^T)^-1.  E's first k vectors span dpsi's first k columns
+    (nested in parameter order); N completes the frame.  `evaluate` has
+    rejected rank deficiency (its Gram determinant check) and G not > 0."""
+    LT = np.linalg.cholesky(G).swapaxes(-1, -2)
+    Q = np.linalg.qr(LT @ dpsi, mode="complete")[0]
+    F = np.linalg.solve(LT, Q).swapaxes(-1, -2)
+    m = dpsi.shape[-1]
     return F[:, :m], F[:, m:]
 
 
@@ -573,7 +546,7 @@ class Evaluation:
     @cached_property
     def frames(self):
         """Orthonormal frames E[p, i, a], N[p, s, a] of the block (`orthonormal_frames`)."""
-        return orthonormal_frames(self.values(self.G_field), self.values(self.dpsi), self.points)
+        return orthonormal_frames(self.values(self.G_field), self.values(self.dpsi))
 
     @cached_property
     def decomposition_operators(self):
@@ -624,6 +597,17 @@ class Evaluation:
         """tr R(dpsi, v) dpsi at each point, from the AD curvature; vector[p]
         is the point's ambient vector."""
         return matvec(self.curvature_operator, vector)
+
+    @cached_property
+    def curvature_traces(self):
+        """tr R(., v). of v = H ("trRH") and v = grad f ("trRgf"), and their
+        tangent and normal parts ("trRH_tan", "trRH_nor", ...), once per block."""
+        P_tan, P_nor = self.projectors
+        out = {}
+        for key, field in (("trRH", self.H_field), ("trRgf", self.grad_f_ambient_field)):
+            trace = out[key] = self.curvature_trace(self.values(field))
+            out[f"{key}_tan"], out[f"{key}_nor"] = matvec(P_tan, trace), matvec(P_nor, trace)
+        return out
 
     @cached_property
     def bitension(self):
@@ -694,7 +678,7 @@ def trace_terms_at(ev):
 
     # structure material: two-step compositions of J (phi) and contact terms
     T = ev.structure_tensor
-    tan_TH = mv(P_tan, mv(T, H))
+    l_H, m_H = mv(P_tan, mv(T, H)), mv(P_nor, mv(T, H))
     tan_Tgf = mv(P_tan, mv(T, grad_f))
     if ev.space.structure == "contact":
         xi = ev.structure["xi"]
@@ -734,9 +718,10 @@ def trace_terms_at(ev):
         b_norm2=np.einsum("pabl,plab->p", BG, ginv[:, None] @ Bk @ ginv_t[:, None]),
         H=H,
         coeffs=np.stack(ev.space.curvature_coeffs_at(val(ev.psi))),
-        kl_H=mv(P_nor, mv(T, tan_TH)),
-        jl_H=mv(P_tan, mv(T, tan_TH)),
-        mm_H=mv(P_nor, mv(T, mv(P_nor, mv(T, H)))),
+        l_H=l_H, m_H=m_H,
+        kl_H=mv(P_nor, mv(T, l_H)),
+        jl_H=mv(P_tan, mv(T, l_H)),
+        mm_H=mv(P_nor, mv(T, m_H)),
         kj_grad_f=mv(P_nor, mv(T, tan_Tgf)),
         j2_grad_f=mv(P_tan, mv(T, tan_Tgf)),
         **contact,

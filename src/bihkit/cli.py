@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .audits import curvature_trace_audit, run_all_audits
-from .calculus import FLAG_TOL, PointError, WeightError, evaluate_batches, map_jets, point_rows
+from .calculus import PointError, WeightError, evaluate_batches, map_jets, point_rows
 from .props import proposition_checkers
 from .report import render_report, write_csv
 from .residuals import compare_modes, direct_field, theorem_residual
@@ -61,7 +61,7 @@ def _base_report(sc, command, args):
 
 
 def cmd_check(sc, args, out, blocks):
-    tol = args.tol if args.tol is not None else sc.tolerance("mode_agreement", 1e-6)
+    tol = args.tol if args.tol is not None else sc.tolerance("mode_agreement")
     mode = args.mode or sc.mode.get("residual", "both")
     kind = sc.mode.get("kind", "fbh")
     corollary = sc.mode.get("corollary")
@@ -123,7 +123,7 @@ def cmd_check(sc, args, out, blocks):
         if not out["mode_agreement"]:
             exit_code = NUMERIC_FAIL
     if corollary:
-        rtol = sc.tolerance("reduction", 1e-10)
+        rtol = sc.tolerance("reduction")
         out["corollary"] = corollary
         out["max_reduction_delta"] = reduction_delta
         out["reduction_agreement"] = bool(reduction_delta <= rtol)
@@ -133,7 +133,7 @@ def cmd_check(sc, args, out, blocks):
 
 
 def cmd_audit(sc, args, out, blocks):
-    tol = args.tol if args.tol is not None else sc.tolerance("audit", 1e-6)
+    tol = args.tol if args.tol is not None else sc.tolerance("audit")
     points = sc.sample_points()
     if not sc.immersion.ambient.has_metric:
         # the immersion map as plain chart positions, validated finite
@@ -158,7 +158,7 @@ def cmd_variation(sc, args, out, blocks):
     imm = sc.immersion
     grid = sc.quadrature()
     variation = sc.default_variation()
-    tol = args.tol if args.tol is not None else sc.tolerance("variation", 1e-5)
+    tol = args.tol if args.tol is not None else sc.tolerance("variation")
     which_list = [args.functional] if args.functional else list(ENERGIES)
     try:
         sweeps = first_variation_suite(imm, grid, _node_blocks(sc, grid, "variation"),
@@ -188,9 +188,8 @@ def cmd_variation(sc, args, out, blocks):
 
 
 def cmd_props(sc, args, out, blocks):
-    tol = args.tol if args.tol is not None else sc.tolerance("identity", 1e-8)
-    verdicts = proposition_checkers(sc.immersion, blocks, tol=tol,
-                                    flag_tol=sc.tolerance("flags", FLAG_TOL))
+    tol = args.tol if args.tol is not None else sc.tolerance("identity")
+    verdicts = proposition_checkers(sc.immersion, blocks, tol, sc.tolerance("flags"))
     out["verdicts"] = verdicts
     bad = any(v.get("verdict") == "violated" for v in verdicts)
     out["pass"] = not bad

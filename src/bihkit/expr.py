@@ -1,6 +1,6 @@
 """Small expression language for immersion components and weight functions.
 
-Grammar (byte offsets reported on errors):
+Grammar (character offsets reported on errors):
 
     expr    := term (('+' | '-') term)*
     term    := unary (('*' | '/') unary)*
@@ -15,7 +15,7 @@ the catalogue matches the jet operations exactly (sin, cos, tan, exp, log,
 sqrt, atan).  Identifiers resolve to the declared parameter names or the
 constants pi, e as they are parsed; unknown ones are reported after the
 structural parse, so syntax errors win over them.  Angles are radians; no
-implicit multiplication.  Offsets are 1-based.
+implicit multiplication.  Offsets count characters, 1-based.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = ["Expression", "ParseError", "parse", "eval_on_jets",
 
 class ParseError(ValueError):
     def __init__(self, message, offset):
-        # offsets are 1-based byte positions into the source text
+        # offsets are 1-based character positions in the expression
         super().__init__(f"{message} (offset {offset + 1})")
         self.offset = offset + 1
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import FLAG_TOL, FlagError, flag_deviation, matvec, point_rows
+from .calculus import FlagError, flag_deviation, point_rows
 from .spaces import curvature_model
 
 __all__ = [
@@ -78,8 +78,7 @@ def _hypotheses(imm, blocks, required, tol, memo, phiH=None):
         for ev in blocks:
             t = ev.trace_terms
             h_norm = ev.norm(t.H)
-            P_tan, P_nor = ev.projectors
-            part = matvec(P_nor if phiH == "tangent" else P_tan, matvec(ev.structure_tensor, t.H))
+            part = t.m_H if phiH == "tangent" else t.l_H
             nonzero = h_norm != 0.0
             worst = float(np.max(ev.norm(part)[nonzero] / h_norm[nonzero], initial=worst))
         devs[f"phiH_{phiH}"] = worst
@@ -294,10 +293,10 @@ def check_nonexistence_gssf(imm, blocks, flag_tol, memo):
     return out
 
 
-def proposition_checkers(imm, blocks, tol=1e-6, flag_tol=FLAG_TOL):
-    """Every checker applicable to the ambient structure, plus the Gauss
-    scalar-curvature audit.  All of them share `blocks`, the evaluation
-    blocks of the sample points, and one memo of the measured hypotheses."""
+def proposition_checkers(imm, blocks, tol, flag_tol):
+    """Every checker applicable to the ambient structure (tolerance `tol`,
+    hypotheses `flag_tol`), plus the Gauss scalar-curvature audit.  All share
+    `blocks`, the sample points' evaluation blocks, and one hypotheses memo."""
     out, memo = [gauss_equation_audit(imm, blocks)], {}
     if imm.ambient.structure == "hermitian":
         out.append(check_cmc_hypersurface_gcsf(imm, blocks, tol, flag_tol, memo))

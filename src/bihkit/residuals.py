@@ -105,20 +105,6 @@ def direct_field(kind, ev):
     return fn(ev)
 
 
-def _curvature_traces(ev, t):
-    """Tangent and normal parts of tr R(., H). and tr R(., grad f). (the
-    general bi-f equation), from the concrete curvature."""
-    P_tan, P_nor = ev.projectors
-    trH = ev.curvature_trace(t.H)
-    trF = ev.curvature_trace(t.grad_f)
-    return {
-        "trRH_tan": matvec(P_tan, trH),
-        "trRH_nor": matvec(P_nor, trH),
-        "trRgf_tan": matvec(P_tan, trF),
-        "trRgf_nor": matvec(P_nor, trF),
-    }
-
-
 # -- term tables ------------------------------------------------------------------
 
 
@@ -280,7 +266,7 @@ EQUATIONS = {
         ),
         Term("curv_f3_PsH", "tangent", lambda t: 6.0 * t.coeffs[2], lambda t: t.jl_H),
     ),
-    # the split curvature traces are the `_curvature_traces` of the block
+    # the split curvature traces are the block's `curvature_traces`
     "bif_general": _BIF_LHS + (
         Term("curv_trace_H_nor", "normal", lambda t: t.n * t.f**2, lambda t: t.trRH_nor),
         Term("curv_trace_gf_nor", "normal", lambda t: t.f, lambda t: t.trRgf_nor),
@@ -572,20 +558,22 @@ class ResidualReport:
 
 def theorem_residual(ev, kind="fbh", errata=False, corollary=None):
     """Evaluate a characterization equation (or a corollary reduction) at
-    every point of an evaluation block.
+    every point of an evaluation block; `kind` is fbh, bif or bif_general,
+    the equation `equation_for` picks for the ambient.
 
     Returns a ResidualReport; term values keep the printed/corrected
-    coefficient actually used; a block below order 4 is a ValueError."""
+    coefficient actually used; a block below order 4 or another kind is a
+    ValueError."""
     if ev.order < 4:
         raise ValueError(f"theorem residuals need an order-4 block, not order {ev.order}")
-    eq_id = equation_for(ev.imm, kind) if kind in ("fbh", "bif") else kind
+    eq_id = equation_for(ev.imm, kind)
     substitutions = coefficients = {}
     if corollary is not None:
         cor = COROLLARIES[corollary]
         eq_id, substitutions, coefficients = cor.equation, cor.substitutions, cor.coefficients
     t = ev.trace_terms
     if eq_id == "bif_general":
-        t = SimpleNamespace(**vars(t), **_curvature_traces(ev, t))
+        t = SimpleNamespace(**vars(t), **ev.curvature_traces)
     shape = (len(ev), ev.d)
     per_point = lambda c: np.broadcast_to(np.asarray(c, dtype=float), shape[:1])
     normal = np.zeros(shape)

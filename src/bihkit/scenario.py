@@ -24,9 +24,10 @@ Sections and keys (any other section or key is an error):
                   xi_normal, parallel_H, cmc (unlisted flags are unknown)
     [sampling]    grid = [n1, ...]   (defaults to 8 nodes per axis);
                   margin = 0.05; seed = 0   (the defaults)
-    [tolerances]  optional non-negative numbers: mode_agreement (check),
-                  flags (flag pre-checks and props hypotheses), identity
-                  (props), reduction (corollary check), audit, variation
+    [tolerances]  optional non-negative numbers (defaults): mode_agreement
+                  (check; 1e-6), flags (flag pre-checks and props
+                  hypotheses; 1e-8), identity (props; 1e-8), reduction
+                  (corollary check; 1e-10), audit (1e-6), variation (1e-5)
     [mode]        residual = both|direct|theorem; errata = on|off;
                   kind = fbh|bif|bif_general (the equation family);
                   corollary = name (a registered corollary reduction of
@@ -43,7 +44,7 @@ pre-check of every asserted or denied flag; on a curvature-model ambient,
 the map and the coefficients must be finite at the sample points instead,
 and a flag other than curve or hypersurface cannot be asserted or denied.
 Errors name their section and key where known; a syntax error gives the
-offset of its line, a file that is not UTF-8 that of its first bad byte.
+byte offset of its line, a file that is not UTF-8 that of its first bad byte.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ __all__ = ["Scenario", "ScenarioError", "evaluate_points", "load_scenario",
 # evaluation blocks of every point until the command has used them.
 MAX_SAMPLE_POINTS = 1024
 
-TOLERANCE_KEYS = ("mode_agreement", "flags", "identity", "reduction", "audit", "variation")
+TOLERANCES = {"mode_agreement": 1e-6, "flags": FLAG_TOL, "identity": 1e-8, "reduction": 1e-10,
+              "audit": 1e-6, "variation": 1e-5}
 
 # Allowed values of the [mode] keys; corollary names come from COROLLARIES.
 MODE_CHOICES = {
@@ -95,7 +97,7 @@ SECTION_KEYS = {
     "weight": ("f",),
     "flags": FLAG_NAMES,
     "sampling": ("grid", "margin", "seed"),
-    "tolerances": TOLERANCE_KEYS,
+    "tolerances": tuple(TOLERANCES),
     "mode": tuple(MODE_CHOICES),
     "variation": ("components",),
 }
@@ -159,7 +161,7 @@ def parse_scenario_text(text):
     for line in text.splitlines(keepends=True):
         stripped = line.split("#", 1)[0].strip()
         line_offset = offset
-        offset += len(line)
+        offset += len(line.encode())  # in bytes, as the not-UTF-8 error's
         if not stripped:
             continue
         if stripped.startswith("["):
@@ -232,8 +234,8 @@ class Scenario:
              for ax, n in zip(self.axes, self.grid_sizes)]
         )
 
-    def tolerance(self, name, default):
-        return float(self.tolerances.get(name, default))
+    def tolerance(self, name):
+        return float(self.tolerances.get(name, TOLERANCES[name]))
 
     def default_variation(self):
         """Windowed smooth variation: periodic waves, endpoint-vanishing
@@ -500,7 +502,7 @@ def _validate(sc, order=4):
     # flag pre-checks; a curvature-model ambient has no blocks, so only its
     # structural flags can be checked
     try:
-        verify_flags(imm, blocks, tol=sc.tolerance("flags", FLAG_TOL))
+        verify_flags(imm, blocks, tol=sc.tolerance("flags"))
     except FlagError as exc:
         raise ScenarioError(f"flag pre-check failed: {exc}", "flags", exc.flag) from None
     return blocks

@@ -109,8 +109,14 @@ def test_phi_decomposition_audit():
         ["u", "v"], S3,
         ["0.6*cos(u)/(1 + 0.8*sin(v))", "0.6*sin(u)/(1 + 0.8*sin(v))",
          "0.8*cos(v)/(1 + 0.8*sin(v))"], "1")
-    out = audit_phi_decompositions(one_point(hopf, [0.5, 1.1]))
-    assert out["phi2_normal_decomposition"] <= 1e-9
+    ev = one_point(hopf, [0.5, 1.1])
+    # phi^2 nu = -nu + eta(nu) xi on the normal frame: the normal columns of
+    # the block decomposition of phi^2
+    identities = identity_suite(ev)
+    assert identities["Ps_plus_st"] <= 1e-9
+    assert identities["Ns_plus_t2"] <= 1e-9
+    out = audit_phi_decompositions(ev)
+    assert set(out) == {"PsH_when_phiH_tangent", "NsH_plus_H_when_phiH_tangent"}
     # xi tangent + phi H tangent on a Hopf torus: conditional facts fire
     assert out["PsH_when_phiH_tangent"] <= 1e-9
     assert out["NsH_plus_H_when_phiH_tangent"] <= 1e-9

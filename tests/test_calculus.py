@@ -16,7 +16,8 @@ from bihkit.calculus import (
     verify_flags,
 )
 from bihkit import calculus
-from bihkit.audits import _intrinsic_rough_laplacian_gradf
+from bihkit.audits import (_intrinsic_rough_laplacian_gradf, audit_lemgene2,
+                           audit_mean_curvature_laplacian)
 from bihkit.expr import CONSTANTS, Call, Const, Lit, Neg, Pow, Var, eval_on_jets
 from bihkit.jets import Jet, JetError, jet_space
 from bihkit.residuals import (bi_f_tension_direct, compare_modes, f_bitension_direct,
@@ -988,7 +989,8 @@ def _ref_trace_terms(pt):
     # two-step compositions of the structure tensor, and the contact terms
     T = pt.structure_tensor
     tan_TH, tan_Tgf = mv(P_tan, mv(T, H)), mv(P_tan, mv(T, grad_f))
-    out.update(kl_H=mv(P_nor, mv(T, tan_TH)), jl_H=mv(P_tan, mv(T, tan_TH)),
+    out.update(l_H=tan_TH, m_H=mv(P_nor, mv(T, H)),
+               kl_H=mv(P_nor, mv(T, tan_TH)), jl_H=mv(P_tan, mv(T, tan_TH)),
                mm_H=mv(P_nor, mv(T, mv(P_nor, mv(T, H)))),
                kj_grad_f=mv(P_nor, mv(T, tan_Tgf)), j2_grad_f=mv(P_tan, mv(T, tan_Tgf)))
     xi = pt.structure.get("xi", np.zeros(d))
@@ -1106,75 +1108,71 @@ def test_trace_terms_and_audit_read_the_one_nabla_grad_f_field(name):
         assert same_bits(read(doubled), 2.0 * base), name
 
 
-def _ref_orthonormal_frames(G, dpsi, point):
-    """Orthonormal frames at one point, built vector by vector: the reference
-    of `calculus.orthonormal_frames`.  Returns (E, N, the completing axes)."""
-    d, m = dpsi.shape
-
-    def gram_schmidt(vectors, basis):
-        out = []
-        for v in vectors:
-            w = np.asarray(v, float).copy()
-            for _ in range(2):  # re-orthogonalization pass
-                for b in basis + out:
-                    w = w - (b @ G @ w) * b
-            norm = float(np.sqrt(w @ G @ w))
-            if norm < calculus.RANK_TOL:
-                return out, False
-            out.append(w / norm)
-        return out, True
-
-    tangent, ok = gram_schmidt([dpsi[:, al] for al in range(m)], [])
-    if not ok:
-        raise CalcError(f"tangent frame degenerate at {point}")
-    normal, axes = [], []
-    for a in range(d):
-        if len(normal) == d - m:
-            break
-        added, ok = gram_schmidt([np.eye(d)[a]], tangent + normal)
-        if ok:
-            normal.extend(added)
-            axes.append(a)
-    if len(normal) != d - m:
-        raise CalcError(f"normal frame completion failed at {point}")
-    return np.array(tangent), np.array(normal), tuple(axes)
+@pytest.mark.parametrize("name", ["c08_hopf_torus", "c18_hypersphere_cp2"])
+def test_audits_and_bif_general_read_the_one_curvature_traces(name):
+    """The split traces tr R(., H). and tr R(., grad f). are the cached
+    `curvature_traces` of the block, and the audits and the bif_general
+    equation read them from there alone: with every trace of the cache
+    zeroed, lemgene1's printed and corrected deltas agree, lemgene2's
+    printed ambient delta moves, and bif_general's curvature terms vanish."""
+    ev = _first_block(name)
+    traces = ev.curvature_traces
+    P_tan, P_nor = ev.projectors
+    for key, field in (("trRH", ev.H_field), ("trRgf", ev.grad_f_ambient_field)):
+        trace = ev.curvature_trace(ev.values(field))
+        assert same_bits(traces[key], trace), key
+        assert same_bits(traces[f"{key}_tan"], calculus.matvec(P_tan, trace)), key
+        assert same_bits(traces[f"{key}_nor"], calculus.matvec(P_nor, trace)), key
+    assert np.abs(traces["trRH"]).max() > 1e-3 and np.abs(traces["trRgf"]).max() > 1e-3, name
+    lem2 = audit_lemgene2(ev)
+    ev.curvature_traces = {key: np.zeros_like(value) for key, value in traces.items()}
+    lem1 = audit_mean_curvature_laplacian(ev)["lemgene1"]
+    assert same_bits(lem1["delta_printed"], lem1["delta_corrected"]), name
+    assert not np.array_equal(audit_lemgene2(ev)["delta_printed_ambient"],
+                              lem2["delta_printed_ambient"]), name
+    curvature = [contrib for term, _, _, contrib in
+                 theorem_residual(ev, kind="bif_general", errata=True).terms
+                 if term.startswith("curv_trace")]
+    assert len(curvature) == 4 and not np.any(curvature), name
 
 
-def test_frames_match_the_point_by_point_build(catalog_names):
-    """The frames of every block of every catalog scenario are those built
-    point by point, bit for bit; c01's one block holds points whose normal
-    frames complete with different axes."""
+def _check_frames(G, dpsi, E, N, label):
+    """E and N are G-orthonormal frames of every point to 1e-12, E's first k
+    vectors span dpsi's first k columns and N is G-orthogonal to dpsi."""
+    F = np.concatenate([E, N], axis=1)
+    m = dpsi.shape[-1]
+    assert np.abs(F @ G @ F.swapaxes(-1, -2) - np.eye(G.shape[-1])).max() <= 1e-12, label
+    for k in range(1, m + 1):
+        # the first k coordinate vectors are their own G-projection onto span E[:k]
+        cols = dpsi[..., :k]
+        proj = E[:, :k].swapaxes(-1, -2) @ (E[:, :k] @ G @ cols)
+        scale = np.abs(cols).max(axis=(1, 2))[:, None, None]
+        assert (np.abs(proj - cols) / scale).max() <= 1e-12, (label, k)
+    scale = np.abs(dpsi).max(axis=(1, 2))[:, None, None]
+    assert (np.abs(N @ G @ dpsi) / scale).max() <= 1e-12, label
+
+
+def test_frames_are_orthonormal_nested_and_complete(catalog_names):
+    """On every block of every catalog scenario with a metric: F G F^T = I,
+    the tangent frame spans the coordinate vectors in parameter order, and
+    the normal frame is G-orthogonal to them."""
     for name in catalog_names:
         sc = load_scenario(scenario_path(name), validate=False)
         if not sc.immersion.ambient.has_metric:
             continue
-        blocks = list(calculus.evaluate_batches(sc.immersion, sc.sample_points()))
-        for ev in blocks:
+        for ev in calculus.evaluate_batches(sc.immersion, sc.sample_points()):
             G, dpsi = ev.values(ev.G_field), ev.values(ev.dpsi)
-            ref = [_ref_orthonormal_frames(G[i], dpsi[i], ev.points[i]) for i in range(len(ev))]
-            for got, want in zip(ev.frames, zip(*ref)):
-                assert same_bits(got, np.array(want)), name
-        if name == "c01_circle_flat":
-            axes = {r[2] for r in ref}
-            assert len(blocks) == 1 and axes == {(0, 2), (1, 2)}, axes
+            _check_frames(G, dpsi, *ev.frames, name)
 
 
-def test_frame_failure_names_the_first_failing_point():
-    """A degenerate tangent vector and an incomplete normal frame (an axis
-    too short in the metric) raise at the first point that fails, with that
-    point's own message."""
-    good = (np.eye(3), np.eye(3)[:, :1])
-    tangent_bad = (np.eye(3), np.zeros((3, 1)))
-    normal_bad = (np.diag([1.0, 1.0, 1e-30]), np.eye(3)[:, :1])
-    for order in ([good, normal_bad, tangent_bad], [good, tangent_bad, normal_bad]):
-        G, dpsi = (np.array(x) for x in zip(*order))
-        points = np.array([[0.1], [0.2], [0.3]])
-        with pytest.raises(CalcError) as want:
-            for i in range(3):
-                _ref_orthonormal_frames(G[i], dpsi[i], points[i])
-        with pytest.raises(CalcError, match=re.escape(str(want.value))):
-            calculus.orthonormal_frames(G, dpsi, points)
-        assert "[0.2]" in str(want.value)
+def test_frames_of_a_metric_with_a_short_axis():
+    """A positive definite metric with an axis of length 1e-15 has frames; a
+    completion by coordinate axes rejected that axis as too short."""
+    G = np.diag([1.0, 1.0, 1e-30])[None]
+    dpsi = np.eye(3)[None, :, :1]
+    E, N = calculus.orthonormal_frames(G, dpsi)
+    assert E.shape == (1, 1, 3) and N.shape == (1, 2, 3)
+    _check_frames(G, dpsi, E, N, "short axis")
 
 
 def test_point_rows_release_the_block():

@@ -142,6 +142,30 @@ def test_scenario_file_not_utf8_exits_3_at_its_byte_offset(tmp_path, command, at
     assert err == f"validation error: not UTF-8 text: invalid start byte (offset {at})\n"
 
 
+def test_tolerance_defaults_are_declared_once():
+    """A scenario without [tolerances] reads each default of
+    `scenario.TOLERANCES`, and the grammar lists every key with it."""
+    sc = scenario.parse_scenario(BASE, validate=False)
+    section = " ".join(scenario.__doc__.split()).split("[tolerances]")[1].split("[mode]")[0]
+    for key, default in scenario.TOLERANCES.items():
+        assert sc.tolerance(key) == default, key
+        printed = f"{default:.0e}".replace("e-0", "e-")  # 1e-6, 1e-10
+        assert printed in section.split(key, 1)[1].split(")")[0], key
+
+
+def test_syntax_error_offset_counts_bytes(tmp_path):
+    """A syntax error gives the byte offset of its line, as the not-UTF-8
+    error does: after a first line of 14 characters in 16 bytes, the
+    malformed header starts at byte 16."""
+    data = "# h\u00e9llo w\u00f6rld\n[ambient\n".encode()
+    assert data.index(b"[ambient") == 16
+    path = tmp_path / "case.scn"
+    path.write_bytes(data)
+    code, out, err = run_cli(["check", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "validation error: malformed section header (offset 16)\n"
+
+
 @pytest.mark.parametrize("command", ["check", "energy"])
 def test_huge_weight_exponent_exits_3_naming_the_weight(tmp_path, command):
     """f = 1 + 0.3 cos(u)^1e308 is refused as it is parsed, naming [weight]

@@ -105,6 +105,15 @@ def test_abstract_ambient_rejected_for_direct():
         theorem_residual(one_point(imm, [0.1]), kind="fbh")
 
 
+def test_theorem_residual_takes_only_the_residual_kinds():
+    """An equation id or an unknown name is not a kind: on a Sasakian
+    ambient, kind fbh_gcsf must not evaluate the Hermitian equation."""
+    ev = one_point(small_sphere(), [0.4, 1.1])
+    for kind in ("fbh_gcsf", "fbh_gssf", "bif_gcsf", "nonsense"):
+        with pytest.raises(ValueError, match="unknown residual kind"):
+            theorem_residual(ev, kind=kind)
+
+
 def test_term_breakdown_sums_to_residual():
     imm = Immersion.from_strings(
         ["u", "v"], S3D,

@@ -4,9 +4,11 @@
 
 Exports REV with `git archive` into a temporary directory and copies this
 checkout's `src/` beside it at the start, so that an edit made during the
-run (about 3 minutes) does not mix two states into "this checkout".  Then
-runs the same 192 CLI runs in both trees, one after another, each a fresh
-`python -m bihkit.cli` process on that tree's own scenario files:
+run (a minute or more) does not mix two states into "this checkout".  Then
+runs the same 192 CLI runs in both trees, each a fresh `python -m bihkit.cli`
+process on that tree's own scenario files, on `os.cpu_count()` worker
+threads (a run's two trees one after the other on one worker); the output
+keeps the runs' order:
 
   * check, audit, props, energy and variation on c01-c18 and m1-m6;
   * check with --mode direct, --mode theorem, --errata off and --tol 1e-30
@@ -34,6 +36,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,8 +124,10 @@ def main(argv=None):
             print(f"the scenario catalogs of {args[0]} and this checkout differ")
             return 1
         differ = within = 0
-        for label, job in jobs:
-            theirs, mine = run(other, job), run(ours, job)
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+            pairs = list(pool.map(lambda argv: (run(other, argv), run(ours, argv)),
+                                  [argv for _, argv in jobs]))
+        for (label, _), (theirs, mine) in zip(jobs, pairs):
             if theirs == mine:
                 continue
             differ += 1
