@@ -457,6 +457,7 @@ class Evaluation:
     one entry per point.  Every quantity below carries a leading points
     axis and is computed for all points at once, on first use: the
     structure tensors too, which `energy` and `variation` never read.
+    `split(n)` cuts a block in two at point n, each part as if evaluated alone.
 
     Jet fields: psi, f_jet, G_field (order - 1), Gam_field (Gam[k, a, b] =
     Gamma^k_ab along the immersion, order - 2), chart_christoffels (order 1,
@@ -481,6 +482,14 @@ class Evaluation:
 
     def __len__(self):
         return len(self.points)
+
+    def split(self, n):
+        """The blocks of the first n points and of the rest, each as `evaluate`
+        builds it for its points alone: every field with a points axis sliced
+        on it (`Jet.take_points`), nothing cached carried over."""
+        return tuple(Evaluation(self.imm, self.points[rows], self.order,
+                                {name: jet.take_points(rows) for name, jet in self.fields.items()},
+                                self.gram_det[rows]) for rows in (slice(None, n), slice(n, None)))
 
     def values(self, jet):
         """Constant terms of a jet field of this block, point by point."""

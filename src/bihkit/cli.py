@@ -23,9 +23,10 @@ empty), 4 internal error.  An ambient given only by its curvature model
 coefficients must be finite at the sample points, and only its curve and
 hypersurface flags can be asserted or denied (exit 3).
 
-On all-periodic axes the quadrature nodes of `energy` and `variation` are
-the sample points, validated at order 3 and 4: a point failing only at order
-4 is a sample point to `variation`, as to `check`.
+`energy` and `variation` evaluate each point once, at order 3 and 4: on
+all-periodic axes the quadrature nodes are the sample points (a point failing
+only at order 4 is one to `variation`, as to `check`), else one pass takes
+the sample points, then the nodes, and the sample points alone are validated.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def cmd_props(sc, args, out, blocks):
 
 def cmd_energy(sc, args, out, blocks):
     grid = sc.quadrature()
-    values = energies(sc.immersion, grid, _node_blocks(sc, grid, "energy"))
+    values = energies(grid, _node_blocks(sc, grid, "energy"))
     out["energies"] = values
     out["quadrature_nodes"] = len(grid)
     return PASS
@@ -223,15 +224,34 @@ ORDERS = {"check": 4, "audit": 4, "variation": 4, "props": 3, "energy": 2}
 
 def _node_blocks(sc, grid, command):
     """Validate the scenario; return the blocks of `grid`'s nodes at the order
-    `command` reads, in order: on all-periodic axes, where the nodes are the
-    sample points, the validated ones, each released once taken; else the
-    nodes' own, evaluated as taken."""
-    order = ORDERS[command]
+    `command` reads (3 at least), in order, each released once taken.  On
+    all-periodic axes the nodes are the sample points: the validated blocks.
+    Else one pass evaluates the sample points, then the nodes, and is split
+    between them (`Evaluation.split`); validation checks the sample blocks.
+    Where that pass fails, the sample points are validated at order 3, then
+    the nodes evaluated as taken: the sample points' error comes first, then
+    the flags', then the nodes'."""
+    order = max(ORDERS[command], 3)
     if all(ax.periodic for ax in sc.axes):
-        blocks = _validate(sc, max(order, 3))
+        blocks = _validate(sc, order)
         return (blocks.pop(0) for _ in range(len(blocks)))
-    _validate(sc, 3)
-    return evaluate_batches(sc.immersion, grid.points, order)
+    samples = sc.sample_points()
+    try:
+        blocks = list(evaluate_batches(sc.immersion, np.vstack([samples, grid.points]), order))
+    except PointError:
+        _validate(sc, 3)
+        return evaluate_batches(sc.immersion, grid.points, ORDERS[command])
+    left, sample_blocks, node_blocks = len(samples), [], []
+    while blocks:
+        ev = blocks.pop(0)
+        if 0 < left < len(ev):
+            head, ev = ev.split(left)
+            sample_blocks.append(head)
+            left = 0
+        (sample_blocks if left else node_blocks).append(ev)
+        left -= min(left, len(ev))
+    _validate(sc, blocks=sample_blocks)
+    return (node_blocks.pop(0) for _ in range(len(node_blocks)))
 
 
 class _Parser(argparse.ArgumentParser):

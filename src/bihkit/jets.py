@@ -24,8 +24,9 @@ coefficient axis, so tensor axes keep broadcasting from the right.
 `Jet.variable` with one value per point seeds such a jet, and everything
 computed from it carries the axis; a jet without it (a constant) is the same
 at every point and combines with one that has it.  `point_values(P)` gives
-the constant terms point by point.  Tensor indexing, `sum`, `transpose` and
-the other tensor methods never see the points axis.
+the constant terms point by point, `take_points` the jet at some points.
+Tensor indexing, `sum`, `transpose` and the other tensor methods never see
+the points axis.
 
 Tables.  The basis of a space is graded lexicographic, so the basis of every
 lower order is a prefix of it and truncation keeps leading coefficients.
@@ -457,6 +458,10 @@ class Jet:
         if self.batched:
             return np.ascontiguousarray(v.transpose(v.ndim - 1, *range(v.ndim - 1)))
         return np.array(np.broadcast_to(v, (count,) + v.shape))
+
+    def take_points(self, rows):
+        """The jet at the points `rows` (a slice), copied; one without points axis as is."""
+        return self._like(self.c[..., rows, :].copy(), self._degree) if self.batched else self
 
     def truncate(self, order):
         """Copy of this jet in the lower-order space (coefficients dropped)."""

@@ -457,21 +457,23 @@ def _map_values(imm, points):
         return map_jets(imm, points, 0).point_values(len(points))
 
 
-def _validate(sc, order=4):
+def _validate(sc, order=4, blocks=None):
     """Check the scenario at its sample points (jet order 3 suffices, as in
-    `load_scenario`); returns the validated evaluation blocks of jet order
-    `order` >= 3, in order, for the commands (`energy` and `variation` where
-    their nodes are the sample points): none on a curvature-model ambient,
-    where only the structural flags (curve, hypersurface) can be checked."""
+    `load_scenario`) and return their evaluation blocks of jet order `order`
+    >= 3, in order, for the commands; `blocks`, if given, are those blocks,
+    from `evaluate_batches`, and are checked instead.  None on a
+    curvature-model ambient, where only the structural flags (curve,
+    hypersurface) can be checked."""
     imm = sc.immersion
     points = sc.sample_points()
-    blocks = []
-    if imm.ambient.has_metric:
+    if not imm.ambient.has_metric:
+        blocks = []
+        if _model_failure(imm, points):
+            # name the first point that fails alone, as `evaluate_batches` does
+            raise next(filter(None, (_model_failure(imm, p[None]) for p in points)))
+    elif blocks is None:
         # rank, chart membership, weight positivity at every sample point
         blocks = list(evaluate_points(sc, points, order))
-    elif _model_failure(imm, points):
-        # name the first point that fails alone, as `evaluate_batches` does
-        raise next(filter(None, (_model_failure(imm, p[None]) for p in points)))
     # periodic axes must close up: the map at both ends of every periodic
     # axis in one evaluation, again axis by axis only to name a failing one
     periodic = [(i, ax) for i, ax in enumerate(sc.axes) if ax.periodic]

@@ -31,10 +31,11 @@ is pinned empirically by the h-sweep in the test suite (finite differences
 are independent of the jet engine).  The sweep must show O(h^2) decay of
 the mismatch to a plateau.
 
-The map at the nodes comes from their evaluation blocks alone, as values,
-first and second derivatives; each deformed map psi + t V is the array sum
-x + y * t of those and V's (`_deformed_tension_data` says why that is exact),
-and one chart build serves the deformed maps of all the steps.
+The map at the nodes (values, first and second derivatives) and the ambient
+metric and chart Christoffels there come from their evaluation blocks alone;
+each deformed map psi + t V is the array sum x + y * t of the map's arrays
+and V's (`_deformed_tension_data` says why that is exact), and one chart
+build serves the deformed maps of all the steps, none the undeformed map.
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ class _Frozen:
     sqrt_det: np.ndarray       # (N,)
     f: np.ndarray              # (N,)
     grad_f_param: np.ndarray   # (N, m)
+    G: np.ndarray              # (N, d, d) ambient metric at psi
+    gam_amb: np.ndarray        # (N, d, d, d) chart Christoffels at psi
 
 
 def _frozen(blocks):
@@ -145,7 +148,8 @@ def _frozen(blocks):
         val = ev.values
         parts.append((val(ev.psi), val(ev.dpsi), val(ev.dpsi.derivs()),
                       val(ev.induced_metric_inv_field), val(ev.intrinsic_christoffels),
-                      np.sqrt(ev.gram_det), val(ev.f_jet), val(ev.grad_f_param_field)))
+                      np.sqrt(ev.gram_det), val(ev.f_jet), val(ev.grad_f_param_field),
+                      val(ev.G_field), val(ev.chart_christoffels)))
     return _Frozen(*(np.concatenate(col) for col in zip(*parts)))
 
 
@@ -156,16 +160,18 @@ def _deformed_tension_data(space, frozen, v, ts):
     nodes.  Each array is x + y * t, which rounds as the jet sum psi + v * t
     differentiated: both multiply, then add, and the derivative scale
     factors 1 and 2 commute with rounding while V t is a normal float.  One
-    chart build for all nodes and steps gives the metric and its
+    chart build of `space` for all nodes and steps gives the metric and its
     Christoffels (a point's values do not depend on its batch); numpy's
     warnings are silenced, as in `evaluate_batches`, and the first step,
-    then node, off the chart raises ChartExitError."""
+    then node, off the chart raises ChartExitError.  `space` None: the map
+    undeformed, t = 0 (`energies`), at the frozen metric and Christoffels."""
     count = len(frozen.f)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pos, dpsi, ddpsi = (np.concatenate([x + y * t for t in ts])
                             for x, y in zip((frozen.psi, frozen.dpsi, frozen.ddpsi), v))
         try:
-            G, gam_amb = christoffels_at(space, pos)
+            G, gam_amb = ((frozen.G, frozen.gam_amb) if space is None
+                          else christoffels_at(space, pos))
         except ChartError:
             for j, p in enumerate(pos):
                 try:
@@ -216,13 +222,14 @@ def _densities(space, frozen, whichs, v, ts):
             for which in whichs}
 
 
-def energies(imm, grid, blocks):
+def energies(grid, blocks):
     """Quadrature values {which: value} of the five functionals on the
     undeformed immersion, from `blocks`: the evaluation blocks of the nodes
-    of `grid`, in order, at any jet order >= 2 (only values are read)."""
+    of `grid`, in order, at any jet order >= 2, whose values alone (the
+    ambient metric and chart Christoffels too) are read."""
     frozen = _frozen(blocks)
     # psi + 0 * 0, rounded as the deformed maps are (a -0.0 entry becomes 0.0)
-    rows = _densities(imm.ambient, frozen, ENERGIES, (0.0,) * 3, (0.0,))
+    rows = _densities(None, frozen, ENERGIES, (0.0,) * 3, (0.0,))
     return {which: float(np.dot(row[0], grid.weights)) for which, row in rows.items()}
 
 
@@ -281,10 +288,9 @@ def first_variation_suite(imm, grid, blocks, whichs, variation):
     # through the Euler-Lagrange fields, the pairing
     blocks = list(blocks)
     frozen = _frozen(blocks)
-    G = np.concatenate([ev.values(ev.G_field) for ev in blocks])
-    pair_vals = {which: -inner(G, np.concatenate([el_field(ev, which) for ev in blocks]), v[0])
-                 * frozen.sqrt_det for which in whichs}
-    del blocks, G
+    pair_vals = {which: -inner(frozen.G, np.concatenate([el_field(ev, which) for ev in blocks]),
+                               v[0]) * frozen.sqrt_det for which in whichs}
+    del blocks
     ts = [s for h in STEPS for s in (h, -h)]
     # numpy's warnings silenced, as in `evaluate_batches`: a density that
     # overflows is rejected at its first step, then node

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from bihkit.calculus import evaluate
+from bihkit.calculus import evaluate, evaluate_batches
 from bihkit.jets import Jet, JetError
 from bihkit.scenario import load_scenario
 from bihkit.spaces import christoffels_at
@@ -109,6 +109,25 @@ def get_scenario(name):
     if name not in _cache:
         _cache[name] = load_scenario(scenario_path(name))
     return _cache[name]
+
+
+_blocks = {}
+
+
+def catalog_blocks(name, order=4, nodes=False):
+    """Session memo of the evaluation blocks (`evaluate_batches`) of a catalog
+    scenario at jet order `order`, of its sample points or, with `nodes`, its
+    quadrature nodes, keyed by (scenario, order, points): each is built once
+    per test session.  The blocks, and whatever they cache, are shared by
+    every caller, so only tests that read them take them; a test that
+    monkeypatches, counts calls or writes to a block or its ambient builds
+    its own."""
+    key = (name, order, nodes)
+    if key not in _blocks:
+        sc = load_scenario(scenario_path(name), validate=False)
+        points = sc.quadrature().points if nodes else sc.sample_points()
+        _blocks[key] = tuple(evaluate_batches(sc.immersion, points, order))
+    return _blocks[key]
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,8 @@ from bihkit.residuals import (bi_f_tension_direct, compare_modes, f_bitension_di
 from bihkit.scenario import load_scenario
 from bihkit.spaces import (SpaceError, chart_jets, christoffel_jets, curvature_from_christoffels,
                            make_space)
-from conftest import at, coeffs_at, one_point, same_bits, scenario_path, structure_at
+from conftest import (at, catalog_blocks, coeffs_at, one_point, same_bits, scenario_path,
+                      structure_at)
 
 FLAT3 = make_space("cosymplectic_flat", n=1)
 C2 = make_space("euclidean_complex", n=2)
@@ -528,7 +529,7 @@ def test_mean_curvature_path_matches_scalar_loops(name):
     """The tensor contractions round exactly as the scalar loops: the pinned
     c16 `props` ratios are quotients of round-off in H."""
     sc = load_scenario(scenario_path(name), validate=False)
-    ev = calculus.evaluate(sc.immersion, sc.sample_points())
+    (ev,) = catalog_blocks(name)  # one block of every sample point
     for i, p in enumerate(sc.sample_points()):
         pt = _Point(ev, i)
         for field, want in _ref_mean_curvature_path(pt).items():
@@ -688,6 +689,44 @@ def test_every_catalog_scenario_is_one_block(catalog_names):
             assert size >= count, (name, order)
 
 
+def _block_quantities(ev):
+    """Every field's coefficients, the points and Gram determinants, and the
+    trace terms, projectors, frames, curvature operator and (at order 4)
+    bitension of an evaluation block, as arrays."""
+    terms = [v for v in vars(ev.trace_terms).values() if isinstance(v, np.ndarray)]
+    out = [jet.c for jet in ev.fields.values()] + [ev.points, ev.gram_det] + terms
+    out += [*ev.projectors, *ev.frames, ev.curvature_operator]
+    if ev.order == 4:
+        out += [ev.bitension[0], ev.bitension[1].c]
+    return out
+
+
+def test_split_parts_equal_their_points_evaluated_alone(monkeypatch):
+    """c04's 36 sample points followed by its 36 quadrature nodes, evaluated
+    in blocks of 16 points, so that the third block straddles the cut between
+    them, and as one block: cut at every block boundary and at the sample/node
+    boundary, each part's fields, trace terms, projectors, frames, curvature
+    operator and bitension equal those of evaluating its points alone, bit
+    for bit, at the orders `energy` and `variation` evaluate at (3, 4)."""
+    sc = load_scenario(scenario_path("c04_small_sphere"), validate=False)
+    imm, samples = sc.immersion, sc.sample_points()
+    points = np.concatenate([samples, sc.quadrature().points])
+    assert len(samples) == 36 and len(points) == 72
+    monkeypatch.setattr(calculus, "block_points", lambda m, d, order: 16)
+    for order in (3, 4):
+        cuts = [(calculus.evaluate(imm, points, order), 0, n) for n in (16, 32, 36, 48, 64)]
+        blocks = list(calculus.evaluate_batches(imm, points, order))
+        assert [len(ev) for ev in blocks] == [16, 16, 16, 16, 8]
+        cuts.append((blocks[2], 32, 36 - 32))
+        for ev, start, n in cuts:
+            for part, rows in zip(ev.split(n), (slice(start, start + n),
+                                                slice(start + n, start + len(ev)))):
+                alone = calculus.evaluate(imm, points[rows], order)
+                assert len(part) == len(alone) and part.order == order
+                assert all(map(same_bits, _block_quantities(part), _block_quantities(alone))), \
+                    (order, start, n)
+
+
 def _first_block_points(sc, order=4):
     """The sample points of a scenario's first evaluation block at `order`."""
     imm = sc.immersion
@@ -722,7 +761,7 @@ def test_christoffels_from_the_evaluated_inverse_match_inverting_again(catalog_n
     already has are those of inverting the truncated metric again, bit for
     bit, on the first block of every catalog scenario."""
     for name in catalog_names:
-        ev = _first_block(name)
+        ev = catalog_blocks(name)[0]
         g, g_inv = ev.induced_metric_field, ev.induced_metric_inv_field
         expected = christoffel_jets(g).c
         assert same_bits(christoffel_jets(g, g_inv).c, expected), name
@@ -734,7 +773,7 @@ def test_inverse_metric_and_grad_f_are_the_truncated_order_minus_1_builds(catalo
     reader takes: on the first block of every catalog scenario, the inverse
     and grad f are those of the order - 1 builds, truncated, bit for bit."""
     for name in catalog_names:
-        ev = _first_block(name)
+        ev = catalog_blocks(name)[0]
         low = ev.order - 2
         g_inv = ev.induced_metric_field.inverse()  # order - 1
         grad_f = (g_inv * ev.f_jet.derivs()[None]).sum(1)
@@ -1046,9 +1085,8 @@ def test_contractions_match_index_loops(name):
     their index loops to 1e-12 relative (with the catalog equality rule's
     absolute floor of 1e-12).  A curve, a contact ambient, a flat and a
     curved Hermitian one."""
-    sc = load_scenario(scenario_path(name), validate=False)
     fields = {f.name for f in dataclasses.fields(calculus.TraceTerms)} - {"n"}
-    for ev in calculus.evaluate_batches(sc.immersion, sc.sample_points()):
+    for ev in catalog_blocks(name):
         tt = ev.trace_terms
         lap = ev.rough_laplacian(ev.H_field)
         intrinsic = _intrinsic_rough_laplacian_gradf(ev)
@@ -1071,7 +1109,7 @@ def test_projectors_are_the_projector_field_values(name):
     """P is the constant terms of the jet `projector_field`, bit for bit,
     and the normal projector is I - P: the block has one tangent projector
     (a second, matrix-product P differed by up to 3.3e-16 on c08)."""
-    ev = _first_block(name)
+    ev = catalog_blocks(name)[0]
     P_tan, P_nor = ev.projectors
     assert same_bits(P_tan, ev.values(ev.projector_field)), name
     assert same_bits(P_nor, np.eye(ev.d) - P_tan), name
@@ -1084,7 +1122,7 @@ def test_nabla_grad_f_field_matches_the_index_loop(name):
     """`nabla_grad_f_field` is an order - 3 jet whose values agree with the
     loop-built nabla grad f at every point of the first block to 1e-12
     relative, with the catalog equality rule's absolute floor of 1e-12."""
-    ev = _first_block(name)
+    ev = catalog_blocks(name)[0]
     W = ev.nabla_grad_f_field
     assert W.space.order == ev.order - 3 and ev.nabla_grad_f_field is W
     got = ev.values(W)
@@ -1160,7 +1198,7 @@ def test_frames_are_orthonormal_nested_and_complete(catalog_names):
         sc = load_scenario(scenario_path(name), validate=False)
         if not sc.immersion.ambient.has_metric:
             continue
-        for ev in calculus.evaluate_batches(sc.immersion, sc.sample_points()):
+        for ev in catalog_blocks(name):
             G, dpsi = ev.values(ev.G_field), ev.values(ev.dpsi)
             _check_frames(G, dpsi, *ev.frames, name)
 
@@ -1239,7 +1277,7 @@ def test_curvature_trace_matches_the_five_operand_einsum(name):
     within 1e-12 of the reference's norm, or 1e-12 where that is below 1
     (the catalog equality rule's floor: tr R(dpsi, grad f) dpsi vanishes on
     a curve); and linear in the vector.  c13's flat ambient gives zeros."""
-    ev = _first_block(name)
+    ev = catalog_blocks(name)[0]
     tt = ev.trace_terms
     rng = np.random.default_rng(24)
     vectors = [tt.H, tt.grad_f, rng.normal(size=(len(ev), ev.d))]
@@ -1263,7 +1301,7 @@ def test_two_operand_contractions_match_the_multi_operand_einsums(name):
     """Every trace term and `form_norm2` that `calculus` contracts two
     operands at a time agrees with its multi-operand einsum to 1e-12
     relative, with the catalog equality rule's absolute floor of 1e-12."""
-    ev = _first_block(name)
+    ev = catalog_blocks(name)[0]
     expected = _einsum_trace_terms(ev)
     got = {key: getattr(ev.trace_terms, key) for key in expected if key != "form_norm2"}
     got["form_norm2"] = ev.form_norm2(ev.values(ev.nabla_perp_h_field))

@@ -485,6 +485,53 @@ def test_sample_point_failing_only_at_order_4_is_named_by_variation(tmp_path):
     assert run_cli(["energy", path])[0] == 0
 
 
+# Open-axis scenarios that fail at a sample point or flag and at a quadrature
+# node (the pole at the first Gauss node of FAILING_NODE's "map_pole"), with
+# the error every command reports: the sample point's or the flag's, which
+# validation finds before the nodes are evaluated.
+FAILING_SAMPLE_AND_NODE = {
+    "flag_and_node": (
+        '["u", "1/(u - 0.04691007703066802)", "0"]', "\n[flags]\ncmc = asserted\n",
+        "flag pre-check failed: flag 'cmc' asserted but deviation 7.020e-01 exceeds "
+        "1.0e-08 (section [flags], key 'cmc')"),
+    "sample_and_node": (
+        '["u", "1/((u - 0.25)*(u - 0.04691007703066802))", "0"]', "",
+        "sample point [0.25] rejected: division by jet with zero constant term "
+        "(section [sampling], key 'grid')"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "energy", "variation"])
+@pytest.mark.parametrize("case", sorted(FAILING_SAMPLE_AND_NODE))
+def test_sample_and_flag_errors_come_before_node_errors(tmp_path, case, command):
+    """Where a sample point or an asserted flag fails and so does a
+    quadrature node, `energy` and `variation` report the sample point's or
+    the flag's error, as `check` does, not the node's."""
+    chart_map, flags, message = FAILING_SAMPLE_AND_NODE[case]
+    text = OPEN_AXIS.format(kind="cosymplectic_flat\nn = 1", map=chart_map, f="1") + flags
+    assert run_cli([command, write(tmp_path, text)]) == (3, "", f"validation error: {message}\n")
+
+
+def test_open_axis_sample_point_failing_only_at_order_4_is_validated_at_order_3(tmp_path):
+    """On an open axis the sample points are validated at order 3 whatever
+    the command: a sample point whose map fails only at order 4 fails
+    `check`, but `energy` passes, and `variation` evaluates its nodes at
+    order 4 and reports its verdicts (exit 2 here, E2 and E2F failing), with
+    nothing on stderr."""
+    text = OPEN_AXIS.format(kind="cosymplectic_flat\nn = 1", f="1",
+                            map='["cos(u)", "sin(u)", "1e-70/(1e-65 + (1 - cos(u))^2)"]')
+    path = write(tmp_path, text)
+    assert run_cli(["check", path])[::2] == (
+        3, "validation error: sample point [0.0] rejected: float division by zero "
+        "(section [sampling], key 'grid')\n")
+    assert run_cli(["energy", path])[::2] == (0, "")
+    code, out, err = run_cli(["variation", path])
+    assert (code, err) == (2, "")
+    verdicts = re.findall(r"functional: (\w+)\n(?:.*\n)*?    pass: (\w+)", out)
+    assert verdicts == [("E", "true"), ("E2", "false"), ("E2F", "false"), ("EF", "true"),
+                        ("EF2", "false")]
+
+
 def test_sample_points_are_the_quadrature_nodes_exactly_on_all_periodic_axes(catalog_names,
                                                                            mislabeled_paths):
     """On c01-c18 and m1-m6 the sample points equal the quadrature nodes,
@@ -553,24 +600,25 @@ def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch
 def test_open_axis_quadrature_commands_build_the_map_for_samples_then_nodes(monkeypatch,
                                                                             command):
     """`energy` and `variation` on c04 (v open, so its 36 Gauss-trapezoid
-    nodes are not its 36 sample points) evaluate the map components in the
-    evaluation blocks of the sample points at order 3, then in those of the
-    nodes at the command's order (2 for `energy`, 4 for `variation`);
-    besides, the close-up check evaluates the map at the two ends of the
-    periodic axis at order 0, in one call of 2 points.  One block of 36
-    points each under the block rule, blocks of 16, 16 and 4 in blocks of
-    16 points."""
+    nodes are not its 36 sample points) evaluate the map components in one
+    pass over the 36 sample points followed by the 36 nodes, at the order
+    the command reads (3 for `energy`, which validation needs, 4 for
+    `variation`), and nowhere else but the close-up check, which evaluates
+    the map at the two ends of the periodic axis at order 0, in one call of
+    2 points.  One block of 72 points under the block rule; in blocks of 16
+    points, blocks of 16, 16, 16, 16 and 8, the third holding the last 4
+    sample points and the first 12 nodes."""
     path = scenario_path("c04_small_sphere")
     sizes = _record_map_builds(monkeypatch, path)
-    order = 2 if command == "energy" else 4
-    assert min(calculus.block_points(2, 3, o) for o in (3, order)) >= 36
-    for points, blocks in ((None, [36]), (16, [16, 16, 4])):
+    order = 3 if command == "energy" else 4
+    assert calculus.block_points(2, 3, order) >= 72
+    for points, blocks in ((None, [72]), (16, [16, 16, 16, 16, 8])):
         if points:
             _force_block_points(monkeypatch, points)
         sizes.clear()
         code, _out, err = run_cli([command, path])
         assert code in (0, 2), err
-        expected = [(o, size) for o in (3, order) for size in blocks] + [(0, 2)]
+        expected = [(order, size) for size in blocks] + [(0, 2)]
         assert sorted(sizes) == sorted(expected * 3)
 
 
@@ -1262,21 +1310,39 @@ def test_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch
         assert trace_terms == ([] if command != "check" else [36]), command
 
 
-def test_open_axis_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch):
+def test_open_axis_quadrature_commands_validate_the_sample_blocks_without_trace_terms(
+        monkeypatch):
     """On c04, whose quadrature nodes are not its sample points, `energy`
-    and `variation` validate the sample points at order 3 and evaluate
-    their nodes apart; neither builds trace terms."""
+    and `variation` do not evaluate the sample points for validation: it
+    checks the blocks of the sample points cut from the one pass over the
+    sample points and nodes, at the order the command reads (3, 4), in
+    blocks of 16 points too, where the third block is cut.  Neither builds
+    trace terms."""
     path = scenario_path("c04_small_sphere")
     sample = load_scenario(path, validate=False).sample_points()
     validated, trace_terms = _record_validation(monkeypatch)
-    for command in ("energy", "variation"):
-        validated.clear()
-        trace_terms.clear()
-        code, _out, err = run_cli([command, path])
-        assert code in (0, 2), err
-        assert [o for o, _p in validated] == [3], command
-        assert np.array_equal(validated[0][1], sample), command
-        assert trace_terms == [], command
+    checked = []
+    validate = scenario._validate
+
+    def recorded(sc, order=4, blocks=None):
+        checked.append([(ev.order, ev.points) for ev in blocks or ()])
+        return validate(sc, order, blocks)
+
+    monkeypatch.setattr(cli, "_validate", recorded)
+    for points, sizes in ((None, [36]), (16, [16, 16, 4])):
+        if points:
+            _force_block_points(monkeypatch, points)
+        for command, order in (("energy", 3), ("variation", 4)):
+            validated.clear()
+            trace_terms.clear()
+            checked.clear()
+            code, _out, err = run_cli([command, path])
+            assert code in (0, 2), err
+            assert validated == [], command
+            assert len(checked) == 1 and [o for o, _p in checked[0]] == [order] * len(sizes)
+            assert [len(p) for _o, p in checked[0]] == sizes, command
+            assert same_bits(np.concatenate([p for _o, p in checked[0]]), sample), command
+            assert trace_terms == [], command
 
 
 @pytest.mark.parametrize("command", ["energy", "variation"])
@@ -1316,11 +1382,11 @@ ALL_PERIODIC = ("c01_circle_flat", "c02_curve_sasakian", "c03_lagrangian_torus",
 def test_quadrature_commands_evaluate_each_point_once(monkeypatch, catalog_names):
     """The (jet order, points) of every `calculus.evaluate` call that
     `energy` and `variation` make on the 18 catalog scenarios, runs of one
-    order joined: the 11 whose axes are all periodic evaluate their sample
-    points once, at the order the command reads (3 for `energy`, which
-    validation needs, 4 for `variation`); the other 7 evaluate their
-    sample points at order 3, then their quadrature nodes once at the
-    command's order (2 or 4)."""
+    order joined: one run per job, at the order the command reads (3 for
+    `energy`, which validation needs, 4 for `variation`).  The 11 whose
+    axes are all periodic evaluate their sample points, which are their
+    quadrature nodes; the other 7 their sample points followed by their
+    quadrature nodes."""
     ledger = []
     evaluate = calculus.evaluate
 
@@ -1332,19 +1398,17 @@ def test_quadrature_commands_evaluate_each_point_once(monkeypatch, catalog_names
     assert len(catalog_names) == 18 and set(ALL_PERIODIC) < set(catalog_names)
     for name in catalog_names:
         sc = load_scenario(scenario_path(name), validate=False)
-        for command, order in (("energy", 2), ("variation", 4)):
+        for command, order in (("energy", 3), ("variation", 4)):
             ledger.clear()
             code, _out, err = run_cli([command, scenario_path(name)])
             assert code in (0, 2), err
             runs = [(o, np.concatenate([p for _o, p in run]))
                     for o, run in itertools.groupby(ledger, key=lambda entry: entry[0])]
-            if name in ALL_PERIODIC:
-                expected = [(max(order, 3), sc.sample_points())]
-            else:
-                expected = [(3, sc.sample_points()), (order, sc.quadrature().points)]
-            assert [o for o, _p in runs] == [o for o, _p in expected], (name, command)
-            assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(runs, expected)), \
-                (name, command)
+            points = sc.sample_points()
+            if name not in ALL_PERIODIC:
+                points = np.concatenate([points, sc.quadrature().points])
+            assert [o for o, _p in runs] == [order], (name, command)
+            assert np.array_equal(runs[0][1], points), (name, command)
 
 
 def _record_structure_builds(monkeypatch, path):

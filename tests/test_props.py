@@ -3,10 +3,9 @@ assembly."""
 
 import numpy as np
 
-from bihkit.calculus import evaluate_batches
 from bihkit.props import gauss_equation_audit
 from bihkit.scenario import load_scenario
-from conftest import point_curvature_model, same_bits, scenario_path
+from conftest import catalog_blocks, point_curvature_model, same_bits, scenario_path
 
 
 def _ref_gauss(ev):
@@ -33,7 +32,7 @@ def test_gauss_audit_matches_the_point_by_point_sum(catalog_names):
         sc = load_scenario(scenario_path(name), validate=False)
         if not sc.immersion.ambient.has_metric:
             continue
-        blocks = list(evaluate_batches(sc.immersion, sc.sample_points()))
+        blocks = catalog_blocks(name)
         rows = gauss_equation_audit(sc.immersion, blocks)["rows"]
         want = np.concatenate([_ref_gauss(ev) for ev in blocks])
         scal = np.concatenate([ev.trace_terms.scal for ev in blocks])

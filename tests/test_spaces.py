@@ -3,12 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from bihkit.calculus import evaluate_batches
 from bihkit.jets import Jet, jet_space
-from bihkit.scenario import load_scenario
 from bihkit.audits import curvature_trace_audit
-from conftest import (at, coeffs_at, metric_at, point_curvature_model, same_bits,
-                      scenario_path, structure_at)
+from conftest import (at, catalog_blocks, coeffs_at, metric_at, point_curvature_model,
+                      same_bits, structure_at)
 from bihkit.spaces import (
     ChartError,
     SpaceError,
@@ -389,8 +387,7 @@ def test_stacked_curvature_model_matches_each_point(name):
     the model called at each point alone and its Python-float reference:
     two Hermitian (gcsf) and two contact (gssf) scenarios, on every triple
     of a tangent, a normal and a coordinate vector."""
-    sc = load_scenario(scenario_path(name), validate=False)
-    ev = next(evaluate_batches(sc.immersion, sc.sample_points()))
+    ev = catalog_blocks(name)[0]
     space, G, st = ev.space, ev.values(ev.G_field), ev.structure
     coeffs = space.curvature_coeffs_at(ev.values(ev.psi))
     E, N = ev.frames

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bihkit.calculus import Evaluation, Immersion, evaluate, evaluate_batches, parameter_jets
+from bihkit.calculus import Evaluation, Immersion, evaluate_batches, parameter_jets
 from bihkit.expr import eval_on_jets, parse
 from bihkit.jets import Jet, jet_space
 from bihkit.residuals import tension
 from bihkit.scenario import load_scenario
-from bihkit.spaces import ChartError, make_space, matvec
+from bihkit.spaces import ChartError, christoffels_at, make_space, matvec
 from bihkit.variational import (
     ENERGIES,
     STEPS,
@@ -18,8 +18,8 @@ from bihkit.variational import (
     energies,
     first_variation_suite,
 )
-from bihkit.variational import _deformed_tension_data, _frozen, _integrand
-from conftest import get_scenario, one_point, same_bits, scenario_path
+from bihkit.variational import _deformed_tension_data, _densities, _frozen, _integrand
+from conftest import catalog_blocks, get_scenario, one_point, same_bits, scenario_path
 
 TAU = 2.0 * np.pi
 FLAT3 = make_space("cosymplectic_flat", n=1)
@@ -32,7 +32,7 @@ def circle(weight="1"):
 
 def node_energies(imm, grid):
     """`energies` from an order-2 evaluation of the nodes."""
-    return energies(imm, grid, evaluate_batches(imm, grid.points, 2))
+    return energies(grid, evaluate_batches(imm, grid.points, 2))
 
 
 def suite(imm, grid, whichs, variation):
@@ -208,25 +208,72 @@ def test_el_field_pairing_table():
 def test_order_4_node_evaluation_serves_the_frozen_metric(name):
     """The frozen data of the order-4 evaluation of the quadrature nodes
     (the one the pairing uses) equal those of an order-2 evaluation bit for
-    bit, so one evaluation per node serves both."""
-    sc = get_scenario(name)
-    points = sc.quadrature().points
-    def frozen(ev):
+    bit, so one evaluation per node serves both: the ambient metric and
+    chart Christoffels at psi, which the energies read, too."""
+    def frozen(blocks):
         """The map's values, first and second derivatives, g, its inverse
-        and Christoffels, det g, f and df at the nodes."""
-        return [ev.values(ev.psi), ev.values(ev.dpsi), ev.values(ev.dpsi.derivs()),
-                ev.values(ev.induced_metric_field), ev.values(ev.induced_metric_inv_field),
-                ev.values(ev.intrinsic_christoffels), ev.gram_det, ev.values(ev.f_jet),
-                ev.values(ev.f_jet.derivs())]
+        and Christoffels, det g, f, df, G and the chart Christoffels at the
+        nodes."""
+        return [np.concatenate([x(ev) for ev in blocks]) for x in (
+            lambda ev: ev.values(ev.psi), lambda ev: ev.values(ev.dpsi),
+            lambda ev: ev.values(ev.dpsi.derivs()), lambda ev: ev.values(ev.induced_metric_field),
+            lambda ev: ev.values(ev.induced_metric_inv_field),
+            lambda ev: ev.values(ev.intrinsic_christoffels), lambda ev: ev.gram_det,
+            lambda ev: ev.values(ev.f_jet), lambda ev: ev.values(ev.f_jet.derivs()),
+            lambda ev: ev.values(ev.G_field), lambda ev: ev.values(ev.chart_christoffels))]
 
-    deep, shallow = (evaluate(sc.immersion, points, order) for order in (4, 2))
+    deep, shallow = (catalog_blocks(name, order, nodes=True) for order in (4, 2))
     assert all(map(same_bits, frozen(deep), frozen(shallow)))
+
+
+def test_node_blocks_hold_the_chart_metric_and_christoffels_at_psi(catalog_names):
+    """On every catalog scenario with a metric, the values of G and of the
+    chart Christoffels in the node blocks at orders 2-4 are those of a chart
+    build at psi (`christoffels_at`): the Christoffels bit for bit, G equal
+    and bit for bit but for the sign of a zero (G is composed along the map,
+    a sum begun at +0.0, so it never holds -0.0).  The energies from them
+    equal, bit for bit, those of the chart built again at psi + 0 * 0."""
+    zeros = (0.0,) * 3
+    for name in catalog_names:
+        sc = load_scenario(scenario_path(name), validate=False)
+        if not sc.immersion.ambient.has_metric:
+            continue
+        for order in (2, 3, 4):
+            blocks = catalog_blocks(name, order, nodes=True)
+            frozen = _frozen(blocks)
+            G, gam = christoffels_at(sc.immersion.ambient, frozen.psi)
+            assert np.array_equal(frozen.G, G) and same_bits(frozen.G + 0.0, G + 0.0), name
+            assert same_bits(frozen.gam_amb, gam), (name, order)
+            rebuilt = _densities(sc.immersion.ambient, frozen, ENERGIES, zeros, (0.0,))
+            read = _densities(None, frozen, ENERGIES, zeros, (0.0,))
+            assert all(same_bits(read[which], rebuilt[which]) for which in ENERGIES), name
+
+
+@pytest.mark.parametrize("name", ["c04_small_sphere", "c08_hopf_torus", "c18_hypersphere_cp2"])
+def test_energies_build_no_chart(monkeypatch, name):
+    """`energies` never builds the ambient metric: it reads it, and the chart
+    Christoffels, from the node blocks, whose own builds come first."""
+    sc = load_scenario(scenario_path(name), validate=False)
+    grid, space = sc.quadrature(), sc.immersion.ambient
+    blocks = list(evaluate_batches(sc.immersion, grid.points, 2))
+    calls = []
+    metric_jets = type(space).metric_jets
+
+    def counted(self, x):
+        calls.append(x)
+        return metric_jets(self, x)
+
+    monkeypatch.setattr(type(space), "metric_jets", counted)
+    values = energies(grid, blocks)
+    assert calls == [] and set(values) == set(ENERGIES)
+    next(evaluate_batches(sc.immersion, grid.points[:1], 2))
+    assert len(calls) == 1
 
 
 def test_frozen_grad_f_is_the_evaluated_field(catalog_names):
     """At the quadrature nodes of every catalog scenario with a metric, the
     frozen grad f is the evaluation's `grad_f_param_field`, bit for bit, at
-    order 2 (`energy`) and 4 (`variation`).  It agrees with g^-1 df taken
+    orders 2-4 (`energy` reads order 3, `variation` 4).  It agrees with g^-1 df taken
     again by `matvec` to the rounding of a length-m dot product: numpy's
     stacked matmul need not add left to right (1 ulp at 12 of c12's 36
     nodes on a 2-vCPU Xeon with numpy 2.4)."""
@@ -235,9 +282,8 @@ def test_frozen_grad_f_is_the_evaluated_field(catalog_names):
         sc = load_scenario(scenario_path(name), validate=False)
         if not sc.immersion.ambient.has_metric:
             continue
-        points = sc.quadrature().points
-        for order in (2, 4):
-            blocks = list(evaluate_batches(sc.immersion, points, order))
+        for order in (2, 3, 4):
+            blocks = catalog_blocks(name, order, nodes=True)
             got = _frozen(blocks).grad_f_param
             want = np.concatenate([ev.values(ev.grad_f_param_field) for ev in blocks])
             assert same_bits(got, want), (name, order)
