@@ -53,7 +53,6 @@ __all__ = [
     "evaluate",
     "evaluate_batches",
     "block_points",
-    "check_weight",
     "map_jets",
     "parameter_jets",
     "TraceTerms",
@@ -380,16 +379,18 @@ def evaluate(imm, points, order=4):
 
 def evaluate_batches(imm, points, order=4):
     """`evaluate` over consecutive blocks of `block_points` points (the last
-    one shorter), yielded in order; every block's weight is checked
-    (`check_weight`).  A point's fields do not depend on its block, so the
-    block size changes no report.
+    one shorter), yielded in order, each block's weight checked finite and
+    positive.  A point's fields do not depend on its block, so the block
+    size changes no report.
 
     A block fails only where one of its points does, so a failing block is
     evaluated again in halves, the first half first, down to the first point
-    that fails alone, which raises: an evaluation error as PointError, a
-    weight error as WeightError.  numpy's overflow, invalid-value and
-    division warnings are silenced: the finiteness checks of `evaluate` and
-    `check_weight` reject such points."""
+    that fails alone.  The blocks of the points before it are yielded (a
+    block whose weight fails cut there, `Evaluation.split`), then it
+    raises: an evaluation error as PointError, a weight error as
+    WeightError.  numpy's overflow, invalid-value and division warnings are
+    silenced: the finiteness checks of `evaluate` and of the weight reject
+    such points."""
     size = block_points(imm.param_dim, imm.ambient.chart_dim, order)
     for start in range(0, len(points), size):
         block = points[start:start + size]
@@ -401,20 +402,18 @@ def evaluate_batches(imm, points, order=4):
         except (ValueError, ArithmeticError) as exc:
             if len(block) > 1:
                 for half in np.array_split(block, 2):
-                    next(evaluate_batches(imm, half, order))
+                    yield from evaluate_batches(imm, half, order)
             raise PointError(block[0], str(exc)) from None
-        check_weight(ev)
+        f = ev.f_jet.point_values(len(ev))
+        bad = np.flatnonzero(~(np.isfinite(f) & (f > 0.0)))
+        if bad.size:
+            k, value = bad[0], f[bad[0]]
+            if k:
+                yield ev.split(k)[0]
+            what = "positive" if np.isfinite(value) else "finite"
+            raise WeightError(block[k], f"weight not {what} at {block[k].tolist()} "
+                                        f"(f = {value:.3e})")
         yield ev
-
-
-def check_weight(ev):
-    """Raise a WeightError at the first point where the weight is not finite and positive."""
-    f = ev.f_jet.point_values(len(ev))
-    bad = np.flatnonzero(~(np.isfinite(f) & (f > 0.0)))
-    if bad.size:
-        point, value = ev.points[bad[0]], f[bad[0]]
-        what = "positive" if np.isfinite(value) else "finite"
-        raise WeightError(point, f"weight not {what} at {point.tolist()} (f = {value:.3e})")
 
 
 def point_rows(ev, columns):

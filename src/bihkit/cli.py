@@ -23,10 +23,11 @@ empty), 4 internal error.  An ambient given only by its curvature model
 coefficients must be finite at the sample points, and only its curve and
 hypersurface flags can be asserted or denied (exit 3).
 
-`energy` and `variation` evaluate each point once, at order 3 and 4: on
-all-periodic axes the quadrature nodes are the sample points (a point failing
-only at order 4 is one to `variation`, as to `check`), else one pass takes
-the sample points, then the nodes, and the sample points alone are validated.
+`energy` and `variation` read the quadrature nodes, at order 3 and 4, from
+validation's one pass over the sample points, then the nodes (on all-periodic
+axes the nodes are the sample points), on every axis kind alike: a sample
+point failing only at order 4 is one to `variation`, as to `check`, and a
+failing sample point or flag is reported before a failing node.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .audits import curvature_trace_audit, run_all_audits
-from .calculus import PointError, WeightError, evaluate_batches, map_jets, point_rows
+from .calculus import point_rows
 from .props import proposition_checkers
 from .report import render_report, write_csv
 from .residuals import compare_modes, direct_field, theorem_residual
@@ -135,17 +136,15 @@ def cmd_check(sc, args, out, blocks):
 
 def cmd_audit(sc, args, out, blocks):
     tol = args.tol if args.tol is not None else sc.tolerance("audit")
-    points = sc.sample_points()
     if not sc.immersion.ambient.has_metric:
-        # the immersion map as plain chart positions, validated finite
-        chart_points = map_jets(sc.immersion, points, 0).point_values(len(points))
-        result = curvature_trace_audit(sc.immersion.ambient, chart_points, seed=sc.seed)
+        # `blocks` are the map's values at the sample points, validated finite
+        result = curvature_trace_audit(sc.immersion.ambient, blocks, seed=sc.seed)
         out["curvature_trace_audit"] = result
         worst = float(np.max([result["normal_trace"], result["tangent_trace"]]))
     else:
         summary = run_all_audits(sc.immersion, blocks)[1]
         out["summary"] = summary
-        out["points"] = len(points)
+        out["points"] = len(sc.sample_points())
         # numpy's maximum keeps a NaN, which fails the verdict
         keys = ("deltaH_translated", "lemgene1_corrected", "lemgene2_corrected", "lemgene3",
                 "identity_max")
@@ -162,8 +161,7 @@ def cmd_variation(sc, args, out, blocks):
     tol = args.tol if args.tol is not None else sc.tolerance("variation")
     which_list = [args.functional] if args.functional else list(ENERGIES)
     try:
-        sweeps = first_variation_suite(imm, grid, _node_blocks(sc, grid, "variation"),
-                                       which_list, variation)
+        sweeps = first_variation_suite(imm, grid, blocks, which_list, variation)
     except VariationError as exc:
         raise ScenarioError(str(exc), "variation", "components") from None
     results = []
@@ -199,7 +197,7 @@ def cmd_props(sc, args, out, blocks):
 
 def cmd_energy(sc, args, out, blocks):
     grid = sc.quadrature()
-    values = energies(grid, _node_blocks(sc, grid, "energy"))
+    values = energies(grid, blocks)
     out["energies"] = values
     out["quadrature_nodes"] = len(grid)
     return PASS
@@ -217,41 +215,9 @@ COMMANDS = {
 OPTIONS = {"check": ("--mode", "--tol", "--errata", "--csv"), "audit": ("--tol",),
            "variation": ("--tol", "--functional"), "props": ("--tol",), "energy": ()}
 # The jet order each command reads: tau2, the Laplacian of H and the Euler-Lagrange
-# fields take four derivatives of the map, the propositions three and the energies
-# (values alone) two; validation takes three.
-ORDERS = {"check": 4, "audit": 4, "variation": 4, "props": 3, "energy": 2}
-
-
-def _node_blocks(sc, grid, command):
-    """Validate the scenario; return the blocks of `grid`'s nodes at the order
-    `command` reads (3 at least), in order, each released once taken.  On
-    all-periodic axes the nodes are the sample points: the validated blocks.
-    Else one pass evaluates the sample points, then the nodes, and is split
-    between them (`Evaluation.split`); validation checks the sample blocks.
-    Where that pass fails, the sample points are validated at order 3, then
-    the nodes evaluated as taken: the sample points' error comes first, then
-    the flags', then the nodes'."""
-    order = max(ORDERS[command], 3)
-    if all(ax.periodic for ax in sc.axes):
-        blocks = _validate(sc, order)
-        return (blocks.pop(0) for _ in range(len(blocks)))
-    samples = sc.sample_points()
-    try:
-        blocks = list(evaluate_batches(sc.immersion, np.vstack([samples, grid.points]), order))
-    except PointError:
-        _validate(sc, 3)
-        return evaluate_batches(sc.immersion, grid.points, ORDERS[command])
-    left, sample_blocks, node_blocks = len(samples), [], []
-    while blocks:
-        ev = blocks.pop(0)
-        if 0 < left < len(ev):
-            head, ev = ev.split(left)
-            sample_blocks.append(head)
-            left = 0
-        (sample_blocks if left else node_blocks).append(ev)
-        left -= min(left, len(ev))
-    _validate(sc, blocks=sample_blocks)
-    return (node_blocks.pop(0) for _ in range(len(node_blocks)))
+# fields take four derivatives of the map, the propositions three; the energies
+# read values alone, at the three that validation needs.
+ORDERS = {"check": 4, "audit": 4, "variation": 4, "props": 3, "energy": 3}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,19 +264,14 @@ def main(argv=None):
         if not sc.immersion.ambient.has_metric and args.command != "audit":
             raise ScenarioError(f"{sc.ambient_kind} has only a curvature model; "
                                 "`audit` is the one command it supports", "ambient", "kind")
-        # the validated evaluation blocks of the sample points, shared with the
-        # command; the quadrature commands validate in `_node_blocks`
-        blocks = (None if args.command in ("energy", "variation")
-                  else _validate(sc, ORDERS[args.command]))
+        # the evaluation blocks the command reads, from validation's one pass:
+        # of the sample points, or of the quadrature nodes for the energies
+        nodes = sc.quadrature().points if args.command in ("energy", "variation") else None
+        blocks = _validate(sc, ORDERS[args.command], nodes)
         out = _base_report(sc, args.command, args)
         code = COMMANDS[args.command](sc, args, out, blocks)
     except (ScenarioError, SpaceError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
-        return VALIDATION_FAIL
-    except PointError as exc:  # sample points fail as ScenarioErrors
-        where = ("weight", "f") if isinstance(exc, WeightError) else ("sampling", "grid")
-        error = ScenarioError(f"quadrature node {exc.point} rejected: {exc}", *where)
-        print(f"validation error: {error}", file=sys.stderr)
         return VALIDATION_FAIL
     except Exception as exc:  # pragma: no cover - guarded surface
         print(f"internal error: {exc}", file=sys.stderr)

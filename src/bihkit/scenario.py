@@ -71,8 +71,7 @@ from .residuals import COROLLARIES, equation_for
 from .spaces import SPACES, SpaceError, chart_jets, make_space
 from .variational import QuadratureGrid, periodic_nodes, tensor_grid
 
-__all__ = ["Scenario", "ScenarioError", "evaluate_points", "load_scenario",
-           "parse_scenario_text"]
+__all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario_text"]
 
 # Upper bound on the sample points of one scenario: validation keeps the
 # evaluation blocks of every point until the command has used them.
@@ -218,6 +217,7 @@ class Scenario:
     tolerances: dict = field(default_factory=dict)
     mode: dict = field(default_factory=dict)
     variation: list = None
+    _grid: QuadratureGrid = field(default=None, init=False, repr=False, compare=False)
 
     def sample_points(self):
         """Deterministic residual-evaluation grid (margin-shaved)."""
@@ -229,10 +229,12 @@ class Scenario:
         return tensor_grid(axes_nodes)
 
     def quadrature(self):
-        return QuadratureGrid(
-            [(ax.lo, ax.hi, n, ax.periodic)
-             for ax, n in zip(self.axes, self.grid_sizes)]
-        )
+        """The quadrature grid of the axes, built on first use: validation
+        takes its nodes, `energy` and `variation` its weights too."""
+        if self._grid is None:
+            self._grid = QuadratureGrid([(ax.lo, ax.hi, n, ax.periodic)
+                                         for ax, n in zip(self.axes, self.grid_sizes)])
+        return self._grid
 
     def tolerance(self, name):
         return float(self.tolerances.get(name, TOLERANCES[name]))
@@ -436,20 +438,6 @@ def parse_scenario(text, path="<memory>", validate=True):
     return scenario
 
 
-def evaluate_points(sc, points, order=4):
-    """Yield the evaluation blocks (jet order `order`) of the rows of a (P, m)
-    array of parameter points, in order, with validation's chart, rank and
-    weight checks.  An error names the first failing point, with the message
-    that point fails with alone."""
-    try:
-        yield from evaluate_batches(sc.immersion, points, order)
-    except WeightError as exc:
-        raise ScenarioError(str(exc), "weight", "f") from None
-    except PointError as exc:
-        raise ScenarioError(f"sample point {exc.point} rejected: {exc}",
-                            "sampling", "grid") from None
-
-
 def _map_values(imm, points):
     """The map's values at the rows of a (P, m) array of parameter points,
     numpy's warnings silenced: an overflow shows as a non-finite value."""
@@ -457,23 +445,50 @@ def _map_values(imm, points):
         return map_jets(imm, points, 0).point_values(len(points))
 
 
-def _validate(sc, order=4, blocks=None):
-    """Check the scenario at its sample points (jet order 3 suffices, as in
-    `load_scenario`) and return their evaluation blocks of jet order `order`
-    >= 3, in order, for the commands; `blocks`, if given, are those blocks,
-    from `evaluate_batches`, and are checked instead.  None on a
+def _validate(sc, order=4, nodes=None):
+    """Check the scenario at its sample points and return their evaluation
+    blocks of jet order `order` >= 3 (3 suffices, as in `load_scenario`), in
+    order, for the commands.  Given `nodes`, a (N, m) array of quadrature
+    nodes, one pass evaluates the sample points, then the nodes (not again
+    where they are the sample points bit for bit, as on all-periodic axes),
+    and the node blocks are returned instead, as an iterator that releases
+    each block once taken and raises a failing node's error on reaching
+    it: the errors of the sample points and the flags come first.  On a
     curvature-model ambient, where only the structural flags (curve,
-    hypersurface) can be checked."""
+    hypersurface) can be checked, the map's values at the sample points."""
     imm = sc.immersion
     points = sc.sample_points()
+    blocks, node_blocks, node_error = [], [], None
     if not imm.ambient.has_metric:
-        blocks = []
-        if _model_failure(imm, points):
+        try:
+            chart = _model_chart(imm, points)
+        except ScenarioError:
             # name the first point that fails alone, as `evaluate_batches` does
-            raise next(filter(None, (_model_failure(imm, p[None]) for p in points)))
-    elif blocks is None:
-        # rank, chart membership, weight positivity at every sample point
-        blocks = list(evaluate_points(sc, points, order))
+            for point in points:
+                _model_chart(imm, point[None])
+            raise
+    else:
+        same = nodes is None or nodes.tobytes() == points.tobytes()
+        # rank, chart membership, weight positivity at every sample point; the
+        # pass cut at the first node (`Evaluation.split`)
+        left = len(points)
+        try:
+            for ev in evaluate_batches(imm, points if same else np.vstack([points, nodes]),
+                                       order):
+                if 0 < left < len(ev):
+                    head, ev = ev.split(left)
+                    blocks.append(head)
+                    left = 0
+                (blocks if left else node_blocks).append(ev)
+                left -= min(left, len(ev))
+        except PointError as exc:
+            # the blocks of the points before the failing one came first
+            weight = isinstance(exc, WeightError)
+            where = ("weight", "f") if weight else ("sampling", "grid")
+            if left:  # a sample point, which a weight error names already
+                raise ScenarioError(str(exc) if weight else
+                                    f"sample point {exc.point} rejected: {exc}", *where) from None
+            node_error = ScenarioError(f"quadrature node {exc.point} rejected: {exc}", *where)
     # periodic axes must close up: the map at both ends of every periodic
     # axis in one evaluation, again axis by axis only to name a failing one
     periodic = [(i, ax) for i, ax in enumerate(sc.axes) if ax.periodic]
@@ -507,31 +522,43 @@ def _validate(sc, order=4, blocks=None):
         verify_flags(imm, blocks, tol=sc.tolerance("flags"))
     except FlagError as exc:
         raise ScenarioError(f"flag pre-check failed: {exc}", "flags", exc.flag) from None
-    return blocks
+    if not imm.ambient.has_metric:
+        return chart
+    return blocks if nodes is None else _taken(blocks if same else node_blocks, node_error)
 
 
-def _model_failure(imm, points):
-    """The ScenarioError, naming the first row of `points`, of the map or of
-    a curvature coefficient at the map's values failing or not finite at
-    some row, or None; numpy's warnings silenced."""
+def _taken(blocks, error):
+    """Yield `blocks` in order, each released once taken, then raise `error`
+    if there is one."""
+    while blocks:
+        yield blocks.pop(0)
+    if error:
+        raise error
+
+
+def _model_chart(imm, points):
+    """The map's values at the rows of a (P, m) array of parameter points;
+    a ScenarioError, naming the first row, where the map or a curvature
+    coefficient at its values fails or is not finite at some row; numpy's
+    warnings silenced."""
     space, where = imm.ambient, f"sample point {points[0].tolist()} rejected"
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             chart = _map_values(imm, points)
         except (ValueError, ArithmeticError) as exc:
-            return ScenarioError(f"{where}: {exc}", "sampling", "grid")
+            raise ScenarioError(f"{where}: {exc}", "sampling", "grid") from None
         if not np.isfinite(chart).all():
-            return ScenarioError(f"{where}: map not finite", "sampling", "grid")
+            raise ScenarioError(f"{where}: map not finite", "sampling", "grid")
         env = dict(zip(space.coord_names, chart_jets(chart, 0)))
         keys = [key for key in _ambient_keys(space.kind) if key in _EXPRESSION_KEYS]
         for key, expr in zip(keys, space.coeffs):
             try:
                 finite = np.isfinite(eval_on_jets(expr, env).point_values(len(points))).all()
             except (ValueError, ArithmeticError) as exc:
-                return ScenarioError(f"{where}: {exc}", "ambient", key)
+                raise ScenarioError(f"{where}: {exc}", "ambient", key) from None
             if not finite:
-                return ScenarioError(f"{where}: {key} not finite", "ambient", key)
-    return None
+                raise ScenarioError(f"{where}: {key} not finite", "ambient", key)
+    return chart
 
 
 def load_scenario(path, validate=True):

@@ -727,6 +727,49 @@ def test_split_parts_equal_their_points_evaluated_alone(monkeypatch):
                     (order, start, n)
 
 
+# A curve on 40 points evaluated in blocks of 16 whose point 21, in the
+# second block, fails: its map (a pole) or its weight (a zero), with the
+# evaluation sizes of the bisection down to it.
+PREFIX_POINTS = np.linspace(0.0, 1.0, 40)[:, None]
+PREFIX_FAIL = float(PREFIX_POINTS[21, 0])
+PREFIX_FAILURES = {
+    "evaluation": (["u", f"1/(u - {PREFIX_FAIL!r})", "0"], "2 + u",
+                   calculus.PointError, "division by jet with zero constant term",
+                   [16, 16, 8, 4, 4, 2, 1, 1]),
+    "weight": (["u", "0.5*u*u", "0"], f"(u - {PREFIX_FAIL!r})^2", calculus.WeightError,
+               f"weight not positive at [{PREFIX_FAIL!r}] (f = 0.000e+00)", [16, 16]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFIX_FAILURES))
+@pytest.mark.parametrize("order", [3, 4])
+def test_evaluate_batches_yields_the_points_before_the_failing_one(monkeypatch, case, order):
+    """Before it raises at the first failing point k, `evaluate_batches`
+    yields blocks that cover exactly points 0..k-1, each equal, bit for bit,
+    to its points evaluated alone; the error names point k with the message
+    that point fails with alone, and the bisection evaluates the blocks it
+    did when nothing was yielded before the raise."""
+    chart_map, weight, error, message, sizes = PREFIX_FAILURES[case]
+    imm = Immersion.from_strings(["u"], FLAT3, chart_map, weight)
+    monkeypatch.setattr(calculus, "block_points", lambda m, d, order: 16)
+    evaluated, evaluate = [], calculus.evaluate
+    monkeypatch.setattr(calculus, "evaluate",
+                        lambda imm, points, order: evaluated.append(len(points))
+                        or evaluate(imm, points, order))
+    blocks = []
+    with pytest.raises(calculus.PointError) as info:
+        for ev in calculus.evaluate_batches(imm, PREFIX_POINTS, order):
+            blocks.append(ev)
+    assert type(info.value) is error
+    assert info.value.point == [PREFIX_FAIL] and str(info.value) == message
+    assert evaluated == sizes
+    assert same_bits(np.concatenate([ev.points for ev in blocks]), PREFIX_POINTS[:21])
+    for ev in blocks:
+        alone = evaluate(imm, ev.points, order)
+        assert ev.order == order
+        assert all(map(same_bits, _block_quantities(ev), _block_quantities(alone)))
+
+
 def _first_block_points(sc, order=4):
     """The sample points of a scenario's first evaluation block at `order`."""
     imm = sc.immersion

@@ -445,13 +445,20 @@ FAILING_NODE = {
         '["(u-0.23076534494715845)^2", "(u-0.23076534494715845)^3", "0"]', "1",
         "quadrature node [0.23076534494715845] rejected: immersion rank-deficient at "
         "[0.23076534]: gram det 0.000e+00 (section [sampling], key 'grid')"),
-    # f < 0 only near the second node
     # the map has a pole at the first node: the nodes' evaluation blocks are
     # the only place the map is built there
     "map_pole": (
         "cosymplectic_flat\nn = 1", '["u", "1/(u - 0.04691007703066802)", "0"]', "1",
         "quadrature node [0.04691007703066802] rejected: division by jet with zero "
         "constant term (section [sampling], key 'grid')"),
+    # the map fails only at jet order 3, at the first node: `energy` reads the
+    # nodes at the order validation needs, 3, as `variation` reads them at 4
+    "order_3_pole": (
+        "cosymplectic_flat\nn = 1",
+        '["u", "0.5*u*u", "1e-90/(1e-81 + (u - 0.04691007703066802)^2)"]', "1",
+        "quadrature node [0.04691007703066802] rejected: float division by zero "
+        "(section [sampling], key 'grid')"),
+    # f < 0 only near the second node
     "weight_not_positive": (
         "cosymplectic_flat\nn = 1", '["u", "0.5*u*u", "0"]',
         "(u - 0.23076534494715845)^2 - 0.00001",
@@ -471,18 +478,45 @@ def test_failing_quadrature_node_exits_3_naming_it(tmp_path, case, command):
     assert err == f"validation error: {message}\n"
 
 
-def test_sample_point_failing_only_at_order_4_is_named_by_variation(tmp_path):
-    """On an all-periodic scenario `variation` takes the order-4 blocks of
-    its sample points, so a point whose map fails only at order 4 is
-    rejected as a sample point, as `check` rejects it; `energy`, validated
-    at order 3, passes."""
-    path = write(tmp_path, BASE.replace('"0"]', '"1/(1e-65 + (1 - cos(u))^2)"]')
-                 .replace('f = "1 + 0.3*cos(u)"', 'f = "1"'))
+def test_variation_components_error_comes_before_the_node_error(tmp_path):
+    """With a pole at the first quadrature node in both the map and the
+    [variation] components, `variation` reports the components, which it
+    checks before it takes the node blocks, and `energy` the node; the
+    sample points pass `check`."""
+    pole = "1/(u - 0.04691007703066802)"
+    text = OPEN_AXIS.format(kind="cosymplectic_flat\nn = 1", map=f'["u", "{pole}", "0"]', f="1")
+    path = write(tmp_path, text + f'\n[variation]\ncomponents = ["{pole}", "0", "0"]\n')
+    assert run_cli(["check", path])[0] == 0
+    assert run_cli(["variation", path]) == (
+        3, "", "validation error: variation components fail at the quadrature nodes: division "
+        "by jet with zero constant term (section [variation], key 'components')\n")
+    assert run_cli(["energy", path]) == (
+        3, "", "validation error: quadrature node [0.04691007703066802] rejected: division by "
+        "jet with zero constant term (section [sampling], key 'grid')\n")
+
+
+# One map on a periodic and on an open axis: its third component fails only
+# at jet order 4, at the sample point u = 0.
+ORDER_4_MAP = '["cos(u)", "sin(u)", "1e-70/(1e-65 + (1 - cos(u))^2)"]'
+ORDER_4_AXES = {
+    "periodic": BASE.replace('["cos(u)", "sin(u)", "0"]', ORDER_4_MAP)
+                    .replace('f = "1 + 0.3*cos(u)"', 'f = "1"'),
+    "open": OPEN_AXIS.format(kind="cosymplectic_flat\nn = 1", map=ORDER_4_MAP, f="1"),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(ORDER_4_AXES))
+def test_sample_point_failing_only_at_order_4_is_named_by_variation(tmp_path, axis):
+    """`variation` validates its sample points at the order it reads, 4, on
+    every axis kind, so a point whose map fails only at order 4 is rejected
+    as a sample point, as `check` rejects it; `energy`, at order 3,
+    passes."""
+    path = write(tmp_path, ORDER_4_AXES[axis])
     message = ("validation error: sample point [0.0] rejected: float division by zero "
                "(section [sampling], key 'grid')\n")
     assert run_cli(["check", path])[::2] == (3, message)
     assert run_cli(["variation", path]) == (3, "", message)
-    assert run_cli(["energy", path])[0] == 0
+    assert run_cli(["energy", path])[::2] == (0, "")
 
 
 # Open-axis scenarios that fail at a sample point or flag and at a quadrature
@@ -510,26 +544,6 @@ def test_sample_and_flag_errors_come_before_node_errors(tmp_path, case, command)
     chart_map, flags, message = FAILING_SAMPLE_AND_NODE[case]
     text = OPEN_AXIS.format(kind="cosymplectic_flat\nn = 1", map=chart_map, f="1") + flags
     assert run_cli([command, write(tmp_path, text)]) == (3, "", f"validation error: {message}\n")
-
-
-def test_open_axis_sample_point_failing_only_at_order_4_is_validated_at_order_3(tmp_path):
-    """On an open axis the sample points are validated at order 3 whatever
-    the command: a sample point whose map fails only at order 4 fails
-    `check`, but `energy` passes, and `variation` evaluates its nodes at
-    order 4 and reports its verdicts (exit 2 here, E2 and E2F failing), with
-    nothing on stderr."""
-    text = OPEN_AXIS.format(kind="cosymplectic_flat\nn = 1", f="1",
-                            map='["cos(u)", "sin(u)", "1e-70/(1e-65 + (1 - cos(u))^2)"]')
-    path = write(tmp_path, text)
-    assert run_cli(["check", path])[::2] == (
-        3, "validation error: sample point [0.0] rejected: float division by zero "
-        "(section [sampling], key 'grid')\n")
-    assert run_cli(["energy", path])[::2] == (0, "")
-    code, out, err = run_cli(["variation", path])
-    assert (code, err) == (2, "")
-    verdicts = re.findall(r"functional: (\w+)\n(?:.*\n)*?    pass: (\w+)", out)
-    assert verdicts == [("E", "true"), ("E2", "false"), ("E2F", "false"), ("EF", "true"),
-                        ("EF2", "false")]
 
 
 def test_sample_points_are_the_quadrature_nodes_exactly_on_all_periodic_axes(catalog_names,
@@ -923,11 +937,19 @@ grid = [4]
 
 @pytest.mark.parametrize("command,expected",
                          [("check", 3), ("props", 3), ("energy", 3), ("audit", 0)])
-def test_abstract_ambient_runs_audit_only(tmp_path, command, expected):
+def test_abstract_ambient_runs_audit_only(tmp_path, monkeypatch, command, expected):
+    """`audit` builds the map at its 4 sample points once, at validation,
+    and reads those values, and at the two ends of the periodic axis; the
+    other commands exit 3."""
+    built, map_jets = [], calculus.map_jets
+    for module in (calculus, scenario, cli):  # every module that may build it
+        monkeypatch.setattr(module, "map_jets", lambda imm, points, order: (
+            built.append((len(points), order)) or map_jets(imm, points, order)), raising=False)
     code, out, err = run_cli([command, write(tmp_path, ABSTRACT)])
     assert code == expected, err
     if expected == 0:
         assert "curvature_trace_audit:" in out
+        assert built == [(4, 0), (2, 0)]
     else:
         assert "section [ambient], key 'kind'" in err
 
@@ -1275,17 +1297,17 @@ def test_check_builds_the_trace_terms_once_per_block(monkeypatch, name, blocks):
 
 
 def _record_validation(monkeypatch):
-    """Record (jet order, points) of each validation of the sample points and
+    """Record (jet order, points) of each evaluation pass of validation and
     the size of each block whose trace terms are built."""
     validated, trace_terms = [], []
-    evaluate_points = scenario.evaluate_points
+    evaluate_batches = scenario.evaluate_batches
 
-    def recorded(sc, points, order=4):
+    def recorded(imm, points, order=4):
         validated.append((order, np.array(points)))
-        return evaluate_points(sc, points, order)
+        return evaluate_batches(imm, points, order)
 
     build = calculus.trace_terms_at
-    monkeypatch.setattr(scenario, "evaluate_points", recorded)
+    monkeypatch.setattr(scenario, "evaluate_batches", recorded)
     monkeypatch.setattr(calculus, "trace_terms_at",
                         lambda ev: trace_terms.append(len(ev)) or build(ev))
     return validated, trace_terms
@@ -1313,22 +1335,24 @@ def test_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch
 def test_open_axis_quadrature_commands_validate_the_sample_blocks_without_trace_terms(
         monkeypatch):
     """On c04, whose quadrature nodes are not its sample points, `energy`
-    and `variation` do not evaluate the sample points for validation: it
-    checks the blocks of the sample points cut from the one pass over the
-    sample points and nodes, at the order the command reads (3, 4), in
-    blocks of 16 points too, where the third block is cut.  Neither builds
-    trace terms."""
+    and `variation` make one validation pass, over the sample points, then
+    the nodes, at the order the command reads (3, 4); the flag pre-checks
+    read the blocks of the sample points cut from it, in blocks of 16
+    points too, where the third block is cut.  Neither builds trace
+    terms."""
     path = scenario_path("c04_small_sphere")
-    sample = load_scenario(path, validate=False).sample_points()
+    sc = load_scenario(path, validate=False)
+    sample = sc.sample_points()
+    passed = np.vstack([sample, sc.quadrature().points])
     validated, trace_terms = _record_validation(monkeypatch)
     checked = []
-    validate = scenario._validate
+    verify = scenario.verify_flags
 
-    def recorded(sc, order=4, blocks=None):
-        checked.append([(ev.order, ev.points) for ev in blocks or ()])
-        return validate(sc, order, blocks)
+    def recorded(imm, blocks, tol):
+        checked.append([(ev.order, ev.points) for ev in blocks])
+        return verify(imm, blocks, tol)
 
-    monkeypatch.setattr(cli, "_validate", recorded)
+    monkeypatch.setattr(scenario, "verify_flags", recorded)
     for points, sizes in ((None, [36]), (16, [16, 16, 4])):
         if points:
             _force_block_points(monkeypatch, points)
@@ -1338,7 +1362,8 @@ def test_open_axis_quadrature_commands_validate_the_sample_blocks_without_trace_
             checked.clear()
             code, _out, err = run_cli([command, path])
             assert code in (0, 2), err
-            assert validated == [], command
+            assert [o for o, _p in validated] == [order], command
+            assert same_bits(validated[0][1], passed), command
             assert len(checked) == 1 and [o for o, _p in checked[0]] == [order] * len(sizes)
             assert [len(p) for _o, p in checked[0]] == sizes, command
             assert same_bits(np.concatenate([p for _o, p in checked[0]]), sample), command
@@ -1575,7 +1600,7 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name, commands):
     hypersurface (3 parameters, one block of 64); `energy` and `variation`,
     whose quadrature nodes are one block under the rule, on the two contact
     surfaces c04 and c08.  At each block size the sample commands share one
-    validation."""
+    validation; `energy` and `variation` make their own, over the nodes too."""
     path = scenario_path(name)
     imm = load_scenario(path, validate=False).immersion
     reports = {}
@@ -1585,9 +1610,11 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name, commands):
         sc = load_scenario(path, validate=False)
         validated = _validate(sc)
         assert max(map(len, validated)) == min(size, len(sc.sample_points()))
-        monkeypatch.setattr(cli, "_validate", lambda sc, order: list(validated))
+        monkeypatch.setattr(cli, "_validate", lambda sc, order, nodes: (
+            list(validated) if nodes is None else _validate(sc, order, nodes)))
         for command in commands:
             code, out, err = run_cli([command, path])
+            assert code in (0, 2), (command, err)
             reports.setdefault(command, []).append((code, strip_volatile(out), err))
     for command, (batched, single) in reports.items():
         assert single == batched, command
