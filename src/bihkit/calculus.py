@@ -237,9 +237,9 @@ def parameter_jets(params, points, order):
 def map_jets(imm, points, order):
     """The map, as a vector jet over the chart axes, of the given order at
     each row of a (P, m) array of parameter points.  The weight is not
-    evaluated."""
-    env = parameter_jets(imm.params, points, order)
-    return Jet.stack([eval_on_jets(c, env) for c in imm.components])
+    evaluated.  The components share one memo, as in `evaluate`."""
+    env, memo = parameter_jets(imm.params, points, order), {}
+    return Jet.stack([eval_on_jets(c, env, memo) for c in imm.components])
 
 
 def _laplacian_pos(ginv, Gam_int, scalar_jet):

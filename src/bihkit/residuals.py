@@ -11,11 +11,11 @@ tau_f = f*tau + dpsi(grad f) and J(X) = -tr(nabla^2)X + tr R(dpsi, X) dpsi.
 These are the oracles: they are anchored to the energy functionals by the
 variational module.
 
-Theorem mode assembles the published characterization equations term by
-term, exactly as printed.  Where the printed coefficient disagrees with the
-oracle the term carries a catalogued correction (`Term.erratum`); running with
-`errata=True` applies the corrected coefficients, and the comparison layer
-itemizes the per-term difference either way.  Nothing is silently fixed.
+Theorem mode sums the published characterization equations, as printed,
+from their term matrix (`term_matrix`).  Where the printed coefficient
+disagrees with the oracle the term carries a catalogued correction
+(`Term.erratum`); `errata=True` applies the corrected coefficients, and the
+report itemizes the per-term difference either way.  Nothing is silently fixed.
 
 Every function takes an evaluation block (`calculus.Evaluation`), reads the
 immersion, the points and the block's trace terms from it, and returns
@@ -50,6 +50,7 @@ __all__ = [
     "f_bitension_direct",
     "bi_f_tension_direct",
     "direct_field",
+    "term_matrix",
     "theorem_residual",
     "equation_for",
     "compare_modes",
@@ -527,22 +528,48 @@ COROLLARIES = {cor.name: cor for cor in (
 # -- evaluation --------------------------------------------------------------------
 
 
+def term_matrix(ev, eq_id, corollary=None):
+    """The K rows of equation `eq_id`, or of its reduction `corollary`, at
+    the P points of a block, in term order: a namespace of the K `terms`,
+    the coefficients `printed[k, p]` and `corrected[k, p]` (equal where a
+    term has no erratum; a corollary's `coefficients` replace both) and the
+    vectors `fields[k, p, a]` (a corollary's `substitutions` replace a row,
+    or zero it for None).  The only evaluation of the term tables; a
+    corollary of another equation is a ValueError."""
+    # no corollary: the reduction that substitutes nothing
+    cor = Corollary(None, eq_id, (), {}) if corollary is None else COROLLARIES[corollary]
+    if cor.equation != eq_id:
+        raise ValueError(f"corollary {corollary!r} reduces {cor.equation}, not {eq_id}")
+    t = ev.trace_terms
+    if eq_id == "bif_general":
+        t = SimpleNamespace(**vars(t), **ev.curvature_traces)
+    per_point = lambda c: np.broadcast_to(np.asarray(c, dtype=float), (len(ev),))
+    rows = []
+    for term in EQUATIONS[eq_id]:
+        rule, sub = cor.coefficients.get(term.name), cor.substitutions.get(term.name, term.value)
+        printed = per_point((rule or term.printed)(t))
+        corrected = (printed if rule or term.erratum is None
+                     else per_point(term.erratum.corrected(t)))
+        rows.append((printed, corrected, np.zeros((len(ev), ev.d)) if sub is None else sub(t)))
+    printed, corrected, fields = map(np.array, zip(*rows))
+    return SimpleNamespace(terms=EQUATIONS[eq_id], printed=printed, corrected=corrected,
+                           fields=fields)
+
+
 @dataclass
 class ResidualReport:
-    """Theorem evaluation at the points of a block, with term breakdown;
-    every array has a leading points axis.
-
-    `corrections` itemizes every term whose corrected coefficient differs
-    from the printed one at some point, with the norm of the difference it
-    makes; `corrections_at(i)` lists those of point i.
-    """
+    """Theorem evaluation at the points of a block: every array has a
+    leading points axis, after the row axis of the term matrix (`matrix`,
+    see `term_matrix`) and of `delta_norm[k, p]`, the norm of the change
+    the corrected coefficient of row k makes at point p.  `corrections_at(i)`
+    itemizes the rows whose coefficients differ at point i."""
 
     normal: np.ndarray
     tangent: np.ndarray
     normal_norm: np.ndarray
     tangent_norm: np.ndarray
-    terms: list
-    corrections: list
+    matrix: SimpleNamespace
+    delta_norm: np.ndarray
     scale: np.ndarray             # 1 + |H| + |grad f| normalizer
 
     @property
@@ -550,10 +577,11 @@ class ResidualReport:
         return np.hypot(self.normal_norm, self.tangent_norm)
 
     def corrections_at(self, i):
-        return [{**item, **{key: float(item[key][i]) for key in
-                            ("printed_coeff", "corrected_coeff", "delta_norm")}}
-                for item in self.corrections
-                if abs(item["corrected_coeff"][i] - item["printed_coeff"][i]) > 0.0]
+        m = self.matrix
+        return [{"term": term.name, "part": term.part, "printed_coeff": float(p[i]),
+                 "corrected_coeff": float(c[i]), "delta_norm": float(delta[i])}
+                for term, p, c, delta in zip(m.terms, m.printed, m.corrected, self.delta_norm)
+                if abs(c[i] - p[i]) > 0.0]
 
 
 def theorem_residual(ev, kind="fbh", errata=False, corollary=None):
@@ -561,59 +589,25 @@ def theorem_residual(ev, kind="fbh", errata=False, corollary=None):
     every point of an evaluation block; `kind` is fbh, bif or bif_general,
     the equation `equation_for` picks for the ambient.
 
-    Returns a ResidualReport; term values keep the printed/corrected
-    coefficient actually used; a block below order 4 or another kind is a
+    Returns a ResidualReport, whose parts sum in term order each row's
+    corrected (errata) or printed coefficient times its field; a block
+    below order 4, another kind or a corollary of another equation is a
     ValueError."""
     if ev.order < 4:
         raise ValueError(f"theorem residuals need an order-4 block, not order {ev.order}")
-    eq_id = equation_for(ev.imm, kind)
-    substitutions = coefficients = {}
-    if corollary is not None:
-        cor = COROLLARIES[corollary]
-        eq_id, substitutions, coefficients = cor.equation, cor.substitutions, cor.coefficients
-    t = ev.trace_terms
-    if eq_id == "bif_general":
-        t = SimpleNamespace(**vars(t), **ev.curvature_traces)
-    shape = (len(ev), ev.d)
-    per_point = lambda c: np.broadcast_to(np.asarray(c, dtype=float), shape[:1])
-    normal = np.zeros(shape)
-    tangent = np.zeros(shape)
-    breakdown = []
-    corrections = []
-    for term in EQUATIONS[eq_id]:
-        if term.name in coefficients:
-            printed = corrected = per_point(coefficients[term.name](t))
-        else:
-            printed = per_point(term.printed(t))
-            corrected = printed if term.erratum is None else per_point(term.erratum.corrected(t))
-        if term.name in substitutions:
-            sub = substitutions[term.name]
-            vec = np.zeros(shape) if sub is None else sub(t)
-        else:
-            vec = term.value(t)
-        coeff = corrected if errata else printed
-        contrib = coeff[:, None] * vec
-        if term.part == "normal":
-            normal = normal + contrib
-        else:
-            tangent = tangent + contrib
-        breakdown.append((term.name, term.part, coeff, contrib))
-        if np.any(np.abs(corrected - printed) > 0.0):
-            corrections.append({
-                "term": term.name,
-                "part": term.part,
-                "printed_coeff": printed,
-                "corrected_coeff": corrected,
-                "delta_norm": ev.norm(corrected[:, None] * vec - printed[:, None] * vec),
-            })
+    mat = term_matrix(ev, equation_for(ev.imm, kind), corollary)
+    sums = dict.fromkeys(("normal", "tangent"), np.zeros((len(ev), ev.d)))
+    for term, coeff, field in zip(mat.terms, mat.corrected if errata else mat.printed, mat.fields):
+        sums[term.part] = sums[term.part] + coeff[:, None] * field
     return ResidualReport(
-        normal=normal,
-        tangent=tangent,
-        normal_norm=ev.norm(normal),
-        tangent_norm=ev.norm(tangent),
-        terms=breakdown,
-        corrections=corrections,
-        scale=1.0 + ev.norm(t.H) + ev.norm(t.grad_f),
+        normal=sums["normal"],
+        tangent=sums["tangent"],
+        normal_norm=ev.norm(sums["normal"]),
+        tangent_norm=ev.norm(sums["tangent"]),
+        matrix=mat,
+        delta_norm=ev.norm(mat.corrected[..., None] * mat.fields
+                           - mat.printed[..., None] * mat.fields),
+        scale=1.0 + ev.norm(ev.trace_terms.H) + ev.norm(ev.trace_terms.grad_f),
     )
 
 

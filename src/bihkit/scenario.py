@@ -244,21 +244,15 @@ class Scenario:
         windows on open axes."""
         if self.variation:
             return self.variation
-        window = []
-        for ax in self.axes:
-            if not ax.periodic:
-                window.append(f"(({ax.name}) - ({ax.lo!r}))*(({ax.hi!r}) - ({ax.name}))")
+        window = "".join(f"*(({ax.name}) - ({ax.lo!r}))*(({ax.hi!r}) - ({ax.name}))"
+                         for ax in self.axes if not ax.periodic)
         out = []
-        d = self.immersion.ambient.chart_dim
-        for a in range(d):
+        for a in range(self.immersion.ambient.chart_dim):
             wave = " + ".join(
                 f"sin({k + a + 1}*{ax.name} + {0.37 * (a + 1):.2f})"
                 for k, ax in enumerate(self.axes)
             )
-            comp = f"0.1*({wave})"
-            for w in window:
-                comp = f"{comp}*{w}"
-            out.append(comp)
+            out.append(f"0.1*({wave}){window}")
         return out
 
 

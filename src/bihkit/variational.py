@@ -41,6 +41,7 @@ build serves the deformed maps of all the steps, none the undeformed map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,6 +91,15 @@ def periodic_nodes(lo, hi, n):
     return lo + h * np.arange(n), h
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """The n Gauss-Legendre nodes and weights on [-1, 1], computed once per
+    n and read-only, since every grid with an n-node open axis shares them."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def tensor_grid(axes_1d):
     """The tensor product of 1-d arrays as rows of a (P, len(axes_1d)) array."""
     mesh = np.meshgrid(*axes_1d, indexing="ij")
@@ -112,7 +122,7 @@ class QuadratureGrid:
                 nodes_1d.append(x)
                 weights_1d.append(np.full(n, h))
             else:
-                x, w = np.polynomial.legendre.leggauss(n)
+                x, w = _gauss_legendre(n)
                 mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
                 nodes_1d.append(mid + half * x)
                 weights_1d.append(half * w)

@@ -130,12 +130,16 @@ def catalog_blocks(name, order=4, nodes=False):
     return _blocks[key]
 
 
+# The catalog scenarios c01-c18 by name, for parametrizing.
+CATALOG_NAMES = sorted(
+    os.path.basename(p)[:-4]
+    for p in glob.glob(os.path.join(CATALOG, "c*.scn"))
+)
+
+
 @pytest.fixture(scope="session")
 def catalog_names():
-    return sorted(
-        os.path.basename(p)[:-4]
-        for p in glob.glob(os.path.join(CATALOG, "c*.scn"))
-    )
+    return CATALOG_NAMES
 
 
 @pytest.fixture(scope="session")

@@ -923,6 +923,38 @@ def test_c08_block_builds_each_jet_once(monkeypatch):
     assert seen["inverse"] <= 2
 
 
+@pytest.mark.parametrize("order", [0, 2])
+def test_map_jets_shares_one_memo(monkeypatch, order):
+    """`map_jets` evaluates the components with one memo, as `evaluate`
+    does: on c08, sin(v) and the reciprocal of 1 + 0.8 sin(v) are computed
+    once for all three components, and on c08 and SHARED the map is, bit
+    for bit, each component evaluated on its own without a memo."""
+    sc = load_scenario(scenario_path("c08_hopf_torus"), validate=False)
+    points = _first_block_points(sc)
+    for imm, at_points in ((sc.immersion, points),
+                           (SHARED, np.array([[0.3, -0.4], [1.2, 0.8], [2.5, 2.0]]))):
+        env = calculus.parameter_jets(imm.params, at_points, order)
+        expected = Jet.stack([_plain_eval(c, env) for c in imm.components])
+        assert same_bits(calculus.map_jets(imm, at_points, order).c, expected.c)
+    seen = {"sin": [], "reciprocal": []}
+
+    def recorded(key, fn):
+        def wrapper(self, *args):
+            seen[key].append(self.c[..., 0].copy())
+            return fn(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(Jet, "sin", recorded("sin", Jet.sin))
+    monkeypatch.setattr(Jet, "_reciprocal", recorded("reciprocal", Jet._reciprocal))
+    calculus.map_jets(sc.immersion, points, order)
+    v = points[:, 1]
+    denominator = 1 + 0.8 * np.sin(v)
+    of = lambda key, values: sum(x.shape == values.shape and np.allclose(x, values)
+                                 for x in seen[key])
+    assert of("sin", v) == 1
+    assert of("reciprocal", denominator) == 1
+
+
 # -- index-loop references of the contractions ---------------------------------
 # The nested loops the trace terms, the rough Laplacian and the intrinsic
 # Laplacian of the lemgene2 audit were first written with, at one point from
@@ -1211,9 +1243,9 @@ def test_audits_and_bif_general_read_the_one_curvature_traces(name):
     assert same_bits(lem1["delta_printed"], lem1["delta_corrected"]), name
     assert not np.array_equal(audit_lemgene2(ev)["delta_printed_ambient"],
                               lem2["delta_printed_ambient"]), name
-    curvature = [contrib for term, _, _, contrib in
-                 theorem_residual(ev, kind="bif_general", errata=True).terms
-                 if term.startswith("curv_trace")]
+    mat = theorem_residual(ev, kind="bif_general", errata=True).matrix
+    curvature = [coeff[:, None] * field for term, coeff, field in
+                 zip(mat.terms, mat.corrected, mat.fields) if term.name.startswith("curv_trace")]
     assert len(curvature) == 4 and not np.any(curvature), name
 
 

@@ -11,11 +11,13 @@ from bihkit.residuals import (
     equation_for,
     f_bitension_direct,
     tension,
+    term_matrix,
     theorem_residual,
 )
 from bihkit.scenario import load_scenario
 from bihkit.spaces import SpaceError, curvature_model, make_space
-from conftest import one_point, scenario_path, structure_at
+from conftest import (CATALOG_NAMES, catalog_blocks, one_point, same_bits, scenario_path,
+                      structure_at)
 
 S3 = make_space("sasakian_sphere", n=1, ctilde=1.0)
 S3D = make_space("sasakian_sphere", n=1, ctilde=3.0)
@@ -124,8 +126,10 @@ def test_term_breakdown_sums_to_residual():
         rep = theorem_residual(one_point(imm, [0.4, 1.1]), kind=kind, errata=True)
         normal = np.zeros(3)
         tangent = np.zeros(3)
-        for name, part, coeff, contrib in rep.terms:
-            if part == "normal":
+        mat = rep.matrix
+        for term, coeff, field in zip(mat.terms, mat.corrected, mat.fields):
+            contrib = coeff[:, None] * field
+            if term.part == "normal":
                 normal = normal + contrib
             else:
                 tangent = tangent + contrib
@@ -197,9 +201,12 @@ def test_mode_disagreement_without_errata_is_itemized():
     # every itemized term carries a catalogued correction
     catalogued = {term.name for term in EQUATIONS[equation_for(imm, "fbh")]
                   if term.erratum is not None}
-    for item in out["report"].corrections:
-        assert item["term"] in catalogued
-    assert out["report"].corrections
+    mat = out["report"].matrix
+    itemized = [term.name for term, printed, corrected in
+                zip(mat.terms, mat.printed, mat.corrected) if np.any(corrected != printed)]
+    for name in itemized:
+        assert name in catalogued
+    assert itemized
 
 
 # The (equation, term) pairs that carry an erratum: the f-biharmonic records
@@ -232,6 +239,159 @@ def test_corollary_keys_name_terms_of_its_equation():
         names = {term.name for term in EQUATIONS[cor.equation]}
         stray = (set(cor.substitutions) | set(cor.coefficients)) - names
         assert not stray, (cor.name, sorted(stray))
+
+
+# The equations `term_matrix` evaluates on each ambient structure, and the
+# residual kind `theorem_residual` takes for each.
+STRUCTURE_EQUATIONS = {"hermitian": ("fbh_gcsf", "bif_gcsf", "bif_general"),
+                       "contact": ("fbh_gssf", "bif_gssf", "bif_general")}
+EQUATION_KIND = {"fbh_gcsf": "fbh", "fbh_gssf": "fbh", "bif_gcsf": "bif", "bif_gssf": "bif",
+                 "bif_general": "bif_general"}
+
+
+def _part_sums(mat, coefficients, shape):
+    """The rows of a term matrix summed per part in term order, from zeros."""
+    sums = {"normal": np.zeros(shape), "tangent": np.zeros(shape)}
+    for term, coeff, field in zip(mat.terms, coefficients, mat.fields):
+        sums[term.part] = sums[term.part] + coeff[:, None] * field
+    return sums
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_term_matrix_rows_sum_to_the_theorem_residual(name):
+    """On every block of a catalog scenario and every equation of its
+    ambient structure: one row per term in table order, rows without an
+    erratum with corrected == printed bit for bit, and, with errata on and
+    off, the ordered row sums of each part equal theorem_residual's normal
+    and tangent bit for bit."""
+    for ev in catalog_blocks(name):
+        shape = (len(ev), ev.d)
+        for eq_id in STRUCTURE_EQUATIONS[ev.space.structure]:
+            mat = term_matrix(ev, eq_id)
+            assert mat.terms == EQUATIONS[eq_id]
+            assert mat.printed.shape == mat.corrected.shape == (len(mat.terms), len(ev))
+            assert mat.fields.shape == (len(mat.terms),) + shape
+            for term, printed, corrected in zip(mat.terms, mat.printed, mat.corrected):
+                if term.erratum is None:
+                    assert same_bits(printed, corrected), (name, eq_id, term.name)
+            for errata in (False, True):
+                rep = theorem_residual(ev, kind=EQUATION_KIND[eq_id], errata=errata)
+                sums = _part_sums(mat, mat.corrected if errata else mat.printed, shape)
+                assert same_bits(sums["normal"], rep.normal), (name, eq_id, errata)
+                assert same_bits(sums["tangent"], rep.tangent), (name, eq_id, errata)
+                assert same_bits(rep.matrix.fields, mat.fields)
+
+
+def test_term_matrix_erratum_rows_are_the_catalogued_ones():
+    """Over the catalog blocks and the equations of each ambient structure,
+    the rows whose corrected coefficient differs from the printed one at
+    some point are exactly the 24 (equation, term) rows that carry an
+    erratum: no erratum is lost, and no other row is corrected."""
+    corrected = set()
+    for name in CATALOG_NAMES:
+        for ev in catalog_blocks(name):
+            for eq_id in STRUCTURE_EQUATIONS[ev.space.structure]:
+                mat = term_matrix(ev, eq_id)
+                corrected |= {(eq_id, term.name) for term, printed, fixed in
+                              zip(mat.terms, mat.printed, mat.corrected)
+                              if np.any(fixed != printed)}
+    assert corrected == ERRATUM_PAIRS
+
+
+@pytest.mark.parametrize("name", sorted(COROLLARIES))
+def test_corollary_changes_only_the_rows_it_names(name):
+    """On every catalog block of its ambient structure, a corollary's term
+    matrix is its equation's bit for bit except in the rows it names: a
+    substituted row keeps its coefficients and takes the new field (zero
+    for None), and a row whose coefficient the flags fix has printed ==
+    corrected and keeps its field."""
+    cor = COROLLARIES[name]
+    blocks = [ev for sc_name in CATALOG_NAMES for ev in catalog_blocks(sc_name)
+              if cor.equation in STRUCTURE_EQUATIONS[ev.space.structure]]
+    assert blocks
+    for ev in blocks:
+        full, reduced = term_matrix(ev, cor.equation), term_matrix(ev, cor.equation, name)
+        assert reduced.terms == full.terms
+        for k, term in enumerate(full.terms):
+            if term.name in cor.coefficients:
+                assert same_bits(reduced.printed[k], reduced.corrected[k]), term.name
+            else:
+                assert same_bits(reduced.printed[k], full.printed[k]), term.name
+                assert same_bits(reduced.corrected[k], full.corrected[k]), term.name
+            if term.name not in cor.substitutions:
+                assert same_bits(reduced.fields[k], full.fields[k]), term.name
+            elif cor.substitutions[term.name] is None:
+                assert not np.any(reduced.fields[k]), term.name
+
+
+def test_corollary_of_another_equation_is_rejected():
+    """A corollary reduces one equation: `term_matrix` and `theorem_residual`
+    refuse it for another."""
+    ev = catalog_blocks("c08_hopf_torus")[0]
+    with pytest.raises(ValueError, match="reduces fbh_gssf, not bif_gssf"):
+        term_matrix(ev, "bif_gssf", "fbh_gssf_xi_tangent")
+    with pytest.raises(ValueError, match="reduces fbh_gcsf, not fbh_gssf"):
+        theorem_residual(ev, kind="fbh", corollary="fbh_gcsf_curve")
+
+
+# The catalog scenario that witnesses each erratum row, run with its own
+# `[mode] kind`: there the relative correction delta delta_norm / scale of
+# the row reaches 1e-3 at some point.
+CATALOG_WITNESSES = {
+    ("fbh_gcsf", "delta_perp_H"): "c10_curve_cp1",
+    ("fbh_gcsf", "weight_connection"): "c10_curve_cp1",
+    ("fbh_gcsf", "shape_grad_ln_f"): "c10_curve_cp1",
+    ("fbh_gssf", "delta_perp_H"): "c02_curve_sasakian",
+    ("fbh_gssf", "weight_connection"): "c02_curve_sasakian",
+    ("fbh_gssf", "shape_grad_ln_f"): "c01_circle_flat",
+    ("bif_gssf", "weight_laplacian"): "c12_torus_deformed_generic",
+    ("bif_gssf", "weight_connection"): "c09_curve_kenmotsu",
+    ("bif_gssf", "ta_nabla_perp_h"): "c12_torus_deformed_generic",
+    ("bif_gssf", "ricci_grad_f"): "c12_torus_deformed_generic",
+    ("bif_gssf", "curv_f3_NP_gf"): "c12_torus_deformed_generic",
+    ("bif_gssf", "curv_f2_eta_H_tan"): "c12_torus_deformed_generic",
+    ("bif_gssf", "curv_f3_PsH"): "c12_torus_deformed_generic",
+    ("bif_gssf", "curv_f3_P2_gf"): "c12_torus_deformed_generic",
+}
+# No catalog scenario witnesses the other 10: the only bif scenario in a
+# complex space form, c13, is flat with f = 1, so bif_gcsf's six rows make no
+# correction there above round-off, and no scenario uses kind bif_general.
+WITNESS_GAP = ERRATUM_PAIRS - set(CATALOG_WITNESSES)
+
+
+def _catalog_witness_deltas():
+    """{(scenario, equation, term): the largest delta_norm / scale} of every
+    erratum row over the blocks of every catalog scenario, each with its own
+    kind."""
+    out = {}
+    for name in CATALOG_NAMES:
+        kind = load_scenario(scenario_path(name), validate=False).mode.get("kind", "fbh")
+        for ev in catalog_blocks(name):
+            rep = theorem_residual(ev, kind=kind, errata=True)
+            eq_id = equation_for(ev.imm, kind)
+            for term, delta in zip(rep.matrix.terms, rep.delta_norm / rep.scale):
+                if term.erratum is not None:
+                    key = (name, eq_id, term.name)
+                    out[key] = max(out.get(key, 0.0), float(delta.max()))
+    return out
+
+
+def test_catalog_witnesses_of_the_errata():
+    """14 of the 24 erratum rows have a catalog witness, where the
+    correction moves the residual by at least 1e-3 of its scale; the other
+    10 stay below 1e-3 on every catalog scenario (the open gap)."""
+    assert len(CATALOG_WITNESSES) == 14 and len(WITNESS_GAP) == 10
+    assert WITNESS_GAP == {(eq_id, name) for eq_id, name in ERRATUM_PAIRS
+                           if eq_id in ("bif_gcsf", "bif_general")}
+    deltas = _catalog_witness_deltas()
+    for (eq_id, term), name in CATALOG_WITNESSES.items():
+        assert deltas[(name, eq_id, term)] >= 1e-3, (eq_id, term, name)
+    for (name, eq_id, term), delta in deltas.items():
+        if (eq_id, term) in WITNESS_GAP:
+            assert delta < 1e-3, (eq_id, term, name)
+    smallest = min(deltas[(name, *row)] for row, name in CATALOG_WITNESSES.items())
+    assert smallest == deltas[("c12_torus_deformed_generic", "bif_gssf", "curv_f2_eta_H_tan")]
+    assert smallest == pytest.approx(0.048, rel=0.02)
 
 
 def model_trace(ev, v):

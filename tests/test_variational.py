@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihkit import variational
 from bihkit.calculus import Evaluation, Immersion, evaluate_batches, parameter_jets
 from bihkit.expr import eval_on_jets, parse
 from bihkit.jets import Jet, jet_space
@@ -63,6 +64,25 @@ def test_quadrature_grid_shapes():
     assert g.points[:, 1].min() > -1.0 and g.points[:, 1].max() < 1.0
     with pytest.raises(ValueError):
         QuadratureGrid([(0.0, 1.0, 1, False)])
+
+
+def test_gauss_legendre_rule_is_shared_and_read_only():
+    """Grids with an n-node open axis share one read-only Gauss-Legendre
+    rule, numpy's bit for bit: two grids of one open axis are equal bit for
+    bit, a grid on another interval leaves the rule as it was, and the
+    cached nodes and weights cannot be written."""
+    axes = [(0.0, TAU, 4, True), (-1.2, 1.2, 6, False)]
+    first, second = QuadratureGrid(axes), QuadratureGrid(axes)
+    assert same_bits(first.points, second.points)
+    assert same_bits(first.weights, second.weights)
+    QuadratureGrid([(2.0, 5.0, 6, False)])
+    x, w = variational._gauss_legendre(6)
+    assert variational._gauss_legendre(6)[0] is x
+    expected = np.polynomial.legendre.leggauss(6)
+    assert same_bits(x, expected[0]) and same_bits(w, expected[1])
+    for rule in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            rule[0] = 0.0
 
 
 def test_quadrature_convergence_doubling():

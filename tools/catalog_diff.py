@@ -8,7 +8,9 @@ run (a minute or more) does not mix two states into "this checkout".  Then
 runs the same 192 CLI runs in both trees, each a fresh `python -m bihkit.cli`
 process on that tree's own scenario files, on `os.cpu_count()` worker
 threads (a run's two trees one after the other on one worker); the output
-keeps the runs' order:
+keeps the runs' order.  The runs share one bytecode cache in the temporary
+directory (`PYTHONPYCACHEPREFIX`), so each module is compiled once and no
+`__pycache__` is written into either tree:
 
   * check, audit, props, energy and variation on c01-c18 and m1-m6;
   * check with --mode direct, --mode theorem, --errata off and --tol 1e-30
@@ -62,7 +64,9 @@ def runs(tree):
 def run(tree, argv):
     """(exit code, stderr, stdout) of one run in `tree`, normalized."""
     cmd, name, *opts = argv
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONPYCACHEPREFIX=str(tree.parent / "pycache"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     proc = subprocess.run(
         [sys.executable, "-m", "bihkit.cli", cmd, str(tree / SCENARIOS / f"{name}.scn"), *opts],
         cwd=tree, env=env, capture_output=True, text=True)
