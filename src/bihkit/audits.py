@@ -14,14 +14,15 @@ proofs (e.g. on the normal line of a hypersurface with tangent Reeb field).
 
 Every audit takes an evaluation block (`calculus.Evaluation`), whose trace
 terms and structure decomposition all of them share, and returns its
-deltas as arrays over the block's points.
+deltas as arrays over the block's points; `run_all_audits` joins those of
+every block and reports their maxima.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .calculus import FLAG_TOL, matvec, point_rows
+from .calculus import FLAG_TOL, joined, matvec
 from .residuals import _along_grad_f, _tau_weighted_field
 from .spaces import curvature_model
 
@@ -36,6 +37,8 @@ __all__ = [
 
 # Random tangent/normal splits per point in the curvature-model audit
 TRACE_SAMPLES = 4
+
+READINGS = ("single intrinsic Ricci", "printed double-Ricci")
 
 
 def audit_mean_curvature_laplacian(ev):
@@ -124,7 +127,7 @@ def audit_lemgene2(ev):
     }
     deltas["curvature_reading"] = np.where(
         deltas["intrinsic_delta_single_ricci"] <= deltas["intrinsic_delta_printed_intrinsic"],
-        "single intrinsic Ricci", "printed double-Ricci")
+        *READINGS)
     return deltas
 
 
@@ -262,30 +265,25 @@ def _trace_rhs(structure, coeffs, T, tensors, P_tan, P_nor, v, k):
     return -k * f1 * v + f2 * r2 + 3.0 * f3 * matvec(T, sv)
 
 
-def run_all_audits(imm, blocks):
-    """All audits over the points of the evaluation blocks `blocks`; returns
-    the per-point rows and the per-audit max deltas.  The list is emptied as
-    it goes, so each block is released once used."""
-    rows = []
-    while blocks:
-        ev = blocks.pop(0)
-        block = {
-            **audit_mean_curvature_laplacian(ev),
-            "lemgene2": audit_lemgene2(ev),
-            "lemgene3": audit_lemgene3(ev),
-            "identities": identity_suite(ev),
-        }
-        if imm.ambient.structure == "contact":
-            block["phi_decompositions"] = audit_phi_decompositions(ev)
-        rows += point_rows(ev, block)
-    # numpy's maximum keeps a NaN, which fails the verdict; Python's max may drop it
-    worst = lambda values: float(np.max(list(values)))
-    summary = {
-        "deltaH_translated": worst(r["deltaH"]["delta_translated"] for r in rows),
-        "lemgene1_corrected": worst(r["lemgene1"]["delta_corrected"] for r in rows),
-        "lemgene2_corrected": worst(r["lemgene2"]["delta_corrected"] for r in rows),
-        "lemgene2_reading": rows[0]["lemgene2"]["curvature_reading"],
-        "lemgene3": worst(r["lemgene3"]["delta"] for r in rows),
-        "identity_max": worst(v for r in rows for v in r["identities"].values()),
-    }
-    return rows, summary
+def run_all_audits(blocks):
+    """The per-audit maxima over the points of the evaluation blocks
+    `blocks`, joined once (`joined`); the lemgene2 reading is that of the
+    maxima of its two intrinsic deltas."""
+    def columns(ev):
+        laplacian, lemgene2 = audit_mean_curvature_laplacian(ev), audit_lemgene2(ev)
+        return {"deltaH_translated": laplacian["deltaH"]["delta_translated"],
+                "lemgene1_corrected": laplacian["lemgene1"]["delta_corrected"],
+                "lemgene2_corrected": lemgene2["delta_corrected"],
+                # the two intrinsic deltas, single and printed doubled Ricci
+                "lemgene2_reading": np.stack([lemgene2["intrinsic_delta_single_ricci"],
+                                              lemgene2["intrinsic_delta_printed_intrinsic"]], -1),
+                "lemgene3": audit_lemgene3(ev)["delta"],
+                "identity_max": np.max(list(identity_suite(ev).values()), axis=0)}
+
+    table = vars(joined(blocks, columns))
+    del table["points"]
+    # numpy's maxima keep a NaN, which fails the verdict; Python's max may drop it
+    summary = {key: np.max(column, axis=0) for key, column in table.items()}
+    single, printed = summary["lemgene2_reading"]
+    summary["lemgene2_reading"] = str(np.where(single <= printed, *READINGS))
+    return summary

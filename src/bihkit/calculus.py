@@ -13,7 +13,9 @@ traces, ...), the projectors (P is the values of `projector_field`), nabla
 grad f (`nabla_grad_f_field`), the covariant trace (`Evaluation.covariant_trace`,
 which every trace term and rough Laplacian uses), the orthonormal frames and
 the tangential/normal decomposition of the ambient structure tensor, each
-from one producer, once per block with a leading points axis.
+from one producer, once per block with a leading points axis.  A command
+joins the per-point arrays it reads of every block once (`joined`), and
+takes its rows (`point_rows`) and maxima from the joined arrays.
 
 All quantities are assembled in coordinate (not orthonormal) form wherever
 possible, so the results are frame-independent by construction; orthonormal
@@ -39,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,6 +64,7 @@ __all__ = [
     "PointError",
     "WeightError",
     "matvec",
+    "joined",
     "point_rows",
     "orthonormal_frames",
     "trace_terms_at",
@@ -416,19 +420,22 @@ def evaluate_batches(imm, points, order=4):
         yield ev
 
 
-def point_rows(ev, columns):
-    """One report row per point of `ev`: the point's parameters, then entry
-    i of every per-point array of the (nested) dict `columns`, as Python
-    scalars (one `tolist` per array); other values are copied."""
-    count = len(ev)  # the recursive closure must not hold the block alive
+def joined(blocks, columns):
+    """A namespace of the `points` of the evaluation blocks `blocks` (one or
+    more) and of each array of the dict `columns(ev)`, concatenated over the
+    blocks in order, each block taken once (`scenario._validate` frees it)."""
+    parts = [{"points": ev.points, **columns(ev)} for ev in blocks]
+    return SimpleNamespace(**{key: np.concatenate([part[key] for part in parts])
+                              for key in parts[0]})
 
-    def entries(value):
-        if isinstance(value, dict):
-            per_key = {key: entries(sub) for key, sub in value.items()}
-            return [{key: col[i] for key, col in per_key.items()} for i in range(count)]
-        return value.tolist() if isinstance(value, np.ndarray) else [value] * count
 
-    return [{"point": point, **row} for point, row in zip(ev.points.tolist(), entries(columns))]
+def point_rows(points, columns):
+    """One report row per row of the (P, m) array `points`: the point's
+    parameters, then entry i of every per-point array of `columns`, as
+    Python scalars (one `tolist` per array)."""
+    names = ["point", *columns]
+    return [dict(zip(names, row))
+            for row in zip(points.tolist(), *(col.tolist() for col in columns.values()))]
 
 
 def orthonormal_frames(G, dpsi):
@@ -741,7 +748,8 @@ def trace_terms_at(ev):
 
 def flag_deviation(imm, blocks, name):
     """Numeric deviation of one structural property over the points of the
-    evaluation blocks `blocks`.
+    evaluation blocks `blocks`, or of a table of theirs (`joined`) holding
+    each point's deviation (`_point_deviations`) under the flag's name.
 
     Returns max deviation (0 = property holds exactly).  Structural flags
     (hypersurface, curve) return 0.0 or inf; any other flag is a FlagError
@@ -760,7 +768,8 @@ def flag_deviation(imm, blocks, name):
     if needs.get(name, imm.ambient.structure) != imm.ambient.structure:
         ambient = "a Hermitian" if needs[name] == "hermitian" else "a contact"
         raise FlagError(name, f"flag {name!r} needs {ambient} ambient")
-    devs = np.concatenate([_point_deviations(ev, name) for ev in blocks] or [np.zeros(0)])
+    devs = (getattr(blocks, name) if isinstance(blocks, SimpleNamespace) else
+            np.concatenate([_point_deviations(ev, name) for ev in blocks] or [np.zeros(0)]))
     if name == "cmc":
         return float(devs.max() - devs.min()) if devs.size else 0.0
     return float(np.max(devs, initial=0.0))

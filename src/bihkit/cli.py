@@ -27,7 +27,8 @@ hypersurface flags can be asserted or denied (exit 3).
 validation's one pass over the sample points, then the nodes (on all-periodic
 axes the nodes are the sample points), on every axis kind alike: a sample
 point failing only at order 4 is one to `variation`, as to `check`, and a
-failing sample point or flag is reported before a failing node.
+failing sample point or flag is reported before a failing node.  Each block
+is released once a command has joined what it reads of it (`calculus.joined`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .audits import curvature_trace_audit, run_all_audits
-from .calculus import point_rows
+from .calculus import joined, point_rows
 from .props import proposition_checkers
 from .report import render_report, write_csv
 from .residuals import compare_modes, direct_field, theorem_residual
@@ -68,11 +69,9 @@ def cmd_check(sc, args, out, blocks):
     kind = sc.mode.get("kind", "fbh")
     corollary = sc.mode.get("corollary")
     errata = out["errata"] == "on"
-    rows = []
-    # numpy's maxima keep a NaN, which fails the verdicts; Python's max may drop it
-    worst_direct = worst_delta = worst_theorem = reduction_delta = 0.0
-    while blocks:
-        ev = blocks.pop(0)  # released once used
+
+    def per_point(ev):
+        """A block's per-point norms and deltas; its first corrections to `out`."""
         cmp = direct = rep = None
         if mode == "both":
             cmp = compare_modes(ev, kind=kind, errata=errata)
@@ -84,16 +83,13 @@ def cmd_check(sc, args, out, blocks):
         columns = {}
         if direct is not None:
             columns["direct_norm"] = ev.norm(direct)
-            worst_direct = np.maximum(worst_direct, columns["direct_norm"].max())
         if rep is not None:
             columns["theorem_normal_norm"] = rep.normal_norm
             columns["theorem_tangent_norm"] = rep.tangent_norm
-            worst_theorem = np.maximum(worst_theorem, (rep.total_norm / rep.scale).max())
+            columns["theorem_norm"] = rep.total_norm / rep.scale
         if cmp is not None:
             columns["mode_delta_normal"] = cmp["delta_normal"]
             columns["mode_delta_tangent"] = cmp["delta_tangent"]
-            worst_delta = np.max([worst_delta, cmp["delta_normal"].max(),
-                                  cmp["delta_tangent"].max()])
             if "itemized_corrections" not in out:
                 first = next(filter(None, map(rep.corrections_at, range(len(ev)))), None)
                 if first:
@@ -105,29 +101,33 @@ def cmd_check(sc, args, out, blocks):
                 ev.norm(rep_parent.normal - rep_cor.normal),
                 ev.norm(rep_parent.tangent - rep_cor.tangent),
             ) / rep_parent.scale
-            reduction_delta = np.maximum(reduction_delta, columns["reduction_delta"].max())
-        rows += point_rows(ev, columns)
+        return columns
+
+    table = vars(joined(blocks, per_point))
+    points, theorem_norm = table.pop("points"), table.pop("theorem_norm", None)
     out["kind"] = kind
-    out["points"] = len(rows)
-    out["rows"] = rows
+    out["points"] = len(points)
+    out["rows"] = point_rows(points, table)
+    # numpy's maxima keep a NaN, which fails the verdicts; Python's max may drop it
     if mode in ("direct", "both"):
-        out["max_direct_norm"] = worst_direct
+        out["max_direct_norm"] = worst_direct = np.max(table["direct_norm"])
         out["direct_verdict"] = (
             "harmonic-type residual ~ 0 (within tol)"
             if worst_direct <= tol else "nonzero residual"
         )
     if mode in ("theorem", "both"):
-        out["max_theorem_norm"] = worst_theorem
+        out["max_theorem_norm"] = np.max(theorem_norm)
     exit_code = PASS
     if mode == "both":
-        out["max_mode_delta"] = worst_delta
+        out["max_mode_delta"] = worst_delta = np.max([table["mode_delta_normal"],
+                                                      table["mode_delta_tangent"]])
         out["mode_agreement"] = bool(worst_delta <= tol)
         if not out["mode_agreement"]:
             exit_code = NUMERIC_FAIL
     if corollary:
         rtol = sc.tolerance("reduction")
         out["corollary"] = corollary
-        out["max_reduction_delta"] = reduction_delta
+        out["max_reduction_delta"] = reduction_delta = np.max(table["reduction_delta"])
         out["reduction_agreement"] = bool(reduction_delta <= rtol)
         if not out["reduction_agreement"]:
             exit_code = NUMERIC_FAIL
@@ -142,7 +142,7 @@ def cmd_audit(sc, args, out, blocks):
         out["curvature_trace_audit"] = result
         worst = float(np.max([result["normal_trace"], result["tangent_trace"]]))
     else:
-        summary = run_all_audits(sc.immersion, blocks)[1]
+        summary = run_all_audits(blocks)
         out["summary"] = summary
         out["points"] = len(sc.sample_points())
         # numpy's maximum keeps a NaN, which fails the verdict

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import FlagError, flag_deviation, point_rows
+from .calculus import _point_deviations, flag_deviation, joined, point_rows
 from .spaces import curvature_model
 
 __all__ = [
@@ -49,46 +49,25 @@ _CONDITIONAL_NOTE = (
 )
 
 
-def _hypotheses(imm, blocks, required, tol, memo, phiH=None):
+def _hypotheses(table, flags, required, tol, phiH=None):
     """Verify the hypotheses numerically; returns (ok, {name: deviation}).
 
-    A flag the ambient structure does not support (FlagError) is reported
-    as an error and fails the hypotheses.  'cmc' additionally requires a
-    non-zero mean curvature (every checker here assumes |H| is a non-zero
-    constant).  `phiH` adds the tangency ('tangent') or normality
-    ('normal') of phi H, its deviation measured relative to |H|.  The
-    checkers of one run share `memo`, so each flag and max |H|^2 is
-    measured once."""
-    devs = {}
-    for name in required:
-        try:
-            if name not in memo:
-                memo[name] = flag_deviation(imm, blocks, name)
-        except FlagError as exc:  # structural mismatch (wrong ambient kind)
-            return False, {name: f"error: {exc}"}
-        devs[name] = memo[name]
+    `flags` holds each flag's deviation, measured once per run.  'cmc'
+    additionally requires a non-zero mean curvature (every checker here
+    assumes |H| is a non-zero constant).  `phiH` adds the tangency
+    ('tangent') or normality ('normal') of phi H, relative to |H|."""
+    devs = {name: flags[name] for name in required}
     ok = all(dev <= tol for dev in devs.values())
     if "cmc" in required:
-        if "|H|^2" not in memo:
-            memo["|H|^2"] = float(np.max([ev.trace_terms.h_norm2.max() for ev in blocks]))
-        devs["nonzero_H"] = h2 = memo["|H|^2"]
+        devs["nonzero_H"] = h2 = float(np.max(table.h_norm2))
         ok = ok and h2 > tol
     if phiH is not None:
-        worst = 0.0
-        for ev in blocks:
-            t = ev.trace_terms
-            h_norm = ev.norm(t.H)
-            part = t.m_H if phiH == "tangent" else t.l_H
-            nonzero = h_norm != 0.0
-            worst = float(np.max(ev.norm(part)[nonzero] / h_norm[nonzero], initial=worst))
-        devs[f"phiH_{phiH}"] = worst
+        nonzero = table.h_norm != 0.0
+        part = table.m_h_norm if phiH == "tangent" else table.l_h_norm
+        devs[f"phiH_{phiH}"] = worst = float(np.max(part[nonzero] / table.h_norm[nonzero],
+                                                    initial=0.0))
         ok = ok and worst <= tol
     return ok, devs
-
-
-def _ratio(t):
-    """(Delta f)/f at the points of a block."""
-    return t.delta_f_pos / t.f
 
 
 def _space_form_function(q, coeffs, which, ratio=0.0):
@@ -99,37 +78,31 @@ def _space_form_function(q, coeffs, which, ratio=0.0):
     return q * f1 - f2 + (3.0 * f3 if which == "F" else 0.0) - ratio
 
 
-def check_cmc_hypersurface_gcsf(imm, blocks, tol, flag_tol, memo):
+def check_cmc_hypersurface_gcsf(imm, table, tol, flag_tol, flags):
     """CMC hypersurface of a Hermitian space form: |B|^2 identity and the
     two scalar-curvature forms (Gauss audit included)."""
-    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc"), flag_tol, memo)
+    ok, devs = _hypotheses(table, flags, ("hypersurface", "cmc"), flag_tol)
     p_dim = float(imm.param_dim)
-    rows = []
-    for ev in blocks:
-        t = ev.trace_terms
-        alpha, beta = t.coeffs
-        # p alpha + 3 beta: equals the printed 3(alpha+beta) at p = 3
-        coeff = p_dim * alpha + 3.0 * beta
-        ratio = _ratio(t)
-        b2_rhs = coeff - ratio
-        rows += point_rows(ev, {
-            "b_norm2": t.b_norm2,
-            "b2_rhs": b2_rhs,
-            "identity_residual": np.abs(t.b_norm2 - b2_rhs),
-            "scal_intrinsic": t.scal,
-            "scal_formula": coeff + ratio + p_dim**2 * t.h_norm2,
-            "a_h_grad_f_norm": ev.norm(t.a_h_grad_f),
-            "h_norm2": t.h_norm2,
-        })
-    return _cmc_identity_report("cmc_hypersurface_gcsf", ok, devs, rows, tol)
+    alpha, beta = table.coeffs.T
+    # p alpha + 3 beta: equals the printed 3(alpha+beta) at p = 3
+    coeff = p_dim * alpha + 3.0 * beta
+    return _cmc_identity_report("cmc_hypersurface_gcsf", ok, devs, table, tol,
+                                coeff - table.ratio, {
+        "scal_formula": coeff + table.ratio + p_dim**2 * table.h_norm2,
+        "a_h_grad_f_norm": table.a_h_grad_f_norm,
+        "h_norm2": table.h_norm2,
+    })
 
 
-def _cmc_identity_report(name, ok, devs, rows, tol, extra=()):
-    """The verdict of a CMC hypersurface identity from its per-point rows:
-    |B|^2 against its right-hand side, and A_H grad f = 0; `extra` items go
-    after the residuals."""
-    identity_res = float(np.max([r["identity_residual"] for r in rows]))
-    shape_res = float(np.max([r["a_h_grad_f_norm"] for r in rows]))
+def _cmc_identity_report(name, ok, devs, table, tol, b2_rhs, columns, extra=()):
+    """The verdict of a CMC hypersurface identity, |B|^2 = `b2_rhs` and
+    A_H grad f = 0, with its rows: |B|^2, `b2_rhs`, their residual, Scal,
+    then `columns`; `extra` items go after the residuals."""
+    identity = np.abs(table.b_norm2 - b2_rhs)
+    columns = {"b_norm2": table.b_norm2, "b2_rhs": b2_rhs, "identity_residual": identity,
+               "scal_intrinsic": table.scal, **columns}
+    identity_res = float(np.max(identity))
+    shape_res = float(np.max(table.a_h_grad_f_norm))
     verdict = "consistent" if identity_res <= tol and shape_res <= tol else "violated"
     return {
         "name": name,
@@ -138,29 +111,37 @@ def _cmc_identity_report(name, ok, devs, rows, tol, extra=()):
         "identity_residual": identity_res,
         "shape_grad_f_residual": shape_res,
         **dict(extra),
-        "rows": rows,
+        "rows": point_rows(table.points, columns),
         "conditional_note": _CONDITIONAL_NOTE,
     }
 
 
-def gauss_equation_audit(imm, blocks):
-    """Scal_M vs ambient-trace Gauss assembly (model curvature backend)."""
-    rows = []
-    for ev in blocks:
-        t, E, m = ev.trace_terms, ev.frames[0], ev.m
-        R = curvature_model(imm.ambient.structure, ev.values(ev.G_field), ev.structure,
-                            tuple(t.coeffs))
-        # sum_{ij} <R(e_i, e_j) e_j, e_i> over an orthonormal tangent frame
-        total = sum(ev.inner(R(E[:, i], E[:, j], E[:, j]), E[:, i])
-                    for i in range(m) for j in range(m))
-        gauss = total - t.b_norm2 + m**2 * t.h_norm2
-        rows += point_rows(ev, {"scal_intrinsic": t.scal, "scal_gauss": gauss,
-                                "delta": np.abs(t.scal - gauss)})
-    return {"name": "gauss_scal", "rows": rows,
-            "max_delta": float(np.max([r["delta"] for r in rows]))}
+def _columns(ev, flags):
+    """The per-point arrays the checkers read of a block: trace terms,
+    norms, the Gauss sum of Scal_M (model curvature backend) and the
+    deviations of the non-structural `flags`."""
+    t, E, m = ev.trace_terms, ev.frames[0], ev.m
+    R = curvature_model(ev.space.structure, ev.values(ev.G_field), ev.structure, tuple(t.coeffs))
+    # sum_{ij} <R(e_i, e_j) e_j, e_i> over an orthonormal tangent frame
+    total = sum(ev.inner(R(E[:, i], E[:, j], E[:, j]), E[:, i])
+                for i in range(m) for j in range(m))
+    return {"coeffs": t.coeffs.T, "ratio": t.delta_f_pos / t.f, "h_norm2": t.h_norm2,
+            "b_norm2": t.b_norm2, "scal": t.scal, "gauss": total - t.b_norm2 + m**2 * t.h_norm2,
+            "a_h_grad_f_norm": ev.norm(t.a_h_grad_f), "h_norm": ev.norm(t.H),
+            "m_h_norm": ev.norm(t.m_H), "l_h_norm": ev.norm(t.l_H),
+            **{name: _point_deviations(ev, name) for name in flags}}
 
 
-def check_bound(name, imm, blocks, required, flag_tol, memo, values=None, which=None):
+def gauss_equation_audit(table):
+    """Scal_M vs ambient-trace Gauss assembly, from the joined `table`."""
+    delta = np.abs(table.scal - table.gauss)
+    return {"name": "gauss_scal",
+            "rows": point_rows(table.points, {"scal_intrinsic": table.scal,
+                                              "scal_gauss": table.gauss, "delta": delta}),
+            "max_delta": float(np.max(delta))}
+
+
+def check_bound(name, imm, table, required, flag_tol, flags, values=None, which=None):
     """Infimum-bound checker: 0 < |H|^2 <= inf `values` over the samples.
     A contact bound (`which` "F" or "G", no `values`) is 0 < |H|^2 <=
     inf F / q (or G / q; q = dim M) with phi H tangent (F) or normal (G) as
@@ -168,14 +149,12 @@ def check_bound(name, imm, blocks, required, flag_tol, memo, values=None, which=
     against the closed-form value on a declared contact space form."""
     q = float(imm.param_dim)
     if which is not None:
-        values = lambda t: _space_form_function(q, t.coeffs, which, _ratio(t))
+        values = lambda t: _space_form_function(q, t.coeffs.T, which, t.ratio)
     phiH = {"F": "tangent", "G": "normal"}.get(which)
-    ok, devs = _hypotheses(imm, blocks, required, flag_tol, memo, phiH)
-    tts = [ev.trace_terms for ev in blocks]
-    vals = np.concatenate([values(t) for t in tts])
+    ok, devs = _hypotheses(table, flags, required, flag_tol, phiH)
+    vals = values(table)
     inf_est = float(vals.min())
-    h2_max = (devs["nonzero_H"] if "nonzero_H" in devs  # measured with "cmc"
-              else float(np.max([t.h_norm2.max() for t in tts])))
+    h2_max = float(np.max(table.h_norm2))
     bound = inf_est if which is None else inf_est / q
     if not ok:
         verdict = "hypotheses-unverifiable"
@@ -195,76 +174,62 @@ def check_bound(name, imm, blocks, required, flag_tol, memo, values=None, which=
         out["bound"] = bound
     out["h_norm2_max"] = h2_max
     if which is not None:
-        ratios = np.concatenate([_ratio(t) for t in tts])
         out["table_residual"] = None if imm.ambient.space_form is None else float(np.max(
-            np.abs(vals + ratios - _space_form_function(q, imm.ambient.coeffs, which))))
+            np.abs(vals + table.ratio - _space_form_function(q, imm.ambient.coeffs, which))))
     out["note"] = "infimum over the sample grid; an estimate, not a proof"
     return out
 
 
-def check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol, memo):
+def check_cmc_hypersurface_gssf(imm, table, tol, flag_tol, flags):
     """CMC hypersurface with tangent Reeb field in a contact space form.
 
     |B|^2 = p f1 - f2 + 3 f3 - (Delta f)/f (p = 2n) plus the two scalar
     curvature forms (printed and corrected) against intrinsic Scal.
     """
-    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol, memo)
+    ok, devs = _hypotheses(table, flags, ("hypersurface", "cmc", "xi_tangent"), flag_tol)
     p_dim = float(imm.param_dim)      # p = 2n
     n_half = p_dim / 2.0
-    rows = []
-    for ev in blocks:
-        t = ev.trace_terms
-        f1, f2, f3 = t.coeffs
-        ratio = _ratio(t)
-        b2_rhs = _space_form_function(p_dim, t.coeffs, "F", ratio)
-        h2 = t.h_norm2
-        scal_printed = (
-            2.0 * n_half * (2.0 * n_half - 2.0) * f1
-            + (4.0 * n_half - 1.0) * f2
-            - (2.0 * n_half - 4.0) * f3
-            + (2.0 * n_half - 1.0) * h2
-            + ratio
-        )
-        scal_corrected = (
-            2.0 * n_half * (2.0 * n_half - 2.0) * f1
-            + (3.0 - 4.0 * n_half) * f2
-            + (6.0 * n_half - 9.0) * f3
-            + 4.0 * n_half**2 * h2
-            + ratio
-        )
-        rows += point_rows(ev, {
-            "b_norm2": t.b_norm2,
-            "b2_rhs": b2_rhs,
-            "identity_residual": np.abs(t.b_norm2 - b2_rhs),
-            "scal_intrinsic": t.scal,
-            "scal_printed": scal_printed,
-            "scal_corrected": scal_corrected,
-            "a_h_grad_f_norm": ev.norm(t.a_h_grad_f),
-        })
-    return _cmc_identity_report("cmc_hypersurface_gssf", ok, devs, rows, tol, {
-        "scal_corrected_residual": float(np.max(
-            [abs(r["scal_intrinsic"] - r["scal_corrected"]) for r in rows])),
-        "scal_printed_residual": float(np.max(
-            [abs(r["scal_intrinsic"] - r["scal_printed"]) for r in rows])),
+    f1, f2, f3 = coeffs = table.coeffs.T
+    ratio, h2 = table.ratio, table.h_norm2
+    scal_printed = (
+        2.0 * n_half * (2.0 * n_half - 2.0) * f1
+        + (4.0 * n_half - 1.0) * f2
+        - (2.0 * n_half - 4.0) * f3
+        + (2.0 * n_half - 1.0) * h2
+        + ratio
+    )
+    scal_corrected = (
+        2.0 * n_half * (2.0 * n_half - 2.0) * f1
+        + (3.0 - 4.0 * n_half) * f2
+        + (6.0 * n_half - 9.0) * f3
+        + 4.0 * n_half**2 * h2
+        + ratio
+    )
+    return _cmc_identity_report("cmc_hypersurface_gssf", ok, devs, table, tol,
+                                _space_form_function(p_dim, coeffs, "F", ratio), {
+        "scal_printed": scal_printed,
+        "scal_corrected": scal_corrected,
+        "a_h_grad_f_norm": table.a_h_grad_f_norm,
+    }, {
+        "scal_corrected_residual": float(np.max(np.abs(table.scal - scal_corrected))),
+        "scal_printed_residual": float(np.max(np.abs(table.scal - scal_printed))),
         "scal_note": "weighted term read as a scalar; corrected coefficient "
                      "triple used for the pass verdict (printed triple fails "
                      "on the standard biharmonic small sphere)",
     })
 
 
-def check_nonexistence_gssf(imm, blocks, flag_tol, memo):
+def check_nonexistence_gssf(imm, table, flag_tol, flags):
     """Sign test of p f1 - f2 + 3 f3 - (Delta f)/f over the samples.
 
     Non-positive everywhere rules out f-biharmonicity for CMC hypersurfaces
     with tangent Reeb field; on concrete space forms the equivalent
     phi-sectional-curvature threshold is cross-checked.
     """
-    ok, devs = _hypotheses(imm, blocks, ("hypersurface", "cmc", "xi_tangent"), flag_tol, memo)
+    ok, devs = _hypotheses(table, flags, ("hypersurface", "cmc", "xi_tangent"), flag_tol)
     p_dim = float(imm.param_dim)
     n_half = p_dim / 2.0
-    ratio = np.concatenate([_ratio(ev.trace_terms) for ev in blocks])
-    coeffs = np.concatenate([ev.trace_terms.coeffs for ev in blocks], axis=1)
-    mx = float(np.max(_space_form_function(p_dim, coeffs, "F", ratio)))
+    mx = float(np.max(_space_form_function(p_dim, table.coeffs.T, "F", table.ratio)))
     boundary = abs(mx) <= 1e-12
     if not ok:
         verdict = "hypotheses-unverifiable"
@@ -287,7 +252,8 @@ def check_nonexistence_gssf(imm, blocks, flag_tol, memo):
                  "cosymplectic": 0.0}[kind]
         ctilde = imm.ambient.ctilde
         out["ctilde"] = ctilde
-        out["ctilde_threshold_max"] = float(np.max(4.0 / (2 * n_half + 2.0) * (ratio - shift)))
+        out["ctilde_threshold_max"] = float(np.max(4.0 / (2 * n_half + 2.0)
+                                                   * (table.ratio - shift)))
         consistent = (mx <= 0.0) == (ctilde <= out["ctilde_threshold_max"] + 1e-12)
         out["threshold_form_consistent"] = bool(consistent)
     return out
@@ -295,25 +261,33 @@ def check_nonexistence_gssf(imm, blocks, flag_tol, memo):
 
 def proposition_checkers(imm, blocks, tol, flag_tol):
     """Every checker applicable to the ambient structure (tolerance `tol`,
-    hypotheses `flag_tol`), plus the Gauss scalar-curvature audit.  All share
-    `blocks`, the sample points' evaluation blocks, and one hypotheses memo."""
-    out, memo = [gauss_equation_audit(imm, blocks)], {}
-    if imm.ambient.structure == "hermitian":
-        out.append(check_cmc_hypersurface_gcsf(imm, blocks, tol, flag_tol, memo))
-        if imm.param_dim == 2:
+    hypotheses `flag_tol`), plus the Gauss scalar-curvature audit.  All read
+    one table joined from `blocks`, the sample points' evaluation blocks
+    (`_columns`), and the deviations of the flags they require, each
+    measured once on it."""
+    hermitian = imm.ambient.structure == "hermitian"
+    surface = hermitian and imm.param_dim == 2
+    point_flags = ("cmc", "lagrangian", "complex") if surface else ("cmc",) if hermitian else (
+        "cmc", "xi_tangent")
+    table = joined(blocks, lambda ev: _columns(ev, point_flags))
+    flags = {name: flag_deviation(imm, table, name) for name in ("hypersurface", *point_flags)}
+    out = [gauss_equation_audit(table)]
+    if hermitian:
+        out.append(check_cmc_hypersurface_gcsf(imm, table, tol, flag_tol, flags))
+        if surface:
             # CMC Lagrangian surface: 0 < |H|^2 <= inf (2 alpha + 3 beta - (Delta f)/f)/2
             out.append(check_bound(
-                "lagrangian_bound", imm, blocks, ("lagrangian", "cmc"), flag_tol, memo,
-                lambda t: 0.5 * (2.0 * t.coeffs[0] + 3.0 * t.coeffs[1] - _ratio(t))))
+                "lagrangian_bound", imm, table, ("lagrangian", "cmc"), flag_tol, flags,
+                lambda t: 0.5 * (2.0 * t.coeffs[:, 0] + 3.0 * t.coeffs[:, 1] - t.ratio)))
             # CMC complex surface: the same with 2 alpha - (Delta f)/f
             out.append(check_bound(
-                "complex_bound", imm, blocks, ("complex", "cmc"), flag_tol, memo,
-                lambda t: 0.5 * (2.0 * t.coeffs[0] - _ratio(t))))
+                "complex_bound", imm, table, ("complex", "cmc"), flag_tol, flags,
+                lambda t: 0.5 * (2.0 * t.coeffs[:, 0] - t.ratio)))
     else:
-        out.append(check_cmc_hypersurface_gssf(imm, blocks, tol, flag_tol, memo))
-        out.append(check_nonexistence_gssf(imm, blocks, flag_tol, memo))
+        out.append(check_cmc_hypersurface_gssf(imm, table, tol, flag_tol, flags))
+        out.append(check_nonexistence_gssf(imm, table, flag_tol, flags))
         # CMC, xi tangent, phi H tangent (F) or normal (G): 0 < |H|^2 <= inf F / q
         for which in ("F", "G"):
-            out.append(check_bound(f"{which}_bound", imm, blocks, ("cmc", "xi_tangent"),
-                                   flag_tol, memo, which=which))
+            out.append(check_bound(f"{which}_bound", imm, table, ("cmc", "xi_tangent"),
+                                   flag_tol, flags, which=which))
     return out

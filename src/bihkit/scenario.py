@@ -442,12 +442,12 @@ def _map_values(imm, points):
 def _validate(sc, order=4, nodes=None):
     """Check the scenario at its sample points and return their evaluation
     blocks of jet order `order` >= 3 (3 suffices, as in `load_scenario`), in
-    order, for the commands.  Given `nodes`, a (N, m) array of quadrature
-    nodes, one pass evaluates the sample points, then the nodes (not again
-    where they are the sample points bit for bit, as on all-periodic axes),
-    and the node blocks are returned instead, as an iterator that releases
-    each block once taken and raises a failing node's error on reaching
-    it: the errors of the sample points and the flags come first.  On a
+    order, as an iterator that releases each block once taken.  Given
+    `nodes`, a (N, m) array of quadrature nodes, one pass evaluates the
+    sample points, then the nodes (not again where they are the sample
+    points bit for bit, as on all-periodic axes), and it yields the node
+    blocks instead, raising a failing node's error on reaching it: the
+    errors of the sample points and the flags come first.  On a
     curvature-model ambient, where only the structural flags (curve,
     hypersurface) can be checked, the map's values at the sample points."""
     imm = sc.immersion
@@ -518,7 +518,7 @@ def _validate(sc, order=4, nodes=None):
         raise ScenarioError(f"flag pre-check failed: {exc}", "flags", exc.flag) from None
     if not imm.ambient.has_metric:
         return chart
-    return blocks if nodes is None else _taken(blocks if same else node_blocks, node_error)
+    return _taken(blocks if same else node_blocks, node_error)
 
 
 def _taken(blocks, error):

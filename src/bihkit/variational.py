@@ -13,7 +13,8 @@ in which the Euler-Lagrange fields below are the functional derivatives.
 
 `first_variation_suite` compares a central finite difference of each energy
 against the pairing  -int <el_field, V> dv; it and `energies` take one
-evaluation per node from their caller, in blocks.  `el_field` takes an
+evaluation per node from their caller, in blocks joined once (`_frozen`,
+the Euler-Lagrange fields too).  `el_field` takes an
 evaluation block (here of quadrature nodes) and returns the direct-mode
 residual field at its points, normalized so the pairing identity holds:
 
@@ -40,12 +41,11 @@ build serves the deformed maps of all the steps, none the undeformed map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .calculus import matvec, parameter_jets
+from .calculus import joined, matvec, parameter_jets
 from .expr import eval_on_jets, parse
 from .jets import Jet
 from .residuals import (
@@ -133,34 +133,16 @@ class QuadratureGrid:
         return len(self.points)
 
 
-@dataclass
-class _Frozen:
-    """Frozen reference data of the quadrature nodes (the t = 0 metric) and
-    the map there, one leading entry per node."""
-
-    psi: np.ndarray            # (N, d) map values
-    dpsi: np.ndarray           # (N, d, m) first derivatives dpsi[i, a, al]
-    ddpsi: np.ndarray          # (N, d, m, m) second derivatives ddpsi[i, a, al, be]
-    ginv: np.ndarray           # (N, m, m) inverse induced metric
-    gam: np.ndarray            # (N, m, m, m) its Christoffels
-    sqrt_det: np.ndarray       # (N,)
-    f: np.ndarray              # (N,)
-    grad_f_param: np.ndarray   # (N, m)
-    G: np.ndarray              # (N, d, d) ambient metric at psi
-    gam_amb: np.ndarray        # (N, d, d, d) chart Christoffels at psi
-
-
-def _frozen(blocks):
-    """The frozen data of every node from its evaluation blocks, in order
-    (the values do not depend on the jet order of the evaluation)."""
-    parts = []
-    for ev in blocks:
-        val = ev.values
-        parts.append((val(ev.psi), val(ev.dpsi), val(ev.dpsi.derivs()),
-                      val(ev.induced_metric_inv_field), val(ev.intrinsic_christoffels),
-                      np.sqrt(ev.gram_det), val(ev.f_jet), val(ev.grad_f_param_field),
-                      val(ev.G_field), val(ev.chart_christoffels)))
-    return _Frozen(*(np.concatenate(col) for col in zip(*parts)))
+def _frozen(blocks, columns=lambda ev: {}):
+    """The nodes' frozen data, joined from their blocks with `columns(ev)`:
+    psi, dpsi[i, a, al], ddpsi[i, a, al, be], ginv and gam (the t = 0 g^-1
+    and its Christoffels), sqrt_det, f, grad_f_param, G and gam_amb at psi."""
+    return joined(blocks, lambda ev: {
+        "psi": ev.values(ev.psi), "dpsi": ev.values(ev.dpsi), "ddpsi": ev.values(ev.dpsi.derivs()),
+        "ginv": ev.values(ev.induced_metric_inv_field), "gam": ev.values(ev.intrinsic_christoffels),
+        "sqrt_det": np.sqrt(ev.gram_det), "f": ev.values(ev.f_jet),
+        "grad_f_param": ev.values(ev.grad_f_param_field), "G": ev.values(ev.G_field),
+        "gam_amb": ev.values(ev.chart_christoffels), **columns(ev)})
 
 
 def _deformed_tension_data(space, frozen, v, ts):
@@ -296,11 +278,7 @@ def first_variation_suite(imm, grid, blocks, whichs, variation):
 
     # one order-4 evaluation per node gives the map, the frozen metric and,
     # through the Euler-Lagrange fields, the pairing
-    blocks = list(blocks)
-    frozen = _frozen(blocks)
-    pair_vals = {which: -inner(frozen.G, np.concatenate([el_field(ev, which) for ev in blocks]),
-                               v[0]) * frozen.sqrt_det for which in whichs}
-    del blocks
+    frozen = _frozen(blocks, lambda ev: {which: el_field(ev, which) for which in whichs})
     ts = [s for h in STEPS for s in (h, -h)]
     # numpy's warnings silenced, as in `evaluate_batches`: a density that
     # overflows is rejected at its first step, then node
@@ -313,7 +291,8 @@ def first_variation_suite(imm, grid, blocks, whichs, variation):
                              f"at node {i} (t={ts[k]})")
     out = {}
     for which in whichs:
-        rhs = float(np.dot(pair_vals[which], grid.weights))
+        pairing = -inner(frozen.G, vars(frozen)[which], v[0]) * frozen.sqrt_det
+        rhs = float(np.dot(pairing, grid.weights))
         shifted = [float(np.dot(row, grid.weights)) for row in rows[which]]
         lhs = [(plus - minus) / (2.0 * h)
                for h, plus, minus in zip(STEPS, shifted[::2], shifted[1::2])]

@@ -12,6 +12,7 @@ from bihkit.audits import (
 )
 from bihkit.calculus import Immersion
 from bihkit.residuals import theorem_residual
+from bihkit.scenario import _taken
 from bihkit.spaces import make_space
 from conftest import one_point
 
@@ -125,8 +126,8 @@ def test_phi_decomposition_audit():
 def test_run_all_audits_summary():
     imm = surface_s3d()
     blocks = [one_point(imm, p) for p in ([0.4, 0.8], [1.9, 2.4])]
-    rows, summary = run_all_audits(imm, blocks)
-    assert blocks == [] and len(rows) == 2  # each evaluation released once used
+    summary = run_all_audits(_taken(blocks, None))
+    assert blocks == []  # each evaluation released once used
     assert summary["lemgene1_corrected"] <= 1e-6
     assert summary["lemgene2_corrected"] <= 1e-6
     assert summary["lemgene3"] <= 1e-6

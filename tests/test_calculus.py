@@ -1289,21 +1289,29 @@ def test_frames_of_a_metric_with_a_short_axis():
 
 
 def test_point_rows_release_the_block():
-    """Rows hold Python scalars only: once dropped, the block is freed by
-    reference counting alone, without waiting for the cycle collector."""
-    ev = one_point(sphere_immersion(0.8), [0.7, 0.4])
-    block = weakref.ref(ev)
+    """`joined` concatenates the per-point arrays of its blocks in order and
+    keeps none of them, and rows from the joined points hold Python scalars
+    only: once dropped, each block is freed by reference counting alone,
+    without waiting for the cycle collector, and so is the joined table."""
+    imm = sphere_immersion(0.8)
+    blocks = [one_point(imm, p) for p in ([0.7, 0.4], [0.2, 0.9])]
+    refs = [weakref.ref(ev) for ev in blocks]
     gc.disable()
     try:
-        tt = ev.trace_terms
-        rows = calculus.point_rows(ev, {"h": tt.h_norm2, "nested": {"f": tt.f}, "name": "x"})
-        del tt
-        del ev
-        assert block() is None
+        table = calculus.joined(blocks, lambda ev: {"h": ev.trace_terms.h_norm2,
+                                                    "f": ev.trace_terms.f})
+        want_h = [ev.trace_terms.h_norm2[0] for ev in blocks]
+        del blocks
+        assert [ref() for ref in refs] == [None, None]
+        rows = calculus.point_rows(table.points, {"h": table.h, "f": table.f})
+        joined_points = weakref.ref(table.points)
+        del table
+        assert joined_points() is None
     finally:
         gc.enable()
-    assert rows == [{"point": [0.7, 0.4], "h": rows[0]["h"], "nested": {"f": 1.0}, "name": "x"}]
-    assert isinstance(rows[0]["h"], float)
+    assert rows == [{"point": [0.7, 0.4], "h": want_h[0], "f": 1.0},
+                    {"point": [0.2, 0.9], "h": want_h[1], "f": 1.0}]
+    assert all(isinstance(value, float) for row in rows for value in (row["h"], row["f"]))
 
 
 # Multi-operand einsum references for the block's two-operand contractions:

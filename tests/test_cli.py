@@ -305,6 +305,20 @@ def test_catalog_diff_counts_the_source_lines(monkeypatch, capsys):
         "0 of 0 runs differ from REV, 0 of them only in numbers within the 1e-12 rule\n")
 
 
+def test_catalog_diff_compares_with_a_directory(monkeypatch, capsys):
+    """`tools/catalog_diff.py` takes a directory as well as a git revision:
+    a tree with no commit is compared as it stands, without `git archive`."""
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    import catalog_diff
+
+    monkeypatch.setattr(catalog_diff, "runs", lambda tree: [])
+    lines = catalog_diff.src_lines(ROOT)
+    assert catalog_diff.main([ROOT]) == 0
+    assert capsys.readouterr().out == (
+        f"src/ lines: {lines} in {ROOT}, {lines} in this checkout\n"
+        f"0 of 0 runs differ from {ROOT}, 0 of them only in numbers within the 1e-12 rule\n")
+
+
 def test_catalog_diff_labels_a_differing_run():
     """A run whose exit code and stderr agree and whose numbers agree to the
     1e-12 rule is within it; 9e-13 against 2e-13 passes by the absolute
@@ -1067,6 +1081,64 @@ def test_catalog_reports_match_goldens(monkeypatch, job):
     _assert_matches_reference(monkeypatch, job, (int(first.removeprefix("# exit ")), report))
 
 
+def _parse_report(lines, level=0):
+    """The nested dicts and lists of strings of the report lines `lines`
+    (`report.render_report`) at indentation `level` and below, consumed
+    from the front of the list."""
+    out = [] if lines[0].lstrip().startswith("-") else {}
+    while lines and len(lines[0]) - len(lines[0].lstrip()) == 2 * level:
+        body = lines.pop(0).strip()
+        nested = lines and len(lines[0]) - len(lines[0].lstrip()) > 2 * level
+        if isinstance(out, list):
+            out.append(_parse_report(lines, level + 1) if body == "-" else body[2:])
+        elif ": " in body:
+            key, value = body.split(": ", 1)
+            out[key] = value
+        else:
+            out[body[:-1]] = _parse_report(lines, level + 1) if nested else {}
+    return out
+
+
+PINNED_REPORTS = sorted(
+    os.path.join(folder, name)
+    for folder in (GOLDEN_DIR, os.path.join(ROOT, "perfbench", "reference"))
+    for name in os.listdir(folder) if name.startswith(("check.", "props.")))
+
+
+@pytest.mark.parametrize("path", PINNED_REPORTS, ids=os.path.basename)
+def test_printed_maxima_are_the_maxima_of_the_printed_rows(path):
+    """In every pinned `check` and `props` report, each printed maximum is
+    the maximum of the printed per-point rows it summarizes, and `check`'s
+    point count is its row count."""
+    with open(path, encoding="utf-8") as fh:
+        doc = _parse_report(fh.read().splitlines()[1:])
+    column = lambda rows, key: [float(row[key]) for row in rows]
+    checked = []
+    if doc["command"] == "check":
+        rows = doc["rows"]
+        assert int(doc["points"]) == len(rows)
+        for key, columns in (("max_direct_norm", ("direct_norm",)),
+                             ("max_mode_delta", ("mode_delta_normal", "mode_delta_tangent")),
+                             ("max_reduction_delta", ("reduction_delta",))):
+            if key in doc:
+                assert float(doc[key]) == max(v for c in columns for v in column(rows, c)), key
+                checked.append(key)
+    for verdict in doc.get("verdicts", []):
+        rows = verdict.get("rows", [])
+        scal = lambda form: [abs(a - b) for a, b in zip(column(rows, "scal_intrinsic"),
+                                                        column(rows, f"scal_{form}"))]
+        expected = {"max_delta": lambda: column(rows, "delta"),
+                    "identity_residual": lambda: column(rows, "identity_residual"),
+                    "shape_grad_f_residual": lambda: column(rows, "a_h_grad_f_norm"),
+                    "scal_corrected_residual": lambda: scal("corrected"),
+                    "scal_printed_residual": lambda: scal("printed")}
+        for key, values in expected.items():
+            if key in verdict:
+                assert float(verdict[key]) == max(values()), (verdict["name"], key)
+                checked.append(key)
+    assert checked, "no maximum checked"
+
+
 @pytest.mark.parametrize("job", WORKLOADS["curves"]["jobs"], ids=job_name)
 def test_curves_reports_match_pinned_references(monkeypatch, job):
     _assert_matches_reference(monkeypatch, job)
@@ -1204,6 +1276,24 @@ f = "0.5*(exp(v) + exp(-v))"
 [sampling]
 grid = [4, 5]
 """
+
+
+def test_audit_reading_does_not_depend_on_point_order(tmp_path):
+    """The lemgene2 reading of `audit` is that of the maxima of its two
+    intrinsic deltas over all points, whichever point comes first: c08 with
+    its u axis started at 5.2360, the same six u nodes modulo 2 pi, first
+    samples a point where both deltas are round-off and the printed
+    double-Ricci form reads smaller, and keeps c08's reading."""
+    with open(scenario_path("c08_hopf_torus"), encoding="utf-8") as fh:
+        text = fh.read()
+    old = "u = [0.0, 6.283185307179586, periodic]"
+    assert old in text
+    path = write(tmp_path, text.replace(
+        old, "u = [5.235987755982988, 11.519173063162574, periodic]"))
+    for scenario in (scenario_path("c08_hopf_torus"), path):
+        code, out, err = run_cli(["audit", scenario])
+        assert code == 0, err
+        assert "lemgene2_reading: single intrinsic Ricci\n" in out, scenario
 
 
 def _nan_at_a_later_point(values):
@@ -1608,10 +1698,10 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name, commands):
         if size == 1:
             _force_block_points(monkeypatch, 1)
         sc = load_scenario(path, validate=False)
-        validated = _validate(sc)
+        validated = list(_validate(sc))
         assert max(map(len, validated)) == min(size, len(sc.sample_points()))
         monkeypatch.setattr(cli, "_validate", lambda sc, order, nodes: (
-            list(validated) if nodes is None else _validate(sc, order, nodes)))
+            iter(validated) if nodes is None else _validate(sc, order, nodes)))
         for command in commands:
             code, out, err = run_cli([command, path])
             assert code in (0, 2), (command, err)

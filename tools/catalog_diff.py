@@ -1,14 +1,17 @@
-"""Compare the CLI's catalog runs of this checkout with those of a git revision.
+"""Compare the CLI's catalog runs of this checkout with those of a git revision
+or of another tree.
 
     python tools/catalog_diff.py REV
+    python tools/catalog_diff.py DIR
 
-Exports REV with `git archive` into a temporary directory and copies this
-checkout's `src/` beside it at the start, so that an edit made during the
-run (a minute or more) does not mix two states into "this checkout".  Then
-runs the same 192 CLI runs in both trees, each a fresh `python -m bihkit.cli`
-process on that tree's own scenario files, on `os.cpu_count()` worker
-threads (a run's two trees one after the other on one worker); the output
-keeps the runs' order.  The runs share one bytecode cache in the temporary
+Exports REV with `git archive` into a temporary directory, or copies the
+`src/` of DIR, a directory (a tree with no commit, such as an unpacked copy),
+there, and copies this checkout's `src/` beside it at the start, so that an
+edit made during the run (a minute or more) does not mix two states into
+"this checkout".  Then runs the same 192 CLI runs in both trees, each a
+fresh `python -m bihkit.cli` process on that tree's own scenario files, on
+`os.cpu_count()` worker threads (a run's two trees one after the other on
+one worker); the output keeps the runs' order.  The runs share one bytecode cache in the temporary
 directory (`PYTHONPYCACHEPREFIX`), so each module is compiled once and no
 `__pycache__` is written into either tree:
 
@@ -113,15 +116,23 @@ def export(rev, dest):
     return tree
 
 
+def copy_src(tree, dest):
+    """Copy the `src/` of `tree` into `dest`, without bytecode, and return `dest`."""
+    shutil.copytree(Path(tree, "src"), Path(dest, "src"),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return Path(dest)
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print("\n".join(line.strip() for line in __doc__.strip().splitlines()[3:5]),
+              file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        other = export(args[0], tmp)
-        ours = Path(tmp, "ours")
-        shutil.copytree(ROOT / "src", ours / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        other = (copy_src(args[0], Path(tmp, "tree")) if Path(args[0]).is_dir()
+                 else export(args[0], tmp))
+        ours = copy_src(ROOT, Path(tmp, "ours"))
         print(f"src/ lines: {src_lines(other)} in {args[0]}, {src_lines(ours)} in this checkout")
         jobs = runs(ours)
         if jobs != runs(other):
