@@ -752,9 +752,8 @@ def flag_deviation(imm, blocks, name):
     each point's deviation (`_point_deviations`) under the flag's name.
 
     Returns max deviation (0 = property holds exactly).  Structural flags
-    (hypersurface, curve) return 0.0 or inf; any other flag is a FlagError
-    on a curvature-model ambient, which has no evaluation blocks.
-    """
+    (hypersurface, curve) return 0.0 or inf; the others read at least one
+    point (a curvature-model ambient, which has no blocks, raises FlagError)."""
     if name == "hypersurface":
         return 0.0 if imm.codim == 1 else float("inf")
     if name == "curve":
@@ -769,9 +768,9 @@ def flag_deviation(imm, blocks, name):
         ambient = "a Hermitian" if needs[name] == "hermitian" else "a contact"
         raise FlagError(name, f"flag {name!r} needs {ambient} ambient")
     devs = (getattr(blocks, name) if isinstance(blocks, SimpleNamespace) else
-            np.concatenate([_point_deviations(ev, name) for ev in blocks] or [np.zeros(0)]))
+            np.concatenate([_point_deviations(ev, name) for ev in blocks]))
     if name == "cmc":
-        return float(devs.max() - devs.min()) if devs.size else 0.0
+        return float(devs.max() - devs.min())
     return float(np.max(devs, initial=0.0))
 
 

@@ -552,106 +552,69 @@ def test_trace_terms_shared_and_read_only():
         tt.grad_f += 1.0
 
 
-def test_check_point_operation_counts(monkeypatch):
+PRODUCTS = ("jets.Jet.__mul__", "jets.Jet.__rmul__")
+PULLBACK = "calculus.Evaluation.pullback_derivative"
+
+
+def test_check_point_operation_counts(recorder):
     """Jet work of one `check` block on c13 (64 points, order-4 jets in 3
     variables): its evaluation, the direct field, one theorem residual and
     the mode comparison.  Counts, not times, so the guard is
     deterministic."""
-    counts = {"mul": 0, "truncate": 0, "trace_terms": 0, "pullback": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for attr in ("__mul__", "__rmul__"):
-        monkeypatch.setattr(Jet, attr, counted("mul", getattr(Jet, attr)))
-    monkeypatch.setattr(Jet, "truncate", counted("truncate", Jet.truncate))
-    monkeypatch.setattr(calculus, "trace_terms_at",
-                        counted("trace_terms", calculus.trace_terms_at))
-    EV = calculus.Evaluation
-    monkeypatch.setattr(EV, "pullback_derivative",
-                        counted("pullback", EV.pullback_derivative))
     sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
     kind = sc.mode["kind"]
     ev = calculus.evaluate(sc.immersion, _first_block_points(sc))
     bi_f_tension_direct(ev)
     # the first and second derivatives of tau_w; the directional derivative
     # reuses the first
-    assert counts["pullback"] == 2
+    assert recorder.of(PULLBACK) == [(64, 4)] * 2
     theorem_residual(ev, kind=kind, errata=True)
     compare_modes(ev, kind=kind, errata=True)
-    assert counts["trace_terms"] == 1
-    assert counts["mul"] <= 180
-    assert counts["truncate"] <= 60
-    counts["pullback"] = 0
+    assert recorder.of("calculus.trace_terms_at") == [(64, 4)]
+    assert len(recorder.of(*PRODUCTS)) <= 180
+    assert len(recorder.of("jets.Jet.truncate")) <= 60
+    recorder.calls.clear()
     f_bitension_direct(ev)
-    assert counts["pullback"] == 2
+    assert recorder.of(PULLBACK) == [(64, 4)] * 2
 
 
-def test_direct_field_product_count_does_not_grow_with_points(monkeypatch):
+def _products(recorder, fn, items):
+    """The jet products fn(item) makes, for each item."""
+    counts = []
+    for item in items:
+        recorder.calls.clear()
+        fn(item)
+        counts.append(len(recorder.of(*PRODUCTS)))
+    return counts
+
+
+def test_direct_field_product_count_does_not_grow_with_points(recorder):
     """The direct fields make the same number of jet products at 1 and at
     16 points of c13: the block's points share every product."""
     sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
     evals = [calculus.evaluate(sc.immersion, sc.sample_points()[:count]) for count in (1, 16)]
-    counts = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            counts[-1] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for attr in ("__mul__", "__rmul__"):
-        monkeypatch.setattr(Jet, attr, counted(getattr(Jet, attr)))
-    for ev in evals:
-        counts.append(0)
-        bi_f_tension_direct(ev)
-        f_bitension_direct(ev)
+    counts = _products(recorder, lambda ev: (bi_f_tension_direct(ev), f_bitension_direct(ev)),
+                       evals)
     assert counts[0] == counts[1] > 0
 
 
-def test_trace_terms_product_count_does_not_grow_with_points(monkeypatch):
+def test_trace_terms_product_count_does_not_grow_with_points(recorder):
     """One trace-term build makes the same number of jet products at 1 and
     at 16 points of c13: the block's points share every product."""
     sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
     evals = [calculus.evaluate(sc.immersion, sc.sample_points()[:count]) for count in (1, 16)]
-    counts = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            counts[-1] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for attr in ("__mul__", "__rmul__"):
-        monkeypatch.setattr(Jet, attr, counted(getattr(Jet, attr)))
-    for ev in evals:
-        counts.append(0)
-        calculus.trace_terms_at(ev)
+    counts = _products(recorder, calculus.trace_terms_at, evals)
     assert counts[0] == counts[1] > 0
 
 
-def test_batched_evaluation_product_count_does_not_grow_with_points(monkeypatch):
+def test_batched_evaluation_product_count_does_not_grow_with_points(recorder):
     """One batched evaluation makes the same number of jet products at 8 and
     at 64 points of c13: per-point work is inside the products."""
-    counts = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            counts[-1] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for attr in ("__mul__", "__rmul__"):
-        monkeypatch.setattr(Jet, attr, counted(getattr(Jet, attr)))
     sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
     points = sc.sample_points()
     assert len(points) == 64
-    for count in (8, 64):
-        counts.append(0)
-        calculus.evaluate(sc.immersion, points[:count])
+    counts = _products(recorder, lambda count: calculus.evaluate(sc.immersion, points[:count]),
+                       (8, 64))
     assert counts[0] == counts[1] > 0
 
 
@@ -743,7 +706,8 @@ PREFIX_FAILURES = {
 
 @pytest.mark.parametrize("case", sorted(PREFIX_FAILURES))
 @pytest.mark.parametrize("order", [3, 4])
-def test_evaluate_batches_yields_the_points_before_the_failing_one(monkeypatch, case, order):
+def test_evaluate_batches_yields_the_points_before_the_failing_one(monkeypatch, recorder,
+                                                                    case, order):
     """Before it raises at the first failing point k, `evaluate_batches`
     yields blocks that cover exactly points 0..k-1, each equal, bit for bit,
     to its points evaluated alone; the error names point k with the message
@@ -752,20 +716,16 @@ def test_evaluate_batches_yields_the_points_before_the_failing_one(monkeypatch, 
     chart_map, weight, error, message, sizes = PREFIX_FAILURES[case]
     imm = Immersion.from_strings(["u"], FLAT3, chart_map, weight)
     monkeypatch.setattr(calculus, "block_points", lambda m, d, order: 16)
-    evaluated, evaluate = [], calculus.evaluate
-    monkeypatch.setattr(calculus, "evaluate",
-                        lambda imm, points, order: evaluated.append(len(points))
-                        or evaluate(imm, points, order))
     blocks = []
     with pytest.raises(calculus.PointError) as info:
         for ev in calculus.evaluate_batches(imm, PREFIX_POINTS, order):
             blocks.append(ev)
     assert type(info.value) is error
     assert info.value.point == [PREFIX_FAIL] and str(info.value) == message
-    assert evaluated == sizes
+    assert recorder.of("calculus.evaluate") == [(size, order) for size in sizes]
     assert same_bits(np.concatenate([ev.points for ev in blocks]), PREFIX_POINTS[:21])
     for ev in blocks:
-        alone = evaluate(imm, ev.points, order)
+        alone = calculus.evaluate(imm, ev.points, order)
         assert ev.order == order
         assert all(map(same_bits, _block_quantities(ev), _block_quantities(alone)))
 
@@ -890,41 +850,23 @@ def test_first_failing_expression_raises_its_own_error():
             calculus.evaluate(imm, points)
 
 
-def test_c08_block_builds_each_jet_once(monkeypatch):
+def test_c08_block_builds_each_jet_once(recorder):
     """On one c08 block, the shared memo computes sin(v) and the reciprocal
     of the denominator 1 + 0.8 sin(v) once for all three map components,
     and only two matrices are inverted: the ambient metric and the induced
-    metric, whose inverse the intrinsic Christoffels reuse."""
+    metric, whose inverse the intrinsic Christoffels reuse.  So the block
+    takes two sines, of u and v, and one reciprocal for the map, one for
+    the chart embedding of the 3-sphere and one per pivot of the two
+    eliminations."""
     sc = load_scenario(scenario_path("c08_hopf_torus"), validate=False)
-    points = _first_block_points(sc)
-    v = points[:, 1]
-    seen = {"sin": [], "reciprocal": [], "inverse": 0}
-
-    def recorded(key, fn):
-        def wrapper(self, *args):
-            seen[key].append(self.c[..., 0].copy())
-            return fn(self, *args)
-        return wrapper
-
-    def inverse(self):
-        seen["inverse"] += 1
-        return invert(self)
-
-    invert = Jet.inverse
-    monkeypatch.setattr(Jet, "sin", recorded("sin", Jet.sin))
-    monkeypatch.setattr(Jet, "_reciprocal", recorded("reciprocal", Jet._reciprocal))
-    monkeypatch.setattr(Jet, "inverse", inverse)
-    calculus.evaluate(sc.immersion, points)
-    denominator = np.array([1 + 0.8 * np.sin(x) for x in v])
-    of = lambda key, values: sum(x.shape == values.shape and np.allclose(x, values)
-                                 for x in seen[key])
-    assert of("sin", v) == 1
-    assert of("reciprocal", denominator) == 1
-    assert seen["inverse"] <= 2
+    calculus.evaluate(sc.immersion, _first_block_points(sc))
+    assert len(recorder.of("jets.Jet.sin")) == 2
+    assert len(recorder.of("jets.Jet._reciprocal")) == 1 + 1 + 3 + 2
+    assert len(recorder.of("jets.Jet.inverse")) <= 2
 
 
 @pytest.mark.parametrize("order", [0, 2])
-def test_map_jets_shares_one_memo(monkeypatch, order):
+def test_map_jets_shares_one_memo(recorder, order):
     """`map_jets` evaluates the components with one memo, as `evaluate`
     does: on c08, sin(v) and the reciprocal of 1 + 0.8 sin(v) are computed
     once for all three components, and on c08 and SHARED the map is, bit
@@ -936,23 +878,11 @@ def test_map_jets_shares_one_memo(monkeypatch, order):
         env = calculus.parameter_jets(imm.params, at_points, order)
         expected = Jet.stack([_plain_eval(c, env) for c in imm.components])
         assert same_bits(calculus.map_jets(imm, at_points, order).c, expected.c)
-    seen = {"sin": [], "reciprocal": []}
-
-    def recorded(key, fn):
-        def wrapper(self, *args):
-            seen[key].append(self.c[..., 0].copy())
-            return fn(self, *args)
-        return wrapper
-
-    monkeypatch.setattr(Jet, "sin", recorded("sin", Jet.sin))
-    monkeypatch.setattr(Jet, "_reciprocal", recorded("reciprocal", Jet._reciprocal))
+    recorder.calls.clear()
     calculus.map_jets(sc.immersion, points, order)
-    v = points[:, 1]
-    denominator = 1 + 0.8 * np.sin(v)
-    of = lambda key, values: sum(x.shape == values.shape and np.allclose(x, values)
-                                 for x in seen[key])
-    assert of("sin", v) == 1
-    assert of("reciprocal", denominator) == 1
+    # sin(u) and sin(v), and 1 / (1 + 0.8 sin(v)), each once
+    assert len(recorder.of("jets.Jet.sin")) == 2
+    assert len(recorder.of("jets.Jet._reciprocal")) == 1
 
 
 # -- index-loop references of the contractions ---------------------------------

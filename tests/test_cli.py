@@ -4,7 +4,6 @@ reports, the catalog goldens and evaluation counts."""
 
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import io
 import itertools
@@ -12,17 +11,15 @@ import os
 import re
 import subprocess
 import sys
-import weakref
 
 import numpy as np
 import pytest
 
-from bihkit import (audits, calculus, cli, jets, props, residuals, scenario, spaces,
-                    variational)
+from bihkit import audits, calculus, cli, props, residuals, scenario, spaces
 from bihkit.report import strip_volatile
 from bihkit.residuals import theorem_residual
 from bihkit.scenario import MAX_SAMPLE_POINTS, _validate, load_scenario
-from conftest import same_bits, scenario_path
+from conftest import record, same_bits, scenario_path
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -235,19 +232,11 @@ def test_importing_the_cli_does_not_load_openssl():
     assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
-def test_load_scenario_validates_at_order_3_in_one_block(monkeypatch):
+def test_load_scenario_validates_at_order_3_in_one_block(recorder):
     """`load_scenario` validates c13's 64 sample points with one evaluation
     at jet order 3: it keeps none of them, so order 4 would be wasted."""
-    evaluated = []
-    evaluate = calculus.evaluate
-
-    def recorded(imm, points, order=4):
-        evaluated.append((order, len(points)))
-        return evaluate(imm, points, order)
-
-    monkeypatch.setattr(calculus, "evaluate", recorded)
     load_scenario(scenario_path("c13_hypersphere_r4"))
-    assert evaluated == [(3, 64)]
+    assert recorder.of("calculus.evaluate") == [(64, 3)]
 
 
 def test_docstrings_list_the_commands_and_mode_keys():
@@ -407,7 +396,7 @@ def test_batched_validation_names_the_first_failing_point(tmp_path, case):
     assert err == f"validation error: {message}\n"
 
 
-def test_failing_block_is_halved_down_to_its_first_failing_point(tmp_path, monkeypatch):
+def test_failing_block_is_halved_down_to_its_first_failing_point(tmp_path, recorder):
     """A failing block is evaluated again in halves, not point by point: c13
     with a map that fails only at the last of its 64 sample points takes 13
     evaluations (64, then 32 and 32, ..., 1 and 1), and the error is the one
@@ -418,17 +407,13 @@ def test_failing_block_is_halved_down_to_its_first_failing_point(tmp_path, monke
     assert good in text
     # u*w + v is largest, 23.473, at the last sample point only
     path = write(tmp_path, text.replace(good, '"0.9*sin(v)*cos(w) + 0*sqrt(23.47 - u*w - v)"'))
-    sizes = []
-    evaluate = calculus.evaluate
-    monkeypatch.setattr(calculus, "evaluate",
-                        lambda imm, points, order=4: sizes.append(len(points))
-                        or evaluate(imm, points, order))
     code, out, err = run_cli(["check", path])
     assert (code, out) == (3, "")
     assert err == ("validation error: sample point [4.71238898038469, 1.2665, "
                    "4.71238898038469] rejected: sqrt of non-positive jet value "
                    "(section [sampling], key 'grid')\n")
-    assert sizes == [64] + [size for size in (32, 16, 8, 4, 2, 1) for _ in range(2)]
+    assert [size for size, _order in recorder.of("calculus.evaluate")] == [64] + [
+        size for size in (32, 16, 8, 4, 2, 1) for _ in range(2)]
 
 
 @pytest.mark.parametrize("case", ["map_overflow", "weight_infinite"])
@@ -581,24 +566,17 @@ def _force_block_points(monkeypatch, points):
     monkeypatch.setattr(calculus, "block_points", lambda m, d, order: points)
 
 
-def _record_map_builds(monkeypatch, path):
-    """Record (jet order, points) of each build of a map component of the
+def _map_builds(recorder, path):
+    """(points, jet order) of each recorded build of a map component of the
     scenario at `path`."""
     components = load_scenario(path, validate=False).immersion.components
-    sizes = []
-    for module in (calculus, variational):
-        def recorded(expression, env, memo=None, evaluate=module.eval_on_jets):
-            if expression in components:
-                some = next(iter(env.values()))
-                sizes.append((some.space.order, some.c.shape[-2] if some.batched else 1))
-            return evaluate(expression, env, memo)
-
-        monkeypatch.setattr(module, "eval_on_jets", recorded)
-    return sizes
+    return [call[1:] for call in recorder.calls
+            if call[0] == "expr.eval_on_jets" and call.subject in components]
 
 
 @pytest.mark.parametrize("command", ["energy", "variation"])
-def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch, command):
+def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch, recorder,
+                                                                     command):
     """`energy` and `variation` on c08 (both axes periodic, so its 36
     trapezoid nodes are its 36 sample points) evaluate the map components
     only in the evaluation blocks, once per point: validation at the order
@@ -610,23 +588,22 @@ def test_quadrature_commands_build_the_map_only_in_evaluation_blocks(monkeypatch
     in blocks of 16 points it is blocks of 16, 16 and 4, so a build over all
     nodes would also be too large."""
     path = scenario_path("c08_hopf_torus")
-    sizes = _record_map_builds(monkeypatch, path)
     order = 3 if command == "energy" else 4
     assert calculus.block_points(2, 3, order) >= 36
     for points, blocks in ((None, [36]), (16, [16, 16, 4])):
         if points:
             _force_block_points(monkeypatch, points)
-        sizes.clear()
+        recorder.calls.clear()
         code, _out, err = run_cli([command, path])
         assert code == 0, err
         # one entry per map component and block or axis
-        expected = [(order, size) for size in blocks] + [(0, 4)]
-        assert sorted(sizes) == sorted(expected * 3)
+        expected = [(size, order) for size in blocks] + [(4, 0)]
+        assert sorted(_map_builds(recorder, path)) == sorted(expected * 3)
 
 
 @pytest.mark.parametrize("command", ["energy", "variation"])
 def test_open_axis_quadrature_commands_build_the_map_for_samples_then_nodes(monkeypatch,
-                                                                            command):
+                                                                            recorder, command):
     """`energy` and `variation` on c04 (v open, so its 36 Gauss-trapezoid
     nodes are not its 36 sample points) evaluate the map components in one
     pass over the 36 sample points followed by the 36 nodes, at the order
@@ -637,17 +614,16 @@ def test_open_axis_quadrature_commands_build_the_map_for_samples_then_nodes(monk
     points, blocks of 16, 16, 16, 16 and 8, the third holding the last 4
     sample points and the first 12 nodes."""
     path = scenario_path("c04_small_sphere")
-    sizes = _record_map_builds(monkeypatch, path)
     order = 3 if command == "energy" else 4
     assert calculus.block_points(2, 3, order) >= 72
     for points, blocks in ((None, [72]), (16, [16, 16, 16, 16, 8])):
         if points:
             _force_block_points(monkeypatch, points)
-        sizes.clear()
+        recorder.calls.clear()
         code, _out, err = run_cli([command, path])
         assert code in (0, 2), err
-        expected = [(order, size) for size in blocks] + [(0, 2)]
-        assert sorted(sizes) == sorted(expected * 3)
+        expected = [(size, order) for size in blocks] + [(2, 0)]
+        assert sorted(_map_builds(recorder, path)) == sorted(expected * 3)
 
 
 @pytest.mark.parametrize("command, name, rows, sizes", [
@@ -658,24 +634,15 @@ def test_open_axis_quadrature_commands_build_the_map_for_samples_then_nodes(monk
     # coefficients), the Christoffels reading a prefix
     ("audit", "c18_hypersphere_cp2", {35}, {20}),
 ])
-def test_composers_build_only_live_rows_to_the_kept_order(monkeypatch, command, name,
-                                                           rows, sizes):
+def test_composers_build_only_live_rows_to_the_kept_order(recorder, command, name, rows,
+                                                           sizes):
     """The composer of each evaluation block builds its monomial table only
     to the highest degree a chart jet is nonzero at, and to the order the
     composed metric keeps (order - 1)."""
-    built = []
-    table = jets.Composer._table
-
-    def recorded(self, degree, order):
-        out = table(self, degree, order)
-        built.append(self._built.shape)
-        return out
-
-    monkeypatch.setattr(jets.Composer, "_table", recorded)
     code, _out, err = run_cli([command, scenario_path(name)])
     assert code in (0, 2), err
-    assert {shape[0] for shape in built} == rows
-    assert {shape[-1] for shape in built} == sizes
+    built_rows, built_sizes = map(set, zip(*recorder.of("jets.Composer._table")))
+    assert (built_rows, built_sizes) == (rows, sizes)
 
 
 def test_omitted_ambient_key_takes_the_constructor_default(tmp_path):
@@ -951,19 +918,15 @@ grid = [4]
 
 @pytest.mark.parametrize("command,expected",
                          [("check", 3), ("props", 3), ("energy", 3), ("audit", 0)])
-def test_abstract_ambient_runs_audit_only(tmp_path, monkeypatch, command, expected):
+def test_abstract_ambient_runs_audit_only(tmp_path, recorder, command, expected):
     """`audit` builds the map at its 4 sample points once, at validation,
     and reads those values, and at the two ends of the periodic axis; the
     other commands exit 3."""
-    built, map_jets = [], calculus.map_jets
-    for module in (calculus, scenario, cli):  # every module that may build it
-        monkeypatch.setattr(module, "map_jets", lambda imm, points, order: (
-            built.append((len(points), order)) or map_jets(imm, points, order)), raising=False)
     code, out, err = run_cli([command, write(tmp_path, ABSTRACT)])
     assert code == expected, err
     if expected == 0:
         assert "curvature_trace_audit:" in out
-        assert built == [(4, 0), (2, 0)]
+        assert recorder.of("calculus.map_jets") == [(4, 0), (2, 0)]
     else:
         assert "section [ambient], key 'kind'" in err
 
@@ -1105,13 +1068,27 @@ PINNED_REPORTS = sorted(
     for name in os.listdir(folder) if name.startswith(("check.", "props.")))
 
 
-@pytest.mark.parametrize("path", PINNED_REPORTS, ids=os.path.basename)
-def test_printed_maxima_are_the_maxima_of_the_printed_rows(path):
-    """In every pinned `check` and `props` report, each printed maximum is
-    the maximum of the printed per-point rows it summarizes, and `check`'s
-    point count is its row count."""
-    with open(path, encoding="utf-8") as fh:
-        doc = _parse_report(fh.read().splitlines()[1:])
+# `check` reports rendered by the test, of c08 with a corollary: the [mode]
+# lines, for the `max_reduction_delta` that no pinned report prints
+COROLLARY_REPORTS = {
+    "check.c08_fbh_gssf_xi_tangent": "kind = fbh\ncorollary = fbh_gssf_xi_tangent",
+    "check.c08_bif_gssf_xi_tangent": "kind = bif\ncorollary = bif_gssf_xi_tangent"}
+
+
+@pytest.mark.parametrize("path", PINNED_REPORTS + sorted(COROLLARY_REPORTS), ids=os.path.basename)
+def test_printed_maxima_are_the_maxima_of_the_printed_rows(tmp_path, path):
+    """In every pinned `check` and `props` report, and in `check` reports of
+    c08 with a corollary, each printed maximum is the maximum of the printed
+    per-point rows it summarizes, and `check`'s point count is its row
+    count."""
+    if path in COROLLARY_REPORTS:
+        text = _catalog_text("c08_hopf_torus", "kind = fbh", COROLLARY_REPORTS[path])
+        code, report, err = run_cli(["check", write(tmp_path, text)])
+        assert code == 0, err
+    else:
+        with open(path, encoding="utf-8") as fh:
+            report = fh.read().partition("\n")[2]
+    doc = _parse_report(report.splitlines())
     column = lambda rows, key: [float(row[key]) for row in rows]
     checked = []
     if doc["command"] == "check":
@@ -1137,6 +1114,7 @@ def test_printed_maxima_are_the_maxima_of_the_printed_rows(path):
                 assert float(verdict[key]) == max(values()), (verdict["name"], key)
                 checked.append(key)
     assert checked, "no maximum checked"
+    assert ("max_reduction_delta" in checked) == (path in COROLLARY_REPORTS)
 
 
 @pytest.mark.parametrize("job", WORKLOADS["curves"]["jobs"], ids=job_name)
@@ -1344,66 +1322,37 @@ def test_nan_residual_fails_audit_and_props(tmp_path, monkeypatch, command):
     assert ("max_delta: nan" if command == "audit" else "identity_residual: nan") in out
 
 
-def _count_builds(monkeypatch):
-    """Orders of the points evaluated from now on, one entry per point of
-    each batched evaluation."""
-    builds = []
-    init = calculus.Evaluation.__init__
-
-    def counted(self, imm, points, order, *args):
-        builds.extend([order] * len(points))
-        init(self, imm, points, order, *args)
-
-    monkeypatch.setattr(calculus.Evaluation, "__init__", counted)
-    return builds
+def _point_orders(recorder):
+    """The jet order of each point of each recorded `Evaluation`."""
+    return [order for size, order in recorder.of("calculus.Evaluation.__init__")
+            for _ in range(size)]
 
 
-def test_check_builds_one_evaluation_per_sample_point(monkeypatch):
+def test_check_builds_one_evaluation_per_sample_point(recorder):
     """`check` evaluates each sample point once: validation's evaluation
     blocks are the ones the command consumes."""
-    builds = _count_builds(monkeypatch)
     path = scenario_path("c17_circle_c1")
     points = len(load_scenario(path, validate=False).sample_points())
     code, _out, _err = run_cli(["check", path])
     assert code == 0
-    assert builds.count(4) == points
+    assert _point_orders(recorder).count(4) == points
 
 
 @pytest.mark.parametrize("name,blocks", [("c13_hypersphere_r4", [16] * 4),
                                          ("c02_curve_sasakian", [12]),
                                          ("c13_hypersphere_r4", [64])])
-def test_check_builds_the_trace_terms_once_per_block(monkeypatch, name, blocks):
+def test_check_builds_the_trace_terms_once_per_block(monkeypatch, recorder, name, blocks):
     """The trace terms are built once per block of points: on c13 (64
     points, one block under the rule, four in blocks of 16) validation's
     parallel_H pre-check builds them and `check` reuses them."""
     if len(blocks) > 1:  # the rule makes every catalog scenario one block
         _force_block_points(monkeypatch, blocks[0])
-    sizes = []
-    build = calculus.trace_terms_at
-    monkeypatch.setattr(calculus, "trace_terms_at", lambda ev: sizes.append(len(ev)) or build(ev))
     code, _out, err = run_cli(["check", scenario_path(name)])
     assert code == 0, err
-    assert sizes == blocks
+    assert recorder.of("calculus.trace_terms_at") == [(size, 4) for size in blocks]
 
 
-def _record_validation(monkeypatch):
-    """Record (jet order, points) of each evaluation pass of validation and
-    the size of each block whose trace terms are built."""
-    validated, trace_terms = [], []
-    evaluate_batches = scenario.evaluate_batches
-
-    def recorded(imm, points, order=4):
-        validated.append((order, np.array(points)))
-        return evaluate_batches(imm, points, order)
-
-    build = calculus.trace_terms_at
-    monkeypatch.setattr(scenario, "evaluate_batches", recorded)
-    monkeypatch.setattr(calculus, "trace_terms_at",
-                        lambda ev: trace_terms.append(len(ev)) or build(ev))
-    return validated, trace_terms
-
-
-def test_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch):
+def test_quadrature_commands_validate_at_order_3_without_trace_terms(recorder):
     """On c08, whose quadrature nodes are its sample points, `energy` and
     `variation` validate the sample points at the order they read, 3 and 4,
     and take those blocks; neither the parallel_H pre-check nor the
@@ -1411,19 +1360,18 @@ def test_quadrature_commands_validate_at_order_3_without_trace_terms(monkeypatch
     the trace terms once, for its one block of 36 points."""
     path = scenario_path("c08_hopf_torus")
     sample = load_scenario(path, validate=False).sample_points()
-    validated, trace_terms = _record_validation(monkeypatch)
     for command, order in (("energy", 3), ("variation", 4), ("check", 4)):
-        validated.clear()
-        trace_terms.clear()
+        recorder.calls.clear()
         code, _out, err = run_cli([command, path])
         assert code == 0, err
-        assert [o for o, _p in validated] == [order], command
-        assert np.array_equal(validated[0][1], sample), command
-        assert trace_terms == ([] if command != "check" else [36]), command
+        assert recorder.of("calculus.evaluate_batches") == [(36, order)], command
+        assert np.array_equal(recorder.subjects("calculus.evaluate_batches")[0], sample), command
+        assert recorder.of("calculus.trace_terms_at") == (
+            [] if command != "check" else [(36, 4)]), command
 
 
 def test_open_axis_quadrature_commands_validate_the_sample_blocks_without_trace_terms(
-        monkeypatch):
+        monkeypatch, recorder):
     """On c04, whose quadrature nodes are not its sample points, `energy`
     and `variation` make one validation pass, over the sample points, then
     the nodes, at the order the command reads (3, 4); the flag pre-checks
@@ -1434,56 +1382,35 @@ def test_open_axis_quadrature_commands_validate_the_sample_blocks_without_trace_
     sc = load_scenario(path, validate=False)
     sample = sc.sample_points()
     passed = np.vstack([sample, sc.quadrature().points])
-    validated, trace_terms = _record_validation(monkeypatch)
-    checked = []
-    verify = scenario.verify_flags
-
-    def recorded(imm, blocks, tol):
-        checked.append([(ev.order, ev.points) for ev in blocks])
-        return verify(imm, blocks, tol)
-
-    monkeypatch.setattr(scenario, "verify_flags", recorded)
-    for points, sizes in ((None, [36]), (16, [16, 16, 4])):
+    for points, sizes in ((None, (36,)), (16, (16, 16, 4))):
         if points:
             _force_block_points(monkeypatch, points)
         for command, order in (("energy", 3), ("variation", 4)):
-            validated.clear()
-            trace_terms.clear()
-            checked.clear()
+            recorder.calls.clear()
             code, _out, err = run_cli([command, path])
             assert code in (0, 2), err
-            assert [o for o, _p in validated] == [order], command
-            assert same_bits(validated[0][1], passed), command
-            assert len(checked) == 1 and [o for o, _p in checked[0]] == [order] * len(sizes)
-            assert [len(p) for _o, p in checked[0]] == sizes, command
-            assert same_bits(np.concatenate([p for _o, p in checked[0]]), sample), command
-            assert trace_terms == [], command
+            assert recorder.of("calculus.evaluate_batches") == [(72, order)], command
+            assert same_bits(recorder.subjects("calculus.evaluate_batches")[0], passed), command
+            assert recorder.of("calculus.verify_flags") == [(sizes, (order,) * len(sizes))]
+            checked, = recorder.subjects("calculus.verify_flags")
+            assert same_bits(np.concatenate(checked), sample), command
+            assert recorder.of("calculus.trace_terms_at") == [], command
 
 
 @pytest.mark.parametrize("command", ["energy", "variation"])
 @pytest.mark.parametrize("name", ["c04_small_sphere", "c08_hopf_torus"])
-def test_quadrature_commands_release_the_blocks_before_the_densities(monkeypatch, name,
-                                                                     command):
+def test_quadrature_commands_release_the_blocks_before_the_densities(recorder, name, command):
     """No evaluation block of `energy` or `variation` is alive when the
     energy densities are computed: neither c08's validated blocks, which
     the command takes from validation's list, nor c04's sample and node
     blocks."""
-    evaluations, alive = [], []
-    init, densities = calculus.Evaluation.__init__, variational._densities
-
-    def tracked(self, *args):
-        init(self, *args)
-        evaluations.append(weakref.ref(self))
-
-    def counted(*args):
-        alive.append(sum(ref() is not None for ref in evaluations))
-        return densities(*args)
-
-    monkeypatch.setattr(calculus.Evaluation, "__init__", tracked)
-    monkeypatch.setattr(variational, "_densities", counted)
+    evaluations = lambda: recorder.subjects("calculus.Evaluation.__init__")
+    alive = []
+    recorder.at("variational._densities", lambda: alive.append(
+        sum(ref() is not None for ref in evaluations())))
     code, _out, err = run_cli([command, scenario_path(name)])
     assert code in (0, 2), err
-    assert evaluations and alive == [0]
+    assert evaluations() and alive == [0]
 
 
 # The catalog scenarios whose axes are all periodic: their trapezoid nodes
@@ -1494,7 +1421,7 @@ ALL_PERIODIC = ("c01_circle_flat", "c02_curve_sasakian", "c03_lagrangian_torus",
                 "c15_invariant_curve", "c16_xi_normal_curve", "c17_circle_c1")
 
 
-def test_quadrature_commands_evaluate_each_point_once(monkeypatch, catalog_names):
+def test_quadrature_commands_evaluate_each_point_once(recorder, catalog_names):
     """The (jet order, points) of every `calculus.evaluate` call that
     `energy` and `variation` make on the 18 catalog scenarios, runs of one
     order joined: one run per job, at the order the command reads (3 for
@@ -1502,21 +1429,15 @@ def test_quadrature_commands_evaluate_each_point_once(monkeypatch, catalog_names
     axes are all periodic evaluate their sample points, which are their
     quadrature nodes; the other 7 their sample points followed by their
     quadrature nodes."""
-    ledger = []
-    evaluate = calculus.evaluate
-
-    def recorded(imm, points, order=4):
-        ledger.append((order, np.array(points)))
-        return evaluate(imm, points, order)
-
-    monkeypatch.setattr(calculus, "evaluate", recorded)
     assert len(catalog_names) == 18 and set(ALL_PERIODIC) < set(catalog_names)
     for name in catalog_names:
         sc = load_scenario(scenario_path(name), validate=False)
         for command, order in (("energy", 3), ("variation", 4)):
-            ledger.clear()
+            recorder.calls.clear()
             code, _out, err = run_cli([command, scenario_path(name)])
             assert code in (0, 2), err
+            ledger = zip([order for _size, order in recorder.of("calculus.evaluate")],
+                         recorder.subjects("calculus.evaluate"))
             runs = [(o, np.concatenate([p for _o, p in run]))
                     for o, run in itertools.groupby(ledger, key=lambda entry: entry[0])]
             points = sc.sample_points()
@@ -1526,61 +1447,37 @@ def test_quadrature_commands_evaluate_each_point_once(monkeypatch, catalog_names
             assert np.array_equal(runs[0][1], points), (name, command)
 
 
-def _record_structure_builds(monkeypatch, path):
-    """Record (points, built inside `evaluate`) of each structure-tensor
-    build of the scenario's ambient class."""
-    cls = type(load_scenario(path, validate=False).immersion.ambient)
-    builds, evaluating = [], []
-    structure_jets, evaluate = cls.structure_jets, calculus.evaluate
-
-    def recorded_structure(space, x):
-        builds.append((len(x[0].c), bool(evaluating)))
-        return structure_jets(space, x)
-
-    def recorded_evaluate(*args, **kwargs):
-        evaluating.append(True)
-        try:
-            return evaluate(*args, **kwargs)
-        finally:
-            evaluating.pop()
-
-    monkeypatch.setattr(cls, "structure_jets", recorded_structure)
-    monkeypatch.setattr(calculus, "evaluate", recorded_evaluate)
-    return builds
+STRUCTURE = ("spaces._Hermitian.structure_jets", "spaces._Contact.structure_jets")
 
 
-def test_energy_builds_no_structure_tensors(monkeypatch):
+def test_energy_builds_no_structure_tensors(recorder):
     """`energy` reads no structure tensor, so on c04 (whose flags read none
     either) neither validation nor the evaluation of the quadrature nodes
     builds them."""
-    path = scenario_path("c04_small_sphere")
-    builds = _record_structure_builds(monkeypatch, path)
-    code, _out, err = run_cli(["energy", path])
+    code, _out, err = run_cli(["energy", scenario_path("c04_small_sphere")])
     assert code == 0, err
-    assert builds == []
+    assert recorder.of(*STRUCTURE) == []
 
 
-def test_check_builds_the_structure_tensors_once_per_block(monkeypatch):
+def test_check_builds_the_structure_tensors_once_per_block(recorder):
     """`check` on c08 reads the structure tensors of its one block of 36
     points (the trace terms and the flag pre-checks): they are built once,
-    on first read, after `evaluate` returned."""
-    path = scenario_path("c08_hopf_torus")
-    builds = _record_structure_builds(monkeypatch, path)
-    code, _out, err = run_cli(["check", path])
+    on first read, after `evaluate` returned (records are taken as calls
+    return, so one built inside `evaluate` would come first)."""
+    code, _out, err = run_cli(["check", scenario_path("c08_hopf_torus")])
     assert code == 0, err
-    assert builds == [(36, False)]
+    names = [call[0] for call in recorder.calls if call[0] in STRUCTURE + ("calculus.evaluate",)]
+    assert names == ["calculus.evaluate", "spaces._Contact.structure_jets"]
+    assert recorder.of(*STRUCTURE) == [(36, 0)]
 
 
 @pytest.mark.parametrize("command,expected", [("audit", 0), ("props", 2)])
-def test_audit_and_props_build_one_evaluation_per_sample_point(monkeypatch, command,
-                                                                expected):
+def test_audit_and_props_build_one_evaluation_per_sample_point(recorder, command, expected):
     """One evaluation per sample point of c08 (36), at order 4 for `audit`
     and at order 3 for `props`, which reads no fourth derivative."""
-    builds = _count_builds(monkeypatch)
-    path = scenario_path("c08_hopf_torus")
-    code, _out, err = run_cli([command, path])
+    code, _out, err = run_cli([command, scenario_path("c08_hopf_torus")])
     assert code == expected, err
-    assert builds == [{"audit": 4, "props": 3}[command]] * 36
+    assert _point_orders(recorder) == [{"audit": 4, "props": 3}[command]] * 36
 
 
 def test_props_renders_the_same_bytes_from_order_3_and_order_4_blocks(monkeypatch,
@@ -1599,54 +1496,35 @@ def test_props_renders_the_same_bytes_from_order_3_and_order_4_blocks(monkeypatc
         assert runs[0] == runs[1], name
 
 
-def _counting(counts, key, fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        counts[key] += 1
-        return fn(*args, **kwargs)
-    return wrapper
-
-
-def test_audit_computes_each_quantity_once_per_point(monkeypatch):
+def test_audit_computes_each_quantity_once_per_point(monkeypatch, recorder):
     """`audit` on c08 (36 points in blocks of 16, 16 and 4, anti-invariant
     asserted), counted per block: two rough Laplacians per block (tr
     nabla^2 H and tr nabla^2 grad f), one structure decomposition per block
     shared by validation and the audits, one identity suite per block."""
     _force_block_points(monkeypatch, 16)
-    counts = {"rough_laplacian": 0, "decomposition": 0, "identity_suite": 0}
-    EV = calculus.Evaluation
-    monkeypatch.setattr(EV, "rough_laplacian",
-                        _counting(counts, "rough_laplacian", EV.rough_laplacian))
-    decomposition = functools.cached_property(
-        _counting(counts, "decomposition", EV.decomposition_operators.func))
-    decomposition.__set_name__(EV, "decomposition_operators")
-    monkeypatch.setattr(EV, "decomposition_operators", decomposition)
-    monkeypatch.setattr(audits, "identity_suite",
-                        _counting(counts, "identity_suite", audits.identity_suite))
     code, _out, err = run_cli(["audit", scenario_path("c08_hopf_torus")])
     assert code == 0, err
-    blocks = 3
-    assert counts == {"rough_laplacian": 2 * blocks, "decomposition": blocks,
-                      "identity_suite": blocks}
+    blocks = [(16, 4), (16, 4), (4, 4)]
+    assert sorted(recorder.of("calculus.Evaluation.rough_laplacian")) == sorted(blocks * 2)
+    assert recorder.of("calculus.Evaluation.decomposition_operators") == blocks
+    assert recorder.of("audits.identity_suite") == blocks
 
 
 def test_props_measures_each_flag_once(monkeypatch):
     """The checkers of one `props` run share their hypotheses: on c08 each
-    flag is measured once (cmc and xi_tangent were measured 4 times,
-    hypersurface twice), and the report is unchanged."""
-    calls = []
-
-    def counted(imm, blocks, name):
-        calls.append(name)
-        return calculus.flag_deviation(imm, blocks, name)
-
+    flag is measured once after validation's flag pre-checks (cmc and
+    xi_tangent were measured 4 times, hypersurface twice), and the report
+    is the one of a run without the recorder."""
     path = scenario_path("c08_hopf_torus")
     code, out, err = run_cli(["props", path])
-    monkeypatch.setattr(props, "flag_deviation", counted)
-    counted_code, counted_out, counted_err = run_cli(["props", path])
-    assert (counted_code, strip_volatile(counted_out), counted_err) == (
+    recorder = record(monkeypatch)
+    recorded_code, recorded_out, recorded_err = run_cli(["props", path])
+    assert (recorded_code, strip_volatile(recorded_out), recorded_err) == (
         code, strip_volatile(out), err)
-    assert sorted(calls) == ["cmc", "hypersurface", "xi_tangent"]
+    checked = [call[0] for call in recorder.calls].index("calculus.verify_flags")
+    assert sorted(call[1:] for call in recorder.calls[checked:]
+                  if call[0] == "calculus.flag_deviation") == [
+        ("cmc",), ("hypersurface",), ("xi_tangent",)]
 
 
 def test_internal_error_in_a_hypothesis_check_exits_4(monkeypatch):

@@ -521,20 +521,10 @@ def _assert_inverse_is_the_jet_elimination(M):
     return True
 
 
-def _counting_products(monkeypatch, fn):
+def _counting_products(recorder, fn):
     """(fn(), the number of jet products it ran)."""
-    count = [0]
-    product = jets._product
-
-    def counted(*args):
-        count[0] += 1
-        return product(*args)
-
-    monkeypatch.setattr(jets, "_product", counted)
-    try:
-        return fn(), count[0]
-    finally:
-        monkeypatch.setattr(jets, "_product", product)
+    recorder.calls.clear()
+    return fn(), len(recorder.of("jets._product"))
 
 
 def _matrices(rng, n, sp, points, degree):
@@ -559,7 +549,7 @@ INVERSE_SPACES = [(1, 0), (2, 0), (1, 4), (2, 3), (3, 2)]
 
 @pytest.mark.parametrize("num_vars, order", INVERSE_SPACES)
 @pytest.mark.parametrize("points", [0, 1, 5])
-def test_constant_inverse_is_the_jet_elimination(monkeypatch, num_vars, order, points):
+def test_constant_inverse_is_the_jet_elimination(recorder, num_vars, order, points):
     """A constant matrix (degree 0) or one of order 0 is eliminated on its
     constant terms alone, with no jet product: bit for bit the jet
     elimination, signed zeros included, at n = 1 to 4 with the pivot rows
@@ -570,7 +560,7 @@ def test_constant_inverse_is_the_jet_elimination(monkeypatch, num_vars, order, p
     for n in (1, 2, 3, 4):
         for _ in range(3):
             M = _matrices(rng, n, sp, points, 0)
-            inv, products = _counting_products(monkeypatch, M.inverse)
+            inv, products = _counting_products(recorder, M.inverse)
             assert products == 0
             assert inv._degree == 0 and inv.shape == M.shape and inv.batched == M.batched
             assert same_bits(inv.c, _jet_elimination(M)), n
@@ -578,7 +568,7 @@ def test_constant_inverse_is_the_jet_elimination(monkeypatch, num_vars, order, p
 
 @pytest.mark.parametrize("num_vars, order", INVERSE_SPACES)
 @pytest.mark.parametrize("points", [0, 3])
-def test_one_by_one_inverse_is_the_reciprocal(monkeypatch, num_vars, order, points):
+def test_one_by_one_inverse_is_the_reciprocal(recorder, num_vars, order, points):
     """A 1 x 1 matrix of every degree bound is inverted by its reciprocal,
     the products of its Horner steps and none more: bit for bit the jet
     elimination, signed zeros included."""
@@ -586,8 +576,8 @@ def test_one_by_one_inverse_is_the_reciprocal(monkeypatch, num_vars, order, poin
     rng = np.random.default_rng(order * 100 + num_vars * 10 + points)
     for degree in range(order + 1):
         M = _matrices(rng, 1, sp, points, degree)
-        inv, products = _counting_products(monkeypatch, M.inverse)
-        reciprocal, own = _counting_products(monkeypatch, M._reciprocal)
+        inv, products = _counting_products(recorder, M.inverse)
+        reciprocal, own = _counting_products(recorder, M._reciprocal)
         assert products == (own if degree > 0 else 0)  # degree 0: a constant matrix
         assert same_bits(inv.c, _jet_elimination(M)), degree
         assert same_bits(inv.c, reciprocal.c + 0.0)
@@ -733,23 +723,19 @@ def test_zero_coefficients_leave_overflowing_monomials_out():
         assert np.isnan(got[[0, 2]]).all() and same_bits(got[1], np.float64(bad))
 
 
-def test_univariate_functions_make_no_constant_jets(monkeypatch):
+def test_univariate_functions_make_no_constant_jets(recorder):
     """A univariate function adds its constant rows to the coefficients
     directly instead of building a constant jet per Horner step."""
-    calls = []
-    constant = Jet.constant
-    monkeypatch.setattr(Jet, "constant", staticmethod(
-        lambda *args: calls.append(args) or constant(*args)))
     sp = jet_space(2, 4)
     scalar = Jet.variable(sp, 0, 0.7) * Jet.variable(sp, 1, 0.4) + 0.4
-    assert calls == [(sp, 0.4)]  # the one float added above
-    calls.clear()
+    assert recorder.subjects("jets.Jet.constant") == [(sp, 0.4)]  # the one float added above
+    recorder.calls.clear()
     batched = Jet.variable(sp, 0, np.array([0.3, 0.9, 1.4]))
     for x in (scalar, Jet.stack([scalar, scalar * scalar]), batched):
         for fn in (Jet.sin, Jet.cos, Jet.tan, Jet.exp, Jet.log, Jet.sqrt, Jet.atan,
                    lambda y: y ** 0.5, lambda y: y ** -1, lambda y: y ** -2.5):
             fn(x)
-    assert calls == []
+    assert recorder.of("jets.Jet.constant") == []
 
 
 def test_tensor_layout_methods():

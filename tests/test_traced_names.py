@@ -1,5 +1,6 @@
 """Every bihkit name the benchmark harness traces (perfbench/run.py and the
-jet counters of perfbench/tracing.py) still resolves, so that a refactor
+jet counters of perfbench/tracing.py), and every target of the tests'
+recorder (`RECORDED` in conftest.py), still resolves, so that a refactor
 cannot silently zero one of its counters.
 
 Stale targets that no longer resolve are left out until the benchmark
@@ -14,6 +15,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
+from conftest import RECORDED, bindings  # noqa: E402
 from tracing import JET_COUNTERS  # noqa: E402
 
 TRACED = [
@@ -35,3 +37,9 @@ def test_traced_name_resolves(name):
     for attr in attrs:
         target = vars(target)[attr]
     assert callable(target), name
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_recorded_name_resolves(name):
+    """The target resolves and the recorder finds a binding to wrap."""
+    assert bindings(name), name

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihkit import variational
-from bihkit.calculus import Evaluation, Immersion, evaluate_batches, parameter_jets
+from bihkit.calculus import Immersion, evaluate_batches, parameter_jets
 from bihkit.expr import eval_on_jets, parse
 from bihkit.jets import Jet, jet_space
 from bihkit.residuals import tension
@@ -168,7 +168,7 @@ def test_variation_chart_exit_detected():
         suite(imm, grid, ["E"], ["100*cos(u)", "100*sin(u)"])
 
 
-def test_first_variation_builds_the_metric_once_per_node_and_step(monkeypatch):
+def test_first_variation_builds_the_metric_once_per_node_and_step(recorder):
     """The deformed maps of all the steps are evaluated from one chart
     build, for all quadrature nodes at once: the metric and its
     Christoffels come from the same jets, which hold one point per node and
@@ -178,43 +178,31 @@ def test_first_variation_builds_the_metric_once_per_node_and_step(monkeypatch):
         ["u"], space, ["0.5*cos(u)", "0.4*sin(u)", "0.2 + 0.1*sin(u)"], "1")
     grid = QuadratureGrid([(0.0, TAU, 8, True)])
     V = ["0.1*cos(u)", "0", "0"]
-    builds = []
-    metric_jets = space.metric_jets
-
-    def counted_metric(x):
-        builds.append(x)
-        return metric_jets(x)
-
     frozen = _frozen(evaluate_batches(imm, grid.points, 2))
     env = parameter_jets(imm.params, grid.points, 2)
     v = Jet.stack([eval_on_jets(parse(c, imm.params), env) for c in V]).point_values(len(grid))
-    monkeypatch.setattr(space, "metric_jets", counted_metric)
+    recorder.calls.clear()
     suite(imm, grid, ["E", "E2"], V)
-    # the order-4 evaluation of the nodes builds the metric once, the steps once
-    assert len(builds) == 2
+    # the order-4 evaluation of the nodes builds the metric once (to order
+    # 3), the steps once (to order 1)
     count = 2 * len(STEPS) * len(grid)
-    assert all(xi.c.size == count * xi.space.size for xi in builds[1])
-    positions = np.stack([xi.point_values(count) for xi in builds[1]], axis=-1)
+    assert recorder.of("spaces.AmbientSpace.metric_jets") == [(len(grid), 3), (count, 1)]
+    steps = recorder.subjects("spaces.AmbientSpace.metric_jets")[1]
+    assert all(xi.c.size == count * xi.space.size for xi in steps)
+    positions = np.stack([xi.point_values(count) for xi in steps], axis=-1)
     assert same_bits(positions,
                      np.concatenate([frozen.psi + v * t for h in STEPS for t in (h, -h)]))
 
 
-def test_first_variation_derives_tau_once_per_block(monkeypatch):
+def test_first_variation_derives_tau_once_per_block(recorder):
     """E2 and E2F share the bitension of c08's one block of 36 nodes: over
     the five functionals the block takes the `pullback_derivative` of tau
     and of its first derivative once (the bitension), and those of
     tau_f = f tau + dpsi(grad f) once (EF2)."""
     sc = get_scenario("c08_hopf_torus")
-    pullback = Evaluation.pullback_derivative
-    calls = []
-
-    def counted(ev, field):
-        calls.append(len(ev))
-        return pullback(ev, field)
-
-    monkeypatch.setattr(Evaluation, "pullback_derivative", counted)
+    recorder.calls.clear()
     suite(sc.immersion, sc.quadrature(), list(ENERGIES), sc.default_variation())
-    assert calls == [36] * 4
+    assert recorder.of("calculus.Evaluation.pullback_derivative") == [(36, 4)] * 4
 
 
 def test_el_field_pairing_table():
@@ -270,24 +258,17 @@ def test_node_blocks_hold_the_chart_metric_and_christoffels_at_psi(catalog_names
 
 
 @pytest.mark.parametrize("name", ["c04_small_sphere", "c08_hopf_torus", "c18_hypersphere_cp2"])
-def test_energies_build_no_chart(monkeypatch, name):
+def test_energies_build_no_chart(recorder, name):
     """`energies` never builds the ambient metric: it reads it, and the chart
     Christoffels, from the node blocks, whose own builds come first."""
     sc = load_scenario(scenario_path(name), validate=False)
-    grid, space = sc.quadrature(), sc.immersion.ambient
+    grid = sc.quadrature()
     blocks = list(evaluate_batches(sc.immersion, grid.points, 2))
-    calls = []
-    metric_jets = type(space).metric_jets
-
-    def counted(self, x):
-        calls.append(x)
-        return metric_jets(self, x)
-
-    monkeypatch.setattr(type(space), "metric_jets", counted)
+    recorder.calls.clear()
     values = energies(grid, blocks)
-    assert calls == [] and set(values) == set(ENERGIES)
+    assert recorder.of("spaces.AmbientSpace.metric_jets") == [] and set(values) == set(ENERGIES)
     next(evaluate_batches(sc.immersion, grid.points[:1], 2))
-    assert len(calls) == 1
+    assert recorder.of("spaces.AmbientSpace.metric_jets") == [(1, 2)]
 
 
 def test_frozen_grad_f_is_the_evaluated_field(catalog_names):
