@@ -4,13 +4,14 @@ Each audit evaluates two independently computed sides: the left side comes
 from raw ambient jets along the immersion (rough Laplacians, directional
 derivatives), the right side is assembled from the trace terms of the
 calculus module.  Where the printed identity and the oracle-consistent
-(corrected) form differ, both deltas are reported; the corrected one is the
-pass criterion and the difference is attributable to a catalogued erratum.
+(corrected) form differ, an audit returns both deltas at each point; the
+corrected one is the pass criterion, and the difference is attributable to
+a catalogued erratum.  The report prints the corrected maxima only: the
+printed deltas are returned per block, not printed.
 
 The structure-decomposition identity suite lives here too: the five
-Hermitian operator identities, their contact analogues, skewness and
-adjointness relations, and the hypothesis-conditional facts used inside the
-proofs (e.g. on the normal line of a hypersurface with tangent Reeb field).
+Hermitian operator identities, their contact analogues, and skewness and
+adjointness relations.
 
 Every audit takes an evaluation block (`calculus.Evaluation`), whose trace
 terms and structure decomposition all of them share, and returns its
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import FLAG_TOL, joined, matvec
+from .calculus import joined, matvec
 from .residuals import _along_grad_f, _tau_weighted_field
 from .spaces import curvature_model
 
@@ -30,7 +31,6 @@ __all__ = [
     "audit_mean_curvature_laplacian",
     "audit_lemgene2",
     "audit_lemgene3",
-    "audit_phi_decompositions",
     "identity_suite",
     "run_all_audits",
 ]
@@ -64,7 +64,7 @@ def audit_mean_curvature_laplacian(ev):
         + 2.0 * tt.ta_nabla_perp_h
         + tt.delta_perp_h_pos
     )
-    trR_tan = ev.curvature_traces["trRH_tan"]
+    trR_tan = tt.trRH_tan
     lap = ev.rough_laplacian(ev.H_field)
     scale = 1.0 + nrm(tt.H)
     corrected = nrm(lap + (expansion + trR_tan)) / scale
@@ -111,7 +111,7 @@ def audit_lemgene2(ev):
     grad_delta_neg = -tt.grad_delta_f_pos  # grad of tr Hess f
     b_terms = tt.tb_hess_f + tt.tnb_grad_f - tt.ta_b_grad_f
     rhs_corrected = grad_delta_neg + tt.ric_grad_f + b_terms
-    trR_amb = ev.curvature_traces["trRgf"]
+    trR_amb = tt.trRgf
     rhs_printed_ambient = grad_delta_neg + 2.0 * tt.ric_grad_f - trR_amb + b_terms
     # intrinsic sub-check: tr nabla^2 grad f (induced metric only)
     intr_lhs = _intrinsic_rough_laplacian_gradf(ev)
@@ -185,27 +185,6 @@ def identity_suite(ev):
         out["P_skew"] = mx(tt_m + T(tt_m))
         out["t_skew"] = mx(nn + T(nn))
         out["trace_P"] = np.abs(np.trace(tt_m, axis1=1, axis2=2))
-    return out
-
-
-def audit_phi_decompositions(ev):
-    """The hypothesis-conditional contact facts of the proofs: phi H tangent
-    (and xi normal) gives PsH = 0 and NsH = -H.  They are reported where any
-    point of the block meets the hypothesis, as NaN at the points that do
-    not, else the result is empty.  phi^2 nu = -nu + eta(nu) xi on the normal
-    frame is `identity_suite`'s Ps_plus_st and Ns_plus_t2."""
-    if ev.space.structure != "contact":
-        raise ValueError("phi-decomposition audit needs a contact ambient")
-    tt = ev.trace_terms
-    nrm = ev.norm
-    out = {}
-    h_norm = nrm(tt.H)
-    holds = ((h_norm > FLAG_TOL) & (nrm(tt.m_H) <= FLAG_TOL * (1.0 + h_norm))
-             & (nrm(tt.xi_nor) <= FLAG_TOL))
-    if holds.any():
-        out["PsH_when_phiH_tangent"] = np.where(holds, nrm(tt.jl_H) / (1.0 + h_norm), np.nan)
-        out["NsH_plus_H_when_phiH_tangent"] = np.where(
-            holds, nrm(tt.kl_H + tt.H) / (1.0 + h_norm), np.nan)
     return out
 
 

@@ -7,15 +7,15 @@ an `Evaluation`, from the checked ambient metric and Christoffels of
 `spaces.metric_and_christoffel_jets`.  A pass has a fixed cost in jet
 operations, so `evaluate_batches` makes blocks as large as a memory budget
 allows (`block_points`), one block per catalog immersion.  The block is the
-unit every consumer takes: from it come the trace terms (normal connection
-and Laplacian of H, intrinsic Ricci and scalar curvature, the weight-function
-traces, ...), the projectors (P is the values of `projector_field`), nabla
-grad f (`nabla_grad_f_field`), the covariant trace (`Evaluation.covariant_trace`,
-which every trace term and rough Laplacian uses), the orthonormal frames and
-the tangential/normal decomposition of the ambient structure tensor, each
-from one producer, once per block with a leading points axis.  A command
-joins the per-point arrays it reads of every block once (`joined`), and
-takes its rows (`point_rows`) and maxima from the joined arrays.
+unit every consumer takes: from it come the trace terms (`TraceTerms`, in
+Hermitian notation: the normal Laplacian of H, Ricci and scalar curvature,
+the weight traces, ..., each built on its first read by its `TRACE_TERMS`
+producer), the projectors (P is the values of `projector_field`), nabla
+grad f (`nabla_grad_f_field`), the covariant trace, the orthonormal frames
+and the tangential/normal decomposition of the ambient structure tensor,
+each from one producer, once per block with a leading points axis.  A
+command joins the per-point arrays it reads of every block once
+(`joined`), and takes its rows and maxima from them.
 
 All quantities are assembled in coordinate (not orthonormal) form wherever
 possible, so the results are frame-independent by construction; orthonormal
@@ -59,6 +59,7 @@ __all__ = [
     "map_jets",
     "parameter_jets",
     "TraceTerms",
+    "TRACE_TERMS",
     "CalcError",
     "FlagError",
     "PointError",
@@ -67,7 +68,6 @@ __all__ = [
     "joined",
     "point_rows",
     "orthonormal_frames",
-    "trace_terms_at",
     "verify_flags",
     "FLAG_NAMES",
     "FLAG_TOL",
@@ -152,65 +152,6 @@ class Immersion:
         comp = [parse(c, params) for c in components]
         w = parse(weight, params)
         return Immersion(list(params), ambient, comp, w, dict(flags or {}))
-
-
-@dataclass
-class TraceTerms:
-    """Every scalar/vector ingredient the residual equations consume.
-
-    The structure compositions are named in the Hermitian notation
-    (J X = jX + kX on tangent, J nu = l nu + m nu on normal vectors); on
-    contact ambients with phi = P + N on tangent and s + t on normal
-    vectors, l H = sH, m H = tH, kl H = Ns H, jl H = Ps H, kj grad f =
-    NP grad f and j^2 grad f = P^2 grad f.
-
-    `trace_terms_at` builds the instance of an evaluation block: every
-    field but `n` carries a leading points axis, scalars as P-arrays and
-    vectors as (P, chart_dim) arrays; `coeffs` is a (k, P) array, so that
-    coeffs[k] is a P-array like the other scalars.
-    """
-
-    n: int                           # dimension of the submanifold
-    f: np.ndarray
-    grad_f: np.ndarray               # ambient tangent vector
-    grad_f_norm2: np.ndarray
-    delta_f_pos: np.ndarray          # -tr Hess f
-    grad_delta_f_pos: np.ndarray
-    grad_grad_f_norm2: np.ndarray    # grad |grad f|^2
-    ric_grad_f: np.ndarray           # Ric_M(grad f), ambient vector
-    scal: np.ndarray
-    h_norm2: np.ndarray
-    grad_h_norm2: np.ndarray         # grad |H|^2
-    tb_ah: np.ndarray                # tr B(., A_H .)            [normal]
-    ta_nabla_perp_h: np.ndarray      # tr A_{nabla-perp H}(.)    [tangent]
-    delta_perp_h_pos: np.ndarray     # positive normal Laplacian [normal]; None below order 4
-    nabla_perp_gradf_h: np.ndarray   # nabla-perp_{grad f} H     [normal]
-    a_h_grad_f: np.ndarray           # A_H grad f                [tangent]
-    tb_hess_f: np.ndarray            # tr B(., nabla_. grad f)   [normal]
-    tnb_grad_f: np.ndarray           # tr (nabla-perp_. B)(., grad f) [normal]
-    ta_b_grad_f: np.ndarray          # tr A_{B(., grad f)}(.)    [tangent]
-    b_gradf_gradf: np.ndarray        # B(grad f, grad f)         [normal]
-    eta_h: np.ndarray
-    xi_tan: np.ndarray
-    xi_nor: np.ndarray
-    xi_tan_norm2: np.ndarray
-    b_norm2: np.ndarray              # g^{ag} g^{bd} <B_ab, B_gd>
-    H: np.ndarray                    # mean curvature vector
-    coeffs: np.ndarray               # ambient (alpha, beta) or (f1, f2, f3)
-    l_H: np.ndarray                  # [tangent]
-    m_H: np.ndarray                  # [normal]
-    kl_H: np.ndarray                 # [normal]
-    jl_H: np.ndarray                 # [tangent]
-    mm_H: np.ndarray                 # [normal]
-    kj_grad_f: np.ndarray            # [normal]
-    j2_grad_f: np.ndarray            # [tangent]
-    eta_grad_f: np.ndarray
-
-    def __post_init__(self):
-        # One instance serves every caller of a block: forbid in-place edits.
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
 
 
 # The footprint of 64 points of the heaviest catalog block, a 3-parameter
@@ -460,9 +401,10 @@ class Evaluation:
     bound as an attribute of that name (index layout in its name or below:
     ambient indices a, b, c, parameter indices al, be, g); `values(jet)`
     gives the constant terms of such a jet point by point.  `gram_det` holds
-    one entry per point.  Every quantity below carries a leading points
-    axis and is computed for all points at once, on first use: the
-    structure tensors too, which `energy` and `variation` never read.
+    one entry per point.  Every quantity below, and every trace term
+    (`trace_terms`), carries a leading points axis and is computed for all
+    points at once, on first use: `energy` and `variation` read neither the
+    trace terms nor the structure tensors.
     `split(n)` cuts a block in two at point n, each part as if evaluated alone.
 
     Jet fields: psi, f_jet, G_field (order - 1), Gam_field (Gam[k, a, b] =
@@ -485,6 +427,7 @@ class Evaluation:
         self.gram_det = gram_det
         self.__dict__.update(fields)
         self._connection = {}
+        self._terms = {}  # the trace terms built, by name
 
     def __len__(self):
         return len(self.points)
@@ -520,10 +463,10 @@ class Evaluation:
         P = self.values(self.projector_field)
         return P, np.eye(self.d) - P
 
-    @cached_property
+    @property
     def trace_terms(self):
-        """The `TraceTerms` of the block, computed once."""
-        return trace_terms_at(self)
+        """The block's `TraceTerms`, each term built on its first read."""
+        return TraceTerms(self)
 
     @cached_property
     def nabla_perp_h_field(self):
@@ -614,17 +557,6 @@ class Evaluation:
         return matvec(self.curvature_operator, vector)
 
     @cached_property
-    def curvature_traces(self):
-        """tr R(., v). of v = H ("trRH") and v = grad f ("trRgf"), and their
-        tangent and normal parts ("trRH_tan", "trRH_nor", ...), once per block."""
-        P_tan, P_nor = self.projectors
-        out = {}
-        for key, field in (("trRH", self.H_field), ("trRgf", self.grad_f_ambient_field)):
-            trace = out[key] = self.curvature_trace(self.values(field))
-            out[f"{key}_tan"], out[f"{key}_nor"] = matvec(P_tan, trace), matvec(P_nor, trace)
-        return out
-
-    @cached_property
     def bitension(self):
         """(tau2, nabla-bar tau), once per block: the bitension tr(nabla^2) tau
         - tr R(dpsi, tau) dpsi of tau = m H and tau's `pullback_derivative`."""
@@ -643,104 +575,155 @@ class Evaluation:
                                     self.values(first))
 
 
-def trace_terms_at(ev):
-    """Build the `TraceTerms` of every point of an `Evaluation` at once,
-    each field with a leading points axis: the jet products on the batched
-    fields, the contractions on their values point by point.
-    `Evaluation.trace_terms` keeps the one instance."""
-    count, m, d = len(ev), ev.m, ev.d
-    val = ev.values
-    ginv, G0, dpsi = val(ev.induced_metric_inv_field), val(ev.G_field), val(ev.dpsi)
-    B, H = val(ev.B_field), val(ev.H_field)  # B[p, al, be, a]
-    P_tan, P_nor = ev.projectors
-    mv, ip = matvec, ev.inner
-    # ambient components of the intrinsic gradient of a scalar jet field
-    gradient_ambient = lambda jet: mv(dpsi, mv(ginv, val(jet.derivs())))
+class TraceTerms:
+    """The trace terms of an evaluation block (`Evaluation.trace_terms`),
+    every ingredient the residual equations, audits and propositions read:
+    attribute `name` is entry `name` of `TRACE_TERMS` at every point, a
+    scalar as a P-array, a vector as a (P, chart_dim) array (n is an int,
+    coeffs a (k, P) array), built on its first read, kept by the block and
+    read-only.  A view holds its block, never the reverse, so blocks are
+    freed by reference counting; all views of a block share its terms.
 
-    ginv_t, Bk = ginv.swapaxes(-1, -2), B.transpose(0, 3, 1, 2)  # Bk[p, k, al, be]
-    BG = B @ G0[:, None]  # BG[p, al, be] = <B_al,be, .>
+    The structure compositions are named in the Hermitian notation
+    (J X = jX + kX on tangent, J nu = l nu + m nu on normal vectors); on
+    contact ambients with phi = P + N on tangent and s + t on normal
+    vectors, l H = sH, m H = tH, kl H = Ns H, jl H = Ps H, kj grad f =
+    NP grad f and j^2 grad f = P^2 grad f.  The xi and eta terms exist on
+    contact ambients only, Delta-perp H on order-4 blocks only: reading one
+    elsewhere is a ValueError."""
 
-    def trace_shape(W):
-        """tr A_{W}(.) = g^{ab} g^{gd} <B_bd, W_a> dpsi_g of normal 1-forms W[p, a]."""
-        return mv(dpsi, mv(ginv, np.einsum("pbl,pbdl->pd", ginv_t @ W, BG)))
+    __slots__ = ("_ev",)
 
-    def normal_trace(fields, values):
-        """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g), the normal part of the
-        trace of the covariant derivative of jet fields F[b] with values [p, b, a]."""
-        covd = val(ev.pullback_derivative(fields))
-        return ev.covariant_trace(covd @ P_nor.swapaxes(-1, -2)[:, None], values)
+    def __init__(self, ev):
+        self._ev = ev
 
-    nabla_perp_h = val(ev.nabla_perp_h_field)
+    def __getattr__(self, name):
+        if name not in TRACE_TERMS:
+            raise AttributeError(f"no trace term {name!r}")
+        terms = self._ev._terms
+        if name not in terms:
+            terms[name] = _produce_term(self._ev, name)
+        return terms[name]
 
-    # |H|^2 field and its gradient
-    ord2 = ev.order - 2
-    h2_terms = ev.G_field.truncate(ord2) * ev.H_field[:, None] * ev.H_field[None]
 
-    # weight-function material
-    grad_f = val(ev.grad_f_ambient_field)
-    X = ev.grad_f_param_field
-    grad_f_param = val(X)
-    gf2_terms = ev.induced_metric_field.truncate(ord2) * X[:, None] * X[None]
-    gf2_field = gf2_terms.reshape(m * m).sum(0)
+def _produce_term(ev, name):
+    """The trace term `name` at every point of the block `ev`, read-only."""
+    value = TRACE_TERMS[name](ev, ev.trace_terms)
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)  # one term serves every reader of the block
+    return value
 
-    # omega_beta = B(e_beta, grad f) as a jet field; its normal-connection trace
-    omega_field = (ev.B_field * X[None, :, None]).sum(1)
-    omega = val(omega_field)
 
-    # Ricci of the induced metric, Ric_jk = R^i_ijk, and the scalar curvature
-    ric = np.einsum("piijk->pjk", curvature_from_christoffels(ev.intrinsic_christoffels, count))
-    scal = (ginv.reshape(count, 1, m * m) @ ric.reshape(count, m * m, 1))[:, 0, 0]
+def _raised(t, v):
+    """The ambient vectors dpsi g^-1 v of covectors v[p, al], such as a gradient."""
+    return matvec(t._dpsi, matvec(t._ginv, v))
 
-    # structure material: two-step compositions of J (phi) and contact terms
-    T = ev.structure_tensor
-    l_H, m_H = mv(P_tan, mv(T, H)), mv(P_nor, mv(T, H))
-    tan_Tgf = mv(P_tan, mv(T, grad_f))
-    if ev.space.structure == "contact":
-        xi = ev.structure["xi"]
-        xi_tan = mv(P_tan, xi)
-        contact = dict(eta_h=ip(xi, H), xi_tan=xi_tan, xi_nor=mv(P_nor, xi),
-                       xi_tan_norm2=ip(xi_tan, xi_tan), eta_grad_f=ip(xi, grad_f))
-    else:
-        zero, zeros = np.zeros(count), np.zeros((count, d))
-        contact = dict(eta_h=zero, xi_tan=zeros, xi_nor=zeros, xi_tan_norm2=zero,
-                       eta_grad_f=zero)
 
-    return TraceTerms(
-        n=m,
-        f=val(ev.f_jet),
-        grad_f=grad_f,
-        grad_f_norm2=val(gf2_field),
-        delta_f_pos=val(ev.delta_f_pos_field),
-        grad_delta_f_pos=gradient_ambient(ev.delta_f_pos_field),
-        grad_grad_f_norm2=gradient_ambient(gf2_field),
-        ric_grad_f=mv(dpsi, mv(ginv, mv(ric, grad_f_param))),
-        scal=scal,
-        h_norm2=ip(H, H),
-        grad_h_norm2=gradient_ambient(h2_terms.reshape(d * d).sum(0)),
-        # tr B(., A_H .) = g^{ag} g^{bd} <B_gd, H> B_ab
-        tb_ah=np.einsum("pab,pabk->pk", ginv @ mv(BG, H[:, None]) @ ginv_t, B),
-        ta_nabla_perp_h=trace_shape(nabla_perp_h),
-        delta_perp_h_pos=(-normal_trace(ev.nabla_perp_h_field, nabla_perp_h)
-                          if ev.order >= 4 else None),
-        nabla_perp_gradf_h=np.einsum("pa,pak->pk", grad_f_param, nabla_perp_h),
-        # A_H grad f = g^{gb} <B(grad f, e_b), H> dpsi_g
-        a_h_grad_f=mv(dpsi, mv(ginv, mv(np.einsum("pa,pabl->pbl", grad_f_param, BG), H))),
-        # tr B(., nabla_. grad f) = g^{ab} B_{a gamma} (nabla_b grad f)^gamma
-        tb_hess_f=np.einsum("pag,pagk->pk", ginv @ val(ev.nabla_grad_f_field).swapaxes(-1, -2), B),
-        tnb_grad_f=normal_trace(omega_field, omega),
-        ta_b_grad_f=trace_shape(omega),
-        b_gradf_gradf=mv(mv(Bk, grad_f_param[:, None]), grad_f_param),
-        b_norm2=np.einsum("pabl,plab->p", BG, ginv[:, None] @ Bk @ ginv_t[:, None]),
-        H=H,
-        coeffs=np.stack(ev.space.curvature_coeffs_at(val(ev.psi))),
-        l_H=l_H, m_H=m_H,
-        kl_H=mv(P_nor, mv(T, l_H)),
-        jl_H=mv(P_tan, mv(T, l_H)),
-        mm_H=mv(P_nor, mv(T, m_H)),
-        kj_grad_f=mv(P_nor, mv(T, tan_Tgf)),
-        j2_grad_f=mv(P_tan, mv(T, tan_Tgf)),
-        **contact,
-    )
+def _shape_trace(t, W):
+    """tr A_{W}(.) = g^{ab} g^{gd} <B_bd, W_a> dpsi_g of normal 1-forms W[p, a]."""
+    return _raised(t, np.einsum("pbl,pbdl->pd", t._ginv.swapaxes(-1, -2) @ W, t._BG))
+
+
+def _normal_trace(ev, fields, values):
+    """g^{ab} (P_nor nabla-bar_a F_b - Gam^g_ab F_g), the normal part of the
+    trace of the covariant derivative of jet fields F[b] with values [p, b, a]."""
+    covd = ev.values(ev.pullback_derivative(fields))
+    return ev.covariant_trace(covd @ ev.projectors[1].swapaxes(-1, -2)[:, None], values)
+
+
+def _structure_part(ev, part, v):
+    """The tangent (part 0) or normal (part 1) part of T v, T = J or phi."""
+    return matvec(ev.projectors[part], matvec(ev.structure_tensor, v))
+
+
+def _normal_laplacian_h(ev, t):
+    if ev.order < 4:
+        raise ValueError(f"Delta-perp H needs an order-4 block, not order {ev.order}")
+    return -_normal_trace(ev, ev.nabla_perp_h_field, t._nabla_perp_h)
+
+
+def _xi(ev, t):
+    if ev.space.structure != "contact":
+        raise ValueError("the xi and eta trace terms need a contact ambient")
+    return ev.structure["xi"]
+
+
+# The producer of each trace term, (block, its `TraceTerms`) -> the term at
+# every point; the private entries are intermediates the public ones share.
+# Vectors named for B (tb_, tnb_, b_) are normal, for A (ta_, a_) tangent;
+# nabla-perp H is normal.
+TRACE_TERMS = {
+    "_ginv": lambda ev, t: ev.values(ev.induced_metric_inv_field),
+    "_dpsi": lambda ev, t: ev.values(ev.dpsi),
+    "_B": lambda ev, t: ev.values(ev.B_field),  # B[p, al, be, a]
+    "_Bk": lambda ev, t: t._B.transpose(0, 3, 1, 2),  # Bk[p, k, al, be]
+    "_BG": lambda ev, t: t._B @ ev.values(ev.G_field)[:, None],  # BG[p, al, be] = <B_al,be, .>
+    "_nabla_perp_h": lambda ev, t: ev.values(ev.nabla_perp_h_field),
+    "_X": lambda ev, t: ev.values(ev.grad_f_param_field),  # (grad f)^al
+    # |grad f|^2 and omega_be = B(e_be, grad f) as jet fields
+    "_gf2_field": lambda ev, t: (ev.induced_metric_field.truncate(ev.order - 2)
+                                 * ev.grad_f_param_field[:, None]
+                                 * ev.grad_f_param_field[None]).reshape(ev.m * ev.m).sum(0),
+    "_omega_field": lambda ev, t: (ev.B_field * ev.grad_f_param_field[None, :, None]).sum(1),
+    "_omega": lambda ev, t: ev.values(t._omega_field),
+    # Ricci of the induced metric, Ric_jk = R^i_ijk
+    "_ric": lambda ev, t: np.einsum("piijk->pjk", curvature_from_christoffels(
+        ev.intrinsic_christoffels, len(ev))),
+    "_xi": _xi,
+    "_j_grad_f": lambda ev, t: _structure_part(ev, 0, t.grad_f),
+    "n": lambda ev, t: ev.m,  # dimension of the submanifold
+    "f": lambda ev, t: ev.values(ev.f_jet),
+    "grad_f": lambda ev, t: ev.values(ev.grad_f_ambient_field),  # ambient tangent vector
+    "grad_f_norm2": lambda ev, t: ev.values(t._gf2_field),
+    "delta_f_pos": lambda ev, t: ev.values(ev.delta_f_pos_field),  # -tr Hess f
+    "grad_delta_f_pos": lambda ev, t: _raised(t, ev.values(ev.delta_f_pos_field.derivs())),
+    "grad_grad_f_norm2": lambda ev, t: _raised(t, ev.values(t._gf2_field.derivs())),
+    "ric_grad_f": lambda ev, t: _raised(t, matvec(t._ric, t._X)),  # Ric_M(grad f)
+    "scal": lambda ev, t: (t._ginv.reshape(len(ev), 1, ev.m * ev.m)
+                           @ t._ric.reshape(len(ev), ev.m * ev.m, 1))[:, 0, 0],
+    "h_norm2": lambda ev, t: ev.inner(t.H, t.H),
+    "grad_h_norm2": lambda ev, t: _raised(t, ev.values((
+        ev.G_field.truncate(ev.order - 2) * ev.H_field[:, None] * ev.H_field[None]
+    ).reshape(ev.d * ev.d).sum(0).derivs())),
+    "tb_ah": lambda ev, t: np.einsum(  # tr B(., A_H .) = g^{ag} g^{bd} <B_gd, H> B_ab
+        "pab,pabk->pk", t._ginv @ matvec(t._BG, t.H[:, None]) @ t._ginv.swapaxes(-1, -2), t._B),
+    "ta_nabla_perp_h": lambda ev, t: _shape_trace(t, t._nabla_perp_h),  # tr A_{nabla-perp H}(.)
+    "delta_perp_h_pos": _normal_laplacian_h,  # positive normal Laplacian of H
+    "nabla_perp_gradf_h": lambda ev, t: np.einsum("pa,pak->pk", t._X, t._nabla_perp_h),
+    # A_H grad f = g^{gb} <B(grad f, e_b), H> dpsi_g
+    "a_h_grad_f": lambda ev, t: _raised(t, matvec(np.einsum("pa,pabl->pbl", t._X, t._BG), t.H)),
+    "tb_hess_f": lambda ev, t: np.einsum(  # tr B(., nabla_. grad f) = g^ab B_ag (nabla_b grad f)^g
+        "pag,pagk->pk", t._ginv @ ev.values(ev.nabla_grad_f_field).swapaxes(-1, -2), t._B),
+    # tr (nabla-perp_. B)(., grad f)
+    "tnb_grad_f": lambda ev, t: _normal_trace(ev, t._omega_field, t._omega),
+    "ta_b_grad_f": lambda ev, t: _shape_trace(t, t._omega),  # tr A_{B(., grad f)}(.)
+    "b_gradf_gradf": lambda ev, t: matvec(matvec(t._Bk, t._X[:, None]), t._X),  # B(grad f, grad f)
+    "b_norm2": lambda ev, t: np.einsum(  # g^{ag} g^{bd} <B_ab, B_gd>
+        "pabl,plab->p", t._BG, t._ginv[:, None] @ t._Bk @ t._ginv.swapaxes(-1, -2)[:, None]),
+    "H": lambda ev, t: ev.values(ev.H_field),  # mean curvature vector
+    # ambient (alpha, beta) or (f1, f2, f3)
+    "coeffs": lambda ev, t: np.stack(ev.space.curvature_coeffs_at(ev.values(ev.psi))),
+    # two-step compositions of J (phi), tangent (0) or normal (1)
+    "l_H": lambda ev, t: _structure_part(ev, 0, t.H),
+    "m_H": lambda ev, t: _structure_part(ev, 1, t.H),
+    "kl_H": lambda ev, t: _structure_part(ev, 1, t.l_H),
+    "jl_H": lambda ev, t: _structure_part(ev, 0, t.l_H),
+    "mm_H": lambda ev, t: _structure_part(ev, 1, t.m_H),
+    "kj_grad_f": lambda ev, t: _structure_part(ev, 1, t._j_grad_f),
+    "j2_grad_f": lambda ev, t: _structure_part(ev, 0, t._j_grad_f),
+    "eta_h": lambda ev, t: ev.inner(t._xi, t.H),
+    "xi_tan": lambda ev, t: matvec(ev.projectors[0], t._xi),
+    "xi_nor": lambda ev, t: matvec(ev.projectors[1], t._xi),
+    "xi_tan_norm2": lambda ev, t: ev.inner(t.xi_tan, t.xi_tan),
+    "eta_grad_f": lambda ev, t: ev.inner(t._xi, t.grad_f),
+    # tr R(., v). of v = H and v = grad f, and their tangent and normal parts
+    "trRH": lambda ev, t: ev.curvature_trace(t.H),
+    "trRgf": lambda ev, t: ev.curvature_trace(t.grad_f),
+    "trRH_tan": lambda ev, t: matvec(ev.projectors[0], t.trRH),
+    "trRH_nor": lambda ev, t: matvec(ev.projectors[1], t.trRH),
+    "trRgf_tan": lambda ev, t: matvec(ev.projectors[0], t.trRgf),
+    "trRgf_nor": lambda ev, t: matvec(ev.projectors[1], t.trRgf),
+}
 
 
 # -- flag verification -----------------------------------------------------------

@@ -267,7 +267,7 @@ EQUATIONS = {
         ),
         Term("curv_f3_PsH", "tangent", lambda t: 6.0 * t.coeffs[2], lambda t: t.jl_H),
     ),
-    # the split curvature traces are the block's `curvature_traces`
+    # the split curvature traces tr R(., H). and tr R(., grad f). of the block
     "bif_general": _BIF_LHS + (
         Term("curv_trace_H_nor", "normal", lambda t: t.n * t.f**2, lambda t: t.trRH_nor),
         Term("curv_trace_gf_nor", "normal", lambda t: t.f, lambda t: t.trRgf_nor),
@@ -541,8 +541,6 @@ def term_matrix(ev, eq_id, corollary=None):
     if cor.equation != eq_id:
         raise ValueError(f"corollary {corollary!r} reduces {cor.equation}, not {eq_id}")
     t = ev.trace_terms
-    if eq_id == "bif_general":
-        t = SimpleNamespace(**vars(t), **ev.curvature_traces)
     per_point = lambda c: np.broadcast_to(np.asarray(c, dtype=float), (len(ev),))
     rows = []
     for term in EQUATIONS[eq_id]:

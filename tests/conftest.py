@@ -195,8 +195,10 @@ RECORDED = {
     # the rows and coefficients of the table built, read when the call returns
     "jets.Composer._table": (lambda composer, degree, order: (
         len(composer._built), composer._built.shape[-1]), None),
-    # per-block quantities
-    "calculus.trace_terms_at": (_block, None),
+    # per-block quantities; a trace term produced records its name first,
+    # and keeps its block by weak reference
+    "calculus._produce_term": (lambda ev, name: (name, len(ev), ev.order),
+                               lambda ev, name: weakref.ref(ev)),
     "calculus.Evaluation.pullback_derivative": (_block, None),
     "calculus.Evaluation.rough_laplacian": (_block, None),
     "calculus.Evaluation.decomposition_operators": (_block, None),

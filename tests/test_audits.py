@@ -5,7 +5,6 @@ from bihkit.audits import (
     audit_lemgene2,
     audit_lemgene3,
     audit_mean_curvature_laplacian,
-    audit_phi_decompositions,
     curvature_trace_audit,
     identity_suite,
     run_all_audits,
@@ -116,11 +115,6 @@ def test_phi_decomposition_audit():
     identities = identity_suite(ev)
     assert identities["Ps_plus_st"] <= 1e-9
     assert identities["Ns_plus_t2"] <= 1e-9
-    out = audit_phi_decompositions(ev)
-    assert set(out) == {"PsH_when_phiH_tangent", "NsH_plus_H_when_phiH_tangent"}
-    # xi tangent + phi H tangent on a Hopf torus: conditional facts fire
-    assert out["PsH_when_phiH_tangent"] <= 1e-9
-    assert out["NsH_plus_H_when_phiH_tangent"] <= 1e-9
 
 
 def test_run_all_audits_summary():
@@ -169,8 +163,9 @@ def test_curvature_trace_audit_keeps_a_nan():
 def test_fourth_order_checks_reject_an_order_3_block(check):
     """The Laplacian of H and the theorem equations take four derivatives
     of the map; an order-3 block, whose trace terms have no Dperp H, is a
-    ValueError that says so, not a TypeError on the missing term."""
+    ValueError that says so, and so is reading its Dperp H."""
     ev = one_point(torus_r4(), [0.3, 0.7], order=3)
-    assert ev.trace_terms.delta_perp_h_pos is None
+    with pytest.raises(ValueError, match="order-4 block, not order 3"):
+        ev.trace_terms.delta_perp_h_pos
     with pytest.raises(ValueError, match="order-4 block, not order 3"):
         check(ev)

@@ -1,5 +1,5 @@
-import dataclasses
 import gc
+import itertools
 import math
 import re
 import tracemalloc
@@ -37,6 +37,18 @@ def sphere_immersion(r=1.0, ambient=FLAT3, weight="1"):
     return Immersion.from_strings(
         ["u", "v"], ambient,
         [f"{r}*cos(v)*cos(u)", f"{r}*cos(v)*sin(u)", f"{r}*sin(v)"], weight)
+
+
+# The trace terms of a contact ambient only
+CONTACT_TERMS = ("eta_h", "xi_tan", "xi_nor", "xi_tan_norm2", "eta_grad_f")
+
+
+def _public_terms(ev):
+    """The public trace terms of a block, in table order: the xi and eta
+    terms on a contact ambient only, Delta-perp H at order 4 only."""
+    return [name for name in calculus.TRACE_TERMS if not name.startswith("_")
+            and (ev.space.structure == "contact" or name not in CONTACT_TERMS)
+            and (ev.order >= 4 or name != "delta_perp_h_pos")]
 
 
 class _Point:
@@ -541,15 +553,20 @@ def test_mean_curvature_path_matches_scalar_loops(name):
 
 
 def test_trace_terms_shared_and_read_only():
+    """Two views of a block's trace terms return the same read-only arrays."""
     imm = sphere_immersion(0.8, weight="1 + 0.2*sin(u)*cos(v)")
     p = [0.7, 0.4]
     ev = one_point(imm, p)
-    tt = ev.trace_terms
-    assert ev.trace_terms is tt
+    tt, other = ev.trace_terms, ev.trace_terms
+    assert other is not tt
+    for name in _public_terms(ev):
+        assert getattr(other, name) is getattr(tt, name), name
     with pytest.raises(ValueError):
         tt.tb_ah[0, 0] = 1.0
     with pytest.raises(ValueError):
-        tt.grad_f += 1.0
+        other.grad_f += 1.0
+    with pytest.raises(AttributeError):
+        tt.no_such_term
 
 
 PRODUCTS = ("jets.Jet.__mul__", "jets.Jet.__rmul__")
@@ -570,7 +587,9 @@ def test_check_point_operation_counts(recorder):
     assert recorder.of(PULLBACK) == [(64, 4)] * 2
     theorem_residual(ev, kind=kind, errata=True)
     compare_modes(ev, kind=kind, errata=True)
-    assert recorder.of("calculus.trace_terms_at") == [(64, 4)]
+    produced = recorder.of("calculus._produce_term")
+    assert produced and len({term for term, _size, _order in produced}) == len(produced)
+    assert {record[1:] for record in produced} == {(64, 4)}
     assert len(recorder.of(*PRODUCTS)) <= 180
     assert len(recorder.of("jets.Jet.truncate")) <= 60
     recorder.calls.clear()
@@ -599,11 +618,13 @@ def test_direct_field_product_count_does_not_grow_with_points(recorder):
 
 
 def test_trace_terms_product_count_does_not_grow_with_points(recorder):
-    """One trace-term build makes the same number of jet products at 1 and
-    at 16 points of c13: the block's points share every product."""
+    """Reading every public trace term makes the same number of jet
+    products at 1 and at 16 points of c13: the block's points share every
+    product."""
     sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
     evals = [calculus.evaluate(sc.immersion, sc.sample_points()[:count]) for count in (1, 16)]
-    counts = _products(recorder, calculus.trace_terms_at, evals)
+    counts = _products(recorder, lambda ev: [getattr(ev.trace_terms, name)
+                                             for name in _public_terms(ev)], evals)
     assert counts[0] == counts[1] > 0
 
 
@@ -656,7 +677,7 @@ def _block_quantities(ev):
     """Every field's coefficients, the points and Gram determinants, and the
     trace terms, projectors, frames, curvature operator and (at order 4)
     bitension of an evaluation block, as arrays."""
-    terms = [v for v in vars(ev.trace_terms).values() if isinstance(v, np.ndarray)]
+    terms = [getattr(ev.trace_terms, name) for name in _public_terms(ev) if name != "n"]
     out = [jet.c for jet in ev.fields.values()] + [ev.points, ev.gram_det] + terms
     out += [*ev.projectors, *ev.frames, ev.curvature_operator]
     if ev.order == 4:
@@ -968,8 +989,27 @@ def _ref_nabla_grad_f(pt):
     return W
 
 
+def _ref_curvature_trace(pt, vectors):
+    """tr R(dpsi, v) dpsi = g^{ab} R^l_ijk dpsi^i_a v^j dpsi^k_b of each
+    vector v of `vectors`, R^l_ijk = d_i Gam^l_jk - d_j Gam^l_ik + Gam^l_im
+    Gam^m_jk - Gam^l_jm Gam^m_ik from the chart Christoffels, as loops."""
+    d, dpsi, ginv = pt.d, pt.dpsi_val, pt.g_inv_val
+    Gv = pt.chart_christoffels.values             # Gv[k, i, j] = Gamma^k_ij
+    dGv = pt.chart_christoffels.derivs().values   # dGv[k, i, j, l] = d_l Gamma^k_ij
+    h = sum(ginv[a, b] * np.outer(dpsi[:, a], dpsi[:, b])
+            for a in range(pt.m) for b in range(pt.m))
+    out = [np.zeros(d) for _ in vectors]
+    for l, i, j, k in itertools.product(range(d), repeat=4):
+        R = (dGv[l, j, k, i] - dGv[l, i, k, j]
+             + np.dot(Gv[l, i, :], Gv[:, j, k]) - np.dot(Gv[l, j, :], Gv[:, i, k]))
+        for trace, v in zip(out, vectors):
+            trace[l] += R * h[i, k] * v[j]
+    return out
+
+
 def _ref_trace_terms(pt):
-    """Every loop-built trace term of `pt` but n, by its `TraceTerms` name."""
+    """Every loop-built trace term of `pt` but n, by its `TRACE_TERMS` name:
+    the xi and eta terms on a contact ambient only."""
     m, d = pt.m, pt.d
     ginv, G0, dpsi, B, H = pt.g_inv_val, pt.G_val, pt.dpsi_val, pt.B_val, pt.H_val
     ip = lambda u, v: float(u @ G0 @ v)
@@ -1037,10 +1077,14 @@ def _ref_trace_terms(pt):
                kl_H=mv(P_nor, mv(T, tan_TH)), jl_H=mv(P_tan, mv(T, tan_TH)),
                mm_H=mv(P_nor, mv(T, mv(P_nor, mv(T, H)))),
                kj_grad_f=mv(P_nor, mv(T, tan_Tgf)), j2_grad_f=mv(P_tan, mv(T, tan_Tgf)))
-    xi = pt.structure.get("xi", np.zeros(d))
-    xi_tan = mv(P_tan, xi)
-    out.update(eta_h=ip(xi, H), xi_tan=xi_tan, xi_nor=mv(P_nor, xi),
-               xi_tan_norm2=ip(xi_tan, xi_tan), eta_grad_f=ip(xi, grad_f))
+    if "xi" in pt.structure:
+        xi = pt.structure["xi"]
+        xi_tan = mv(P_tan, xi)
+        out.update(eta_h=ip(xi, H), xi_tan=xi_tan, xi_nor=mv(P_nor, xi),
+                   xi_tan_norm2=ip(xi_tan, xi_tan), eta_grad_f=ip(xi, grad_f))
+    # the curvature traces of H and grad f, and their tangent and normal parts
+    for key, trace in zip(("trRH", "trRgf"), _ref_curvature_trace(pt, (H, grad_f))):
+        out.update({key: trace, f"{key}_tan": mv(P_tan, trace), f"{key}_nor": mv(P_nor, trace)})
     return out
 
 
@@ -1090,8 +1134,8 @@ def test_contractions_match_index_loops(name):
     their index loops to 1e-12 relative (with the catalog equality rule's
     absolute floor of 1e-12).  A curve, a contact ambient, a flat and a
     curved Hermitian one."""
-    fields = {f.name for f in dataclasses.fields(calculus.TraceTerms)} - {"n"}
     for ev in catalog_blocks(name):
+        fields = set(_public_terms(ev)) - {"n"}
         tt = ev.trace_terms
         lap = ev.rough_laplacian(ev.H_field)
         intrinsic = _intrinsic_rough_laplacian_gradf(ev)
@@ -1153,13 +1197,14 @@ def test_trace_terms_and_audit_read_the_one_nabla_grad_f_field(name):
 
 @pytest.mark.parametrize("name", ["c08_hopf_torus", "c18_hypersphere_cp2"])
 def test_audits_and_bif_general_read_the_one_curvature_traces(name):
-    """The split traces tr R(., H). and tr R(., grad f). are the cached
-    `curvature_traces` of the block, and the audits and the bif_general
-    equation read them from there alone: with every trace of the cache
-    zeroed, lemgene1's printed and corrected deltas agree, lemgene2's
-    printed ambient delta moves, and bif_general's curvature terms vanish."""
+    """The split traces tr R(., H). and tr R(., grad f). are trace terms of
+    the block, and the audits and the bif_general equation read them from
+    there alone: with every one of the block's entries zeroed, lemgene1's
+    printed and corrected deltas agree, lemgene2's printed ambient delta
+    moves, and bif_general's curvature terms vanish."""
     ev = _first_block(name)
-    traces = ev.curvature_traces
+    traces = {key: getattr(ev.trace_terms, key) for key in
+              ("trRH", "trRH_tan", "trRH_nor", "trRgf", "trRgf_tan", "trRgf_nor")}
     P_tan, P_nor = ev.projectors
     for key, field in (("trRH", ev.H_field), ("trRgf", ev.grad_f_ambient_field)):
         trace = ev.curvature_trace(ev.values(field))
@@ -1168,7 +1213,7 @@ def test_audits_and_bif_general_read_the_one_curvature_traces(name):
         assert same_bits(traces[f"{key}_nor"], calculus.matvec(P_nor, trace)), key
     assert np.abs(traces["trRH"]).max() > 1e-3 and np.abs(traces["trRgf"]).max() > 1e-3, name
     lem2 = audit_lemgene2(ev)
-    ev.curvature_traces = {key: np.zeros_like(value) for key, value in traces.items()}
+    ev._terms.update({key: np.zeros_like(value) for key, value in traces.items()})
     lem1 = audit_mean_curvature_laplacian(ev)["lemgene1"]
     assert same_bits(lem1["delta_printed"], lem1["delta_corrected"]), name
     assert not np.array_equal(audit_lemgene2(ev)["delta_printed_ambient"],
@@ -1257,7 +1302,7 @@ def _einsum_curvature_trace(ev, vector):
 
 
 def _einsum_trace_terms(ev):
-    """The trace terms `trace_terms_at` contracts two operands at a time,
+    """The trace terms `TRACE_TERMS` contracts two operands at a time,
     and `form_norm2` of nabla-perp H, as multi-operand einsums."""
     val = ev.values
     ginv, G0, dpsi = val(ev.induced_metric_inv_field), val(ev.G_field), val(ev.dpsi)

@@ -3,7 +3,6 @@ abstract ambients, corollary validation, the pinned `curves` and `hyper3d`
 reports, the catalog goldens and evaluation counts."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -270,6 +269,22 @@ def test_catalog_diff_passes_check_only_options_it_reads():
     import catalog_diff
 
     assert {option for option, _value in catalog_diff.CHECK_OPTIONS} <= set(cli.OPTIONS["check"])
+
+
+def test_catalog_diff_run_drops_the_wall_time_line_with_strip_volatile(monkeypatch):
+    """`tools/catalog_diff.py` normalizes a run's stdout with the report's
+    own `strip_volatile`: the wall-time line goes, every other line stays,
+    and each tree's path becomes `<tree>`."""
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    import catalog_diff
+
+    assert catalog_diff.strip_volatile is strip_volatile
+    tree = catalog_diff.Path(ROOT)
+    stdout = f"scenario: {tree}/c01.scn\n  wall_time_ms: 12.5\npass: true\n"
+    done = subprocess.CompletedProcess([], 0, stdout=stdout, stderr=f"{tree} warns\n")
+    monkeypatch.setattr(catalog_diff.subprocess, "run", lambda *args, **kwargs: done)
+    assert catalog_diff.run(tree, ["check", "c01"]) == (
+        0, "<tree> warns\n", "scenario: <tree>/c01.scn\npass: true")
 
 
 def test_catalog_diff_counts_the_source_lines(monkeypatch, capsys):
@@ -1305,16 +1320,14 @@ def test_nan_residual_fails_audit_and_props(tmp_path, monkeypatch, command):
 
         monkeypatch.setattr(audits, "audit_lemgene3", poisoned)
     else:
-        build = calculus.trace_terms_at
+        produce = calculus.TRACE_TERMS["b_norm2"]
 
-        def poisoned(ev):
+        def poisoned(ev, t):
             blocks.append(ev)
-            t = build(ev)
-            if len(blocks) == 2:
-                t = dataclasses.replace(t, b_norm2=_nan_at_a_later_point(t.b_norm2))
-            return t
+            out = produce(ev, t)
+            return _nan_at_a_later_point(out) if len(blocks) == 2 else out
 
-        monkeypatch.setattr(calculus, "trace_terms_at", poisoned)
+        monkeypatch.setitem(calculus.TRACE_TERMS, "b_norm2", poisoned)
     code, out, err = run_cli([command, path])
     assert [len(ev) for ev in blocks] == [16, 4]
     assert code == 2, err
@@ -1342,22 +1355,56 @@ def test_check_builds_one_evaluation_per_sample_point(recorder):
                                          ("c02_curve_sasakian", [12]),
                                          ("c13_hypersphere_r4", [64])])
 def test_check_builds_the_trace_terms_once_per_block(monkeypatch, recorder, name, blocks):
-    """The trace terms are built once per block of points: on c13 (64
-    points, one block under the rule, four in blocks of 16) validation's
-    parallel_H pre-check builds them and `check` reuses them."""
+    """No trace term is produced twice for one block of points: on c13 (64
+    points, one block under the rule, four in blocks of 16) each block
+    produces the same terms, once each, at order 4, for all its points."""
     if len(blocks) > 1:  # the rule makes every catalog scenario one block
         _force_block_points(monkeypatch, blocks[0])
     code, _out, err = run_cli(["check", scenario_path(name)])
     assert code == 0, err
-    assert recorder.of("calculus.trace_terms_at") == [(size, 4) for size in blocks]
+    produced = {}
+    for (term, size, order), block in zip(recorder.of("calculus._produce_term"),
+                                          recorder.subjects("calculus._produce_term")):
+        assert order == 4
+        produced.setdefault(id(block), (size, []))[1].append(term)
+    assert [size for size, _terms in produced.values()] == blocks
+    terms = [sorted(terms) for _size, terms in produced.values()]
+    assert all(len(set(names)) == len(names) > 0 for names in terms)
+    assert all(names == terms[0] for names in terms)
+
+
+def test_check_leaves_the_terms_it_does_not_read(recorder):
+    """An fbh `check` on c02 (contact) produces only the trace terms it
+    reads: none of the bi-f-harmonic weight terms."""
+    code, _out, err = run_cli(["check", scenario_path("c02_curve_sasakian")])
+    assert code == 0, err
+    produced = {term for term, _size, _order in recorder.of("calculus._produce_term")}
+    assert {"delta_perp_h_pos", "xi_nor", "kl_H"} <= produced
+    assert not produced & {"tnb_grad_f", "tb_hess_f", "ric_grad_f", "grad_delta_f_pos"}
+
+
+@pytest.mark.parametrize("command", ["check", "audit", "props"])
+def test_hermitian_commands_produce_no_contact_term(recorder, command):
+    """On c13 (a Hermitian ambient) no command produces a xi or eta trace
+    term, and reading one is a ValueError, not a zero."""
+    path = scenario_path("c13_hypersphere_r4")
+    code, _out, err = run_cli([command, path])
+    assert code in (0, 2), err
+    contact = {"_xi", "eta_h", "xi_tan", "xi_nor", "xi_tan_norm2", "eta_grad_f"}
+    produced = {term for term, _size, _order in recorder.of("calculus._produce_term")}
+    assert produced and not produced & contact
+    ev = calculus.evaluate(load_scenario(path, validate=False).immersion, [[0.3, 0.4, 0.5]])
+    for term in sorted(contact):
+        with pytest.raises(ValueError, match="contact ambient"):
+            getattr(ev.trace_terms, term)
 
 
 def test_quadrature_commands_validate_at_order_3_without_trace_terms(recorder):
     """On c08, whose quadrature nodes are its sample points, `energy` and
     `variation` validate the sample points at the order they read, 3 and 4,
     and take those blocks; neither the parallel_H pre-check nor the
-    command builds trace terms.  `check` validates at order 4 and builds
-    the trace terms once, for its one block of 36 points."""
+    command produces a trace term.  `check` validates at order 4 and
+    produces its trace terms for its one block of 36 points."""
     path = scenario_path("c08_hopf_torus")
     sample = load_scenario(path, validate=False).sample_points()
     for command, order in (("energy", 3), ("variation", 4), ("check", 4)):
@@ -1366,8 +1413,9 @@ def test_quadrature_commands_validate_at_order_3_without_trace_terms(recorder):
         assert code == 0, err
         assert recorder.of("calculus.evaluate_batches") == [(36, order)], command
         assert np.array_equal(recorder.subjects("calculus.evaluate_batches")[0], sample), command
-        assert recorder.of("calculus.trace_terms_at") == (
-            [] if command != "check" else [(36, 4)]), command
+        produced = recorder.of("calculus._produce_term")
+        assert (produced == []) == (command != "check"), command
+        assert all(record[1:] == (36, 4) for record in produced), command
 
 
 def test_open_axis_quadrature_commands_validate_the_sample_blocks_without_trace_terms(
@@ -1394,7 +1442,7 @@ def test_open_axis_quadrature_commands_validate_the_sample_blocks_without_trace_
             assert recorder.of("calculus.verify_flags") == [(sizes, (order,) * len(sizes))]
             checked, = recorder.subjects("calculus.verify_flags")
             assert same_bits(np.concatenate(checked), sample), command
-            assert recorder.of("calculus.trace_terms_at") == [], command
+            assert recorder.of("calculus._produce_term") == [], command
 
 
 @pytest.mark.parametrize("command", ["energy", "variation"])

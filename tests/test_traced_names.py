@@ -4,8 +4,9 @@ recorder (`RECORDED` in conftest.py), still resolves, so that a refactor
 cannot silently zero one of its counters.
 
 Stale targets that no longer resolve are left out until the benchmark
-re-points them: `calculus.PointCalculus.*`, `spaces.curvature_tensor_at` and
-`residuals.ResidualContext.__init__`."""
+re-points them: `calculus.PointCalculus.*`, `calculus.trace_terms_at` (the
+trace terms are built one term at a time, by `calculus._produce_term`),
+`spaces.curvature_tensor_at` and `residuals.ResidualContext.__init__`."""
 
 import importlib
 import os
@@ -22,7 +23,7 @@ TRACED = [
     "scenario.load_scenario", "scenario._validate",
     "expr.eval_on_jets", "expr.parse",
     "spaces.christoffel_jets", "spaces.christoffels_at", "spaces.curvature_model",
-    "calculus.trace_terms_at", "calculus.verify_flags",
+    "calculus.verify_flags",
     "residuals.theorem_residual", "residuals.bitension_direct",
     "residuals.f_bitension_direct", "residuals.bi_f_tension_direct",
     "audits.run_all_audits", "audits.curvature_trace_audit",

@@ -29,7 +29,7 @@ stdout differs only in numbers that agree to the benchmark's equality rule
 "beyond the rule" otherwise, with the worst relative change among the
 changed numbers above the 1e-12 absolute floor.  Also prints one line
 with the line count of `src/bihkit/*.py` in both trees.  Uses the standard
-library only.
+library and this checkout's `bihkit.report` only.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+from bihkit.report import strip_volatile  # noqa: E402
 from jobs import _NUMBER, ATOL, reports_match  # noqa: E402
 
 SCENARIOS = Path("src", "bihkit", "scenarios")
@@ -73,10 +74,8 @@ def run(tree, argv):
     proc = subprocess.run(
         [sys.executable, "-m", "bihkit.cli", cmd, str(tree / SCENARIOS / f"{name}.scn"), *opts],
         cwd=tree, env=env, capture_output=True, text=True)
-    stdout = "\n".join(line for line in proc.stdout.splitlines()
-                       if not line.strip().startswith("wall_time_ms:"))
     return (proc.returncode, proc.stderr.replace(str(tree), "<tree>"),
-            stdout.replace(str(tree), "<tree>"))
+            strip_volatile(proc.stdout).replace(str(tree), "<tree>"))
 
 
 def worst_relative_change(a, b):
