@@ -56,17 +56,16 @@ def audit_mean_curvature_laplacian(ev):
     a block below order 4 (no Dperp H) is a ValueError."""
     if ev.order < 4:
         raise ValueError(f"the Laplacian of H needs an order-4 block, not order {ev.order}")
-    tt = ev.trace_terms
     nrm = ev.norm
     expansion = (
-        0.5 * float(ev.m) * tt.grad_h_norm2
-        + tt.tb_ah
-        + 2.0 * tt.ta_nabla_perp_h
-        + tt.delta_perp_h_pos
+        0.5 * float(ev.m) * ev.grad_h_norm2
+        + ev.tb_ah
+        + 2.0 * ev.ta_nabla_perp_h
+        + ev.delta_perp_h_pos
     )
-    trR_tan = tt.trRH_tan
+    trR_tan = ev.trRH_tan
     lap = ev.rough_laplacian(ev.H_field)
-    scale = 1.0 + nrm(tt.H)
+    scale = 1.0 + nrm(ev.H)
     corrected = nrm(lap + (expansion + trR_tan)) / scale
     curvature_term_norm = nrm(trR_tan)
     return {
@@ -92,8 +91,8 @@ def _intrinsic_rough_laplacian_gradf(ev):
     W = ev.nabla_grad_f_field
     W_val = ev.values(W)
     covd = (np.einsum("pgba->pabg", ev.values(W.derivs()))
-            + np.einsum("pgad,pdb->pabg", ev.values(ev.intrinsic_christoffels), W_val))
-    return matvec(ev.values(ev.dpsi), ev.covariant_trace(covd, W_val.swapaxes(-1, -2)))
+            + np.einsum("pgad,pdb->pabg", ev._gam, W_val))
+    return matvec(ev._dpsi, ev.covariant_trace(covd, W_val.swapaxes(-1, -2)))
 
 
 def audit_lemgene2(ev):
@@ -105,19 +104,18 @@ def audit_lemgene2(ev):
     The inner intrinsic identity is audited separately in both curvature
     readings (ambient vs intrinsic); the report states which matches.
     """
-    tt = ev.trace_terms
     nrm = ev.norm
     lhs = ev.rough_laplacian(ev.grad_f_ambient_field)
-    grad_delta_neg = -tt.grad_delta_f_pos  # grad of tr Hess f
-    b_terms = tt.tb_hess_f + tt.tnb_grad_f - tt.ta_b_grad_f
-    rhs_corrected = grad_delta_neg + tt.ric_grad_f + b_terms
-    trR_amb = tt.trRgf
-    rhs_printed_ambient = grad_delta_neg + 2.0 * tt.ric_grad_f - trR_amb + b_terms
+    grad_delta_neg = -ev.grad_delta_f_pos  # grad of tr Hess f
+    b_terms = ev.tb_hess_f + ev.tnb_grad_f - ev.ta_b_grad_f
+    rhs_corrected = grad_delta_neg + ev.ric_grad_f + b_terms
+    trR_amb = ev.trRgf
+    rhs_printed_ambient = grad_delta_neg + 2.0 * ev.ric_grad_f - trR_amb + b_terms
     # intrinsic sub-check: tr nabla^2 grad f (induced metric only)
     intr_lhs = _intrinsic_rough_laplacian_gradf(ev)
-    intr_corrected = grad_delta_neg + tt.ric_grad_f
-    intr_printed = grad_delta_neg + 2.0 * tt.ric_grad_f + tt.ric_grad_f  # intrinsic trace = -Ric
-    scale = 1.0 + nrm(tt.grad_f)
+    intr_corrected = grad_delta_neg + ev.ric_grad_f
+    intr_printed = grad_delta_neg + 2.0 * ev.ric_grad_f + ev.ric_grad_f  # intrinsic trace = -Ric
+    scale = 1.0 + nrm(ev.grad_f)
     deltas = {
         "name": "lemgene2",
         "delta_corrected": nrm(lhs - rhs_corrected) / scale,
@@ -133,18 +131,17 @@ def audit_lemgene2(ev):
 
 def audit_lemgene3(ev):
     """nabla-bar_{grad f}(n f H + grad f) against its five-term split."""
-    tt = ev.trace_terms
     nrm = ev.norm
     n = float(ev.m)
     lhs = _along_grad_f(ev, ev.pullback_derivative(_tau_weighted_field(ev)))
     rhs = (
-        (n * tt.grad_f_norm2)[:, None] * tt.H
-        - (n * tt.f)[:, None] * tt.a_h_grad_f
-        + (n * tt.f)[:, None] * tt.nabla_perp_gradf_h
-        + 0.5 * tt.grad_grad_f_norm2
-        + tt.b_gradf_gradf
+        (n * ev.grad_f_norm2)[:, None] * ev.H
+        - (n * ev.f)[:, None] * ev.a_h_grad_f
+        + (n * ev.f)[:, None] * ev.nabla_perp_gradf_h
+        + 0.5 * ev.grad_grad_f_norm2
+        + ev.b_gradf_gradf
     )
-    scale = 1.0 + nrm(tt.H) + nrm(tt.grad_f)
+    scale = 1.0 + nrm(ev.H) + nrm(ev.grad_f)
     return {"name": "lemgene3", "delta": nrm(lhs - rhs) / scale}
 
 
@@ -174,8 +171,7 @@ def identity_suite(ev):
     else:
         xi = ev.structure["xi"]
         E, Nf = ev.frames
-        G0 = ev.values(ev.G_field)
-        eta_tan, eta_nor = ((F @ G0 @ xi[..., None])[..., 0] for F in (E, Nf))
+        eta_tan, eta_nor = ((F @ ev._G @ xi[..., None])[..., 0] for F in (E, Nf))
         # phi^2 X = -X + eta(X) xi, block by block
         out["P2_plus_sN"] = mx(tt_m @ tt_m + nt @ tn + np.eye(m) - outer(eta_tan, eta_tan))
         out["NP_plus_tN"] = mx(tn @ tt_m + nn @ tn - outer(eta_nor, eta_tan))

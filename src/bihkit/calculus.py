@@ -7,15 +7,16 @@ an `Evaluation`, from the checked ambient metric and Christoffels of
 `spaces.metric_and_christoffel_jets`.  A pass has a fixed cost in jet
 operations, so `evaluate_batches` makes blocks as large as a memory budget
 allows (`block_points`), one block per catalog immersion.  The block is the
-unit every consumer takes: from it come the trace terms (`TraceTerms`, in
+unit every consumer takes.  The trace terms are attributes of the block (in
 Hermitian notation: the normal Laplacian of H, Ricci and scalar curvature,
-the weight traces, ..., each built on its first read by its `TRACE_TERMS`
-producer), the projectors (P is the values of `projector_field`), nabla
-grad f (`nabla_grad_f_field`), the covariant trace, the orthonormal frames
-and the tangential/normal decomposition of the ambient structure tensor,
-each from one producer, once per block with a leading points axis.  A
-command joins the per-point arrays it reads of every block once
-(`joined`), and takes its rows and maxima from them.
+the weight traces, ..., `ev.tb_ah`), each built on its first read by its
+`TRACE_TERMS` producer; the projectors (P is the values of
+`projector_field`), nabla grad f (`nabla_grad_f_field`), the covariant
+trace, the orthonormal frames and the tangential/normal decomposition of
+the ambient structure tensor come from it too, each from one producer, once
+per block with a leading points axis.  A command joins the per-point arrays
+it reads of every block once (`joined`), and takes its rows and maxima from
+them.
 
 All quantities are assembled in coordinate (not orthonormal) form wherever
 possible, so the results are frame-independent by construction; orthonormal
@@ -58,7 +59,6 @@ __all__ = [
     "block_points",
     "map_jets",
     "parameter_jets",
-    "TraceTerms",
     "TRACE_TERMS",
     "CalcError",
     "FlagError",
@@ -401,10 +401,13 @@ class Evaluation:
     bound as an attribute of that name (index layout in its name or below:
     ambient indices a, b, c, parameter indices al, be, g); `values(jet)`
     gives the constant terms of such a jet point by point.  `gram_det` holds
-    one entry per point.  Every quantity below, and every trace term
-    (`trace_terms`), carries a leading points axis and is computed for all
-    points at once, on first use: `energy` and `variation` read neither the
-    trace terms nor the structure tensors.
+    one entry per point.  Every entry of `TRACE_TERMS` is an attribute too
+    (`ev.tb_ah`), built on its first read and kept, read-only: the values of
+    G, g^-1, dpsi and the intrinsic Christoffels (`_G`, `_ginv`, `_dpsi`,
+    `_gam`), which the methods below read, and the trace terms.  Every
+    quantity carries a leading points axis and is computed for all points
+    at once, on first use: `energy` and `variation` read neither the trace
+    terms nor the structure tensors.
     `split(n)` cuts a block in two at point n, each part as if evaluated alone.
 
     Jet fields: psi, f_jet, G_field (order - 1), Gam_field (Gam[k, a, b] =
@@ -427,7 +430,14 @@ class Evaluation:
         self.gram_det = gram_det
         self.__dict__.update(fields)
         self._connection = {}
-        self._terms = {}  # the trace terms built, by name
+
+    def __getattr__(self, name):
+        """Trace term `name`, built by its `TRACE_TERMS` producer on its first
+        read and kept, read-only, as an attribute of the block."""
+        if name not in TRACE_TERMS:
+            raise AttributeError(f"no attribute or trace term {name!r}")
+        value = self.__dict__[name] = _produce_term(self, name)
+        return value
 
     def __len__(self):
         return len(self.points)
@@ -446,7 +456,7 @@ class Evaluation:
 
     def inner(self, u, v):
         """<u[p], v[p]> in the ambient metric at psi of each point."""
-        return inner(self.values(self.G_field), u, v)
+        return inner(self._G, u, v)
 
     def norm(self, v):
         """Length of the ambient vector v[p] at psi of each point."""
@@ -454,19 +464,13 @@ class Evaluation:
 
     def form_norm2(self, W):
         """g^{ab} <W_a, W_b> of ambient-valued 1-forms W[p, a], point by point."""
-        return np.einsum("pab,pab->p", self.values(self.induced_metric_inv_field),
-                         W @ self.values(self.G_field) @ W.swapaxes(-1, -2))
+        return np.einsum("pab,pab->p", self._ginv, W @ self._G @ W.swapaxes(-1, -2))
 
     @cached_property
     def projectors(self):
         """Tangent and normal projectors: the values P of `projector_field`, and I - P."""
         P = self.values(self.projector_field)
         return P, np.eye(self.d) - P
-
-    @property
-    def trace_terms(self):
-        """The block's `TraceTerms`, each term built on its first read."""
-        return TraceTerms(self)
 
     @cached_property
     def nabla_perp_h_field(self):
@@ -487,8 +491,7 @@ class Evaluation:
     @cached_property
     def curvature_operator(self):
         """C[p, l, j] = sum_ik R^l_ijk h^ik, h = dpsi g^-1 dpsi^T: tr R(dpsi, v) dpsi = C v."""
-        dpsi = self.values(self.dpsi)
-        h = dpsi @ self.values(self.induced_metric_inv_field) @ dpsi.swapaxes(-1, -2)
+        h = self._dpsi @ self._ginv @ self._dpsi.swapaxes(-1, -2)
         R = curvature_from_christoffels(self.chart_christoffels, len(self))
         return np.einsum("plijk,pik->plj", R, h)
 
@@ -504,7 +507,7 @@ class Evaluation:
     @cached_property
     def frames(self):
         """Orthonormal frames E[p, i, a], N[p, s, a] of the block (`orthonormal_frames`)."""
-        return orthonormal_frames(self.values(self.G_field), self.values(self.dpsi))
+        return orthonormal_frames(self._G, self._dpsi)
 
     @cached_property
     def decomposition_operators(self):
@@ -516,7 +519,7 @@ class Evaluation:
         """
         F = np.concatenate(self.frames, axis=1)
         # M[p, i, j] = <F_i, T F_j>
-        M = F @ self.values(self.G_field) @ self.structure_tensor @ F.swapaxes(-1, -2)
+        M = F @ self._G @ self.structure_tensor @ F.swapaxes(-1, -2)
         m = self.m
         return M[:, :m, :m], M[:, m:, :m], M[:, :m, m:], M[:, m:, m:]
 
@@ -547,9 +550,8 @@ class Evaluation:
         trace of a covariant derivative, covd[p, a, b, ...] holding the
         derivative along the parameter direction a of the field F_b, whose
         values are values[p, b, ...]."""
-        corr = np.einsum("pgab,pg...->pab...", self.values(self.intrinsic_christoffels), values)
-        return np.einsum("pab,pab...->p...", self.values(self.induced_metric_inv_field),
-                         covd - corr)
+        corr = np.einsum("pgab,pg...->pab...", self._gam, values)
+        return np.einsum("pab,pab...->p...", self._ginv, covd - corr)
 
     def curvature_trace(self, vector):
         """tr R(dpsi, v) dpsi at each point, from the AD curvature; vector[p]
@@ -575,53 +577,22 @@ class Evaluation:
                                     self.values(first))
 
 
-class TraceTerms:
-    """The trace terms of an evaluation block (`Evaluation.trace_terms`),
-    every ingredient the residual equations, audits and propositions read:
-    attribute `name` is entry `name` of `TRACE_TERMS` at every point, a
-    scalar as a P-array, a vector as a (P, chart_dim) array (n is an int,
-    coeffs a (k, P) array), built on its first read, kept by the block and
-    read-only.  A view holds its block, never the reverse, so blocks are
-    freed by reference counting; all views of a block share its terms.
-
-    The structure compositions are named in the Hermitian notation
-    (J X = jX + kX on tangent, J nu = l nu + m nu on normal vectors); on
-    contact ambients with phi = P + N on tangent and s + t on normal
-    vectors, l H = sH, m H = tH, kl H = Ns H, jl H = Ps H, kj grad f =
-    NP grad f and j^2 grad f = P^2 grad f.  The xi and eta terms exist on
-    contact ambients only, Delta-perp H on order-4 blocks only: reading one
-    elsewhere is a ValueError."""
-
-    __slots__ = ("_ev",)
-
-    def __init__(self, ev):
-        self._ev = ev
-
-    def __getattr__(self, name):
-        if name not in TRACE_TERMS:
-            raise AttributeError(f"no trace term {name!r}")
-        terms = self._ev._terms
-        if name not in terms:
-            terms[name] = _produce_term(self._ev, name)
-        return terms[name]
-
-
 def _produce_term(ev, name):
     """The trace term `name` at every point of the block `ev`, read-only."""
-    value = TRACE_TERMS[name](ev, ev.trace_terms)
+    value = TRACE_TERMS[name](ev)
     if isinstance(value, np.ndarray):
         value.setflags(write=False)  # one term serves every reader of the block
     return value
 
 
-def _raised(t, v):
+def _raised(ev, v):
     """The ambient vectors dpsi g^-1 v of covectors v[p, al], such as a gradient."""
-    return matvec(t._dpsi, matvec(t._ginv, v))
+    return matvec(ev._dpsi, matvec(ev._ginv, v))
 
 
-def _shape_trace(t, W):
+def _shape_trace(ev, W):
     """tr A_{W}(.) = g^{ab} g^{gd} <B_bd, W_a> dpsi_g of normal 1-forms W[p, a]."""
-    return _raised(t, np.einsum("pbl,pbdl->pd", t._ginv.swapaxes(-1, -2) @ W, t._BG))
+    return _raised(ev, np.einsum("pbl,pbdl->pd", ev._ginv.swapaxes(-1, -2) @ W, ev._BG))
 
 
 def _normal_trace(ev, fields, values):
@@ -636,93 +607,106 @@ def _structure_part(ev, part, v):
     return matvec(ev.projectors[part], matvec(ev.structure_tensor, v))
 
 
-def _normal_laplacian_h(ev, t):
+def _normal_laplacian_h(ev):
     if ev.order < 4:
         raise ValueError(f"Delta-perp H needs an order-4 block, not order {ev.order}")
-    return -_normal_trace(ev, ev.nabla_perp_h_field, t._nabla_perp_h)
+    return -_normal_trace(ev, ev.nabla_perp_h_field, ev._nabla_perp_h)
 
 
-def _xi(ev, t):
+def _xi(ev):
     if ev.space.structure != "contact":
         raise ValueError("the xi and eta trace terms need a contact ambient")
     return ev.structure["xi"]
 
 
-# The producer of each trace term, (block, its `TraceTerms`) -> the term at
-# every point; the private entries are intermediates the public ones share.
-# Vectors named for B (tb_, tnb_, b_) are normal, for A (ta_, a_) tangent;
-# nabla-perp H is normal.
+# The producer of each trace term, block -> the term at every point, a
+# scalar as a P-array, a vector as a (P, chart_dim) array (n is an int,
+# coeffs a (k, P) array); the block's attribute of the same name
+# (`Evaluation.__getattr__`).  The private entries are intermediates the
+# public ones share, the first four the values of the block's metric,
+# inverse induced metric, dpsi and intrinsic Christoffels.
+# The structure compositions are named in the Hermitian notation (J X =
+# jX + kX on tangent, J nu = l nu + m nu on normal vectors); on contact
+# ambients with phi = P + N on tangent and s + t on normal vectors, l H =
+# sH, m H = tH, kl H = Ns H, jl H = Ps H, kj grad f = NP grad f and j^2
+# grad f = P^2 grad f.  The xi and eta terms exist on contact ambients only,
+# Delta-perp H on order-4 blocks only: reading one elsewhere is a
+# ValueError.  Vectors named for B (tb_, tnb_, b_) are normal, for A (ta_,
+# a_) tangent; nabla-perp H is normal.
 TRACE_TERMS = {
-    "_ginv": lambda ev, t: ev.values(ev.induced_metric_inv_field),
-    "_dpsi": lambda ev, t: ev.values(ev.dpsi),
-    "_B": lambda ev, t: ev.values(ev.B_field),  # B[p, al, be, a]
-    "_Bk": lambda ev, t: t._B.transpose(0, 3, 1, 2),  # Bk[p, k, al, be]
-    "_BG": lambda ev, t: t._B @ ev.values(ev.G_field)[:, None],  # BG[p, al, be] = <B_al,be, .>
-    "_nabla_perp_h": lambda ev, t: ev.values(ev.nabla_perp_h_field),
-    "_X": lambda ev, t: ev.values(ev.grad_f_param_field),  # (grad f)^al
+    "_G": lambda ev: ev.values(ev.G_field),
+    "_ginv": lambda ev: ev.values(ev.induced_metric_inv_field),
+    "_dpsi": lambda ev: ev.values(ev.dpsi),
+    "_gam": lambda ev: ev.values(ev.intrinsic_christoffels),
+    "_B": lambda ev: ev.values(ev.B_field),  # B[p, al, be, a]
+    "_Bk": lambda ev: ev._B.transpose(0, 3, 1, 2),  # Bk[p, k, al, be]
+    "_BG": lambda ev: ev._B @ ev._G[:, None],  # BG[p, al, be] = <B_al,be, .>
+    "_nabla_perp_h": lambda ev: ev.values(ev.nabla_perp_h_field),
+    "_X": lambda ev: ev.values(ev.grad_f_param_field),  # (grad f)^al
     # |grad f|^2 and omega_be = B(e_be, grad f) as jet fields
-    "_gf2_field": lambda ev, t: (ev.induced_metric_field.truncate(ev.order - 2)
-                                 * ev.grad_f_param_field[:, None]
-                                 * ev.grad_f_param_field[None]).reshape(ev.m * ev.m).sum(0),
-    "_omega_field": lambda ev, t: (ev.B_field * ev.grad_f_param_field[None, :, None]).sum(1),
-    "_omega": lambda ev, t: ev.values(t._omega_field),
+    "_gf2_field": lambda ev: (ev.induced_metric_field.truncate(ev.order - 2)
+                              * ev.grad_f_param_field[:, None]
+                              * ev.grad_f_param_field[None]).reshape(ev.m * ev.m).sum(0),
+    "_omega_field": lambda ev: (ev.B_field * ev.grad_f_param_field[None, :, None]).sum(1),
+    "_omega": lambda ev: ev.values(ev._omega_field),
     # Ricci of the induced metric, Ric_jk = R^i_ijk
-    "_ric": lambda ev, t: np.einsum("piijk->pjk", curvature_from_christoffels(
+    "_ric": lambda ev: np.einsum("piijk->pjk", curvature_from_christoffels(
         ev.intrinsic_christoffels, len(ev))),
     "_xi": _xi,
-    "_j_grad_f": lambda ev, t: _structure_part(ev, 0, t.grad_f),
-    "n": lambda ev, t: ev.m,  # dimension of the submanifold
-    "f": lambda ev, t: ev.values(ev.f_jet),
-    "grad_f": lambda ev, t: ev.values(ev.grad_f_ambient_field),  # ambient tangent vector
-    "grad_f_norm2": lambda ev, t: ev.values(t._gf2_field),
-    "delta_f_pos": lambda ev, t: ev.values(ev.delta_f_pos_field),  # -tr Hess f
-    "grad_delta_f_pos": lambda ev, t: _raised(t, ev.values(ev.delta_f_pos_field.derivs())),
-    "grad_grad_f_norm2": lambda ev, t: _raised(t, ev.values(t._gf2_field.derivs())),
-    "ric_grad_f": lambda ev, t: _raised(t, matvec(t._ric, t._X)),  # Ric_M(grad f)
-    "scal": lambda ev, t: (t._ginv.reshape(len(ev), 1, ev.m * ev.m)
-                           @ t._ric.reshape(len(ev), ev.m * ev.m, 1))[:, 0, 0],
-    "h_norm2": lambda ev, t: ev.inner(t.H, t.H),
-    "grad_h_norm2": lambda ev, t: _raised(t, ev.values((
+    "_j_grad_f": lambda ev: _structure_part(ev, 0, ev.grad_f),
+    "n": lambda ev: ev.m,  # dimension of the submanifold
+    "f": lambda ev: ev.values(ev.f_jet),
+    "grad_f": lambda ev: ev.values(ev.grad_f_ambient_field),  # ambient tangent vector
+    "grad_f_norm2": lambda ev: ev.values(ev._gf2_field),
+    "delta_f_pos": lambda ev: ev.values(ev.delta_f_pos_field),  # -tr Hess f
+    "grad_delta_f_pos": lambda ev: _raised(ev, ev.values(ev.delta_f_pos_field.derivs())),
+    "grad_grad_f_norm2": lambda ev: _raised(ev, ev.values(ev._gf2_field.derivs())),
+    "ric_grad_f": lambda ev: _raised(ev, matvec(ev._ric, ev._X)),  # Ric_M(grad f)
+    "scal": lambda ev: (ev._ginv.reshape(len(ev), 1, ev.m * ev.m)
+                        @ ev._ric.reshape(len(ev), ev.m * ev.m, 1))[:, 0, 0],
+    "h_norm2": lambda ev: ev.inner(ev.H, ev.H),
+    "grad_h_norm2": lambda ev: _raised(ev, ev.values((
         ev.G_field.truncate(ev.order - 2) * ev.H_field[:, None] * ev.H_field[None]
     ).reshape(ev.d * ev.d).sum(0).derivs())),
-    "tb_ah": lambda ev, t: np.einsum(  # tr B(., A_H .) = g^{ag} g^{bd} <B_gd, H> B_ab
-        "pab,pabk->pk", t._ginv @ matvec(t._BG, t.H[:, None]) @ t._ginv.swapaxes(-1, -2), t._B),
-    "ta_nabla_perp_h": lambda ev, t: _shape_trace(t, t._nabla_perp_h),  # tr A_{nabla-perp H}(.)
+    "tb_ah": lambda ev: np.einsum(  # tr B(., A_H .) = g^{ag} g^{bd} <B_gd, H> B_ab
+        "pab,pabk->pk", ev._ginv @ matvec(ev._BG, ev.H[:, None]) @ ev._ginv.swapaxes(-1, -2),
+        ev._B),
+    "ta_nabla_perp_h": lambda ev: _shape_trace(ev, ev._nabla_perp_h),  # tr A_{nabla-perp H}(.)
     "delta_perp_h_pos": _normal_laplacian_h,  # positive normal Laplacian of H
-    "nabla_perp_gradf_h": lambda ev, t: np.einsum("pa,pak->pk", t._X, t._nabla_perp_h),
+    "nabla_perp_gradf_h": lambda ev: np.einsum("pa,pak->pk", ev._X, ev._nabla_perp_h),
     # A_H grad f = g^{gb} <B(grad f, e_b), H> dpsi_g
-    "a_h_grad_f": lambda ev, t: _raised(t, matvec(np.einsum("pa,pabl->pbl", t._X, t._BG), t.H)),
-    "tb_hess_f": lambda ev, t: np.einsum(  # tr B(., nabla_. grad f) = g^ab B_ag (nabla_b grad f)^g
-        "pag,pagk->pk", t._ginv @ ev.values(ev.nabla_grad_f_field).swapaxes(-1, -2), t._B),
+    "a_h_grad_f": lambda ev: _raised(ev, matvec(np.einsum("pa,pabl->pbl", ev._X, ev._BG), ev.H)),
+    "tb_hess_f": lambda ev: np.einsum(  # tr B(., nabla_. grad f) = g^ab B_ag (nabla_b grad f)^g
+        "pag,pagk->pk", ev._ginv @ ev.values(ev.nabla_grad_f_field).swapaxes(-1, -2), ev._B),
     # tr (nabla-perp_. B)(., grad f)
-    "tnb_grad_f": lambda ev, t: _normal_trace(ev, t._omega_field, t._omega),
-    "ta_b_grad_f": lambda ev, t: _shape_trace(t, t._omega),  # tr A_{B(., grad f)}(.)
-    "b_gradf_gradf": lambda ev, t: matvec(matvec(t._Bk, t._X[:, None]), t._X),  # B(grad f, grad f)
-    "b_norm2": lambda ev, t: np.einsum(  # g^{ag} g^{bd} <B_ab, B_gd>
-        "pabl,plab->p", t._BG, t._ginv[:, None] @ t._Bk @ t._ginv.swapaxes(-1, -2)[:, None]),
-    "H": lambda ev, t: ev.values(ev.H_field),  # mean curvature vector
+    "tnb_grad_f": lambda ev: _normal_trace(ev, ev._omega_field, ev._omega),
+    "ta_b_grad_f": lambda ev: _shape_trace(ev, ev._omega),  # tr A_{B(., grad f)}(.)
+    "b_gradf_gradf": lambda ev: matvec(matvec(ev._Bk, ev._X[:, None]), ev._X),  # B(grad f, grad f)
+    "b_norm2": lambda ev: np.einsum(  # g^{ag} g^{bd} <B_ab, B_gd>
+        "pabl,plab->p", ev._BG, ev._ginv[:, None] @ ev._Bk @ ev._ginv.swapaxes(-1, -2)[:, None]),
+    "H": lambda ev: ev.values(ev.H_field),  # mean curvature vector
     # ambient (alpha, beta) or (f1, f2, f3)
-    "coeffs": lambda ev, t: np.stack(ev.space.curvature_coeffs_at(ev.values(ev.psi))),
+    "coeffs": lambda ev: np.stack(ev.space.curvature_coeffs_at(ev.values(ev.psi))),
     # two-step compositions of J (phi), tangent (0) or normal (1)
-    "l_H": lambda ev, t: _structure_part(ev, 0, t.H),
-    "m_H": lambda ev, t: _structure_part(ev, 1, t.H),
-    "kl_H": lambda ev, t: _structure_part(ev, 1, t.l_H),
-    "jl_H": lambda ev, t: _structure_part(ev, 0, t.l_H),
-    "mm_H": lambda ev, t: _structure_part(ev, 1, t.m_H),
-    "kj_grad_f": lambda ev, t: _structure_part(ev, 1, t._j_grad_f),
-    "j2_grad_f": lambda ev, t: _structure_part(ev, 0, t._j_grad_f),
-    "eta_h": lambda ev, t: ev.inner(t._xi, t.H),
-    "xi_tan": lambda ev, t: matvec(ev.projectors[0], t._xi),
-    "xi_nor": lambda ev, t: matvec(ev.projectors[1], t._xi),
-    "xi_tan_norm2": lambda ev, t: ev.inner(t.xi_tan, t.xi_tan),
-    "eta_grad_f": lambda ev, t: ev.inner(t._xi, t.grad_f),
+    "l_H": lambda ev: _structure_part(ev, 0, ev.H),
+    "m_H": lambda ev: _structure_part(ev, 1, ev.H),
+    "kl_H": lambda ev: _structure_part(ev, 1, ev.l_H),
+    "jl_H": lambda ev: _structure_part(ev, 0, ev.l_H),
+    "mm_H": lambda ev: _structure_part(ev, 1, ev.m_H),
+    "kj_grad_f": lambda ev: _structure_part(ev, 1, ev._j_grad_f),
+    "j2_grad_f": lambda ev: _structure_part(ev, 0, ev._j_grad_f),
+    "eta_h": lambda ev: ev.inner(ev._xi, ev.H),
+    "xi_tan": lambda ev: matvec(ev.projectors[0], ev._xi),
+    "xi_nor": lambda ev: matvec(ev.projectors[1], ev._xi),
+    "xi_tan_norm2": lambda ev: ev.inner(ev.xi_tan, ev.xi_tan),
+    "eta_grad_f": lambda ev: ev.inner(ev._xi, ev.grad_f),
     # tr R(., v). of v = H and v = grad f, and their tangent and normal parts
-    "trRH": lambda ev, t: ev.curvature_trace(t.H),
-    "trRgf": lambda ev, t: ev.curvature_trace(t.grad_f),
-    "trRH_tan": lambda ev, t: matvec(ev.projectors[0], t.trRH),
-    "trRH_nor": lambda ev, t: matvec(ev.projectors[1], t.trRH),
-    "trRgf_tan": lambda ev, t: matvec(ev.projectors[0], t.trRgf),
-    "trRgf_nor": lambda ev, t: matvec(ev.projectors[1], t.trRgf),
+    "trRH": lambda ev: ev.curvature_trace(ev.H),
+    "trRgf": lambda ev: ev.curvature_trace(ev.grad_f),
+    "trRH_tan": lambda ev: matvec(ev.projectors[0], ev.trRH),
+    "trRH_nor": lambda ev: matvec(ev.projectors[1], ev.trRH),
+    "trRgf_tan": lambda ev: matvec(ev.projectors[0], ev.trRgf),
+    "trRgf_nor": lambda ev: matvec(ev.projectors[1], ev.trRgf),
 }
 
 

@@ -120,15 +120,16 @@ def _columns(ev, flags):
     """The per-point arrays the checkers read of a block: trace terms,
     norms, the Gauss sum of Scal_M (model curvature backend) and the
     deviations of the non-structural `flags`."""
-    t, E, m = ev.trace_terms, ev.frames[0], ev.m
-    R = curvature_model(ev.space.structure, ev.values(ev.G_field), ev.structure, tuple(t.coeffs))
+    E, m = ev.frames[0], ev.m
+    R = curvature_model(ev.space.structure, ev._G, ev.structure, tuple(ev.coeffs))
     # sum_{ij} <R(e_i, e_j) e_j, e_i> over an orthonormal tangent frame
     total = sum(ev.inner(R(E[:, i], E[:, j], E[:, j]), E[:, i])
                 for i in range(m) for j in range(m))
-    return {"coeffs": t.coeffs.T, "ratio": t.delta_f_pos / t.f, "h_norm2": t.h_norm2,
-            "b_norm2": t.b_norm2, "scal": t.scal, "gauss": total - t.b_norm2 + m**2 * t.h_norm2,
-            "a_h_grad_f_norm": ev.norm(t.a_h_grad_f), "h_norm": ev.norm(t.H),
-            "m_h_norm": ev.norm(t.m_H), "l_h_norm": ev.norm(t.l_H),
+    return {"coeffs": ev.coeffs.T, "ratio": ev.delta_f_pos / ev.f, "h_norm2": ev.h_norm2,
+            "b_norm2": ev.b_norm2, "scal": ev.scal,
+            "gauss": total - ev.b_norm2 + m**2 * ev.h_norm2,
+            "a_h_grad_f_norm": ev.norm(ev.a_h_grad_f), "h_norm": ev.norm(ev.H),
+            "m_h_norm": ev.norm(ev.m_H), "l_h_norm": ev.norm(ev.l_H),
             **{name: _point_deviations(ev, name) for name in flags}}
 
 

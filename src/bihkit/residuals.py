@@ -123,8 +123,9 @@ class Erratum:
 
 @dataclass(frozen=True)
 class Term:
-    """One term of an equation; every callable reads the TraceTerms of a
-    block: a coefficient is a float or a P-array, a value (P, chart_dim).
+    """One term of an equation; every callable takes an evaluation block t
+    and reads its trace terms (`t.tb_ah`): a coefficient is a float or a
+    P-array, a value (P, chart_dim).
     A term has a corrected coefficient exactly when it carries an
     `erratum`."""
 
@@ -540,15 +541,14 @@ def term_matrix(ev, eq_id, corollary=None):
     cor = Corollary(None, eq_id, (), {}) if corollary is None else COROLLARIES[corollary]
     if cor.equation != eq_id:
         raise ValueError(f"corollary {corollary!r} reduces {cor.equation}, not {eq_id}")
-    t = ev.trace_terms
     per_point = lambda c: np.broadcast_to(np.asarray(c, dtype=float), (len(ev),))
     rows = []
     for term in EQUATIONS[eq_id]:
         rule, sub = cor.coefficients.get(term.name), cor.substitutions.get(term.name, term.value)
-        printed = per_point((rule or term.printed)(t))
+        printed = per_point((rule or term.printed)(ev))
         corrected = (printed if rule or term.erratum is None
-                     else per_point(term.erratum.corrected(t)))
-        rows.append((printed, corrected, np.zeros((len(ev), ev.d)) if sub is None else sub(t)))
+                     else per_point(term.erratum.corrected(ev)))
+        rows.append((printed, corrected, np.zeros((len(ev), ev.d)) if sub is None else sub(ev)))
     printed, corrected, fields = map(np.array, zip(*rows))
     return SimpleNamespace(terms=EQUATIONS[eq_id], printed=printed, corrected=corrected,
                            fields=fields)
@@ -605,7 +605,7 @@ def theorem_residual(ev, kind="fbh", errata=False, corollary=None):
         matrix=mat,
         delta_norm=ev.norm(mat.corrected[..., None] * mat.fields
                            - mat.printed[..., None] * mat.fields),
-        scale=1.0 + ev.norm(ev.trace_terms.H) + ev.norm(ev.trace_terms.grad_f),
+        scale=1.0 + ev.norm(ev.H) + ev.norm(ev.grad_f),
     )
 
 

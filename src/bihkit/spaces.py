@@ -437,9 +437,12 @@ def christoffel_jets(G, G_inv=None):
     # over the pairs i <= j: w[p, l] = d_i g_lj + d_j g_li - d_l g_ij, the
     # axes of dG permuted so that (i, j, l) index each term
     w = (dG.transpose(2, 1, 0) + dG.transpose(1, 2, 0) - dG).upper()
-    # Gam[k, i, j] = Gam[k, j, i] = (sum_l Ginv[k, l] w[p, l]) / 2
-    Gam = (Ginv[:, None, :] * w[None]).sum(2) * 0.5
-    return Gam.symmetric(axis=1)
+    # Gam[k, i, j] = Gam[k, j, i] = (sum_l Ginv[k, l] w[p, l]) / 2, added one
+    # l at a time, left to right, so no (d, pairs, d) product is held
+    acc = Ginv[:, None, 0] * w[None, :, 0]
+    for l in range(1, Ginv.shape[1]):
+        acc = acc + Ginv[:, None, l] * w[None, :, l]
+    return (acc * 0.5).symmetric(axis=1)
 
 
 def metric_and_christoffel_jets(space, points, order):

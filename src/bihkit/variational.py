@@ -138,10 +138,9 @@ def _frozen(blocks, columns=lambda ev: {}):
     psi, dpsi[i, a, al], ddpsi[i, a, al, be], ginv and gam (the t = 0 g^-1
     and its Christoffels), sqrt_det, f, grad_f_param, G and gam_amb at psi."""
     return joined(blocks, lambda ev: {
-        "psi": ev.values(ev.psi), "dpsi": ev.values(ev.dpsi), "ddpsi": ev.values(ev.dpsi.derivs()),
-        "ginv": ev.values(ev.induced_metric_inv_field), "gam": ev.values(ev.intrinsic_christoffels),
-        "sqrt_det": np.sqrt(ev.gram_det), "f": ev.values(ev.f_jet),
-        "grad_f_param": ev.values(ev.grad_f_param_field), "G": ev.values(ev.G_field),
+        "psi": ev.values(ev.psi), "dpsi": ev._dpsi, "ddpsi": ev.values(ev.dpsi.derivs()),
+        "ginv": ev._ginv, "gam": ev._gam, "sqrt_det": np.sqrt(ev.gram_det),
+        "f": ev.values(ev.f_jet), "grad_f_param": ev.values(ev.grad_f_param_field), "G": ev._G,
         "gam_amb": ev.values(ev.chart_christoffels), **columns(ev)})
 
 

@@ -195,8 +195,9 @@ RECORDED = {
     # the rows and coefficients of the table built, read when the call returns
     "jets.Composer._table": (lambda composer, degree, order: (
         len(composer._built), composer._built.shape[-1]), None),
-    # per-block quantities; a trace term produced records its name first,
-    # and keeps its block by weak reference
+    # per-block quantities; a `TRACE_TERMS` entry produced (a trace term or
+    # a field value) records its name first, and keeps its block by weak
+    # reference
     "calculus._produce_term": (lambda ev, name: (name, len(ev), ev.order),
                                lambda ev, name: weakref.ref(ev)),
     "calculus.Evaluation.pullback_derivative": (_block, None),

@@ -166,6 +166,6 @@ def test_fourth_order_checks_reject_an_order_3_block(check):
     ValueError that says so, and so is reading its Dperp H."""
     ev = one_point(torus_r4(), [0.3, 0.7], order=3)
     with pytest.raises(ValueError, match="order-4 block, not order 3"):
-        ev.trace_terms.delta_perp_h_pos
+        ev.delta_perp_h_pos
     with pytest.raises(ValueError, match="order-4 block, not order 3"):
         check(ev)

@@ -100,10 +100,9 @@ def test_round_sphere_closed_forms():
     imm = sphere_immersion(r)
     for p in ([0.5, 0.3], [2.0, -0.6]):
         ev = one_point(imm, p)
-        tt = ev.trace_terms
-        assert np.sqrt(tt.h_norm2) == pytest.approx(1.0 / r, abs=1e-9)
-        assert tt.b_norm2 == pytest.approx(2.0 / r**2, abs=1e-9)
-        assert tt.scal == pytest.approx(2.0 / r**2, abs=1e-8)
+        assert np.sqrt(ev.h_norm2) == pytest.approx(1.0 / r, abs=1e-9)
+        assert ev.b_norm2 == pytest.approx(2.0 / r**2, abs=1e-9)
+        assert ev.scal == pytest.approx(2.0 / r**2, abs=1e-8)
         # umbilic shape operator: A = (1/r) Id up to sign
         A = _shape_operators(_Point(ev))[0]
         assert np.abs(np.abs(A) - np.eye(2) / r).max() <= 1e-9
@@ -141,8 +140,8 @@ def test_clifford_torus_minimal_in_s3():
          f"{r}*cos(v)/(1 + {r}*sin(v))"],
         "1")
     for p in ([0.3, 1.2], [2.1, 0.4]):
-        tt = one_point(imm, p).trace_terms
-        assert np.sqrt(tt.h_norm2) <= 1e-9
+        ev = one_point(imm, p)
+        assert np.sqrt(ev.h_norm2) <= 1e-9
 
 
 def test_rank_deficiency_raises():
@@ -185,21 +184,20 @@ def test_hypersurface_hermitian_facts():
     ev = one_point(imm, p)
     tt_m, tn, nt, nn = ev.decomposition_operators
     assert np.abs(nn).max() <= 1e-10
-    tt = ev.trace_terms
-    assert np.abs(tt.kl_H + tt.H).max() <= 1e-9
-    assert np.abs(tt.jl_H).max() <= 1e-9
+    assert np.abs(ev.kl_H + ev.H).max() <= 1e-9
+    assert np.abs(ev.jl_H).max() <= 1e-9
 
 
 def test_trace_terms_minimal_and_constant_weight():
     great = Immersion.from_strings(
         ["u", "v"], S3, ["cos(v)*cos(u)", "cos(v)*sin(u)", "sin(v)"], "1")
-    tt = one_point(great, [0.4, 0.2]).trace_terms
-    assert np.abs(tt.tb_ah).max() <= 1e-10
-    assert np.abs(tt.a_h_grad_f).max() <= 1e-12
-    assert np.abs(tt.grad_f).max() == 0.0
-    assert tt.delta_f_pos == 0.0
-    assert np.abs(tt.grad_delta_f_pos).max() == 0.0
-    assert np.abs(tt.b_gradf_gradf).max() == 0.0
+    ev = one_point(great, [0.4, 0.2])
+    assert np.abs(ev.tb_ah).max() <= 1e-10
+    assert np.abs(ev.a_h_grad_f).max() <= 1e-12
+    assert np.abs(ev.grad_f).max() == 0.0
+    assert ev.delta_f_pos == 0.0
+    assert np.abs(ev.grad_delta_f_pos).max() == 0.0
+    assert np.abs(ev.b_gradf_gradf).max() == 0.0
 
 
 def test_hypersurface_tb_identity():
@@ -210,14 +208,14 @@ def test_hypersurface_tb_identity():
         ["(1 + 0.3*cos(v))*cos(u)", "(1 + 0.3*cos(v))*sin(u)", "0.3*sin(v)"],
         "1")
     for im, p in ((imm, [0.5, 0.3]), (imm2, [0.7, 1.1])):
-        tt = one_point(im, p).trace_terms
-        assert np.abs(tt.tb_ah - tt.b_norm2 * tt.H).max() <= 1e-8
+        ev = one_point(im, p)
+        assert np.abs(ev.tb_ah - ev.b_norm2 * ev.H).max() <= 1e-8
 
 
 def test_intrinsic_scal_unit_sphere():
     imm = sphere_immersion(1.0)
     ev = one_point(imm, [0.7, 0.5])
-    assert ev.trace_terms.scal == pytest.approx(2.0, abs=1e-8)
+    assert ev.scal == pytest.approx(2.0, abs=1e-8)
 
 
 def _covariant_split(pt, field):
@@ -247,7 +245,7 @@ def test_normal_derivative_splits():
 
 def test_normal_laplacian_parallel_field_and_bochner():
     ev = one_point(sphere_immersion(0.9), [0.4, 0.8])
-    assert np.abs(ev.trace_terms.delta_perp_h_pos).max() <= 1e-9
+    assert np.abs(ev.delta_perp_h_pos).max() <= 1e-9
 
     # Bochner: (1/2) Delta |H|^2 = <Delta-perp H, H> - |nabla-perp H|^2
     bumpy = Immersion.from_strings(
@@ -257,7 +255,7 @@ def test_normal_laplacian_parallel_field_and_bochner():
         "1")
     for p in ([0.5, 1.0], [2.2, 0.3]):
         pt = _Point(one_point(bumpy, p))
-        tt = pt.ev.trace_terms
+        ev = pt.ev
         h2_field = None
         ord2 = pt.order - 2
         for a in range(pt.d):
@@ -268,7 +266,7 @@ def test_normal_laplacian_parallel_field_and_bochner():
                                          pt.intrinsic_christoffels, h2_field).value
         lhs = 0.5 * lap_h2
         nabla_perp_h_norm2 = pt.ev.form_norm2(pt.ev.values(pt.ev.nabla_perp_h_field))
-        rhs = float(tt.delta_perp_h_pos[0] @ pt.G_val @ pt.H_val) - nabla_perp_h_norm2[0]
+        rhs = float(ev.delta_perp_h_pos[0] @ pt.G_val @ pt.H_val) - nabla_perp_h_norm2[0]
         assert abs(lhs - rhs) <= 1e-6 * (1.0 + abs(lhs))
 
 
@@ -277,7 +275,7 @@ def test_small_sphere_normal_laplacian_zero():
     imm = Immersion.from_strings(
         ["u", "v"], S3,
         [f"{r0}*cos(v)*cos(u)", f"{r0}*cos(v)*sin(u)", f"{r0}*sin(v)"], "1")
-    lap = one_point(imm, [0.7, 0.4]).trace_terms.delta_perp_h_pos
+    lap = one_point(imm, [0.7, 0.4]).delta_perp_h_pos
     assert np.abs(lap).max() <= 1e-9
 
 
@@ -290,7 +288,7 @@ def test_frame_remix_invariance():
         "1 + 0.2*sin(u)")
     p = [0.8, 1.7]
     pt = _Point(one_point(imm, p))
-    tt = pt.ev.trace_terms
+    ev = pt.ev
     G = pt.G_val
     rng = np.random.default_rng(17)
     for _ in range(4):
@@ -303,8 +301,8 @@ def test_frame_remix_invariance():
         b_norm2 = float(np.einsum("ijk,kl,ijl->", B, G, B))
         BH = np.einsum("ijk,kl,l->ij", B, G, H)
         tb = np.einsum("ij,ijk->k", BH, B)
-        assert abs(b_norm2 - tt.b_norm2) <= 1e-8 * (1 + abs(tt.b_norm2))
-        assert np.abs(tb - tt.tb_ah).max() <= 1e-8 * (1 + np.abs(tt.tb_ah).max())
+        assert abs(b_norm2 - ev.b_norm2) <= 1e-8 * (1 + abs(ev.b_norm2))
+        assert np.abs(tb - ev.tb_ah).max() <= 1e-8 * (1 + np.abs(ev.tb_ah).max())
         assert np.abs(H - pt.H_val).max() <= 1e-10
 
 
@@ -552,21 +550,23 @@ def test_mean_curvature_path_matches_scalar_loops(name):
                                   want.view(np.int64)), (field, p)
 
 
-def test_trace_terms_shared_and_read_only():
-    """Two views of a block's trace terms return the same read-only arrays."""
+def test_trace_terms_shared_and_read_only(recorder):
+    """A trace term is an attribute of its block: every read returns the
+    one read-only array its producer built on the first read, and an
+    unknown name is an AttributeError."""
     imm = sphere_immersion(0.8, weight="1 + 0.2*sin(u)*cos(v)")
     p = [0.7, 0.4]
     ev = one_point(imm, p)
-    tt, other = ev.trace_terms, ev.trace_terms
-    assert other is not tt
     for name in _public_terms(ev):
-        assert getattr(other, name) is getattr(tt, name), name
+        assert getattr(ev, name) is getattr(ev, name) is vars(ev)[name], name
+    produced = [term for term, _size, _order in recorder.of("calculus._produce_term")]
+    assert len(set(produced)) == len(produced) and set(_public_terms(ev)) <= set(produced)
     with pytest.raises(ValueError):
-        tt.tb_ah[0, 0] = 1.0
+        ev.tb_ah[0, 0] = 1.0
     with pytest.raises(ValueError):
-        other.grad_f += 1.0
+        ev.grad_f += 1.0
     with pytest.raises(AttributeError):
-        tt.no_such_term
+        ev.no_such_term
 
 
 PRODUCTS = ("jets.Jet.__mul__", "jets.Jet.__rmul__")
@@ -623,7 +623,7 @@ def test_trace_terms_product_count_does_not_grow_with_points(recorder):
     product."""
     sc = load_scenario(scenario_path("c13_hypersphere_r4"), validate=False)
     evals = [calculus.evaluate(sc.immersion, sc.sample_points()[:count]) for count in (1, 16)]
-    counts = _products(recorder, lambda ev: [getattr(ev.trace_terms, name)
+    counts = _products(recorder, lambda ev: [getattr(ev, name)
                                              for name in _public_terms(ev)], evals)
     assert counts[0] == counts[1] > 0
 
@@ -677,7 +677,7 @@ def _block_quantities(ev):
     """Every field's coefficients, the points and Gram determinants, and the
     trace terms, projectors, frames, curvature operator and (at order 4)
     bitension of an evaluation block, as arrays."""
-    terms = [getattr(ev.trace_terms, name) for name in _public_terms(ev) if name != "n"]
+    terms = [getattr(ev, name) for name in _public_terms(ev) if name != "n"]
     out = [jet.c for jet in ev.fields.values()] + [ev.points, ev.gram_det] + terms
     out += [*ev.projectors, *ev.frames, ev.curvature_operator]
     if ev.order == 4:
@@ -778,6 +778,26 @@ def test_first_block_memory_peak(name):
     finally:
         tracemalloc.stop()
     assert peak <= 8e6, peak
+
+
+def test_chart_christoffels_hold_no_whole_product():
+    """The traced memory peak of `evaluate` on 16 points of a curve in the
+    7-dimensional Sasakian sphere (n = 3) at order 4 is at most 12 MB
+    (10^6 bytes): `christoffel_jets` adds up sum_l Ginv[k, l] w[p, l] one l
+    at a time, 7.4 MB measured with numpy 2.4; the whole (d, d(d+1)/2, d)
+    product of jets peaked at 23.6 MB."""
+    comps = [f"{0.3 / (1 + k)}*{('cos', 'sin')[k % 2]}(u + {0.1 * k})" for k in range(7)]
+    imm = Immersion.from_strings(["u"], make_space("sasakian_sphere", n=3), comps,
+                                 "1 + 0.1*sin(u)")
+    points = np.linspace(0.1, 6.0, 16)[:, None]
+    calculus.evaluate(imm, points[:1])  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        calculus.evaluate(imm, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, peak
 
 
 def test_christoffels_from_the_evaluated_inverse_match_inverting_again(catalog_names):
@@ -1136,14 +1156,13 @@ def test_contractions_match_index_loops(name):
     curved Hermitian one."""
     for ev in catalog_blocks(name):
         fields = set(_public_terms(ev)) - {"n"}
-        tt = ev.trace_terms
         lap = ev.rough_laplacian(ev.H_field)
         intrinsic = _intrinsic_rough_laplacian_gradf(ev)
         for i in range(len(ev)):
             pt = _Point(ev, i)
             ref = _ref_trace_terms(pt)
             assert set(ref) == fields
-            pairs = [(key, tt.coeffs[:, i] if key == "coeffs" else getattr(tt, key)[i], want)
+            pairs = [(key, ev.coeffs[:, i] if key == "coeffs" else getattr(ev, key)[i], want)
                      for key, want in ref.items()]
             pairs += [("rough_laplacian", lap[i], _ref_rough_laplacian(pt, pt.H_field)),
                       ("intrinsic_laplacian", intrinsic[i],
@@ -1189,7 +1208,7 @@ def test_trace_terms_and_audit_read_the_one_nabla_grad_f_field(name):
     a block whose field is doubled (exactly) gives both exactly doubled."""
     ev, doubled = _first_block(name), _first_block(name)
     doubled.nabla_grad_f_field = ev.nabla_grad_f_field * 2.0  # the cached value
-    for read in (lambda e: e.trace_terms.tb_hess_f, _intrinsic_rough_laplacian_gradf):
+    for read in (lambda e: e.tb_hess_f, _intrinsic_rough_laplacian_gradf):
         base = read(ev)
         assert np.abs(base).max() > 1e-3, name
         assert same_bits(read(doubled), 2.0 * base), name
@@ -1203,7 +1222,7 @@ def test_audits_and_bif_general_read_the_one_curvature_traces(name):
     printed and corrected deltas agree, lemgene2's printed ambient delta
     moves, and bif_general's curvature terms vanish."""
     ev = _first_block(name)
-    traces = {key: getattr(ev.trace_terms, key) for key in
+    traces = {key: getattr(ev, key) for key in
               ("trRH", "trRH_tan", "trRH_nor", "trRgf", "trRgf_tan", "trRgf_nor")}
     P_tan, P_nor = ev.projectors
     for key, field in (("trRH", ev.H_field), ("trRgf", ev.grad_f_ambient_field)):
@@ -1213,7 +1232,7 @@ def test_audits_and_bif_general_read_the_one_curvature_traces(name):
         assert same_bits(traces[f"{key}_nor"], calculus.matvec(P_nor, trace)), key
     assert np.abs(traces["trRH"]).max() > 1e-3 and np.abs(traces["trRgf"]).max() > 1e-3, name
     lem2 = audit_lemgene2(ev)
-    ev._terms.update({key: np.zeros_like(value) for key, value in traces.items()})
+    vars(ev).update({key: np.zeros_like(value) for key, value in traces.items()})
     lem1 = audit_mean_curvature_laplacian(ev)["lemgene1"]
     assert same_bits(lem1["delta_printed"], lem1["delta_corrected"]), name
     assert not np.array_equal(audit_lemgene2(ev)["delta_printed_ambient"],
@@ -1273,9 +1292,9 @@ def test_point_rows_release_the_block():
     refs = [weakref.ref(ev) for ev in blocks]
     gc.disable()
     try:
-        table = calculus.joined(blocks, lambda ev: {"h": ev.trace_terms.h_norm2,
-                                                    "f": ev.trace_terms.f})
-        want_h = [ev.trace_terms.h_norm2[0] for ev in blocks]
+        table = calculus.joined(blocks, lambda ev: {"h": ev.h_norm2,
+                                                    "f": ev.f})
+        want_h = [ev.h_norm2[0] for ev in blocks]
         del blocks
         assert [ref() for ref in refs] == [None, None]
         rows = calculus.point_rows(table.points, {"h": table.h, "f": table.f})
@@ -1336,9 +1355,8 @@ def test_curvature_trace_matches_the_five_operand_einsum(name):
     (the catalog equality rule's floor: tr R(dpsi, grad f) dpsi vanishes on
     a curve); and linear in the vector.  c13's flat ambient gives zeros."""
     ev = catalog_blocks(name)[0]
-    tt = ev.trace_terms
     rng = np.random.default_rng(24)
-    vectors = [tt.H, tt.grad_f, rng.normal(size=(len(ev), ev.d))]
+    vectors = [ev.H, ev.grad_f, rng.normal(size=(len(ev), ev.d))]
     for v in vectors:
         got, want = ev.curvature_trace(v), _einsum_curvature_trace(ev, v)
         norm = np.maximum(np.linalg.norm(want, axis=1), 1.0)
@@ -1361,7 +1379,7 @@ def test_two_operand_contractions_match_the_multi_operand_einsums(name):
     relative, with the catalog equality rule's absolute floor of 1e-12."""
     ev = catalog_blocks(name)[0]
     expected = _einsum_trace_terms(ev)
-    got = {key: getattr(ev.trace_terms, key) for key in expected if key != "form_norm2"}
+    got = {key: getattr(ev, key) for key in expected if key != "form_norm2"}
     got["form_norm2"] = ev.form_norm2(ev.values(ev.nabla_perp_h_field))
     for key, want in expected.items():
         err = np.abs(got[key] - want)

@@ -1199,6 +1199,52 @@ def test_corollary_that_fixes_a_coefficient(tmp_path):
     assert "reduction_agreement: true" in out.splitlines()
 
 
+# Reductions of `residuals.COROLLARIES` checked on a catalog scenario:
+# (corollary, scenario, the [mode] kind, [flags] lines added).  A corollary
+# that replaces a row (a value or a coefficient) is checked where that row
+# is nonzero.  The other eight only drop rows that their flags make vanish,
+# so no example has a nonzero substituted row (ROADMAP item 10 names them);
+# c07 is complex, so minimal in a Kaehler ambient, and every row of its
+# f-biharmonic equation vanishes.
+REDUCTIONS = [
+    ("fbh_gcsf_complex", "c07_complex_curve", "fbh", ""),
+    ("fbh_gcsf_complex_parallel", "c07_complex_curve", "fbh", ""),
+    ("fbh_gcsf_hypersurface", "c18_hypersphere_cp2", "fbh", ""),
+    ("fbh_gssf_invariant", "c15_invariant_curve", "fbh", ""),
+    ("bif_gcsf_complex_parallel", "c07_complex_curve", "bif", ""),
+    ("bif_gcsf_curve_parallel", "c17_circle_c1", "bif", ""),
+    ("bif_gcsf_hypersurface_cmc", "c18_hypersphere_cp2", "bif", "cmc = asserted\n"),
+    ("bif_gssf_invariant", "c15_invariant_curve", "bif", ""),
+    ("bif_gssf_anti_invariant", "c16_xi_normal_curve", "bif", ""),
+    ("bif_gssf_xi_normal", "c16_xi_normal_curve", "bif", ""),
+]
+
+
+@pytest.mark.parametrize("corollary,name,kind,flags", REDUCTIONS,
+                         ids=[case[0] for case in REDUCTIONS])
+def test_corollary_reduces_its_equation_on_a_catalog_scenario(tmp_path, corollary, name, kind,
+                                                               flags):
+    """`check` with `[mode] corollary` agrees with the full equation, its
+    flags verified; every row the corollary replaces is nonzero there
+    somewhere, coefficient times value."""
+    text = _catalog_text(name, "kind = fbh", f"kind = {kind}\ncorollary = {corollary}")
+    path = write(tmp_path, text.replace("[flags]\n", "[flags]\n" + flags))
+    code, out, err = run_cli(["check", path])
+    assert code == 0, err
+    assert f"corollary: {corollary}" in out
+    assert "reduction_agreement: true" in out.splitlines()
+    cor = residuals.COROLLARIES[corollary]
+    replaced = {key for key, value in cor.substitutions.items() if value is not None}
+    rows = [k for k, term in enumerate(residuals.EQUATIONS[cor.equation])
+            if term.name in replaced | set(cor.coefficients)]
+    assert bool(rows) == (corollary in ("fbh_gcsf_hypersurface", "bif_gcsf_hypersurface_cmc"))
+    for k in rows:
+        size = max(np.abs(mat.corrected[k][:, None] * mat.fields[k]).max()
+                   for mat in (residuals.term_matrix(ev, cor.equation, corollary)
+                               for ev in _validate(load_scenario(path, validate=False))))
+        assert size > 1e-3, (corollary, cor.equation, k)
+
+
 def test_reduction_delta_measures_with_the_ambient_metric(tmp_path):
     """The corollary reduction delta is a length in the ambient metric, like
     its scale and every other residual norm.  On a deformed Sasakian sphere
@@ -1322,9 +1368,9 @@ def test_nan_residual_fails_audit_and_props(tmp_path, monkeypatch, command):
     else:
         produce = calculus.TRACE_TERMS["b_norm2"]
 
-        def poisoned(ev, t):
+        def poisoned(ev):
             blocks.append(ev)
-            out = produce(ev, t)
+            out = produce(ev)
             return _nan_at_a_later_point(out) if len(blocks) == 2 else out
 
         monkeypatch.setitem(calculus.TRACE_TERMS, "b_norm2", poisoned)
@@ -1396,15 +1442,30 @@ def test_hermitian_commands_produce_no_contact_term(recorder, command):
     ev = calculus.evaluate(load_scenario(path, validate=False).immersion, [[0.3, 0.4, 0.5]])
     for term in sorted(contact):
         with pytest.raises(ValueError, match="contact ambient"):
-            getattr(ev.trace_terms, term)
+            getattr(ev, term)
+
+
+# The entries of `calculus.TRACE_TERMS` that are field values, not trace
+# terms: G, g^-1, dpsi and the intrinsic Christoffels.
+FIELD_VALUES = {"_G", "_ginv", "_dpsi", "_gam"}
+
+
+def _produced_once_per_block(recorder):
+    """The table entries produced, by name, each asserted once per block."""
+    produced = [(term, id(block)) for (term, _size, _order), block in
+                zip(recorder.of("calculus._produce_term"),
+                    recorder.subjects("calculus._produce_term"))]
+    assert len(set(produced)) == len(produced)
+    return {term for term, _block in produced}
 
 
 def test_quadrature_commands_validate_at_order_3_without_trace_terms(recorder):
     """On c08, whose quadrature nodes are its sample points, `energy` and
     `variation` validate the sample points at the order they read, 3 and 4,
     and take those blocks; neither the parallel_H pre-check nor the
-    command produces a trace term.  `check` validates at order 4 and
-    produces its trace terms for its one block of 36 points."""
+    command produces a trace term, only the four field values, once.
+    `check` validates at order 4 and produces its trace terms for its one
+    block of 36 points."""
     path = scenario_path("c08_hopf_torus")
     sample = load_scenario(path, validate=False).sample_points()
     for command, order in (("energy", 3), ("variation", 4), ("check", 4)):
@@ -1413,9 +1474,10 @@ def test_quadrature_commands_validate_at_order_3_without_trace_terms(recorder):
         assert code == 0, err
         assert recorder.of("calculus.evaluate_batches") == [(36, order)], command
         assert np.array_equal(recorder.subjects("calculus.evaluate_batches")[0], sample), command
-        produced = recorder.of("calculus._produce_term")
-        assert (produced == []) == (command != "check"), command
-        assert all(record[1:] == (36, 4) for record in produced), command
+        produced = _produced_once_per_block(recorder)
+        assert (produced == FIELD_VALUES) == (command != "check"), command
+        assert {record[1:] for record in recorder.of("calculus._produce_term")} == {
+            (36, order)}, command
 
 
 def test_open_axis_quadrature_commands_validate_the_sample_blocks_without_trace_terms(
@@ -1425,7 +1487,7 @@ def test_open_axis_quadrature_commands_validate_the_sample_blocks_without_trace_
     the nodes, at the order the command reads (3, 4); the flag pre-checks
     read the blocks of the sample points cut from it, in blocks of 16
     points too, where the third block is cut.  Neither builds trace
-    terms."""
+    terms: the blocks produce the four field values, each once."""
     path = scenario_path("c04_small_sphere")
     sc = load_scenario(path, validate=False)
     sample = sc.sample_points()
@@ -1442,7 +1504,7 @@ def test_open_axis_quadrature_commands_validate_the_sample_blocks_without_trace_
             assert recorder.of("calculus.verify_flags") == [(sizes, (order,) * len(sizes))]
             checked, = recorder.subjects("calculus.verify_flags")
             assert same_bits(np.concatenate(checked), sample), command
-            assert recorder.of("calculus._produce_term") == [], command
+            assert _produced_once_per_block(recorder) == FIELD_VALUES, command
 
 
 @pytest.mark.parametrize("command", ["energy", "variation"])

@@ -12,17 +12,16 @@ from conftest import catalog_blocks, point_curvature_model, same_bits, scenario_
 def _ref_gauss(ev):
     """Scal from the Gauss equation at each point of a block, one point and
     one frame pair at a time, with the Python-float model curvature."""
-    t = ev.trace_terms
     gauss = np.empty(len(ev))
     for p, (E, G0) in enumerate(zip(ev.frames[0], ev.values(ev.G_field))):
         R = point_curvature_model(ev.space.structure, G0,
                                   {key: val[p] for key, val in ev.structure.items()},
-                                  tuple(t.coeffs[:, p].tolist()))
+                                  tuple(ev.coeffs[:, p].tolist()))
         total = 0.0
         for i in range(ev.m):
             for j in range(ev.m):
                 total += float(R(E[i], E[j], E[j]) @ G0 @ E[i])
-        gauss[p] = total - t.b_norm2[p] + ev.m**2 * t.h_norm2[p]
+        gauss[p] = total - ev.b_norm2[p] + ev.m**2 * ev.h_norm2[p]
     return gauss
 
 
@@ -36,6 +35,6 @@ def test_gauss_audit_matches_the_point_by_point_sum(catalog_names):
         blocks = catalog_blocks(name)
         rows = gauss_equation_audit(joined(blocks, lambda ev: _columns(ev, ())))["rows"]
         want = np.concatenate([_ref_gauss(ev) for ev in blocks])
-        scal = np.concatenate([ev.trace_terms.scal for ev in blocks])
+        scal = np.concatenate([ev.scal for ev in blocks])
         assert same_bits(np.array([r["scal_gauss"] for r in rows]), want), name
         assert same_bits(np.array([r["delta"] for r in rows]), np.abs(scal - want)), name

@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
 
-from bihkit.calculus import Immersion, evaluate_batches, matvec
+from bihkit.calculus import Immersion, evaluate, evaluate_batches, matvec
 from bihkit.residuals import (
     COROLLARIES,
     EQUATIONS,
     bi_f_tension_direct,
     bitension_direct,
     compare_modes,
+    direct_field,
     equation_for,
     f_bitension_direct,
     tension,
     term_matrix,
     theorem_residual,
 )
-from bihkit.scenario import load_scenario
+from bihkit.scenario import load_scenario, parse_scenario
 from bihkit.spaces import SpaceError, curvature_model, make_space
 from conftest import (CATALOG_NAMES, catalog_blocks, one_point, same_bits, scenario_path,
                       structure_at)
@@ -400,7 +401,7 @@ def model_trace(ev, v):
     G, ginv = ev.values(ev.G_field)[0], ev.values(ev.induced_metric_inv_field)[0]
     dpsi = ev.values(ev.dpsi)[0]
     structure = {key: val[0] for key, val in ev.structure.items()}
-    R = curvature_model(ev.space.structure, G, structure, tuple(ev.trace_terms.coeffs[:, 0]))
+    R = curvature_model(ev.space.structure, G, structure, tuple(ev.coeffs[:, 0]))
     out = np.zeros(ev.d)
     for al in range(ev.m):
         for be in range(ev.m):
@@ -416,13 +417,12 @@ def test_gcsf_curvature_trace_identity():
         "1")
     p = [0.4, 1.0]
     ev = one_point(imm, p)
-    tt = ev.trace_terms
-    lhs = model_trace(ev, tt.H)
-    alpha, beta = tt.coeffs
-    rhs = -ev.m * alpha * tt.H + 3.0 * beta * (tt.jl_H + tt.kl_H)
+    lhs = model_trace(ev, ev.H)
+    alpha, beta = ev.coeffs
+    rhs = -ev.m * alpha * ev.H + 3.0 * beta * (ev.jl_H + ev.kl_H)
     assert np.abs(lhs - rhs).max() <= 1e-9
     # and the model trace agrees with the AD trace
-    lhs_ad = ev.curvature_trace(tt.H)
+    lhs_ad = ev.curvature_trace(ev.H)
     assert np.abs(lhs - lhs_ad).max() <= 1e-9
 
 
@@ -433,17 +433,16 @@ def test_gssf_curvature_trace_identity():
          "0.2*sin(v) + 0.1"], "1")
     p = [0.7, 0.9]
     ev = one_point(imm, p)
-    tt = ev.trace_terms
-    f1, f2, f3 = tt.coeffs
+    f1, f2, f3 = ev.coeffs
     xi = S3D.structure_at(ev.values(ev.psi))["xi"][0]
-    lhs = model_trace(ev, tt.H)
+    lhs = model_trace(ev, ev.H)
     rhs = (
-        -ev.m * f1 * tt.H
-        + f2 * (tt.xi_tan_norm2 * tt.H - tt.eta_h * tt.xi_tan + ev.m * tt.eta_h * xi)
-        + 3.0 * f3 * (tt.jl_H + tt.kl_H)  # Ps H + Ns H
+        -ev.m * f1 * ev.H
+        + f2 * (ev.xi_tan_norm2 * ev.H - ev.eta_h * ev.xi_tan + ev.m * ev.eta_h * xi)
+        + 3.0 * f3 * (ev.jl_H + ev.kl_H)  # Ps H + Ns H
     )
     assert np.abs(lhs - rhs).max() <= 1e-9
-    assert np.abs(lhs - ev.curvature_trace(tt.H)).max() <= 1e-9
+    assert np.abs(lhs - ev.curvature_trace(ev.H)).max() <= 1e-9
 
 
 def test_gradf_curvature_trace_lemmas():
@@ -454,10 +453,9 @@ def test_gradf_curvature_trace_lemmas():
         "1 + 0.2*sin(u)")
     p = [0.4, 1.0]
     ev = one_point(imm, p)
-    tt = ev.trace_terms
-    alpha, beta = tt.coeffs
-    lhs = model_trace(ev, tt.grad_f)
-    rhs = -(ev.m - 1.0) * alpha * tt.grad_f + 3.0 * beta * (tt.j2_grad_f + tt.kj_grad_f)
+    alpha, beta = ev.coeffs
+    lhs = model_trace(ev, ev.grad_f)
+    rhs = -(ev.m - 1.0) * alpha * ev.grad_f + 3.0 * beta * (ev.j2_grad_f + ev.kj_grad_f)
     assert np.abs(lhs - rhs).max() <= 1e-9
 
     # GSSF analogue with the corrected factor-3 phi-trace
@@ -466,16 +464,15 @@ def test_gradf_curvature_trace_lemmas():
         ["(0.5 + 0.2*cos(v))*cos(u)", "(0.5 + 0.2*cos(v))*sin(u)",
          "0.2*sin(v) + 0.1"], "1 + 0.2*sin(u)")
     ev2 = one_point(imm2, p)
-    tt2 = ev2.trace_terms
-    f1, f2, f3 = tt2.coeffs
+    f1, f2, f3 = ev2.coeffs
     st = structure_at(S3D, ev2.values(ev2.psi)[0])
-    lhs2 = model_trace(ev2, tt2.grad_f)
+    lhs2 = model_trace(ev2, ev2.grad_f)
     rhs2 = (
-        -(ev2.m - 1.0) * f1 * tt2.grad_f
-        + f2 * (tt2.xi_tan_norm2 * tt2.grad_f
-                - tt2.eta_grad_f * tt2.xi_tan
-                + (ev2.m - 1.0) * tt2.eta_grad_f * st["xi"])
-        + 3.0 * f3 * (tt2.j2_grad_f + tt2.kj_grad_f)  # P^2 grad f + NP grad f
+        -(ev2.m - 1.0) * f1 * ev2.grad_f
+        + f2 * (ev2.xi_tan_norm2 * ev2.grad_f
+                - ev2.eta_grad_f * ev2.xi_tan
+                + (ev2.m - 1.0) * ev2.eta_grad_f * st["xi"])
+        + 3.0 * f3 * (ev2.j2_grad_f + ev2.kj_grad_f)  # P^2 grad f + NP grad f
     )
     assert np.abs(lhs2 - rhs2).max() <= 1e-9
 
@@ -530,7 +527,7 @@ def test_sample_corollary_reductions():
     curve = Immersion.from_strings(
         ["u"], fs, ["0.3*cos(u)", "0.2*sin(u)", "0.1*u", "0.15*sin(2*u)"],
         "1 + 0.2*sin(u)")
-    assert np.abs(one_point(curve, [0.7]).trace_terms.mm_H).max() > 1.0
+    assert np.abs(one_point(curve, [0.7]).mm_H).max() > 1.0
     assert _reduction_delta(curve, [0.7], "fbh_gcsf_curve") <= 1e-10
     circle = Immersion.from_strings(
         ["u"], fs, ["0.3*cos(u)", "0", "0.3*sin(u)", "0"], "1 + 0.2*sin(u)")
@@ -545,3 +542,52 @@ def test_corollary_requires_verified_flags_documented():
     for cor in COROLLARIES.values():
         for f in cor.flags:
             assert f in FLAG_NAMES
+
+
+def _family_roots(text, constant, grid, signed, width=1e-12):
+    """The roots of a signed scalar over a one-parameter family of scenarios:
+    `text` with the literal `constant` replaced by a value x, and `signed`
+    of the parsed scenario.  Each sign change over `grid` is bisected to a
+    bracket of `width`.  Returns the roots and the number of scenarios
+    evaluated."""
+    calls = []
+
+    def at(x):
+        calls.append(x)
+        return signed(parse_scenario(text.replace(constant, repr(float(x))), validate=False))
+
+    roots, values = [], [at(x) for x in grid]
+    for lo, hi, f_lo, f_hi in zip(grid, grid[1:], values, values[1:]):
+        if f_lo * f_hi > 0.0:
+            continue
+        while hi - lo > width:
+            mid = 0.5 * (lo + hi)
+            f_mid = at(mid)
+            if f_lo * f_mid <= 0.0:
+                hi = mid
+            else:
+                lo, f_lo = mid, f_mid
+        roots.append(0.5 * (lo + hi))
+    return roots, len(calls)
+
+
+def test_small_sphere_family_vanishes_at_the_biharmonic_radius():
+    """c04's chart radius rho over [0.2, 0.8]: the sphere of chart radius rho
+    in the stereographic chart of S^3 is S^2(2 rho / (1 + rho^2)), proper
+    biharmonic iff that radius is 1/sqrt(2) (Jiang 1986; Caddeo, Montaldo &
+    Oniciuc 2002), that is rho = sqrt(2) - 1.  The direct residual's
+    component along the chart position vector, at one point, changes sign
+    once there, a simple zero found to 1e-10 in under 50 evaluations."""
+    with open(scenario_path("c04_small_sphere"), encoding="utf-8") as fh:
+        text = fh.read()
+
+    def signed(sc):
+        ev = evaluate(sc.immersion, [[0.3, 0.4]])
+        return float(ev.inner(direct_field("fbh", ev), ev.values(ev.psi))[0])
+
+    roots, evaluations = _family_roots(text, "0.41421356237309503", np.linspace(0.2, 0.8, 7),
+                                       signed)
+    assert len(roots) == 1
+    assert abs(roots[0] - R_SMALL) <= 1e-10, roots
+    assert evaluations <= 50
+
