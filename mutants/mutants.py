@@ -10,11 +10,11 @@ records what tier-1 did in `mutants/MUTANTS.json`;
 once.
 """
 
-_CAL, _SPA, _RES, _SCN, _CLI, _VAR, _JET = (f"src/bihkit/{name}.py" for name in (
-    "calculus", "spaces", "residuals", "scenario", "cli", "variational", "jets"))
+_CAL, _SPA, _RES, _SCN, _CLI, _VAR, _JET, _PRO = (f"src/bihkit/{name}.py" for name in (
+    "calculus", "spaces", "residuals", "scenario", "cli", "variational", "jets", "props"))
 
 # the f-bitension's curvature term, tr R(dpsi, tau) dpsi
-_TAU2 = "tau2 = self.rough_laplacian(tau, first) - self.curvature_trace(self.values(tau))"
+_TAU2 = "tau2 = ev.rough_laplacian(tau, first) - ev.curvature_trace(ev.values(tau))"
 # the one store of a trace term on the block
 _STORE = "        value = self.__dict__[name] = _produce_term(self, name)\n"
 _ORDERS = 'ORDERS = {"check": 4, "audit": 4, "variation": 4, "props": 3, "energy": 3}'
@@ -65,12 +65,15 @@ MUTANTS = [
             by="tests/test_calculus.py::test_chart_christoffels_hold_no_whole_product"),
     # -- the bitension's curvature term (ROADMAP items 1, 5, 12, 16) --------------------
     _mutant("bitension_without_curvature", _CAL, _TAU2,
-            "tau2 = self.rough_laplacian(tau, first)",
-            "the small spheres of S^3 are never biharmonic: no root in rho",
+            "tau2 = ev.rough_laplacian(tau, first)",
+            "the small spheres and circles of S^3 are never biharmonic: no root in rho; also "
+            "killed by test_circle_family_vanishes_at_the_biharmonic_radius and "
+            "test_hypersurface_corollary_vanishes_where_the_direct_residual_does",
             by="tests/test_residuals.py::test_small_sphere_family_vanishes_at_the_biharmonic_radius"),
     _mutant("bitension_curvature_doubled", _CAL, _TAU2,
-            "tau2 = self.rough_laplacian(tau, first) - 2.0 * self.curvature_trace(self.values(tau))",
-            "the root in rho moves from sqrt(2) - 1 to 0.318",
+            "tau2 = ev.rough_laplacian(tau, first) - 2.0 * ev.curvature_trace(ev.values(tau))",
+            "the root in rho moves from sqrt(2) - 1 to 0.318; also killed by the circle and "
+            "the hypersurface corollary family tests",
             by="tests/test_residuals.py::test_small_sphere_family_vanishes_at_the_biharmonic_radius"),
     # -- one substitution changed per new corollary test (ROADMAP item 10) --------------
     _mutant("fbh_gcsf_complex_keeps_kl_h", _RES,
@@ -173,15 +176,32 @@ MUTANTS = [
             "    ev.structure  # built with every block\n    return ev",
             "`energy` builds structure tensors it never reads",
             by="tests/test_cli.py::test_energy_builds_no_structure_tensors"),
-    _mutant("decomposition_operators_uncached", _CAL,
-            "    @cached_property\n    def decomposition_operators(self):",
-            "    @property\n    def decomposition_operators(self):",
+    _mutant("decomposition_operators_uncached", _CAL, _STORE,
+            "        value = _produce_term(self, name)\n"
+            '        if name != "decomposition_operators":\n'
+            "            self.__dict__[name] = value\n",
             "the structure decomposition is computed again on every read",
             by="tests/test_cli.py::test_audit_computes_each_quantity_once_per_point"),
-    _mutant("bitension_uncached", _CAL, "    @cached_property\n    def bitension(self):",
-            "    @property\n    def bitension(self):",
+    _mutant("bitension_uncached", _CAL, _STORE,
+            "        value = _produce_term(self, name)\n"
+            '        if name != "bitension":\n'
+            "            self.__dict__[name] = value\n",
             "tau2 and nabla tau are derived again on every read",
             by="tests/test_variational.py::test_first_variation_derives_tau_once_per_block"),
+    _mutant("connection_produced_per_derivative", _CAL, "A = self._A.truncate(out_order)",
+            'A = _produce_term(self, "_A").truncate(out_order)',
+            "the connection entry is produced again by every derivative along the immersion",
+            by="tests/test_cli.py::test_check_builds_the_trace_terms_once_per_block"),
+    _mutant("props_measures_a_flag_again", _PRO,
+            "**{name: getattr(ev, name) for name in flags}",
+            "**{name: type(ev).__getattr__(ev, name) for name in flags}",
+            "`props` measures again a flag deviation validation measured",
+            by="tests/test_cli.py::test_props_reads_the_deviations_validation_measured"),
+    _mutant("tuple_entry_writable", _CAL, "if isinstance(value, (dict, tuple)) else",
+            "if isinstance(value, dict) else",
+            "the arrays of a tuple entry (projectors, frames, the bitension) stay writable, "
+            "so one reader's write changes them for every reader of the block",
+            by="tests/test_calculus.py::test_every_table_entry_is_read_only"),
     _mutant("map_jets_without_memo", _CAL,
             "    return Jet.stack([eval_on_jets(c, env, memo) for c in imm.components])",
             "    return Jet.stack([eval_on_jets(c, env, {}) for c in imm.components])",

@@ -7,15 +7,13 @@ an `Evaluation`, from the checked ambient metric and Christoffels of
 `spaces.metric_and_christoffel_jets`.  A pass has a fixed cost in jet
 operations, so `evaluate_batches` makes blocks as large as a memory budget
 allows (`block_points`), one block per catalog immersion.  The block is the
-unit every consumer takes.  The trace terms are attributes of the block (in
-Hermitian notation: the normal Laplacian of H, Ricci and scalar curvature,
-the weight traces, ..., `ev.tb_ah`), each built on its first read by its
-`TRACE_TERMS` producer; the projectors (P is the values of
-`projector_field`), nabla grad f (`nabla_grad_f_field`), the covariant
-trace, the orthonormal frames and the tangential/normal decomposition of
-the ambient structure tensor come from it too, each from one producer, once
-per block with a leading points axis.  A command joins the per-point arrays
-it reads of every block once (`joined`), and takes its rows and maxima from
+unit every consumer takes.  Each quantity derived from its fields is an
+attribute of the block, built for all its points on the first read by its
+one `TRACE_TERMS` producer: the trace terms (in Hermitian notation the
+normal Laplacian of H, Ricci and scalar curvature, the weight traces, ...,
+`ev.tb_ah`), the projectors, frames and structure decomposition, the
+bitension, each flag's deviation.  A command joins the per-point arrays it
+reads of every block once (`joined`), and takes its rows and maxima from
 them.
 
 All quantities are assembled in coordinate (not orthonormal) form wherever
@@ -33,15 +31,14 @@ Float order.  The batched jet fields round bit for bit as per-point scalar
 jets would (see `jets`).  Their values are contracted two operands at a
 time, by stacked matmuls or einsums with a leading points index, in numpy's
 float order: within 1e-12 relative of index loops, each point rounding as
-alone.  The curvature trace tr R(dpsi, v) dpsi, linear in v, is one cached
-operator per block (`Evaluation.curvature_operator`), one `matvec` per v.
+alone.  The curvature trace tr R(dpsi, v) dpsi, linear in v, is one
+operator per block (the entry `curvature_operator`), one `matvec` per v.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -402,12 +399,11 @@ class Evaluation:
     ambient indices a, b, c, parameter indices al, be, g); `values(jet)`
     gives the constant terms of such a jet point by point.  `gram_det` holds
     one entry per point.  Every entry of `TRACE_TERMS` is an attribute too
-    (`ev.tb_ah`), built on its first read and kept, read-only: the values of
-    G, g^-1, dpsi and the intrinsic Christoffels (`_G`, `_ginv`, `_dpsi`,
-    `_gam`), which the methods below read, and the trace terms.  Every
-    quantity carries a leading points axis and is computed for all points
-    at once, on first use: `energy` and `variation` read neither the trace
-    terms nor the structure tensors.
+    (`ev.tb_ah`, `ev.frames`), built for all points on its first read and
+    kept, its arrays read-only; the methods below read `_G`, `_ginv`,
+    `_dpsi`, `_gam` (the values of G, g^-1, dpsi and the intrinsic
+    Christoffels) and `_A` (the connection).  `energy` and `variation`
+    themselves read no trace term and no structure tensor.
     `split(n)` cuts a block in two at point n, each part as if evaluated alone.
 
     Jet fields: psi, f_jet, G_field (order - 1), Gam_field (Gam[k, a, b] =
@@ -416,8 +412,9 @@ class Evaluation:
     induced_metric_field (order - 1); at order - 2 its inverse,
     intrinsic_christoffels, projector_field (P[a, b]; `projectors` holds its
     values), B_field (B[al, be, a]), H_field, connection (A[a, c, al]),
-    grad_f_param_field, grad_f_ambient_field and delta_f_pos_field; cached,
-    at order - 3: nabla_perp_h_field (W[al, a]), nabla_grad_f_field (W[g, be]).
+    grad_f_param_field, grad_f_ambient_field and delta_f_pos_field; table
+    entries, at order - 3: nabla_perp_h_field (W[al, a]), nabla_grad_f_field
+    (W[g, be]).
     """
 
     def __init__(self, imm, points, order, fields, gram_det):
@@ -429,13 +426,12 @@ class Evaluation:
         self.fields = fields
         self.gram_det = gram_det
         self.__dict__.update(fields)
-        self._connection = {}
 
     def __getattr__(self, name):
-        """Trace term `name`, built by its `TRACE_TERMS` producer on its first
+        """Table entry `name`, built by its `TRACE_TERMS` producer on its first
         read and kept, read-only, as an attribute of the block."""
         if name not in TRACE_TERMS:
-            raise AttributeError(f"no attribute or trace term {name!r}")
+            raise AttributeError(f"no attribute or table entry {name!r}")
         value = self.__dict__[name] = _produce_term(self, name)
         return value
 
@@ -466,81 +462,18 @@ class Evaluation:
         """g^{ab} <W_a, W_b> of ambient-valued 1-forms W[p, a], point by point."""
         return np.einsum("pab,pab->p", self._ginv, W @ self._G @ W.swapaxes(-1, -2))
 
-    @cached_property
-    def projectors(self):
-        """Tangent and normal projectors: the values P of `projector_field`, and I - P."""
-        P = self.values(self.projector_field)
-        return P, np.eye(self.d) - P
-
-    @cached_property
-    def nabla_perp_h_field(self):
-        """nabla-perp_al H, a jet field W[al, a] of order - 3; the normal projector
-        as -P with 1 added on the diagonal rounds as the scalar loops' 1 - P."""
-        covd_h = self.pullback_derivative(self.H_field)
-        N = (-self.projector_field).add_diagonal(1.0).truncate(covd_h.space.order)
-        return (N[None] * covd_h[:, None, :]).sum(-1)
-
-    @cached_property
-    def nabla_grad_f_field(self):
-        """nabla_be grad f of the induced metric, a jet field W[g, be] =
-        d_be (grad f)^g + Gam^g_{be, de} (grad f)^de of order - 3."""
-        X, low = self.grad_f_param_field, self.order - 3
-        gam_x = self.intrinsic_christoffels.truncate(low) * X.truncate(low)[None, None]
-        return gam_x.sum(-1, start=X.derivs())
-
-    @cached_property
-    def curvature_operator(self):
-        """C[p, l, j] = sum_ik R^l_ijk h^ik, h = dpsi g^-1 dpsi^T: tr R(dpsi, v) dpsi = C v."""
-        h = self._dpsi @ self._ginv @ self._dpsi.swapaxes(-1, -2)
-        R = curvature_from_christoffels(self.chart_christoffels, len(self))
-        return np.einsum("plijk,pik->plj", R, h)
-
-    @cached_property
-    def structure(self):
-        """Values of the structure tensors J, or phi, xi and eta, at psi of each point."""
-        return self.space.structure_at(self.values(self.psi))
-
-    @property
-    def structure_tensor(self):
-        return self.structure["J" if self.space.structure == "hermitian" else "phi"]
-
-    @cached_property
-    def frames(self):
-        """Orthonormal frames E[p, i, a], N[p, s, a] of the block (`orthonormal_frames`)."""
-        return orthonormal_frames(self._G, self._dpsi)
-
-    @cached_property
-    def decomposition_operators(self):
-        """Matrices of the structure-tensor decomposition in the frames.
-
-        Hermitian ambient: (j, k, l, m) with blocks TM->TM, TM->NM, NM->TM,
-        NM->NM of J.  Contact ambient: (P, N, s, t) likewise for phi; s is the
-        tangential and t the normal part on the normal bundle.
-        """
-        F = np.concatenate(self.frames, axis=1)
-        # M[p, i, j] = <F_i, T F_j>
-        M = F @ self._G @ self.structure_tensor @ F.swapaxes(-1, -2)
-        m = self.m
-        return M[:, :m, :m], M[:, m:, :m], M[:, :m, m:], M[:, m:, m:]
-
     # -- derivatives along the immersion ---------------------------------------
-
-    def _connection_along(self, order):
-        """The connection as A[al, a, c] truncated to `order`, once per order
-        (its coefficients are those of the product of truncated factors)."""
-        A = self._connection.get(order)
-        if A is None:
-            A = self._connection[order] = self.connection.truncate(order).transpose(2, 0, 1)
-        return A
 
     def pullback_derivative(self, field):
         """nabla-bar_al of ambient jet fields along the immersion for every
         al, on a new leading axis; the last tensor axis of `field` is the
         ambient index.  Entry [al, ..., a] is d_al F[..., a] + sum_c
-        A[al, a, c] F[..., c], summed over c in order."""
+        A[al, a, c] F[..., c], summed over c in order, the connection `_A`
+        truncated to the derivative's order (its coefficients are those of
+        the product of truncated factors)."""
         out_order = field.space.order - 1
         k = len(field.shape) - 1  # tensor axes of `field` before the ambient one
-        A = self._connection_along(out_order)[(slice(None),) + (None,) * k]
+        A = self._A.truncate(out_order)[(slice(None),) + (None,) * k]
         low = field.truncate(out_order)[None, ..., None, :]
         return (A * low).sum(-1, start=field.derivs().transpose(k + 1, *range(k + 1)))
 
@@ -558,16 +491,6 @@ class Evaluation:
         is the point's ambient vector."""
         return matvec(self.curvature_operator, vector)
 
-    @cached_property
-    def bitension(self):
-        """(tau2, nabla-bar tau), once per block: the bitension tr(nabla^2) tau
-        - tr R(dpsi, tau) dpsi of tau = m H and tau's `pullback_derivative`."""
-        tau = self.H_field * float(self.m)
-        first = self.pullback_derivative(tau)
-        tau2 = self.rough_laplacian(tau, first) - self.curvature_trace(self.values(tau))
-        tau2.setflags(write=False)  # shared by every caller of the block
-        return tau2, first
-
     def rough_laplacian(self, field, first=None):
         """tr_g nabla^2 of an ambient jet field (negative-convention values);
         `first` is its `pullback_derivative` when the caller has it."""
@@ -578,10 +501,14 @@ class Evaluation:
 
 
 def _produce_term(ev, name):
-    """The trace term `name` at every point of the block `ev`, read-only."""
+    """The table entry `name` of the block `ev`, its arrays (the value, or
+    the items of a tuple or dict) read-only: one value serves every reader
+    of the block."""
     value = TRACE_TERMS[name](ev)
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)  # one term serves every reader of the block
+    items = value.values() if isinstance(value, dict) else value
+    for part in items if isinstance(value, (dict, tuple)) else (value,):
+        if isinstance(part, np.ndarray):
+            part.setflags(write=False)
     return value
 
 
@@ -619,12 +546,53 @@ def _xi(ev):
     return ev.structure["xi"]
 
 
-# The producer of each trace term, block -> the term at every point, a
-# scalar as a P-array, a vector as a (P, chart_dim) array (n is an int,
-# coeffs a (k, P) array); the block's attribute of the same name
-# (`Evaluation.__getattr__`).  The private entries are intermediates the
-# public ones share, the first four the values of the block's metric,
-# inverse induced metric, dpsi and intrinsic Christoffels.
+def _nabla_perp_h_field(ev):
+    """nabla-perp_al H, a jet field W[al, a] of order - 3; the normal projector
+    as -P with 1 added on the diagonal rounds as the scalar loops' 1 - P."""
+    covd_h = ev.pullback_derivative(ev.H_field)
+    N = (-ev.projector_field).add_diagonal(1.0).truncate(covd_h.space.order)
+    return (N[None] * covd_h[:, None, :]).sum(-1)
+
+
+def _nabla_grad_f_field(ev):
+    """nabla_be grad f of the induced metric, a jet field W[g, be] =
+    d_be (grad f)^g + Gam^g_{be, de} (grad f)^de of order - 3."""
+    X, low = ev.grad_f_param_field, ev.order - 3
+    gam_x = ev.intrinsic_christoffels.truncate(low) * X.truncate(low)[None, None]
+    return gam_x.sum(-1, start=X.derivs())
+
+
+def _decomposition_operators(ev):
+    """Matrices of the structure-tensor decomposition in the frames.
+
+    Hermitian ambient: (j, k, l, m) with blocks TM->TM, TM->NM, NM->TM,
+    NM->NM of J.  Contact ambient: (P, N, s, t) likewise for phi; s is the
+    tangential and t the normal part on the normal bundle.
+    """
+    F = np.concatenate(ev.frames, axis=1)
+    # M[p, i, j] = <F_i, T F_j>
+    M = F @ ev._G @ ev.structure_tensor @ F.swapaxes(-1, -2)
+    m = ev.m
+    return M[:, :m, :m], M[:, m:, :m], M[:, :m, m:], M[:, m:, m:]
+
+
+def _bitension(ev):
+    """(tau2, nabla-bar tau): the bitension tr(nabla^2) tau - tr R(dpsi, tau)
+    dpsi of tau = m H and tau's `pullback_derivative`."""
+    tau = ev.H_field * float(ev.m)
+    first = ev.pullback_derivative(tau)
+    tau2 = ev.rough_laplacian(tau, first) - ev.curvature_trace(ev.values(tau))
+    return tau2, first
+
+
+# The producer of each derived quantity of a block, block -> the quantity
+# at every point, with a leading points axis; the block's attribute of the
+# same name (`Evaluation.__getattr__`).  Private entries are intermediates
+# the others share.  In order: the values of the fields the block's methods
+# read and the connection along the immersion; the structure tensors,
+# projectors, frames, operators, order - 3 fields and bitension; the trace
+# terms, a scalar as a P-array, a vector as a (P, chart_dim) array (n is an
+# int, coeffs a (k, P) array); each non-structural flag's deviation.
 # The structure compositions are named in the Hermitian notation (J X =
 # jX + kX on tangent, J nu = l nu + m nu on normal vectors); on contact
 # ambients with phi = P + N on tangent and s + t on normal vectors, l H =
@@ -638,6 +606,22 @@ TRACE_TERMS = {
     "_ginv": lambda ev: ev.values(ev.induced_metric_inv_field),
     "_dpsi": lambda ev: ev.values(ev.dpsi),
     "_gam": lambda ev: ev.values(ev.intrinsic_christoffels),
+    "_A": lambda ev: ev.connection.transpose(2, 0, 1),  # A[al, a, c]
+    # J, or phi, xi and eta, at psi of each point, and the one of J or phi
+    "structure": lambda ev: ev.space.structure_at(ev.values(ev.psi)),
+    "structure_tensor": lambda ev: ev.structure[
+        "J" if ev.space.structure == "hermitian" else "phi"],
+    # tangent and normal projectors: the values P of `projector_field`, and I - P
+    "projectors": lambda ev: (P := ev.values(ev.projector_field), np.eye(ev.d) - P),
+    "frames": lambda ev: orthonormal_frames(ev._G, ev._dpsi),  # E[p, i, a], N[p, s, a]
+    "decomposition_operators": _decomposition_operators,
+    # C[p, l, j] = sum_ik R^l_ijk h^ik, h = dpsi g^-1 dpsi^T: tr R(dpsi, v) dpsi = C v
+    "curvature_operator": lambda ev: np.einsum(
+        "plijk,pik->plj", curvature_from_christoffels(ev.chart_christoffels, len(ev)),
+        ev._dpsi @ ev._ginv @ ev._dpsi.swapaxes(-1, -2)),
+    "nabla_perp_h_field": _nabla_perp_h_field,
+    "nabla_grad_f_field": _nabla_grad_f_field,
+    "bitension": _bitension,
     "_B": lambda ev: ev.values(ev.B_field),  # B[p, al, be, a]
     "_Bk": lambda ev: ev._B.transpose(0, 3, 1, 2),  # Bk[p, k, al, be]
     "_BG": lambda ev: ev._B @ ev._G[:, None],  # BG[p, al, be] = <B_al,be, .>
@@ -707,6 +691,18 @@ TRACE_TERMS = {
     "trRH_nor": lambda ev: matvec(ev.projectors[1], ev.trRH),
     "trRgf_tan": lambda ev: matvec(ev.projectors[0], ev.trRgf),
     "trRgf_nor": lambda ev: matvec(ev.projectors[1], ev.trRgf),
+    # the flag deviations; the Frobenius norms of the four decomposition blocks
+    "_decomposition_norms": lambda ev: tuple(
+        np.sqrt(flat @ flat.swapaxes(-1, -2))[:, 0, 0]
+        for flat in (M.reshape(len(M), 1, -1) for M in ev.decomposition_operators)),
+    "complex": lambda ev: np.maximum(*ev._decomposition_norms[1:3]),
+    "lagrangian": lambda ev: np.maximum(*ev._decomposition_norms[::3]),
+    "invariant": lambda ev: ev._decomposition_norms[1],
+    "anti_invariant": lambda ev: ev._decomposition_norms[0],
+    "xi_tangent": lambda ev: ev.norm(ev.xi_nor),
+    "xi_normal": lambda ev: ev.norm(ev.xi_tan),
+    "parallel_H": lambda ev: np.sqrt(np.maximum(ev.form_norm2(ev._nabla_perp_h), 0.0)),
+    "cmc": lambda ev: ev.norm(ev.H),
 }
 
 
@@ -716,7 +712,7 @@ TRACE_TERMS = {
 def flag_deviation(imm, blocks, name):
     """Numeric deviation of one structural property over the points of the
     evaluation blocks `blocks`, or of a table of theirs (`joined`) holding
-    each point's deviation (`_point_deviations`) under the flag's name.
+    each point's deviation (the flag's `TRACE_TERMS` entry) under its name.
 
     Returns max deviation (0 = property holds exactly).  Structural flags
     (hypersurface, curve) return 0.0 or inf; the others read at least one
@@ -735,27 +731,10 @@ def flag_deviation(imm, blocks, name):
         ambient = "a Hermitian" if needs[name] == "hermitian" else "a contact"
         raise FlagError(name, f"flag {name!r} needs {ambient} ambient")
     devs = (getattr(blocks, name) if isinstance(blocks, SimpleNamespace) else
-            np.concatenate([_point_deviations(ev, name) for ev in blocks]))
+            np.concatenate([getattr(ev, name) for ev in blocks]))
     if name == "cmc":
         return float(devs.max() - devs.min())
     return float(np.max(devs, initial=0.0))
-
-
-def _point_deviations(ev, name):
-    """The deviation of each point of a block from a non-structural flag
-    (for cmc, the length of H)."""
-    if name in ("complex", "lagrangian", "invariant", "anti_invariant"):
-        # Frobenius norms of the four structure-decomposition blocks
-        flat = lambda M: M.reshape(len(M), 1, -1)
-        tt, tn, nt, nn = (np.sqrt(flat(M) @ flat(M).swapaxes(-1, -2))[:, 0, 0]
-                          for M in ev.decomposition_operators)
-        return {"complex": np.maximum(tn, nt), "lagrangian": np.maximum(tt, nn),
-                "invariant": tn, "anti_invariant": tt}[name]
-    if name in ("xi_tangent", "xi_normal"):
-        return ev.norm(matvec(ev.projectors[1 if name == "xi_tangent" else 0], ev.structure["xi"]))
-    if name == "parallel_H":
-        return np.sqrt(np.maximum(ev.form_norm2(ev.values(ev.nabla_perp_h_field)), 0.0))
-    return ev.norm(ev.values(ev.H_field))  # cmc
 
 
 def verify_flags(imm, blocks, tol=FLAG_TOL):

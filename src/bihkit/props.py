@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import _point_deviations, flag_deviation, joined, point_rows
+from .calculus import flag_deviation, joined, point_rows
 from .spaces import curvature_model
 
 __all__ = [
@@ -128,9 +128,9 @@ def _columns(ev, flags):
     return {"coeffs": ev.coeffs.T, "ratio": ev.delta_f_pos / ev.f, "h_norm2": ev.h_norm2,
             "b_norm2": ev.b_norm2, "scal": ev.scal,
             "gauss": total - ev.b_norm2 + m**2 * ev.h_norm2,
-            "a_h_grad_f_norm": ev.norm(ev.a_h_grad_f), "h_norm": ev.norm(ev.H),
+            "a_h_grad_f_norm": ev.norm(ev.a_h_grad_f), "h_norm": ev.cmc,  # |H|
             "m_h_norm": ev.norm(ev.m_H), "l_h_norm": ev.norm(ev.l_H),
-            **{name: _point_deviations(ev, name) for name in flags}}
+            **{name: getattr(ev, name) for name in flags}}
 
 
 def gauss_equation_audit(table):

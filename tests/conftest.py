@@ -202,7 +202,6 @@ RECORDED = {
                                lambda ev, name: weakref.ref(ev)),
     "calculus.Evaluation.pullback_derivative": (_block, None),
     "calculus.Evaluation.rough_laplacian": (_block, None),
-    "calculus.Evaluation.decomposition_operators": (_block, None),
     "audits.identity_suite": (_block, None),
     "variational._densities": (lambda space, frozen, *rest: (len(frozen.f),), None),
     # flags: the flag measured; the block sizes and orders of a pre-check
@@ -304,9 +303,6 @@ def record(monkeypatch):
             method = vars(cls)[attr]
             if isinstance(method, staticmethod):
                 method = staticmethod(recording.wrap(target, method.__func__))
-            elif isinstance(method, functools.cached_property):
-                method = functools.cached_property(recording.wrap(target, method.func))
-                method.__set_name__(cls, attr)
             else:
                 method = recording.wrap(target, method)
             monkeypatch.setattr(cls, attr, method)

@@ -43,10 +43,19 @@ def sphere_immersion(r=1.0, ambient=FLAT3, weight="1"):
 CONTACT_TERMS = ("eta_h", "xi_tan", "xi_nor", "xi_tan_norm2", "eta_grad_f")
 
 
+# The public entries of `calculus.TRACE_TERMS` that are not trace terms: the
+# block's structure tensors, operators, order - 3 fields and bitension, and
+# the flag deviations
+BLOCK_ENTRIES = {"structure", "structure_tensor", "projectors", "frames",
+                 "decomposition_operators", "curvature_operator", "nabla_perp_h_field",
+                 "nabla_grad_f_field", "bitension", *calculus.FLAG_NAMES}
+
+
 def _public_terms(ev):
     """The public trace terms of a block, in table order: the xi and eta
     terms on a contact ambient only, Delta-perp H at order 4 only."""
-    return [name for name in calculus.TRACE_TERMS if not name.startswith("_")
+    return [name for name in calculus.TRACE_TERMS
+            if not name.startswith("_") and name not in BLOCK_ENTRIES
             and (ev.space.structure == "contact" or name not in CONTACT_TERMS)
             and (ev.order >= 4 or name != "delta_perp_h_pos")]
 
@@ -567,6 +576,24 @@ def test_trace_terms_shared_and_read_only(recorder):
         ev.grad_f += 1.0
     with pytest.raises(AttributeError):
         ev.no_such_term
+
+
+def test_every_table_entry_is_read_only():
+    """Every array of every table entry of a contact block is read-only,
+    in a tuple or a dict too: writing into the tangent frames, which every
+    reader of the block shares, raises instead of changing them for all."""
+    ev = one_point(sphere_immersion(0.4, S3, weight="1 + 0.2*sin(u)"), [0.7, 0.4])
+    with pytest.raises(ValueError, match="read-only"):
+        ev.frames[0][0, 0, 0] = 1.0
+    arrays = 0
+    for name in calculus.TRACE_TERMS:
+        value = getattr(ev, name)
+        for part in (value.values() if isinstance(value, dict) else
+                     value if isinstance(value, tuple) else (value,)):
+            if isinstance(part, np.ndarray):
+                assert not part.flags.writeable, name
+                arrays += 1
+    assert arrays > len(calculus.TRACE_TERMS)
 
 
 PRODUCTS = ("jets.Jet.__mul__", "jets.Jet.__rmul__")

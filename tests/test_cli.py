@@ -287,6 +287,23 @@ def test_catalog_diff_run_drops_the_wall_time_line_with_strip_volatile(monkeypat
         0, "<tree> warns\n", "scenario: <tree>/c01.scn\npass: true")
 
 
+def test_stage_times_splits_a_curves_job_into_the_stages_of_main(monkeypatch):
+    """`tools/stage_times.py` runs `check c01` of the `curves` workload
+    through the stages of `cli.main`: the report it renders matches the
+    job's pinned reference, and each of the four stages takes some time."""
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    import stage_times
+    from bihkit import report
+
+    monkeypatch.chdir(ROOT)
+    jobs = stage_times.load_jobs(stage_times.ROOT)
+    job = ("check", "c01_circle_flat")
+    assert job in jobs.WORKLOADS["curves"]["jobs"]
+    medians = stage_times.job_medians(cli, report, jobs, job, 1)
+    assert list(medians) == ["parse", "validation", "command", "render"]
+    assert all(ms > 0.0 for ms in medians.values())
+
+
 def test_catalog_diff_counts_the_source_lines(monkeypatch, capsys):
     """`tools/catalog_diff.py` counts the lines of `src/bihkit/*.py` as
     `wc -l` does and prints that count of both trees in one line before the
@@ -1448,6 +1465,19 @@ def test_hermitian_commands_produce_no_contact_term(recorder, command):
 # The entries of `calculus.TRACE_TERMS` that are field values, not trace
 # terms: G, g^-1, dpsi and the intrinsic Christoffels.
 FIELD_VALUES = {"_G", "_ginv", "_dpsi", "_gam"}
+# The entries `energy` reads, and `variation` (the bitension and the
+# curvature operator of tau2 too).
+QUADRATURE_ENTRIES = {"energy": FIELD_VALUES,
+                      "variation": FIELD_VALUES | {"bitension", "curvature_operator"}}
+# The entries the flag pre-checks produce: on c04 (cmc and parallel_H) the
+# two deviations, H, nabla-perp H, its field and the connection it is
+# derived with; on c08 also those of xi_tangent and anti_invariant, with
+# the normal part of xi and the structure decomposition they read.
+PRECHECK_ENTRIES = {"c04_small_sphere": {"cmc", "H", "parallel_H", "_nabla_perp_h",
+                                         "nabla_perp_h_field", "_A"}}
+PRECHECK_ENTRIES["c08_hopf_torus"] = PRECHECK_ENTRIES["c04_small_sphere"] | {
+    "xi_tangent", "xi_nor", "_xi", "projectors", "structure", "anti_invariant",
+    "_decomposition_norms", "decomposition_operators", "frames", "structure_tensor"}
 
 
 def _produced_once_per_block(recorder):
@@ -1462,10 +1492,10 @@ def _produced_once_per_block(recorder):
 def test_quadrature_commands_validate_at_order_3_without_trace_terms(recorder):
     """On c08, whose quadrature nodes are its sample points, `energy` and
     `variation` validate the sample points at the order they read, 3 and 4,
-    and take those blocks; neither the parallel_H pre-check nor the
-    command produces a trace term, only the four field values, once.
-    `check` validates at order 4 and produces its trace terms for its one
-    block of 36 points."""
+    and take those blocks; they produce once the entries the flag
+    pre-checks read (of the trace terms, only H and the normal part of xi)
+    and those the command reads, none else.  `check` validates at order 4
+    and produces its trace terms for its one block of 36 points."""
     path = scenario_path("c08_hopf_torus")
     sample = load_scenario(path, validate=False).sample_points()
     for command, order in (("energy", 3), ("variation", 4), ("check", 4)):
@@ -1475,7 +1505,8 @@ def test_quadrature_commands_validate_at_order_3_without_trace_terms(recorder):
         assert recorder.of("calculus.evaluate_batches") == [(36, order)], command
         assert np.array_equal(recorder.subjects("calculus.evaluate_batches")[0], sample), command
         produced = _produced_once_per_block(recorder)
-        assert (produced == FIELD_VALUES) == (command != "check"), command
+        read = QUADRATURE_ENTRIES.get(command, set()) | PRECHECK_ENTRIES["c08_hopf_torus"]
+        assert (produced == read) == (command != "check"), command
         assert {record[1:] for record in recorder.of("calculus._produce_term")} == {
             (36, order)}, command
 
@@ -1486,8 +1517,8 @@ def test_open_axis_quadrature_commands_validate_the_sample_blocks_without_trace_
     and `variation` make one validation pass, over the sample points, then
     the nodes, at the order the command reads (3, 4); the flag pre-checks
     read the blocks of the sample points cut from it, in blocks of 16
-    points too, where the third block is cut.  Neither builds trace
-    terms: the blocks produce the four field values, each once."""
+    points too, where the third block is cut.  Each block produces once
+    the entries the flag pre-checks and the command read, none else."""
     path = scenario_path("c04_small_sphere")
     sc = load_scenario(path, validate=False)
     sample = sc.sample_points()
@@ -1504,7 +1535,8 @@ def test_open_axis_quadrature_commands_validate_the_sample_blocks_without_trace_
             assert recorder.of("calculus.verify_flags") == [(sizes, (order,) * len(sizes))]
             checked, = recorder.subjects("calculus.verify_flags")
             assert same_bits(np.concatenate(checked), sample), command
-            assert _produced_once_per_block(recorder) == FIELD_VALUES, command
+            assert _produced_once_per_block(recorder) == (
+                QUADRATURE_ENTRIES[command] | PRECHECK_ENTRIES["c04_small_sphere"]), command
 
 
 @pytest.mark.parametrize("command", ["energy", "variation"])
@@ -1616,7 +1648,8 @@ def test_audit_computes_each_quantity_once_per_point(monkeypatch, recorder):
     assert code == 0, err
     blocks = [(16, 4), (16, 4), (4, 4)]
     assert sorted(recorder.of("calculus.Evaluation.rough_laplacian")) == sorted(blocks * 2)
-    assert recorder.of("calculus.Evaluation.decomposition_operators") == blocks
+    assert [(size, order) for term, size, order in recorder.of("calculus._produce_term")
+            if term == "decomposition_operators"] == blocks
     assert recorder.of("audits.identity_suite") == blocks
 
 
@@ -1635,6 +1668,19 @@ def test_props_measures_each_flag_once(monkeypatch):
     assert sorted(call[1:] for call in recorder.calls[checked:]
                   if call[0] == "calculus.flag_deviation") == [
         ("cmc",), ("hypersurface",), ("xi_tangent",)]
+
+
+def test_props_reads_the_deviations_validation_measured(recorder):
+    """`props` on c08 joins into its table the per-point deviations of cmc
+    and xi_tangent that validation's flag pre-checks produced: no table
+    entry is produced twice for the block, and those two are produced
+    before `verify_flags` returns."""
+    code, _out, err = run_cli(["props", scenario_path("c08_hopf_torus")])
+    assert code == 2, err
+    _produced_once_per_block(recorder)
+    checked = [call[0] for call in recorder.calls].index("calculus.verify_flags")
+    assert {"cmc", "xi_tangent"} <= {call[1] for call in recorder.calls[:checked]
+                                     if call[0] == "calculus._produce_term"}
 
 
 def test_internal_error_in_a_hypothesis_check_exits_4(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -544,6 +546,20 @@ def test_corollary_requires_verified_flags_documented():
             assert f in FLAG_NAMES
 
 
+def _scenario_text(name):
+    with open(scenario_path(name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _signed_direct(point):
+    """The direct fbh field's component along the chart position vector at
+    `point`, of a parsed scenario."""
+    def signed(sc):
+        ev = evaluate(sc.immersion, [point])
+        return float(ev.inner(direct_field("fbh", ev), ev.values(ev.psi))[0])
+    return signed
+
+
 def _family_roots(text, constant, grid, signed, width=1e-12):
     """The roots of a signed scalar over a one-parameter family of scenarios:
     `text` with the literal `constant` replaced by a value x, and `signed`
@@ -578,16 +594,50 @@ def test_small_sphere_family_vanishes_at_the_biharmonic_radius():
     Oniciuc 2002), that is rho = sqrt(2) - 1.  The direct residual's
     component along the chart position vector, at one point, changes sign
     once there, a simple zero found to 1e-10 in under 50 evaluations."""
-    with open(scenario_path("c04_small_sphere"), encoding="utf-8") as fh:
-        text = fh.read()
-
-    def signed(sc):
-        ev = evaluate(sc.immersion, [[0.3, 0.4]])
-        return float(ev.inner(direct_field("fbh", ev), ev.values(ev.psi))[0])
-
-    roots, evaluations = _family_roots(text, "0.41421356237309503", np.linspace(0.2, 0.8, 7),
-                                       signed)
+    roots, evaluations = _family_roots(_scenario_text("c04_small_sphere"), "0.41421356237309503",
+                                       np.linspace(0.2, 0.8, 7), _signed_direct([0.3, 0.4]))
     assert len(roots) == 1
     assert abs(roots[0] - R_SMALL) <= 1e-10, roots
     assert evaluations <= 50
 
+
+def test_circle_family_vanishes_at_the_biharmonic_radius():
+    """A circle of chart radius rho in the x1 x2-plane of c02's chart, with
+    f = 1, over [0.2, 0.8]: it is a circle of Euclidean radius
+    2 rho / (1 + rho^2) in S^3, proper biharmonic iff that radius is
+    1/sqrt(2) (Caddeo, Montaldo & Oniciuc 2001), that is rho = sqrt(2) - 1.
+    The direct residual's component along the chart position vector, at
+    one point, changes sign once there, found to 1e-10 in at most 50
+    evaluations."""
+    text = _scenario_text("c02_curve_sasakian")
+    circle = 'map = ["RHO*cos(u)", "RHO*sin(u)", "0"]'
+    text = re.sub(r"map = \[.*\]", circle, text).replace('f = "exp(0.3*cos(u))"', 'f = "1"')
+    assert circle in text and 'f = "1"' in text
+    roots, evaluations = _family_roots(text, "RHO", np.linspace(0.2, 0.8, 7),
+                                       _signed_direct([0.3]))
+    assert len(roots) == 1
+    assert abs(roots[0] - R_SMALL) <= 1e-10, roots
+    assert evaluations <= 50
+
+
+def test_hypersurface_corollary_vanishes_where_the_direct_residual_does():
+    """On c04's radius family (see the small-sphere test) the theorem
+    residual under the `fbh_gssf_hypersurface` corollary, the paper's
+    equation for hypersurfaces with errata, changes sign once, at
+    rho = sqrt(2) - 1, found to 1e-10 in at most 50 evaluations; and the
+    direct residual vanishes at the same rho."""
+    text = _scenario_text("c04_small_sphere")
+
+    def signed(sc):
+        ev = evaluate(sc.immersion, [[0.3, 0.4]])
+        rep = theorem_residual(ev, "fbh", errata=True, corollary="fbh_gssf_hypersurface")
+        return float(ev.inner(rep.normal, ev.values(ev.psi))[0])
+
+    grid = np.linspace(0.2, 0.8, 7)
+    roots, evaluations = _family_roots(text, "0.41421356237309503", grid, signed)
+    assert len(roots) == 1
+    assert abs(roots[0] - R_SMALL) <= 1e-10, roots
+    assert evaluations <= 50
+    direct, _evaluations = _family_roots(text, "0.41421356237309503", grid,
+                                         _signed_direct([0.3, 0.4]))
+    assert len(direct) == 1 and abs(direct[0] - roots[0]) <= 1e-10, (direct, roots)
