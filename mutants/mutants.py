@@ -25,6 +25,15 @@ def _mutant(name, file, old, new, reason, expect="killed", by=""):
             "expect": expect, "by": by}
 
 
+def _reverted(name, corrected, printed, printed_form, indent=12):
+    """The erratum printed as `printed_form` reverted (ROADMAP items 3 and
+    11): its corrected coefficient replaced by the printed one."""
+    old = f'lambda t: {corrected},\n{" " * indent}"{printed_form}"'
+    return _mutant(f"erratum_reverted_{name}", _RES, old, old.replace(corrected, printed, 1),
+                   f"the printed coefficient of {printed_form!r} in errata mode",
+                   by="tests/test_residuals.py::test_catalog_witnesses_of_the_errata")
+
+
 MUTANTS = [
     # -- trace terms as attributes of the block -------------------------------------
     _mutant("block_holds_itself", _CAL, _STORE,
@@ -67,14 +76,40 @@ MUTANTS = [
     _mutant("bitension_without_curvature", _CAL, _TAU2,
             "tau2 = ev.rough_laplacian(tau, first)",
             "the small spheres and circles of S^3 are never biharmonic: no root in rho; also "
-            "killed by test_circle_family_vanishes_at_the_biharmonic_radius and "
+            "killed by test_circle_family_vanishes_at_the_biharmonic_radius, "
+            "test_hypersphere_family_of_s5_vanishes_at_the_biharmonic_radius and "
             "test_hypersurface_corollary_vanishes_where_the_direct_residual_does",
             by="tests/test_residuals.py::test_small_sphere_family_vanishes_at_the_biharmonic_radius"),
     _mutant("bitension_curvature_doubled", _CAL, _TAU2,
             "tau2 = ev.rough_laplacian(tau, first) - 2.0 * ev.curvature_trace(ev.values(tau))",
-            "the root in rho moves from sqrt(2) - 1 to 0.318; also killed by the circle and "
-            "the hypersurface corollary family tests",
+            "the root in rho moves from sqrt(2) - 1 to 0.318; also killed by the circle, "
+            "the S^4 in S^5 and the hypersurface corollary family tests",
             by="tests/test_residuals.py::test_small_sphere_family_vanishes_at_the_biharmonic_radius"),
+    # -- each erratum reverted, killed on its witnesses (ROADMAP items 3 and 11) ---------
+    _reverted("fbh_delta_perp_h", "+1.0", "-1.0", "-Delta-perp H (positive convention)"),
+    _reverted("fbh_weight_connection", "-2.0", "2.0", "+2 nabla-perp_{grad ln f} H"),
+    _reverted("fbh_shape_grad_ln_f", "+2.0", "-2.0", "-2 A_H grad(ln f)"),
+    _reverted("bif_weight_laplacian", "+t.n * t.f", "-t.n * t.f",
+              "-n f (Delta f) H (positive convention)"),
+    _reverted("bif_weight_connection", "-3.0 * t.n * t.f", "-3.0 * t.n",
+              "-3n nabla-perp_{grad f} H"),
+    _reverted("bif_ta_nabla_perp_h", "2.0 * t.n * t.f**2", "2.0 * t.n**2 * t.f**2",
+              "2 n^2 f^2 tr A_{nabla-perp H}"),
+    _reverted("bif_ricci_grad_f", "-t.f", "+t.f", "+f Ric(grad f)"),
+    _reverted("bif_gcsf_curv_alpha_grad_f", "-t.f * (t.n - 1.0) * t.coeffs[0]",
+              "-2.0 * t.f * (t.n - 1.0) * t.coeffs[0]", "2f(n-1) alpha grad f", 16),
+    _reverted("bif_gcsf_curv_beta_j2_gf", "3.0 * t.f * t.coeffs[1]", "6.0 * t.f * t.coeffs[1]",
+              "-6f beta j^2 grad f", 16),
+    _reverted("bif_gssf_curv_f3_np_gf", "3.0 * t.f * t.coeffs[2]", "3.0 * t.f",
+              "-3f NP grad f", 16),
+    _reverted("bif_gssf_curv_f2_eta_h_tan",
+              "2.0 * t.n * (t.n - 1.0) * t.f**2 * t.coeffs[1] * t.eta_h",
+              "2.0 * t.n * (t.n - 1.0) * t.f * t.coeffs[1] * t.eta_h",
+              "-2n(n-1) f f2 eta(H) xi-tan", 16),
+    _reverted("bif_gssf_curv_f3_psh", "6.0 * t.n * t.f**2 * t.coeffs[2]",
+              "6.0 * t.n * t.f * t.coeffs[2]", "-6n f f3 PsH", 16),
+    _reverted("bif_gssf_curv_f3_p2_gf", "3.0 * t.f * t.coeffs[2]", "t.f",
+              "-f f3 P^2 grad f", 16),
     # -- one substitution changed per new corollary test (ROADMAP item 10) --------------
     _mutant("fbh_gcsf_complex_keeps_kl_h", _RES,
             '"fbh_gcsf_complex", "fbh_gcsf", ("complex",),\n'
@@ -212,6 +247,14 @@ MUTANTS = [
             "    psi = Jet.stack([eval_on_jets(c, env, {}) for c in imm.components])",
             "the map and the weight build their shared sub-expressions once each",
             by="tests/test_calculus.py::test_c08_block_builds_each_jet_once"),
+    # -- one row per functional (`variational.FUNCTIONALS`) ------------------------------
+    _mutant("e2_pairing_flipped", _VAR, "lambda ev: bitension_direct(ev), -1.0)",
+            "lambda ev: bitension_direct(ev), +1.0)",
+            "E2's field pairs with the E-type sign: dE2(V) and the pairing disagree in sign",
+            by="tests/test_variational.py::test_all_functionals_anchor_flat"),
+    _mutant("ef_density_without_f", _VAR, '"EF": (lambda s: s.half_dpsi2 * s.f,',
+            '"EF": (lambda s: s.half_dpsi2,', "EF's density is E's: the weight drops out",
+            by="tests/test_variational.py::test_circle_energy_closed_forms"),
     _mutant("frozen_metric_from_the_chart", _VAR, '"G": ev._G,',
             '"G": christoffels_at(ev.space, ev.values(ev.psi))[0],',
             "the energies build a chart for a metric the blocks already hold",

@@ -15,10 +15,13 @@ exactly once in its file) replaced by its `new` text, runs
 with `PYTHONPATH=src` and no bytecode written (tier-1 but the test of the
 mutant list, which no mutated tree passes), and records whether tier-1
 failed ("killed") or passed ("survived"), the first failing test and the
-time, on N worker threads (default 1).  Writes every record, in list
-order, to `mutants/MUTANTS.json`, and exits 1 if a mutant expected
-"killed" survived or one expected "equivalent" was killed.  Uses the
-standard library only.
+time, on N worker threads (default 1).  After a kill it runs the mutant's
+`by` test alone on the same tree and records whether it failed
+(`by_failed`; null when tier-1 passed), since tier-1 stops at the first
+failure, which may be another test.  Writes every record, in list order,
+to `mutants/MUTANTS.json`, and exits 1 if a mutant expected "killed"
+survived or was killed but not by its `by` test, or one expected
+"equivalent" was killed.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 # tier-1 but the check of the mutant list itself, which every mutant fails
-TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--ignore=tests/test_mutants.py"]
-_FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+TIER1 = ["-x", "--ignore=tests/test_mutants.py"]
+# a test id may hold spaces (in a parameter id); pytest's message follows " - "
+_FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.MULTILINE)
 
 
 def load_mutants():
@@ -70,14 +74,15 @@ def export(dest):
             (dest / name).unlink(missing_ok=True)
 
 
-def tier1(tree):
-    """(passed, first failing test or None, seconds) of tier-1 in `tree`."""
+def pytest(tree, args=TIER1):
+    """(pytest's exit code, first failing test or None, seconds) of a run
+    in `tree`, of tier-1 by default."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     started = time.monotonic()
-    proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    proc = subprocess.run(PYTEST + args, cwd=tree, env=env, capture_output=True, text=True)
     seconds = round(time.monotonic() - started, 1)
     failed = _FAILED.search(proc.stdout)
-    return proc.returncode == 0, failed.group(1) if failed else None, seconds
+    return proc.returncode, failed.group(1) if failed else None, seconds
 
 
 def run_mutant(pristine, work, mutant):
@@ -89,11 +94,15 @@ def run_mutant(pristine, work, mutant):
     if count != 1:
         raise SystemExit(f"{mutant['name']}: old text occurs {count} times in {mutant['file']}")
     path.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
-    passed, first, seconds = tier1(tree)
+    code, first, seconds = pytest(tree)
+    by_failed = None
+    if code and mutant["expect"] == "killed":
+        # exit code 1: the test ran and failed (one that is not found is 4)
+        by_failed = pytest(tree, [mutant["by"]])[0] == 1
     shutil.rmtree(tree)
     return {"name": mutant["name"], "file": mutant["file"], "expect": mutant["expect"],
-            "result": "survived" if passed else "killed", "first_failure": first,
-            "seconds": seconds}
+            "result": "killed" if code else "survived", "first_failure": first,
+            "by": mutant["by"], "by_failed": by_failed, "seconds": seconds}
 
 
 def main(argv=None):
@@ -104,21 +113,22 @@ def main(argv=None):
         work = Path(tmp)
         pristine = work / "tree"
         export(pristine)
-        passed, first, seconds = tier1(pristine)
-        print(f"unmutated: {'pass' if passed else 'FAIL ' + str(first)} ({seconds} s)", flush=True)
-        if not passed:
+        code, first, seconds = pytest(pristine)
+        print(f"unmutated: {'FAIL ' + str(first) if code else 'pass'} ({seconds} s)", flush=True)
+        if code:
             return 2
         with ThreadPoolExecutor(max(1, args.jobs)) as pool:
             records = []
             for record in pool.map(lambda m: run_mutant(pristine, work, m), load_mutants()):
-                print(f"{record['name']}: {record['result']} ({record['seconds']} s) "
+                by = " (its `by` test passed)" if record["by_failed"] is False else ""
+                print(f"{record['name']}: {record['result']}{by} ({record['seconds']} s) "
                       f"{record['first_failure'] or ''}", flush=True)
                 records.append(record)
     (ROOT / "mutants" / "MUTANTS.json").write_text(
         json.dumps({"unmutated_seconds": seconds, "mutants": records}, indent=1) + "\n",
         encoding="utf-8")
     wrong = [r["name"] for r in records
-             if (r["expect"] == "killed") != (r["result"] == "killed")]
+             if (r["expect"] == "killed") != (r["result"] == "killed") or r["by_failed"] is False]
     if wrong:
         print(f"not as expected: {', '.join(wrong)}")
     return 1 if wrong else 0

@@ -8,14 +8,17 @@ Grammar (character offsets reported on errors):
     power   := atom ('^' signed_literal)?
     atom    := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
-Left-associative at equal precedence, '^' binds tighter than unary minus,
-and its exponent must be a (possibly signed) numeric literal of magnitude
-at most MAX_EXPONENT (1024).  Function application requires parentheses;
-the catalogue matches the jet operations exactly (sin, cos, tan, exp, log,
-sqrt, atan).  Identifiers resolve to the declared parameter names or the
-constants pi, e as they are parsed; unknown ones are reported after the
-structural parse, so syntax errors win over them.  Angles are radians; no
-implicit multiplication.  Offsets count characters, 1-based.
+Left-associative at equal precedence, '^' binds tighter than unary minus, and
+its exponent must be a (possibly signed) numeric literal of magnitude at most
+MAX_EXPONENT (1024).  An expression nests at most MAX_DEPTH (64) levels, as
+parsing and evaluation recurse per level: a number or name is one, and each
+operator, call or parenthesis pair one more (a 65-term sum is too deep).
+Function application requires parentheses; the catalogue matches the jet
+operations exactly (sin, cos, tan, exp, log, sqrt, atan).  Identifiers resolve
+to the declared parameter names or the constants pi, e as they are parsed;
+unknown ones are reported after the structural parse, so syntax errors win
+over them.  Angles are radians; no implicit multiplication.  Offsets count
+characters, 1-based.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .jets import Jet
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "atan")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 MAX_EXPONENT = 1024  # an integer power n multiplies |n| - 1 times
+MAX_DEPTH = 64
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 __all__ = ["Expression", "ParseError", "parse", "eval_on_jets",
@@ -163,7 +167,17 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
         return tok
 
+    def nest(self, height, offset):
+        """Note the node or parenthesis at `offset` one level above `height`."""
+        if height >= MAX_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", offset)
+        self.height = height + 1
+
     def parse(self):
+        depth = 0
+        for kind, _, offset in self.tokens:  # first, as the parse recurses per '('
+            depth += (kind == "(") - (kind == ")")
+            self.nest(depth, offset)
         node = self.expr()
         tok = self.peek()
         if tok[0] != "end":
@@ -173,30 +187,30 @@ class _Parser:
             raise ParseError(f"unknown identifier {name!r}", off)
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.unary())
+    def expr(self, ops=("+", "-")):
+        operand = (lambda: self.expr(("*", "/"))) if ops[0] == "+" else self.unary
+        node = operand()
+        while self.peek()[0] in ops:
+            op, _, offset = self.advance()
+            height = self.height
+            node = Bin(op, node, operand())
+            self.nest(max(height, self.height), offset)
         return node
 
     def unary(self):
-        if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
+        signs = []
+        while self.peek()[0] == "-":
+            signs.append(self.advance()[2])
+        node = self.power()
+        for offset in reversed(signs):
+            node = Neg(node)
+            self.nest(self.height, offset)
+        return node
 
     def power(self):
         base = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
+            caret = self.advance()[2]
             sign = 1.0
             if self.peek()[0] == "-":
                 self.advance()
@@ -206,34 +220,37 @@ class _Parser:
                 raise ParseError("exponent must be a numeric literal", tok[2])
             if not tok[1] <= MAX_EXPONENT:
                 raise ParseError(f"exponent beyond {MAX_EXPONENT} in magnitude", tok[2])
+            self.nest(self.height, caret)
             return Pow(base, sign * tok[1])
         return base
 
     def atom(self):
         kind, val, off = self.advance()
+        self.height = 1
         if kind == "num":
             return Lit(val)
         if kind == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
+            return self.enclosed(off)
         if kind == "ident":
             if self.peek()[0] == "(":
                 if val not in FUNCTIONS:
                     raise ParseError(f"unknown function {val!r}", off)
                 self.advance()
-                arg = self.expr()
-                nxt = self.peek()
-                if nxt[0] == ",":
-                    raise ParseError(f"function {val!r} takes one argument", nxt[2])
-                self.expect(")")
-                return Call(val, arg)
+                return self.enclosed(off, val)
             if val in self.params:
                 return Var(val)
             if val not in CONSTANTS:
                 self.unknown.append((val, off))
             return Const(val)
         raise ParseError(f"unexpected token {kind!r}", off)
+
+    def enclosed(self, offset, fn=None):
+        node = self.expr()
+        self.nest(self.height, offset)
+        if fn is not None and self.peek()[0] == ",":
+            raise ParseError(f"function {fn!r} takes one argument", self.peek()[2])
+        self.expect(")")
+        return node if fn is None else Call(fn, node)
 
 
 def parse(source, params):

@@ -310,24 +310,9 @@ class Jet:
 
     @staticmethod
     def stack(items):
-        """Tensor jet of a (nested) list of jets of one space."""
-        leaves = []
-
-        def walk(x):
-            if isinstance(x, Jet):
-                leaves.append(x)
-            else:
-                for e in x:
-                    walk(e)
-
-        walk(items)
-        coeffs, batched = Jet._common(leaves, full=True)
-        coeffs = iter(coeffs)
-
-        def build(x):
-            return next(coeffs) if isinstance(x, Jet) else np.array([build(e) for e in x])
-
-        return Jet(leaves[0].space, build(items), batched, max(x._degree for x in leaves))
+        """Tensor jet of a list of jets of one space and one shape."""
+        coeffs, batched = Jet._common(items, full=True)
+        return Jet(items[0].space, np.stack(coeffs), batched, max(x._degree for x in items))
 
     @staticmethod
     def concatenate(items, axis=0):

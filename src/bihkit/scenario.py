@@ -35,14 +35,14 @@ Sections and keys (any other section or key is an error):
     [variation]   components = ["expr", ...]   (optional; the CLI builds a
                   windowed default otherwise)
 
-Validation parses every expression, enforces grid >= 4 nodes per axis and
-at most MAX_SAMPLE_POINTS sample points, checks periodic axes close up
-(the endpoint values of the map agree to 1e-10 times the larger of 1 and
-their largest magnitude), checks chart membership, rank, finite metrics
-and a finite positive weight at the sample points and runs the numeric
-pre-check of every asserted or denied flag; on a curvature-model ambient,
-the map and the coefficients must be finite at the sample points instead,
-and a flag other than curve or hypersurface cannot be asserted or denied.
+Validation parses every expression (nesting 64 levels at most), enforces
+grid >= 4 nodes per axis and at most MAX_SAMPLE_POINTS sample points, checks
+periodic axes close up (the endpoint values of the map agree to 1e-10 times the
+larger of 1 and their largest magnitude), checks chart membership, rank, finite
+metrics and a finite positive weight at the sample points and runs the numeric
+pre-check of every asserted or denied flag; on a curvature-model ambient, the
+map and the coefficients must be finite at the sample points instead, and a
+flag other than curve or hypersurface cannot be asserted or denied.
 Errors name their section and key where known; a syntax error gives the
 byte offset of its line, a file that is not UTF-8 that of its first bad byte.
 """

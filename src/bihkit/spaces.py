@@ -1,7 +1,7 @@
 """Ambient model spaces: metrics, structure tensors and curvature backends.
 
-Every concrete space exposes its metric and structure tensors as jet-valued
-functions of chart coordinates, so the Levi-Civita connection and the
+Every concrete space gives its metric (`metric_jets`: the (d, d) tensor jet)
+and structure tensors as jets at chart coordinates, so the connection and the
 curvature tensor derive from automatic differentiation ("concrete" backend).
 The algebraic space-form curvature expressions form the second, independent
 backend ("model"); agreement of the two on the concrete spaces is part of
@@ -128,7 +128,7 @@ class AmbientSpace:
         """The structure tensors at each point, with a leading points axis."""
         self.chart_check(points)
         tensors = self.structure_jets(chart_jets(points, 0))
-        return {key: Jet.stack(val).point_values(len(points)) for key, val in tensors.items()}
+        return {key: val.point_values(len(points)) for key, val in tensors.items()}
 
     def curvature_coeffs_at(self, points):
         """The curvature coefficients at each point, as arrays of P values."""
@@ -267,15 +267,10 @@ class KenmotsuHyperbolic(_Contact):
         super().__init__(n, -1.0)
 
     def metric_jets(self, x):
-        sp = x[0].space
         d = self.chart_dim
         warp = (x[d - 1] * 2.0).exp()
-        zero = Jet.constant(sp, 0.0)
-        G = [[zero] * d for _ in range(d)]
-        for a in range(2 * self.n):
-            G[a][a] = warp
-        G[d - 1][d - 1] = Jet.constant(sp, 1.0)
-        return G
+        diagonal = Jet.stack([warp] * (d - 1) + [Jet.constant(warp.space, 1.0)])
+        return Jet.constant(warp.space, np.zeros((d, d))).add_diagonal(diagonal)
 
 
 class SasakianSphere(_Contact):
@@ -451,7 +446,7 @@ def metric_and_christoffel_jets(space, points, order):
     (P, d) array of points."""
     space.chart_check(points)
     x = chart_jets(points, order)
-    G = Jet.stack(space.metric_jets(x))
+    G = space.metric_jets(x)
     _checked_metric(G.point_values(len(points)))
     return G, christoffel_jets(G)
 

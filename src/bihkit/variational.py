@@ -1,29 +1,26 @@
 """Energy functionals and first-variation checks.
 
-The five functionals over a compact parameter domain:
+`FUNCTIONALS` holds each functional's density (integrated over a compact
+parameter domain), direct-mode Euler-Lagrange field and pairing constant:
 
-    E    = 1/2 int |dpsi|^2          E2  = 1/2 int |tau|^2
-    E2F  = 1/2 int f |tau|^2         EF  = 1/2 int f |dpsi|^2
-    EF2  =     int |f tau + dpsi(grad f)|^2
+    which   density                   field                pairing
+    E       1/2 |dpsi|^2              tau                  +1
+    E2      1/2 |tau|^2               bitension            -1
+    E2F     1/2 f |tau|^2             weighted bitension   -1
+    EF      1/2 f |dpsi|^2            f tau + grad f       +1
+    EF2     |f tau + dpsi(grad f)|^2  bi-f field           +2
 
 Variations act in ambient chart coordinates (psi_t = psi + t V componentwise)
 with the domain metric FROZEN at its t = 0 induced value: tension fields of
 the deformed maps are computed against the fixed metric, which is the setting
-in which the Euler-Lagrange fields below are the functional derivatives.
+in which the Euler-Lagrange fields are the functional derivatives.
 
 `first_variation_suite` compares a central finite difference of each energy
 against the pairing  -int <el_field, V> dv; it and `energies` take one
 evaluation per node from their caller, in blocks joined once (`_frozen`,
-the Euler-Lagrange fields too).  `el_field` takes an
-evaluation block (here of quadrature nodes) and returns the direct-mode
-residual field at its points, normalized so the pairing identity holds:
-
-    which   el_field            pairing constant (ledgered)
-    E       tau                  +1
-    EF      f tau + grad f       +1
-    E2      bitension            -1
-    E2F     weighted bitension   -1
-    EF2     bi-f field           +2
+the Euler-Lagrange fields too).  `el_field` takes an evaluation block (here
+of quadrature nodes) and returns the row's field at its points times its
+pairing constant, so that the pairing identity holds.
 
 The minus entries record that the printed bitension-type fields satisfy
 delta E(V) = + int <field, V> dv, while the bi-f field pairs with the
@@ -42,6 +39,7 @@ build serves the deformed maps of all the steps, none the undeformed map.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,14 +59,12 @@ __all__ = [
     "VariationError",
     "QuadratureGrid",
     "ENERGIES",
+    "FUNCTIONALS",
     "STEPS",
-    "VARIATION_PAIRING",
     "energies",
     "el_field",
     "first_variation_suite",
 ]
-
-ENERGIES = ("E", "E2", "E2F", "EF", "EF2")
 
 # The central-difference steps h of `first_variation_suite`.
 STEPS = (1e-2, 1e-3, 1e-4)
@@ -82,7 +78,18 @@ class ChartExitError(VariationError, ChartError):
     """The deformed map psi + t V leaves the ambient chart at a node."""
 
 
-VARIATION_PAIRING = {"E": 1.0, "EF": 1.0, "E2": -1.0, "E2F": -1.0, "EF2": 2.0}
+# the docstring's table as (density, field, pairing) rows; each field is called
+# through its module-level name, so that a wrapper bound there sees the call
+FUNCTIONALS = {
+    "E": (lambda s: s.half_dpsi2, lambda ev: tension(ev), 1.0),
+    "E2": (lambda s: 0.5 * s.norm2(s.tau), lambda ev: bitension_direct(ev), -1.0),
+    "E2F": (lambda s: 0.5 * s.norm2(s.tau) * s.f, lambda ev: f_bitension_direct(ev), -1.0),
+    "EF": (lambda s: s.half_dpsi2 * s.f, lambda ev: ev.values(ev.f_jet)[:, None] * tension(ev)
+           + ev.values(ev.grad_f_ambient_field), 1.0),
+    "EF2": (lambda s: s.norm2(s.f[:, None] * s.tau + matvec(s.dpsi, s.grad_f)),
+            lambda ev: bi_f_tension_direct(ev), 2.0),
+}
+ENERGIES = tuple(FUNCTIONALS)
 
 
 def periodic_nodes(lo, hi, n):
@@ -186,30 +193,18 @@ def _deformed_tension_data(space, frozen, v, ts):
     return tau, dpsi, G
 
 
-def _integrand(frozen, which, tau, dpsi, G):
-    """Energy density of one functional at every node and step of a stack
-    from `_deformed_tension_data`: tension vectors, dpsi_t, ambient metrics."""
-    ginv, f, grad_f = (np.concatenate([x] * (len(tau) // len(frozen.f)))
-                       for x in (frozen.ginv, frozen.f, frozen.grad_f_param))
-    norm2 = lambda w: inner(G, w, w)
-    if which in ("E", "EF"):
-        # four operands: `form_norm2`'s order would move c08's E difference by 1e-11 relative
-        val = 0.5 * np.einsum("pab,pia,pjb,pij->p", ginv, dpsi, dpsi, G)
-        return val * f if which == "EF" else val
-    if which in ("E2", "E2F"):
-        val = 0.5 * norm2(tau)
-        return val * f if which == "E2F" else val
-    if which == "EF2":
-        return norm2(f[:, None] * tau + matvec(dpsi, grad_f))
-    raise ValueError(f"unknown energy {which!r}")
-
-
 def _densities(space, frozen, whichs, v, ts):
     """{which: (steps, nodes) array of weighted energy densities} of the
     functionals `whichs` at psi + t V for each step t of `ts` (`v` as in
     `_deformed_tension_data`), from one deformed-map stack they share."""
     tau, dpsi, G = _deformed_tension_data(space, frozen, v, ts)
-    return {which: _integrand(frozen, which, tau, dpsi, G).reshape(len(ts), -1) * frozen.sqrt_det
+    ginv, f, grad_f = (np.concatenate([x] * len(ts))
+                       for x in (frozen.ginv, frozen.f, frozen.grad_f_param))
+    # four operands: `form_norm2`'s order would move c08's E difference by 1e-11 relative
+    stack = SimpleNamespace(tau=tau, dpsi=dpsi, f=f, grad_f=grad_f,
+                            norm2=lambda w: inner(G, w, w),
+                            half_dpsi2=0.5 * np.einsum("pab,pia,pjb,pij->p", ginv, dpsi, dpsi, G))
+    return {which: FUNCTIONALS[which][0](stack).reshape(len(ts), -1) * frozen.sqrt_det
             for which in whichs}
 
 
@@ -227,19 +222,8 @@ def energies(grid, blocks):
 def el_field(ev, which):
     """Euler-Lagrange field of one functional (direct mode) at the points of
     an evaluation block, normalized so that dE(V) = -int <field, V> dv."""
-    if which == "E":
-        field = tension(ev)
-    elif which == "EF":
-        field = ev.values(ev.f_jet)[:, None] * tension(ev) + ev.values(ev.grad_f_ambient_field)
-    elif which == "E2":
-        field = bitension_direct(ev)
-    elif which == "E2F":
-        field = f_bitension_direct(ev)
-    elif which == "EF2":
-        field = bi_f_tension_direct(ev)
-    else:
-        raise ValueError(f"unknown energy {which!r}")
-    return VARIATION_PAIRING[which] * field
+    _density, field, pairing = FUNCTIONALS[which]
+    return pairing * field(ev)
 
 
 def first_variation_suite(imm, grid, blocks, whichs, variation):

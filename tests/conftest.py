@@ -204,6 +204,9 @@ RECORDED = {
     "calculus.Evaluation.rough_laplacian": (_block, None),
     "audits.identity_suite": (_block, None),
     "variational._densities": (lambda space, frozen, *rest: (len(frozen.f),), None),
+    # the direct fields, as the benchmark's tracer counts them
+    **{f"residuals.{name}": (_block, None)
+       for name in ("bitension_direct", "f_bitension_direct", "bi_f_tension_direct")},
     # flags: the flag measured; the block sizes and orders of a pre-check
     "calculus.flag_deviation": (lambda imm, blocks, name: (name,), None),
     "calculus.verify_flags": (lambda imm, blocks, tol=None: (

@@ -486,7 +486,7 @@ def _ref_mean_curvature_path(pt):
     env = {name: Jet.variable(sp, i, pt.point[i]) for i, name in enumerate(pt.imm.params)}
     psi = [eval_on_jets(c, env) for c in pt.imm.components]
     compose = _ref_composer([psi[a] - psi[a].value for a in range(d)])
-    metric = Jet.stack(pt.space.metric_jets(chart_jets(pt.psi.values, order)))
+    metric = pt.space.metric_jets(chart_jets(pt.psi.values, order))
     G_chart = [[metric[a, b] for b in range(d)] for a in range(d)]
     Gam_chart = _ref_christoffels(G_chart)
     G = [[compose(G_chart[a][b]) for b in range(d)] for a in range(d)]

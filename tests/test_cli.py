@@ -178,6 +178,45 @@ def test_huge_weight_exponent_exits_3_naming_the_weight(tmp_path, command):
                    "(offset 16) (section [weight], key 'f')\n")
 
 
+# expressions nested deeper than `expr.MAX_DEPTH`, and the offset of the
+# error in "1 + 0*(...)"
+TOO_DEEP = {
+    "parentheses": ("(" * 200 + "u" + ")" * 200, 70),
+    "sum": ("+".join(["0.001*cos(u)"] * 500), 813),
+    "signs": ("-" * 3000 + "u", 2944),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_DEEP))
+def test_deeply_nested_weight_exits_3_naming_the_weight(tmp_path, name):
+    """200 nested parentheses, a 500-term sum and 3000 signs in the weight
+    are refused as they are parsed, naming [weight] f, instead of
+    exceeding the recursion limit (an internal error, exit 4)."""
+    source, offset = TOO_DEEP[name]
+    path = write(tmp_path, BASE.replace('f = "1 + 0.3*cos(u)"', f'f = "1 + 0*({source})"'))
+    code, out, err = run_cli(["check", path])
+    assert (code, out) == (3, "")
+    assert err == ("validation error: weight rejected: nested deeper than 64 levels "
+                   f"(offset {offset}) (section [weight], key 'f')\n")
+
+
+def test_deeply_nested_map_exits_3_naming_the_map(tmp_path):
+    """A map component nested too deeply names [immersion] map; one at the
+    bound of 64 levels runs as the plain component does."""
+    deep, at_bound = "(" * 64 + "0" + ")" * 64, "(" * 63 + "0" + ")" * 63
+    path = write(tmp_path, BASE.replace('"sin(u)", "0"]', f'"sin(u)", "{deep}"]'))
+    code, out, err = run_cli(["energy", path])
+    assert (code, out) == (3, "")
+    assert err == ("validation error: immersion construction failed: nested deeper than 64 "
+                   "levels (offset 64) (section [immersion], key 'map')\n")
+    plain = run_cli(["energy", write(tmp_path, BASE)])
+    code, out, err = run_cli(["energy", write(tmp_path, BASE.replace(
+        '"sin(u)", "0"]', f'"sin(u)", "{at_bound}"]'))])
+    energies = lambda text: text[text.index("energies:"):text.index("wall_time_ms")]
+    assert (code, err) == plain[::2] and code == 0
+    assert energies(out) == energies(plain[1])
+
+
 def test_axis_span_that_overflows_is_named_without_warnings(tmp_path):
     """An axis whose hi - lo is not finite is rejected as it is parsed,
     naming [immersion] u, before numpy computes NaN sample points."""

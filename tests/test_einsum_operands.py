@@ -13,7 +13,7 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "bihkit")
 ALLOWED = {
     ("variational.py", "_deformed_tension_data"):
         "tr nabla dpsi at the frozen metric: E2 at h = 1e-4 moves by 4.1e-11 relative",
-    ("variational.py", "_integrand"):
+    ("variational.py", "_densities"):
         "|dpsi|^2, as `form_norm2`: E at h = 1e-3 moves by 1.1e-11 relative",
 }
 

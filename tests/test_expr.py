@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bihkit.expr import (
     FUNCTIONS,
+    MAX_DEPTH,
     MAX_EXPONENT,
     Bin,
     Call,
@@ -118,6 +119,44 @@ def test_power_exponent_is_bounded():
     x = Jet.variable(jet_space(1, 2), 0, 1.0 + 2.0**-20)
     value = coeff(eval_on_jets(parse("u^1024", ["u"]), {"u": x}), [0])
     assert math.isclose(value, (1.0 + 2.0**-20)**1024, rel_tol=1e-12)
+
+
+# expressions at MAX_DEPTH levels
+AT_THE_BOUND = {
+    "parentheses": "(" * 63 + "u" + ")" * 63,
+    "calls": "cos(" * 63 + "u" + ")" * 63,
+    "sum": "+".join(["u"] * 64),
+    "signs": "-" * 63 + "u",
+    "powers": "(" * 31 + "u^1" + ")^1" * 31,
+    "products": "u*(" * 31 + "u*u" + ")" * 31,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_THE_BOUND))
+def test_nesting_is_bounded(name):
+    """An expression nests at most MAX_DEPTH levels, each operator, call
+    and pair of parentheses one above its operands: one at the bound
+    parses and evaluates, and each way of nesting it one level deeper is a
+    parse error."""
+    assert MAX_DEPTH == 64
+    source = AT_THE_BOUND[name]
+    x = Jet.variable(jet_space(1, 4), 0, 0.25)
+    assert math.isfinite(coeff(eval_on_jets(parse(source, ["u"]), {"u": x}), [2]))
+    for deeper in ("(" + source + ")", source + "+u", "sin(" + source + ")"):
+        with pytest.raises(ParseError, match="nested deeper than 64 levels"):
+            parse(deeper, ["u"])
+
+
+def test_deep_nesting_is_named_where_it_exceeds_the_bound():
+    """The error's offset is the operator, sign or parenthesis that would
+    make the 65th level, and no depth overflows the parser: 3000 signs and a
+    500-term sum are refused as they are parsed."""
+    cases = {"(" * 64 + "u" + ")" * 64: 64, "-" * 3000 + "u": 2937,
+             "+".join(["u"] * 500): 128, "sin(" * 70 + "u" + ")" * 70: 256}
+    for source, offset in cases.items():
+        with pytest.raises(ParseError, match="nested deeper") as err:
+            parse(source, ["u"])
+        assert err.value.offset == offset, source
 
 
 def test_function_arity_and_calls():

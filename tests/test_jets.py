@@ -805,9 +805,11 @@ def test_degree_bounds_every_built_jet(data):
         "centered": lambda a, b: a.centered(),
         "sum": lambda a, b: Jet.stack([a, b]).sum(0),
         "concatenate": lambda a, b: Jet.concatenate([a[None], b[None]])[1],
-        "diagonal": lambda a, b: Jet.stack([[a, b], [b, a]]).add_diagonal(b)[0, 0],
-        "inverse": lambda a, b: Jet.stack([[bounded(a) + 1.0, bounded(b) * 0.5],
-                                           [bounded(b) * 0.5, bounded(a) + 1.0]]).inverse()[0, 1],
+        "diagonal": lambda a, b: Jet.stack([Jet.stack([a, b]),
+                                            Jet.stack([b, a])]).add_diagonal(b)[0, 0],
+        "inverse": lambda a, b: Jet.stack([
+            Jet.stack([bounded(a) + 1.0, bounded(b) * 0.5]),
+            Jet.stack([bounded(b) * 0.5, bounded(a) + 1.0])]).inverse()[0, 1],
         "compose": lambda a, b: Composer([a.centered(), b.centered()]).apply(
             data.draw(st.sampled_from(outers))),
     }
@@ -847,7 +849,7 @@ def test_degree_rules():
     assert one.sin()._degree == 0 and x.sin()._degree == 4
     assert Jet.stack([x, x * y])._degree == 2
     assert Jet(sp, np.zeros(sp.size))._degree == 4
-    assert Jet.stack([[x + 2.0, one], [one, y + 2.0]]).inverse()._degree == 4
+    assert Jet.stack([Jet.stack([x + 2.0, one]), Jet.stack([one, y + 2.0])]).inverse()._degree == 4
     outer_sp = jet_space(2, 4)
     u, v = Jet.variable(outer_sp, 0, 0.0), Jet.variable(outer_sp, 1, 0.0)
     inners = [(x * y).centered(), (x * x).centered()]  # degree 2

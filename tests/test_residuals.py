@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bihkit.calculus import Immersion, evaluate, evaluate_batches, matvec
+from bihkit.expr import parse
 from bihkit.residuals import (
     COROLLARIES,
     EQUATIONS,
@@ -337,9 +338,13 @@ def test_corollary_of_another_equation_is_rejected():
         theorem_residual(ev, kind="fbh", corollary="fbh_gcsf_curve")
 
 
-# The catalog scenario that witnesses each erratum row, run with its own
-# `[mode] kind`: there the relative correction delta delta_norm / scale of
-# the row reaches 1e-3 at some point.
+# c18 rendered with `[mode] kind = bif`: its f = 1 + 0.1 sin u is not
+# constant and CP^2 is curved, so four bif_gcsf rows correct there.
+C18_BIF = "c18_hypersphere_cp2 (kind = bif)"
+
+# The scenario that witnesses each erratum row, a catalog one run with its
+# own `[mode] kind` or C18_BIF: there the relative correction delta
+# delta_norm / scale of the row reaches 1e-3 at some point.
 CATALOG_WITNESSES = {
     ("fbh_gcsf", "delta_perp_H"): "c10_curve_cp1",
     ("fbh_gcsf", "weight_connection"): "c10_curve_cp1",
@@ -347,6 +352,10 @@ CATALOG_WITNESSES = {
     ("fbh_gssf", "delta_perp_H"): "c02_curve_sasakian",
     ("fbh_gssf", "weight_connection"): "c02_curve_sasakian",
     ("fbh_gssf", "shape_grad_ln_f"): "c01_circle_flat",
+    ("bif_gcsf", "weight_laplacian"): C18_BIF,
+    ("bif_gcsf", "ricci_grad_f"): C18_BIF,
+    ("bif_gcsf", "curv_alpha_grad_f"): C18_BIF,
+    ("bif_gcsf", "curv_beta_j2_gf"): C18_BIF,
     ("bif_gssf", "weight_laplacian"): "c12_torus_deformed_generic",
     ("bif_gssf", "weight_connection"): "c09_curve_kenmotsu",
     ("bif_gssf", "ta_nabla_perp_h"): "c12_torus_deformed_generic",
@@ -356,45 +365,68 @@ CATALOG_WITNESSES = {
     ("bif_gssf", "curv_f3_PsH"): "c12_torus_deformed_generic",
     ("bif_gssf", "curv_f3_P2_gf"): "c12_torus_deformed_generic",
 }
-# No catalog scenario witnesses the other 10: the only bif scenario in a
-# complex space form, c13, is flat with f = 1, so bif_gcsf's six rows make no
-# correction there above round-off, and no scenario uses kind bif_general.
+# No scenario witnesses the other 6: c18's H is parallel, so bif_gcsf's
+# weight_connection and ta_nabla_perp_h rows make no correction above
+# round-off, and no scenario uses kind bif_general.
 WITNESS_GAP = ERRATUM_PAIRS - set(CATALOG_WITNESSES)
 
 
-def _catalog_witness_deltas():
-    """{(scenario, equation, term): the largest delta_norm / scale} of every
-    erratum row over the blocks of every catalog scenario, each with its own
-    kind."""
-    out = {}
+def _witness_runs():
+    """(name, kind, blocks) of every catalog scenario with its own kind, and
+    of C18_BIF: c18's text with kind = bif, whose sample points are c18's,
+    so it reads c18's blocks."""
     for name in CATALOG_NAMES:
         kind = load_scenario(scenario_path(name), validate=False).mode.get("kind", "fbh")
-        for ev in catalog_blocks(name):
-            rep = theorem_residual(ev, kind=kind, errata=True)
-            eq_id = equation_for(ev.imm, kind)
+        yield name, kind, catalog_blocks(name)
+    text = _scenario_text("c18_hypersphere_cp2")
+    sc = parse_scenario(text.replace("kind = fbh", "kind = bif"), validate=False)
+    assert sc.mode["kind"] == "bif" and sc.immersion.weight == parse("1 + 0.1*sin(u)", ["u"])
+    blocks = catalog_blocks("c18_hypersphere_cp2")
+    assert same_bits(np.concatenate([ev.points for ev in blocks]), sc.sample_points())
+    yield C18_BIF, "bif", blocks
+
+
+def _catalog_witness_deltas():
+    """({(scenario, equation, term): the largest delta_norm / scale} of every
+    erratum row, {scenario: the largest relative mode delta with errata on})
+    over the blocks of every witness run."""
+    out, agreement = {}, {}
+    for name, kind, blocks in _witness_runs():
+        for ev in blocks:
+            modes = compare_modes(ev, kind=kind, errata=True)
+            rep, eq_id = modes["report"], equation_for(ev.imm, kind)
+            worst = max(modes["delta_normal"].max(), modes["delta_tangent"].max())
+            agreement[name] = max(agreement.get(name, 0.0), float(worst))
             for term, delta in zip(rep.matrix.terms, rep.delta_norm / rep.scale):
                 if term.erratum is not None:
                     key = (name, eq_id, term.name)
                     out[key] = max(out.get(key, 0.0), float(delta.max()))
-    return out
+    return out, agreement
 
 
 def test_catalog_witnesses_of_the_errata():
-    """14 of the 24 erratum rows have a catalog witness, where the
-    correction moves the residual by at least 1e-3 of its scale; the other
-    10 stay below 1e-3 on every catalog scenario (the open gap)."""
-    assert len(CATALOG_WITNESSES) == 14 and len(WITNESS_GAP) == 10
+    """18 of the 24 erratum rows have a witness, where the correction moves
+    the residual by at least 1e-3 of its scale and the modes agree to
+    1e-10 with errata on; the other 6 stay below 1e-3 on every run (the
+    open gap)."""
+    assert len(CATALOG_WITNESSES) == 18 and len(WITNESS_GAP) == 6
     assert WITNESS_GAP == {(eq_id, name) for eq_id, name in ERRATUM_PAIRS
-                           if eq_id in ("bif_gcsf", "bif_general")}
-    deltas = _catalog_witness_deltas()
+                           if eq_id == "bif_general"} | {
+        ("bif_gcsf", "weight_connection"), ("bif_gcsf", "ta_nabla_perp_h")}
+    deltas, agreement = _catalog_witness_deltas()
     for (eq_id, term), name in CATALOG_WITNESSES.items():
         assert deltas[(name, eq_id, term)] >= 1e-3, (eq_id, term, name)
+        assert agreement[name] <= 1e-10, (eq_id, term, name, agreement[name])
     for (name, eq_id, term), delta in deltas.items():
         if (eq_id, term) in WITNESS_GAP:
             assert delta < 1e-3, (eq_id, term, name)
     smallest = min(deltas[(name, *row)] for row, name in CATALOG_WITNESSES.items())
     assert smallest == deltas[("c12_torus_deformed_generic", "bif_gssf", "curv_f2_eta_H_tan")]
     assert smallest == pytest.approx(0.048, rel=0.02)
+    c18 = {term: deltas[(C18_BIF, "bif_gcsf", term)] for term in (
+        "weight_laplacian", "ricci_grad_f", "curv_alpha_grad_f", "curv_beta_j2_gf")}
+    assert c18 == pytest.approx({"weight_laplacian": 12.7, "ricci_grad_f": 3.28,
+                                 "curv_alpha_grad_f": 0.43, "curv_beta_j2_gf": 0.60}, rel=0.02)
 
 
 def model_trace(ev, v):
@@ -615,6 +647,42 @@ def test_circle_family_vanishes_at_the_biharmonic_radius():
     assert circle in text and 'f = "1"' in text
     roots, evaluations = _family_roots(text, "RHO", np.linspace(0.2, 0.8, 7),
                                        _signed_direct([0.3]))
+    assert len(roots) == 1
+    assert abs(roots[0] - R_SMALL) <= 1e-10, roots
+    assert evaluations <= 50
+
+
+S4_FAMILY = """\
+[ambient]
+kind = sasakian_sphere
+n = 2
+ctilde = 1.0
+
+[immersion]
+params = [a, b, c, u]
+a = [0.3, 1.2, open]
+b = [0.3, 1.2, open]
+c = [0.3, 1.2, open]
+u = [0.0, 6.283185307179586, periodic]
+map = ["RHO*cos(a)", "RHO*sin(a)*cos(b)", "RHO*sin(a)*sin(b)*cos(c)", \
+"RHO*sin(a)*sin(b)*sin(c)*cos(u)", "RHO*sin(a)*sin(b)*sin(c)*sin(u)"]
+
+[sampling]
+grid = [4, 4, 4, 4]
+"""
+
+
+def test_hypersphere_family_of_s5_vanishes_at_the_biharmonic_radius():
+    """The sphere of chart radius rho in the stereographic chart of S^5
+    (`sasakian_sphere`, n = 2, ctilde = 1: the round metric), in four
+    hyperspherical angles with f = 1, over [0.2, 0.8]: it is
+    S^4(2 rho / (1 + rho^2)), proper biharmonic iff that radius is
+    1/sqrt(2) (Jiang 1986; Caddeo, Montaldo & Oniciuc 2002), that is
+    rho = sqrt(2) - 1.  The direct residual's component along the chart
+    position vector, at one point, changes sign once there, found to 1e-10
+    in at most 50 evaluations."""
+    roots, evaluations = _family_roots(S4_FAMILY, "RHO", np.linspace(0.2, 0.8, 7),
+                                       _signed_direct([0.7, 0.8, 0.9, 0.3]))
     assert len(roots) == 1
     assert abs(roots[0] - R_SMALL) <= 1e-10, roots
     assert evaluations <= 50

@@ -330,14 +330,14 @@ def test_batched_chart_jets_match_each_point(kind):
     points = RNG.uniform(-0.45, 0.45, size=(5, sp.chart_dim))
     for order in range(5):
         x = chart_jets(points, order)
-        metric = Jet.stack(sp.metric_jets(x))
-        structure = {k: Jet.stack(v) for k, v in sp.structure_jets(x).items()}
+        metric = sp.metric_jets(x)
+        structure = sp.structure_jets(x)
         gam = metric_and_christoffel_jets(sp, points, order)[1] if order else None
         for i, p in enumerate(points):
             one = chart_jets(p[None], order)
-            assert same_bits(at(metric, i).c, at(Jet.stack(sp.metric_jets(one)), 0).c)
+            assert same_bits(at(metric, i).c, at(sp.metric_jets(one), 0).c)
             for k, v in sp.structure_jets(one).items():
-                assert same_bits(at(structure[k], i).c, at(Jet.stack(v), 0).c)
+                assert same_bits(at(structure[k], i).c, at(v, 0).c)
             if order:
                 one_gam = metric_and_christoffel_jets(sp, p[None], order)[1]
                 assert same_bits(at(gam, i).c, at(one_gam, 0).c)
@@ -374,7 +374,7 @@ def test_sasakian_metric_needs_only_lambda_and_eta(n, ctilde):
         x = chart_jets(points, order)
         lam, xi0, eta0, phi0 = _round_structure(sp, x)
         G = (eta0[:, None] * eta0[None] * (a * (a - 1.0))).add_diagonal(lam * a)
-        assert same_bits(Jet.stack(sp.metric_jets(x)).c, G.upper().symmetric().c)
+        assert same_bits(sp.metric_jets(x).c, G.upper().symmetric().c)
         structure = sp.structure_jets(x)
         for key, expected in (("phi", phi0), ("xi", xi0 / a), ("eta", eta0 * a)):
             assert same_bits(structure[key].c, expected.c), (order, key)
@@ -436,7 +436,7 @@ def test_kaehler_metric_jets_match_the_separate_formulas(kind, hol, n):
     points = RNG.uniform(-0.4, 0.4, size=(5, sp.chart_dim))
     for order in range(5):
         x = chart_jets(points, order)
-        assert same_bits(Jet.stack(sp.metric_jets(x)).c, _parent_kaehler_metric(sp, x).c), order
+        assert same_bits(sp.metric_jets(x).c, _parent_kaehler_metric(sp, x).c), order
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])

@@ -12,14 +12,14 @@ from bihkit.scenario import load_scenario
 from bihkit.spaces import ChartError, christoffels_at, make_space, matvec
 from bihkit.variational import (
     ENERGIES,
+    FUNCTIONALS,
     STEPS,
-    VARIATION_PAIRING,
     QuadratureGrid,
     el_field,
     energies,
     first_variation_suite,
 )
-from bihkit.variational import _deformed_tension_data, _densities, _frozen, _integrand
+from bihkit.variational import _deformed_tension_data, _densities, _frozen
 from conftest import catalog_blocks, get_scenario, one_point, same_bits, scenario_path
 
 TAU = 2.0 * np.pi
@@ -50,10 +50,12 @@ def test_circle_energy_closed_forms():
     assert values["E2"] == pytest.approx(np.pi, abs=1e-12)
     EF = node_energies(circle("2"), grid)["EF"]
     assert EF == pytest.approx(2.0 * np.pi, abs=1e-12)
+    # an unknown functional is missing from the table
     frozen = _frozen(evaluate_batches(imm, grid.points, 2))
-    tau, dpsi, G = _deformed_tension_data(FLAT3, frozen, (0.0,) * 3, (0.0,))
-    with pytest.raises(ValueError):
-        _integrand(frozen, "E3", tau, dpsi, G)
+    with pytest.raises(KeyError):
+        _densities(FLAT3, frozen, ["E3"], (0.0,) * 3, (0.0,))
+    with pytest.raises(KeyError):
+        el_field(one_point(imm, [0.3]), "E3")
 
 
 def test_quadrature_grid_shapes():
@@ -110,7 +112,7 @@ def test_sign_coherence_tension_from_energy():
     """The field recovered variationally from E is the tension field with
     its sign (pairing constant +1)."""
     imm = circle()
-    assert VARIATION_PAIRING["E"] == 1.0
+    assert FUNCTIONALS["E"][2] == 1.0
     ev = one_point(imm, [0.3])
     el = el_field(ev, "E")
     assert np.abs(el - tension(ev)).max() == 0.0
@@ -206,9 +208,22 @@ def test_first_variation_derives_tau_once_per_block(recorder):
 
 
 def test_el_field_pairing_table():
-    assert VARIATION_PAIRING == {
+    assert ENERGIES == tuple(FUNCTIONALS) == ("E", "E2", "E2F", "EF", "EF2")
+    assert {which: pairing for which, (_d, _f, pairing) in FUNCTIONALS.items()} == {
         "E": 1.0, "EF": 1.0, "E2": -1.0, "E2F": -1.0, "EF2": 2.0
     }
+
+
+def test_el_field_calls_the_field_bound_in_the_module(recorder):
+    """Each functional's field is looked up by its module-level name at call
+    time, so a wrapper bound there (the recorder's, a tracer's span) sees
+    the call."""
+    ev = one_point(circle("1 + 0.3*cos(u)"), [0.3])
+    for which, name in (("E2", "bitension_direct"), ("E2F", "f_bitension_direct"),
+                        ("EF2", "bi_f_tension_direct")):
+        recorder.calls.clear()
+        el_field(ev, which)
+        assert (1, 4) in recorder.of(f"residuals.{name}"), which
 
 
 @pytest.mark.parametrize("name", ["c04_small_sphere", "c08_hopf_torus",
@@ -311,13 +326,14 @@ def test_batched_steps_equal_one_step_calls(name):
     ts = [s for h in STEPS for s in (h, -h)]
     batched = _deformed_tension_data(imm.ambient, frozen, v, ts)
     assert all(len(x) == len(ts) * count for x in batched)
-    densities = {which: _integrand(frozen, which, *batched) for which in ENERGIES}
+    densities = _densities(imm.ambient, frozen, ENERGIES, v, ts)
     for k, t in enumerate(ts):
         rows = slice(k * count, (k + 1) * count)
         alone = _deformed_tension_data(imm.ambient, frozen, v, (t,))
         assert all(same_bits(x[rows], y) for x, y in zip(batched, alone)), t
+        one_step = _densities(imm.ambient, frozen, ENERGIES, v, (t,))
         for which in ENERGIES:
-            assert same_bits(densities[which][rows], _integrand(frozen, which, *alone)), (t, which)
+            assert same_bits(densities[which][k], one_step[which][0]), (t, which)
 
 
 # Jet coefficients: signed zeros, and magnitudes whose products with the
